@@ -103,11 +103,10 @@ func (r *DropRunner) BuildQueue(day simtime.Day) []QueueEntry {
 		return nil
 	}
 	q := make([]QueueEntry, 0, n)
-	r.store.eachPendingOn(day, func(d *model.Domain) {
-		if !r.inScope(d.TLD) {
-			return
+	r.store.eachPendingOn(day, func(rec *record) {
+		if tld := rec.tld(); r.inScope(tld) {
+			q = append(q, QueueEntry{Name: rec.name, TLD: tld, ID: rec.id, Updated: unixTime(rec.updated)})
 		}
-		q = append(q, QueueEntry{Name: d.Name, TLD: d.TLD, ID: d.ID, Updated: d.Updated})
 	})
 	slices.SortFunc(q, func(a, b QueueEntry) int {
 		if c := a.Updated.Compare(b.Updated); c != 0 {

@@ -28,70 +28,78 @@ type duePolicy struct {
 	perTLD map[model.TLD]*duePolicy
 }
 
-// dueDay returns the bucket day for d's current state: expiry day for
+// dueDay returns the bucket day for r's current state: expiry day for
 // active, grace-end day for autoRenew, redemption-end day for redemption and
-// the scheduled DeleteDay for pendingDelete. The parameters come from the
-// zone operating d's TLD.
-func (p duePolicy) dueDay(d *model.Domain) simtime.Day {
+// the scheduled delete day for pendingDelete. The parameters come from the
+// zone operating r's TLD.
+func (p duePolicy) dueDay(r *record) simtime.Day {
 	if p.perTLD != nil {
-		if zp, ok := p.perTLD[d.TLD]; ok {
-			return zp.dueDay(d)
+		if zp, ok := p.perTLD[r.tld()]; ok {
+			return zp.dueDay(r)
 		}
 	}
-	switch d.Status {
+	switch r.status {
 	case model.StatusActive:
-		return simtime.DayOf(d.Expiry)
+		return simtime.DayOf(unixTime(r.expiry))
 	case model.StatusAutoRenew:
 		g := p.defaultGraceDays
-		if v, ok := p.graceDays[d.RegistrarID]; ok {
+		if v, ok := p.graceDays[int(r.registrar)]; ok {
 			g = v
 		}
-		return simtime.DayOf(d.Expiry.AddDate(0, 0, g))
+		return simtime.DayOf(unixTime(r.expiry).AddDate(0, 0, g))
 	case model.StatusRedemption:
-		return simtime.DayOf(d.Updated.AddDate(0, 0, p.redemptionDays))
+		return simtime.DayOf(unixTime(r.updated).AddDate(0, 0, p.redemptionDays))
 	default:
-		return d.DeleteDay
+		return unpackDay(r.deleteDay)
 	}
 }
 
 // dueIndex is one lifecycle state's time-bucketed secondary index: every
-// live registration in that state, bucketed by due day. Buckets key on the
-// registry object ID for O(1) removal; bucket-internal iteration order is Go
-// map order, so every consumer imposes its own deterministic sort. days
-// mirrors the non-empty bucket keys in ascending order, which is what makes
-// "walk everything due through day D" O(due work) instead of O(store).
+// live registration in that state, bucketed by due day. A bucket is a slice
+// and each record stores its own position in it, so removal is an O(1)
+// swap with the last entry. Bucket-internal order depends on the history of
+// adds and removes, so every consumer imposes its own deterministic sort.
+// days mirrors the non-empty bucket keys in ascending order, which is what
+// makes "walk everything due through day D" O(due work) instead of
+// O(store).
 type dueIndex struct {
-	buckets map[simtime.Day]map[uint64]*model.Domain
+	buckets map[simtime.Day][]*record
 	days    []simtime.Day
 }
 
-func (ix *dueIndex) add(day simtime.Day, d *model.Domain) {
-	if ix.buckets == nil {
-		ix.buckets = make(map[simtime.Day]map[uint64]*model.Domain)
-	}
+func (ix *dueIndex) add(day simtime.Day, r *record) {
 	b, ok := ix.buckets[day]
 	if !ok {
-		b = make(map[uint64]*model.Domain)
-		ix.buckets[day] = b
+		if ix.buckets == nil {
+			ix.buckets = make(map[simtime.Day][]*record)
+		}
 		if i, found := slices.BinarySearchFunc(ix.days, day, simtime.Day.Compare); !found {
 			ix.days = slices.Insert(ix.days, i, day)
 		}
 	}
-	b[d.ID] = d
+	r.pos = int32(len(b))
+	ix.buckets[day] = append(b, r)
 }
 
-func (ix *dueIndex) remove(day simtime.Day, id uint64) {
-	b, ok := ix.buckets[day]
-	if !ok {
+// remove takes r out of day's bucket; a record the bucket does not hold at
+// r.pos is left alone.
+func (ix *dueIndex) remove(day simtime.Day, r *record) {
+	b := ix.buckets[day]
+	i, last := int(r.pos), len(b)-1
+	if i > last || b[i] != r {
 		return
 	}
-	delete(b, id)
-	if len(b) == 0 {
+	b[i] = b[last]
+	b[i].pos = r.pos
+	b[last] = nil
+	if last == 0 {
 		delete(ix.buckets, day)
 		if i, found := slices.BinarySearchFunc(ix.days, day, simtime.Day.Compare); found {
 			ix.days = slices.Delete(ix.days, i, i+1)
 		}
+		return
 	}
+	ix.buckets[day] = b[:last]
 }
 
 // count returns the size of day's bucket.
@@ -99,20 +107,20 @@ func (ix *dueIndex) count(day simtime.Day) int { return len(ix.buckets[day]) }
 
 // through calls fn for every registration whose bucket day is on or before
 // limit. fn must not add or remove index entries.
-func (ix *dueIndex) through(limit simtime.Day, fn func(*model.Domain)) {
+func (ix *dueIndex) through(limit simtime.Day, fn func(*record)) {
 	for _, day := range ix.days {
 		if day.Compare(limit) > 0 {
 			return
 		}
-		for _, d := range ix.buckets[day] {
-			fn(d)
+		for _, r := range ix.buckets[day] {
+			fn(r)
 		}
 	}
 }
 
 // eachBucket visits every non-empty bucket with day in [from, to), in
 // ascending day order. fn must not add or remove index entries.
-func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func(simtime.Day, map[uint64]*model.Domain)) {
+func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func(simtime.Day, []*record)) {
 	i, _ := slices.BinarySearchFunc(ix.days, from, simtime.Day.Compare)
 	for ; i < len(ix.days); i++ {
 		day := ix.days[i]

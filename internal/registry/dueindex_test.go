@@ -15,12 +15,12 @@ func bucketDayOf(s *Store, name string) (simtime.Day, bool) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	d, ok := sh.domains[name]
-	if !ok || int(d.Status) >= len(sh.due) {
+	r, ok := sh.domains[name]
+	if !ok || int(r.status) >= len(sh.due) {
 		return simtime.Day{}, false
 	}
-	for day, b := range sh.due[d.Status].buckets {
-		if _, ok := b[d.ID]; ok {
+	for day, b := range sh.due[r.status].buckets {
+		if int(r.pos) < len(b) && b[r.pos] == r {
 			return day, true
 		}
 	}
@@ -122,9 +122,9 @@ func TestDueIndexFollowsLifecycle(t *testing.T) {
 func TestDueIndexDaysBookkeeping(t *testing.T) {
 	var ix dueIndex
 	base := simtime.Day{Year: 2018, Month: time.March, Dom: 10}
-	doms := make([]*model.Domain, 6)
+	doms := make([]*record, 6)
 	for i := range doms {
-		doms[i] = &model.Domain{ID: uint64(i + 1)}
+		doms[i] = &record{id: uint64(i + 1)}
 	}
 	ix.add(base.AddDays(3), doms[0])
 	ix.add(base, doms[1])
@@ -132,7 +132,7 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	ix.add(base, doms[3])
 
 	var seen []uint64
-	ix.through(base.AddDays(3), func(d *model.Domain) { seen = append(seen, d.ID) })
+	ix.through(base.AddDays(3), func(r *record) { seen = append(seen, r.id) })
 	if len(seen) != 3 {
 		t.Fatalf("through visited %d, want 3 (two at base, one at +3)", len(seen))
 	}
@@ -141,20 +141,25 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	}
 
 	// Emptying a bucket removes its day; a later re-add restores it.
-	ix.remove(base, 2)
-	ix.remove(base, 4)
+	ix.remove(base, doms[1])
+	ix.remove(base, doms[3])
 	if got := len(ix.days); got != 2 {
 		t.Fatalf("days after emptying base = %d, want 2", got)
 	}
 	ix.add(base, doms[4])
 	days := 0
-	ix.eachBucket(base, base.AddDays(8), func(simtime.Day, map[uint64]*model.Domain) { days++ })
+	ix.eachBucket(base, base.AddDays(8), func(simtime.Day, []*record) { days++ })
 	if days != 3 {
 		t.Fatalf("eachBucket visited %d days, want 3", days)
 	}
 
-	// Removing from an unknown day is a no-op.
-	ix.remove(base.AddDays(99), 1)
+	// Removing from an unknown day, or a record its bucket does not hold,
+	// is a no-op.
+	ix.remove(base.AddDays(99), doms[0])
+	ix.remove(base, doms[5])
+	if got := ix.count(base); got != 1 {
+		t.Fatalf("count(base) after no-op removes = %d, want 1", got)
+	}
 }
 
 // TestEachCollectThenAct pins down the documented safe pattern for Each's

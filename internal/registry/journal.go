@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -193,10 +194,7 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		if err != nil {
 			return ev, false, fmt.Errorf("registry: replay %v %q: %w", m.Kind, m.Name, err)
 		}
-		if _, taken := sh.domains[m.Name]; taken {
-			return ev, false, fmt.Errorf("registry: replay %v: %w: %q", m.Kind, ErrExists, m.Name)
-		}
-		d := &model.Domain{
+		d := model.Domain{
 			ID:          m.ID,
 			Name:        m.Name,
 			TLD:         tld,
@@ -210,13 +208,14 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 			d.Status = m.Status
 			d.DeleteDay = m.DeleteDay
 		}
-		sh.domains[m.Name] = d
-		sh.byID[d.ID] = d
+		r, err := sh.insert(&d)
+		if err != nil {
+			return ev, false, fmt.Errorf("registry: replay %v: %w", m.Kind, err)
+		}
 		if m.Kind == MutCreate {
 			// Creates mint a transfer code; seeds do not (SeedAt's contract).
-			sh.authInfo[m.Name] = deriveAuthInfo(d.ID, m.Name)
+			r.auth = authCreated
 		}
-		sh.dueAdd(d)
 		// Atomic-max, not load-then-store: parallel replay applies shards
 		// concurrently, and a plain racing store could leave the allocator
 		// below the highest replayed ID.
@@ -229,50 +228,45 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		return ev, false, nil
 
 	case MutTouch, MutRenew, MutTransfer, MutSetState:
-		d, ok := sh.domains[m.Name]
+		r, ok := sh.domains[m.Name]
 		if !ok {
 			return ev, false, fmt.Errorf("registry: replay %v: %w: %q", m.Kind, ErrNotFound, m.Name)
 		}
-		sh.dueRemove(d)
-		switch m.Kind {
-		case MutTouch:
-			d.Updated = m.Updated
-		case MutRenew:
-			d.Expiry = m.Expiry
-			d.Updated = m.Updated
-			d.Status = model.StatusActive
-		case MutTransfer:
-			d.RegistrarID = m.RegistrarID
-			d.Updated = m.Updated
-			d.Status = model.StatusActive
-			sh.authInfo[m.Name] = deriveAuthInfo(d.ID^0x5bf0, m.Name)
-		case MutSetState:
-			d.Status = m.Status
-			if !m.Updated.IsZero() {
-				d.Updated = m.Updated
-			}
-			d.DeleteDay = m.DeleteDay
+		// Convert everything the record will take before touching it, so a
+		// refused record leaves the registration and its index entry alone.
+		next := *r
+		var errUpdated, errField error
+		if m.Kind != MutSetState || !m.Updated.IsZero() {
+			next.updated, errUpdated = unixSeconds(m.Updated)
 		}
-		sh.dueAdd(d)
+		switch m.Kind {
+		case MutRenew:
+			next.expiry, errField = unixSeconds(m.Expiry)
+			next.status = model.StatusActive
+		case MutTransfer:
+			next.registrar, errField = registrar32(m.RegistrarID)
+			next.status = model.StatusActive
+		case MutSetState:
+			next.status = m.Status
+			next.deleteDay, errField = packDay(m.DeleteDay)
+		}
+		if err := errors.Join(errUpdated, errField); err != nil {
+			return ev, false, fmt.Errorf("registry: replay %v %q: %w", m.Kind, m.Name, err)
+		}
+		sh.dueRemove(r)
+		*r = next
+		sh.dueAdd(r)
+		if m.Kind == MutTransfer {
+			sh.rotateAuth(r)
+		}
 		return ev, false, nil
 
 	case MutPurge:
-		d, ok := sh.domains[m.Name]
+		r, ok := sh.domains[m.Name]
 		if !ok {
 			return ev, false, fmt.Errorf("registry: replay purge: %w: %q", ErrNotFound, m.Name)
 		}
-		ev = model.DeletionEvent{
-			DomainID: d.ID,
-			Name:     d.Name,
-			TLD:      d.TLD,
-			Time:     m.Time,
-			Rank:     m.Rank,
-		}
-		sh.dueRemove(d)
-		delete(sh.domains, m.Name)
-		delete(sh.byID, d.ID)
-		delete(sh.authInfo, m.Name)
-		return ev, true, nil
+		return sh.remove(r, m.Time, m.Rank), true, nil
 	}
 	return ev, false, fmt.Errorf("registry: replay: unknown mutation kind %d", m.Kind)
 }

@@ -68,14 +68,14 @@ func NewZoneLifecycle(store *Store, z zone.Config) *Lifecycle {
 // Config returns the active configuration.
 func (l *Lifecycle) Config() LifecycleConfig { return l.cfg }
 
-// inScope reports whether d belongs to this lifecycle's zone.
-func (l *Lifecycle) inScope(d *model.Domain) bool {
-	return l.scope == nil || l.scope[d.TLD]
+// inScope reports whether t belongs to this lifecycle's zone.
+func (l *Lifecycle) inScope(t model.TLD) bool {
+	return l.scope == nil || l.scope[t]
 }
 
 // change is one planned lifecycle transition: everything the apply phase
 // needs, derived once during the sweep — no deferred closure re-deriving
-// state per candidate, and no Domain clone per examined domain.
+// state per candidate, and no Domain copy per examined domain.
 type change struct {
 	id      uint64
 	name    string
@@ -99,34 +99,33 @@ func (l *Lifecycle) Tick(now time.Time) int {
 	now = simtime.Trunc(now)
 	day := simtime.DayOf(now)
 
+	nowSec := now.Unix()
 	var changes []change
-	l.store.eachDueThrough(model.StatusActive, day, func(d *model.Domain) {
-		if !l.inScope(d) {
-			return
-		}
-		if !d.Expiry.After(now) {
+	l.store.eachDueThrough(model.StatusActive, day, func(r *record) {
+		if l.inScope(r.tld()) && r.expiry <= nowSec {
 			// Registry auto-renews at expiration; the registrar's grace
 			// clock starts at the old expiry.
-			changes = append(changes, change{id: d.ID, name: d.Name, to: model.StatusAutoRenew, updated: d.Expiry})
+			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusAutoRenew, updated: unixTime(r.expiry)})
 		}
 	})
-	l.store.eachDueThrough(model.StatusAutoRenew, day, func(d *model.Domain) {
-		if !l.inScope(d) {
+	l.store.eachDueThrough(model.StatusAutoRenew, day, func(r *record) {
+		if !l.inScope(r.tld()) {
 			return
 		}
-		graceEnd := d.Expiry.AddDate(0, 0, l.cfg.GraceDaysFor(d.RegistrarID))
+		registrar := int(r.registrar)
+		graceEnd := unixTime(r.expiry).AddDate(0, 0, l.cfg.GraceDaysFor(registrar))
 		if !graceEnd.After(now) {
 			// Registrar deletes the domain: the batch instant is the "last
 			// updated" timestamp that will drive the deletion order.
-			changes = append(changes, change{id: d.ID, name: d.Name, to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, d.RegistrarID)})
+			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, registrar)})
 		}
 	})
-	l.store.eachDueThrough(model.StatusRedemption, day, func(d *model.Domain) {
-		if !l.inScope(d) {
+	l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
+		if !l.inScope(r.tld()) {
 			return
 		}
-		if !d.Updated.AddDate(0, 0, l.cfg.RedemptionDays).After(now) {
-			changes = append(changes, change{id: d.ID, name: d.Name, to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
+		if !unixTime(r.updated).AddDate(0, 0, l.cfg.RedemptionDays).After(now) {
+			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
 		}
 	})
 

@@ -1,0 +1,558 @@
+package registry
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+	"unsafe"
+
+	"dropzero/internal/model"
+	"dropzero/internal/simtime"
+	"dropzero/internal/zone"
+)
+
+// TestRecordFitsOneSizeClass pins the stored form to the 64-byte allocator
+// size class; one more word would cost 80 bytes per registration.
+func TestRecordFitsOneSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(record{}); size > 64 {
+		t.Fatalf("record is %d bytes, want <= 64", size)
+	}
+}
+
+// FuzzRecordRoundTrip: every second-precision UTC model.Domain whose fields
+// fit the stored widths survives record and back exactly, and everything
+// else is refused — never rounded.
+func FuzzRecordRoundTrip(f *testing.F) {
+	zeroSec := time.Time{}.Unix()
+	f.Add(uint64(1), "example", "com", int64(1000), int64(1500000000), int64(1510000000), int64(1530000000), 0, uint8(0), 0, 0, 0)
+	f.Add(uint64(1<<63), "zero-times", "net", int64(0), zeroSec, zeroSec, zeroSec, 0, uint8(3), 2018, 3, 8)
+	f.Add(uint64(7), "nordic", "se", int64(-5), int64(-1), int64(0), int64(1), 0, uint8(4), 2018, 12, 31)
+	f.Add(uint64(8), "subsecond", "nu", int64(1), int64(1500000000), int64(1500000000), int64(1500000000), 1, uint8(1), 0, 0, 0)
+	f.Add(uint64(9), "bigregistrar", "dk", int64(1)<<31, int64(5), int64(6), int64(7), 0, uint8(2), 0, 0, 0)
+	f.Add(uint64(10), "badday", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(255), 1<<21, 13, 32)
+	f.Add(uint64(11), "notld", "", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), -1, 1, 1)
+	f.Fuzz(func(t *testing.T, id uint64, label, tld string, registrar, created, updated, expiry int64, nanos int, status uint8, year, month, dom int) {
+		nanos = ((nanos % 1e9) + 1e9) % 1e9
+		d := model.Domain{
+			ID:          id,
+			Name:        label + "." + tld,
+			TLD:         model.TLD(tld),
+			RegistrarID: int(registrar),
+			Created:     time.Unix(created, 0).UTC(),
+			Updated:     time.Unix(updated, int64(nanos)).UTC(),
+			Expiry:      time.Unix(expiry, 0).UTC(),
+			Status:      model.Status(status),
+			DeleteDay:   simtime.Day{Year: year, Month: time.Month(month), Dom: dom},
+		}
+		fits := tld != "" && len(tld) <= 255 &&
+			nanos == 0 &&
+			registrar >= -1<<31 && registrar < 1<<31 &&
+			year >= -(1<<21) && year < 1<<21 && month >= 0 && month <= 15 && dom >= 0 && dom <= 31
+		r, err := newRecord(&d)
+		if !fits {
+			if !errors.Is(err, errUnrepresentable) {
+				t.Fatalf("newRecord(%+v) = %v, want errUnrepresentable", d, err)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("newRecord(%+v): %v", d, err)
+		}
+		if got := r.domain(); got != d {
+			t.Fatalf("round trip changed the registration:\n in  %+v\n out %+v", d, got)
+		}
+	})
+}
+
+// TestReplayRefusesUnrepresentable: replay input the record cannot hold
+// exactly is an error and leaves the registration, and its index entry,
+// as they were.
+func TestReplayRefusesUnrepresentable(t *testing.T) {
+	s, _ := testStore(t)
+	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
+	seed := Mutation{Kind: MutSeed, ID: 1, Name: "exact.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0)}
+	if err := s.Apply(seed); err != nil {
+		t.Fatal(err)
+	}
+	before, _ := s.Get("exact.com")
+	beforeDay, _ := bucketDayOf(s, "exact.com")
+
+	sub := at.Add(time.Nanosecond)
+	bad := []Mutation{
+		{Kind: MutSeed, ID: 2, Name: "sub.com", RegistrarID: 1000, Created: sub, Updated: at, Expiry: at},
+		{Kind: MutCreate, ID: 2, Name: "wide.com", RegistrarID: 1 << 40, Created: at, Updated: at, Expiry: at},
+		{Kind: MutSeed, ID: 2, Name: "day.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at, DeleteDay: simtime.Day{Year: 2018, Month: 40, Dom: 1}},
+		{Kind: MutTouch, Name: "exact.com", Updated: sub},
+		{Kind: MutRenew, Name: "exact.com", Updated: at, Expiry: sub},
+		{Kind: MutTransfer, Name: "exact.com", RegistrarID: 1 << 40, Updated: at},
+		{Kind: MutSetState, Name: "exact.com", Status: model.StatusPendingDelete, DeleteDay: simtime.Day{Year: 1 << 30, Month: 1, Dom: 1}},
+	}
+	gen := s.Generation()
+	for _, m := range bad {
+		if err := s.Apply(m); !errors.Is(err, errUnrepresentable) {
+			t.Fatalf("Apply(%v %q) = %v, want errUnrepresentable", m.Kind, m.Name, err)
+		}
+		if err := s.ApplyBatch([]Mutation{m, m}); !errors.Is(err, errUnrepresentable) {
+			t.Fatalf("ApplyBatch(%v %q) = %v, want errUnrepresentable", m.Kind, m.Name, err)
+		}
+	}
+	if s.Count() != 1 || s.Generation() != gen {
+		t.Fatalf("refused records changed the store: count %d, generation %d -> %d", s.Count(), gen, s.Generation())
+	}
+	after, _ := s.Get("exact.com")
+	if *after != *before {
+		t.Fatalf("refused records changed the registration:\n before %+v\n after  %+v", before, after)
+	}
+	if day, ok := bucketDayOf(s, "exact.com"); !ok || day != beforeDay {
+		t.Fatalf("due bucket = %v (ok=%v), want %v", day, ok, beforeDay)
+	}
+}
+
+// TestTransferRejectsBadAuthInfo: every way of not knowing the code is
+// ErrBadAuthInfo — empty, wrong, the code a transfer rotated away, and any
+// guess at all for a seeded registration, which has no code.
+func TestTransferRejectsBadAuthInfo(t *testing.T) {
+	s, _ := testStore(t)
+	created, err := s.Create("held.com", 1000, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	code, _ := s.AuthInfo("held.com", 1000)
+	for _, presented := range []string{"", "wrong", code[:len(code)-1], code + "x", "AX-000000000000"} {
+		if err := s.Transfer("held.com", 1001, presented); !errors.Is(err, ErrBadAuthInfo) {
+			t.Fatalf("Transfer with %q: %v, want ErrBadAuthInfo", presented, err)
+		}
+	}
+	if err := s.Transfer("held.com", 1001, code); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Transfer("held.com", 1000, code); !errors.Is(err, ErrBadAuthInfo) {
+		t.Fatalf("Transfer with the pre-transfer code: %v, want ErrBadAuthInfo", err)
+	}
+
+	at := time.Date(2017, 1, 1, 0, 0, 0, 0, time.UTC)
+	seeded, err := s.SeedAt("seeded.com", 1000, at, at, at.AddDate(5, 0, 0), model.StatusActive, simtime.Day{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.AuthInfo("seeded.com", 1000); err != nil || got != "" {
+		t.Fatalf("AuthInfo of a seeded registration = %q, %v; want none", got, err)
+	}
+	for _, presented := range []string{"", "wrong", code, refAuthInfo(seeded.ID, "seeded.com"), refAuthInfo(seeded.ID^0x5bf0, "seeded.com")} {
+		if err := s.Transfer("seeded.com", 1001, presented); !errors.Is(err, ErrBadAuthInfo) {
+			t.Fatalf("Transfer of a seeded registration with %q: %v, want ErrBadAuthInfo", presented, err)
+		}
+	}
+	if d, _ := s.Get("held.com"); d.RegistrarID != 1001 || d.ID != created.ID {
+		t.Fatalf("held.com = %+v", d)
+	}
+}
+
+// refAuthInfo is the transfer-code derivation as the store had it when
+// codes were kept in a map, retained as the oracle's independent copy.
+func refAuthInfo(id uint64, name string) string {
+	h := id + 0x9e3779b97f4a7c15
+	for i := 0; i < len(name); i++ {
+		h = (h ^ uint64(name[i])) * 0x100000001b3
+	}
+	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
+	h ^= h >> 31
+	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+	buf := make([]byte, 12)
+	for i := range buf {
+		buf[i] = digits[h%36]
+		h /= 36
+	}
+	return "AX-" + string(buf)
+}
+
+// authOracle is the representation the store used to have: one code per
+// name in a plain map, absent for seeded registrations.
+type authOracle map[string]string
+
+// check compares every live registration's code, and every purged name's
+// absence, with the oracle.
+func (o authOracle) check(t *testing.T, label string, s *Store) {
+	t.Helper()
+	seen := 0
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		for name, r := range sh.domains {
+			if got, want := sh.authInfo(r), o[name]; got != want {
+				t.Errorf("%s: %s: code %q, oracle %q", label, name, got, want)
+			}
+			if _, has := o[name]; has {
+				seen++
+			}
+		}
+		for name := range sh.authStored {
+			if r, ok := sh.domains[name]; !ok || r.auth != authStored {
+				t.Errorf("%s: stored code for %s outlived its registration or state", label, name)
+			}
+		}
+		sh.mu.RUnlock()
+	}
+	if seen != len(o) {
+		t.Errorf("%s: oracle holds %d codes, %d of them for live registrations", label, len(o), seen)
+	}
+}
+
+// TestAuthInfoMatchesMapOracle drives creates, seeds, transfers and purges
+// against the oracle, then rebuilds the store every way recovery and
+// replication can — snapshot restore (with a code that matches neither
+// derivation), record-at-a-time replay, batched replay, per-shard replay —
+// and requires the same codes each time.
+func TestAuthInfoMatchesMapOracle(t *testing.T) {
+	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
+	clock := simtime.NewSimClock(start.At(9, 0, 0))
+	s := NewStoreWithShards(clock, 4)
+	cap := &captureJournal{}
+	s.SetJournal(cap)
+	for r := 0; r < 3; r++ {
+		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+	}
+	if err := s.AddZone(nordicZone()); err != nil {
+		t.Fatal(err)
+	}
+	oracle := authOracle{}
+	sponsor := map[string]int{}
+	rng := rand.New(rand.NewSource(12))
+	var names []string
+	for i := 0; i < 400; i++ {
+		name := fmt.Sprintf("auth%03d.%s", i, []string{"com", "net", "se"}[i%3])
+		reg := 1000 + rng.Intn(3)
+		if i%2 == 0 {
+			d, err := s.Create(name, reg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle[name] = refAuthInfo(d.ID, name)
+		} else {
+			at := start.At(1, 0, i%60)
+			status, day := model.StatusActive, simtime.Day{}
+			if i%8 == 1 {
+				status, day = model.StatusPendingDelete, start
+			}
+			if _, err := s.SeedAt(name, reg, at, at, at.AddDate(1, 0, 0), status, day); err != nil {
+				t.Fatal(err)
+			}
+		}
+		names = append(names, name)
+		sponsor[name] = reg
+	}
+	transfers, purges := 0, 0
+	churn := func(s *Store, rounds int) {
+		for i := 0; i < rounds; i++ {
+			name := names[rng.Intn(len(names))]
+			d, err := s.Get(name)
+			if err != nil {
+				continue // purged
+			}
+			switch rng.Intn(4) {
+			case 0:
+				if d.Status == model.StatusPendingDelete {
+					if _, err := s.purge(name, start.At(19, 0, i%60), i); err != nil {
+						t.Fatal(err)
+					}
+					delete(oracle, name)
+					purges++
+				}
+			default:
+				gaining := 1000 + rng.Intn(3)
+				code, err := s.AuthInfo(name, sponsor[name])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if code != oracle[name] {
+					t.Fatalf("%s: AuthInfo %q, oracle %q", name, code, oracle[name])
+				}
+				err = s.Transfer(name, gaining, code)
+				switch {
+				case err == nil:
+					oracle[name] = refAuthInfo(d.ID^0x5bf0, name)
+					sponsor[name] = gaining
+					transfers++
+				case code == "" && errors.Is(err, ErrBadAuthInfo):
+				case errors.Is(err, ErrWrongRegistrar), errors.Is(err, ErrStatusProhibits):
+				default:
+					t.Fatalf("Transfer %s: %v", name, err)
+				}
+			}
+		}
+	}
+	churn(s, 600)
+	if transfers < 100 || purges < 10 {
+		t.Fatalf("workout too quiet: %d transfers, %d purges", transfers, purges)
+	}
+	oracle.check(t, "live", s)
+
+	replayed := func(label string, apply func(*Store, []Mutation) error) {
+		t.Helper()
+		re := NewStoreWithShards(simtime.NewSimClock(start.At(0, 0, 0)), 2)
+		if err := apply(re, cap.records); err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		oracle.check(t, label, re)
+	}
+	replayed("Apply", func(re *Store, ms []Mutation) error {
+		for _, m := range ms {
+			if err := re.Apply(m); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	replayed("ApplyBatch", func(re *Store, ms []Mutation) error {
+		for off := 0; off < len(ms); off += 97 {
+			if err := re.ApplyBatch(ms[off:min(off+97, len(ms))]); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	replayed("ApplyShardSequence", func(re *Store, ms []Mutation) error {
+		seqs := make([][]SeqMutation, re.ShardCount())
+		for i, m := range ms {
+			if m.Kind == MutAddRegistrar || m.Kind == MutAddZone {
+				if err := re.Apply(m); err != nil {
+					return err
+				}
+				continue
+			}
+			si := re.ShardIndexFor(m.Name)
+			seqs[si] = append(seqs[si], SeqMutation{Seq: uint64(i + 1), M: m})
+		}
+		for si, seq := range seqs {
+			if _, err := re.ApplyShardSequence(si, seq); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+
+	// Snapshot and restore, with two codes of foreign make: one on a
+	// created registration, one on a seeded one.
+	snap := s.CaptureSnapshot()
+	foreign := 0
+	for i := range snap.Domains {
+		name := snap.Domains[i].Domain.Name
+		if snap.Domains[i].AuthInfo != oracle[name] {
+			t.Fatalf("snapshot carries %q for %s, oracle %q", snap.Domains[i].AuthInfo, name, oracle[name])
+		}
+		if foreign < 2 && snap.Domains[i].Domain.Status == model.StatusActive && (foreign == 0) == (oracle[name] != "") {
+			oracle[name] = fmt.Sprintf("legacy-code-%d", foreign)
+			snap.Domains[i].AuthInfo = oracle[name]
+			foreign++
+		}
+	}
+	if foreign != 2 {
+		t.Fatalf("placed %d foreign codes, want 2", foreign)
+	}
+	re := NewStoreWithShards(clock, 8)
+	if err := re.RestoreSnapshot(snap); err != nil {
+		t.Fatal(err)
+	}
+	oracle.check(t, "restored", re)
+	if again := re.CaptureSnapshot(); len(again.Domains) != len(snap.Domains) {
+		t.Fatalf("re-captured %d registrations, want %d", len(again.Domains), len(snap.Domains))
+	} else {
+		for _, sd := range again.Domains {
+			if sd.AuthInfo != oracle[sd.Domain.Name] {
+				t.Fatalf("re-captured snapshot carries %q for %s, oracle %q", sd.AuthInfo, sd.Domain.Name, oracle[sd.Domain.Name])
+			}
+		}
+	}
+	// The foreign codes authorise a transfer like any other and rotate away;
+	// purging a holder of one forgets it.
+	churn(re, 2000)
+	for name, code := range oracle {
+		if len(code) > 7 && code[:7] == "legacy-" {
+			if err := re.setState(name, model.StatusPendingDelete, time.Time{}, start); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := re.purge(name, start.At(19, 30, 0), 0); err != nil {
+				t.Fatal(err)
+			}
+			delete(oracle, name)
+		}
+	}
+	oracle.check(t, "restored+churn", re)
+	for i := range re.shards {
+		if n := len(re.shards[i].authStored); n != 0 {
+			t.Fatalf("shard %d still stores %d codes", i, n)
+		}
+	}
+}
+
+// checkDuePositions asserts the due index's structural invariant: every
+// live registration sits in exactly one bucket — the one for its status and
+// policy due day — at the position it records.
+func checkDuePositions(t *testing.T, s *Store) {
+	t.Helper()
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		indexed := 0
+		for st := range sh.due {
+			ix := &sh.due[st]
+			if len(ix.days) != len(ix.buckets) {
+				t.Fatalf("shard %d %v: %d days for %d buckets", i, model.Status(st), len(ix.days), len(ix.buckets))
+			}
+			for k := 1; k < len(ix.days); k++ {
+				if ix.days[k-1].Compare(ix.days[k]) >= 0 {
+					t.Fatalf("shard %d %v: days out of order at %d", i, model.Status(st), k)
+				}
+			}
+			for day, b := range ix.buckets {
+				if len(b) == 0 {
+					t.Fatalf("shard %d %v: empty bucket %v kept", i, model.Status(st), day)
+				}
+				for pos, r := range b {
+					if int(r.pos) != pos || int(r.status) != st || sh.policy.dueDay(r) != day || sh.domains[r.name] != r {
+						t.Fatalf("shard %d %v bucket %v[%d]: holds %s (pos %d, status %v, due %v)",
+							i, model.Status(st), day, pos, r.name, r.pos, r.status, sh.policy.dueDay(r))
+					}
+				}
+				indexed += len(b)
+			}
+		}
+		if indexed != len(sh.domains) {
+			t.Fatalf("shard %d: %d registrations indexed, %d live", i, indexed, len(sh.domains))
+		}
+		sh.mu.RUnlock()
+	}
+}
+
+// TestDueBucketsUnderRandomChurn applies a random mix of every mutator that
+// adds to, moves within or removes from the due index, to an indexed store
+// and a full-scan store in lockstep. After every round the positions must
+// be intact and every sweep — lifecycle tick, published window, Drop queue
+// — must come out the same from the buckets as from the scan.
+func TestDueBucketsUnderRandomChurn(t *testing.T) {
+	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
+	newWorld := func(scan bool) (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
+		clock := simtime.NewSimClock(start.At(0, 0, 0))
+		s := NewStoreWithShards(clock, 4)
+		s.SetScanEngine(scan)
+		for r := 0; r < 4; r++ {
+			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+		}
+		z := nordicZone()
+		z.Lifecycle = zone.LifecycleConfig{RedemptionDays: 4, PendingDeleteDays: 2, DefaultGraceDays: 3}
+		if err := s.AddZone(z); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultLifecycleConfig()
+		cfg.RedemptionDays, cfg.PendingDeleteDays, cfg.DefaultGraceDays = 6, 3, 5
+		return s, clock, NewLifecycle(s, cfg), NewDropRunner(s, DefaultDropConfig())
+	}
+	ix, ixClock, ixLC, ixRun := newWorld(false)
+	sc, scClock, scLC, scRun := newWorld(true)
+	zl := func(s *Store) *Lifecycle { z, _ := s.ZoneByName(nordicZone().Name); return NewZoneLifecycle(s, z) }
+	ixZL, scZL := zl(ix), zl(sc)
+
+	rng := rand.New(rand.NewSource(5))
+	var names []string
+	both := func(op func(s *Store) error) {
+		t.Helper()
+		e1, e2 := op(ix), op(sc)
+		if (e1 == nil) != (e2 == nil) {
+			t.Fatalf("engines disagree: indexed %v, scan %v", e1, e2)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		day := start.AddDays(round / 2)
+		now := day.At(6+12*(round%2), 0, 0)
+		ixClock.Set(now)
+		scClock.Set(now)
+		for k := 0; k < 60; k++ {
+			switch op := rng.Intn(10); {
+			case op < 3 || len(names) < 20:
+				name := fmt.Sprintf("churn%05d.%s", len(names), []string{"com", "net", "se", "nu"}[rng.Intn(4)])
+				reg, term := 1000+rng.Intn(4), 1+rng.Intn(2)
+				expiry := day.AddDays(rng.Intn(12)-3).At(rng.Intn(24), 0, rng.Intn(60))
+				updated := expiry.AddDate(0, 0, -rng.Intn(30))
+				st := model.Status(rng.Intn(4))
+				due := simtime.Day{}
+				if st == model.StatusPendingDelete {
+					due = day.AddDays(rng.Intn(4))
+				}
+				if rng.Intn(2) == 0 {
+					both(func(s *Store) error { _, err := s.Create(name, reg, term); return err })
+				} else {
+					both(func(s *Store) error {
+						_, err := s.SeedAt(name, reg, expiry.AddDate(-1, 0, 0), updated, expiry, st, due)
+						return err
+					})
+				}
+				names = append(names, name)
+			default:
+				name := names[rng.Intn(len(names))]
+				d, err := ix.Get(name)
+				if err != nil {
+					continue
+				}
+				switch op {
+				case 3, 4:
+					both(func(s *Store) error { return s.TouchAt(name, d.RegistrarID, now) })
+				case 5:
+					both(func(s *Store) error { return s.Renew(name, d.RegistrarID, 1) })
+				case 6:
+					gaining := 1000 + rng.Intn(4)
+					both(func(s *Store) error {
+						code, _ := s.AuthInfo(name, d.RegistrarID)
+						return s.Transfer(name, gaining, code)
+					})
+				case 7:
+					both(func(s *Store) error { return s.MarkRedemption(name, now) })
+				case 8:
+					due := day.AddDays(rng.Intn(3))
+					both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, due) })
+				case 9:
+					both(func(s *Store) error { _, err := s.purge(name, now, k); return err })
+				}
+			}
+		}
+		checkDuePositions(t, ix)
+		checkDuePositions(t, sc)
+
+		if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.Tick(now)+scZL.Tick(now); a != b {
+			t.Fatalf("round %d: indexed tick moved %d, scan tick %d", round, a, b)
+		}
+		checkDuePositions(t, ix)
+		for _, win := range []int{1, 5} {
+			a, b := ix.PendingDeletions(day, win), sc.PendingDeletions(day, win)
+			if fmt.Sprint(derefAll(a)) != fmt.Sprint(derefAll(b)) {
+				t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, derefAll(a), derefAll(b))
+			}
+		}
+		if a, b := ixRun.BuildQueue(day), scRun.BuildQueue(day); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("round %d: queue differs:\n indexed %v\n scan    %v", round, a, b)
+		}
+		if round%2 == 1 {
+			a, errA := ixRun.Run(day, rand.New(rand.NewSource(int64(round))))
+			b, errB := scRun.Run(day, rand.New(rand.NewSource(int64(round))))
+			if errA != nil || errB != nil || fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("round %d: drops differ (%v, %v):\n indexed %v\n scan    %v", round, errA, errB, a, b)
+			}
+			checkDuePositions(t, ix)
+		}
+	}
+	if a, b := dumpStore(ix, start, 40), dumpStore(sc, start, 40); a != b {
+		diffDumps(t, "indexed", "scan", a, b)
+	}
+	if ix.Count() == 0 || len(ix.Deletions(start.AddDays(5))) == 0 {
+		t.Fatalf("workout too quiet: %d live, %d deleted on day 5", ix.Count(), len(ix.Deletions(start.AddDays(5))))
+	}
+}
+
+func derefAll(ds []*model.Domain) []model.Domain {
+	out := make([]model.Domain, len(ds))
+	for i, d := range ds {
+		out[i] = *d
+	}
+	return out
+}

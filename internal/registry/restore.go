@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"dropzero/internal/model"
@@ -75,12 +76,8 @@ func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sec := make([]SnapshotDomain, 0, len(sh.domains))
-		for name, d := range sh.domains {
-			sec = append(sec, SnapshotDomain{Domain: *d, AuthInfo: sh.authInfo[name]})
-		}
+		st.Shards[i] = sh.snapshotSection()
 		sh.mu.RUnlock()
-		st.Shards[i] = sec
 	}
 	s.delMu.Lock()
 	for day, evs := range s.deletions {
@@ -90,6 +87,16 @@ func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
 	st.NextID = s.nextID.Load()
 	st.Gen = s.gen.Load()
 	return st
+}
+
+// snapshotSection copies sh's registrations with their transfer codes. The
+// caller holds sh's lock (either mode).
+func (sh *shard) snapshotSection() []SnapshotDomain {
+	sec := make([]SnapshotDomain, 0, len(sh.domains))
+	for _, r := range sh.domains {
+		sec = append(sec, SnapshotDomain{Domain: r.domain(), AuthInfo: sh.authInfo(r)})
+	}
+	return sec
 }
 
 // CaptureSnapshotShardedQuiesced is CaptureSnapshotQuiesced keeping the
@@ -109,12 +116,7 @@ func (s *Store) CaptureSnapshotShardedQuiesced(walSeq func() uint64) (ShardedSna
 		Zones:      s.ExtraZones(),
 	}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sec := make([]SnapshotDomain, 0, len(sh.domains))
-		for name, d := range sh.domains {
-			sec = append(sec, SnapshotDomain{Domain: *d, AuthInfo: sh.authInfo[name]})
-		}
-		st.Shards[i] = sec
+		st.Shards[i] = s.shards[i].snapshotSection()
 	}
 	s.delMu.Lock()
 	for day, evs := range s.deletions {
@@ -145,27 +147,42 @@ func (s *Store) RestoreRegistrars(rs []model.Registrar) {
 // Duplicate names (within the batch or across batches) mean the snapshot is
 // not a faithful store copy and fail loudly.
 func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
-	groups := make(map[uint64][]int)
+	// Counting sort by receiving shard: order[start[si]:start[si+1]] are the
+	// batch indexes routed to shard si, in batch order.
+	start := make([]int, len(s.shards)+1)
+	for i := range ds {
+		start[s.shardIndex(ds[i].Domain.Name)+1]++
+	}
+	for si := range s.shards {
+		start[si+1] += start[si]
+	}
+	order := make([]int32, len(ds))
+	next := slices.Clone(start[:len(s.shards)])
 	for i := range ds {
 		si := s.shardIndex(ds[i].Domain.Name)
-		groups[si] = append(groups[si], i)
+		order[next[si]] = int32(i)
+		next[si]++
 	}
-	for si, idxs := range groups {
+	for si := range s.shards {
+		idxs := order[start[si]:start[si+1]]
+		if len(idxs) == 0 {
+			continue
+		}
 		sh := &s.shards[si]
 		sh.mu.Lock()
+		if len(sh.domains) == 0 {
+			// The first batch a shard receives is usually its only one
+			// (a section per writer shard): size the map for it up front
+			// instead of growing it by doubling.
+			sh.domains = make(map[string]*record, len(idxs))
+		}
 		for _, i := range idxs {
-			d := ds[i].Domain
-			if _, taken := sh.domains[d.Name]; taken {
+			r, err := sh.insert(&ds[i].Domain)
+			if err != nil {
 				sh.mu.Unlock()
-				return fmt.Errorf("registry: restore: %w: %q", ErrExists, d.Name)
+				return fmt.Errorf("registry: restore: %w", err)
 			}
-			c := d
-			sh.domains[d.Name] = &c
-			sh.byID[c.ID] = &c
-			if ds[i].AuthInfo != "" {
-				sh.authInfo[d.Name] = ds[i].AuthInfo
-			}
-			sh.dueAdd(&c)
+			sh.setAuthInfo(r, ds[i].AuthInfo)
 		}
 		sh.mu.Unlock()
 	}

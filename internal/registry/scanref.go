@@ -32,7 +32,7 @@ func (l *Lifecycle) tickScan(now time.Time) int {
 	var changes []change
 
 	l.store.Each(func(d *model.Domain) bool {
-		if !l.inScope(d) {
+		if !l.inScope(d.TLD) {
 			return true
 		}
 		switch d.Status {
@@ -103,14 +103,15 @@ func (r *DropRunner) buildQueueScan(day simtime.Day) []QueueEntry {
 func (s *Store) pendingDeletionsScan(from simtime.Day, days int) []*model.Domain {
 	end := from.AddDays(days)
 	out := make([]*model.Domain, 0, 1024)
-	s.each(func(d *model.Domain) bool {
-		if d.Status != model.StatusPendingDelete {
+	s.each(func(r *record) bool {
+		if r.status != model.StatusPendingDelete {
 			return true
 		}
+		d := r.domain()
 		if d.DeleteDay.Before(from) || !d.DeleteDay.Before(end) {
 			return true
 		}
-		out = append(out, cloned(d))
+		out = append(out, &d)
 		return true
 	})
 	slices.SortFunc(out, func(a, b *model.Domain) int {

@@ -56,18 +56,18 @@ type Observer interface {
 
 // shard is one lock domain of the store. Every registration lives in exactly
 // one shard, chosen by hashing its name, and everything a single-domain
-// operation needs — the name and ID maps, the transfer codes, the due-day
-// indexes and status tallies, and the due-day policy — is resident in that
-// shard, guarded by that shard's lock. The EPP hot path (Check/Info/Create
-// during the Drop second) therefore serialises only against operations on
-// names that hash to the same shard, not against the whole registry.
+// operation needs — the name map, the transfer codes, the due-day indexes
+// and status tallies, and the due-day policy — is resident in that shard,
+// guarded by that shard's lock. The EPP hot path (Check/Info/Create during
+// the Drop second) therefore serialises only against operations on names
+// that hash to the same shard, not against the whole registry.
 type shard struct {
 	mu      sync.RWMutex
-	domains map[string]*model.Domain // active registrations by name
-	byID    map[uint64]*model.Domain // this shard's registrations by object ID
-	// authInfo holds each registration's transfer authorisation code. Never
-	// exposed through RDAP/WHOIS; only the sponsor may read it.
-	authInfo map[string]string
+	domains map[string]*record // live registrations by name
+	// authStored holds the transfer codes that cannot be recomputed from
+	// their record (authStored state): restored codes that match neither
+	// derivation. nil until one shows up.
+	authStored map[string]string
 
 	// policy computes each registration's due day. Every shard holds the
 	// same value (installed shard-by-shard via setDuePolicy); keeping a copy
@@ -82,27 +82,27 @@ type shard struct {
 	statusCount [model.StatusDeleted + 1]int
 }
 
-// dueAdd indexes d under its current state and due day and bumps the status
+// dueAdd indexes r under its current state and due day and bumps the status
 // counter. The caller holds the shard's write lock; every live domain is
 // indexed exactly once, in the shard its name hashes to.
-func (sh *shard) dueAdd(d *model.Domain) {
-	if int(d.Status) < len(sh.statusCount) {
-		sh.statusCount[d.Status]++
+func (sh *shard) dueAdd(r *record) {
+	if int(r.status) < len(sh.statusCount) {
+		sh.statusCount[r.status]++
 	}
-	if int(d.Status) < len(sh.due) {
-		sh.due[d.Status].add(sh.policy.dueDay(d), d)
+	if int(r.status) < len(sh.due) {
+		sh.due[r.status].add(sh.policy.dueDay(r), r)
 	}
 }
 
-// dueRemove un-indexes d. It must run *before* any field that feeds
-// duePolicy.dueDay (Status, Expiry, Updated, RegistrarID, DeleteDay) is
+// dueRemove un-indexes r. It must run *before* any field that feeds
+// duePolicy.dueDay (status, expiry, updated, registrar, deleteDay) is
 // mutated, or the removal would look in the wrong bucket.
-func (sh *shard) dueRemove(d *model.Domain) {
-	if int(d.Status) < len(sh.statusCount) {
-		sh.statusCount[d.Status]--
+func (sh *shard) dueRemove(r *record) {
+	if int(r.status) < len(sh.statusCount) {
+		sh.statusCount[r.status]--
 	}
-	if int(d.Status) < len(sh.due) {
-		sh.due[d.Status].remove(sh.policy.dueDay(d), d.ID)
+	if int(r.status) < len(sh.due) {
+		sh.due[r.status].remove(sh.policy.dueDay(r), r)
 	}
 }
 
@@ -238,9 +238,9 @@ func (s *Store) setDuePolicy(p duePolicy) {
 			sh.due[j] = dueIndex{}
 		}
 		sh.policy = p
-		for _, d := range sh.domains {
-			if int(d.Status) < len(sh.due) {
-				sh.due[d.Status].add(p.dueDay(d), d)
+		for _, r := range sh.domains {
+			if int(r.status) < len(sh.due) {
+				sh.due[r.status].add(p.dueDay(r), r)
 			}
 		}
 		sh.mu.Unlock()
@@ -298,10 +298,7 @@ func NewStoreWithShards(clock simtime.Clock, shards int) *Store {
 		deletions:  make(map[simtime.Day][]model.DeletionEvent),
 	}
 	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.domains = make(map[string]*model.Domain)
-		sh.byID = make(map[uint64]*model.Domain)
-		sh.authInfo = make(map[string]string)
+		s.shards[i].domains = make(map[string]*record)
 	}
 	s.zoneTab.init()
 	return s
@@ -468,14 +465,7 @@ func (s *Store) CreateAt(name string, registrarID int, termYears int, at time.Ti
 		return nil, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, registrarID)
 	}
 	at = simtime.Trunc(at)
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	if _, taken := sh.domains[name]; taken {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
 	d := &model.Domain{
-		ID:          s.nextID.Add(1),
 		Name:        name,
 		TLD:         tld,
 		RegistrarID: registrarID,
@@ -484,40 +474,52 @@ func (s *Store) CreateAt(name string, registrarID int, termYears int, at time.Ti
 		Expiry:      at.AddDate(termYears, 0, 0),
 		Status:      model.StatusActive,
 	}
-	sh.domains[name] = d
-	sh.byID[d.ID] = d
-	sh.authInfo[name] = deriveAuthInfo(d.ID, name)
-	sh.dueAdd(d)
+	return s.insertNew(d, MutCreate)
+}
+
+// insertNew commits d — complete but for its ID — as a new registration,
+// the shared tail of CreateAt and SeedAt. The ID is allocated only once
+// nothing can fail any more, so failed creates never consume one. Creates
+// mint a transfer code; seeds do not (SeedAt's contract).
+func (s *Store) insertNew(d *model.Domain, kind MutKind) (*model.Domain, error) {
+	sh := s.shardOf(d.Name)
+	sh.mu.Lock()
+	r, err := sh.insert(d)
+	if err != nil {
+		sh.mu.Unlock()
+		return nil, err
+	}
+	d.ID = s.nextID.Add(1)
+	r.id = d.ID
+	if kind == MutCreate {
+		r.auth = authCreated
+	}
 	wait := s.appendJournal(Mutation{
-		Kind: MutCreate, ID: d.ID, Name: name, RegistrarID: registrarID,
+		Kind: kind, ID: d.ID, Name: d.Name, RegistrarID: d.RegistrarID,
 		Created: d.Created, Updated: d.Updated, Expiry: d.Expiry,
+		Status: d.Status, DeleteDay: d.DeleteDay,
 	})
 	s.bumpGen()
-	out := cloned(d)
 	sh.mu.Unlock()
 	if err := waitJournal(wait); err != nil {
 		return nil, err
 	}
-	return out, nil
+	return d, nil
 }
 
-// deriveAuthInfo mints a registration's transfer code (splitmix64 over the
-// object ID and name, base-36 rendered). Deterministic so equal simulations
-// stay equal; opaque enough that it cannot be guessed from public data.
-func deriveAuthInfo(id uint64, name string) string {
-	h := id + 0x9e3779b97f4a7c15
-	for i := 0; i < len(name); i++ {
-		h = (h ^ uint64(name[i])) * 0x100000001b3
+// insert files d as a new registration of sh and indexes it. The caller
+// holds sh's write lock.
+func (sh *shard) insert(d *model.Domain) (*record, error) {
+	if _, taken := sh.domains[d.Name]; taken {
+		return nil, fmt.Errorf("%w: %q", ErrExists, d.Name)
 	}
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h ^= h >> 31
-	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
-	buf := make([]byte, 12)
-	for i := range buf {
-		buf[i] = digits[h%36]
-		h /= 36
+	r, err := newRecord(d)
+	if err != nil {
+		return nil, err
 	}
-	return "AX-" + string(buf)
+	sh.domains[d.Name] = r
+	sh.dueAdd(r)
+	return r, nil
 }
 
 // AuthInfo returns the registration's transfer code; only the sponsoring
@@ -526,14 +528,14 @@ func (s *Store) AuthInfo(name string, registrarID int) (string, error) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		return "", fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if d.RegistrarID != registrarID {
+	if int(r.registrar) != registrarID {
 		return "", fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
-	return sh.authInfo[name], nil
+	return sh.authInfo(r), nil
 }
 
 // Transfer moves an active registration to the gaining registrar when the
@@ -547,7 +549,7 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	gainingKnown := s.hasRegistrar(gainingID)
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
@@ -556,26 +558,32 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, gainingID)
 	}
-	if d.Status != model.StatusActive && d.Status != model.StatusAutoRenew {
+	gaining, err := registrar32(gainingID)
+	if err != nil {
 		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, d.Status)
+		return fmt.Errorf("%w: %q", err, name)
 	}
-	if d.RegistrarID == gainingID {
+	if r.status != model.StatusActive && r.status != model.StatusAutoRenew {
+		sh.mu.Unlock()
+		return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, r.status)
+	}
+	if r.registrar == gaining {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q already sponsored by %d", ErrWrongRegistrar, name, gainingID)
 	}
-	if sh.authInfo[name] != authInfo || authInfo == "" {
+	if !sh.authMatches(r, authInfo) {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrBadAuthInfo, name)
 	}
-	losing := d.RegistrarID
-	sh.dueRemove(d)
-	d.RegistrarID = gainingID
-	d.Updated = simtime.Trunc(s.clock.Now())
-	d.Status = model.StatusActive
-	sh.dueAdd(d)
-	sh.authInfo[name] = deriveAuthInfo(d.ID^0x5bf0, name)
-	wait := s.appendJournal(Mutation{Kind: MutTransfer, Name: name, RegistrarID: gainingID, Updated: d.Updated})
+	losing := int(r.registrar)
+	updated := simtime.Trunc(s.clock.Now())
+	sh.dueRemove(r)
+	r.registrar = gaining
+	r.updated = updated.Unix()
+	r.status = model.StatusActive
+	sh.dueAdd(r)
+	sh.rotateAuth(r)
+	wait := s.appendJournal(Mutation{Kind: MutTransfer, Name: name, RegistrarID: gainingID, Updated: updated})
 	s.bumpGen()
 	obs := s.loadObserver()
 	sh.mu.Unlock()
@@ -593,29 +601,12 @@ func (s *Store) Get(name string) (*model.Domain, error) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return cloned(d), nil
-}
-
-// GetByID returns a copy of the registration with the given registry object
-// ID, if it still exists. IDs do not carry shard routing, so this probes the
-// shards in turn — fine for its occasional callers, not a hot path.
-func (s *Store) GetByID(id uint64) (*model.Domain, error) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		d, ok := sh.byID[id]
-		if ok {
-			c := cloned(d)
-			sh.mu.RUnlock()
-			return c, nil
-		}
-		sh.mu.RUnlock()
-	}
-	return nil, fmt.Errorf("%w: id %d", ErrNotFound, id)
+	d := r.domain()
+	return &d, nil
 }
 
 // Touch records a registrar-initiated update to the domain, setting the
@@ -628,19 +619,20 @@ func (s *Store) Touch(name string, registrarID int) error {
 func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if d.RegistrarID != registrarID {
+	if int(r.registrar) != registrarID {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
-	sh.dueRemove(d)
-	d.Updated = simtime.Trunc(at)
-	sh.dueAdd(d)
-	wait := s.appendJournal(Mutation{Kind: MutTouch, Name: name, Updated: d.Updated})
+	at = simtime.Trunc(at)
+	sh.dueRemove(r)
+	r.updated = at.Unix()
+	sh.dueAdd(r)
+	wait := s.appendJournal(Mutation{Kind: MutTouch, Name: name, Updated: at})
 	s.bumpGen()
 	sh.mu.Unlock()
 	return waitJournal(wait)
@@ -650,22 +642,23 @@ func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 func (s *Store) Renew(name string, registrarID int, years int) error {
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if d.RegistrarID != registrarID {
+	if int(r.registrar) != registrarID {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
 	now := simtime.Trunc(s.clock.Now())
-	sh.dueRemove(d)
-	d.Expiry = d.Expiry.AddDate(years, 0, 0)
-	d.Updated = now
-	d.Status = model.StatusActive
-	sh.dueAdd(d)
-	wait := s.appendJournal(Mutation{Kind: MutRenew, Name: name, Updated: d.Updated, Expiry: d.Expiry})
+	expiry := unixTime(r.expiry).AddDate(years, 0, 0)
+	sh.dueRemove(r)
+	r.expiry = expiry.Unix()
+	r.updated = now.Unix()
+	r.status = model.StatusActive
+	sh.dueAdd(r)
+	wait := s.appendJournal(Mutation{Kind: MutRenew, Name: name, Updated: now, Expiry: expiry})
 	s.bumpGen()
 	sh.mu.Unlock()
 	return waitJournal(wait)
@@ -674,27 +667,30 @@ func (s *Store) Renew(name string, registrarID int, years int) error {
 // setState transitions a domain's lifecycle state; used by the lifecycle
 // engine and the population seeder (via the exported helpers below).
 func (s *Store) setState(name string, st model.Status, updated time.Time, deleteDay simtime.Day) error {
+	day, err := packDay(deleteDay)
+	if err != nil {
+		return fmt.Errorf("%w: %q", err, name)
+	}
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	from := d.Status
-	sh.dueRemove(d)
-	d.Status = st
-	var recUpdated time.Time // zero = keep, mirrored by replay
-	if !updated.IsZero() {
-		d.Updated = simtime.Trunc(updated)
-		recUpdated = d.Updated
+	from := r.status
+	sh.dueRemove(r)
+	r.status = st
+	if !updated.IsZero() { // zero = keep, mirrored by replay
+		updated = simtime.Trunc(updated)
+		r.updated = updated.Unix()
 	}
-	d.DeleteDay = deleteDay
-	sh.dueAdd(d)
-	wait := s.appendJournal(Mutation{Kind: MutSetState, Name: name, Status: st, Updated: recUpdated, DeleteDay: deleteDay})
+	r.deleteDay = day
+	sh.dueAdd(r)
+	wait := s.appendJournal(Mutation{Kind: MutSetState, Name: name, Status: st, Updated: updated, DeleteDay: deleteDay})
 	s.bumpGen()
 	obs := s.loadObserver()
-	registrarID := d.RegistrarID
+	registrarID := int(r.registrar)
 	sh.mu.Unlock()
 	if err := waitJournal(wait); err != nil {
 		return err
@@ -737,16 +733,17 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b map[uint64]*model.Domain) { n += len(b) })
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []*record) { n += len(b) })
 		sh.mu.RUnlock()
 	}
 	out := make([]*model.Domain, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b map[uint64]*model.Domain) {
-			for _, d := range b {
-				out = append(out, cloned(d))
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []*record) {
+			for _, r := range b {
+				d := r.domain()
+				out = append(out, &d)
 			}
 		})
 		sh.mu.RUnlock()
@@ -760,32 +757,32 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	return out
 }
 
+// remove takes r out of sh — name map, due index, any stored transfer code
+// — and returns the deletion event describing it. The caller holds sh's
+// write lock.
+func (sh *shard) remove(r *record, at time.Time, rank int) model.DeletionEvent {
+	sh.dueRemove(r)
+	delete(sh.domains, r.name)
+	sh.dropAuth(r)
+	return model.DeletionEvent{DomainID: r.id, Name: r.name, TLD: r.tld(), Time: at, Rank: rank}
+}
+
 // purge removes the domain as part of a Drop, recording the ground-truth
 // deletion event. The caller (DropRunner) holds the deletion order.
 func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent, error) {
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	d, ok := sh.domains[name]
+	r, ok := sh.domains[name]
 	if !ok {
 		sh.mu.Unlock()
 		return model.DeletionEvent{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	if d.Status != model.StatusPendingDelete {
-		status := d.Status
+	if r.status != model.StatusPendingDelete {
+		status := r.status
 		sh.mu.Unlock()
 		return model.DeletionEvent{}, fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, status)
 	}
-	ev := model.DeletionEvent{
-		DomainID: d.ID,
-		Name:     d.Name,
-		TLD:      d.TLD,
-		Time:     simtime.Trunc(at),
-		Rank:     rank,
-	}
-	sh.dueRemove(d)
-	delete(sh.domains, name)
-	delete(sh.byID, d.ID)
-	delete(sh.authInfo, name)
+	ev := sh.remove(r, simtime.Trunc(at), rank)
 	day := simtime.DayOf(at)
 	s.delMu.Lock()
 	s.deletions[day] = append(s.deletions[day], ev)
@@ -793,7 +790,7 @@ func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent,
 	wait := s.appendJournal(Mutation{Kind: MutPurge, ID: ev.DomainID, Name: name, Time: ev.Time, Rank: rank})
 	s.bumpGen()
 	obs := s.loadObserver()
-	registrarID := d.RegistrarID
+	registrarID := int(r.registrar)
 	sh.mu.Unlock()
 	if err := waitJournal(wait); err != nil {
 		return ev, err
@@ -862,22 +859,25 @@ func (s *Store) StatusCounts() map[model.Status]int {
 // not of the whole store. Single-threaded drives (every simulation path) see
 // exactly the single-lock behaviour.
 func (s *Store) Each(fn func(*model.Domain) bool) {
-	s.each(func(d *model.Domain) bool { return fn(cloned(d)) })
+	s.each(func(r *record) bool {
+		d := r.domain()
+		return fn(&d)
+	})
 }
 
-// each is the clone-free internal iteration path: fn receives the store's
-// live *model.Domain pointers with the owning shard's read lock held. fn
-// must treat them as strictly read-only, must not retain a pointer past its
-// call, and must not call Store methods (same self-deadlock as Each). Hot
-// sweeps use this (and the due-index visitors below) to avoid one Domain
-// clone per domain per scan; everything that escapes the package keeps
-// Each's cloning semantics.
-func (s *Store) each(fn func(*model.Domain) bool) {
+// each is the copy-free internal iteration path: fn receives the store's
+// live records with the owning shard's read lock held. fn must treat them
+// as strictly read-only, must not retain a pointer past its call, and must
+// not call Store methods (same self-deadlock as Each). Hot sweeps use this
+// (and the due-index visitors below) to avoid materialising one Domain per
+// registration per scan; everything that escapes the package gets Each's
+// copies.
+func (s *Store) each(fn func(*record) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, d := range sh.domains {
-			if !fn(d) {
+		for _, r := range sh.domains {
+			if !fn(r) {
 				sh.mu.RUnlock()
 				return
 			}
@@ -888,9 +888,9 @@ func (s *Store) each(fn func(*model.Domain) bool) {
 
 // eachDueThrough calls fn for every live registration in state st whose
 // due-day bucket is on or before limit. Same read-only, lock-held contract
-// as each; shard visit order and bucket-internal map order are unspecified,
+// as each; shard visit order and bucket-internal order are unspecified,
 // so callers sort deterministically.
-func (s *Store) eachDueThrough(st model.Status, limit simtime.Day, fn func(*model.Domain)) {
+func (s *Store) eachDueThrough(st model.Status, limit simtime.Day, fn func(*record)) {
 	if int(st) >= int(model.StatusDeleted) {
 		return
 	}
@@ -917,12 +917,12 @@ func (s *Store) pendingCountOn(day simtime.Day) int {
 
 // eachPendingOn calls fn for every pendingDelete registration scheduled for
 // deletion on day. Same read-only, lock-held contract as each.
-func (s *Store) eachPendingOn(day simtime.Day, fn func(*model.Domain)) {
+func (s *Store) eachPendingOn(day simtime.Day, fn func(*record)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, d := range sh.due[model.StatusPendingDelete].buckets[day] {
-			fn(d)
+		for _, r := range sh.due[model.StatusPendingDelete].buckets[day] {
+			fn(r)
 		}
 		sh.mu.RUnlock()
 	}
@@ -941,14 +941,7 @@ func (s *Store) SeedAt(name string, registrarID int, created, updated, expiry ti
 	if !s.hasRegistrar(registrarID) {
 		return nil, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, registrarID)
 	}
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	if _, taken := sh.domains[name]; taken {
-		sh.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrExists, name)
-	}
 	d := &model.Domain{
-		ID:          s.nextID.Add(1),
 		Name:        name,
 		TLD:         tld,
 		RegistrarID: registrarID,
@@ -958,24 +951,5 @@ func (s *Store) SeedAt(name string, registrarID int, created, updated, expiry ti
 		Status:      st,
 		DeleteDay:   deleteDay,
 	}
-	sh.domains[name] = d
-	sh.byID[d.ID] = d
-	sh.dueAdd(d)
-	wait := s.appendJournal(Mutation{
-		Kind: MutSeed, ID: d.ID, Name: name, RegistrarID: registrarID,
-		Created: d.Created, Updated: d.Updated, Expiry: d.Expiry,
-		Status: st, DeleteDay: deleteDay,
-	})
-	s.bumpGen()
-	out := cloned(d)
-	sh.mu.Unlock()
-	if err := waitJournal(wait); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func cloned(d *model.Domain) *model.Domain {
-	c := *d
-	return &c
+	return s.insertNew(d, MutSeed)
 }

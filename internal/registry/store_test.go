@@ -46,10 +46,6 @@ func TestCreateAndGet(t *testing.T) {
 	if got.ID != d.ID {
 		t.Fatalf("Get returned different domain: %+v", got)
 	}
-	byID, err := s.GetByID(d.ID)
-	if err != nil || byID.Name != "example.com" {
-		t.Fatalf("GetByID: %+v, %v", byID, err)
-	}
 }
 
 func TestCreateDuplicateFails(t *testing.T) {
@@ -239,9 +235,6 @@ func TestPurgeRecordsGroundTruthAndFreesName(t *testing.T) {
 	}
 	if _, err := s.Get("example.com"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("domain still present after purge")
-	}
-	if _, err := s.GetByID(d.ID); !errors.Is(err, ErrNotFound) {
-		t.Fatal("byID index still present after purge")
 	}
 	evs := s.Deletions(day)
 	if len(evs) != 1 || evs[0].Name != "example.com" {
@@ -565,7 +558,6 @@ func TestGenerationBumpsOnEveryMutator(t *testing.T) {
 	// Reads must not bump.
 	bumped("reads", 0, func() {
 		s.Get("genseed.com")
-		s.GetByID(1)
 		s.Available("other.com")
 		s.Registrar(1000)
 		s.Registrars()
