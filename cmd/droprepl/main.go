@@ -179,8 +179,8 @@ func run(domains, writers, creates int, verbose bool) error {
 
 	var (
 		ackMu       sync.Mutex
-		ackedNames  []string                      // fresh creates + catches acked to a client
-		ackedPurges = map[string]uint64{}         // name -> purged domain ID
+		ackedNames  []string              // fresh creates + catches acked to a client
+		ackedPurges = map[string]uint64{} // name -> purged domain ID
 		catchCh     = make(chan string, len(sched))
 		kill        = make(chan struct{})
 		killOnce    sync.Once

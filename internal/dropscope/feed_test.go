@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"dropzero/internal/feed"
+	"dropzero/internal/gctest"
+	"dropzero/internal/inproc"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -239,4 +241,37 @@ func TestClientDeltaCursorDifferential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestClosedServerIsCollectable: a dropscope server with a feed hub mounted,
+// once both are closed, must not keep the store reachable — through the
+// mux, the hub's broadcaster goroutine or the store's journal hook.
+func TestClosedServerIsCollectable(t *testing.T) {
+	gctest.Collected(t, func() *registry.Store {
+		day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
+		store := registry.NewStore(simtime.NewSimClock(day.At(9, 0, 0)))
+		store.AddRegistrar(model.Registrar{IANAID: 1000})
+		hub := feed.NewHub(feed.Options{})
+		hub.PrimeFromStore(store)
+		store.SetJournal(hub)
+		scope := NewServer(store)
+		scope.AttachFeed(hub)
+		seedPending(t, store, "collect.com", day)
+
+		client, err := NewClient("http://scope.test", inproc.Client(scope.Handler()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if entries, err := client.Fetch(context.Background(), day); err != nil || len(entries) != 1 {
+			t.Fatalf("list: %d entries, %v", len(entries), err)
+		}
+		if _, err := client.SyncDeltas(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := scope.Close(); err != nil {
+			t.Fatal(err)
+		}
+		hub.Close()
+		return store
+	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/gctest"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -390,4 +391,36 @@ func TestTransferOverEPP(t *testing.T) {
 	if moved.AuthInfo == "" || moved.AuthInfo == info.AuthInfo {
 		t.Fatalf("auth code not rotated: %q", moved.AuthInfo)
 	}
+}
+
+// TestClosedServerIsCollectable: once Close has returned — listener, session
+// goroutines and the store's observer hook all wound down — nothing may keep
+// the store reachable. The session goes through the package-level frame and
+// reader pools.
+func TestClosedServerIsCollectable(t *testing.T) {
+	gctest.Collected(t, func() *registry.Store {
+		clock := simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
+		store := registry.NewStore(clock)
+		store.AddRegistrar(model.Registrar{IANAID: 7001, Name: "Catcher A"})
+		srv := NewServer(store, clock, ServerConfig{Credentials: map[int]string{7001: "tok-a"}})
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := Dial(addr.String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Login(7001, "tok-a"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Create("collect.com", 1); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	})
 }

@@ -1,13 +1,11 @@
 package journal
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,10 +26,9 @@ import (
 // Two formats share the name scheme, told apart by their magic header. New
 // snapshots are always v2 (snapv2.go): per-shard binary sections that
 // encode and restore in parallel. This file keeps the shared naming/
-// listing/pruning machinery plus the v1 format — a single gob stream of
-// snapshotFile with a trailing CRC-32 — whose reader stays as a fallback so
-// pre-upgrade datadirs open cleanly (the writer survives only for the
-// cross-version tests and benchmarks).
+// listing/pruning machinery plus the reader of the v1 format — a single gob
+// stream of snapshotFile with a trailing CRC-32 — so pre-upgrade datadirs
+// open cleanly. Nothing outside the tests writes gob any more.
 const (
 	snapMagic  = "DZSNAP1\n"
 	snapFooter = 4 // CRC-32 of the gob stream
@@ -84,71 +81,6 @@ func listSnapshots(dir string) (names []string, seqs []uint64, err error) {
 		seqs = append(seqs, s.seq)
 	}
 	return names, seqs, nil
-}
-
-// crcWriter tees writes through a running CRC-32.
-type crcWriter struct {
-	w   io.Writer
-	crc uint32
-}
-
-func (c *crcWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.crc = crc32.Update(c.crc, crc32.IEEETable, p[:n])
-	return n, err
-}
-
-// writeSnapshot persists sf atomically into dir and returns the final path.
-func writeSnapshot(dir string, sf *snapshotFile) (string, error) {
-	final := filepath.Join(dir, snapName(sf.Seq))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("journal: snapshot: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-
-	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := &crcWriter{w: bw}
-	err = func() error {
-		if _, err := io.WriteString(cw, snapMagic); err != nil {
-			return err
-		}
-		if err := gob.NewEncoder(cw).Encode(sf); err != nil {
-			return err
-		}
-		var footer [snapFooter]byte
-		binary.LittleEndian.PutUint32(footer[:], cw.crc)
-		if _, err := bw.Write(footer[:]); err != nil {
-			return err
-		}
-		if err := bw.Flush(); err != nil {
-			return err
-		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", fmt.Errorf("journal: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return "", fmt.Errorf("journal: publish snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", fmt.Errorf("journal: sync dir: %w", err)
-	}
-	return final, nil
-}
-
-// readSnapshot loads and verifies one snapshot file.
-func readSnapshot(path string) (*snapshotFile, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("journal: read snapshot: %w", err)
-	}
-	return decodeSnapshotBytes(data, filepath.Base(path))
 }
 
 // decodeSnapshotBytes verifies and decodes one snapshot file image; name
@@ -330,7 +262,7 @@ func RestoreShippedSnapshot(store *registry.Store, data []byte) (uint64, error) 
 }
 
 // WriteRawSnapshot installs a raw snapshot file image into dir under its
-// canonical name, with the same temp-fsync-rename dance writeSnapshot uses.
+// canonical name, with the same temp-fsync-rename dance snapImage.write uses.
 // A follower persists the shipped snapshot this way so its own restart can
 // recover locally instead of re-fetching.
 func WriteRawSnapshot(dir string, seq uint64, data []byte) error {

@@ -1,15 +1,13 @@
 package journal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
+	"slices"
 	"time"
 
 	"dropzero/internal/model"
@@ -78,83 +76,95 @@ type snapMeta struct {
 	zones            []zone.Config // v3 only; nil for v2 files
 }
 
-// snapBufPool recycles section encode buffers across snapshots; a section
-// is one shard's worth of domains, so buffers stabilise at store-size/
-// shard-count bytes.
-var snapBufPool = sync.Pool{New: func() any { return []byte(nil) }}
+// A domain section's buffer is sized from the shard itself: the first
+// sizeSample registrations — the shard map iterates in hash order, so they
+// are a fair sample of name lengths and transfer codes — are encoded into a
+// buffer with sampleRoom bytes each, and their mean (plus a few percent)
+// times the shard's count sizes the one buffer the rest are appended to.
+// The deletion archive gets deletionRoom bytes per event.
+const (
+	sizeSample   = 256
+	sampleRoom   = 96
+	deletionRoom = 64
+)
 
-func appendSection(dst, body []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(body)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(body))
-	return append(dst, body...)
+// newSection starts a framed section of the given kind with room for hint
+// body bytes, reusing buf's array when it is large enough. The frame header
+// is reserved in place and filled in by sealSection, so a section is
+// encoded, checksummed and written out of one buffer.
+func newSection(buf []byte, kind byte, hint int) []byte {
+	if need := secHeader + 1 + hint; cap(buf) < need {
+		buf = make([]byte, 0, need)
+	}
+	var hdr [secHeader]byte
+	return append(append(buf[:0], hdr[:]...), kind)
 }
 
-func appendMetaSection(b []byte, seq uint64, appState []byte, st *registry.ShardedSnapshot, delSections int) []byte {
-	b = append(b, secMeta)
-	b = binary.AppendUvarint(b, seq)
-	b = binary.AppendUvarint(b, st.Gen)
-	b = binary.AppendUvarint(b, st.NextID)
-	if appState == nil {
+// sealSection fills in b's frame header: body length and CRC.
+func sealSection(b []byte) []byte {
+	body := b[secHeader:]
+	binary.LittleEndian.PutUint32(b[0:4], uint32(len(body)))
+	binary.LittleEndian.PutUint32(b[4:8], crc32.ChecksumIEEE(body))
+	return b
+}
+
+func appendMeta(b []byte, m *snapMeta) []byte {
+	b = binary.AppendUvarint(b, m.seq)
+	b = binary.AppendUvarint(b, m.gen)
+	b = binary.AppendUvarint(b, m.nextID)
+	if m.appState == nil {
 		b = append(b, 0)
 	} else {
 		b = append(b, 1)
-		b = binary.AppendUvarint(b, uint64(len(appState)))
-		b = append(b, appState...)
+		b = binary.AppendUvarint(b, uint64(len(m.appState)))
+		b = append(b, m.appState...)
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Registrars)))
-	for i := range st.Registrars {
-		b = appendRegistrar(b, &st.Registrars[i])
+	b = binary.AppendUvarint(b, uint64(len(m.registrars)))
+	for i := range m.registrars {
+		b = appendRegistrar(b, &m.registrars[i])
 	}
-	b = binary.AppendUvarint(b, uint64(len(st.Shards)))
-	b = binary.AppendUvarint(b, uint64(delSections))
-	if len(st.Zones) > 0 {
+	b = binary.AppendUvarint(b, uint64(m.domainSections))
+	b = binary.AppendUvarint(b, uint64(m.deletionSections))
+	if len(m.zones) > 0 {
 		// v3 extension; the writer selects the v3 magic whenever this runs.
-		b = binary.AppendUvarint(b, uint64(len(st.Zones)))
-		for i := range st.Zones {
-			b = appendZone(b, &st.Zones[i])
+		b = binary.AppendUvarint(b, uint64(len(m.zones)))
+		for i := range m.zones {
+			b = appendZone(b, &m.zones[i])
 		}
 	}
 	return b
 }
 
-func appendDomainSection(b []byte, shard int, ds []registry.SnapshotDomain) []byte {
-	b = append(b, secDomains)
+// newDomainSection starts writer shard's domain section of n registrations
+// with room bytes for them.
+func newDomainSection(buf []byte, shard, n, room int) []byte {
+	b := newSection(buf, secDomains, 2*binary.MaxVarintLen64+room)
 	b = binary.AppendUvarint(b, uint64(shard))
-	b = binary.AppendUvarint(b, uint64(len(ds)))
-	for i := range ds {
-		d := &ds[i].Domain
-		b = appendString(b, d.Name)
-		b = binary.AppendUvarint(b, d.ID)
-		b = appendString(b, string(d.TLD))
-		b = binary.AppendVarint(b, int64(d.RegistrarID))
-		b = appendTime(b, d.Created)
-		b = appendTime(b, d.Updated)
-		b = appendTime(b, d.Expiry)
-		b = append(b, byte(d.Status))
-		b = binary.AppendVarint(b, int64(d.DeleteDay.Year))
-		b = append(b, byte(d.DeleteDay.Month), byte(d.DeleteDay.Dom))
-		b = appendString(b, ds[i].AuthInfo)
-	}
-	return b
+	return binary.AppendUvarint(b, uint64(n))
 }
 
-func appendDeletionsSection(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byte {
-	b = append(b, secDeletions)
+func appendDomain(b []byte, d *model.Domain, authInfo []byte) []byte {
+	b = appendString(b, d.Name)
+	b = binary.AppendUvarint(b, d.ID)
+	b = appendString(b, string(d.TLD))
+	b = binary.AppendVarint(b, int64(d.RegistrarID))
+	b = appendTime(b, d.Created)
+	b = appendTime(b, d.Updated)
+	b = appendTime(b, d.Expiry)
+	b = append(b, byte(d.Status))
+	b = binary.AppendVarint(b, int64(d.DeleteDay.Year))
+	b = append(b, byte(d.DeleteDay.Month), byte(d.DeleteDay.Dom))
+	b = binary.AppendUvarint(b, uint64(len(authInfo)))
+	return append(b, authInfo...)
+}
+
+func appendDeletions(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byte {
 	days := make([]simtime.Day, 0, len(dels))
 	for day := range dels {
 		days = append(days, day)
 	}
 	// Deterministic day order so identical states produce identical files.
-	sort.Slice(days, func(i, j int) bool {
-		a, b := days[i], days[j]
-		if a.Year != b.Year {
-			return a.Year < b.Year
-		}
-		if a.Month != b.Month {
-			return a.Month < b.Month
-		}
-		return a.Dom < b.Dom
-	})
+	slices.SortFunc(days, simtime.Day.Compare)
 	b = binary.AppendUvarint(b, uint64(len(days)))
 	for _, day := range days {
 		b = binary.AppendVarint(b, int64(day.Year))
@@ -173,27 +183,74 @@ func appendDeletionsSection(b []byte, dels map[simtime.Day][]model.DeletionEvent
 	return b
 }
 
-// writeSnapshotV2 persists st atomically into dir as a v2 snapshot and
-// returns the final path. Section bodies (one per shard, plus the deletion
-// archive) are encoded and checksummed concurrently on up to workers
-// goroutines into pooled buffers, then written in section order.
-func writeSnapshotV2(dir string, seq uint64, appState []byte, st *registry.ShardedSnapshot, workers int) (string, error) {
-	type section struct {
-		body []byte
-		crc  uint32
-	}
-	n := len(st.Shards) + 1 // + deletion archive
-	secs := par.Do(par.Workers(workers), n, func(i int) section {
-		buf := snapBufPool.Get().([]byte)[:0]
-		if i < len(st.Shards) {
-			buf = appendDomainSection(buf, i, st.Shards[i])
-		} else {
-			buf = appendDeletionsSection(buf, st.Deletions)
-		}
-		return section{body: buf, crc: crc32.ChecksumIEEE(buf)}
-	})
+// snapImage is an encoded snapshot awaiting its file: every section framed
+// and checksummed, in file order.
+type snapImage struct {
+	seq  uint64
+	v3   bool
+	meta []byte
+	secs [][]byte // one domain section per store shard, then the deletion archive
+}
 
-	final := filepath.Join(dir, snapName(seq))
+// encode fills img straight from the store, on up to workers goroutines:
+// each takes one shard's read lock (none when r is quiesced), sizes one
+// buffer from the shard's registration count (see sizeSample) and appends
+// the shard's domain section to it; the deletion archive is encoded under
+// its own lock the same way. No copy of the store is built on the way.
+// Section buffers of an earlier encode of img — an optimistic attempt that
+// lost its generation race — are reused.
+func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []byte, workers int) {
+	shards := r.ShardCount()
+	prev := img.secs
+	if prev == nil {
+		prev = make([][]byte, shards+1)
+	}
+	img.secs = par.Do(par.Workers(workers), shards+1, func(i int) []byte {
+		var b []byte
+		if i == shards {
+			r.VisitDeletions(func(dels map[simtime.Day][]model.DeletionEvent) {
+				events := 0
+				for _, evs := range dels {
+					events += len(evs)
+				}
+				b = appendDeletions(newSection(prev[i], secDeletions, events*deletionRoom), dels)
+			})
+		} else {
+			var n, seen int
+			r.VisitShard(i,
+				func(count int) {
+					n = count
+					b = newDomainSection(prev[i], i, n, min(n, sizeSample)*sampleRoom)
+				},
+				func(d *model.Domain, authInfo []byte) {
+					b = appendDomain(b, d, authInfo)
+					if seen++; seen == sizeSample {
+						est := len(b) * n / seen
+						if need := est + est/32 + sampleRoom; cap(b) < need {
+							b = append(make([]byte, 0, need), b...)
+						}
+					}
+				})
+		}
+		return sealSection(b)
+	})
+	m := snapMeta{
+		seq:              seq,
+		appState:         appState,
+		registrars:       r.Registrars(),
+		domainSections:   shards,
+		deletionSections: 1,
+		zones:            r.Zones(),
+	}
+	m.gen, m.nextID = r.Counters()
+	img.seq, img.v3 = seq, len(m.zones) > 0
+	img.meta = sealSection(appendMeta(newSection(nil, secMeta, 0), &m))
+}
+
+// write persists img atomically into dir and returns the final path. Each
+// section's buffer is dropped as soon as it is written.
+func (img *snapImage) write(dir string) (string, error) {
+	final := filepath.Join(dir, snapName(img.seq))
 	tmp := final + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
@@ -201,34 +258,22 @@ func writeSnapshotV2(dir string, seq uint64, appState []byte, st *registry.Shard
 	}
 	defer os.Remove(tmp) // no-op after the rename succeeds
 
-	bw := bufio.NewWriterSize(f, 1<<20)
 	err = func() error {
 		magic := snapMagic2
-		if len(st.Zones) > 0 {
+		if img.v3 {
 			magic = snapMagic3
 		}
-		if _, err := io.WriteString(bw, magic); err != nil {
+		if _, err := io.WriteString(f, magic); err != nil {
 			return err
 		}
-		meta := appendSection(nil, appendMetaSection(nil, seq, appState, st, 1))
-		if _, err := bw.Write(meta); err != nil {
+		if _, err := f.Write(img.meta); err != nil {
 			return err
 		}
-		var hdr [secHeader]byte
-		for i := range secs {
-			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(secs[i].body)))
-			binary.LittleEndian.PutUint32(hdr[4:8], secs[i].crc)
-			if _, err := bw.Write(hdr[:]); err != nil {
+		for i, sec := range img.secs {
+			if _, err := f.Write(sec); err != nil {
 				return err
 			}
-			if _, err := bw.Write(secs[i].body); err != nil {
-				return err
-			}
-			snapBufPool.Put(secs[i].body)
-			secs[i].body = nil
-		}
-		if err := bw.Flush(); err != nil {
-			return err
+			img.secs[i] = nil
 		}
 		return f.Sync()
 	}()
@@ -400,9 +445,10 @@ func decodeMetaSection(body []byte, v3 bool) (snapMeta, error) {
 	return m, nil
 }
 
-// installDomainSection streams one domain section into the store in chunks,
-// so a worker never materialises its whole shard before installing.
-func installDomainSection(store *registry.Store, body []byte) error {
+// decodeDomainSection streams one domain section to emit in chunks (reused
+// between calls), so a restore worker never materialises its whole shard
+// before installing.
+func decodeDomainSection(body []byte, emit func([]registry.SnapshotDomain) error) error {
 	d := &decoder{b: body}
 	if _, err := d.uvarint(); err != nil { // writer shard index, informational
 		return err
@@ -464,7 +510,7 @@ func installDomainSection(store *registry.Store, body []byte) error {
 		}
 		chunk = append(chunk, sd)
 		if len(chunk) == chunkSize {
-			if err := store.InstallRestoredDomains(chunk); err != nil {
+			if err := emit(chunk); err != nil {
 				return err
 			}
 			chunk = chunk[:0]
@@ -473,7 +519,7 @@ func installDomainSection(store *registry.Store, body []byte) error {
 	if len(d.b) != 0 {
 		return fmt.Errorf("%d trailing bytes", len(d.b))
 	}
-	return store.InstallRestoredDomains(chunk)
+	return emit(chunk)
 }
 
 func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent, error) {
@@ -535,7 +581,7 @@ func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent,
 
 // installSnapshotV2 decodes sv's sections and installs them into the empty
 // store on up to workers goroutines. Each worker decodes its section
-// incrementally and routes domains through InstallRestoredDomains, which
+// incrementally (decodeDomainSection) into InstallRestoredDomains, which
 // locks exactly the shards that section's names hash to. An error poisons
 // the store (partial install) — the caller must discard it, never retry.
 func installSnapshotV2(store *registry.Store, sv *snapV2, workers int) error {
@@ -546,7 +592,7 @@ func installSnapshotV2(store *registry.Store, sv *snapV2, workers int) error {
 	n := len(sv.domains) + len(sv.deletion)
 	errs := par.Do(par.Workers(workers), n, func(i int) error {
 		if i < len(sv.domains) {
-			if err := installDomainSection(store, sv.domains[i]); err != nil {
+			if err := decodeDomainSection(sv.domains[i], store.InstallRestoredDomains); err != nil {
 				return fmt.Errorf("domain section %d: %w", i, err)
 			}
 			return nil

@@ -64,8 +64,8 @@ type wal struct {
 	err     error      // sticky: first IO failure poisons the log
 	closed  bool
 
-	flushReq chan struct{} // nudges the async flusher before its timer
-	stop     chan struct{}
+	flushReq  chan struct{} // nudges the async flusher before its timer
+	stop      chan struct{}
 	flusherWG sync.WaitGroup
 
 	// watchers are replication sources waiting for the durable horizon to

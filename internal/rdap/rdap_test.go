@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/gctest"
 	"dropzero/internal/inproc"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
@@ -456,4 +457,30 @@ func TestRDAPServeErrSurfaced(t *testing.T) {
 	if err := clean.ServeErr(); err != nil {
 		t.Fatalf("clean Close recorded ServeErr: %v", err)
 	}
+}
+
+// TestClosedServerIsCollectable: a closed server nobody references must not
+// keep its store — and up to a cache's worth of rendered bodies — alive
+// past the next collection. The request is a cold render, so it goes
+// through the render-buffer pool.
+func TestClosedServerIsCollectable(t *testing.T) {
+	gctest.Collected(t, func() *registry.Store {
+		store := registry.NewStore(simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC)))
+		store.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test Registrar"})
+		if _, err := store.Create("collect.com", 1000, 1); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(store, ServerConfig{})
+		client, err := NewClient("http://rdap.test", inproc.Client(srv.Handler()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Domain(context.Background(), "collect.com"); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	})
 }

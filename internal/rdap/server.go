@@ -43,6 +43,13 @@ type cachedResponse struct {
 
 var rdapContentType = []string{"application/rdap+json"}
 
+// renderBufs recycles render buffers across servers. Package-level on
+// purpose: the runtime keeps a pointer to every sync.Pool that has been
+// used until a later collection, and a pool inside Server would pin a
+// closed server — and through it the store and the response cache — for a
+// GC cycle after its last request.
+var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
 // Server serves registry data as RFC 7483-shaped JSON over HTTP. Domain
 // responses are cached per store generation (see registry.Store.Generation):
 // any mutation flushes the cache, so cached bytes are always identical to a
@@ -57,7 +64,6 @@ type Server struct {
 	requests atomic.Uint64
 
 	cache *gencache.Cache[string, *cachedResponse]
-	bufs  sync.Pool
 
 	// entities memoizes the marshalled registrar entity fragment per
 	// accreditation record. Keyed by the record value, not the IANA ID, so
@@ -80,7 +86,6 @@ func NewServer(store *registry.Store, cfg ServerConfig) *Server {
 		cache:    gencache.New[string, *cachedResponse](size),
 		entities: make(map[model.Registrar]json.RawMessage),
 	}
-	s.bufs.New = func() any { return new(bytes.Buffer) }
 	for _, reg := range store.Registrars() {
 		s.entities[reg] = marshalEntity(registrarEntity(reg.IANAID, reg, true))
 	}
@@ -183,12 +188,12 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	buf := s.bufs.Get().(*bytes.Buffer)
+	buf := renderBufs.Get().(*bytes.Buffer)
 	buf.Reset()
 	s.render(buf, d)
 	if s.store.Generation() == gen {
 		cr := newCachedResponse(gen, bytes.Clone(buf.Bytes()))
-		s.bufs.Put(buf)
+		renderBufs.Put(buf)
 		s.cache.Put(gen, name, cr)
 		s.serveCached(w, r, cr)
 		return
@@ -200,7 +205,7 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	h["Content-Type"] = rdapContentType
 	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	_, _ = w.Write(buf.Bytes())
-	s.bufs.Put(buf)
+	renderBufs.Put(buf)
 }
 
 func newCachedResponse(gen uint64, body []byte) *cachedResponse {

@@ -28,11 +28,11 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 
 	rng := rand.New(rand.NewSource(7))
 	batchings := [][]int{
-		{1},                    // degenerate: ApplyBatch == Apply
-		{3},                    // tiny fixed batches
-		{64}, {256},            // group-commit sized
-		{len(cap.records)},     // the whole stream in one batch
-		{0},                    // sentinel: random batch sizes 1..300
+		{1},         // degenerate: ApplyBatch == Apply
+		{3},         // tiny fixed batches
+		{64}, {256}, // group-commit sized
+		{len(cap.records)}, // the whole stream in one batch
+		{0},                // sentinel: random batch sizes 1..300
 	}
 	for _, sizes := range batchings {
 		name := fmt.Sprintf("batch%d", sizes[0])

@@ -401,39 +401,6 @@ type SnapshotState struct {
 	Zones []zone.Config
 }
 
-// CaptureSnapshot copies the store's durable state, visiting the shards one
-// at a time under read locks — it never stops the world. The copy is NOT by
-// itself consistent under concurrent mutation: the snapshotter brackets the
-// call with two Generation() reads and discards the copy unless they match
-// (the same read-render-reread discipline the response caches use), which
-// proves no mutation committed while the copy was taken.
-func (s *Store) CaptureSnapshot() SnapshotState {
-	sh := s.CaptureSnapshotSharded()
-	return sh.Flatten()
-}
-
-// CaptureSnapshotQuiesced copies the store's durable state under a full
-// write quiesce: the registrar table and every shard stay read-locked for
-// the whole copy, so no mutation can commit anywhere in the store while it
-// runs (readers are unaffected — mutators briefly queue behind the held
-// read locks). walSeq is invoked while the quiesce holds; because every
-// journal append happens inside a mutating critical section, the value it
-// returns identifies exactly the last record the copy contains — the
-// consistency CaptureSnapshot gets optimistically from generation
-// bracketing, guaranteed here at the cost of stalling writers for the
-// duration of one full-store copy.
-//
-// Lock order is regMu < shards (ascending index) < delMu, consistent with
-// every other path (mutators take a single shard lock, and only after any
-// regMu use is finished; purge takes delMu inside its shard critical
-// section), so the quiesce introduces no lock-order cycle. This is the
-// snapshotter's fallback when sustained write load keeps defeating the
-// optimistic capture; it is not a hot-path API.
-func (s *Store) CaptureSnapshotQuiesced(walSeq func() uint64) (SnapshotState, uint64) {
-	sh, seq := s.CaptureSnapshotShardedQuiesced(walSeq)
-	return sh.Flatten(), seq
-}
-
 // RestoreSnapshot loads a captured state into an empty store during
 // recovery: registrars, every registration (with its transfer code), the
 // deletion archive, the ID allocator and the generation counter. Replaying

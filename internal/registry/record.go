@@ -131,8 +131,8 @@ type authState uint8
 
 const (
 	authNone        authState = iota // seeded: no code was minted
-	authCreated                      // deriveAuthInfo(id, name)
-	authTransferred                  // deriveAuthInfo(id^authRotate, name): rotated by a transfer
+	authCreated                      // appendAuthInfo(id, name)
+	authTransferred                  // appendAuthInfo(id^authRotate, name): rotated by a transfer
 	authStored                       // a restored code matching neither: held in shard.authStored
 )
 
@@ -161,23 +161,24 @@ func appendAuthInfo(dst []byte, id uint64, name string) []byte {
 	return dst
 }
 
-func deriveAuthInfo(id uint64, name string) string {
-	var buf [authInfoLen]byte
-	return string(appendAuthInfo(buf[:0], id, name))
-}
-
-// authInfo returns r's transfer code, "" when none was minted. The caller
-// holds sh's lock (either mode).
-func (sh *shard) authInfo(r *record) string {
+// appendAuthInfo appends r's transfer code to dst, nothing when none was
+// minted. The caller holds sh's lock (either mode).
+func (sh *shard) appendAuthInfo(dst []byte, r *record) []byte {
 	switch r.auth {
 	case authCreated:
-		return deriveAuthInfo(r.id, r.name)
+		return appendAuthInfo(dst, r.id, r.name)
 	case authTransferred:
-		return deriveAuthInfo(r.id^authRotate, r.name)
+		return appendAuthInfo(dst, r.id^authRotate, r.name)
 	case authStored:
-		return sh.authStored[r.name]
+		return append(dst, sh.authStored[r.name]...)
 	}
-	return ""
+	return dst
+}
+
+// authInfo is appendAuthInfo as a string.
+func (sh *shard) authInfo(r *record) string {
+	var buf [authInfoLen]byte
+	return string(sh.appendAuthInfo(buf[:0], r))
 }
 
 // authMatches reports whether presented is r's transfer code, taking the

@@ -335,7 +335,7 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 
 	// Snapshot and restore, with two codes of foreign make: one on a
 	// created registration, one on a seeded one.
-	snap := s.CaptureSnapshot()
+	snap := captureFlat(s)
 	foreign := 0
 	for i := range snap.Domains {
 		name := snap.Domains[i].Domain.Name
@@ -356,7 +356,7 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 		t.Fatal(err)
 	}
 	oracle.check(t, "restored", re)
-	if again := re.CaptureSnapshot(); len(again.Domains) != len(snap.Domains) {
+	if again := captureFlat(re); len(again.Domains) != len(snap.Domains) {
 		t.Fatalf("re-captured %d registrations, want %d", len(again.Domains), len(snap.Domains))
 	} else {
 		for _, sd := range again.Domains {

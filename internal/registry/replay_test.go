@@ -6,6 +6,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -188,7 +189,7 @@ func TestSnapshotPlusTailMatchesOriginal(t *testing.T) {
 				t.Fatalf("cut %d: prefix replay: %v", cut, err)
 			}
 		}
-		snap := pre.CaptureSnapshot()
+		snap := captureFlat(pre)
 
 		re := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
 		if err := re.RestoreSnapshot(snap); err != nil {
@@ -204,13 +205,19 @@ func TestSnapshotPlusTailMatchesOriginal(t *testing.T) {
 	}
 }
 
-// TestCaptureSnapshotQuiescedConsistent: the quiesced capture must really
-// stop every mutator for the duration of the copy. The walSeq callback
-// reads the generation counter while the quiesce holds; if any writer could
-// commit mid-copy, the generation baked into the state and the quiesced
-// read would diverge. Hammered from several goroutines so a broken quiesce
-// fails fast.
-func TestCaptureSnapshotQuiescedConsistent(t *testing.T) {
+// captureFlat is the store's durable state in the flat v1 shape.
+func captureFlat(s *Store) SnapshotState {
+	sh := s.CaptureSnapshotSharded()
+	return sh.Flatten()
+}
+
+// TestReadSnapshotQuiescedConsistent: the quiesced traversal must really
+// stop every mutator for as long as it runs. The generation counter is read
+// on entry and again after every shard has been visited (on their own
+// goroutines, as the snapshot writer does); if any writer could commit in
+// between, the two reads would diverge. Hammered from several goroutines so
+// a broken quiesce fails fast.
+func TestReadSnapshotQuiescedConsistent(t *testing.T) {
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	s := NewStoreWithShards(simtime.NewSimClock(start.At(0, 0, 0)), 8)
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg"})
@@ -237,12 +244,30 @@ func TestCaptureSnapshotQuiescedConsistent(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 50; i++ {
-		st, seq := s.CaptureSnapshotQuiesced(s.Generation)
-		if st.Gen != seq {
-			t.Fatalf("iteration %d: a writer committed during the quiesce: state gen %d, quiesced read %d", i, st.Gen, seq)
-		}
-		if len(st.Domains) != names {
-			t.Fatalf("iteration %d: captured %d domains, want %d", i, len(st.Domains), names)
+		s.ReadSnapshot(true, func(r *SnapshotReader) {
+			before, _ := r.Counters()
+			var visited atomic.Int64
+			var vg sync.WaitGroup
+			for si := 0; si < s.ShardCount(); si++ {
+				vg.Add(1)
+				go func(si int) {
+					defer vg.Done()
+					r.VisitShard(si, func(int) {}, func(*model.Domain, []byte) { visited.Add(1) })
+				}(si)
+			}
+			vg.Wait()
+			if len(r.Registrars()) != 1 {
+				t.Errorf("iteration %d: registrar table not readable under the quiesce", i)
+			}
+			if after, _ := r.Counters(); after != before {
+				t.Errorf("iteration %d: a writer committed during the quiesce: generation %d -> %d", i, before, after)
+			}
+			if visited.Load() != names {
+				t.Errorf("iteration %d: visited %d domains, want %d", i, visited.Load(), names)
+			}
+		})
+		if t.Failed() {
+			break
 		}
 	}
 	close(stop)

@@ -10,21 +10,19 @@ import (
 	"dropzero/internal/zone"
 )
 
-// This file is the parallel recovery seam: sharded snapshot capture, a
-// restore API whose pieces are safe for concurrent use, and a per-shard
-// replay entry point. The journal's v2 snapshot codec encodes one section
-// per shard and its pipelined WAL replayer partitions records by the same
-// name hash the live store routes with, so every recovery worker locks
-// exactly the shard it is filling. The flat SnapshotState API remains (the
-// v1 gob format and the replay differential tests speak it); it is now a
-// thin adapter over the sharded form.
+// This file is the parallel recovery seam: the per-shard snapshot
+// traversal, a restore API whose pieces are safe for concurrent use, and a
+// per-shard replay entry point. The journal's v2 snapshot codec encodes one
+// section per shard and its pipelined WAL replayer partitions records by the
+// same name hash the live store routes with, so every recovery worker locks
+// exactly the shard it is filling. The flat SnapshotState shape remains for
+// the v1 gob reader and the replay differential tests.
 
 // ShardedSnapshot is a full copy of the store's durable state with the
-// registrations still grouped by the capturing store's shard index — the
-// shape the parallel snapshot codec wants: one independently encodable
-// (and restorable) section per shard. Shards has ShardCount() entries;
-// entry order within a shard is map-iteration order, which no consumer may
-// rely on (restore re-routes every domain by name hash anyway).
+// registrations still grouped by the capturing store's shard index, one
+// group per snapshot section. Shards has ShardCount() entries; entry order
+// within a shard is map-iteration order, which no consumer may rely on
+// (restore re-routes every domain by name hash anyway).
 type ShardedSnapshot struct {
 	Gen        uint64
 	NextID     uint64
@@ -36,96 +34,139 @@ type ShardedSnapshot struct {
 	Zones []zone.Config
 }
 
-// DomainCount sums the per-shard registration counts.
-func (st *ShardedSnapshot) DomainCount() int {
-	n := 0
-	for _, sh := range st.Shards {
-		n += len(sh)
-	}
-	return n
-}
-
 // Flatten converts to the flat SnapshotState shape (shard sections
-// concatenated in index order), for the v1 snapshot writer and tests.
+// concatenated in index order) the v1 gob format holds.
 func (st *ShardedSnapshot) Flatten() SnapshotState {
-	flat := SnapshotState{
+	return SnapshotState{
 		Gen:        st.Gen,
 		NextID:     st.NextID,
 		Registrars: st.Registrars,
+		Domains:    slices.Concat(st.Shards...),
 		Deletions:  st.Deletions,
 		Zones:      st.Zones,
-		Domains:    make([]SnapshotDomain, 0, st.DomainCount()),
 	}
-	for _, sh := range st.Shards {
-		flat.Domains = append(flat.Domains, sh...)
-	}
-	return flat
 }
 
-// CaptureSnapshotSharded is CaptureSnapshot keeping the per-shard grouping.
-// Same consistency contract: the copy visits shards one at a time under
-// read locks and is only consistent if the caller's generation bracketing
-// proves no mutation committed during it.
+// SnapshotReader is the store's one snapshot traversal: it hands a snapshot
+// writer the durable state piece by piece — no copy of the store is built.
+// Its methods are safe for concurrent use, so a writer may visit distinct
+// shards from distinct goroutines. Callbacks run under store locks and must
+// not call back into the store.
+type SnapshotReader struct {
+	s *Store
+	// quiesced: ReadSnapshot holds regMu and every shard read-locked, so
+	// the methods take no lock of their own.
+	quiesced bool
+}
+
+// ReadSnapshot runs fn with a reader over the store's durable state.
+//
+// Without quiesce each reader method locks what it visits for its own
+// duration only — the traversal never stops the world, and is NOT by itself
+// consistent under concurrent mutation: the caller brackets fn with two
+// Generation() reads and discards what it built unless they match (the
+// read-render-reread discipline the response caches use), which proves no
+// mutation committed in between.
+//
+// With quiesce the registrar table and every shard stay read-locked until
+// fn returns, so no mutation can commit anywhere in the store (readers are
+// unaffected — mutators queue behind the held read locks). Because every
+// journal append happens inside a mutating critical section, a WAL position
+// read inside fn identifies exactly the last record the traversal contains.
+// Lock order is regMu < shards (ascending index) < delMu, consistent with
+// every other path (mutators take a single shard lock, and only after any
+// regMu use is finished; purge takes delMu inside its shard critical
+// section), so the quiesce introduces no lock-order cycle. It is the
+// snapshotter's fallback when sustained write load keeps defeating the
+// optimistic traversal, not a hot-path API.
+func (s *Store) ReadSnapshot(quiesce bool, fn func(*SnapshotReader)) {
+	if quiesce {
+		s.regMu.RLock()
+		defer s.regMu.RUnlock()
+		for i := range s.shards {
+			s.shards[i].mu.RLock()
+			defer s.shards[i].mu.RUnlock()
+		}
+	}
+	fn(&SnapshotReader{s: s, quiesced: quiesce})
+}
+
+// ShardCount is the number of shards VisitShard accepts.
+func (r *SnapshotReader) ShardCount() int { return len(r.s.shards) }
+
+// Zones returns the zones installed beyond the implicit default one.
+func (r *SnapshotReader) Zones() []zone.Config { return r.s.ExtraZones() }
+
+// Registrars returns the accreditation list in ascending IANA ID order.
+func (r *SnapshotReader) Registrars() []model.Registrar {
+	if r.quiesced {
+		return r.s.registrarsLocked()
+	}
+	return r.s.Registrars()
+}
+
+// Counters returns the generation counter and the ID allocator. Read them
+// after the shards: an optimistic traversal that passes its generation
+// check saw no mutation, and a quiesced one cannot.
+func (r *SnapshotReader) Counters() (gen, nextID uint64) {
+	return r.s.gen.Load(), r.s.nextID.Load()
+}
+
+// VisitShard calls begin with shard si's registration count, then each once
+// per registration in map-iteration order, all under that shard's read
+// lock. d and authInfo (the transfer code, empty when none was minted) are
+// reused between calls and valid only during one.
+func (r *SnapshotReader) VisitShard(si int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
+	sh := &r.s.shards[si]
+	if !r.quiesced {
+		sh.mu.RLock()
+		defer sh.mu.RUnlock()
+	}
+	begin(len(sh.domains))
+	var (
+		d   model.Domain
+		buf [authInfoLen]byte
+	)
+	for _, rec := range sh.domains {
+		d = rec.domain()
+		each(&d, sh.appendAuthInfo(buf[:0], rec))
+	}
+}
+
+// VisitDeletions calls fn with the deletion archive under its lock; fn must
+// not retain the map or its slices.
+func (r *SnapshotReader) VisitDeletions(fn func(map[simtime.Day][]model.DeletionEvent)) {
+	r.s.delMu.Lock()
+	defer r.s.delMu.Unlock()
+	fn(r.s.deletions)
+}
+
+// CaptureSnapshotSharded materialises the traversal as a ShardedSnapshot,
+// without quiesce (see ReadSnapshot for what that means under concurrent
+// mutation). The snapshot writer does not go through it; it is the oracle
+// the writer is tested against.
 func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
 	st := ShardedSnapshot{
-		Registrars: s.Registrars(),
-		Shards:     make([][]SnapshotDomain, len(s.shards)),
-		Deletions:  make(map[simtime.Day][]model.DeletionEvent),
-		Zones:      s.ExtraZones(),
+		Shards:    make([][]SnapshotDomain, len(s.shards)),
+		Deletions: make(map[simtime.Day][]model.DeletionEvent),
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		st.Shards[i] = sh.snapshotSection()
-		sh.mu.RUnlock()
-	}
-	s.delMu.Lock()
-	for day, evs := range s.deletions {
-		st.Deletions[day] = append([]model.DeletionEvent(nil), evs...)
-	}
-	s.delMu.Unlock()
-	st.NextID = s.nextID.Load()
-	st.Gen = s.gen.Load()
+	s.ReadSnapshot(false, func(r *SnapshotReader) {
+		st.Registrars, st.Zones = r.Registrars(), r.Zones()
+		for i := range st.Shards {
+			r.VisitShard(i,
+				func(n int) { st.Shards[i] = make([]SnapshotDomain, 0, n) },
+				func(d *model.Domain, authInfo []byte) {
+					st.Shards[i] = append(st.Shards[i], SnapshotDomain{Domain: *d, AuthInfo: string(authInfo)})
+				})
+		}
+		r.VisitDeletions(func(dels map[simtime.Day][]model.DeletionEvent) {
+			for day, evs := range dels {
+				st.Deletions[day] = append([]model.DeletionEvent(nil), evs...)
+			}
+		})
+		st.Gen, st.NextID = r.Counters()
+	})
 	return st
-}
-
-// snapshotSection copies sh's registrations with their transfer codes. The
-// caller holds sh's lock (either mode).
-func (sh *shard) snapshotSection() []SnapshotDomain {
-	sec := make([]SnapshotDomain, 0, len(sh.domains))
-	for _, r := range sh.domains {
-		sec = append(sec, SnapshotDomain{Domain: r.domain(), AuthInfo: sh.authInfo(r)})
-	}
-	return sec
-}
-
-// CaptureSnapshotShardedQuiesced is CaptureSnapshotQuiesced keeping the
-// per-shard grouping; see that method for the quiesce and lock-order
-// argument.
-func (s *Store) CaptureSnapshotShardedQuiesced(walSeq func() uint64) (ShardedSnapshot, uint64) {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	for i := range s.shards {
-		s.shards[i].mu.RLock()
-		defer s.shards[i].mu.RUnlock()
-	}
-	st := ShardedSnapshot{
-		Registrars: s.registrarsLocked(),
-		Shards:     make([][]SnapshotDomain, len(s.shards)),
-		Deletions:  make(map[simtime.Day][]model.DeletionEvent),
-		Zones:      s.ExtraZones(),
-	}
-	for i := range s.shards {
-		st.Shards[i] = s.shards[i].snapshotSection()
-	}
-	s.delMu.Lock()
-	for day, evs := range s.deletions {
-		st.Deletions[day] = append([]model.DeletionEvent(nil), evs...)
-	}
-	s.delMu.Unlock()
-	st.NextID = s.nextID.Load()
-	st.Gen = s.gen.Load()
-	return st, walSeq()
 }
 
 // RestoreRegistrars installs the registrar table during recovery, replacing

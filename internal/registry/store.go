@@ -120,7 +120,7 @@ func (sh *shard) dueRemove(r *record) {
 // registrar and deletion-archive locks may be taken while holding a shard
 // lock but never the reverse. Multi-shard readers release shard i before
 // locking shard i+1, so there is no lock-order cycle anywhere in the store.
-// The single exception is CaptureSnapshotQuiesced, which read-locks regMu
+// The single exception is a quiesced ReadSnapshot, which read-locks regMu
 // and every shard in ascending index order; that still nests cleanly
 // because no path holds a shard lock while acquiring regMu or another
 // shard's lock.

@@ -48,10 +48,10 @@ const (
 	msgError     byte = 6 // utf-8 message, terminal
 	msgAck       byte = 7 // u64 applied seq (follower → primary)
 
-	msgHeader      = 5       // type + length
-	framesHeader   = 32      // the four u64/i64 fields before the raw frames
-	heartbeatBody  = 16      // durable + sent
-	snapBeginBody  = 16      // seq + size
+	msgHeader      = 5        // type + length
+	framesHeader   = 32       // the four u64/i64 fields before the raw frames
+	heartbeatBody  = 16       // durable + sent
+	snapBeginBody  = 16       // seq + size
 	maxMessageSize = 80 << 20 // > journal's 64 MiB record bound, with headroom
 )
 

@@ -157,10 +157,10 @@ func TestRecoverMatchesUninterrupted(t *testing.T) {
 				seq  uint64
 				torn int
 			}{
-				{purgeSeqs[rng.Intn(len(purgeSeqs))], 0},             // mid-Drop
+				{purgeSeqs[rng.Intn(len(purgeSeqs))], 0},                // mid-Drop
 				{purgeSeqs[rng.Intn(len(purgeSeqs))], 3 + rng.Intn(40)}, // mid-Drop, write in flight
-				{otherSeqs[rng.Intn(len(otherSeqs))], 0},             // anywhere else
-				{records[len(records)-1].Seq, 0},                     // crash after the last record
+				{otherSeqs[rng.Intn(len(otherSeqs))], 0},                // anywhere else
+				{records[len(records)-1].Seq, 0},                        // crash after the last record
 			}
 			for ci, cut := range cuts {
 				crashDir := filepath.Join(t.TempDir(), fmt.Sprintf("crash%d", ci))

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -89,4 +90,29 @@ func TestRunDeterministic(t *testing.T) {
 		}
 	}
 	_ = time.Second
+}
+
+// TestRunLeavesNothingPinned: when Run returns, the store and the servers
+// it stood up are garbage. What the caller holds after one collection — the
+// result and nothing else — must not shrink materially on a second one: a
+// component that stays reachable one cycle longer (a sync.Pool inside a
+// server, say) shows up as exactly that gap.
+func TestRunLeavesNothingPinned(t *testing.T) {
+	res, err := Run(smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	heapAfterGC := func() float64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return float64(ms.HeapAlloc)
+	}
+	first, second := heapAfterGC(), heapAfterGC()
+	t.Logf("live heap %.2f MB after one GC, %.2f MB after two", first/(1<<20), second/(1<<20))
+	if first > second*1.05 {
+		t.Errorf("%.2f MB of the %.2f MB held after Run became collectable only on a second GC",
+			(first-second)/(1<<20), first/(1<<20))
+	}
+	runtime.KeepAlive(res)
 }

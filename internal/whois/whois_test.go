@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/gctest"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -464,4 +465,30 @@ func TestWhoisServeErrSurfaced(t *testing.T) {
 	if err := clean.ServeErr(); err != nil {
 		t.Fatalf("clean Close recorded ServeErr: %v", err)
 	}
+}
+
+// TestClosedServerIsCollectable: once Close has returned — accept loop and
+// connection handlers gone — nothing may keep the store reachable.
+func TestClosedServerIsCollectable(t *testing.T) {
+	gctest.Collected(t, func() *registry.Store {
+		store := registry.NewStore(simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC)))
+		store.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test"})
+		if _, err := store.Create("collect.com", 1000, 1); err != nil {
+			t.Fatal(err)
+		}
+		srv := NewServer(store)
+		addr, err := srv.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := &Client{Addr: addr.String()}
+		if _, err := c.Lookup("collect.com"); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if err := srv.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return store
+	})
 }
