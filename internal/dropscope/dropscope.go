@@ -433,6 +433,8 @@ func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 		return append([]Entry(nil), prior.entries...), nil
 	}
 	if resp.StatusCode != http.StatusOK {
+		// Read a bounded rest of the error body so the connection is reused.
+		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		return nil, fmt.Errorf("dropscope: HTTP %d for %s", resp.StatusCode, u.String())
 	}
 	body, err := io.ReadAll(resp.Body)

@@ -1,12 +1,6 @@
 package epp
 
-import (
-	"fmt"
-	"math"
-	"time"
-	"unicode/utf16"
-	"unicode/utf8"
-)
+import "dropzero/internal/jsonwire"
 
 // Specialised frame decoders for the two hot wire types. encoding/json's
 // Unmarshal pays a scanner state machine plus reflection per frame — under a
@@ -22,350 +16,6 @@ import (
 // panic (FuzzReadFrame, FuzzFrameRoundTrip). They are deliberately stricter
 // than encoding/json about exotic number forms (exponents, floats) that no
 // EPP peer emits for these integer fields.
-
-// jsonCursor is a minimal JSON pull reader over one frame body.
-type jsonCursor struct {
-	b []byte
-	i int
-	// scratch backs unescaped string values; owned by the frameReader so it
-	// is reused across frames.
-	scratch []byte
-}
-
-func (c *jsonCursor) errAt(what string) error {
-	return fmt.Errorf("epp: decode frame: %s at offset %d", what, c.i)
-}
-
-func (c *jsonCursor) skipWS() {
-	for c.i < len(c.b) {
-		switch c.b[c.i] {
-		case ' ', '\t', '\n', '\r':
-			c.i++
-		default:
-			return
-		}
-	}
-}
-
-func (c *jsonCursor) expect(ch byte) error {
-	c.skipWS()
-	if c.i >= len(c.b) || c.b[c.i] != ch {
-		return c.errAt(fmt.Sprintf("expected %q", ch))
-	}
-	c.i++
-	return nil
-}
-
-// peek returns the next non-whitespace byte without consuming it.
-func (c *jsonCursor) peek() (byte, error) {
-	c.skipWS()
-	if c.i >= len(c.b) {
-		return 0, c.errAt("unexpected end of input")
-	}
-	return c.b[c.i], nil
-}
-
-// tryNull consumes a null literal if present.
-func (c *jsonCursor) tryNull() bool {
-	c.skipWS()
-	if c.i+4 <= len(c.b) && string(c.b[c.i:c.i+4]) == "null" {
-		c.i += 4
-		return true
-	}
-	return false
-}
-
-// readString returns the decoded bytes of a JSON string. The result aliases
-// the frame body when the string has no escapes and the cursor's scratch
-// buffer otherwise — either way it is only valid until the next readString
-// or the next frame, so callers must intern or copy anything they keep.
-func (c *jsonCursor) readString() ([]byte, error) {
-	if err := c.expect('"'); err != nil {
-		return nil, err
-	}
-	start := c.i
-	for c.i < len(c.b) {
-		switch b := c.b[c.i]; {
-		case b == '"':
-			s := c.b[start:c.i]
-			c.i++
-			return s, nil
-		case b == '\\':
-			return c.readEscapedString(start)
-		case b < 0x20:
-			return nil, c.errAt("control character in string")
-		default:
-			c.i++
-		}
-	}
-	return nil, c.errAt("unterminated string")
-}
-
-// readEscapedString finishes reading a string that contains escapes,
-// decoding into the scratch buffer. start is the index of the first content
-// byte; the cursor sits on the first backslash.
-func (c *jsonCursor) readEscapedString(start int) ([]byte, error) {
-	out := append(c.scratch[:0], c.b[start:c.i]...)
-	for c.i < len(c.b) {
-		b := c.b[c.i]
-		switch {
-		case b == '"':
-			c.i++
-			c.scratch = out
-			return out, nil
-		case b == '\\':
-			c.i++
-			if c.i >= len(c.b) {
-				return nil, c.errAt("truncated escape")
-			}
-			switch e := c.b[c.i]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-				c.i++
-			case 'b':
-				out = append(out, '\b')
-				c.i++
-			case 'f':
-				out = append(out, '\f')
-				c.i++
-			case 'n':
-				out = append(out, '\n')
-				c.i++
-			case 'r':
-				out = append(out, '\r')
-				c.i++
-			case 't':
-				out = append(out, '\t')
-				c.i++
-			case 'u':
-				r, err := c.readHexRune()
-				if err != nil {
-					return nil, err
-				}
-				if utf16.IsSurrogate(r) {
-					r2 := rune(replacementChar)
-					if c.i+1 < len(c.b) && c.b[c.i] == '\\' && c.b[c.i+1] == 'u' {
-						save := c.i
-						c.i++ // step past the backslash onto 'u'
-						lo, err := c.readHexRune()
-						if err != nil {
-							return nil, err
-						}
-						if dec := utf16.DecodeRune(r, lo); dec != replacementChar {
-							r2 = dec
-						} else {
-							c.i = save // lone surrogate: re-scan the second escape
-						}
-					}
-					r = r2
-				}
-				out = utf8.AppendRune(out, r)
-			default:
-				return nil, c.errAt("invalid escape")
-			}
-		case b < 0x20:
-			return nil, c.errAt("control character in string")
-		default:
-			out = append(out, b)
-			c.i++
-		}
-	}
-	return nil, c.errAt("unterminated string")
-}
-
-const replacementChar = '�'
-
-// readHexRune parses the XXXX of a \uXXXX escape; the cursor sits on 'u'.
-func (c *jsonCursor) readHexRune() (rune, error) {
-	if c.i+5 > len(c.b) {
-		return 0, c.errAt("truncated \\u escape")
-	}
-	var r rune
-	for _, h := range c.b[c.i+1 : c.i+5] {
-		switch {
-		case h >= '0' && h <= '9':
-			r = r<<4 | rune(h-'0')
-		case h >= 'a' && h <= 'f':
-			r = r<<4 | rune(h-'a'+10)
-		case h >= 'A' && h <= 'F':
-			r = r<<4 | rune(h-'A'+10)
-		default:
-			return 0, c.errAt("invalid \\u escape")
-		}
-	}
-	c.i += 5
-	return r, nil
-}
-
-// readInt parses a JSON integer (no exponent or fraction — the protocol's
-// integer fields never carry them).
-func (c *jsonCursor) readInt() (int64, error) {
-	c.skipWS()
-	neg := false
-	if c.i < len(c.b) && c.b[c.i] == '-' {
-		neg = true
-		c.i++
-	}
-	u, err := c.readDigits()
-	if err != nil {
-		return 0, err
-	}
-	if neg {
-		if u > 1<<63 {
-			return 0, c.errAt("integer overflow")
-		}
-		return -int64(u), nil
-	}
-	if u > math.MaxInt64 {
-		return 0, c.errAt("integer overflow")
-	}
-	return int64(u), nil
-}
-
-func (c *jsonCursor) readUint() (uint64, error) {
-	c.skipWS()
-	return c.readDigits()
-}
-
-func (c *jsonCursor) readDigits() (uint64, error) {
-	start := c.i
-	var n uint64
-	for c.i < len(c.b) && c.b[c.i] >= '0' && c.b[c.i] <= '9' {
-		d := uint64(c.b[c.i] - '0')
-		if n > (math.MaxUint64-d)/10 {
-			return 0, c.errAt("integer overflow")
-		}
-		n = n*10 + d
-		c.i++
-	}
-	if c.i == start {
-		return 0, c.errAt("expected integer")
-	}
-	return n, nil
-}
-
-func (c *jsonCursor) readBool() (bool, error) {
-	c.skipWS()
-	switch {
-	case c.i+4 <= len(c.b) && string(c.b[c.i:c.i+4]) == "true":
-		c.i += 4
-		return true, nil
-	case c.i+5 <= len(c.b) && string(c.b[c.i:c.i+5]) == "false":
-		c.i += 5
-		return false, nil
-	}
-	return false, c.errAt("expected boolean")
-}
-
-// readTime parses a quoted RFC 3339 timestamp.
-func (c *jsonCursor) readTime() (time.Time, error) {
-	s, err := c.readString()
-	if err != nil {
-		return time.Time{}, err
-	}
-	t, err := time.Parse(time.RFC3339Nano, string(s))
-	if err != nil {
-		return time.Time{}, fmt.Errorf("epp: decode frame: %w", err)
-	}
-	return t, nil
-}
-
-// skipValue consumes any JSON value (for unknown fields).
-func (c *jsonCursor) skipValue() error {
-	b, err := c.peek()
-	if err != nil {
-		return err
-	}
-	switch b {
-	case '"':
-		_, err := c.readString()
-		return err
-	case '{', '[':
-		open, close := b, byte('}')
-		if b == '[' {
-			close = ']'
-		}
-		depth := 0
-		for c.i < len(c.b) {
-			switch ch := c.b[c.i]; ch {
-			case '"':
-				if _, err := c.readString(); err != nil {
-					return err
-				}
-				continue
-			case open:
-				depth++
-			case close:
-				depth--
-				if depth == 0 {
-					c.i++
-					return nil
-				}
-			}
-			c.i++
-		}
-		return c.errAt("unterminated composite")
-	case 't', 'f':
-		_, err := c.readBool()
-		return err
-	case 'n':
-		if !c.tryNull() {
-			return c.errAt("invalid literal")
-		}
-		return nil
-	default:
-		_, err := c.readInt()
-		return err
-	}
-}
-
-// object iterates the fields of a JSON object, calling field with each key.
-// The key bytes are only valid inside the callback.
-func (c *jsonCursor) object(field func(key []byte) error) error {
-	if err := c.expect('{'); err != nil {
-		return err
-	}
-	if b, err := c.peek(); err != nil {
-		return err
-	} else if b == '}' {
-		c.i++
-		return nil
-	}
-	for {
-		key, err := c.readString()
-		if err != nil {
-			return err
-		}
-		if err := c.expect(':'); err != nil {
-			return err
-		}
-		if err := field(key); err != nil {
-			return err
-		}
-		b, err := c.peek()
-		if err != nil {
-			return err
-		}
-		switch b {
-		case ',':
-			c.i++
-		case '}':
-			c.i++
-			return nil
-		default:
-			return c.errAt("expected ',' or '}'")
-		}
-	}
-}
-
-// end verifies nothing but whitespace remains.
-func (c *jsonCursor) end() error {
-	c.skipWS()
-	if c.i != len(c.b) {
-		return c.errAt("trailing data after frame")
-	}
-	return nil
-}
 
 // internCommand returns the canonical constant for a known command name so
 // decoded requests do not allocate for the fixed protocol vocabulary.
@@ -456,184 +106,184 @@ func internStatus(b []byte) string {
 }
 
 // decodeRequest parses a request frame body into req (fully overwritten).
-func decodeRequest(c *jsonCursor, req *Request) error {
+func decodeRequest(c *jsonwire.Cursor, req *Request) error {
 	*req = Request{}
-	err := c.object(func(key []byte) error {
+	err := c.Object(func(key []byte) error {
 		switch string(key) {
 		case "cmd":
-			s, err := c.readString()
+			s, err := c.ReadString()
 			if err != nil {
 				return err
 			}
 			req.Cmd = internCommand(s)
 		case "registrar":
-			n, err := c.readInt()
+			n, err := c.ReadInt()
 			if err != nil {
 				return err
 			}
 			req.Registrar = int(n)
 		case "token":
-			s, err := c.readString()
+			s, err := c.ReadString()
 			if err != nil {
 				return err
 			}
 			req.Token = string(s)
 		case "name":
-			s, err := c.readString()
+			s, err := c.ReadString()
 			if err != nil {
 				return err
 			}
 			req.Name = string(s)
 		case "years":
-			n, err := c.readInt()
+			n, err := c.ReadInt()
 			if err != nil {
 				return err
 			}
 			req.Years = int(n)
 		case "pollOp":
-			s, err := c.readString()
+			s, err := c.ReadString()
 			if err != nil {
 				return err
 			}
 			req.PollOp = internPollOp(s)
 		case "msgID":
-			n, err := c.readUint()
+			n, err := c.ReadUint()
 			if err != nil {
 				return err
 			}
 			req.MsgID = n
 		case "authInfo":
-			s, err := c.readString()
+			s, err := c.ReadString()
 			if err != nil {
 				return err
 			}
 			req.AuthInfo = string(s)
 		default:
-			return c.skipValue()
+			return c.SkipValue()
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return c.end()
+	return c.End()
 }
 
 // decodeResponse parses a response frame body into resp (fully overwritten).
-func decodeResponse(c *jsonCursor, resp *Response) error {
+func decodeResponse(c *jsonwire.Cursor, resp *Response) error {
 	*resp = Response{}
-	err := c.object(func(key []byte) error {
+	err := c.Object(func(key []byte) error {
 		switch string(key) {
 		case "code":
-			n, err := c.readInt()
+			n, err := c.ReadInt()
 			if err != nil {
 				return err
 			}
 			resp.Code = int(n)
 		case "msg":
-			s, err := c.readString()
+			s, err := c.ReadString()
 			if err != nil {
 				return err
 			}
 			resp.Msg = internMsg(s)
 		case "available":
-			if c.tryNull() {
+			if c.TryNull() {
 				return nil
 			}
-			v, err := c.readBool()
+			v, err := c.ReadBool()
 			if err != nil {
 				return err
 			}
 			resp.Available = &v
 		case "domain":
-			if c.tryNull() {
+			if c.TryNull() {
 				return nil
 			}
 			resp.Domain = new(DomainInfo)
 			return decodeDomainInfo(c, resp.Domain)
 		case "message":
-			if c.tryNull() {
+			if c.TryNull() {
 				return nil
 			}
 			resp.Message = new(Message)
 			return decodeMessage(c, resp.Message)
 		case "msgCount":
-			n, err := c.readInt()
+			n, err := c.ReadInt()
 			if err != nil {
 				return err
 			}
 			resp.MsgCount = int(n)
 		case "serverTime":
-			t, err := c.readTime()
+			t, err := c.ReadTime()
 			if err != nil {
 				return err
 			}
 			resp.ServerTime = t
 		default:
-			return c.skipValue()
+			return c.SkipValue()
 		}
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return c.end()
+	return c.End()
 }
 
-func decodeDomainInfo(c *jsonCursor, d *DomainInfo) error {
-	return c.object(func(key []byte) error {
+func decodeDomainInfo(c *jsonwire.Cursor, d *DomainInfo) error {
+	return c.Object(func(key []byte) error {
 		var err error
 		switch string(key) {
 		case "id":
-			d.ID, err = c.readUint()
+			d.ID, err = c.ReadUint()
 		case "name":
 			var s []byte
-			if s, err = c.readString(); err == nil {
+			if s, err = c.ReadString(); err == nil {
 				d.Name = string(s)
 			}
 		case "registrar":
 			var n int64
-			if n, err = c.readInt(); err == nil {
+			if n, err = c.ReadInt(); err == nil {
 				d.Registrar = int(n)
 			}
 		case "created":
-			d.Created, err = c.readTime()
+			d.Created, err = c.ReadTime()
 		case "updated":
-			d.Updated, err = c.readTime()
+			d.Updated, err = c.ReadTime()
 		case "expiry":
-			d.Expiry, err = c.readTime()
+			d.Expiry, err = c.ReadTime()
 		case "status":
 			var s []byte
-			if s, err = c.readString(); err == nil {
+			if s, err = c.ReadString(); err == nil {
 				d.Status = internStatus(s)
 			}
 		case "authInfo":
 			var s []byte
-			if s, err = c.readString(); err == nil {
+			if s, err = c.ReadString(); err == nil {
 				d.AuthInfo = string(s)
 			}
 		default:
-			err = c.skipValue()
+			err = c.SkipValue()
 		}
 		return err
 	})
 }
 
-func decodeMessage(c *jsonCursor, m *Message) error {
-	return c.object(func(key []byte) error {
+func decodeMessage(c *jsonwire.Cursor, m *Message) error {
+	return c.Object(func(key []byte) error {
 		var err error
 		switch string(key) {
 		case "id":
-			m.ID, err = c.readUint()
+			m.ID, err = c.ReadUint()
 		case "time":
-			m.Time, err = c.readTime()
+			m.Time, err = c.ReadTime()
 		case "text":
 			var s []byte
-			if s, err = c.readString(); err == nil {
+			if s, err = c.ReadString(); err == nil {
 				m.Text = string(s)
 			}
 		default:
-			err = c.skipValue()
+			err = c.SkipValue()
 		}
 		return err
 	})

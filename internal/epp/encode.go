@@ -2,8 +2,8 @@ package epp
 
 import (
 	"strconv"
-	"time"
-	"unicode/utf8"
+
+	"dropzero/internal/jsonwire"
 )
 
 // Append-style frame encoders for the two hot wire types. During the Drop the
@@ -23,18 +23,18 @@ import (
 // time fields, so the encoding is infallible.
 func appendRequest(dst []byte, r *Request) []byte {
 	dst = append(dst, `{"cmd":`...)
-	dst = appendJSONString(dst, r.Cmd)
+	dst = jsonwire.AppendString(dst, r.Cmd)
 	if r.Registrar != 0 {
 		dst = append(dst, `,"registrar":`...)
 		dst = strconv.AppendInt(dst, int64(r.Registrar), 10)
 	}
 	if r.Token != "" {
 		dst = append(dst, `,"token":`...)
-		dst = appendJSONString(dst, r.Token)
+		dst = jsonwire.AppendString(dst, r.Token)
 	}
 	if r.Name != "" {
 		dst = append(dst, `,"name":`...)
-		dst = appendJSONString(dst, r.Name)
+		dst = jsonwire.AppendString(dst, r.Name)
 	}
 	if r.Years != 0 {
 		dst = append(dst, `,"years":`...)
@@ -42,7 +42,7 @@ func appendRequest(dst []byte, r *Request) []byte {
 	}
 	if r.PollOp != "" {
 		dst = append(dst, `,"pollOp":`...)
-		dst = appendJSONString(dst, r.PollOp)
+		dst = jsonwire.AppendString(dst, r.PollOp)
 	}
 	if r.MsgID != 0 {
 		dst = append(dst, `,"msgID":`...)
@@ -50,7 +50,7 @@ func appendRequest(dst []byte, r *Request) []byte {
 	}
 	if r.AuthInfo != "" {
 		dst = append(dst, `,"authInfo":`...)
-		dst = appendJSONString(dst, r.AuthInfo)
+		dst = jsonwire.AppendString(dst, r.AuthInfo)
 	}
 	return append(dst, '}')
 }
@@ -63,7 +63,7 @@ func appendResponse(dst []byte, r *Response) (_ []byte, ok bool) {
 	dst = append(dst, `{"code":`...)
 	dst = strconv.AppendInt(dst, int64(r.Code), 10)
 	dst = append(dst, `,"msg":`...)
-	dst = appendJSONString(dst, r.Msg)
+	dst = jsonwire.AppendString(dst, r.Msg)
 	if r.Available != nil {
 		dst = append(dst, `,"available":`...)
 		dst = strconv.AppendBool(dst, *r.Available)
@@ -78,11 +78,11 @@ func appendResponse(dst []byte, r *Response) (_ []byte, ok bool) {
 		dst = append(dst, `,"message":{"id":`...)
 		dst = strconv.AppendUint(dst, r.Message.ID, 10)
 		dst = append(dst, `,"time":`...)
-		if dst, ok = appendTime(dst, r.Message.Time); !ok {
+		if dst, ok = jsonwire.AppendTime(dst, r.Message.Time); !ok {
 			return dst, false
 		}
 		dst = append(dst, `,"text":`...)
-		dst = appendJSONString(dst, r.Message.Text)
+		dst = jsonwire.AppendString(dst, r.Message.Text)
 		dst = append(dst, '}')
 	}
 	if r.MsgCount != 0 {
@@ -90,7 +90,7 @@ func appendResponse(dst []byte, r *Response) (_ []byte, ok bool) {
 		dst = strconv.AppendInt(dst, int64(r.MsgCount), 10)
 	}
 	dst = append(dst, `,"serverTime":`...)
-	if dst, ok = appendTime(dst, r.ServerTime); !ok {
+	if dst, ok = jsonwire.AppendTime(dst, r.ServerTime); !ok {
 		return dst, false
 	}
 	return append(dst, '}'), true
@@ -100,101 +100,26 @@ func appendDomainInfo(dst []byte, d *DomainInfo) (_ []byte, ok bool) {
 	dst = append(dst, `{"id":`...)
 	dst = strconv.AppendUint(dst, d.ID, 10)
 	dst = append(dst, `,"name":`...)
-	dst = appendJSONString(dst, d.Name)
+	dst = jsonwire.AppendString(dst, d.Name)
 	dst = append(dst, `,"registrar":`...)
 	dst = strconv.AppendInt(dst, int64(d.Registrar), 10)
 	dst = append(dst, `,"created":`...)
-	if dst, ok = appendTime(dst, d.Created); !ok {
+	if dst, ok = jsonwire.AppendTime(dst, d.Created); !ok {
 		return dst, false
 	}
 	dst = append(dst, `,"updated":`...)
-	if dst, ok = appendTime(dst, d.Updated); !ok {
+	if dst, ok = jsonwire.AppendTime(dst, d.Updated); !ok {
 		return dst, false
 	}
 	dst = append(dst, `,"expiry":`...)
-	if dst, ok = appendTime(dst, d.Expiry); !ok {
+	if dst, ok = jsonwire.AppendTime(dst, d.Expiry); !ok {
 		return dst, false
 	}
 	dst = append(dst, `,"status":`...)
-	dst = appendJSONString(dst, d.Status)
+	dst = jsonwire.AppendString(dst, d.Status)
 	if d.AuthInfo != "" {
 		dst = append(dst, `,"authInfo":`...)
-		dst = appendJSONString(dst, d.AuthInfo)
+		dst = jsonwire.AppendString(dst, d.AuthInfo)
 	}
 	return append(dst, '}'), true
-}
-
-// appendTime appends the time.Time.MarshalJSON rendering of t: a quoted
-// strict RFC 3339 timestamp with nanoseconds. ok is false exactly when
-// MarshalJSON would error — a year outside [0, 9999] or a zone hour outside
-// [0, 23] — in which case dst is returned unchanged. (Sub-minute offset
-// components are silently truncated by the "Z07:00" layout, matching
-// MarshalJSON.)
-func appendTime(dst []byte, t time.Time) (_ []byte, ok bool) {
-	if y := t.Year(); y < 0 || y > 9999 {
-		return dst, false
-	}
-	if _, off := t.Zone(); off <= -24*3600 || off >= 24*3600 {
-		return dst, false
-	}
-	dst = append(dst, '"')
-	dst = t.AppendFormat(dst, time.RFC3339Nano)
-	return append(dst, '"'), true
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendJSONString appends s as a JSON string literal, byte-identical to
-// encoding/json's default (HTML-escaping) encoder: control characters, the
-// quote and backslash, '<', '>' and '&' are escaped, invalid UTF-8 becomes
-// the � escape, and U+2028/U+2029 are escaped for JavaScript embedding.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		if b := s[i]; b < utf8.RuneSelf {
-			if b >= ' ' && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
-				i++
-				continue
-			}
-			dst = append(dst, s[start:i]...)
-			switch b {
-			case '\\', '"':
-				dst = append(dst, '\\', b)
-			case '\b':
-				dst = append(dst, '\\', 'b')
-			case '\f':
-				dst = append(dst, '\\', 'f')
-			case '\n':
-				dst = append(dst, '\\', 'n')
-			case '\r':
-				dst = append(dst, '\\', 'r')
-			case '\t':
-				dst = append(dst, '\\', 't')
-			default:
-				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		c, size := utf8.DecodeRuneInString(s[i:])
-		if c == utf8.RuneError && size == 1 {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, `\ufffd`...)
-			i += size
-			start = i
-			continue
-		}
-		if c == '\u2028' || c == '\u2029' {
-			dst = append(dst, s[start:i]...)
-			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[c&0xF])
-			i += size
-			start = i
-			continue
-		}
-		i += size
-	}
-	dst = append(dst, s[start:]...)
-	return append(dst, '"')
 }

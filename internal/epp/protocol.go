@@ -16,6 +16,8 @@ import (
 	"io"
 	"sync"
 	"time"
+
+	"dropzero/internal/jsonwire"
 )
 
 // MaxFrame is the largest accepted frame body. Oversized frames indicate a
@@ -232,9 +234,10 @@ func readBody(r io.Reader, body []byte, v any) error {
 // specialised decoders (scratch, when non-nil, is the caller's reusable
 // unescape buffer), anything else goes through encoding/json.
 func decodeFrame(body []byte, v any, scratch *[]byte) error {
-	cur := jsonCursor{b: body}
+	var cur jsonwire.Cursor
+	cur.Reset(body)
 	if scratch != nil {
-		cur.scratch = *scratch
+		cur.Scratch = *scratch
 	}
 	var err error
 	switch t := v.(type) {
@@ -249,9 +252,12 @@ func decodeFrame(body []byte, v any, scratch *[]byte) error {
 		return nil
 	}
 	if scratch != nil {
-		*scratch = cur.scratch
+		*scratch = cur.Scratch
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("epp: decode frame: %w", err)
+	}
+	return nil
 }
 
 // readerPool recycles the bufio layer of connection frame readers; 4 KiB

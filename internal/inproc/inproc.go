@@ -1,13 +1,17 @@
 // Package inproc adapts an http.Handler into an http.RoundTripper, letting
 // HTTP clients exercise a server's full handler stack without TCP sockets.
-// Large simulations use it to run millions of RDAP and list lookups through
-// the real serialisation code at memory speed; the TCP path stays in use by
-// the integration tests, the examples and cmd/dropserve.
+// Large simulations use it to run millions of RDAP, list and oracle lookups
+// through the real serialisation code at memory speed: sim.Run reaches the
+// RDAP server, the dropscope list server and the Safe-Browsing oracle this
+// way, and WHOIS — a line protocol, not HTTP — is the one surface it still
+// dials. The TCP path stays in use by the integration tests, the examples
+// and cmd/dropserve.
 package inproc
 
 import (
+	"bytes"
 	"net/http"
-	"net/http/httptest"
+	"strconv"
 )
 
 // Transport dispatches requests directly to Handler.
@@ -15,14 +19,70 @@ type Transport struct {
 	Handler http.Handler
 }
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. The handler runs to completion on
+// the calling goroutine; the header map and body it wrote become the
+// response's own, without a copy.
 func (t Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	rec := httptest.NewRecorder()
-	t.Handler.ServeHTTP(rec, req)
-	resp := rec.Result()
-	resp.Request = req
+	rw := &response{header: make(http.Header)}
+	t.Handler.ServeHTTP(rw, req)
+	if rw.status == 0 {
+		rw.status = http.StatusOK
+	}
+	rw.body.Reset(rw.written)
+	resp := &http.Response{
+		Status:        strconv.Itoa(rw.status) + " " + http.StatusText(rw.status),
+		StatusCode:    rw.status,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        rw.header,
+		Body:          rw,
+		ContentLength: -1,
+		Request:       req,
+	}
+	if n, err := strconv.ParseInt(rw.header.Get("Content-Length"), 10, 64); err == nil {
+		resp.ContentLength = n
+	}
 	return resp, nil
 }
+
+// response is the http.ResponseWriter the handler fills and, once the
+// handler has returned, the Body of the http.Response made from it.
+type response struct {
+	header  http.Header
+	status  int
+	written []byte
+	body    bytes.Reader
+}
+
+func (r *response) Header() http.Header { return r.header }
+
+// WriteHeader keeps the first status, as net/http does.
+func (r *response) WriteHeader(status int) {
+	if r.status == 0 {
+		r.status = status
+	}
+}
+
+// Write buffers p, refusing it for the statuses that carry no body, as
+// net/http does.
+func (r *response) Write(p []byte) (int, error) {
+	r.WriteHeader(http.StatusOK)
+	if r.status < 200 || r.status == http.StatusNoContent || r.status == http.StatusNotModified {
+		return 0, http.ErrBodyNotAllowed
+	}
+	r.written = append(r.written, p...)
+	return len(p), nil
+}
+
+// Flush implements http.Flusher: it commits the status, and the body is
+// buffered until the handler returns either way.
+func (r *response) Flush() { r.WriteHeader(http.StatusOK) }
+
+func (r *response) Read(p []byte) (int, error) { return r.body.Read(p) }
+
+// Close implements io.Closer; there is nothing to release.
+func (r *response) Close() error { return nil }
 
 // Client returns an *http.Client whose requests are served by handler.
 func Client(handler http.Handler) *http.Client {

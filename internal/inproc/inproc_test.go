@@ -38,3 +38,86 @@ func TestClientNotFoundRoute(t *testing.T) {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 }
+
+// roundTrip serves one GET through handler and returns the response with its
+// body read.
+func roundTrip(t *testing.T, handler http.HandlerFunc) (*http.Response, string) {
+	t.Helper()
+	resp, err := Client(handler).Get("http://x.internal/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatalf("second Close: %v", err)
+	}
+	return resp, string(body)
+}
+
+func TestStatusDefaultsToOK(t *testing.T) {
+	resp, body := roundTrip(t, func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "implicit")
+		w.WriteHeader(http.StatusTeapot) // too late, as on a real connection
+	})
+	if resp.StatusCode != http.StatusOK || resp.Status != "200 OK" || body != "implicit" {
+		t.Fatalf("status %q, body %q", resp.Status, body)
+	}
+	if resp, body = roundTrip(t, func(http.ResponseWriter, *http.Request) {}); resp.StatusCode != http.StatusOK || body != "" {
+		t.Fatalf("silent handler: status %d, body %q", resp.StatusCode, body)
+	}
+}
+
+func TestHeadersAndContentLength(t *testing.T) {
+	resp, body := roundTrip(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header()["Etag"] = []string{`"7"`}
+		w.Header().Set("Content-Length", "5")
+		w.WriteHeader(http.StatusAccepted)
+		io.WriteString(w, "he")
+		io.WriteString(w, "llo")
+	})
+	if resp.StatusCode != http.StatusAccepted || body != "hello" {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	if resp.Header.Get("ETag") != `"7"` || resp.ContentLength != 5 {
+		t.Fatalf("ETag %q, ContentLength %d", resp.Header.Get("ETag"), resp.ContentLength)
+	}
+	if resp, _ = roundTrip(t, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "x") }); resp.ContentLength != -1 {
+		t.Fatalf("ContentLength without the header = %d, want -1", resp.ContentLength)
+	}
+}
+
+func TestNotModifiedCarriesNoBody(t *testing.T) {
+	var werr error
+	resp, body := roundTrip(t, func(w http.ResponseWriter, r *http.Request) {
+		w.WriteHeader(http.StatusNotModified)
+		_, werr = io.WriteString(w, "must not arrive")
+	})
+	if resp.StatusCode != http.StatusNotModified || body != "" {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+	if werr != http.ErrBodyNotAllowed {
+		t.Fatalf("Write on a 304 = %v, want http.ErrBodyNotAllowed", werr)
+	}
+}
+
+func TestFlusherAccepted(t *testing.T) {
+	resp, body := roundTrip(t, func(w http.ResponseWriter, r *http.Request) {
+		f, ok := w.(http.Flusher)
+		if !ok {
+			t.Error("ResponseWriter is not an http.Flusher")
+			return
+		}
+		io.WriteString(w, "a")
+		f.Flush()
+		io.WriteString(w, "b")
+	})
+	if resp.StatusCode != http.StatusOK || body != "ab" {
+		t.Fatalf("status %d, body %q", resp.StatusCode, body)
+	}
+}

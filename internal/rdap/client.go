@@ -2,7 +2,6 @@ package rdap
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -47,20 +46,34 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 func (c *Client) Domain(ctx context.Context, name string) (*DomainResponse, error) {
 	u := *c.base
 	u.Path = "/domain/" + name
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u.String(), nil)
-	if err != nil {
-		return nil, fmt.Errorf("rdap: build request: %w", err)
-	}
-	req.Header.Set("Accept", "application/rdap+json")
+	req := (&http.Request{
+		Method:     http.MethodGet,
+		URL:        &u,
+		Host:       u.Host,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     http.Header{"Accept": rdapMediaType},
+	}).WithContext(ctx)
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("rdap: GET %s: %w", u.String(), err)
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		// Read a bounded rest of the error body, or net/http closes the
+		// connection instead of reusing it — and 404 is the usual answer
+		// for a name nobody re-registered.
+		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
+	}
 	switch {
 	case resp.StatusCode == http.StatusOK:
+		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
+		if err != nil {
+			return nil, fmt.Errorf("rdap: read response for %s: %w", name, err)
+		}
 		var dr DomainResponse
-		if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&dr); err != nil {
+		if err := decodeDomainResponse(body, &dr); err != nil {
 			return nil, fmt.Errorf("rdap: decode response for %s: %w", name, err)
 		}
 		return &dr, nil

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +186,24 @@ func rdapGet(t *testing.T, srv *Server, name, etag string) *httptest.ResponseRec
 	w := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(w, req)
 	return w
+}
+
+// toResponse is the reference (uncached, reflection-encoded) form of a
+// domain: the oracle for the append renderer and the response cache.
+func (s *Server) toResponse(d *model.Domain) *DomainResponse {
+	reg, found := s.store.Registrar(d.RegistrarID)
+	return &DomainResponse{
+		ObjectClassName: "domain",
+		Handle:          fmt.Sprintf("%d_DOMAIN_%s-VRSN", d.ID, strings.ToUpper(string(d.TLD))),
+		LDHName:         d.Name,
+		Status:          []string{d.Status.String()},
+		Events: []Event{
+			{Action: EventRegistration, Date: d.Created},
+			{Action: EventLastChanged, Date: d.Updated},
+			{Action: EventExpiration, Date: d.Expiry},
+		},
+		Entities: []Entity{registrarEntity(d.RegistrarID, reg, found)},
+	}
 }
 
 // reference renders a domain the pre-cache way — one json.Encoder pass over

@@ -13,6 +13,7 @@ import (
 	"sync/atomic"
 
 	"dropzero/internal/gencache"
+	"dropzero/internal/jsonwire"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 )
@@ -41,14 +42,16 @@ type cachedResponse struct {
 	clenVal []string // {len(body)}
 }
 
-var rdapContentType = []string{"application/rdap+json"}
+// rdapMediaType is the header value of every Content-Type the server sets
+// and every Accept the client sends, shared so neither allocates it.
+var rdapMediaType = []string{"application/rdap+json"}
 
 // renderBufs recycles render buffers across servers. Package-level on
 // purpose: the runtime keeps a pointer to every sync.Pool that has been
 // used until a later collection, and a pool inside Server would pin a
 // closed server — and through it the store and the response cache — for a
 // GC cycle after its last request.
-var renderBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 // Server serves registry data as RFC 7483-shaped JSON over HTTP. Domain
 // responses are cached per store generation (see registry.Store.Generation):
@@ -138,14 +141,9 @@ func (s *Server) Metrics() Metrics {
 // Close stops the server.
 func (s *Server) Close() error { return s.http.Close() }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/rdap+json")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
 func (s *Server) handleHelp(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	w.Header().Set("Content-Type", "application/rdap+json")
+	_ = json.NewEncoder(w).Encode(map[string]any{
 		"rdapConformance": []string{"rdap_level_0"},
 		"notices": []map[string]any{{
 			"title":       "dropzero registry RDAP pilot",
@@ -154,15 +152,40 @@ func (s *Server) handleHelp(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// writeError answers status with the RFC 7483 error body — byte-identical to
+// json.NewEncoder(w).Encode(ErrorResponse{status, title, description}). The
+// description is given in the parts of one string, so the 404 needs no
+// formatted copy of the name.
+func writeError(w http.ResponseWriter, status int, title string, description ...string) {
+	bp := renderBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"errorCode":`...)
+	b = strconv.AppendInt(b, int64(status), 10)
+	b = append(b, `,"title":`...)
+	b = jsonwire.AppendString(b, title)
+	if len(description) > 0 {
+		b = append(b, `,"description":["`...)
+		for _, part := range description {
+			b = jsonwire.AppendEscaped(b, part)
+		}
+		b = append(b, `"]`...)
+	}
+	b = append(b, "}\n"...)
+	w.Header()["Content-Type"] = rdapMediaType
+	w.WriteHeader(status)
+	_, _ = w.Write(b)
+	*bp = b
+	renderBufs.Put(bp)
+}
+
 func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	if r.Method != http.MethodGet {
-		writeJSON(w, http.StatusMethodNotAllowed, ErrorResponse{ErrorCode: 405, Title: "method not allowed"})
+		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
 	name := strings.ToLower(strings.TrimPrefix(r.URL.Path, "/domain/"))
 	if name == "" || strings.Contains(name, "/") {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{ErrorCode: 400, Title: "malformed domain name"})
+		writeError(w, http.StatusBadRequest, "malformed domain name")
 		return
 	}
 
@@ -176,24 +199,26 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		// 404s are never cached and carry no ETag: a name can be re-created
 		// at any moment and a conditional revalidation of "absent" would
 		// risk a stale 304 after the re-registration.
-		writeJSON(w, http.StatusNotFound, ErrorResponse{
-			ErrorCode:   404,
-			Title:       "object not found",
-			Description: []string{fmt.Sprintf("domain %s is not registered", name)},
-		})
+		writeError(w, http.StatusNotFound, "object not found", "domain ", name, " is not registered")
 		return
 	}
 	if code, broken := s.cfg.FailRegistrars[d.RegistrarID]; broken {
-		writeJSON(w, code, ErrorResponse{ErrorCode: code, Title: "internal error"})
+		writeError(w, code, "internal error")
 		return
 	}
 
-	buf := renderBufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	s.render(buf, d)
+	bp := renderBufs.Get().(*[]byte)
+	body, ok := s.appendDomain((*bp)[:0], d)
+	*bp = body
+	defer renderBufs.Put(bp)
+	if !ok {
+		// A timestamp no RFC 3339 rendering exists for; encoding/json would
+		// refuse the whole object, so there is nothing to serve or cache.
+		writeError(w, http.StatusInternalServerError, "internal error")
+		return
+	}
 	if s.store.Generation() == gen {
-		cr := newCachedResponse(gen, bytes.Clone(buf.Bytes()))
-		renderBufs.Put(buf)
+		cr := newCachedResponse(gen, bytes.Clone(body))
 		s.cache.Put(gen, name, cr)
 		s.serveCached(w, r, cr)
 		return
@@ -202,10 +227,9 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	// exact generation is unknown, so serve it without an ETag and do not
 	// cache it — labelling it could let a later revalidation 304 falsely.
 	h := w.Header()
-	h["Content-Type"] = rdapContentType
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
-	_, _ = w.Write(buf.Bytes())
-	renderBufs.Put(buf)
+	h["Content-Type"] = rdapMediaType
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = w.Write(body)
 }
 
 func newCachedResponse(gen uint64, body []byte) *cachedResponse {
@@ -228,37 +252,45 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cr *cachedR
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
-	h["Content-Type"] = rdapContentType
+	h["Content-Type"] = rdapMediaType
 	h["Content-Length"] = cr.clenVal
 	_, _ = w.Write(cr.body)
 }
 
-// render encodes the domain response into buf, byte-identical to
-// json.NewEncoder(buf).Encode(s.toResponse(d)) but splicing the memoized
-// registrar entity fragment instead of re-marshalling it. Splicing is safe
-// because encoding/json re-compacts RawMessage with the same HTML escaping
-// Marshal applies, and escaping is idempotent.
-func (s *Server) render(buf *bytes.Buffer, d *model.Domain) {
-	wire := struct {
-		ObjectClassName string            `json:"objectClassName"`
-		Handle          string            `json:"handle"`
-		LDHName         string            `json:"ldhName"`
-		Status          []string          `json:"status"`
-		Events          []Event           `json:"events"`
-		Entities        []json.RawMessage `json:"entities"`
-	}{
-		ObjectClassName: "domain",
-		Handle:          fmt.Sprintf("%d_DOMAIN_%s-VRSN", d.ID, strings.ToUpper(string(d.TLD))),
-		LDHName:         d.Name,
-		Status:          []string{d.Status.String()},
-		Events: []Event{
-			{Action: EventRegistration, Date: d.Created},
-			{Action: EventLastChanged, Date: d.Updated},
-			{Action: EventExpiration, Date: d.Expiry},
-		},
-		Entities: []json.RawMessage{s.entityFragment(d.RegistrarID)},
+// appendDomain appends the domain response, byte-identical to
+// json.NewEncoder(buf).Encode(toResponse(d)) with the memoized registrar
+// entity fragment spliced in: the fragment is json.Marshal output, which
+// encoding/json would re-emit unchanged. ok is false when a timestamp is one
+// time.Time.MarshalJSON rejects, which fails that Encode too.
+func (s *Server) appendDomain(dst []byte, d *model.Domain) (_ []byte, ok bool) {
+	dst = append(dst, `{"objectClassName":"domain","handle":"`...)
+	dst = strconv.AppendUint(dst, d.ID, 10)
+	dst = append(dst, "_DOMAIN_"...)
+	dst = jsonwire.AppendEscaped(dst, strings.ToUpper(string(d.TLD)))
+	dst = append(dst, `-VRSN","ldhName":`...)
+	dst = jsonwire.AppendString(dst, d.Name)
+	dst = append(dst, `,"status":[`...)
+	dst = jsonwire.AppendString(dst, d.Status.String())
+	dst = append(dst, `],"events":[`...)
+	for i, ev := range [...]Event{
+		{EventRegistration, d.Created},
+		{EventLastChanged, d.Updated},
+		{EventExpiration, d.Expiry},
+	} {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = append(dst, `{"eventAction":`...)
+		dst = jsonwire.AppendString(dst, ev.Action)
+		dst = append(dst, `,"eventDate":`...)
+		if dst, ok = jsonwire.AppendTime(dst, ev.Date); !ok {
+			return dst, false
+		}
+		dst = append(dst, '}')
 	}
-	_ = json.NewEncoder(buf).Encode(&wire)
+	dst = append(dst, `],"entities":[`...)
+	dst = append(dst, s.entityFragment(d.RegistrarID)...)
+	return append(dst, "]}\n"...), true
 }
 
 // entityFragment returns the marshalled entity block for a sponsoring
@@ -307,25 +339,6 @@ func registrarEntity(registrarID int, reg model.Registrar, found bool) Entity {
 		}
 	}
 	return ent
-}
-
-// toResponse is the reference (uncached) encoding of a domain, kept as the
-// oracle for the differential cache tests.
-func (s *Server) toResponse(d *model.Domain) *DomainResponse {
-	reg, found := s.store.Registrar(d.RegistrarID)
-	resp := &DomainResponse{
-		ObjectClassName: "domain",
-		Handle:          fmt.Sprintf("%d_DOMAIN_%s-VRSN", d.ID, strings.ToUpper(string(d.TLD))),
-		LDHName:         d.Name,
-		Status:          []string{d.Status.String()},
-		Events: []Event{
-			{Action: EventRegistration, Date: d.Created},
-			{Action: EventLastChanged, Date: d.Updated},
-			{Action: EventExpiration, Date: d.Expiry},
-		},
-	}
-	resp.Entities = []Entity{registrarEntity(d.RegistrarID, reg, found)}
-	return resp
 }
 
 // ParseHandle extracts the numeric registry object ID from an RDAP handle

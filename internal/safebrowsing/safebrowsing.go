@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net"
 	"net/http"
@@ -95,6 +96,10 @@ func (o *Oracle) Count() int {
 	return len(o.labels)
 }
 
+// Handler exposes the lookup API's HTTP handler, so a study can reach the
+// oracle through the in-process transport without Listen.
+func (o *Oracle) Handler() http.Handler { return o.http.Handler }
+
 // Listen serves the lookup API on addr until Close.
 func (o *Oracle) Listen(addr string) (net.Addr, error) {
 	ln, err := net.Listen("tcp", addr)
@@ -166,6 +171,8 @@ func (c *Client) Lookup(name string) (bool, error) {
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
+		// Read a bounded rest of the error body so the connection is reused.
+		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		return false, fmt.Errorf("safebrowsing: HTTP %d for %s", resp.StatusCode, name)
 	}
 	var lr lookupResponse

@@ -5,8 +5,9 @@
 // runs the paper's measurement pipeline against the registry's public
 // surfaces (pending-delete lists, RDAP, WHOIS, the maliciousness oracle).
 //
-// The pipeline talks to the real dropscope and RDAP HTTP handlers through an
-// in-process transport and to a real WHOIS server over TCP, so the exact
+// The pipeline talks to the real dropscope, RDAP and oracle HTTP handlers
+// through an in-process transport (internal/inproc) and to a real WHOIS
+// server over TCP — the one socket a memory-only study opens — so the exact
 // code paths a remote client would exercise are exercised here, at memory
 // speed.
 package sim

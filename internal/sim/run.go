@@ -104,10 +104,12 @@ func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.D
 
 // Run executes a full study. It is deterministic for a given Config: equal
 // configs give byte-identical results — including when the run is a resume
-// of a crashed one. With Config.DataDir set, every registry mutation and
-// each day's pipeline collection goes through a write-ahead journal, and
-// Run first recovers whatever the directory holds, then re-executes only
-// the remainder of the study.
+// of a crashed one. The measurement pipeline reaches RDAP, the
+// pending-delete lists and the oracle in-process; the WHOIS fallback dials a
+// loopback listener, the only socket Run opens. With Config.DataDir set,
+// every registry mutation and each day's pipeline collection goes through a
+// write-ahead journal, and Run first recovers whatever the directory holds,
+// then re-executes only the remainder of the study.
 //
 // Resume never re-runs completed work against the live registry (whose
 // state has moved past it); instead it replays the decision process from
@@ -250,12 +252,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	oracleAddr, err := oracle.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer oracle.Close()
-	oracleClient, err := safebrowsing.NewClient("http://"+oracleAddr.String(), nil)
+	oracleClient, err := safebrowsing.NewClient("http://oracle.internal", inproc.Client(oracle.Handler()))
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,4 +116,38 @@ func TestRunLeavesNothingPinned(t *testing.T) {
 			(first-second)/(1<<20), first/(1<<20))
 	}
 	runtime.KeepAlive(res)
+}
+
+// TestMemoryOnlyRunOpensOnlyWHOIS: a memory-only study reaches RDAP, the
+// pending-delete lists and the oracle through the in-process transport, so
+// the WHOIS server's is the only accept loop a Run may have going. Goroutine
+// dumps taken while it runs say who called Listen.
+func TestMemoryOnlyRunOpensOnlyWHOIS(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(smallConfig())
+		done <- err
+	}()
+	buf := make([]byte, 1<<20)
+	sawWHOIS := false
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sawWHOIS {
+				t.Fatal("no dump caught the WHOIS accept loop: the dumps prove nothing")
+			}
+			return
+		case <-time.After(2 * time.Millisecond):
+		}
+		dump := string(buf[:runtime.Stack(buf, true)])
+		sawWHOIS = sawWHOIS || strings.Contains(dump, "whois.(*Server).Listen")
+		for _, listener := range []string{"safebrowsing.(*Oracle).Listen", "rdap.(*Server).Listen", "dropscope.(*Server).Listen"} {
+			if strings.Contains(dump, listener) {
+				t.Fatalf("memory-only Run has a goroutine started by %s", listener)
+			}
+		}
+	}
 }
