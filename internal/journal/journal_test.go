@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"os"
@@ -185,6 +186,78 @@ func TestRecoverAfterSnapshot(t *testing.T) {
 	}
 	if got := dumpVisible(s2); got != want {
 		t.Error("snapshot+tail recovery differs from original")
+	}
+}
+
+// TestSnapshotBytesDeterministic: a shard hands its registrations to the
+// snapshot writer in slot order, and slots are assigned by the operation
+// history alone — so the same history on a fresh store yields the same
+// snapshot file, byte for byte. Purges and re-creates in between make sure
+// the free list takes part.
+func TestSnapshotBytesDeterministic(t *testing.T) {
+	run := func() []byte {
+		dir := t.TempDir()
+		s := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), 4)
+		j, _ := openJournal(t, s, dir, ModeAsync, false)
+		defer j.Close()
+		s.SetJournal(j)
+		s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg 0"})
+		s.AddRegistrar(model.Registrar{IANAID: 901, Name: "Reg 1"})
+		const n = 20_000
+		now := testStart.At(9, 0, 0)
+		for i := 0; i < n; i++ {
+			name := fmt.Sprintf("det%05d.com", i)
+			if _, err := s.CreateAt(name, 900+i%2, 1+i%3, now.Add(time.Duration(i)*time.Second)); err != nil {
+				t.Fatal(err)
+			}
+			if i%3 == 0 {
+				if err := s.MarkPendingDelete(name, time.Time{}, testStart.AddDays(1+i%4)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// Two Drops purge half of the pending-delete names; some of them
+		// come back, and with them a few names never seen before.
+		runner := registry.NewDropRunner(s, registry.DefaultDropConfig())
+		purged := 0
+		for di := 1; di <= 2; di++ {
+			evs, err := runner.Run(testStart.AddDays(di), rand.New(rand.NewSource(int64(di))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			purged += len(evs)
+			for k, ev := range evs {
+				if k%7 == 0 {
+					if _, err := s.CreateAt(ev.Name, 901, 1, ev.Time.Add(time.Second)); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for k := 0; k < 50; k++ {
+				if _, err := s.CreateAt(fmt.Sprintf("new%d-%03d.net", di, k), 900, 1, testStart.AddDays(di).At(20, 0, k)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if purged < n/8 {
+			t.Fatalf("only %d purges: the free list was barely exercised", purged)
+		}
+		if err := j.Snapshot([]byte("app")); err != nil {
+			t.Fatalf("snapshot: %v", err)
+		}
+		snaps, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+		if err != nil || len(snaps) != 1 {
+			t.Fatalf("snapshot files %v, %v", snaps, err)
+		}
+		b, err := os.ReadFile(snaps[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	first, second := run(), run()
+	if !bytes.Equal(first, second) {
+		t.Fatalf("two runs of one history wrote different snapshots (%d and %d bytes)", len(first), len(second))
 	}
 }
 

@@ -56,42 +56,43 @@ func (p duePolicy) dueDay(r *record) simtime.Day {
 
 // dueIndex is one lifecycle state's time-bucketed secondary index: every
 // live registration in that state, bucketed by due day. A bucket is a slice
-// and each record stores its own position in it, so removal is an O(1)
-// swap with the last entry. Bucket-internal order depends on the history of
-// adds and removes, so every consumer imposes its own deterministic sort.
+// of table refs and each record stores its own position in it, so removal
+// is an O(1) swap with the last entry. Bucket-internal order depends on the
+// history of adds and removes, so every consumer imposes its own
+// deterministic sort.
 // days mirrors the non-empty bucket keys in ascending order, which is what
 // makes "walk everything due through day D" O(due work) instead of
 // O(store).
 type dueIndex struct {
-	buckets map[simtime.Day][]*record
+	buckets map[simtime.Day][]uint32
 	days    []simtime.Day
 }
 
-func (ix *dueIndex) add(day simtime.Day, r *record) {
+// add files t's slot ref under day.
+func (ix *dueIndex) add(day simtime.Day, ref uint32, t *table) {
 	b, ok := ix.buckets[day]
 	if !ok {
 		if ix.buckets == nil {
-			ix.buckets = make(map[simtime.Day][]*record)
+			ix.buckets = make(map[simtime.Day][]uint32)
 		}
 		if i, found := slices.BinarySearchFunc(ix.days, day, simtime.Day.Compare); !found {
 			ix.days = slices.Insert(ix.days, i, day)
 		}
 	}
-	r.pos = int32(len(b))
-	ix.buckets[day] = append(b, r)
+	t.rec(ref).pos = int32(len(b))
+	ix.buckets[day] = append(b, ref)
 }
 
-// remove takes r out of day's bucket; a record the bucket does not hold at
-// r.pos is left alone.
-func (ix *dueIndex) remove(day simtime.Day, r *record) {
+// remove takes t's slot ref out of day's bucket; a ref the bucket does not
+// hold at its record's pos is left alone.
+func (ix *dueIndex) remove(day simtime.Day, ref uint32, t *table) {
 	b := ix.buckets[day]
-	i, last := int(r.pos), len(b)-1
-	if i > last || b[i] != r {
+	i, last := int(t.rec(ref).pos), len(b)-1
+	if i > last || b[i] != ref {
 		return
 	}
 	b[i] = b[last]
-	b[i].pos = r.pos
-	b[last] = nil
+	t.rec(b[i]).pos = int32(i)
 	if last == 0 {
 		delete(ix.buckets, day)
 		if i, found := slices.BinarySearchFunc(ix.days, day, simtime.Day.Compare); found {
@@ -107,20 +108,20 @@ func (ix *dueIndex) count(day simtime.Day) int { return len(ix.buckets[day]) }
 
 // through calls fn for every registration whose bucket day is on or before
 // limit. fn must not add or remove index entries.
-func (ix *dueIndex) through(limit simtime.Day, fn func(*record)) {
+func (ix *dueIndex) through(limit simtime.Day, t *table, fn func(*record)) {
 	for _, day := range ix.days {
 		if day.Compare(limit) > 0 {
 			return
 		}
-		for _, r := range ix.buckets[day] {
-			fn(r)
+		for _, ref := range ix.buckets[day] {
+			fn(t.rec(ref))
 		}
 	}
 }
 
 // eachBucket visits every non-empty bucket with day in [from, to), in
 // ascending day order. fn must not add or remove index entries.
-func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func(simtime.Day, []*record)) {
+func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func(simtime.Day, []uint32)) {
 	i, _ := slices.BinarySearchFunc(ix.days, from, simtime.Day.Compare)
 	for ; i < len(ix.days); i++ {
 		day := ix.days[i]

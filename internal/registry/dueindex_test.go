@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"hash/maphash"
 	"testing"
 	"time"
 
@@ -15,12 +16,12 @@ func bucketDayOf(s *Store, name string) (simtime.Day, bool) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ok := sh.domains[name]
-	if !ok || int(r.status) >= len(sh.due) {
+	r, ref := sh.tab.get(name)
+	if r == nil || int(r.status) >= len(sh.due) {
 		return simtime.Day{}, false
 	}
 	for day, b := range sh.due[r.status].buckets {
-		if int(r.pos) < len(b) && b[r.pos] == r {
+		if int(r.pos) < len(b) && b[r.pos] == ref {
 			return day, true
 		}
 	}
@@ -120,19 +121,23 @@ func TestDueIndexFollowsLifecycle(t *testing.T) {
 // TestDueIndexDaysBookkeeping exercises the sorted non-empty-day list
 // directly: out-of-order inserts, emptied buckets, repeated days.
 func TestDueIndexDaysBookkeeping(t *testing.T) {
-	var ix dueIndex
+	var (
+		ix  dueIndex
+		tab table
+	)
+	tab.init(maphash.MakeSeed(), 0)
 	base := simtime.Day{Year: 2018, Month: time.March, Dom: 10}
-	doms := make([]*record, 6)
+	doms := make([]uint32, 6)
 	for i := range doms {
-		doms[i] = &record{id: uint64(i + 1)}
+		_, doms[i] = tab.put(record{id: uint64(i + 1), name: fmt.Sprintf("d%d.com", i)})
 	}
-	ix.add(base.AddDays(3), doms[0])
-	ix.add(base, doms[1])
-	ix.add(base.AddDays(7), doms[2])
-	ix.add(base, doms[3])
+	ix.add(base.AddDays(3), doms[0], &tab)
+	ix.add(base, doms[1], &tab)
+	ix.add(base.AddDays(7), doms[2], &tab)
+	ix.add(base, doms[3], &tab)
 
 	var seen []uint64
-	ix.through(base.AddDays(3), func(r *record) { seen = append(seen, r.id) })
+	ix.through(base.AddDays(3), &tab, func(r *record) { seen = append(seen, r.id) })
 	if len(seen) != 3 {
 		t.Fatalf("through visited %d, want 3 (two at base, one at +3)", len(seen))
 	}
@@ -141,22 +146,22 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	}
 
 	// Emptying a bucket removes its day; a later re-add restores it.
-	ix.remove(base, doms[1])
-	ix.remove(base, doms[3])
+	ix.remove(base, doms[1], &tab)
+	ix.remove(base, doms[3], &tab)
 	if got := len(ix.days); got != 2 {
 		t.Fatalf("days after emptying base = %d, want 2", got)
 	}
-	ix.add(base, doms[4])
+	ix.add(base, doms[4], &tab)
 	days := 0
-	ix.eachBucket(base, base.AddDays(8), func(simtime.Day, []*record) { days++ })
+	ix.eachBucket(base, base.AddDays(8), func(simtime.Day, []uint32) { days++ })
 	if days != 3 {
 		t.Fatalf("eachBucket visited %d days, want 3", days)
 	}
 
 	// Removing from an unknown day, or a record its bucket does not hold,
 	// is a no-op.
-	ix.remove(base.AddDays(99), doms[0])
-	ix.remove(base, doms[5])
+	ix.remove(base.AddDays(99), doms[0], &tab)
+	ix.remove(base, doms[5], &tab)
 	if got := ix.count(base); got != 1 {
 		t.Fatalf("count(base) after no-op removes = %d, want 1", got)
 	}

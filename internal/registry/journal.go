@@ -228,8 +228,8 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		return ev, false, nil
 
 	case MutTouch, MutRenew, MutTransfer, MutSetState:
-		r, ok := sh.domains[m.Name]
-		if !ok {
+		r, ref := sh.tab.get(m.Name)
+		if r == nil {
 			return ev, false, fmt.Errorf("registry: replay %v: %w: %q", m.Kind, ErrNotFound, m.Name)
 		}
 		// Convert everything the record will take before touching it, so a
@@ -253,20 +253,20 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		if err := errors.Join(errUpdated, errField); err != nil {
 			return ev, false, fmt.Errorf("registry: replay %v %q: %w", m.Kind, m.Name, err)
 		}
-		sh.dueRemove(r)
+		sh.dueRemove(r, ref)
 		*r = next
-		sh.dueAdd(r)
+		sh.dueAdd(r, ref)
 		if m.Kind == MutTransfer {
 			sh.rotateAuth(r)
 		}
 		return ev, false, nil
 
 	case MutPurge:
-		r, ok := sh.domains[m.Name]
-		if !ok {
+		r, ref := sh.tab.get(m.Name)
+		if r == nil {
 			return ev, false, fmt.Errorf("registry: replay purge: %w: %q", ErrNotFound, m.Name)
 		}
-		return sh.remove(r, m.Time, m.Rank), true, nil
+		return sh.remove(r, ref, m.Time, m.Rank), true, nil
 	}
 	return ev, false, fmt.Errorf("registry: replay: unknown mutation kind %d", m.Kind)
 }

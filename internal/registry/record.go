@@ -11,14 +11,16 @@ import (
 )
 
 // record is the shard-resident form of one registration: a model.Domain
-// squeezed into one 64-byte heap object with a single pointer word (the
-// name). Timestamps are Unix seconds — the store guarantees second
-// precision and UTC, and the zero time.Time survives the trip (its Unix
-// second decodes back to a value for which IsZero holds). The TLD is the
-// name's last tldLen bytes, the delete day is bit-packed, and the transfer
-// code is a state from which the code is recomputed (authInfo). Records
-// never leave the package: Get, Each, PendingDeletions, snapshot capture
-// and observer events hand out model.Domain values built by domain().
+// squeezed into 64 bytes with a single pointer word (the name), stored in
+// its shard's table and addressable only under that shard's lock (see
+// table for the validity rule). Timestamps are Unix seconds — the store
+// guarantees second precision and UTC, and the zero time.Time survives the
+// trip (its Unix second decodes back to a value for which IsZero holds).
+// The TLD is the name's last tldLen bytes, the delete day is bit-packed,
+// and the transfer code is a state from which the code is recomputed
+// (authInfo). Records never leave the package: Get, Each, PendingDeletions,
+// snapshot capture and observer events hand out model.Domain values built
+// by domain().
 type record struct {
 	id        uint64
 	name      string
@@ -43,23 +45,23 @@ var errUnrepresentable = errors.New("registry: registration not representable")
 // ID beyond int32, a delete day outside the packed range, a TLD that is not
 // the name's dot-separated suffix. Timestamps in another location are
 // stored as the same instant in UTC, as simtime.Trunc does on live paths.
-func newRecord(d *model.Domain) (*record, error) {
+func newRecord(d *model.Domain) (record, error) {
 	n := len(d.TLD)
 	if n == 0 || n > 255 || len(d.Name) <= n || d.Name[len(d.Name)-n-1] != '.' || d.Name[len(d.Name)-n:] != string(d.TLD) {
-		return nil, fmt.Errorf("%w: %q is not under TLD %q", errUnrepresentable, d.Name, d.TLD)
+		return record{}, fmt.Errorf("%w: %q is not under TLD %q", errUnrepresentable, d.Name, d.TLD)
 	}
 	registrar, err := registrar32(d.RegistrarID)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q", err, d.Name)
+		return record{}, fmt.Errorf("%w: %q", err, d.Name)
 	}
 	day, err := packDay(d.DeleteDay)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %q", err, d.Name)
+		return record{}, fmt.Errorf("%w: %q", err, d.Name)
 	}
 	if d.Created.Nanosecond() != 0 || d.Updated.Nanosecond() != 0 || d.Expiry.Nanosecond() != 0 {
-		return nil, fmt.Errorf("%w: %q: sub-second timestamp", errUnrepresentable, d.Name)
+		return record{}, fmt.Errorf("%w: %q: sub-second timestamp", errUnrepresentable, d.Name)
 	}
-	return &record{
+	return record{
 		id:        d.ID,
 		name:      d.Name,
 		created:   d.Created.Unix(),

@@ -13,11 +13,15 @@ import (
 	"dropzero/internal/zone"
 )
 
-// TestRecordFitsOneSizeClass pins the stored form to the 64-byte allocator
-// size class; one more word would cost 80 bytes per registration.
+// TestRecordFitsOneSizeClass pins the stored form to 64 bytes and a table
+// chunk to 64 KiB — an allocator size class with no rounding waste; one
+// more word per record would cost 8 bytes per registration.
 func TestRecordFitsOneSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(record{}); size > 64 {
-		t.Fatalf("record is %d bytes, want <= 64", size)
+	if size := unsafe.Sizeof(record{}); size != 64 {
+		t.Fatalf("record is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof([chunkSize]record{}); size != 64<<10 {
+		t.Fatalf("chunk is %d bytes, want 64 KiB", size)
 	}
 }
 
@@ -180,16 +184,18 @@ func (o authOracle) check(t *testing.T, label string, s *Store) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for name, r := range sh.domains {
+		sh.tab.each(func(r *record, _ uint32) bool {
+			name := r.name
 			if got, want := sh.authInfo(r), o[name]; got != want {
 				t.Errorf("%s: %s: code %q, oracle %q", label, name, got, want)
 			}
 			if _, has := o[name]; has {
 				seen++
 			}
-		}
+			return true
+		})
 		for name := range sh.authStored {
-			if r, ok := sh.domains[name]; !ok || r.auth != authStored {
+			if r, _ := sh.tab.get(name); r == nil || r.auth != authStored {
 				t.Errorf("%s: stored code for %s outlived its registration or state", label, name)
 			}
 		}
@@ -410,8 +416,9 @@ func checkDuePositions(t *testing.T, s *Store) {
 				if len(b) == 0 {
 					t.Fatalf("shard %d %v: empty bucket %v kept", i, model.Status(st), day)
 				}
-				for pos, r := range b {
-					if int(r.pos) != pos || int(r.status) != st || sh.policy.dueDay(r) != day || sh.domains[r.name] != r {
+				for pos, ref := range b {
+					r := sh.tab.rec(ref)
+					if got, gotRef := sh.tab.get(r.name); int(r.pos) != pos || int(r.status) != st || sh.policy.dueDay(r) != day || got != r || gotRef != ref {
 						t.Fatalf("shard %d %v bucket %v[%d]: holds %s (pos %d, status %v, due %v)",
 							i, model.Status(st), day, pos, r.name, r.pos, r.status, sh.policy.dueDay(r))
 					}
@@ -419,8 +426,8 @@ func checkDuePositions(t *testing.T, s *Store) {
 				indexed += len(b)
 			}
 		}
-		if indexed != len(sh.domains) {
-			t.Fatalf("shard %d: %d registrations indexed, %d live", i, indexed, len(sh.domains))
+		if indexed != sh.tab.len() {
+			t.Fatalf("shard %d: %d registrations indexed, %d live", i, indexed, sh.tab.len())
 		}
 		sh.mu.RUnlock()
 	}

@@ -62,7 +62,8 @@ func dumpStore(s *Store, from simtime.Day, days int) string {
 	for _, d := range ds {
 		sh := s.shardOf(d.Name)
 		sh.mu.RLock()
-		auth := sh.authInfo(sh.domains[d.Name])
+		r, _ := sh.tab.get(d.Name)
+		auth := sh.authInfo(r)
 		sh.mu.RUnlock()
 		fmt.Fprintf(&b, "domain %s id=%d tld=%s reg=%d created=%s updated=%s expiry=%s status=%s due=%v auth=%q\n",
 			d.Name, d.ID, d.TLD, d.RegistrarID, ts(d.Created), ts(d.Updated), ts(d.Expiry), d.Status, d.DeleteDay, auth)

@@ -21,8 +21,10 @@ import (
 // ShardedSnapshot is a full copy of the store's durable state with the
 // registrations still grouped by the capturing store's shard index, one
 // group per snapshot section. Shards has ShardCount() entries; entry order
-// within a shard is map-iteration order, which no consumer may rely on
-// (restore re-routes every domain by name hash anyway).
+// within a shard is the capturing shard's slot order: reproducible for
+// equal operation histories from an empty store, but not a contract between
+// a primary and a replica restored from a snapshot (restore re-routes every
+// domain by name hash and packs the slots purges left empty).
 type ShardedSnapshot struct {
 	Gen        uint64
 	NextID     uint64
@@ -113,24 +115,25 @@ func (r *SnapshotReader) Counters() (gen, nextID uint64) {
 }
 
 // VisitShard calls begin with shard si's registration count, then each once
-// per registration in map-iteration order, all under that shard's read
-// lock. d and authInfo (the transfer code, empty when none was minted) are
-// reused between calls and valid only during one.
+// per registration in slot order (see ShardedSnapshot), all under that
+// shard's read lock. d and authInfo (the transfer code, empty when none was
+// minted) are reused between calls and valid only during one.
 func (r *SnapshotReader) VisitShard(si int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
 	sh := &r.s.shards[si]
 	if !r.quiesced {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 	}
-	begin(len(sh.domains))
+	begin(sh.tab.len())
 	var (
 		d   model.Domain
 		buf [authInfoLen]byte
 	)
-	for _, rec := range sh.domains {
+	sh.tab.each(func(rec *record, _ uint32) bool {
 		d = rec.domain()
 		each(&d, sh.appendAuthInfo(buf[:0], rec))
-	}
+		return true
+	})
 }
 
 // VisitDeletions calls fn with the deletion archive under its lock; fn must
@@ -211,11 +214,11 @@ func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 		}
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		if len(sh.domains) == 0 {
+		if sh.tab.len() == 0 {
 			// The first batch a shard receives is usually its only one
-			// (a section per writer shard): size the map for it up front
-			// instead of growing it by doubling.
-			sh.domains = make(map[string]*record, len(idxs))
+			// (a section per writer shard): size the name index for it up
+			// front instead of growing it by splitting.
+			sh.tab.init(sh.tab.seed, len(idxs))
 		}
 		for _, i := range idxs {
 			r, err := sh.insert(&ds[i].Domain)

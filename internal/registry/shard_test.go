@@ -55,7 +55,7 @@ func TestShardRoutingCoversAllShards(t *testing.T) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n := len(sh.domains)
+		n := sh.tab.len()
 		sh.mu.RUnlock()
 		if n == 0 {
 			t.Errorf("shard %d holds no registrations after 600 creates", i)

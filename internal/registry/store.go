@@ -14,6 +14,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"runtime"
 	"slices"
 	"strings"
@@ -56,14 +57,14 @@ type Observer interface {
 
 // shard is one lock domain of the store. Every registration lives in exactly
 // one shard, chosen by hashing its name, and everything a single-domain
-// operation needs — the name map, the transfer codes, the due-day indexes
+// operation needs — the record table, the transfer codes, the due-day indexes
 // and status tallies, and the due-day policy — is resident in that shard,
 // guarded by that shard's lock. The EPP hot path (Check/Info/Create during
 // the Drop second) therefore serialises only against operations on names
 // that hash to the same shard, not against the whole registry.
 type shard struct {
-	mu      sync.RWMutex
-	domains map[string]*record // live registrations by name
+	mu  sync.RWMutex
+	tab table // live registrations: the records and their name index
 	// authStored holds the transfer codes that cannot be recomputed from
 	// their record (authStored state): restored codes that match neither
 	// derivation. nil until one shows up.
@@ -82,27 +83,27 @@ type shard struct {
 	statusCount [model.StatusDeleted + 1]int
 }
 
-// dueAdd indexes r under its current state and due day and bumps the status
-// counter. The caller holds the shard's write lock; every live domain is
-// indexed exactly once, in the shard its name hashes to.
-func (sh *shard) dueAdd(r *record) {
+// dueAdd indexes r (slot ref) under its current state and due day and bumps
+// the status counter. The caller holds the shard's write lock; every live
+// domain is indexed exactly once, in the shard its name hashes to.
+func (sh *shard) dueAdd(r *record, ref uint32) {
 	if int(r.status) < len(sh.statusCount) {
 		sh.statusCount[r.status]++
 	}
 	if int(r.status) < len(sh.due) {
-		sh.due[r.status].add(sh.policy.dueDay(r), r)
+		sh.due[r.status].add(sh.policy.dueDay(r), ref, &sh.tab)
 	}
 }
 
 // dueRemove un-indexes r. It must run *before* any field that feeds
 // duePolicy.dueDay (status, expiry, updated, registrar, deleteDay) is
 // mutated, or the removal would look in the wrong bucket.
-func (sh *shard) dueRemove(r *record) {
+func (sh *shard) dueRemove(r *record, ref uint32) {
 	if int(r.status) < len(sh.statusCount) {
 		sh.statusCount[r.status]--
 	}
 	if int(r.status) < len(sh.due) {
-		sh.due[r.status].remove(sh.policy.dueDay(r), r)
+		sh.due[r.status].remove(sh.policy.dueDay(r), ref, &sh.tab)
 	}
 }
 
@@ -238,11 +239,12 @@ func (s *Store) setDuePolicy(p duePolicy) {
 			sh.due[j] = dueIndex{}
 		}
 		sh.policy = p
-		for _, r := range sh.domains {
+		sh.tab.each(func(r *record, ref uint32) bool {
 			if int(r.status) < len(sh.due) {
-				sh.due[r.status].add(p.dueDay(r), r)
+				sh.due[r.status].add(p.dueDay(r), ref, &sh.tab)
 			}
-		}
+			return true
+		})
 		sh.mu.Unlock()
 	}
 }
@@ -297,8 +299,10 @@ func NewStoreWithShards(clock simtime.Clock, shards int) *Store {
 		registrars: make(map[int]model.Registrar),
 		deletions:  make(map[simtime.Day][]model.DeletionEvent),
 	}
+	// One seed for the whole store; see table.seed.
+	seed := maphash.MakeSeed()
 	for i := range s.shards {
-		s.shards[i].domains = make(map[string]*record)
+		s.shards[i].tab.init(seed, 0)
 	}
 	s.zoneTab.init()
 	return s
@@ -436,8 +440,8 @@ func (s *Store) Available(name string) (bool, error) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	_, taken := sh.domains[name]
-	return !taken, nil
+	r, _ := sh.tab.get(name)
+	return r == nil, nil
 }
 
 // Create registers name to registrarID for termYears, timestamped with the
@@ -510,15 +514,15 @@ func (s *Store) insertNew(d *model.Domain, kind MutKind) (*model.Domain, error) 
 // insert files d as a new registration of sh and indexes it. The caller
 // holds sh's write lock.
 func (sh *shard) insert(d *model.Domain) (*record, error) {
-	if _, taken := sh.domains[d.Name]; taken {
+	if r, _ := sh.tab.get(d.Name); r != nil {
 		return nil, fmt.Errorf("%w: %q", ErrExists, d.Name)
 	}
-	r, err := newRecord(d)
+	rec, err := newRecord(d)
 	if err != nil {
 		return nil, err
 	}
-	sh.domains[d.Name] = r
-	sh.dueAdd(r)
+	r, ref := sh.tab.put(rec)
+	sh.dueAdd(r, ref)
 	return r, nil
 }
 
@@ -528,8 +532,8 @@ func (s *Store) AuthInfo(name string, registrarID int) (string, error) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, _ := sh.tab.get(name)
+	if r == nil {
 		return "", fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if int(r.registrar) != registrarID {
@@ -549,8 +553,8 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	gainingKnown := s.hasRegistrar(gainingID)
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, ref := sh.tab.get(name)
+	if r == nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -577,11 +581,11 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	}
 	losing := int(r.registrar)
 	updated := simtime.Trunc(s.clock.Now())
-	sh.dueRemove(r)
+	sh.dueRemove(r, ref)
 	r.registrar = gaining
 	r.updated = updated.Unix()
 	r.status = model.StatusActive
-	sh.dueAdd(r)
+	sh.dueAdd(r, ref)
 	sh.rotateAuth(r)
 	wait := s.appendJournal(Mutation{Kind: MutTransfer, Name: name, RegistrarID: gainingID, Updated: updated})
 	s.bumpGen()
@@ -601,8 +605,8 @@ func (s *Store) Get(name string) (*model.Domain, error) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, _ := sh.tab.get(name)
+	if r == nil {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	d := r.domain()
@@ -619,8 +623,8 @@ func (s *Store) Touch(name string, registrarID int) error {
 func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, ref := sh.tab.get(name)
+	if r == nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -629,9 +633,9 @@ func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
 	at = simtime.Trunc(at)
-	sh.dueRemove(r)
+	sh.dueRemove(r, ref)
 	r.updated = at.Unix()
-	sh.dueAdd(r)
+	sh.dueAdd(r, ref)
 	wait := s.appendJournal(Mutation{Kind: MutTouch, Name: name, Updated: at})
 	s.bumpGen()
 	sh.mu.Unlock()
@@ -642,8 +646,8 @@ func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 func (s *Store) Renew(name string, registrarID int, years int) error {
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, ref := sh.tab.get(name)
+	if r == nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -653,11 +657,11 @@ func (s *Store) Renew(name string, registrarID int, years int) error {
 	}
 	now := simtime.Trunc(s.clock.Now())
 	expiry := unixTime(r.expiry).AddDate(years, 0, 0)
-	sh.dueRemove(r)
+	sh.dueRemove(r, ref)
 	r.expiry = expiry.Unix()
 	r.updated = now.Unix()
 	r.status = model.StatusActive
-	sh.dueAdd(r)
+	sh.dueAdd(r, ref)
 	wait := s.appendJournal(Mutation{Kind: MutRenew, Name: name, Updated: now, Expiry: expiry})
 	s.bumpGen()
 	sh.mu.Unlock()
@@ -673,20 +677,20 @@ func (s *Store) setState(name string, st model.Status, updated time.Time, delete
 	}
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, ref := sh.tab.get(name)
+	if r == nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	from := r.status
-	sh.dueRemove(r)
+	sh.dueRemove(r, ref)
 	r.status = st
 	if !updated.IsZero() { // zero = keep, mirrored by replay
 		updated = simtime.Trunc(updated)
 		r.updated = updated.Unix()
 	}
 	r.deleteDay = day
-	sh.dueAdd(r)
+	sh.dueAdd(r, ref)
 	wait := s.appendJournal(Mutation{Kind: MutSetState, Name: name, Status: st, Updated: updated, DeleteDay: deleteDay})
 	s.bumpGen()
 	obs := s.loadObserver()
@@ -733,16 +737,16 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []*record) { n += len(b) })
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []uint32) { n += len(b) })
 		sh.mu.RUnlock()
 	}
 	out := make([]*model.Domain, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []*record) {
-			for _, r := range b {
-				d := r.domain()
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []uint32) {
+			for _, ref := range b {
+				d := sh.tab.rec(ref).domain()
 				out = append(out, &d)
 			}
 		})
@@ -757,14 +761,16 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	return out
 }
 
-// remove takes r out of sh — name map, due index, any stored transfer code
-// — and returns the deletion event describing it. The caller holds sh's
-// write lock.
-func (sh *shard) remove(r *record, at time.Time, rank int) model.DeletionEvent {
-	sh.dueRemove(r)
-	delete(sh.domains, r.name)
+// remove takes r (slot ref) out of sh — due index, any stored transfer
+// code, the table — and returns the deletion event describing it, built
+// before the slot is released: r is dead once remove returns (see table).
+// The caller holds sh's write lock.
+func (sh *shard) remove(r *record, ref uint32, at time.Time, rank int) model.DeletionEvent {
+	ev := model.DeletionEvent{DomainID: r.id, Name: r.name, TLD: r.tld(), Time: at, Rank: rank}
+	sh.dueRemove(r, ref)
 	sh.dropAuth(r)
-	return model.DeletionEvent{DomainID: r.id, Name: r.name, TLD: r.tld(), Time: at, Rank: rank}
+	sh.tab.del(ref)
+	return ev
 }
 
 // purge removes the domain as part of a Drop, recording the ground-truth
@@ -772,8 +778,8 @@ func (sh *shard) remove(r *record, at time.Time, rank int) model.DeletionEvent {
 func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent, error) {
 	sh := s.shardOf(name)
 	sh.mu.Lock()
-	r, ok := sh.domains[name]
-	if !ok {
+	r, ref := sh.tab.get(name)
+	if r == nil {
 		sh.mu.Unlock()
 		return model.DeletionEvent{}, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
@@ -782,7 +788,8 @@ func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent,
 		sh.mu.Unlock()
 		return model.DeletionEvent{}, fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, status)
 	}
-	ev := sh.remove(r, simtime.Trunc(at), rank)
+	registrarID := int(r.registrar) // r does not survive remove
+	ev := sh.remove(r, ref, simtime.Trunc(at), rank)
 	day := simtime.DayOf(at)
 	s.delMu.Lock()
 	s.deletions[day] = append(s.deletions[day], ev)
@@ -790,7 +797,6 @@ func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent,
 	wait := s.appendJournal(Mutation{Kind: MutPurge, ID: ev.DomainID, Name: name, Time: ev.Time, Rank: rank})
 	s.bumpGen()
 	obs := s.loadObserver()
-	registrarID := int(r.registrar)
 	sh.mu.Unlock()
 	if err := waitJournal(wait); err != nil {
 		return ev, err
@@ -816,7 +822,7 @@ func (s *Store) Count() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.domains)
+		n += sh.tab.len()
 		sh.mu.RUnlock()
 	}
 	return n
@@ -866,23 +872,21 @@ func (s *Store) Each(fn func(*model.Domain) bool) {
 }
 
 // each is the copy-free internal iteration path: fn receives the store's
-// live records with the owning shard's read lock held. fn must treat them
-// as strictly read-only, must not retain a pointer past its call, and must
-// not call Store methods (same self-deadlock as Each). Hot sweeps use this
-// (and the due-index visitors below) to avoid materialising one Domain per
-// registration per scan; everything that escapes the package gets Each's
-// copies.
+// live records, each shard's in slot order, with the owning shard's read
+// lock held. fn must treat them as strictly read-only, must not retain a
+// pointer past its call, and must not call Store methods (same
+// self-deadlock as Each). Hot sweeps use this (and the due-index visitors
+// below) to avoid materialising one Domain per registration per scan;
+// everything that escapes the package gets Each's copies.
 func (s *Store) each(fn func(*record) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.domains {
-			if !fn(r) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
+		done := sh.tab.each(func(r *record, _ uint32) bool { return fn(r) })
 		sh.mu.RUnlock()
+		if !done {
+			return
+		}
 	}
 }
 
@@ -897,7 +901,7 @@ func (s *Store) eachDueThrough(st model.Status, limit simtime.Day, fn func(*reco
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[st].through(limit, fn)
+		sh.due[st].through(limit, &sh.tab, fn)
 		sh.mu.RUnlock()
 	}
 }
@@ -921,8 +925,8 @@ func (s *Store) eachPendingOn(day simtime.Day, fn func(*record)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, r := range sh.due[model.StatusPendingDelete].buckets[day] {
-			fn(r)
+		for _, ref := range sh.due[model.StatusPendingDelete].buckets[day] {
+			fn(sh.tab.rec(ref))
 		}
 		sh.mu.RUnlock()
 	}

@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -369,6 +370,94 @@ func TestStoreObserverEvents(t *testing.T) {
 	s.MarkRedemption("quiet.com", clock.Now())
 	if len(obs.transitions) != 2 {
 		t.Fatalf("events after removal: %v", obs.transitions)
+	}
+}
+
+// TestPurgeOutlivesItsSlot: a purge frees the registration's table slot, and
+// the very next create in the shard takes it. What a purge reports — the
+// deletion event and, live, the registrar that lost the name — has to be
+// read before the slot is released: afterwards the record is zeroed or
+// already someone else's. Live purges are checked through the observer,
+// replayed ones (replay delivers no events) through the deletion archive.
+func TestPurgeOutlivesItsSlot(t *testing.T) {
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			clock := testClock()
+			s := NewStoreWithShards(clock, shards)
+			log := &captureJournal{}
+			s.SetJournal(log)
+			obs := &recordingObserver{}
+			s.SetObserver(obs)
+			s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test Registrar"})
+			s.AddRegistrar(model.Registrar{IANAID: 1001, Name: "Other Registrar"})
+
+			const n = 24
+			day := simtime.DayOf(clock.Now()).AddDays(5)
+			var want []string
+			for i := 0; i < n; i++ {
+				name, loser := fmt.Sprintf("slot%02d.com", i), 1000+i%2
+				if _, err := s.Create(name, loser, 1); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.MarkPendingDelete(name, time.Time{}, day); err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, fmt.Sprintf("%s@%d", name, loser))
+			}
+			for i := 0; i < n; i++ {
+				name, heir := fmt.Sprintf("slot%02d.com", i), 1001-i%2
+				ev, err := s.purge(name, day.At(19, 0, i), i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// Same name, same shard: the re-registration lands in the
+				// slot the purge just freed.
+				d, err := s.Create(name, heir, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Name != name || ev.TLD != model.COM || ev.DomainID == 0 || ev.DomainID >= d.ID || ev.Rank != i {
+					t.Fatalf("purge %d returned %+v (re-registered as ID %d)", i, ev, d.ID)
+				}
+			}
+			if !slices.Equal(obs.purged, want) {
+				t.Fatalf("observer saw purges %v, want %v", obs.purged, want)
+			}
+
+			archive := s.Deletions(day)
+			if len(archive) != n {
+				t.Fatalf("archive holds %d events, want %d", len(archive), n)
+			}
+			for _, batch := range []bool{false, true} {
+				replica := NewStoreWithShards(clock, shards)
+				robs := &recordingObserver{}
+				replica.SetObserver(robs)
+				if batch {
+					if err := replica.ApplyBatch(log.records); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					for _, m := range log.records {
+						if err := replica.Apply(m); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if got := replica.Deletions(day); !slices.Equal(got, archive) {
+					t.Fatalf("batch=%v: replayed archive %+v, primary's %+v", batch, got, archive)
+				}
+				for i := 0; i < n; i++ {
+					name := fmt.Sprintf("slot%02d.com", i)
+					d, err := replica.Get(name)
+					if err != nil || d.RegistrarID != 1001-i%2 || d.ID <= archive[i].DomainID {
+						t.Fatalf("batch=%v: %s after replay: %+v, %v", batch, name, d, err)
+					}
+				}
+				if len(robs.purged) != 0 {
+					t.Fatalf("batch=%v: replay delivered purge events %v", batch, robs.purged)
+				}
+			}
+		})
 	}
 }
 
