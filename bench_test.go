@@ -518,7 +518,7 @@ func BenchmarkAblationAccreditationRace(b *testing.B) {
 // pipeline. This is the number the registry's due-day indexes exist to keep
 // flat as the simulated zone grows — the daily sweeps are O(due work), so
 // study time tracks deletion volume, not store size. Tracked per PR in the
-// perf trajectory artifact (BENCH_2.json).
+// perf trajectory artifact (BENCH.json).
 func BenchmarkStudyWallClock(b *testing.B) {
 	cfg := sim.DefaultConfig()
 	cfg.Days = 1
@@ -715,7 +715,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 //
 // Cold variants bump the store generation before every request (touching an
 // auxiliary domain), forcing a full re-render; warm variants serve the
-// generation cache. Tracked per PR in BENCH_3.json.
+// generation cache. Tracked per PR in BENCH.json.
 
 // nullResponseWriter is a minimal ResponseWriter for in-process serving
 // benchmarks: it reuses one header map and discards the body, so the
@@ -872,7 +872,7 @@ func BenchmarkServeRDAPDomain(b *testing.B) {
 // With one shard every cold render serialises against the writer; with eight,
 // lookups on other shards proceed while the writer holds its own shard's
 // lock. Reported with tail percentiles from the load driver; the spread needs
-// real cores (CI runs this for BENCH_4.json).
+// real cores (CI runs this for BENCH.json).
 func BenchmarkServeRDAPUnderMutation(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -54,7 +54,7 @@ func benchServer(b *testing.B, transport string) (*Server, *Client) {
 // check on a taken name plus a losing create (objectExists), the exact
 // round-trip hammered thousands of times per second at 19:00 UTC. The
 // allocs/op number is the PR 6 acceptance metric (≥50 % below the pre-PR
-// baseline; see BENCH_6.json).
+// baseline; see BENCH.json).
 func BenchmarkEPPFramePath(b *testing.B) {
 	for _, transport := range []string{"inproc", "tcp"} {
 		b.Run("checkcreate/"+transport, func(b *testing.B) {

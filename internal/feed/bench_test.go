@@ -235,7 +235,7 @@ func BenchmarkSubscriberChurn(b *testing.B) {
 // SSE subscribers over in-memory connections, a producer committing a batch
 // of mutations every few milliseconds, per-delivery fan-out lag measured
 // from the mutation's append instant to client receipt. CI runs it with
-// -benchtime=1x and BENCH_8.json carries the reported percentiles.
+// -benchtime=1x and BENCH.json carries the reported percentiles.
 func BenchmarkSubscribe10k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// One fan-out sweep over 10k synchronous in-memory streams takes on

@@ -115,9 +115,9 @@ func cloneDirWithV1Snapshot(b *testing.B, dir string, snapSeq uint64) string {
 // BenchmarkRecovery measures cold-start recovery of a populated store —
 // snapshot load plus WAL tail replay — at 100k and (without -short) 1M
 // domains, across the format/parallelism matrix: the pre-upgrade v1 gob
-// snapshot with sequential replay, the v2 sectioned snapshot restored
-// sequentially, and the full parallel pipeline (worker per core). The
-// parallel/sequential ratio only shows on multi-core runs (-cpu 4 in CI).
+// snapshot and the v2 sectioned snapshot at RecoveryParallelism 1 (restore
+// and replay on the calling goroutine), and v2 with a worker per core. The
+// ratio between the last two only shows on multi-core runs (-cpu 4 in CI).
 func BenchmarkRecovery(b *testing.B) {
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	sizes := []int{100_000, 1_000_000}

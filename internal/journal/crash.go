@@ -2,9 +2,6 @@ package journal
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
@@ -64,12 +61,8 @@ func CrashCopy(src, dst string, keepSeq uint64, tornBytes int) error {
 		if err != nil {
 			return err
 		}
-		keep, err := frameBoundary(data, keepSeq)
-		if err != nil {
-			return fmt.Errorf("journal: crash copy %s: %w", name, err)
-		}
 		path := filepath.Join(dst, name)
-		if err := os.WriteFile(path, data[:keep], 0o666); err != nil {
+		if err := os.WriteFile(path, data[:frameBoundary(data, keepSeq)], 0o666); err != nil {
 			return err
 		}
 		lastWritten = path
@@ -94,25 +87,14 @@ func CrashCopy(src, dst string, keepSeq uint64, tornBytes int) error {
 
 // frameBoundary returns the byte offset just after the last whole record in
 // data with sequence number ≤ keepSeq.
-func frameBoundary(data []byte, keepSeq uint64) (int, error) {
+func frameBoundary(data []byte, keepSeq uint64) int {
 	off := 0
 	for off < len(data) {
-		rest := len(data) - off
-		if rest < frameHeader {
-			return off, nil
+		f, size, err := nextFrame(data[off:])
+		if err != nil || f.seq > keepSeq {
+			break
 		}
-		ln := int64(binary.LittleEndian.Uint32(data[off:]))
-		if ln < payloadHeader || ln > maxRecordBytes || int64(rest-frameHeader) < ln {
-			return off, nil
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(ln)]
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[off+4:]) {
-			return off, nil
-		}
-		if binary.LittleEndian.Uint64(payload) > keepSeq {
-			return off, nil
-		}
-		off += frameHeader + int(ln)
+		off += size
 	}
-	return off, nil
+	return off
 }

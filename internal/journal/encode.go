@@ -316,15 +316,16 @@ func (d *decoder) registrar() (model.Registrar, error) {
 	return r, nil
 }
 
-// decodeMutation parses one mutation payload. It never panics on malformed
+// decodeMutation parses one mutation payload into *m, overwriting whatever
+// it held (replay decodes into reused slots). It never panics on malformed
 // input; any structural problem comes back as an error.
-func decodeMutation(b []byte) (registry.Mutation, error) {
-	var m registry.Mutation
+func decodeMutation(b []byte, m *registry.Mutation) error {
+	*m = registry.Mutation{}
 	d := &decoder{b: b}
 
 	kind, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	binReg := kind == wireAddRegistrarBin
 	switch {
@@ -336,74 +337,74 @@ func decodeMutation(b []byte) (registry.Mutation, error) {
 		m.Kind = registry.MutKind(kind)
 	}
 	if m.Name, err = d.str(); err != nil {
-		return m, err
+		return err
 	}
 	if m.ID, err = d.uvarint(); err != nil {
-		return m, err
+		return err
 	}
 	rid, err := d.varint()
 	if err != nil {
-		return m, err
+		return err
 	}
 	m.RegistrarID = int(rid)
 	if m.Created, err = d.time(); err != nil {
-		return m, err
+		return err
 	}
 	if m.Updated, err = d.time(); err != nil {
-		return m, err
+		return err
 	}
 	if m.Expiry, err = d.time(); err != nil {
-		return m, err
+		return err
 	}
 	st, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	m.Status = model.Status(st)
 	year, err := d.varint()
 	if err != nil {
-		return m, err
+		return err
 	}
 	month, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	dom, err := d.byte()
 	if err != nil {
-		return m, err
+		return err
 	}
 	m.DeleteDay = simtime.Day{Year: int(year), Month: time.Month(month), Dom: int(dom)}
 	if m.Time, err = d.time(); err != nil {
-		return m, err
+		return err
 	}
 	rank, err := d.varint()
 	if err != nil {
-		return m, err
+		return err
 	}
 	m.Rank = int(rank)
 	if m.Kind == registry.MutAddZone {
 		if m.Zone, err = d.zone(); err != nil {
-			return m, err
+			return err
 		}
 	}
 	if m.Kind == registry.MutAddRegistrar {
 		if binReg {
 			if m.Registrar, err = d.registrar(); err != nil {
-				return m, err
+				return err
 			}
 		} else {
 			// Pre-upgrade segment: the registrar rode as a gob blob.
 			blob, err := d.str()
 			if err != nil {
-				return m, err
+				return err
 			}
 			if err := gob.NewDecoder(bytes.NewReader([]byte(blob))).Decode(&m.Registrar); err != nil {
-				return m, fmt.Errorf("journal: decode registrar: %w", err)
+				return fmt.Errorf("journal: decode registrar: %w", err)
 			}
 		}
 	}
 	if len(d.b) != 0 {
-		return m, fmt.Errorf("journal: %d trailing bytes after mutation payload", len(d.b))
+		return fmt.Errorf("journal: %d trailing bytes after mutation payload", len(d.b))
 	}
-	return m, nil
+	return nil
 }

@@ -70,7 +70,7 @@ func (l *FollowerLog) Bytes() uint64 { return l.bytes }
 
 // AppendFrames appends one shipped batch of raw frames covering sequences
 // first..last, which must continue the log exactly. The caller has already
-// CRC-validated the batch (ParseFrames); this only lands the bytes. The
+// CRC-validated the batch (DecodeFrames); this only lands the bytes. The
 // segment rotates after the batch when full — rotation fsyncs the outgoing
 // segment first, preserving the writer's durable-prefix invariant.
 func (l *FollowerLog) AppendFrames(raw []byte, first, last uint64) error {

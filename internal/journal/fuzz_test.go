@@ -1,7 +1,10 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -135,6 +138,74 @@ func FuzzWALReplay(f *testing.F) {
 		}
 		if got, ref := dumpVisible(s), dumpVisible(want); got != ref {
 			t.Errorf("recovery loaded silently wrong state after corruption (recovered seq %d)", k)
+		}
+	})
+}
+
+// testFrame frames one record the way wal.append does.
+func testFrame(seq uint64, typ byte, body []byte) []byte {
+	payload := append(binary.LittleEndian.AppendUint64(nil, seq), typ)
+	payload = append(payload, body...)
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// FuzzFollowerFrames feeds DecodeFrames — the decoder a replication peer
+// reaches over a socket — arbitrary batches. It must never panic, must accept
+// exactly the inputs a frame-by-frame walk with nextFrame and decodeRecord
+// accepts (at least one frame, sequence numbers chaining from first, no bytes
+// left over), and on accept must report last − first + 1 records, the
+// mutations among them decoded.
+func FuzzFollowerFrames(f *testing.F) {
+	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
+	body, err := appendMutation(nil, &registry.Mutation{Kind: registry.MutTouch, Name: "fz.com", Updated: at})
+	if err != nil {
+		f.Fatal(err)
+	}
+	good := testFrame(7, recMutation, body)
+	withLength := func(ln uint32) []byte {
+		return binary.LittleEndian.AppendUint32(nil, ln)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 1
+	f.Add([]byte{}, uint64(7))                                                          // empty
+	f.Add(good, uint64(7))                                                              // one good frame
+	f.Add(good[:5], uint64(7))                                                          // truncated header
+	f.Add(append(withLength(payloadHeader-1), good[4:]...), uint64(7))                  // length < payloadHeader
+	f.Add(append(withLength(maxRecordBytes+1), good[4:]...), uint64(7))                 // length > maxRecordBytes
+	f.Add(flipped, uint64(7))                                                           // bad CRC
+	f.Add(append(bytes.Clone(good), testFrame(9, recApp, []byte("x"))...), uint64(7))   // sequence gap
+	f.Add(testFrame(7, 3, body), uint64(7))                                             // unknown record type
+	f.Add(append(bytes.Clone(good), 0xff), uint64(7))                                   // trailing bytes
+	f.Add(append(bytes.Clone(good), testFrame(8, recApp, []byte("app"))...), uint64(7)) // mutation then app record
+	f.Fuzz(func(t *testing.T, data []byte, first uint64) {
+		ms, last, err := DecodeFrames(nil, data, first)
+
+		ok, records, muts := len(data) > 0, uint64(0), 0
+		for off := 0; ok && off < len(data); {
+			fr, size, ferr := nextFrame(data[off:])
+			if ferr != nil || fr.seq != first+records {
+				ok = false
+				break
+			}
+			var m registry.Mutation
+			app, derr := decodeRecord(fr, &m)
+			if derr != nil {
+				ok = false
+				break
+			}
+			if app == nil {
+				muts++
+			}
+			records++
+			off += size
+		}
+		if (err == nil) != ok {
+			t.Fatalf("DecodeFrames error %v, frame-by-frame walk accepts: %v", err, ok)
+		}
+		if err == nil && (last-first+1 != records || len(ms) != muts) {
+			t.Fatalf("accepted batch: %d..%d with %d mutations, walk found %d records with %d mutations", first, last, len(ms), records, muts)
 		}
 	})
 }

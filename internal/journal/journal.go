@@ -89,8 +89,8 @@ type Options struct {
 	// snapshot.
 	KeepAll bool
 	// RecoveryParallelism bounds the worker count for snapshot restore,
-	// WAL replay and snapshot encoding: ≤ 0 means GOMAXPROCS, 1 forces the
-	// sequential paths (the differential-test baseline).
+	// WAL replay and snapshot encoding: ≤ 0 means GOMAXPROCS, 1 runs each of
+	// them on the calling goroutine alone.
 	RecoveryParallelism int
 }
 
@@ -205,8 +205,8 @@ type Journal struct {
 // Open recovers the durable state in o.Dir into store (which must be empty
 // and not yet serving) and returns the journal ready for appends. Recovery
 // loads the newest valid snapshot, replays the WAL tail through
-// store.Apply, truncates a torn final write, and positions the log so the
-// next mutation continues the sequence.
+// store.ApplyBatch (replay.go), truncates a torn final write, and positions
+// the log so the next mutation continues the sequence.
 func Open(store *registry.Store, o Options) (*Journal, Recovery, error) {
 	var rec Recovery
 	if err := o.defaults(); err != nil {
@@ -234,11 +234,10 @@ func Open(store *registry.Store, o Options) (*Journal, Recovery, error) {
 
 // recoverDir rebuilds dir's durable state into store: restore the newest
 // valid snapshot, replay the WAL tail, truncate a torn final write — the
-// restore and replay pipelined across up to workers goroutines (1 keeps
-// the sequential baseline). It returns what was reconstructed plus the
-// highest recovered sequence number, and does not open the log for
-// writing — Open layers the writer on top, Replay (the follower path)
-// stops here.
+// restore and replay spread over up to workers goroutines. It returns what
+// was reconstructed plus the highest recovered sequence number, and does not
+// open the log for writing — Open layers the writer on top, Replay (the
+// follower path) stops here.
 func recoverDir(store *registry.Store, dir string, workers int) (rec Recovery, last uint64, hadSnap bool, err error) {
 	t0 := time.Now()
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -295,7 +294,7 @@ func recoverDir(store *registry.Store, dir string, workers int) (rec Recovery, l
 // shipped log exactly as a primary would (snapshot, tail, torn-write
 // truncation), then reconnect and ask the primary for records after the
 // returned Recovery's position (LastSeq). The store must be empty. Replay
-// always uses the parallel recovery paths (a worker per core).
+// always recovers with a worker per core.
 func Replay(store *registry.Store, dir string) (Recovery, uint64, error) {
 	rec, last, _, err := recoverDir(store, dir, par.Workers(0))
 	return rec, last, err

@@ -485,11 +485,7 @@ func TestReopenAfterSnapshotAheadOfLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, err := frameBoundary(data, snapSeq-3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Truncate(path, int64(keep)); err != nil {
+	if err := os.Truncate(path, int64(frameBoundary(data, snapSeq-3))); err != nil {
 		t.Fatal(err)
 	}
 
@@ -631,8 +627,8 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mutation %d: encode: %v", i, err)
 		}
-		got, err := decodeMutation(b)
-		if err != nil {
+		var got registry.Mutation
+		if err := decodeMutation(b, &got); err != nil {
 			t.Fatalf("mutation %d: decode: %v", i, err)
 		}
 		if got.Kind != m.Kind || got.Name != m.Name || got.ID != m.ID || got.RegistrarID != m.RegistrarID ||

@@ -241,10 +241,10 @@ func LatestSnapshotPath(dir string) (path string, seq uint64, ok bool, err error
 
 // RestoreShippedSnapshot verifies a raw snapshot file image (as shipped
 // over replication), installs it into the empty store with a worker per
-// core and returns the WAL sequence it covers. Both formats are accepted: the source streams whatever file its
-// directory holds, so a fresh follower must read a v1 snapshot a
-// pre-upgrade primary wrote. Verification completes before the store is
-// touched; on error the store is unchanged.
+// core and returns the WAL sequence it covers. Both formats are accepted:
+// the source streams whatever file its directory holds, so a fresh follower
+// must read a v1 snapshot a pre-upgrade primary wrote. Verification
+// completes before the store is touched; on error the store is unchanged.
 func RestoreShippedSnapshot(store *registry.Store, data []byte) (uint64, error) {
 	workers := par.Workers(0)
 	if isSnapshotV2(data) {

@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+	"time"
 
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
@@ -275,44 +277,105 @@ func TestSnapshotCrossVersionDifferential(t *testing.T) {
 	}
 }
 
-// TestParallelReplayDifferential: for several seeds, recovering the same WAL
-// with the pipelined parallel replayer must produce a store byte-identical
-// to the sequential replay — generation counter, IDs, deletion archive and
-// all. Run under -race this also exercises the pipeline's synchronisation.
+// TestParallelReplayDifferential: a history of more than three replay
+// windows — with an AddRegistrar and an AddZone landing inside a window and a
+// Drop whose purges straddle a window boundary — must come out the same from
+// three replays: record-at-a-time Store.Apply over Scan (the oracle, none of
+// the window loop), recovery on the calling goroutine alone, and recovery
+// with eight workers. Same means dumpVisible (every field, transfer code and
+// day of the deletion archive), the generation counter and the recovered
+// sequence. Run under -race this also exercises the loop's synchronisation.
 func TestParallelReplayDifferential(t *testing.T) {
 	for _, seed := range []int64{31, 32, 33} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
 			s := newShardedTestStore(8)
-			j, _ := openJournalP(t, s, dir, 1, false)
+			j, _, err := Open(s, Options{Dir: dir, Mode: ModeAsync})
+			if err != nil {
+				t.Fatal(err)
+			}
 			s.SetJournal(j)
-			workout(t, s, seed, 250)
-			want := dumpVisible(s)
-			wantSeq := j.LastSeq()
+			at := testStart.At(10, 0, 0)
+			pads := 0
+			pad := func() {
+				if _, err := s.CreateAt(fmt.Sprintf("pad%06d.com", pads), 900, 1, at); err != nil {
+					t.Fatal(err)
+				}
+				pads++
+			}
+			// padUntil appends creates until the next record's position
+			// inside its replay window is pos.
+			padUntil := func(pos uint64) {
+				for j.LastSeq()%replayWindow != pos {
+					pad()
+				}
+			}
+			workout(t, s, seed, 3000)
+			padUntil(1500)
+			s.AddRegistrar(model.Registrar{IANAID: 950, Name: "Mid-window Reg"})
+			if err := s.AddZone(testNordic()); err != nil {
+				t.Fatal(err)
+			}
+			dropDay := testStart.AddDays(5)
+			for i := 0; i < 300; i++ {
+				// The zone's first names follow it in the same window, and the
+				// default zone gets a Drop's worth of names due on dropDay.
+				if _, err := s.CreateAt(fmt.Sprintf("mid%03d.se", i), 950, 1, at); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.SeedAt(fmt.Sprintf("due%03d.com", i), 950, at.AddDate(-2, 0, 0), at.Add(time.Duration(i)*time.Second),
+					at.AddDate(0, 0, -40), model.StatusPendingDelete, dropDay); err != nil {
+					t.Fatal(err)
+				}
+			}
+			padUntil(replayWindow - 150)
+			runner := registry.NewDropRunner(s, registry.DefaultDropConfig())
+			if evs, err := runner.Run(dropDay, rand.New(rand.NewSource(seed))); err != nil || len(evs) != 300 {
+				t.Fatalf("drop purged %d names (%v), want 300", len(evs), err)
+			}
+			for j.LastSeq() < 13_000 {
+				pad()
+			}
+			want, wantGen, wantSeq := dumpVisible(s), s.Generation(), j.LastSeq()
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
 
-			recover := func(parallelism int) string {
-				t.Helper()
+			// The oracle leg, and the shape the history was built to have.
+			records, err := Scan(dir, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := newShardedTestStore(8)
+			straddles := false
+			for i, r := range records {
+				if err := oracle.Apply(*r.Mutation); err != nil {
+					t.Fatalf("oracle replay seq %d: %v", r.Seq, err)
+				}
+				if k := r.Mutation.Kind; (k == registry.MutAddZone || r.Mutation.Registrar.IANAID == 950) && (i%replayWindow < 1000 || i%replayWindow > 3000) {
+					t.Errorf("%v record at window position %d, want mid-window", k, i%replayWindow)
+				}
+				if i > 0 && i%replayWindow == 0 && r.Mutation.Kind == registry.MutPurge && records[i-1].Mutation.Kind == registry.MutPurge {
+					straddles = true
+				}
+			}
+			if !straddles || len(records) < 3*replayWindow {
+				t.Fatalf("history of %d records (purges straddle a window: %v) does not exercise the window loop", len(records), straddles)
+			}
+			if got := dumpVisible(oracle); got != want || oracle.Generation() != wantGen {
+				t.Errorf("record-at-a-time replay differs from the original store (generation %d, want %d)", oracle.Generation(), wantGen)
+			}
+
+			for _, parallelism := range []int{1, 8} {
 				s2 := newShardedTestStore(8)
 				j2, rec := openJournalP(t, s2, dir, parallelism, false)
-				defer j2.Close()
-				if rec.ReplayedRecords == 0 {
-					t.Fatalf("parallelism %d: no records replayed", parallelism)
+				if rec.ReplayedRecords != len(records) || j2.LastSeq() != wantSeq {
+					t.Errorf("parallelism %d: replayed %d records to seq %d, want %d to %d", parallelism, rec.ReplayedRecords, j2.LastSeq(), len(records), wantSeq)
 				}
-				if j2.LastSeq() != wantSeq {
-					t.Fatalf("parallelism %d: recovered to seq %d, want %d", parallelism, j2.LastSeq(), wantSeq)
+				if got := dumpVisible(s2); got != want || s2.Generation() != wantGen {
+					t.Errorf("parallelism %d: recovery differs from record-at-a-time replay (generation %d, want %d)", parallelism, s2.Generation(), wantGen)
 				}
-				return dumpVisible(s2)
-			}
-			seq := recover(1)
-			par := recover(8)
-			if seq != want {
-				t.Error("sequential replay differs from original store")
-			}
-			if par != seq {
-				t.Error("parallel replay differs from sequential replay")
+				j2.Close()
 			}
 		})
 	}
@@ -364,8 +427,8 @@ func TestAddRegistrarGobFallback(t *testing.T) {
 		name string
 		b    []byte
 	}{{"binary", b}, {"gob-fallback", old}} {
-		got, err := decodeMutation(tc.b)
-		if err != nil {
+		var got registry.Mutation
+		if err := decodeMutation(tc.b, &got); err != nil {
 			t.Fatalf("%s: decode: %v", tc.name, err)
 		}
 		if got.Kind != registry.MutAddRegistrar || got.Registrar != reg {

@@ -7,12 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+
+	"dropzero/internal/registry"
 )
 
 // This file is the journal's replication surface: reading the log as raw
 // bytes instead of replaying it. A primary ships its segment files to
 // followers frame-for-frame (TailReader), a follower validates and decodes
-// what arrived (ParseFrames), rebuilds state without ever opening the log
+// what arrived (DecodeFrames), rebuilds state without ever opening the log
 // for writing (Replay), and — on promotion — takes over the write role at a
 // known position (OpenExisting).
 
@@ -180,49 +182,39 @@ func (r *TailReader) advanceSegment() error {
 	return fmt.Errorf("journal: tail: seq %d durable but no segment holds it", r.next)
 }
 
-// ParseFrames decodes consecutive raw frames, verifying each length and CRC
-// and that sequence numbers run expectFirst, expectFirst+1, … with no bytes
-// left over. This is the follower-side check on a shipped batch: anything
-// malformed means the transport or the primary lied, and the connection —
-// not the local state — is what must die.
-func ParseFrames(data []byte, expectFirst uint64) ([]Record, error) {
-	var records []Record
-	expect := expectFirst
-	off := 0
-	for off < len(data) {
-		rest := len(data) - off
-		if rest < frameHeader {
-			return nil, fmt.Errorf("journal: frames: %d trailing bytes", rest)
-		}
-		ln := int64(binary.LittleEndian.Uint32(data[off:]))
-		crc := binary.LittleEndian.Uint32(data[off+4:])
-		if ln < payloadHeader || ln > maxRecordBytes || int64(rest-frameHeader) < ln {
-			return nil, fmt.Errorf("journal: frames: bad record length %d at offset %d", ln, off)
-		}
-		payload := data[off+frameHeader : off+frameHeader+int(ln)]
-		if crc32.ChecksumIEEE(payload) != crc {
-			return nil, fmt.Errorf("journal: frames: CRC mismatch at offset %d", off)
-		}
-		seq := binary.LittleEndian.Uint64(payload)
-		if seq != expect {
-			return nil, fmt.Errorf("journal: frames: seq %d where %d expected", seq, expect)
-		}
-		typ := payload[8]
-		body := payload[payloadHeader:]
-		switch typ {
-		case recMutation:
-			m, err := decodeMutation(body)
-			if err != nil {
-				return nil, fmt.Errorf("journal: frames: seq %d: %w", seq, err)
-			}
-			records = append(records, Record{Seq: seq, Mutation: &m})
-		case recApp:
-			records = append(records, Record{Seq: seq, App: append([]byte(nil), body...)})
-		default:
-			return nil, fmt.Errorf("journal: frames: seq %d: unknown record type %d", seq, typ)
-		}
-		expect++
-		off += frameHeader + int(ln)
+// DecodeFrames validates and decodes one shipped batch: consecutive raw
+// frames, each cut by nextFrame and decoded by decodeRecord, whose sequence
+// numbers run first, first+1, … with no bytes left over. The registry
+// mutations are appended to dst (pass the previous call's result resliced to
+// zero to reuse its storage; application records are checked and skipped —
+// only mutations replay into a store) and the last sequence number decoded is
+// returned, so the batch held last−first+1 records. A batch with no frame in
+// it is refused like any other malformed one. This is the follower-side check
+// on what a peer sent: anything wrong means the transport or the primary
+// lied, and the connection — not the local state — is what must die.
+func DecodeFrames(dst []registry.Mutation, data []byte, first uint64) (ms []registry.Mutation, last uint64, err error) {
+	if len(data) == 0 {
+		return dst, 0, fmt.Errorf("journal: frames: empty batch")
 	}
-	return records, nil
+	expect := first
+	for off := 0; off < len(data); {
+		f, size, err := nextFrame(data[off:])
+		if err != nil {
+			return dst, 0, fmt.Errorf("journal: frames: offset %d: %w", off, err)
+		}
+		if f.seq != expect {
+			return dst, 0, fmt.Errorf("journal: frames: seq %d where %d expected", f.seq, expect)
+		}
+		dst = append(dst, registry.Mutation{})
+		app, err := decodeRecord(f, &dst[len(dst)-1])
+		if err != nil {
+			return dst, 0, err
+		}
+		if app != nil {
+			dst = dst[:len(dst)-1]
+		}
+		off += size
+		expect++
+	}
+	return dst, expect - 1, nil
 }

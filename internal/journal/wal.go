@@ -2,6 +2,7 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -38,6 +39,40 @@ const (
 	recMutation byte = 1 // registry.Mutation payload
 	recApp      byte = 2 // opaque application payload (simulation driver state)
 )
+
+// frame is one record cut out of a run of WAL bytes; body aliases them.
+type frame struct {
+	seq  uint64
+	typ  byte
+	body []byte
+}
+
+// nextFrame cuts the frame at the head of data and returns it with its
+// framed size: the header must be whole, the length inside [payloadHeader,
+// maxRecordBytes] and inside data, the CRC must match. Every reader of WAL
+// bytes in memory frames through here (TailReader repeats the checks against
+// a file); what a bad frame means is the caller's policy — the torn tail of
+// the last segment or fatal corruption (scanFrames), a transport error
+// (DecodeFrames), the place to cut (frameBoundary). Sequence numbers are not
+// judged here: each caller chains them against its own expectation.
+func nextFrame(data []byte) (f frame, size int, err error) {
+	if len(data) < frameHeader {
+		return f, 0, fmt.Errorf("%d trailing bytes", len(data))
+	}
+	ln := int64(binary.LittleEndian.Uint32(data))
+	if ln < payloadHeader || ln > maxRecordBytes || int64(len(data)-frameHeader) < ln {
+		return f, 0, fmt.Errorf("bad record length %d", ln)
+	}
+	payload := data[frameHeader : frameHeader+int(ln)]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
+		return f, 0, errors.New("CRC mismatch")
+	}
+	return frame{
+		seq:  binary.LittleEndian.Uint64(payload),
+		typ:  payload[8],
+		body: payload[payloadHeader:],
+	}, frameHeader + int(ln), nil
+}
 
 // wal is the segmented append log with group-commit fsync.
 //
@@ -418,15 +453,11 @@ type Record struct {
 	App      []byte
 }
 
-// scanResult is what reading the on-disk log yields: the decoded records,
-// the highest good sequence number, and — when the final segment ends in a
-// torn write — the file and offset recovery must truncate at before the
-// log is appended to again.
+// scanResult is what reading the on-disk log yields: the decoded records on
+// top of what the frame walk reports.
 type scanResult struct {
-	records  []Record
-	lastSeq  uint64
-	tornFile string
-	tornAt   int64
+	records []Record
+	frameScan
 }
 
 // scanDir reads every segment in dir in order, decoding records with
@@ -434,23 +465,18 @@ type scanResult struct {
 // corruption and torn-tail rules are scanFrames's (replay.go); this
 // materialised form serves the crash-inspection helpers and tests, while
 // recovery itself streams through replayTail.
-func scanDir(dir string, after uint64) (scanResult, error) {
-	var res scanResult
-	fs, err := scanFrames(dir, after, func(f rawFrame) error {
-		switch f.typ {
-		case recMutation:
-			m, derr := decodeMutation(f.body)
-			if derr != nil {
-				return fmt.Errorf("journal: segment %s seq %d: %w", f.seg, f.seq, derr)
-			}
-			res.records = append(res.records, Record{Seq: f.seq, Mutation: &m})
-		case recApp:
-			res.records = append(res.records, Record{Seq: f.seq, App: append([]byte(nil), f.body...)})
-		default:
-			return fmt.Errorf("journal: segment %s seq %d: unknown record type %d", f.seg, f.seq, f.typ)
+func scanDir(dir string, after uint64) (res scanResult, err error) {
+	res.frameScan, err = scanFrames(dir, after, func(f frame) error {
+		m := new(registry.Mutation)
+		app, err := decodeRecord(f, m)
+		if err != nil {
+			return err
 		}
+		if app != nil {
+			m = nil
+		}
+		res.records = append(res.records, Record{Seq: f.seq, Mutation: m, App: app})
 		return nil
 	})
-	res.lastSeq, res.tornFile, res.tornAt = fs.lastSeq, fs.tornFile, fs.tornAt
 	return res, err
 }

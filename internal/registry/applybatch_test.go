@@ -15,7 +15,8 @@ import (
 // the replication follower might use, including batch boundaries landing
 // mid-shard-group and a barrier MutAddRegistrar in the stream — must yield
 // a store indistinguishable from one built record-at-a-time, generation
-// counter included.
+// counter included, with the shard groups applied on one goroutine and on
+// four.
 func TestApplyBatchMatchesApply(t *testing.T) {
 	const days = 14
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
@@ -37,21 +38,23 @@ func TestApplyBatchMatchesApply(t *testing.T) {
 	for _, sizes := range batchings {
 		name := fmt.Sprintf("batch%d", sizes[0])
 		t.Run(name, func(t *testing.T) {
-			re := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-			for off := 0; off < len(cap.records); {
-				n := sizes[0]
-				if n == 0 {
-					n = 1 + rng.Intn(300)
+			for _, workers := range []int{1, 4} {
+				re := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
+				for off := 0; off < len(cap.records); {
+					n := sizes[0]
+					if n == 0 {
+						n = 1 + rng.Intn(300)
+					}
+					if off+n > len(cap.records) {
+						n = len(cap.records) - off
+					}
+					if err := re.ApplyBatch(cap.records[off:off+n], workers); err != nil {
+						t.Fatalf("workers %d, batch at %d: %v", workers, off, err)
+					}
+					off += n
 				}
-				if off+n > len(cap.records) {
-					n = len(cap.records) - off
-				}
-				if err := re.ApplyBatch(cap.records[off : off+n]); err != nil {
-					t.Fatalf("batch at %d: %v", off, err)
-				}
-				off += n
+				diffDumps(t, "original", fmt.Sprintf("%s/workers%d", name, workers), want, dumpStore(re, start, days+40))
 			}
-			diffDumps(t, "original", name, want, dumpStore(re, start, days+40))
 		})
 	}
 }
@@ -70,19 +73,21 @@ func TestApplyBatchRegistrarBarrier(t *testing.T) {
 		{Kind: MutCreate, ID: 2, Name: "barrier-b.com", RegistrarID: 902, Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0)},
 		{Kind: MutTransfer, Name: "barrier-a.com", RegistrarID: 902, Updated: at.Add(time.Hour)},
 	}
-	s := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-	if err := s.ApplyBatch(ms); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Generation(); got != uint64(len(ms)) {
-		t.Errorf("generation after batch = %d, want %d", got, len(ms))
-	}
-	d, err := s.Get("barrier-a.com")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.RegistrarID != 902 {
-		t.Errorf("barrier-a.com sponsor = %d, want transfer to 902 applied after create", d.RegistrarID)
+	for _, workers := range []int{1, 4} {
+		s := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
+		if err := s.ApplyBatch(ms, workers); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Generation(); got != uint64(len(ms)) {
+			t.Errorf("workers %d: generation after batch = %d, want %d", workers, got, len(ms))
+		}
+		d, err := s.Get("barrier-a.com")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.RegistrarID != 902 {
+			t.Errorf("workers %d: barrier-a.com sponsor = %d, want transfer to 902 applied after create", workers, d.RegistrarID)
+		}
 	}
 }
 
@@ -145,7 +150,7 @@ func BenchmarkReplicaApply(b *testing.B) {
 					if end > len(stream) {
 						end = len(stream)
 					}
-					if err := s.ApplyBatch(stream[off:end]); err != nil {
+					if err := s.ApplyBatch(stream[off:end], 1); err != nil {
 						b.Fatal(err)
 					}
 				}

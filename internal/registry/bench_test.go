@@ -24,19 +24,18 @@ func BenchmarkDailySweep(b *testing.B) {
 			b.Fatalf("Tick transitioned %d domains; the benchmark needs an idle store", n)
 		}
 		for _, eng := range []struct {
-			name string
-			scan bool
-		}{{"indexed", false}, {"scan", true}} {
-			s.SetScanEngine(eng.scan)
+			name  string
+			sweep func()
+		}{
+			{"indexed", func() { lc.Tick(now); runner.BuildQueue(today); s.PendingDeletions(today, 5) }},
+			{"scan", func() { lc.tickScan(now); runner.buildQueueScan(today); s.pendingDeletionsScan(today, 5) }},
+		} {
 			b.Run(fmt.Sprintf("store=%d/engine=%s", size, eng.name), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					lc.Tick(now)
-					runner.BuildQueue(today)
-					s.PendingDeletions(today, 5)
+					eng.sweep()
 				}
 			})
 		}
-		s.SetScanEngine(false)
 	}
 }

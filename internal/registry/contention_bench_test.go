@@ -38,7 +38,7 @@ func newContentionStore(b *testing.B, shards int) (*Store, simtime.Day) {
 // shard every create serialises on a single mutex; with eight, creates on
 // different names proceed in parallel and throughput should scale with cores
 // (the spread is invisible at GOMAXPROCS=1 — run on a multicore host, as CI
-// does for BENCH_4.json).
+// does for BENCH.json).
 func BenchmarkEPPCreateContention(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

@@ -25,11 +25,13 @@ type engineTrace struct {
 
 // runEngine drives one store through days of lifecycle ticks, Drops and
 // interleaved registrar churn, all derived from seed. With scan=true the
-// store answers every sweep via the retained full-scan reference engine;
-// with scan=false it uses the due-day indexes. shards picks the store's
-// shard count (0 = the GOMAXPROCS default). Identical seeds must yield
-// identical traces at every engine and every shard count — that equivalence
-// is the whole point.
+// lifecycle ticks — the one sweep that mutates, hence the twin store — go
+// through the full-scan reference (tickScan); with scan=false through the
+// due-day indexes. The two read-only sweeps are checked against their scan
+// references on the same store, every day, in both modes. shards picks the
+// store's shard count (0 = the GOMAXPROCS default). Identical seeds must
+// yield identical traces at every engine and every shard count — that
+// equivalence is the whole point.
 func runEngine(t *testing.T, seed int64, days int, scan bool, shards int) engineTrace {
 	t.Helper()
 	tr, _ := runEngineOn(t, seed, days, scan, shards, nil)
@@ -48,7 +50,6 @@ func runEngineOn(t *testing.T, seed int64, days int, scan bool, shards int, j Jo
 	if j != nil {
 		s.SetJournal(j)
 	}
-	s.SetScanEngine(scan)
 	for r := 0; r < 10; r++ {
 		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("Reg %d", r)})
 	}
@@ -126,16 +127,24 @@ func runEngineOn(t *testing.T, seed int64, days int, scan bool, shards int, j Jo
 		}
 
 		clock.Set(day.At(12, 0, 0))
-		tr.tickCounts = append(tr.tickCounts, lc.Tick(clock.Now()))
+		if scan {
+			tr.tickCounts = append(tr.tickCounts, lc.tickScan(clock.Now()))
+		} else {
+			tr.tickCounts = append(tr.tickCounts, lc.Tick(clock.Now()))
+		}
 
 		// The published pending-delete window and the day's queue, recorded
 		// before the Drop consumes it.
-		var window []model.Domain
-		for _, d := range s.PendingDeletions(day, 5) {
-			window = append(window, *d)
+		window := derefAll(s.PendingDeletions(day, 5))
+		if ref := derefAll(s.pendingDeletionsScan(day, 5)); !reflect.DeepEqual(window, ref) {
+			t.Errorf("day %v: PendingDeletions diverges from its scan reference (%d vs %d)", day, len(window), len(ref))
 		}
 		tr.pending = append(tr.pending, window)
-		tr.queues = append(tr.queues, runner.BuildQueue(day))
+		queue := runner.BuildQueue(day)
+		if ref := runner.buildQueueScan(day); !reflect.DeepEqual(queue, ref) {
+			t.Errorf("day %v: BuildQueue diverges from its scan reference (%d vs %d)", day, len(queue), len(ref))
+		}
+		tr.queues = append(tr.queues, queue)
 
 		clock.Set(day.At(19, 0, 0))
 		events, err := runner.Run(day, rand.New(rand.NewSource(seed+int64(1000+di))))

@@ -95,9 +95,6 @@ func (r *DropRunner) inScope(t model.TLD) bool {
 // exactly-sized allocation and an O(k log k) sort, independent of how many
 // million other registrations the store holds.
 func (r *DropRunner) BuildQueue(day simtime.Day) []QueueEntry {
-	if r.store.useScan() {
-		return r.buildQueueScan(day)
-	}
 	n := r.store.pendingCountOn(day)
 	if n == 0 {
 		return nil

@@ -1,12 +1,14 @@
 package registry
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"dropzero/internal/model"
+	"dropzero/internal/par"
 	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
@@ -216,7 +218,7 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 			// Creates mint a transfer code; seeds do not (SeedAt's contract).
 			r.auth = authCreated
 		}
-		// Atomic-max, not load-then-store: parallel replay applies shards
+		// Atomic-max, not load-then-store: ApplyBatch applies shard groups
 		// concurrently, and a plain racing store could leave the allocator
 		// below the highest replayed ID.
 		for {
@@ -271,26 +273,32 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 	return ev, false, fmt.Errorf("registry: replay: unknown mutation kind %d", m.Kind)
 }
 
-// ApplyBatch replays a contiguous run of mutation records — a replication
-// batch, typically one primary group commit — acquiring each touched shard's
-// lock once instead of once per record. This is the replica apply hot path:
-// lock acquisitions and due-index work dominate per-record Apply cost, and a
-// Drop-second burst lands hundreds of records in one batch.
+// ApplyBatch replays a contiguous run of mutation records — a WAL replay
+// window or a replication batch — acquiring each touched shard's lock once
+// instead of once per record, the shard groups applied on up to workers
+// goroutines. It is the only batched path: primary recovery, follower
+// bootstrap, follower steady state and promotion all reach a shard through
+// it (Apply stays as the one-record reference the differential tests hold it
+// to).
 //
-// Equivalence with applying the records one at a time through Apply:
+// Equivalence with applying the records one at a time through Apply, at any
+// worker count:
 //
-//   - Same-name records hash to the same shard, so their relative order is
-//     preserved inside that shard's group.
+//   - Same-name records hash to the same shard, so they share a group and
+//     keep their relative order; records on different shards commuted on the
+//     live store too — they were only ever ordered by a lock race.
 //   - The generation counter advances by the group size inside each shard's
 //     critical section, so the batch ends at exactly the generation the
 //     primary had after the same records — the property that makes a
 //     replica's ETags comparable to the primary's.
+//   - The ID allocator takes an atomic max (applyDomainLocked).
 //   - Deletion-archive order is observable (the archive is rank-ordered per
 //     day), so purge events are collected with their batch positions and
-//     appended in original record order.
-//   - MutAddRegistrar commits under the registrar lock, not a shard lock; it
-//     acts as a barrier — pending groups flush, the record applies inline —
-//     preserving its position in the stream.
+//     appended in batch-position order.
+//   - MutAddRegistrar and MutAddZone commit under their own table locks, not
+//     a shard lock; they act as barriers — the groups before them flush, the
+//     record applies inline — preserving their position in the stream
+//     (domain records of a just-added zone must see it installed).
 //
 // What batching gives up is mid-batch cross-shard atomicity: a concurrent
 // reader can observe one shard's group applied while another's is pending,
@@ -304,79 +312,88 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 // the record stream is not a faithful log of a store's history (replication
 // transport corruption, a diverged follower); the caller must treat the
 // store as poisoned, not retry.
-func (s *Store) ApplyBatch(ms []Mutation) error {
-	if len(ms) <= 1 {
-		if len(ms) == 1 {
-			return s.Apply(ms[0])
+func (s *Store) ApplyBatch(ms []Mutation, workers int) error {
+	if len(ms) == 1 {
+		// A steady-state replication batch is often one commit.
+		return s.Apply(ms[0])
+	}
+	for lo := 0; lo < len(ms); {
+		hi := lo
+		for hi < len(ms) && ms[hi].Kind != MutAddRegistrar && ms[hi].Kind != MutAddZone {
+			hi++
 		}
+		if err := s.applyGroups(ms[lo:hi], workers); err != nil {
+			return err
+		}
+		if hi < len(ms) {
+			if err := s.Apply(ms[hi]); err != nil {
+				return err
+			}
+			hi++
+		}
+		lo = hi
+	}
+	return nil
+}
+
+// applyGroups applies a run of domain records (no barrier kinds) grouped by
+// shard: one lock acquisition and one generation add per touched shard.
+func (s *Store) applyGroups(ms []Mutation, workers int) error {
+	if len(ms) == 0 {
 		return nil
 	}
-	type purgeEv struct {
-		idx int
+	order, start := s.groupByShard(len(ms), func(i int) string { return ms[i].Name })
+	type purged struct {
+		idx int32
 		ev  model.DeletionEvent
 	}
-	var (
-		groups  = make([][]int, len(s.shards))
-		touched []uint64
-		purges  []purgeEv
-	)
-	flush := func() error {
-		for _, si := range touched {
-			sh := &s.shards[si]
-			idxs := groups[si]
-			sh.mu.Lock()
-			for _, i := range idxs {
-				ev, isPurge, err := s.applyDomainLocked(sh, &ms[i])
-				if err != nil {
-					sh.mu.Unlock()
-					return err
-				}
-				if isPurge {
-					purges = append(purges, purgeEv{i, ev})
-				}
-			}
-			// One add covering the whole group, inside the critical section:
-			// a reader blocked on this shard wakes to a generation that
-			// already covers everything it can now see, never a generation
-			// from the middle of the group.
-			s.gen.Add(uint64(len(idxs)))
-			sh.mu.Unlock()
-			groups[si] = groups[si][:0]
+	type result struct {
+		purges []purged
+		err    error
+	}
+	results := par.Do(workers, len(s.shards), func(si int) (res result) {
+		idxs := order[start[si]:start[si+1]]
+		if len(idxs) == 0 {
+			return res
 		}
-		touched = touched[:0]
-		if len(purges) > 0 {
-			sort.Slice(purges, func(a, b int) bool { return purges[a].idx < purges[b].idx })
-			s.delMu.Lock()
-			for _, p := range purges {
-				day := simtime.DayOf(p.ev.Time)
-				s.deletions[day] = append(s.deletions[day], p.ev)
+		sh := &s.shards[si]
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		for _, i := range idxs {
+			ev, isPurge, err := s.applyDomainLocked(sh, &ms[i])
+			if err != nil {
+				res.err = err
+				return res
 			}
-			s.delMu.Unlock()
-			purges = purges[:0]
+			if isPurge {
+				res.purges = append(res.purges, purged{i, ev})
+			}
 		}
+		// One add covering the whole group, inside the critical section: a
+		// reader blocked on this shard wakes to a generation that already
+		// covers everything it can now see, never a generation from the
+		// middle of the group.
+		s.gen.Add(uint64(len(idxs)))
+		return res
+	})
+	var purges []purged
+	for _, r := range results {
+		if r.err != nil {
+			return r.err
+		}
+		purges = append(purges, r.purges...)
+	}
+	if len(purges) == 0 {
 		return nil
 	}
-	for i := range ms {
-		// Registrar and zone records commit under their own table locks, not
-		// a shard lock; they act as barriers — pending groups flush, the
-		// record applies inline — preserving their position in the stream
-		// (domain records of a just-added zone must see it installed).
-		if ms[i].Kind == MutAddRegistrar || ms[i].Kind == MutAddZone {
-			if err := flush(); err != nil {
-				return err
-			}
-			if err := s.Apply(ms[i]); err != nil {
-				return err
-			}
-			continue
-		}
-		si := s.shardIndex(ms[i].Name)
-		if len(groups[si]) == 0 {
-			touched = append(touched, si)
-		}
-		groups[si] = append(groups[si], i)
+	slices.SortFunc(purges, func(a, b purged) int { return cmp.Compare(a.idx, b.idx) })
+	s.delMu.Lock()
+	for _, p := range purges {
+		day := simtime.DayOf(p.ev.Time)
+		s.deletions[day] = append(s.deletions[day], p.ev)
 	}
-	return flush()
+	s.delMu.Unlock()
+	return nil
 }
 
 // SnapshotDomain is one registration in a store snapshot, paired with its
@@ -388,7 +405,7 @@ type SnapshotDomain struct {
 
 // SnapshotState is a full copy of the store's durable state: everything
 // recovery needs to rebuild an identical store, and nothing that is
-// process-local (caches, observers, the scan-engine flag).
+// process-local (caches, observers).
 type SnapshotState struct {
 	Gen        uint64
 	NextID     uint64

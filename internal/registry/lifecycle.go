@@ -93,9 +93,6 @@ type change struct {
 // work is proportional to the domains actually due (plus same-day
 // candidates whose exact instant has not struck yet), not to the store.
 func (l *Lifecycle) Tick(now time.Time) int {
-	if l.store.useScan() {
-		return l.tickScan(now)
-	}
 	now = simtime.Trunc(now)
 	day := simtime.DayOf(now)
 

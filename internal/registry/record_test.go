@@ -98,8 +98,10 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 		if err := s.Apply(m); !errors.Is(err, errUnrepresentable) {
 			t.Fatalf("Apply(%v %q) = %v, want errUnrepresentable", m.Kind, m.Name, err)
 		}
-		if err := s.ApplyBatch([]Mutation{m, m}); !errors.Is(err, errUnrepresentable) {
-			t.Fatalf("ApplyBatch(%v %q) = %v, want errUnrepresentable", m.Kind, m.Name, err)
+		for _, workers := range []int{1, 4} {
+			if err := s.ApplyBatch([]Mutation{m, m}, workers); !errors.Is(err, errUnrepresentable) {
+				t.Fatalf("ApplyBatch(%v %q, %d workers) = %v, want errUnrepresentable", m.Kind, m.Name, workers, err)
+			}
 		}
 	}
 	if s.Count() != 1 || s.Generation() != gen {
@@ -311,33 +313,16 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 		}
 		return nil
 	})
-	replayed("ApplyBatch", func(re *Store, ms []Mutation) error {
-		for off := 0; off < len(ms); off += 97 {
-			if err := re.ApplyBatch(ms[off:min(off+97, len(ms))]); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	replayed("ApplyShardSequence", func(re *Store, ms []Mutation) error {
-		seqs := make([][]SeqMutation, re.ShardCount())
-		for i, m := range ms {
-			if m.Kind == MutAddRegistrar || m.Kind == MutAddZone {
-				if err := re.Apply(m); err != nil {
+	for _, workers := range []int{1, 4} {
+		replayed(fmt.Sprintf("ApplyBatch/workers%d", workers), func(re *Store, ms []Mutation) error {
+			for off := 0; off < len(ms); off += 97 {
+				if err := re.ApplyBatch(ms[off:min(off+97, len(ms))], workers); err != nil {
 					return err
 				}
-				continue
 			}
-			si := re.ShardIndexFor(m.Name)
-			seqs[si] = append(seqs[si], SeqMutation{Seq: uint64(i + 1), M: m})
-		}
-		for si, seq := range seqs {
-			if _, err := re.ApplyShardSequence(si, seq); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+			return nil
+		})
+	}
 
 	// Snapshot and restore, with two codes of foreign make: one on a
 	// created registration, one on a seeded one.
@@ -434,16 +419,17 @@ func checkDuePositions(t *testing.T, s *Store) {
 }
 
 // TestDueBucketsUnderRandomChurn applies a random mix of every mutator that
-// adds to, moves within or removes from the due index, to an indexed store
-// and a full-scan store in lockstep. After every round the positions must
-// be intact and every sweep — lifecycle tick, published window, Drop queue
-// — must come out the same from the buckets as from the scan.
+// adds to, moves within or removes from the due index, to two stores in
+// lockstep: one ticked through the due index, its twin through the full-scan
+// reference (a tick mutates, so it needs a store of its own). After every
+// round the positions must be intact and every sweep — lifecycle tick,
+// published window, Drop queue — must come out the same from the buckets as
+// from the scan, the two read-only ones compared on the indexed store.
 func TestDueBucketsUnderRandomChurn(t *testing.T) {
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
-	newWorld := func(scan bool) (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
+	newWorld := func() (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
 		clock := simtime.NewSimClock(start.At(0, 0, 0))
 		s := NewStoreWithShards(clock, 4)
-		s.SetScanEngine(scan)
 		for r := 0; r < 4; r++ {
 			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
 		}
@@ -456,8 +442,8 @@ func TestDueBucketsUnderRandomChurn(t *testing.T) {
 		cfg.RedemptionDays, cfg.PendingDeleteDays, cfg.DefaultGraceDays = 6, 3, 5
 		return s, clock, NewLifecycle(s, cfg), NewDropRunner(s, DefaultDropConfig())
 	}
-	ix, ixClock, ixLC, ixRun := newWorld(false)
-	sc, scClock, scLC, scRun := newWorld(true)
+	ix, ixClock, ixLC, ixRun := newWorld()
+	sc, scClock, scLC, scRun := newWorld()
 	zl := func(s *Store) *Lifecycle { z, _ := s.ZoneByName(nordicZone().Name); return NewZoneLifecycle(s, z) }
 	ixZL, scZL := zl(ix), zl(sc)
 
@@ -526,17 +512,17 @@ func TestDueBucketsUnderRandomChurn(t *testing.T) {
 		checkDuePositions(t, ix)
 		checkDuePositions(t, sc)
 
-		if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.Tick(now)+scZL.Tick(now); a != b {
+		if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.tickScan(now)+scZL.tickScan(now); a != b {
 			t.Fatalf("round %d: indexed tick moved %d, scan tick %d", round, a, b)
 		}
 		checkDuePositions(t, ix)
 		for _, win := range []int{1, 5} {
-			a, b := ix.PendingDeletions(day, win), sc.PendingDeletions(day, win)
+			a, b := ix.PendingDeletions(day, win), ix.pendingDeletionsScan(day, win)
 			if fmt.Sprint(derefAll(a)) != fmt.Sprint(derefAll(b)) {
 				t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, derefAll(a), derefAll(b))
 			}
 		}
-		if a, b := ixRun.BuildQueue(day), scRun.BuildQueue(day); fmt.Sprint(a) != fmt.Sprint(b) {
+		if a, b := ixRun.BuildQueue(day), ixRun.buildQueueScan(day); fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("round %d: queue differs:\n indexed %v\n scan    %v", round, a, b)
 		}
 		if round%2 == 1 {

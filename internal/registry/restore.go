@@ -3,20 +3,18 @@ package registry
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
 
-// This file is the parallel recovery seam: the per-shard snapshot
-// traversal, a restore API whose pieces are safe for concurrent use, and a
-// per-shard replay entry point. The journal's v2 snapshot codec encodes one
-// section per shard and its pipelined WAL replayer partitions records by the
-// same name hash the live store routes with, so every recovery worker locks
-// exactly the shard it is filling. The flat SnapshotState shape remains for
-// the v1 gob reader and the replay differential tests.
+// This file is the parallel recovery seam: the per-shard snapshot traversal
+// and a restore API whose pieces are safe for concurrent use. The journal's
+// v2 snapshot codec encodes one section per shard, so every restore worker
+// locks exactly the shard it is filling (WAL replay reaches shards through
+// ApplyBatch, journal.go). The flat SnapshotState shape remains for the v1
+// gob reader and the replay differential tests.
 
 // ShardedSnapshot is a full copy of the store's durable state with the
 // registrations still grouped by the capturing store's shard index, one
@@ -191,22 +189,7 @@ func (s *Store) RestoreRegistrars(rs []model.Registrar) {
 // Duplicate names (within the batch or across batches) mean the snapshot is
 // not a faithful store copy and fail loudly.
 func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
-	// Counting sort by receiving shard: order[start[si]:start[si+1]] are the
-	// batch indexes routed to shard si, in batch order.
-	start := make([]int, len(s.shards)+1)
-	for i := range ds {
-		start[s.shardIndex(ds[i].Domain.Name)+1]++
-	}
-	for si := range s.shards {
-		start[si+1] += start[si]
-	}
-	order := make([]int32, len(ds))
-	next := slices.Clone(start[:len(s.shards)])
-	for i := range ds {
-		si := s.shardIndex(ds[i].Domain.Name)
-		order[next[si]] = int32(i)
-		next[si]++
-	}
+	order, start := s.groupByShard(len(ds), func(i int) string { return ds[i].Domain.Name })
 	for si := range s.shards {
 		idxs := order[start[si]:start[si+1]]
 		if len(idxs) == 0 {
@@ -252,92 +235,4 @@ func (s *Store) MergeRestoredDeletions(dels map[simtime.Day][]model.DeletionEven
 func (s *Store) FinishRestore(gen, nextID uint64) {
 	s.nextID.Store(nextID)
 	s.gen.Store(gen)
-}
-
-// SeqMutation pairs a replayed mutation with its WAL sequence number, so
-// per-shard appliers can reassemble globally ordered artefacts (the
-// deletion archive) after applying out of global order.
-type SeqMutation struct {
-	Seq uint64
-	M   Mutation
-}
-
-// ReplayPurge is one Drop deletion produced by replay, tagged with the WAL
-// position of its purge record.
-type ReplayPurge struct {
-	Seq uint64
-	Ev  model.DeletionEvent
-}
-
-// ShardIndexFor exposes the store's name-to-shard routing for replay
-// partitioning: the parallel replayer must group records exactly the way
-// the store's own mutators serialised them, and this is that function.
-func (s *Store) ShardIndexFor(name string) int {
-	return int(s.shardIndex(name))
-}
-
-// ApplyShardSequence replays a run of domain mutations that all route to
-// shard si (per ShardIndexFor — the caller owns that invariant), in
-// ascending sequence order, under one acquisition of that shard's write
-// lock. It is the parallel-replay sibling of ApplyBatch's per-shard groups:
-// concurrent callers touching *different* shards reproduce sequential
-// replay exactly, because every pair of same-name records shares a shard
-// and therefore a caller, and the generation counter advances by the run
-// length regardless of interleaving. Purge events are returned with their
-// sequence numbers; the caller rebuilds the deletion archive in global
-// order with AppendReplayPurges once replay completes. MutAddRegistrar and
-// MutAddZone are rejected — those records commit under their own leaf locks
-// and act as replay barriers, applied inline via Apply.
-//
-// An error leaves the run partially applied (generation covers the applied
-// prefix); as with ApplyBatch, errors mean the log is not a faithful
-// history and the caller must discard the store.
-func (s *Store) ApplyShardSequence(si int, ms []SeqMutation) ([]ReplayPurge, error) {
-	if len(ms) == 0 {
-		return nil, nil
-	}
-	if si < 0 || si >= len(s.shards) {
-		return nil, fmt.Errorf("registry: replay: shard index %d out of range", si)
-	}
-	var (
-		purges  []ReplayPurge
-		applied int
-		err     error
-	)
-	sh := &s.shards[si]
-	sh.mu.Lock()
-	for i := range ms {
-		m := &ms[i].M
-		if m.Kind == MutAddRegistrar || m.Kind == MutAddZone {
-			err = fmt.Errorf("registry: replay seq %d: %s in shard sequence", ms[i].Seq, m.Kind)
-			break
-		}
-		ev, isPurge, aerr := s.applyDomainLocked(sh, m)
-		if aerr != nil {
-			err = aerr
-			break
-		}
-		if isPurge {
-			purges = append(purges, ReplayPurge{Seq: ms[i].Seq, Ev: ev})
-		}
-		applied++
-	}
-	s.gen.Add(uint64(applied))
-	sh.mu.Unlock()
-	return purges, err
-}
-
-// AppendReplayPurges rebuilds the deletion archive from the purge events
-// the per-shard appliers collected: sorted by WAL sequence number, the
-// events land in exactly the order sequential replay would have appended
-// them (the archive's per-day rank order is observable through dropscope).
-// Call once, after every applier has finished.
-func (s *Store) AppendReplayPurges(ps []ReplayPurge) {
-	sort.Slice(ps, func(a, b int) bool { return ps[a].Seq < ps[b].Seq })
-	s.delMu.Lock()
-	for _, p := range ps {
-		day := simtime.DayOf(p.Ev.Time)
-		s.deletions[day] = append(s.deletions[day], p.Ev)
-	}
-	s.delMu.Unlock()
 }

@@ -2,10 +2,10 @@
 // the three daily sweeps — Lifecycle.Tick, DropRunner.BuildQueue and
 // Store.PendingDeletions — retained verbatim (clone-per-candidate cost
 // profile included) as the behavioural oracle for the differential tests
-// and the baseline for BenchmarkDailySweep. Store.SetScanEngine(true)
-// routes the public entry points here; the due-day indexes are still
-// maintained, only the read paths change, so the two engines must agree
-// byte-for-byte on any store and any seed.
+// and the baseline for BenchmarkDailySweep, which call them directly: no
+// production path reaches them. They read the same store the due-day
+// indexes are maintained on, so the two engines must agree byte-for-byte on
+// any store and any seed.
 
 package registry
 

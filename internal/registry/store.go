@@ -144,11 +144,6 @@ type Store struct {
 	// exactly the same IDs at any shard count.
 	nextID atomic.Uint64
 
-	// scanEngine routes the daily sweeps through the retained full-scan
-	// reference implementations (scanref.go) instead of the due indexes.
-	// Differential tests and benchmark baselines only.
-	scanEngine atomic.Bool
-
 	// observer is the installed event consumer (pointer-to-interface so nil
 	// can be stored atomically). Mutators load it inside their critical
 	// section and deliver after unlocking.
@@ -207,7 +202,7 @@ func (s *Store) shardOf(name string) *shard {
 }
 
 // shardIndex is shardOf as an index, for callers that group work by shard
-// (ApplyBatch) rather than locking one.
+// (groupByShard) rather than locking one.
 func (s *Store) shardIndex(name string) uint64 {
 	const (
 		offset64 = 14695981039346656037
@@ -219,6 +214,26 @@ func (s *Store) shardIndex(name string) uint64 {
 		h *= prime64
 	}
 	return h & s.mask
+}
+
+// groupByShard counting-sorts the indexes 0..n-1 by the shard name(i) routes
+// to: order[start[si]:start[si+1]] are shard si's indexes, ascending.
+func (s *Store) groupByShard(n int, name func(int) string) (order []int32, start []int) {
+	start = make([]int, len(s.shards)+1)
+	for i := 0; i < n; i++ {
+		start[s.shardIndex(name(i))+1]++
+	}
+	for si := range s.shards {
+		start[si+1] += start[si]
+	}
+	order = make([]int32, n)
+	next := slices.Clone(start[:len(s.shards)])
+	for i := 0; i < n; i++ {
+		si := s.shardIndex(name(i))
+		order[next[si]] = int32(i)
+		next[si]++
+	}
+	return order, start
 }
 
 // ShardCount reports how many shards the store was built with.
@@ -248,17 +263,6 @@ func (s *Store) setDuePolicy(p duePolicy) {
 		sh.mu.Unlock()
 	}
 }
-
-// SetScanEngine routes Lifecycle.Tick, DropRunner.BuildQueue and
-// PendingDeletions through the retained full-scan reference implementations
-// instead of the due-day indexes. The indexes are still maintained, so the
-// flag can be flipped at any time; both engines must produce byte-identical
-// results (the differential tests assert exactly that). It exists for those
-// tests and for benchmarking the pre-index baseline — production callers
-// never need it.
-func (s *Store) SetScanEngine(enabled bool) { s.scanEngine.Store(enabled) }
-
-func (s *Store) useScan() bool { return s.scanEngine.Load() }
 
 // Generation returns the store's mutation counter without taking any lock.
 // It increases by (at least) one for every committed mutation of observable
@@ -729,9 +733,6 @@ func (s *Store) MarkPendingDelete(name string, updated time.Time, day simtime.Da
 // are unique, so the sort is total and the output is byte-identical at every
 // shard count.
 func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
-	if s.useScan() {
-		return s.pendingDeletionsScan(from, days)
-	}
 	end := from.AddDays(days)
 	n := 0
 	for i := range s.shards {

@@ -433,7 +433,7 @@ func TestPurgeOutlivesItsSlot(t *testing.T) {
 				robs := &recordingObserver{}
 				replica.SetObserver(robs)
 				if batch {
-					if err := replica.ApplyBatch(log.records); err != nil {
+					if err := replica.ApplyBatch(log.records, 1); err != nil {
 						t.Fatal(err)
 					}
 				} else {

@@ -123,7 +123,7 @@ func TestAddZoneReplays(t *testing.T) {
 
 	// The batch path must honour the same ordering barrier.
 	batched := NewStore(testClock())
-	if err := batched.ApplyBatch(cap.records); err != nil {
+	if err := batched.ApplyBatch(cap.records, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := batched.Get("after.se"); err != nil {
@@ -131,19 +131,6 @@ func TestAddZoneReplays(t *testing.T) {
 	}
 	if !batched.HostsTLD("nu") {
 		t.Error("ApplyBatch lost the zone")
-	}
-}
-
-// MutAddZone commits under the zone leaf lock, never inside a shard
-// sequence — the parallel replayer routes it through its barrier and the
-// shard appliers must refuse it outright.
-func TestApplyShardSequenceRejectsAddZone(t *testing.T) {
-	s, _ := testStore(t)
-	_, err := s.ApplyShardSequence(0, []SeqMutation{
-		{Seq: 1, M: Mutation{Kind: MutAddZone, Zone: nordicZone()}},
-	})
-	if err == nil {
-		t.Fatal("ApplyShardSequence accepted a MutAddZone record")
 	}
 }
 

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
@@ -405,6 +406,58 @@ func TestFollowerResumeMidTail(t *testing.T) {
 	// Small frame batches so the tail ships incrementally, and a cut a few
 	// batches past the snapshot: some tail frames land, then the wire dies.
 	resumeHarness(t, info.Size()+4_096, SourceConfig{BatchBytes: 2_048})
+}
+
+// TestFollowerRejectsEmptyBatch: a frames message whose header claims
+// records (first = applied+1, last ≥ first) but whose body holds no frame is
+// a lying peer, so a transport error: the message loop returns, nothing is
+// applied or logged, the replica is not poisoned, and the redial applies the
+// next well-formed batch.
+func TestFollowerRejectsEmptyBatch(t *testing.T) {
+	store, jnl := newPrimary(t, t.TempDir())
+	defer jnl.Close()
+	seedPrimary(t, store, 20)
+	src := NewSource(jnl, SourceConfig{})
+	defer src.Close()
+
+	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
+	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil), ReconnectWait: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	client, server := net.Pipe()
+	defer server.Close()
+	consumed := make(chan error, 1)
+	go func() { consumed <- f.consume(client) }()
+	var hs [len(handshakeMagic) + 8]byte
+	if _, err := io.ReadFull(server, hs[:]); err != nil {
+		t.Fatal(err)
+	}
+	msg := make([]byte, msgHeader+framesHeader)
+	binary.LittleEndian.PutUint64(msg[msgHeader:], f.AppliedSeq()+1)
+	binary.LittleEndian.PutUint64(msg[msgHeader+8:], f.AppliedSeq()+3)
+	binary.LittleEndian.PutUint64(msg[msgHeader+16:], f.AppliedSeq()+3)
+	if err := writeMsg(server, time.Second, msgFrames, msg); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-consumed; err == nil {
+		t.Fatal("follower accepted a frame batch with no frames")
+	}
+	if err := f.Err(); err != nil {
+		t.Fatalf("empty batch poisoned the replica: %v", err)
+	}
+	if f.AppliedSeq() != 0 || f.log.LastSeq() != 0 || f.log.Bytes() != 0 || fstore.Generation() != 0 {
+		t.Fatalf("empty batch left a trace: applied %d, log at seq %d with %d bytes, generation %d",
+			f.AppliedSeq(), f.log.LastSeq(), f.log.Bytes(), fstore.Generation())
+	}
+
+	f.Start()
+	waitApplied(t, f, jnl.LastSeq())
+	if pg, fg := store.Generation(), fstore.Generation(); pg != fg {
+		t.Fatalf("generation after the well-formed batch: primary %d, replica %d", pg, fg)
+	}
 }
 
 // TestFailoverZeroLoss is the kill-the-primary drill: semi-sync primary

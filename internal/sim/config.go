@@ -62,11 +62,6 @@ type Config struct {
 	// setting: equal seeds give byte-identical datasets regardless of how
 	// many workers collected them.
 	Parallelism int
-	// ScanEngine routes the registry's daily sweeps through the retained
-	// full-scan reference implementations instead of the due-day indexes.
-	// Differential-testing knob only: it must never change a study's output,
-	// and the tests assert exactly that.
-	ScanEngine bool
 	// Shards is the registry store's shard count (0 = GOMAXPROCS-derived,
 	// 1 = the legacy single-lock store, other values round up to a power of
 	// two). Sharding only changes how much lock parallelism concurrent

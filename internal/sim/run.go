@@ -135,7 +135,6 @@ func Run(cfg Config) (*Result, error) {
 	// Ecosystem.
 	dir := registrars.BuildDirectory(rng)
 	store := registry.NewStoreWithShards(clock, cfg.Shards)
-	store.SetScanEngine(cfg.ScanEngine)
 
 	// Durability: recover the registry and the driver's own checkpoint
 	// stream before anything else touches the store.
