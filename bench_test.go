@@ -330,12 +330,7 @@ func BenchmarkInferenceAccuracy(b *testing.B) {
 func BenchmarkOrderSearch(b *testing.B) {
 	a, res := fineStudy(b)
 	day := a.Days[0].Day
-	var obs []*dropzero.Observation
-	for _, o := range res.Observations {
-		if o.DeleteDay == day {
-			obs = append(obs, o)
-		}
-	}
+	obs := dayRows(res.Observations, day)
 	var results []core.OrderSearchResult
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -414,12 +409,7 @@ func BenchmarkAblationTruncateGap(b *testing.B) {
 func BenchmarkAblationTieBreaker(b *testing.B) {
 	a, res := fineStudy(b)
 	day := a.Days[0].Day
-	var obs []*dropzero.Observation
-	for _, o := range res.Observations {
-		if o.DeleteDay == day {
-			obs = append(obs, o)
-		}
-	}
+	obs := dayRows(res.Observations, day)
 	var byID, byCreated float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -544,13 +534,24 @@ func BenchmarkStudyWallClock(b *testing.B) {
 
 // BenchmarkCoreRank measures ranking one full-volume day.
 func BenchmarkCoreRank(b *testing.B) {
-	_, res := fineStudy(b)
-	day := core.GroupByDay(res.Observations)[0]
+	a, res := fineStudy(b)
+	obs := dayRows(res.Observations, a.Days[0].Day)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		core.Rank(day.Obs, core.OrderLastUpdate)
+		core.Rank(obs, core.OrderLastUpdate)
 	}
+}
+
+// dayRows copies out one deletion day's rows, in dataset order.
+func dayRows(obs []dropzero.Observation, day dropzero.Day) []dropzero.Observation {
+	var out []dropzero.Observation
+	for i := range obs {
+		if obs[i].DeleteDay() == day {
+			out = append(out, obs[i])
+		}
+	}
+	return out
 }
 
 // BenchmarkCoreBuildEnvelope measures envelope construction for one

@@ -131,7 +131,7 @@ func readZoneDelays(path string) ([]sim.ZoneDelay, error) {
 	return sim.ReadZoneDelaysCSV(f)
 }
 
-func readObservations(path string) ([]*model.Observation, error) {
+func readObservations(path string) ([]model.Observation, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

@@ -69,8 +69,8 @@ func main() {
 	}
 
 	reregs := 0
-	for _, o := range res.Observations {
-		if o.Rereg != nil {
+	for i := range res.Observations {
+		if res.Observations[i].Reregistered() {
 			reregs++
 		}
 	}

@@ -30,11 +30,14 @@ import (
 // Core data types.
 type (
 	// Observation is one dataset row: a pending-delete domain, its prior
-	// registration metadata, and any observed re-registration.
+	// registration metadata, and any observed re-registration. Rows are
+	// packed values read through accessor methods (DeleteDay, PriorUpdated,
+	// Reregistered, ReregTime, …); a dataset is one []Observation.
 	Observation = model.Observation
-	// PriorRegistration is the expiring registration's metadata.
+	// PriorRegistration is the expiring registration's metadata, as
+	// NewObservation takes it and Observation.Prior returns it.
 	PriorRegistration = model.PriorRegistration
-	// Rereg is an observed re-registration event.
+	// Rereg is an observed re-registration event (NewObservation's input).
 	Rereg = model.Rereg
 	// Registrar is one ICANN accreditation with its contact record.
 	Registrar = model.Registrar
@@ -48,7 +51,8 @@ type (
 	Envelope = core.Envelope
 	// EnvelopeConfig parameterises envelope construction.
 	EnvelopeConfig = core.EnvelopeConfig
-	// Ranked is an observation with its deletion-order rank.
+	// Ranked is an observation with its deletion-order rank; it points into
+	// the dataset slice it was ranked from.
 	Ranked = core.Ranked
 	// DelayResult is the delay metric for one re-registered domain.
 	DelayResult = core.DelayResult
@@ -101,9 +105,17 @@ func AnalysisInputFromResult(res *Result) AnalysisInput {
 	}
 }
 
+// NewObservation packs one dataset row; rereg is nil when the name was not
+// re-registered. Values a row cannot hold exactly (a registrar ID beyond 32
+// bits) are an error; instants are kept at second precision.
+func NewObservation(name string, deleteDay Day, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
+	return model.NewObservation(name, deleteDay, prior, rereg, malicious)
+}
+
 // Rank sorts one deletion day's observations by the inferred deletion order
-// (last-updated time, ties broken by domain ID) and assigns ranks.
-func Rank(obs []*Observation) []Ranked { return core.Rank(obs, core.OrderLastUpdate) }
+// (last-updated time, ties broken by domain ID) and assigns ranks. The
+// result points into obs.
+func Rank(obs []Observation) []Ranked { return core.Rank(obs, core.OrderLastUpdate) }
 
 // BuildEnvelope computes a day's minimum-envelope curve from ranked
 // observations (§4.2).
@@ -117,13 +129,13 @@ func DefaultEnvelopeConfig() EnvelopeConfig { return core.DefaultEnvelopeConfig(
 
 // AnalyzeDay runs ranking, envelope construction and delay computation for
 // one deletion day.
-func AnalyzeDay(day Day, obs []*Observation, cfg EnvelopeConfig) (*DayAnalysis, error) {
+func AnalyzeDay(day Day, obs []Observation, cfg EnvelopeConfig) (*DayAnalysis, error) {
 	return core.AnalyzeDay(day, obs, cfg)
 }
 
 // AnalyzeAll runs AnalyzeDay over a multi-day dataset, skipping days whose
 // envelope cannot be built.
-func AnalyzeAll(obs []*Observation, cfg EnvelopeConfig) ([]*DayAnalysis, int) {
+func AnalyzeAll(obs []Observation, cfg EnvelopeConfig) ([]*DayAnalysis, int) {
 	return core.AnalyzeAll(obs, cfg)
 }
 
@@ -136,7 +148,8 @@ func NewClassifier() *Classifier { return core.NewClassifier() }
 func ClusterRegistrars(regs []Registrar) *cluster.Clusters { return cluster.Build(regs) }
 
 // WriteCSV persists a dataset in the canonical CSV layout.
-func WriteCSV(w io.Writer, obs []*Observation) error { return measure.WriteCSV(w, obs) }
+func WriteCSV(w io.Writer, obs []Observation) error { return measure.WriteCSV(w, obs) }
 
-// ReadCSV loads a dataset written by WriteCSV.
-func ReadCSV(r io.Reader) ([]*Observation, error) { return measure.ReadCSV(r) }
+// ReadCSV loads a dataset written by WriteCSV; a file WriteCSV could not have
+// written is refused.
+func ReadCSV(r io.Reader) ([]Observation, error) { return measure.ReadCSV(r) }

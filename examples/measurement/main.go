@@ -150,8 +150,8 @@ func main() {
 		fmt.Printf("  %-30s %4d\n", k, buckets[k])
 	}
 	mal := 0
-	for _, o := range obs {
-		if o.Malicious {
+	for i := range obs {
+		if obs[i].Malicious() {
 			mal++
 		}
 	}

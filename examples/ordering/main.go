@@ -32,10 +32,10 @@ func main() {
 
 	// Work on the second study day, like the paper's Figure 3 (2 Jan 2018).
 	day := cfg.StartDay.Next()
-	var obs []*dropzero.Observation
-	for _, o := range res.Observations {
-		if o.DeleteDay == day {
-			obs = append(obs, o)
+	var obs []dropzero.Observation
+	for i := range res.Observations {
+		if o := &res.Observations[i]; o.DeleteDay() == day {
+			obs = append(obs, *o)
 		}
 	}
 	fmt.Printf("deletion day %v: %d domains on the pending-delete list\n\n", day, len(obs))

@@ -26,7 +26,7 @@ import (
 // measurable in the real world; the remaining fields are simulator ground
 // truth used only by ablations and display naming.
 type Input struct {
-	Observations []*model.Observation
+	Observations []model.Observation
 	// Registrars is the public accreditation directory (contacts included),
 	// the input to the registrar clustering.
 	Registrars []model.Registrar
@@ -141,10 +141,10 @@ func (a *Analysis) ClusterOf(ianaID int) string {
 
 // ReregClusterOf returns the cluster of the re-registering accreditation.
 func (a *Analysis) ReregClusterOf(d core.DelayResult) string {
-	if d.Obs.Rereg == nil {
+	if !d.Obs.Reregistered() {
 		return ""
 	}
-	return a.ClusterOf(d.Obs.Rereg.RegistrarID)
+	return a.ClusterOf(d.Obs.ReregRegistrar())
 }
 
 // minIntervalCount applies the configured minimum or a dataset-proportional

@@ -19,8 +19,8 @@ type Fig1Row struct {
 // Fig1 counts the study population per deletion day.
 func (a *Analysis) Fig1() []Fig1Row {
 	counts := make(map[simtime.Day]int)
-	for _, o := range a.in.Observations {
-		counts[o.DeleteDay]++
+	for i := range a.in.Observations {
+		counts[a.in.Observations[i].DeleteDay()]++
 	}
 	days := make([]simtime.Day, 0, len(counts))
 	for d := range counts {
@@ -105,14 +105,15 @@ func (a *Analysis) Fig2Timeline() Fig2 {
 	counts := make([]int, minutes)
 	sameDay := 0
 	in19h := 0
-	for _, o := range a.in.Observations {
+	for i := range a.in.Observations {
+		o := &a.in.Observations[i]
 		total++
-		days[o.DeleteDay] = true
+		days[o.DeleteDay()] = true
 		if !o.SameDayRereg() {
 			continue
 		}
 		sameDay++
-		t := o.Rereg.Time.UTC()
+		t := o.ReregTime()
 		m := t.Hour()*60 + t.Minute()
 		counts[m]++
 		if t.Hour() == 19 {
@@ -196,7 +197,7 @@ func (a *Analysis) Fig3Orders(day simtime.Day) (*Fig3, error) {
 		}
 		n++
 		earliest, _ := env.EarliestAt(r.Rank)
-		if r.Obs.Rereg.Time.Sub(earliest) <= 3*time.Second {
+		if r.Obs.ReregTime().Sub(earliest) <= 3*time.Second {
 			on++
 		}
 	}
@@ -206,11 +207,12 @@ func (a *Analysis) Fig3Orders(day simtime.Day) (*Fig3, error) {
 	return f, nil
 }
 
-func (a *Analysis) dayObservations(day simtime.Day) []*model.Observation {
-	var out []*model.Observation
-	for _, o := range a.in.Observations {
-		if o.DeleteDay == day {
-			out = append(out, o)
+// dayObservations copies out one deletion day's rows, in dataset order.
+func (a *Analysis) dayObservations(day simtime.Day) []model.Observation {
+	var out []model.Observation
+	for i := range a.in.Observations {
+		if o := &a.in.Observations[i]; o.DeleteDay() == day {
+			out = append(out, *o)
 		}
 	}
 	return out
@@ -220,7 +222,7 @@ func sameDayPoints(ranked []core.Ranked) []core.Point {
 	var pts []core.Point
 	for _, r := range ranked {
 		if r.Obs.SameDayRereg() {
-			pts = append(pts, core.Point{Rank: r.Rank, Time: r.Obs.Rereg.Time})
+			pts = append(pts, core.Point{Rank: r.Rank, Time: r.Obs.ReregTime()})
 		}
 	}
 	return pts

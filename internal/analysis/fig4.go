@@ -80,7 +80,7 @@ func (a *Analysis) Fig4Heatmap(cluster string, cfg HeatmapConfig) *Heatmap {
 			if d.Delay >= 30*time.Minute {
 				hold++
 			}
-			t := d.Obs.Rereg.Time.UTC()
+			t := d.Obs.ReregTime()
 			sec := (t.Hour()-cfg.StartHour)*3600 + t.Minute()*60 + t.Second()
 			if sec < 0 || sec >= windowSec {
 				continue

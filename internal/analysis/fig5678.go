@@ -208,9 +208,9 @@ func (a *Analysis) Fig8AgeShare() Fig8 {
 // ageYearsOf derives the prior registration's age at deletion from observed
 // metadata only.
 func ageYearsOf(d core.DelayResult) int {
-	ref := d.Obs.DeleteDay.Start()
+	ref := d.Obs.DeleteDay().Start()
 	const year = 365 * 24 * time.Hour
-	a := int(ref.Sub(d.Obs.Prior.Created) / year)
+	a := int(ref.Sub(d.Obs.PriorCreated()) / year)
 	if a < 0 {
 		return 0
 	}

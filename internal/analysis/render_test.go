@@ -122,22 +122,23 @@ func TestBucketAtLeast(t *testing.T) {
 // without a simulation.
 func TestAnalysisOnSyntheticData(t *testing.T) {
 	day := testDayRender()
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 40; i++ {
 		updated := day.AddDays(-35).At(6, 0, i)
-		o := &model.Observation{
-			Name:      string(rune('a'+i%26)) + "x" + FormatDuration(time.Duration(i)) + ".com",
-			TLD:       model.COM,
-			DeleteDay: day,
-			Prior: model.PriorRegistration{
+		var rereg *model.Rereg
+		if i%2 == 0 {
+			rereg = &model.Rereg{Time: day.At(19, 0, i/2), RegistrarID: 1000}
+		}
+		o, err := model.NewObservation(
+			string(rune('a'+i%26))+"x"+FormatDuration(time.Duration(i))+".com", day,
+			model.PriorRegistration{
 				ID: uint64(i + 1), RegistrarID: 1000,
 				Created: updated.AddDate(-1-i%5, 0, 0),
 				Updated: updated,
 				Expiry:  updated.AddDate(0, 0, -30),
-			},
-		}
-		if i%2 == 0 {
-			o.Rereg = &model.Rereg{Time: day.At(19, 0, i/2), RegistrarID: 1000}
+			}, rereg, false)
+		if err != nil {
+			t.Fatal(err)
 		}
 		obs = append(obs, o)
 	}

@@ -195,7 +195,7 @@ func (a *Analysis) Malicious() MaliciousStats {
 		}
 		byClass[cl].all++
 		overall.all++
-		if d.Obs.Malicious {
+		if d.Obs.Malicious() {
 			byClass[cl].mal++
 			overall.mal++
 			malCounts[cl]++

@@ -45,7 +45,7 @@ func (c *Classifier) DropWindowHeuristic(d DelayResult) bool {
 	if !d.Obs.SameDayRereg() {
 		return false
 	}
-	h := d.Obs.Rereg.Time.UTC().Hour()
+	h := d.Obs.ReregTime().Hour()
 	return h >= c.WindowStartHour && h < c.WindowEndHour
 }
 

@@ -16,13 +16,8 @@ func mkDelay(sameDay bool, reregHour int, delay time.Duration) DelayResult {
 	} else {
 		rt = day.Next().At(reregHour, 5, 0)
 	}
-	return DelayResult{
-		Obs: &model.Observation{
-			DeleteDay: day,
-			Rereg:     &model.Rereg{Time: rt},
-		},
-		Delay: delay,
-	}
+	o := mkObs("x.com", day, model.PriorRegistration{}, &model.Rereg{Time: rt})
+	return DelayResult{Obs: &o, Delay: delay}
 }
 
 func TestClassifierIsDropCatch(t *testing.T) {

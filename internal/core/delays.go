@@ -39,9 +39,14 @@ type DayAnalysis struct {
 
 // AnalyzeDay runs the full §4.1–§4.2 pipeline for one deletion day's
 // observations: rank by the inferred deletion order, build the minimum
-// envelope, and compute a delay for every re-registered domain.
-func AnalyzeDay(day simtime.Day, obs []*model.Observation, cfg EnvelopeConfig) (*DayAnalysis, error) {
-	ranked := Rank(obs, OrderLastUpdate)
+// envelope, and compute a delay for every re-registered domain. The result
+// points into obs.
+func AnalyzeDay(day simtime.Day, obs []model.Observation, cfg EnvelopeConfig) (*DayAnalysis, error) {
+	return analyzeRanked(day, Rank(obs, OrderLastUpdate), cfg)
+}
+
+// analyzeRanked is AnalyzeDay over a day already ranked by OrderLastUpdate.
+func analyzeRanked(day simtime.Day, ranked []Ranked, cfg EnvelopeConfig) (*DayAnalysis, error) {
 	env, err := BuildEnvelope(ranked, cfg)
 	if err != nil {
 		return nil, err
@@ -50,15 +55,15 @@ func AnalyzeDay(day simtime.Day, obs []*model.Observation, cfg EnvelopeConfig) (
 		Day:          day,
 		Ranked:       ranked,
 		Envelope:     env,
-		Total:        len(obs),
+		Total:        len(ranked),
 		MethodCounts: make(map[Method]int),
 	}
 	for _, r := range ranked {
-		if r.Obs.Rereg == nil {
+		if !r.Obs.Reregistered() {
 			continue
 		}
 		earliest, method := env.EarliestAt(r.Rank)
-		delay := r.Obs.Rereg.Time.Sub(earliest)
+		delay := r.Obs.ReregTime().Sub(earliest)
 		if delay < 0 {
 			delay = 0
 		}
@@ -77,11 +82,11 @@ func AnalyzeDay(day simtime.Day, obs []*model.Observation, cfg EnvelopeConfig) (
 // AnalyzeAll runs AnalyzeDay for every deletion day in the dataset. Days
 // whose envelope cannot be built (no same-day re-registrations) are skipped;
 // the number skipped is returned.
-func AnalyzeAll(obs []*model.Observation, cfg EnvelopeConfig) ([]*DayAnalysis, int) {
+func AnalyzeAll(obs []model.Observation, cfg EnvelopeConfig) ([]*DayAnalysis, int) {
 	var out []*DayAnalysis
 	skipped := 0
-	for _, g := range GroupByDay(obs) {
-		da, err := AnalyzeDay(g.Day, g.Obs, cfg)
+	for _, g := range GroupByDay(obs, OrderLastUpdate) {
+		da, err := analyzeRanked(g.Day, g.Ranked, cfg)
 		if err != nil {
 			skipped++
 			continue

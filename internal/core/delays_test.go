@@ -10,7 +10,7 @@ import (
 func TestAnalyzeDayDelays(t *testing.T) {
 	// Ranks 0..9 deleted at seconds 0..9. Rank 4 re-registered 100 s late,
 	// rank 7 not re-registered at all.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 10; i++ {
 		switch i {
 		case 4:
@@ -46,7 +46,7 @@ func TestAnalyzeDayDelays(t *testing.T) {
 func TestAnalyzeDayNegativeDelayClamped(t *testing.T) {
 	// Construct interpolation that rounds up past an observed point: the
 	// resulting negative delay must clamp to zero.
-	obs := []*model.Observation{
+	obs := []model.Observation{
 		obsAt(0, 0),
 		obsNoRereg(1),
 		obsAt(2, 1), // on the curve
@@ -66,16 +66,16 @@ func TestAnalyzeDayNegativeDelayClamped(t *testing.T) {
 func TestAnalyzeDayNextDayDelay(t *testing.T) {
 	// A next-day re-registration gets its delay measured against the
 	// deletion-day envelope.
-	late := obsAt(2, 0)
-	late.Rereg.Time = testDay.Next().At(3, 0, 0)
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 1), late}
+	late := obsWith(2, &model.Rereg{Time: testDay.Next().At(3, 0, 0), RegistrarID: 9000})
+	obs := []model.Observation{obsAt(0, 0), obsAt(1, 1), late}
 	da, err := AnalyzeDay(testDay, obs, DefaultEnvelopeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	var found *DelayResult
 	for i := range da.Delays {
-		if da.Delays[i].Obs == late {
+		// Results point into the caller's slice; rows are not copied.
+		if da.Delays[i].Obs == &obs[2] {
 			found = &da.Delays[i]
 		}
 	}
@@ -91,12 +91,11 @@ func TestAnalyzeDayNextDayDelay(t *testing.T) {
 
 func TestAnalyzeAllSkipsEmptyDays(t *testing.T) {
 	day2 := testDay.Next()
-	o := obsNoRereg(0)
 	o2 := obsAt(1, 0)
-	o2dup := *o2
-	o2dup.DeleteDay = day2
-	o2dup.Rereg = &model.Rereg{Time: day2.At(19, 0, 0)}
-	obs := []*model.Observation{o, &o2dup}
+	obs := []model.Observation{
+		obsNoRereg(0),
+		mkObs(o2.Name, day2, o2.Prior(), &model.Rereg{Time: day2.At(19, 0, 0)}),
+	}
 	// testDay has no re-registrations → skipped; day2 has one.
 	days, skipped := AnalyzeAll(obs, DefaultEnvelopeConfig())
 	if skipped != 1 || len(days) != 1 {
@@ -110,7 +109,7 @@ func TestAnalyzeAllSkipsEmptyDays(t *testing.T) {
 func TestDelayCDFDenominatorIsDeleted(t *testing.T) {
 	// 4 deleted, 2 re-registered at 0 s → CDF at 0 must be 0.5 even though
 	// 100 % of *re-registrations* are instant.
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 0), obsNoRereg(2), obsNoRereg(3)}
+	obs := []model.Observation{obsAt(0, 0), obsAt(1, 0), obsNoRereg(2), obsNoRereg(3)}
 	days, _ := AnalyzeAll(obs, DefaultEnvelopeConfig())
 	cdf := DelayCDF(days, 24*time.Hour, []time.Duration{0, time.Hour})
 	if cdf[0] != 0.5 || cdf[1] != 0.5 {
@@ -119,9 +118,8 @@ func TestDelayCDFDenominatorIsDeleted(t *testing.T) {
 }
 
 func TestDelayCDFHorizonFilter(t *testing.T) {
-	late := obsAt(1, 0)
-	late.Rereg.Time = testDay.AddDays(3).At(19, 0, 0)
-	obs := []*model.Observation{obsAt(0, 0), late}
+	late := obsWith(1, &model.Rereg{Time: testDay.AddDays(3).At(19, 0, 0), RegistrarID: 9000})
+	obs := []model.Observation{obsAt(0, 0), late}
 	days, _ := AnalyzeAll(obs, DefaultEnvelopeConfig())
 	cdf := DelayCDF(days, 24*time.Hour, []time.Duration{24 * time.Hour})
 	if cdf[0] != 0.5 {
@@ -137,7 +135,7 @@ func TestDelayCDFEmpty(t *testing.T) {
 }
 
 func TestMethodShares(t *testing.T) {
-	obs := []*model.Observation{obsAt(0, 0), obsNoRereg(1), obsAt(2, 0), obsAt(3, 50)}
+	obs := []model.Observation{obsAt(0, 0), obsNoRereg(1), obsAt(2, 0), obsAt(3, 50)}
 	days, _ := AnalyzeAll(obs, DefaultEnvelopeConfig())
 	shares := MethodShares(days)
 	total := 0.0
@@ -150,7 +148,7 @@ func TestMethodShares(t *testing.T) {
 }
 
 func TestTotalDeletedAndAllDelays(t *testing.T) {
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 2), obsNoRereg(2)}
+	obs := []model.Observation{obsAt(0, 0), obsAt(1, 2), obsNoRereg(2)}
 	days, _ := AnalyzeAll(obs, DefaultEnvelopeConfig())
 	if got := TotalDeleted(days); got != 3 {
 		t.Fatalf("TotalDeleted = %d", got)

@@ -88,7 +88,7 @@ func BuildEnvelope(ranked []Ranked, cfg EnvelopeConfig) (*Envelope, error) {
 	pts := make([]Point, 0, len(ranked))
 	for _, r := range ranked {
 		if r.Obs.SameDayRereg() {
-			pts = append(pts, Point{Rank: r.Rank, Time: r.Obs.Rereg.Time})
+			pts = append(pts, Point{Rank: r.Rank, Time: r.Obs.ReregTime()})
 		}
 	}
 	if len(pts) == 0 {
@@ -197,8 +197,8 @@ func EnvelopeRegistrars(ranked []Ranked, env *Envelope) map[int]int {
 	}
 	counts := make(map[int]int)
 	for _, p := range env.points {
-		if o := byRank[p.Rank]; o != nil && o.Rereg != nil {
-			counts[o.Rereg.RegistrarID]++
+		if o := byRank[p.Rank]; o != nil && o.Reregistered() {
+			counts[o.ReregRegistrar()]++
 		}
 	}
 	return counts

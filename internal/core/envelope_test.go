@@ -14,31 +14,36 @@ import (
 
 var testDay = simtime.Day{Year: 2018, Month: time.January, Dom: 2}
 
-// obsAt builds a same-day re-registered observation whose deletion-order key
-// is its index (Updated strictly increasing), re-registered at the given
-// offset (in seconds) from 19:00.
-func obsAt(i int, reregOffsetSec int) *model.Observation {
-	updated := testDay.AddDays(-35).At(6, 0, 0).Add(time.Duration(i) * time.Second)
-	return &model.Observation{
-		Name:      "d" + itoa(i) + ".com",
-		TLD:       model.COM,
-		DeleteDay: testDay,
-		Prior: model.PriorRegistration{
-			ID:      uint64(i + 1),
-			Created: updated.AddDate(-2, 0, 0),
-			Updated: updated,
-			Expiry:  updated.AddDate(0, 0, -30),
-		},
-		Rereg: &model.Rereg{Time: testDay.At(19, 0, reregOffsetSec), RegistrarID: 9000},
+// mkObs packs a test row; the fixtures here are all representable.
+func mkObs(name string, day simtime.Day, prior model.PriorRegistration, rereg *model.Rereg) model.Observation {
+	o, err := model.NewObservation(name, day, prior, rereg, false)
+	if err != nil {
+		panic(err)
 	}
+	return o
+}
+
+// obsWith builds a testDay observation whose deletion-order key is its index
+// (Updated strictly increasing), with the given re-registration (nil for
+// none).
+func obsWith(i int, rereg *model.Rereg) model.Observation {
+	updated := testDay.AddDays(-35).At(6, 0, 0).Add(time.Duration(i) * time.Second)
+	return mkObs("d"+itoa(i)+".com", testDay, model.PriorRegistration{
+		ID:      uint64(i + 1),
+		Created: updated.AddDate(-2, 0, 0),
+		Updated: updated,
+		Expiry:  updated.AddDate(0, 0, -30),
+	}, rereg)
+}
+
+// obsAt is obsWith re-registered on the deletion day, at the given offset
+// (in seconds) from 19:00.
+func obsAt(i int, reregOffsetSec int) model.Observation {
+	return obsWith(i, &model.Rereg{Time: testDay.At(19, 0, reregOffsetSec), RegistrarID: 9000})
 }
 
 // obsNoRereg builds an observation without a re-registration.
-func obsNoRereg(i int) *model.Observation {
-	o := obsAt(i, 0)
-	o.Rereg = nil
-	return o
-}
+func obsNoRereg(i int) model.Observation { return obsWith(i, nil) }
 
 func itoa(i int) string {
 	if i == 0 {
@@ -52,11 +57,11 @@ func itoa(i int) string {
 	return string(b)
 }
 
-func rankAll(obs []*model.Observation) []Ranked { return Rank(obs, OrderLastUpdate) }
+func rankAll(obs []model.Observation) []Ranked { return Rank(obs, OrderLastUpdate) }
 
 func TestEnvelopeBasicDiagonal(t *testing.T) {
 	// Ranks 0..9 re-registered at exactly their deletion seconds 0..9.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 10; i++ {
 		obs = append(obs, obsAt(i, i))
 	}
@@ -81,7 +86,7 @@ func TestEnvelopeBasicDiagonal(t *testing.T) {
 func TestEnvelopeExcludesDelayedPoints(t *testing.T) {
 	// Rank 5 is re-registered late; it must not be on the curve, and its
 	// earliest time must be interpolated between ranks 4 and 6.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 10; i++ {
 		off := i
 		if i == 5 {
@@ -107,7 +112,7 @@ func TestEnvelopeExcludesDelayedPoints(t *testing.T) {
 
 func TestEnvelopeMonotone(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 500; i++ {
 		// Deletion second ≈ i/5; most re-registrations instant, others late.
 		off := i / 5
@@ -134,7 +139,7 @@ func TestEnvelopeMonotone(t *testing.T) {
 func TestEnvelopeNoPointBelow(t *testing.T) {
 	// Every same-day re-registration must lie on or above the envelope.
 	rng := rand.New(rand.NewSource(2))
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 400; i++ {
 		off := i/4 + rng.Intn(600)
 		obs = append(obs, obsAt(i, off))
@@ -147,9 +152,9 @@ func TestEnvelopeNoPointBelow(t *testing.T) {
 	for _, r := range ranked {
 		earliest, _ := env.EarliestAt(r.Rank)
 		// Interpolation rounds to the nearest second, so allow 1 s slack.
-		if r.Obs.Rereg.Time.Add(time.Second).Before(earliest) {
+		if r.Obs.ReregTime().Add(time.Second).Before(earliest) {
 			t.Fatalf("rank %d re-registered at %v, below envelope %v",
-				r.Rank, r.Obs.Rereg.Time, earliest)
+				r.Rank, r.Obs.ReregTime(), earliest)
 		}
 	}
 }
@@ -157,7 +162,7 @@ func TestEnvelopeNoPointBelow(t *testing.T) {
 func TestEnvelopeTailTruncation(t *testing.T) {
 	// A monotone sequence whose last point is 10 minutes after the rest:
 	// the §4.2 truncation must drop it.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 20; i++ {
 		obs = append(obs, obsAt(i, i))
 	}
@@ -176,7 +181,7 @@ func TestEnvelopeTailTruncation(t *testing.T) {
 
 func TestEnvelopeTailTruncationCascades(t *testing.T) {
 	// Two trailing outliers, each separated by more than the gap: both go.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 20; i++ {
 		obs = append(obs, obsAt(i, i))
 	}
@@ -192,7 +197,7 @@ func TestEnvelopeTailTruncationCascades(t *testing.T) {
 
 func TestEnvelopeClampLow(t *testing.T) {
 	// No re-registration at ranks 0..4: low ranks clamp to the first point.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 5; i++ {
 		obs = append(obs, obsNoRereg(i))
 	}
@@ -215,7 +220,7 @@ func TestEnvelopeClampLow(t *testing.T) {
 func TestEnvelopeInterpolationRounding(t *testing.T) {
 	// Points at (0, 0 s) and (3, 10 s): rank 1 interpolates to 3.33 s → 3 s,
 	// rank 2 to 6.67 s → 7 s.
-	obs := []*model.Observation{
+	obs := []model.Observation{
 		obsAt(0, 0),
 		obsNoRereg(1),
 		obsNoRereg(2),
@@ -239,7 +244,7 @@ func TestEnvelopeInterpolationRounding(t *testing.T) {
 }
 
 func TestEnvelopeEmpty(t *testing.T) {
-	obs := []*model.Observation{obsNoRereg(0), obsNoRereg(1)}
+	obs := []model.Observation{obsNoRereg(0), obsNoRereg(1)}
 	_, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
 	if !errors.Is(err, ErrEmptyEnvelope) {
 		t.Fatalf("empty envelope error = %v", err)
@@ -247,7 +252,7 @@ func TestEnvelopeEmpty(t *testing.T) {
 }
 
 func TestEnvelopeSinglePoint(t *testing.T) {
-	obs := []*model.Observation{obsAt(0, 5), obsNoRereg(1), obsNoRereg(2)}
+	obs := []model.Observation{obsAt(0, 5), obsNoRereg(1), obsNoRereg(2)}
 	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -266,9 +271,8 @@ func TestEnvelopeSinglePoint(t *testing.T) {
 func TestEnvelopeNextDayReregIgnored(t *testing.T) {
 	// Re-registrations after midnight are not same-day and must not shape
 	// the curve.
-	o := obsAt(3, 0)
-	o.Rereg.Time = testDay.Next().At(1, 0, 0)
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 1), obsAt(2, 2), o}
+	o := obsWith(3, &model.Rereg{Time: testDay.Next().At(1, 0, 0), RegistrarID: 9000})
+	obs := []model.Observation{obsAt(0, 0), obsAt(1, 1), obsAt(2, 2), o}
 	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -279,7 +283,7 @@ func TestEnvelopeNextDayReregIgnored(t *testing.T) {
 }
 
 func TestEnvelopeGaps(t *testing.T) {
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 1), obsAt(2, 3), obsAt(3, 30)}
+	obs := []model.Observation{obsAt(0, 0), obsAt(1, 1), obsAt(2, 3), obsAt(3, 30)}
 	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -297,9 +301,10 @@ func TestEnvelopeGaps(t *testing.T) {
 }
 
 func TestEnvelopeRegistrars(t *testing.T) {
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 1)}
-	obs[0].Rereg.RegistrarID = 1
-	obs[1].Rereg.RegistrarID = 2
+	obs := []model.Observation{
+		obsWith(0, &model.Rereg{Time: testDay.At(19, 0, 0), RegistrarID: 1}),
+		obsWith(1, &model.Rereg{Time: testDay.At(19, 0, 1), RegistrarID: 2}),
+	}
 	ranked := rankAll(obs)
 	env, err := BuildEnvelope(ranked, DefaultEnvelopeConfig())
 	if err != nil {
@@ -318,7 +323,7 @@ func TestEnvelopeProperties(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 20 + rng.Intn(200)
-		var obs []*model.Observation
+		var obs []model.Observation
 		for i := 0; i < n; i++ {
 			off := i/3 + rng.Intn(2000)
 			if rng.Intn(4) == 0 {
@@ -363,7 +368,7 @@ func TestEnvelopeDelayedPointsCannotLower(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 30 + rng.Intn(100)
-		var obs []*model.Observation
+		var obs []model.Observation
 		for i := 0; i < n; i++ {
 			obs = append(obs, obsAt(i, i/3))
 		}

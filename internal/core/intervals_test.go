@@ -85,13 +85,13 @@ func TestBuildIntervalsSingleUndersized(t *testing.T) {
 
 func TestMarketShare(t *testing.T) {
 	delays := delayList(0, 0, 0, 0)
-	delays[0].Obs.Rereg = &model.Rereg{RegistrarID: 1}
-	delays[1].Obs.Rereg = &model.Rereg{RegistrarID: 1}
-	delays[2].Obs.Rereg = &model.Rereg{RegistrarID: 2}
-	delays[3].Obs.Rereg = &model.Rereg{RegistrarID: 3}
+	for i, registrar := range []int{1, 1, 2, 3} {
+		o := mkObs(delays[i].Obs.Name, testDay, model.PriorRegistration{}, &model.Rereg{RegistrarID: registrar})
+		delays[i].Obs = &o
+	}
 	ivs := BuildIntervals(delays, time.Hour, 4)
 	shares := MarketShare(ivs, func(d DelayResult) string {
-		switch d.Obs.Rereg.RegistrarID {
+		switch d.Obs.ReregRegistrar() {
 		case 1:
 			return "A"
 		case 2:
@@ -130,10 +130,8 @@ func TestIntervalProperties(t *testing.T) {
 		n := rng.Intn(500)
 		delays := make([]DelayResult, n)
 		for i := range delays {
-			delays[i] = DelayResult{
-				Obs:   &model.Observation{Rereg: &model.Rereg{RegistrarID: rng.Intn(5)}},
-				Delay: time.Duration(rng.Intn(100)) * time.Second,
-			}
+			o := mkObs("", testDay, model.PriorRegistration{}, &model.Rereg{RegistrarID: rng.Intn(5)})
+			delays[i] = DelayResult{Obs: &o, Delay: time.Duration(rng.Intn(100)) * time.Second}
 		}
 		minCount := 1 + rng.Intn(30)
 		ivs := BuildIntervals(delays, time.Hour, minCount)
@@ -158,7 +156,7 @@ func TestIntervalProperties(t *testing.T) {
 		if total != n {
 			return false
 		}
-		for _, row := range MarketShare(ivs, func(d DelayResult) string { return itoa(d.Obs.Rereg.RegistrarID) }) {
+		for _, row := range MarketShare(ivs, func(d DelayResult) string { return itoa(d.Obs.ReregRegistrar()) }) {
 			sum := 0.0
 			for _, s := range row {
 				sum += s.Value

@@ -11,9 +11,12 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
@@ -83,59 +86,52 @@ func (o Ordering) String() string {
 	}
 }
 
-func (o Ordering) less(a, b *model.Observation) bool {
+// compare orders a and b under o: negative when a comes first, positive when
+// b does, zero for a tie (which a stable sort leaves in dataset order).
+func (o Ordering) compare(a, b *model.Observation) int {
+	byID := cmp.Compare(a.PriorID(), b.PriorID())
 	switch o {
 	case OrderLastUpdate:
-		if !a.Prior.Updated.Equal(b.Prior.Updated) {
-			return a.Prior.Updated.Before(b.Prior.Updated)
-		}
-		return a.Prior.ID < b.Prior.ID
+		return cmp.Or(a.PriorUpdated().Compare(b.PriorUpdated()), byID)
 	case OrderLastUpdateCreated:
-		if !a.Prior.Updated.Equal(b.Prior.Updated) {
-			return a.Prior.Updated.Before(b.Prior.Updated)
-		}
-		if !a.Prior.Created.Equal(b.Prior.Created) {
-			return a.Prior.Created.Before(b.Prior.Created)
-		}
-		return a.Prior.ID < b.Prior.ID
+		return cmp.Or(a.PriorUpdated().Compare(b.PriorUpdated()), a.PriorCreated().Compare(b.PriorCreated()), byID)
 	case OrderListOrder, OrderAlphabetical:
-		return a.Name < b.Name
-	case OrderDomainID:
-		return a.Prior.ID < b.Prior.ID
+		return strings.Compare(a.Name, b.Name)
 	case OrderRegistrarID:
-		if a.Prior.RegistrarID != b.Prior.RegistrarID {
-			return a.Prior.RegistrarID < b.Prior.RegistrarID
-		}
-		return a.Prior.ID < b.Prior.ID
+		return cmp.Or(cmp.Compare(a.PriorRegistrar(), b.PriorRegistrar()), byID)
 	case OrderCreation:
-		if !a.Prior.Created.Equal(b.Prior.Created) {
-			return a.Prior.Created.Before(b.Prior.Created)
-		}
-		return a.Prior.ID < b.Prior.ID
+		return cmp.Or(a.PriorCreated().Compare(b.PriorCreated()), byID)
 	case OrderExpiry:
-		if !a.Prior.Expiry.Equal(b.Prior.Expiry) {
-			return a.Prior.Expiry.Before(b.Prior.Expiry)
-		}
-		return a.Prior.ID < b.Prior.ID
-	default:
-		return a.Prior.ID < b.Prior.ID
+		return cmp.Or(a.PriorExpiry().Compare(b.PriorExpiry()), byID)
+	default: // OrderDomainID
+		return byID
 	}
 }
 
 // Ranked pairs an observation with its 0-based rank under some ordering.
+// Obs points into the dataset slice the ranking was built from; the row is
+// not copied.
 type Ranked struct {
 	Obs  *model.Observation
 	Rank int
 }
 
 // Rank sorts one deletion day's observations under ord and assigns ranks.
-// The input slice is not modified.
-func Rank(obs []*model.Observation, ord Ordering) []Ranked {
-	sorted := append([]*model.Observation(nil), obs...)
-	sort.SliceStable(sorted, func(i, j int) bool { return ord.less(sorted[i], sorted[j]) })
-	out := make([]Ranked, len(sorted))
-	for i, o := range sorted {
-		out[i] = Ranked{Obs: o, Rank: i}
+// The input slice is not modified; the result points into it.
+func Rank(obs []model.Observation, ord Ordering) []Ranked {
+	out := refs(obs)
+	slices.SortStableFunc(out, func(a, b Ranked) int { return ord.compare(a.Obs, b.Obs) })
+	for i := range out {
+		out[i].Rank = i
+	}
+	return out
+}
+
+// refs is one unranked Ranked per row of obs, in dataset order.
+func refs(obs []model.Observation) []Ranked {
+	out := make([]Ranked, len(obs))
+	for i := range obs {
+		out[i].Obs = &obs[i]
 	}
 	return out
 }
@@ -153,7 +149,7 @@ func OrderScore(ranked []Ranked) float64 {
 	var pts []pt
 	for _, r := range ranked {
 		if r.Obs.SameDayRereg() {
-			pts = append(pts, pt{r.Rank, r.Obs.Rereg.Time.Unix()})
+			pts = append(pts, pt{r.Rank, r.Obs.ReregTime().Unix()})
 		}
 	}
 	if len(pts) < 2 {
@@ -221,7 +217,7 @@ type OrderSearchResult struct {
 // SearchOrderings ranks every candidate ordering by OrderScore, best first.
 // This is the §4.1 analysis that rules out domain ID, registrar ID, creation
 // date, expiration date, list order and alphabetical order.
-func SearchOrderings(obs []*model.Observation) []OrderSearchResult {
+func SearchOrderings(obs []model.Observation) []OrderSearchResult {
 	results := make([]OrderSearchResult, 0, numOrderings)
 	for _, ord := range Orderings() {
 		results = append(results, OrderSearchResult{
@@ -233,29 +229,34 @@ func SearchOrderings(obs []*model.Observation) []OrderSearchResult {
 	return results
 }
 
-// GroupByDay splits a dataset into per-deletion-day groups, each sorted set
-// ready for Rank. Days are returned in chronological order.
-func GroupByDay(obs []*model.Observation) []DayGroup {
-	byDay := make(map[int64][]*model.Observation)
-	for _, o := range obs {
-		key := o.DeleteDay.Start().Unix()
-		byDay[key] = append(byDay[key], o)
-	}
-	keys := make([]int64, 0, len(byDay))
-	for k := range byDay {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]DayGroup, 0, len(keys))
-	for _, k := range keys {
-		group := byDay[k]
-		out = append(out, DayGroup{Day: group[0].DeleteDay, Obs: group})
+// GroupByDay splits a dataset into per-deletion-day groups in chronological
+// order, each ranked under ord exactly as Rank would rank that day's rows
+// alone. One ranking is built for the whole dataset and cut at the day
+// boundaries: the groups share one backing array and point into obs, which
+// is not modified.
+func GroupByDay(obs []model.Observation, ord Ordering) []DayGroup {
+	all := refs(obs)
+	slices.SortStableFunc(all, func(a, b Ranked) int {
+		if c := a.Obs.DeleteDay().Compare(b.Obs.DeleteDay()); c != 0 {
+			return c
+		}
+		return ord.compare(a.Obs, b.Obs)
+	})
+	var out []DayGroup
+	for i := 0; i < len(all); {
+		day := all[i].Obs.DeleteDay()
+		j := i
+		for ; j < len(all) && all[j].Obs.DeleteDay() == day; j++ {
+			all[j].Rank = j - i
+		}
+		out = append(out, DayGroup{Day: day, Ranked: all[i:j:j]})
+		i = j
 	}
 	return out
 }
 
-// DayGroup is one deletion day's observations.
+// DayGroup is one deletion day's observations in rank order.
 type DayGroup struct {
-	Day simtime.Day
-	Obs []*model.Observation
+	Day    simtime.Day
+	Ranked []Ranked
 }

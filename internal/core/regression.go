@@ -30,10 +30,10 @@ func FitRegression(ranked []Ranked) *Regression {
 			continue
 		}
 		if t0.IsZero() {
-			t0 = r.Obs.Rereg.Time
+			t0 = r.Obs.ReregTime()
 		}
 		xs = append(xs, float64(r.Rank))
-		ys = append(ys, r.Obs.Rereg.Time.Sub(t0).Seconds())
+		ys = append(ys, r.Obs.ReregTime().Sub(t0).Seconds())
 	}
 	if len(xs) < 2 {
 		return nil

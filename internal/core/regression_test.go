@@ -10,7 +10,7 @@ import (
 
 func TestFitRegressionRecoversLine(t *testing.T) {
 	// Re-registrations exactly on time = 19:00 + rank/2 seconds.
-	var obs []*model.Observation
+	var obs []model.Observation
 	for i := 0; i < 100; i++ {
 		obs = append(obs, obsAt(i, i/2))
 	}
@@ -31,7 +31,7 @@ func TestFitRegressionRecoversLine(t *testing.T) {
 }
 
 func TestFitRegressionTooFewPoints(t *testing.T) {
-	if r := FitRegression(Rank([]*model.Observation{obsAt(0, 0)}, OrderLastUpdate)); r != nil {
+	if r := FitRegression(Rank([]model.Observation{obsAt(0, 0)}, OrderLastUpdate)); r != nil {
 		t.Fatal("regression fit with one point")
 	}
 	if r := FitRegression(nil); r != nil {
@@ -40,9 +40,8 @@ func TestFitRegressionTooFewPoints(t *testing.T) {
 }
 
 func TestFitRegressionIgnoresNextDay(t *testing.T) {
-	late := obsAt(2, 0)
-	late.Rereg.Time = testDay.Next().At(4, 0, 0)
-	obs := []*model.Observation{obsAt(0, 0), obsAt(1, 1), late}
+	late := obsWith(2, &model.Rereg{Time: testDay.Next().At(4, 0, 0), RegistrarID: 9000})
+	obs := []model.Observation{obsAt(0, 0), obsAt(1, 1), late}
 	r := FitRegression(Rank(obs, OrderLastUpdate))
 	if r == nil {
 		t.Fatal("nil regression")
@@ -89,7 +88,7 @@ func TestAccuracyEmpty(t *testing.T) {
 // nonlinear deletion curve), the envelope's error stays within seconds while
 // the straight-line fit drifts to minutes.
 func TestEnvelopeBeatsRegressionOnNonlinearCurve(t *testing.T) {
-	var obs []*model.Observation
+	var obs []model.Observation
 	var truth []Point
 	sec := 0
 	for i := 0; i < 2000; i++ {

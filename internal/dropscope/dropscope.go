@@ -600,23 +600,42 @@ func RenderEntries(entries []Entry) []byte {
 	return buf.Bytes()
 }
 
-// ParseList decodes a CSV pending-delete list.
+// ParseList decodes a CSV pending-delete list. The entries' names are slices
+// of one string holding every name of the list, lower-cased, and nothing
+// else: a consumer that keeps the names for months (the measurement pipeline
+// does) pins neither the date column nor one allocation per line. On a
+// malformed line the entries before it are returned with the error.
 func ParseList(r io.Reader) ([]Entry, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
-	var out []Entry
+	cr.ReuseRecord = true
+	var (
+		out   []Entry
+		names []byte // the names end to end
+		ends  []int  // ends[i] is where out[i]'s name ends in names
+	)
+	finish := func(err error) ([]Entry, error) {
+		arena, start := string(names), 0
+		for i, end := range ends {
+			out[i].Name = arena[start:end]
+			start = end
+		}
+		return out, err
+	}
 	for {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
-			return out, nil
+			return finish(nil)
 		}
 		if err != nil {
-			return out, fmt.Errorf("dropscope: parse list: %w", err)
+			return finish(fmt.Errorf("dropscope: parse list: %w", err))
 		}
 		day, err := ParseDay(rec[1])
 		if err != nil {
-			return out, fmt.Errorf("dropscope: bad delete date %q: %w", rec[1], err)
+			return finish(fmt.Errorf("dropscope: bad delete date %q: %w", rec[1], err))
 		}
-		out = append(out, Entry{Name: strings.ToLower(rec[0]), DeleteDay: day})
+		names = append(names, strings.ToLower(rec[0])...)
+		ends = append(ends, len(names))
+		out = append(out, Entry{DeleteDay: day})
 	}
 }

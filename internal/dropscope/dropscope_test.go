@@ -13,6 +13,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/inproc"
 	"dropzero/internal/model"
@@ -118,6 +119,66 @@ func TestParseListEmpty(t *testing.T) {
 	if err != nil || len(entries) != 0 {
 		t.Fatalf("empty list: %v %v", entries, err)
 	}
+}
+
+// TestParseListNamesShareOneArena: a list's names are consecutive slices of
+// one string — lower-cased, nothing between them — so keeping them pins the
+// names' own bytes and no CSV line.
+func TestParseListNamesShareOneArena(t *testing.T) {
+	entries, err := ParseList(strings.NewReader("Alpha.COM,2018-01-02\n\"quo,ted.net\",2018-01-03\nc.com,2018-01-03\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Entry{
+		{"alpha.com", simtime.Day{Year: 2018, Month: time.January, Dom: 2}},
+		{"quo,ted.net", simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
+		{"c.com", simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
+	}
+	if !slices.Equal(entries, want) {
+		t.Fatalf("entries = %v", entries)
+	}
+	for i := 1; i < len(entries); i++ {
+		prev := entries[i-1].Name
+		if unsafe.StringData(entries[i].Name) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(prev)), len(prev))) {
+			t.Fatalf("%q does not start where %q ends", entries[i].Name, prev)
+		}
+	}
+	// A malformed line still yields the entries before it, names included.
+	entries, err = ParseList(strings.NewReader("a.com,2018-01-02\nb.com,not-a-date\n"))
+	if err == nil || len(entries) != 1 || entries[0].Name != "a.com" {
+		t.Fatalf("partial parse: %v, %v", entries, err)
+	}
+}
+
+// FuzzParseList: ParseList never panics, and whatever it accepts renders
+// (RenderEntries) to a list that parses back to the same entries.
+func FuzzParseList(f *testing.F) {
+	f.Add([]byte(""))
+	f.Add([]byte("a.com,2018-01-02\nB.NET,2018-01-03\n"))
+	f.Add([]byte("\"quo,ted.com\",2018-01-02\n"))
+	f.Add([]byte("a.com,2018-01-02"))
+	f.Add([]byte("a.com,2018-13-02\n"))
+	f.Add([]byte("only-one-field\n"))
+	f.Add([]byte("a.com,2018-01-02,extra\n"))
+	f.Add([]byte("\xff\xc4\xb0.com,0000-01-01\n,9999-12-31\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		entries, err := ParseList(bytes.NewReader(data))
+		for _, e := range entries {
+			if e.Name != strings.ToLower(e.Name) {
+				t.Fatalf("name %q not lower-cased", e.Name)
+			}
+		}
+		if err != nil {
+			return
+		}
+		again, err := ParseList(bytes.NewReader(RenderEntries(entries)))
+		if err != nil {
+			t.Fatalf("re-rendered list refused: %v", err)
+		}
+		if !slices.Equal(entries, again) {
+			t.Fatalf("entries changed on the way through RenderEntries:\n%v\n%v", entries, again)
+		}
+	})
 }
 
 func TestParseDay(t *testing.T) {

@@ -175,7 +175,7 @@ func appendDeletions(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byt
 			ev := &evs[i]
 			b = binary.AppendUvarint(b, ev.DomainID)
 			b = appendString(b, ev.Name)
-			b = appendString(b, string(ev.TLD))
+			b = appendString(b, string(ev.TLD()))
 			b = appendTime(b, ev.Time)
 			b = binary.AppendVarint(b, int64(ev.Rank))
 		}
@@ -560,7 +560,11 @@ func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent,
 			if err != nil {
 				return nil, err
 			}
-			ev.TLD = model.TLD(tld)
+			// The event derives its TLD from its name; a section that says
+			// otherwise would not re-encode to the same bytes.
+			if model.TLD(tld) != ev.TLD() {
+				return nil, fmt.Errorf("deletion %q filed under TLD %q", ev.Name, tld)
+			}
 			if ev.Time, err = d.time(); err != nil {
 				return nil, err
 			}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"dropzero/internal/dropscope"
@@ -21,28 +23,31 @@ var csvHeader = []string{
 
 const csvTime = time.RFC3339
 
-// WriteCSV persists a dataset.
-func WriteCSV(w io.Writer, obs []*model.Observation) error {
+// WriteCSV persists a dataset. Equal datasets give equal bytes, and ReadCSV
+// accepts exactly the files whose rows WriteCSV reproduces: reading a
+// written file back and writing it again is the identity.
+func WriteCSV(w io.Writer, obs []model.Observation) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return fmt.Errorf("measure: write CSV header: %w", err)
 	}
-	for _, o := range obs {
+	for i := range obs {
+		o := &obs[i]
 		rec := []string{
 			o.Name,
-			string(o.TLD),
-			o.DeleteDay.String(),
-			strconv.FormatUint(o.Prior.ID, 10),
-			strconv.Itoa(o.Prior.RegistrarID),
-			o.Prior.Created.UTC().Format(csvTime),
-			o.Prior.Updated.UTC().Format(csvTime),
-			o.Prior.Expiry.UTC().Format(csvTime),
+			string(o.TLD()),
+			o.DeleteDay().String(),
+			strconv.FormatUint(o.PriorID(), 10),
+			strconv.Itoa(o.PriorRegistrar()),
+			o.PriorCreated().Format(csvTime),
+			o.PriorUpdated().Format(csvTime),
+			o.PriorExpiry().Format(csvTime),
 			"", "", "false",
 		}
-		if o.Rereg != nil {
-			rec[8] = o.Rereg.Time.UTC().Format(csvTime)
-			rec[9] = strconv.Itoa(o.Rereg.RegistrarID)
-			rec[10] = strconv.FormatBool(o.Malicious)
+		if o.Reregistered() {
+			rec[8] = o.ReregTime().Format(csvTime)
+			rec[9] = strconv.Itoa(o.ReregRegistrar())
+			rec[10] = strconv.FormatBool(o.Malicious())
 		}
 		if err := cw.Write(rec); err != nil {
 			return fmt.Errorf("measure: write CSV row for %s: %w", o.Name, err)
@@ -52,18 +57,23 @@ func WriteCSV(w io.Writer, obs []*model.Observation) error {
 	return cw.Error()
 }
 
-// ReadCSV loads a dataset written by WriteCSV.
-func ReadCSV(r io.Reader) ([]*model.Observation, error) {
+// ReadCSV loads a dataset written by WriteCSV. A file WriteCSV could not
+// have written is refused, not rounded: a header that is not the dataset's,
+// a tld column that is not the name's suffix, an instant with a sub-second
+// part or outside RFC 3339's four-digit years, a registrar ID beyond 32
+// bits, a registrar or label on a row without a re-registration.
+func ReadCSV(r io.Reader) ([]model.Observation, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
+	cr.ReuseRecord = true
 	header, err := cr.Read()
 	if err != nil {
 		return nil, fmt.Errorf("measure: read CSV header: %w", err)
 	}
-	if len(header) != len(csvHeader) || header[0] != csvHeader[0] {
+	if !slices.Equal(header, csvHeader) {
 		return nil, fmt.Errorf("measure: unexpected CSV header %v", header)
 	}
-	var out []*model.Observation
+	var out []model.Observation
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if errors.Is(err, io.EOF) {
@@ -80,64 +90,66 @@ func ReadCSV(r io.Reader) ([]*model.Observation, error) {
 	}
 }
 
-func parseRow(rec []string) (*model.Observation, error) {
+// parseInstant reads one timestamp column: RFC 3339 at whole seconds, any
+// offset, whose UTC form WriteCSV prints parseably.
+func parseInstant(field, s string) (time.Time, error) {
+	t, err := time.Parse(csvTime, s)
+	if err != nil {
+		return time.Time{}, fmt.Errorf("bad %s %q: %w", field, s, err)
+	}
+	t = t.UTC()
+	if t.Nanosecond() != 0 {
+		return time.Time{}, fmt.Errorf("bad %s %q: sub-second precision", field, s)
+	}
+	if y := t.Year(); y < 0 || y > 9999 {
+		return time.Time{}, fmt.Errorf("bad %s %q: year %d in UTC", field, s, y)
+	}
+	return t, nil
+}
+
+func parseRow(rec []string) (model.Observation, error) {
+	// rec's fields are slices of one string holding the whole line; the row
+	// keeps the name alone.
+	name := strings.Clone(rec[0])
+	if tld, _ := model.TLDOf(name); rec[1] != string(tld) {
+		return model.Observation{}, fmt.Errorf("tld %q is not the suffix of %q", rec[1], name)
+	}
 	day, err := dropscope.ParseDay(rec[2])
 	if err != nil {
-		return nil, fmt.Errorf("bad delete_day %q: %w", rec[2], err)
+		return model.Observation{}, fmt.Errorf("bad delete_day %q: %w", rec[2], err)
 	}
-	id, err := strconv.ParseUint(rec[3], 10, 64)
+	var prior model.PriorRegistration
+	if prior.ID, err = strconv.ParseUint(rec[3], 10, 64); err != nil {
+		return model.Observation{}, fmt.Errorf("bad prior_id %q: %w", rec[3], err)
+	}
+	if prior.RegistrarID, err = strconv.Atoi(rec[4]); err != nil {
+		return model.Observation{}, fmt.Errorf("bad prior_registrar %q: %w", rec[4], err)
+	}
+	if prior.Created, err = parseInstant("prior_created", rec[5]); err != nil {
+		return model.Observation{}, err
+	}
+	if prior.Updated, err = parseInstant("prior_updated", rec[6]); err != nil {
+		return model.Observation{}, err
+	}
+	if prior.Expiry, err = parseInstant("prior_expiry", rec[7]); err != nil {
+		return model.Observation{}, err
+	}
+	malicious, err := strconv.ParseBool(rec[10])
 	if err != nil {
-		return nil, fmt.Errorf("bad prior_id %q: %w", rec[3], err)
+		return model.Observation{}, fmt.Errorf("bad malicious %q: %w", rec[10], err)
 	}
-	regID, err := strconv.Atoi(rec[4])
-	if err != nil {
-		return nil, fmt.Errorf("bad prior_registrar %q: %w", rec[4], err)
-	}
-	parseT := func(field, s string) (time.Time, error) {
-		t, err := time.Parse(csvTime, s)
-		if err != nil {
-			return time.Time{}, fmt.Errorf("bad %s %q: %w", field, s, err)
+	if rec[8] == "" {
+		if rec[9] != "" {
+			return model.Observation{}, fmt.Errorf("rereg_registrar %q without a rereg_time", rec[9])
 		}
-		return t.UTC(), nil
+		return model.NewObservation(name, day, prior, nil, malicious)
 	}
-	created, err := parseT("prior_created", rec[5])
-	if err != nil {
-		return nil, err
+	var rereg model.Rereg
+	if rereg.Time, err = parseInstant("rereg_time", rec[8]); err != nil {
+		return model.Observation{}, err
 	}
-	updated, err := parseT("prior_updated", rec[6])
-	if err != nil {
-		return nil, err
+	if rereg.RegistrarID, err = strconv.Atoi(rec[9]); err != nil {
+		return model.Observation{}, fmt.Errorf("bad rereg_registrar %q: %w", rec[9], err)
 	}
-	expiry, err := parseT("prior_expiry", rec[7])
-	if err != nil {
-		return nil, err
-	}
-	o := &model.Observation{
-		Name:      rec[0],
-		TLD:       model.TLD(rec[1]),
-		DeleteDay: day,
-		Prior: model.PriorRegistration{
-			ID:          id,
-			RegistrarID: regID,
-			Created:     created,
-			Updated:     updated,
-			Expiry:      expiry,
-		},
-	}
-	if rec[8] != "" {
-		rt, err := parseT("rereg_time", rec[8])
-		if err != nil {
-			return nil, err
-		}
-		rreg, err := strconv.Atoi(rec[9])
-		if err != nil {
-			return nil, fmt.Errorf("bad rereg_registrar %q: %w", rec[9], err)
-		}
-		o.Rereg = &model.Rereg{Time: rt, RegistrarID: rreg}
-		o.Malicious, err = strconv.ParseBool(rec[10])
-		if err != nil {
-			return nil, fmt.Errorf("bad malicious %q: %w", rec[10], err)
-		}
-	}
-	return o, nil
+	return model.NewObservation(name, day, prior, &rereg, malicious)
 }

@@ -5,6 +5,8 @@ import (
 	"context"
 	"math/rand"
 	"net/http"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -114,11 +116,11 @@ func TestPipelineDetectsRereg(t *testing.T) {
 		t.Fatalf("observations = %d", len(obs))
 	}
 	o := obs[0]
-	if o.Prior.ID != prior.ID || o.Prior.RegistrarID != 1000 {
-		t.Fatalf("prior metadata: %+v", o.Prior)
+	if o.PriorID() != prior.ID || o.PriorRegistrar() != 1000 {
+		t.Fatalf("prior metadata: %+v", o.Prior())
 	}
-	if o.Rereg == nil || o.Rereg.RegistrarID != 2000 || !o.Rereg.Time.Equal(reregAt) {
-		t.Fatalf("rereg: %+v", o.Rereg)
+	if !o.Reregistered() || o.ReregRegistrar() != 2000 || !o.ReregTime().Equal(reregAt) {
+		t.Fatalf("rereg: %v at %v by %d", o.Reregistered(), o.ReregTime(), o.ReregRegistrar())
 	}
 }
 
@@ -134,7 +136,7 @@ func TestPipelineDetectsNonRereg(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(obs) != 1 || obs[0].Rereg != nil {
+	if len(obs) != 1 || obs[0].Reregistered() {
 		t.Fatalf("observations: %+v", obs)
 	}
 }
@@ -158,8 +160,8 @@ func TestPipelineWHOISFallback(t *testing.T) {
 	if len(obs) != 1 {
 		t.Fatalf("fallback domain missing from dataset: %d", len(obs))
 	}
-	if obs[0].Prior.RegistrarID != 1727 {
-		t.Fatalf("prior: %+v", obs[0].Prior)
+	if obs[0].PriorRegistrar() != 1727 {
+		t.Fatalf("prior: %+v", obs[0].Prior())
 	}
 }
 
@@ -230,41 +232,41 @@ func TestPipelineIdempotentDailyCollect(t *testing.T) {
 
 func TestCSVRoundTrip(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	obs := []*model.Observation{
-		{
-			Name: "a.com", TLD: model.COM, DeleteDay: day,
-			Prior: model.PriorRegistration{
-				ID: 7, RegistrarID: 1000,
-				Created: day.AddDays(-800).At(3, 2, 1),
-				Updated: day.AddDays(-35).At(6, 30, 0),
-				Expiry:  day.AddDays(-70).At(3, 2, 1),
-			},
-			Rereg:     &model.Rereg{Time: day.At(19, 0, 7), RegistrarID: 2000},
-			Malicious: true,
-		},
-		{
-			Name: "b.com", TLD: model.COM, DeleteDay: day,
-			Prior: model.PriorRegistration{ID: 8, RegistrarID: 1000,
-				Created: day.AddDays(-400).At(0, 0, 0),
-				Updated: day.AddDays(-35).At(6, 30, 1),
-				Expiry:  day.AddDays(-70).At(0, 0, 0)},
-		},
+	obs := []model.Observation{
+		mustObs(t, "a.com", day, model.PriorRegistration{
+			ID: 7, RegistrarID: 1000,
+			Created: day.AddDays(-800).At(3, 2, 1),
+			Updated: day.AddDays(-35).At(6, 30, 0),
+			Expiry:  day.AddDays(-70).At(3, 2, 1),
+		}, &model.Rereg{Time: day.At(19, 0, 7), RegistrarID: 2000}, true),
+		mustObs(t, "b.com", day, model.PriorRegistration{
+			ID: 8, RegistrarID: 1000,
+			Created: day.AddDays(-400).At(0, 0, 0),
+			Updated: day.AddDays(-35).At(6, 30, 1),
+			Expiry:  day.AddDays(-70).At(0, 0, 0),
+		}, nil, false),
 	}
 	var buf bytes.Buffer
 	if err := WriteCSV(&buf, obs); err != nil {
 		t.Fatal(err)
 	}
+	want := strings.Join(csvHeader, ",") + "\n" +
+		"a.com,com,2018-01-10,7,1000,2015-11-02T03:02:01Z,2017-12-06T06:30:00Z,2017-11-01T03:02:01Z,2018-01-10T19:00:07Z,2000,true\n" +
+		"b.com,com,2018-01-10,8,1000,2016-12-06T00:00:00Z,2017-12-06T06:30:01Z,2017-11-01T00:00:00Z,,,false\n"
+	if buf.String() != want {
+		t.Fatalf("WriteCSV wrote:\n%s\nwant:\n%s", buf.String(), want)
+	}
 	got, err := ReadCSV(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("rows = %d", len(got))
+	if !slices.Equal(got, obs) {
+		t.Fatalf("read back %+v, wrote %+v", got, obs)
 	}
-	if *got[0].Rereg != *obs[0].Rereg || got[0].Malicious != true {
+	if !got[0].Reregistered() || got[0].ReregRegistrar() != 2000 || !got[0].ReregTime().Equal(day.At(19, 0, 7)) || !got[0].Malicious() {
 		t.Fatalf("row 0: %+v", got[0])
 	}
-	if got[1].Rereg != nil || got[1].Prior != obs[1].Prior {
+	if got[1].Reregistered() || got[1].Prior() != obs[1].Prior() {
 		t.Fatalf("row 1: %+v", got[1])
 	}
 }
@@ -284,14 +286,50 @@ func TestReadCSVRejectsBadRow(t *testing.T) {
 	}
 }
 
+// TestReadCSVRejectsWhatWriteCSVCannotWrite: a file whose values the dataset
+// row would round or drop is refused rather than loaded as something else.
+func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
+	header := strings.Join(csvHeader, ",")
+	const good = "a.com,com,2018-01-10,7,1000,2015-11-02T03:02:01Z,2017-12-06T06:30:00Z,2017-11-01T03:02:01Z,2018-01-10T19:00:07Z,2000,true"
+	if _, err := ReadCSV(strings.NewReader(header + "\n" + good + "\n")); err != nil {
+		t.Fatalf("reference row refused: %v", err)
+	}
+	edit := func(col int, val string) string {
+		f := strings.Split(good, ",")
+		f[col] = val
+		return header + "\n" + strings.Join(f, ",") + "\n"
+	}
+	cases := map[string]string{
+		"a later header column renamed":         strings.Replace(header, "prior_updated", "updated", 1) + "\n" + good + "\n",
+		"header columns swapped":                strings.Replace(header, "prior_created,prior_updated", "prior_updated,prior_created", 1) + "\n" + good + "\n",
+		"tld column disagrees with the name":    edit(1, "net"),
+		"tld column empty":                      edit(1, ""),
+		"fractional prior_created":              edit(5, "2015-11-02T03:02:01.5Z"),
+		"fractional rereg_time":                 edit(8, "2018-01-10T19:00:07.000000001Z"),
+		"instant before year 0 in UTC":          edit(5, "0000-01-01T00:00:00+01:00"),
+		"instant after year 9999 in UTC":        edit(7, "9999-12-31T23:59:59-01:00"),
+		"prior_registrar beyond 32 bits":        edit(4, "2147483648"),
+		"rereg_registrar beyond 32 bits":        edit(9, "-2147483649"),
+		"malicious without a re-registration":   strings.Replace(edit(8, ""), ",2000,true", ",,true", 1),
+		"rereg_registrar without a rereg_time":  strings.Replace(edit(8, ""), ",2000,true", ",2000,false", 1),
+		"malicious not a boolean on a bare row": strings.Replace(edit(8, ""), ",2000,true", ",,", 1),
+	}
+	for name, file := range cases {
+		if _, err := ReadCSV(strings.NewReader(file)); err == nil {
+			t.Errorf("%s: accepted\n%s", name, file)
+		}
+	}
+}
+
 func TestReregDelay01(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	o := &model.Observation{DeleteDay: day, Rereg: &model.Rereg{Time: day.At(19, 30, 0)}}
-	d, ok := ReregDelay01(o, 19)
+	o := mustObs(t, "a.com", day, model.PriorRegistration{}, &model.Rereg{Time: day.At(19, 30, 0)}, false)
+	d, ok := ReregDelay01(&o, 19)
 	if !ok || d != 30*time.Minute {
 		t.Fatalf("delay = %v, %v", d, ok)
 	}
-	if _, ok := ReregDelay01(&model.Observation{DeleteDay: day}, 19); ok {
+	o = mustObs(t, "a.com", day, model.PriorRegistration{}, nil, false)
+	if _, ok := ReregDelay01(&o, 19); ok {
 		t.Fatal("delay for non-rereg")
 	}
 }

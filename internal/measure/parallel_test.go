@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
-	"reflect"
+	"slices"
 	"testing"
 
+	"dropzero/internal/model"
 	"dropzero/internal/rdap"
 	"dropzero/internal/registry"
 )
@@ -91,7 +92,7 @@ func TestPipelineParallelLookupsRace(t *testing.T) {
 // check: the same world measured with 1 worker and with 8 must yield equal
 // observations and stats.
 func TestPipelineParallelMatchesSequential(t *testing.T) {
-	run := func(parallelism int) ([]string, Stats) {
+	run := func(parallelism int) ([]model.Observation, Stats) {
 		e := newEnv(t, brokenSponsorCfg(), true)
 		e.pipe.Parallelism = parallelism
 		t.Cleanup(func() { e.pipe.WHOIS.Close() })
@@ -101,15 +102,11 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows := make([]string, len(obs))
-		for i, o := range obs {
-			rows[i] = fmt.Sprintf("%s|%+v|%+v", o.Name, o.Prior, o.Rereg)
-		}
-		return rows, e.pipe.Stats()
+		return obs, e.pipe.Stats()
 	}
 	seqRows, seqStats := run(1)
 	parRows, parStats := run(8)
-	if !reflect.DeepEqual(seqRows, parRows) {
+	if len(seqRows) == 0 || !slices.Equal(seqRows, parRows) {
 		t.Fatal("observations differ between parallelism 1 and 8")
 	}
 	if seqStats != parStats {

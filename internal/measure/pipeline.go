@@ -260,9 +260,10 @@ func registrarID(dr *rdap.DomainResponse) (int, error) {
 // once, after advancing the clock at least eight weeks past the last
 // deletion day. Domains whose prior metadata could not be collected are
 // omitted, like the paper's error cases. Re-lookups (and the oracle queries
-// for re-registered names) fan out over the worker pool; the dataset is
-// returned sorted by name regardless of Parallelism.
-func (p *Pipeline) Finalize(ctx context.Context) ([]*model.Observation, error) {
+// for re-registered names) fan out over the worker pool, each worker writing
+// its row straight into the dataset slice; the dataset is returned sorted by
+// name regardless of Parallelism.
+func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 	collected := make([]*pendingDomain, 0, len(p.pending))
 	for _, pd := range p.pending {
 		if pd.prior != nil {
@@ -270,52 +271,53 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]*model.Observation, error) {
 		}
 	}
 	slices.SortFunc(collected, byName)
+	rows := make([]model.Observation, len(collected))
 	type finalResult struct {
-		// obs is nil for restored domains (same object ID: the deletion
+		// keep is false for restored domains (same object ID: the deletion
 		// never happened), which are not part of the study population.
-		obs   *model.Observation
+		keep  bool
 		delta Stats
 		err   error
 	}
 	results := par.Do(p.workers(), len(collected), func(i int) finalResult {
 		pd := collected[i]
-		obs := &model.Observation{
-			Name:      pd.name,
-			TLD:       pd.tld,
-			DeleteDay: pd.deleteDay,
-			Prior:     *pd.prior,
-		}
-		var r finalResult
+		var (
+			r         finalResult
+			rereg     *model.Rereg
+			malicious bool
+		)
 		cur, err := p.lookupCurrent(ctx, pd.name)
 		switch {
 		case err == nil && cur != nil && cur.ID != pd.prior.ID:
-			obs.Rereg = &model.Rereg{Time: cur.Created, RegistrarID: cur.RegistrarID}
+			rereg = &model.Rereg{Time: cur.Created, RegistrarID: cur.RegistrarID}
 			r.delta.Reregistered++
 		case err == nil && cur != nil:
 			return r
 		default:
 			r.delta.NotReregistered++
 		}
-		if obs.Rereg != nil && p.Oracle != nil {
+		if rereg != nil && p.Oracle != nil {
 			r.delta.OracleLookups++
-			mal, err := p.Oracle.Lookup(pd.name)
-			if err != nil {
+			if malicious, err = p.Oracle.Lookup(pd.name); err != nil {
 				r.err = fmt.Errorf("measure: oracle lookup %s: %w", pd.name, err)
 				return r
 			}
-			obs.Malicious = mal
 		}
-		r.obs = obs
+		if rows[i], err = model.NewObservation(pd.name, pd.deleteDay, *pd.prior, rereg, malicious); err != nil {
+			r.err = fmt.Errorf("measure: %w", err)
+			return r
+		}
+		r.keep = true
 		return r
 	})
-	out := make([]*model.Observation, 0, len(collected))
-	for _, r := range results {
+	out := rows[:0]
+	for i, r := range results {
 		p.stats.add(r.delta)
 		if r.err != nil {
 			return nil, r.err
 		}
-		if r.obs != nil {
-			out = append(out, r.obs)
+		if r.keep {
+			out = append(out, rows[i])
 		}
 	}
 	return out, nil
@@ -352,9 +354,9 @@ func (p *Pipeline) lookupCurrent(ctx context.Context, name string) (*model.Prior
 // ReregDelay01 is a tiny helper for callers that need the wall-clock
 // re-registration offset from the Drop start hour, used by Figure 2.
 func ReregDelay01(o *model.Observation, dropStartHour int) (time.Duration, bool) {
-	if o.Rereg == nil {
+	if !o.Reregistered() {
 		return 0, false
 	}
-	start := o.DeleteDay.At(dropStartHour, 0, 0)
-	return o.Rereg.Time.Sub(start), true
+	start := o.DeleteDay().At(dropStartHour, 0, 0)
+	return o.ReregTime().Sub(start), true
 }

@@ -161,32 +161,148 @@ type Rereg struct {
 // Observation is one row of the study dataset: a domain from the pending
 // delete list, its prior registration metadata, and — if the name was taken
 // again — the re-registration event.
+//
+// A study holds millions of these, so the row is a packed value (72 bytes,
+// one pointer word) and a dataset is one contiguous []Observation: instants
+// are Unix seconds — the precision of the RDAP data, of the registry and of
+// the dataset's CSV — registrar IDs are 32 bits wide, the delete day is in
+// simtime.Day.Pack form, and the TLD is read off the name. Rows are built by
+// NewObservation and read through the accessors; two rows are equal exactly
+// when == says so.
 type Observation struct {
-	Name      string
-	TLD       TLD
-	DeleteDay simtime.Day
-	Prior     PriorRegistration
-	// Rereg is nil when the name had not been re-registered by the time of
-	// the second lookup.
-	Rereg *Rereg
-	// Malicious is the Safe Browsing-style label collected ≥9 weeks after
-	// re-registration; always false when Rereg is nil.
-	Malicious bool
+	// Name is the fully qualified, lowercase domain name.
+	Name string
+
+	priorID        uint64
+	priorCreated   int64
+	priorUpdated   int64
+	priorExpiry    int64
+	reregAt        int64 // zero unless flagRereg
+	priorRegistrar int32
+	reregRegistrar int32 // zero unless flagRereg
+	deleteDay      int32
+	flags          uint8
 }
+
+const (
+	flagRereg uint8 = 1 << iota
+	flagMalicious
+)
+
+// NewObservation packs one dataset row. rereg is nil when the name had not
+// been re-registered by the second lookup; malicious is the Safe
+// Browsing-style label collected ≥9 weeks after the re-registration and must
+// be false without one. Instants are stored as whole UTC seconds, fractions
+// dropped. What a row cannot hold exactly — a registrar ID beyond 32 bits, a
+// delete day Pack refuses — is an error.
+func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
+	day, ok := deleteDay.Pack()
+	if !ok {
+		return Observation{}, fmt.Errorf("model: %s: delete day %v not representable", name, deleteDay)
+	}
+	o := Observation{
+		Name:           name,
+		priorID:        prior.ID,
+		priorCreated:   prior.Created.Unix(),
+		priorUpdated:   prior.Updated.Unix(),
+		priorExpiry:    prior.Expiry.Unix(),
+		priorRegistrar: int32(prior.RegistrarID),
+		deleteDay:      day,
+	}
+	switch {
+	case int(o.priorRegistrar) != prior.RegistrarID:
+		return Observation{}, fmt.Errorf("model: %s: registrar ID %d not representable", name, prior.RegistrarID)
+	case rereg == nil && malicious:
+		return Observation{}, fmt.Errorf("model: %s: malicious label without a re-registration", name)
+	case rereg == nil:
+		return o, nil
+	}
+	o.flags = flagRereg
+	o.reregAt = rereg.Time.Unix()
+	o.reregRegistrar = int32(rereg.RegistrarID)
+	if int(o.reregRegistrar) != rereg.RegistrarID {
+		return Observation{}, fmt.Errorf("model: %s: registrar ID %d not representable", name, rereg.RegistrarID)
+	}
+	if malicious {
+		o.flags |= flagMalicious
+	}
+	return o, nil
+}
+
+func unixTime(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
+
+// TLD is the name's suffix, empty when the name has none.
+func (o *Observation) TLD() TLD {
+	tld, _ := TLDOf(o.Name)
+	return tld
+}
+
+// DeleteDay is the scheduled deletion day the pending-delete list announced.
+func (o *Observation) DeleteDay() simtime.Day { return simtime.UnpackDay(o.deleteDay) }
+
+// PriorID is the registry object ID of the expiring registration.
+func (o *Observation) PriorID() uint64 { return o.priorID }
+
+// PriorRegistrar is the IANA ID of the expiring registration's sponsor.
+func (o *Observation) PriorRegistrar() int { return int(o.priorRegistrar) }
+
+// PriorCreated is the expiring registration's creation instant.
+func (o *Observation) PriorCreated() time.Time { return unixTime(o.priorCreated) }
+
+// PriorUpdated is the expiring registration's "last updated" instant, the
+// primary deletion-order key.
+func (o *Observation) PriorUpdated() time.Time { return unixTime(o.priorUpdated) }
+
+// PriorExpiry is the expiring registration's expiration date.
+func (o *Observation) PriorExpiry() time.Time { return unixTime(o.priorExpiry) }
+
+// Prior is the expiring registration's metadata in its unpacked form.
+func (o *Observation) Prior() PriorRegistration {
+	return PriorRegistration{
+		ID:          o.priorID,
+		RegistrarID: int(o.priorRegistrar),
+		Created:     unixTime(o.priorCreated),
+		Updated:     unixTime(o.priorUpdated),
+		Expiry:      unixTime(o.priorExpiry),
+	}
+}
+
+// Reregistered reports whether the second lookup found the name taken again.
+func (o *Observation) Reregistered() bool { return o.flags&flagRereg != 0 }
+
+// ReregTime is the re-registration instant; only meaningful when
+// Reregistered.
+func (o *Observation) ReregTime() time.Time { return unixTime(o.reregAt) }
+
+// ReregRegistrar is the IANA ID of the re-registering accreditation; only
+// meaningful when Reregistered.
+func (o *Observation) ReregRegistrar() int { return int(o.reregRegistrar) }
+
+// Malicious is the Safe Browsing-style label; always false unless
+// Reregistered.
+func (o *Observation) Malicious() bool { return o.flags&flagMalicious != 0 }
 
 // SameDayRereg reports whether the domain was re-registered on its deletion
 // day — the approximation prior work used for "drop-catch".
 func (o *Observation) SameDayRereg() bool {
-	return o.Rereg != nil && simtime.DayOf(o.Rereg.Time) == o.DeleteDay
+	return o.Reregistered() && simtime.DayOf(o.ReregTime()) == o.DeleteDay()
 }
 
 // DeletionEvent is the registry's ground-truth record of one deletion during
 // a Drop. The simulator exports these so the ablation experiments can score
 // the inference model against reality — something the paper could not do.
+// The event's TLD is its name's suffix and is not stored: stores and studies
+// hold one event per deleted name for their whole life.
 type DeletionEvent struct {
 	DomainID uint64
 	Name     string
-	TLD      TLD
 	Time     time.Time // the exact instant the name became available
 	Rank     int       // 0-based position in that day's combined deletion queue
+}
+
+// TLD is the deleted name's TLD. The registry only deletes names it hosts,
+// so the suffix is always present.
+func (e *DeletionEvent) TLD() TLD {
+	tld, _ := TLDOf(e.Name)
+	return tld
 }

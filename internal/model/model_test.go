@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/simtime"
 )
@@ -73,18 +74,112 @@ func TestDomainAgeYears(t *testing.T) {
 	}
 }
 
+func mustObs(t *testing.T, name string, day simtime.Day, prior PriorRegistration, rereg *Rereg, malicious bool) Observation {
+	t.Helper()
+	o, err := NewObservation(name, day, prior, rereg, malicious)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func TestSameDayRereg(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 2}
-	o := &Observation{DeleteDay: day}
+	o := mustObs(t, "a.com", day, PriorRegistration{}, nil, false)
 	if o.SameDayRereg() {
 		t.Fatal("nil rereg counted as same-day")
 	}
-	o.Rereg = &Rereg{Time: day.At(19, 5, 0)}
+	o = mustObs(t, "a.com", day, PriorRegistration{}, &Rereg{Time: day.At(19, 5, 0)}, false)
 	if !o.SameDayRereg() {
 		t.Fatal("same-day rereg not detected")
 	}
-	o.Rereg = &Rereg{Time: day.Next().At(0, 0, 1)}
+	o = mustObs(t, "a.com", day, PriorRegistration{}, &Rereg{Time: day.Next().At(0, 0, 1)}, false)
 	if o.SameDayRereg() {
 		t.Fatal("next-day rereg counted as same-day")
+	}
+}
+
+// TestObservationRowLayout pins the dataset row and the deletion event to
+// the sizes the study's memory budget is built on.
+func TestObservationRowLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Observation{}); got > 80 {
+		t.Fatalf("Observation is %d bytes, budget 80", got)
+	}
+	if got := unsafe.Sizeof(DeletionEvent{}); got > 56 {
+		t.Fatalf("DeletionEvent is %d bytes, budget 56", got)
+	}
+}
+
+// TestObservationRoundTrip checks that every accessor returns what
+// NewObservation was given, at second precision and in UTC.
+func TestObservationRoundTrip(t *testing.T) {
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 2}
+	cet := time.FixedZone("CET", 3600)
+	prior := PriorRegistration{
+		ID:          1<<63 + 5,
+		RegistrarID: 1<<31 - 1,
+		Created:     time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC),
+		Updated:     time.Date(2017, 11, 28, 7, 0, 0, 0, cet),
+		Expiry:      time.Date(2017, 10, 1, 0, 0, 0, 999, time.UTC),
+	}
+	rereg := &Rereg{Time: time.Date(2018, 1, 2, 19, 0, 3, 0, time.UTC), RegistrarID: -7}
+	o := mustObs(t, "shop.example.com", day, prior, rereg, true)
+
+	want := prior
+	want.Updated = prior.Updated.UTC()
+	want.Expiry = prior.Expiry.Truncate(time.Second)
+	if got := o.Prior(); got != want {
+		t.Fatalf("Prior() = %+v, want %+v", got, want)
+	}
+	if o.PriorID() != want.ID || o.PriorRegistrar() != want.RegistrarID ||
+		o.PriorCreated() != want.Created || o.PriorUpdated() != want.Updated || o.PriorExpiry() != want.Expiry {
+		t.Fatalf("per-field accessors disagree with Prior(): %+v", o)
+	}
+	if o.TLD() != COM || o.DeleteDay() != day {
+		t.Fatalf("TLD %q, day %v", o.TLD(), o.DeleteDay())
+	}
+	if !o.Reregistered() || o.ReregTime() != rereg.Time || o.ReregRegistrar() != -7 || !o.Malicious() {
+		t.Fatalf("rereg %v at %v by %d, malicious %v", o.Reregistered(), o.ReregTime(), o.ReregRegistrar(), o.Malicious())
+	}
+	if again := mustObs(t, "shop.example.com", day, o.Prior(), rereg, true); again != o {
+		t.Fatal("a row rebuilt from its own accessors differs")
+	}
+
+	plain := mustObs(t, "nodot", simtime.Day{}, PriorRegistration{}, nil, false)
+	if plain.Reregistered() || plain.Malicious() || plain.TLD() != "" || plain.DeleteDay() != (simtime.Day{}) {
+		t.Fatalf("zero-ish row: %+v", plain)
+	}
+	if !plain.PriorCreated().IsZero() {
+		t.Fatalf("the zero instant came back as %v", plain.PriorCreated())
+	}
+}
+
+func TestNewObservationRefusesUnrepresentable(t *testing.T) {
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 2}
+	cases := map[string]func() (Observation, error){
+		"prior registrar beyond int32": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{RegistrarID: 1 << 31}, nil, false)
+		},
+		"rereg registrar beyond int32": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{}, &Rereg{RegistrarID: -(1 << 31) - 1}, false)
+		},
+		"delete day beyond the packed range": func() (Observation, error) {
+			return NewObservation("a.com", simtime.Day{Year: 1 << 21, Month: 1, Dom: 1}, PriorRegistration{}, nil, false)
+		},
+		"malicious without a re-registration": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{}, nil, true)
+		},
+	}
+	for name, build := range cases {
+		if _, err := build(); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+}
+
+func TestDeletionEventTLD(t *testing.T) {
+	ev := DeletionEvent{Name: "a.b.net"}
+	if ev.TLD() != NET {
+		t.Fatalf("TLD() = %q", ev.TLD())
 	}
 }

@@ -50,7 +50,7 @@ func (p duePolicy) dueDay(r *record) simtime.Day {
 	case model.StatusRedemption:
 		return simtime.DayOf(unixTime(r.updated).AddDate(0, 0, p.redemptionDays))
 	default:
-		return unpackDay(r.deleteDay)
+		return simtime.UnpackDay(r.deleteDay)
 	}
 }
 

@@ -28,7 +28,7 @@ type record struct {
 	updated   int64
 	expiry    int64
 	registrar int32
-	deleteDay int32 // packDay form; 0 = no deletion scheduled
+	deleteDay int32 // simtime.Day.Pack form; 0 = no deletion scheduled
 	pos       int32 // index in its due bucket (dueIndex), maintained by add/remove
 	status    model.Status
 	tldLen    uint8
@@ -86,7 +86,7 @@ func (r *record) domain() model.Domain {
 		Updated:     unixTime(r.updated),
 		Expiry:      unixTime(r.expiry),
 		Status:      r.status,
-		DeleteDay:   unpackDay(r.deleteDay),
+		DeleteDay:   simtime.UnpackDay(r.deleteDay),
 	}
 }
 
@@ -112,17 +112,13 @@ func unixSeconds(t time.Time) (int64, error) {
 // unixTime is the inverse of unixSeconds, in UTC.
 func unixTime(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
-// packDay packs a calendar day as year<<9 | month<<5 | dom. The zero Day
-// packs to 0, and packed values order like Day.Compare.
+// packDay is the day in its stored form (simtime.Day.Pack; 0 = the zero Day).
 func packDay(d simtime.Day) (int32, error) {
-	if d.Year < -(1<<21) || d.Year >= 1<<21 || d.Month < 0 || d.Month > 15 || d.Dom < 0 || d.Dom > 31 {
+	p, ok := d.Pack()
+	if !ok {
 		return 0, fmt.Errorf("%w: delete day %v", errUnrepresentable, d)
 	}
-	return int32(d.Year)<<9 | int32(d.Month)<<5 | int32(d.Dom), nil
-}
-
-func unpackDay(p int32) simtime.Day {
-	return simtime.Day{Year: int(p >> 9), Month: time.Month(p >> 5 & 15), Dom: int(p & 31)}
+	return p, nil
 }
 
 // authState says where a registration's transfer authorisation code comes

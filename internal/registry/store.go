@@ -767,7 +767,7 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 // before the slot is released: r is dead once remove returns (see table).
 // The caller holds sh's write lock.
 func (sh *shard) remove(r *record, ref uint32, at time.Time, rank int) model.DeletionEvent {
-	ev := model.DeletionEvent{DomainID: r.id, Name: r.name, TLD: r.tld(), Time: at, Rank: rank}
+	ev := model.DeletionEvent{DomainID: r.id, Name: r.name, Time: at, Rank: rank}
 	sh.dueRemove(r, ref)
 	sh.dropAuth(r)
 	sh.tab.del(ref)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"slices"
 	"strconv"
+	"strings"
 	"time"
 
 	"dropzero/internal/model"
@@ -38,19 +39,23 @@ func (r *Result) ZoneDelays() []ZoneDelay {
 		}
 	}
 	var out []ZoneDelay
-	for name, truth := range r.Truths {
-		if truth.Claim == nil {
-			continue
+	for day, truths := range r.Truths {
+		events := r.Deletions[day]
+		for k, truth := range truths {
+			if truth.Claim == nil {
+				continue
+			}
+			name := events[k].Name
+			tld, ok := model.TLDOf(name)
+			if !ok {
+				continue
+			}
+			zn, ok := zoneOf[string(tld)]
+			if !ok {
+				continue
+			}
+			out = append(out, ZoneDelay{Zone: zn, Policy: policyOf[zn], Name: name, Delay: truth.Claim.Delay})
 		}
-		tld, ok := model.TLDOf(name)
-		if !ok {
-			continue
-		}
-		zn, ok := zoneOf[string(tld)]
-		if !ok {
-			continue
-		}
-		out = append(out, ZoneDelay{Zone: zn, Policy: policyOf[zn], Name: name, Delay: truth.Claim.Delay})
 	}
 	slices.SortFunc(out, func(a, b ZoneDelay) int {
 		if c := cmp.Compare(a.Zone, b.Zone); c != 0 {
@@ -64,11 +69,13 @@ func (r *Result) ZoneDelays() []ZoneDelay {
 	return out
 }
 
+var zoneDelaysHeader = []string{"zone", "policy", "name", "delay_seconds"}
+
 // WriteZoneDelaysCSV writes rows in the dropsim/dropanalyze interchange
 // format: zone,policy,name,delay_seconds.
 func WriteZoneDelaysCSV(w io.Writer, rows []ZoneDelay) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("zone,policy,name,delay_seconds\n"); err != nil {
+	if _, err := bw.WriteString(strings.Join(zoneDelaysHeader, ",") + "\n"); err != nil {
 		return err
 	}
 	for _, row := range rows {
@@ -88,8 +95,8 @@ func ReadZoneDelaysCSV(r io.Reader) ([]ZoneDelay, error) {
 	if err != nil {
 		return nil, err
 	}
-	if len(recs) == 0 || recs[0][0] != "zone" {
-		return nil, fmt.Errorf("sim: zone-delay CSV missing header")
+	if len(recs) == 0 || !slices.Equal(recs[0], zoneDelaysHeader) {
+		return nil, fmt.Errorf("sim: zone-delay CSV missing header %v", zoneDelaysHeader)
 	}
 	out := make([]ZoneDelay, 0, len(recs)-1)
 	for _, rec := range recs[1:] {

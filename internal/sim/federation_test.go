@@ -157,23 +157,25 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 		t.Fatalf("observation counts differ: %d vs %d", len(base.Observations), len(fed.Observations))
 	}
 	for i := range base.Observations {
-		a, b := base.Observations[i], fed.Observations[i]
+		a, b := &base.Observations[i], &fed.Observations[i]
 		if a.Name != b.Name {
 			t.Fatalf("observation %d: %s vs %s", i, a.Name, b.Name)
 		}
-		if (a.Rereg == nil) != (b.Rereg == nil) {
+		if a.Reregistered() != b.Reregistered() {
 			t.Fatalf("observation %s: re-registration presence differs", a.Name)
 		}
-		if a.Rereg != nil && !a.Rereg.Time.Equal(b.Rereg.Time) {
+		if a.Reregistered() && !a.ReregTime().Equal(b.ReregTime()) {
 			t.Fatalf("observation %s: re-registration instant differs", a.Name)
 		}
 	}
 
 	// Extra-zone names get market verdicts of their own.
 	truths := 0
-	for name := range fed.Truths {
-		if tld, _ := model.TLDOf(name); tld == "se" || tld == "nu" || tld == "io" {
-			truths++
+	for day, evs := range fed.Deletions {
+		for k, ev := range evs {
+			if tld := ev.TLD(); (tld == "se" || tld == "nu" || tld == "io") && k < len(fed.Truths[day]) {
+				truths++
+			}
 		}
 	}
 	if truths == 0 {

@@ -1,0 +1,190 @@
+package sim
+
+import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"io"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"dropzero/internal/inproc"
+	"dropzero/internal/measure"
+	"dropzero/internal/model"
+	"dropzero/internal/rdap"
+	"dropzero/internal/registry"
+	"dropzero/internal/safebrowsing"
+	"dropzero/internal/simtime"
+)
+
+// TestMain fixes the order in which this process first shows its two
+// journaled types to encoding/gob. A gob stream names types by IDs handed
+// out process-wide on first use, so the bytes encodeCheckpoint writes shift
+// when some other type met gob first (a registrar blob, say). The golden
+// files below were written by a process that encoded a checkpoint, then a
+// day record, before anything else; this makes every run of this package's
+// tests such a process, under any -run selection or -shuffle order.
+func TestMain(m *testing.M) {
+	if err := gob.NewEncoder(io.Discard).Encode(&checkpoint{}); err != nil {
+		panic(err)
+	}
+	if err := gob.NewEncoder(io.Discard).Encode(&dayRecord{}); err != nil {
+		panic(err)
+	}
+	os.Exit(m.Run())
+}
+
+// goldenState is a tiny study interrupted after its first day: one snapshot
+// checkpoint and one later day record, touching every field the two gob
+// blobs carry — resolved and unresolved entries, a non-.com TLD, every
+// counter.
+func goldenState() (*checkpoint, *dayRecord) {
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 4}
+	prior := func(id uint64, registrar, offset int) *model.PriorRegistration {
+		updated := day.AddDays(-35).At(6, 30, offset)
+		return &model.PriorRegistration{
+			ID:          id,
+			RegistrarID: registrar,
+			Created:     updated.AddDate(-2, 0, 0),
+			Updated:     updated,
+			Expiry:      updated.AddDate(0, 0, -30),
+		}
+	}
+	cp := &checkpoint{
+		CollectedDays: 1,
+		Pipeline: measure.PipelineState{
+			Pending: []measure.PendingEntry{
+				{Name: "gone.com", TLD: model.COM, DeleteDay: day, Prior: prior(11, 1000, 0)},
+				{Name: "kept.com", TLD: model.COM, DeleteDay: day, Prior: prior(12, 1000, 1)},
+				{Name: "other.net", TLD: model.NET, DeleteDay: day.Next(), Prior: prior(13, 1727, 2)},
+				{Name: "restored.com", TLD: model.COM, DeleteDay: day, Prior: prior(1, 1000, 3)},
+				{Name: "unresolved.com", TLD: model.COM, DeleteDay: day.Next()},
+			},
+			Stats: measure.Stats{ListEntries: 5, Lookups: 6, RDAPErrors: 1, WHOISFallbacks: 1, FallbackFailed: 1},
+		},
+	}
+	rec := &dayRecord{
+		Day: 1,
+		Delta: measure.CollectDelta{
+			Day:   day.AddDays(-2),
+			Added: []measure.PendingEntry{{Name: "late.com", TLD: model.COM, DeleteDay: day.AddDays(2)}},
+			Resolved: []measure.PendingEntry{
+				{Name: "late.com", TLD: model.COM, DeleteDay: day.AddDays(2), Prior: prior(14, 1000, 4)},
+				{Name: "unresolved.com", TLD: model.COM, DeleteDay: day.Next(), Prior: prior(15, 1727, 5)},
+			},
+			Stats: measure.Stats{ListEntries: 1, Lookups: 2},
+		},
+	}
+	return cp, rec
+}
+
+// finishGoldenStudy resumes a pipeline from the two blobs' contents and runs
+// the T+8-weeks pass against a registry in which restored.com still is the
+// registration first seen, kept.com and late.com have been re-registered
+// (late.com flagged by the oracle) and the other names are free.
+func finishGoldenStudy(t *testing.T, cp *checkpoint, rec *dayRecord) []byte {
+	t.Helper()
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 4}
+	clock := simtime.NewSimClock(day.AddDays(-40).At(9, 0, 0))
+	store := registry.NewStore(clock)
+	for _, id := range []int{1000, 1727, 2000} {
+		store.AddRegistrar(model.Registrar{IANAID: id})
+	}
+	restored := cp.Pipeline.Pending[3].Prior
+	if d, err := store.SeedAt("restored.com", restored.RegistrarID, restored.Created, restored.Updated,
+		restored.Expiry.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil || d.ID != restored.ID {
+		t.Fatalf("seed restored.com: %+v, %v", d, err)
+	}
+	for _, c := range []struct {
+		name      string
+		registrar int
+		at        time.Time
+	}{
+		{"kept.com", 2000, day.At(19, 0, 7)},
+		{"late.com", 1727, day.AddDays(3).At(8, 15, 0)},
+	} {
+		if _, err := store.CreateAt(c.name, c.registrar, 1, c.at); err != nil {
+			t.Fatal(err)
+		}
+	}
+	oracle := safebrowsing.NewOracle()
+	oracle.Set("late.com", true)
+	rdapClient, err := rdap.NewClient("http://rdap.test", inproc.Client(rdap.NewServer(store, rdap.ServerConfig{}).Handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracleClient, err := safebrowsing.NewClient("http://oracle.test", inproc.Client(oracle.Handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := &measure.Pipeline{RDAP: rdapClient, Oracle: oracleClient, TLDFilter: model.COM, Parallelism: 1}
+	pipe.Restore(cp.Pipeline)
+	if err := pipe.ApplyDelta(&rec.Delta); err != nil {
+		t.Fatal(err)
+	}
+	clock.Set(day.AddDays(60).At(12, 0, 0))
+	obs, err := pipe.Finalize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := measure.WriteCSV(&csv, obs); err != nil {
+		t.Fatal(err)
+	}
+	return csv.Bytes()
+}
+
+// TestCheckpointFormatGolden guards the two gob blobs a study's -datadir
+// holds — the snapshot checkpoint and the per-day record — against the
+// dataset's in-memory layout: the files under testdata/ were written by the
+// last commit before observations became packed rows (PR 17, 8376faf),
+// running goldenState through its encodeCheckpoint/encodeDayRecord and
+// finishGoldenStudy. This build must write those bytes, read them back to
+// the same state, and finish the study they hold to the same CSV.
+func TestCheckpointFormatGolden(t *testing.T) {
+	golden := func(name string) []byte {
+		data, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	cp, rec := goldenState()
+
+	gotCP, err := encodeCheckpoint(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := golden("checkpoint.gob"); !bytes.Equal(gotCP, want) {
+		t.Errorf("encodeCheckpoint wrote %d bytes that differ from the %d golden ones", len(gotCP), len(want))
+	}
+	gotRec, err := encodeDayRecord(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := golden("dayrecord.gob"); !bytes.Equal(gotRec, want) {
+		t.Errorf("encodeDayRecord wrote %d bytes that differ from the %d golden ones", len(gotRec), len(want))
+	}
+
+	oldCP, err := decodeCheckpoint(golden("checkpoint.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(oldCP, cp) {
+		t.Errorf("golden checkpoint decodes to\n%+v\nwant\n%+v", oldCP, cp)
+	}
+	oldRec, err := decodeDayRecord(golden("dayrecord.gob"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(oldRec, rec) {
+		t.Errorf("golden day record decodes to\n%+v\nwant\n%+v", oldRec, rec)
+	}
+
+	if got, want := finishGoldenStudy(t, oldCP, oldRec), golden("resumed.csv"); !bytes.Equal(got, want) {
+		t.Errorf("the resumed study's dataset differs from the parent's:\n%s\nwant:\n%s", got, want)
+	}
+}

@@ -50,24 +50,24 @@ func resultDump(t *testing.T, res *Result) string {
 			d, len(evs), res.DropEnd[d].UTC().Format(time.RFC3339Nano))
 		for _, ev := range evs {
 			fmt.Fprintf(&b, "  %s %s id=%d rank=%d t=%s\n",
-				ev.Name, ev.TLD, ev.DomainID, ev.Rank, ev.Time.UTC().Format(time.RFC3339Nano))
+				ev.Name, ev.TLD(), ev.DomainID, ev.Rank, ev.Time.UTC().Format(time.RFC3339Nano))
 		}
 	}
 
-	names := make([]string, 0, len(res.Truths))
-	for n := range res.Truths {
-		names = append(names, n)
-	}
-	sort.Strings(names)
 	b.WriteString("== truths ==\n")
-	for _, n := range names {
-		tr := res.Truths[n]
-		fmt.Fprintf(&b, "%s value=%.6f age=%d deleted=%s",
-			n, tr.Value, tr.AgeYears, tr.DeletedAt.UTC().Format(time.RFC3339Nano))
-		if tr.Claim != nil {
-			fmt.Fprintf(&b, " claim=%s/%d delay=%s", tr.Claim.Service, tr.Claim.RegistrarID, tr.Claim.Delay)
+	for _, d := range days {
+		if len(res.Truths[d]) != len(res.Deletions[d]) {
+			t.Fatalf("day %s: %d truths for %d deletions", d, len(res.Truths[d]), len(res.Deletions[d]))
 		}
-		b.WriteByte('\n')
+		for k, tr := range res.Truths[d] {
+			ev := res.Deletions[d][k]
+			fmt.Fprintf(&b, "%s value=%.6f age=%d deleted=%s",
+				ev.Name, tr.Value, tr.AgeYears, ev.Time.UTC().Format(time.RFC3339Nano))
+			if tr.Claim != nil {
+				fmt.Fprintf(&b, " claim=%s/%d delay=%s", tr.Claim.Service, tr.Claim.RegistrarID, tr.Claim.Delay)
+			}
+			b.WriteByte('\n')
+		}
 	}
 	fmt.Fprintf(&b, "== stats ==\n%+v\n", res.PipelineStats)
 	return b.String()

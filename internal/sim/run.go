@@ -23,15 +23,15 @@ import (
 	"dropzero/internal/zone"
 )
 
-// Truth is the simulator's ground truth for one domain, used only by the
-// inference-accuracy ablations and calibration tests.
+// Truth is the simulator's ground truth for one deletion, used only by the
+// inference-accuracy ablations and calibration tests. It carries no name and
+// no instant of its own: Result.Truths[d][k] describes Result.Deletions[d][k],
+// whose Name and Time they are.
 type Truth struct {
 	Value    float64
 	AgeYears int
 	// Claim is nil when the market left the name unregistered.
 	Claim *registrars.Claim
-	// DeletedAt is the exact instant the registry made the name available.
-	DeletedAt time.Time
 }
 
 // Result is everything a study produces.
@@ -41,8 +41,8 @@ type Result struct {
 	// .com/.net zone followed by Config.Zones' extra zones.
 	Zones []zone.Config
 	// Observations is the measured dataset: every .com domain from the
-	// pending delete lists with collected prior metadata.
-	Observations []*model.Observation
+	// pending delete lists with collected prior metadata, sorted by name.
+	Observations []model.Observation
 	// Deletions is the registry's ground-truth event log per day, every
 	// zone combined in zone-drop order (within a day, zones appear in
 	// drop-start order; pre-federation runs are .com and .net combined, in
@@ -50,8 +50,10 @@ type Result struct {
 	Deletions map[simtime.Day][]model.DeletionEvent
 	// DropEnd is the true end of each day's Drop.
 	DropEnd map[simtime.Day]time.Time
-	// Truths is ground truth by domain name.
-	Truths map[string]Truth
+	// Truths is ground truth joined to Deletions by position: for every day
+	// d, len(Truths[d]) == len(Deletions[d]) and Truths[d][k] is the truth of
+	// the deletion Deletions[d][k].
+	Truths map[simtime.Day][]Truth
 	// Directory is the registrar ecosystem (carries ground-truth Service
 	// labels for scoring the contact clustering).
 	Directory *registrars.Directory
@@ -95,7 +97,7 @@ func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.D
 	}
 	var out []model.DeletionEvent
 	for _, ev := range evs {
-		if scope[ev.TLD] {
+		if scope[ev.TLD()] {
 			out = append(out, ev)
 		}
 	}
@@ -332,7 +334,7 @@ func Run(cfg Config) (*Result, error) {
 		Zones:      store.Zones(),
 		Deletions:  make(map[simtime.Day][]model.DeletionEvent, cfg.Days),
 		DropEnd:    make(map[simtime.Day]time.Time, cfg.Days),
-		Truths:     make(map[string]Truth, len(meta)),
+		Truths:     make(map[simtime.Day][]Truth, cfg.Days),
 		Directory:  dir,
 		Registrars: dir.Registrars(),
 		Recovered:  rec,
@@ -385,7 +387,11 @@ func Run(cfg Config) (*Result, error) {
 		// re-created.
 		archivedAll := store.Deletions(day)
 		var (
+			// The day's events and truths, every lane's run appended in
+			// place: each slice is grown once per lane to that lane's queue
+			// length, and a lane's own events are the tail it appended.
 			dayEvents []model.DeletionEvent
+			dayTruths []Truth
 			dayEnd    time.Time
 			creates   []pendingCreate
 		)
@@ -394,7 +400,7 @@ func Run(cfg Config) (*Result, error) {
 			remaining := lane.runner.BuildQueue(day)
 			queue := make([]registry.QueueEntry, 0, len(archived)+len(remaining))
 			for _, ev := range archived {
-				queue = append(queue, registry.QueueEntry{Name: ev.Name, TLD: ev.TLD, ID: ev.DomainID})
+				queue = append(queue, registry.QueueEntry{Name: ev.Name, TLD: ev.TLD(), ID: ev.DomainID})
 			}
 			queue = append(queue, remaining...)
 			// Deletion instants are explicit in the schedule, so the shared
@@ -413,19 +419,21 @@ func Run(cfg Config) (*Result, error) {
 						k, day, ev.Name, ev.Time, sched[k].Name, sched[k].Time)
 				}
 			}
-			events := slices.Clip(archived)
+			first := len(dayEvents)
+			dayEvents = append(slices.Grow(dayEvents, len(sched)), archived...)
 			for _, s := range sched[len(archived):] {
 				ev, err := lane.runner.Apply(s)
 				if err != nil {
 					return nil, err
 				}
-				events = append(events, ev)
+				dayEvents = append(dayEvents, ev)
 			}
-			dayEvents = append(dayEvents, events...)
+			events := dayEvents[first:]
 			dropEnd := registry.EndTime(events)
 			if dropEnd.After(dayEnd) {
 				dayEnd = dropEnd
 			}
+			dayTruths = slices.Grow(dayTruths, len(events))
 			for _, ev := range events {
 				m := meta[ev.Name]
 				lot := registrars.Lot{
@@ -436,12 +444,7 @@ func Run(cfg Config) (*Result, error) {
 					DropEnd:   dropEnd,
 				}
 				claim := lane.market.Decide(lot)
-				res.Truths[ev.Name] = Truth{
-					Value:     m.value,
-					AgeYears:  m.ageYears,
-					Claim:     claim,
-					DeletedAt: ev.Time,
-				}
+				dayTruths = append(dayTruths, Truth{Value: m.value, AgeYears: m.ageYears, Claim: claim})
 				if claim == nil {
 					continue
 				}
@@ -449,6 +452,7 @@ func Run(cfg Config) (*Result, error) {
 			}
 		}
 		res.Deletions[day] = dayEvents
+		res.Truths[day] = dayTruths
 		res.DropEnd[day] = dayEnd
 		slices.SortStableFunc(creates, func(a, b pendingCreate) int { return a.at.Compare(b.at) })
 		for _, c := range creates {
@@ -495,7 +499,6 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	slices.SortFunc(obs, func(a, b *model.Observation) int { return strings.Compare(a.Name, b.Name) })
 	res.Observations = obs
 	res.PipelineStats = pipeline.Stats()
 	if journaled {

@@ -57,23 +57,49 @@ func TestRunProducesWellFormedObservations(t *testing.T) {
 	if len(res.Observations) == 0 {
 		t.Fatal("no observations")
 	}
-	for _, o := range res.Observations {
-		if o.TLD != model.COM {
+	for i := range res.Observations {
+		o := &res.Observations[i]
+		if o.TLD() != model.COM {
 			t.Fatalf("non-.com observation %s (lookups are restricted to .com)", o.Name)
 		}
-		if o.Prior.ID == 0 || o.Prior.Updated.IsZero() || o.Prior.Created.IsZero() {
-			t.Fatalf("incomplete prior metadata: %+v", o.Prior)
+		if o.PriorID() == 0 || o.PriorUpdated().IsZero() || o.PriorCreated().IsZero() {
+			t.Fatalf("incomplete prior metadata: %+v", o.Prior())
 		}
-		if !o.Prior.Created.Before(o.Prior.Updated) {
-			t.Fatalf("%s created %v after updated %v", o.Name, o.Prior.Created, o.Prior.Updated)
+		if !o.PriorCreated().Before(o.PriorUpdated()) {
+			t.Fatalf("%s created %v after updated %v", o.Name, o.PriorCreated(), o.PriorUpdated())
 		}
-		if o.Rereg != nil {
-			dropStart := o.DeleteDay.At(19, 0, 0)
-			if o.Rereg.Time.Before(dropStart) {
-				t.Fatalf("%s re-registered at %v, before the Drop", o.Name, o.Rereg.Time)
+		if o.Reregistered() {
+			dropStart := o.DeleteDay().At(19, 0, 0)
+			if o.ReregTime().Before(dropStart) {
+				t.Fatalf("%s re-registered at %v, before the Drop", o.Name, o.ReregTime())
 			}
 		}
+		if i > 0 && res.Observations[i-1].Name >= o.Name {
+			t.Fatalf("dataset not sorted by name at row %d: %s then %s", i, res.Observations[i-1].Name, o.Name)
+		}
 	}
+}
+
+// datedTruth is a Truth with the instant of the deletion it belongs to.
+type datedTruth struct {
+	Truth
+	DeletedAt time.Time
+}
+
+// truthByName joins the per-day truth slices back to names through the
+// deletion log they are index-aligned with.
+func truthByName(t *testing.T, res *Result) map[string]datedTruth {
+	t.Helper()
+	out := make(map[string]datedTruth)
+	for day, evs := range res.Deletions {
+		if len(res.Truths[day]) != len(evs) {
+			t.Fatalf("day %v: %d truths for %d deletions", day, len(res.Truths[day]), len(evs))
+		}
+		for k, ev := range evs {
+			out[ev.Name] = datedTruth{res.Truths[day][k], ev.Time}
+		}
+	}
+	return out
 }
 
 func TestRunGroundTruthConsistency(t *testing.T) {
@@ -97,20 +123,22 @@ func TestRunGroundTruthConsistency(t *testing.T) {
 		}
 	}
 	// Observed re-registrations must match ground-truth claims.
-	for _, o := range res.Observations {
-		truth, ok := res.Truths[o.Name]
+	truths := truthByName(t, res)
+	for i := range res.Observations {
+		o := &res.Observations[i]
+		truth, ok := truths[o.Name]
 		if !ok {
 			t.Fatalf("no ground truth for %s", o.Name)
 		}
-		if (o.Rereg != nil) != (truth.Claim != nil) {
-			t.Fatalf("%s rereg presence mismatch: obs=%v truth=%v", o.Name, o.Rereg != nil, truth.Claim != nil)
+		if o.Reregistered() != (truth.Claim != nil) {
+			t.Fatalf("%s rereg presence mismatch: obs=%v truth=%v", o.Name, o.Reregistered(), truth.Claim != nil)
 		}
-		if o.Rereg != nil {
+		if o.Reregistered() {
 			wantAt := simtime.Trunc(truth.DeletedAt.Add(truth.Claim.Delay))
-			if !o.Rereg.Time.Equal(wantAt) {
-				t.Fatalf("%s observed rereg %v != truth %v", o.Name, o.Rereg.Time, wantAt)
+			if !o.ReregTime().Equal(wantAt) {
+				t.Fatalf("%s observed rereg %v != truth %v", o.Name, o.ReregTime(), wantAt)
 			}
-			if svc := res.Directory.ServiceOf(o.Rereg.RegistrarID); svc != truth.Claim.Service {
+			if svc := res.Directory.ServiceOf(o.ReregRegistrar()); svc != truth.Claim.Service {
 				t.Fatalf("%s rereg service %q != claim %q", o.Name, svc, truth.Claim.Service)
 			}
 		}
@@ -125,7 +153,7 @@ func TestRunNetDomainsInterleaved(t *testing.T) {
 	netSeen := false
 	for _, events := range res.Deletions {
 		for _, ev := range events {
-			if ev.TLD == model.NET {
+			if ev.TLD() == model.NET {
 				netSeen = true
 			}
 		}
@@ -135,7 +163,7 @@ func TestRunNetDomainsInterleaved(t *testing.T) {
 	}
 	// But none in the measured dataset (lookups restricted to .com).
 	for _, o := range res.Observations {
-		if o.TLD == model.NET {
+		if o.TLD() == model.NET {
 			t.Fatalf(".net domain %s in dataset", o.Name)
 		}
 	}

@@ -30,7 +30,7 @@ func TestRunSmoke(t *testing.T) {
 	sameDay := 0
 	for _, o := range res.Observations {
 		total++
-		if o.Rereg != nil {
+		if o.Reregistered() {
 			rereg++
 			if o.SameDayRereg() {
 				sameDay++
@@ -79,15 +79,8 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatalf("observation counts differ: %d vs %d", len(a.Observations), len(b.Observations))
 	}
 	for i := range a.Observations {
-		oa, ob := a.Observations[i], b.Observations[i]
-		if oa.Name != ob.Name || oa.Prior != ob.Prior {
+		if oa, ob := a.Observations[i], b.Observations[i]; oa != ob {
 			t.Fatalf("observation %d differs: %+v vs %+v", i, oa, ob)
-		}
-		if (oa.Rereg == nil) != (ob.Rereg == nil) {
-			t.Fatalf("rereg presence differs for %s", oa.Name)
-		}
-		if oa.Rereg != nil && !oa.Rereg.Time.Equal(ob.Rereg.Time) {
-			t.Fatalf("rereg time differs for %s: %v vs %v", oa.Name, oa.Rereg.Time, ob.Rereg.Time)
 		}
 	}
 	_ = time.Second

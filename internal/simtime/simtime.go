@@ -124,6 +124,23 @@ func (d Day) Compare(other Day) int {
 	return d.Dom - other.Dom
 }
 
+// Pack returns d in 32 bits as year<<9 | month<<5 | dom, and whether d fits
+// (|year| < 2^21, month ≤ 15, dom ≤ 31 — every calendar day does). The zero
+// Day packs to 0, packed values order like Compare, and UnpackDay returns
+// exactly d: the form a day takes in the registry's records and in the study
+// dataset's rows.
+func (d Day) Pack() (int32, bool) {
+	if d.Year < -(1<<21) || d.Year >= 1<<21 || d.Month < 0 || d.Month > 15 || d.Dom < 0 || d.Dom > 31 {
+		return 0, false
+	}
+	return int32(d.Year)<<9 | int32(d.Month)<<5 | int32(d.Dom), true
+}
+
+// UnpackDay is the inverse of Pack.
+func UnpackDay(p int32) Day {
+	return Day{Year: int(p >> 9), Month: time.Month(p >> 5 & 15), Dom: int(p & 31)}
+}
+
 // String formats the day as YYYY-MM-DD.
 func (d Day) String() string {
 	return fmt.Sprintf("%04d-%02d-%02d", d.Year, int(d.Month), d.Dom)

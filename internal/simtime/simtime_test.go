@@ -157,6 +157,49 @@ func TestDayString(t *testing.T) {
 	}
 }
 
+func TestDayPackRoundTripAndOrder(t *testing.T) {
+	days := []Day{
+		{},
+		{Year: -(1 << 21), Month: 1, Dom: 1},
+		{Year: -1, Month: 12, Dom: 31},
+		{Year: 0, Month: 1, Dom: 1},
+		{Year: 2017, Month: 12, Dom: 31},
+		{Year: 2018, Month: 1, Dom: 1},
+		{Year: 2018, Month: 1, Dom: 2},
+		{Year: 9999, Month: 12, Dom: 31},
+		{Year: 1<<21 - 1, Month: 12, Dom: 31},
+	}
+	packed := make([]int32, len(days))
+	for i, d := range days {
+		p, ok := d.Pack()
+		if !ok {
+			t.Fatalf("%v does not pack", d)
+		}
+		if got := UnpackDay(p); got != d {
+			t.Fatalf("UnpackDay(Pack(%v)) = %v", d, got)
+		}
+		packed[i] = p
+	}
+	if packed[0] != 0 {
+		t.Fatalf("the zero Day packs to %d", packed[0])
+	}
+	// Calendar days (everything after the zero Day) order like Compare.
+	for i := 2; i < len(days); i++ {
+		if !(packed[i-1] < packed[i]) || days[i-1].Compare(days[i]) >= 0 {
+			t.Fatalf("%v (%d) and %v (%d) out of order", days[i-1], packed[i-1], days[i], packed[i])
+		}
+	}
+	for _, d := range []Day{
+		{Year: 1 << 21, Month: 1, Dom: 1}, {Year: -(1 << 21) - 1, Month: 1, Dom: 1},
+		{Year: 2018, Month: 16, Dom: 1}, {Year: 2018, Month: -1, Dom: 1},
+		{Year: 2018, Month: 1, Dom: 32}, {Year: 2018, Month: 1, Dom: -1},
+	} {
+		if _, ok := d.Pack(); ok {
+			t.Errorf("%+v packs", d)
+		}
+	}
+}
+
 func TestTrunc(t *testing.T) {
 	ts := time.Date(2018, 1, 1, 12, 0, 0, 999999999, time.UTC)
 	if got := Trunc(ts); got.Nanosecond() != 0 || got.Second() != 0 {
