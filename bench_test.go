@@ -642,9 +642,8 @@ func newPipelineBenchWorldShards(b *testing.B, n, shards int) *pipelineBenchWorl
 }
 
 // latencyHandler adds a fixed service delay to every request, modelling the
-// network round-trip the in-proc transport otherwise skips. On the real
-// wire, per-lookup latency — not CPU — is what the worker pool hides, so
-// the throughput comparison is meaningless without it.
+// network round trip a loopback connection does not have. On the real wire,
+// per-lookup latency — not CPU — is what the worker pool hides.
 type latencyHandler struct {
 	h   http.Handler
 	rtt time.Duration
@@ -655,11 +654,13 @@ func (l latencyHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	l.h.ServeHTTP(w, r)
 }
 
-// BenchmarkPipelineThroughput measures CollectDaily lookup fan-out:
-// sequential vs an 8-worker pool, over the in-proc RDAP transport (with a
-// simulated 300 µs RTT) and over real TCP. The parallel variants must
-// sustain several times the sequential lookups/sec; datasets stay
-// byte-identical (see sim.TestRunDeterministicAcrossParallelism).
+// BenchmarkPipelineThroughput measures CollectDaily lookup fan-out,
+// sequential vs an 8-worker pool: with the RDAP client bound to the server,
+// as sim.Run has it — CPU-bound, so the pool gains what the cores allow —
+// over real TCP, and over TCP with a simulated 300 µs RTT, where the pool
+// hides the round trip and must sustain several times the sequential
+// lookups/sec. Datasets stay byte-identical (see
+// sim.TestRunDeterministicAcrossParallelism).
 func BenchmarkPipelineThroughput(b *testing.B) {
 	const nDomains = 300
 	const rtt = 300 * time.Microsecond
@@ -689,14 +690,9 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 		b.ReportMetric(float64(lookups)/b.Elapsed().Seconds(), "lookups/sec")
 	}
 
-	rdapSrv := rdap.NewServer(world.store, rdap.ServerConfig{})
-	inprocClient, err := rdap.NewClient("http://rdap.bench",
-		inproc.Client(latencyHandler{h: rdapSrv.Handler(), rtt: rtt}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("inproc/seq", func(b *testing.B) { run(b, inprocClient, 1) })
-	b.Run("inproc/par8", func(b *testing.B) { run(b, inprocClient, 8) })
+	boundClient := rdap.NewBoundClient(rdap.NewServer(world.store, rdap.ServerConfig{}))
+	b.Run("bound/seq", func(b *testing.B) { run(b, boundClient, 1) })
+	b.Run("bound/par8", func(b *testing.B) { run(b, boundClient, 8) })
 
 	tcpSrv := rdap.NewServer(world.store, rdap.ServerConfig{})
 	addr, err := tcpSrv.Listen("127.0.0.1:0")
@@ -710,6 +706,15 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 	b.Run("tcp/seq", func(b *testing.B) { run(b, tcpClient, 1) })
 	b.Run("tcp/par8", func(b *testing.B) { run(b, tcpClient, 8) })
+
+	rttSrv := httptest.NewServer(latencyHandler{h: tcpSrv.Handler(), rtt: rtt})
+	defer rttSrv.Close()
+	rttClient, err := rdap.NewClient(rttSrv.URL, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("tcp+rtt/seq", func(b *testing.B) { run(b, rttClient, 1) })
+	b.Run("tcp+rtt/par8", func(b *testing.B) { run(b, rttClient, 8) })
 }
 
 // --- serving-path benchmarks ---------------------------------------------

@@ -1,11 +1,11 @@
 // Package inproc adapts an http.Handler into an http.RoundTripper, letting
 // HTTP clients exercise a server's full handler stack without TCP sockets.
-// Large simulations use it to run millions of RDAP, list and oracle lookups
-// through the real serialisation code at memory speed: sim.Run reaches the
-// RDAP server, the dropscope list server and the Safe-Browsing oracle this
-// way, and WHOIS — a line protocol, not HTTP — is the one surface it still
-// dials. The TCP path stays in use by the integration tests, the examples
-// and cmd/dropserve.
+// sim.Run reaches the dropscope list server and the Safe-Browsing oracle
+// this way, cmd/droprepl and the tests any handler they like. The study's
+// RDAP lookups, the bulk of its traffic, do not come through here — they are
+// bound to the server directly (rdap.NewBoundClient) — and WHOIS, a line
+// protocol, is dialled. The TCP path stays in use by the integration tests,
+// the examples and cmd/dropserve.
 package inproc
 
 import (
@@ -30,7 +30,7 @@ func (t Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	rw.body.Reset(rw.written)
 	resp := &http.Response{
-		Status:        strconv.Itoa(rw.status) + " " + http.StatusText(rw.status),
+		Status:        statusLine(rw.status),
 		StatusCode:    rw.status,
 		Proto:         "HTTP/1.1",
 		ProtoMajor:    1,
@@ -40,10 +40,27 @@ func (t Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		ContentLength: -1,
 		Request:       req,
 	}
-	if n, err := strconv.ParseInt(rw.header.Get("Content-Length"), 10, 64); err == nil {
-		resp.ContentLength = n
+	// An absent header is the usual case of an error answer, and parsing ""
+	// would allocate the error that says so.
+	if cl := rw.header["Content-Length"]; len(cl) > 0 {
+		if n, err := strconv.ParseInt(cl[0], 10, 64); err == nil {
+			resp.ContentLength = n
+		}
 	}
 	return resp, nil
+}
+
+// statusLine is the Status of a response: from a table for the codes the
+// repository's handlers answer with most, spelled out for the rest.
+func statusLine(code int) string {
+	if s, ok := statusLines[code]; ok {
+		return s
+	}
+	return strconv.Itoa(code) + " " + http.StatusText(code)
+}
+
+var statusLines = map[int]string{
+	200: "200 OK", 304: "304 Not Modified", 400: "400 Bad Request", 404: "404 Not Found", 500: "500 Internal Server Error",
 }
 
 // response is the http.ResponseWriter the handler fills and, once the

@@ -3,6 +3,7 @@ package inproc
 import (
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -89,6 +90,24 @@ func TestHeadersAndContentLength(t *testing.T) {
 	}
 	if resp, _ = roundTrip(t, func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "x") }); resp.ContentLength != -1 {
 		t.Fatalf("ContentLength without the header = %d, want -1", resp.ContentLength)
+	}
+	// An error answer without the header — the RDAP 404 — parses nothing,
+	// and its Status comes from the table; other codes are still spelled out.
+	notFound := func(w http.ResponseWriter, r *http.Request) { http.Error(w, "no", http.StatusNotFound) }
+	if resp, _ = roundTrip(t, notFound); resp.ContentLength != -1 || resp.Status != "404 Not Found" {
+		t.Fatalf("404 without the header: ContentLength %d, Status %q", resp.ContentLength, resp.Status)
+	}
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	bare := Transport{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNotFound) })}
+	if n := testing.AllocsPerRun(100, func() { bare.RoundTrip(req) }); n > 3 {
+		t.Errorf("a bare 404 round trip allocates %.0f times, want the header map, the writer and the response", n)
+	}
+	resp, _ = roundTrip(t, func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "five")
+		w.WriteHeader(http.StatusTeapot)
+	})
+	if resp.ContentLength != -1 || resp.Status != "418 I'm a teapot" {
+		t.Fatalf("unparsable header off the table: ContentLength %d, Status %q", resp.ContentLength, resp.Status)
 	}
 }
 

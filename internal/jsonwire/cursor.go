@@ -9,6 +9,7 @@ package jsonwire
 import (
 	"fmt"
 	"math"
+	"strings"
 	"time"
 	"unicode/utf16"
 	"unicode/utf8"
@@ -69,14 +70,20 @@ func (c *Cursor) peek() (byte, error) {
 	return c.b[c.i], nil
 }
 
+// Literal consumes text if the body goes on with exactly it — no whitespace
+// skipped — and nothing otherwise.
+func (c *Cursor) Literal(text string) bool {
+	if len(c.b)-c.i < len(text) || string(c.b[c.i:c.i+len(text)]) != text {
+		return false
+	}
+	c.i += len(text)
+	return true
+}
+
 // TryNull consumes a null literal if present.
 func (c *Cursor) TryNull() bool {
 	c.skipWS()
-	if c.i+4 <= len(c.b) && string(c.b[c.i:c.i+4]) == "null" {
-		c.i += 4
-		return true
-	}
-	return false
+	return c.Literal("null")
 }
 
 // ReadString returns the decoded bytes of a JSON string. The result aliases
@@ -85,119 +92,101 @@ func (c *Cursor) TryNull() bool {
 // so callers must intern or copy anything they keep. Bytes that are not valid
 // UTF-8 pass through as they are.
 func (c *Cursor) ReadString() ([]byte, error) {
-	if err := c.expect('"'); err != nil {
-		return nil, err
+	raw, escaped, err := c.skipString()
+	if err != nil || !escaped {
+		return raw, err
 	}
-	start := c.i
-	for c.i < len(c.b) {
-		switch b := c.b[c.i]; {
-		case b == '"':
-			s := c.b[start:c.i]
-			c.i++
-			return s, nil
-		case b == '\\':
-			return c.readEscapedString(start)
-		case b < 0x20:
-			return nil, c.errAt("control character in string")
-		default:
-			c.i++
-		}
-	}
-	return nil, c.errAt("unterminated string")
+	c.Scratch = unescape(c.Scratch[:0], raw)
+	return c.Scratch, nil
 }
 
 // RawString consumes a JSON string and returns its token as it stands in the
 // body, quotes and escapes included — what an UnmarshalJSON method expects.
+// No escape is resolved and Scratch is not touched.
 func (c *Cursor) RawString() ([]byte, error) {
-	c.skipWS()
-	start := c.i
-	if _, err := c.ReadString(); err != nil {
+	raw, _, err := c.skipString()
+	if err != nil {
 		return nil, err
 	}
-	return c.b[start:c.i], nil
+	return c.b[c.i-len(raw)-2 : c.i], nil
 }
 
-// readEscapedString finishes reading a string that contains escapes,
-// decoding into the scratch buffer. start is the index of the first content
-// byte; the cursor sits on the first backslash.
-func (c *Cursor) readEscapedString(start int) ([]byte, error) {
-	out := append(c.Scratch[:0], c.b[start:c.i]...)
-	for c.i < len(c.b) {
-		b := c.b[c.i]
-		switch {
+// skipString consumes a JSON string, checking its syntax, and returns what
+// stands between its quotes and whether that has escapes in it.
+func (c *Cursor) skipString() (raw []byte, escaped bool, err error) {
+	if err := c.expect('"'); err != nil {
+		return nil, false, err
+	}
+	for start := c.i; c.i < len(c.b); c.i++ {
+		switch b := c.b[c.i]; {
 		case b == '"':
 			c.i++
-			c.Scratch = out
-			return out, nil
-		case b == '\\':
-			c.i++
-			if c.i >= len(c.b) {
-				return nil, c.errAt("truncated escape")
-			}
-			switch e := c.b[c.i]; e {
-			case '"', '\\', '/':
-				out = append(out, e)
-				c.i++
-			case 'b':
-				out = append(out, '\b')
-				c.i++
-			case 'f':
-				out = append(out, '\f')
-				c.i++
-			case 'n':
-				out = append(out, '\n')
-				c.i++
-			case 'r':
-				out = append(out, '\r')
-				c.i++
-			case 't':
-				out = append(out, '\t')
-				c.i++
-			case 'u':
-				r, err := c.readHexRune()
-				if err != nil {
-					return nil, err
-				}
-				if utf16.IsSurrogate(r) {
-					r2 := rune(replacementChar)
-					if c.i+1 < len(c.b) && c.b[c.i] == '\\' && c.b[c.i+1] == 'u' {
-						save := c.i
-						c.i++ // step past the backslash onto 'u'
-						lo, err := c.readHexRune()
-						if err != nil {
-							return nil, err
-						}
-						if dec := utf16.DecodeRune(r, lo); dec != replacementChar {
-							r2 = dec
-						} else {
-							c.i = save // lone surrogate: re-scan the second escape
-						}
-					}
-					r = r2
-				}
-				out = utf8.AppendRune(out, r)
-			default:
-				return nil, c.errAt("invalid escape")
-			}
+			return c.b[start : c.i-1], escaped, nil
 		case b < 0x20:
-			return nil, c.errAt("control character in string")
-		default:
-			out = append(out, b)
-			c.i++
+			return nil, false, c.errAt("control character in string")
+		case b == '\\':
+			escaped = true
+			c.i++ // onto what is escaped, and with \u to the last digit
+			if c.i < len(c.b) && c.b[c.i] == 'u' {
+				if _, ok := hexRune(c.b[c.i+1 : min(c.i+5, len(c.b))]); !ok {
+					return nil, false, c.errAt("invalid \\u escape")
+				}
+				c.i += 4
+			} else if c.i >= len(c.b) || strings.IndexByte(`"\\/bfnrt`, c.b[c.i]) < 0 {
+				return nil, false, c.errAt("invalid escape")
+			}
 		}
 	}
-	return nil, c.errAt("unterminated string")
+	return nil, false, c.errAt("unterminated string")
 }
 
-const replacementChar = '�'
-
-// readHexRune parses the XXXX of a \uXXXX escape; the cursor sits on 'u'.
-func (c *Cursor) readHexRune() (rune, error) {
-	if c.i+5 > len(c.b) {
-		return 0, c.errAt("truncated \\u escape")
+// unescape appends to out the string that raw, the checked content of a JSON
+// string, stands for.
+func unescape(out, raw []byte) []byte {
+	for i := 0; i < len(raw); i++ {
+		if raw[i] != '\\' {
+			out = append(out, raw[i])
+			continue
+		}
+		i++
+		switch e := raw[i]; e {
+		case 'u':
+			r, _ := hexRune(raw[i+1 : i+5])
+			i += 4
+			if utf16.IsSurrogate(r) {
+				// The low half of the pair, if it follows; a lone
+				// surrogate is U+FFFD and what follows stands for itself.
+				lo, ok := rune(0), i+6 < len(raw) && raw[i+1] == '\\' && raw[i+2] == 'u'
+				if ok {
+					lo, _ = hexRune(raw[i+3 : i+7])
+				}
+				if r = utf16.DecodeRune(r, lo); ok && r != replacementChar {
+					i += 6
+				}
+			}
+			out = utf8.AppendRune(out, r)
+		case 'b':
+			out = append(out, '\b')
+		case 'f':
+			out = append(out, '\f')
+		case 'n':
+			out = append(out, '\n')
+		case 'r':
+			out = append(out, '\r')
+		case 't':
+			out = append(out, '\t')
+		default: // a quote, a backslash or a slash
+			out = append(out, e)
+		}
 	}
-	var r rune
-	for _, h := range c.b[c.i+1 : c.i+5] {
+	return out
+}
+
+const replacementChar = '\uFFFD'
+
+// hexRune decodes the four digits of a \uXXXX escape.
+func hexRune(digits []byte) (r rune, ok bool) {
+	for _, h := range digits {
 		switch {
 		case h >= '0' && h <= '9':
 			r = r<<4 | rune(h-'0')
@@ -206,11 +195,10 @@ func (c *Cursor) readHexRune() (rune, error) {
 		case h >= 'A' && h <= 'F':
 			r = r<<4 | rune(h-'A'+10)
 		default:
-			return 0, c.errAt("invalid \\u escape")
+			return 0, false
 		}
 	}
-	c.i += 5
-	return r, nil
+	return r, len(digits) == 4
 }
 
 // ReadInt parses a JSON integer (no exponent or fraction — the integer
@@ -265,11 +253,9 @@ func (c *Cursor) readDigits() (uint64, error) {
 func (c *Cursor) ReadBool() (bool, error) {
 	c.skipWS()
 	switch {
-	case c.i+4 <= len(c.b) && string(c.b[c.i:c.i+4]) == "true":
-		c.i += 4
+	case c.Literal("true"):
 		return true, nil
-	case c.i+5 <= len(c.b) && string(c.b[c.i:c.i+5]) == "false":
-		c.i += 5
+	case c.Literal("false"):
 		return false, nil
 	}
 	return false, c.errAt("expected boolean")
@@ -297,7 +283,7 @@ func (c *Cursor) SkipValue() error {
 	}
 	switch b {
 	case '"':
-		_, err := c.ReadString()
+		_, _, err := c.skipString()
 		return err
 	case '{':
 		return c.Object(func([]byte) error { return c.SkipValue() })

@@ -86,6 +86,41 @@ func FuzzStringMatchesJSON(f *testing.F) {
 	})
 }
 
+// FuzzReadStringMatchesJSON: on any bytes, ReadString accepts the string
+// literals json.Unmarshal accepts and decodes them to the same string —
+// every escape, surrogate pairs and the lone halves that become U+FFFD —
+// and RawString returns the literal untouched.
+func FuzzReadStringMatchesJSON(f *testing.F) {
+	for _, lit := range []string{
+		`"a\/b\\\"\b\f\n\r\t\u00e9"`, `"\ud83d\ude00"`, `"\ud800"`, `"\ud800A"`, `"\ud800\u0041"`, `"\udc00\ud800"`, `"\ud800\ud83d\ude00"`,
+		`"\ud83d\ude0"`, `"\ud83d\"`, `"\ud83d\q"`, `"\u12g4"`, `"\`, `"\u`, `"x\`, ` "pad" `, `"a"b`, "\"\xff\\u00e9\"", `5`,
+	} {
+		f.Add([]byte(lit))
+	}
+	f.Fuzz(func(t *testing.T, lit []byte) {
+		var c Cursor
+		c.Reset(lit)
+		got, err := c.ReadString()
+		if err == nil {
+			err = c.End()
+		}
+		var want string
+		if wantErr := json.Unmarshal(lit, &want); (err == nil) != (wantErr == nil) {
+			t.Fatalf("ReadString(%q) error %v, json.Unmarshal error %v", lit, err, wantErr)
+		} else if err != nil {
+			return
+		}
+		// encoding/json replaces each byte of invalid UTF-8, as []rune does.
+		if string([]rune(string(got))) != want {
+			t.Fatalf("ReadString(%q) = %q, json.Unmarshal = %q", lit, got, want)
+		}
+		c.Reset(lit)
+		if raw, err := c.RawString(); err != nil || !bytes.Equal(raw, bytes.TrimSpace(lit)) {
+			t.Fatalf("RawString(%q) = %q, %v", lit, raw, err)
+		}
+	})
+}
+
 func TestAppendTimeMatchesMarshalJSON(t *testing.T) {
 	for _, ts := range []time.Time{
 		{}, time.Unix(1520535600, 0).UTC(), time.Unix(1520535600, 123456789).In(time.FixedZone("", 19800)),

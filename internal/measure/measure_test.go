@@ -3,6 +3,7 @@ package measure
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"net/http"
 	"slices"
@@ -181,6 +182,67 @@ func TestPipelineNoFallbackDropsDomain(t *testing.T) {
 	}
 	if len(obs) != 0 {
 		t.Fatalf("domain without metadata kept: %d", len(obs))
+	}
+}
+
+// TestPipelineUnusableObjectSkipsWHOIS: a 200 whose object lacks a field the
+// dataset needs is not a server failure. The prior lookup drops the name and
+// the current one returns the error, neither asking WHOIS — which here would
+// have answered.
+func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
+	e := newEnv(t, rdap.ServerConfig{}, false)
+	wsrv := whois.NewServer(e.store)
+	addr, err := wsrv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { wsrv.Close() })
+	e.pipe.WHOIS = &whois.Client{Addr: addr.String()}
+
+	const events = `{"eventAction":"registration","eventDate":"2016-01-01T00:00:00Z"},{"eventAction":"last changed","eventDate":"2017-12-06T06:30:00Z"}`
+	const registrar = `{"objectClassName":"entity","handle":"1000","roles":["registrar"]}`
+	bodies := map[string]string{
+		"/domain/noregistrar.com": `{"objectClassName":"domain","handle":"5_DOMAIN_COM-VRSN","ldhName":"noregistrar.com","status":["pendingDelete"],"events":[` + events + `,{"eventAction":"expiration","eventDate":"2017-11-06T06:30:00Z"}],"entities":[]}`,
+		"/domain/noexpiry.com":    `{"objectClassName":"domain","handle":"6_DOMAIN_COM-VRSN","ldhName":"noexpiry.com","status":["pendingDelete"],"events":[` + events + `],"entities":[` + registrar + `]}`,
+	}
+	e.pipe.RDAP, err = rdap.NewClient("http://rdap.test", inproc.Client(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		body, ok := bodies[r.URL.Path]
+		if !ok {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/rdap+json")
+		w.Write([]byte(body))
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.seedPending(t, "noregistrar.com", 1000, e.day)
+	e.seedPending(t, "noexpiry.com", 1000, e.day)
+
+	ctx := context.Background()
+	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{ListEntries: 2, Lookups: 2}
+	if st := e.pipe.Stats(); st != want {
+		t.Fatalf("stats after collection = %+v, want %+v", st, want)
+	}
+	for name := range bodies {
+		name = strings.TrimPrefix(name, "/domain/")
+		if cur, err := e.pipe.lookupCurrent(ctx, name); cur != nil || !errors.Is(err, rdap.ErrMalformed) {
+			t.Errorf("lookupCurrent(%s) = %+v, %v, want ErrMalformed", name, cur, err)
+		}
+	}
+	obs, err := e.pipe.Finalize(ctx)
+	if err != nil || len(obs) != 0 {
+		t.Fatalf("Finalize = %d observations, %v; want the two names dropped", len(obs), err)
+	}
+	if st := e.pipe.Stats(); st != want {
+		t.Errorf("stats after Finalize = %+v, want %+v", st, want)
+	}
+	if n := wsrv.Metrics().Requests; n != 0 {
+		t.Errorf("WHOIS was asked %d times", n)
 	}
 }
 

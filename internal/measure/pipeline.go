@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -184,15 +183,11 @@ func (p *Pipeline) CollectDaily(ctx context.Context, today simtime.Day) error {
 // returns its counter increments as a Stats delta (prior is nil on failure).
 func (p *Pipeline) lookupPrior(ctx context.Context, name string) (*model.PriorRegistration, Stats) {
 	delta := Stats{Lookups: 1}
-	dr, err := p.RDAP.Domain(ctx, name)
-	if err == nil {
-		prior, perr := priorFromRDAP(dr)
-		if perr != nil {
-			return nil, delta
-		}
-		return prior, delta
-	}
-	if errors.Is(err, rdap.ErrNotFound) {
+	reg, err := p.RDAP.Registration(ctx, name)
+	switch {
+	case err == nil:
+		return &reg, delta
+	case errors.Is(err, rdap.ErrNotFound), errors.Is(err, rdap.ErrMalformed):
 		return nil, delta
 	}
 	delta.RDAPErrors++
@@ -206,54 +201,17 @@ func (p *Pipeline) lookupPrior(ctx context.Context, name string) (*model.PriorRe
 		delta.FallbackFailed++
 		return nil, delta
 	}
+	return priorFromWHOIS(d), delta
+}
+
+func priorFromWHOIS(d *model.Domain) *model.PriorRegistration {
 	return &model.PriorRegistration{
 		ID:          d.ID,
 		RegistrarID: d.RegistrarID,
 		Created:     d.Created,
 		Updated:     d.Updated,
 		Expiry:      d.Expiry,
-	}, delta
-}
-
-func priorFromRDAP(dr *rdap.DomainResponse) (*model.PriorRegistration, error) {
-	id, err := rdap.ParseHandle(dr.Handle)
-	if err != nil {
-		return nil, err
 	}
-	regID, err := registrarID(dr)
-	if err != nil {
-		return nil, err
-	}
-	created, ok := dr.EventDate(rdap.EventRegistration)
-	if !ok {
-		return nil, fmt.Errorf("measure: %s: RDAP response missing registration event", dr.LDHName)
-	}
-	updated, ok := dr.EventDate(rdap.EventLastChanged)
-	if !ok {
-		return nil, fmt.Errorf("measure: %s: RDAP response missing last-changed event", dr.LDHName)
-	}
-	expiry, ok := dr.EventDate(rdap.EventExpiration)
-	if !ok {
-		return nil, fmt.Errorf("measure: %s: RDAP response missing expiration event", dr.LDHName)
-	}
-	return &model.PriorRegistration{
-		ID:          id,
-		RegistrarID: regID,
-		Created:     created,
-		Updated:     updated,
-		Expiry:      expiry,
-	}, nil
-}
-
-func registrarID(dr *rdap.DomainResponse) (int, error) {
-	for _, e := range dr.Entities {
-		for _, role := range e.Roles {
-			if role == "registrar" {
-				return strconv.Atoi(e.Handle)
-			}
-		}
-	}
-	return 0, fmt.Errorf("measure: %s: RDAP response has no registrar entity", dr.LDHName)
 }
 
 // Finalize performs the T+8-weeks re-lookups and assembles the dataset. Call
@@ -324,25 +282,22 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 }
 
 // lookupCurrent fetches the current registration, nil when the name is
-// unregistered.
+// unregistered. A 200 no registration can be read from is an error WHOIS is
+// not asked about.
 func (p *Pipeline) lookupCurrent(ctx context.Context, name string) (*model.PriorRegistration, error) {
-	dr, err := p.RDAP.Domain(ctx, name)
-	if err == nil {
-		return priorFromRDAP(dr)
-	}
-	if errors.Is(err, rdap.ErrNotFound) {
+	reg, err := p.RDAP.Registration(ctx, name)
+	switch {
+	case err == nil:
+		return &reg, nil
+	case errors.Is(err, rdap.ErrNotFound):
 		return nil, nil
+	case errors.Is(err, rdap.ErrMalformed):
+		return nil, err
 	}
 	if p.WHOIS != nil {
 		d, werr := p.WHOIS.LookupContext(ctx, name)
 		if werr == nil {
-			return &model.PriorRegistration{
-				ID:          d.ID,
-				RegistrarID: d.RegistrarID,
-				Created:     d.Created,
-				Updated:     d.Updated,
-				Expiry:      d.Expiry,
-			}, nil
+			return priorFromWHOIS(d), nil
 		}
 		if errors.Is(werr, whois.ErrNoMatch) {
 			return nil, nil

@@ -1,6 +1,7 @@
 package rdap
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,8 @@ import (
 	"net/http"
 	"net/url"
 	"time"
+
+	"dropzero/internal/model"
 )
 
 // Client errors callers branch on.
@@ -17,15 +20,37 @@ var (
 	ErrNotFound = errors.New("rdap: domain not registered")
 	// ErrServer covers 5xx responses; the pipeline falls back to WHOIS.
 	ErrServer = errors.New("rdap: server error")
+	// ErrMalformed means the service answered 200 with a well-formed object
+	// that does not describe a registration: no parsable handle, no
+	// registrar entity or a missing lifecycle event. Asking another
+	// protocol about the same name would not help, so the pipeline does not.
+	ErrMalformed = errors.New("rdap: unusable domain object")
 )
 
-// Client queries an RDAP service. It is safe for concurrent use: all state
-// is immutable after NewClient and the underlying *http.Client is itself
-// concurrency-safe, so one Client can serve a whole lookup worker pool (and
-// share the transport's connection pool across workers).
+// notFoundError is ErrNotFound for one name. Half the study's lookups end in
+// it and nobody reads its text, so the text is put together only on demand.
+type notFoundError string
+
+func (e notFoundError) Error() string { return ErrNotFound.Error() + ": " + string(e) }
+func (e notFoundError) Unwrap() error { return ErrNotFound }
+
+// maxBody caps how much of a 200 body the HTTP client reads.
+const maxBody = 1 << 20
+
+// Client queries an RDAP service, over HTTP (NewClient) or bound straight to
+// a Server in the same process (NewBoundClient). It is safe for concurrent
+// use: all state is immutable after construction and the underlying
+// *http.Client is itself concurrency-safe, so one Client can serve a whole
+// lookup worker pool (and share the transport's connection pool across
+// workers).
 type Client struct {
+	// srv is set on a bound client, the other three on an HTTP one.
+	srv  *Server
 	base *url.URL
 	http *http.Client
+	// tmpl is the GET every request is a copy of; its header map is shared
+	// by all of them.
+	tmpl http.Request
 }
 
 // NewClient returns a Client for the RDAP service at baseURL (e.g.
@@ -39,25 +64,86 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 10 * time.Second}
 	}
-	return &Client{base: u, http: httpClient}, nil
-}
-
-// Domain fetches the RDAP domain object for name.
-func (c *Client) Domain(ctx context.Context, name string) (*DomainResponse, error) {
-	u := *c.base
-	u.Path = "/domain/" + name
-	req := (&http.Request{
+	return &Client{base: u, http: httpClient, tmpl: http.Request{
 		Method:     http.MethodGet,
-		URL:        &u,
 		Host:       u.Host,
 		Proto:      "HTTP/1.1",
 		ProtoMajor: 1,
 		ProtoMinor: 1,
 		Header:     http.Header{"Accept": rdapMediaType},
-	}).WithContext(ctx)
+	}}, nil
+}
+
+// NewBoundClient returns a Client whose lookups call srv's resolve core
+// directly: no request, no response, and the decoder reads the server's
+// cached body bytes in place. Answers, errors and the server's Metrics are
+// those of an HTTP client over srv.Handler().
+func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
+
+// Domain fetches the RDAP domain object for name.
+func (c *Client) Domain(ctx context.Context, name string) (*DomainResponse, error) {
+	var dr *DomainResponse
+	err := c.lookup(ctx, name, func(body []byte) error {
+		dr = new(DomainResponse)
+		return decodeDomainResponse(body, dr)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return dr, nil
+}
+
+// Registration fetches the five fields of name's registration the
+// measurement keeps — (*DomainResponse).Registration of what Domain returns,
+// without building the rest of the object. A 200 those fields cannot be
+// taken from is ErrMalformed.
+func (c *Client) Registration(ctx context.Context, name string) (reg model.PriorRegistration, err error) {
+	err = c.lookup(ctx, name, func(body []byte) (err error) { reg, err = decodeRegistration(body); return err })
+	return reg, err
+}
+
+// lookup hands the body of the 200 answer for name to decode — a bound
+// client the server's cached bytes in place, which decode must not keep or
+// change any more than a pooled HTTP buffer — or returns the error the
+// answer's status maps to, the same on both transports.
+func (c *Client) lookup(ctx context.Context, name string, decode func(body []byte) error) error {
+	var status int
+	var err error
+	if c.srv == nil {
+		status, err = c.roundTrip(ctx, name, decode)
+	} else if err = ctx.Err(); err == nil { // no transport to notice a cancelled context
+		var cr *cachedResponse
+		if cr, status, _ = c.srv.resolve(name); cr != nil {
+			err = decode(cr.body)
+		}
+	}
+	switch {
+	case err != nil:
+		return fmt.Errorf("rdap: lookup %s: %w", name, err)
+	case status == http.StatusOK:
+		return nil
+	case status == http.StatusNotFound:
+		return notFoundError(name)
+	case status >= 500:
+		return fmt.Errorf("%w: HTTP %d for %s", ErrServer, status, name)
+	default:
+		return fmt.Errorf("rdap: unexpected HTTP %d for %s", status, name)
+	}
+}
+
+// roundTrip is one GET: a 200 body goes to decode, any other status comes
+// back as it is.
+func (c *Client) roundTrip(ctx context.Context, name string, decode func(body []byte) error) (status int, err error) {
+	u := *c.base
+	u.Path = "/domain/" + name
+	req := c.tmpl.WithContext(ctx)
+	req.URL = &u
+	if c.http.Jar != nil {
+		req.Header = req.Header.Clone() // net/http adds the jar's cookies to it
+	}
 	resp, err := c.http.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("rdap: GET %s: %w", u.String(), err)
+		return 0, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
@@ -65,23 +151,19 @@ func (c *Client) Domain(ctx context.Context, name string) (*DomainResponse, erro
 		// connection instead of reusing it — and 404 is the usual answer
 		// for a name nobody re-registered.
 		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
+		return resp.StatusCode, nil
 	}
-	switch {
-	case resp.StatusCode == http.StatusOK:
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-		if err != nil {
-			return nil, fmt.Errorf("rdap: read response for %s: %w", name, err)
-		}
-		var dr DomainResponse
-		if err := decodeDomainResponse(body, &dr); err != nil {
-			return nil, fmt.Errorf("rdap: decode response for %s: %w", name, err)
-		}
-		return &dr, nil
-	case resp.StatusCode == http.StatusNotFound:
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, name)
-	case resp.StatusCode >= 500:
-		return nil, fmt.Errorf("%w: HTTP %d for %s", ErrServer, resp.StatusCode, name)
-	default:
-		return nil, fmt.Errorf("rdap: unexpected HTTP %d for %s", resp.StatusCode, name)
+	// Into a pooled buffer, sized once from Content-Length (ReadFrom wants
+	// MinRead bytes free even to learn of EOF).
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	buf := bytes.NewBuffer((*bp)[:0])
+	if n := resp.ContentLength; 0 < n && n < maxBody {
+		buf.Grow(int(n) + bytes.MinRead)
 	}
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxBody))
+	if *bp = buf.Bytes(); err != nil {
+		return 0, fmt.Errorf("read response: %w", err)
+	}
+	return http.StatusOK, decode(*bp)
 }

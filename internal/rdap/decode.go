@@ -45,11 +45,11 @@ func decodeDomain(c *jsonwire.Cursor, dr *DomainResponse) error {
 		case is(key, "ldhName"):
 			return decodeString(c, &dr.LDHName)
 		case is(key, "status"):
-			return decodeSlice(c, &dr.Status, decodeString)
+			return decodeSlice(c, &dr.Status, 1, decodeString)
 		case is(key, "events"):
-			return decodeSlice(c, &dr.Events, decodeEvent)
+			return decodeSlice(c, &dr.Events, 3, decodeEvent)
 		case is(key, "entities"):
-			return decodeSlice(c, &dr.Entities, decodeEntity)
+			return decodeSlice(c, &dr.Entities, 1, decodeEntity)
 		}
 		return c.SkipValue()
 	})
@@ -90,9 +90,9 @@ func decodeEntity(c *jsonwire.Cursor, e *Entity) error {
 		case is(key, "handle"):
 			return decodeString(c, &e.Handle)
 		case is(key, "roles"):
-			return decodeSlice(c, &e.Roles, decodeString)
+			return decodeSlice(c, &e.Roles, 1, decodeString)
 		case is(key, "publicIds"):
-			return decodeSlice(c, &e.PublicIDs, decodePublicID)
+			return decodeSlice(c, &e.PublicIDs, 1, decodePublicID)
 		case is(key, "vcard"):
 			return decodeStringMap(c, &e.VCard)
 		}
@@ -140,28 +140,27 @@ func text(b []byte) string {
 // intern returns the shared constant for the values every response of this
 // package's server repeats, and a copy of anything else.
 func intern(b []byte) string {
-	switch string(b) {
-	case "domain":
-		return "domain"
-	case "entity":
-		return "entity"
-	case "registrar":
-		return "registrar"
-	case EventRegistration:
-		return EventRegistration
-	case EventLastChanged:
-		return EventLastChanged
-	case EventExpiration:
-		return EventExpiration
+	if s, ok := interned[string(b)]; ok {
+		return s
 	}
 	return string(b)
 }
 
+var interned = func() map[string]string {
+	m := make(map[string]string)
+	for _, s := range []string{"domain", "entity", "registrar", EventRegistration, EventLastChanged, EventExpiration,
+		"active", "autoRenewPeriod", "redemptionPeriod", "pendingDelete", "IANA Registrar ID", "fn", "org", "email", "adr", "tel"} {
+		m[s] = s
+	}
+	return m
+}()
+
 // decodeSlice reads an array into *dst the way encoding/json does: null
 // makes it nil, an empty array makes it empty but non-nil, and elements are
 // decoded over whatever *dst already holds — after a repeated field that is
-// the earlier value's elements, not zero ones.
-func decodeSlice[T any](c *jsonwire.Cursor, dst *[]T, elem func(*jsonwire.Cursor, *T) error) error {
+// the earlier value's elements, not zero ones. A first element is given room
+// for hint of them, the count this package's server sends.
+func decodeSlice[T any](c *jsonwire.Cursor, dst *[]T, hint int, elem func(*jsonwire.Cursor, *T) error) error {
 	if c.TryNull() {
 		*dst = nil
 		return nil
@@ -169,7 +168,9 @@ func decodeSlice[T any](c *jsonwire.Cursor, dst *[]T, elem func(*jsonwire.Cursor
 	s, n := *dst, 0
 	err := c.Array(func() error {
 		if n >= len(s) {
-			if n < cap(s) {
+			if s == nil {
+				s = make([]T, 1, hint)
+			} else if n < cap(s) {
 				s = s[:n+1]
 			} else {
 				var zero T

@@ -82,8 +82,8 @@ func TestDomainLookup(t *testing.T) {
 func TestDomainNotFound(t *testing.T) {
 	_, client := newEnv(t, ServerConfig{})
 	_, err := client.Domain(context.Background(), "missing.com")
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing = %v, want ErrNotFound", err)
+	if !errors.Is(err, ErrNotFound) || err.Error() != "rdap: domain not registered: missing.com" {
+		t.Fatalf("missing = %v, want ErrNotFound naming the domain", err)
 	}
 }
 

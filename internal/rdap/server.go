@@ -33,8 +33,10 @@ type ServerConfig struct {
 	CacheSize int
 }
 
-// cachedResponse is a fully encoded 200 body plus the precomputed header
-// values the warm path assigns without allocating.
+// cachedResponse is a fully encoded 200 body, immutable once built, plus the
+// precomputed header values the warm path assigns without allocating. The
+// one body that is not cached — rendered while a mutation landed — has no
+// etag.
 type cachedResponse struct {
 	body    []byte
 	etag    string
@@ -46,17 +48,19 @@ type cachedResponse struct {
 // and every Accept the client sends, shared so neither allocates it.
 var rdapMediaType = []string{"application/rdap+json"}
 
-// renderBufs recycles render buffers across servers. Package-level on
+// bodyBufs recycles the buffers the server renders a body into and the HTTP
+// client reads one into, across servers and clients. Package-level on
 // purpose: the runtime keeps a pointer to every sync.Pool that has been
 // used until a later collection, and a pool inside Server would pin a
 // closed server — and through it the store and the response cache — for a
 // GC cycle after its last request.
-var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// Server serves registry data as RFC 7483-shaped JSON over HTTP. Domain
-// responses are cached per store generation (see registry.Store.Generation):
-// any mutation flushes the cache, so cached bytes are always identical to a
-// fresh render — a property the tests pin differentially.
+// Server serves registry data as RFC 7483-shaped JSON, over HTTP and to
+// clients bound to it in-process (NewBoundClient). Domain responses are
+// cached per store generation (see registry.Store.Generation): any mutation
+// flushes the cache, so cached bytes are always identical to a fresh render
+// — a property the tests pin differentially.
 type Server struct {
 	store *registry.Store
 	cfg   ServerConfig
@@ -157,7 +161,7 @@ func (s *Server) handleHelp(w http.ResponseWriter, r *http.Request) {
 // description is given in the parts of one string, so the 404 needs no
 // formatted copy of the name.
 func writeError(w http.ResponseWriter, status int, title string, description ...string) {
-	bp := renderBufs.Get().(*[]byte)
+	bp := bodyBufs.Get().(*[]byte)
 	b := append((*bp)[:0], `{"errorCode":`...)
 	b = strconv.AppendInt(b, int64(status), 10)
 	b = append(b, `,"title":`...)
@@ -174,62 +178,76 @@ func writeError(w http.ResponseWriter, status int, title string, description ...
 	w.WriteHeader(status)
 	_, _ = w.Write(b)
 	*bp = b
-	renderBufs.Put(bp)
+	bodyBufs.Put(bp)
 }
 
-func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
+// titleNotFound is the title of the one error that names the domain.
+const titleNotFound = "object not found"
+
+// resolve is the lookup itself, shared by the HTTP handler and the bound
+// client: lower-casing, name check, generation-checked cache, store read,
+// injected registrar failure, render, install. It returns the 200 body, or
+// nil with the status and title of the RFC 7483 error to answer with.
+func (s *Server) resolve(name string) (found *cachedResponse, status int, title string) {
 	s.requests.Add(1)
-	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
-		return
-	}
-	name := strings.ToLower(strings.TrimPrefix(r.URL.Path, "/domain/"))
+	name = strings.ToLower(name)
 	if name == "" || strings.Contains(name, "/") {
-		writeError(w, http.StatusBadRequest, "malformed domain name")
-		return
+		return nil, http.StatusBadRequest, "malformed domain name"
 	}
 
 	gen := s.store.Generation()
-	if cr, ok := s.cache.Get(gen, name); ok {
-		s.serveCached(w, r, cr)
-		return
+	if cr, hit := s.cache.Get(gen, name); hit {
+		return cr, http.StatusOK, ""
 	}
 	d, err := s.store.Get(name)
 	if err != nil {
 		// 404s are never cached and carry no ETag: a name can be re-created
 		// at any moment and a conditional revalidation of "absent" would
 		// risk a stale 304 after the re-registration.
-		writeError(w, http.StatusNotFound, "object not found", "domain ", name, " is not registered")
-		return
+		return nil, http.StatusNotFound, titleNotFound
 	}
 	if code, broken := s.cfg.FailRegistrars[d.RegistrarID]; broken {
-		writeError(w, code, "internal error")
-		return
+		return nil, code, "internal error"
 	}
 
-	bp := renderBufs.Get().(*[]byte)
-	body, ok := s.appendDomain((*bp)[:0], d)
+	bp := bodyBufs.Get().(*[]byte)
+	body, rendered := s.appendDomain((*bp)[:0], d)
 	*bp = body
-	defer renderBufs.Put(bp)
-	if !ok {
+	defer bodyBufs.Put(bp)
+	if !rendered {
 		// A timestamp no RFC 3339 rendering exists for; encoding/json would
 		// refuse the whole object, so there is nothing to serve or cache.
-		writeError(w, http.StatusInternalServerError, "internal error")
+		return nil, http.StatusInternalServerError, "internal error"
+	}
+	if s.store.Generation() != gen {
+		// A mutation landed mid-render: the body is a valid snapshot but its
+		// exact generation is unknown, so it goes out without an ETag and is
+		// not cached — labelling it could let a later revalidation 304
+		// falsely.
+		return &cachedResponse{body: bytes.Clone(body), clenVal: []string{strconv.Itoa(len(body))}}, http.StatusOK, ""
+	}
+	cr := newCachedResponse(gen, bytes.Clone(body))
+	s.cache.Put(gen, name, cr)
+	return cr, http.StatusOK, ""
+}
+
+// handleDomain is the HTTP adapter over resolve: method and path in,
+// headers, conditional 304 and body out.
+func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodGet {
+		s.requests.Add(1)
+		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}
-	if s.store.Generation() == gen {
-		cr := newCachedResponse(gen, bytes.Clone(body))
-		s.cache.Put(gen, name, cr)
+	name := strings.TrimPrefix(r.URL.Path, "/domain/")
+	switch cr, status, title := s.resolve(name); {
+	case cr != nil:
 		s.serveCached(w, r, cr)
-		return
+	case title == titleNotFound:
+		writeError(w, status, title, "domain ", strings.ToLower(name), " is not registered")
+	default:
+		writeError(w, status, title)
 	}
-	// A mutation landed mid-render: the body is a valid snapshot but its
-	// exact generation is unknown, so serve it without an ETag and do not
-	// cache it — labelling it could let a later revalidation 304 falsely.
-	h := w.Header()
-	h["Content-Type"] = rdapMediaType
-	h.Set("Content-Length", strconv.Itoa(len(body)))
-	_, _ = w.Write(body)
 }
 
 func newCachedResponse(gen uint64, body []byte) *cachedResponse {
@@ -242,15 +260,18 @@ func newCachedResponse(gen uint64, body []byte) *cachedResponse {
 	}
 }
 
-// serveCached writes a precomputed 200 (or a 304 when the client's validator
-// still matches). Header values are preassembled slices so the warm path
-// performs no per-request allocation beyond the header map inserts.
+// serveCached writes a 200 body (or a 304 when it carries an ETag and the
+// client's validator still matches). Header values are preassembled slices
+// so the warm path performs no per-request allocation beyond the header map
+// inserts.
 func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cr *cachedResponse) {
 	h := w.Header()
-	h["Etag"] = cr.etagVal
-	if r.Header.Get("If-None-Match") == cr.etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
+	if cr.etag != "" {
+		h["Etag"] = cr.etagVal
+		if r.Header.Get("If-None-Match") == cr.etag {
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
 	}
 	h["Content-Type"] = rdapMediaType
 	h["Content-Length"] = cr.clenVal

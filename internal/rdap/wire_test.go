@@ -105,6 +105,36 @@ var decodeCorpus = []string{
 	"{\"handle\":\"tab\there\"}",
 	strings.Repeat("[", 10001), `{"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
 	`{"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `,"handle":"deep"}`,
+	// What Registration reads, in the shapes that are not the server's: a
+	// repeated events or entities field, a second registrar entity, a handle
+	// that is no number, the registrar role after a bad handle.
+	registrationBody(`"7_DOMAIN_COM-VRSN"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[`+entity("1000", "registrar")+`]`),
+	registrationBody(`"7_DOMAIN_COM-VRSN"`, `[`+event("registration", 1)+`,`+event("registration", 2)+`]`, `[]`) + ` `,
+	`{"events":[` + event("expiration", 1) + `],` + registrationBody(`"8"`, `[`+event("registration", 2)+`,`+event("last changed", 3)+`]`, `[`+entity("1000", "registrar")+`]`)[1:],
+	`{"entities":[` + entity("5", "registrar") + `],` + registrationBody(`"8_X"`, `[`+event("registration", 2)+`,`+event("last changed", 3)+`,`+event("expiration", 4)+`]`, `[`+entity("1000", "registrar")+`]`)[1:],
+	registrationBody(`"9_D"`, `[`+event("expiration", 1)+`,`+event("last changed", 2)+`,`+event("registration", 3)+`,`+event("expiration", 4)+`]`, `[`+entity("12", "reseller")+`,`+entity("34", "technical", "registrar")+`,`+entity("56", "registrar")+`]`),
+	registrationBody(`"9_D"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[`+entity("abc", "registrar")+`,`+entity("56", "registrar")+`]`),
+	registrationBody(`"nine_D"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[`+entity("56", "registrar")+`]`),
+	registrationBody(`"9","handle":"10_D"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[{"roles":["registrar"],"roles":["x"],"handle":"1","handle":"2"},{"roles":["registrar"],"handle":"+3"}]`),
+	registrationBody(`"9"`, `[{"eventDate":"2018-01-01T00:00:00Z","eventAction":"x","eventAction":"registration"},`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[{"handle":"1","roles":["registrar"],"publicIds":[{"type":"t","identifier":"i"}],"vcard":{"fn":"n"}}]`),
+	registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[{"handle":"1","roles":["registrar"],"publicIds":[{"type":5}]}]`),
+	registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[{"handle":"1","roles":["registrar"],"vcard":{"fn":null}}]`),
+	registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,{"eventAction":"expiration"}]`, `[{"handle":"1","roles":["registrar"]}]`),
+	registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[{"Handle":"1","roles":["registrar"]}]`),
+}
+
+// registrationBody, event and entity spell out a domain object field by
+// field, for corpus bodies that differ from the server's rendering.
+func registrationBody(handle, events, entities string) string {
+	return `{"objectClassName":"domain","handle":` + handle + `,"ldhName":"a.com","status":["active"],"events":` + events + `,"entities":` + entities + `}`
+}
+
+func event(action string, day int) string {
+	return fmt.Sprintf(`{"eventAction":%q,"eventDate":"2018-01-%02dT00:00:00Z"}`, action, day)
+}
+
+func entity(handle string, roles ...string) string {
+	return fmt.Sprintf(`{"objectClassName":"entity","handle":%q,"roles":["%s"]}`, handle, strings.Join(roles, `","`))
 }
 
 func TestDecodeDomainMatchesJSON(t *testing.T) {
@@ -139,6 +169,81 @@ func FuzzDecodeDomainMatchesJSON(f *testing.F) {
 		f.Add([]byte(body))
 	}
 	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
+}
+
+// checkRegistration holds decodeRegistration to its reference on one body:
+// the full decode followed by DomainResponse.Registration, value or kind of
+// error alike.
+func checkRegistration(t *testing.T, body []byte) (accepted bool) {
+	t.Helper()
+	got, gotErr := decodeRegistration(body)
+	var dr DomainResponse
+	want, wantErr := model.PriorRegistration{}, decodeDomainResponse(body, &dr)
+	if wantErr == nil {
+		want, wantErr = dr.Registration()
+	}
+	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrMalformed) != errors.Is(wantErr, ErrMalformed) {
+		t.Fatalf("decodeRegistration error %v, reference error %v on %q", gotErr, wantErr, body)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("registration drift on %q:\n got %+v\nwant %+v", body, got, want)
+	}
+	return gotErr == nil
+}
+
+func TestRegistrationMatchesDomain(t *testing.T) {
+	srv := wireServer(t)
+	for i, d := range renderSeeds() {
+		body, ok := srv.appendDomain(nil, d)
+		if !ok {
+			t.Fatalf("seed %+v does not render", d)
+		}
+		// The one-pass walk, not the fallback, reads the server's own body —
+		// escapes in the contact data included, an escape in the handle (the
+		// last seed's "<" of a TLD) not.
+		reg, ok := walkRegistration(body)
+		if ok != (i < 2) || ok && (reg.ID != d.ID || reg.RegistrarID != d.RegistrarID || !reg.Created.Equal(d.Created) || !reg.Expiry.Equal(d.Expiry)) {
+			t.Fatalf("walkRegistration = %+v, %v on the canonical body %s", reg, ok, body)
+		}
+		checkRegistration(t, body)
+	}
+	plain, _ := srv.appendDomain(nil, renderSeeds()[1]) // no escapes, UTC
+	if n := testing.AllocsPerRun(100, func() { walkRegistration(plain) }); n != 0 {
+		t.Errorf("walkRegistration allocates %.0f times on %s", n, plain)
+	}
+	accepted := 0
+	for _, body := range decodeCorpus {
+		if checkRegistration(t, []byte(body)) {
+			accepted++
+		}
+	}
+	if accepted < 6 {
+		t.Fatalf("only %d of %d corpus bodies yield a registration", accepted, len(decodeCorpus))
+	}
+	for body, wantMalformed := range map[string]bool{
+		`null`: true, `{}`: true, `{"handle":"x"}`: true, `{"handle":5}`: false, `{"handle":"1"} x`: false,
+		registrationBody(`"9"`, `[`+event("registration", 1)+`]`, `[`+entity("1", "registrar")+`]`):                                                        true,
+		registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[`+entity("1", "reseller")+`]`): true,
+	} {
+		if _, err := decodeRegistration([]byte(body)); err == nil || errors.Is(err, ErrMalformed) != wantMalformed {
+			t.Errorf("decodeRegistration(%.60q) = %v, want ErrMalformed %v", body, err, wantMalformed)
+		}
+	}
+}
+
+// FuzzRegistrationMatchesDomain: on arbitrary bytes the one-pass reader and
+// its fallback never panic and agree with the full decoder.
+func FuzzRegistrationMatchesDomain(f *testing.F) {
+	srv := wireServer(f)
+	for _, d := range renderSeeds() {
+		if body, ok := srv.appendDomain(nil, d); ok {
+			f.Add(body)
+		}
+	}
+	for _, body := range decodeCorpus {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) { checkRegistration(t, body) })
 }
 
 func renderSeeds() []*model.Domain {
@@ -306,97 +411,205 @@ func TestNon200KeepsConnection(t *testing.T) {
 	}
 }
 
-// lookupEnv is a client over the in-process transport and names registered
-// under two sponsors, the shape of the study's lookup path.
-func lookupEnv(tb testing.TB, names int) (*Server, *Client, []string) {
+// lookupEnv is a server over names registered under one sponsor, with the
+// two clients a lookup can go through: HTTP over the in-process transport
+// and bound to the server, the study's.
+func lookupEnv(tb testing.TB, names int) (srv *Server, httpc, bound *Client, created []string) {
 	tb.Helper()
-	srv := wireServer(tb)
-	created := make([]string, names)
+	srv = wireServer(tb)
+	created = make([]string, names)
 	for i := range created {
 		created[i] = fmt.Sprintf("lookup%05d.com", i)
 		if _, err := srv.store.Create(created[i], 1000, 1); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	client, err := NewClient("http://rdap.internal", inproc.Client(srv.Handler()))
+	httpc, err := NewClient("http://rdap.internal", inproc.Client(srv.Handler()))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return srv, client, created
+	return srv, httpc, NewBoundClient(srv), created
 }
 
-var lookupSink *DomainResponse
-
-// BenchmarkRDAPLookup is one lookup as the study makes it — client, inproc
-// transport, handler, decode — against a cold cache entry, a warm one, and
-// an unregistered name.
-func BenchmarkRDAPLookup(b *testing.B) {
-	srv, client, names := lookupEnv(b, 50000)
-	ctx := context.Background()
-	lookup := func(b *testing.B, name string) {
-		dr, err := client.Domain(ctx, name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		lookupSink = dr
+// TestBoundClientMatchesHTTP: the bound client and an HTTP client over the
+// same server give the same answer to every kind of lookup, and the server
+// counts them the same.
+func TestBoundClientMatchesHTTP(t *testing.T) {
+	srv, httpc, bound, names := lookupEnv(t, 3)
+	at := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
+	if _, err := srv.store.SeedAt("broken.com", 1001, at, at, at, model.StatusActive, simtime.Day{}); err != nil {
+		t.Fatal(err)
 	}
-	b.Run("cold", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if i%len(names) == 0 {
-				// Every name has been rendered: a mutation flushes the cache.
-				b.StopTimer()
-				if err := srv.store.Touch(names[0], 1000); err != nil {
+	ctx := context.Background()
+	class := func(err error) error {
+		for _, c := range []error{ErrNotFound, ErrServer, ErrMalformed} {
+			if errors.Is(err, c) {
+				return c
+			}
+		}
+		return nil
+	}
+	for _, name := range []string{names[0], names[0], strings.ToUpper(names[1]), "missing.com", "broken.com", "a/b.com", ""} {
+		type outcome struct {
+			reg      model.PriorRegistration
+			regErr   error
+			dr       *DomainResponse
+			drErr    error
+			requests uint64
+			hits     uint64
+			misses   uint64
+		}
+		// The second client would find the first one's render cached.
+		lookup := func(c *Client) outcome {
+			if err := srv.store.Touch(names[2], 1000); err != nil {
+				t.Fatal(err)
+			}
+			before := srv.Metrics()
+			var o outcome
+			o.dr, o.drErr = c.Domain(ctx, name)
+			o.reg, o.regErr = c.Registration(ctx, name)
+			after := srv.Metrics()
+			o.requests = after.Requests - before.Requests
+			o.hits, o.misses = after.Cache.Hits-before.Cache.Hits, after.Cache.Misses-before.Cache.Misses
+			return o
+		}
+		h, b := lookup(httpc), lookup(bound)
+		if (h.drErr == nil) != (b.drErr == nil) || class(h.drErr) != class(b.drErr) || class(h.regErr) != class(b.regErr) || (h.regErr == nil) != (b.regErr == nil) {
+			t.Errorf("%q: HTTP errors (%v, %v), bound errors (%v, %v)", name, h.drErr, h.regErr, b.drErr, b.regErr)
+		}
+		if !reflect.DeepEqual(h.dr, b.dr) || h.reg != b.reg {
+			t.Errorf("%q: HTTP (%+v, %+v), bound (%+v, %+v)", name, h.dr, h.reg, b.dr, b.reg)
+		}
+		if h.requests != 2 || b.requests != 2 || h.hits != b.hits || h.misses != b.misses {
+			t.Errorf("%q: HTTP %d requests %d hits %d misses, bound %d / %d / %d", name, h.requests, h.hits, h.misses, b.requests, b.hits, b.misses)
+		}
+		if h.drErr == nil {
+			if want, err := h.dr.Registration(); err != nil || want != b.reg {
+				t.Errorf("%q: Registration %+v, Domain().Registration() %+v, %v", name, b.reg, want, err)
+			}
+		}
+	}
+	for _, name := range []string{"missing.com", "a/b.com"} {
+		if _, err := bound.Registration(ctx, name); (name == "missing.com") != errors.Is(err, ErrNotFound) || err == nil {
+			t.Errorf("bound %q = %v", name, err)
+		}
+	}
+	if _, err := bound.Registration(ctx, "broken.com"); !errors.Is(err, ErrServer) {
+		t.Errorf("bound lookup of a failing registrar's name = %v, want ErrServer", err)
+	}
+
+	// A bound lookup has no transport to notice a cancelled context for it.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	before := srv.Metrics().Requests
+	if _, err := bound.Registration(cancelled, names[0]); !errors.Is(err, context.Canceled) {
+		t.Errorf("bound Registration under a cancelled context = %v", err)
+	}
+	if _, err := bound.Domain(cancelled, names[0]); !errors.Is(err, context.Canceled) {
+		t.Errorf("bound Domain under a cancelled context = %v", err)
+	}
+	if got := srv.Metrics().Requests; got != before {
+		t.Errorf("cancelled lookups reached the server: %d requests", got-before)
+	}
+}
+
+var (
+	lookupSink *DomainResponse
+	regSink    model.PriorRegistration
+)
+
+// BenchmarkRDAPLookup is one lookup — client, transport, resolve, decode —
+// against a cold cache entry, a warm one, and an unregistered name: Domain
+// over HTTP through the in-process transport, as read_mix and the examples
+// look names up, and bound/ Registration, as the study does.
+func BenchmarkRDAPLookup(b *testing.B) {
+	srv, httpc, bound, names := lookupEnv(b, 50000)
+	ctx := context.Background()
+	domain := func(name string) (err error) { lookupSink, err = httpc.Domain(ctx, name); return err }
+	registration := func(name string) (err error) { regSink, err = bound.Registration(ctx, name); return err }
+	for _, tr := range []struct {
+		prefix string
+		lookup func(name string) error
+	}{{"", domain}, {"bound/", registration}} {
+		b.Run(tr.prefix+"cold", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if i%len(names) == 0 {
+					// Every name has been rendered: a mutation flushes the cache.
+					b.StopTimer()
+					if err := srv.store.Touch(names[0], 1000); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				if err := tr.lookup(names[i%len(names)]); err != nil {
 					b.Fatal(err)
 				}
-				b.StartTimer()
 			}
-			lookup(b, names[i%len(names)])
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		lookup(b, names[0])
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			lookup(b, names[0])
-		}
-	})
-	b.Run("notfound", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := client.Domain(ctx, "missing.com"); !errors.Is(err, ErrNotFound) {
+		})
+		b.Run(tr.prefix+"warm", func(b *testing.B) {
+			if err := tr.lookup(names[0]); err != nil {
 				b.Fatal(err)
 			}
-		}
-	})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := tr.lookup(names[0]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(tr.prefix+"notfound", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := tr.lookup("missing.com"); !errors.Is(err, ErrNotFound) {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
-// TestLookupAllocBudget bounds the allocations of one in-process lookup.
-// The reflection path (encoding/json both ways, httptest recorder) took 105
-// cold, 85 warm and 40 for a 404.
+// TestLookupAllocBudget bounds the allocations of one in-process lookup on
+// each transport. The reflection path (encoding/json both ways, httptest
+// recorder) took 105 cold, 85 warm and 40 for a 404; HTTP before the bound
+// client 64, 53 and 28. A warm bound Registration allocates nothing: the
+// cached body is read in place. The budgets hold under the race detector,
+// which is how CI runs the test: there sync.Pool drops a quarter of what is
+// put back, worth up to three allocations on the HTTP path and one on the
+// bound one.
 func TestLookupAllocBudget(t *testing.T) {
-	_, client, names := lookupEnv(t, 300)
+	_, httpc, bound, names := lookupEnv(t, 600)
 	ctx := context.Background()
 	next := 0
-	cold := testing.AllocsPerRun(200, func() {
-		if _, err := client.Domain(ctx, names[next]); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		name                 string
+		lookup               func(name string) error
+		cold, warm, notFound float64
+	}{
+		{"HTTP Domain", func(name string) error { _, err := httpc.Domain(ctx, name); return err }, 54, 42, 28},
+		{"bound Registration", func(name string) error { _, err := bound.Registration(ctx, name); return err }, 17, 0, 7},
+	} {
+		cold := testing.AllocsPerRun(200, func() {
+			if err := tc.lookup(names[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		})
+		warm := testing.AllocsPerRun(200, func() {
+			if err := tc.lookup(names[0]); err != nil {
+				t.Fatal(err)
+			}
+		})
+		notFound := testing.AllocsPerRun(200, func() {
+			if err := tc.lookup("missing.com"); !errors.Is(err, ErrNotFound) {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s, allocs per lookup: cold %.0f, warm %.0f, not found %.0f", tc.name, cold, warm, notFound)
+		if cold > tc.cold || warm > tc.warm || notFound > tc.notFound {
+			t.Errorf("%s, allocs per lookup: cold %.0f (budget %.0f), warm %.0f (%.0f), not found %.0f (%.0f)",
+				tc.name, cold, tc.cold, warm, tc.warm, notFound, tc.notFound)
 		}
-		next++
-	})
-	warm := testing.AllocsPerRun(200, func() {
-		if _, err := client.Domain(ctx, names[0]); err != nil {
-			t.Fatal(err)
-		}
-	})
-	notFound := testing.AllocsPerRun(200, func() {
-		if _, err := client.Domain(ctx, "missing.com"); !errors.Is(err, ErrNotFound) {
-			t.Fatal(err)
-		}
-	})
-	t.Logf("allocs per lookup: cold %.0f, warm %.0f, not found %.0f", cold, warm, notFound)
-	if cold > 70 || warm > 56 || notFound > 36 {
-		t.Errorf("allocs per lookup: cold %.0f (budget 70), warm %.0f (56), not found %.0f (36)", cold, warm, notFound)
 	}
 }

@@ -5,11 +5,12 @@
 // runs the paper's measurement pipeline against the registry's public
 // surfaces (pending-delete lists, RDAP, WHOIS, the maliciousness oracle).
 //
-// The pipeline talks to the real dropscope, RDAP and oracle HTTP handlers
-// through an in-process transport (internal/inproc) and to a real WHOIS
-// server over TCP — the one socket a memory-only study opens — so the exact
-// code paths a remote client would exercise are exercised here, at memory
-// speed.
+// The pipeline's RDAP lookups call the RDAP server's resolve core directly
+// (rdap.NewBoundClient): the same name check, response cache, render and
+// status-to-error mapping a remote client meets, without the HTTP round
+// trip. It talks to the real dropscope and oracle HTTP handlers through an
+// in-process transport (internal/inproc) and to a real WHOIS server over TCP
+// — the one socket a memory-only study opens.
 package sim
 
 import (

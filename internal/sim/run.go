@@ -106,12 +106,15 @@ func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.D
 
 // Run executes a full study. It is deterministic for a given Config: equal
 // configs give byte-identical results — including when the run is a resume
-// of a crashed one. The measurement pipeline reaches RDAP, the
-// pending-delete lists and the oracle in-process; the WHOIS fallback dials a
-// loopback listener, the only socket Run opens. With Config.DataDir set,
-// every registry mutation and each day's pipeline collection goes through a
-// write-ahead journal, and Run first recovers whatever the directory holds,
-// then re-executes only the remainder of the study.
+// of a crashed one. The measurement pipeline's RDAP client is bound straight
+// to the RDAP server — two lookups per deleted name, nine tenths of the
+// study's traffic, with no HTTP in between; the pending-delete lists and the
+// oracle are reached through their handlers in-process (internal/inproc);
+// the WHOIS fallback dials a loopback listener, the only socket Run opens.
+// With Config.DataDir set, every registry mutation and each day's pipeline
+// collection goes through a write-ahead journal, and Run first recovers
+// whatever the directory holds, then re-executes only the remainder of the
+// study.
 //
 // Resume never re-runs completed work against the live registry (whose
 // state has moved past it); instead it replays the decision process from
@@ -245,10 +248,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	defer whoisSrv.Close()
 
-	rdapClient, err := rdap.NewClient("http://rdap.internal", inproc.Client(rdapSrv.Handler()))
-	if err != nil {
-		return nil, err
-	}
 	scopeClient, err := dropscope.NewClient("http://scope.internal", inproc.Client(scopeSrv.Handler()))
 	if err != nil {
 		return nil, err
@@ -263,7 +262,7 @@ func Run(cfg Config) (*Result, error) {
 	defer whoisClient.Close()
 	pipeline := &measure.Pipeline{
 		Lists:       scopeClient,
-		RDAP:        rdapClient,
+		RDAP:        rdap.NewBoundClient(rdapSrv),
 		WHOIS:       whoisClient,
 		Oracle:      oracleClient,
 		TLDFilter:   model.COM,

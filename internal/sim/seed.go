@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -170,12 +171,42 @@ func (s *seeder) generate(lifecycle registry.LifecycleConfig) ([]domainSpec, map
 		specs = append(specs, s.specsForDay(day, s.cfg.dailyVolume(i, volRng), lifecycle)...)
 		day = day.Next()
 	}
-	slices.SortStableFunc(specs, func(a, b domainSpec) int { return a.created.Compare(b.created) })
+	sortByCreation(specs)
 	meta := make(map[string]lotMeta, len(specs))
 	for _, sp := range specs {
 		meta[sp.name] = sp.meta
 	}
 	return specs, meta
+}
+
+// sortByCreation sorts specs by creation time, stably. A stable sort of the
+// specs themselves moves 130-odd-byte values through every merge step; this
+// sorts 16-byte (second, position) keys — creation times are whole seconds,
+// and the position makes equal ones keep their order — then moves each spec
+// once, in place, along the permutation's cycles.
+func sortByCreation(specs []domainSpec) {
+	type key struct {
+		created int64
+		from    int
+	}
+	keys := make([]key, len(specs))
+	for i := range specs {
+		keys[i] = key{specs[i].created.Unix(), i}
+	}
+	slices.SortFunc(keys, func(a, b key) int {
+		return cmp.Or(cmp.Compare(a.created, b.created), cmp.Compare(a.from, b.from))
+	})
+	for i := range keys {
+		if keys[i].from == i {
+			continue
+		}
+		first, to := specs[i], i
+		for from := keys[to].from; from != i; from = keys[to].from {
+			specs[to], keys[to].from = specs[from], to
+			to = from
+		}
+		specs[to], keys[to].from = first, to
+	}
 }
 
 // mergeSpecs merges two creation-time-sorted spec slices, preserving the

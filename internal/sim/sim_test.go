@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -268,5 +270,29 @@ func TestDirectoryShareHeadline(t *testing.T) {
 		registrars.SvcDropCatch, registrars.SvcSnapNames, registrars.SvcPheenix)
 	if share < 0.65 || share > 0.85 {
 		t.Errorf("top-3 accreditation share = %.2f, want ≈0.75", share)
+	}
+}
+
+// TestSortByCreationIsTheStableSort: the key sort and in-place permutation
+// order a population exactly as the stable sort of the specs did — ties,
+// which whole-second creation times make common, included.
+func TestSortByCreationIsTheStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	base := time.Date(2016, 1, 1, 0, 0, 0, 0, time.UTC)
+	for _, n := range []int{0, 1, 2, 7, 1000} {
+		specs := make([]domainSpec, n)
+		for i := range specs {
+			specs[i] = domainSpec{
+				name:        fmt.Sprintf("spec%04d.com", i),
+				registrarID: i,
+				created:     base.Add(time.Duration(rng.Intn(n/3+1)) * time.Second),
+			}
+		}
+		want := slices.Clone(specs)
+		slices.SortStableFunc(want, func(a, b domainSpec) int { return a.created.Compare(b.created) })
+		sortByCreation(specs)
+		if !slices.Equal(specs, want) {
+			t.Fatalf("n=%d: order differs from the stable sort", n)
+		}
 	}
 }
