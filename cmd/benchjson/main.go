@@ -9,6 +9,14 @@
 //
 //	go test -bench . -benchmem | benchjson > bench.json
 //	benchjson bench-registry.txt bench-study.txt > bench.json
+//	benchjson -compare ref.json new.json
+//
+// -compare is the regression gate: for every benchmark in both artifacts it
+// prints allocs/op and B/op side by side and exits non-zero when allocs/op
+// rose at all or B/op by more than 2 % — the figures that repeat from run to
+// run and host to host. ns/op does not, and is never judged. The reference
+// is itself benchjson's output over several runs of the same benchmarks
+// (.github/BENCH.ref.json: five).
 //
 // Lines that are not benchmark results (the goos/pkg preamble, PASS/ok
 // trailers, test log output) are ignored, so raw `go test` output can be fed
@@ -110,9 +118,87 @@ func parse(rd io.Reader, out *[]Result) error {
 	return sc.Err()
 }
 
+// key is a result's name without the -GOMAXPROCS suffix `go test` appends on
+// a host of more than one CPU, so artifacts from hosts of different widths
+// compare.
+func (a *Artifact) key(r Result) string {
+	if a.GOMAXPROCS > 1 {
+		return strings.TrimSuffix(r.Name, "-"+strconv.Itoa(a.GOMAXPROCS))
+	}
+	return r.Name
+}
+
+// bOpSlack is how far B/op may sit above the reference before it counts as
+// a rise: 2 % and 16 bytes, the second for benchmarks that allocate nothing
+// per operation but whose process allocated something once.
+func bOpSlack(ref float64) float64 { return ref*1.02 + 16 }
+
+// compare prints one row per benchmark present in both ref and cur and
+// reports whether the gate holds: no allocs/op above ref's, no B/op more
+// than the slack above ref's, and at least one benchmark compared. ref may
+// hold several runs of a benchmark; the highest of each figure is the
+// reference, and a B/op the reference's own runs disagree on by more than
+// the slack (an async flusher's buffer growth, say) is printed, not judged.
+func compare(w io.Writer, ref, cur *Artifact) bool {
+	type figures struct{ allocs, bytes, bytesLow float64 }
+	refs := make(map[string]figures, len(ref.Results))
+	for _, r := range ref.Results {
+		b := r.Metrics["B/op"]
+		f, seen := refs[ref.key(r)]
+		if !seen || b < f.bytesLow {
+			f.bytesLow = b
+		}
+		f.allocs, f.bytes = max(f.allocs, r.AllocsPerOp), max(f.bytes, b)
+		refs[ref.key(r)] = f
+	}
+	ok, compared := true, 0
+	fmt.Fprintf(w, "%-60s %21s %25s\n", "benchmark", "allocs/op ref → new", "B/op ref → new")
+	for _, c := range cur.Results {
+		r, both := refs[cur.key(c)]
+		if !both {
+			continue
+		}
+		compared++
+		verdict := ""
+		if c.AllocsPerOp > r.allocs {
+			verdict, ok = "  FAIL allocs/op", false
+		}
+		if r.bytes > bOpSlack(r.bytesLow) {
+			verdict += "  (B/op does not repeat in the reference)"
+		} else if c.Metrics["B/op"] > bOpSlack(r.bytes) {
+			verdict, ok = verdict+"  FAIL B/op", false
+		}
+		fmt.Fprintf(w, "%-60s %9.0f → %-9.0f %11.0f → %-11.0f%s\n", cur.key(c),
+			r.allocs, c.AllocsPerOp, r.bytes, c.Metrics["B/op"], verdict)
+	}
+	if compared == 0 {
+		fmt.Fprintln(w, "no benchmark in both artifacts: nothing was gated")
+		return false
+	}
+	return ok
+}
+
+func readArtifact(path string) *Artifact {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		log.Fatal(err)
+	}
+	art := new(Artifact)
+	if err := json.Unmarshal(data, art); err != nil {
+		log.Fatalf("%s: %v", path, err)
+	}
+	return art
+}
+
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("benchjson: ")
+	if len(os.Args) == 4 && os.Args[1] == "-compare" {
+		if !compare(os.Stdout, readArtifact(os.Args[2]), readArtifact(os.Args[3])) {
+			log.Fatalf("%s regresses against %s", os.Args[3], os.Args[2])
+		}
+		return
+	}
 	var results []Result
 	if len(os.Args) > 1 {
 		for _, path := range os.Args[1:] {

@@ -93,3 +93,53 @@ func TestGitSHAPrefersEnv(t *testing.T) {
 		t.Fatalf("gitSHA with GITHUB_SHA set = %q", got)
 	}
 }
+
+// The gate counts and never times: one more allocation is red, so is B/op
+// past 2 %, a doubled ns/op is not; names compare without the GOMAXPROCS
+// suffix — and only that suffix — and comparing nothing is a failure of its
+// own.
+func TestCompareGate(t *testing.T) {
+	bench := func(name string, ns, bytes, allocs float64) Result {
+		return Result{Name: name, Iterations: 2000, NsPerOp: ns, AllocsPerOp: allocs,
+			Metrics: map[string]float64{"ns/op": ns, "B/op": bytes, "allocs/op": allocs}}
+	}
+	ref := &Artifact{GOMAXPROCS: 2, Results: []Result{
+		bench("BenchmarkEPPFramePath/create-2", 900, 0, 0),
+		bench("BenchmarkRDAPLookup/cold-2", 5000, 1000, 54),
+		bench("BenchmarkFanout/single/subs-1-2", 400, 0, 0),
+		bench("BenchmarkFanout/single/subs-100-2", 6000, 64, 2),
+		bench("BenchmarkWALAppend/async-2", 1700, 883, 9),
+		bench("BenchmarkWALAppend/async-2", 1700, 927, 9),
+		bench("BenchmarkWALAppend/sync-2", 90000, 640, 9),
+		bench("BenchmarkWALAppend/sync-2", 90000, 646, 10),
+	}}
+	for _, tc := range []struct {
+		name  string
+		procs int
+		cur   []Result
+		want  bool
+	}{
+		{"identical", 2, ref.Results, true},
+		{"ns/op doubled on a wider host", 8, []Result{bench("BenchmarkEPPFramePath/create-8", 1800, 0, 0), bench("BenchmarkRDAPLookup/cold-8", 10000, 1000, 54)}, true},
+		{"one more allocation", 2, []Result{bench("BenchmarkEPPFramePath/create-2", 900, 0, 1)}, false},
+		{"one allocation fewer", 2, []Result{bench("BenchmarkRDAPLookup/cold-2", 5000, 1000, 53)}, true},
+		{"B/op up 2 % and 16 B", 2, []Result{bench("BenchmarkRDAPLookup/cold-2", 5000, 1036, 54)}, true},
+		{"B/op up 2 % and 17 B", 2, []Result{bench("BenchmarkRDAPLookup/cold-2", 5000, 1037, 54)}, false},
+		{"B/op from zero", 2, []Result{bench("BenchmarkEPPFramePath/create-2", 900, 17, 0)}, false},
+		{"several reference runs: the highest holds", 2, []Result{bench("BenchmarkWALAppend/sync-2", 90000, 660, 10)}, true},
+		{"several reference runs: above the highest", 2, []Result{bench("BenchmarkWALAppend/sync-2", 90000, 700, 11)}, false},
+		{"a B/op the reference runs disagree on is not judged", 2, []Result{bench("BenchmarkWALAppend/async-2", 1700, 1100, 9)}, true},
+		{"its allocs/op still is", 2, []Result{bench("BenchmarkWALAppend/async-2", 1700, 900, 10)}, false},
+		{"one CPU: no suffix, and subs-100 is not subs-1", 1, []Result{bench("BenchmarkFanout/single/subs-100", 6000, 64, 2), bench("BenchmarkFanout/single/subs-1", 400, 0, 0)}, true},
+		{"only benchmarks the reference lacks", 2, []Result{bench("BenchmarkNew-2", 1, 1e6, 1e3)}, false},
+		{"a new benchmark beside a held one", 2, []Result{bench("BenchmarkNew-2", 1, 1e6, 1e3), bench("BenchmarkRDAPLookup/cold-2", 5000, 1000, 54)}, true},
+	} {
+		var table strings.Builder
+		if got := compare(&table, ref, &Artifact{GOMAXPROCS: tc.procs, Results: tc.cur}); got != tc.want {
+			t.Errorf("%s: gate holds = %v, want %v\n%s", tc.name, got, tc.want, table.String())
+		}
+		if !tc.want && !strings.Contains(table.String(), "FAIL") && !strings.Contains(table.String(), "nothing was gated") {
+			t.Errorf("%s: the table does not say what failed:\n%s", tc.name, table.String())
+		}
+	}
+}

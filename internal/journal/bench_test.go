@@ -3,8 +3,6 @@ package journal
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -84,40 +82,11 @@ func buildRecoveryDir(b *testing.B, n int) (string, uint64) {
 	return dir, snapSeq
 }
 
-// cloneDirWithV1Snapshot hardlinks dir's WAL segments into a fresh directory
-// and converts its v2 snapshot to the v1 gob format at the same sequence, so
-// the pre-upgrade recovery path runs against an identical history.
-func cloneDirWithV1Snapshot(b *testing.B, dir string, snapSeq uint64) string {
-	b.Helper()
-	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
-	v1dir := b.TempDir()
-	segs, _, err := listSegments(dir)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, seg := range segs {
-		if err := os.Link(filepath.Join(dir, seg), filepath.Join(v1dir, seg)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	tmp := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-	sr, err := restoreLatestSnapshot(tmp, dir, 0)
-	if err != nil || !sr.found || sr.seq != snapSeq {
-		b.Fatalf("loading v2 snapshot for conversion: %+v %v", sr, err)
-	}
-	st := tmp.CaptureSnapshotSharded()
-	if _, err := writeSnapshot(v1dir, &snapshotFile{Seq: snapSeq, State: st.Flatten()}); err != nil {
-		b.Fatal(err)
-	}
-	return v1dir
-}
-
 // BenchmarkRecovery measures cold-start recovery of a populated store —
 // snapshot load plus WAL tail replay — at 100k and (without -short) 1M
-// domains, across the format/parallelism matrix: the pre-upgrade v1 gob
-// snapshot and the v2 sectioned snapshot at RecoveryParallelism 1 (restore
-// and replay on the calling goroutine), and v2 with a worker per core. The
-// ratio between the last two only shows on multi-core runs (-cpu 4 in CI).
+// domains, at RecoveryParallelism 1 (restore and replay on the calling
+// goroutine) and with a worker per core. The ratio between the two only
+// shows on multi-core runs (-cpu 4 in CI).
 func BenchmarkRecovery(b *testing.B) {
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	sizes := []int{100_000, 1_000_000}
@@ -125,22 +94,19 @@ func BenchmarkRecovery(b *testing.B) {
 		sizes = []int{100_000}
 	}
 	for _, n := range sizes {
-		dir, snapSeq := buildRecoveryDir(b, n)
-		v1dir := cloneDirWithV1Snapshot(b, dir, snapSeq)
+		dir, _ := buildRecoveryDir(b, n)
 		for _, v := range []struct {
 			name        string
-			dir         string
 			parallelism int
 		}{
-			{"v1-gob", v1dir, 1},
-			{"v2-seq", dir, 1},
-			{"v2-parallel", dir, 0},
+			{"v2-seq", 1},
+			{"v2-parallel", 0},
 		} {
 			b.Run(fmt.Sprintf("domains=%d/%s", n, v.name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					s2 := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
 					t0 := time.Now()
-					j2, rec, err := Open(s2, Options{Dir: v.dir, Mode: ModeAsync, RecoveryParallelism: v.parallelism})
+					j2, rec, err := Open(s2, Options{Dir: dir, Mode: ModeAsync, RecoveryParallelism: v.parallelism})
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -159,9 +125,9 @@ func BenchmarkRecovery(b *testing.B) {
 
 // BenchmarkSnapshotCapture measures producing one snapshot of a 200k-domain
 // store — capture, encode and the atomic file write — as Journal.Snapshot
-// does it (v2: sections encoded straight from the shards, on one worker and
-// on one per core), next to the v1 gob format written from a materialised
-// copy. Run with -benchmem: B/op is the snapshot's transient footprint.
+// does it: sections encoded straight from the shards, on one worker and on
+// one per core. Run with -benchmem: B/op is the snapshot's transient
+// footprint.
 func BenchmarkSnapshotCapture(b *testing.B) {
 	const n = 200_000
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
@@ -173,15 +139,6 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.Run("v1-gob", func(b *testing.B) {
-		dir := b.TempDir()
-		for i := 0; i < b.N; i++ {
-			st := s.CaptureSnapshotSharded()
-			if _, err := writeSnapshot(dir, &snapshotFile{Seq: 1, State: st.Flatten()}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	for _, v := range []struct {
 		name    string
 		workers int

@@ -4,19 +4,38 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+
+	"dropzero/internal/registry"
 )
 
+// Record is one recovered WAL entry: a registry mutation or an opaque
+// application record (the simulation driver's own checkpoint stream).
+type Record struct {
+	Seq      uint64
+	Mutation *registry.Mutation
+	App      []byte
+}
+
 // Scan reads every record in dir's WAL with sequence number strictly greater
-// than after, in order. It is the read-only companion to CrashCopy:
-// crash-recovery tests scan an uninterrupted run's full log to pick cut
-// points (and as the oracle for what a prefix replay must yield). Recovery
-// itself goes through Open.
-func Scan(dir string, after uint64) ([]Record, error) {
-	res, err := scanDir(dir, after)
-	if err != nil {
-		return nil, err
-	}
-	return res.records, nil
+// than after, in order, decoded into memory; the framing, corruption and
+// torn-tail rules are scanFrames's (replay.go). It is the read-only companion
+// to CrashCopy: crash-recovery tests scan an uninterrupted run's full log to
+// pick cut points (and as the oracle for what a prefix replay must yield).
+// Recovery itself streams through replayTail.
+func Scan(dir string, after uint64) (records []Record, err error) {
+	_, err = scanFrames(dir, after, func(f frame) error {
+		m := new(registry.Mutation)
+		app, err := decodeRecord(f, m)
+		if err != nil {
+			return err
+		}
+		if app != nil {
+			m = nil
+		}
+		records = append(records, Record{Seq: f.seq, Mutation: m, App: app})
+		return nil
+	})
+	return records, err
 }
 
 // CrashCopy copies the journal directory src into dst as a kill -9 at WAL

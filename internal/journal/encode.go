@@ -1,51 +1,50 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
+	"dropzero/internal/binwire"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
-	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
 
-// Mutation payload encoding: a hand-rolled binary codec rather than gob,
-// because the Drop-second hot path appends tens of records per simulated
-// second and gob's per-message type preamble roughly triples the bytes. The
-// layout is a fixed field order with varints:
+// Mutation payload encoding: a hand-rolled binary codec over binwire's
+// fields, because the Drop-second hot path appends tens of records per
+// simulated second and a self-describing encoding's per-message preamble
+// roughly triples the bytes. The layout is a fixed field order:
 //
 //	kind u8
 //	name uvarint-len + bytes
 //	id uvarint · registrarID varint
 //	created/updated/expiry/time: unix-seconds varint + nanos uvarint
 //	status u8 · deleteDay (year varint, month u8, dom u8) · rank varint
-//	registrar fields (wireAddRegistrarBin only; see below)
+//	registrar fields (wireAddRegistrarBin) or zone config (wireAddZoneBin)
 //
-// Times round-trip as instants: the zero time.Time encodes as its Unix
-// second (-62135596800) and decodes back to a value for which IsZero()
-// holds, preserving the "zero means keep / none" sentinels the registry
-// records use. Decoding is defensive everywhere — the torn-write fuzz test
-// feeds this arbitrary bytes and a panic would be a recovery bug.
+// Times round-trip as instants, the zero time.Time included, preserving the
+// "zero means keep / none" sentinels the registry records use. Decoding is
+// defensive everywhere — the torn-write fuzz test feeds this arbitrary bytes
+// and a panic would be a recovery bug.
 //
-// MutAddRegistrar originally carried its registrar as a length-prefixed gob
-// blob; gob cannot be told apart from the binary layout by sniffing, so the
-// binary form claims a fresh wire kind byte instead of reusing kind 1. New
-// appends always write wireAddRegistrarBin; the decoder accepts both
-// spellings forever, keeping pre-upgrade segments replayable while the
-// append and replay hot paths never touch encoding/gob.
+// MutAddRegistrar and MutAddZone claim wire kind bytes of their own, outside
+// the MutKind range. Wire kind 1 — MutAddRegistrar's own number — belonged to
+// the first encoding of that record, whose registrar rode as a gob blob; gob
+// cannot be told from the binary layout by sniffing, which is why the binary
+// form moved to a fresh byte. Nothing has written kind 1 since, and the
+// decoder refuses it by name (errGobRegistrar) rather than carry
+// encoding/gob for it.
 
-// wireAddRegistrarBin is the on-wire kind byte of a MutAddRegistrar record
-// whose registrar payload uses the hand-rolled binary codec (IANAID varint,
-// then name, the six contact strings and the service URL, each
-// uvarint-len-prefixed). Outside the valid MutKind range, never to be
-// reused for a future kind.
+// wireAddRegistrarBin is the on-wire kind byte of a MutAddRegistrar record:
+// the common mutation fields followed by the registrar (IANAID varint, then
+// name, the six contact strings and the service URL, each
+// uvarint-len-prefixed). Never to be reused for a future kind.
 const wireAddRegistrarBin byte = 0x41
+
+var errGobRegistrar = errors.New("journal: add-registrar record in the retired gob encoding (wire kind 1) is no longer read; replay this log with a build that reads it and take a snapshot there")
 
 // wireAddZoneBin is the on-wire kind byte of a MutAddZone record: the common
 // mutation fields (all zero/empty) followed by the zone config (name, TLD
@@ -54,40 +53,29 @@ const wireAddRegistrarBin byte = 0x41
 // to be reused for a future kind.
 const wireAddZoneBin byte = 0x42
 
-// appendUvarint/appendVarint wrap binary's append helpers for symmetry.
-func appendTime(b []byte, t time.Time) []byte {
-	b = binary.AppendVarint(b, t.Unix())
-	return binary.AppendUvarint(b, uint64(t.Nanosecond()))
-}
-
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
-}
-
 // appendRegistrar serialises r after b with the same varint/string
 // primitives as the mutation fields. Shared by the WAL codec and the v2
 // snapshot's meta section.
 func appendRegistrar(b []byte, r *model.Registrar) []byte {
 	b = binary.AppendVarint(b, int64(r.IANAID))
-	b = appendString(b, r.Name)
-	b = appendString(b, r.Contact.Org)
-	b = appendString(b, r.Contact.Email)
-	b = appendString(b, r.Contact.Street)
-	b = appendString(b, r.Contact.City)
-	b = appendString(b, r.Contact.Country)
-	b = appendString(b, r.Contact.Phone)
-	return appendString(b, r.Service)
+	b = binwire.AppendString(b, r.Name)
+	b = binwire.AppendString(b, r.Contact.Org)
+	b = binwire.AppendString(b, r.Contact.Email)
+	b = binwire.AppendString(b, r.Contact.Street)
+	b = binwire.AppendString(b, r.Contact.City)
+	b = binwire.AppendString(b, r.Contact.Country)
+	b = binwire.AppendString(b, r.Contact.Phone)
+	return binwire.AppendString(b, r.Service)
 }
 
 // appendZone serialises z after b with the same varint/string primitives as
 // the mutation fields. Shared by the WAL codec and the v3 snapshot's meta
 // section. Field order is part of the on-disk format.
 func appendZone(b []byte, z *zone.Config) []byte {
-	b = appendString(b, z.Name)
+	b = binwire.AppendString(b, z.Name)
 	b = binary.AppendUvarint(b, uint64(len(z.TLDs)))
 	for _, t := range z.TLDs {
-		b = appendString(b, string(t))
+		b = binwire.AppendString(b, string(t))
 	}
 	lc := &z.Lifecycle
 	b = binary.AppendVarint(b, int64(lc.RedemptionDays))
@@ -115,7 +103,7 @@ func appendZone(b []byte, z *zone.Config) []byte {
 	b = binary.AppendUvarint(b, math.Float64bits(dc.DayRateSpread))
 	b = binary.AppendUvarint(b, math.Float64bits(dc.StallProb))
 	b = binary.AppendVarint(b, int64(dc.StallSeconds))
-	b = appendString(b, string(z.Policy))
+	b = binwire.AppendString(b, string(z.Policy))
 	return binary.AppendUvarint(b, z.Salt)
 }
 
@@ -129,16 +117,15 @@ func appendMutation(b []byte, m *registry.Mutation) ([]byte, error) {
 		k = wireAddZoneBin
 	}
 	b = append(b, k)
-	b = appendString(b, m.Name)
+	b = binwire.AppendString(b, m.Name)
 	b = binary.AppendUvarint(b, m.ID)
 	b = binary.AppendVarint(b, int64(m.RegistrarID))
-	b = appendTime(b, m.Created)
-	b = appendTime(b, m.Updated)
-	b = appendTime(b, m.Expiry)
+	b = binwire.AppendTime(b, m.Created)
+	b = binwire.AppendTime(b, m.Updated)
+	b = binwire.AppendTime(b, m.Expiry)
 	b = append(b, byte(m.Status))
-	b = binary.AppendVarint(b, int64(m.DeleteDay.Year))
-	b = append(b, byte(m.DeleteDay.Month), byte(m.DeleteDay.Dom))
-	b = appendTime(b, m.Time)
+	b = binwire.AppendDay(b, m.DeleteDay)
+	b = binwire.AppendTime(b, m.Time)
 	b = binary.AppendVarint(b, int64(m.Rank))
 	if m.Kind == registry.MutAddRegistrar {
 		b = appendRegistrar(b, &m.Registrar)
@@ -149,262 +136,79 @@ func appendMutation(b []byte, m *registry.Mutation) ([]byte, error) {
 	return b, nil
 }
 
-// decoder reads the codec's primitives with bounds checking.
-type decoder struct {
-	b []byte
-}
-
-var errTruncated = fmt.Errorf("journal: truncated mutation payload")
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		return 0, errTruncated
+// decodeZone reads what appendZone wrote.
+func decodeZone(d *binwire.Decoder) (z zone.Config) {
+	z.Name = d.Str()
+	for i, n := 0, d.Count(1024); i < n && d.Err() == nil; i++ {
+		z.TLDs = append(z.TLDs, model.TLD(d.Str()))
 	}
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *decoder) varint() (int64, error) {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *decoder) byte() (byte, error) {
-	if len(d.b) == 0 {
-		return 0, errTruncated
-	}
-	c := d.b[0]
-	d.b = d.b[1:]
-	return c, nil
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(len(d.b)) {
-		return "", errTruncated
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, nil
-}
-
-func (d *decoder) time() (time.Time, error) {
-	sec, err := d.varint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	nsec, err := d.uvarint()
-	if err != nil {
-		return time.Time{}, err
-	}
-	if nsec >= 1e9 {
-		return time.Time{}, fmt.Errorf("journal: nanosecond field out of range: %d", nsec)
-	}
-	return time.Unix(sec, int64(nsec)).UTC(), nil
-}
-
-func (d *decoder) zone() (zone.Config, error) {
-	var z zone.Config
-	var err error
-	if z.Name, err = d.str(); err != nil {
-		return z, err
-	}
-	ntld, err := d.uvarint()
-	if err != nil {
-		return z, err
-	}
-	if ntld > 1024 {
-		return z, fmt.Errorf("journal: unreasonable zone TLD count %d", ntld)
-	}
-	for i := uint64(0); i < ntld; i++ {
-		t, err := d.str()
-		if err != nil {
-			return z, err
+	lc := &z.Lifecycle
+	lc.RedemptionDays, lc.PendingDeleteDays, lc.DefaultGraceDays = d.Int(), d.Int(), d.Int()
+	lc.BatchHour, lc.BatchMinute = d.Int(), d.Int()
+	if n := d.Count(1 << 20); n > 0 {
+		lc.GraceDays = make(map[int]int, n)
+		for i := 0; i < n && d.Err() == nil; i++ {
+			id := d.Int()
+			lc.GraceDays[id] = d.Int()
 		}
-		z.TLDs = append(z.TLDs, model.TLD(t))
 	}
-	ints := []*int{
-		&z.Lifecycle.RedemptionDays, &z.Lifecycle.PendingDeleteDays,
-		&z.Lifecycle.DefaultGraceDays, &z.Lifecycle.BatchHour, &z.Lifecycle.BatchMinute,
+	dc := &z.Drop
+	dc.StartHour, dc.StartMinute = d.Int(), d.Int()
+	for _, p := range []*float64{&dc.BaseRatePerSec, &dc.RateJitter, &dc.DayRateSpread, &dc.StallProb} {
+		*p = math.Float64frombits(d.Uvarint())
 	}
-	for _, p := range ints {
-		v, err := d.varint()
-		if err != nil {
-			return z, err
-		}
-		*p = int(v)
-	}
-	ngrace, err := d.uvarint()
-	if err != nil {
-		return z, err
-	}
-	if ngrace > 1<<20 {
-		return z, fmt.Errorf("journal: unreasonable zone grace count %d", ngrace)
-	}
-	if ngrace > 0 {
-		z.Lifecycle.GraceDays = make(map[int]int, ngrace)
-	}
-	for i := uint64(0); i < ngrace; i++ {
-		id, err := d.varint()
-		if err != nil {
-			return z, err
-		}
-		days, err := d.varint()
-		if err != nil {
-			return z, err
-		}
-		z.Lifecycle.GraceDays[int(id)] = int(days)
-	}
-	hm := []*int{&z.Drop.StartHour, &z.Drop.StartMinute}
-	for _, p := range hm {
-		v, err := d.varint()
-		if err != nil {
-			return z, err
-		}
-		*p = int(v)
-	}
-	floats := []*float64{&z.Drop.BaseRatePerSec, &z.Drop.RateJitter, &z.Drop.DayRateSpread, &z.Drop.StallProb}
-	for _, p := range floats {
-		bits, err := d.uvarint()
-		if err != nil {
-			return z, err
-		}
-		*p = math.Float64frombits(bits)
-	}
-	stall, err := d.varint()
-	if err != nil {
-		return z, err
-	}
-	z.Drop.StallSeconds = int(stall)
-	pol, err := d.str()
-	if err != nil {
-		return z, err
-	}
-	z.Policy = zone.PolicyKind(pol)
-	if z.Salt, err = d.uvarint(); err != nil {
-		return z, err
-	}
-	return z, nil
+	dc.StallSeconds = d.Int()
+	z.Policy = zone.PolicyKind(d.Str())
+	z.Salt = d.Uvarint()
+	return z
 }
 
-func (d *decoder) registrar() (model.Registrar, error) {
-	var r model.Registrar
-	id, err := d.varint()
-	if err != nil {
-		return r, err
-	}
-	r.IANAID = int(id)
-	fields := []*string{
+// decodeRegistrar reads what appendRegistrar wrote.
+func decodeRegistrar(d *binwire.Decoder) (r model.Registrar) {
+	r.IANAID = d.Int()
+	for _, f := range []*string{
 		&r.Name,
 		&r.Contact.Org, &r.Contact.Email, &r.Contact.Street,
 		&r.Contact.City, &r.Contact.Country, &r.Contact.Phone,
 		&r.Service,
+	} {
+		*f = d.Str()
 	}
-	for _, f := range fields {
-		if *f, err = d.str(); err != nil {
-			return r, err
-		}
-	}
-	return r, nil
+	return r
 }
 
 // decodeMutation parses one mutation payload into *m, overwriting whatever
 // it held (replay decodes into reused slots). It never panics on malformed
 // input; any structural problem comes back as an error.
 func decodeMutation(b []byte, m *registry.Mutation) error {
+	d := binwire.NewDecoder(b)
 	*m = registry.Mutation{}
-	d := &decoder{b: b}
-
-	kind, err := d.byte()
-	if err != nil {
-		return err
-	}
-	binReg := kind == wireAddRegistrarBin
-	switch {
-	case binReg:
+	switch kind := d.Byte(); kind {
+	case wireAddRegistrarBin:
 		m.Kind = registry.MutAddRegistrar
-	case kind == wireAddZoneBin:
+	case wireAddZoneBin:
 		m.Kind = registry.MutAddZone
+	case byte(registry.MutAddRegistrar):
+		return errGobRegistrar
 	default:
 		m.Kind = registry.MutKind(kind)
 	}
-	if m.Name, err = d.str(); err != nil {
-		return err
+	m.Name = d.Str()
+	m.ID = d.Uvarint()
+	m.RegistrarID = d.Int()
+	m.Created, m.Updated, m.Expiry = d.Time(), d.Time(), d.Time()
+	m.Status = model.Status(d.Byte())
+	m.DeleteDay = d.Day()
+	m.Time = d.Time()
+	m.Rank = d.Int()
+	switch m.Kind {
+	case registry.MutAddZone:
+		m.Zone = decodeZone(d)
+	case registry.MutAddRegistrar:
+		m.Registrar = decodeRegistrar(d)
 	}
-	if m.ID, err = d.uvarint(); err != nil {
-		return err
-	}
-	rid, err := d.varint()
-	if err != nil {
-		return err
-	}
-	m.RegistrarID = int(rid)
-	if m.Created, err = d.time(); err != nil {
-		return err
-	}
-	if m.Updated, err = d.time(); err != nil {
-		return err
-	}
-	if m.Expiry, err = d.time(); err != nil {
-		return err
-	}
-	st, err := d.byte()
-	if err != nil {
-		return err
-	}
-	m.Status = model.Status(st)
-	year, err := d.varint()
-	if err != nil {
-		return err
-	}
-	month, err := d.byte()
-	if err != nil {
-		return err
-	}
-	dom, err := d.byte()
-	if err != nil {
-		return err
-	}
-	m.DeleteDay = simtime.Day{Year: int(year), Month: time.Month(month), Dom: int(dom)}
-	if m.Time, err = d.time(); err != nil {
-		return err
-	}
-	rank, err := d.varint()
-	if err != nil {
-		return err
-	}
-	m.Rank = int(rank)
-	if m.Kind == registry.MutAddZone {
-		if m.Zone, err = d.zone(); err != nil {
-			return err
-		}
-	}
-	if m.Kind == registry.MutAddRegistrar {
-		if binReg {
-			if m.Registrar, err = d.registrar(); err != nil {
-				return err
-			}
-		} else {
-			// Pre-upgrade segment: the registrar rode as a gob blob.
-			blob, err := d.str()
-			if err != nil {
-				return err
-			}
-			if err := gob.NewDecoder(bytes.NewReader([]byte(blob))).Decode(&m.Registrar); err != nil {
-				return fmt.Errorf("journal: decode registrar: %w", err)
-			}
-		}
-	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("journal: %d trailing bytes after mutation payload", len(d.b))
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("journal: mutation payload: %w", err)
 	}
 	return nil
 }

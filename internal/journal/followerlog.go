@@ -45,19 +45,11 @@ func OpenFollowerLog(dir string, lastSeq uint64, segmentBytes int64) (*FollowerL
 
 // openSegment starts the segment whose first record will be lastSeq+1.
 func (l *FollowerLog) openSegment() error {
-	f, err := os.Create(filepath.Join(l.dir, segName(l.lastSeq+1)))
+	f, err := openSegment(l.dir, l.lastSeq+1, l.f)
 	if err != nil {
-		return fmt.Errorf("journal: create segment: %w", err)
+		return err
 	}
-	if err := syncDir(l.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: sync dir: %w", err)
-	}
-	if l.f != nil {
-		l.f.Close()
-	}
-	l.f = f
-	l.size = 0
+	l.f, l.size = f, 0
 	return nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -75,12 +76,7 @@ func buildFuzzBase() {
 		fuzzBase.err = err
 		return
 	}
-	res, err := scanDir(dir, 0)
-	if err != nil {
-		fuzzBase.err = err
-		return
-	}
-	fuzzBase.records = res.records
+	fuzzBase.records, fuzzBase.err = Scan(dir, 0)
 }
 
 // FuzzWALReplay corrupts the log at arbitrary byte offsets — truncation,
@@ -207,5 +203,53 @@ func FuzzFollowerFrames(f *testing.F) {
 		if err == nil && (last-first+1 != records || len(ms) != muts) {
 			t.Fatalf("accepted batch: %d..%d with %d mutations, walk found %d records with %d mutations", first, last, len(ms), records, muts)
 		}
+	})
+}
+
+// FuzzDecodeBodies feeds the four layout decoders — a mutation payload, the
+// snapshot's meta, domain and deletion sections — bytes no CRC vouches for.
+// They must return, not panic, whatever the counts inside claim, and a
+// mutation they accept must survive a re-encode and decode unchanged.
+func FuzzDecodeBodies(f *testing.F) {
+	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
+	for _, m := range []registry.Mutation{
+		{Kind: registry.MutTouch, Name: "fz.com", Updated: at},
+		{Kind: registry.MutAddRegistrar, Registrar: model.Registrar{IANAID: 900, Name: "Fuzz Reg"}},
+		{Kind: registry.MutAddZone, Zone: testNordic()},
+	} {
+		body, err := appendMutation(nil, &m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(body)
+	}
+	snapFuzzBase.once.Do(buildSnapFuzzBase)
+	if snapFuzzBase.err != nil {
+		f.Fatal(snapFuzzBase.err)
+	}
+	sv, err := parseSnapshotV2(snapFuzzBase.data, "base")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(sv.domains[0])
+	f.Add(sv.deletion[0])
+	f.Add(appendMeta(nil, &sv.meta))
+	f.Add([]byte{0x42, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a zone of 2^32 TLDs
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m registry.Mutation
+		if err := decodeMutation(data, &m); err == nil {
+			again, err := appendMutation(nil, &m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var m2 registry.Mutation
+			if err := decodeMutation(again, &m2); err != nil || !reflect.DeepEqual(m, m2) {
+				t.Fatalf("accepted mutation does not round-trip (%v):\n%+v\n%+v", err, m, m2)
+			}
+		}
+		decodeMetaSection(data, true)
+		decodeMetaSection(data, false)
+		decodeDomainSection(data, func([]registry.SnapshotDomain) error { return nil })
+		decodeDeletionsSection(data)
 	})
 }

@@ -122,8 +122,7 @@ func (o *Options) defaults() error {
 type RecoveryTimings struct {
 	// SnapshotRead is the snapshot file read.
 	SnapshotRead time.Duration
-	// SnapshotDecode is verification: the framing+CRC validation pass (v2)
-	// or the gob decode (v1).
+	// SnapshotDecode is verification: the framing+CRC validation pass.
 	SnapshotDecode time.Duration
 	// SnapshotInstall is decoding and installing the state into the store.
 	SnapshotInstall time.Duration
@@ -244,17 +243,11 @@ func recoverDir(store *registry.Store, dir string, workers int) (rec Recovery, l
 		return rec, 0, false, fmt.Errorf("journal: %w", err)
 	}
 
-	sr, err := restoreLatestSnapshot(store, dir, workers)
+	rec, hadSnap, err = restoreLatestSnapshot(store, dir, workers)
 	if err != nil {
 		return rec, 0, false, err
 	}
-	after := sr.seq
-	rec.SnapshotSeq = sr.seq
-	rec.SnapshotBytes = sr.bytes
-	rec.AppState = sr.appState
-	rec.Timings.SnapshotRead = sr.read
-	rec.Timings.SnapshotDecode = sr.decode
-	rec.Timings.SnapshotInstall = sr.install
+	after := rec.SnapshotSeq
 
 	if names, firstSeqs, lerr := listSegments(dir); lerr == nil && len(firstSeqs) > 0 && firstSeqs[0] > after+1 {
 		return rec, 0, false, fmt.Errorf("journal: gap between snapshot (seq %d) and oldest segment %s", after, names[0])
@@ -286,7 +279,7 @@ func recoverDir(store *registry.Store, dir string, workers int) (rec Recovery, l
 		last = after
 	}
 	rec.Timings.Total = time.Since(t0)
-	return rec, last, sr.found, nil
+	return rec, last, hadSnap, nil
 }
 
 // Replay rebuilds dir's durable state into store without opening the log

@@ -367,7 +367,7 @@ func TestCrashCopyRecovery(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	orig, err := scanDir(dir, 0)
+	orig, err := Scan(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,7 @@ func TestCrashCopyRecovery(t *testing.T) {
 			t.Errorf("cut %d: recovered to seq %d", cut, jc.LastSeq())
 		}
 		want := newTestStore()
-		for _, r := range orig.records {
+		for _, r := range orig {
 			if r.Seq > cut {
 				break
 			}
@@ -413,7 +413,7 @@ func TestCrashCopyRecovery(t *testing.T) {
 // flush's unlocked IO window land in the *next* segment, so a rotated
 // segment must be named after the durable boundary (durable+1), not the
 // latest assigned sequence (seq+1). Regression test: the seq+1 name claimed
-// a later first sequence than the segment held and failed scanDir's
+// a later first sequence than the segment held and failed scanFrames's
 // contiguity check on the next recovery, making durable data unrecoverable.
 func TestRotationNamesSegmentAtDurableBoundary(t *testing.T) {
 	dir := t.TempDir()
@@ -435,12 +435,13 @@ func TestRotationNamesSegmentAtDurableBoundary(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := scanDir(dir, 0)
+	records := 0
+	res, err := scanFrames(dir, 0, func(frame) error { records++; return nil })
 	if err != nil {
 		t.Fatalf("recovery scan after mid-flush append: %v", err)
 	}
-	if res.lastSeq != 2 || len(res.records) != 2 {
-		t.Fatalf("recovered lastSeq=%d with %d records, want 2 and 2", res.lastSeq, len(res.records))
+	if res.lastSeq != 2 || records != 2 {
+		t.Fatalf("recovered lastSeq=%d with %d records, want 2 and 2", res.lastSeq, records)
 	}
 	if res.tornFile != "" {
 		t.Fatalf("unexpected torn tail reported in %s", res.tornFile)
@@ -697,9 +698,9 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err := w.close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := scanDir(dir, 0)
-	if err != nil || len(res.records) != n {
-		t.Fatalf("recovered %d records (err %v), want %d", len(res.records), err, n)
+	records, err := Scan(dir, 0)
+	if err != nil || len(records) != n {
+		t.Fatalf("recovered %d records (err %v), want %d", len(records), err, n)
 	}
 }
 

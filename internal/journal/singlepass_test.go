@@ -46,7 +46,7 @@ func decodeSnapshotFile(t *testing.T, path string) decodedSnapshot {
 		t.Fatal(err)
 	}
 	ds := decodedSnapshot{
-		magic:     string(data[:len(snapMagic2)]),
+		magic:     string(data[:len(snapMagic)]),
 		meta:      sv.meta,
 		domains:   make(map[string]registry.SnapshotDomain),
 		deletions: make(map[simtime.Day][]model.DeletionEvent),
@@ -109,7 +109,7 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 	}
 	// Two codes of foreign make — the stored state — enter through restore.
 	foreign := map[string]string{"sp20.nu": "legacy-code-a", "sp21.net": "legacy-code-b"}
-	captured := src.CaptureSnapshotSharded()
+	captured := captureSharded(src)
 	for si := range captured.Shards {
 		for k := range captured.Shards[si] {
 			if code, ok := foreign[captured.Shards[si][k].Domain.Name]; ok {
@@ -117,14 +117,18 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 			}
 		}
 	}
-	s := newShardedTestStore(8)
-	if err := s.RestoreSnapshot(captured.Flatten()); err != nil {
+	staged, err := writeSnapshotV2(t.TempDir(), 1, nil, &captured, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	s := newShardedTestStore(8)
+	if _, found, err := restoreLatestSnapshot(s, filepath.Dir(staged), 1); err != nil || !found {
+		t.Fatalf("staging restore: found %v, %v", found, err)
 	}
 
 	const seq = 9001
 	appState := []byte("single-pass")
-	oracle := s.CaptureSnapshotSharded()
+	oracle := captureSharded(s)
 	oraclePath, err := writeSnapshotV2(t.TempDir(), seq, appState, &oracle, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +158,7 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 	if seeded == 0 || derived == 0 || rotated != 10 || stored != 2 || len(tlds) < 4 {
 		t.Fatalf("oracle covers seeded=%d derived=%d rotated=%d stored=%d tlds=%v", seeded, derived, rotated, stored, tlds)
 	}
-	if len(want.domains) != s.Count() || len(want.deletions) == 0 || len(want.meta.zones) != 1 || want.magic != snapMagic3 {
+	if len(want.domains) != s.Count() || len(want.deletions) == 0 || len(want.meta.zones) != 1 || want.magic != snapMagic {
 		t.Fatalf("oracle: %d of %d domains, %d archive days, %d zones, magic %q",
 			len(want.domains), s.Count(), len(want.deletions), len(want.meta.zones), want.magic)
 	}
@@ -197,8 +201,8 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 			}
 
 			restored := newShardedTestStore(2)
-			if sr, err := restoreLatestSnapshot(restored, filepath.Dir(path), 2); err != nil || !sr.found || sr.seq != seq {
-				t.Fatalf("restore: %+v, %v", sr, err)
+			if rec, found, err := restoreLatestSnapshot(restored, filepath.Dir(path), 2); err != nil || !found || rec.SnapshotSeq != seq {
+				t.Fatalf("restore: %+v, %v", rec, err)
 			}
 			if dumpVisible(restored) != dumpVisible(s) {
 				t.Error("restored store differs from the snapshotted one")

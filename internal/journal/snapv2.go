@@ -2,14 +2,15 @@ package journal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
-	"path/filepath"
 	"slices"
-	"time"
 
+	"dropzero/internal/binwire"
 	"dropzero/internal/model"
 	"dropzero/internal/par"
 	"dropzero/internal/registry"
@@ -17,14 +18,12 @@ import (
 	"dropzero/internal/zone"
 )
 
-// Snapshot format v2: per-shard sections with the same hand-rolled binary
-// codec as the WAL (encode.go), replacing v1's single gob stream. gob's
-// reflection and per-stream type preamble made capture and restore the
-// slowest phase of recovery; v2's sections encode and decode with plain
-// varint walks, and — the point — independently, so a worker per shard
-// parallelises both directions. Layout, little-endian:
+// The snapshot format: per-shard sections in the same hand-rolled binary
+// codec as the WAL (encode.go). Sections encode and decode with plain varint
+// walks and — the point — independently, so a worker per shard parallelises
+// both directions. Layout, little-endian:
 //
-//	magic "DZSNAP2\n"
+//	magic "DZSNAP3\n"
 //	section* — u32 body length · u32 CRC-32 (IEEE) of body · body
 //
 // Every section body starts with a kind byte. The first section must be
@@ -34,6 +33,8 @@ import (
 //	appState: present u8 (0/1) · uvarint-len + bytes when present
 //	registrars: uvarint count · registrar fields (appendRegistrar)
 //	domainSections uvarint · deletionSections uvarint
+//	zones: uvarint count · zone configs (appendZone) — the zones hosted
+//	beyond the implicit default one, 0 for a default-only store
 //
 // followed by exactly domainSections domain sections (kind 2: writer shard
 // index uvarint, domain count uvarint, then per domain name/ID/TLD/
@@ -48,21 +49,28 @@ import (
 // the store still empty. The writer-side shard split is just an encoding
 // parallelism choice — restore re-routes every domain by name hash, so a
 // snapshot written at one shard count restores at any other.
-// Version bump: a store hosting zones beyond the default .com/.net one
-// writes magic "DZSNAP3\n" whose meta section carries the zone table (zone
-// count uvarint + zone configs, appendZone) after the section census. A
-// default-only store keeps writing v2 — byte-identical to the
-// pre-federation format, replayable by pre-federation readers — and the
-// reader accepts both magics (the cross-version tests pin this down).
+//
+// One magic is written, two are read: "DZSNAP2\n" files — what default-only
+// stores wrote before every snapshot carried the zone table — are the same
+// layout with the meta section ending after the section census, and go
+// through the same parse and install. "DZSNAP1\n" (one gob stream, last
+// written before the sectioned format existed) is refused by name: see
+// errSnapshotFormat.
 const (
+	snapMagic  = "DZSNAP3\n"
 	snapMagic2 = "DZSNAP2\n"
-	snapMagic3 = "DZSNAP3\n"
+	snapMagic1 = "DZSNAP1\n"
 	secHeader  = 8 // u32 body length + u32 CRC-32 of body
 
 	secMeta      byte = 1
 	secDomains   byte = 2
 	secDeletions byte = 3
 )
+
+// errSnapshotFormat marks a snapshot this build refuses to read because of
+// the format its magic names — as opposed to one that is damaged. Recovery
+// does not fall back past such a file.
+var errSnapshotFormat = errors.New("unsupported snapshot format")
 
 // snapMeta is the decoded meta section of a v2 snapshot.
 type snapMeta struct {
@@ -73,7 +81,7 @@ type snapMeta struct {
 	registrars       []model.Registrar
 	domainSections   int
 	deletionSections int
-	zones            []zone.Config // v3 only; nil for v2 files
+	zones            []zone.Config // beyond the default zone; nil when none
 }
 
 // A domain section's buffer is sized from the shard itself: the first
@@ -125,12 +133,9 @@ func appendMeta(b []byte, m *snapMeta) []byte {
 	}
 	b = binary.AppendUvarint(b, uint64(m.domainSections))
 	b = binary.AppendUvarint(b, uint64(m.deletionSections))
-	if len(m.zones) > 0 {
-		// v3 extension; the writer selects the v3 magic whenever this runs.
-		b = binary.AppendUvarint(b, uint64(len(m.zones)))
-		for i := range m.zones {
-			b = appendZone(b, &m.zones[i])
-		}
+	b = binary.AppendUvarint(b, uint64(len(m.zones)))
+	for i := range m.zones {
+		b = appendZone(b, &m.zones[i])
 	}
 	return b
 }
@@ -144,16 +149,15 @@ func newDomainSection(buf []byte, shard, n, room int) []byte {
 }
 
 func appendDomain(b []byte, d *model.Domain, authInfo []byte) []byte {
-	b = appendString(b, d.Name)
+	b = binwire.AppendString(b, d.Name)
 	b = binary.AppendUvarint(b, d.ID)
-	b = appendString(b, string(d.TLD))
+	b = binwire.AppendString(b, string(d.TLD))
 	b = binary.AppendVarint(b, int64(d.RegistrarID))
-	b = appendTime(b, d.Created)
-	b = appendTime(b, d.Updated)
-	b = appendTime(b, d.Expiry)
+	b = binwire.AppendTime(b, d.Created)
+	b = binwire.AppendTime(b, d.Updated)
+	b = binwire.AppendTime(b, d.Expiry)
 	b = append(b, byte(d.Status))
-	b = binary.AppendVarint(b, int64(d.DeleteDay.Year))
-	b = append(b, byte(d.DeleteDay.Month), byte(d.DeleteDay.Dom))
+	b = binwire.AppendDay(b, d.DeleteDay)
 	b = binary.AppendUvarint(b, uint64(len(authInfo)))
 	return append(b, authInfo...)
 }
@@ -167,16 +171,15 @@ func appendDeletions(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byt
 	slices.SortFunc(days, simtime.Day.Compare)
 	b = binary.AppendUvarint(b, uint64(len(days)))
 	for _, day := range days {
-		b = binary.AppendVarint(b, int64(day.Year))
-		b = append(b, byte(day.Month), byte(day.Dom))
+		b = binwire.AppendDay(b, day)
 		evs := dels[day]
 		b = binary.AppendUvarint(b, uint64(len(evs)))
 		for i := range evs {
 			ev := &evs[i]
 			b = binary.AppendUvarint(b, ev.DomainID)
-			b = appendString(b, ev.Name)
-			b = appendString(b, string(ev.TLD()))
-			b = appendTime(b, ev.Time)
+			b = binwire.AppendString(b, ev.Name)
+			b = binwire.AppendString(b, string(ev.TLD()))
+			b = binwire.AppendTime(b, ev.Time)
 			b = binary.AppendVarint(b, int64(ev.Rank))
 		}
 	}
@@ -187,7 +190,6 @@ func appendDeletions(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byt
 // and checksummed, in file order.
 type snapImage struct {
 	seq  uint64
-	v3   bool
 	meta []byte
 	secs [][]byte // one domain section per store shard, then the deletion archive
 }
@@ -243,27 +245,15 @@ func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []
 		zones:            r.Zones(),
 	}
 	m.gen, m.nextID = r.Counters()
-	img.seq, img.v3 = seq, len(m.zones) > 0
+	img.seq = seq
 	img.meta = sealSection(appendMeta(newSection(nil, secMeta, 0), &m))
 }
 
 // write persists img atomically into dir and returns the final path. Each
 // section's buffer is dropped as soon as it is written.
 func (img *snapImage) write(dir string) (string, error) {
-	final := filepath.Join(dir, snapName(img.seq))
-	tmp := final + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", fmt.Errorf("journal: snapshot: %w", err)
-	}
-	defer os.Remove(tmp) // no-op after the rename succeeds
-
-	err = func() error {
-		magic := snapMagic2
-		if img.v3 {
-			magic = snapMagic3
-		}
-		if _, err := io.WriteString(f, magic); err != nil {
+	return writeFileAtomic(dir, snapName(img.seq), func(f *os.File) error {
+		if _, err := io.WriteString(f, snapMagic); err != nil {
 			return err
 		}
 		if _, err := f.Write(img.meta); err != nil {
@@ -275,53 +265,41 @@ func (img *snapImage) write(dir string) (string, error) {
 			}
 			img.secs[i] = nil
 		}
-		return f.Sync()
-	}()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return "", fmt.Errorf("journal: write snapshot: %w", err)
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return "", fmt.Errorf("journal: publish snapshot: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		return "", fmt.Errorf("journal: sync dir: %w", err)
-	}
-	return final, nil
+		return nil
+	})
 }
 
-// snapV2 is a parsed, CRC-verified v2 snapshot: the decoded meta section
-// plus the still-encoded domain and deletion section bodies (kind byte
-// stripped), ready for concurrent decode+install.
+// snapV2 is a parsed, CRC-verified snapshot: the decoded meta section plus
+// the still-encoded domain and deletion section bodies (kind byte stripped),
+// ready for concurrent decode+install.
 type snapV2 struct {
 	meta     snapMeta
 	domains  [][]byte
 	deletion [][]byte
 }
 
-func isSnapshotV2(data []byte) bool {
-	if len(data) < len(snapMagic2) {
-		return false
-	}
-	m := string(data[:len(snapMagic2)])
-	return m == snapMagic2 || m == snapMagic3
-}
-
-// parseSnapshotV2 validates the whole file image — framing, every section
-// CRC, the meta section's contents, the section census — without touching
-// any store. All-or-nothing by construction: install starts only after this
-// succeeds, so a torn or corrupt section can never leave a partial restore.
+// parseSnapshotV2 validates the whole file image — magic, framing, every
+// section CRC, the meta section's contents, the section census — without
+// touching any store; name labels errors (a file's base name, or "shipped"
+// for replicated bytes). All-or-nothing by construction: install starts only
+// after this succeeds, so a torn or corrupt section can never leave a
+// partial restore.
 func parseSnapshotV2(data []byte, name string) (*snapV2, error) {
 	bad := func(format string, args ...any) error {
 		return fmt.Errorf("journal: snapshot %s: "+format, append([]any{name}, args...)...)
 	}
-	if !isSnapshotV2(data) {
+	var zones bool
+	switch magic := string(data[:min(len(data), len(snapMagic))]); magic {
+	case snapMagic:
+		zones = true
+	case snapMagic2:
+	case snapMagic1:
+		return nil, bad("%w: DZSNAP1 (gob) snapshots are no longer read; open the data directory with a build that reads them and take a snapshot there", errSnapshotFormat)
+	default:
 		return nil, bad("bad header")
 	}
 	sv := &snapV2{}
-	off := len(snapMagic2)
+	off := len(snapMagic)
 	for off < len(data) {
 		rest := len(data) - off
 		if rest < secHeader {
@@ -337,14 +315,12 @@ func parseSnapshotV2(data []byte, name string) (*snapV2, error) {
 			return nil, bad("section CRC mismatch at offset %d", off)
 		}
 		kind := body[0]
-		first := off == len(snapMagic2)
 		switch {
-		case first:
+		case off == len(snapMagic):
 			if kind != secMeta {
 				return nil, bad("first section has kind %d, want meta", kind)
 			}
-			v3 := string(data[:len(snapMagic3)]) == snapMagic3
-			meta, err := decodeMetaSection(body[1:], v3)
+			meta, err := decodeMetaSection(body[1:], zones)
 			if err != nil {
 				return nil, bad("meta section: %w", err)
 			}
@@ -358,7 +334,7 @@ func parseSnapshotV2(data []byte, name string) (*snapV2, error) {
 		}
 		off += secHeader + ln
 	}
-	if off == len(snapMagic2) {
+	if off == len(snapMagic) {
 		return nil, bad("no sections")
 	}
 	if len(sv.domains) != sv.meta.domainSections || len(sv.deletion) != sv.meta.deletionSections {
@@ -368,145 +344,61 @@ func parseSnapshotV2(data []byte, name string) (*snapV2, error) {
 	return sv, nil
 }
 
-// decodeMetaSection parses the meta section body. v3 selects the extended
-// layout carrying the zone table; a v2 body remains strictly checked for
-// trailing bytes, so the formats cannot be confused.
-func decodeMetaSection(body []byte, v3 bool) (snapMeta, error) {
+// decodeMetaSection parses the meta section body; zones says whether it
+// carries the zone table (every file but a DZSNAP2 one). Either way the body
+// must end where its layout does, so the two cannot be confused.
+func decodeMetaSection(body []byte, zones bool) (snapMeta, error) {
 	var m snapMeta
-	d := &decoder{b: body}
-	var err error
-	if m.seq, err = d.uvarint(); err != nil {
-		return m, err
-	}
-	if m.gen, err = d.uvarint(); err != nil {
-		return m, err
-	}
-	if m.nextID, err = d.uvarint(); err != nil {
-		return m, err
-	}
-	present, err := d.byte()
-	if err != nil {
-		return m, err
-	}
-	switch present {
+	d := binwire.NewDecoder(body)
+	m.seq, m.gen, m.nextID = d.Uvarint(), d.Uvarint(), d.Uvarint()
+	switch present := d.Byte(); present {
 	case 0:
 	case 1:
-		blob, err := d.str()
-		if err != nil {
-			return m, err
-		}
-		m.appState = []byte(blob)
+		m.appState = []byte(d.Str())
 	default:
 		return m, fmt.Errorf("bad appState flag %d", present)
 	}
-	nreg, err := d.uvarint()
-	if err != nil {
-		return m, err
+	for i, n := 0, d.Count(math.MaxInt); i < n && d.Err() == nil; i++ {
+		m.registrars = append(m.registrars, decodeRegistrar(d))
 	}
-	for i := uint64(0); i < nreg; i++ {
-		r, err := d.registrar()
-		if err != nil {
-			return m, err
-		}
-		m.registrars = append(m.registrars, r)
-	}
-	nd, err := d.uvarint()
-	if err != nil {
-		return m, err
-	}
-	ndel, err := d.uvarint()
-	if err != nil {
-		return m, err
-	}
-	const maxSections = 1 << 20 // far beyond MaxShards; bounds a hostile count
+	// The sections follow the meta section, not these counts: bound them far
+	// beyond MaxShards instead of by the bytes left.
+	const maxSections = 1 << 20
+	nd, ndel := d.Uvarint(), d.Uvarint()
 	if nd > maxSections || ndel > maxSections {
 		return m, fmt.Errorf("unreasonable section counts %d/%d", nd, ndel)
 	}
 	m.domainSections, m.deletionSections = int(nd), int(ndel)
-	if v3 {
-		nz, err := d.uvarint()
-		if err != nil {
-			return m, err
-		}
-		if nz > 1<<16 {
-			return m, fmt.Errorf("unreasonable zone count %d", nz)
-		}
-		for i := uint64(0); i < nz; i++ {
-			z, err := d.zone()
-			if err != nil {
-				return m, err
-			}
-			m.zones = append(m.zones, z)
+	if zones {
+		for i, n := 0, d.Count(1<<16); i < n && d.Err() == nil; i++ {
+			m.zones = append(m.zones, decodeZone(d))
 		}
 	}
-	if len(d.b) != 0 {
-		return m, fmt.Errorf("%d trailing bytes", len(d.b))
-	}
-	return m, nil
+	return m, d.Finish()
 }
 
 // decodeDomainSection streams one domain section to emit in chunks (reused
 // between calls), so a restore worker never materialises its whole shard
 // before installing.
 func decodeDomainSection(body []byte, emit func([]registry.SnapshotDomain) error) error {
-	d := &decoder{b: body}
-	if _, err := d.uvarint(); err != nil { // writer shard index, informational
-		return err
-	}
-	count, err := d.uvarint()
-	if err != nil {
-		return err
-	}
+	d := binwire.NewDecoder(body)
+	d.Uvarint() // writer shard index, informational
+	count := d.Count(math.MaxInt)
 	const chunkSize = 4096
 	chunk := make([]registry.SnapshotDomain, 0, min(count, chunkSize))
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		var sd registry.SnapshotDomain
 		dom := &sd.Domain
-		if dom.Name, err = d.str(); err != nil {
-			return err
-		}
-		if dom.ID, err = d.uvarint(); err != nil {
-			return err
-		}
-		tld, err := d.str()
-		if err != nil {
-			return err
-		}
-		dom.TLD = model.TLD(tld)
-		rid, err := d.varint()
-		if err != nil {
-			return err
-		}
-		dom.RegistrarID = int(rid)
-		if dom.Created, err = d.time(); err != nil {
-			return err
-		}
-		if dom.Updated, err = d.time(); err != nil {
-			return err
-		}
-		if dom.Expiry, err = d.time(); err != nil {
-			return err
-		}
-		st, err := d.byte()
-		if err != nil {
-			return err
-		}
-		dom.Status = model.Status(st)
-		year, err := d.varint()
-		if err != nil {
-			return err
-		}
-		month, err := d.byte()
-		if err != nil {
-			return err
-		}
-		dayDom, err := d.byte()
-		if err != nil {
-			return err
-		}
-		dom.DeleteDay = simtime.Day{Year: int(year), Month: time.Month(month), Dom: int(dayDom)}
-		if sd.AuthInfo, err = d.str(); err != nil {
-			return err
+		dom.Name = d.Str()
+		dom.ID = d.Uvarint()
+		dom.TLD = model.TLD(d.Str())
+		dom.RegistrarID = d.Int()
+		dom.Created, dom.Updated, dom.Expiry = d.Time(), d.Time(), d.Time()
+		dom.Status = model.Status(d.Byte())
+		dom.DeleteDay = d.Day()
+		sd.AuthInfo = d.Str()
+		if d.Err() != nil {
+			break
 		}
 		chunk = append(chunk, sd)
 		if len(chunk) == chunkSize {
@@ -516,71 +408,35 @@ func decodeDomainSection(body []byte, emit func([]registry.SnapshotDomain) error
 			chunk = chunk[:0]
 		}
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("%d trailing bytes", len(d.b))
+	if err := d.Finish(); err != nil {
+		return err
 	}
 	return emit(chunk)
 }
 
 func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent, error) {
-	d := &decoder{b: body}
-	days, err := d.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	dels := make(map[simtime.Day][]model.DeletionEvent, int(min(days, 4096)))
-	for i := uint64(0); i < days; i++ {
-		year, err := d.varint()
-		if err != nil {
-			return nil, err
-		}
-		month, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		dom, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		day := simtime.Day{Year: int(year), Month: time.Month(month), Dom: int(dom)}
-		count, err := d.uvarint()
-		if err != nil {
-			return nil, err
-		}
+	d := binwire.NewDecoder(body)
+	days := d.Count(math.MaxInt)
+	dels := make(map[simtime.Day][]model.DeletionEvent, min(days, 4096))
+	for i := 0; i < days && d.Err() == nil; i++ {
+		day := d.Day()
 		evs := dels[day]
-		for j := uint64(0); j < count; j++ {
+		for j, n := 0, d.Count(math.MaxInt); j < n && d.Err() == nil; j++ {
 			var ev model.DeletionEvent
-			if ev.DomainID, err = d.uvarint(); err != nil {
-				return nil, err
-			}
-			if ev.Name, err = d.str(); err != nil {
-				return nil, err
-			}
-			tld, err := d.str()
-			if err != nil {
-				return nil, err
-			}
+			ev.DomainID = d.Uvarint()
+			ev.Name = d.Str()
 			// The event derives its TLD from its name; a section that says
 			// otherwise would not re-encode to the same bytes.
-			if model.TLD(tld) != ev.TLD() {
+			if tld := d.Str(); model.TLD(tld) != ev.TLD() && d.Err() == nil {
 				return nil, fmt.Errorf("deletion %q filed under TLD %q", ev.Name, tld)
 			}
-			if ev.Time, err = d.time(); err != nil {
-				return nil, err
-			}
-			rank, err := d.varint()
-			if err != nil {
-				return nil, err
-			}
-			ev.Rank = int(rank)
+			ev.Time = d.Time()
+			ev.Rank = d.Int()
 			evs = append(evs, ev)
 		}
 		dels[day] = evs
 	}
-	if len(d.b) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes", len(d.b))
-	}
-	return dels, nil
+	return dels, d.Finish()
 }
 
 // installSnapshotV2 decodes sv's sections and installs them into the empty

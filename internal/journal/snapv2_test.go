@@ -1,9 +1,7 @@
 package journal
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
@@ -47,10 +45,10 @@ func latestSnapshotBytes(t *testing.T, dir string) (string, []byte) {
 	return path, data
 }
 
-// TestSnapshotV2RoundTrip: a snapshot written by a multi-shard store must be
-// the v2 format and restore byte-identically into stores of *different*
-// shard counts, both sequentially and in parallel — the writer's shard
-// split is an encoding detail, not a restore contract.
+// TestSnapshotV2RoundTrip: a snapshot written by a multi-shard store must
+// carry the one magic written and restore byte-identically into stores of
+// *different* shard counts, both sequentially and in parallel — the writer's
+// shard split is an encoding detail, not a restore contract.
 func TestSnapshotV2RoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := newShardedTestStore(8)
@@ -72,8 +70,8 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 	}
 
 	_, data := latestSnapshotBytes(t, dir)
-	if !isSnapshotV2(data) {
-		t.Fatalf("new snapshot is not v2 (magic %q)", data[:8])
+	if string(data[:len(snapMagic)]) != snapMagic {
+		t.Fatalf("new snapshot has magic %q, want %q", data[:8], snapMagic)
 	}
 
 	for _, tc := range []struct {
@@ -124,16 +122,16 @@ var snapCorruptions = []struct {
 		return append([]byte(nil), data[:len(data)-7]...) // torn mid-section
 	}},
 	{"truncate-mid-header", func(data []byte) []byte {
-		return append([]byte(nil), data[:len(snapMagic2)+3]...) // partial first header
+		return append([]byte(nil), data[:len(snapMagic)+3]...) // partial first header
 	}},
 	{"oversized-length", func(data []byte) []byte {
 		out := append([]byte(nil), data...)
-		binary.LittleEndian.PutUint32(out[len(snapMagic2):], 1<<30) // meta claims a body past EOF
+		binary.LittleEndian.PutUint32(out[len(snapMagic):], 1<<30) // meta claims a body past EOF
 		return out
 	}},
 	{"flip-crc", func(data []byte) []byte {
 		out := append([]byte(nil), data...)
-		out[len(snapMagic2)+4] ^= 0xff // meta section's stored CRC
+		out[len(snapMagic)+4] ^= 0xff // meta section's stored CRC
 		return out
 	}},
 }
@@ -164,11 +162,11 @@ func TestSnapshotV2CorruptionFailsLoudly(t *testing.T) {
 			}
 			// Direct restore: the error must surface with the store empty.
 			s2 := newShardedTestStore(4)
-			sr, err := restoreLatestSnapshot(s2, cdir, 4)
+			_, found, err := restoreLatestSnapshot(s2, cdir, 4)
 			if err == nil {
 				t.Fatal("corrupt v2 snapshot restored without error")
 			}
-			if sr.found {
+			if found {
 				t.Error("restore reported found despite failing")
 			}
 			if s2.Count() != 0 || s2.Generation() != 0 || len(s2.Registrars()) != 0 {
@@ -229,51 +227,6 @@ func TestSnapshotV2FallbackToOlder(t *testing.T) {
 	}
 	if got := dumpVisible(s2); got != want {
 		t.Error("fallback recovery differs from original")
-	}
-}
-
-// TestSnapshotCrossVersionDifferential: the same captured state written as a
-// v1 gob snapshot and a v2 sectioned snapshot must restore into identical
-// stores — the format migration cannot change a single observable byte.
-func TestSnapshotCrossVersionDifferential(t *testing.T) {
-	s := newShardedTestStore(8)
-	// No journal: this exercises the snapshot codecs in isolation.
-	workout(t, s, 24, 150)
-	want := dumpVisible(s)
-	sh := s.CaptureSnapshotSharded()
-	const seq = 4242
-	appState := []byte("cross-version")
-
-	dirV1, dirV2 := t.TempDir(), t.TempDir()
-	if _, err := writeSnapshot(dirV1, &snapshotFile{Seq: seq, AppState: appState, State: sh.Flatten()}); err != nil {
-		t.Fatalf("write v1: %v", err)
-	}
-	if _, err := writeSnapshotV2(dirV2, seq, appState, &sh, 4); err != nil {
-		t.Fatalf("write v2: %v", err)
-	}
-
-	restore := func(dir string, shards, workers int) *registry.Store {
-		t.Helper()
-		s2 := newShardedTestStore(shards)
-		sr, err := restoreLatestSnapshot(s2, dir, workers)
-		if err != nil {
-			t.Fatalf("restore from %s: %v", dir, err)
-		}
-		if !sr.found || sr.seq != seq || string(sr.appState) != string(appState) {
-			t.Fatalf("restore metadata wrong: found=%v seq=%d app=%q", sr.found, sr.seq, sr.appState)
-		}
-		return s2
-	}
-	fromV1 := restore(dirV1, 4, 1)
-	fromV2 := restore(dirV2, 4, 4)
-	if got := dumpVisible(fromV1); got != want {
-		t.Error("v1 restore differs from original")
-	}
-	if got := dumpVisible(fromV2); got != want {
-		t.Error("v2 restore differs from original")
-	}
-	if fromV1.Generation() != fromV2.Generation() {
-		t.Errorf("generation diverged across formats: v1=%d v2=%d", fromV1.Generation(), fromV2.Generation())
 	}
 }
 
@@ -381,62 +334,6 @@ func TestParallelReplayDifferential(t *testing.T) {
 	}
 }
 
-// TestAddRegistrarGobFallback: pre-upgrade segments carried MutAddRegistrar
-// as wire kind 1 with a gob-encoded registrar blob. The decoder must accept
-// that spelling forever, while new appends use the binary wire kind.
-func TestAddRegistrarGobFallback(t *testing.T) {
-	reg := model.Registrar{
-		IANAID: 7788, Name: "Legacy & Sons", Service: "https://legacy.example",
-		Contact: model.Contact{
-			Org: "Legacy Org", Email: "ops@legacy.example", Street: "1 Drop Way",
-			City: "Registryville", Country: "NL", Phone: "+31.5551212",
-		},
-	}
-	m := registry.Mutation{Kind: registry.MutAddRegistrar, Registrar: reg}
-
-	// New appends must claim the binary wire kind, not gob's kind byte.
-	b, err := appendMutation(nil, &m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b[0] != wireAddRegistrarBin {
-		t.Fatalf("new append wrote wire kind %#x, want %#x", b[0], wireAddRegistrarBin)
-	}
-
-	// Reconstruct the pre-upgrade encoding byte-for-byte: kind byte 1, the
-	// common field block, then the registrar as a length-prefixed gob blob.
-	old := []byte{byte(registry.MutAddRegistrar)}
-	old = appendString(old, m.Name)
-	old = binary.AppendUvarint(old, m.ID)
-	old = binary.AppendVarint(old, int64(m.RegistrarID))
-	old = appendTime(old, m.Created)
-	old = appendTime(old, m.Updated)
-	old = appendTime(old, m.Expiry)
-	old = append(old, byte(m.Status))
-	old = binary.AppendVarint(old, int64(m.DeleteDay.Year))
-	old = append(old, byte(m.DeleteDay.Month), byte(m.DeleteDay.Dom))
-	old = appendTime(old, m.Time)
-	old = binary.AppendVarint(old, int64(m.Rank))
-	var blob bytes.Buffer
-	if err := gob.NewEncoder(&blob).Encode(reg); err != nil {
-		t.Fatal(err)
-	}
-	old = appendString(old, blob.String())
-
-	for _, tc := range []struct {
-		name string
-		b    []byte
-	}{{"binary", b}, {"gob-fallback", old}} {
-		var got registry.Mutation
-		if err := decodeMutation(tc.b, &got); err != nil {
-			t.Fatalf("%s: decode: %v", tc.name, err)
-		}
-		if got.Kind != registry.MutAddRegistrar || got.Registrar != reg {
-			t.Errorf("%s: registrar did not round-trip:\n in: %+v\nout: %+v", tc.name, reg, got.Registrar)
-		}
-	}
-}
-
 // snapFuzzBase builds one pristine v2 snapshot image plus the canonical dump
 // of the state it encodes, shared by every FuzzSnapshotDecode execution.
 var snapFuzzBase struct {
@@ -469,7 +366,7 @@ func buildSnapFuzzBase() {
 			return
 		}
 	}
-	sh := s.CaptureSnapshotSharded()
+	sh := captureSharded(s)
 	path, err := writeSnapshotV2(dir, 77, []byte("fuzz-app"), &sh, 2)
 	if err != nil {
 		snapFuzzBase.err = err
@@ -491,7 +388,7 @@ func buildSnapFuzzBase() {
 func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(uint16(0), uint16(0), byte(0))      // pristine: must restore exactly
 	f.Add(uint16(0), uint16(0), byte(0x04))   // flip inside the magic
-	f.Add(uint16(6), uint16(0), byte(0x03))   // magic becomes DZSNAP1: v1 sniff on v2 bytes
+	f.Add(uint16(6), uint16(0), byte(0x02))   // magic becomes DZSNAP1: refused by name
 	f.Add(uint16(8), uint16(0), byte(0xff))   // meta section length field
 	f.Add(uint16(12), uint16(0), byte(0x80))  // meta section CRC field
 	f.Add(uint16(17), uint16(0), byte(0x01))  // meta body
@@ -499,6 +396,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(uint16(0), uint16(1), byte(0))      // truncate the final byte
 	f.Add(uint16(0), uint16(200), byte(0))    // torn mid-section
 	f.Add(uint16(0), uint16(9999), byte(0))   // truncate to (near) nothing
+	f.Add(uint16(6), uint16(0), byte(0x01))   // magic becomes DZSNAP2: the zone count is a trailing byte
 	f.Fuzz(func(t *testing.T, off uint16, trunc uint16, flip byte) {
 		snapFuzzBase.once.Do(buildSnapFuzzBase)
 		if snapFuzzBase.err != nil {

@@ -1,12 +1,11 @@
 package journal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 
 	"dropzero/internal/registry"
 )
@@ -29,14 +28,22 @@ import (
 // Reading only up to the durable horizon makes that safe: every record ≤
 // durable was fully written and fsynced before durable advanced, and
 // rotation fsyncs the outgoing segment before its successor sees a write.
+// The open segment is read a block at a time, and a block may end with
+// bytes the writer had only begun to write; those are never framed — Next
+// stops at the horizon and forgets what it read beyond it.
 type TailReader struct {
-	dir      string
-	next     uint64 // next sequence number to emit
-	f        *os.File
-	curFirst uint64 // first-record seq of the open segment
-	off      int64
-	scratch  []byte // payload read buffer, grown on demand
+	dir   string
+	next  uint64 // next sequence number to emit
+	f     *os.File
+	at    uint64 // seq of the frame at the head of buf; ≤ next
+	off   int64  // offset of buf[0] in f
+	buf   []byte // read and not yet framed; a window of block
+	block []byte
 }
+
+// tailBlock is how much of a segment one read asks for: some six hundred
+// registry records.
+const tailBlock = 64 << 10
 
 // NewTailReader returns a reader that emits records with sequence numbers
 // strictly greater than afterSeq from dir's segments.
@@ -61,125 +68,102 @@ func (r *TailReader) Close() error {
 // dst and returns the extended slice plus the first and last sequence
 // numbers emitted (both zero when no record ≤ durable is pending). It stops
 // early once at least maxBytes of frames have been appended, so one call
-// never produces an unbounded message. Frames are CRC-verified before being
-// emitted: serving a corrupt byte to a follower is a primary-side error,
-// not something to leave for the far end to discover.
+// never produces an unbounded message. Frames are cut and CRC-verified by
+// nextFrame before being emitted: serving a corrupt byte to a follower is a
+// primary-side error, not something to leave for the far end to discover.
 func (r *TailReader) Next(dst []byte, durable uint64, maxBytes int) (out []byte, first, last uint64, err error) {
 	out = dst
 	base := len(dst)
+	r.buf = r.buf[:0] // read before this call's horizon was known
 	for r.next <= durable && len(out)-base < maxBytes {
 		if r.f == nil {
-			if err := r.openSegmentFor(r.next); err != nil {
+			if err := r.openSegment(r.next); err != nil {
 				return out, first, last, err
 			}
 		}
-		var hdr [frameHeader]byte
-		n, rerr := r.f.ReadAt(hdr[:], r.off)
-		if n < frameHeader {
-			if rerr == io.EOF || rerr == nil {
+		f, size, ferr := nextFrame(r.buf)
+		if ferr == errFrameShort {
+			n, rerr := r.fill()
+			switch {
+			case rerr != nil:
+				return out, first, last, fmt.Errorf("journal: tail read: %w", rerr)
+			case n > 0:
+			case len(r.buf) == 0:
 				// Clean end of this segment: the record lives in the
 				// successor the writer rotated to.
-				if err := r.advanceSegment(); err != nil {
+				if err := r.openSegment(r.at); err != nil {
 					return out, first, last, err
 				}
-				continue
+			default:
+				return out, first, last, fmt.Errorf("journal: tail seq %d: segment ends inside the durable horizon %d: %w", r.at, durable, ferr)
 			}
-			return out, first, last, fmt.Errorf("journal: tail read: %w", rerr)
+			continue
 		}
-		ln := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if ln < payloadHeader || ln > maxRecordBytes {
-			return out, first, last, fmt.Errorf("journal: tail seq %d: bad record length %d", r.next, ln)
+		if ferr != nil {
+			return out, first, last, fmt.Errorf("journal: tail seq %d: %w", r.at, ferr)
 		}
-		if int64(cap(r.scratch)) < ln {
-			r.scratch = make([]byte, ln)
+		if f.seq != r.at {
+			return out, first, last, fmt.Errorf("journal: tail: seq %d where %d expected", f.seq, r.at)
 		}
-		payload := r.scratch[:ln]
-		if _, rerr := io.ReadFull(io.NewSectionReader(r.f, r.off+frameHeader, ln), payload); rerr != nil {
-			return out, first, last, fmt.Errorf("journal: tail seq %d: short frame: %w", r.next, rerr)
+		if r.at == r.next { // else a record before the start position: verified and skipped
+			out = append(out, r.buf[:size]...)
+			if first == 0 {
+				first = f.seq
+			}
+			last = f.seq
+			r.next++
 		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			return out, first, last, fmt.Errorf("journal: tail seq %d: CRC mismatch", r.next)
-		}
-		seq := binary.LittleEndian.Uint64(payload)
-		if seq != r.next {
-			return out, first, last, fmt.Errorf("journal: tail: seq %d where %d expected", seq, r.next)
-		}
-		out = append(out, hdr[:]...)
-		out = append(out, payload...)
-		if first == 0 {
-			first = seq
-		}
-		last = seq
-		r.off += frameHeader + ln
-		r.next++
+		r.at++
+		r.buf = r.buf[size:]
+		r.off += int64(size)
 	}
 	return out, first, last, nil
 }
 
-// openSegmentFor opens the segment holding seq and skips to its frame.
-func (r *TailReader) openSegmentFor(seq uint64) error {
+// fill reads the open segment's next block in behind the bytes still
+// buffered and returns how many arrived — zero at the end of the file. While
+// one frame outgrows the block the request doubles with it.
+func (r *TailReader) fill() (int, error) {
+	have := len(r.buf)
+	if need := have + max(tailBlock, have); cap(r.block) < need {
+		r.block = append(make([]byte, 0, need), r.buf...)
+	} else {
+		copy(r.block[:have], r.buf)
+	}
+	r.block = r.block[:cap(r.block)]
+	n, err := r.f.ReadAt(r.block[have:], r.off+int64(have))
+	r.buf = r.block[:have+n]
+	if err == io.EOF {
+		err = nil
+	}
+	return n, err
+}
+
+// openSegment makes the segment that holds seq — the last one whose first
+// record is ≤ seq — the open one, positioned at its first frame. With a
+// segment already open this is the step to its successor, which must start
+// at seq exactly: the writer only rotates after fsyncing the outgoing
+// segment, so when the durable horizon says seq exists and the current
+// segment ended, the successor is already on disk.
+func (r *TailReader) openSegment(seq uint64) error {
 	names, firstSeqs, err := listSegments(r.dir)
 	if err != nil {
 		return fmt.Errorf("journal: tail: %w", err)
 	}
-	idx := -1
-	for i := range firstSeqs {
-		if firstSeqs[i] <= seq {
-			idx = i
-		}
-	}
+	idx := sort.Search(len(firstSeqs), func(i int) bool { return firstSeqs[i] > seq }) - 1
 	if idx < 0 {
 		return fmt.Errorf("journal: tail: seq %d precedes the oldest segment (log pruned)", seq)
+	}
+	if r.f != nil && firstSeqs[idx] != seq {
+		return fmt.Errorf("journal: tail: seq %d durable but segment %s ends before it and none starts there (gap)", seq, names[idx])
 	}
 	f, err := os.Open(filepath.Join(r.dir, names[idx]))
 	if err != nil {
 		return fmt.Errorf("journal: tail: %w", err)
 	}
-	r.f, r.curFirst, r.off = f, firstSeqs[idx], 0
-	// Skip whole frames for records before seq. Headers alone carry enough
-	// to hop frame to frame; the CRC of skipped records is not our problem —
-	// recovery already vouched for them.
-	want := firstSeqs[idx]
-	for want < seq {
-		var hdr [frameHeader]byte
-		if _, err := r.f.ReadAt(hdr[:], r.off); err != nil {
-			return fmt.Errorf("journal: tail: skipping to seq %d: %w", seq, err)
-		}
-		ln := int64(binary.LittleEndian.Uint32(hdr[0:4]))
-		if ln < payloadHeader || ln > maxRecordBytes {
-			return fmt.Errorf("journal: tail: skipping to seq %d: bad record length %d", seq, ln)
-		}
-		r.off += frameHeader + ln
-		want++
-	}
+	r.Close()
+	r.f, r.at, r.off, r.buf = f, firstSeqs[idx], 0, r.buf[:0]
 	return nil
-}
-
-// advanceSegment switches to the segment whose first record is next. The
-// writer only rotates after fsyncing the outgoing segment, so when the
-// durable horizon says next exists and the current segment ended, the
-// successor is already on disk.
-func (r *TailReader) advanceSegment() error {
-	names, firstSeqs, err := listSegments(r.dir)
-	if err != nil {
-		return fmt.Errorf("journal: tail: %w", err)
-	}
-	for i := range firstSeqs {
-		if firstSeqs[i] > r.curFirst {
-			if firstSeqs[i] != r.next {
-				return fmt.Errorf("journal: tail: segment %s starts at seq %d, want %d (gap)", names[i], firstSeqs[i], r.next)
-			}
-			f, err := os.Open(filepath.Join(r.dir, names[i]))
-			if err != nil {
-				return fmt.Errorf("journal: tail: %w", err)
-			}
-			r.f.Close()
-			r.f, r.curFirst, r.off = f, firstSeqs[i], 0
-			return nil
-		}
-	}
-	return fmt.Errorf("journal: tail: seq %d durable but no segment holds it", r.next)
 }
 
 // DecodeFrames validates and decodes one shipped batch: consecutive raw

@@ -13,8 +13,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"dropzero/internal/registry"
 )
 
 // On-disk frame layout, little-endian:
@@ -40,6 +38,11 @@ const (
 	recApp      byte = 2 // opaque application payload (simulation driver state)
 )
 
+// errFrameShort is nextFrame's error for data that ends inside a frame,
+// returned bare. It is one value — TailReader meets it once per block it
+// reads.
+var errFrameShort = errors.New("frame cut short")
+
 // frame is one record cut out of a run of WAL bytes; body aliases them.
 type frame struct {
 	seq  uint64
@@ -50,18 +53,23 @@ type frame struct {
 // nextFrame cuts the frame at the head of data and returns it with its
 // framed size: the header must be whole, the length inside [payloadHeader,
 // maxRecordBytes] and inside data, the CRC must match. Every reader of WAL
-// bytes in memory frames through here (TailReader repeats the checks against
-// a file); what a bad frame means is the caller's policy — the torn tail of
-// the last segment or fatal corruption (scanFrames), a transport error
-// (DecodeFrames), the place to cut (frameBoundary). Sequence numbers are not
+// bytes — from a file or from a socket — frames through here and nowhere
+// else; what a bad frame means is the caller's policy: the torn tail of the
+// last segment or fatal corruption (scanFrames), a transport error
+// (DecodeFrames), the place to cut (frameBoundary), time to read the
+// segment's next block (TailReader — data that ends inside an otherwise
+// plausible frame is reported as errFrameShort). Sequence numbers are not
 // judged here: each caller chains them against its own expectation.
 func nextFrame(data []byte) (f frame, size int, err error) {
 	if len(data) < frameHeader {
-		return f, 0, fmt.Errorf("%d trailing bytes", len(data))
+		return f, 0, errFrameShort
 	}
 	ln := int64(binary.LittleEndian.Uint32(data))
-	if ln < payloadHeader || ln > maxRecordBytes || int64(len(data)-frameHeader) < ln {
+	if ln < payloadHeader || ln > maxRecordBytes {
 		return f, 0, fmt.Errorf("bad record length %d", ln)
+	}
+	if int64(len(data)-frameHeader) < ln {
+		return f, 0, errFrameShort
 	}
 	payload := data[frameHeader : frameHeader+int(ln)]
 	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[4:]) {
@@ -119,44 +127,42 @@ type wal struct {
 	testHookMidFlush func()
 }
 
-// segName returns the file name of the segment whose first record is seq.
-func segName(seq uint64) string { return fmt.Sprintf("wal-%020d.log", seq) }
+// The journal's files are named <prefix><20-digit sequence><suffix>:
+// wal-<firstseq>.log is the segment whose first record may be firstseq,
+// snap-<seq>.snap the snapshot that covers every record ≤ seq.
+func segName(seq uint64) string  { return fmt.Sprintf("wal-%020d.log", seq) }
+func snapName(seq uint64) string { return fmt.Sprintf("snap-%020d.snap", seq) }
 
-// parseSegName extracts the first-record sequence number from a segment
-// file name, reporting ok=false for non-segment files.
-func parseSegName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, false
-	}
-	n, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log"), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
+func listSegments(dir string) ([]string, []uint64, error) { return listNumbered(dir, "wal-", ".log") }
+func listSnapshots(dir string) ([]string, []uint64, error) {
+	return listNumbered(dir, "snap-", ".snap")
 }
 
-// listSegments returns the directory's WAL segments in sequence order.
-func listSegments(dir string) (names []string, firstSeqs []uint64, err error) {
+// listNumbered returns dir's files named prefix<sequence>suffix with their
+// sequence numbers, in ascending sequence order.
+func listNumbered(dir, prefix, suffix string) (names []string, seqs []uint64, err error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	type seg struct {
+	type file struct {
 		name string
 		seq  uint64
 	}
-	var segs []seg
+	var files []file
 	for _, e := range entries {
-		if seq, ok := parseSegName(e.Name()); ok {
-			segs = append(segs, seg{e.Name(), seq})
+		digits, hasPrefix := strings.CutPrefix(e.Name(), prefix)
+		digits, hasSuffix := strings.CutSuffix(digits, suffix)
+		if seq, err := strconv.ParseUint(digits, 10, 64); hasPrefix && hasSuffix && err == nil {
+			files = append(files, file{e.Name(), seq})
 		}
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
-	for _, s := range segs {
-		names = append(names, s.name)
-		firstSeqs = append(firstSeqs, s.seq)
+	sort.Slice(files, func(i, j int) bool { return files[i].seq < files[j].seq })
+	for _, f := range files {
+		names = append(names, f.name)
+		seqs = append(seqs, f.seq)
 	}
-	return names, firstSeqs, nil
+	return names, seqs, nil
 }
 
 // syncDir fsyncs the directory so segment creates/renames/removals survive
@@ -199,32 +205,41 @@ func newWAL(dir string, lastSeq uint64, syncEvery int, syncInterval time.Duratio
 	return w, nil
 }
 
-// openSegmentLocked creates (or truncates) the segment that will hold
-// record durable+1 and makes it current. Caller holds mu or has exclusive
-// access.
+// openSegment creates (or truncates) dir's segment whose first record will
+// be firstSeq, makes the new name durable and closes prev, the segment it
+// succeeds (nil for none). The writer and the follower's shipped log both
+// start and rotate segments here.
+func openSegment(dir string, firstSeq uint64, prev *os.File) (*os.File, error) {
+	f, err := os.Create(filepath.Join(dir, segName(firstSeq)))
+	if err != nil {
+		return nil, fmt.Errorf("journal: create segment: %w", err)
+	}
+	if err := syncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("journal: sync dir: %w", err)
+	}
+	if prev != nil {
+		prev.Close()
+	}
+	return f, nil
+}
+
+// openSegmentLocked makes the segment that will hold record durable+1
+// current. Caller holds mu or has exclusive access.
 //
 // The name must come from durable, not seq: at rotation time every record
 // ≤ durable was just fsynced into the outgoing segment, but appenders may
 // have buffered records durable+1..seq during the unlocked flush IO, and
 // those land in the *new* segment — so its first record is durable+1.
 // Naming it seq+1 would claim a later first sequence than it holds and
-// fail scanDir's contiguity check on the next recovery. (At newWAL time
+// fail scanFrames's contiguity check on the next recovery. (At newWAL time
 // durable == seq, so the fresh-open case is unaffected.)
 func (w *wal) openSegmentLocked() error {
-	name := filepath.Join(w.dir, segName(w.durable+1))
-	f, err := os.Create(name)
+	f, err := openSegment(w.dir, w.durable+1, w.f)
 	if err != nil {
-		return fmt.Errorf("journal: create segment: %w", err)
+		return err
 	}
-	if err := syncDir(w.dir); err != nil {
-		f.Close()
-		return fmt.Errorf("journal: sync dir: %w", err)
-	}
-	if w.f != nil {
-		w.f.Close()
-	}
-	w.f = f
-	w.size = 0
+	w.f, w.size = f, 0
 	return nil
 }
 
@@ -443,40 +458,4 @@ func (w *wal) close() error {
 	w.notifyWatchersLocked()
 	w.mu.Unlock()
 	return err
-}
-
-// Record is one recovered WAL entry: a registry mutation or an opaque
-// application record (the simulation driver's own checkpoint stream).
-type Record struct {
-	Seq      uint64
-	Mutation *registry.Mutation
-	App      []byte
-}
-
-// scanResult is what reading the on-disk log yields: the decoded records on
-// top of what the frame walk reports.
-type scanResult struct {
-	records []Record
-	frameScan
-}
-
-// scanDir reads every segment in dir in order, decoding records with
-// sequence numbers strictly greater than after into memory. The framing,
-// corruption and torn-tail rules are scanFrames's (replay.go); this
-// materialised form serves the crash-inspection helpers and tests, while
-// recovery itself streams through replayTail.
-func scanDir(dir string, after uint64) (res scanResult, err error) {
-	res.frameScan, err = scanFrames(dir, after, func(f frame) error {
-		m := new(registry.Mutation)
-		app, err := decodeRecord(f, m)
-		if err != nil {
-			return err
-		}
-		if app != nil {
-			m = nil
-		}
-		res.records = append(res.records, Record{Seq: f.seq, Mutation: m, App: app})
-		return nil
-	})
-	return res, err
 }

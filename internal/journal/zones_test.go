@@ -19,10 +19,9 @@ func testNordic() zone.Config {
 	}
 }
 
-// A default-only store must keep writing the v2 snapshot format, bit for
-// bit in magic: pre-federation snapshot archives and the federation code
-// must stay mutually readable in both directions.
-func TestSnapshotDefaultZoneStaysV2(t *testing.T) {
+// A default-only store writes the same magic as any other, its meta section
+// ending in a zone count of 0 — the one byte a DZSNAP2 file lacks.
+func TestSnapshotDefaultZoneWritesEmptyZoneTable(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore()
 	j, _ := openJournal(t, s, dir, ModeSync, false)
@@ -34,13 +33,21 @@ func TestSnapshotDefaultZoneStaysV2(t *testing.T) {
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
 	}
-	_, data := latestSnapshotBytes(t, dir)
-	if got := string(data[:len(snapMagic2)]); got != snapMagic2 {
-		t.Fatalf("default-only snapshot magic %q, want %q", got, snapMagic2)
+	path, data := latestSnapshotBytes(t, dir)
+	if got := string(data[:len(snapMagic)]); got != snapMagic {
+		t.Fatalf("default-only snapshot magic %q, want %q", got, snapMagic)
+	}
+	sv, err := parseSnapshotV2(data, path)
+	if err != nil || sv.meta.zones != nil {
+		t.Fatalf("zone table %v (%v), want none", sv.meta.zones, err)
+	}
+	asV2 := append([]byte(snapMagic2), data[len(snapMagic):]...)
+	if _, err := parseSnapshotV2(asV2, path); err == nil {
+		t.Fatal("the same sections under the DZSNAP2 magic parsed: the zone count went unnoticed")
 	}
 }
 
-// A multi-zone store snapshots as v3 and the snapshot alone (empty tail)
+// A multi-zone store's snapshot alone (empty tail)
 // restores the zone table along with the extra zone's domains.
 func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	dir := t.TempDir()
@@ -65,8 +72,8 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	}
 
 	_, data := latestSnapshotBytes(t, dir)
-	if got := string(data[:len(snapMagic3)]); got != snapMagic3 {
-		t.Fatalf("multi-zone snapshot magic %q, want %q", got, snapMagic3)
+	if got := string(data[:len(snapMagic)]); got != snapMagic {
+		t.Fatalf("multi-zone snapshot magic %q, want %q", got, snapMagic)
 	}
 
 	s2 := newTestStore()
@@ -87,7 +94,7 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	}
 }
 
-// The WAL path: an AddZone in the tail after a pre-federation (v2) snapshot
+// The WAL path: an AddZone in the tail after a default-only snapshot
 // must replay through the recovery barrier so the extra zone's creates that
 // follow it validate, at every recovery parallelism.
 func TestAddZoneReplaysFromWALTail(t *testing.T) {

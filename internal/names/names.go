@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -227,21 +228,23 @@ func (g *Generator) random(n int) string {
 	return string(b)
 }
 
+// baseValue is each class's desirability before length and jitter.
+var baseValue = [numClasses]float64{
+	ClassKeywordPair: 0.80,
+	ClassDictPair:    0.70,
+	ClassKeywordDict: 0.72,
+	ClassShortBrand:  0.55,
+	ClassWordNumber:  0.40,
+	ClassHyphenated:  0.25,
+	ClassLongRandom:  0.04,
+}
+
 // value maps a class and label length to a ground-truth desirability score.
 func value(c Class, label string, rng *rand.Rand) float64 {
-	base := map[Class]float64{
-		ClassKeywordPair: 0.80,
-		ClassDictPair:    0.70,
-		ClassKeywordDict: 0.72,
-		ClassShortBrand:  0.55,
-		ClassWordNumber:  0.40,
-		ClassHyphenated:  0.25,
-		ClassLongRandom:  0.04,
-	}[c]
 	// Shorter is better: up to +0.15 for very short labels.
 	shortBonus := 0.15 * (1.0 - float64(min(len(label), 20))/20.0)
 	jitter := rng.Float64()*0.10 - 0.05
-	v := base + shortBonus + jitter
+	v := baseValue[c] + shortBonus + jitter
 	if v < 0 {
 		v = 0
 	}
@@ -293,7 +296,7 @@ func (g *Generator) compose(c Class) string {
 		if g.rng.Intn(2) == 0 {
 			w = g.pick(dictionary)
 		}
-		return fmt.Sprintf("%s%d", w, g.rng.Intn(1000))
+		return w + strconv.Itoa(g.rng.Intn(1000))
 	case ClassHyphenated:
 		return g.pick(dictionary) + "-" + g.pick(keywords)
 	default:

@@ -402,36 +402,3 @@ type SnapshotDomain struct {
 	Domain   model.Domain
 	AuthInfo string
 }
-
-// SnapshotState is a full copy of the store's durable state: everything
-// recovery needs to rebuild an identical store, and nothing that is
-// process-local (caches, observers).
-type SnapshotState struct {
-	Gen        uint64
-	NextID     uint64
-	Registrars []model.Registrar
-	Domains    []SnapshotDomain
-	Deletions  map[simtime.Day][]model.DeletionEvent
-	// Zones are the zones installed beyond the implicit default .com/.net
-	// one. Empty for pre-federation stores, whose snapshots stay
-	// byte-identical to the pre-federation format.
-	Zones []zone.Config
-}
-
-// RestoreSnapshot loads a captured state into an empty store during
-// recovery: registrars, every registration (with its transfer code), the
-// deletion archive, the ID allocator and the generation counter. Replaying
-// the WAL tail on top via Apply then reproduces the exact pre-crash store.
-// Recovery-only: the store must be empty and not yet serving.
-func (s *Store) RestoreSnapshot(st SnapshotState) error {
-	if err := s.RestoreZones(st.Zones); err != nil {
-		return err
-	}
-	s.RestoreRegistrars(st.Registrars)
-	if err := s.InstallRestoredDomains(st.Domains); err != nil {
-		return err
-	}
-	s.MergeRestoredDeletions(st.Deletions)
-	s.FinishRestore(st.Gen, st.NextID)
-	return nil
-}

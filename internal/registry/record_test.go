@@ -326,35 +326,41 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 
 	// Snapshot and restore, with two codes of foreign make: one on a
 	// created registration, one on a seeded one.
-	snap := captureFlat(s)
-	foreign := 0
-	for i := range snap.Domains {
-		name := snap.Domains[i].Domain.Name
-		if snap.Domains[i].AuthInfo != oracle[name] {
-			t.Fatalf("snapshot carries %q for %s, oracle %q", snap.Domains[i].AuthInfo, name, oracle[name])
-		}
-		if foreign < 2 && snap.Domains[i].Domain.Status == model.StatusActive && (foreign == 0) == (oracle[name] != "") {
-			oracle[name] = fmt.Sprintf("legacy-code-%d", foreign)
-			snap.Domains[i].AuthInfo = oracle[name]
-			foreign++
+	snap := s.CaptureSnapshotSharded()
+	foreign, captured := 0, 0
+	for _, shard := range snap.Shards {
+		for i := range shard {
+			name := shard[i].Domain.Name
+			if shard[i].AuthInfo != oracle[name] {
+				t.Fatalf("snapshot carries %q for %s, oracle %q", shard[i].AuthInfo, name, oracle[name])
+			}
+			if foreign < 2 && shard[i].Domain.Status == model.StatusActive && (foreign == 0) == (oracle[name] != "") {
+				oracle[name] = fmt.Sprintf("legacy-code-%d", foreign)
+				shard[i].AuthInfo = oracle[name]
+				foreign++
+			}
+			captured++
 		}
 	}
 	if foreign != 2 {
 		t.Fatalf("placed %d foreign codes, want 2", foreign)
 	}
 	re := NewStoreWithShards(clock, 8)
-	if err := re.RestoreSnapshot(snap); err != nil {
+	if err := re.restoreCaptured(snap); err != nil {
 		t.Fatal(err)
 	}
 	oracle.check(t, "restored", re)
-	if again := captureFlat(re); len(again.Domains) != len(snap.Domains) {
-		t.Fatalf("re-captured %d registrations, want %d", len(again.Domains), len(snap.Domains))
-	} else {
-		for _, sd := range again.Domains {
+	recaptured := 0
+	for _, shard := range re.CaptureSnapshotSharded().Shards {
+		for _, sd := range shard {
 			if sd.AuthInfo != oracle[sd.Domain.Name] {
 				t.Fatalf("re-captured snapshot carries %q for %s, oracle %q", sd.AuthInfo, sd.Domain.Name, oracle[sd.Domain.Name])
 			}
+			recaptured++
 		}
+	}
+	if recaptured != captured {
+		t.Fatalf("re-captured %d registrations, want %d", recaptured, captured)
 	}
 	// The foreign codes authorise a transfer like any other and rotate away;
 	// purging a holder of one forgets it.

@@ -190,10 +190,10 @@ func TestSnapshotPlusTailMatchesOriginal(t *testing.T) {
 				t.Fatalf("cut %d: prefix replay: %v", cut, err)
 			}
 		}
-		snap := captureFlat(pre)
+		snap := pre.CaptureSnapshotSharded()
 
 		re := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-		if err := re.RestoreSnapshot(snap); err != nil {
+		if err := re.restoreCaptured(snap); err != nil {
 			t.Fatalf("cut %d: restore: %v", cut, err)
 		}
 		for _, m := range cap.records[cut:] {
@@ -204,12 +204,6 @@ func TestSnapshotPlusTailMatchesOriginal(t *testing.T) {
 		diffDumps(t, "original", fmt.Sprintf("snapshot@%d+tail", cut),
 			want, dumpStore(re, start, days+40))
 	}
-}
-
-// captureFlat is the store's durable state in the flat v1 shape.
-func captureFlat(s *Store) SnapshotState {
-	sh := s.CaptureSnapshotSharded()
-	return sh.Flatten()
 }
 
 // TestReadSnapshotQuiescedConsistent: the quiesced traversal must really

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"slices"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
@@ -13,39 +12,7 @@ import (
 // and a restore API whose pieces are safe for concurrent use. The journal's
 // v2 snapshot codec encodes one section per shard, so every restore worker
 // locks exactly the shard it is filling (WAL replay reaches shards through
-// ApplyBatch, journal.go). The flat SnapshotState shape remains for the v1
-// gob reader and the replay differential tests.
-
-// ShardedSnapshot is a full copy of the store's durable state with the
-// registrations still grouped by the capturing store's shard index, one
-// group per snapshot section. Shards has ShardCount() entries; entry order
-// within a shard is the capturing shard's slot order: reproducible for
-// equal operation histories from an empty store, but not a contract between
-// a primary and a replica restored from a snapshot (restore re-routes every
-// domain by name hash and packs the slots purges left empty).
-type ShardedSnapshot struct {
-	Gen        uint64
-	NextID     uint64
-	Registrars []model.Registrar
-	Shards     [][]SnapshotDomain
-	Deletions  map[simtime.Day][]model.DeletionEvent
-	// Zones are the zones installed beyond the implicit default one (see
-	// SnapshotState.Zones).
-	Zones []zone.Config
-}
-
-// Flatten converts to the flat SnapshotState shape (shard sections
-// concatenated in index order) the v1 gob format holds.
-func (st *ShardedSnapshot) Flatten() SnapshotState {
-	return SnapshotState{
-		Gen:        st.Gen,
-		NextID:     st.NextID,
-		Registrars: st.Registrars,
-		Domains:    slices.Concat(st.Shards...),
-		Deletions:  st.Deletions,
-		Zones:      st.Zones,
-	}
-}
+// ApplyBatch, journal.go).
 
 // SnapshotReader is the store's one snapshot traversal: it hands a snapshot
 // writer the durable state piece by piece — no copy of the store is built.
@@ -113,8 +80,11 @@ func (r *SnapshotReader) Counters() (gen, nextID uint64) {
 }
 
 // VisitShard calls begin with shard si's registration count, then each once
-// per registration in slot order (see ShardedSnapshot), all under that
-// shard's read lock. d and authInfo (the transfer code, empty when none was
+// per registration in slot order, all under that shard's read lock. Slot
+// order is reproducible for equal operation histories from an empty store,
+// but not a contract between a primary and a replica restored from a
+// snapshot (restore re-routes every domain by name hash and packs the slots
+// purges left empty). d and authInfo (the transfer code, empty when none was
 // minted) are reused between calls and valid only during one.
 func (r *SnapshotReader) VisitShard(si int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
 	sh := &r.s.shards[si]
@@ -140,34 +110,6 @@ func (r *SnapshotReader) VisitDeletions(fn func(map[simtime.Day][]model.Deletion
 	r.s.delMu.Lock()
 	defer r.s.delMu.Unlock()
 	fn(r.s.deletions)
-}
-
-// CaptureSnapshotSharded materialises the traversal as a ShardedSnapshot,
-// without quiesce (see ReadSnapshot for what that means under concurrent
-// mutation). The snapshot writer does not go through it; it is the oracle
-// the writer is tested against.
-func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
-	st := ShardedSnapshot{
-		Shards:    make([][]SnapshotDomain, len(s.shards)),
-		Deletions: make(map[simtime.Day][]model.DeletionEvent),
-	}
-	s.ReadSnapshot(false, func(r *SnapshotReader) {
-		st.Registrars, st.Zones = r.Registrars(), r.Zones()
-		for i := range st.Shards {
-			r.VisitShard(i,
-				func(n int) { st.Shards[i] = make([]SnapshotDomain, 0, n) },
-				func(d *model.Domain, authInfo []byte) {
-					st.Shards[i] = append(st.Shards[i], SnapshotDomain{Domain: *d, AuthInfo: string(authInfo)})
-				})
-		}
-		r.VisitDeletions(func(dels map[simtime.Day][]model.DeletionEvent) {
-			for day, evs := range dels {
-				st.Deletions[day] = append([]model.DeletionEvent(nil), evs...)
-			}
-		})
-		st.Gen, st.NextID = r.Counters()
-	})
-	return st
 }
 
 // RestoreRegistrars installs the registrar table during recovery, replacing

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -251,7 +252,9 @@ func (f *Follower) consume(conn net.Conn) error {
 			if snapSize > maxSnapshotBytes {
 				return f.setFatal(fmt.Errorf("repl: snapshot of %d bytes exceeds limit", snapSize))
 			}
-			snapBuf = make([]byte, 0, snapSize)
+			// The declared size is the peer's word: it bounds the transfer,
+			// and the buffer grows with the chunks that actually arrive.
+			snapBuf = nil
 			inSnap = true
 		case msgSnapChunk:
 			if !inSnap {
@@ -259,6 +262,10 @@ func (f *Follower) consume(conn net.Conn) error {
 			}
 			if uint64(len(snapBuf))+uint64(len(payload)) > snapSize {
 				return fmt.Errorf("repl: snapshot overruns its declared size")
+			}
+			if have := len(snapBuf); len(payload) > cap(snapBuf)-have {
+				// Double what has been received, up to what was declared.
+				snapBuf = slices.Grow(snapBuf, min(max(have, len(payload)), int(snapSize)-have))
 			}
 			snapBuf = append(snapBuf, payload...)
 		case msgSnapEnd:

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -457,6 +458,75 @@ func TestFollowerRejectsEmptyBatch(t *testing.T) {
 	waitApplied(t, f, jnl.LastSeq())
 	if pg, fg := store.Generation(), fstore.Generation(); pg != fg {
 		t.Fatalf("generation after the well-formed batch: primary %d, replica %d", pg, fg)
+	}
+}
+
+// TestFollowerSnapshotSizeIsAClaim: a peer that opens a snapshot transfer
+// declaring the largest size allowed, sends one small chunk and goes away has
+// cost the follower that chunk — not the declared size held for as long as
+// the peer cares to keep the connection — and left a transport error behind:
+// nothing applied, logged or poisoned, and the redial bootstraps.
+func TestFollowerSnapshotSizeIsAClaim(t *testing.T) {
+	store, jnl := newPrimary(t, t.TempDir())
+	defer jnl.Close()
+	seedPrimary(t, store, 20)
+	src := NewSource(jnl, SourceConfig{})
+	defer src.Close()
+
+	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
+	dir := t.TempDir()
+	f, err := NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(src, nil), ReconnectWait: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+
+	client, server := net.Pipe()
+	defer server.Close()
+	consumed := make(chan error, 1)
+	go func() { consumed <- f.consume(client) }()
+	var hs [len(handshakeMagic) + 8]byte
+	if _, err := io.ReadFull(server, hs[:]); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	begin := make([]byte, msgHeader+snapBeginBody)
+	binary.LittleEndian.PutUint64(begin[msgHeader:], 5)
+	binary.LittleEndian.PutUint64(begin[msgHeader+8:], maxSnapshotBytes)
+	if err := writeMsg(server, time.Second, msgSnapBegin, begin); err != nil {
+		t.Fatal(err)
+	}
+	// The pipe is unbuffered: when the chunk's write returns, the follower
+	// has read it and so has handled the begin.
+	if err := writeMsg(server, time.Second, msgSnapChunk, make([]byte, msgHeader+1<<10)); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew >= 1<<20 {
+		t.Errorf("a declared size of %d bytes and a 1 KiB chunk grew the follower's heap by %d bytes", uint64(maxSnapshotBytes), grew)
+	}
+	server.Close()
+	if err := <-consumed; err == nil {
+		t.Fatal("follower took a snapshot transfer that ended after one chunk")
+	}
+	if err := f.Err(); err != nil {
+		t.Fatalf("abandoned snapshot transfer poisoned the replica: %v", err)
+	}
+	if f.AppliedSeq() != 0 || f.log.LastSeq() != 0 || f.log.Bytes() != 0 || fstore.Generation() != 0 {
+		t.Fatalf("abandoned snapshot transfer left a trace: applied %d, log at seq %d with %d bytes, generation %d",
+			f.AppliedSeq(), f.log.LastSeq(), f.log.Bytes(), fstore.Generation())
+	}
+	if _, _, ok, err := journal.LatestSnapshotPath(dir); ok || err != nil {
+		t.Fatalf("abandoned snapshot transfer left a snapshot file behind (%v)", err)
+	}
+
+	f.Start()
+	waitApplied(t, f, jnl.LastSeq())
+	if pg, fg := store.Generation(), fstore.Generation(); pg != fg {
+		t.Fatalf("generation after the redial: primary %d, replica %d", pg, fg)
 	}
 }
 

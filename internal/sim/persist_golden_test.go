@@ -3,11 +3,10 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -20,26 +19,9 @@ import (
 	"dropzero/internal/simtime"
 )
 
-// TestMain fixes the order in which this process first shows its two
-// journaled types to encoding/gob. A gob stream names types by IDs handed
-// out process-wide on first use, so the bytes encodeCheckpoint writes shift
-// when some other type met gob first (a registrar blob, say). The golden
-// files below were written by a process that encoded a checkpoint, then a
-// day record, before anything else; this makes every run of this package's
-// tests such a process, under any -run selection or -shuffle order.
-func TestMain(m *testing.M) {
-	if err := gob.NewEncoder(io.Discard).Encode(&checkpoint{}); err != nil {
-		panic(err)
-	}
-	if err := gob.NewEncoder(io.Discard).Encode(&dayRecord{}); err != nil {
-		panic(err)
-	}
-	os.Exit(m.Run())
-}
-
 // goldenState is a tiny study interrupted after its first day: one snapshot
-// checkpoint and one later day record, touching every field the two gob
-// blobs carry — resolved and unresolved entries, a non-.com TLD, every
+// checkpoint and one later day record, touching every field the two blobs
+// carry — resolved and unresolved entries, a non-.com TLD, every
 // counter.
 func goldenState() (*checkpoint, *dayRecord) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 4}
@@ -137,13 +119,15 @@ func finishGoldenStudy(t *testing.T, cp *checkpoint, rec *dayRecord) []byte {
 	return csv.Bytes()
 }
 
-// TestCheckpointFormatGolden guards the two gob blobs a study's -datadir
-// holds — the snapshot checkpoint and the per-day record — against the
-// dataset's in-memory layout: the files under testdata/ were written by the
-// last commit before observations became packed rows (PR 17, 8376faf),
-// running goldenState through its encodeCheckpoint/encodeDayRecord and
-// finishGoldenStudy. This build must write those bytes, read them back to
-// the same state, and finish the study they hold to the same CSV.
+// TestCheckpointFormatGolden guards the two blobs a study's -datadir holds —
+// the snapshot checkpoint and the per-day record — against the dataset's
+// in-memory layout and against drift of their own: checkpoint.dzsim and
+// dayrecord.dzsim under testdata/ are goldenState as the commit that
+// introduced the format wrote it, resumed.csv the dataset the study they
+// hold finishes to (written before observations became packed rows, 8376faf,
+// and unchanged since). This build must write those bytes, read them back to
+// the same state, and finish the study to the same CSV. The .gob files are
+// the same state as encoding/gob wrote it until then: refused, by name.
 func TestCheckpointFormatGolden(t *testing.T) {
 	golden := func(name string) []byte {
 		data, err := os.ReadFile(filepath.Join("testdata", name))
@@ -154,29 +138,21 @@ func TestCheckpointFormatGolden(t *testing.T) {
 	}
 	cp, rec := goldenState()
 
-	gotCP, err := encodeCheckpoint(cp)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := encodeCheckpoint(cp), golden("checkpoint.dzsim"); !bytes.Equal(got, want) {
+		t.Errorf("encodeCheckpoint wrote %d bytes that differ from the %d golden ones", len(got), len(want))
 	}
-	if want := golden("checkpoint.gob"); !bytes.Equal(gotCP, want) {
-		t.Errorf("encodeCheckpoint wrote %d bytes that differ from the %d golden ones", len(gotCP), len(want))
-	}
-	gotRec, err := encodeDayRecord(rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := golden("dayrecord.gob"); !bytes.Equal(gotRec, want) {
-		t.Errorf("encodeDayRecord wrote %d bytes that differ from the %d golden ones", len(gotRec), len(want))
+	if got, want := encodeDayRecord(rec), golden("dayrecord.dzsim"); !bytes.Equal(got, want) {
+		t.Errorf("encodeDayRecord wrote %d bytes that differ from the %d golden ones", len(got), len(want))
 	}
 
-	oldCP, err := decodeCheckpoint(golden("checkpoint.gob"))
+	oldCP, err := decodeCheckpoint(golden("checkpoint.dzsim"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(oldCP, cp) {
 		t.Errorf("golden checkpoint decodes to\n%+v\nwant\n%+v", oldCP, cp)
 	}
-	oldRec, err := decodeDayRecord(golden("dayrecord.gob"))
+	oldRec, err := decodeDayRecord(golden("dayrecord.dzsim"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +162,30 @@ func TestCheckpointFormatGolden(t *testing.T) {
 
 	if got, want := finishGoldenStudy(t, oldCP, oldRec), golden("resumed.csv"); !bytes.Equal(got, want) {
 		t.Errorf("the resumed study's dataset differs from the parent's:\n%s\nwant:\n%s", got, want)
+	}
+
+	for name, decode := range map[string]func([]byte) error{
+		"checkpoint.gob": func(b []byte) error { _, err := decodeCheckpoint(b); return err },
+		"dayrecord.gob":  func(b []byte) error { _, err := decodeDayRecord(b); return err },
+	} {
+		if err := decode(golden(name)); err == nil || !strings.Contains(err.Error(), "encoding/gob") || !strings.Contains(err.Error(), "DZSIM1") {
+			t.Errorf("%s: %v, want a refusal naming both formats", name, err)
+		}
+	}
+	// One kind is not the other, and a damaged blob is an error, not a state.
+	if _, err := decodeCheckpoint(golden("dayrecord.dzsim")); err == nil {
+		t.Error("a day record decoded as a checkpoint")
+	}
+	if _, err := decodeDayRecord(golden("checkpoint.dzsim")); err == nil {
+		t.Error("a checkpoint decoded as a day record")
+	}
+	whole := golden("checkpoint.dzsim")
+	for cut := 0; cut < len(whole); cut++ {
+		if _, err := decodeCheckpoint(whole[:cut]); err == nil {
+			t.Fatalf("checkpoint cut to %d of %d bytes decoded", cut, len(whole))
+		}
+	}
+	if _, err := decodeCheckpoint(append(bytes.Clone(whole), 0)); err == nil {
+		t.Error("checkpoint with a trailing byte decoded")
 	}
 }

@@ -357,11 +357,7 @@ func Run(cfg Config) (*Result, error) {
 				if delta == nil {
 					return nil, fmt.Errorf("sim: day %d: pipeline produced no delta", i)
 				}
-				raw, err := encodeDayRecord(&dayRecord{Day: i, Delta: *delta})
-				if err != nil {
-					return nil, err
-				}
-				if wait := jnl.AppendApp(raw); wait != nil {
+				if wait := jnl.AppendApp(encodeDayRecord(&dayRecord{Day: i, Delta: *delta})); wait != nil {
 					if err := wait(); err != nil {
 						return nil, err
 					}
@@ -467,11 +463,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		if journaled && i+1 >= resumePoint && (i+1)%snapDays == 0 {
-			blob, err := encodeCheckpoint(&checkpoint{CollectedDays: i + 1, Pipeline: pipeline.State()})
-			if err != nil {
-				return nil, err
-			}
-			if err := jnl.Snapshot(blob); err != nil {
+			if err := jnl.Snapshot(encodeCheckpoint(&checkpoint{CollectedDays: i + 1, Pipeline: pipeline.State()})); err != nil {
 				return nil, err
 			}
 		}
