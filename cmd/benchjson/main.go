@@ -14,8 +14,10 @@
 // -compare is the regression gate: for every benchmark in both artifacts it
 // prints allocs/op and B/op side by side and exits non-zero when allocs/op
 // rose at all or B/op by more than 2 % — the figures that repeat from run to
-// run and host to host. ns/op does not, and is never judged. The reference
-// is itself benchjson's output over several runs of the same benchmarks
+// run and host to host. ns/op does not, and is never judged. A reference
+// recorded under another Go minor (go_version) is refused with a message:
+// allocation counts differ between runtimes. The reference is itself
+// benchjson's output over several runs of the same benchmarks
 // (.github/BENCH.ref.json: five).
 //
 // Lines that are not benchmark results (the goos/pkg preamble, PASS/ok
@@ -128,18 +130,38 @@ func (a *Artifact) key(r Result) string {
 	return r.Name
 }
 
+// goMinor is a runtime.Version string cut after its minor number:
+// "go1.24.0" and "go1.24rc1" are both "go1.24".
+func goMinor(version string) string {
+	_, rest, ok := strings.Cut(version, ".")
+	if !ok {
+		return version
+	}
+	digits := 0
+	for digits < len(rest) && rest[digits] >= '0' && rest[digits] <= '9' {
+		digits++
+	}
+	return version[:len(version)-len(rest)+digits]
+}
+
 // bOpSlack is how far B/op may sit above the reference before it counts as
 // a rise: 2 % and 16 bytes, the second for benchmarks that allocate nothing
 // per operation but whose process allocated something once.
 func bOpSlack(ref float64) float64 { return ref*1.02 + 16 }
 
 // compare prints one row per benchmark present in both ref and cur and
-// reports whether the gate holds: no allocs/op above ref's, no B/op more
-// than the slack above ref's, and at least one benchmark compared. ref may
-// hold several runs of a benchmark; the highest of each figure is the
-// reference, and a B/op the reference's own runs disagree on by more than
-// the slack (an async flusher's buffer growth, say) is printed, not judged.
+// reports whether the gate holds: both recorded under the same Go minor, no
+// allocs/op above ref's, no B/op more than the slack above ref's, and at
+// least one benchmark compared. ref may hold several runs of a benchmark;
+// the highest of each figure is the reference, and a B/op the reference's
+// own runs disagree on by more than the slack (an async flusher's buffer
+// growth, say) is printed, not judged.
 func compare(w io.Writer, ref, cur *Artifact) bool {
+	if goMinor(ref.GoVersion) != goMinor(cur.GoVersion) {
+		fmt.Fprintf(w, "reference recorded under %s, this run under %s: allocs/op differ between Go minors (the runtime's maps, for one), so nothing was gated — run under the reference's toolchain or re-record the reference\n",
+			ref.GoVersion, cur.GoVersion)
+		return false
+	}
 	type figures struct{ allocs, bytes, bytesLow float64 }
 	refs := make(map[string]figures, len(ref.Results))
 	for _, r := range ref.Results {

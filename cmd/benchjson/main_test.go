@@ -143,3 +143,30 @@ func TestCompareGate(t *testing.T) {
 		}
 	}
 }
+
+// A reference recorded under another Go minor is refused with a message
+// instead of being read as allocation regressions; patch releases compare.
+func TestCompareRefusesAnotherGoMinor(t *testing.T) {
+	results := []Result{{Name: "BenchmarkRDAPLookup/cold-2", AllocsPerOp: 54, Metrics: map[string]float64{"B/op": 1000}}}
+	for _, tc := range []struct {
+		ref, cur string
+		want     bool
+	}{
+		{"go1.24.0", "go1.24.0", true},
+		{"go1.24.0", "go1.24.7", true},
+		{"go1.24.0", "go1.24rc1", true},
+		{"go1.24.0", "go1.22.12", false},
+		{"go1.24.0", "go1.25", false},
+		{"go1.2.2", "go1.22.0", false},
+		{"go1.24.0", "devel +abc", false},
+	} {
+		var table strings.Builder
+		got := compare(&table, &Artifact{GoVersion: tc.ref, GOMAXPROCS: 2, Results: results}, &Artifact{GoVersion: tc.cur, GOMAXPROCS: 2, Results: results})
+		if got != tc.want {
+			t.Errorf("reference %s, run %s: gate holds = %v, want %v\n%s", tc.ref, tc.cur, got, tc.want, table.String())
+		}
+		if !tc.want && (!strings.Contains(table.String(), tc.ref) || !strings.Contains(table.String(), tc.cur) || strings.Contains(table.String(), "FAIL")) {
+			t.Errorf("reference %s, run %s: the refusal does not name the two toolchains:\n%s", tc.ref, tc.cur, table.String())
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -423,4 +424,40 @@ func TestClosedServerIsCollectable(t *testing.T) {
 		}
 		return store
 	})
+}
+
+// countJournal counts the mutations a store commits.
+type countJournal struct{ n atomic.Int64 }
+
+func (j *countJournal) Append(registry.Mutation) func() error { j.n.Add(1); return nil }
+
+// TestRenewPeriodOverEPP: the renew frame's period reaches Store.Renew as
+// sent. Outside 1–10 years the answer is 2004 and nothing happens — no WAL
+// record, no generation bump, the registration as it was; 0 means 1.
+func TestRenewPeriodOverEPP(t *testing.T) {
+	store, _, addr := newTestServer(t, ServerConfig{})
+	c := dialLogin(t, addr, 7001, "tok-a")
+	if _, err := c.Create("period.com", 1); err != nil {
+		t.Fatal(err)
+	}
+	journal := &countJournal{}
+	store.SetJournal(journal)
+	for _, tc := range []struct{ years, code, added int }{
+		{-5, CodeParamRange, 0}, {0, CodeOK, 1}, {10, CodeOK, 10}, {11, CodeParamRange, 0}, {100000, CodeParamRange, 0},
+	} {
+		before, _ := store.Get("period.com")
+		gen, records := store.Generation(), journal.n.Load()
+		err := c.Renew("period.com", tc.years)
+		if tc.code == CodeOK && err != nil || tc.code != CodeOK && !IsCode(err, tc.code) {
+			t.Fatalf("renew by %d years: %v, want code %d", tc.years, err, tc.code)
+		}
+		after, _ := store.Get("period.com")
+		if tc.code != CodeOK {
+			if *after != *before || store.Generation() != gen || journal.n.Load() != records {
+				t.Fatalf("refused renew by %d years changed the store: %+v -> %+v, %d records", tc.years, before, after, journal.n.Load()-records)
+			}
+		} else if want := before.Expiry.AddDate(tc.added, 0, 0); !after.Expiry.Equal(want) || journal.n.Load() != records+1 {
+			t.Fatalf("renew by %d years: expiry %v, want %v; %d records", tc.years, after.Expiry, want, journal.n.Load()-records)
+		}
+	}
 }

@@ -176,7 +176,7 @@ type Generated struct {
 // for concurrent use; give each goroutine its own Generator.
 type Generator struct {
 	rng  *rand.Rand
-	seen map[string]bool
+	seen map[string]struct{}
 	// classWeights is the cumulative distribution over composition classes.
 	classCum [numClasses]float64
 }
@@ -185,7 +185,7 @@ type Generator struct {
 // to a distribution that makes valuable names a small minority, matching the
 // observation that only ~10 % of deleted domains attract any re-registration.
 func NewGenerator(rng *rand.Rand) *Generator {
-	g := &Generator{rng: rng, seen: make(map[string]bool)}
+	g := &Generator{rng: rng, seen: make(map[string]struct{})}
 	weights := [numClasses]float64{
 		ClassKeywordPair: 0.06,
 		ClassDictPair:    0.08,
@@ -260,10 +260,16 @@ func (g *Generator) Next() Generated {
 	for {
 		c := g.class()
 		label := g.compose(c)
-		if g.seen[label] || Validate(label) != nil {
+		if Validate(label) != nil {
 			continue
 		}
-		g.seen[label] = true
+		// One map operation per label: an insert that does not grow the set
+		// found a duplicate.
+		n := len(g.seen)
+		g.seen[label] = struct{}{}
+		if len(g.seen) == n {
+			continue
+		}
 		return Generated{Label: label, Class: c, Value: value(c, label, g.rng)}
 	}
 }

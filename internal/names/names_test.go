@@ -2,7 +2,10 @@ package names
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -200,5 +203,40 @@ func TestGeneratedAlwaysValid(t *testing.T) {
 	}
 	if err := quick.Check(func(byte) bool { return f() }, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestGeneratorStreamGolden pins the first 1000 draws of two seeds —
+// label, class and the exact value bits — to files written before Next's
+// duplicate check was changed from two map operations to one. Every study
+// dataset is a function of this stream. Regenerate (only for a deliberate
+// change of the stream) with UPDATE_GOLDEN=1.
+func TestGeneratorStreamGolden(t *testing.T) {
+	for _, seed := range []int64{1, 20180108} {
+		g := NewGenerator(rand.New(rand.NewSource(seed)))
+		var b strings.Builder
+		for i := 0; i < 1000; i++ {
+			n := g.Next()
+			fmt.Fprintf(&b, "%s %d %s\n", n.Label, n.Class, strconv.FormatFloat(n.Value, 'g', -1, 64))
+		}
+		path := fmt.Sprintf("testdata/stream-seed%d.golden", seed)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := os.WriteFile(path, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := b.String(); got != string(want) {
+			gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+			for i := range gl {
+				if i >= len(wl) || gl[i] != wl[i] {
+					t.Fatalf("seed %d: draw %d is %q, the golden stream differs", seed, i, gl[i])
+				}
+			}
+			t.Fatalf("seed %d: %d draws, the golden stream has more", seed, len(gl)-1)
+		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // bytesPerDomainBudget is the live-heap ceiling for one stored registration,
 // everything included: the record's slab slot, name bytes, name-index entry,
 // due-bucket ref.
-const bytesPerDomainBudget = 130
+const bytesPerDomainBudget = 100
 
 func liveHeap() uint64 {
 	runtime.GC()

@@ -91,26 +91,23 @@ func (r *DropRunner) inScope(t model.TLD) bool {
 // randomized policy reorders it at schedule time, which is the point of
 // that countermeasure).
 //
-// The queue is read straight out of day's pending-delete bucket — one
-// exactly-sized allocation and an O(k log k) sort, independent of how many
-// million other registrations the store holds.
+// The queue is read straight out of day's pending-delete bucket and ordered
+// on the stored integers — O(k log k), independent of how many million other
+// registrations the store holds; a time.Time is built once per entry, after
+// the sort.
 func (r *DropRunner) BuildQueue(day simtime.Day) []QueueEntry {
-	n := r.store.pendingCountOn(day)
-	if n == 0 {
+	recs := slices.DeleteFunc(r.store.pendingOn(day), func(rec record) bool { return !r.inScope(rec.tld()) })
+	if len(recs) == 0 {
 		return nil
 	}
-	q := make([]QueueEntry, 0, n)
-	r.store.eachPendingOn(day, func(rec *record) {
-		if tld := rec.tld(); r.inScope(tld) {
-			q = append(q, QueueEntry{Name: rec.name, TLD: tld, ID: rec.id, Updated: unixTime(rec.updated)})
-		}
+	slices.SortFunc(recs, func(a, b record) int {
+		return cmp.Or(cmp.Compare(a.updated, b.updated), cmp.Compare(a.id, b.id))
 	})
-	slices.SortFunc(q, func(a, b QueueEntry) int {
-		if c := a.Updated.Compare(b.Updated); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
+	q := make([]QueueEntry, len(recs))
+	for i := range recs {
+		rec := &recs[i]
+		q[i] = QueueEntry{Name: rec.name, TLD: rec.tld(), ID: rec.id, Updated: unixTime(rec.updated)}
+	}
 	return q
 }
 

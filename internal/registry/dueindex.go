@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"math"
 	"slices"
 
 	"dropzero/internal/model"
@@ -28,11 +29,13 @@ type duePolicy struct {
 	perTLD map[model.TLD]*duePolicy
 }
 
-// dueDay returns the bucket day for r's current state: expiry day for
-// active, grace-end day for autoRenew, redemption-end day for redemption and
-// the scheduled delete day for pendingDelete. The parameters come from the
-// zone operating r's TLD.
-func (p duePolicy) dueDay(r *record) simtime.Day {
+// dueDay returns the bucket key for r's current state, a day number (days
+// since 1970-01-01): expiry day for active, grace-end day for autoRenew,
+// redemption-end day for redemption and the scheduled delete day for
+// pendingDelete. UTC has no DST, so the calendar's AddDate(0, 0, g) is +g
+// here and no time.Time is built. The parameters come from the zone
+// operating r's TLD.
+func (p duePolicy) dueDay(r *record) uint32 {
 	if p.perTLD != nil {
 		if zp, ok := p.perTLD[r.tld()]; ok {
 			return zp.dueDay(r)
@@ -40,42 +43,47 @@ func (p duePolicy) dueDay(r *record) simtime.Day {
 	}
 	switch r.status {
 	case model.StatusActive:
-		return simtime.DayOf(unixTime(r.expiry))
+		return dayKey(unixOf(r.expiry) / daySecs)
 	case model.StatusAutoRenew:
 		g := p.defaultGraceDays
 		if v, ok := p.graceDays[int(r.registrar)]; ok {
 			g = v
 		}
-		return simtime.DayOf(unixTime(r.expiry).AddDate(0, 0, g))
+		return dayKey(unixOf(r.expiry)/daySecs + int64(g))
 	case model.StatusRedemption:
-		return simtime.DayOf(unixTime(r.updated).AddDate(0, 0, p.redemptionDays))
+		return dayKey(unixOf(r.updated)/daySecs + int64(p.redemptionDays))
 	default:
-		return simtime.UnpackDay(r.deleteDay)
+		return uint32(r.deleteDay)
 	}
 }
 
+// dayKey is day number n as a bucket key, saturating at the key type's ends:
+// the zero time.Time (year 1) files under 0, which keeps it — like every
+// other saturated key — no later than its true day.
+func dayKey(n int64) uint32 { return uint32(min(max(n, 0), math.MaxUint32)) }
+
 // dueIndex is one lifecycle state's time-bucketed secondary index: every
-// live registration in that state, bucketed by due day. A bucket is a slice
-// of table refs and each record stores its own position in it, so removal
-// is an O(1) swap with the last entry. Bucket-internal order depends on the
-// history of adds and removes, so every consumer imposes its own
+// live registration in that state, bucketed by due day number. A bucket is a
+// slice of table refs and each record stores its own position in it, so
+// removal is an O(1) swap with the last entry. Bucket-internal order depends
+// on the history of adds and removes, so every consumer imposes its own
 // deterministic sort.
 // days mirrors the non-empty bucket keys in ascending order, which is what
 // makes "walk everything due through day D" O(due work) instead of
 // O(store).
 type dueIndex struct {
-	buckets map[simtime.Day][]uint32
-	days    []simtime.Day
+	buckets map[uint32][]uint32
+	days    []uint32
 }
 
 // add files t's slot ref under day.
-func (ix *dueIndex) add(day simtime.Day, ref uint32, t *table) {
+func (ix *dueIndex) add(day, ref uint32, t *table) {
 	b, ok := ix.buckets[day]
 	if !ok {
 		if ix.buckets == nil {
-			ix.buckets = make(map[simtime.Day][]uint32)
+			ix.buckets = make(map[uint32][]uint32)
 		}
-		if i, found := slices.BinarySearchFunc(ix.days, day, simtime.Day.Compare); !found {
+		if i, found := slices.BinarySearch(ix.days, day); !found {
 			ix.days = slices.Insert(ix.days, i, day)
 		}
 	}
@@ -85,7 +93,7 @@ func (ix *dueIndex) add(day simtime.Day, ref uint32, t *table) {
 
 // remove takes t's slot ref out of day's bucket; a ref the bucket does not
 // hold at its record's pos is left alone.
-func (ix *dueIndex) remove(day simtime.Day, ref uint32, t *table) {
+func (ix *dueIndex) remove(day, ref uint32, t *table) {
 	b := ix.buckets[day]
 	i, last := int(t.rec(ref).pos), len(b)-1
 	if i > last || b[i] != ref {
@@ -95,7 +103,7 @@ func (ix *dueIndex) remove(day simtime.Day, ref uint32, t *table) {
 	t.rec(b[i]).pos = int32(i)
 	if last == 0 {
 		delete(ix.buckets, day)
-		if i, found := slices.BinarySearchFunc(ix.days, day, simtime.Day.Compare); found {
+		if i, found := slices.BinarySearch(ix.days, day); found {
 			ix.days = slices.Delete(ix.days, i, i+1)
 		}
 		return
@@ -103,14 +111,12 @@ func (ix *dueIndex) remove(day simtime.Day, ref uint32, t *table) {
 	ix.buckets[day] = b[:last]
 }
 
-// count returns the size of day's bucket.
-func (ix *dueIndex) count(day simtime.Day) int { return len(ix.buckets[day]) }
-
 // through calls fn for every registration whose bucket day is on or before
 // limit. fn must not add or remove index entries.
 func (ix *dueIndex) through(limit simtime.Day, t *table, fn func(*record)) {
+	end := dayKey(limit.Number())
 	for _, day := range ix.days {
-		if day.Compare(limit) > 0 {
+		if day > end {
 			return
 		}
 		for _, ref := range ix.buckets[day] {
@@ -120,14 +126,12 @@ func (ix *dueIndex) through(limit simtime.Day, t *table, fn func(*record)) {
 }
 
 // eachBucket visits every non-empty bucket with day in [from, to), in
-// ascending day order. fn must not add or remove index entries.
-func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func(simtime.Day, []uint32)) {
-	i, _ := slices.BinarySearchFunc(ix.days, from, simtime.Day.Compare)
-	for ; i < len(ix.days); i++ {
-		day := ix.days[i]
-		if day.Compare(to) >= 0 {
-			return
-		}
-		fn(day, ix.buckets[day])
+// ascending day order; the bucket of registrations with no day (key 0) is in
+// no window. fn must not add or remove index entries.
+func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func([]uint32)) {
+	end := dayKey(to.Number())
+	i, _ := slices.BinarySearch(ix.days, max(dayKey(from.Number()), 1))
+	for ; i < len(ix.days) && ix.days[i] < end; i++ {
+		fn(ix.buckets[ix.days[i]])
 	}
 }

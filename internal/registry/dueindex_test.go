@@ -10,8 +10,9 @@ import (
 	"dropzero/internal/simtime"
 )
 
-// bucketDayOf returns the due-index bucket day currently holding the domain,
-// or ok=false when the domain is in no bucket of its shard's status index.
+// bucketDayOf returns the due-index bucket day currently holding the domain
+// (its key read back as a calendar day), or ok=false when the domain is in
+// no bucket of its shard's status index.
 func bucketDayOf(s *Store, name string) (simtime.Day, bool) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
@@ -22,7 +23,7 @@ func bucketDayOf(s *Store, name string) (simtime.Day, bool) {
 	}
 	for day, b := range sh.due[r.status].buckets {
 		if int(r.pos) < len(b) && b[r.pos] == ref {
-			return day, true
+			return simtime.DayNumbered(int64(day)), true
 		}
 	}
 	return simtime.Day{}, false
@@ -131,38 +132,39 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	for i := range doms {
 		_, doms[i] = tab.put(record{id: uint64(i + 1), name: fmt.Sprintf("d%d.com", i)})
 	}
-	ix.add(base.AddDays(3), doms[0], &tab)
-	ix.add(base, doms[1], &tab)
-	ix.add(base.AddDays(7), doms[2], &tab)
-	ix.add(base, doms[3], &tab)
+	key := func(d simtime.Day) uint32 { return uint32(d.Number()) }
+	ix.add(key(base.AddDays(3)), doms[0], &tab)
+	ix.add(key(base), doms[1], &tab)
+	ix.add(key(base.AddDays(7)), doms[2], &tab)
+	ix.add(key(base), doms[3], &tab)
 
 	var seen []uint64
 	ix.through(base.AddDays(3), &tab, func(r *record) { seen = append(seen, r.id) })
 	if len(seen) != 3 {
 		t.Fatalf("through visited %d, want 3 (two at base, one at +3)", len(seen))
 	}
-	if got := ix.count(base); got != 2 {
+	if got := len(ix.buckets[key(base)]); got != 2 {
 		t.Fatalf("count(base) = %d, want 2", got)
 	}
 
 	// Emptying a bucket removes its day; a later re-add restores it.
-	ix.remove(base, doms[1], &tab)
-	ix.remove(base, doms[3], &tab)
+	ix.remove(key(base), doms[1], &tab)
+	ix.remove(key(base), doms[3], &tab)
 	if got := len(ix.days); got != 2 {
 		t.Fatalf("days after emptying base = %d, want 2", got)
 	}
-	ix.add(base, doms[4], &tab)
+	ix.add(key(base), doms[4], &tab)
 	days := 0
-	ix.eachBucket(base, base.AddDays(8), func(simtime.Day, []uint32) { days++ })
+	ix.eachBucket(base, base.AddDays(8), func([]uint32) { days++ })
 	if days != 3 {
 		t.Fatalf("eachBucket visited %d days, want 3", days)
 	}
 
 	// Removing from an unknown day, or a record its bucket does not hold,
 	// is a no-op.
-	ix.remove(base.AddDays(99), doms[0], &tab)
-	ix.remove(base, doms[5], &tab)
-	if got := ix.count(base); got != 1 {
+	ix.remove(key(base.AddDays(99)), doms[0], &tab)
+	ix.remove(key(base), doms[5], &tab)
+	if got := len(ix.buckets[key(base)]); got != 1 {
 		t.Fatalf("count(base) after no-op removes = %d, want 1", got)
 	}
 }

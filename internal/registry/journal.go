@@ -216,7 +216,7 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		}
 		if m.Kind == MutCreate {
 			// Creates mint a transfer code; seeds do not (SeedAt's contract).
-			r.auth = authCreated
+			r.setAuth(authCreated)
 		}
 		// Atomic-max, not load-then-store: ApplyBatch applies shard groups
 		// concurrently, and a plain racing store could leave the allocator
@@ -239,11 +239,11 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		next := *r
 		var errUpdated, errField error
 		if m.Kind != MutSetState || !m.Updated.IsZero() {
-			next.updated, errUpdated = unixSeconds(m.Updated)
+			next.updated, errUpdated = packTime(m.Updated)
 		}
 		switch m.Kind {
 		case MutRenew:
-			next.expiry, errField = unixSeconds(m.Expiry)
+			next.expiry, errField = packTime(m.Expiry)
 			next.status = model.StatusActive
 		case MutTransfer:
 			next.registrar, errField = registrar32(m.RegistrarID)

@@ -99,29 +99,26 @@ func (l *Lifecycle) Tick(now time.Time) int {
 	nowSec := now.Unix()
 	var changes []change
 	l.store.eachDueThrough(model.StatusActive, day, func(r *record) {
-		if l.inScope(r.tld()) && r.expiry <= nowSec {
+		if l.inScope(r.tld()) && unixOf(r.expiry) <= nowSec {
 			// Registry auto-renews at expiration; the registrar's grace
 			// clock starts at the old expiry.
 			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusAutoRenew, updated: unixTime(r.expiry)})
 		}
 	})
+	// The calendar's AddDate(0, 0, n) is +n·daySecs in UTC.
 	l.store.eachDueThrough(model.StatusAutoRenew, day, func(r *record) {
 		if !l.inScope(r.tld()) {
 			return
 		}
 		registrar := int(r.registrar)
-		graceEnd := unixTime(r.expiry).AddDate(0, 0, l.cfg.GraceDaysFor(registrar))
-		if !graceEnd.After(now) {
+		if unixOf(r.expiry)+daySecs*int64(l.cfg.GraceDaysFor(registrar)) <= nowSec {
 			// Registrar deletes the domain: the batch instant is the "last
 			// updated" timestamp that will drive the deletion order.
 			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, registrar)})
 		}
 	})
 	l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
-		if !l.inScope(r.tld()) {
-			return
-		}
-		if !unixTime(r.updated).AddDate(0, 0, l.cfg.RedemptionDays).After(now) {
+		if l.inScope(r.tld()) && unixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
 			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"dropzero/internal/model"
@@ -11,73 +12,73 @@ import (
 )
 
 // record is the shard-resident form of one registration: a model.Domain
-// squeezed into 64 bytes with a single pointer word (the name), stored in
+// squeezed into 48 bytes with a single pointer word (the name), stored in
 // its shard's table and addressable only under that shard's lock (see
-// table for the validity rule). Timestamps are Unix seconds — the store
-// guarantees second precision and UTC, and the zero time.Time survives the
-// trip (its Unix second decodes back to a value for which IsZero holds).
-// The TLD is the name's last tldLen bytes, the delete day is bit-packed,
-// and the transfer code is a state from which the code is recomputed
-// (authInfo). Records never leave the package: Get, Each, PendingDeletions,
-// snapshot capture and observer events hand out model.Domain values built
-// by domain().
+// table for the validity rule). Time is integer throughout: timestamps are
+// stored instants (packTime: 0 = the zero time.Time, otherwise Unix second
+// + 1, so Unix 0 stays distinct from "unset"), the delete day is a day
+// number (packDay). The TLD is the name's last tldLen() bytes, and the
+// transfer code is a state from which the code is recomputed (authInfo).
+// Records never leave the package: Get, Each, PendingDeletions, snapshot
+// capture and observer events hand out model.Domain values built by
+// domain().
 type record struct {
-	id        uint64
 	name      string
-	created   int64
-	updated   int64
-	expiry    int64
+	id        uint64
+	created   uint32
+	updated   uint32
+	expiry    uint32
 	registrar int32
-	deleteDay int32 // simtime.Day.Pack form; 0 = no deletion scheduled
-	pos       int32 // index in its due bucket (dueIndex), maintained by add/remove
+	pos       int32  // index in its due bucket (dueIndex), maintained by add/remove
+	deleteDay uint16 // days since 1970-01-01; 0 = no deletion scheduled
 	status    model.Status
-	tldLen    uint8
-	auth      authState
+	meta      uint8 // authState<<6 | TLD length
 }
 
-// errUnrepresentable marks a model.Domain the store cannot hold exactly.
-// Live mutators never produce one; replay and restore input that does is
-// refused instead of being rounded.
+// errUnrepresentable marks a registration the store cannot hold exactly: an
+// instant, delete day, registrar ID or TLD outside the stored widths.
+// Mutators, replay and restore refuse it before the record or its index
+// entry is touched; nothing is ever rounded or wrapped.
 var errUnrepresentable = errors.New("registry: registration not representable")
 
 // newRecord converts d to its stored form, or fails when any field would
-// not come back from domain() exactly: sub-second timestamps, a registrar
-// ID beyond int32, a delete day outside the packed range, a TLD that is not
-// the name's dot-separated suffix. Timestamps in another location are
-// stored as the same instant in UTC, as simtime.Trunc does on live paths.
+// not come back from domain() exactly: sub-second or out-of-range
+// timestamps, a registrar ID beyond int32, a delete day outside the day
+// numbers, a TLD that is not the name's dot-separated suffix of at most 63
+// bytes. Timestamps in another location are stored as the same instant in
+// UTC, as simtime.Trunc does on live paths.
 func newRecord(d *model.Domain) (record, error) {
 	n := len(d.TLD)
-	if n == 0 || n > 255 || len(d.Name) <= n || d.Name[len(d.Name)-n-1] != '.' || d.Name[len(d.Name)-n:] != string(d.TLD) {
+	if n == 0 || n > tldLenMask || len(d.Name) <= n || d.Name[len(d.Name)-n-1] != '.' || d.Name[len(d.Name)-n:] != string(d.TLD) {
 		return record{}, fmt.Errorf("%w: %q is not under TLD %q", errUnrepresentable, d.Name, d.TLD)
 	}
-	registrar, err := registrar32(d.RegistrarID)
-	if err != nil {
-		return record{}, fmt.Errorf("%w: %q", err, d.Name)
-	}
-	day, err := packDay(d.DeleteDay)
-	if err != nil {
-		return record{}, fmt.Errorf("%w: %q", err, d.Name)
-	}
-	if d.Created.Nanosecond() != 0 || d.Updated.Nanosecond() != 0 || d.Expiry.Nanosecond() != 0 {
-		return record{}, fmt.Errorf("%w: %q: sub-second timestamp", errUnrepresentable, d.Name)
+	registrar, errRegistrar := registrar32(d.RegistrarID)
+	day, errDay := packDay(d.DeleteDay)
+	created, errCreated := packTime(d.Created)
+	updated, errUpdated := packTime(d.Updated)
+	expiry, errExpiry := packTime(d.Expiry)
+	for _, err := range [...]error{errRegistrar, errDay, errCreated, errUpdated, errExpiry} {
+		if err != nil {
+			return record{}, fmt.Errorf("%w: %q", err, d.Name)
+		}
 	}
 	return record{
 		id:        d.ID,
 		name:      d.Name,
-		created:   d.Created.Unix(),
-		updated:   d.Updated.Unix(),
-		expiry:    d.Expiry.Unix(),
+		created:   created,
+		updated:   updated,
+		expiry:    expiry,
 		registrar: registrar,
 		deleteDay: day,
 		status:    d.Status,
-		tldLen:    uint8(n),
+		meta:      uint8(n),
 	}, nil
 }
 
 // domain materialises the record as the model.Domain value it was built
 // from.
 func (r *record) domain() model.Domain {
-	return model.Domain{
+	d := model.Domain{
 		ID:          r.id,
 		Name:        r.name,
 		TLD:         r.tld(),
@@ -86,12 +87,23 @@ func (r *record) domain() model.Domain {
 		Updated:     unixTime(r.updated),
 		Expiry:      unixTime(r.expiry),
 		Status:      r.status,
-		DeleteDay:   simtime.UnpackDay(r.deleteDay),
 	}
+	if r.deleteDay != 0 {
+		d.DeleteDay = simtime.DayNumbered(int64(r.deleteDay))
+	}
+	return d
 }
 
+// tldLenMask is the low six bits of record.meta: a TLD is one DNS label, at
+// most 63 bytes.
+const tldLenMask = 1<<6 - 1
+
 // tld is the name's TLD suffix; it shares the name's bytes.
-func (r *record) tld() model.TLD { return model.TLD(r.name[len(r.name)-int(r.tldLen):]) }
+func (r *record) tld() model.TLD { return model.TLD(r.name[len(r.name)-int(r.meta&tldLenMask):]) }
+
+func (r *record) auth() authState { return authState(r.meta >> 6) }
+
+func (r *record) setAuth(a authState) { r.meta = r.meta&tldLenMask | uint8(a)<<6 }
 
 // registrar32 is a registrar ID in its stored width.
 func registrar32(id int) (int32, error) {
@@ -101,24 +113,46 @@ func registrar32(id int) (int32, error) {
 	return int32(id), nil
 }
 
-// unixSeconds is t as whole Unix seconds, refusing a sub-second part.
-func unixSeconds(t time.Time) (int64, error) {
-	if t.Nanosecond() != 0 {
-		return 0, fmt.Errorf("%w: timestamp %v has sub-second precision", errUnrepresentable, t)
+const (
+	zeroUnix = -62135596800 // the Unix second of the zero time.Time
+	daySecs  = 86400        // a UTC day: no DST, and Go's clock has no leap seconds
+)
+
+// packTime is t in its stored form: 0 for the zero time.Time, otherwise its
+// Unix second plus one — 1970-01-01T00:00:00Z through 2106-02-07T06:28:14Z.
+// Any other instant, and any sub-second part, is refused.
+func packTime(t time.Time) (uint32, error) {
+	if t.IsZero() {
+		return 0, nil
 	}
-	return t.Unix(), nil
+	if sec := t.Unix(); t.Nanosecond() == 0 && sec >= 0 && sec < math.MaxUint32 {
+		return uint32(sec) + 1, nil
+	}
+	return 0, fmt.Errorf("%w: timestamp %v", errUnrepresentable, t)
 }
 
-// unixTime is the inverse of unixSeconds, in UTC.
-func unixTime(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
-
-// packDay is the day in its stored form (simtime.Day.Pack; 0 = the zero Day).
-func packDay(d simtime.Day) (int32, error) {
-	p, ok := d.Pack()
-	if !ok {
-		return 0, fmt.Errorf("%w: delete day %v", errUnrepresentable, d)
+// unixOf is the Unix second a stored instant stands for.
+func unixOf(v uint32) int64 {
+	if v == 0 {
+		return zeroUnix
 	}
-	return p, nil
+	return int64(v) - 1
+}
+
+// unixTime is the inverse of packTime, in UTC.
+func unixTime(v uint32) time.Time { return time.Unix(unixOf(v), 0).UTC() }
+
+// packDay is d in its stored form: 0 for the zero Day, otherwise its day
+// number — 1970-01-02 through 2149-06-06. Any other day, and any Day that is
+// not a calendar date (it would come back normalised), is refused.
+func packDay(d simtime.Day) (uint16, error) {
+	if d == (simtime.Day{}) {
+		return 0, nil
+	}
+	if n := d.Number(); n >= 1 && n <= math.MaxUint16 && simtime.DayNumbered(n) == d {
+		return uint16(n), nil
+	}
+	return 0, fmt.Errorf("%w: delete day %v", errUnrepresentable, d)
 }
 
 // authState says where a registration's transfer authorisation code comes
@@ -162,7 +196,7 @@ func appendAuthInfo(dst []byte, id uint64, name string) []byte {
 // appendAuthInfo appends r's transfer code to dst, nothing when none was
 // minted. The caller holds sh's lock (either mode).
 func (sh *shard) appendAuthInfo(dst []byte, r *record) []byte {
-	switch r.auth {
+	switch r.auth() {
 	case authCreated:
 		return appendAuthInfo(dst, r.id, r.name)
 	case authTransferred:
@@ -194,13 +228,13 @@ func (sh *shard) setAuthInfo(r *record, code string) {
 	var buf [authInfoLen]byte
 	switch {
 	case code == "":
-		r.auth = authNone
+		r.setAuth(authNone)
 	case code == string(appendAuthInfo(buf[:0], r.id, r.name)):
-		r.auth = authCreated
+		r.setAuth(authCreated)
 	case code == string(appendAuthInfo(buf[:0], r.id^authRotate, r.name)):
-		r.auth = authTransferred
+		r.setAuth(authTransferred)
 	default:
-		r.auth = authStored
+		r.setAuth(authStored)
 		if sh.authStored == nil {
 			sh.authStored = make(map[string]string)
 		}
@@ -211,12 +245,12 @@ func (sh *shard) setAuthInfo(r *record, code string) {
 // rotateAuth mints the post-transfer code, dropping a stored one.
 func (sh *shard) rotateAuth(r *record) {
 	sh.dropAuth(r)
-	r.auth = authTransferred
+	r.setAuth(authTransferred)
 }
 
 // dropAuth forgets a stored code when r leaves the shard or rotates.
 func (sh *shard) dropAuth(r *record) {
-	if r.auth == authStored {
+	if r.auth() == authStored {
 		delete(sh.authStored, r.name)
 	}
 }

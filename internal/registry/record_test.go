@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -13,15 +14,15 @@ import (
 	"dropzero/internal/zone"
 )
 
-// TestRecordFitsOneSizeClass pins the stored form to 64 bytes and a table
-// chunk to 64 KiB — an allocator size class with no rounding waste; one
-// more word per record would cost 8 bytes per registration.
+// TestRecordFitsOneSizeClass pins the stored form to 48 bytes and a table
+// chunk to 48 KiB — six pages, an allocator size class with no rounding
+// waste; one more word per record would cost 8 bytes per registration.
 func TestRecordFitsOneSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(record{}); size != 64 {
-		t.Fatalf("record is %d bytes, want 64", size)
+	if size := unsafe.Sizeof(record{}); size != 48 {
+		t.Fatalf("record is %d bytes, want 48", size)
 	}
-	if size := unsafe.Sizeof([chunkSize]record{}); size != 64<<10 {
-		t.Fatalf("chunk is %d bytes, want 64 KiB", size)
+	if size := unsafe.Sizeof([chunkSize]record{}); size != 48<<10 {
+		t.Fatalf("chunk is %d bytes, want 48 KiB", size)
 	}
 }
 
@@ -29,14 +30,25 @@ func TestRecordFitsOneSizeClass(t *testing.T) {
 // fit the stored widths survives record and back exactly, and everything
 // else is refused — never rounded.
 func FuzzRecordRoundTrip(f *testing.F) {
+	const lastSec = int64(1)<<32 - 2 // 2106-02-07T06:28:14Z
 	zeroSec := time.Time{}.Unix()
+	label63 := strings.Repeat("t", 63)
 	f.Add(uint64(1), "example", "com", int64(1000), int64(1500000000), int64(1510000000), int64(1530000000), 0, uint8(0), 0, 0, 0)
 	f.Add(uint64(1<<63), "zero-times", "net", int64(0), zeroSec, zeroSec, zeroSec, 0, uint8(3), 2018, 3, 8)
-	f.Add(uint64(7), "nordic", "se", int64(-5), int64(-1), int64(0), int64(1), 0, uint8(4), 2018, 12, 31)
+	f.Add(uint64(7), "nordic", "se", int64(-5), int64(0), int64(1), lastSec, 0, uint8(4), 2018, 12, 31)
+	f.Add(uint64(7), "past-the-end", "se", int64(5), int64(0), int64(1), lastSec+1, 0, uint8(4), 0, 0, 0)
+	f.Add(uint64(7), "before-the-epoch", "se", int64(5), int64(-1), int64(0), int64(1), 0, uint8(4), 0, 0, 0)
 	f.Add(uint64(8), "subsecond", "nu", int64(1), int64(1500000000), int64(1500000000), int64(1500000000), 1, uint8(1), 0, 0, 0)
 	f.Add(uint64(9), "bigregistrar", "dk", int64(1)<<31, int64(5), int64(6), int64(7), 0, uint8(2), 0, 0, 0)
 	f.Add(uint64(10), "badday", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(255), 1<<21, 13, 32)
+	f.Add(uint64(10), "feb30", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(3), 2018, 2, 30)
+	f.Add(uint64(10), "day0", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(3), 1970, 1, 1)
+	f.Add(uint64(10), "day1", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(3), 1970, 1, 2)
+	f.Add(uint64(10), "day65535", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(3), 2149, 6, 6)
+	f.Add(uint64(10), "day65536", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(3), 2149, 6, 7)
 	f.Add(uint64(11), "notld", "", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), -1, 1, 1)
+	f.Add(uint64(12), "tld63", label63, int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
+	f.Add(uint64(12), "tld64", label63+"t", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
 	f.Fuzz(func(t *testing.T, id uint64, label, tld string, registrar, created, updated, expiry int64, nanos int, status uint8, year, month, dom int) {
 		nanos = ((nanos % 1e9) + 1e9) % 1e9
 		d := model.Domain{
@@ -50,10 +62,20 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			Status:      model.Status(status),
 			DeleteDay:   simtime.Day{Year: year, Month: time.Month(month), Dom: dom},
 		}
-		fits := tld != "" && len(tld) <= 255 &&
+		secFits := func(sec int64) bool { return sec == zeroSec || sec >= 0 && sec <= lastSec }
+		// A delete day fits when it is unset, or a calendar date (time.Date
+		// leaves it as written) from 1970-01-02 to 2149-06-06.
+		dayFits := d.DeleteDay == simtime.Day{}
+		if year >= 1970 && year <= 2149 {
+			at := time.Date(year, time.Month(month), dom, 0, 0, 0, 0, time.UTC)
+			y, m, dd := at.Date()
+			dayFits = dayFits || y == year && int(m) == month && dd == dom && at.Unix() >= 86400 && at.Unix() <= 65535*86400
+		}
+		fits := tld != "" && len(tld) <= 63 &&
 			nanos == 0 &&
+			secFits(created) && secFits(updated) && secFits(expiry) &&
 			registrar >= -1<<31 && registrar < 1<<31 &&
-			year >= -(1<<21) && year < 1<<21 && month >= 0 && month <= 15 && dom >= 0 && dom <= 31
+			dayFits
 		r, err := newRecord(&d)
 		if !fits {
 			if !errors.Is(err, errUnrepresentable) {
@@ -92,6 +114,13 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 		{Kind: MutRenew, Name: "exact.com", Updated: at, Expiry: sub},
 		{Kind: MutTransfer, Name: "exact.com", RegistrarID: 1 << 40, Updated: at},
 		{Kind: MutSetState, Name: "exact.com", Status: model.StatusPendingDelete, DeleteDay: simtime.Day{Year: 1 << 30, Month: 1, Dom: 1}},
+		// Whole seconds and calendar days, outside what 32 and 16 bits hold.
+		{Kind: MutCreate, ID: 2, Name: "early.com", RegistrarID: 1000, Created: time.Unix(-1, 0), Updated: at, Expiry: at},
+		{Kind: MutTouch, Name: "exact.com", Updated: time.Unix(1<<32-1, 0)},
+		{Kind: MutRenew, Name: "exact.com", Updated: at, Expiry: at.AddDate(100, 0, 0)},
+		{Kind: MutTransfer, Name: "exact.com", RegistrarID: 1001, Updated: time.Date(1, 1, 1, 0, 0, 1, 0, time.UTC)},
+		{Kind: MutSetState, Name: "exact.com", Status: model.StatusRedemption, Updated: at.AddDate(1000, 0, 0)},
+		{Kind: MutSetState, Name: "exact.com", Status: model.StatusPendingDelete, DeleteDay: simtime.Day{Year: 2149, Month: 6, Dom: 7}},
 	}
 	gen := s.Generation()
 	for _, m := range bad {
@@ -197,7 +226,7 @@ func (o authOracle) check(t *testing.T, label string, s *Store) {
 			return true
 		})
 		for name := range sh.authStored {
-			if r, _ := sh.tab.get(name); r == nil || r.auth != authStored {
+			if r, _ := sh.tab.get(name); r == nil || r.auth() != authStored {
 				t.Errorf("%s: stored code for %s outlived its registration or state", label, name)
 			}
 		}
@@ -399,7 +428,7 @@ func checkDuePositions(t *testing.T, s *Store) {
 				t.Fatalf("shard %d %v: %d days for %d buckets", i, model.Status(st), len(ix.days), len(ix.buckets))
 			}
 			for k := 1; k < len(ix.days); k++ {
-				if ix.days[k-1].Compare(ix.days[k]) >= 0 {
+				if ix.days[k-1] >= ix.days[k] {
 					t.Fatalf("shard %d %v: days out of order at %d", i, model.Status(st), k)
 				}
 			}

@@ -500,7 +500,7 @@ func (s *Store) insertNew(d *model.Domain, kind MutKind) (*model.Domain, error) 
 	d.ID = s.nextID.Add(1)
 	r.id = d.ID
 	if kind == MutCreate {
-		r.auth = authCreated
+		r.setAuth(authCreated)
 	}
 	wait := s.appendJournal(Mutation{
 		Kind: kind, ID: d.ID, Name: d.Name, RegistrarID: d.RegistrarID,
@@ -585,9 +585,14 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	}
 	losing := int(r.registrar)
 	updated := simtime.Trunc(s.clock.Now())
+	stored, err := packTime(updated)
+	if err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("%w: %q", err, name)
+	}
 	sh.dueRemove(r, ref)
 	r.registrar = gaining
-	r.updated = updated.Unix()
+	r.updated = stored
 	r.status = model.StatusActive
 	sh.dueAdd(r, ref)
 	sh.rotateAuth(r)
@@ -637,8 +642,13 @@ func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
 	at = simtime.Trunc(at)
+	stored, err := packTime(at)
+	if err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("%w: %q", err, name)
+	}
 	sh.dueRemove(r, ref)
-	r.updated = at.Unix()
+	r.updated = stored
 	sh.dueAdd(r, ref)
 	wait := s.appendJournal(Mutation{Kind: MutTouch, Name: name, Updated: at})
 	s.bumpGen()
@@ -646,8 +656,12 @@ func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 	return waitJournal(wait)
 }
 
-// Renew extends the registration by years and records the update.
+// Renew extends the registration by years (1 to 10, as CreateAt's term) and
+// records the update.
 func (s *Store) Renew(name string, registrarID int, years int) error {
+	if years < 1 || years > 10 {
+		return fmt.Errorf("%w: renewal of %d years", ErrBadName, years)
+	}
 	sh := s.shardOf(name)
 	sh.mu.Lock()
 	r, ref := sh.tab.get(name)
@@ -661,9 +675,15 @@ func (s *Store) Renew(name string, registrarID int, years int) error {
 	}
 	now := simtime.Trunc(s.clock.Now())
 	expiry := unixTime(r.expiry).AddDate(years, 0, 0)
+	storedNow, errNow := packTime(now)
+	storedExpiry, errExpiry := packTime(expiry)
+	if err := errors.Join(errNow, errExpiry); err != nil {
+		sh.mu.Unlock()
+		return fmt.Errorf("%w: %q", err, name)
+	}
 	sh.dueRemove(r, ref)
-	r.expiry = expiry.Unix()
-	r.updated = now.Unix()
+	r.expiry = storedExpiry
+	r.updated = storedNow
 	r.status = model.StatusActive
 	sh.dueAdd(r, ref)
 	wait := s.appendJournal(Mutation{Kind: MutRenew, Name: name, Updated: now, Expiry: expiry})
@@ -686,13 +706,17 @@ func (s *Store) setState(name string, st model.Status, updated time.Time, delete
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	from := r.status
-	sh.dueRemove(r, ref)
-	r.status = st
+	from, stored := r.status, r.updated
 	if !updated.IsZero() { // zero = keep, mirrored by replay
 		updated = simtime.Trunc(updated)
-		r.updated = updated.Unix()
+		if stored, err = packTime(updated); err != nil {
+			sh.mu.Unlock()
+			return fmt.Errorf("%w: %q", err, name)
+		}
 	}
+	sh.dueRemove(r, ref)
+	r.status = st
+	r.updated = stored
 	r.deleteDay = day
 	sh.dueAdd(r, ref)
 	wait := s.appendJournal(Mutation{Kind: MutSetState, Name: name, Status: st, Updated: updated, DeleteDay: deleteDay})
@@ -738,14 +762,14 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []uint32) { n += len(b) })
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(b []uint32) { n += len(b) })
 		sh.mu.RUnlock()
 	}
 	out := make([]*model.Domain, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(_ simtime.Day, b []uint32) {
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(b []uint32) {
 			for _, ref := range b {
 				d := sh.tab.rec(ref).domain()
 				out = append(out, &d)
@@ -907,30 +931,27 @@ func (s *Store) eachDueThrough(st model.Status, limit simtime.Day, fn func(*reco
 	}
 }
 
-// pendingCountOn returns the number of pendingDelete registrations scheduled
-// for deletion on day — the exact size of that day's Drop queue.
-func (s *Store) pendingCountOn(day simtime.Day) int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += sh.due[model.StatusPendingDelete].count(day)
-		sh.mu.RUnlock()
+// pendingOn returns copies of the pendingDelete records scheduled for
+// deletion on day — that day's whole Drop queue, in unspecified order; a day
+// no record can hold has none. The copies are the caller's: nothing in them
+// follows a later mutation.
+func (s *Store) pendingOn(day simtime.Day) []record {
+	key, err := packDay(day)
+	if err != nil {
+		return nil
 	}
-	return n
-}
-
-// eachPendingOn calls fn for every pendingDelete registration scheduled for
-// deletion on day. Same read-only, lock-held contract as each.
-func (s *Store) eachPendingOn(day simtime.Day, fn func(*record)) {
+	var out []record
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, ref := range sh.due[model.StatusPendingDelete].buckets[day] {
-			fn(sh.tab.rec(ref))
+		b := sh.due[model.StatusPendingDelete].buckets[uint32(key)]
+		out = slices.Grow(out, len(b))
+		for _, ref := range b {
+			out = append(out, *sh.tab.rec(ref))
 		}
 		sh.mu.RUnlock()
 	}
+	return out
 }
 
 // SeedAt inserts a fully specified historical registration. The population

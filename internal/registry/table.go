@@ -38,7 +38,7 @@ type table struct {
 	hashMask uint32
 }
 
-// A chunk is 1024 records — 64 KiB: large enough that chunk pointers and
+// A chunk is 1024 records — 48 KiB, six pages: large enough that chunk pointers and
 // allocation calls are noise, small enough that a shard's half-empty last
 // chunk stays under 1 % of a 100 k-name shard.
 const (

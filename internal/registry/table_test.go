@@ -50,7 +50,7 @@ func (m *tableModel) put(name string) {
 		return
 	}
 	m.nextID++
-	rec := record{id: m.nextID, name: name, registrar: int32(m.nextID % 7), tldLen: 3}
+	rec := record{id: m.nextID, name: name, registrar: int32(m.nextID % 7), meta: 3}
 	wantRef, grown := m.tab.next, m.tab.next+1
 	if n := len(m.tab.free); n > 0 {
 		wantRef, grown = m.tab.free[n-1], m.tab.next

@@ -127,8 +127,8 @@ func (d Day) Compare(other Day) int {
 // Pack returns d in 32 bits as year<<9 | month<<5 | dom, and whether d fits
 // (|year| < 2^21, month ≤ 15, dom ≤ 31 — every calendar day does). The zero
 // Day packs to 0, packed values order like Compare, and UnpackDay returns
-// exactly d: the form a day takes in the registry's records and in the study
-// dataset's rows.
+// exactly d: the form a day takes in the study dataset's rows (the registry's
+// records hold a day's Number).
 func (d Day) Pack() (int32, bool) {
 	if d.Year < -(1<<21) || d.Year >= 1<<21 || d.Month < 0 || d.Month > 15 || d.Dom < 0 || d.Dom > 31 {
 		return 0, false
@@ -140,6 +140,15 @@ func (d Day) Pack() (int32, bool) {
 func UnpackDay(p int32) Day {
 	return Day{Year: int(p >> 9), Month: time.Month(p >> 5 & 15), Dom: int(p & 31)}
 }
+
+// Number returns d as a count of days since 1970-01-01 (negative before it):
+// the Unix second of d's midnight over 86 400. UTC has no DST and Go's time
+// has no leap seconds, so AddDays(n) adds exactly n to it. A Day that is not
+// calendar-normalised numbers as the day time.Date normalises it to.
+func (d Day) Number() int64 { return d.Start().Unix() / 86400 }
+
+// DayNumbered is the inverse of Number.
+func DayNumbered(n int64) Day { return DayOf(time.Unix(n*86400, 0)) }
 
 // String formats the day as YYYY-MM-DD.
 func (d Day) String() string {

@@ -226,3 +226,34 @@ func TestSimClockConcurrentReads(t *testing.T) {
 	}
 	<-done
 }
+
+// TestDayNumber: Number counts days from 1970-01-01, DayNumbered inverts it,
+// and AddDays(n) is +n on the number — across month ends, leap days and the
+// epoch.
+func TestDayNumber(t *testing.T) {
+	for _, c := range []struct {
+		day  Day
+		want int64
+	}{
+		{Day{1970, time.January, 1}, 0},
+		{Day{1969, time.December, 31}, -1},
+		{Day{2018, time.January, 8}, 17539},
+		{Day{2149, time.June, 6}, 65535},
+	} {
+		if got := c.day.Number(); got != c.want {
+			t.Errorf("%v.Number() = %d, want %d", c.day, got, c.want)
+		}
+		if got := DayNumbered(c.want); got != c.day {
+			t.Errorf("DayNumbered(%d) = %v, want %v", c.want, got, c.day)
+		}
+	}
+	d := Day{2015, time.December, 25}
+	for n := -800; n <= 800; n += 7 {
+		if got, want := d.AddDays(n).Number(), d.Number()+int64(n); got != want {
+			t.Fatalf("%v.AddDays(%d).Number() = %d, want %d", d, n, got, want)
+		}
+	}
+	if got := (Day{2018, time.February, 30}).Number(); got != (Day{2018, time.March, 2}).Number() {
+		t.Errorf("30 February numbers as %d, want 2 March's", got)
+	}
+}
