@@ -129,13 +129,13 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("the Drop deleted %d domains between %s and %s\n",
-		len(events), events[0].Time.Format("15:04:05"), events[len(events)-1].Time.Format("15:04:05"))
+		len(events), events[0].Time().Format("15:04:05"), events[len(events)-1].Time().Format("15:04:05"))
 
 	// The pro service instantly re-registers ~half of our targets (it had
 	// them backordered and wins the race at the registry).
 	deletedAt := make(map[string]time.Time, len(events))
 	for _, ev := range events {
-		deletedAt[ev.Name] = ev.Time
+		deletedAt[ev.Name] = ev.Time()
 	}
 	proWins := 0
 	for i, name := range targets {
@@ -150,7 +150,7 @@ func main() {
 
 	// Our script wakes up ~30 s after the last deletion and sweeps its
 	// backorder list through the rate-limited EPP session.
-	clock.Set(events[len(events)-1].Time.Add(30 * time.Second))
+	clock.Set(events[len(events)-1].Time().Add(30 * time.Second))
 	caught, taken, limited := 0, 0, 0
 	var myWins []string
 	for _, name := range targets {

@@ -105,12 +105,12 @@ func main() {
 			tr := truths[ev.Name]
 			claim := market.Decide(registrars.Lot{
 				Name: ev.Name, Value: tr.value, AgeYears: tr.age,
-				DeletedAt: ev.Time, DropEnd: dropEnd,
+				DeletedAt: ev.Time(), DropEnd: dropEnd,
 			})
 			if claim == nil {
 				continue
 			}
-			if _, err := store.CreateAt(ev.Name, claim.RegistrarID, 1, ev.Time.Add(claim.Delay)); err != nil {
+			if _, err := store.CreateAt(ev.Name, claim.RegistrarID, 1, ev.Time().Add(claim.Delay)); err != nil {
 				log.Fatal(err)
 			}
 			oracle.Set(ev.Name, labels.Label(claim.Delay, rng))

@@ -66,7 +66,7 @@ func main() {
 	// registry's actual deletion instants.
 	truth := make(map[string]time.Time)
 	for _, ev := range res.Deletions[day] {
-		truth[ev.Name] = ev.Time
+		truth[ev.Name] = ev.Time()
 	}
 	regr := core.FitRegression(ranked)
 	var pts []core.Point

@@ -244,7 +244,7 @@ func (a *Analysis) MeasureInferenceAccuracy() *InferenceAccuracy {
 	for _, day := range a.Days {
 		truthTime := make(map[string]time.Time)
 		for _, ev := range a.in.Deletions[day.Day] {
-			truthTime[ev.Name] = ev.Time
+			truthTime[ev.Name] = ev.Time()
 		}
 		regr := core.FitRegression(day.Ranked)
 		if regr == nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/binwire"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -138,6 +139,40 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
+// deletionEdges are deletion instants and ranks at and just past the ends of
+// what a 32-byte deletion event holds; fits marks the ones it holds. A
+// snapshot's deletion section and a purge record carry both as varints, so
+// the bytes can say any of them.
+var deletionEdges = []struct {
+	name string
+	at   time.Time
+	rank int
+	fits bool
+}{
+	{"Unix -1", time.Unix(-1, 0), 0, false},
+	{"Unix 0", time.Unix(0, 0), 0, true},
+	{"2106-02-07T06:28:14Z", time.Unix(1<<32-2, 0), 1<<32 - 1, true},
+	{"one second past", time.Unix(1<<32-1, 0), 0, false},
+	{"a 999 ns fraction", time.Unix(1515438003, 999), 0, false},
+	{"the zero time", time.Time{}, 7, true},
+	{"rank -1", time.Unix(1515438003, 0), -1, false},
+	{"rank 1<<32", time.Unix(1515438003, 0), 1 << 32, false},
+}
+
+// rawDeletionSection is the body of a deletion section holding one event,
+// field by field as appendDeletions writes it — for values no DeletionEvent
+// can be built from.
+func rawDeletionSection(at time.Time, rank int) []byte {
+	b := binary.AppendUvarint(nil, 1) // days
+	b = binwire.AppendDay(b, simtime.DayOf(at))
+	b = binary.AppendUvarint(b, 1) // events
+	b = binary.AppendUvarint(b, 42)
+	b = binwire.AppendString(b, "gone.com")
+	b = binwire.AppendString(b, "com")
+	b = binwire.AppendTime(b, at)
+	return binary.AppendVarint(b, int64(rank))
+}
+
 // testFrame frames one record the way wal.append does.
 func testFrame(seq uint64, typ byte, body []byte) []byte {
 	payload := append(binary.LittleEndian.AppendUint64(nil, seq), typ)
@@ -175,6 +210,13 @@ func FuzzFollowerFrames(f *testing.F) {
 	f.Add(testFrame(7, 3, body), uint64(7))                                             // unknown record type
 	f.Add(append(bytes.Clone(good), 0xff), uint64(7))                                   // trailing bytes
 	f.Add(append(bytes.Clone(good), testFrame(8, recApp, []byte("app"))...), uint64(7)) // mutation then app record
+	for _, e := range deletionEdges {                                                   // purges the replaying store accepts or refuses; the decoder takes them all
+		purge, err := appendMutation(nil, &registry.Mutation{Kind: registry.MutPurge, Name: "fz.com", ID: 3, Time: e.at, Rank: e.rank})
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(testFrame(7, recMutation, purge), uint64(7))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, first uint64) {
 		ms, last, err := DecodeFrames(nil, data, first)
 
@@ -235,6 +277,9 @@ func FuzzDecodeBodies(f *testing.F) {
 	f.Add(sv.deletion[0])
 	f.Add(appendMeta(nil, &sv.meta))
 	f.Add([]byte{0x42, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x0f}) // a zone of 2^32 TLDs
+	for _, e := range deletionEdges {
+		f.Add(rawDeletionSection(e.at, e.rank))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m registry.Mutation
 		if err := decodeMutation(data, &m); err == nil {
@@ -250,6 +295,13 @@ func FuzzDecodeBodies(f *testing.F) {
 		decodeMetaSection(data, true)
 		decodeMetaSection(data, false)
 		decodeDomainSection(data, func([]registry.SnapshotDomain) error { return nil })
-		decodeDeletionsSection(data)
+		if dels, err := decodeDeletionsSection(data); err == nil {
+			// Accepted events are held exactly: they re-encode to a section
+			// that decodes to the same archive.
+			again, err := decodeDeletionsSection(appendDeletions(nil, dels))
+			if err != nil || !reflect.DeepEqual(dels, again) {
+				t.Fatalf("accepted deletion section does not round-trip (%v):\n%+v\n%+v", err, dels, again)
+			}
+		}
 	})
 }

@@ -328,26 +328,35 @@ func (j *Journal) Append(m registry.Mutation) func() error {
 // exactly this sequence. The wait function follows Append's contract: nil
 // in async mode, group-commit waiter in sync mode.
 func (j *Journal) AppendMutation(m registry.Mutation) (uint64, func() error) {
-	body, err := appendMutation(nil, &m)
+	// Domain records fit the scratch, which stays on the stack: the WAL
+	// copies the body into its buffer and keeps nothing.
+	var scratch [256]byte
+	body, err := appendMutation(scratch[:0], &m)
 	if err != nil {
 		return 0, func() error { return err }
 	}
-	seq, wait := j.w.append(recMutation, body)
-	if j.mode == ModeSync {
-		return seq, wait
+	return j.appended(j.w.append(recMutation, body))
+}
+
+// appended turns wal.append's result into Append's contract: nil in async
+// mode — a failed log shows through Err, not through its appenders — and in
+// sync mode the group-commit wait for seq, or the append's own failure.
+func (j *Journal) appended(seq uint64, err error) (uint64, func() error) {
+	switch {
+	case j.mode != ModeSync:
+		return seq, nil
+	case err != nil:
+		return 0, func() error { return err }
 	}
-	return seq, nil
+	return seq, func() error { return j.w.waitDurable(seq) }
 }
 
 // AppendApp journals an opaque application record (the simulation driver's
 // per-day checkpoint deltas). Same durability contract as Append; the
 // returned waiter is non-nil only in sync mode.
 func (j *Journal) AppendApp(body []byte) func() error {
-	_, wait := j.w.append(recApp, body)
-	if j.mode == ModeSync {
-		return wait
-	}
-	return nil
+	_, wait := j.appended(j.w.append(recApp, body))
+	return wait
 }
 
 // Sync forces a group commit of everything appended so far and blocks until

@@ -100,7 +100,7 @@ func dumpVisible(s *registry.Store) string {
 	for di := 0; di < 10; di++ {
 		day := testStart.AddDays(di)
 		for _, ev := range s.Deletions(day) {
-			fmt.Fprintf(&b, "deletion %v rank=%d id=%d %s at=%s\n", day, ev.Rank, ev.DomainID, ev.Name, ts(ev.Time))
+			fmt.Fprintf(&b, "deletion %v rank=%d id=%d %s at=%s\n", day, ev.Rank(), ev.DomainID, ev.Name, ts(ev.Time()))
 		}
 	}
 	fmt.Fprintf(&b, "count=%d gen=%d\n", s.Count(), s.Generation())
@@ -228,7 +228,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			purged += len(evs)
 			for k, ev := range evs {
 				if k%7 == 0 {
-					if _, err := s.CreateAt(ev.Name, 901, 1, ev.Time.Add(time.Second)); err != nil {
+					if _, err := s.CreateAt(ev.Name, 901, 1, ev.Time().Add(time.Second)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -685,11 +685,11 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 32
-	var wait func() error
+	var seq uint64
 	for i := 0; i < n; i++ {
-		_, wait = w.append(recApp, []byte(fmt.Sprintf("rec-%02d", i)))
+		seq, _ = w.append(recApp, []byte(fmt.Sprintf("rec-%02d", i)))
 	}
-	if err := wait(); err != nil {
+	if err := w.waitDurable(seq); err != nil {
 		t.Fatal(err)
 	}
 	if got := w.fsyncs.Load(); got != 1 {

@@ -287,3 +287,43 @@ func TestSnapshotTransientBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotSectionSizedOnce: a domain section is appended to the one
+// buffer it was sized for, on the store shape that defeats sizing from the
+// oldest registrations — object IDs and numbered names that grow in insertion
+// order, which is what dropbench builds and what a registry accumulates. A
+// section that outgrew its first buffer shows twice: the encode allocated
+// about two sections' worth, and append's growth left the final buffer far
+// roomier than the few percent sizing adds.
+func TestSnapshotSectionSizedOnce(t *testing.T) {
+	const n = 100_000
+	now := testStart.At(9, 0, 0)
+	for _, shards := range []int{1, 8} {
+		t.Run(fmt.Sprintf("%dshards", shards), func(t *testing.T) {
+			s := newShardedTestStore(shards)
+			s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Sizing Reg"})
+			for i := 0; i < n; i++ {
+				if _, err := s.CreateAt(fmt.Sprintf("sized-once-%d.com", i), 900, 1, now); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var img snapImage
+			runtime.GC()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			s.ReadSnapshot(false, func(r *registry.SnapshotReader) { img.encode(r, 1, nil, shards) })
+			runtime.ReadMemStats(&after)
+
+			encoded := 0
+			for i, sec := range img.secs[:shards] {
+				encoded += len(sec)
+				if cap(sec) > len(sec)+len(sec)/16 {
+					t.Errorf("section %d: %d bytes in a buffer of %d — regrown, not sized", i, len(sec), cap(sec))
+				}
+			}
+			if allocated := int(after.TotalAlloc - before.TotalAlloc); allocated > encoded+encoded/8 {
+				t.Errorf("encoding %d section bytes allocated %d", encoded, allocated)
+			}
+		})
+	}
+}

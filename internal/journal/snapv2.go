@@ -84,12 +84,11 @@ type snapMeta struct {
 	zones            []zone.Config // beyond the default zone; nil when none
 }
 
-// A domain section's buffer is sized from the shard itself: the first
-// sizeSample registrations — the shard map iterates in hash order, so they
-// are a fair sample of name lengths and transfer codes — are encoded into a
-// buffer with sampleRoom bytes each, and their mean (plus a few percent)
-// times the shard's count sizes the one buffer the rest are appended to.
-// The deletion archive gets deletionRoom bytes per event.
+// A domain section's buffer is sized from the shard itself: about sizeSample
+// registrations evenly spaced over the shard (SampleShard) are encoded into
+// a scratch buffer, and their mean size (plus a few percent, and sampleRoom
+// bytes) times the shard's count sizes the one buffer the section is
+// appended to. The deletion archive gets deletionRoom bytes per event.
 const (
 	sizeSample   = 256
 	sampleRoom   = 96
@@ -179,8 +178,8 @@ func appendDeletions(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byt
 			b = binary.AppendUvarint(b, ev.DomainID)
 			b = binwire.AppendString(b, ev.Name)
 			b = binwire.AppendString(b, string(ev.TLD()))
-			b = binwire.AppendTime(b, ev.Time)
-			b = binary.AppendVarint(b, int64(ev.Rank))
+			b = binwire.AppendTime(b, ev.Time())
+			b = binary.AppendVarint(b, int64(ev.Rank()))
 		}
 	}
 	return b
@@ -196,7 +195,7 @@ type snapImage struct {
 
 // encode fills img straight from the store, on up to workers goroutines:
 // each takes one shard's read lock (none when r is quiesced), sizes one
-// buffer from the shard's registration count (see sizeSample) and appends
+// buffer from a sample of the shard (see sizeSample) and appends
 // the shard's domain section to it; the deletion archive is encoded under
 // its own lock the same way. No copy of the store is built on the way.
 // Section buffers of an earlier encode of img — an optimistic attempt that
@@ -218,21 +217,21 @@ func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []
 				b = appendDeletions(newSection(prev[i], secDeletions, events*deletionRoom), dels)
 			})
 		} else {
-			var n, seen int
+			// Sampled before VisitShard, not inside it: both take the
+			// shard's read lock.
+			var scratch []byte
+			sampled, seen := 0, 0
+			r.SampleShard(i, sizeSample, func(d *model.Domain, authInfo []byte) {
+				scratch = appendDomain(scratch[:0], d, authInfo)
+				sampled += len(scratch)
+				seen++
+			})
 			r.VisitShard(i,
-				func(count int) {
-					n = count
-					b = newDomainSection(prev[i], i, n, min(n, sizeSample)*sampleRoom)
+				func(n int) {
+					est := sampled * n / max(seen, 1)
+					b = newDomainSection(prev[i], i, n, est+est/32+sampleRoom)
 				},
-				func(d *model.Domain, authInfo []byte) {
-					b = appendDomain(b, d, authInfo)
-					if seen++; seen == sizeSample {
-						est := len(b) * n / seen
-						if need := est + est/32 + sampleRoom; cap(b) < need {
-							b = append(make([]byte, 0, need), b...)
-						}
-					}
-				})
+				func(d *model.Domain, authInfo []byte) { b = appendDomain(b, d, authInfo) })
 		}
 		return sealSection(b)
 	})
@@ -422,16 +421,19 @@ func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent,
 		day := d.Day()
 		evs := dels[day]
 		for j, n := 0, d.Count(math.MaxInt); j < n && d.Err() == nil; j++ {
-			var ev model.DeletionEvent
-			ev.DomainID = d.Uvarint()
-			ev.Name = d.Str()
+			id, name, tld := d.Uvarint(), d.Str(), d.Str()
+			ev, err := model.NewDeletionEvent(id, name, d.Time(), d.Int())
+			if d.Err() != nil {
+				break
+			}
+			if err != nil {
+				return nil, err
+			}
 			// The event derives its TLD from its name; a section that says
 			// otherwise would not re-encode to the same bytes.
-			if tld := d.Str(); model.TLD(tld) != ev.TLD() && d.Err() == nil {
-				return nil, fmt.Errorf("deletion %q filed under TLD %q", ev.Name, tld)
+			if model.TLD(tld) != ev.TLD() {
+				return nil, fmt.Errorf("deletion %q filed under TLD %q", name, tld)
 			}
-			ev.Time = d.Time()
-			ev.Rank = d.Int()
 			evs = append(evs, ev)
 		}
 		dels[day] = evs

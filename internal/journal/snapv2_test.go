@@ -1,6 +1,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -334,6 +335,51 @@ func TestParallelReplayDifferential(t *testing.T) {
 	}
 }
 
+// TestDeletionsSectionRefusesUnrepresentable: a deletion section whose bytes
+// say an instant or a rank the 32-byte event cannot hold is an error, from
+// the section decoder and from a restore of a whole, correctly checksummed
+// snapshot carrying it — never an event holding something else. The ends of
+// both ranges and the zero time decode and re-encode to the same bytes.
+func TestDeletionsSectionRefusesUnrepresentable(t *testing.T) {
+	for _, e := range deletionEdges {
+		t.Run(e.name, func(t *testing.T) {
+			body := rawDeletionSection(e.at, e.rank)
+			dels, err := decodeDeletionsSection(body)
+
+			var img snapImage
+			s := newShardedTestStore(2)
+			s.ReadSnapshot(true, func(r *registry.SnapshotReader) { img.encode(r, 5, nil, 1) })
+			img.secs[len(img.secs)-1] = sealSection(append(newSection(nil, secDeletions, 0), body...))
+			path, werr := img.write(t.TempDir())
+			if werr != nil {
+				t.Fatal(werr)
+			}
+			data, rerr := os.ReadFile(path)
+			if rerr != nil {
+				t.Fatal(rerr)
+			}
+			restored := newShardedTestStore(2)
+			_, restoreErr := RestoreShippedSnapshot(restored, data)
+
+			if !e.fits {
+				if err == nil || restoreErr == nil {
+					t.Fatalf("decoded as %+v (section: %v, restore: %v)", dels, err, restoreErr)
+				}
+				return
+			}
+			if err != nil || restoreErr != nil {
+				t.Fatalf("section: %v, restore: %v", err, restoreErr)
+			}
+			if got := appendDeletions(nil, dels); !bytes.Equal(got, body) {
+				t.Fatalf("re-encoded to\n%x, want\n%x", got, body)
+			}
+			if evs := restored.Deletions(simtime.DayOf(e.at)); len(evs) != 1 || !evs[0].Time().Equal(e.at) || evs[0].Rank() != e.rank {
+				t.Fatalf("restored archive %+v", evs)
+			}
+		})
+	}
+}
+
 // snapFuzzBase builds one pristine v2 snapshot image plus the canonical dump
 // of the state it encodes, shared by every FuzzSnapshotDecode execution.
 var snapFuzzBase struct {
@@ -365,6 +411,11 @@ func buildSnapFuzzBase() {
 			snapFuzzBase.err = err
 			return
 		}
+	}
+	// One Drop, so the image carries a deletion archive to decode.
+	if _, err := registry.NewDropRunner(s, registry.DefaultDropConfig()).Run(testStart.AddDays(1), rand.New(rand.NewSource(1))); err != nil {
+		snapFuzzBase.err = err
+		return
 	}
 	sh := captureSharded(s)
 	path, err := writeSnapshotV2(dir, 77, []byte("fuzz-app"), &sh, 2)

@@ -34,6 +34,11 @@ const (
 	// field is corruption, not data.
 	maxRecordBytes = 64 << 20
 
+	// maxSpareBytes bounds the group-commit buffer a flush keeps for reuse:
+	// the two buffers trade places flush after flush, and one burst behind a
+	// slow fsync must not pin its size for the life of the log.
+	maxSpareBytes = 1 << 20
+
 	recMutation byte = 1 // registry.Mutation payload
 	recApp      byte = 2 // opaque application payload (simulation driver state)
 )
@@ -101,6 +106,7 @@ type wal struct {
 	f       *os.File   // current segment
 	size    int64      // bytes already written to f
 	buf     []byte     // encoded frames not yet written
+	spare   []byte     // the buffer the last flush wrote out, empty: the next flush hands it to appenders
 	seq     uint64     // last assigned sequence number
 	durable uint64     // last sequence number known fsynced
 	syncing bool       // a leader is mid write+fsync
@@ -243,31 +249,31 @@ func (w *wal) openSegmentLocked() error {
 	return nil
 }
 
-// append frames one record and returns its sequence number plus a wait
-// function that blocks until the record is fsynced (or the log failed).
-// Callers in async mode simply discard the wait.
-func (w *wal) append(typ byte, body []byte) (uint64, func() error) {
-	frame := make([]byte, 0, frameHeader+payloadHeader+len(body))
-	frame = frame[:frameHeader]
+// append frames one record — header and body written once, in place, at the
+// tail of the group-commit buffer — and returns its sequence number; body is
+// not retained. Durability is waitDurable's business: sync-mode callers wait
+// on the returned number, async-mode callers are done. The error is the
+// log's sticky failure, or that it is closed.
+func (w *wal) append(typ byte, body []byte) (uint64, error) {
 	w.mu.Lock()
-	if w.err != nil {
+	if w.err != nil || w.closed {
 		err := w.err
 		w.mu.Unlock()
-		return 0, func() error { return err }
-	}
-	if w.closed {
-		w.mu.Unlock()
-		return 0, func() error { return fmt.Errorf("journal: append after close") }
+		if err == nil {
+			err = errors.New("journal: append after close")
+		}
+		return 0, err
 	}
 	w.seq++
 	seq := w.seq
-	frame = binary.LittleEndian.AppendUint64(frame, seq)
-	frame = append(frame, typ)
-	frame = append(frame, body...)
-	payload := frame[frameHeader:]
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.ChecksumIEEE(payload))
-	w.buf = append(w.buf, frame...)
+	var hdr [frameHeader + payloadHeader]byte
+	binary.LittleEndian.PutUint64(hdr[frameHeader:], seq)
+	hdr[frameHeader+8] = typ
+	start := len(w.buf)
+	w.buf = append(append(w.buf, hdr[:]...), body...)
+	payload := w.buf[start+frameHeader:]
+	binary.LittleEndian.PutUint32(w.buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(w.buf[start+4:], crc32.ChecksumIEEE(payload))
 	nudge := w.syncEvery > 0 && seq-w.durable >= uint64(w.syncEvery)
 	w.mu.Unlock()
 
@@ -277,7 +283,7 @@ func (w *wal) append(typ byte, body []byte) (uint64, func() error) {
 		default:
 		}
 	}
-	return seq, func() error { return w.waitDurable(seq) }
+	return seq, nil
 }
 
 // waitDurable blocks until seq is fsynced, electing the caller as the
@@ -303,11 +309,12 @@ func (w *wal) waitDurable(seq uint64) error {
 // flushLocked performs one group commit: write the pending buffer, fsync,
 // advance durable to the highest buffered sequence number, and rotate the
 // segment when it is full. Called with mu held; the IO runs unlocked so
-// appenders are never blocked behind an fsync.
+// appenders are never blocked behind an fsync — they fill the buffer the
+// previous flush wrote out, and this one's becomes the spare in turn.
 func (w *wal) flushLocked() {
 	w.syncing = true
 	buf := w.buf
-	w.buf = nil
+	w.buf, w.spare = w.spare, nil
 	target := w.seq
 	f := w.f
 	w.mu.Unlock()
@@ -324,6 +331,9 @@ func (w *wal) flushLocked() {
 	}
 
 	w.mu.Lock()
+	if cap(buf) <= maxSpareBytes {
+		w.spare = buf[:0]
+	}
 	w.fsyncs.Add(1)
 	if werr != nil {
 		w.err = fmt.Errorf("journal: wal flush: %w", werr)

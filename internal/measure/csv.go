@@ -60,8 +60,9 @@ func WriteCSV(w io.Writer, obs []model.Observation) error {
 // ReadCSV loads a dataset written by WriteCSV. A file WriteCSV could not
 // have written is refused, not rounded: a header that is not the dataset's,
 // a tld column that is not the name's suffix, an instant with a sub-second
-// part or outside RFC 3339's four-digit years, a registrar ID beyond 32
-// bits, a registrar or label on a row without a re-registration.
+// part or outside what a row stores (1970-01-01T00:00:00Z through
+// 2106-02-07T06:28:14Z, and the zero time 0001-01-01T00:00:00Z), a registrar
+// ID beyond 32 bits, a registrar or label on a row without a re-registration.
 func ReadCSV(r io.Reader) ([]model.Observation, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -91,7 +92,7 @@ func ReadCSV(r io.Reader) ([]model.Observation, error) {
 }
 
 // parseInstant reads one timestamp column: RFC 3339 at whole seconds, any
-// offset, whose UTC form WriteCSV prints parseably.
+// offset. Whether the row can hold the instant is NewObservation's call.
 func parseInstant(field, s string) (time.Time, error) {
 	t, err := time.Parse(csvTime, s)
 	if err != nil {
@@ -100,9 +101,6 @@ func parseInstant(field, s string) (time.Time, error) {
 	t = t.UTC()
 	if t.Nanosecond() != 0 {
 		return time.Time{}, fmt.Errorf("bad %s %q: sub-second precision", field, s)
-	}
-	if y := t.Year(); y < 0 || y > 9999 {
-		return time.Time{}, fmt.Errorf("bad %s %q: year %d in UTC", field, s, y)
 	}
 	return t, nil
 }

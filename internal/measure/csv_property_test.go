@@ -98,7 +98,15 @@ func FuzzReadCSV(f *testing.F) {
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,2000,false",
 		// Accepted in another spelling than WriteCSV's.
 		"\"A b\r.Com\",Com,2018-01-02,007,+5,2016-12-01T01:00:00+01:00,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07-00:00,-3,T",
+		// Refused: RFC 3339's first and last years, which no row stores.
 		"nodot,,0000-01-01,0,0,0000-01-01T00:00:00Z,9999-12-31T23:59:59Z,2017-10-01T00:00:00Z,,,0",
+		// The ends of what a row stores, and the zero time: accepted.
+		"nodot,,0000-01-01,0,0,1970-01-01T00:00:00Z,2106-02-07T06:28:14Z,0001-01-01T00:00:00Z,2106-02-07T06:28:14Z,0,0",
+		// Refused: Unix -1, one second past the end, a 999 ns fraction.
+		"a.com,com,2018-01-02,7,1000,1969-12-31T23:59:59Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2106-02-07T06:28:15Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2106-02-07T06:28:15Z,2000,false",
+		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00.000000999Z,,,false",
 	} {
 		f.Add([]byte(header + row + "\n"))
 	}

@@ -362,23 +362,53 @@ func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
 		return header + "\n" + strings.Join(f, ",") + "\n"
 	}
 	cases := map[string]string{
-		"a later header column renamed":         strings.Replace(header, "prior_updated", "updated", 1) + "\n" + good + "\n",
-		"header columns swapped":                strings.Replace(header, "prior_created,prior_updated", "prior_updated,prior_created", 1) + "\n" + good + "\n",
-		"tld column disagrees with the name":    edit(1, "net"),
-		"tld column empty":                      edit(1, ""),
-		"fractional prior_created":              edit(5, "2015-11-02T03:02:01.5Z"),
-		"fractional rereg_time":                 edit(8, "2018-01-10T19:00:07.000000001Z"),
-		"instant before year 0 in UTC":          edit(5, "0000-01-01T00:00:00+01:00"),
-		"instant after year 9999 in UTC":        edit(7, "9999-12-31T23:59:59-01:00"),
-		"prior_registrar beyond 32 bits":        edit(4, "2147483648"),
-		"rereg_registrar beyond 32 bits":        edit(9, "-2147483649"),
-		"malicious without a re-registration":   strings.Replace(edit(8, ""), ",2000,true", ",,true", 1),
-		"rereg_registrar without a rereg_time":  strings.Replace(edit(8, ""), ",2000,true", ",2000,false", 1),
-		"malicious not a boolean on a bare row": strings.Replace(edit(8, ""), ",2000,true", ",,", 1),
+		"a later header column renamed":          strings.Replace(header, "prior_updated", "updated", 1) + "\n" + good + "\n",
+		"header columns swapped":                 strings.Replace(header, "prior_created,prior_updated", "prior_updated,prior_created", 1) + "\n" + good + "\n",
+		"tld column disagrees with the name":     edit(1, "net"),
+		"tld column empty":                       edit(1, ""),
+		"fractional prior_created":               edit(5, "2015-11-02T03:02:01.5Z"),
+		"fractional rereg_time":                  edit(8, "2018-01-10T19:00:07.000000001Z"),
+		"instant before year 0 in UTC":           edit(5, "0000-01-01T00:00:00+01:00"),
+		"instant after year 9999 in UTC":         edit(7, "9999-12-31T23:59:59-01:00"),
+		"prior_created one second before 1970":   edit(5, "1969-12-31T23:59:59Z"),
+		"prior_updated 1970 only by its offset":  edit(6, "1970-01-01T00:59:59+01:00"),
+		"prior_expiry one second past the end":   edit(7, "2106-02-07T06:28:15Z"),
+		"rereg_time one second past the end":     edit(8, "2106-02-07T06:28:15Z"),
+		"prior_created in year 1, not its start": edit(5, "0001-01-01T00:00:01Z"),
+		"prior_registrar beyond 32 bits":         edit(4, "2147483648"),
+		"rereg_registrar beyond 32 bits":         edit(9, "-2147483649"),
+		"malicious without a re-registration":    strings.Replace(edit(8, ""), ",2000,true", ",,true", 1),
+		"rereg_registrar without a rereg_time":   strings.Replace(edit(8, ""), ",2000,true", ",2000,false", 1),
+		"malicious not a boolean on a bare row":  strings.Replace(edit(8, ""), ",2000,true", ",,", 1),
 	}
 	for name, file := range cases {
 		if _, err := ReadCSV(strings.NewReader(file)); err == nil {
 			t.Errorf("%s: accepted\n%s", name, file)
+		}
+	}
+	// An instant the row cannot hold is refused with the line it is on.
+	file := header + "\n" + good + "\n" + strings.Split(edit(8, "2106-02-07T06:28:15Z"), "\n")[1] + "\n"
+	if _, err := ReadCSV(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), "line 3") {
+		t.Errorf("out-of-range rereg_time on line 3: %v", err)
+	}
+	// The ends of the range and the zero time are rows like any other.
+	for name, file := range map[string]string{
+		"prior_created at 1970-01-01T00:00:00Z": edit(5, "1970-01-01T00:00:00Z"),
+		"prior_expiry at the last instant":      edit(7, "2106-02-07T06:28:14Z"),
+		"rereg_time at the last instant":        edit(8, "2106-02-07T07:28:14+01:00"),
+		"prior_updated the zero time":           edit(6, "0001-01-01T00:00:00Z"),
+	} {
+		obs, err := ReadCSV(strings.NewReader(file))
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		var out bytes.Buffer
+		if err := WriteCSV(&out, obs); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := ReadCSV(&out); err != nil || !slices.Equal(obs, again) {
+			t.Errorf("%s: does not survive WriteCSV: %v", name, err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -162,22 +163,22 @@ type Rereg struct {
 // delete list, its prior registration metadata, and — if the name was taken
 // again — the re-registration event.
 //
-// A study holds millions of these, so the row is a packed value (72 bytes,
+// A study holds millions of these, so the row is a packed value (56 bytes,
 // one pointer word) and a dataset is one contiguous []Observation: instants
-// are Unix seconds — the precision of the RDAP data, of the registry and of
-// the dataset's CSV — registrar IDs are 32 bits wide, the delete day is in
-// simtime.Day.Pack form, and the TLD is read off the name. Rows are built by
-// NewObservation and read through the accessors; two rows are equal exactly
-// when == says so.
+// are stored instants (simtime.PackTime) — second precision, as the RDAP
+// data, the registry and the dataset's CSV have — registrar IDs are 32 bits
+// wide, the delete day is in simtime.Day.Pack form, and the TLD is read off
+// the name. Rows are built by NewObservation and read through the accessors;
+// two rows are equal exactly when == says so.
 type Observation struct {
 	// Name is the fully qualified, lowercase domain name.
 	Name string
 
 	priorID        uint64
-	priorCreated   int64
-	priorUpdated   int64
-	priorExpiry    int64
-	reregAt        int64 // zero unless flagRereg
+	priorCreated   uint32
+	priorUpdated   uint32
+	priorExpiry    uint32
+	reregAt        uint32 // zero unless flagRereg
 	priorRegistrar int32
 	reregRegistrar int32 // zero unless flagRereg
 	deleteDay      int32
@@ -193,19 +194,31 @@ const (
 // been re-registered by the second lookup; malicious is the Safe
 // Browsing-style label collected ≥9 weeks after the re-registration and must
 // be false without one. Instants are stored as whole UTC seconds, fractions
-// dropped. What a row cannot hold exactly — a registrar ID beyond 32 bits, a
-// delete day Pack refuses — is an error.
+// dropped. What a row cannot hold exactly — an instant outside the stored
+// range, a registrar ID beyond 32 bits, a delete day Pack refuses — is an
+// error.
 func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
 	day, ok := deleteDay.Pack()
 	if !ok {
 		return Observation{}, fmt.Errorf("model: %s: delete day %v not representable", name, deleteDay)
 	}
+	at := [...]time.Time{prior.Created, prior.Updated, prior.Expiry, {}}
+	if rereg != nil {
+		at[3] = rereg.Time
+	}
+	var stored [len(at)]uint32
+	for i, t := range at {
+		if stored[i], ok = simtime.PackTime(simtime.Trunc(t)); !ok {
+			return Observation{}, fmt.Errorf("model: %s: instant %v not representable", name, t)
+		}
+	}
 	o := Observation{
 		Name:           name,
 		priorID:        prior.ID,
-		priorCreated:   prior.Created.Unix(),
-		priorUpdated:   prior.Updated.Unix(),
-		priorExpiry:    prior.Expiry.Unix(),
+		priorCreated:   stored[0],
+		priorUpdated:   stored[1],
+		priorExpiry:    stored[2],
+		reregAt:        stored[3],
 		priorRegistrar: int32(prior.RegistrarID),
 		deleteDay:      day,
 	}
@@ -218,7 +231,6 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 		return o, nil
 	}
 	o.flags = flagRereg
-	o.reregAt = rereg.Time.Unix()
 	o.reregRegistrar = int32(rereg.RegistrarID)
 	if int(o.reregRegistrar) != rereg.RegistrarID {
 		return Observation{}, fmt.Errorf("model: %s: registrar ID %d not representable", name, rereg.RegistrarID)
@@ -228,8 +240,6 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 	}
 	return o, nil
 }
-
-func unixTime(sec int64) time.Time { return time.Unix(sec, 0).UTC() }
 
 // TLD is the name's suffix, empty when the name has none.
 func (o *Observation) TLD() TLD {
@@ -247,23 +257,23 @@ func (o *Observation) PriorID() uint64 { return o.priorID }
 func (o *Observation) PriorRegistrar() int { return int(o.priorRegistrar) }
 
 // PriorCreated is the expiring registration's creation instant.
-func (o *Observation) PriorCreated() time.Time { return unixTime(o.priorCreated) }
+func (o *Observation) PriorCreated() time.Time { return simtime.UnpackTime(o.priorCreated) }
 
 // PriorUpdated is the expiring registration's "last updated" instant, the
 // primary deletion-order key.
-func (o *Observation) PriorUpdated() time.Time { return unixTime(o.priorUpdated) }
+func (o *Observation) PriorUpdated() time.Time { return simtime.UnpackTime(o.priorUpdated) }
 
 // PriorExpiry is the expiring registration's expiration date.
-func (o *Observation) PriorExpiry() time.Time { return unixTime(o.priorExpiry) }
+func (o *Observation) PriorExpiry() time.Time { return simtime.UnpackTime(o.priorExpiry) }
 
 // Prior is the expiring registration's metadata in its unpacked form.
 func (o *Observation) Prior() PriorRegistration {
 	return PriorRegistration{
 		ID:          o.priorID,
 		RegistrarID: int(o.priorRegistrar),
-		Created:     unixTime(o.priorCreated),
-		Updated:     unixTime(o.priorUpdated),
-		Expiry:      unixTime(o.priorExpiry),
+		Created:     simtime.UnpackTime(o.priorCreated),
+		Updated:     simtime.UnpackTime(o.priorUpdated),
+		Expiry:      simtime.UnpackTime(o.priorExpiry),
 	}
 }
 
@@ -272,7 +282,7 @@ func (o *Observation) Reregistered() bool { return o.flags&flagRereg != 0 }
 
 // ReregTime is the re-registration instant; only meaningful when
 // Reregistered.
-func (o *Observation) ReregTime() time.Time { return unixTime(o.reregAt) }
+func (o *Observation) ReregTime() time.Time { return simtime.UnpackTime(o.reregAt) }
 
 // ReregRegistrar is the IANA ID of the re-registering accreditation; only
 // meaningful when Reregistered.
@@ -291,14 +301,38 @@ func (o *Observation) SameDayRereg() bool {
 // DeletionEvent is the registry's ground-truth record of one deletion during
 // a Drop. The simulator exports these so the ablation experiments can score
 // the inference model against reality — something the paper could not do.
-// The event's TLD is its name's suffix and is not stored: stores and studies
-// hold one event per deleted name for their whole life.
+// Stores and studies hold one event per deleted name for their whole life, so
+// the event is a packed value (32 bytes, one pointer word) built by
+// NewDeletionEvent: the instant is a stored instant (simtime.PackTime), the
+// rank 32 bits wide, and the TLD is the name's suffix and is not stored.
 type DeletionEvent struct {
 	DomainID uint64
 	Name     string
-	Time     time.Time // the exact instant the name became available
-	Rank     int       // 0-based position in that day's combined deletion queue
+	at       uint32
+	rank     uint32
 }
+
+// NewDeletionEvent packs one deletion: at is the exact instant the name
+// became available, rank its 0-based position in that day's combined
+// deletion queue. What the event cannot hold exactly — an instant outside the
+// stored range or with a sub-second part, a rank outside 32 bits — is an
+// error.
+func NewDeletionEvent(id uint64, name string, at time.Time, rank int) (DeletionEvent, error) {
+	stored, ok := simtime.PackTime(at)
+	if !ok {
+		return DeletionEvent{}, fmt.Errorf("model: deletion of %s: instant %v not representable", name, at)
+	}
+	if uint64(rank) > math.MaxUint32 { // negative ranks convert to the top of the range
+		return DeletionEvent{}, fmt.Errorf("model: deletion of %s: rank %d not representable", name, rank)
+	}
+	return DeletionEvent{DomainID: id, Name: name, at: stored, rank: uint32(rank)}, nil
+}
+
+// Time is the exact instant the name became available, in UTC.
+func (e *DeletionEvent) Time() time.Time { return simtime.UnpackTime(e.at) }
+
+// Rank is the 0-based position in that day's combined deletion queue.
+func (e *DeletionEvent) Rank() int { return int(e.rank) }
 
 // TLD is the deleted name's TLD. The registry only deletes names it hosts,
 // so the suffix is always present.

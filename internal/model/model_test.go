@@ -102,11 +102,11 @@ func TestSameDayRereg(t *testing.T) {
 // TestObservationRowLayout pins the dataset row and the deletion event to
 // the sizes the study's memory budget is built on.
 func TestObservationRowLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Observation{}); got > 80 {
-		t.Fatalf("Observation is %d bytes, budget 80", got)
+	if got := unsafe.Sizeof(Observation{}); got > 56 {
+		t.Fatalf("Observation is %d bytes, budget 56", got)
 	}
-	if got := unsafe.Sizeof(DeletionEvent{}); got > 56 {
-		t.Fatalf("DeletionEvent is %d bytes, budget 56", got)
+	if got := unsafe.Sizeof(DeletionEvent{}); got > 32 {
+		t.Fatalf("DeletionEvent is %d bytes, budget 32", got)
 	}
 }
 
@@ -118,7 +118,7 @@ func TestObservationRoundTrip(t *testing.T) {
 	prior := PriorRegistration{
 		ID:          1<<63 + 5,
 		RegistrarID: 1<<31 - 1,
-		Created:     time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC),
+		Created:     time.Unix(0, 0).UTC(),
 		Updated:     time.Date(2017, 11, 28, 7, 0, 0, 0, cet),
 		Expiry:      time.Date(2017, 10, 1, 0, 0, 0, 999, time.UTC),
 	}
@@ -169,6 +169,18 @@ func TestNewObservationRefusesUnrepresentable(t *testing.T) {
 		"malicious without a re-registration": func() (Observation, error) {
 			return NewObservation("a.com", day, PriorRegistration{}, nil, true)
 		},
+		"prior created before 1970": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{Created: time.Date(1969, 12, 31, 23, 59, 59, 0, time.UTC)}, nil, false)
+		},
+		"prior updated past the stored range": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{Updated: lastStored.Add(time.Second)}, nil, false)
+		},
+		"prior expiry in year 1 but not the zero time": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{Expiry: time.Time{}.Add(time.Second)}, nil, false)
+		},
+		"rereg time past the stored range": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{}, &Rereg{Time: lastStored.Add(time.Second)}, false)
+		},
 	}
 	for name, build := range cases {
 		if _, err := build(); err == nil {
@@ -181,5 +193,63 @@ func TestDeletionEventTLD(t *testing.T) {
 	ev := DeletionEvent{Name: "a.b.net"}
 	if ev.TLD() != NET {
 		t.Fatalf("TLD() = %q", ev.TLD())
+	}
+}
+
+// lastStored is the last instant a stored instant can stand for.
+var lastStored = time.Date(2106, 2, 7, 6, 28, 14, 0, time.UTC)
+
+// TestDeletionEventRoundTrip: Time and Rank return what NewDeletionEvent was
+// given, in UTC, at both ends of each range and for the zero time.
+func TestDeletionEventRoundTrip(t *testing.T) {
+	cet := time.FixedZone("CET", 3600)
+	cases := []struct {
+		at   time.Time
+		rank int
+	}{
+		{time.Date(2018, 1, 2, 19, 0, 3, 0, time.UTC), 41_000},
+		{time.Date(2018, 1, 2, 20, 0, 3, 0, cet), 1},
+		{time.Unix(0, 0), 0},
+		{lastStored, 1<<32 - 1},
+		{time.Time{}, 0},
+	}
+	for _, c := range cases {
+		ev, err := NewDeletionEvent(1<<63+5, "shop.example.com", c.at, c.rank)
+		if err != nil {
+			t.Fatalf("NewDeletionEvent(%v, %d): %v", c.at, c.rank, err)
+		}
+		if ev.DomainID != 1<<63+5 || ev.Name != "shop.example.com" || ev.TLD() != COM {
+			t.Fatalf("event %+v", ev)
+		}
+		if got := ev.Time(); got != c.at.UTC() || got.Location() != time.UTC || got.IsZero() != c.at.IsZero() {
+			t.Fatalf("Time() = %v, want %v in UTC", got, c.at.UTC())
+		}
+		if ev.Rank() != c.rank {
+			t.Fatalf("Rank() = %d, want %d", ev.Rank(), c.rank)
+		}
+		if again, err := NewDeletionEvent(ev.DomainID, ev.Name, ev.Time(), ev.Rank()); err != nil || again != ev {
+			t.Fatalf("an event rebuilt from its own accessors differs: %+v, %v", again, err)
+		}
+	}
+}
+
+func TestNewDeletionEventRefusesUnrepresentable(t *testing.T) {
+	ok := time.Date(2018, 1, 2, 19, 0, 3, 0, time.UTC)
+	cases := map[string]struct {
+		at   time.Time
+		rank int
+	}{
+		"one second before 1970":           {time.Unix(-1, 0), 0},
+		"one second past the last instant": {lastStored.Add(time.Second), 0},
+		"year 1 but not the zero time":     {time.Time{}.Add(time.Second), 0},
+		"a 999 ns fraction":                {ok.Add(999), 0},
+		"a fraction on the zero second":    {time.Time{}.Add(1), 0},
+		"rank -1":                          {ok, -1},
+		"rank 1<<32":                       {ok, 1 << 32},
+	}
+	for name, c := range cases {
+		if ev, err := NewDeletionEvent(7, "a.com", c.at, c.rank); err == nil {
+			t.Errorf("%s: accepted as %v rank %d", name, ev.Time(), ev.Rank())
+		}
 	}
 }

@@ -173,7 +173,7 @@ func TestRaceLostToOutsideRegistrant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w.clock.Set(events[len(events)-1].Time.Add(time.Second))
+	w.clock.Set(events[len(events)-1].Time().Add(time.Second))
 	outsider := w.dir.Accreditations(SvcGoDaddy)[0]
 	for _, name := range w.names {
 		if _, err := w.store.Create(name, outsider, 1); err != nil {

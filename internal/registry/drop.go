@@ -106,7 +106,7 @@ func (r *DropRunner) BuildQueue(day simtime.Day) []QueueEntry {
 	q := make([]QueueEntry, len(recs))
 	for i := range recs {
 		rec := &recs[i]
-		q[i] = QueueEntry{Name: rec.name, TLD: rec.tld(), ID: rec.id, Updated: unixTime(rec.updated)}
+		q[i] = QueueEntry{Name: rec.name, TLD: rec.tld(), ID: rec.id, Updated: simtime.UnpackTime(rec.updated)}
 	}
 	return q
 }
@@ -168,5 +168,5 @@ func EndTime(events []model.DeletionEvent) time.Time {
 	if len(events) == 0 {
 		return time.Time{}
 	}
-	return events[len(events)-1].Time
+	return events[len(events)-1].Time()
 }

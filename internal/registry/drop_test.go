@@ -101,17 +101,17 @@ func TestDropRunTimesMonotone(t *testing.T) {
 	}
 	start := day.At(19, 0, 0)
 	for i, ev := range events {
-		if ev.Rank != i {
-			t.Fatalf("rank %d at position %d", ev.Rank, i)
+		if ev.Rank() != i {
+			t.Fatalf("rank %d at position %d", ev.Rank(), i)
 		}
-		if ev.Time.Before(start) {
-			t.Fatalf("deletion before Drop start: %v", ev.Time)
+		if ev.Time().Before(start) {
+			t.Fatalf("deletion before Drop start: %v", ev.Time())
 		}
-		if i > 0 && ev.Time.Before(events[i-1].Time) {
+		if i > 0 && ev.Time().Before(events[i-1].Time()) {
 			t.Fatalf("deletion times not monotone at %d", i)
 		}
-		if ev.Time.Nanosecond() != 0 {
-			t.Fatalf("deletion time not second-precise: %v", ev.Time)
+		if ev.Time().Nanosecond() != 0 {
+			t.Fatalf("deletion time not second-precise: %v", ev.Time())
 		}
 	}
 }

@@ -43,15 +43,15 @@ func (p duePolicy) dueDay(r *record) uint32 {
 	}
 	switch r.status {
 	case model.StatusActive:
-		return dayKey(unixOf(r.expiry) / daySecs)
+		return dayKey(simtime.UnixOf(r.expiry) / daySecs)
 	case model.StatusAutoRenew:
 		g := p.defaultGraceDays
 		if v, ok := p.graceDays[int(r.registrar)]; ok {
 			g = v
 		}
-		return dayKey(unixOf(r.expiry)/daySecs + int64(g))
+		return dayKey(simtime.UnixOf(r.expiry)/daySecs + int64(g))
 	case model.StatusRedemption:
-		return dayKey(unixOf(r.updated)/daySecs + int64(p.redemptionDays))
+		return dayKey(simtime.UnixOf(r.updated)/daySecs + int64(p.redemptionDays))
 	default:
 		return uint32(r.deleteDay)
 	}

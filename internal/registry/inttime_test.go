@@ -2,6 +2,7 @@ package registry
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -20,15 +21,15 @@ func refDueDay(p duePolicy, r *record) simtime.Day {
 	}
 	switch r.status {
 	case model.StatusActive:
-		return simtime.DayOf(unixTime(r.expiry))
+		return simtime.DayOf(simtime.UnpackTime(r.expiry))
 	case model.StatusAutoRenew:
 		g := p.defaultGraceDays
 		if v, ok := p.graceDays[int(r.registrar)]; ok {
 			g = v
 		}
-		return simtime.DayOf(unixTime(r.expiry).AddDate(0, 0, g))
+		return simtime.DayOf(simtime.UnpackTime(r.expiry).AddDate(0, 0, g))
 	case model.StatusRedemption:
-		return simtime.DayOf(unixTime(r.updated).AddDate(0, 0, p.redemptionDays))
+		return simtime.DayOf(simtime.UnpackTime(r.updated).AddDate(0, 0, p.redemptionDays))
 	default:
 		return r.domain().DeleteDay
 	}
@@ -199,6 +200,96 @@ func TestMutatorsRefuseUnrepresentable(t *testing.T) {
 				t.Fatalf("next create = %+v, %v; want ID 3", d, err)
 			}
 		})
+	}
+}
+
+// TestPurgeRefusesUnrepresentable feeds the live purge and the replay purge
+// arm an instant or a rank the 32-byte deletion event cannot hold. Each must
+// fail with errUnrepresentable before the registration is removed: Get, the
+// generation, the due bucket, the deletion archive and the journal stay
+// exactly as they were. A live purge truncates a sub-second part as every
+// live mutator does; a replayed record carrying one is not a record this
+// store wrote.
+func TestPurgeRefusesUnrepresentable(t *testing.T) {
+	var (
+		day     = simtime.Day{Year: 2018, Month: 1, Dom: 5}
+		at      = day.At(19, 0, 3)
+		in1969  = time.Unix(-1, 0).UTC()
+		pastEnd = time.Date(2106, 2, 7, 6, 28, 15, 0, time.UTC)
+	)
+	events := map[string]struct {
+		at       time.Time
+		rank     int
+		liveOnly bool // the live purge accepts it
+	}{
+		"one second before 1970":    {at: in1969},
+		"one second past the end":   {at: pastEnd},
+		"year 1, not the zero time": {at: time.Time{}.Add(time.Hour)},
+		"a 999 ns fraction":         {at: at.Add(999), liveOnly: true},
+		"rank -1":                   {at: at, rank: -1},
+		"rank 1<<32":                {at: at, rank: 1 << 32},
+	}
+	paths := map[string]func(s *Store, at time.Time, rank int) error{
+		"live": func(s *Store, at time.Time, rank int) error {
+			_, err := NewDropRunner(s, DefaultDropConfig()).Apply(Scheduled{Name: "held.com", TLD: model.COM, Time: at, Rank: rank})
+			return err
+		},
+		"replayed": func(s *Store, at time.Time, rank int) error {
+			return s.Apply(Mutation{Kind: MutPurge, Name: "held.com", ID: 1, Time: at, Rank: rank})
+		},
+		"replayed in a batch": func(s *Store, at time.Time, rank int) error {
+			return s.ApplyBatch([]Mutation{
+				{Kind: MutTouch, Name: "other.com", Updated: at.Truncate(time.Second)},
+				{Kind: MutPurge, Name: "held.com", ID: 1, Time: at, Rank: rank},
+			}, 2)
+		},
+	}
+	for evName, ev := range events {
+		for pathName, purge := range paths {
+			t.Run(evName+"/"+pathName, func(t *testing.T) {
+				s, _ := testStore(t)
+				for _, name := range []string{"held.com", "other.com"} {
+					if _, err := s.Create(name, 1000, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := s.MarkPendingDelete("held.com", time.Time{}, day); err != nil {
+					t.Fatal(err)
+				}
+				cap := &captureJournal{}
+				s.SetJournal(cap)
+				held := func() string {
+					d, err := s.Get("held.com")
+					b, _ := bucketDayOf(s, "held.com")
+					return fmt.Sprintf("%+v %v in bucket %v, archive %v", d, err, b, s.Deletions(day))
+				}
+				before, heldBefore := dumpStore(s, day, 1), held()
+
+				err := purge(s, ev.at, ev.rank)
+				if ev.liveOnly && pathName == "live" {
+					if err != nil {
+						t.Fatalf("live purge of a fractional instant: %v", err)
+					}
+					if got := s.Deletions(day); len(got) != 1 || got[0].Time() != at {
+						t.Fatalf("archived %+v, want one event at %v", got, at)
+					}
+					return
+				}
+				if !errors.Is(err, errUnrepresentable) {
+					t.Fatalf("got %v, want errUnrepresentable", err)
+				}
+				if got := held(); got != heldBefore {
+					t.Fatalf("refused purge changed the registration:\n before %s\n after  %s", heldBefore, got)
+				}
+				if pathName != "replayed in a batch" { // whose other record may have committed
+					diffDumps(t, "before", "after", before, dumpStore(s, day, 1))
+				}
+				if len(cap.records) != 0 {
+					t.Fatalf("refused purge was journaled: %+v", cap.records)
+				}
+				checkDuePositions(t, s)
+			})
+		}
 	}
 }
 

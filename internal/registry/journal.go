@@ -174,7 +174,7 @@ func (s *Store) Apply(m Mutation) error {
 		return err
 	}
 	if isPurge {
-		day := simtime.DayOf(ev.Time)
+		day := simtime.DayOf(ev.Time())
 		s.delMu.Lock()
 		s.deletions[day] = append(s.deletions[day], ev)
 		s.delMu.Unlock()
@@ -239,11 +239,11 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		next := *r
 		var errUpdated, errField error
 		if m.Kind != MutSetState || !m.Updated.IsZero() {
-			next.updated, errUpdated = packTime(m.Updated)
+			next.updated, errUpdated = storedTime(m.Updated)
 		}
 		switch m.Kind {
 		case MutRenew:
-			next.expiry, errField = packTime(m.Expiry)
+			next.expiry, errField = storedTime(m.Expiry)
 			next.status = model.StatusActive
 		case MutTransfer:
 			next.registrar, errField = registrar32(m.RegistrarID)
@@ -268,7 +268,11 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		if r == nil {
 			return ev, false, fmt.Errorf("registry: replay purge: %w: %q", ErrNotFound, m.Name)
 		}
-		return sh.remove(r, ref, m.Time, m.Rank), true, nil
+		if ev, err = model.NewDeletionEvent(r.id, r.name, m.Time, m.Rank); err != nil {
+			return ev, false, fmt.Errorf("registry: replay purge: %w: %w", errUnrepresentable, err)
+		}
+		sh.remove(r, ref)
+		return ev, true, nil
 	}
 	return ev, false, fmt.Errorf("registry: replay: unknown mutation kind %d", m.Kind)
 }
@@ -389,7 +393,7 @@ func (s *Store) applyGroups(ms []Mutation, workers int) error {
 	slices.SortFunc(purges, func(a, b purged) int { return cmp.Compare(a.idx, b.idx) })
 	s.delMu.Lock()
 	for _, p := range purges {
-		day := simtime.DayOf(p.ev.Time)
+		day := simtime.DayOf(p.ev.Time())
 		s.deletions[day] = append(s.deletions[day], p.ev)
 	}
 	s.delMu.Unlock()

@@ -99,10 +99,10 @@ func (l *Lifecycle) Tick(now time.Time) int {
 	nowSec := now.Unix()
 	var changes []change
 	l.store.eachDueThrough(model.StatusActive, day, func(r *record) {
-		if l.inScope(r.tld()) && unixOf(r.expiry) <= nowSec {
+		if l.inScope(r.tld()) && simtime.UnixOf(r.expiry) <= nowSec {
 			// Registry auto-renews at expiration; the registrar's grace
 			// clock starts at the old expiry.
-			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusAutoRenew, updated: unixTime(r.expiry)})
+			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusAutoRenew, updated: simtime.UnpackTime(r.expiry)})
 		}
 	})
 	// The calendar's AddDate(0, 0, n) is +n·daySecs in UTC.
@@ -111,14 +111,14 @@ func (l *Lifecycle) Tick(now time.Time) int {
 			return
 		}
 		registrar := int(r.registrar)
-		if unixOf(r.expiry)+daySecs*int64(l.cfg.GraceDaysFor(registrar)) <= nowSec {
+		if simtime.UnixOf(r.expiry)+daySecs*int64(l.cfg.GraceDaysFor(registrar)) <= nowSec {
 			// Registrar deletes the domain: the batch instant is the "last
 			// updated" timestamp that will drive the deletion order.
 			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, registrar)})
 		}
 	})
 	l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
-		if l.inScope(r.tld()) && unixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
+		if l.inScope(r.tld()) && simtime.UnixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
 			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
 		}
 	})

@@ -15,8 +15,8 @@ import (
 // squeezed into 48 bytes with a single pointer word (the name), stored in
 // its shard's table and addressable only under that shard's lock (see
 // table for the validity rule). Time is integer throughout: timestamps are
-// stored instants (packTime: 0 = the zero time.Time, otherwise Unix second
-// + 1, so Unix 0 stays distinct from "unset"), the delete day is a day
+// stored instants (simtime.PackTime: 0 = the zero time.Time, otherwise Unix
+// second + 1, so Unix 0 stays distinct from "unset"), the delete day is a day
 // number (packDay). The TLD is the name's last tldLen() bytes, and the
 // transfer code is a state from which the code is recomputed (authInfo).
 // Records never leave the package: Get, Each, PendingDeletions, snapshot
@@ -54,9 +54,9 @@ func newRecord(d *model.Domain) (record, error) {
 	}
 	registrar, errRegistrar := registrar32(d.RegistrarID)
 	day, errDay := packDay(d.DeleteDay)
-	created, errCreated := packTime(d.Created)
-	updated, errUpdated := packTime(d.Updated)
-	expiry, errExpiry := packTime(d.Expiry)
+	created, errCreated := storedTime(d.Created)
+	updated, errUpdated := storedTime(d.Updated)
+	expiry, errExpiry := storedTime(d.Expiry)
 	for _, err := range [...]error{errRegistrar, errDay, errCreated, errUpdated, errExpiry} {
 		if err != nil {
 			return record{}, fmt.Errorf("%w: %q", err, d.Name)
@@ -83,9 +83,9 @@ func (r *record) domain() model.Domain {
 		Name:        r.name,
 		TLD:         r.tld(),
 		RegistrarID: int(r.registrar),
-		Created:     unixTime(r.created),
-		Updated:     unixTime(r.updated),
-		Expiry:      unixTime(r.expiry),
+		Created:     simtime.UnpackTime(r.created),
+		Updated:     simtime.UnpackTime(r.updated),
+		Expiry:      simtime.UnpackTime(r.expiry),
 		Status:      r.status,
 	}
 	if r.deleteDay != 0 {
@@ -113,34 +113,16 @@ func registrar32(id int) (int32, error) {
 	return int32(id), nil
 }
 
-const (
-	zeroUnix = -62135596800 // the Unix second of the zero time.Time
-	daySecs  = 86400        // a UTC day: no DST, and Go's clock has no leap seconds
-)
+const daySecs = 86400 // a UTC day: no DST, and Go's clock has no leap seconds
 
-// packTime is t in its stored form: 0 for the zero time.Time, otherwise its
-// Unix second plus one — 1970-01-01T00:00:00Z through 2106-02-07T06:28:14Z.
-// Any other instant, and any sub-second part, is refused.
-func packTime(t time.Time) (uint32, error) {
-	if t.IsZero() {
-		return 0, nil
-	}
-	if sec := t.Unix(); t.Nanosecond() == 0 && sec >= 0 && sec < math.MaxUint32 {
-		return uint32(sec) + 1, nil
+// storedTime is t as a stored instant (simtime.PackTime), or the store's
+// refusal of one that does not fit.
+func storedTime(t time.Time) (uint32, error) {
+	if v, ok := simtime.PackTime(t); ok {
+		return v, nil
 	}
 	return 0, fmt.Errorf("%w: timestamp %v", errUnrepresentable, t)
 }
-
-// unixOf is the Unix second a stored instant stands for.
-func unixOf(v uint32) int64 {
-	if v == 0 {
-		return zeroUnix
-	}
-	return int64(v) - 1
-}
-
-// unixTime is the inverse of packTime, in UTC.
-func unixTime(v uint32) time.Time { return time.Unix(unixOf(v), 0).UTC() }
 
 // packDay is d in its stored form: 0 for the zero Day, otherwise its day
 // number — 1970-01-02 through 2149-06-06. Any other day, and any Day that is

@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"math"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
@@ -87,19 +88,40 @@ func (r *SnapshotReader) Counters() (gen, nextID uint64) {
 // purges left empty). d and authInfo (the transfer code, empty when none was
 // minted) are reused between calls and valid only during one.
 func (r *SnapshotReader) VisitShard(si int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
+	r.visit(si, math.MaxInt, begin, each)
+}
+
+// SampleShard is VisitShard over about k of the shard's registrations,
+// evenly spaced in slot order: what a writer sizes its buffer from before
+// VisitShard fills it. Slots fill oldest first, so the first k would be the
+// shard's oldest registrations — the shortest object IDs and numbered names.
+func (r *SnapshotReader) SampleShard(si, k int, each func(d *model.Domain, authInfo []byte)) {
+	r.visit(si, k, func(int) {}, each)
+}
+
+// visit walks shard si under its read lock, calling each for about sample
+// of its registrations, evenly spaced — for all of them when it has no more.
+func (r *SnapshotReader) visit(si, sample int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
 	sh := &r.s.shards[si]
 	if !r.quiesced {
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
 	}
-	begin(sh.tab.len())
+	n := sh.tab.len()
+	begin(n)
+	step := max(1, n/sample)
 	var (
 		d   model.Domain
 		buf [authInfoLen]byte
 	)
+	i, next := 0, step/2
 	sh.tab.each(func(rec *record, _ uint32) bool {
-		d = rec.domain()
-		each(&d, sh.appendAuthInfo(buf[:0], rec))
+		if i == next {
+			d = rec.domain()
+			each(&d, sh.appendAuthInfo(buf[:0], rec))
+			next += step
+		}
+		i++
 		return true
 	})
 }

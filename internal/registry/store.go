@@ -585,7 +585,7 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	}
 	losing := int(r.registrar)
 	updated := simtime.Trunc(s.clock.Now())
-	stored, err := packTime(updated)
+	stored, err := storedTime(updated)
 	if err != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", err, name)
@@ -642,7 +642,7 @@ func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
 	at = simtime.Trunc(at)
-	stored, err := packTime(at)
+	stored, err := storedTime(at)
 	if err != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", err, name)
@@ -674,9 +674,9 @@ func (s *Store) Renew(name string, registrarID int, years int) error {
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
 	now := simtime.Trunc(s.clock.Now())
-	expiry := unixTime(r.expiry).AddDate(years, 0, 0)
-	storedNow, errNow := packTime(now)
-	storedExpiry, errExpiry := packTime(expiry)
+	expiry := simtime.UnpackTime(r.expiry).AddDate(years, 0, 0)
+	storedNow, errNow := storedTime(now)
+	storedExpiry, errExpiry := storedTime(expiry)
 	if err := errors.Join(errNow, errExpiry); err != nil {
 		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", err, name)
@@ -709,7 +709,7 @@ func (s *Store) setState(name string, st model.Status, updated time.Time, delete
 	from, stored := r.status, r.updated
 	if !updated.IsZero() { // zero = keep, mirrored by replay
 		updated = simtime.Trunc(updated)
-		if stored, err = packTime(updated); err != nil {
+		if stored, err = storedTime(updated); err != nil {
 			sh.mu.Unlock()
 			return fmt.Errorf("%w: %q", err, name)
 		}
@@ -787,20 +787,20 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 }
 
 // remove takes r (slot ref) out of sh — due index, any stored transfer
-// code, the table — and returns the deletion event describing it, built
-// before the slot is released: r is dead once remove returns (see table).
-// The caller holds sh's write lock.
-func (sh *shard) remove(r *record, ref uint32, at time.Time, rank int) model.DeletionEvent {
-	ev := model.DeletionEvent{DomainID: r.id, Name: r.name, Time: at, Rank: rank}
+// code, the table. r is dead once remove returns (see table), so whatever
+// the caller still needs of it — the deletion event — is built first. The
+// caller holds sh's write lock.
+func (sh *shard) remove(r *record, ref uint32) {
 	sh.dueRemove(r, ref)
 	sh.dropAuth(r)
 	sh.tab.del(ref)
-	return ev
 }
 
 // purge removes the domain as part of a Drop, recording the ground-truth
-// deletion event. The caller (DropRunner) holds the deletion order.
+// deletion event. The caller (DropRunner) holds the deletion order. An
+// instant or rank the event cannot hold is refused before anything changes.
 func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent, error) {
+	at = simtime.Trunc(at)
 	sh := s.shardOf(name)
 	sh.mu.Lock()
 	r, ref := sh.tab.get(name)
@@ -813,13 +813,18 @@ func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent,
 		sh.mu.Unlock()
 		return model.DeletionEvent{}, fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, status)
 	}
+	ev, err := model.NewDeletionEvent(r.id, r.name, at, rank)
+	if err != nil {
+		sh.mu.Unlock()
+		return model.DeletionEvent{}, fmt.Errorf("%w: %w", errUnrepresentable, err)
+	}
 	registrarID := int(r.registrar) // r does not survive remove
-	ev := sh.remove(r, ref, simtime.Trunc(at), rank)
+	sh.remove(r, ref)
 	day := simtime.DayOf(at)
 	s.delMu.Lock()
 	s.deletions[day] = append(s.deletions[day], ev)
 	s.delMu.Unlock()
-	wait := s.appendJournal(Mutation{Kind: MutPurge, ID: ev.DomainID, Name: name, Time: ev.Time, Rank: rank})
+	wait := s.appendJournal(Mutation{Kind: MutPurge, ID: ev.DomainID, Name: name, Time: at, Rank: rank})
 	s.bumpGen()
 	obs := s.loadObserver()
 	sh.mu.Unlock()

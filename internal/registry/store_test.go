@@ -231,7 +231,7 @@ func TestPurgeRecordsGroundTruthAndFreesName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.DomainID != d.ID || ev.Rank != 42 || !ev.Time.Equal(at) {
+	if ev.DomainID != d.ID || ev.Rank() != 42 || !ev.Time().Equal(at) {
 		t.Fatalf("event = %+v", ev)
 	}
 	if _, err := s.Get("example.com"); !errors.Is(err, ErrNotFound) {
@@ -416,7 +416,7 @@ func TestPurgeOutlivesItsSlot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ev.Name != name || ev.TLD() != model.COM || ev.DomainID == 0 || ev.DomainID >= d.ID || ev.Rank != i {
+				if ev.Name != name || ev.TLD() != model.COM || ev.DomainID == 0 || ev.DomainID >= d.ID || ev.Rank() != i {
 					t.Fatalf("purge %d returned %+v (re-registered as ID %d)", i, ev, d.ID)
 				}
 			}

@@ -9,16 +9,18 @@ import (
 	"time"
 	"unsafe"
 
+	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
 
 // bytesPerDeletionBudget is the live-heap ceiling for what a finished study
 // holds per deleted name, everything included: the observation row, the
-// deletion event, the truth, the claim, both copies of the name (list and
-// registry spelling) and the fixed cost of the directory spread over the
-// run. The pointer-linked layout this replaced cost ≈ 420 B.
-const bytesPerDeletionBudget = 240
+// deletion event, the truth, the claim, the name (once: the row shares the
+// event's bytes) and the fixed cost of the directory spread over the run.
+// ≈ 138 B measured; the pending-delete list arenas alone, were a row to pin
+// them again, are ≈ 17 B more.
+const bytesPerDeletionBudget = 150
 
 func liveHeap() uint64 {
 	runtime.GC()
@@ -57,6 +59,92 @@ func TestStudyBytesPerDeletion(t *testing.T) {
 	if per > bytesPerDeletionBudget {
 		t.Fatalf("a finished study holds %.1f B per deletion, budget %d", per, bytesPerDeletionBudget)
 	}
+}
+
+// TestResultNamesHeldOnce: every row of a finished study spells its name with
+// the very bytes its deletion event holds — at either end of the worker-pool
+// range and with extra zones dropping beside the default one — and a row
+// that has no event owns its name outright, sharing no list arena with its
+// neighbours.
+func TestResultNamesHeldOnce(t *testing.T) {
+	base := DefaultConfig()
+	base.Days = 3
+	base.Scale = 0.02
+	base.FinalizeAfterDays = 57
+	cases := map[string]func(*Config){
+		"parallelism1": func(c *Config) { c.Parallelism = 1 },
+		"parallelism8": func(c *Config) { c.Parallelism = 8 },
+		"extraZones":   func(c *Config) { c.Zones = []zone.Config{nordicTestZone(), shuffleTestZone()} },
+	}
+	for name, tweak := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg := base
+			tweak(&cfg)
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := make(map[string]*byte)
+			for _, evs := range res.Deletions {
+				for i := range evs {
+					held[evs[i].Name] = unsafe.StringData(evs[i].Name)
+				}
+			}
+			if len(res.Observations) == 0 {
+				t.Fatal("no observations")
+			}
+			for i := range res.Observations {
+				o := &res.Observations[i]
+				if data, ok := held[o.Name]; !ok || unsafe.StringData(o.Name) != data {
+					t.Fatalf("%s: row spelled at %p, event at %p (deleted: %v)", o.Name, unsafe.StringData(o.Name), data, ok)
+				}
+			}
+		})
+	}
+
+	t.Run("rowWithoutEvent", func(t *testing.T) {
+		// Rows as the pipeline hands them over: names cut from one arena, in
+		// name order. Two of the four were deleted.
+		arena := strings.Repeat("x", 64) + "a.comb.comc.comd.com"
+		day := simtime.Day{Year: 2018, Month: time.January, Dom: 2}
+		var obs []model.Observation
+		for off := 64; off < len(arena); off += 5 {
+			o, err := model.NewObservation(arena[off:off+5], day, model.PriorRegistration{}, nil, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs = append(obs, o)
+		}
+		var evs []model.DeletionEvent
+		for rank, name := range []string{"d.com", "zz.net", "b.com"} {
+			ev, err := model.NewDeletionEvent(uint64(rank+1), strings.Clone(name), day.At(19, 0, rank), rank)
+			if err != nil {
+				t.Fatal(err)
+			}
+			evs = append(evs, ev)
+		}
+		holdNamesOnce(obs, map[simtime.Day][]model.DeletionEvent{day: evs[:2], day.Next(): evs[2:]})
+
+		inArena := func(s string) bool {
+			p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(arena)))
+			return p >= lo && p < lo+uintptr(len(arena))
+		}
+		want := []struct {
+			name string
+			ev   *model.DeletionEvent
+		}{{"a.com", nil}, {"b.com", &evs[2]}, {"c.com", nil}, {"d.com", &evs[0]}}
+		for i, w := range want {
+			got := obs[i].Name
+			switch {
+			case got != w.name:
+				t.Fatalf("row %d is named %q, want %q", i, got, w.name)
+			case inArena(got):
+				t.Fatalf("%s still points into the list arena", got)
+			case w.ev != nil && unsafe.StringData(got) != unsafe.StringData(w.ev.Name):
+				t.Fatalf("%s does not share its event's bytes", got)
+			}
+		}
+	})
 }
 
 func TestTruthLayout(t *testing.T) {
@@ -108,12 +196,12 @@ func TestTruthsJoinDeletions(t *testing.T) {
 					// Ranks restart with each zone's run and count up by one
 					// inside it; a single-zone day is one run, 0..n-1.
 					switch {
-					case ev.Rank == 0:
+					case ev.Rank() == 0:
 						zoneRuns++
-					case k == 0 || ev.Rank != evs[k-1].Rank+1:
-						t.Fatalf("%v: rank %d at index %d follows rank %d", day, ev.Rank, k, evs[max(k, 1)-1].Rank)
+					case k == 0 || ev.Rank() != evs[k-1].Rank()+1:
+						t.Fatalf("%v: rank %d at index %d follows rank %d", day, ev.Rank(), k, evs[max(k, 1)-1].Rank())
 					}
-					byName[ev.Name] = truthOf{day, truths[k], ev.Time}
+					byName[ev.Name] = truthOf{day, truths[k], ev.Time()}
 				}
 			}
 			if want := cfg.Days * (1 + len(cfg.Zones)); zoneRuns != want {

@@ -123,7 +123,7 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 		var out []string
 		for _, ev := range res.Deletions[day] {
 			if tld, _ := model.TLDOf(ev.Name); coreTLDs[tld] {
-				out = append(out, fmt.Sprintf("%s rank=%d at=%s", ev.Name, ev.Rank, ev.Time.UTC().Format(time.RFC3339)))
+				out = append(out, fmt.Sprintf("%s rank=%d at=%s", ev.Name, ev.Rank(), ev.Time().UTC().Format(time.RFC3339)))
 			}
 		}
 		return out
@@ -139,8 +139,8 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 			switch {
 			case tld == "se" || tld == "nu":
 				nordicSaw++
-				if !ev.Time.Equal(instant) {
-					t.Fatalf("instant-release deletion %s at %v, want %v", ev.Name, ev.Time, instant)
+				if !ev.Time().Equal(instant) {
+					t.Fatalf("instant-release deletion %s at %v, want %v", ev.Name, ev.Time(), instant)
 				}
 			case tld == "io":
 				shuffleSaw++

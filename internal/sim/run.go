@@ -104,6 +104,30 @@ func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.D
 	return out
 }
 
+// holdNamesOnce re-points the Name of every row of obs at the equal Name
+// string of its deletion event, and clones the name of a row that has none.
+// The rows arrive spelled out of the pipeline's pending-delete list arenas;
+// afterwards no arena outlives the pipeline and a deleted name's bytes are
+// held once, by its event. The rows learn nothing: each keeps the name it
+// had, byte for byte.
+func holdNamesOnce(obs []model.Observation, deletions map[simtime.Day][]model.DeletionEvent) {
+	var names []string
+	for _, evs := range deletions {
+		for i := range evs {
+			names = append(names, evs[i].Name)
+		}
+	}
+	slices.Sort(names)
+	for i := range obs {
+		o := &obs[i]
+		if k, ok := slices.BinarySearch(names, o.Name); ok {
+			o.Name = names[k]
+		} else {
+			o.Name = strings.Clone(o.Name)
+		}
+	}
+}
+
 // Run executes a full study. It is deterministic for a given Config: equal
 // configs give byte-identical results — including when the run is a resume
 // of a crashed one. The measurement pipeline's RDAP client is bound straight
@@ -409,9 +433,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 			sched := lane.runner.ScheduleQueue(day, queue, lane.rng)
 			for k, ev := range archived {
-				if sched[k].Name != ev.Name || !sched[k].Time.Equal(ev.Time) {
+				if sched[k].Name != ev.Name || !sched[k].Time.Equal(ev.Time()) {
 					return nil, fmt.Errorf("sim: resume: recovered deletion %d on %v (%s at %v) disagrees with the replayed schedule (%s at %v)",
-						k, day, ev.Name, ev.Time, sched[k].Name, sched[k].Time)
+						k, day, ev.Name, ev.Time(), sched[k].Name, sched[k].Time)
 				}
 			}
 			first := len(dayEvents)
@@ -435,7 +459,7 @@ func Run(cfg Config) (*Result, error) {
 					Name:      ev.Name,
 					Value:     m.value,
 					AgeYears:  m.ageYears,
-					DeletedAt: ev.Time,
+					DeletedAt: ev.Time(),
 					DropEnd:   dropEnd,
 				}
 				claim := lane.market.Decide(lot)
@@ -490,6 +514,7 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	holdNamesOnce(obs, res.Deletions)
 	res.Observations = obs
 	res.PipelineStats = pipeline.Stats()
 	if journaled {

@@ -98,7 +98,7 @@ func truthByName(t *testing.T, res *Result) map[string]datedTruth {
 			t.Fatalf("day %v: %d truths for %d deletions", day, len(res.Truths[day]), len(evs))
 		}
 		for k, ev := range evs {
-			out[ev.Name] = datedTruth{res.Truths[day][k], ev.Time}
+			out[ev.Name] = datedTruth{res.Truths[day][k], ev.Time()}
 		}
 	}
 	return out
@@ -113,14 +113,14 @@ func TestRunGroundTruthConsistency(t *testing.T) {
 	// monotone ranks and times.
 	for day, events := range res.Deletions {
 		for i, ev := range events {
-			if ev.Rank != i {
-				t.Fatalf("day %v rank %d at index %d", day, ev.Rank, i)
+			if ev.Rank() != i {
+				t.Fatalf("day %v rank %d at index %d", day, ev.Rank(), i)
 			}
-			if i > 0 && ev.Time.Before(events[i-1].Time) {
+			if i > 0 && ev.Time().Before(events[i-1].Time()) {
 				t.Fatalf("day %v times not monotone", day)
 			}
 		}
-		if end := res.DropEnd[day]; len(events) > 0 && !end.Equal(events[len(events)-1].Time) {
+		if end := res.DropEnd[day]; len(events) > 0 && !end.Equal(events[len(events)-1].Time()) {
 			t.Fatalf("day %v DropEnd mismatch", day)
 		}
 	}

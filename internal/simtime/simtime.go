@@ -7,6 +7,7 @@ package simtime
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -149,6 +150,33 @@ func (d Day) Number() int64 { return d.Start().Unix() / 86400 }
 
 // DayNumbered is the inverse of Number.
 func DayNumbered(n int64) Day { return DayOf(time.Unix(n*86400, 0)) }
+
+// PackTime returns t as a stored instant — the 32-bit form the registry's
+// records, the deletion events and the study dataset's rows share: 0 for the
+// zero time.Time, otherwise its Unix second plus one (so Unix 0 stays
+// distinct from "unset"), 1970-01-01T00:00:00Z through 2106-02-07T06:28:14Z.
+// Any other instant, and any sub-second part, does not fit: ok is false and
+// nothing is rounded or wrapped.
+func PackTime(t time.Time) (v uint32, ok bool) {
+	if t.IsZero() {
+		return 0, true
+	}
+	if sec := t.Unix(); t.Nanosecond() == 0 && sec >= 0 && sec < math.MaxUint32 {
+		return uint32(sec) + 1, true
+	}
+	return 0, false
+}
+
+// UnixOf is the Unix second a stored instant stands for.
+func UnixOf(v uint32) int64 {
+	if v == 0 {
+		return -62135596800 // the zero time.Time
+	}
+	return int64(v) - 1
+}
+
+// UnpackTime is the inverse of PackTime, in UTC.
+func UnpackTime(v uint32) time.Time { return time.Unix(UnixOf(v), 0).UTC() }
 
 // String formats the day as YYYY-MM-DD.
 func (d Day) String() string {

@@ -257,3 +257,39 @@ func TestDayNumber(t *testing.T) {
 		t.Errorf("30 February numbers as %d, want 2 March's", got)
 	}
 }
+
+// TestPackTimeRoundTrip: the stored-instant form holds the zero time and
+// every whole second from 1970-01-01T00:00:00Z through 2106-02-07T06:28:14Z,
+// comes back in UTC, and refuses everything else instead of rounding it.
+func TestPackTimeRoundTrip(t *testing.T) {
+	last := time.Date(2106, 2, 7, 6, 28, 14, 0, time.UTC)
+	for _, at := range []time.Time{
+		{},
+		time.Unix(0, 0),
+		time.Date(2018, 1, 2, 20, 0, 3, 0, time.FixedZone("CET", 3600)),
+		last,
+	} {
+		v, ok := PackTime(at)
+		if !ok {
+			t.Fatalf("PackTime(%v) refused", at)
+		}
+		got := UnpackTime(v)
+		if !got.Equal(at) || got.Location() != time.UTC || got.IsZero() != at.IsZero() || (v == 0) != at.IsZero() {
+			t.Fatalf("PackTime(%v) = %d, back as %v", at, v, got)
+		}
+		if UnixOf(v) != at.Unix() {
+			t.Fatalf("UnixOf(%d) = %d, want %d", v, UnixOf(v), at.Unix())
+		}
+	}
+	for _, at := range []time.Time{
+		time.Unix(-1, 0),
+		last.Add(time.Second),
+		last.Add(-time.Second).Add(999),
+		time.Time{}.Add(1),
+		time.Time{}.Add(time.Second),
+	} {
+		if v, ok := PackTime(at); ok {
+			t.Errorf("PackTime(%v) = %d, want a refusal", at, v)
+		}
+	}
+}

@@ -132,7 +132,7 @@ func TestZoneDiffBaseline(t *testing.T) {
 		t.Fatalf("drop: %v %v", events, err)
 	}
 	// ...and a drop-catcher re-registers it the same instant.
-	if _, err := store.CreateAt("dropme.com", 1000, 1, events[0].Time); err != nil {
+	if _, err := store.CreateAt("dropme.com", 1000, 1, events[0].Time()); err != nil {
 		t.Fatal(err)
 	}
 
