@@ -543,6 +543,18 @@ func BenchmarkCoreRank(b *testing.B) {
 	}
 }
 
+// BenchmarkCoreGroupByDay measures cutting the whole fine study (three
+// full-volume days) into ranked days: the one caller that reads every row's
+// delete day, which a row unpacks from a day number on each call.
+func BenchmarkCoreGroupByDay(b *testing.B) {
+	_, res := fineStudy(b)
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		core.GroupByDay(res.Observations, core.OrderLastUpdate)
+	}
+}
+
 // dayRows copies out one deletion day's rows, in dataset order.
 func dayRows(obs []dropzero.Observation, day dropzero.Day) []dropzero.Observation {
 	var out []dropzero.Observation

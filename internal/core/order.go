@@ -236,20 +236,25 @@ func SearchOrderings(obs []model.Observation) []OrderSearchResult {
 // is not modified.
 func GroupByDay(obs []model.Observation, ord Ordering) []DayGroup {
 	all := refs(obs)
+	// A row unpacks its delete day into a calendar date on every call: once
+	// per row here, into the Rank the loop below overwrites, not once per
+	// comparison.
+	for i := range all {
+		all[i].Rank = int(all[i].Obs.DeleteDay().Number())
+	}
 	slices.SortStableFunc(all, func(a, b Ranked) int {
-		if c := a.Obs.DeleteDay().Compare(b.Obs.DeleteDay()); c != 0 {
-			return c
+		if a.Rank != b.Rank {
+			return a.Rank - b.Rank
 		}
 		return ord.compare(a.Obs, b.Obs)
 	})
 	var out []DayGroup
 	for i := 0; i < len(all); {
-		day := all[i].Obs.DeleteDay()
-		j := i
-		for ; j < len(all) && all[j].Obs.DeleteDay() == day; j++ {
+		day, j := all[i].Rank, i
+		for ; j < len(all) && all[j].Rank == day; j++ {
 			all[j].Rank = j - i
 		}
-		out = append(out, DayGroup{Day: day, Ranked: all[i:j:j]})
+		out = append(out, DayGroup{Day: all[i].Obs.DeleteDay(), Ranked: all[i:j:j]})
 		i = j
 	}
 	return out

@@ -61,8 +61,10 @@ func WriteCSV(w io.Writer, obs []model.Observation) error {
 // have written is refused, not rounded: a header that is not the dataset's,
 // a tld column that is not the name's suffix, an instant with a sub-second
 // part or outside what a row stores (1970-01-01T00:00:00Z through
-// 2106-02-07T06:28:14Z, and the zero time 0001-01-01T00:00:00Z), a registrar
-// ID beyond 32 bits, a registrar or label on a row without a re-registration.
+// 2106-02-07T06:28:14Z, and the zero time 0001-01-01T00:00:00Z), a delete day
+// outside 1970-01-02 through 2149-06-06, a registrar ID outside 0 through
+// 65535, a registrar or label on a row without a re-registration — each with
+// the line it stands on.
 func ReadCSV(r io.Reader) ([]model.Observation, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)

@@ -88,7 +88,7 @@ func FuzzReadCSV(f *testing.F) {
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07Z,2000,true",
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
 		// Refused: tld not the name's suffix, fractional second, offset that
-		// leaves four-digit years, registrar beyond int32, label or
+		// leaves four-digit years, registrar beyond 32 bits, label or
 		// registrar without a re-registration.
 		"a.com,net,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00.5Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
@@ -97,16 +97,29 @@ func FuzzReadCSV(f *testing.F) {
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,true",
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,2000,false",
 		// Accepted in another spelling than WriteCSV's.
-		"\"A b\r.Com\",Com,2018-01-02,007,+5,2016-12-01T01:00:00+01:00,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07-00:00,-3,T",
+		"\"A b\r.Com\",Com,2018-01-02,007,+5,2016-12-01T01:00:00+01:00,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07-00:00,+3,T",
 		// Refused: RFC 3339's first and last years, which no row stores.
-		"nodot,,0000-01-01,0,0,0000-01-01T00:00:00Z,9999-12-31T23:59:59Z,2017-10-01T00:00:00Z,,,0",
+		"nodot,,1970-01-02,0,0,0000-01-01T00:00:00Z,9999-12-31T23:59:59Z,2017-10-01T00:00:00Z,,,0",
 		// The ends of what a row stores, and the zero time: accepted.
-		"nodot,,0000-01-01,0,0,1970-01-01T00:00:00Z,2106-02-07T06:28:14Z,0001-01-01T00:00:00Z,2106-02-07T06:28:14Z,0,0",
+		"nodot,,1970-01-02,0,0,1970-01-01T00:00:00Z,2106-02-07T06:28:14Z,0001-01-01T00:00:00Z,2106-02-07T06:28:14Z,0,0",
+		"nodot,,2149-06-06,0,65535,1970-01-01T00:00:00Z,2106-02-07T06:28:14Z,0001-01-01T00:00:00Z,2106-02-07T06:28:14Z,65535,0",
+		"a.com,com,2018-01-02,7,1,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07Z,1,false",
 		// Refused: Unix -1, one second past the end, a 999 ns fraction.
 		"a.com,com,2018-01-02,7,1000,1969-12-31T23:59:59Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2106-02-07T06:28:15Z,2017-10-01T00:00:00Z,,,false",
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2106-02-07T06:28:15Z,2000,false",
 		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00.000000999Z,,,false",
+		// Refused: registrar 65 536 and a negative one on either side, day
+		// numbers 0, -1 and 65 536, 30 February, a day in year 0.
+		"a.com,com,2018-01-02,7,65536,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,2018-01-02,7,-3,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07Z,65536,false",
+		"a.com,com,2018-01-02,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,2018-01-02T19:00:07Z,-65535,false",
+		"a.com,com,1970-01-01,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,1969-12-31,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,2149-06-07,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"a.com,com,2018-02-30,7,1000,2016-12-01T00:00:00Z,2017-11-28T06:00:00Z,2017-10-01T00:00:00Z,,,false",
+		"nodot,,0000-01-01,0,0,1970-01-01T00:00:00Z,2106-02-07T06:28:14Z,0001-01-01T00:00:00Z,,,0",
 	} {
 		f.Add([]byte(header + row + "\n"))
 	}

@@ -185,10 +185,54 @@ func TestPipelineNoFallbackDropsDomain(t *testing.T) {
 	}
 }
 
+// TestFinalizeFailedLookupIsNotANonRereg: a name re-registered through an
+// accreditation whose RDAP answers 500 cannot be looked up again. With no
+// WHOIS to ask, what became of it is unknown: the name leaves the dataset as
+// a counted failure, like one whose prior metadata could not be collected —
+// not as a row saying nobody took it. With WHOIS, the fallback finds the
+// re-registration. A cancelled Finalize is an error that moves no counter,
+// not an empty dataset.
+func TestFinalizeFailedLookupIsNotANonRereg(t *testing.T) {
+	for _, withWhois := range []bool{false, true} {
+		e := newEnv(t, rdap.ServerConfig{FailRegistrars: map[int]int{1727: http.StatusInternalServerError}}, withWhois)
+		e.seedPending(t, "caught.com", 1000, e.day)
+		e.seedPending(t, "gone.com", 1000, e.day)
+		ctx := context.Background()
+		if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
+			t.Fatal(err)
+		}
+		e.purgeAndRereg(t, "caught.com", 1727, e.day.At(19, 0, 7))
+		e.clock.Set(e.day.AddDays(60).At(12, 0, 0))
+		cancelled, cancel := context.WithCancel(ctx)
+		cancel()
+		if obs, err := e.pipe.Finalize(cancelled); !errors.Is(err, context.Canceled) || obs != nil {
+			t.Fatalf("cancelled Finalize = %d rows, %v", len(obs), err)
+		}
+		obs, err := e.pipe.Finalize(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := e.pipe.Stats()
+		if withWhois {
+			if len(obs) != 2 || !obs[0].Reregistered() || obs[0].ReregRegistrar() != 1727 || st.FallbackFailed != 0 || st.Reregistered != 1 {
+				t.Fatalf("with WHOIS: rows %+v, stats %+v", obs, st)
+			}
+			continue
+		}
+		if len(obs) != 1 || obs[0].Name != "gone.com" || obs[0].Reregistered() {
+			t.Fatalf("rows %+v, want gone.com alone", obs)
+		}
+		if st.FallbackFailed != 1 || st.NotReregistered != 1 || st.Reregistered != 0 || st.Lookups != 2 {
+			t.Fatalf("stats %+v, want one failed fallback, one non-re-registration, two (prior) lookups", st)
+		}
+	}
+}
+
 // TestPipelineUnusableObjectSkipsWHOIS: a 200 whose object lacks a field the
 // dataset needs is not a server failure. The prior lookup drops the name and
-// the current one returns the error, neither asking WHOIS — which here would
-// have answered.
+// the current one returns the error — Finalize omits the row of a name whose
+// object broke only by T+8w, and counts it nowhere, as the prior lookup does —
+// neither asking WHOIS, which here would have answered.
 func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{}, false)
 	wsrv := whois.NewServer(e.store)
@@ -201,8 +245,10 @@ func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
 
 	const events = `{"eventAction":"registration","eventDate":"2016-01-01T00:00:00Z"},{"eventAction":"last changed","eventDate":"2017-12-06T06:30:00Z"}`
 	const registrar = `{"objectClassName":"entity","handle":"1000","roles":["registrar"]}`
+	const expiration = `,{"eventAction":"expiration","eventDate":"2017-11-06T06:30:00Z"}`
 	bodies := map[string]string{
-		"/domain/noregistrar.com": `{"objectClassName":"domain","handle":"5_DOMAIN_COM-VRSN","ldhName":"noregistrar.com","status":["pendingDelete"],"events":[` + events + `,{"eventAction":"expiration","eventDate":"2017-11-06T06:30:00Z"}],"entities":[]}`,
+		"/domain/brokenlater.com": `{"objectClassName":"domain","handle":"7_DOMAIN_COM-VRSN","ldhName":"brokenlater.com","status":["pendingDelete"],"events":[` + events + expiration + `],"entities":[` + registrar + `]}`,
+		"/domain/noregistrar.com": `{"objectClassName":"domain","handle":"5_DOMAIN_COM-VRSN","ldhName":"noregistrar.com","status":["pendingDelete"],"events":[` + events + expiration + `],"entities":[]}`,
 		"/domain/noexpiry.com":    `{"objectClassName":"domain","handle":"6_DOMAIN_COM-VRSN","ldhName":"noexpiry.com","status":["pendingDelete"],"events":[` + events + `],"entities":[` + registrar + `]}`,
 	}
 	e.pipe.RDAP, err = rdap.NewClient("http://rdap.test", inproc.Client(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -219,15 +265,20 @@ func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
 	}
 	e.seedPending(t, "noregistrar.com", 1000, e.day)
 	e.seedPending(t, "noexpiry.com", 1000, e.day)
+	e.seedPending(t, "brokenlater.com", 1000, e.day)
 
 	ctx := context.Background()
 	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
 		t.Fatal(err)
 	}
-	want := Stats{ListEntries: 2, Lookups: 2}
+	want := Stats{ListEntries: 3, Lookups: 3}
 	if st := e.pipe.Stats(); st != want {
 		t.Fatalf("stats after collection = %+v, want %+v", st, want)
 	}
+	if pd := e.pipe.pending["brokenlater.com"]; pd == nil || pd.prior == nil {
+		t.Fatal("brokenlater.com's prior registration was not collected")
+	}
+	bodies["/domain/brokenlater.com"] = strings.Replace(bodies["/domain/brokenlater.com"], expiration, "", 1)
 	for name := range bodies {
 		name = strings.TrimPrefix(name, "/domain/")
 		if cur, err := e.pipe.lookupCurrent(ctx, name); cur != nil || !errors.Is(err, rdap.ErrMalformed) {
@@ -236,7 +287,7 @@ func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
 	}
 	obs, err := e.pipe.Finalize(ctx)
 	if err != nil || len(obs) != 0 {
-		t.Fatalf("Finalize = %d observations, %v; want the two names dropped", len(obs), err)
+		t.Fatalf("Finalize = %d observations, %v; want all three names dropped", len(obs), err)
 	}
 	if st := e.pipe.Stats(); st != want {
 		t.Errorf("stats after Finalize = %+v, want %+v", st, want)
@@ -375,8 +426,15 @@ func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
 		"prior_expiry one second past the end":   edit(7, "2106-02-07T06:28:15Z"),
 		"rereg_time one second past the end":     edit(8, "2106-02-07T06:28:15Z"),
 		"prior_created in year 1, not its start": edit(5, "0001-01-01T00:00:01Z"),
-		"prior_registrar beyond 32 bits":         edit(4, "2147483648"),
-		"rereg_registrar beyond 32 bits":         edit(9, "-2147483649"),
+		"prior_registrar 65 536":                 edit(4, "65536"),
+		"prior_registrar -1":                     edit(4, "-1"),
+		"rereg_registrar 65 536":                 edit(9, "65536"),
+		"rereg_registrar -65 535 (wraps to 1)":   edit(9, "-65535"),
+		"delete_day 1970-01-01, day number 0":    edit(2, "1970-01-01"),
+		"delete_day 1969-12-31":                  edit(2, "1969-12-31"),
+		"delete_day 2149-06-07, number 65 536":   edit(2, "2149-06-07"),
+		"delete_day 30 February":                 edit(2, "2018-02-30"),
+		"delete_day in year 0":                   edit(2, "0000-01-01"),
 		"malicious without a re-registration":    strings.Replace(edit(8, ""), ",2000,true", ",,true", 1),
 		"rereg_registrar without a rereg_time":   strings.Replace(edit(8, ""), ",2000,true", ",2000,false", 1),
 		"malicious not a boolean on a bare row":  strings.Replace(edit(8, ""), ",2000,true", ",,", 1),
@@ -386,10 +444,17 @@ func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
 			t.Errorf("%s: accepted\n%s", name, file)
 		}
 	}
-	// An instant the row cannot hold is refused with the line it is on.
-	file := header + "\n" + good + "\n" + strings.Split(edit(8, "2106-02-07T06:28:15Z"), "\n")[1] + "\n"
-	if _, err := ReadCSV(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), "line 3") {
-		t.Errorf("out-of-range rereg_time on line 3: %v", err)
+	// What the row cannot hold is refused with the line it is on.
+	for name, bad := range map[string]string{
+		"rereg_time":      edit(8, "2106-02-07T06:28:15Z"),
+		"prior_registrar": edit(4, "65536"),
+		"rereg_registrar": edit(9, "65536"),
+		"delete_day":      edit(2, "2149-06-07"),
+	} {
+		file := header + "\n" + good + "\n" + strings.Split(bad, "\n")[1] + "\n"
+		if _, err := ReadCSV(strings.NewReader(file)); err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("out-of-range %s on line 3: %v", name, err)
+		}
 	}
 	// The ends of the range and the zero time are rows like any other.
 	for name, file := range map[string]string{
@@ -397,6 +462,13 @@ func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
 		"prior_expiry at the last instant":      edit(7, "2106-02-07T06:28:14Z"),
 		"rereg_time at the last instant":        edit(8, "2106-02-07T07:28:14+01:00"),
 		"prior_updated the zero time":           edit(6, "0001-01-01T00:00:00Z"),
+		"prior_registrar 0":                     edit(4, "0"),
+		"prior_registrar 1":                     edit(4, "1"),
+		"prior_registrar 65 535":                edit(4, "65535"),
+		"rereg_registrar 0":                     edit(9, "0"),
+		"rereg_registrar 65 535":                edit(9, "65535"),
+		"delete_day 1970-01-02, day number 1":   edit(2, "1970-01-02"),
+		"delete_day 2149-06-06, number 65 535":  edit(2, "2149-06-06"),
 	} {
 		obs, err := ReadCSV(strings.NewReader(file))
 		if err != nil {

@@ -216,11 +216,14 @@ func priorFromWHOIS(d *model.Domain) *model.PriorRegistration {
 
 // Finalize performs the T+8-weeks re-lookups and assembles the dataset. Call
 // once, after advancing the clock at least eight weeks past the last
-// deletion day. Domains whose prior metadata could not be collected are
-// omitted, like the paper's error cases. Re-lookups (and the oracle queries
-// for re-registered names) fan out over the worker pool, each worker writing
-// its row straight into the dataset slice; the dataset is returned sorted by
-// name regardless of Parallelism.
+// deletion day. Domains whose prior metadata could not be collected, or
+// whose second lookup fails — on RDAP and on WHOIS, counted as FallbackFailed,
+// or with a 200 no registration can be read from, uncounted as in lookupPrior —
+// are omitted, like the paper's error cases; a done ctx is an error, not an
+// empty dataset. Re-lookups (and the oracle
+// queries for re-registered names) fan out over the worker pool, each worker
+// writing its row straight into the dataset slice; the dataset is returned
+// sorted by name regardless of Parallelism.
 func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 	collected := make([]*pendingDomain, 0, len(p.pending))
 	for _, pd := range p.pending {
@@ -232,7 +235,9 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 	rows := make([]model.Observation, len(collected))
 	type finalResult struct {
 		// keep is false for restored domains (same object ID: the deletion
-		// never happened), which are not part of the study population.
+		// never happened), which are not part of the study population, and
+		// for names whose second lookup failed: what became of them is not
+		// known, and a row would say "not re-registered".
 		keep  bool
 		delta Stats
 		err   error
@@ -246,13 +251,18 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 		)
 		cur, err := p.lookupCurrent(ctx, pd.name)
 		switch {
-		case err == nil && cur != nil && cur.ID != pd.prior.ID:
+		case errors.Is(err, rdap.ErrMalformed):
+			return r
+		case err != nil:
+			r.delta.FallbackFailed++
+			return r
+		case cur == nil:
+			r.delta.NotReregistered++
+		case cur.ID != pd.prior.ID:
 			rereg = &model.Rereg{Time: cur.Created, RegistrarID: cur.RegistrarID}
 			r.delta.Reregistered++
-		case err == nil && cur != nil:
-			return r
 		default:
-			r.delta.NotReregistered++
+			return r
 		}
 		if rereg != nil && p.Oracle != nil {
 			r.delta.OracleLookups++
@@ -268,6 +278,9 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 		r.keep = true
 		return r
 	})
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	out := rows[:0]
 	for i, r := range results {
 		p.stats.add(r.delta)

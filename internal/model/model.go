@@ -163,13 +163,13 @@ type Rereg struct {
 // delete list, its prior registration metadata, and — if the name was taken
 // again — the re-registration event.
 //
-// A study holds millions of these, so the row is a packed value (56 bytes,
+// A study holds millions of these, so the row is a packed value (48 bytes,
 // one pointer word) and a dataset is one contiguous []Observation: instants
 // are stored instants (simtime.PackTime) — second precision, as the RDAP
-// data, the registry and the dataset's CSV have — registrar IDs are 32 bits
-// wide, the delete day is in simtime.Day.Pack form, and the TLD is read off
-// the name. Rows are built by NewObservation and read through the accessors;
-// two rows are equal exactly when == says so.
+// data, the registry and the dataset's CSV have — the delete day is a stored
+// day (simtime.Day.Pack), registrar IDs are 16 bits wide (IANA's are four
+// digits), and the TLD is read off the name. Rows are built by NewObservation
+// and read through the accessors; two rows are equal exactly when == says so.
 type Observation struct {
 	// Name is the fully qualified, lowercase domain name.
 	Name string
@@ -179,9 +179,9 @@ type Observation struct {
 	priorUpdated   uint32
 	priorExpiry    uint32
 	reregAt        uint32 // zero unless flagRereg
-	priorRegistrar int32
-	reregRegistrar int32 // zero unless flagRereg
-	deleteDay      int32
+	priorRegistrar uint16
+	reregRegistrar uint16 // zero unless flagRereg
+	deleteDay      uint16
 	flags          uint8
 }
 
@@ -195,7 +195,8 @@ const (
 // Browsing-style label collected ≥9 weeks after the re-registration and must
 // be false without one. Instants are stored as whole UTC seconds, fractions
 // dropped. What a row cannot hold exactly — an instant outside the stored
-// range, a registrar ID beyond 32 bits, a delete day Pack refuses — is an
+// range, a registrar ID outside 0 … 65 535, a delete day outside 1970-01-02 …
+// 2149-06-06 or not a calendar date (the zero Day, "none", fits) — is an
 // error.
 func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
 	day, ok := deleteDay.Pack()
@@ -203,14 +204,23 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 		return Observation{}, fmt.Errorf("model: %s: delete day %v not representable", name, deleteDay)
 	}
 	at := [...]time.Time{prior.Created, prior.Updated, prior.Expiry, {}}
+	registrar := [...]int{prior.RegistrarID, 0}
 	if rereg != nil {
-		at[3] = rereg.Time
+		at[3], registrar[1] = rereg.Time, rereg.RegistrarID
 	}
 	var stored [len(at)]uint32
 	for i, t := range at {
 		if stored[i], ok = simtime.PackTime(simtime.Trunc(t)); !ok {
 			return Observation{}, fmt.Errorf("model: %s: instant %v not representable", name, t)
 		}
+	}
+	for _, id := range registrar {
+		if id < 0 || id > math.MaxUint16 {
+			return Observation{}, fmt.Errorf("model: %s: registrar ID %d not representable", name, id)
+		}
+	}
+	if rereg == nil && malicious {
+		return Observation{}, fmt.Errorf("model: %s: malicious label without a re-registration", name)
 	}
 	o := Observation{
 		Name:           name,
@@ -219,21 +229,12 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 		priorUpdated:   stored[1],
 		priorExpiry:    stored[2],
 		reregAt:        stored[3],
-		priorRegistrar: int32(prior.RegistrarID),
+		priorRegistrar: uint16(registrar[0]),
+		reregRegistrar: uint16(registrar[1]),
 		deleteDay:      day,
 	}
-	switch {
-	case int(o.priorRegistrar) != prior.RegistrarID:
-		return Observation{}, fmt.Errorf("model: %s: registrar ID %d not representable", name, prior.RegistrarID)
-	case rereg == nil && malicious:
-		return Observation{}, fmt.Errorf("model: %s: malicious label without a re-registration", name)
-	case rereg == nil:
-		return o, nil
-	}
-	o.flags = flagRereg
-	o.reregRegistrar = int32(rereg.RegistrarID)
-	if int(o.reregRegistrar) != rereg.RegistrarID {
-		return Observation{}, fmt.Errorf("model: %s: registrar ID %d not representable", name, rereg.RegistrarID)
+	if rereg != nil {
+		o.flags = flagRereg
 	}
 	if malicious {
 		o.flags |= flagMalicious

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -102,8 +103,8 @@ func TestSameDayRereg(t *testing.T) {
 // TestObservationRowLayout pins the dataset row and the deletion event to
 // the sizes the study's memory budget is built on.
 func TestObservationRowLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Observation{}); got > 56 {
-		t.Fatalf("Observation is %d bytes, budget 56", got)
+	if got := unsafe.Sizeof(Observation{}); got > 48 {
+		t.Fatalf("Observation is %d bytes, budget 48", got)
 	}
 	if got := unsafe.Sizeof(DeletionEvent{}); got > 32 {
 		t.Fatalf("DeletionEvent is %d bytes, budget 32", got)
@@ -117,12 +118,12 @@ func TestObservationRoundTrip(t *testing.T) {
 	cet := time.FixedZone("CET", 3600)
 	prior := PriorRegistration{
 		ID:          1<<63 + 5,
-		RegistrarID: 1<<31 - 1,
+		RegistrarID: 1<<16 - 1,
 		Created:     time.Unix(0, 0).UTC(),
 		Updated:     time.Date(2017, 11, 28, 7, 0, 0, 0, cet),
 		Expiry:      time.Date(2017, 10, 1, 0, 0, 0, 999, time.UTC),
 	}
-	rereg := &Rereg{Time: time.Date(2018, 1, 2, 19, 0, 3, 0, time.UTC), RegistrarID: -7}
+	rereg := &Rereg{Time: time.Date(2018, 1, 2, 19, 0, 3, 0, time.UTC), RegistrarID: 1}
 	o := mustObs(t, "shop.example.com", day, prior, rereg, true)
 
 	want := prior
@@ -138,7 +139,7 @@ func TestObservationRoundTrip(t *testing.T) {
 	if o.TLD() != COM || o.DeleteDay() != day {
 		t.Fatalf("TLD %q, day %v", o.TLD(), o.DeleteDay())
 	}
-	if !o.Reregistered() || o.ReregTime() != rereg.Time || o.ReregRegistrar() != -7 || !o.Malicious() {
+	if !o.Reregistered() || o.ReregTime() != rereg.Time || o.ReregRegistrar() != 1 || !o.Malicious() {
 		t.Fatalf("rereg %v at %v by %d, malicious %v", o.Reregistered(), o.ReregTime(), o.ReregRegistrar(), o.Malicious())
 	}
 	if again := mustObs(t, "shop.example.com", day, o.Prior(), rereg, true); again != o {
@@ -152,19 +153,48 @@ func TestObservationRoundTrip(t *testing.T) {
 	if !plain.PriorCreated().IsZero() {
 		t.Fatalf("the zero instant came back as %v", plain.PriorCreated())
 	}
+
+	// Both ends of the delete day's and the registrar IDs' ranges.
+	for _, d := range []simtime.Day{{Year: 1970, Month: time.January, Dom: 2}, {Year: 2149, Month: time.June, Dom: 6}} {
+		for _, id := range []int{0, 1, 1<<16 - 1} {
+			at := d.At(19, 0, 0)
+			if at.After(lastStored) {
+				at = lastStored
+			}
+			o := mustObs(t, "a.com", d, PriorRegistration{RegistrarID: id}, &Rereg{Time: at, RegistrarID: id}, false)
+			if o.DeleteDay() != d || o.PriorRegistrar() != id || o.ReregRegistrar() != id || !o.Reregistered() {
+				t.Fatalf("day %v, registrar %d read back as %v, %d, %d", d, id, o.DeleteDay(), o.PriorRegistrar(), o.ReregRegistrar())
+			}
+		}
+	}
 }
 
 func TestNewObservationRefusesUnrepresentable(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 2}
 	cases := map[string]func() (Observation, error){
-		"prior registrar beyond int32": func() (Observation, error) {
-			return NewObservation("a.com", day, PriorRegistration{RegistrarID: 1 << 31}, nil, false)
+		"prior registrar 65 536": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{RegistrarID: 1 << 16}, nil, false)
 		},
-		"rereg registrar beyond int32": func() (Observation, error) {
-			return NewObservation("a.com", day, PriorRegistration{}, &Rereg{RegistrarID: -(1 << 31) - 1}, false)
+		"prior registrar -1": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{RegistrarID: -1}, nil, false)
 		},
-		"delete day beyond the packed range": func() (Observation, error) {
-			return NewObservation("a.com", simtime.Day{Year: 1 << 21, Month: 1, Dom: 1}, PriorRegistration{}, nil, false)
+		"rereg registrar 65 536": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{}, &Rereg{RegistrarID: 1 << 16}, false)
+		},
+		"rereg registrar -65 535 (wraps to 1)": func() (Observation, error) {
+			return NewObservation("a.com", day, PriorRegistration{}, &Rereg{RegistrarID: -(1<<16 - 1)}, false)
+		},
+		"delete day number 0": func() (Observation, error) {
+			return NewObservation("a.com", simtime.Day{Year: 1970, Month: 1, Dom: 1}, PriorRegistration{}, nil, false)
+		},
+		"delete day number -1": func() (Observation, error) {
+			return NewObservation("a.com", simtime.Day{Year: 1969, Month: 12, Dom: 31}, PriorRegistration{}, nil, false)
+		},
+		"delete day number 65 536": func() (Observation, error) {
+			return NewObservation("a.com", simtime.Day{Year: 2149, Month: 6, Dom: 7}, PriorRegistration{}, nil, false)
+		},
+		"delete day 30 February": func() (Observation, error) {
+			return NewObservation("a.com", simtime.Day{Year: 2018, Month: 2, Dom: 30}, PriorRegistration{}, nil, false)
 		},
 		"malicious without a re-registration": func() (Observation, error) {
 			return NewObservation("a.com", day, PriorRegistration{}, nil, true)
@@ -183,8 +213,10 @@ func TestNewObservationRefusesUnrepresentable(t *testing.T) {
 		},
 	}
 	for name, build := range cases {
-		if _, err := build(); err == nil {
-			t.Errorf("%s: accepted", name)
+		if o, err := build(); err == nil {
+			t.Errorf("%s: accepted as %+v", name, o)
+		} else if !strings.Contains(err.Error(), "a.com") {
+			t.Errorf("%s: error %q does not name the row", name, err)
 		}
 	}
 }

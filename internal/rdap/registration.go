@@ -57,17 +57,18 @@ func (d *DomainResponse) registrarID() (int, error) {
 
 // decodeRegistration is decodeDomainResponse followed by Registration —
 // the same value, or an error of the same kind — without the object in
-// between when the body is what this package's server renders.
-// FuzzRegistrationMatchesDomain pins the equivalence.
-func decodeRegistration(body []byte) (model.PriorRegistration, error) {
+// between when the body is what this package's server renders; full reports
+// that it was not. FuzzRegistrationMatchesDomain pins the equivalence.
+func decodeRegistration(body []byte) (reg model.PriorRegistration, full bool, err error) {
 	if reg, ok := walkRegistration(body); ok {
-		return reg, nil
+		return reg, false, nil
 	}
 	var dr DomainResponse
 	if err := decodeDomainResponse(body, &dr); err != nil {
-		return model.PriorRegistration{}, err
+		return model.PriorRegistration{}, true, err
 	}
-	return dr.Registration()
+	reg, err = dr.Registration()
+	return reg, true, err
 }
 
 // domainLayout is appendDomain's rendering cut after each key whose value is

@@ -6,11 +6,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,6 +21,8 @@ import (
 
 	"dropzero/internal/inproc"
 	"dropzero/internal/model"
+	"dropzero/internal/names"
+	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
 )
@@ -176,7 +180,7 @@ func FuzzDecodeDomainMatchesJSON(f *testing.F) {
 // error alike.
 func checkRegistration(t *testing.T, body []byte) (accepted bool) {
 	t.Helper()
-	got, gotErr := decodeRegistration(body)
+	got, _, gotErr := decodeRegistration(body)
 	var dr DomainResponse
 	want, wantErr := model.PriorRegistration{}, decodeDomainResponse(body, &dr)
 	if wantErr == nil {
@@ -225,7 +229,7 @@ func TestRegistrationMatchesDomain(t *testing.T) {
 		registrationBody(`"9"`, `[`+event("registration", 1)+`]`, `[`+entity("1", "registrar")+`]`):                                                        true,
 		registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[`+entity("1", "reseller")+`]`): true,
 	} {
-		if _, err := decodeRegistration([]byte(body)); err == nil || errors.Is(err, ErrMalformed) != wantMalformed {
+		if _, _, err := decodeRegistration([]byte(body)); err == nil || errors.Is(err, ErrMalformed) != wantMalformed {
 			t.Errorf("decodeRegistration(%.60q) = %v, want ErrMalformed %v", body, err, wantMalformed)
 		}
 	}
@@ -615,5 +619,80 @@ func TestLookupAllocBudget(t *testing.T) {
 			t.Errorf("%s, allocs per lookup: cold %.0f (budget %.0f), warm %.0f (%.0f), not found %.0f (%.0f)",
 				tc.name, cold, tc.cold, warm, tc.warm, notFound, tc.notFound)
 		}
+	}
+}
+
+// TestStudyLookupsNeverFullDecode guards the study's throughput: every shape
+// of answer the study's lookups meet — each storable status under each
+// accreditation of the simulator's directory (real contact data: the
+// sponsors the seeder and the market put names under; a store holds no name
+// under a sponsor it has no record of) — is read by the one-pass reader,
+// through the bound client and over HTTP. A renderer change that leaves walkRegistration's
+// layout behind still decodes correctly through the fallback, at about twice
+// the cost per lookup; only this counter shows it.
+func TestStudyLookupsNeverFullDecode(t *testing.T) {
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
+	store := registry.NewStore(simtime.NewSimClock(day.At(9, 0, 0)))
+	rng := rand.New(rand.NewSource(7))
+	dir := registrars.BuildDirectory(rng)
+	var sponsors []int
+	for _, r := range dir.Registrars() {
+		store.AddRegistrar(r)
+		sponsors = append(sponsors, r.IANAID)
+	}
+	gen := names.NewGenerator(rng)
+	var want []*model.Domain
+	for i, sponsor := range sponsors {
+		for _, status := range []model.Status{model.StatusActive, model.StatusAutoRenew, model.StatusRedemption, model.StatusPendingDelete} {
+			due := simtime.Day{}
+			if status == model.StatusPendingDelete {
+				due = day.AddDays(i % 5)
+			}
+			updated := day.AddDays(-35).At(6, 30, i%60)
+			name := gen.Next().Label + "." + string([]model.TLD{model.COM, model.NET}[i%2])
+			d, err := store.SeedAt(name, sponsor, updated.AddDate(-1-i%15, 0, 0), updated, updated.AddDate(0, 0, -30), status, due)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, d)
+		}
+	}
+	srv := NewServer(store, ServerConfig{})
+	overHTTP, err := NewClient("http://rdap.test", inproc.Client(srv.Handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for transport, client := range map[string]*Client{"bound": NewBoundClient(srv), "http": overHTTP} {
+		for _, d := range want {
+			reg, err := client.Registration(context.Background(), d.Name)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", transport, d.Name, err)
+			}
+			if reg.ID != d.ID || reg.RegistrarID != d.RegistrarID || !reg.Created.Equal(d.Created) || !reg.Updated.Equal(d.Updated) || !reg.Expiry.Equal(d.Expiry) {
+				t.Fatalf("%s: %s read as %+v, stored %+v", transport, d.Name, reg, d)
+			}
+		}
+		if n := client.FullDecodes(); n != 0 {
+			t.Errorf("%s: %d of %d lookups fell through to the full decoder", transport, n, len(want))
+		}
+	}
+
+	// The counter counts: the same object with two keys the other way round
+	// decodes to the same registration, through the full decoder.
+	body, _ := srv.appendDomain(nil, want[0])
+	handle, rest, _ := bytes.Cut(bytes.TrimPrefix(body, []byte(`{"objectClassName":"domain",`)), []byte(`,`))
+	swapped := slices.Concat([]byte(`{`), handle, []byte(`,"objectClassName":"domain",`), rest)
+	if len(swapped) != len(body) || !bytes.HasPrefix(handle, []byte(`"handle":`)) {
+		t.Fatalf("no keys swapped in %s", body)
+	}
+	other, err := NewClient("http://rdap.test", inproc.Client(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write(swapped)
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := other.Registration(context.Background(), want[0].Name)
+	if err != nil || reg.ID != want[0].ID || other.FullDecodes() != 1 {
+		t.Fatalf("a reordered body: %+v, %v, %d full decodes", reg, err, other.FullDecodes())
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"dropzero/internal/model"
@@ -78,7 +77,7 @@ func newRecord(d *model.Domain) (record, error) {
 // domain materialises the record as the model.Domain value it was built
 // from.
 func (r *record) domain() model.Domain {
-	d := model.Domain{
+	return model.Domain{
 		ID:          r.id,
 		Name:        r.name,
 		TLD:         r.tld(),
@@ -87,11 +86,8 @@ func (r *record) domain() model.Domain {
 		Updated:     simtime.UnpackTime(r.updated),
 		Expiry:      simtime.UnpackTime(r.expiry),
 		Status:      r.status,
+		DeleteDay:   simtime.UnpackDay(r.deleteDay),
 	}
-	if r.deleteDay != 0 {
-		d.DeleteDay = simtime.DayNumbered(int64(r.deleteDay))
-	}
-	return d
 }
 
 // tldLenMask is the low six bits of record.meta: a TLD is one DNS label, at
@@ -124,15 +120,12 @@ func storedTime(t time.Time) (uint32, error) {
 	return 0, fmt.Errorf("%w: timestamp %v", errUnrepresentable, t)
 }
 
-// packDay is d in its stored form: 0 for the zero Day, otherwise its day
-// number — 1970-01-02 through 2149-06-06. Any other day, and any Day that is
-// not a calendar date (it would come back normalised), is refused.
+// packDay is simtime.Day.Pack — 0 for the zero Day, otherwise the day number,
+// 1970-01-02 through 2149-06-06 — with what does not fit, a Day that is not a
+// calendar date included, as the store's refusal.
 func packDay(d simtime.Day) (uint16, error) {
-	if d == (simtime.Day{}) {
-		return 0, nil
-	}
-	if n := d.Number(); n >= 1 && n <= math.MaxUint16 && simtime.DayNumbered(n) == d {
-		return uint16(n), nil
+	if v, ok := d.Pack(); ok {
+		return v, nil
 	}
 	return 0, fmt.Errorf("%w: delete day %v", errUnrepresentable, d)
 }

@@ -11,6 +11,7 @@ import (
 
 	"dropzero/internal/journal"
 	"dropzero/internal/loadgen"
+	"dropzero/internal/par"
 	"dropzero/internal/registry"
 )
 
@@ -368,10 +369,12 @@ func (f *Follower) applyBatch(raw []byte, first, last uint64, scratch []registry
 	}
 	// Application records (the sim driver's checkpoints) are persisted
 	// above like everything else — recovery and promotion see them — but
-	// only registry mutations replay into the store. One worker: in steady
-	// state a batch is a group commit, too small to repay a fan-out, and the
-	// replica's cores are serving reads.
-	if err := f.store.ApplyBatch(scratch, 1); err != nil {
+	// only registry mutations replay into the store, across the shards on
+	// every core: a catch-up batch (512 KiB, some 7 k records) is the same
+	// bytes local recovery replays that way, and nothing is served until it
+	// is applied. A steady-state batch is one commit, which ApplyBatch
+	// applies inline whatever the worker count.
+	if err := f.store.ApplyBatch(scratch, par.Workers(0)); err != nil {
 		return scratch, f.setFatal(err)
 	}
 	f.applied.Store(last)

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,6 +269,60 @@ func TestReplicaMatchesPrimaryBytes(t *testing.T) {
 	if sm.SnapshotsSent != 1 || sm.ShippedRecords == 0 {
 		t.Errorf("source metrics off: %+v", sm)
 	}
+}
+
+// TestFollowerCatchUpBatchAppliesOnEveryCore: a bootstrapping follower
+// receives the primary's WAL tail in batches of thousands of records and
+// applies each across the shards on every core; creates, state changes and
+// a day's purges land in the store a one-worker apply builds — same
+// generation, same rank-ordered deletion archive, same bytes on every read
+// surface.
+func TestFollowerCatchUpBatchAppliesOnEveryCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const dropped = 1024
+	clock := simtime.NewSimClock(testStart.At(0, 0, 0))
+	store := registry.NewStoreWithShards(clock, 8)
+	jnl, _, err := journal.Open(store, journal.Options{Dir: t.TempDir(), Mode: journal.ModeAsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	store.SetJournal(jnl)
+	names := seedPrimary(t, store, 3*dropped)
+	dropDay := testStart.AddDays(3)
+	clock.Set(dropDay.At(19, 0, 0))
+	runner := registry.NewDropRunner(store, registry.DropConfig{StartHour: 19, BaseRatePerSec: 100})
+	events, err := runner.Run(dropDay, rand.New(rand.NewSource(1)))
+	if err != nil || len(events) != dropped {
+		t.Fatalf("dropped %d names: %v", len(events), err)
+	}
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	src := NewSource(jnl, SourceConfig{})
+	defer src.Close()
+	fstore := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), 8)
+	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.Start()
+	waitApplied(t, f, jnl.LastSeq())
+
+	if m := f.Metrics(); m.Records < 5*dropped || m.Records < 1000*m.Batches {
+		t.Fatalf("%d records in %d batches: the tail did not arrive as catch-up batches", m.Records, m.Batches)
+	}
+	if pg, fg := store.Generation(), fstore.Generation(); pg != fg {
+		t.Fatalf("generation diverged: primary %d, replica %d", pg, fg)
+	}
+	if got := fstore.Deletions(dropDay); !slices.Equal(got, events) {
+		t.Fatalf("replica archived %d deletions on %v, primary %d, or in another order", len(got), dropDay, len(events))
+	}
+	sample := append([]string{}, names[:12]...)
+	sample = append(sample, names[len(names)-6:]...)
+	diffSurfaces(t, renderSurfaces(t, store, sample), renderSurfaces(t, fstore, sample))
 }
 
 // limitConn severs a connection after the follower has read n bytes,

@@ -42,7 +42,8 @@ func (r *Result) ZoneDelays() []ZoneDelay {
 	for day, truths := range r.Truths {
 		events := r.Deletions[day]
 		for k, truth := range truths {
-			if truth.Claim == nil {
+			_, delay, ok := truth.Claim()
+			if !ok {
 				continue
 			}
 			name := events[k].Name
@@ -54,7 +55,7 @@ func (r *Result) ZoneDelays() []ZoneDelay {
 			if !ok {
 				continue
 			}
-			out = append(out, ZoneDelay{Zone: zn, Policy: policyOf[zn], Name: name, Delay: truth.Claim.Delay})
+			out = append(out, ZoneDelay{Zone: zn, Policy: policyOf[zn], Name: name, Delay: delay})
 		}
 	}
 	slices.SortFunc(out, func(a, b ZoneDelay) int {

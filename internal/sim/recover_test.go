@@ -62,9 +62,9 @@ func resultDump(t *testing.T, res *Result) string {
 		for k, tr := range res.Truths[d] {
 			ev := res.Deletions[d][k]
 			fmt.Fprintf(&b, "%s value=%.6f age=%d deleted=%s",
-				ev.Name, tr.Value, tr.AgeYears, ev.Time().UTC().Format(time.RFC3339Nano))
-			if tr.Claim != nil {
-				fmt.Fprintf(&b, " claim=%s/%d delay=%s", tr.Claim.Service, tr.Claim.RegistrarID, tr.Claim.Delay)
+				ev.Name, tr.Value, tr.AgeYears(), ev.Time().UTC().Format(time.RFC3339Nano))
+			if registrar, delay, ok := tr.Claim(); ok {
+				fmt.Fprintf(&b, " claim=%s/%d delay=%s", res.Directory.ServiceOf(registrar), registrar, delay)
 			}
 			b.WriteByte('\n')
 		}

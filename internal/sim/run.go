@@ -23,17 +23,6 @@ import (
 	"dropzero/internal/zone"
 )
 
-// Truth is the simulator's ground truth for one deletion, used only by the
-// inference-accuracy ablations and calibration tests. It carries no name and
-// no instant of its own: Result.Truths[d][k] describes Result.Deletions[d][k],
-// whose Name and Time they are.
-type Truth struct {
-	Value    float64
-	AgeYears int
-	// Claim is nil when the market left the name unregistered.
-	Claim *registrars.Claim
-}
-
 // Result is everything a study produces.
 type Result struct {
 	Config Config
@@ -463,7 +452,11 @@ func Run(cfg Config) (*Result, error) {
 					DropEnd:   dropEnd,
 				}
 				claim := lane.market.Decide(lot)
-				dayTruths = append(dayTruths, Truth{Value: m.value, AgeYears: m.ageYears, Claim: claim})
+				truth, err := newTruth(ev.Name, m.value, m.ageYears, claim)
+				if err != nil {
+					return nil, err
+				}
+				dayTruths = append(dayTruths, truth)
 				if claim == nil {
 					continue
 				}

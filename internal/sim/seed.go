@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"time"
 
 	"dropzero/internal/model"
@@ -123,19 +124,28 @@ func (s *seeder) pickSponsor() int {
 // that is .com volume plus the .net share, the published (and measured)
 // volume counting .com only, like the paper's Figure 1. Single-TLD zones
 // have no interleave.
+//
+// The day's names are spelled into one string and each spec's name is a slice
+// of it: one allocation per seeded day instead of one per name. Everything
+// that goes on to hold a name — spec, store, deletion event, dataset row —
+// holds those bytes and lives to the end of the study, so the arena pins
+// nothing a per-name string would have let go.
 func (s *seeder) specsForDay(day simtime.Day, comCount int, lifecycle registry.LifecycleConfig) []domainSpec {
 	count := comCount
 	if len(s.tlds) > 1 {
 		count += int(float64(comCount)*s.cfg.NetShare + 0.5)
 	}
+	tldOf := func(i int) model.TLD {
+		if i < comCount {
+			return s.tlds[0]
+		}
+		return s.tlds[1+(i-comCount)%(len(s.tlds)-1)]
+	}
 	out := make([]domainSpec, 0, count)
 	updatedDay := day.AddDays(-(lifecycle.RedemptionDays + lifecycle.PendingDeleteDays))
+	nameBytes := 0
 	for i := 0; i < count; i++ {
 		g := s.gen.Next()
-		tld := s.tlds[0]
-		if i >= comCount {
-			tld = s.tlds[1+(i-comCount)%(len(s.tlds)-1)]
-		}
 		sponsor := s.pickSponsor()
 		// The registrar deleted the whole day's batch at one instant; the
 		// per-registrar batch second is what makes last-updated ties big
@@ -145,7 +155,7 @@ func (s *seeder) specsForDay(day simtime.Day, comCount int, lifecycle registry.L
 		age := sampleAge(s.rng)
 		created := expiry.AddDate(-age, 0, 0).Add(-time.Duration(s.rng.Intn(86400)) * time.Second)
 		out = append(out, domainSpec{
-			name:        g.Label + "." + string(tld),
+			name:        g.Label, // the whole name once the day's arena is spelled, below
 			registrarID: sponsor,
 			created:     created,
 			updated:     updated,
@@ -153,6 +163,18 @@ func (s *seeder) specsForDay(day simtime.Day, comCount int, lifecycle registry.L
 			deleteDay:   day,
 			meta:        lotMeta{value: g.Value, ageYears: age},
 		})
+		nameBytes += len(g.Label) + 1 + len(tldOf(i))
+	}
+	// Grown once to its final size, the builder never moves its buffer, so
+	// every String() below is a view of the same bytes.
+	var arena strings.Builder
+	arena.Grow(nameBytes)
+	for i := range out {
+		start := arena.Len()
+		arena.WriteString(out[i].name)
+		arena.WriteByte('.')
+		arena.WriteString(string(tldOf(i)))
+		out[i].name = arena.String()[start:]
 	}
 	return out
 }

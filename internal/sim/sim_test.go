@@ -132,16 +132,17 @@ func TestRunGroundTruthConsistency(t *testing.T) {
 		if !ok {
 			t.Fatalf("no ground truth for %s", o.Name)
 		}
-		if o.Reregistered() != (truth.Claim != nil) {
-			t.Fatalf("%s rereg presence mismatch: obs=%v truth=%v", o.Name, o.Reregistered(), truth.Claim != nil)
+		registrar, delay, claimed := truth.Claim()
+		if o.Reregistered() != claimed {
+			t.Fatalf("%s rereg presence mismatch: obs=%v truth=%v", o.Name, o.Reregistered(), claimed)
 		}
 		if o.Reregistered() {
-			wantAt := simtime.Trunc(truth.DeletedAt.Add(truth.Claim.Delay))
+			wantAt := simtime.Trunc(truth.DeletedAt.Add(delay))
 			if !o.ReregTime().Equal(wantAt) {
 				t.Fatalf("%s observed rereg %v != truth %v", o.Name, o.ReregTime(), wantAt)
 			}
-			if svc := res.Directory.ServiceOf(o.ReregRegistrar()); svc != truth.Claim.Service {
-				t.Fatalf("%s rereg service %q != claim %q", o.Name, svc, truth.Claim.Service)
+			if o.ReregRegistrar() != registrar {
+				t.Fatalf("%s rereg registrar %d != claim %d", o.Name, o.ReregRegistrar(), registrar)
 			}
 		}
 	}

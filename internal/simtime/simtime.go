@@ -125,21 +125,28 @@ func (d Day) Compare(other Day) int {
 	return d.Dom - other.Dom
 }
 
-// Pack returns d in 32 bits as year<<9 | month<<5 | dom, and whether d fits
-// (|year| < 2^21, month ≤ 15, dom ≤ 31 — every calendar day does). The zero
-// Day packs to 0, packed values order like Compare, and UnpackDay returns
-// exactly d: the form a day takes in the study dataset's rows (the registry's
-// records hold a day's Number).
-func (d Day) Pack() (int32, bool) {
-	if d.Year < -(1<<21) || d.Year >= 1<<21 || d.Month < 0 || d.Month > 15 || d.Dom < 0 || d.Dom > 31 {
-		return 0, false
+// Pack returns d as a stored day — the 16-bit form the registry's records and
+// the study dataset's rows share: 0 for the zero Day, otherwise d's Number,
+// 1970-01-02 through 2149-06-06 (1970-01-01 itself would be number 0). Any
+// other day, and any Day that is not a calendar date (30 February would come
+// back as 2 March), does not fit: ok is false and nothing is normalised or
+// wrapped. Stored calendar days order like Compare.
+func (d Day) Pack() (v uint16, ok bool) {
+	if d == (Day{}) {
+		return 0, true
 	}
-	return int32(d.Year)<<9 | int32(d.Month)<<5 | int32(d.Dom), true
+	if n := d.Number(); n >= 1 && n <= math.MaxUint16 && DayNumbered(n) == d {
+		return uint16(n), true
+	}
+	return 0, false
 }
 
 // UnpackDay is the inverse of Pack.
-func UnpackDay(p int32) Day {
-	return Day{Year: int(p >> 9), Month: time.Month(p >> 5 & 15), Dom: int(p & 31)}
+func UnpackDay(v uint16) Day {
+	if v == 0 {
+		return Day{}
+	}
+	return DayNumbered(int64(v))
 }
 
 // Number returns d as a count of days since 1970-01-01 (negative before it):

@@ -160,16 +160,14 @@ func TestDayString(t *testing.T) {
 func TestDayPackRoundTripAndOrder(t *testing.T) {
 	days := []Day{
 		{},
-		{Year: -(1 << 21), Month: 1, Dom: 1},
-		{Year: -1, Month: 12, Dom: 31},
-		{Year: 0, Month: 1, Dom: 1},
+		{Year: 1970, Month: 1, Dom: 2},
 		{Year: 2017, Month: 12, Dom: 31},
 		{Year: 2018, Month: 1, Dom: 1},
 		{Year: 2018, Month: 1, Dom: 2},
-		{Year: 9999, Month: 12, Dom: 31},
-		{Year: 1<<21 - 1, Month: 12, Dom: 31},
+		{Year: 2020, Month: 2, Dom: 29},
+		{Year: 2149, Month: 6, Dom: 6},
 	}
-	packed := make([]int32, len(days))
+	packed := make([]uint16, len(days))
 	for i, d := range days {
 		p, ok := d.Pack()
 		if !ok {
@@ -180,8 +178,8 @@ func TestDayPackRoundTripAndOrder(t *testing.T) {
 		}
 		packed[i] = p
 	}
-	if packed[0] != 0 {
-		t.Fatalf("the zero Day packs to %d", packed[0])
+	if packed[0] != 0 || packed[1] != 1 || packed[len(packed)-1] != 1<<16-1 {
+		t.Fatalf("the zero Day, 1970-01-02 and 2149-06-06 pack to %d, %d, %d", packed[0], packed[1], packed[len(packed)-1])
 	}
 	// Calendar days (everything after the zero Day) order like Compare.
 	for i := 2; i < len(days); i++ {
@@ -189,13 +187,24 @@ func TestDayPackRoundTripAndOrder(t *testing.T) {
 			t.Fatalf("%v (%d) and %v (%d) out of order", days[i-1], packed[i-1], days[i], packed[i])
 		}
 	}
+	// Every stored value is some day's, and that day packs back to it.
+	for v := 0; v < 1<<16; v++ {
+		if p, ok := UnpackDay(uint16(v)).Pack(); !ok || p != uint16(v) {
+			t.Fatalf("stored day %d unpacks to %v, which packs to %d, %v", v, UnpackDay(uint16(v)), p, ok)
+		}
+	}
 	for _, d := range []Day{
-		{Year: 1 << 21, Month: 1, Dom: 1}, {Year: -(1 << 21) - 1, Month: 1, Dom: 1},
-		{Year: 2018, Month: 16, Dom: 1}, {Year: 2018, Month: -1, Dom: 1},
-		{Year: 2018, Month: 1, Dom: 32}, {Year: 2018, Month: 1, Dom: -1},
+		{Year: 1970, Month: 1, Dom: 1}, // day number 0 is "none"
+		{Year: 1969, Month: 12, Dom: 31},
+		{Year: 2149, Month: 6, Dom: 7}, // day number 65 536
+		{Year: 9999, Month: 12, Dom: 31},
+		{Year: 2018, Month: 2, Dom: 30}, // would come back as 2 March
+		{Year: 2018, Month: 13, Dom: 1},
+		{Year: 2018, Month: 1, Dom: 0},
+		{Year: 2018},
 	} {
-		if _, ok := d.Pack(); ok {
-			t.Errorf("%+v packs", d)
+		if p, ok := d.Pack(); ok {
+			t.Errorf("%+v packs to %d", d, p)
 		}
 	}
 }
