@@ -38,6 +38,7 @@ import (
 	"dropzero/internal/registry"
 	"dropzero/internal/repl"
 	"dropzero/internal/safebrowsing"
+	"dropzero/internal/serve"
 	"dropzero/internal/simtime"
 	"dropzero/internal/whois"
 	"dropzero/internal/zone"
@@ -204,7 +205,7 @@ func main() {
 	// and fsynced on N followers" — the zero-acked-loss failover contract.
 	if *replListen != "" {
 		source = repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: *syncFollowers, Logf: log.Printf})
-		listen("replication", *replListen, source.Listen)
+		listen("replication", *replListen, source)
 		defer source.Close()
 		if *syncFollowers > 0 {
 			store.SetJournal(feed.Tap{Inner: &repl.SyncJournal{J: jnl, S: source}, Hub: hub})
@@ -221,53 +222,46 @@ func main() {
 		Credentials: dir.Credentials(),
 		CreateBurst: 20,
 		CreateRate:  5,
-		Verbose:     true,
+		Logf:        log.Printf,
 		Poll:        poll,
 		ReadOnly:    isReplica,
 	})
-	listen("EPP", *eppAddr, eppSrv.Listen)
+	listen("EPP", *eppAddr, eppSrv)
 	defer eppSrv.Close()
 
 	rdapSrv := rdap.NewServer(store, rdap.ServerConfig{})
-	listen("RDAP", *rdapAddr, rdapSrv.Listen)
+	listen("RDAP", *rdapAddr, rdapSrv)
 	defer rdapSrv.Close()
 
 	whoisSrv := whois.NewServer(store)
-	listen("WHOIS", *whoisAddr, whoisSrv.Listen)
+	listen("WHOIS", *whoisAddr, whoisSrv)
 	defer whoisSrv.Close()
 
 	scopeSrv := dropscope.NewServer(store)
 	if hub != nil {
 		scopeSrv.AttachFeed(hub)
 	}
-	listen("pending-delete list", *scopeAddr, scopeSrv.Listen)
+	listen("pending-delete list", *scopeAddr, scopeSrv)
 	defer scopeSrv.Close()
 
 	oracle := safebrowsing.NewOracle()
-	listen("oracle", *oracleAddr, oracle.Listen)
+	listen("oracle", *oracleAddr, oracle)
 	defer oracle.Close()
 
 	dnsSrv := dns.NewServer(store)
-	listen("DNS (udp)", *dnsAddr, dnsSrv.Listen)
+	listen("DNS (udp)", *dnsAddr, dnsSrv)
 	defer dnsSrv.Close()
 
 	zoneSrv := zonefile.NewServer(store)
-	listen("zone files", *zoneAddr, zoneSrv.Listen)
+	listen("zone files", *zoneAddr, zoneSrv)
 	defer zoneSrv.Close()
 
 	if *debugAddr != "" {
 		publishDebugVars(store, eppSrv, rdapSrv, whoisSrv, scopeSrv, hub, &jnlVar)
 		publishReplVars(source, follower)
-		ln, err := net.Listen("tcp", *debugAddr)
-		if err != nil {
-			log.Fatalf("debug: %v", err)
-		}
-		fmt.Printf("%-20s http://%s/debug/pprof and /debug/vars\n", "debug:", ln.Addr())
-		go func() {
-			if err := http.Serve(ln, nil); err != nil {
-				log.Printf("debug: serve error: %v", err)
-			}
-		}()
+		debugSrv := serve.NewHTTP("debug", http.DefaultServeMux)
+		listen("debug", *debugAddr, debugSrv)
+		defer debugSrv.Close()
 	}
 
 	fmt.Printf("registry live: %d domains, %d accreditations (%d store shards)\n",
@@ -422,10 +416,10 @@ func main() {
 					log.Printf("journal: flushed and closed (%d bytes, %d fsyncs)", m.WALBytes, m.WALFsyncs)
 				}
 			}
-			logSurface("RDAP", rdapSrv.Metrics().Requests, rdapSrv.Metrics().Cache, rdapSrv.ServeErr())
-			logSurface("WHOIS", whoisSrv.Metrics().Requests, whoisSrv.Metrics().Cache, whoisSrv.ServeErr())
+			logSurface("RDAP", rdapSrv.Metrics().Requests, rdapSrv.Metrics().Cache)
+			logSurface("WHOIS", whoisSrv.Metrics().Requests, whoisSrv.Metrics().Cache)
 			sm := scopeSrv.Metrics()
-			logSurface("pending-delete list", sm.Requests, sm.Cache, scopeSrv.ServeErr())
+			logSurface("pending-delete list", sm.Requests, sm.Cache)
 			if sm.WriteErrors > 0 {
 				log.Printf("pending-delete list: %d failed body writes", sm.WriteErrors)
 			}
@@ -436,8 +430,10 @@ func main() {
 					fm.Records, fm.Batches, fm.Ops, fm.SubscribersTotal,
 					fm.SlowDrops, fm.Resumes, fm.Resets, lag.P50(), lag.P99())
 			}
-			if err := oracle.ServeErr(); err != nil {
-				log.Printf("oracle: serve error: %v", err)
+			for _, s := range surfaces {
+				if err := s.srv.ServeErr(); err != nil {
+					log.Printf("%s: serve error: %v", s.name, err)
+				}
 			}
 			return
 		}
@@ -567,22 +563,33 @@ func publishReplVars(source *repl.Source, follower *repl.Follower) {
 	}
 }
 
-// logSurface prints one surface's request count and cache effectiveness,
-// plus any background serve failure that would otherwise be lost.
-func logSurface(name string, requests uint64, cache gencache.Counters, serveErr error) {
+// logSurface prints one surface's request count and cache effectiveness.
+func logSurface(name string, requests uint64, cache gencache.Counters) {
 	log.Printf("%s: %d requests, cache %d/%d hits (%.1f%% hit ratio)",
 		name, requests, cache.Hits, cache.Hits+cache.Misses, 100*cache.HitRatio())
-	if serveErr != nil {
-		log.Printf("%s: serve error: %v", name, serveErr)
-	}
 }
 
-func listen(name, addr string, fn func(string) (net.Addr, error)) {
-	got, err := fn(addr)
+// surface is a listening server that can report a background serve failure:
+// every one this process starts but DNS, which has no accept loop.
+type surface struct {
+	name string
+	srv  interface{ ServeErr() error }
+}
+
+// surfaces is what listen started, for the shutdown report.
+var surfaces []surface
+
+func listen(name, addr string, srv interface {
+	Listen(string) (net.Addr, error)
+}) {
+	got, err := srv.Listen(addr)
 	if err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
 	fmt.Printf("%-20s %s\n", name+":", got.String())
+	if s, ok := srv.(interface{ ServeErr() error }); ok {
+		surfaces = append(surfaces, surface{name, s})
+	}
 }
 
 // zoneLifecycles builds one lifecycle engine per hosted zone: the default

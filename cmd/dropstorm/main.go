@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"sort"
@@ -39,6 +38,7 @@ import (
 	"dropzero/internal/model"
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 	"dropzero/internal/simtime"
 	"dropzero/internal/storm"
 	"dropzero/internal/zone"
@@ -118,6 +118,7 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	// hub IS the journal.
 	var (
 		hub       *feed.Hub
+		feedSrv   *serve.HTTP
 		subCancel context.CancelFunc
 		subWG     sync.WaitGroup
 	)
@@ -128,14 +129,13 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 		store.SetJournal(hub)
 		mux := http.NewServeMux()
 		hub.Register(mux, "")
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		feedSrv = serve.NewHTTP("feed", mux)
+		addr, err := feedSrv.Listen("127.0.0.1:0")
 		if err != nil {
 			return err
 		}
-		feedSrv := &http.Server{Handler: mux}
-		go feedSrv.Serve(ln)
 		defer feedSrv.Close()
-		base := "http://" + ln.Addr().String()
+		base := "http://" + addr.String()
 		ctx, cancel := context.WithCancel(context.Background())
 		subCancel = cancel
 		defer cancel()
@@ -341,6 +341,9 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	}
 	if rep.Creates.Errors > 0 {
 		failures = append(failures, fmt.Sprintf("%d transport/unexpected errors", rep.Creates.Errors))
+	}
+	if feedSrv != nil && feedSrv.ServeErr() != nil {
+		failures = append(failures, feedSrv.ServeErr().Error())
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "dropstorm: FAIL\n")

@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -32,6 +31,7 @@ import (
 	"dropzero/internal/gencache"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 	"dropzero/internal/simtime"
 )
 
@@ -66,12 +66,10 @@ var csvContentType = []string{"text/csv"}
 // strong ETag keyed on (store generation, date); requests with a matching
 // If-None-Match get 304 Not Modified.
 type Server struct {
-	store *registry.Store
-	http  *http.Server
-	mux   *http.ServeMux
-	ln    net.Listener
+	*serve.HTTP // Handler, Listen, ServeErr and Close
 
-	serveErr  atomic.Value // error from the background http.Serve
+	store     *registry.Store
+	mux       *http.ServeMux
 	requests  atomic.Uint64
 	hits      atomic.Uint64
 	misses    atomic.Uint64
@@ -107,7 +105,7 @@ func NewServer(store *registry.Store) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/pendingdelete", s.handleList)
 	s.mux = mux
-	s.http = &http.Server{Handler: mux}
+	s.HTTP = serve.NewHTTP("dropscope", mux)
 	return s
 }
 
@@ -117,37 +115,6 @@ func NewServer(store *registry.Store) *Server {
 func (s *Server) AttachFeed(hub *feed.Hub) {
 	hub.Register(s.mux, "")
 }
-
-// Handler exposes the HTTP handler for tests.
-func (s *Server) Handler() http.Handler { return s.http.Handler }
-
-// Listen binds addr and serves until Close. A background serve failure is
-// recorded and exposed through ServeErr.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("dropscope: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	go func() {
-		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.serveErr.Store(fmt.Errorf("dropscope: serve: %w", err))
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// ServeErr returns the first error the background http.Serve goroutine exited
-// with, or nil. A clean Close never records one.
-func (s *Server) ServeErr() error {
-	if err, ok := s.serveErr.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
-// Close stops the server.
-func (s *Server) Close() error { return s.http.Close() }
 
 // Metrics is a snapshot of the server's serving activity.
 type Metrics struct {

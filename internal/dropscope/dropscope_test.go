@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -510,12 +511,14 @@ func TestConcurrentGETsDuringDrop(t *testing.T) {
 func TestServeErrSurfaced(t *testing.T) {
 	store, _, _ := newEnv(t)
 	srv := NewServer(store)
-	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
+	srv.Serve(ln)
 	// Yank the listener out from under http.Serve: the accept loop fails
 	// with something other than ErrServerClosed.
-	srv.ln.Close()
+	ln.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ServeErr() == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

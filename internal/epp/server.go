@@ -4,13 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
-	"sync"
 	"sync/atomic"
 
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 	"dropzero/internal/simtime"
 )
 
@@ -23,10 +22,8 @@ type ServerConfig struct {
 	// bucket applied to create commands. Zero values disable rate limiting.
 	CreateBurst float64
 	CreateRate  float64
-	// Logf, when set, receives one line per connection error. Defaults to
-	// log.Printf when nil and Verbose is true; silent otherwise.
-	Logf    func(format string, args ...any)
-	Verbose bool
+	// Logf, when set, receives one line per connection error; nil is silent.
+	Logf func(format string, args ...any)
 	// Poll, when set, serves the offline-notification channel and should
 	// also be installed as the registry store's Observer so lifecycle and
 	// Drop events reach sponsors.
@@ -47,11 +44,12 @@ type Server struct {
 	counters *serverCounters
 	readOnly atomic.Bool
 
-	mu       sync.Mutex
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	wg       sync.WaitGroup
-	closed   bool
+	// Conns provides Listen, ServeConn, ServeErr and Close. ServeConn serves
+	// one already-established connection until it closes or the server shuts
+	// down: storm harnesses and benchmarks pass one end of a net.Pipe so the
+	// full framing and dispatch path runs at memory speed, byte-for-byte the
+	// TCP path.
+	*serve.Conns
 }
 
 // NewServer returns a Server over store.
@@ -59,8 +57,8 @@ func NewServer(store *registry.Store, clock simtime.Clock, cfg ServerConfig) *Se
 	s := &Server{
 		store: store, clock: clock, cfg: cfg,
 		counters: newServerCounters(),
-		conns:    make(map[net.Conn]struct{}),
 	}
+	s.Conns = serve.NewConns("epp", s.serveConn)
 	if cfg.CreateBurst > 0 && cfg.CreateRate > 0 {
 		s.limiter = NewLimiter(clock, cfg.CreateBurst, cfg.CreateRate)
 	}
@@ -78,87 +76,9 @@ func (s *Server) SetReadOnly(v bool) { s.readOnly.Store(v) }
 func (s *Server) ReadOnly() bool { return s.readOnly.Load() }
 
 func (s *Server) logf(format string, args ...any) {
-	switch {
-	case s.cfg.Logf != nil:
+	if s.cfg.Logf != nil {
 		s.cfg.Logf(format, args...)
-	case s.cfg.Verbose:
-		log.Printf(format, args...)
 	}
-}
-
-// Listen starts accepting connections on addr ("127.0.0.1:0" for an
-// ephemeral test port) and returns the bound address.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("epp: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	s.listener = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr(), nil
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.wg.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// Close stops the listener and all active connections, waiting for handler
-// goroutines to finish.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.listener
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
-// ServeConn serves one already-established connection until it closes or the
-// server shuts down. It is the building block of the in-process transport:
-// storm harnesses and benchmarks pass one end of a net.Pipe so the full
-// framing and dispatch path runs at memory speed, with the TCP path byte-for
-// -byte identical.
-func (s *Server) ServeConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	defer s.wg.Done()
-	s.serveConn(conn)
 }
 
 // ConnectInProc returns a client whose connection is a net.Pipe served by
@@ -178,13 +98,7 @@ type session struct {
 func (s *Server) serveConn(conn net.Conn) {
 	s.counters.conns.Add(1)
 	fr := newFrameReader(conn)
-	defer func() {
-		fr.release()
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
+	defer fr.release()
 	// One Request and one Response are reused for the life of the
 	// connection; frames are decoded through the connection's pooled reader
 	// and encoded with the append encoders, so a steady-state command costs

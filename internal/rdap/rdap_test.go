@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -452,10 +453,12 @@ func TestConcurrentDomainGETsDuringDrop(t *testing.T) {
 func TestRDAPServeErrSurfaced(t *testing.T) {
 	store, _ := newEnv(t, ServerConfig{})
 	srv := NewServer(store, ServerConfig{})
-	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ln.Close()
+	srv.Serve(ln)
+	ln.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ServeErr() == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

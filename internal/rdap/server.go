@@ -3,9 +3,7 @@ package rdap
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -16,12 +14,13 @@ import (
 	"dropzero/internal/jsonwire"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 )
 
-// DefaultCacheSize bounds the response cache when ServerConfig.CacheSize is
-// zero. Sized for the hot set of a bulk measurement sweep, not the whole
-// zone: the cache flushes wholesale on every store mutation anyway.
-const DefaultCacheSize = 32768
+// cacheSize bounds the response cache. Sized for the hot set of a bulk
+// measurement sweep, not the whole zone: the cache flushes wholesale on
+// every store mutation anyway.
+const cacheSize = 32768
 
 // ServerConfig parameterises an RDAP server.
 type ServerConfig struct {
@@ -29,8 +28,6 @@ type ServerConfig struct {
 	// returns for any domain they sponsor. Used to reproduce the Papaki-like
 	// failures that force clients onto the WHOIS fallback.
 	FailRegistrars map[int]int
-	// CacheSize caps the encoded-response cache; 0 means DefaultCacheSize.
-	CacheSize int
 }
 
 // cachedResponse is a fully encoded 200 body, immutable once built, plus the
@@ -62,12 +59,10 @@ var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
 // flushes the cache, so cached bytes are always identical to a fresh render
 // — a property the tests pin differentially.
 type Server struct {
-	store *registry.Store
-	cfg   ServerConfig
-	http  *http.Server
-	ln    net.Listener
+	*serve.HTTP // Handler, Listen, ServeErr and Close
 
-	serveErr atomic.Value // error from the background Serve goroutine
+	store    *registry.Store
+	cfg      ServerConfig
 	requests atomic.Uint64
 
 	cache *gencache.Cache[string, *cachedResponse]
@@ -83,14 +78,10 @@ type Server struct {
 // NewServer returns a Server over store with every currently accredited
 // registrar's entity fragment precomputed.
 func NewServer(store *registry.Store, cfg ServerConfig) *Server {
-	size := cfg.CacheSize
-	if size <= 0 {
-		size = DefaultCacheSize
-	}
 	s := &Server{
 		store:    store,
 		cfg:      cfg,
-		cache:    gencache.New[string, *cachedResponse](size),
+		cache:    gencache.New[string, *cachedResponse](cacheSize),
 		entities: make(map[model.Registrar]json.RawMessage),
 	}
 	for _, reg := range store.Registrars() {
@@ -99,36 +90,8 @@ func NewServer(store *registry.Store, cfg ServerConfig) *Server {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/domain/", s.handleDomain)
 	mux.HandleFunc("/help", s.handleHelp)
-	s.http = &http.Server{Handler: mux}
+	s.HTTP = serve.NewHTTP("rdap", mux)
 	return s
-}
-
-// Handler exposes the HTTP handler, letting tests use httptest and the
-// in-process transport bypass TCP.
-func (s *Server) Handler() http.Handler { return s.http.Handler }
-
-// Listen binds addr and starts serving until Close.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("rdap: listen %s: %w", addr, err)
-	}
-	s.ln = ln
-	go func() {
-		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			s.serveErr.Store(fmt.Errorf("rdap: serve: %w", err))
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// ServeErr reports a failure of the background accept loop started by
-// Listen, nil while serving normally or after a clean Close.
-func (s *Server) ServeErr() error {
-	if err, ok := s.serveErr.Load().(error); ok {
-		return err
-	}
-	return nil
 }
 
 // Metrics is a snapshot of the server's request accounting.
@@ -141,9 +104,6 @@ type Metrics struct {
 func (s *Server) Metrics() Metrics {
 	return Metrics{Requests: s.requests.Load(), Cache: s.cache.Stats()}
 }
-
-// Close stops the server.
-func (s *Server) Close() error { return s.http.Close() }
 
 func (s *Server) handleHelp(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/rdap+json")

@@ -12,6 +12,7 @@ import (
 
 	"dropzero/internal/journal"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 )
 
 // SourceConfig tunes the primary side of replication. The zero value of
@@ -71,15 +72,12 @@ func (c *SourceConfig) defaults() {
 // the wire encoding and tailing the live log via group-commit flush
 // notifications. One goroutine per follower streams; one more reads acks.
 type Source struct {
-	j   *journal.Journal
-	cfg SourceConfig
+	*serve.Conns // Listen and ServeErr
 
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	closed bool
-	stop   chan struct{} // closed by Close; wakes idle stream loops
-	wg     sync.WaitGroup
+	j        *journal.Journal
+	cfg      SourceConfig
+	stop     chan struct{} // closed by Close; wakes idle stream loops
+	stopOnce sync.Once
 
 	// ackMu guards follower acknowledgement state and the semi-sync
 	// waiters. Never held while writing to a connection. ackClosed mirrors
@@ -93,6 +91,7 @@ type Source struct {
 	shippedBytes   atomic.Uint64
 	snapshotsSent  atomic.Uint64
 	connects       atomic.Uint64
+	followers      atomic.Int64
 }
 
 type syncWaiter struct {
@@ -106,76 +105,41 @@ type syncWaiter struct {
 // in-process transports) to start serving followers, Close to stop.
 func NewSource(j *journal.Journal, cfg SourceConfig) *Source {
 	cfg.defaults()
-	return &Source{
+	s := &Source{
 		j:     j,
 		cfg:   cfg,
-		conns: make(map[net.Conn]struct{}),
 		stop:  make(chan struct{}),
 		acked: make(map[net.Conn]uint64),
 	}
-}
-
-// Listen starts accepting follower connections on addr and returns the
-// bound address (useful with ":0").
-func (s *Source) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("repl: listen: %w", err)
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		ln.Close()
-		return nil, fmt.Errorf("repl: source closed")
-	}
-	s.ln = ln
-	s.wg.Add(1)
-	s.mu.Unlock()
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			s.ServeConn(conn)
-		}
-	}()
-	return ln.Addr(), nil
+	s.Conns = serve.NewConns("repl", s.follow)
+	return s
 }
 
 // ServeConn serves one follower on conn in background goroutines and
 // returns immediately. It owns conn and closes it when the stream ends.
-func (s *Source) ServeConn(conn net.Conn) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		conn.Close()
-		return
-	}
-	s.conns[conn] = struct{}{}
-	s.wg.Add(1)
-	s.mu.Unlock()
+func (s *Source) ServeConn(conn net.Conn) { go s.Conns.ServeConn(conn) }
+
+// follow runs one follower connection: its stream, then the teardown that
+// waits for the stream's ack reader.
+func (s *Source) follow(conn net.Conn) {
 	s.connects.Add(1)
-	go func() {
-		defer s.wg.Done()
-		err := s.serve(conn)
-		if err != nil && err != io.EOF {
-			s.cfg.Logf("repl: follower %v: %v", conn.RemoteAddr(), err)
-			sendError(conn, s.cfg.WriteTimeout, err)
-		}
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		s.ackMu.Lock()
-		delete(s.acked, conn)
-		s.ackMu.Unlock()
-	}()
+	s.followers.Add(1)
+	defer s.followers.Add(-1)
+	var acks sync.WaitGroup
+	err := s.serve(conn, &acks)
+	if err != nil && err != io.EOF {
+		s.cfg.Logf("repl: follower %v: %v", conn.RemoteAddr(), err)
+		sendError(conn, s.cfg.WriteTimeout, err)
+	}
+	conn.Close()
+	acks.Wait()
+	s.ackMu.Lock()
+	delete(s.acked, conn)
+	s.ackMu.Unlock()
 }
 
-// serve runs one follower stream to completion.
-func (s *Source) serve(conn net.Conn) error {
+// serve runs one follower stream to completion; acks counts its ack reader.
+func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 	// Handshake: magic + the follower's position.
 	var hs [len(handshakeMagic) + 8]byte
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
@@ -214,9 +178,9 @@ func (s *Source) serve(conn net.Conn) error {
 	s.ackMu.Lock()
 	s.acked[conn] = afterSeq
 	s.ackMu.Unlock()
-	s.wg.Add(1)
+	acks.Add(1)
 	go func() {
-		defer s.wg.Done()
+		defer acks.Done()
 		s.readAcks(conn)
 	}()
 
@@ -429,29 +393,11 @@ func (s *Source) failWaiters() {
 // followers reconnect or get promoted, they do not drain), fails pending
 // semi-sync waiters and waits for the serving goroutines.
 func (s *Source) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil
-	}
-	s.closed = true
-	close(s.stop)
-	ln := s.ln
-	conns := make([]net.Conn, 0, len(s.conns))
-	for c := range s.conns {
-		conns = append(conns, c)
-	}
-	s.mu.Unlock()
-
-	s.failWaiters()
-	if ln != nil {
-		ln.Close()
-	}
-	for _, c := range conns {
-		c.Close()
-	}
-	s.wg.Wait()
-	return nil
+	s.stopOnce.Do(func() {
+		close(s.stop)
+		s.failWaiters()
+	})
+	return s.Conns.Close()
 }
 
 // SourceMetrics is a point-in-time reading of the primary's replication
@@ -473,9 +419,7 @@ func (s *Source) Metrics() SourceMetrics {
 		SnapshotsSent:  s.snapshotsSent.Load(),
 		Connects:       s.connects.Load(),
 	}
-	s.mu.Lock()
-	m.Followers = len(s.conns)
-	s.mu.Unlock()
+	m.Followers = int(s.followers.Load())
 	s.ackMu.Lock()
 	for _, seq := range s.acked {
 		if m.MinAckedSeq == 0 || seq < m.MinAckedSeq {

@@ -12,17 +12,16 @@ package safebrowsing
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/url"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"dropzero/internal/serve"
 )
 
 // LabelModel decides synthetic maliciousness as a function of the
@@ -58,12 +57,10 @@ func (m LabelModel) Label(delay time.Duration, rng *rand.Rand) bool {
 
 // Oracle stores labels and serves lookups. Safe for concurrent use.
 type Oracle struct {
-	serveErr atomic.Value // error from the background Serve goroutine
+	*serve.HTTP // Handler, Listen, ServeErr and Close
 
 	mu     sync.RWMutex
 	labels map[string]bool
-	http   *http.Server
-	ln     net.Listener
 }
 
 // NewOracle returns an empty Oracle.
@@ -71,7 +68,7 @@ func NewOracle() *Oracle {
 	o := &Oracle{labels: make(map[string]bool)}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v4/lookup", o.handleLookup)
-	o.http = &http.Server{Handler: mux}
+	o.HTTP = serve.NewHTTP("safebrowsing", mux)
 	return o
 }
 
@@ -95,37 +92,6 @@ func (o *Oracle) Count() int {
 	defer o.mu.RUnlock()
 	return len(o.labels)
 }
-
-// Handler exposes the lookup API's HTTP handler, so a study can reach the
-// oracle through the in-process transport without Listen.
-func (o *Oracle) Handler() http.Handler { return o.http.Handler }
-
-// Listen serves the lookup API on addr until Close.
-func (o *Oracle) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("safebrowsing: listen %s: %w", addr, err)
-	}
-	o.ln = ln
-	go func() {
-		if err := o.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			o.serveErr.Store(fmt.Errorf("safebrowsing: serve: %w", err))
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// ServeErr reports a failure of the background serve loop started by
-// Listen, nil while serving normally or after a clean Close.
-func (o *Oracle) ServeErr() error {
-	if err, ok := o.serveErr.Load().(error); ok {
-		return err
-	}
-	return nil
-}
-
-// Close stops the HTTP server.
-func (o *Oracle) Close() error { return o.http.Close() }
 
 type lookupResponse struct {
 	Name      string `json:"name"`

@@ -2,6 +2,7 @@ package safebrowsing
 
 import (
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 )
@@ -90,10 +91,12 @@ func TestLabelModelBandEdges(t *testing.T) {
 // and a clean Close records nothing.
 func TestOracleServeErrSurfaced(t *testing.T) {
 	o := NewOracle()
-	if _, err := o.Listen("127.0.0.1:0"); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	o.ln.Close()
+	o.Serve(ln)
+	ln.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for o.ServeErr() == nil && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)

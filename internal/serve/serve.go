@@ -1,0 +1,170 @@
+// Package serve is the listen/accept/close scaffold of the registry's TCP
+// and HTTP surfaces. ServeErr keeps what stopped serving, unless Close did.
+package serve
+
+import (
+	"errors"
+	"fmt"
+	"net"
+	"net/http"
+	"sync"
+	"sync/atomic"
+	"syscall"
+	"time"
+)
+
+// readHeaderTimeout bounds the wait for a request's headers, so a client that
+// dribbles a request line cannot hold a goroutine and a descriptor for ever.
+var readHeaderTimeout = 10 * time.Second
+
+type serveErr struct{ v atomic.Value }
+
+// ServeErr returns the error background serving stopped with: nil while
+// serving and after a clean Close.
+func (e *serveErr) ServeErr() error {
+	err, _ := e.v.Load().(error)
+	return err
+}
+
+// HTTP serves one handler over TCP.
+type HTTP struct {
+	serveErr
+	name string
+	srv  http.Server
+}
+
+// NewHTTP returns a server for h; name prefixes its errors.
+func NewHTTP(name string, h http.Handler) *HTTP {
+	return &HTTP{name: name, srv: http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}}
+}
+
+// Handler returns the served handler, for httptest and in-process callers.
+func (h *HTTP) Handler() http.Handler { return h.srv.Handler }
+
+// Listen binds addr, serves it until Close and returns the bound address.
+func (h *HTTP) Listen(addr string) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: listen %s: %w", h.name, addr, err)
+	}
+	h.Serve(ln)
+	return ln.Addr(), nil
+}
+
+// Serve serves ln on a new goroutine until Close.
+func (h *HTTP) Serve(ln net.Listener) {
+	go func() {
+		if err := h.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
+			h.v.Store(fmt.Errorf("%s: serve: %w", h.name, err))
+		}
+	}()
+}
+
+// Close closes the listener and every connection.
+func (h *HTTP) Close() error { return h.srv.Close() }
+
+// Conns runs one handler per TCP connection, accepted or handed in.
+type Conns struct {
+	serveErr
+	name string
+	fn   func(net.Conn)
+
+	mu     sync.Mutex
+	ln     net.Listener
+	conns  map[net.Conn]struct{}
+	closed bool
+	wg     sync.WaitGroup
+}
+
+// NewConns returns a set that serves each connection with fn; name prefixes
+// its errors.
+func NewConns(name string, fn func(net.Conn)) *Conns {
+	return &Conns{name: name, fn: fn, conns: make(map[net.Conn]struct{})}
+}
+
+// Listen binds addr and serves each connection accepted there on its own
+// goroutine until Close. Listen after Close is an error.
+func (c *Conns) Listen(addr string) (net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, fmt.Errorf("%s: listen %s: %w", c.name, addr, err)
+	}
+	return ln.Addr(), c.Serve(ln)
+}
+
+// Serve serves each connection accepted on ln on its own goroutine until
+// Close. Serve after Close closes ln and is an error.
+func (c *Conns) Serve(ln net.Listener) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		ln.Close()
+		return fmt.Errorf("%s: closed", c.name)
+	}
+	c.ln = ln
+	c.wg.Add(1)
+	go c.accept(ln)
+	return nil
+}
+
+// accept follows net/http: out of descriptors or a connection aborted early
+// is retried after 5 ms, doubling to 1 s; any other error ends the loop.
+func (c *Conns) accept(ln net.Listener) {
+	defer c.wg.Done()
+	var delay time.Duration
+	for {
+		conn, err := ln.Accept()
+		switch {
+		case err == nil:
+			delay = 0
+			go c.ServeConn(conn)
+		case errors.Is(err, syscall.EMFILE), errors.Is(err, syscall.ENFILE), errors.Is(err, syscall.ECONNABORTED):
+			delay = min(max(2*delay, 5*time.Millisecond), time.Second)
+			time.Sleep(delay)
+		default:
+			c.mu.Lock()
+			if !c.closed {
+				c.v.Store(fmt.Errorf("%s: accept: %w", c.name, err))
+			}
+			c.mu.Unlock()
+			return
+		}
+	}
+}
+
+// ServeConn serves conn on the calling goroutine, tracked like an accepted
+// connection, then closes it. After Close it only closes conn. Tracking and
+// the closed check share Close's lock, so `go c.ServeConn(conn)` is safe.
+func (c *Conns) ServeConn(conn net.Conn) {
+	c.mu.Lock()
+	if c.closed {
+		c.mu.Unlock()
+		conn.Close()
+		return
+	}
+	c.conns[conn] = struct{}{}
+	c.wg.Add(1)
+	c.mu.Unlock()
+	defer c.wg.Done()
+	c.fn(conn)
+	conn.Close()
+	c.mu.Lock()
+	delete(c.conns, conn)
+	c.mu.Unlock()
+}
+
+// Close closes the listener and every connection, then waits for the accept
+// loop and every handler. A second Close returns nil.
+func (c *Conns) Close() (err error) {
+	c.mu.Lock()
+	if c.ln != nil {
+		err = c.ln.Close()
+	}
+	c.ln, c.closed = nil, true
+	for conn := range c.conns {
+		conn.Close()
+	}
+	c.mu.Unlock()
+	c.wg.Wait()
+	return err
+}

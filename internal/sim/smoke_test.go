@@ -114,7 +114,8 @@ func TestRunLeavesNothingPinned(t *testing.T) {
 // TestMemoryOnlyRunOpensOnlyWHOIS: a memory-only study reaches RDAP, the
 // pending-delete lists and the oracle through the in-process transport, so
 // the WHOIS server's is the only accept loop a Run may have going. Goroutine
-// dumps taken while it runs say who called Listen.
+// dumps taken while it runs say which scaffold is serving: WHOIS is a Run's
+// only serve.Conns, and no serve.HTTP may be.
 func TestMemoryOnlyRunOpensOnlyWHOIS(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
@@ -136,11 +137,9 @@ func TestMemoryOnlyRunOpensOnlyWHOIS(t *testing.T) {
 		case <-time.After(2 * time.Millisecond):
 		}
 		dump := string(buf[:runtime.Stack(buf, true)])
-		sawWHOIS = sawWHOIS || strings.Contains(dump, "whois.(*Server).Listen")
-		for _, listener := range []string{"safebrowsing.(*Oracle).Listen", "rdap.(*Server).Listen", "dropscope.(*Server).Listen"} {
-			if strings.Contains(dump, listener) {
-				t.Fatalf("memory-only Run has a goroutine started by %s", listener)
-			}
+		sawWHOIS = sawWHOIS || strings.Contains(dump, "serve.(*Conns).accept")
+		if strings.Contains(dump, "serve.(*HTTP).Serve") {
+			t.Fatal("memory-only Run has an HTTP surface listening")
 		}
 	}
 }

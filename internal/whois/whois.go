@@ -21,6 +21,7 @@ import (
 	"dropzero/internal/gencache"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 )
 
 // Record field labels, matching the labels Verisign's thin WHOIS emits.
@@ -184,35 +185,18 @@ const cacheSize = 32768
 // are cached per store generation (see registry.Store.Generation), so a
 // repeat lookup of an unchanged domain serves preformatted bytes.
 type Server struct {
-	store *registry.Store
+	*serve.Conns // Listen, ServeErr and Close; ServeConn is the Server's own
 
-	serveErr atomic.Value // error from the background accept loop
+	store    *registry.Store
 	requests atomic.Uint64
 	cache    *gencache.Cache[string, string]
-
-	mu     sync.Mutex
-	ln     net.Listener
-	conns  map[net.Conn]struct{}
-	wg     sync.WaitGroup
-	closed bool
 }
 
 // NewServer returns a WHOIS server over store.
 func NewServer(store *registry.Store) *Server {
-	return &Server{
-		store: store,
-		cache: gencache.New[string, string](cacheSize),
-		conns: make(map[net.Conn]struct{}),
-	}
-}
-
-// ServeErr reports a failure of the background accept loop started by
-// Listen, nil while serving normally or after a clean Close.
-func (s *Server) ServeErr() error {
-	if err, ok := s.serveErr.Load().(error); ok {
-		return err
-	}
-	return nil
+	s := &Server{store: store, cache: gencache.New[string, string](cacheSize)}
+	s.Conns = serve.NewConns("whois", s.serveConn)
+	return s
 }
 
 // Metrics is a snapshot of the server's request accounting.
@@ -226,71 +210,7 @@ func (s *Server) Metrics() Metrics {
 	return Metrics{Requests: s.requests.Load(), Cache: s.cache.Stats()}
 }
 
-// Listen binds addr and serves until Close.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("whois: listen %s: %w", addr, err)
-	}
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				s.mu.Lock()
-				closed := s.closed
-				s.mu.Unlock()
-				if !closed {
-					s.serveErr.Store(fmt.Errorf("whois: accept: %w", err))
-				}
-				return
-			}
-			s.mu.Lock()
-			if s.closed {
-				s.mu.Unlock()
-				conn.Close()
-				return
-			}
-			s.conns[conn] = struct{}{}
-			s.mu.Unlock()
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.serveConn(conn)
-			}()
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// Close stops the listener and in-flight connections.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.closed = true
-	ln := s.ln
-	for c := range s.conns {
-		c.Close()
-	}
-	s.mu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
-
 func (s *Server) serveConn(conn net.Conn) {
-	defer func() {
-		conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	conn.SetReadDeadline(time.Now().Add(30 * time.Second))
 	s.ServeConn(conn)
 }

@@ -439,13 +439,14 @@ func TestServeConnConcurrentDuringDrop(t *testing.T) {
 func TestWhoisServeErrSurfaced(t *testing.T) {
 	store, _, _ := pipeEnv(t)
 	srv := NewServer(store)
-	if _, err := srv.Listen("127.0.0.1:0"); err != nil {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Serve(ln); err != nil {
 		t.Fatal(err)
 	}
 	// Yank the listener without setting closed: the accept loop fails.
-	srv.mu.Lock()
-	ln := srv.ln
-	srv.mu.Unlock()
 	ln.Close()
 	deadline := time.Now().Add(2 * time.Second)
 	for srv.ServeErr() == nil && time.Now().Before(deadline) {
@@ -454,6 +455,7 @@ func TestWhoisServeErrSurfaced(t *testing.T) {
 	if srv.ServeErr() == nil {
 		t.Fatal("ServeErr not recorded after listener failure")
 	}
+	srv.Close()
 
 	clean := NewServer(store)
 	if _, err := clean.Listen("127.0.0.1:0"); err != nil {

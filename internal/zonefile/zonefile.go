@@ -12,16 +12,15 @@ package zonefile
 
 import (
 	"bufio"
-	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"sort"
 	"strings"
 
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 )
 
 // InZone reports whether a registration currently appears in its TLD zone:
@@ -108,8 +107,9 @@ func Diff(older, newer map[string]bool) (added, removed []string) {
 //
 //	GET /zone?tld=com
 type Server struct {
+	*serve.HTTP // Handler, Listen, ServeErr and Close
+
 	store *registry.Store
-	http  *http.Server
 }
 
 // NewServer returns a zone-file server over store.
@@ -117,29 +117,9 @@ func NewServer(store *registry.Store) *Server {
 	s := &Server{store: store}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/zone", s.handleZone)
-	s.http = &http.Server{Handler: mux}
+	s.HTTP = serve.NewHTTP("zonefile", mux)
 	return s
 }
-
-// Handler exposes the HTTP handler for in-process use.
-func (s *Server) Handler() http.Handler { return s.http.Handler }
-
-// Listen binds addr and serves until Close.
-func (s *Server) Listen(addr string) (net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("zonefile: listen %s: %w", addr, err)
-	}
-	go func() {
-		if err := s.http.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			_ = err
-		}
-	}()
-	return ln.Addr(), nil
-}
-
-// Close stops the server.
-func (s *Server) Close() error { return s.http.Close() }
 
 func (s *Server) handleZone(w http.ResponseWriter, r *http.Request) {
 	tld := model.TLD(r.URL.Query().Get("tld"))
