@@ -98,7 +98,7 @@ func run(domains, writers, creates int, verbose bool) error {
 		}
 	}
 
-	src := repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: 1, SyncTimeout: 10 * time.Second})
+	src := repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: 1})
 	addr, err := src.Listen("127.0.0.1:0")
 	if err != nil {
 		return err

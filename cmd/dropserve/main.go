@@ -1,8 +1,9 @@
 // Command dropserve stands up the whole registry ecosystem on localhost —
-// EPP, RDAP, WHOIS, the pending-delete list service and the maliciousness
-// oracle — over a seeded domain population, and keeps the lifecycle engine
-// ticking against the real clock. Useful for poking at the protocol surfaces
-// with cmd/dropwhois, the examples, or plain curl/netcat:
+// EPP, RDAP, WHOIS, DNS, zone files, the pending-delete list service with
+// its delta and SSE feed, and the maliciousness oracle — over a seeded
+// domain population, and keeps the lifecycle engine ticking against the
+// real clock. Poke at the protocol surfaces with the examples or plain
+// curl/netcat:
 //
 //	dropserve -epp :7700 -rdap :7701 -whois :7702 -scope :7703 -oracle :7704
 //	curl http://127.0.0.1:7701/domain/keyworddeal0.com

@@ -394,11 +394,6 @@ func printReport(rep *storm.Report, verbose bool) {
 			delays[0].Round(time.Microsecond), delays[n/2].Round(time.Microsecond),
 			delays[n-1].Round(time.Microsecond))
 	}
-	if lag := rep.ReplicationLag; lag != nil {
-		fmt.Printf("replication lag (%d batches) p50=%v p95=%v p99=%v peak=%v\n",
-			lag.Requests, lag.P50().Round(time.Microsecond), lag.P95().Round(time.Microsecond),
-			lag.P99().Round(time.Microsecond), lag.Percentile(100).Round(time.Microsecond))
-	}
 	if lag := rep.FanoutLag; lag != nil {
 		fmt.Printf("fan-out lag (%d deliveries) p50=%v p95=%v p99=%v peak=%v\n",
 			lag.Requests, lag.P50().Round(time.Microsecond), lag.P95().Round(time.Microsecond),

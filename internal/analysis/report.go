@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -200,20 +199,4 @@ func (r *Report) String() string {
 	var b strings.Builder
 	r.Write(&b)
 	return b.String()
-}
-
-// TopClustersAt returns the clusters with the largest share in the interval
-// containing the given delay, limited to n entries.
-func (r *Report) TopClustersAt(delay time.Duration, n int) []core.Share {
-	for i, iv := range r.Fig7.Intervals {
-		if delay >= iv.Lo && delay <= iv.Hi {
-			shares := append([]core.Share(nil), r.Fig7.Shares[i]...)
-			sort.SliceStable(shares, func(a, b int) bool { return shares[a].Value > shares[b].Value })
-			if len(shares) > n {
-				shares = shares[:n]
-			}
-			return shares
-		}
-	}
-	return nil
 }

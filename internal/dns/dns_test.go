@@ -235,43 +235,6 @@ func TestServerIgnoresGarbage(t *testing.T) {
 	}
 }
 
-func TestWatcherDetectsZoneExit(t *testing.T) {
-	store, c := newZone(t)
-	store.Create("watched1.com", 1000, 1)
-	store.Create("watched2.com", 1000, 1)
-	w := NewWatcher(c, "watched1.com", "watched2.com")
-	dropped, err := w.Poll()
-	if err != nil || len(dropped) != 0 {
-		t.Fatalf("initial poll: %v %v", dropped, err)
-	}
-	if w.Watching() != 2 {
-		t.Fatalf("watching = %d", w.Watching())
-	}
-	store.MarkRedemption("watched1.com", time.Now())
-	dropped, err = w.Poll()
-	if err != nil || len(dropped) != 1 || dropped[0] != "watched1.com" {
-		t.Fatalf("after redemption: %v %v", dropped, err)
-	}
-	if w.Watching() != 1 || len(w.Dropped) != 1 {
-		t.Fatalf("state: watching=%d dropped=%v", w.Watching(), w.Dropped)
-	}
-	// No duplicate notification.
-	dropped, _ = w.Poll()
-	if len(dropped) != 0 {
-		t.Fatalf("duplicate drop: %v", dropped)
-	}
-}
-
-func TestWatcherAdd(t *testing.T) {
-	_, c := newZone(t)
-	w := NewWatcher(c)
-	w.Add("x.com")
-	w.Add("x.com")
-	if w.Watching() != 1 {
-		t.Fatalf("watching = %d", w.Watching())
-	}
-}
-
 // Property: Pack∘Unpack is the identity on structurally valid messages.
 func TestPackUnpackProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))

@@ -320,20 +320,16 @@ func ParseDay(s string) (simtime.Day, error) {
 // body transfer nor a re-parse. A 200 is additionally diffed per deletion-day
 // segment against the previous body: consecutive publications share four of
 // their five days, and an unchanged day's bytes reuse the already-parsed
-// entries instead of re-parsing the whole list.
-//
-// Clients that can hold a cursor can skip the daily body entirely: SyncDeltas
-// maintains a local mirror of the server's pending-delete set by applying
-// O(changes) deltas from the /deltas endpoint, and MirrorWindow renders the
-// same five-day window from it.
+// entries instead of re-parsing the whole list. (A client that can hold a
+// cursor skips the daily body entirely: feed.SyncDeltas keeps a mirror of
+// the pending-delete set from the /deltas endpoint this server mounts.)
 type Client struct {
 	base *url.URL
 	http *http.Client
 
-	mu     sync.Mutex
-	cache  map[simtime.Day]*clientCached // by list start day
-	days   map[simtime.Day]*dayCached    // by deletion day
-	mirror *feed.Mirror                  // lazily created by SyncDeltas
+	mu    sync.Mutex
+	cache map[simtime.Day]*clientCached // by list start day
+	days  map[simtime.Day]*dayCached    // by deletion day
 
 	segReused atomic.Uint64
 	segParsed atomic.Uint64
@@ -500,57 +496,6 @@ func splitDayChunks(body []byte) []dayChunk {
 		chunks = append(chunks, dayChunk{raw: body[lineStart:]})
 	}
 	return chunks
-}
-
-// feedBase is the client's base URL in the string form the feed helpers
-// expect (no trailing slash, no path).
-func (c *Client) feedBase() string {
-	return strings.TrimSuffix(c.base.String(), "/")
-}
-
-// SyncDeltas advances the client's delta cursor: the first call fetches the
-// full list from /deltas/full, later calls apply only the changes since the
-// cursor from /deltas. Returns the cursor the mirror is now consistent
-// with. The mirror is shared state behind the same client; MirrorWindow
-// renders windows from it.
-func (c *Client) SyncDeltas(ctx context.Context) (uint64, error) {
-	c.mu.Lock()
-	if c.mirror == nil {
-		c.mirror = feed.NewMirror()
-	}
-	m := c.mirror
-	c.mu.Unlock()
-	return feed.SyncDeltas(ctx, c.http, c.feedBase(), m)
-}
-
-// Cursor returns the delta cursor, 0 before the first SyncDeltas.
-func (c *Client) Cursor() uint64 {
-	c.mu.Lock()
-	m := c.mirror
-	c.mu.Unlock()
-	if m == nil {
-		return 0
-	}
-	return m.Cursor()
-}
-
-// MirrorWindow returns the pending-delete entries for the LookaheadDays
-// window starting at day, rendered from the delta-maintained mirror — the
-// same entries (and, via RenderEntries, the same bytes) a Fetch of that day
-// returns, without transferring or parsing a list body.
-func (c *Client) MirrorWindow(day simtime.Day) []Entry {
-	c.mu.Lock()
-	m := c.mirror
-	c.mu.Unlock()
-	if m == nil {
-		return nil
-	}
-	items := m.Window(day, LookaheadDays)
-	entries := make([]Entry, len(items))
-	for i, it := range items {
-		entries[i] = Entry{Name: it.Name, DeleteDay: it.Day}
-	}
-	return entries
 }
 
 // RenderEntries renders entries in the server's list CSV format, for

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -503,41 +502,6 @@ func TestConcurrentGETsDuringDrop(t *testing.T) {
 	got := get(t, srv, day, "")
 	if !bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
 		t.Fatal("cached body diverged from fresh render after Drops")
-	}
-}
-
-// TestServeErrSurfaced checks that a background serve failure is recorded
-// and exposed, and that a clean Close records nothing.
-func TestServeErrSurfaced(t *testing.T) {
-	store, _, _ := newEnv(t)
-	srv := NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(ln)
-	// Yank the listener out from under http.Serve: the accept loop fails
-	// with something other than ErrServerClosed.
-	ln.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.ServeErr() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.ServeErr() == nil {
-		t.Fatal("ServeErr not recorded after listener failure")
-	}
-	srv.Close()
-
-	clean := NewServer(store)
-	if _, err := clean.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.Close(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := clean.ServeErr(); err != nil {
-		t.Fatalf("clean Close recorded ServeErr: %v", err)
 	}
 }
 

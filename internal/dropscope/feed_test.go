@@ -119,11 +119,12 @@ func newEnvClient(t *testing.T, store *registry.Store) (*Client, *Server, simtim
 	return client, srv, day
 }
 
-// TestClientDeltaCursorDifferential is the tentpole's client-side
-// acceptance test at the dropscope layer: a client holding a delta cursor
-// (joining at an arbitrary generation) must render every published window
-// byte-identically to the server's own /pendingdelete body at every
-// checkpoint generation, across seeds, Drop days and re-registration flaps.
+// TestClientDeltaCursorDifferential is the client-side acceptance test at
+// the dropscope layer: a feed mirror holding a delta cursor from this
+// server's /deltas (joining at an arbitrary generation) must render every
+// published window byte-identically to the server's own /pendingdelete body
+// at every checkpoint generation, across seeds, Drop days and
+// re-registration flaps.
 func TestClientDeltaCursorDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -156,16 +157,13 @@ func TestClientDeltaCursorDifferential(t *testing.T) {
 			}
 
 			ctx := context.Background()
-			var clients []*Client
+			var clients []*feed.Mirror
 			addClient := func() {
-				c, err := NewClient(ts.URL, nil)
-				if err != nil {
+				m := feed.NewMirror()
+				if _, err := feed.SyncDeltas(ctx, nil, ts.URL, m); err != nil {
 					t.Fatal(err)
 				}
-				if _, err := c.SyncDeltas(ctx); err != nil {
-					t.Fatal(err)
-				}
-				clients = append(clients, c)
+				clients = append(clients, m)
 			}
 			addClient() // joins after initial seeding
 
@@ -183,11 +181,17 @@ func TestClientDeltaCursorDifferential(t *testing.T) {
 			}
 			checkpoint := func(stage string, when simtime.Day) {
 				hub.Quiesce()
-				for i, c := range clients {
-					if _, err := c.SyncDeltas(ctx); err != nil {
+				for i, m := range clients {
+					if _, err := feed.SyncDeltas(ctx, nil, ts.URL, m); err != nil {
 						t.Fatal(err)
 					}
-					got := string(RenderEntries(c.MirrorWindow(when)))
+					var window []Entry
+					for _, it := range m.Items() {
+						if it.Day.Compare(when) >= 0 && it.Day.Compare(when.AddDays(LookaheadDays)) < 0 {
+							window = append(window, Entry{Name: it.Name, DeleteDay: it.Day})
+						}
+					}
+					got := string(RenderEntries(window))
 					if want := serverBody(when); got != want {
 						t.Fatalf("%s: client %d window %v diverges:\ncursor-applied:\n%s\nserver:\n%s",
 							stage, i, when, got, want)
@@ -258,14 +262,15 @@ func TestClosedServerIsCollectable(t *testing.T) {
 		scope.AttachFeed(hub)
 		seedPending(t, store, "collect.com", day)
 
-		client, err := NewClient("http://scope.test", inproc.Client(scope.Handler()))
+		hc := inproc.Client(scope.Handler())
+		client, err := NewClient("http://scope.test", hc)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if entries, err := client.Fetch(context.Background(), day); err != nil || len(entries) != 1 {
 			t.Fatalf("list: %d entries, %v", len(entries), err)
 		}
-		if _, err := client.SyncDeltas(context.Background()); err != nil {
+		if _, err := feed.SyncDeltas(context.Background(), hc, "http://scope.test", feed.NewMirror()); err != nil {
 			t.Fatal(err)
 		}
 		if err := scope.Close(); err != nil {

@@ -184,22 +184,6 @@ func (m *Mirror) Items() []Item {
 	return items
 }
 
-// Window returns the mirrored entries with start <= day < start+days,
-// sorted by (day, name).
-func (m *Mirror) Window(start simtime.Day, days int) []Item {
-	end := start.AddDays(days)
-	m.mu.Lock()
-	var items []Item
-	for name, day := range m.pending {
-		if day.Compare(start) >= 0 && day.Compare(end) < 0 {
-			items = append(items, Item{Name: name, Day: day})
-		}
-	}
-	m.mu.Unlock()
-	sortItems(items)
-	return items
-}
-
 // FetchFull GETs base+"/deltas/full" and resets m to it. Returns the cursor
 // the list is consistent with.
 func FetchFull(ctx context.Context, hc *http.Client, base string, m *Mirror) (uint64, error) {

@@ -89,11 +89,11 @@ type Options struct {
 	// QueueLen bounds each subscriber's pending-frame queue; a subscriber
 	// whose queue fills is dropped to catch-up. Default 64.
 	QueueLen int
-	// Shards is the subscriber-registry shard count (rounded up to a power
-	// of two), so broadcast does not serialise on one lock at 10k+
-	// connections. Default 16.
-	Shards int
 }
+
+// subShards is the subscriber-registry shard count (a power of two), so
+// broadcast does not serialise on one lock at 10k+ connections.
+const subShards = 16
 
 func (o Options) withDefaults() Options {
 	if o.RingBytes <= 0 {
@@ -102,14 +102,6 @@ func (o Options) withDefaults() Options {
 	if o.QueueLen <= 0 {
 		o.QueueLen = 64
 	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
-	n := 1
-	for n < o.Shards {
-		n <<= 1
-	}
-	o.Shards = n
 	return o
 }
 
@@ -213,7 +205,7 @@ type Hub struct {
 	// offered (the pre-federation hub).
 	zones map[string]map[model.TLD]bool
 
-	subs    []subShard
+	subs    [subShards]subShard
 	subPick atomic.Uint64
 
 	stop chan struct{}
@@ -244,7 +236,6 @@ func NewHub(opt Options) *Hub {
 		advCh:    make(chan struct{}),
 		resp:     gencache.New[deltaKey, *cachedResp](64),
 		fullPath: "/deltas/full",
-		subs:     make([]subShard, opt.Shards),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
@@ -592,7 +583,7 @@ func (h *Hub) notifyAll() {
 // addSub registers a subscriber on a shard picked round-robin; the returned
 // function deregisters it.
 func (h *Hub) addSub(sub *subscriber) func() {
-	sh := &h.subs[h.subPick.Add(1)&uint64(len(h.subs)-1)]
+	sh := &h.subs[h.subPick.Add(1)&(subShards-1)]
 	sh.mu.Lock()
 	sh.set[sub] = struct{}{}
 	sh.mu.Unlock()

@@ -6,7 +6,9 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -194,11 +196,14 @@ func copyBuilder(b *strings.Builder, resp *http.Response) (int64, error) {
 // three seeds and a multi-day Drop with re-registration flaps, clients that
 // joined at arbitrary generations and advanced only by applying deltas must
 // render byte-identically to a fresh full fetch — and to the store itself —
-// at every checkpoint.
+// at every checkpoint. Two kinds of client: polling mirrors (/deltas) and
+// SSE mirrors (/events), some of which join with a stale since=0 cursor that
+// the small ring answers by replay or, once it has evicted the seeding, by a
+// reset and a full refetch.
 func TestDifferentialMirrorVsFullFetch(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e := newEnv(t, Options{})
+			e := newEnv(t, Options{RingBytes: 4 << 10})
 			rng := rand.New(rand.NewSource(seed))
 			now := e.clock.Now()
 			for i := 0; i < 40; i++ {
@@ -211,23 +216,72 @@ func TestDifferentialMirrorVsFullFetch(t *testing.T) {
 			// The seeds above streamed through the hub (the env primes before
 			// seeding), so mirrors can join at any point.
 
-			mirrors := []*Mirror{NewMirror()} // joins at generation 0
-			ctx := context.Background()
-			sync := func() {
+			polled := []*Mirror{NewMirror()} // joins at generation 0
+			var streamed []*Mirror
+			ctx, cancel := context.WithCancel(context.Background())
+			var wg sync.WaitGroup
+			streamErr := make(chan error, 16) // one error per stream at most; the test opens six
+			t.Cleanup(func() { cancel(); wg.Wait() })
+			// stream attaches an SSE mirror: primed from the full list and
+			// resuming at its cursor, or empty and stale at since=0.
+			stream := func(stale bool) {
+				m := NewMirror()
+				if !stale {
+					if _, err := FetchFull(ctx, nil, e.srv.URL, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+				sub, err := Subscribe(ctx, nil, e.srv.URL, int64(m.Cursor()), m)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed = append(streamed, m)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer sub.Close()
+					for {
+						if _, err := sub.Next(); err != nil {
+							if ctx.Err() == nil {
+								streamErr <- err
+							}
+							return
+						}
+					}
+				}()
+			}
+			stream(false)
+			stream(true)
+			catchUp := func() {
 				e.hub.Quiesce()
-				for _, m := range mirrors {
+				for _, m := range polled {
 					if _, err := SyncDeltas(ctx, nil, e.srv.URL, m); err != nil {
 						t.Fatal(err)
 					}
 				}
+				target := e.hub.Cursor()
+				deadline := time.Now().Add(10 * time.Second)
+				for _, m := range streamed {
+					for m.Cursor() < target {
+						select {
+						case err := <-streamErr:
+							t.Fatalf("SSE stream: %v", err)
+						default:
+						}
+						if time.Now().After(deadline) {
+							t.Fatalf("SSE mirror stuck at cursor %d, feed at %d", m.Cursor(), target)
+						}
+						time.Sleep(2 * time.Millisecond)
+					}
+				}
 			}
 			checkpoint := func(stage string) {
-				sync()
+				catchUp()
 				want, _ := fetchFullBody(t, e.srv.URL)
 				if ref := storePendingCSV(e.store); want != ref {
 					t.Fatalf("%s: served full list diverges from store:\nserved:\n%s\nstore:\n%s", stage, want, ref)
 				}
-				for i, m := range mirrors {
+				for i, m := range slices.Concat(polled, streamed) {
 					if got := renderItems(m.Items()); got != want {
 						t.Fatalf("%s: mirror %d diverged:\nmirror:\n%s\nfull:\n%s", stage, i, got, want)
 					}
@@ -286,12 +340,13 @@ func TestDifferentialMirrorVsFullFetch(t *testing.T) {
 				}
 				checkpoint("after re-registrations")
 
-				// A fresh client joins mid-stream each day.
+				// Fresh clients join mid-stream each day.
 				m := NewMirror()
 				if _, err := FetchFull(ctx, nil, e.srv.URL, m); err != nil {
 					t.Fatal(err)
 				}
-				mirrors = append(mirrors, m)
+				polled = append(polled, m)
+				stream(d%2 == 0)
 			}
 			checkpoint("final")
 		})

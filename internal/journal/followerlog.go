@@ -17,26 +17,22 @@ import (
 //
 // A FollowerLog is single-goroutine, matching the follower's apply loop.
 type FollowerLog struct {
-	dir          string
-	segmentBytes int64
-	f            *os.File
-	size         int64
-	lastSeq      uint64
-	bytes        uint64
+	dir     string
+	f       *os.File
+	size    int64
+	lastSeq uint64
+	bytes   uint64
 }
 
 // OpenFollowerLog opens dir for appending shipped frames, with lastSeq the
 // highest sequence number already recovered from it (0 for a fresh
 // follower). Like the writer after recovery, it starts a fresh segment at
 // lastSeq+1 rather than reopening the old tail.
-func OpenFollowerLog(dir string, lastSeq uint64, segmentBytes int64) (*FollowerLog, error) {
-	if segmentBytes <= 0 {
-		segmentBytes = 64 << 20
-	}
+func OpenFollowerLog(dir string, lastSeq uint64) (*FollowerLog, error) {
 	if err := os.MkdirAll(dir, 0o777); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	l := &FollowerLog{dir: dir, segmentBytes: segmentBytes, lastSeq: lastSeq}
+	l := &FollowerLog{dir: dir, lastSeq: lastSeq}
 	if err := l.openSegment(); err != nil {
 		return nil, err
 	}
@@ -75,7 +71,7 @@ func (l *FollowerLog) AppendFrames(raw []byte, first, last uint64) error {
 	l.size += int64(len(raw))
 	l.bytes += uint64(len(raw))
 	l.lastSeq = last
-	if l.size >= l.segmentBytes {
+	if l.size >= defaultSegmentBytes {
 		if err := l.f.Sync(); err != nil {
 			return fmt.Errorf("journal: follower log sync: %w", err)
 		}

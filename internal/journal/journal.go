@@ -27,9 +27,9 @@ const (
 	// recovery. The caller simply never opens one.
 	ModeOff Mode = iota
 	// ModeAsync acknowledges mutations before they are durable; a
-	// background flusher group-commits every SyncInterval or SyncEvery
-	// records. A crash loses at most the unflushed tail — never a torn or
-	// reordered prefix.
+	// background flusher group-commits every syncInterval or
+	// defaultSyncEvery records. A crash loses at most the unflushed tail —
+	// never a torn or reordered prefix.
 	ModeAsync
 	// ModeSync blocks each mutation until its record is fsynced. Group
 	// commit still applies: concurrent mutators share one fsync.
@@ -71,18 +71,6 @@ type Options struct {
 	// Mode is the durability contract; ModeOff is rejected by Open (a
 	// caller wanting no journal should not open one).
 	Mode Mode
-	// SyncEvery group-commits after this many unsynced records in async
-	// mode (default 256).
-	SyncEvery int
-	// SyncInterval bounds how stale the durable prefix may be in async
-	// mode (default 50ms).
-	SyncInterval time.Duration
-	// SegmentBytes rotates WAL segments at this size (default 64 MiB).
-	SegmentBytes int64
-	// Now supplies the clock for the snapshot-age metric (default
-	// time.Now). Kept injectable so simulated-time tests do not read wall
-	// time.
-	Now func() time.Time
 	// KeepAll disables pruning of superseded snapshots and WAL segments.
 	// Crash-recovery tests use it so a simulated crash (CrashCopy) can cut
 	// the history at any sequence point, not only after the newest
@@ -92,7 +80,23 @@ type Options struct {
 	// WAL replay and snapshot encoding: ≤ 0 means GOMAXPROCS, 1 runs each of
 	// them on the calling goroutine alone.
 	RecoveryParallelism int
+
+	// Test seams, zero meaning the default: small segments rotate often,
+	// a small syncEvery group-commits often.
+	segmentBytes int64
+	syncEvery    int
 }
+
+const (
+	// defaultSegmentBytes rotates WAL segments, and a follower's shipped
+	// log, at 64 MiB.
+	defaultSegmentBytes int64 = 64 << 20
+	// defaultSyncEvery group-commits after this many unsynced records in
+	// async mode.
+	defaultSyncEvery = 256
+	// syncInterval bounds how stale the durable prefix may be in async mode.
+	syncInterval = 50 * time.Millisecond
+)
 
 func (o *Options) defaults() error {
 	if o.Dir == "" {
@@ -101,17 +105,11 @@ func (o *Options) defaults() error {
 	if o.Mode == ModeOff {
 		return fmt.Errorf("journal: Open with ModeOff: disable the journal by not opening one")
 	}
-	if o.SyncEvery <= 0 {
-		o.SyncEvery = 256
+	if o.syncEvery <= 0 {
+		o.syncEvery = defaultSyncEvery
 	}
-	if o.SyncInterval <= 0 {
-		o.SyncInterval = 50 * time.Millisecond
-	}
-	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
-	}
-	if o.Now == nil {
-		o.Now = time.Now
+	if o.segmentBytes <= 0 {
+		o.segmentBytes = defaultSegmentBytes
 	}
 	return nil
 }
@@ -176,7 +174,6 @@ type Journal struct {
 	store *registry.Store
 	w     *wal
 	mode  Mode
-	now   func() time.Time
 
 	// snapMu serialises snapshot writes (background snapshotter vs explicit
 	// calls); it is never held while the store or WAL are locked.
@@ -216,17 +213,17 @@ func Open(store *registry.Store, o Options) (*Journal, Recovery, error) {
 	if err != nil {
 		return nil, rec, err
 	}
-	w, err := newWAL(o.Dir, last, o.SyncEvery, o.SyncInterval, o.SegmentBytes, o.Mode == ModeAsync)
+	w, err := newWAL(o.Dir, last, o.syncEvery, syncInterval, o.segmentBytes, o.Mode == ModeAsync)
 	if err != nil {
 		return nil, rec, err
 	}
 
-	j := &Journal{store: store, w: w, mode: o.Mode, now: o.Now, keepAll: o.KeepAll, workers: workers}
+	j := &Journal{store: store, w: w, mode: o.Mode, keepAll: o.KeepAll, workers: workers}
 	j.replayed.Store(uint64(rec.ReplayedRecords))
 	j.recoverySecs = rec.Timings.Total.Seconds()
 	j.recoveryRPS = rec.ReplayRPS()
 	if hadSnap {
-		j.lastSnapUnix.Store(o.Now().Unix())
+		j.lastSnapUnix.Store(time.Now().Unix())
 	}
 	return j, rec, nil
 }
@@ -306,17 +303,17 @@ func OpenExisting(store *registry.Store, o Options, lastSeq uint64) (*Journal, e
 	if err := os.MkdirAll(o.Dir, 0o777); err != nil {
 		return nil, fmt.Errorf("journal: %w", err)
 	}
-	w, err := newWAL(o.Dir, lastSeq, o.SyncEvery, o.SyncInterval, o.SegmentBytes, o.Mode == ModeAsync)
+	w, err := newWAL(o.Dir, lastSeq, o.syncEvery, syncInterval, o.segmentBytes, o.Mode == ModeAsync)
 	if err != nil {
 		return nil, err
 	}
-	return &Journal{store: store, w: w, mode: o.Mode, now: o.Now, keepAll: o.KeepAll, workers: par.Workers(o.RecoveryParallelism)}, nil
+	return &Journal{store: store, w: w, mode: o.Mode, keepAll: o.KeepAll, workers: par.Workers(o.RecoveryParallelism)}, nil
 }
 
 // Append implements registry.Journal: it frames the mutation into the WAL
 // buffer and, in sync mode, returns the group-commit waiter the store runs
 // after releasing its locks. Async mode returns nil — durability follows
-// within SyncInterval.
+// within syncInterval.
 func (j *Journal) Append(m registry.Mutation) func() error {
 	_, wait := j.AppendMutation(m)
 	return wait
@@ -479,7 +476,7 @@ func (j *Journal) Snapshot(appState []byte) error {
 			return fmt.Errorf("journal: prune: %w", err)
 		}
 	}
-	j.lastSnapUnix.Store(j.now().Unix())
+	j.lastSnapUnix.Store(time.Now().Unix())
 	return nil
 }
 
@@ -514,7 +511,7 @@ func (j *Journal) Metrics() Metrics {
 		RecoveryReplayRPS:       j.recoveryRPS,
 	}
 	if ts := j.lastSnapUnix.Load(); ts != 0 {
-		m.SnapshotAgeSeconds = j.now().Sub(time.Unix(ts, 0)).Seconds()
+		m.SnapshotAgeSeconds = time.Since(time.Unix(ts, 0)).Seconds()
 	}
 	return m
 }

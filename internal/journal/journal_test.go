@@ -649,7 +649,7 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore()
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync, SegmentBytes: 2 << 10})
+	j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync, segmentBytes: 2 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,6 @@ func NewTailReader(dir string, afterSeq uint64) *TailReader {
 	return &TailReader{dir: dir, next: afterSeq + 1}
 }
 
-// NextSeq returns the sequence number the next emitted record will have.
-func (r *TailReader) NextSeq() uint64 { return r.next }
-
 // Close releases the currently open segment file.
 func (r *TailReader) Close() error {
 	if r.f != nil {

@@ -30,7 +30,7 @@ func tailLog(t *testing.T) (dir string, frames [][]byte, segs []string) {
 	t.Helper()
 	dir = t.TempDir()
 	s := newTestStore()
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync, SegmentBytes: 800})
+	j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync, segmentBytes: 800})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,8 +103,8 @@ func TestTailReaderMatchesScan(t *testing.T) {
 				durable++
 				continue
 			}
-			if first != after+1 || lastOut < first || lastOut > durable || r.NextSeq() != lastOut+1 {
-				t.Fatalf("after %d budget %d horizon %d: emitted %d..%d, next %d", after, maxBytes, durable, first, lastOut, r.NextSeq())
+			if first != after+1 || lastOut < first || lastOut > durable || r.next != lastOut+1 {
+				t.Fatalf("after %d budget %d horizon %d: emitted %d..%d, next %d", after, maxBytes, durable, first, lastOut, r.next)
 			}
 			if want := bytes.Join(frames[first:lastOut+1], nil); !bytes.Equal(out, want) {
 				t.Fatalf("after %d budget %d: records %d..%d came out as %d bytes, the scan walks %d", after, maxBytes, first, lastOut, len(out), len(want))
@@ -239,7 +239,7 @@ func TestTailReaderFrameLargerThanBlock(t *testing.T) {
 func TestTailReaderFollowsLiveLog(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore()
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeAsync, SegmentBytes: 4 << 10, SyncEvery: 7})
+	j, _, err := Open(s, Options{Dir: dir, Mode: ModeAsync, segmentBytes: 4 << 10, syncEvery: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestTailReaderFollowsLiveLog(t *testing.T) {
 	r := NewTailReader(dir, 0)
 	defer r.Close()
 	var got []byte
-	for r.NextSeq() <= records {
+	for r.next <= records {
 		out, _, _, err := r.Next(nil, j.DurableSeq(), 3000)
 		if err != nil {
 			t.Fatal(err)

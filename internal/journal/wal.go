@@ -91,7 +91,7 @@ func nextFrame(data []byte) (f frame, size int, err error) {
 //
 // Writers append encoded frames to an in-memory buffer under mu and either
 // return immediately (async mode — a background flusher syncs on a timer or
-// after SyncEvery records) or wait for durability (sync mode). In both
+// after syncEvery records) or wait for durability (sync mode). In both
 // cases one leader performs the write+fsync for every record buffered at
 // the moment it starts, so a burst of N concurrent appends costs one fsync,
 // not N — the group commit the Drop-second hot path needs.
@@ -396,7 +396,7 @@ func (w *wal) watchDurable() (<-chan struct{}, func()) {
 }
 
 // flusher is the async-mode background goroutine: group commit on a timer,
-// or sooner when appenders cross the SyncEvery threshold.
+// or sooner when appenders cross the syncEvery threshold.
 func (w *wal) flusher() {
 	defer w.flusherWG.Done()
 	t := time.NewTicker(w.syncInterval)

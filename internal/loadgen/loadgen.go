@@ -20,8 +20,9 @@ type Result struct {
 	Elapsed  time.Duration // wall clock from first to last request
 	// CodeCounts breaks requests down by protocol result code, for request
 	// errors that implement interface{ ResultCode() int } (epp.ResultError
-	// does). Successful requests are counted under code 0 by Run; RunOpenLoop
-	// counts them under the code its fn reports. Nil when nothing was coded.
+	// does). Successful requests are counted under code 0 by Run; Collect and
+	// CollectBy take the tally their caller recorded. Nil when nothing was
+	// coded.
 	CodeCounts map[int]uint64
 	// hist holds the latency distribution as a fixed-bucket histogram (see
 	// Hist), so a run's memory footprint is independent of its request

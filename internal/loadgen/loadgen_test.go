@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -91,5 +93,60 @@ func TestRunClampsArguments(t *testing.T) {
 	res := Run(0, 0, func(i int) error { calls++; return nil })
 	if res.Requests != 1 || calls != 1 {
 		t.Fatalf("requests = %d, calls = %d", res.Requests, calls)
+	}
+}
+
+type codedErr struct{ code int }
+
+func (e *codedErr) Error() string   { return fmt.Sprintf("code %d", e.code) }
+func (e *codedErr) ResultCode() int { return e.code }
+
+func TestP999NeedsAThousandSamples(t *testing.T) {
+	lat := make([]time.Duration, 1000)
+	for i := range lat {
+		lat[i] = time.Duration(i+1) * time.Microsecond
+	}
+	r := Collect(slices.Clone(lat), 0, 0, nil)
+	if got := r.P999(); got != 999*time.Microsecond {
+		t.Fatalf("P999 = %v, want 999µs", got)
+	}
+	// Below 1000 samples nearest-rank collapses P999 onto the max.
+	small := Collect(lat[:100], 0, 0, nil)
+	if got := small.P999(); got != 100*time.Microsecond {
+		t.Fatalf("small-sample P999 = %v, want the max (100µs)", got)
+	}
+}
+
+func TestRunCodeBreakdown(t *testing.T) {
+	res := Run(4, 100, func(i int) error {
+		switch {
+		case i%10 == 0:
+			return &codedErr{code: 2302}
+		case i%10 == 1:
+			return &codedErr{code: 2502}
+		case i%10 == 2:
+			return errors.New("transport")
+		default:
+			return nil
+		}
+	})
+	if res.Errors != 30 {
+		t.Fatalf("errors = %d, want 30", res.Errors)
+	}
+	want := map[int]uint64{0: 70, 2302: 10, 2502: 10}
+	if len(res.CodeCounts) != len(want) {
+		t.Fatalf("CodeCounts = %v, want %v", res.CodeCounts, want)
+	}
+	for code, n := range want {
+		if res.CodeCounts[code] != n {
+			t.Fatalf("CodeCounts[%d] = %d, want %d", code, res.CodeCounts[code], n)
+		}
+	}
+	// Wrapped coded errors must still be counted.
+	res = Run(1, 1, func(int) error {
+		return fmt.Errorf("attempt failed: %w", &codedErr{code: 2400})
+	})
+	if res.CodeCounts[2400] != 1 {
+		t.Fatalf("wrapped code not counted: %v", res.CodeCounts)
 	}
 }

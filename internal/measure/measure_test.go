@@ -103,8 +103,8 @@ func TestPipelineDetectsRereg(t *testing.T) {
 	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
 		t.Fatal(err)
 	}
-	if e.pipe.PendingCount() != 1 {
-		t.Fatalf("pending = %d", e.pipe.PendingCount())
+	if len(e.pipe.pending) != 1 {
+		t.Fatalf("pending = %d", len(e.pipe.pending))
 	}
 	reregAt := e.day.At(19, 0, 7)
 	e.purgeAndRereg(t, "target.com", 2000, reregAt)
@@ -304,8 +304,8 @@ func TestPipelineTLDFilter(t *testing.T) {
 	if err := e.pipe.CollectDaily(context.Background(), e.day); err != nil {
 		t.Fatal(err)
 	}
-	if e.pipe.PendingCount() != 1 {
-		t.Fatalf("pending = %d, want .com only", e.pipe.PendingCount())
+	if len(e.pipe.pending) != 1 {
+		t.Fatalf("pending = %d, want .com only", len(e.pipe.pending))
 	}
 }
 
@@ -482,18 +482,5 @@ func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
 		if again, err := ReadCSV(&out); err != nil || !slices.Equal(obs, again) {
 			t.Errorf("%s: does not survive WriteCSV: %v", name, err)
 		}
-	}
-}
-
-func TestReregDelay01(t *testing.T) {
-	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	o := mustObs(t, "a.com", day, model.PriorRegistration{}, &model.Rereg{Time: day.At(19, 30, 0)}, false)
-	d, ok := ReregDelay01(&o, 19)
-	if !ok || d != 30*time.Minute {
-		t.Fatalf("delay = %v, %v", d, ok)
-	}
-	o = mustObs(t, "a.com", day, model.PriorRegistration{}, nil, false)
-	if _, ok := ReregDelay01(&o, 19); ok {
-		t.Fatal("delay for non-rereg")
 	}
 }

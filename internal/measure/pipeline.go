@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"time"
 
 	"dropzero/internal/dropscope"
 	"dropzero/internal/model"
@@ -102,9 +101,6 @@ func (p *Pipeline) workers() int { return par.Workers(p.Parallelism) }
 // byName orders pending domains canonically; the fan-out/merge order of both
 // lookup passes, which makes parallel runs bit-for-bit deterministic.
 func byName(a, b *pendingDomain) int { return strings.Compare(a.name, b.name) }
-
-// PendingCount returns the number of domains currently tracked.
-func (p *Pipeline) PendingCount() int { return len(p.pending) }
 
 // CollectDaily performs one day's collection: download the day's pending
 // delete list and fetch prior-registration metadata for domains whose
@@ -317,14 +313,4 @@ func (p *Pipeline) lookupCurrent(ctx context.Context, name string) (*model.Prior
 		}
 	}
 	return nil, err
-}
-
-// ReregDelay01 is a tiny helper for callers that need the wall-clock
-// re-registration offset from the Drop start hour, used by Figure 2.
-func ReregDelay01(o *model.Observation, dropStartHour int) (time.Duration, bool) {
-	if !o.Reregistered() {
-		return 0, false
-	}
-	start := o.DeleteDay().At(dropStartHour, 0, 0)
-	return o.ReregTime().Sub(start), true
 }

@@ -24,14 +24,6 @@ const (
 	NET TLD = "net"
 )
 
-// Valid reports whether t belongs to the default zone (.com/.net).
-//
-// Deprecated: which TLDs a registry operates is decided by the hosting
-// store's zone set (registry.Store.HostsTLD), not a package-level constant.
-// Valid remains for the legacy single-zone surfaces that have no store in
-// reach; it answers for the default zone only.
-func (t TLD) Valid() bool { return t == COM || t == NET }
-
 // TLDOf extracts the TLD from a fully qualified domain name, returning
 // ok=false when the name has no dot or an empty suffix. It is purely
 // structural: whether the suffix is a TLD some registry actually operates is

@@ -32,12 +32,6 @@ func TestTLDOf(t *testing.T) {
 	}
 }
 
-func TestTLDValid(t *testing.T) {
-	if !COM.Valid() || !NET.Valid() || TLD("org").Valid() || TLD("").Valid() {
-		t.Fatal("Valid() wrong")
-	}
-}
-
 func TestStatusStringRoundTrip(t *testing.T) {
 	for _, s := range []Status{StatusActive, StatusAutoRenew, StatusRedemption, StatusPendingDelete, StatusDeleted} {
 		parsed, err := ParseStatus(s.String())

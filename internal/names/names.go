@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -118,12 +117,6 @@ func KeywordCount(name string) int { return keywordMatcher.count(Label(name)) }
 // DictionaryCount returns the number of English dictionary words contained
 // in the second-level label of name.
 func DictionaryCount(name string) int { return dictionaryMatcher.count(Label(name)) }
-
-// Keywords returns a copy of the keyword list (exported for tests and docs).
-func Keywords() []string { return append([]string(nil), keywords...) }
-
-// Dictionary returns a copy of the dictionary word list.
-func Dictionary() []string { return append([]string(nil), dictionary...) }
 
 // Class describes how a generated label was composed. The workload model
 // uses it to assign ground-truth desirability.
@@ -308,20 +301,6 @@ func (g *Generator) compose(c Class) string {
 	default:
 		return g.random(10 + g.rng.Intn(14))
 	}
-}
-
-// TopValues returns the n highest ground-truth values from a sample of
-// generated names; used by tests to sanity-check the demand model.
-func TopValues(gs []Generated, n int) []float64 {
-	vs := make([]float64, len(gs))
-	for i, g := range gs {
-		vs[i] = g.Value
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(vs)))
-	if n > len(vs) {
-		n = len(vs)
-	}
-	return vs[:n]
 }
 
 func min(a, b int) int {

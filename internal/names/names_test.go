@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -77,10 +78,10 @@ func TestDictionaryCount(t *testing.T) {
 
 func TestWordListsDisjoint(t *testing.T) {
 	kw := make(map[string]bool)
-	for _, w := range Keywords() {
+	for _, w := range keywords {
 		kw[w] = true
 	}
-	for _, w := range Dictionary() {
+	for _, w := range dictionary {
 		if kw[w] {
 			t.Errorf("word %q appears in both keyword and dictionary lists", w)
 		}
@@ -88,7 +89,7 @@ func TestWordListsDisjoint(t *testing.T) {
 }
 
 func TestWordListsValid(t *testing.T) {
-	for _, w := range append(Keywords(), Dictionary()...) {
+	for _, w := range slices.Concat(keywords, dictionary) {
 		if err := Validate(w); err != nil {
 			t.Errorf("word %q is not a valid label: %v", w, err)
 		}
@@ -168,17 +169,6 @@ func TestClassString(t *testing.T) {
 	}
 	if s := Class(200).String(); s != "Class(200)" {
 		t.Errorf("unknown class String = %q", s)
-	}
-}
-
-func TestTopValues(t *testing.T) {
-	gs := []Generated{{Value: 0.1}, {Value: 0.9}, {Value: 0.5}}
-	top := TopValues(gs, 2)
-	if len(top) != 2 || top[0] != 0.9 || top[1] != 0.5 {
-		t.Fatalf("TopValues = %v", top)
-	}
-	if got := TopValues(gs, 10); len(got) != 3 {
-		t.Fatalf("TopValues over-length = %v", got)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -446,38 +445,6 @@ func TestConcurrentDomainGETsDuringDrop(t *testing.T) {
 		if !bytes.Equal(got.Body.Bytes(), reference(t, srv, name)) {
 			t.Fatalf("%s: cached body diverged from reference after Drops", name)
 		}
-	}
-}
-
-// TestRDAPServeErrSurfaced checks background serve failures are recorded.
-func TestRDAPServeErrSurfaced(t *testing.T) {
-	store, _ := newEnv(t, ServerConfig{})
-	srv := NewServer(store, ServerConfig{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.Serve(ln)
-	ln.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.ServeErr() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.ServeErr() == nil {
-		t.Fatal("ServeErr not recorded after listener failure")
-	}
-	srv.Close()
-
-	clean := NewServer(store, ServerConfig{})
-	if _, err := clean.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.Close(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := clean.ServeErr(); err != nil {
-		t.Fatalf("clean Close recorded ServeErr: %v", err)
 	}
 }
 

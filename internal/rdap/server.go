@@ -171,14 +171,9 @@ func (s *Server) resolve(name string) (found *cachedResponse, status int, title 
 	}
 
 	bp := bodyBufs.Get().(*[]byte)
-	body, rendered := s.appendDomain((*bp)[:0], d)
+	body := s.appendDomain((*bp)[:0], d)
 	*bp = body
 	defer bodyBufs.Put(bp)
-	if !rendered {
-		// A timestamp no RFC 3339 rendering exists for; encoding/json would
-		// refuse the whole object, so there is nothing to serve or cache.
-		return nil, http.StatusInternalServerError, "internal error"
-	}
 	if s.store.Generation() != gen {
 		// A mutation landed mid-render: the body is a valid snapshot but its
 		// exact generation is unknown, so it goes out without an ETag and is
@@ -241,9 +236,10 @@ func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cr *cachedR
 // appendDomain appends the domain response, byte-identical to
 // json.NewEncoder(buf).Encode(toResponse(d)) with the memoized registrar
 // entity fragment spliced in: the fragment is json.Marshal output, which
-// encoding/json would re-emit unchanged. ok is false when a timestamp is one
-// time.Time.MarshalJSON rejects, which fails that Encode too.
-func (s *Server) appendDomain(dst []byte, d *model.Domain) (_ []byte, ok bool) {
+// encoding/json would re-emit unchanged. Every timestamp a Store holds
+// (1970 through 2106, UTC) renders; one time.Time.MarshalJSON rejects would
+// leave its eventDate value out.
+func (s *Server) appendDomain(dst []byte, d *model.Domain) []byte {
 	dst = append(dst, `{"objectClassName":"domain","handle":"`...)
 	dst = strconv.AppendUint(dst, d.ID, 10)
 	dst = append(dst, "_DOMAIN_"...)
@@ -264,14 +260,12 @@ func (s *Server) appendDomain(dst []byte, d *model.Domain) (_ []byte, ok bool) {
 		dst = append(dst, `{"eventAction":`...)
 		dst = jsonwire.AppendString(dst, ev.Action)
 		dst = append(dst, `,"eventDate":`...)
-		if dst, ok = jsonwire.AppendTime(dst, ev.Date); !ok {
-			return dst, false
-		}
+		dst, _ = jsonwire.AppendTime(dst, ev.Date)
 		dst = append(dst, '}')
 	}
 	dst = append(dst, `],"entities":[`...)
 	dst = append(dst, s.entityFragment(d.RegistrarID)...)
-	return append(dst, "]}\n"...), true
+	return append(dst, "]}\n"...)
 }
 
 // entityFragment returns the marshalled entity block for a sponsoring

@@ -111,10 +111,3 @@ func StormSpecOf(service string) StormSpec {
 	}
 	return stormSpecs[SvcOther]
 }
-
-// StormServices lists the services with a dedicated (non-tail) calibration,
-// most aggressive first.
-func StormServices() []string {
-	return []string{SvcDropCatch, SvcSnapNames, SvcPheenix, SvcXZ,
-		SvcDynadot, SvcGoDaddy, SvcXinnet, Svc1API}
-}

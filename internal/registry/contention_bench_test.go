@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dropzero/internal/loadgen"
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 )
@@ -64,34 +63,6 @@ func BenchmarkEPPCreateContention(b *testing.B) {
 					i++
 				}
 			})
-		})
-	}
-}
-
-// BenchmarkCreateCheckLatency drives the same check+create hot path through
-// the closed-loop load driver, so the comparison across shard counts reports
-// tail latency (p50/p95/p99) alongside throughput — the percentiles are what
-// decide whether a racing create lands inside the deletion second.
-func BenchmarkCreateCheckLatency(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, day := newContentionStore(b, shards)
-			at := day.At(19, 0, 1)
-			b.ResetTimer()
-			res := loadgen.Run(8, b.N, func(i int) error {
-				name := fmt.Sprintf("lg%08d.com", i)
-				s.Available(name)
-				_, err := s.CreateAt(name, 1000+i%8, 1, at)
-				return err
-			})
-			b.StopTimer()
-			if res.Errors != 0 {
-				b.Fatalf("%d create errors", res.Errors)
-			}
-			b.ReportMetric(res.RPS(), "req/sec")
-			b.ReportMetric(float64(res.P50().Nanoseconds()), "p50-ns")
-			b.ReportMetric(float64(res.P95().Nanoseconds()), "p95-ns")
-			b.ReportMetric(float64(res.P99().Nanoseconds()), "p99-ns")
 		})
 	}
 }

@@ -37,8 +37,6 @@ type DropRunner struct {
 	// pre-federation single-zone store, where the queue is the whole
 	// pending bucket).
 	scope map[model.TLD]bool
-	// zoneName labels reports; empty for the legacy unscoped runner.
-	zoneName string
 }
 
 // NewDropRunner returns an unscoped paced runner over store with cfg (zero
@@ -66,7 +64,7 @@ func NewZoneDropRunner(store *Store, z zone.Config) (*DropRunner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DropRunner{store: store, cfg: cfg, policy: pol, scope: z.TLDSet(), zoneName: z.Name}, nil
+	return &DropRunner{store: store, cfg: cfg, policy: pol, scope: z.TLDSet()}, nil
 }
 
 // Config returns the active configuration.
@@ -74,10 +72,6 @@ func (r *DropRunner) Config() DropConfig { return r.cfg }
 
 // Policy returns the runner's release policy.
 func (r *DropRunner) Policy() zone.DropPolicy { return r.policy }
-
-// ZoneName returns the scoped zone's name ("" for the legacy unscoped
-// runner).
-func (r *DropRunner) ZoneName() string { return r.zoneName }
 
 // inScope reports whether t belongs to this runner's zone.
 func (r *DropRunner) inScope(t model.TLD) bool {

@@ -418,24 +418,6 @@ func (s *Store) splitName(name string) (label string, tld model.TLD, err error) 
 	return label, tld, nil
 }
 
-// CheckName validates a domain name's syntax and TLD without taking any
-// lock, so protocol front ends can reject garbage before charging
-// rate-limit budget (an invalid-name create must never cost a token).
-//
-// Deprecated: the package-level check can only answer for the default
-// .com/.net zone. Store-backed callers should use Store.CheckName, which
-// consults the store's actual zone set.
-func CheckName(name string) error {
-	_, t, err := splitNameSyntax(name)
-	if err != nil {
-		return err
-	}
-	if !t.Valid() {
-		return fmt.Errorf("%w: %q", ErrUnknownTLD, name)
-	}
-	return nil
-}
-
 // Available reports whether name could be created right now.
 func (s *Store) Available(name string) (bool, error) {
 	if _, _, err := s.splitName(name); err != nil {

@@ -30,23 +30,19 @@ type FollowerConfig struct {
 	// ReconnectWait is the pause between connection attempts (default
 	// 500ms).
 	ReconnectWait time.Duration
-	// ReadTimeout bounds one message read (default 10s). The primary
-	// heartbeats twenty times per default window, so an expiry means the
-	// link or the primary is gone and the follower should redial.
-	ReadTimeout time.Duration
-	// AckWithoutFsync skips the local fsync before acknowledging a batch.
-	// The default (false) makes every ack mean "applied AND durable here" —
-	// the property semi-sync failover needs. Enable only for throwaway
-	// read replicas that will never be promoted.
-	AckWithoutFsync bool
-	// SegmentBytes rotates the local shipped log (default 64 MiB).
-	SegmentBytes int64
-	// LagWindow is how many recent per-batch lag samples are retained for
-	// percentile reporting (default 8192).
-	LagWindow int
 	// Logf receives connection lifecycle lines; nil discards them.
 	Logf func(format string, args ...any)
 }
+
+const (
+	// readTimeout bounds one message read. The primary heartbeats twenty
+	// times per window, so an expiry means the link or the primary is gone
+	// and the follower should redial.
+	readTimeout = 10 * time.Second
+	// lagWindow is how many recent per-batch lag samples are retained for
+	// percentile reporting.
+	lagWindow = 8192
+)
 
 func (c *FollowerConfig) defaults() error {
 	if c.Dir == "" {
@@ -61,15 +57,6 @@ func (c *FollowerConfig) defaults() error {
 	}
 	if c.ReconnectWait <= 0 {
 		c.ReconnectWait = 500 * time.Millisecond
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = 10 * time.Second
-	}
-	if c.SegmentBytes <= 0 {
-		c.SegmentBytes = 64 << 20
-	}
-	if c.LagWindow <= 0 {
-		c.LagWindow = 8192
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -131,7 +118,7 @@ func NewFollower(store *registry.Store, cfg FollowerConfig) (*Follower, error) {
 	if err != nil {
 		return nil, fmt.Errorf("repl: recover follower dir: %w", err)
 	}
-	log, err := journal.OpenFollowerLog(cfg.Dir, last, cfg.SegmentBytes)
+	log, err := journal.OpenFollowerLog(cfg.Dir, last)
 	if err != nil {
 		return nil, err
 	}
@@ -236,7 +223,7 @@ func (f *Follower) consume(conn net.Conn) error {
 		mutations []registry.Mutation
 	)
 	for {
-		typ, payload, next, err := readMsg(conn, f.cfg.ReadTimeout, buf)
+		typ, payload, next, err := readMsg(conn, readTimeout, buf)
 		if err != nil {
 			return err
 		}
@@ -362,10 +349,8 @@ func (f *Follower) applyBatch(raw []byte, first, last uint64, scratch []registry
 	if err := f.log.AppendFrames(raw, first, last); err != nil {
 		return scratch, f.setFatal(err)
 	}
-	if !f.cfg.AckWithoutFsync {
-		if err := f.log.Sync(); err != nil {
-			return scratch, f.setFatal(err)
-		}
+	if err := f.log.Sync(); err != nil {
+		return scratch, f.setFatal(err)
 	}
 	// Application records (the sim driver's checkpoints) are persisted
 	// above like everything else — recovery and promotion see them — but
@@ -383,8 +368,7 @@ func (f *Follower) applyBatch(raw []byte, first, last uint64, scratch []registry
 	return scratch, nil
 }
 
-// ack reports the applied (and, unless AckWithoutFsync, locally durable)
-// position to the primary.
+// ack reports the applied and locally durable position to the primary.
 func (f *Follower) ack(conn net.Conn, seq uint64) error {
 	var b [msgHeader + 8]byte
 	binary.LittleEndian.PutUint64(b[msgHeader:], seq)
@@ -405,13 +389,13 @@ func (f *Follower) observeLag(primarySeq uint64, sentNanos int64) {
 		}
 	}
 	f.lagMu.Lock()
-	if cap(f.lagSamples) < f.cfg.LagWindow {
-		f.lagSamples = make([]time.Duration, f.cfg.LagWindow)
+	if cap(f.lagSamples) < lagWindow {
+		f.lagSamples = make([]time.Duration, lagWindow)
 		f.lagIdx, f.lagFull = 0, false
 	}
 	f.lagSamples[f.lagIdx] = lag
 	f.lagIdx++
-	if f.lagIdx == f.cfg.LagWindow {
+	if f.lagIdx == lagWindow {
 		f.lagIdx, f.lagFull = 0, true
 	}
 	f.lagMu.Unlock()
@@ -546,12 +530,12 @@ func (f *Follower) LagResult() loadgen.Result {
 	f.lagMu.Lock()
 	n := f.lagIdx
 	if f.lagFull {
-		n = f.cfg.LagWindow
+		n = lagWindow
 	}
 	samples := make([]time.Duration, n)
 	if f.lagFull {
 		copy(samples, f.lagSamples[f.lagIdx:])
-		copy(samples[f.cfg.LagWindow-f.lagIdx:], f.lagSamples[:f.lagIdx])
+		copy(samples[lagWindow-f.lagIdx:], f.lagSamples[:f.lagIdx])
 	} else {
 		copy(samples, f.lagSamples[:n])
 	}

@@ -462,7 +462,7 @@ func TestFollowerResumeMidTail(t *testing.T) {
 	}
 	// Small frame batches so the tail ships incrementally, and a cut a few
 	// batches past the snapshot: some tail frames land, then the wire dies.
-	resumeHarness(t, info.Size()+4_096, SourceConfig{BatchBytes: 2_048})
+	resumeHarness(t, info.Size()+4_096, SourceConfig{batchBytes: 2_048})
 }
 
 // TestFollowerRejectsEmptyBatch: a frames message whose header claims
@@ -593,7 +593,7 @@ func TestFollowerSnapshotSizeIsAClaim(t *testing.T) {
 // must accept new writes.
 func TestFailoverZeroLoss(t *testing.T) {
 	store, jnl := newPrimary(t, t.TempDir())
-	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, SyncTimeout: 5 * time.Second})
+	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 5 * time.Second})
 	store.SetJournal(&SyncJournal{J: jnl, S: src})
 	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
 
@@ -707,7 +707,7 @@ func TestFailoverZeroLoss(t *testing.T) {
 func TestWaitSyncedTimesOutWithoutQuorum(t *testing.T) {
 	store, jnl := newPrimary(t, t.TempDir())
 	defer jnl.Close()
-	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, SyncTimeout: 50 * time.Millisecond})
+	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 50 * time.Millisecond})
 	defer src.Close()
 	store.SetJournal(&SyncJournal{J: jnl, S: src})
 	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})

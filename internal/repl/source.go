@@ -15,51 +15,49 @@ import (
 	"dropzero/internal/serve"
 )
 
-// SourceConfig tunes the primary side of replication. The zero value of
-// every field gets a sensible default.
+// SourceConfig configures the primary side of replication. The zero value
+// is an asynchronous source that logs nothing.
 type SourceConfig struct {
-	// BatchBytes caps the raw frame bytes per msgFrames message (default
-	// 512 KiB). A batch is also bounded by what is durable: the source
-	// wakes per group commit and ships whatever landed, so batch boundaries
-	// align with commit boundaries under load.
-	BatchBytes int
-	// SnapChunkBytes caps one snapshot chunk message (default 256 KiB).
-	SnapChunkBytes int
-	// Heartbeat is the idle keepalive interval (default 500ms). Heartbeats
-	// carry the durable horizon so an idle follower still measures lag.
-	Heartbeat time.Duration
-	// WriteTimeout bounds every message write (default 10s); a follower
-	// that stops draining is disconnected rather than wedging the source.
-	WriteTimeout time.Duration
 	// SyncFollowers, when positive, arms semi-synchronous replication:
 	// WaitSynced(seq) blocks until that many followers have acknowledged
 	// applying and locally fsyncing seq. Zero leaves replication fully
 	// asynchronous and WaitSynced a no-op.
 	SyncFollowers int
-	// SyncTimeout bounds one WaitSynced call (default 10s). On expiry the
-	// mutation stays durable on the primary but unacknowledged — the caller
-	// reports failure, exactly the no-overclaim contract sync mode has
-	// locally.
-	SyncTimeout time.Duration
 	// Logf receives connection lifecycle lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	// Test seams, zero meaning the default: small batches ship a tail
+	// incrementally, a short timeout fails a quorum wait fast.
+	batchBytes  int
+	syncTimeout time.Duration
 }
 
+const (
+	// defaultBatchBytes caps the raw frame bytes per msgFrames message. A
+	// batch is also bounded by what is durable: the source wakes per group
+	// commit and ships whatever landed, so batch boundaries align with
+	// commit boundaries under load.
+	defaultBatchBytes = 512 << 10
+	// snapChunkBytes caps one snapshot chunk message.
+	snapChunkBytes = 256 << 10
+	// heartbeat is the idle keepalive interval. Heartbeats carry the
+	// durable horizon so an idle follower still measures lag.
+	heartbeat = 500 * time.Millisecond
+	// writeTimeout bounds every message write; a follower that stops
+	// draining is disconnected rather than wedging the source.
+	writeTimeout = 10 * time.Second
+	// defaultSyncTimeout bounds one WaitSynced call. On expiry the mutation
+	// stays durable on the primary but unacknowledged — the caller reports
+	// failure, exactly the no-overclaim contract sync mode has locally.
+	defaultSyncTimeout = 10 * time.Second
+)
+
 func (c *SourceConfig) defaults() {
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 512 << 10
+	if c.batchBytes <= 0 {
+		c.batchBytes = defaultBatchBytes
 	}
-	if c.SnapChunkBytes <= 0 {
-		c.SnapChunkBytes = 256 << 10
-	}
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 500 * time.Millisecond
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = 10 * time.Second
-	}
-	if c.SyncTimeout <= 0 {
-		c.SyncTimeout = 10 * time.Second
+	if c.syncTimeout <= 0 {
+		c.syncTimeout = defaultSyncTimeout
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -129,7 +127,7 @@ func (s *Source) follow(conn net.Conn) {
 	err := s.serve(conn, &acks)
 	if err != nil && err != io.EOF {
 		s.cfg.Logf("repl: follower %v: %v", conn.RemoteAddr(), err)
-		sendError(conn, s.cfg.WriteTimeout, err)
+		sendError(conn, writeTimeout, err)
 	}
 	conn.Close()
 	acks.Wait()
@@ -189,7 +187,7 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 	watch, cancel := s.j.WatchDurable()
 	defer cancel()
 
-	hb := time.NewTimer(s.cfg.Heartbeat)
+	hb := time.NewTimer(heartbeat)
 	defer hb.Stop()
 	var (
 		msg         []byte
@@ -200,7 +198,7 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 	for {
 		durable := s.j.DurableSeq()
 		msg = append(msg[:0], hdrZero[:]...)
-		msg, first, last, err = tr.Next(msg, durable, s.cfg.BatchBytes)
+		msg, first, last, err = tr.Next(msg, durable, s.cfg.batchBytes)
 		if err != nil {
 			return err
 		}
@@ -209,7 +207,7 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 			binary.LittleEndian.PutUint64(msg[msgHeader+8:], last)
 			binary.LittleEndian.PutUint64(msg[msgHeader+16:], s.j.LastSeq())
 			binary.LittleEndian.PutUint64(msg[msgHeader+24:], uint64(time.Now().UnixNano()))
-			if err := writeMsg(conn, s.cfg.WriteTimeout, msgFrames, msg); err != nil {
+			if err := writeMsg(conn, writeTimeout, msgFrames, msg); err != nil {
 				return err
 			}
 			s.shippedRecords.Add(last - first + 1)
@@ -224,7 +222,7 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 			var b [msgHeader + heartbeatBody]byte
 			binary.LittleEndian.PutUint64(b[msgHeader:], durable)
 			binary.LittleEndian.PutUint64(b[msgHeader+8:], uint64(time.Now().UnixNano()))
-			if err := writeMsg(conn, s.cfg.WriteTimeout, msgHeartbeat, b[:]); err != nil {
+			if err := writeMsg(conn, writeTimeout, msgHeartbeat, b[:]); err != nil {
 				return err
 			}
 		}
@@ -234,7 +232,7 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 			default:
 			}
 		}
-		hb.Reset(s.cfg.Heartbeat)
+		hb.Reset(heartbeat)
 	}
 }
 
@@ -264,14 +262,14 @@ func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
 	var begin [msgHeader + snapBeginBody]byte
 	binary.LittleEndian.PutUint64(begin[msgHeader:], seq)
 	binary.LittleEndian.PutUint64(begin[msgHeader+8:], uint64(info.Size()))
-	if err := writeMsg(conn, s.cfg.WriteTimeout, msgSnapBegin, begin[:]); err != nil {
+	if err := writeMsg(conn, writeTimeout, msgSnapBegin, begin[:]); err != nil {
 		return 0, err
 	}
-	chunk := make([]byte, msgHeader+s.cfg.SnapChunkBytes)
+	chunk := make([]byte, msgHeader+snapChunkBytes)
 	for {
 		n, rerr := f.Read(chunk[msgHeader:])
 		if n > 0 {
-			if err := writeMsg(conn, s.cfg.WriteTimeout, msgSnapChunk, chunk[:msgHeader+n]); err != nil {
+			if err := writeMsg(conn, writeTimeout, msgSnapChunk, chunk[:msgHeader+n]); err != nil {
 				return 0, err
 			}
 		}
@@ -282,7 +280,7 @@ func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
 			return 0, fmt.Errorf("repl: read snapshot: %w", rerr)
 		}
 	}
-	if err := writeMsg(conn, s.cfg.WriteTimeout, msgSnapEnd, make([]byte, msgHeader)); err != nil {
+	if err := writeMsg(conn, writeTimeout, msgSnapEnd, make([]byte, msgHeader)); err != nil {
 		return 0, err
 	}
 	s.snapshotsSent.Add(1)
@@ -332,7 +330,7 @@ func (s *Source) ackQuorumLocked(seq uint64) int {
 }
 
 // WaitSynced blocks until SyncFollowers followers have acknowledged
-// applying and locally persisting seq, the configured SyncTimeout expires,
+// applying and locally persisting seq, defaultSyncTimeout expires,
 // or the source closes. With SyncFollowers zero it returns immediately —
 // replication is asynchronous and acks are telemetry only.
 func (s *Source) WaitSynced(seq uint64) error {
@@ -355,7 +353,7 @@ func (s *Source) WaitSynced(seq uint64) error {
 	s.waiters[w] = struct{}{}
 	s.ackMu.Unlock()
 
-	t := time.NewTimer(s.cfg.SyncTimeout)
+	t := time.NewTimer(s.cfg.syncTimeout)
 	defer t.Stop()
 	select {
 	case <-w.done:
@@ -372,7 +370,7 @@ func (s *Source) WaitSynced(seq uint64) error {
 		if closed {
 			return fmt.Errorf("repl: source closed before seq %d was acknowledged", seq)
 		}
-		return fmt.Errorf("repl: no follower quorum for seq %d within %v", seq, s.cfg.SyncTimeout)
+		return fmt.Errorf("repl: no follower quorum for seq %d within %v", seq, s.cfg.syncTimeout)
 	}
 }
 

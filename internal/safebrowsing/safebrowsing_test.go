@@ -2,7 +2,6 @@ package safebrowsing
 
 import (
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 )
@@ -84,37 +83,5 @@ func TestLabelModelBandEdges(t *testing.T) {
 	}
 	if m.Label(61*time.Second, rng) {
 		t.Fatal("61s fell into burst band")
-	}
-}
-
-// TestOracleServeErrSurfaced checks background serve failures are recorded
-// and a clean Close records nothing.
-func TestOracleServeErrSurfaced(t *testing.T) {
-	o := NewOracle()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.Serve(ln)
-	ln.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for o.ServeErr() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if o.ServeErr() == nil {
-		t.Fatal("ServeErr not recorded after listener failure")
-	}
-	o.Close()
-
-	clean := NewOracle()
-	if _, err := clean.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.Close(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(10 * time.Millisecond)
-	if err := clean.ServeErr(); err != nil {
-		t.Fatalf("clean Close recorded ServeErr: %v", err)
 	}
 }

@@ -47,12 +47,12 @@ func (h *HTTP) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: listen %s: %w", h.name, addr, err)
 	}
-	h.Serve(ln)
+	h.serve(ln)
 	return ln.Addr(), nil
 }
 
-// Serve serves ln on a new goroutine until Close.
-func (h *HTTP) Serve(ln net.Listener) {
+// serve serves ln on a new goroutine until Close.
+func (h *HTTP) serve(ln net.Listener) {
 	go func() {
 		if err := h.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			h.v.Store(fmt.Errorf("%s: serve: %w", h.name, err))
@@ -89,12 +89,12 @@ func (c *Conns) Listen(addr string) (net.Addr, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: listen %s: %w", c.name, addr, err)
 	}
-	return ln.Addr(), c.Serve(ln)
+	return ln.Addr(), c.serve(ln)
 }
 
-// Serve serves each connection accepted on ln on its own goroutine until
-// Close. Serve after Close closes ln and is an error.
-func (c *Conns) Serve(ln net.Listener) error {
+// serve serves each connection accepted on ln on its own goroutine until
+// Close. serve after Close closes ln and is an error.
+func (c *Conns) serve(ln net.Listener) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {

@@ -38,12 +38,12 @@ func TestServeErr(t *testing.T) {
 	for name, start := range map[string]func(net.Listener) (serveErr, close func() error){
 		"HTTP": func(ln net.Listener) (func() error, func() error) {
 			h := NewHTTP("h", http.NotFoundHandler())
-			h.Serve(ln)
+			h.serve(ln)
 			return h.ServeErr, h.Close
 		},
 		"Conns": func(ln net.Listener) (func() error, func() error) {
 			c := NewConns("c", func(net.Conn) {})
-			_ = c.Serve(ln) // fails only after Close
+			_ = c.serve(ln) // fails only after Close
 			return c.ServeErr, c.Close
 		},
 	} {
@@ -75,7 +75,7 @@ func TestConnsAcceptAndClose(t *testing.T) {
 	ln := &script{next: make(chan any)}
 	served := make(chan struct{}, 2)
 	c := NewConns("c", func(net.Conn) { served <- struct{}{} })
-	_ = c.Serve(ln) // fails only after Close
+	_ = c.serve(ln) // fails only after Close
 	emfile := &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
 	_, server := net.Pipe()
 	ln.next <- emfile

@@ -138,7 +138,7 @@ func TestMemoryOnlyRunOpensOnlyWHOIS(t *testing.T) {
 		}
 		dump := string(buf[:runtime.Stack(buf, true)])
 		sawWHOIS = sawWHOIS || strings.Contains(dump, "serve.(*Conns).accept")
-		if strings.Contains(dump, "serve.(*HTTP).Serve") {
+		if strings.Contains(dump, "serve.(*HTTP).serve") {
 			t.Fatal("memory-only Run has an HTTP surface listening")
 		}
 	}

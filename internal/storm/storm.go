@@ -151,12 +151,6 @@ type Report struct {
 	Unclaimed []string
 	// DropErrors are failures applying the Drop itself.
 	DropErrors []error
-	// ReplicationLag, when the storm ran against a replicated primary,
-	// holds a follower's per-batch time-lag samples (how stale replica
-	// reads were while the create burst raged) with the same percentile
-	// machinery as create latencies. Attached by the harness from
-	// repl.Follower.LagResult after the run; nil for unreplicated storms.
-	ReplicationLag *loadgen.Result
 	// FanoutLag, when a feed subscriber pool rode along with the storm, holds
 	// the event hub's per-delivery fan-out lag (mutation append instant to
 	// subscriber receipt) — how stale a drop-catcher watching the push feed
@@ -164,9 +158,6 @@ type Report struct {
 	// feed.Hub.FanoutLag after the run; nil when no pool was attached.
 	FanoutLag *loadgen.Result
 }
-
-// AttachReplicationLag records a follower's lag distribution on the report.
-func (r *Report) AttachReplicationLag(lag loadgen.Result) { r.ReplicationLag = &lag }
 
 // AttachFanoutLag records the event feed's delivery-lag distribution.
 func (r *Report) AttachFanoutLag(lag loadgen.Result) { r.FanoutLag = &lag }

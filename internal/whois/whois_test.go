@@ -434,41 +434,6 @@ func TestServeConnConcurrentDuringDrop(t *testing.T) {
 	wg.Wait()
 }
 
-// TestWhoisServeErrSurfaced checks accept-loop failures are recorded and a
-// clean Close records nothing.
-func TestWhoisServeErrSurfaced(t *testing.T) {
-	store, _, _ := pipeEnv(t)
-	srv := NewServer(store)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Serve(ln); err != nil {
-		t.Fatal(err)
-	}
-	// Yank the listener without setting closed: the accept loop fails.
-	ln.Close()
-	deadline := time.Now().Add(2 * time.Second)
-	for srv.ServeErr() == nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if srv.ServeErr() == nil {
-		t.Fatal("ServeErr not recorded after listener failure")
-	}
-	srv.Close()
-
-	clean := NewServer(store)
-	if _, err := clean.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := clean.ServeErr(); err != nil {
-		t.Fatalf("clean Close recorded ServeErr: %v", err)
-	}
-}
-
 // TestClosedServerIsCollectable: once Close has returned — accept loop and
 // connection handlers gone — nothing may keep the store reachable.
 func TestClosedServerIsCollectable(t *testing.T) {

@@ -109,16 +109,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// Hosts reports whether t is one of the zone's TLDs.
-func (c *Config) Hosts(t model.TLD) bool {
-	for _, z := range c.TLDs {
-		if z == t {
-			return true
-		}
-	}
-	return false
-}
-
 // TLDSet returns the zone's TLDs as a membership set.
 func (c *Config) TLDSet() map[model.TLD]bool {
 	m := make(map[model.TLD]bool, len(c.TLDs))

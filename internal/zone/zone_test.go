@@ -205,11 +205,8 @@ func TestConfigValidateAndHosts(t *testing.T) {
 	if err := def.Validate(); err != nil {
 		t.Fatalf("default zone invalid: %v", err)
 	}
-	if !def.Hosts(model.COM) || !def.Hosts(model.NET) || def.Hosts("se") {
-		t.Fatal("default zone TLD membership wrong")
-	}
 	set := def.TLDSet()
-	if !set[model.COM] || len(set) != 2 {
+	if !set[model.COM] || !set[model.NET] || set["se"] || len(set) != 2 {
 		t.Fatalf("TLDSet = %v", set)
 	}
 	bad := Config{Name: "x", TLDs: []model.TLD{"a.b"}, Policy: PolicyPaced}

@@ -123,7 +123,7 @@ func NewServer(store *registry.Store) *Server {
 
 func (s *Server) handleZone(w http.ResponseWriter, r *http.Request) {
 	tld := model.TLD(r.URL.Query().Get("tld"))
-	if !tld.Valid() {
+	if !s.store.HostsTLD(tld) {
 		http.Error(w, fmt.Sprintf("unknown tld %q", tld), http.StatusBadRequest)
 		return
 	}

@@ -11,6 +11,7 @@ import (
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
+	"dropzero/internal/zone"
 )
 
 func newWorld(t *testing.T) (*registry.Store, *simtime.SimClock) {
@@ -163,6 +164,19 @@ func TestServerFetch(t *testing.T) {
 	}
 	if _, err := Fetch(client, "http://zones.internal", model.TLD("org")); err == nil {
 		t.Fatal("foreign TLD accepted")
+	}
+	// Every TLD the store hosts is served, not only the default zone's.
+	if err := store.AddZone(zone.Config{
+		Name: "nordic", TLDs: []model.TLD{"se", "nu"},
+		Lifecycle: zone.DefaultLifecycleConfig(), Policy: zone.PolicyInstant,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Create("foo.se", 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if names, err := Fetch(client, "http://zones.internal", "se"); err != nil || len(names) != 1 || !names["foo.se"] {
+		t.Fatalf(".se zone = %v, %v", names, err)
 	}
 }
 
