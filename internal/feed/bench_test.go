@@ -107,14 +107,13 @@ func benchOps(n int) []Op {
 }
 
 // BenchmarkDeltaServe contrasts what each poll costs to assemble: a delta
-// response concatenates the pre-rendered bytes of the segments after the
-// cursor — O(changes) — while a full-list render walks and sorts the whole
-// pending set — O(n). Cache assembly is forced every iteration (fresh
-// cache) so the render path itself is measured; bytes_served/op shows the
-// payload asymmetry.
+// response renders the ops of the segments after the cursor — O(changes) —
+// while a full-list render walks and sorts the whole pending set — O(n).
+// Cache assembly is forced every iteration (fresh cache) so the render path
+// itself is measured; bytes_served/op shows the payload asymmetry.
 func BenchmarkDeltaServe(b *testing.B) {
 	const pendingN, opsN = 10_000, 100
-	run := func(b *testing.B, json bool, full bool) {
+	run := func(b *testing.B, full bool) {
 		h := benchHub(b, pendingN, Options{})
 		seg := renderSegment(1, uint64(opsN), 1, benchOps(opsN))
 		h.ringMu.Lock()
@@ -130,7 +129,7 @@ func BenchmarkDeltaServe(b *testing.B) {
 			if full {
 				bytes += int64(len(h.buildFull("").body))
 			} else {
-				resp, ok := h.buildDeltas(0, json, "")
+				resp, ok := h.buildDeltas(0, "")
 				if !ok {
 					b.Fatal("delta cursor not servable")
 				}
@@ -139,9 +138,8 @@ func BenchmarkDeltaServe(b *testing.B) {
 		}
 		b.ReportMetric(float64(bytes)/float64(b.N), "bytes_served/op")
 	}
-	b.Run("delta-csv", func(b *testing.B) { run(b, false, false) })
-	b.Run("delta-json", func(b *testing.B) { run(b, true, false) })
-	b.Run("full", func(b *testing.B) { run(b, false, true) })
+	b.Run("delta-csv", func(b *testing.B) { run(b, false) })
+	b.Run("full", func(b *testing.B) { run(b, true) })
 }
 
 // BenchmarkFanout measures delivering one event batch to N subscribers.

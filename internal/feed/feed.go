@@ -4,16 +4,16 @@
 // a Hub taps the same registry.Journal hook, folds each committed mutation
 // into a materialised pending-delete set, and keeps a bounded ring of
 // per-batch delta segments ("added / removed / re-registered since cursor
-// C") whose CSV, NDJSON and SSE bytes are rendered exactly once — the same
-// []byte is written to every subscriber, so fan-out cost is O(subscribers)
-// writes, not O(subscribers) encodes.
+// C") whose SSE frame is rendered exactly once — the same []byte is written
+// to every subscriber, so fan-out cost is O(subscribers) writes, not
+// O(subscribers) encodes.
 //
 // Consumers pick their freshness/cost point:
 //
-//   - GET /deltas?since=C — pull: concatenated pre-rendered segments after
-//     cursor C, strong "<from>-<to>" ETag, Content-Length up front; add
-//     wait=2s for long-poll. A since below the ring floor redirects to the
-//     full list.
+//   - GET /deltas?since=C — pull: the CSV op lines of the segments after
+//     cursor C, rendered from their ops on a cache miss; strong
+//     "<from>-<to>" ETag, Content-Length up front; add wait=2s for
+//     long-poll. A since below the ring floor redirects to the full list.
 //   - GET /deltas/full — the whole pending-delete set plus an X-Feed-Cursor
 //     header naming the cursor it is consistent with; the join point.
 //   - GET /events?since=C — push: an SSE stream of the same segment frames,
@@ -32,8 +32,6 @@
 package feed
 
 import (
-	"bytes"
-	"encoding/json"
 	"sort"
 	"strconv"
 	"sync"
@@ -82,9 +80,9 @@ type Item struct {
 
 // Options configures a Hub. The zero value gets sensible defaults.
 type Options struct {
-	// RingBytes bounds the pre-rendered segment ring (CSV+JSON+SSE bytes
-	// retained). Default 4 MiB. The ring decides how stale a cursor can be
-	// and still catch up incrementally.
+	// RingBytes bounds the segment ring (the SSE frame bytes it retains).
+	// Default 4 MiB. The ring decides how stale a cursor can be and still
+	// catch up incrementally.
 	RingBytes int
 	// QueueLen bounds each subscriber's pending-frame queue; a subscriber
 	// whose queue fills is dropped to catch-up. Default 64.
@@ -113,21 +111,17 @@ type rec struct {
 }
 
 // segment is one broadcast batch: the delta ops derived from a contiguous
-// run of mutation records (from..to], rendered once in every wire shape.
-// opList keeps the decoded ops so zone-scoped delta requests can re-filter
-// a segment without reparsing its rendered bytes; the default (unscoped)
-// path never touches it.
+// run of mutation records (from..to]. sse is the one rendering every
+// subscriber and ring replay shares; /deltas renders its CSV lines from
+// opList, filtered when a zone is asked for.
 type segment struct {
 	from, to uint64
 	at       int64 // earliest op-producing record's append instant
-	ops      int
 	opList   []Op
-	csv      []byte // delta CSV lines: op,name,day
-	json     []byte // one NDJSON object
 	sse      []byte // complete SSE frame (id/event/data lines + blank)
 }
 
-func (s *segment) size() int { return len(s.csv) + len(s.json) + len(s.sse) }
+func (s *segment) size() int { return len(s.sse) }
 
 // subscriber is one /events connection's state. The HTTP handler goroutine
 // owns cursor and writes; the broadcaster only appends to queue / flags
@@ -146,14 +140,13 @@ type subShard struct {
 	set map[*subscriber]struct{}
 }
 
-// deltaKey keys the response cache: one entry per (since, shape, zone) at
+// deltaKey keys the response cache: one entry per (since, full, zone) at
 // the hub's current cursor generation. zone is "" for the unscoped feed;
 // zone-scoped responses differ in body and ETag, so they get their own
 // entries.
 type deltaKey struct {
 	since uint64
 	full  bool
-	json  bool
 	zone  string
 }
 
@@ -466,74 +459,53 @@ func (h *Hub) deriveLocked(m *registry.Mutation, seq uint64, ops []Op) []Op {
 	return ops
 }
 
-// renderSegment encodes a batch's ops once in every wire shape. Nothing
-// here is per-subscriber: broadcast shares these exact bytes.
+// renderSegment encodes a batch's SSE frame once. Nothing here is
+// per-subscriber: broadcast shares these exact bytes.
 func renderSegment(from, to uint64, at int64, ops []Op) *segment {
-	seg := &segment{from: from, to: to, at: at, ops: len(ops), opList: ops}
+	var hdr [128]byte // fits the longest header: four 20-digit numbers
+	head := append(hdr[:0], "id: "...)
+	head = strconv.AppendUint(head, to, 10)
+	head = append(head, "\nevent: delta\ndata: "...)
+	head = strconv.AppendUint(head, from, 10)
+	head = append(head, ' ')
+	head = strconv.AppendUint(head, to, 10)
+	head = append(head, ' ')
+	head = strconv.AppendInt(head, at, 10)
+	head = append(head, ' ')
+	head = strconv.AppendInt(head, int64(len(ops)), 10)
+	head = append(head, '\n')
 
-	var csv bytes.Buffer
+	n := len(head) + 1
 	for _, op := range ops {
-		writeOpLine(&csv, op)
+		n += len("data: ") + opLineLen(op)
 	}
-	seg.csv = csv.Bytes()
-
-	seg.json = marshalSegmentJSON(from, to, at, ops)
-
-	var sse bytes.Buffer
-	sse.WriteString("id: ")
-	sse.WriteString(strconv.FormatUint(to, 10))
-	sse.WriteString("\nevent: delta\ndata: ")
-	sse.WriteString(strconv.FormatUint(from, 10))
-	sse.WriteByte(' ')
-	sse.WriteString(strconv.FormatUint(to, 10))
-	sse.WriteByte(' ')
-	sse.WriteString(strconv.FormatInt(at, 10))
-	sse.WriteByte(' ')
-	sse.WriteString(strconv.Itoa(len(ops)))
-	sse.WriteByte('\n')
+	b := append(make([]byte, 0, n), head...)
 	for _, op := range ops {
-		sse.WriteString("data: ")
-		writeOpLine(&sse, op)
+		b = append(b, "data: "...)
+		b = appendOpLine(b, op)
 	}
-	sse.WriteByte('\n')
-	seg.sse = sse.Bytes()
-	return seg
+	b = append(b, '\n')
+	return &segment{from: from, to: to, at: at, opList: ops, sse: b}
 }
 
-// marshalSegmentJSON renders one batch's NDJSON line. Zone-scoped delta
-// requests call it with a filtered op list but the original batch bounds,
-// so cursors stay valid across zones.
-func marshalSegmentJSON(from, to uint64, at int64, ops []Op) []byte {
-	jops := make([][3]string, len(ops))
-	for i, op := range ops {
-		jops[i] = [3]string{string(op.Kind), op.Name, ""}
-		if op.Kind == OpAdd {
-			jops[i][2] = op.Day.String()
-		}
-	}
-	j, err := json.Marshal(struct {
-		From uint64      `json:"from"`
-		To   uint64      `json:"to"`
-		Sent int64       `json:"sent"`
-		Ops  [][3]string `json:"ops"`
-	}{from, to, at, jops})
-	if err != nil {
-		panic(err) // plain strings and ints cannot fail to marshal
-	}
-	return append(j, '\n')
-}
-
-// writeOpLine renders one delta CSV line: op,name,day (day only for adds).
-// Domain names never need CSV quoting.
-func writeOpLine(buf *bytes.Buffer, op Op) {
-	buf.WriteByte(byte(op.Kind))
-	buf.WriteByte(',')
-	buf.WriteString(op.Name)
-	buf.WriteByte(',')
+// opLineLen is the length of op's CSV line for any four-digit-year day.
+func opLineLen(op Op) int {
 	if op.Kind == OpAdd {
-		buf.WriteString(op.Day.String())
+		return len(op.Name) + 14 // "+," name ",YYYY-MM-DD\n"
 	}
-	buf.WriteByte('\n')
+	return len(op.Name) + 4
+}
+
+// appendOpLine renders one delta CSV line: op,name,day (day only for adds).
+// Domain names never need CSV quoting.
+func appendOpLine(b []byte, op Op) []byte {
+	b = append(b, byte(op.Kind), ',')
+	b = append(b, op.Name...)
+	b = append(b, ',')
+	if op.Kind == OpAdd {
+		b = op.Day.AppendTo(b)
+	}
+	return append(b, '\n')
 }
 
 // broadcast enqueues seg on every subscriber: one pointer append and one

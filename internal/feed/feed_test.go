@@ -636,7 +636,7 @@ func TestParseOpsRoundTrip(t *testing.T) {
 		{Kind: OpRereg, Name: "d.com"},
 	}
 	seg := renderSegment(1, 4, 123, ops)
-	got, err := ParseOps(seg.csv)
+	got, err := ParseOps(sseOpLines(t, seg.sse))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -650,5 +650,143 @@ func TestParseOpsRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseOps([]byte("?,bad,\n")); err == nil {
 		t.Fatal("unknown op must fail to parse")
+	}
+}
+
+// sseOpLines returns a delta frame's op lines with their "data: " prefix
+// stripped: everything after the id, event and batch-header lines.
+func sseOpLines(t *testing.T, frame []byte) []byte {
+	t.Helper()
+	lines := strings.SplitAfter(string(frame), "\n")
+	if len(lines) < 4 || !strings.HasPrefix(lines[0], "id: ") ||
+		lines[1] != "event: delta\n" || !strings.HasPrefix(lines[2], "data: ") {
+		t.Fatalf("not a delta frame: %q", frame)
+	}
+	var b strings.Builder
+	for _, l := range lines[3:] {
+		if l == "\n" || l == "" {
+			continue
+		}
+		op, ok := strings.CutPrefix(l, "data: ")
+		if !ok {
+			t.Fatalf("op line without data prefix: %q", l)
+		}
+		b.WriteString(op)
+	}
+	return []byte(b.String())
+}
+
+// /deltas speaks CSV only: format=csv is the default spelled out, and any
+// other format (the retired NDJSON shape included) is refused rather than
+// answered with a body the client would misparse.
+func TestDeltasFormatParam(t *testing.T) {
+	e := newEnv(t, Options{})
+	seedPending(t, e.store, "a.com", day0())
+	seedPending(t, e.store, "b.net", day0().AddDays(1))
+	e.hub.Quiesce()
+	get := func(q string) (int, string) {
+		t.Helper()
+		resp, err := http.Get(e.srv.URL + "/deltas?since=0" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, readAll(t, resp)
+	}
+	code, plain := get("")
+	if code != http.StatusOK || plain == "" {
+		t.Fatalf("no format: %d %q", code, plain)
+	}
+	if code, body := get("&format=csv"); code != http.StatusOK || body != plain {
+		t.Fatalf("format=csv: %d %q, want 200 %q", code, body, plain)
+	}
+	for _, f := range []string{"json", "ndjson", "CSV"} {
+		if code, _ := get("&format=" + f); code != http.StatusBadRequest {
+			t.Fatalf("format=%s answered %d, want 400", f, code)
+		}
+	}
+}
+
+// The /deltas body is rendered from each segment's ops, the SSE frame once
+// at ingest: over random batches of adds (with days), removes, purges and
+// re-registrations, the two must carry the same op lines in cursor order,
+// for every servable cursor, and both must keep the fmt-rendered wire form.
+func TestDeltasBodyMatchesSSEFrames(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		h := NewHub(Options{})
+		names := make([]string, 40)
+		for i := range names {
+			names[i] = fmt.Sprintf("n%02d.%s", i, []string{"com", "net", "se"}[i%3])
+		}
+		for step := 0; step < 60; step++ {
+			batch := make([]rec, []int{1, 2, 7, 32}[rng.Intn(4)])
+			for i := range batch {
+				m := registry.Mutation{Name: names[rng.Intn(len(names))]}
+				switch rng.Intn(5) {
+				case 0:
+					m.Kind, m.Status, m.DeleteDay = registry.MutSeed, model.StatusPendingDelete, day0().AddDays(rng.Intn(400))
+				case 1:
+					m.Kind, m.Status, m.DeleteDay = registry.MutSetState, model.StatusPendingDelete, day0().AddDays(rng.Intn(400))
+				case 2:
+					m.Kind, m.Status = registry.MutSetState, model.StatusActive
+				case 3:
+					m.Kind = registry.MutPurge
+				default:
+					m.Kind = registry.MutCreate
+				}
+				batch[i] = rec{m: m, at: int64(step)}
+			}
+			h.ingest(batch)
+		}
+		h.Close()
+
+		var frames, ref strings.Builder
+		kinds := map[OpKind]int{}
+		for _, seg := range h.ring {
+			frames.Write(sseOpLines(t, seg.sse))
+			var lines strings.Builder
+			for _, op := range seg.opList {
+				kinds[op.Kind]++
+				day := ""
+				if op.Kind == OpAdd {
+					day = fmt.Sprintf("%04d-%02d-%02d", op.Day.Year, int(op.Day.Month), op.Day.Dom)
+				}
+				fmt.Fprintf(&lines, "%c,%s,%s\n", op.Kind, op.Name, day)
+			}
+			ref.WriteString(lines.String())
+			var want strings.Builder
+			fmt.Fprintf(&want, "id: %d\nevent: delta\ndata: %d %d %d %d\n", seg.to, seg.from, seg.to, seg.at, len(seg.opList))
+			for _, l := range strings.SplitAfter(lines.String(), "\n") {
+				if l != "" {
+					want.WriteString("data: " + l)
+				}
+			}
+			want.WriteString("\n")
+			if string(seg.sse) != want.String() {
+				t.Fatalf("seed %d: frame %d-%d = %q, want %q", seed, seg.from, seg.to, seg.sse, want.String())
+			}
+		}
+		if len(kinds) != 4 {
+			t.Fatalf("seed %d: op kinds seen %v, want all four", seed, kinds)
+		}
+		if frames.String() != ref.String() {
+			t.Fatalf("seed %d: SSE op lines differ from the fmt reference", seed)
+		}
+		if resp, ok := h.buildDeltas(0, ""); !ok || string(resp.body) != frames.String() {
+			t.Fatalf("seed %d: /deltas since 0 differs from the frames' op lines", seed)
+		}
+		for i, seg := range h.ring {
+			resp, ok := h.buildDeltas(seg.from-1, "")
+			if !ok {
+				t.Fatalf("seed %d: cursor %d not servable", seed, seg.from-1)
+			}
+			var tail strings.Builder
+			for _, s := range h.ring[i:] {
+				tail.Write(sseOpLines(t, s.sse))
+			}
+			if string(resp.body) != tail.String() {
+				t.Fatalf("seed %d: /deltas since %d = %q, want %q", seed, seg.from-1, resp.body, tail.String())
+			}
+		}
 	}
 }

@@ -1,7 +1,6 @@
 package feed
 
 import (
-	"bytes"
 	"net/http"
 	"strconv"
 	"time"
@@ -21,15 +20,15 @@ func (h *Hub) Register(mux *http.ServeMux, prefix string) {
 	h.fullPath = prefix + "/deltas/full"
 }
 
-// handleDeltas serves GET /deltas?since=C[&format=json][&wait=2s][&zone=Z]:
-// the pre-rendered delta segments strictly after cursor C, concatenated. The
+// handleDeltas serves GET /deltas?since=C[&wait=2s][&zone=Z]: the CSV op
+// lines of the delta segments strictly after cursor C, in cursor order. The
 // response is byte-identical for equal (since, cursor) pairs, so the
 // "<since>-<cursor>" ETag is strong. A cursor the ring cannot serve exactly
 // (evicted, future, or mid-batch) redirects to the full list, whose
 // X-Feed-Cursor restarts the cursor. zone=Z narrows every segment to the
 // ops whose names the named zone hosts; cursors are shared across zones
 // (batch bounds are global), and the ETag grows an @Z suffix because the
-// body differs.
+// body differs. format, when given, must be csv.
 func (h *Hub) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		w.Header().Set("Allow", "GET, HEAD")
@@ -38,6 +37,10 @@ func (h *Hub) handleDeltas(w http.ResponseWriter, r *http.Request) {
 	}
 	h.mDeltaReqs.Add(1)
 	q := r.URL.Query()
+	if f := q.Get("format"); f != "" && f != "csv" {
+		http.Error(w, "unsupported format (only csv)", http.StatusBadRequest)
+		return
+	}
 	zoneName := q.Get("zone")
 	if zoneName != "" {
 		if _, ok := h.zoneSet(zoneName); !ok {
@@ -51,7 +54,6 @@ func (h *Hub) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, h.fullPath, http.StatusSeeOther)
 		return
 	}
-	asJSON := q.Get("format") == "json"
 
 	if waitStr := q.Get("wait"); waitStr != "" {
 		wait, err := time.ParseDuration(waitStr)
@@ -65,17 +67,13 @@ func (h *Hub) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		h.waitForAdvance(r, since, wait)
 	}
 
-	resp, ok := h.buildDeltas(since, asJSON, zoneName)
+	resp, ok := h.buildDeltas(since, zoneName)
 	if !ok {
 		http.Redirect(w, r, h.fullPath, http.StatusSeeOther)
 		return
 	}
 	hdr := w.Header()
-	if asJSON {
-		hdr.Set("Content-Type", "application/x-ndjson")
-	} else {
-		hdr.Set("Content-Type", "text/csv; charset=utf-8")
-	}
+	hdr.Set("Content-Type", "text/csv; charset=utf-8")
 	hdr["ETag"] = resp.etagVal
 	hdr["X-Feed-Cursor"] = resp.curVal
 	if match := r.Header.Get("If-None-Match"); match != "" && match == resp.etag {
@@ -115,13 +113,13 @@ func (h *Hub) waitForAdvance(r *http.Request, since uint64, wait time.Duration) 
 }
 
 // buildDeltas assembles (or fetches from the per-cursor cache) the /deltas
-// response body for a since cursor. ok=false means the ring cannot serve
-// this cursor and the caller should redirect to the full list. A non-empty
-// zoneName narrows each segment to the named zone's ops (segments left
-// empty by the filter are omitted from the body; the cursor still covers
-// them) and suffixes the ETag with @zone, since the bytes differ per zone.
-func (h *Hub) buildDeltas(since uint64, asJSON bool, zoneName string) (*cachedResp, bool) {
-	key := deltaKey{since: since, json: asJSON, zone: zoneName}
+// response body for a since cursor, rendering each segment's ops as CSV
+// lines. ok=false means the ring cannot serve this cursor and the caller
+// should redirect to the full list. A non-empty zoneName keeps only the
+// named zone's ops (the cursor still covers the segments it empties) and
+// suffixes the ETag with @zone, since the bytes differ per zone.
+func (h *Hub) buildDeltas(since uint64, zoneName string) (*cachedResp, bool) {
+	key := deltaKey{since: since, zone: zoneName}
 	var tlds map[model.TLD]bool
 	if zoneName != "" {
 		var ok bool
@@ -129,6 +127,7 @@ func (h *Hub) buildDeltas(since uint64, asJSON bool, zoneName string) (*cachedRe
 			return nil, false
 		}
 	}
+	keep := func(op Op) bool { return tlds == nil || opInZone(op, tlds) }
 	h.ringMu.RLock()
 	cur := h.cursor
 	if c, ok := h.resp.Get(cur, key); ok {
@@ -140,46 +139,20 @@ func (h *Hub) buildDeltas(since uint64, asJSON bool, zoneName string) (*cachedRe
 		h.ringMu.RUnlock()
 		return nil, false
 	}
-	var body []byte
-	if tlds == nil {
-		n := 0
-		for _, s := range segs {
-			if asJSON {
-				n += len(s.json)
-			} else {
-				n += len(s.csv)
+	n := 0
+	for _, s := range segs {
+		for _, op := range s.opList {
+			if keep(op) {
+				n += opLineLen(op)
 			}
 		}
-		body = make([]byte, 0, n)
-		for _, s := range segs {
-			if asJSON {
-				body = append(body, s.json...)
-			} else {
-				body = append(body, s.csv...)
+	}
+	body := make([]byte, 0, n)
+	for _, s := range segs {
+		for _, op := range s.opList {
+			if keep(op) {
+				body = appendOpLine(body, op)
 			}
-		}
-	} else {
-		var csv bytes.Buffer
-		for _, s := range segs {
-			var fops []Op
-			for _, op := range s.opList {
-				if opInZone(op, tlds) {
-					fops = append(fops, op)
-				}
-			}
-			if len(fops) == 0 {
-				continue
-			}
-			if asJSON {
-				body = append(body, marshalSegmentJSON(s.from, s.to, s.at, fops)...)
-			} else {
-				for _, op := range fops {
-					writeOpLine(&csv, op)
-				}
-			}
-		}
-		if !asJSON {
-			body = csv.Bytes()
 		}
 	}
 	h.ringMu.RUnlock()
@@ -254,7 +227,7 @@ func (h *Hub) buildFull(zoneName string) *cachedResp {
 		}
 		body = append(body, it.Name...)
 		body = append(body, ',')
-		body = append(body, it.Day.String()...)
+		body = it.Day.AppendTo(body)
 		body = append(body, '\n')
 	}
 	etag := `"full-` + strconv.FormatUint(cur, 10)

@@ -85,8 +85,8 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	if string(rec.AppState) != "fed-state" {
 		t.Fatalf("app state = %q", rec.AppState)
 	}
-	z, ok := s2.ZoneOf("se")
-	if !ok || z.Name != "nordic" || z.Policy != zone.PolicyInstant || z.Salt != 17 {
+	z, ok := s2.ZoneByName("nordic")
+	if !ok || !z.TLDSet()["se"] || z.Policy != zone.PolicyInstant || z.Salt != 17 {
 		t.Fatalf("restored zone = %+v, %v", z, ok)
 	}
 	if got := dumpVisible(s2); got != want {

@@ -59,17 +59,6 @@ func (s *Store) ExtraZones() []zone.Config {
 	return out
 }
 
-// ZoneOf returns the zone operating t.
-func (s *Store) ZoneOf(t model.TLD) (zone.Config, bool) {
-	s.zoneTab.mu.RLock()
-	defer s.zoneTab.mu.RUnlock()
-	i, ok := s.zoneTab.tldZone[t]
-	if !ok {
-		return zone.Config{}, false
-	}
-	return s.zoneTab.zones[i], true
-}
-
 // ZoneByName returns the named zone's config.
 func (s *Store) ZoneByName(name string) (zone.Config, bool) {
 	s.zoneTab.mu.RLock()

@@ -186,8 +186,17 @@ func UnixOf(v uint32) int64 {
 func UnpackTime(v uint32) time.Time { return time.Unix(UnixOf(v), 0).UTC() }
 
 // String formats the day as YYYY-MM-DD.
-func (d Day) String() string {
-	return fmt.Sprintf("%04d-%02d-%02d", d.Year, int(d.Month), d.Dom)
+func (d Day) String() string { return string(d.AppendTo(nil)) }
+
+// AppendTo appends the day's String form to b without allocating beyond b's
+// growth — the per-line form list and feed renderers use.
+func (d Day) AppendTo(b []byte) []byte {
+	y, m := d.Year, int(d.Month)
+	if uint(y) > 9999 || uint(m) > 99 || uint(d.Dom) > 99 {
+		return fmt.Appendf(b, "%04d-%02d-%02d", y, m, d.Dom)
+	}
+	return append(b, byte('0'+y/1000), byte('0'+y/100%10), byte('0'+y/10%10), byte('0'+y%10),
+		'-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d.Dom/10), byte('0'+d.Dom%10))
 }
 
 // Trunc rounds t down to whole seconds in UTC. All registry-visible

@@ -1,6 +1,8 @@
 package simtime
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"time"
 )
@@ -154,6 +156,36 @@ func TestDayCompareAgreesWithBefore(t *testing.T) {
 func TestDayString(t *testing.T) {
 	if s := (Day{2018, time.February, 5}).String(); s != "2018-02-05" {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// AppendTo must print exactly what the %04d-%02d-%02d form does: over every
+// stored day (1970-01-01 … 2149-06-06) and at the years where the padding
+// changes or runs out.
+func TestDayAppendToMatchesSprintf(t *testing.T) {
+	check := func(d Day) {
+		t.Helper()
+		want := fmt.Sprintf("%04d-%02d-%02d", d.Year, int(d.Month), d.Dom)
+		buf := []byte("x")
+		if got := d.AppendTo(buf); string(got) != "x"+want {
+			t.Fatalf("AppendTo(%+v) = %q, want %q", d, got[1:], want)
+		}
+		if got := d.String(); got != want {
+			t.Fatalf("String(%+v) = %q, want %q", d, got, want)
+		}
+	}
+	for n := int64(0); n <= math.MaxUint16; n++ {
+		check(DayNumbered(n))
+	}
+	for _, y := range []int{0, 999, 10000} {
+		check(Day{y, time.January, 1})
+		check(Day{y, time.December, 31})
+	}
+	buf := make([]byte, 0, 16)
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf = Day{2018, time.February, 5}.AppendTo(buf[:0])
+	}); allocs != 0 {
+		t.Fatalf("AppendTo allocates %.0f times into a sized buffer", allocs)
 	}
 }
 
