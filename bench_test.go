@@ -19,9 +19,7 @@ package dropzero_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"math/rand"
-	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -34,7 +32,6 @@ import (
 	"dropzero/internal/dropscope"
 	"dropzero/internal/epp"
 	"dropzero/internal/inproc"
-	"dropzero/internal/loadgen"
 	"dropzero/internal/measure"
 	"dropzero/internal/model"
 	"dropzero/internal/rdap"
@@ -42,7 +39,6 @@ import (
 	"dropzero/internal/registry"
 	"dropzero/internal/sim"
 	"dropzero/internal/simtime"
-	"dropzero/internal/whois"
 )
 
 var (
@@ -502,34 +498,6 @@ func BenchmarkAblationAccreditationRace(b *testing.B) {
 	b.ReportMetric(100*bigWins/bigAttempts, "create-success-pct(paper:<<1-for-dropcatch)")
 }
 
-// BenchmarkStudyWallClock measures the end-to-end wall-clock cost of one
-// full-volume deletion day: seed the expiring population at the paper's
-// scale, run the Drop, let the market claim names, run the measurement
-// pipeline. This is the number the registry's due-day indexes exist to keep
-// flat as the simulated zone grows — the daily sweeps are O(due work), so
-// study time tracks deletion volume, not store size. Tracked per PR in the
-// perf trajectory artifact (BENCH.json).
-func BenchmarkStudyWallClock(b *testing.B) {
-	cfg := sim.DefaultConfig()
-	cfg.Days = 1
-	cfg.Scale = 1.0
-	var deleted int
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		deleted = 0
-		for _, evs := range res.Deletions {
-			deleted += len(evs)
-		}
-		if deleted == 0 {
-			b.Fatal("study deleted nothing")
-		}
-	}
-	b.ReportMetric(float64(deleted), "deletions/day(paper:66k-112k)")
-}
-
 // --- micro-benchmarks of the core algorithms -----------------------------
 
 // BenchmarkCoreRank measures ranking one full-volume day.
@@ -627,14 +595,10 @@ type pipelineBenchWorld struct {
 }
 
 func newPipelineBenchWorld(b *testing.B, n int) *pipelineBenchWorld {
-	return newPipelineBenchWorldShards(b, n, 0)
-}
-
-func newPipelineBenchWorldShards(b *testing.B, n, shards int) *pipelineBenchWorld {
 	b.Helper()
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 5}
 	clock := simtime.NewSimClock(day.At(9, 0, 0))
-	store := registry.NewStoreWithShards(clock, shards)
+	store := registry.NewStore(clock)
 	store.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Sponsor"})
 	lc := registry.DefaultLifecycleConfig()
 	for i := 0; i < n; i++ {
@@ -727,270 +691,4 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 	}
 	b.Run("tcp+rtt/seq", func(b *testing.B) { run(b, rttClient, 1) })
 	b.Run("tcp+rtt/par8", func(b *testing.B) { run(b, rttClient, 8) })
-}
-
-// --- serving-path benchmarks ---------------------------------------------
-//
-// Cold variants bump the store generation before every request (touching an
-// auxiliary domain), forcing a full re-render; warm variants serve the
-// generation cache. Tracked per PR in BENCH.json.
-
-// nullResponseWriter is a minimal ResponseWriter for in-process serving
-// benchmarks: it reuses one header map and discards the body, so the
-// numbers measure the handler, not the recorder.
-type nullResponseWriter struct {
-	h      http.Header
-	status int
-	n      int
-}
-
-func (w *nullResponseWriter) Header() http.Header { return w.h }
-func (w *nullResponseWriter) WriteHeader(s int)   { w.status = s }
-func (w *nullResponseWriter) Write(p []byte) (int, error) {
-	w.n += len(p)
-	return len(p), nil
-}
-
-// serveBenchWorld extends the pipeline world with an auxiliary registered
-// domain whose Touch bumps the store generation without changing any served
-// pending-delete list.
-func newServeBenchWorld(b *testing.B, n int) (*pipelineBenchWorld, func()) {
-	b.Helper()
-	world := newPipelineBenchWorld(b, n)
-	if _, err := world.store.CreateAt("bench-genbump.com", 1000, 1, world.day.At(9, 0, 0)); err != nil {
-		b.Fatal(err)
-	}
-	at := world.day.At(9, 30, 0)
-	bump := func() {
-		if err := world.store.TouchAt("bench-genbump.com", 1000, at); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return world, bump
-}
-
-// BenchmarkServePendingList measures the dropscope list endpoint: cold
-// (every request re-renders the 5-day window) versus warm (cached bytes),
-// in-process and over TCP, plus a saturation run through the load driver.
-// The warm path must be ≥5× the cold path with ~zero allocations per hit.
-func BenchmarkServePendingList(b *testing.B) {
-	const nDomains = 2000
-	world, bump := newServeBenchWorld(b, nDomains)
-	srv := dropscope.NewServer(world.store)
-	handler := srv.Handler()
-	req := httptest.NewRequest("GET", "/pendingdelete?date="+world.day.String(), nil)
-
-	b.Run("inproc/cold", func(b *testing.B) {
-		w := &nullResponseWriter{h: make(http.Header)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bump()
-			handler.ServeHTTP(w, req)
-			if w.status != 0 && w.status != 200 {
-				b.Fatalf("status %d", w.status)
-			}
-		}
-	})
-	b.Run("inproc/warm", func(b *testing.B) {
-		w := &nullResponseWriter{h: make(http.Header)}
-		handler.ServeHTTP(w, req) // prime
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			handler.ServeHTTP(w, req)
-		}
-	})
-
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	url := "http://" + addr.String() + "/pendingdelete?date=" + world.day.String()
-	b.Run("tcp/warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Get(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-		}
-	})
-
-	b.Run("load/inproc8", func(b *testing.B) {
-		client := inproc.Client(handler)
-		res := loadgen.Run(8, b.N, func(i int) error {
-			resp, err := client.Get("http://scope.bench/pendingdelete?date=" + world.day.String())
-			if err != nil {
-				return err
-			}
-			_, err = io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-			return err
-		})
-		if res.Errors != 0 {
-			b.Fatalf("load errors: %d", res.Errors)
-		}
-		b.ReportMetric(res.RPS(), "req/sec")
-	})
-}
-
-// BenchmarkServeRDAPDomain measures one RDAP domain lookup, cold vs warm,
-// in-process and over TCP.
-func BenchmarkServeRDAPDomain(b *testing.B) {
-	world, bump := newServeBenchWorld(b, 2000)
-	srv := rdap.NewServer(world.store, rdap.ServerConfig{})
-	handler := srv.Handler()
-	req := httptest.NewRequest("GET", "/domain/bench-pipe00000.com", nil)
-
-	b.Run("inproc/cold", func(b *testing.B) {
-		w := &nullResponseWriter{h: make(http.Header)}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			bump()
-			handler.ServeHTTP(w, req)
-		}
-	})
-	b.Run("inproc/warm", func(b *testing.B) {
-		w := &nullResponseWriter{h: make(http.Header)}
-		handler.ServeHTTP(w, req) // prime
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			handler.ServeHTTP(w, req)
-		}
-	})
-
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	url := "http://" + addr.String() + "/domain/bench-pipe00000.com"
-	b.Run("tcp/warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			resp, err := http.Get(url)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-				b.Fatal(err)
-			}
-			resp.Body.Close()
-		}
-	})
-}
-
-// BenchmarkServeRDAPUnderMutation measures RDAP lookups while a registrar
-// keeps mutating the store — the serving picture during the Drop, when every
-// response renders cold because deletions bump the generation continuously.
-// With one shard every cold render serialises against the writer; with eight,
-// lookups on other shards proceed while the writer holds its own shard's
-// lock. Reported with tail percentiles from the load driver; the spread needs
-// real cores (CI runs this for BENCH.json).
-func BenchmarkServeRDAPUnderMutation(b *testing.B) {
-	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			world := newPipelineBenchWorldShards(b, 2000, shards)
-			if _, err := world.store.CreateAt("bench-genbump.com", 1000, 1, world.day.At(9, 0, 0)); err != nil {
-				b.Fatal(err)
-			}
-			srv := rdap.NewServer(world.store, rdap.ServerConfig{})
-			client := inproc.Client(srv.Handler())
-
-			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				at := world.day.At(9, 30, 0)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-						if err := world.store.TouchAt("bench-genbump.com", 1000, at); err != nil {
-							b.Errorf("touch: %v", err)
-							return
-						}
-					}
-				}
-			}()
-
-			b.ResetTimer()
-			res := loadgen.Run(8, b.N, func(i int) error {
-				resp, err := client.Get(fmt.Sprintf("http://rdap.bench/domain/bench-pipe%05d.com", i%world.n))
-				if err != nil {
-					return err
-				}
-				_, err = io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				return err
-			})
-			b.StopTimer()
-			close(stop)
-			wg.Wait()
-			if res.Errors != 0 {
-				b.Fatalf("load errors: %d", res.Errors)
-			}
-			b.ReportMetric(res.RPS(), "req/sec")
-			b.ReportMetric(float64(res.P50().Nanoseconds()), "p50-ns")
-			b.ReportMetric(float64(res.P95().Nanoseconds()), "p95-ns")
-			b.ReportMetric(float64(res.P99().Nanoseconds()), "p99-ns")
-		})
-	}
-}
-
-// BenchmarkServeWHOIS measures one port-43 exchange, cold vs warm, over an
-// in-memory pipe (ServeConn) and over TCP (a dial per lookup — the protocol
-// is one-shot).
-func BenchmarkServeWHOIS(b *testing.B) {
-	world, bump := newServeBenchWorld(b, 2000)
-	srv := whois.NewServer(world.store)
-	query := func(b *testing.B) {
-		client, server := net.Pipe()
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			srv.ServeConn(server)
-			server.Close()
-		}()
-		fmt.Fprintf(client, "bench-pipe00000.com\r\n")
-		if _, err := io.Copy(io.Discard, client); err != nil {
-			b.Fatal(err)
-		}
-		client.Close()
-		<-done
-	}
-
-	b.Run("inproc/cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bump()
-			query(b)
-		}
-	})
-	b.Run("inproc/warm", func(b *testing.B) {
-		query(b) // prime
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			query(b)
-		}
-	})
-
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := &whois.Client{Addr: addr.String()}
-	b.Run("tcp/warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := client.Lookup("bench-pipe00000.com"); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"encoding/json"
 	"expvar"
 	"flag"
 	"fmt"
@@ -21,7 +22,6 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof on the DefaultServeMux served by -debug
 	"os"
 	"os/signal"
-	"slices"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -30,8 +30,8 @@ import (
 	"dropzero/internal/dropscope"
 	"dropzero/internal/epp"
 	"dropzero/internal/feed"
-	"dropzero/internal/gencache"
 	"dropzero/internal/journal"
+	"dropzero/internal/loadgen"
 	"dropzero/internal/model"
 	"dropzero/internal/names"
 	"dropzero/internal/rdap"
@@ -88,6 +88,20 @@ func main() {
 			log.Fatal("-zones is a primary-only flag: a replica learns its zones from the replication stream")
 		}
 	}
+	// Semi-sync promises that no acked create is lost. Without followers to
+	// wait for, or under async durability — whose journal hands an EPP ack
+	// nothing to wait on — the flag would be accepted and do nothing.
+	if *syncFollowers > 0 {
+		if *replListen == "" {
+			log.Fatal("-sync-followers requires -listen-replication (the followers it waits for connect there)")
+		}
+		if mode != journal.ModeSync {
+			log.Fatal("-sync-followers requires -durability sync: an async journal acks before anything is durable, so no follower would be waited for")
+		}
+	}
+	if *snapshotEvery <= 0 {
+		log.Fatal("-snapshot-every must be positive")
+	}
 	extraZones, err := zone.ParseSpecs(*zoneSpecs)
 	if err != nil {
 		log.Fatal(err)
@@ -99,18 +113,20 @@ func main() {
 	store := registry.NewStoreWithShards(clock, *shards)
 
 	// Durability and replication roles. A replica never opens the journal
-	// for writing: its data directory belongs to the follower's shipped log
-	// (byte-identical to the primary's segments), recovered locally on start
-	// and promotable to a writing journal on SIGUSR1. A primary recovers the
-	// directory, attaches the journal, and optionally streams it.
-	// jnlVar tracks the live writing journal across promotion for the
-	// snapshotter and the debug vars.
+	// for writing: its data directory is the follower's shipped log
+	// (byte-identical to the primary's segments), promotable to a writing
+	// journal on SIGUSR1. A primary boots on the bare journal and attaches
+	// its whole commit stack once the boot state is in place. jnlVar is the
+	// live writing journal for status(), which reads it from the debug
+	// listener while promotion swaps it.
 	var (
 		jnl       *journal.Journal
 		recovered journal.Recovery
 		jnlVar    atomic.Pointer[journal.Journal]
 		follower  *repl.Follower
 		source    *repl.Source
+		hub       *feed.Hub
+		poll      *epp.PollQueue
 		promoted  bool
 	)
 	if isReplica {
@@ -124,65 +140,36 @@ func main() {
 		}
 		follower.Start()
 		fmt.Printf("replica: following %s from seq %d (promote with SIGUSR1)\n", *replicateFrom, follower.AppliedSeq())
-	} else if *dataDir != "" && mode != journal.ModeOff {
-		jnl, recovered, err = journal.Open(store, journal.Options{Dir: *dataDir, Mode: mode})
-		if err != nil {
-			log.Fatalf("journal: %v", err)
+	} else {
+		if *dataDir != "" && mode != journal.ModeOff {
+			jnl, recovered, err = journal.Open(store, journal.Options{Dir: *dataDir, Mode: mode})
+			if err != nil {
+				log.Fatalf("journal: %v", err)
+			}
+			store.SetJournal(jnl)
+			jnlVar.Store(jnl)
+			if !recovered.Fresh() {
+				t := recovered.Timings
+				fmt.Printf("recovered %d domains from %s (snapshot seq %d, %d WAL records replayed) in %v\n",
+					store.Count(), *dataDir, recovered.SnapshotSeq, recovered.ReplayedRecords, t.Total.Round(time.Millisecond))
+				fmt.Printf("recovery phases: snapshot read %v + decode %v + install %v (%d bytes), WAL replay %v (%.0f records/sec)\n",
+					t.SnapshotRead.Round(time.Millisecond), t.SnapshotDecode.Round(time.Millisecond),
+					t.SnapshotInstall.Round(time.Millisecond), recovered.SnapshotBytes,
+					t.Replay.Round(time.Millisecond), recovered.ReplayRPS())
+			}
+		} else if *replListen != "" {
+			log.Fatal("-listen-replication requires a journal (-datadir plus -durability async or sync)")
 		}
-		store.SetJournal(jnl)
-		jnlVar.Store(jnl)
-		if !recovered.Fresh() {
-			t := recovered.Timings
-			fmt.Printf("recovered %d domains from %s (snapshot seq %d, %d WAL records replayed) in %v\n",
-				store.Count(), *dataDir, recovered.SnapshotSeq, recovered.ReplayedRecords, t.Total.Round(time.Millisecond))
-			fmt.Printf("recovery phases: snapshot read %v + decode %v + install %v (%d bytes), WAL replay %v (%.0f records/sec)\n",
-				t.SnapshotRead.Round(time.Millisecond), t.SnapshotDecode.Round(time.Millisecond),
-				t.SnapshotInstall.Round(time.Millisecond), recovered.SnapshotBytes,
-				t.Replay.Round(time.Millisecond), recovered.ReplayRPS())
-		}
-	} else if *replListen != "" {
-		log.Fatal("-listen-replication requires a journal (-datadir plus -durability async or sync)")
-	}
 
-	// Event feed: the hub consumes the store's mutation stream through a
-	// journal tap and maintains pre-rendered delta segments for the
-	// pending-delete list's /deltas and /events endpoints. Primary only — a
-	// replica's mutations arrive through the shipped log, which bypasses the
-	// journal hook. The baseline is primed from the recovered state; the
-	// seeding below streams through the tap like any other mutation.
-	var hub *feed.Hub
-	if !isReplica {
-		hub = feed.NewHub(feed.Options{RingBytes: *feedRing, QueueLen: *feedQueue})
-		defer hub.Close()
-		hub.PrimeFromStore(store)
-		if jnl != nil {
-			store.SetJournal(feed.Tap{Inner: jnl, Hub: hub})
-		} else {
-			store.SetJournal(hub)
-		}
-	}
-
-	// Only a primary originates mutations; a replica's registrars,
-	// population and zones arrive through the replication stream.
-	if !isReplica {
+		// Boot state, journaled: registrars, the extra zones (before any of
+		// their domains; recovered ones are only checked against -zones) and,
+		// on a fresh directory, the seeded population. A replica's boot state
+		// arrives through the replication stream.
 		for _, r := range dir.Registrars() {
 			store.AddRegistrar(r)
 		}
-		// Extra zones install before any of their domains can exist. A
-		// recovered directory has already replayed their MutAddZone records
-		// into the store; re-adding would clash, so recovered zones are
-		// verified against the flag instead.
-		for _, z := range extraZones {
-			if have, ok := store.ZoneByName(z.Name); ok {
-				if !slices.Equal(have.TLDs, z.TLDs) || have.Policy != z.Policy {
-					log.Fatalf("recovered zone %q (%v %s) disagrees with the configured one (%v %s)",
-						z.Name, have.TLDs, have.Policy, z.TLDs, z.Policy)
-				}
-				continue
-			}
-			if err := store.AddZone(z); err != nil {
-				log.Fatalf("zone %s: %v", z.Name, err)
-			}
+		if err := store.InstallZones(extraZones); err != nil {
+			log.Fatal(err)
 		}
 		if recovered.Fresh() {
 			seedPopulation(store, dir, rng, *population, clock.Now(), []model.TLD{"com"})
@@ -194,31 +181,43 @@ func main() {
 				seedPopulation(store, dir, zrng, *population/4, clock.Now(), z.TLDs)
 			}
 		}
-	}
-	if hub != nil {
-		hub.SetZones(store.Zones())
-	}
 
-	// Replication source: after seeding (bulk history ships via snapshot +
-	// segment reuse, not per-record acks), before EPP opens. With
-	// -sync-followers the store's journal is swapped for the chained
-	// journal+quorum waiter, so an EPP ack means "fsynced here AND applied
-	// and fsynced on N followers" — the zero-acked-loss failover contract.
-	if *replListen != "" {
-		source = repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: *syncFollowers, Logf: log.Printf})
-		listen("replication", *replListen, source)
-		defer source.Close()
+		// Event feed: the hub folds the store's mutation stream into the
+		// pending-delete list's /deltas and /events, starting from the boot
+		// state. Primary only — a replica's mutations arrive through the
+		// shipped log, which bypasses the journal hook.
+		hub = feed.NewHub(feed.Options{RingBytes: *feedRing, QueueLen: *feedQueue})
+		defer hub.Close()
+		hub.PrimeFromStore(store)
+		hub.SetZones(store.Zones())
+
+		// Replication source: after seeding (bulk history ships via snapshot +
+		// segment reuse, not per-record acks), before EPP opens.
+		if *replListen != "" {
+			source = repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: *syncFollowers, Logf: log.Printf})
+			listen("replication", *replListen, source)
+			defer source.Close()
+		}
+
+		// The commit stack, in the order a mutation passes it: the WAL; under
+		// semi-sync the follower quorum, so an EPP ack means "fsynced here AND
+		// applied and fsynced on N followers" — the zero-acked-loss failover
+		// contract; then the feed. Without a WAL inner stays a nil interface,
+		// which feed.Tap skips (a nil *journal.Journal in it would not be nil).
+		var inner registry.Journal
+		if jnl != nil {
+			inner = jnl
+		}
 		if *syncFollowers > 0 {
-			store.SetJournal(feed.Tap{Inner: &repl.SyncJournal{J: jnl, S: source}, Hub: hub})
+			inner = &repl.SyncJournal{J: jnl, S: source}
 			fmt.Printf("semi-sync: EPP acks wait for %d follower acknowledgement(s)\n", *syncFollowers)
 		}
-	}
+		store.SetJournal(feed.Tap{Inner: inner, Hub: hub})
 
-	var poll *epp.PollQueue
-	if !isReplica {
 		poll = epp.NewPollQueue(clock, 0)
 		store.SetObserver(poll)
 	}
+
 	eppSrv := epp.NewServer(store, clock, epp.ServerConfig{
 		Credentials: dir.Credentials(),
 		CreateBurst: 20,
@@ -257,9 +256,40 @@ func main() {
 	listen("zone files", *zoneAddr, zoneSrv)
 	defer zoneSrv.Close()
 
+	// status is the one status document: each component's own Metrics()
+	// under its name, plus what no component reports of itself — the
+	// store's counts, the WAL's error and the two lag distributions.
+	// /debug/vars serves it as the dropserve var; shutdown logs it once.
+	status := func() any {
+		doc := map[string]any{
+			"store": map[string]any{"shards": store.ShardCount(), "domains": store.Count(), "generation": store.Generation()},
+			"epp":   eppSrv.Metrics(),
+			"rdap":  rdapSrv.Metrics(),
+			"whois": whoisSrv.Metrics(),
+			"scope": scopeSrv.Metrics(),
+		}
+		if hub != nil {
+			doc["feed"] = hub.Metrics()
+			doc["feed_fanout_lag"] = lagOf(hub.FanoutLag())
+		}
+		if j := jnlVar.Load(); j != nil {
+			doc["journal"] = j.Metrics()
+			doc["wal_error"] = ""
+			if err := j.Err(); err != nil {
+				doc["wal_error"] = err.Error()
+			}
+		}
+		if source != nil {
+			doc["repl_source"] = source.Metrics()
+		}
+		if follower != nil {
+			doc["repl_follower"] = follower.Metrics()
+			doc["repl_lag"] = lagOf(follower.LagResult())
+		}
+		return doc
+	}
 	if *debugAddr != "" {
-		publishDebugVars(store, eppSrv, rdapSrv, whoisSrv, scopeSrv, hub, &jnlVar)
-		publishReplVars(source, follower)
+		expvar.Publish("dropserve", expvar.Func(status))
 		debugSrv := serve.NewHTTP("debug", http.DefaultServeMux)
 		listen("debug", *debugAddr, debugSrv)
 		defer debugSrv.Close()
@@ -281,57 +311,35 @@ func main() {
 		dir.Accreditations(registrars.Svc1API)[0],
 		dir.Credential(dir.Accreditations(registrars.Svc1API)[0]))
 
-	// Background snapshotter: periodic consistent full-store snapshots bound
-	// the WAL replay a restart pays, without ever stopping the world. It
-	// reads the journal through jnlVar so a replica — which starts with no
-	// writing journal — begins snapshotting the moment promotion installs
-	// one.
-	snapStop := make(chan struct{})
-	snapDone := make(chan struct{})
-	if jnl != nil || isReplica {
-		go func() {
-			defer close(snapDone)
-			t := time.NewTicker(*snapshotEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					j := jnlVar.Load()
-					if j == nil {
-						continue // replica: the shipped log is the history
-					}
-					// Async mode acknowledges mutations before they are
-					// durable, so a poisoned WAL (disk full, IO error) is
-					// invisible to EPP clients; surface it here instead of
-					// only at Close. The snapshot still runs — it persists
-					// the current state directly, independent of the log.
-					if err := j.Err(); err != nil {
-						log.Printf("journal: WAL failed, new mutations are NOT durable: %v", err)
-					}
-					if err := j.Snapshot(nil); err != nil {
-						log.Printf("snapshot: %v", err)
-					}
-				case <-snapStop:
-					return
-				}
-			}
-		}()
-	} else {
-		close(snapDone)
-	}
-
-	// Keep the lifecycle engines ticking so seeded domains progress through
-	// expiration while the server runs — one engine per hosted zone, each
-	// under its own lifecycle parameters. A replica's lifecycle is driven by
-	// the primary's mutation stream — ticking locally would fork history —
-	// so the ticker is a no-op until promotion.
+	// One event loop. Periodic snapshots bound the WAL replay a restart
+	// pays; a replica has no writing journal until promotion installs one.
+	// One lifecycle engine per hosted zone moves domains through expiration;
+	// a replica's lifecycle is the primary's mutation stream — ticking
+	// locally would fork history — so it ticks only once promoted.
 	lcs := zoneLifecycles(store)
+	snapTicker := time.NewTicker(*snapshotEvery)
+	defer snapTicker.Stop()
 	ticker := time.NewTicker(30 * time.Second)
 	defer ticker.Stop()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM, syscall.SIGUSR1)
 	for {
 		select {
+		case <-snapTicker.C:
+			if jnl == nil {
+				continue
+			}
+			// Async mode acknowledges mutations before they are durable, so a
+			// poisoned WAL (disk full, IO error) is invisible to EPP clients;
+			// surface it here instead of only at Close. The snapshot still
+			// runs — it persists the current state directly, independent of
+			// the log.
+			if err := jnl.Err(); err != nil {
+				log.Printf("journal: WAL failed, new mutations are NOT durable: %v", err)
+			}
+			if err := jnl.Snapshot(nil); err != nil {
+				log.Printf("snapshot: %v", err)
+			}
 		case <-ticker.C:
 			if isReplica && !promoted {
 				continue
@@ -368,32 +376,15 @@ func main() {
 			}
 			log.Printf("%v: shutting down", s)
 			// Stop the only mutating surface first and drain its in-flight
-			// sessions, then flush and close the journal so every
-			// acknowledged mutation is on disk before the process exits.
+			// sessions, then replication, then flush and close the journal so
+			// every acknowledged mutation is on disk before the process exits.
 			if err := eppSrv.Close(); err != nil {
 				log.Printf("EPP: close: %v", err)
 			}
-			em := eppSrv.Metrics()
-			log.Printf("EPP: %d connections, commands %v, result codes %v",
-				em.Conns, em.Commands, em.Codes)
-			close(snapStop)
-			<-snapDone
-			// Replication state in the shutdown summary: role, position,
-			// peak lag — the numbers a post-mortem of a Drop window wants.
 			if source != nil {
-				sm := source.Metrics()
-				log.Printf("replication: role=primary followers=%d min_acked_seq=%d shipped=%d records (%d bytes) snapshots_sent=%d connects=%d",
-					sm.Followers, sm.MinAckedSeq, sm.ShippedRecords, sm.ShippedBytes, sm.SnapshotsSent, sm.Connects)
 				source.Close()
 			}
 			if follower != nil {
-				role := "replica"
-				if promoted {
-					role = "promoted-primary"
-				}
-				fm := follower.Metrics()
-				log.Printf("replication: role=%s applied_seq=%d primary_seq=%d peak_lag=%d records / %v reconnects=%d snapshots=%d",
-					role, fm.AppliedSeq, fm.PrimarySeq, fm.PeakSeqLag, fm.PeakTimeLag, fm.Reconnects, fm.Snapshots)
 				if err := follower.Err(); err != nil {
 					log.Printf("replication: terminal error: %v", err)
 				}
@@ -403,6 +394,8 @@ func main() {
 					}
 				}
 			}
+			doc, _ := json.Marshal(status()) // maps, strings and finite numbers only: cannot fail
+			log.Printf("status: %s", doc)
 			if jnl != nil {
 				// Surface a poisoned WAL explicitly before the close line: in
 				// async mode this is the only place a quiet-exit run reports
@@ -417,20 +410,6 @@ func main() {
 					log.Printf("journal: flushed and closed (%d bytes, %d fsyncs)", m.WALBytes, m.WALFsyncs)
 				}
 			}
-			logSurface("RDAP", rdapSrv.Metrics().Requests, rdapSrv.Metrics().Cache)
-			logSurface("WHOIS", whoisSrv.Metrics().Requests, whoisSrv.Metrics().Cache)
-			sm := scopeSrv.Metrics()
-			logSurface("pending-delete list", sm.Requests, sm.Cache)
-			if sm.WriteErrors > 0 {
-				log.Printf("pending-delete list: %d failed body writes", sm.WriteErrors)
-			}
-			if hub != nil {
-				fm := hub.Metrics()
-				lag := hub.FanoutLag()
-				log.Printf("feed: %d records in %d batches (%d ops), %d subscribers served, slow_drops=%d resumes=%d resets=%d, fan-out lag p50=%v p99=%v",
-					fm.Records, fm.Batches, fm.Ops, fm.SubscribersTotal,
-					fm.SlowDrops, fm.Resumes, fm.Resets, lag.P50(), lag.P99())
-			}
 			for _, s := range surfaces {
 				if err := s.srv.ServeErr(); err != nil {
 					log.Printf("%s: serve error: %v", s.name, err)
@@ -441,133 +420,15 @@ func main() {
 	}
 }
 
-// publishDebugVars exposes the registry and per-surface serving counters
-// under a single expvar map, so `curl /debug/vars` shows shard count, live
-// domain population, request totals and cache hit ratios alongside the
-// standard memstats — handy when reading a pprof contention profile.
-func publishDebugVars(store *registry.Store, eppSrv *epp.Server, rdapSrv *rdap.Server, whoisSrv *whois.Server, scopeSrv *dropscope.Server, hub *feed.Hub, jnlVar *atomic.Pointer[journal.Journal]) {
-	surface := func(requests uint64, cache gencache.Counters) map[string]any {
-		return map[string]any{
-			"requests":    requests,
-			"cache_hits":  cache.Hits,
-			"cache_miss":  cache.Misses,
-			"cache_ratio": cache.HitRatio(),
-		}
-	}
-	expvar.Publish("dropserve", expvar.Func(func() any {
-		rm, wm, sm := rdapSrv.Metrics(), whoisSrv.Metrics(), scopeSrv.Metrics()
-		em := eppSrv.Metrics()
-		vars := map[string]any{
-			"store": map[string]any{
-				"shards":     store.ShardCount(),
-				"domains":    store.Count(),
-				"generation": store.Generation(),
-			},
-			// Per-command and per-result-code counters from the EPP hot
-			// path; during a Drop, watch create vs code 2302 (lost races)
-			// and 2502 (rate-limit pushback) climb here.
-			"epp": map[string]any{
-				"connections": em.Conns,
-				"commands":    em.Commands,
-				"codes":       em.Codes,
-			},
-			"rdap":  surface(rm.Requests, rm.Cache),
-			"whois": surface(wm.Requests, wm.Cache),
-			"scope": surface(sm.Requests, sm.Cache),
-		}
-		if hub != nil {
-			fm := hub.Metrics()
-			lag := hub.FanoutLag()
-			vars["feed"] = map[string]any{
-				"cursor":            fm.Cursor,
-				"records":           fm.Records,
-				"batches":           fm.Batches,
-				"ops":               fm.Ops,
-				"subscribers":       fm.Subscribers,
-				"subscribers_total": fm.SubscribersTotal,
-				"slow_drops":        fm.SlowDrops,
-				"resumes":           fm.Resumes,
-				"resets":            fm.Resets,
-				"delta_requests":    fm.DeltaRequests,
-				"full_requests":     fm.FullRequests,
-				"event_requests":    fm.EventRequests,
-				"ring_segments":     fm.RingSegments,
-				"ring_bytes":        fm.RingBytes,
-				"pending":           fm.Pending,
-				"cache_hits":        fm.Cache.Hits,
-				"cache_miss":        fm.Cache.Misses,
-				// Live fan-out lag: mutation append instant to subscriber
-				// receipt, the number a drop-catcher's dashboard watches.
-				"fanout_lag_p50_ms":  float64(lag.P50()) / float64(time.Millisecond),
-				"fanout_lag_p99_ms":  float64(lag.P99()) / float64(time.Millisecond),
-				"fanout_lag_p999_ms": float64(lag.P999()) / float64(time.Millisecond),
-				"fanout_deliveries":  lag.Requests,
-			}
-		}
-		if jnl := jnlVar.Load(); jnl != nil {
-			jm := jnl.Metrics()
-			walErr := ""
-			if err := jnl.Err(); err != nil {
-				walErr = err.Error()
-			}
-			vars["journal"] = map[string]any{
-				"wal_bytes":                 jm.WALBytes,
-				"wal_fsyncs":                jm.WALFsyncs,
-				"wal_error":                 walErr,
-				"snapshot_age_seconds":      jm.SnapshotAgeSeconds,
-				"recovery_replayed_records": jm.RecoveryReplayedRecords,
-				"recovery_seconds":          jm.RecoverySeconds,
-				"recovery_replay_rps":       jm.RecoveryReplayRPS,
-			}
-		}
-		return vars
-	}))
+// lag is the status document's summary of a latency distribution.
+type lag struct {
+	P50ms, P99ms, P999ms float64
+	Samples              uint64
 }
 
-// publishReplVars exposes replication counters as repl_source / repl_follower
-// expvars, whichever matches this process's role. The follower map carries
-// the lag gauges a dashboard polls during a Drop: how far behind the replica
-// is in records and in time, plus the worst it has been.
-func publishReplVars(source *repl.Source, follower *repl.Follower) {
-	if source != nil {
-		expvar.Publish("repl_source", expvar.Func(func() any {
-			m := source.Metrics()
-			return map[string]any{
-				"followers":       m.Followers,
-				"min_acked_seq":   m.MinAckedSeq,
-				"shipped_records": m.ShippedRecords,
-				"shipped_bytes":   m.ShippedBytes,
-				"snapshots_sent":  m.SnapshotsSent,
-				"connects":        m.Connects,
-			}
-		}))
-	}
-	if follower != nil {
-		expvar.Publish("repl_follower", expvar.Func(func() any {
-			m := follower.Metrics()
-			lag := follower.LagResult()
-			return map[string]any{
-				"applied_seq":      m.AppliedSeq,
-				"primary_seq":      m.PrimarySeq,
-				"seq_lag":          m.SeqLag,
-				"peak_seq_lag":     m.PeakSeqLag,
-				"peak_time_lag_ms": float64(m.PeakTimeLag) / float64(time.Millisecond),
-				"time_lag_p50_ms":  float64(lag.P50()) / float64(time.Millisecond),
-				"time_lag_p99_ms":  float64(lag.P99()) / float64(time.Millisecond),
-				"records":          m.Records,
-				"batches":          m.Batches,
-				"snapshots":        m.Snapshots,
-				"reconnects":       m.Reconnects,
-				"log_bytes":        m.LogBytes,
-			}
-		}))
-	}
-}
-
-// logSurface prints one surface's request count and cache effectiveness.
-func logSurface(name string, requests uint64, cache gencache.Counters) {
-	log.Printf("%s: %d requests, cache %d/%d hits (%.1f%% hit ratio)",
-		name, requests, cache.Hits, cache.Hits+cache.Misses, 100*cache.HitRatio())
+func lagOf(r loadgen.Result) lag {
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	return lag{P50ms: ms(r.P50()), P99ms: ms(r.P99()), P999ms: ms(r.P999()), Samples: r.Requests}
 }
 
 // surface is a listening server that can report a background serve failure:

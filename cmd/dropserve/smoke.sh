@@ -1,39 +1,96 @@
 #!/usr/bin/env bash
-# Boot smoke for cmd/dropserve: every surface on an ephemeral port, one RDAP,
-# WHOIS and /debug/vars request, then SIGTERM. Fails unless the process exits
-# 0, flushes its journal and reports no serve error. Run from the repo root.
+# Boot smoke for cmd/dropserve: a primary with every surface (replication
+# included) on an ephemeral port, one RDAP, WHOIS and /debug/vars request; a
+# replica of it that must serve the same RDAP bytes and promote on SIGUSR1;
+# then SIGTERM to both. Fails unless each exits 0, flushes its journal and
+# reports no serve error, or if -sync-followers is accepted under async
+# durability. Run from the repo root.
 set -euo pipefail
 work=$(mktemp -d)
-pid=
-trap '[ -n "$pid" ] && kill "$pid" 2>/dev/null; rm -rf "$work"' EXIT
+pids=()
+trap 'for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$work"' EXIT
 
 go build -o "$work/dropserve" ./cmd/dropserve
 a=127.0.0.1:0
-"$work/dropserve" -epp $a -rdap $a -whois $a -scope $a -oracle $a -dns $a -zonefile $a \
-	-debug $a -datadir "$work/data" -population 400 >"$work/out" 2>"$work/err" &
-pid=$!
-for _ in $(seq 100); do
-	grep -q 'registry live' "$work/out" && break
-	sleep 0.1
-done
-grep -q 'registry live' "$work/out" || { cat "$work/out" "$work/err"; exit 1; }
-addr() { sed -n "s/^$1: *//p" "$work/out"; }
+surfaces=(-epp $a -rdap $a -whois $a -scope $a -oracle $a -dns $a -zonefile $a -debug $a)
 
-test "$(curl -s -o /dev/null -w '%{http_code}' "http://$(addr RDAP)/help")" = 200
-name=$(curl -sf "http://$(addr 'pending-delete list')/pendingdelete?date=$(date -u +%F)" | head -1 | cut -d, -f1)
-whois=$(addr WHOIS)
+# start NAME ARGS...: run dropserve as NAME and wait for its banner.
+start() {
+	local name=$1
+	shift
+	"$work/dropserve" "${surfaces[@]}" "$@" >"$work/$name.out" 2>"$work/$name.err" &
+	pids+=($!)
+	for _ in $(seq 100); do
+		grep -q 'registry live' "$work/$name.out" && return
+		sleep 0.1
+	done
+	cat "$work/$name.out" "$work/$name.err"
+	exit 1
+}
+addr() { sed -n "s/^$2: *//p" "$work/$1.out"; }
+
+# keys NAME KEY...: /debug/vars' dropserve document has every KEY at top level.
+keys() {
+	local name=$1
+	shift
+	curl -sf "http://$(addr "$name" debug)/debug/vars" | python3 -c '
+import json, sys
+doc = json.load(sys.stdin)["dropserve"]
+missing = [k for k in sys.argv[1:] if k not in doc]
+if missing:
+    sys.exit("dropserve document lacks %s (has %s)" % (missing, sorted(doc)))
+' "$@"
+}
+
+# stop NAME PID: SIGTERM, then exit 0, a flushed journal and no serve error.
+stop() {
+	kill -TERM "$2"
+	local status=0
+	wait "$2" || status=$?
+	cat "$work/$1.err"
+	test "$status" = 0
+	grep -q 'journal: flushed and closed' "$work/$1.err"
+	if grep -q 'serve error' "$work/$1.err"; then exit 1; fi
+}
+
+start primary -datadir "$work/primary" -population 400 -listen-replication $a
+primary=${pids[-1]}
+test "$(curl -s -o /dev/null -w '%{http_code}' "http://$(addr primary RDAP)/help")" = 200
+name=$(curl -sf "http://$(addr primary 'pending-delete list')/pendingdelete?date=$(date -u +%F)" | head -1 | cut -d, -f1)
+whois=$(addr primary WHOIS)
 exec 3<>"/dev/tcp/${whois%:*}/${whois##*:}"
 printf '%s\r\n' "$name" >&3
 grep -q 'Domain Name:' <&3
 exec 3<&-
-curl -sf "http://$(addr debug)/debug/vars" | python3 -c 'import json, sys; json.load(sys.stdin)'
+keys primary store epp rdap whois scope feed journal
 
-kill -TERM "$pid"
+start replica -datadir "$work/replica" -replicate-from "$(addr primary replication)"
+replica=${pids[-1]}
+body() { curl -sf "http://$(addr "$1" RDAP)/domain/$name"; }
+for _ in $(seq 100); do
+	[ "$(body replica || true)" = "$(body primary)" ] && break
+	sleep 0.1
+done
+test "$(body replica)" = "$(body primary)"
+keys replica store epp rdap whois scope repl_follower
+kill -USR1 "$replica"
+for _ in $(seq 100); do
+	grep -q 'promoted to primary at seq' "$work/replica.err" && break
+	sleep 0.1
+done
+grep -q 'promoted to primary at seq' "$work/replica.err"
+
+stop replica "$replica"
+stop primary "$primary"
+
+# Semi-sync under async durability would ack without waiting: refused at
+# once (a binary that starts serving instead is stopped by timeout: 124).
 status=0
-wait "$pid" || status=$?
-pid=
-cat "$work/err"
-test "$status" = 0
-grep -q 'journal: flushed and closed' "$work/err"
-if grep -q 'serve error' "$work/err"; then exit 1; fi
+timeout 10 "$work/dropserve" "${surfaces[@]}" -datadir "$work/refused" -listen-replication $a -sync-followers 1 \
+	>"$work/refused.out" 2>&1 || status=$?
+if [ "$status" = 0 ] || [ "$status" = 124 ]; then
+	echo "-sync-followers accepted under -durability async (exit $status)"
+	exit 1
+fi
+grep -q -- '-durability sync' "$work/refused.out"
 echo "dropserve smoke: PASS"

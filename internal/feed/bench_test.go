@@ -244,12 +244,6 @@ func BenchmarkSubscribe10k(b *testing.B) {
 	}
 }
 
-func BenchmarkSubscribe1k(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		runSubscribeBench(b, 1000, 250*time.Millisecond, 8*time.Second)
-	}
-}
-
 func runSubscribeBench(b *testing.B, streams int, burstEvery, window time.Duration) {
 	b.Helper()
 	h := NewHub(Options{})

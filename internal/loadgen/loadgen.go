@@ -1,27 +1,26 @@
-// Package loadgen is a minimal closed-loop load driver for the serving
-// benchmarks: N workers issue requests back-to-back until a fixed request
-// budget is spent, and the run reports sustained throughput. It deliberately
-// has no pacing or open-loop arrival model — the serving benchmarks want the
-// saturation number, the highest rate the surface sustains when every worker
-// always has a request in flight.
+// Package loadgen is the load drivers' shared measurement vocabulary: a
+// fixed-bucket latency histogram (Hist) and the Result every driver reports
+// through. RunMix is the closed-loop driver — N workers issue a weighted mix
+// of requests back-to-back until a fixed budget is spent, with no pacing, so
+// it reports the saturation rate; RunSubscribe holds event streams open; and
+// drivers that run their own dispatch fold their observations in with
+// Collect/CollectBy.
 package loadgen
 
 import (
 	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // Result summarises one load run.
 type Result struct {
-	Requests uint64        // requests attempted (== the budget given to Run)
+	Requests uint64        // requests attempted (== the budget given to RunMix)
 	Errors   uint64        // requests whose fn returned an error
 	Elapsed  time.Duration // wall clock from first to last request
 	// CodeCounts breaks requests down by protocol result code, for request
 	// errors that implement interface{ ResultCode() int } (epp.ResultError
-	// does). Successful requests are counted under code 0 by Run; Collect and
-	// CollectBy take the tally their caller recorded. Nil when nothing was
+	// does). Successful requests are counted under code 0 by RunMix; Collect
+	// and CollectBy take the tally their caller recorded. Nil when nothing was
 	// coded.
 	CodeCounts map[int]uint64
 	// hist holds the latency distribution as a fixed-bucket histogram (see
@@ -156,58 +155,7 @@ func (r Result) P99() time.Duration { return r.Percentile(99) }
 // the requests that would have lost — is the storm engine's headline number.
 func (r Result) P999() time.Duration { return r.Percentile(99.9) }
 
-// Run issues total requests through fn from workers concurrent goroutines.
-// fn receives the request's global index (0..total-1) so callers can vary
-// the target per request. workers and total are clamped to at least 1.
-// Every request's latency is recorded (into one shared histogram — Record is
-// atomic), so Result reports percentiles as well as throughput.
-func Run(workers, total int, fn func(i int) error) Result {
-	if workers < 1 {
-		workers = 1
-	}
-	if total < 1 {
-		total = 1
-	}
-	var next, errs atomic.Uint64
-	var wg sync.WaitGroup
-	hist := &Hist{}
-	perWorkerCodes := make([]map[int]uint64, workers)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			codes := make(map[int]uint64)
-			for {
-				i := next.Add(1) - 1
-				if i >= uint64(total) {
-					perWorkerCodes[w] = codes
-					return
-				}
-				t0 := time.Now()
-				err := fn(int(i))
-				hist.Record(time.Since(t0))
-				if err != nil {
-					errs.Add(1)
-				}
-				if code, ok := codeOf(err); ok {
-					codes[code]++
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	return Result{
-		Requests:   uint64(total),
-		Errors:     errs.Load(),
-		Elapsed:    elapsed,
-		CodeCounts: mergeCodes(perWorkerCodes),
-		hist:       hist,
-	}
-}
-
-// mergeCodes folds per-worker code tallies into one map, nil when no request
+// mergeCodes folds per-class code tallies into one map, nil when no request
 // produced a code.
 func mergeCodes(per []map[int]uint64) map[int]uint64 {
 	var out map[int]uint64

@@ -9,10 +9,20 @@ import (
 	"time"
 )
 
+// runOne is the single-item RunMix: every request goes through fn.
+func runOne(t *testing.T, workers, total int, fn func(i int) error) Result {
+	t.Helper()
+	res, err := RunMix(workers, total, []MixItem{{Name: "only", Weight: 1, Fn: fn}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Combined
+}
+
 func TestRunCoversEveryIndexOnce(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	res := Run(8, 1000, func(i int) error {
+	res := runOne(t, 8, 1000, func(i int) error {
 		mu.Lock()
 		seen[i]++
 		mu.Unlock()
@@ -77,7 +87,7 @@ func TestPercentileNearestRank(t *testing.T) {
 }
 
 func TestRunCountsErrors(t *testing.T) {
-	res := Run(4, 100, func(i int) error {
+	res := runOne(t, 4, 100, func(i int) error {
 		if i%10 == 0 {
 			return errors.New("boom")
 		}
@@ -90,7 +100,7 @@ func TestRunCountsErrors(t *testing.T) {
 
 func TestRunClampsArguments(t *testing.T) {
 	calls := 0
-	res := Run(0, 0, func(i int) error { calls++; return nil })
+	res := runOne(t, 0, 0, func(i int) error { calls++; return nil })
 	if res.Requests != 1 || calls != 1 {
 		t.Fatalf("requests = %d, calls = %d", res.Requests, calls)
 	}
@@ -118,7 +128,7 @@ func TestP999NeedsAThousandSamples(t *testing.T) {
 }
 
 func TestRunCodeBreakdown(t *testing.T) {
-	res := Run(4, 100, func(i int) error {
+	res := runOne(t, 4, 100, func(i int) error {
 		switch {
 		case i%10 == 0:
 			return &codedErr{code: 2302}
@@ -143,7 +153,7 @@ func TestRunCodeBreakdown(t *testing.T) {
 		}
 	}
 	// Wrapped coded errors must still be counted.
-	res = Run(1, 1, func(int) error {
+	res = runOne(t, 1, 1, func(int) error {
 		return fmt.Errorf("attempt failed: %w", &codedErr{code: 2400})
 	})
 	if res.CodeCounts[2400] != 1 {

@@ -9,7 +9,8 @@ import (
 
 // MixItem is one request class in a weighted workload: a label for
 // reporting, a relative weight, and the request function. Fn receives the
-// request's global index, exactly as Run's fn does.
+// request's global index (0..total-1), so callers can vary the target per
+// request.
 type MixItem struct {
 	Name   string
 	Weight int
@@ -29,9 +30,10 @@ type MixResult struct {
 // computed up front from the global request index — smooth weighted
 // round-robin over one weight-sum cycle — so every run with the same items
 // issues the identical request sequence, and two stores benchmarked with
-// RunMix see byte-for-byte the same workload. Workers pull indices from a
-// shared counter exactly like Run; per-request observations land in
-// preallocated slots indexed by request, so recording is contention-free.
+// RunMix see byte-for-byte the same workload. workers and total are clamped
+// to at least 1. Workers pull indices from a shared counter; per-request
+// observations land in preallocated slots indexed by request, so recording
+// is contention-free.
 func RunMix(workers, total int, items []MixItem) (MixResult, error) {
 	if len(items) == 0 {
 		return MixResult{}, fmt.Errorf("loadgen: RunMix needs at least one item")

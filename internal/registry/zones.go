@@ -2,6 +2,7 @@ package registry
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"dropzero/internal/model"
@@ -99,6 +100,28 @@ func (s *Store) AddZone(z zone.Config) error {
 	zt.mu.Unlock()
 	s.installZoneDue()
 	return waitJournal(wait)
+}
+
+// InstallZones brings the store to the configured extra zones: each one not
+// yet hosted is added (AddZone, journaled), and each one already hosted — a
+// recovered store has replayed its MutAddZone — is checked against its
+// configuration instead, appending nothing. A hosted zone whose TLDs or
+// policy differ is refused with both configurations in the error.
+func (s *Store) InstallZones(zs []zone.Config) error {
+	for _, z := range zs {
+		have, ok := s.ZoneByName(z.Name)
+		if !ok {
+			if err := s.AddZone(z); err != nil {
+				return err
+			}
+			continue
+		}
+		if !slices.Equal(have.TLDs, z.TLDs) || have.Policy != z.Policy {
+			return fmt.Errorf("registry: recovered zone %q (%v %s) disagrees with the configured one (%v %s)",
+				z.Name, have.TLDs, have.Policy, z.TLDs, z.Policy)
+		}
+	}
+	return nil
 }
 
 // installLocked validates uniqueness and appends z under zt.mu.

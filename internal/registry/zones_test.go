@@ -2,6 +2,8 @@ package registry
 
 import (
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -80,6 +82,68 @@ func TestAddZoneRejectsConflicts(t *testing.T) {
 	// Failed additions must not leave partial state behind.
 	if s.HostsTLD("org") {
 		t.Error("rejected zone's TLD became hosted")
+	}
+}
+
+// InstallZones adds a zone the store does not host, accepts a recovered one
+// that matches its configuration without journaling anything, and refuses a
+// recovered one that does not, naming both configurations.
+func TestInstallZones(t *testing.T) {
+	install := func(t *testing.T, hosted *zone.Config, configured zone.Config) ([]Mutation, error) {
+		t.Helper()
+		s, _ := testStore(t)
+		if hosted != nil {
+			if err := s.AddZone(*hosted); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cap := &captureJournal{}
+		s.SetJournal(cap)
+		err := s.InstallZones([]zone.Config{configured})
+		return cap.records, err
+	}
+
+	t.Run("fresh", func(t *testing.T) {
+		recs, err := install(t, nil, nordicZone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 1 || recs[0].Kind != MutAddZone || recs[0].Zone.Name != "nordic" {
+			t.Fatalf("journaled %+v, want one MutAddZone for nordic", recs)
+		}
+	})
+	t.Run("recovered-identical", func(t *testing.T) {
+		z := nordicZone()
+		recs, err := install(t, &z, nordicZone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 0 {
+			t.Fatalf("journaled %+v for a zone already hosted", recs)
+		}
+	})
+	otherTLDs, otherPolicy := nordicZone(), nordicZone()
+	otherTLDs.TLDs = []model.TLD{"se"}
+	otherPolicy.Policy = zone.PolicyRandom
+	for name, configured := range map[string]zone.Config{"recovered-tlds-differ": otherTLDs, "recovered-policy-differs": otherPolicy} {
+		t.Run(name, func(t *testing.T) {
+			hosted := nordicZone()
+			recs, err := install(t, &hosted, configured)
+			if err == nil {
+				t.Fatal("mismatching recovered zone accepted")
+			}
+			for _, want := range []string{
+				fmt.Sprintf("(%v %s)", hosted.TLDs, hosted.Policy),
+				fmt.Sprintf("(%v %s)", configured.TLDs, configured.Policy),
+			} {
+				if !strings.Contains(err.Error(), want) {
+					t.Errorf("error %q does not name configuration %s", err, want)
+				}
+			}
+			if len(recs) != 0 {
+				t.Fatalf("journaled %+v on refusal", recs)
+			}
+		})
 	}
 }
 

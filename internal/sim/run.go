@@ -204,20 +204,10 @@ func Run(cfg Config) (*Result, error) {
 	for _, r := range dir.Registrars() {
 		store.AddRegistrar(r)
 	}
-	// Extra zones install before any of their domains can exist. A journaled
-	// resume has already replayed their MutAddZone records into the store;
-	// re-adding would clash, so recovered zones are verified instead.
-	for _, z := range extra {
-		if have, ok := store.ZoneByName(z.Name); ok {
-			if !slices.Equal(have.TLDs, z.TLDs) || have.Policy != z.Policy {
-				return nil, fmt.Errorf("sim: recovered zone %q (%v %s) disagrees with the configured one (%v %s)",
-					z.Name, have.TLDs, have.Policy, z.TLDs, z.Policy)
-			}
-			continue
-		}
-		if err := store.AddZone(z); err != nil {
-			return nil, err
-		}
+	// Extra zones install before any of their domains can exist; a journaled
+	// resume has replayed them already and only has them checked.
+	if err := store.InstallZones(extra); err != nil {
+		return nil, err
 	}
 	market := registrars.NewMarket(dir, cfg.Market, rand.New(rand.NewSource(cfg.Seed+11)))
 	oracle := safebrowsing.NewOracle()
