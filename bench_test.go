@@ -39,6 +39,7 @@ import (
 	"dropzero/internal/registry"
 	"dropzero/internal/sim"
 	"dropzero/internal/simtime"
+	"dropzero/internal/storm"
 )
 
 var (
@@ -431,13 +432,15 @@ func BenchmarkKeywordShare(b *testing.B) {
 	b.ReportMetric(100*late, "keyword-rich-later-mean-pct")
 }
 
-// BenchmarkAblationAccreditationRace is ablation A5: a live EPP race over
-// TCP between two drop-catch agents with tight per-accreditation create
-// budgets. Win counts scale with accreditation holdings — the economics
-// behind three services controlling 75 % of all accreditations.
+// BenchmarkAblationAccreditationRace is ablation A5: a 60-name Drop raced
+// in virtual time over in-process EPP by two services on the same
+// calibrated DropCatch schedule under tight per-accreditation create
+// budgets, one holding 12 accreditations and one 2 (which wins every tie).
+// Win counts scale with accreditation holdings — the economics behind three
+// services controlling 75 % of all accreditations.
 func BenchmarkAblationAccreditationRace(b *testing.B) {
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
-	var bigWins, smallWins, bigAttempts float64
+	var rep *storm.Report
 	for i := 0; i < b.N; i++ {
 		rng := rand.New(rand.NewSource(77))
 		clock := simtime.NewSimClock(day.At(9, 0, 0))
@@ -448,54 +451,53 @@ func BenchmarkAblationAccreditationRace(b *testing.B) {
 		}
 		sponsors := dir.Accreditations(registrars.SvcOther)
 		lc := registry.DefaultLifecycleConfig()
-		var names []string
 		for j := 0; j < 60; j++ {
 			sponsor := sponsors[rng.Intn(len(sponsors))]
 			updated := lc.BatchInstant(day.AddDays(-35), sponsor)
-			name := fmt.Sprintf("bench-race%03d.com", j)
-			if _, err := store.SeedAt(name, sponsor, updated.AddDate(-2, 0, 0), updated,
+			if _, err := store.SeedAt(fmt.Sprintf("bench-race%03d.com", j), sponsor, updated.AddDate(-2, 0, 0), updated,
 				updated.AddDate(0, 0, -35), model.StatusPendingDelete, day); err != nil {
 				b.Fatal(err)
 			}
-			names = append(names, name)
 		}
 		srv := epp.NewServer(store, clock, epp.ServerConfig{
 			Credentials: dir.Credentials(),
 			CreateBurst: 2,
 			CreateRate:  0.2,
 		})
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			b.Fatal(err)
-		}
-		big, err := registrars.NewCatcher(registrars.SvcDropCatch, addr.String(),
-			dir.Accreditations(registrars.SvcDropCatch)[:12], dir.Credential)
-		if err != nil {
-			b.Fatal(err)
-		}
-		small, err := registrars.NewCatcher(registrars.SvcXZ, addr.String(),
-			dir.Accreditations(registrars.SvcXZ)[:2], dir.Credential)
-		if err != nil {
-			b.Fatal(err)
-		}
-		big.Backorder(names...)
-		small.Backorder(names...)
 		runner := registry.NewDropRunner(store, registry.DropConfig{
 			StartHour: 19, BaseRatePerSec: 4, RateJitter: 0.2,
 		})
-		if _, err := registrars.RunRace(clock, runner, day, rng, []*registrars.Catcher{big, small}); err != nil {
+		profile := func(svc string, n int) storm.ClientProfile {
+			return storm.ClientProfile{
+				Service: svc, Accreditations: dir.Accreditations(svc)[:n], Sessions: n,
+				Schedule: registrars.StormSpecOf(registrars.SvcDropCatch).Schedule,
+			}
+		}
+		var err error
+		rep, err = storm.Run(storm.Config{
+			Dial:       func() (*epp.Client, error) { return srv.ConnectInProc(), nil },
+			Credential: dir.Credential,
+			Drop:       runner.Schedule(day, rng),
+			Release: func(batch []registry.Scheduled) error {
+				for _, sc := range batch {
+					if _, err := runner.Apply(sc); err != nil {
+						return err
+					}
+				}
+				return nil
+			},
+			Profiles: []storm.ClientProfile{profile(registrars.SvcXZ, 2), profile(registrars.SvcDropCatch, 12)},
+			Clock:    clock,
+		})
+		srv.Close()
+		if err != nil {
 			b.Fatal(err)
 		}
-		bigWins = float64(len(big.Won))
-		smallWins = float64(len(small.Won))
-		bigAttempts = float64(big.Attempts)
-		big.Close()
-		small.Close()
-		srv.Close()
 	}
-	b.ReportMetric(bigWins, "wins-12-accreditations")
-	b.ReportMetric(smallWins, "wins-2-accreditations")
-	b.ReportMetric(100*bigWins/bigAttempts, "create-success-pct(paper:<<1-for-dropcatch)")
+	small, big := rep.Profiles[0], rep.Profiles[1]
+	b.ReportMetric(float64(big.Wins), "wins-12-accreditations")
+	b.ReportMetric(float64(small.Wins), "wins-2-accreditations")
+	b.ReportMetric(100*float64(big.Wins)/float64(big.Attempts), "create-success-pct(paper:<<1-for-dropcatch)")
 }
 
 // --- micro-benchmarks of the core algorithms -----------------------------

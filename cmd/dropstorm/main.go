@@ -174,47 +174,33 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 		return fmt.Errorf("unknown transport %q (want tcp or inproc)", transport)
 	}
 
-	// Plan each zone's Drop and map it to per-name purge callbacks. The
-	// single-zone path keeps the legacy unscoped paced runner; a federated
-	// storm drops every zone concurrently under its own release policy, an
-	// instant zone releasing its whole group at one offset (the
-	// simultaneous-drop case the per-zone FCFS audit is about).
-	byName := make(map[string]registry.Scheduled, nNames)
-	runnerOf := make(map[string]*registry.DropRunner, nNames)
-	offsetOf := make(map[string]time.Duration, nNames)
-	if len(zones) == 0 {
-		runner := registry.NewDropRunner(store, registry.DropConfig{StartHour: 19, BaseRatePerSec: 10000})
-		for _, sc := range runner.Schedule(day, rng) {
-			byName[sc.Name] = sc
-			runnerOf[sc.Name] = runner
+	// Plan each zone's Drop on the storm's timeline: a paced zone releases
+	// its names in its policy's order, dropSpacing apart from dropStart past
+	// 19:00; an instant zone releases its whole group at dropStart (the
+	// simultaneous-drop case the per-zone FCFS audit is about). Every zone,
+	// the default one included, drops concurrently.
+	base := day.At(19, 0, 0)
+	var drop []registry.Scheduled
+	runnerOf := make(map[model.TLD]*registry.DropRunner)
+	for _, z := range store.Zones() {
+		runner, err := registry.NewZoneDropRunner(store, z)
+		if err != nil {
+			return err
 		}
-	} else {
-		for _, z := range store.Zones() {
-			zc := z
+		for i, sc := range runner.Schedule(day, rng) {
+			off := dropStart
 			if z.Policy != zone.PolicyInstant {
-				// Tighten the pace so every zone's schedule fits the storm
-				// window; instant zones keep their configured release instant.
-				zc.Drop = registry.DropConfig{StartHour: 19, BaseRatePerSec: 10000}
+				off += time.Duration(i) * dropSpacing
 			}
-			runner, err := registry.NewZoneDropRunner(store, zc)
-			if err != nil {
-				return err
-			}
-			for i, sc := range runner.Schedule(day, rng) {
-				byName[sc.Name] = sc
-				runnerOf[sc.Name] = runner
-				off := dropStart
-				if z.Policy != zone.PolicyInstant {
-					off += time.Duration(i) * dropSpacing
-				}
-				offsetOf[sc.Name] = off
-			}
+			sc.Time = base.Add(off)
+			drop = append(drop, sc)
+			runnerOf[sc.TLD] = runner
 		}
 	}
-	if len(byName) != nNames {
-		return fmt.Errorf("scheduled %d deletions, want %d", len(byName), nNames)
+	if len(drop) != nNames {
+		return fmt.Errorf("scheduled %d deletions, want %d", len(drop), nNames)
 	}
-	clock.Set(day.At(19, 0, 0))
+	clock.Set(base)
 
 	var profiles []storm.ClientProfile
 	for _, svc := range strings.Split(services, ",") {
@@ -247,17 +233,6 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 		return fmt.Errorf("no services selected")
 	}
 
-	offsets := make([]time.Duration, nNames)
-	if len(zones) == 0 {
-		for i := range offsets {
-			offsets[i] = dropStart + time.Duration(i)*dropSpacing
-		}
-	} else {
-		for i, name := range names {
-			offsets[i] = offsetOf[name]
-		}
-	}
-
 	// The registry runs on a SimClock so the seeded lifecycle state and the
 	// Drop schedule are deterministic, but the storm itself happens in real
 	// time: advance virtual time at wall pace for the storm's duration so
@@ -287,13 +262,16 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	fmt.Printf("storming %d names over %s with %d services across %d zones\n",
 		nNames, transport, len(profiles), len(store.Zones()))
 	rep, err := storm.Run(storm.Config{
-		Dial:        dial,
-		Credential:  dir.Credential,
-		Names:       names,
-		DropOffsets: offsets,
-		Drop: func(name string) error {
-			_, err := runnerOf[name].Apply(byName[name])
-			return err
+		Dial:       dial,
+		Credential: dir.Credential,
+		Drop:       drop,
+		Release: func(batch []registry.Scheduled) error {
+			for _, sc := range batch {
+				if _, err := runnerOf[sc.TLD].Apply(sc); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		Profiles: profiles,
 		Zones:    store.Zones(),

@@ -5,12 +5,14 @@
 //  1. download today's pending-delete list from the DomainScope-like
 //     service and pick attractive names (keywords, short labels);
 //  2. log in to EPP through a reseller accreditation;
-//  3. when the Drop starts, race `create` commands against a professional
-//     drop-catch service, under per-accreditation rate limits.
+//  3. after the Drop, sweep its targets with `create` commands under the
+//     accreditation's rate limit.
 //
-// The professional service backordered some of the same names and wins them
-// at the deletion instant; the script picks up what is left — exactly the
-// "seconds to minutes later" behaviour the paper measures for 1API.
+// A professional drop-catch service backordered half of the same names and
+// holds them from their deletion instant (booked straight into the store:
+// internal/storm is where EPP races are run); the script picks up what is
+// left — exactly the "seconds to minutes later" behaviour the paper measures
+// for 1API.
 //
 //	go run ./examples/dropcatcher
 package main

@@ -75,7 +75,7 @@ func BenchmarkEPPFramePath(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := client.Info("taken.com"); err != nil {
+				if _, err := infoOf(client, "taken.com"); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -61,12 +61,6 @@ func (c *Client) Login(registrarID int, token string) error {
 	return err
 }
 
-// Logout ends the session; the server closes the connection afterwards.
-func (c *Client) Logout() error {
-	_, err := c.roundTrip(&Request{Cmd: CmdLogout})
-	return err
-}
-
 // Check reports whether name is available for creation.
 func (c *Client) Check(name string) (bool, error) {
 	resp, err := c.roundTrip(&Request{Cmd: CmdCheck, Name: name})
@@ -77,15 +71,6 @@ func (c *Client) Check(name string) (bool, error) {
 		return false, fmt.Errorf("epp: check %q: response missing availability", name)
 	}
 	return *resp.Available, nil
-}
-
-// Info fetches the current registration of name.
-func (c *Client) Info(name string) (*DomainInfo, error) {
-	resp, err := c.roundTrip(&Request{Cmd: CmdInfo, Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Domain, nil
 }
 
 // Create attempts to register name for years. On contention the registry is
@@ -123,32 +108,4 @@ func (c *Client) Delete(name string) error {
 func (c *Client) Transfer(name, authInfo string) error {
 	_, err := c.roundTrip(&Request{Cmd: CmdTransfer, Name: name, AuthInfo: authInfo})
 	return err
-}
-
-// Poll fetches the oldest queued registry message without dequeuing it.
-// A nil message means the queue is empty.
-func (c *Client) Poll() (*Message, int, error) {
-	resp, err := c.roundTrip(&Request{Cmd: CmdPoll, PollOp: PollOpRequest})
-	if err != nil {
-		return nil, 0, err
-	}
-	if resp.Code == CodeNoMessages {
-		return nil, 0, nil
-	}
-	return resp.Message, resp.MsgCount, nil
-}
-
-// AckMessage dequeues the message with the given ID (must be the oldest).
-func (c *Client) AckMessage(id uint64) error {
-	_, err := c.roundTrip(&Request{Cmd: CmdPoll, PollOp: PollOpAck, MsgID: id})
-	return err
-}
-
-// ServerTime returns the registry clock as observed via a check round trip.
-func (c *Client) ServerTime() (time.Time, error) {
-	resp, err := c.roundTrip(&Request{Cmd: CmdCheck, Name: "timeprobe.com"})
-	if err != nil {
-		return time.Time{}, err
-	}
-	return resp.ServerTime, nil
 }

@@ -109,6 +109,16 @@ func dialLogin(t *testing.T, addr string, id int, tok string) *Client {
 	return c
 }
 
+// infoOf sends an info command for name; no program sends one, so the
+// client has no method for it.
+func infoOf(c *Client, name string) (*DomainInfo, error) {
+	resp, err := c.roundTrip(&Request{Cmd: CmdInfo, Name: name})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Domain, nil
+}
+
 func TestServerLoginRequired(t *testing.T) {
 	_, _, addr := newTestServer(t, ServerConfig{})
 	c, err := Dial(addr)
@@ -156,7 +166,7 @@ func TestServerCreateInfoDelete(t *testing.T) {
 		t.Fatalf("created time: %v", d.Created)
 	}
 
-	info, err := c.Info("fresh.com")
+	info, err := infoOf(c, "fresh.com")
 	if err != nil || info.ID != d.ID {
 		t.Fatalf("info: %+v %v", info, err)
 	}
@@ -313,7 +323,7 @@ func TestServerUnknownCommand(t *testing.T) {
 func TestServerLogout(t *testing.T) {
 	_, _, addr := newTestServer(t, ServerConfig{})
 	c := dialLogin(t, addr, 7001, "tok-a")
-	if err := c.Logout(); err != nil {
+	if _, err := c.roundTrip(&Request{Cmd: CmdLogout}); err != nil {
 		t.Fatalf("logout: %v", err)
 	}
 }
@@ -321,16 +331,16 @@ func TestServerLogout(t *testing.T) {
 func TestServerTimeAdvances(t *testing.T) {
 	_, clock, addr := newTestServer(t, ServerConfig{})
 	c := dialLogin(t, addr, 7001, "tok-a")
-	t1, err := c.ServerTime()
-	if err != nil {
-		t.Fatal(err)
+	serverTime := func() time.Time {
+		resp, err := c.roundTrip(&Request{Cmd: CmdCheck, Name: "timeprobe.com"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.ServerTime
 	}
+	t1 := serverTime()
 	clock.Advance(time.Minute)
-	t2, err := c.ServerTime()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := t2.Sub(t1); got != time.Minute {
+	if got := serverTime().Sub(t1); got != time.Minute {
 		t.Fatalf("server time advanced %v, want 1m", got)
 	}
 }
@@ -370,11 +380,11 @@ func TestTransferOverEPP(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The sponsor sees the auth code via info; others do not.
-	info, err := owner.Info("movable.com")
+	info, err := infoOf(owner, "movable.com")
 	if err != nil || info.AuthInfo == "" {
 		t.Fatalf("sponsor info: %+v %v", info, err)
 	}
-	foreign, err := gainer.Info("movable.com")
+	foreign, err := infoOf(gainer, "movable.com")
 	if err != nil || foreign.AuthInfo != "" {
 		t.Fatalf("auth code leaked to non-sponsor: %+v %v", foreign, err)
 	}
@@ -385,7 +395,7 @@ func TestTransferOverEPP(t *testing.T) {
 	if err := gainer.Transfer("movable.com", info.AuthInfo); err != nil {
 		t.Fatal(err)
 	}
-	moved, err := gainer.Info("movable.com")
+	moved, err := infoOf(gainer, "movable.com")
 	if err != nil || moved.Registrar != 7002 {
 		t.Fatalf("after transfer: %+v %v", moved, err)
 	}

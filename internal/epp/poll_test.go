@@ -94,9 +94,9 @@ func TestPollOverEPP(t *testing.T) {
 	}
 
 	// Empty queue → no messages.
-	msg, _, err := c.Poll()
-	if err != nil || msg != nil {
-		t.Fatalf("empty poll: %+v %v", msg, err)
+	pollReq := &Request{Cmd: CmdPoll, PollOp: PollOpRequest}
+	if resp, err := c.roundTrip(pollReq); err != nil || resp.Code != CodeNoMessages {
+		t.Fatalf("empty poll: %+v %v", resp, err)
 	}
 
 	// Drive a registration through deletion; the sponsor must be notified
@@ -118,18 +118,18 @@ func TestPollOverEPP(t *testing.T) {
 
 	var texts []string
 	for {
-		msg, count, err := c.Poll()
+		resp, err := c.roundTrip(pollReq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if msg == nil {
+		if resp.Code == CodeNoMessages {
 			break
 		}
-		if count < 1 {
-			t.Fatalf("count = %d with message present", count)
+		if resp.MsgCount < 1 {
+			t.Fatalf("count = %d with message present", resp.MsgCount)
 		}
-		texts = append(texts, msg.Text)
-		if err := c.AckMessage(msg.ID); err != nil {
+		texts = append(texts, resp.Message.Text)
+		if _, err := c.roundTrip(&Request{Cmd: CmdPoll, PollOp: PollOpAck, MsgID: resp.Message.ID}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -144,7 +144,7 @@ func TestPollOverEPP(t *testing.T) {
 func TestPollWithoutQueueConfigured(t *testing.T) {
 	_, _, addr := newTestServer(t, ServerConfig{})
 	c := dialLogin(t, addr, 7001, "tok-a")
-	_, _, err := c.Poll()
+	_, err := c.roundTrip(&Request{Cmd: CmdPoll, PollOp: PollOpRequest})
 	if !IsCode(err, CodeUnknownCommand) {
 		t.Fatalf("poll without queue: %v", err)
 	}

@@ -37,7 +37,7 @@ func TestReadOnlyRejectsMutations(t *testing.T) {
 	if avail, err := c.Check("unregistered.com"); err != nil || !avail {
 		t.Fatalf("check on replica: avail=%v err=%v", avail, err)
 	}
-	if _, err := c.Info("preexisting.com"); err != nil {
+	if _, err := infoOf(c, "preexisting.com"); err != nil {
 		t.Fatalf("info on replica: %v", err)
 	}
 

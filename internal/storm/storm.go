@@ -1,15 +1,19 @@
 // Package storm drives drop-catch create storms against a live EPP surface:
-// many concurrent sessions, each following a pre-drop retry schedule, racing
-// to re-register names as a Drop purges them. It is the load side of the
+// many sessions, each following a pre-drop retry schedule, racing to
+// re-register names as a Drop releases them. It is the load side of the
 // paper's measurement — the registry sees exactly what a registry operator
 // sees during the daily deletion window, and the report answers the paper's
 // questions: who wins, how fast after deletion, and what the tail latency of
 // a create looks like under contention.
 //
-// The engine is open-loop: every scheduled attempt fires at its appointed
-// instant whether or not earlier attempts have returned, so server backlog
-// shows up as latency rather than as silently reduced load. Latency is
-// charged from the scheduled instant (no coordinated omission).
+// The engine runs on one of two clocks. On the wall clock it is open-loop:
+// every scheduled attempt fires at its appointed instant whether or not
+// earlier attempts have returned, so server backlog shows up as latency
+// rather than as silently reduced load. Latency is charged from the
+// scheduled instant (no coordinated omission). On a virtual clock it is a
+// single-goroutine discrete-event loop: every release and every create
+// happens at its instant of simulated time, a create takes no simulated time,
+// and one configuration always produces the same Report.
 package storm
 
 import (
@@ -17,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,6 +28,8 @@ import (
 	"dropzero/internal/epp"
 	"dropzero/internal/loadgen"
 	"dropzero/internal/model"
+	"dropzero/internal/registry"
+	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
 
@@ -59,13 +64,14 @@ type Config struct {
 	Dial func() (*epp.Client, error)
 	// Credential returns the login token for an accreditation.
 	Credential func(accred int) string
-	// Names are the contested names; DropOffsets (parallel, same length)
-	// say when each is purged, relative to storm start.
-	Names       []string
-	DropOffsets []time.Duration
-	// Drop purges one name at its offset. Nil when the Drop is driven
+	// Drop is the contested names' release plan (DropRunner.Schedule's
+	// entries, one zone's or several merged). Every profile races every
+	// name, aiming its schedule at the entry's Time.
+	Drop []registry.Scheduled
+	// Release purges one instant's names: it is called once per distinct
+	// Time, with every entry sharing it. Nil when the Drop is driven
 	// externally (the harness then only generates load).
-	Drop func(name string) error
+	Release func([]registry.Scheduled) error
 	// Profiles are the competing operators.
 	Profiles []ClientProfile
 	// Years is the registration term requested (default 1).
@@ -76,6 +82,12 @@ type Config struct {
 	// scenarios read win shares and tails per zone. Unknown TLDs group
 	// under the empty zone name.
 	Zones []zone.Config
+	// Clock, when set, runs the storm in virtual time: Run sets it to each
+	// event's instant and sends each create synchronously, so the
+	// registry's rate limiters refill in simulated time. Sessions should be
+	// in-process. Nil runs the storm on the wall clock, where only the
+	// Drop's instants relative to one another matter.
+	Clock *simtime.SimClock
 }
 
 // Win records one name's re-registration.
@@ -200,11 +212,17 @@ func (r *Report) VerifyWins(reg registryReader) error {
 	return errors.Join(problems...)
 }
 
-// arrival is one scheduled create attempt.
+// arrival is one scheduled create attempt: the attempt-th of profile's
+// stream at name (an index into the sorted Drop).
 type arrival struct {
-	off     time.Duration
-	profile int
-	name    int
+	off                    time.Duration
+	profile, name, attempt int
+}
+
+// instant is one release: the sorted Drop's entries [lo, hi) share off.
+type instant struct {
+	off    time.Duration
+	lo, hi int
 }
 
 // nameState is one (profile, name) stream's live state.
@@ -217,25 +235,51 @@ type profileStats struct {
 	attempts, wins, rateLimited, skipped, settled, errCount atomic.Uint64
 }
 
+// race is one storm's state. Every instant in it is an offset from the
+// storm's origin, its first possible attempt.
+type race struct {
+	cfg      *Config
+	years    int
+	origin   time.Time
+	drop     []registry.Scheduled // release order; a name's index is its place here
+	instants []instant
+	arrivals []arrival
+
+	sessions      [][]*epp.Client
+	sessionAccred [][]int
+	rr            []int // per-profile session round-robin (dispatcher only)
+
+	states []nameState // [profile*len(drop)+name]
+	stats  []profileStats
+	lats   []time.Duration
+	fired  []bool
+	codes  [][2]int // [code, valid]
+
+	winMu     sync.Mutex
+	winners   map[string]Win
+	multiAcks map[string]int
+	wonCount  atomic.Int64
+	won       []atomic.Bool
+	dropAt    []atomic.Int64 // release offset; -1 until released
+	dropErrs  []error
+}
+
 // Run executes the storm and blocks until every in-flight attempt has been
-// answered and every drop applied.
+// answered and every release applied.
 func Run(cfg Config) (*Report, error) {
-	if len(cfg.Names) != len(cfg.DropOffsets) {
-		return nil, fmt.Errorf("storm: %d names but %d drop offsets", len(cfg.Names), len(cfg.DropOffsets))
-	}
-	if len(cfg.Names) == 0 || len(cfg.Profiles) == 0 {
+	if len(cfg.Drop) == 0 || len(cfg.Profiles) == 0 {
 		return nil, errors.New("storm: need at least one name and one profile")
 	}
-	years := cfg.Years
-	if years == 0 {
-		years = 1
+	r := &race{cfg: &cfg, years: cfg.Years, winners: make(map[string]Win), multiAcks: make(map[string]int)}
+	if r.years == 0 {
+		r.years = 1
 	}
 
 	// Stand up every profile's sessions before the clock starts.
-	sessions := make([][]*epp.Client, len(cfg.Profiles))
-	sessionAccred := make([][]int, len(cfg.Profiles))
+	r.sessions = make([][]*epp.Client, len(cfg.Profiles))
+	r.sessionAccred = make([][]int, len(cfg.Profiles))
 	defer func() {
-		for _, ss := range sessions {
+		for _, ss := range r.sessions {
 			for _, c := range ss {
 				c.Close()
 			}
@@ -255,251 +299,333 @@ func Run(cfg Config) (*Report, error) {
 			if err != nil {
 				return nil, fmt.Errorf("storm: dial session %d of %q: %w", s, p.Service, err)
 			}
-			sessions[pi] = append(sessions[pi], c)
-			sessionAccred[pi] = append(sessionAccred[pi], accred)
+			r.sessions[pi] = append(r.sessions[pi], c)
+			r.sessionAccred[pi] = append(r.sessionAccred[pi], accred)
 			if err := c.Login(accred, cfg.Credential(accred)); err != nil {
 				return nil, fmt.Errorf("storm: login accreditation %d of %q: %w", accred, p.Service, err)
 			}
 		}
 	}
 
-	// Expand every profile's schedule against every name into one global
-	// arrival list.
-	var arrivals []arrival
+	r.drop = slices.Clone(cfg.Drop)
+	slices.SortFunc(r.drop, func(a, b registry.Scheduled) int {
+		return cmp.Or(a.Time.Compare(b.Time), cmp.Compare(a.Name, b.Name))
+	})
+	// The origin is the first possible attempt: the earliest release less
+	// the longest lead, and on a virtual clock no earlier than now.
+	var lead time.Duration
+	for _, p := range cfg.Profiles {
+		lead = max(lead, p.Schedule.Lead)
+	}
+	r.origin = r.drop[0].Time.Add(-lead)
+	if cfg.Clock != nil && r.origin.Before(cfg.Clock.Now()) {
+		r.origin = cfg.Clock.Now()
+	}
+	for lo := 0; lo < len(r.drop); {
+		hi := lo + 1
+		for hi < len(r.drop) && r.drop[hi].Time.Equal(r.drop[lo].Time) {
+			hi++
+		}
+		r.instants = append(r.instants, instant{off: r.drop[lo].Time.Sub(r.origin), lo: lo, hi: hi})
+		lo = hi
+	}
+
+	// Expand every profile's schedule against every name into one arrival
+	// list, in a total order: ties at one instant (every profile's pre-shot
+	// at an instant zone's release) fire the same way every run.
 	for pi, p := range cfg.Profiles {
-		for ni := range cfg.Names {
-			for _, off := range p.Schedule.Offsets(cfg.DropOffsets[ni]) {
-				arrivals = append(arrivals, arrival{off: off, profile: pi, name: ni})
+		for ni, d := range r.drop {
+			for k, off := range p.Schedule.Offsets(d.Time.Sub(r.origin)) {
+				r.arrivals = append(r.arrivals, arrival{off: off, profile: pi, name: ni, attempt: k})
 			}
 		}
 	}
-	sort.Slice(arrivals, func(i, j int) bool { return arrivals[i].off < arrivals[j].off })
+	slices.SortFunc(r.arrivals, func(a, b arrival) int {
+		return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(a.profile, b.profile),
+			cmp.Compare(a.name, b.name), cmp.Compare(a.attempt, b.attempt))
+	})
 
-	states := make([][]nameState, len(cfg.Profiles))
-	stats := make([]profileStats, len(cfg.Profiles))
-	rr := make([]atomic.Uint64, len(cfg.Profiles)) // session round-robin
-	for pi := range cfg.Profiles {
-		states[pi] = make([]nameState, len(cfg.Names))
+	r.states = make([]nameState, len(cfg.Profiles)*len(r.drop))
+	r.stats = make([]profileStats, len(cfg.Profiles))
+	r.rr = make([]int, len(cfg.Profiles))
+	r.lats = make([]time.Duration, len(r.arrivals))
+	r.fired = make([]bool, len(r.arrivals))
+	r.codes = make([][2]int, len(r.arrivals))
+	r.won = make([]atomic.Bool, len(r.drop))
+	r.dropAt = make([]atomic.Int64, len(r.drop))
+	for i := range r.dropAt {
+		r.dropAt[i].Store(-1)
 	}
 
-	var (
-		winMu     sync.Mutex
-		winners   = make(map[string]Win)
-		multiAcks = make(map[string]int)
-		wonCount  atomic.Int64
-		won       = make([]atomic.Bool, len(cfg.Names))
-		dropAt    = make([]atomic.Int64, len(cfg.Names)) // ns since start; 0 = not yet
-		dropErrs  []error
-		dropWG    sync.WaitGroup
-	)
+	var elapsed, maxLag time.Duration
+	if cfg.Clock != nil {
+		elapsed = r.runVirtual()
+	} else {
+		elapsed, maxLag = r.runWall()
+	}
+	return r.report(elapsed, maxLag), nil
+}
 
+// runWall is the open-loop dispatcher: a timer goroutine applies the
+// releases while this one fires every arrival at its wall-clock instant, each
+// create on its own goroutine.
+func (r *race) runWall() (elapsed, maxLag time.Duration) {
 	start := time.Now()
-
-	// The Drop itself: a timer goroutine purging each name at its offset.
-	if cfg.Drop != nil {
-		order := make([]int, len(cfg.Names))
-		for i := range order {
-			order[i] = i
-		}
-		sort.Slice(order, func(i, j int) bool {
-			return cfg.DropOffsets[order[i]] < cfg.DropOffsets[order[j]]
-		})
+	since := func() time.Duration { return time.Since(start) }
+	var dropWG, fireWG sync.WaitGroup
+	if r.cfg.Release != nil {
 		dropWG.Add(1)
 		go func() {
 			defer dropWG.Done()
-			for _, ni := range order {
-				at := start.Add(cfg.DropOffsets[ni])
-				if d := time.Until(at); d > 0 {
+			for _, in := range r.instants {
+				if d := in.off - since(); d > 0 {
 					time.Sleep(d)
 				}
-				instant := time.Now()
-				if err := cfg.Drop(cfg.Names[ni]); err != nil {
-					dropErrs = append(dropErrs, fmt.Errorf("storm: drop %s: %w", cfg.Names[ni], err))
-					continue
-				}
-				dropAt[ni].Store(instant.Sub(start).Nanoseconds())
+				r.release(in, since())
 			}
 		}()
 	}
-
-	// The storm dispatcher: open-loop over the merged arrival schedule.
-	lats := make([]time.Duration, len(arrivals))
-	fired := make([]bool, len(arrivals))
-	codes := make([][2]int, len(arrivals)) // [code, valid]
-	var maxLag time.Duration
-	var fireWG sync.WaitGroup
-	for ai, a := range arrivals {
-		if int(wonCount.Load()) == len(cfg.Names) {
+	for ai, a := range r.arrivals {
+		if int(r.wonCount.Load()) == len(r.drop) {
 			// Every name is decided; the remaining tail would be pure
 			// objectExists noise. Drain it as settled.
-			stats[a.profile].settled.Add(1)
+			r.stats[a.profile].settled.Add(1)
 			continue
 		}
-		at := start.Add(a.off)
-		if d := time.Until(at); d > 0 {
+		if d := a.off - since(); d > 0 {
 			time.Sleep(d)
 		}
-		if lag := time.Since(at); lag > maxLag {
+		if lag := since() - a.off; lag > maxLag {
 			maxLag = lag
 		}
-		p := &cfg.Profiles[a.profile]
-		st := &states[a.profile][a.name]
-		if st.settled.Load() || won[a.name].Load() {
-			stats[a.profile].settled.Add(1)
+		if !r.admit(a) {
 			continue
 		}
-		if p.PerDomainInFlight > 0 && int(st.inFlight.Load()) >= p.PerDomainInFlight {
-			stats[a.profile].skipped.Add(1)
-			continue
-		}
-		st.inFlight.Add(1)
-		sess := sessions[a.profile]
-		si := int(rr[a.profile].Add(1)-1) % len(sess)
+		client, accred := r.session(a.profile)
 		fireWG.Add(1)
-		go func(ai int, a arrival, client *epp.Client, accred int, at time.Time) {
+		go func() {
 			defer fireWG.Done()
-			defer st.inFlight.Add(-1)
-			stats[a.profile].attempts.Add(1)
-			_, err := client.Create(cfg.Names[a.name], years)
-			lats[ai] = time.Since(at)
-			fired[ai] = true
-			ack := time.Now()
-			switch {
-			case err == nil:
-				codes[ai] = [2]int{epp.CodeOK, 1}
-				stats[a.profile].wins.Add(1)
-				st.settled.Store(true)
-				first := won[a.name].CompareAndSwap(false, true)
-				winMu.Lock()
-				if first {
-					wonCount.Add(1)
-					delay := time.Duration(0)
-					if d := dropAt[a.name].Load(); d > 0 {
-						delay = ack.Sub(start.Add(time.Duration(d)))
-					}
-					winners[cfg.Names[a.name]] = Win{
-						Name:          cfg.Names[a.name],
-						Accreditation: accred,
-						Service:       p.Service,
-						Delay:         delay,
-					}
-				} else {
-					multiAcks[cfg.Names[a.name]]++
-				}
-				winMu.Unlock()
-			case epp.IsCode(err, epp.CodeObjectExists):
-				// Pre-drop, or lost the race; the schedule keeps trying
-				// until the name is seen won.
-				codes[ai] = [2]int{epp.CodeObjectExists, 1}
-			case epp.IsCode(err, epp.CodeRateLimited):
-				codes[ai] = [2]int{epp.CodeRateLimited, 1}
-				stats[a.profile].rateLimited.Add(1)
-				if p.Compliant {
-					st.settled.Store(true)
-				}
-			default:
-				var re *epp.ResultError
-				if errors.As(err, &re) {
-					codes[ai] = [2]int{re.Code, 1}
-				}
-				stats[a.profile].errCount.Add(1)
-			}
-		}(ai, a, sess[si], sessionAccred[a.profile][si], at)
+			r.send(ai, client, accred, since)
+		}()
 	}
 	fireWG.Wait()
 	dropWG.Wait()
-	elapsed := time.Since(start)
+	return since(), maxLag
+}
 
-	// Fold the per-arrival observations into the report.
+// runVirtual is the discrete-event loop: releases and arrivals merged in
+// time order (a release before the creates of its instant), the clock set
+// to each event's instant, every create answered before the next event.
+func (r *race) runVirtual() time.Duration {
+	clock := r.cfg.Clock
+	now := func() time.Duration { return clock.Now().Sub(r.origin) }
+	advance := func(off time.Duration) {
+		if t := r.origin.Add(off); t.After(clock.Now()) {
+			clock.Set(t)
+		}
+	}
+	next := 0
+	releaseThrough := func(off time.Duration) {
+		for ; next < len(r.instants) && r.instants[next].off <= off; next++ {
+			advance(r.instants[next].off)
+			r.release(r.instants[next], r.instants[next].off)
+		}
+	}
+	for ai, a := range r.arrivals {
+		releaseThrough(a.off)
+		advance(a.off)
+		if !r.admit(a) {
+			continue
+		}
+		client, accred := r.session(a.profile)
+		r.send(ai, client, accred, now)
+	}
+	releaseThrough(1<<63 - 1)
+	return now()
+}
+
+// release applies one instant's entries at offset at.
+func (r *race) release(in instant, at time.Duration) {
+	if r.cfg.Release == nil {
+		return
+	}
+	if err := r.cfg.Release(r.drop[in.lo:in.hi]); err != nil {
+		r.dropErrs = append(r.dropErrs, fmt.Errorf("storm: release at %v: %w", r.drop[in.lo].Time, err))
+		return
+	}
+	for ni := in.lo; ni < in.hi; ni++ {
+		r.dropAt[ni].Store(int64(at))
+	}
+}
+
+// admit decides whether arrival a is sent: not when its name is decided for
+// the profile (settled) or the profile's per-name in-flight cap is full
+// (skipped). An admitted arrival holds an in-flight slot until send returns.
+func (r *race) admit(a arrival) bool {
+	st := &r.states[a.profile*len(r.drop)+a.name]
+	if st.settled.Load() || r.won[a.name].Load() {
+		r.stats[a.profile].settled.Add(1)
+		return false
+	}
+	if c := r.cfg.Profiles[a.profile].PerDomainInFlight; c > 0 && int(st.inFlight.Load()) >= c {
+		r.stats[a.profile].skipped.Add(1)
+		return false
+	}
+	st.inFlight.Add(1)
+	return true
+}
+
+// session picks the profile's next session, round-robin.
+func (r *race) session(profile int) (*epp.Client, int) {
+	si := r.rr[profile] % len(r.sessions[profile])
+	r.rr[profile]++
+	return r.sessions[profile][si], r.sessionAccred[profile][si]
+}
+
+// send fires arrival ai and records the answer; now reads the storm's clock
+// as an offset from the origin.
+func (r *race) send(ai int, client *epp.Client, accred int, now func() time.Duration) {
+	a := r.arrivals[ai]
+	st := &r.states[a.profile*len(r.drop)+a.name]
+	stats := &r.stats[a.profile]
+	defer st.inFlight.Add(-1)
+	stats.attempts.Add(1)
+	name := r.drop[a.name].Name
+	_, err := client.Create(name, r.years)
+	ack := now()
+	r.lats[ai] = ack - a.off
+	r.fired[ai] = true
+	switch {
+	case err == nil:
+		r.codes[ai] = [2]int{epp.CodeOK, 1}
+		stats.wins.Add(1)
+		st.settled.Store(true)
+		first := r.won[a.name].CompareAndSwap(false, true)
+		r.winMu.Lock()
+		if first {
+			r.wonCount.Add(1)
+			delay := time.Duration(0)
+			if d := r.dropAt[a.name].Load(); d >= 0 {
+				delay = ack - time.Duration(d)
+			}
+			r.winners[name] = Win{
+				Name:          name,
+				Accreditation: accred,
+				Service:       r.cfg.Profiles[a.profile].Service,
+				Delay:         delay,
+			}
+		} else {
+			r.multiAcks[name]++
+		}
+		r.winMu.Unlock()
+	case epp.IsCode(err, epp.CodeObjectExists):
+		// Pre-drop, or lost the race; the schedule keeps trying until the
+		// name is seen won.
+		r.codes[ai] = [2]int{epp.CodeObjectExists, 1}
+	case epp.IsCode(err, epp.CodeRateLimited):
+		r.codes[ai] = [2]int{epp.CodeRateLimited, 1}
+		stats.rateLimited.Add(1)
+		if r.cfg.Profiles[a.profile].Compliant {
+			st.settled.Store(true)
+		}
+	default:
+		var re *epp.ResultError
+		if errors.As(err, &re) {
+			r.codes[ai] = [2]int{re.Code, 1}
+		}
+		stats.errCount.Add(1)
+	}
+}
+
+// unclaimed reports whether name ni was released but nobody won it.
+func (r *race) unclaimed(ni int) bool { return r.dropAt[ni].Load() >= 0 && !r.won[ni].Load() }
+
+// report folds the per-arrival observations into the Report.
+func (r *race) report(elapsed, maxLag time.Duration) *Report {
 	var sentLats []time.Duration
 	var errCount uint64
 	codeCounts := make(map[int]uint64)
-	for ai := range arrivals {
-		if !fired[ai] {
+	for ai := range r.arrivals {
+		if !r.fired[ai] {
 			continue
 		}
-		sentLats = append(sentLats, lats[ai])
-		if codes[ai][1] == 1 {
-			codeCounts[codes[ai][0]]++
+		sentLats = append(sentLats, r.lats[ai])
+		if r.codes[ai][1] == 1 {
+			codeCounts[r.codes[ai][0]]++
 		}
 	}
 	rep := &Report{
-		Winners:             winners,
-		MultiAcks:           multiAcks,
+		Winners:             r.winners,
+		MultiAcks:           r.multiAcks,
 		WinsByAccreditation: make(map[int]int),
 		WinsByService:       make(map[string]int),
 		MaxLag:              maxLag,
-		DropErrors:          dropErrs,
+		DropErrors:          r.dropErrs,
 	}
-	for pi := range cfg.Profiles {
-		errCount += stats[pi].errCount.Load()
+	for pi, p := range r.cfg.Profiles {
+		s := &r.stats[pi]
+		errCount += s.errCount.Load()
 		rep.Profiles = append(rep.Profiles, ProfileReport{
-			Service:     cfg.Profiles[pi].Service,
-			Compliant:   cfg.Profiles[pi].Compliant,
-			Attempts:    stats[pi].attempts.Load(),
-			Wins:        stats[pi].wins.Load(),
-			RateLimited: stats[pi].rateLimited.Load(),
-			Skipped:     stats[pi].skipped.Load(),
-			Settled:     stats[pi].settled.Load(),
-			Errors:      stats[pi].errCount.Load(),
+			Service:     p.Service,
+			Compliant:   p.Compliant,
+			Attempts:    s.attempts.Load(),
+			Wins:        s.wins.Load(),
+			RateLimited: s.rateLimited.Load(),
+			Skipped:     s.skipped.Load(),
+			Settled:     s.settled.Load(),
+			Errors:      s.errCount.Load(),
 		})
 	}
 	rep.Creates = loadgen.Collect(sentLats, errCount, elapsed, codeCounts)
-	for _, w := range winners {
+	for _, w := range r.winners {
 		rep.WinsByAccreditation[w.Accreditation]++
 		rep.WinsByService[w.Service]++
 	}
-	for ni, name := range cfg.Names {
-		if dropAt[ni].Load() > 0 && !won[ni].Load() {
-			rep.Unclaimed = append(rep.Unclaimed, name)
+	for ni, d := range r.drop {
+		if r.unclaimed(ni) {
+			rep.Unclaimed = append(rep.Unclaimed, d.Name)
 		}
 	}
 	slices.Sort(rep.Unclaimed)
-	if n := len(arrivals); n > 0 {
-		if horizon := arrivals[n-1].off; horizon > 0 {
+	if n := len(r.arrivals); n > 0 {
+		if horizon := r.arrivals[n-1].off; horizon > 0 {
 			rep.OfferedRPS = float64(n) / horizon.Seconds()
 		}
 	}
 	if elapsed > 0 {
 		rep.AchievedRPS = float64(len(sentLats)) / elapsed.Seconds()
 	}
-	rep.ByTLD, rep.ByZone = groupReports(cfg, arrivals, fired, lats, codes, winners, multiAcks, rep.Unclaimed, elapsed)
-	return rep, nil
+	rep.ByTLD, rep.ByZone = r.groupReports(elapsed)
+	return rep
 }
 
 // groupReports folds the per-arrival observations into per-TLD groups and
 // aggregates those per operating zone.
-func groupReports(cfg Config, arrivals []arrival, fired []bool, lats []time.Duration,
-	codes [][2]int, winners map[string]Win, multiAcks map[string]int,
-	unclaimed []string, elapsed time.Duration) (byTLD, byZone []GroupReport) {
-	tldOf := make([]string, len(cfg.Names))
-	for ni, name := range cfg.Names {
-		if t, ok := model.TLDOf(name); ok {
+func (r *race) groupReports(elapsed time.Duration) (byTLD, byZone []GroupReport) {
+	tldOf := make([]string, len(r.drop))
+	for ni, d := range r.drop {
+		if t, ok := model.TLDOf(d.Name); ok {
 			tldOf[ni] = string(t)
 		}
 	}
 	zoneOf := make(map[string]string) // TLD -> zone name
-	for _, z := range cfg.Zones {
+	for _, z := range r.cfg.Zones {
 		for _, t := range z.TLDs {
 			zoneOf[string(t)] = z.Name
 		}
 	}
-	nameIdx := make(map[string]int, len(cfg.Names))
-	for ni, name := range cfg.Names {
-		nameIdx[name] = ni
-	}
 
 	build := func(keyOf func(ni int) string) []GroupReport {
-		samples := make([]loadgen.Sample, 0, len(arrivals))
-		for ai := range arrivals {
-			if !fired[ai] {
+		samples := make([]loadgen.Sample, 0, len(r.arrivals))
+		for ai, a := range r.arrivals {
+			if !r.fired[ai] {
 				continue
 			}
 			samples = append(samples, loadgen.Sample{
-				Key:     keyOf(arrivals[ai].name),
-				Latency: lats[ai],
-				Code:    codes[ai][0],
-				Coded:   codes[ai][1] == 1,
+				Key:     keyOf(a.name),
+				Latency: r.lats[ai],
+				Code:    r.codes[ai][0],
+				Coded:   r.codes[ai][1] == 1,
 			})
 		}
 		results := loadgen.CollectBy(samples, elapsed)
@@ -512,22 +638,20 @@ func groupReports(cfg Config, arrivals []arrival, fired []bool, lats []time.Dura
 			}
 			return g
 		}
-		for key, r := range results {
+		for key, res := range results {
 			g := group(key)
-			g.Creates = r
-			g.Attempts = r.Requests
+			g.Creates = res
+			g.Attempts = res.Requests
 		}
-		for ni, name := range cfg.Names {
+		for ni, d := range r.drop {
 			g := group(keyOf(ni))
 			g.Names++
-			if _, ok := winners[name]; ok {
+			if r.won[ni].Load() {
 				g.Wins++
 			}
-			g.MultiAcks += multiAcks[name]
-		}
-		for _, name := range unclaimed {
-			if ni, ok := nameIdx[name]; ok {
-				group(keyOf(ni)).Unclaimed++
+			g.MultiAcks += r.multiAcks[d.Name]
+			if r.unclaimed(ni) {
+				g.Unclaimed++
 			}
 		}
 		out := make([]GroupReport, 0, len(groups))

@@ -22,8 +22,8 @@ type multiZoneFixture struct {
 	addr    string
 	creds   map[int]string
 	names   []string
-	offsets []time.Duration
-	drop    func(name string) error
+	drop    []registry.Scheduled
+	release func([]registry.Scheduled) error
 }
 
 func newMultiZoneFixture(t testing.TB, accreds []int) *multiZoneFixture {
@@ -77,7 +77,8 @@ func newMultiZoneFixture(t testing.TB, accreds []int) *multiZoneFixture {
 	}
 
 	// Each zone's runner schedules its own queue under its own policy; the
-	// storm's Drop callback purges whichever zone a name belongs to.
+	// storm's Release callback purges through whichever zone a name belongs
+	// to.
 	byName := make(map[string]registry.Scheduled)
 	scheduleZone := func(z zone.Config, seed int64) {
 		r, err := registry.NewZoneDropRunner(store, z)
@@ -117,12 +118,20 @@ func newMultiZoneFixture(t testing.TB, accreds []int) *multiZoneFixture {
 	}
 	t.Cleanup(func() { srv.Close() })
 	clock.Set(day.At(19, 0, 0))
+	drop := make([]registry.Scheduled, len(names))
+	for i, name := range names {
+		drop[i] = byName[name]
+		drop[i].Time = day.At(19, 0, 0).Add(offsets[i])
+	}
 	return &multiZoneFixture{
-		store: store, addr: addr.String(), creds: creds, names: names, offsets: offsets,
-		drop: func(name string) error {
-			tld, _ := model.TLDOf(name)
-			_, err := runners[tld].Apply(byName[name])
-			return err
+		store: store, addr: addr.String(), creds: creds, names: names, drop: drop,
+		release: func(batch []registry.Scheduled) error {
+			for _, sc := range batch {
+				if _, err := runners[sc.TLD].Apply(sc); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 	}
 }
@@ -144,11 +153,10 @@ func TestStormMultiZoneFCFS(t *testing.T) {
 		Horizon:      2 * time.Second,
 	}
 	rep, err := Run(Config{
-		Dial:        func() (*epp.Client, error) { return epp.Dial(fx.addr) },
-		Credential:  func(a int) string { return fx.creds[a] },
-		Names:       fx.names,
-		DropOffsets: fx.offsets,
-		Drop:        fx.drop,
+		Dial:       func() (*epp.Client, error) { return epp.Dial(fx.addr) },
+		Credential: func(a int) string { return fx.creds[a] },
+		Drop:       fx.drop,
+		Release:    fx.release,
 		Profiles: []ClientProfile{
 			{Service: "CatcherA", Accreditations: accredsA, Sessions: 4, Schedule: sched,
 				Compliant: true, PerDomainInFlight: 2},
