@@ -22,12 +22,14 @@ import (
 	"os"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dropzero/internal/dropscope"
 	"dropzero/internal/inproc"
 	"dropzero/internal/journal"
 	"dropzero/internal/model"
+	"dropzero/internal/node"
 	"dropzero/internal/rdap"
 	"dropzero/internal/registry"
 	"dropzero/internal/repl"
@@ -65,99 +67,81 @@ func run(domains, writers, creates int, verbose bool) error {
 	}
 	defer os.RemoveAll(base)
 
-	// Primary: sync journal, seeded population, snapshot so the replicas
-	// bootstrap through the snapshot path, then a post-snapshot tail.
-	store := registry.NewStore(clock)
-	jnl, _, err := journal.Open(store, journal.Options{Dir: base + "/primary", Mode: journal.ModeSync})
-	if err != nil {
-		return err
+	// Primary: semi-sync over a sync journal. Its boot — seeded population,
+	// a snapshot so the replicas bootstrap through the snapshot path, then a
+	// post-snapshot tail — runs on the bare journal, before the quorum.
+	var logf func(string, ...any)
+	if verbose {
+		logf = log.Printf
 	}
-	store.SetJournal(jnl)
-	store.AddRegistrar(model.Registrar{IANAID: seedRegistrar, Name: "Repl Smoke Seeder"})
-	store.AddRegistrar(model.Registrar{IANAID: catchRegistrar, Name: "Repl Smoke Catcher"})
-	names := make([]string, 0, domains)
-	for i := 0; i < domains; i++ {
-		name := fmt.Sprintf("repl-smoke-%04d.com", i)
-		at := day.AddDays(-40).At(6, 0, i%60)
-		if _, err := store.CreateAt(name, seedRegistrar, 1, at); err != nil {
-			return err
-		}
-		if i%4 == 0 {
-			if err := store.MarkPendingDelete(name, at.Add(time.Hour), day); err != nil {
+	var names []string
+	primary, err := node.Start(node.Config{
+		Replication: "127.0.0.1:0", DataDir: base + "/primary", Mode: journal.ModeSync, Clock: clock, SyncFollowers: 1, Logf: logf,
+		Registrars: []model.Registrar{{IANAID: seedRegistrar, Name: "Repl Smoke Seeder"}, {IANAID: catchRegistrar, Name: "Repl Smoke Catcher"}},
+		Boot: func(store *registry.Store, jnl *journal.Journal, _ journal.Recovery) error {
+			for i := 0; i < domains; i++ {
+				name := fmt.Sprintf("repl-smoke-%04d.com", i)
+				at := day.AddDays(-40).At(6, 0, i%60)
+				if _, err := store.CreateAt(name, seedRegistrar, 1, at); err != nil {
+					return err
+				}
+				if i%4 == 0 {
+					if err := store.MarkPendingDelete(name, at.Add(time.Hour), day); err != nil {
+						return err
+					}
+				}
+				names = append(names, name)
+			}
+			if err := jnl.Snapshot(nil); err != nil {
 				return err
 			}
-		}
-		names = append(names, name)
-	}
-	if err := jnl.Snapshot(nil); err != nil {
+			for i := 0; i < 32; i++ {
+				if err := store.TouchAt(names[i], seedRegistrar, day.At(18, 30, i%60)); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
+	if err != nil {
 		return err
 	}
-	for i := 0; i < 32; i++ {
-		if err := store.TouchAt(names[i], seedRegistrar, day.At(18, 30, i%60)); err != nil {
-			return err
-		}
-	}
+	defer primary.Close()
+	store, jnl := primary.Store, primary.Journal()
 
-	src := repl.NewSource(jnl, repl.SourceConfig{SyncFollowers: 1})
-	addr, err := src.Listen("127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	newReplica := func(i int) (*repl.Follower, *registry.Store, error) {
-		fstore := registry.NewStore(simtime.NewSimClock(day.At(18, 0, 0)))
-		cfg := repl.FollowerConfig{
-			Dir:           fmt.Sprintf("%s/replica%d", base, i),
-			Addr:          addr.String(),
-			ReconnectWait: 50 * time.Millisecond,
-		}
-		if verbose {
-			cfg.Logf = log.Printf
-		}
-		f, err := repl.NewFollower(fstore, cfg)
+	// Two replicas. Time-to-first-serve: replica cold start to fully caught
+	// up (snapshot bootstrap + batch catch-up) — the window in which a hot
+	// spare is not yet one.
+	var replicas []*node.Node
+	for i := 1; i <= 2; i++ {
+		started := time.Now()
+		r, err := node.Start(node.Config{
+			ReplicateFrom: primary.Addr("replication"), DataDir: fmt.Sprintf("%s/replica%d", base, i),
+			Mode: journal.ModeSync, Clock: simtime.NewSimClock(day.At(18, 0, 0)), Logf: logf,
+		})
 		if err != nil {
-			return nil, nil, err
-		}
-		f.Start()
-		return f, fstore, nil
-	}
-	started1 := time.Now()
-	f1, fstore1, err := newReplica(1)
-	if err != nil {
-		return err
-	}
-	defer f1.Close()
-	started2 := time.Now()
-	f2, fstore2, err := newReplica(2)
-	if err != nil {
-		return err
-	}
-	defer f2.Close()
-	replicas := []*repl.Follower{f1, f2}
-	rstores := []*registry.Store{fstore1, fstore2}
-	// Time-to-first-serve: replica cold start to fully caught up (snapshot
-	// bootstrap + batch catch-up) — the window in which a hot spare is not
-	// yet one.
-	for i, f := range replicas {
-		if err := waitApplied(f, jnl.LastSeq()); err != nil {
 			return err
 		}
-		ttfs := time.Since([]time.Time{started1, started2}[i])
-		log.Printf("replica %d time-to-first-serve: %v (bootstrapped to seq %d)", i+1, ttfs.Round(time.Millisecond), f.AppliedSeq())
+		defer r.Close()
+		replicas = append(replicas, r)
+		if err := waitApplied(r.Follower, jnl.LastSeq()); err != nil {
+			return err
+		}
+		log.Printf("replica %d time-to-first-serve: %v (bootstrapped to seq %d)", i, time.Since(started).Round(time.Millisecond), r.Follower.AppliedSeq())
 	}
 	log.Printf("primary + 2 replicas caught up at seq %d", jnl.LastSeq())
 
 	// Phase 1: every read surface must render byte-identical on all three.
-	sample := append([]string{}, names[:8]...)
-	sample = append(sample, names[len(names)-4:]...)
+	sample := append(names[:8:8], names[len(names)-4:]...)
 	want, err := renderSurfaces(store, sample, day)
 	if err != nil {
 		return fmt.Errorf("render primary: %w", err)
 	}
-	for i, rs := range rstores {
-		if pg, rg := store.Generation(), rs.Generation(); pg != rg {
+	for i, r := range replicas {
+		if pg, rg := store.Generation(), r.Store.Generation(); pg != rg {
 			return fmt.Errorf("replica%d generation %d != primary %d", i+1, rg, pg)
 		}
-		got, err := renderSurfaces(rs, sample, day)
+		got, err := renderSurfaces(r.Store, sample, day)
 		if err != nil {
 			return fmt.Errorf("render replica%d: %w", i+1, err)
 		}
@@ -167,10 +151,8 @@ func run(domains, writers, creates int, verbose bool) error {
 	}
 	log.Printf("surfaces byte-identical across %d rendered reads (RDAP, WHOIS, dropscope)", len(want))
 
-	// Phase 2: semi-sync — from here on a nil error means the mutation is
-	// durable locally AND applied by at least one replica.
-	store.SetJournal(&repl.SyncJournal{J: jnl, S: src})
-
+	// Phase 2: semi-sync — the primary has committed this way since its
+	// boot: a nil error means durable locally AND applied by a replica.
 	// Phase 3: race the Drop against a create burst, then kill the primary
 	// partway through. Everything acked before the kill must survive.
 	runner := registry.NewDropRunner(store, registry.DropConfig{StartHour: 19, BaseRatePerSec: 20})
@@ -182,18 +164,14 @@ func run(domains, writers, creates int, verbose bool) error {
 		ackedNames  []string              // fresh creates + catches acked to a client
 		ackedPurges = map[string]uint64{} // name -> purged domain ID
 		catchCh     = make(chan string, len(sched))
-		kill        = make(chan struct{})
-		killOnce    sync.Once
+		killed      atomic.Bool
 		wg          sync.WaitGroup
 	)
-	killPrimary := func() { killOnce.Do(func() { close(kill); src.Close() }) }
-	killed := func() bool {
-		select {
-		case <-kill:
-			return true
-		default:
-			return false
-		}
+	killPrimary := func() { killed.Store(true); primary.Close() }
+	ackCreate := func(name string) {
+		ackMu.Lock()
+		ackedNames = append(ackedNames, name)
+		ackMu.Unlock()
 	}
 
 	// The Drop: purge on schedule order, feeding each dropped name to the
@@ -206,7 +184,7 @@ func run(domains, writers, creates int, verbose bool) error {
 			if i == len(sched)/3 {
 				killPrimary()
 			}
-			if killed() {
+			if killed.Load() {
 				return
 			}
 			ev, err := runner.Apply(sc)
@@ -228,9 +206,7 @@ func run(domains, writers, creates int, verbose bool) error {
 			defer wg.Done()
 			for name := range catchCh {
 				if _, err := store.CreateAt(name, catchRegistrar, 1, clock.Now()); err == nil {
-					ackMu.Lock()
-					ackedNames = append(ackedNames, name)
-					ackMu.Unlock()
+					ackCreate(name)
 				}
 			}
 		}()
@@ -242,14 +218,12 @@ func run(domains, writers, creates int, verbose bool) error {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < creates; i++ {
-				if killed() && w == 0 && i > creates/2 {
+				if killed.Load() && w == 0 && i > creates/2 {
 					return
 				}
 				name := fmt.Sprintf("race-w%d-%03d.com", w, i)
 				if _, err := store.CreateAt(name, seedRegistrar, 1, clock.Now()); err == nil {
-					ackMu.Lock()
-					ackedNames = append(ackedNames, name)
-					ackMu.Unlock()
+					ackCreate(name)
 				}
 				time.Sleep(time.Millisecond)
 			}
@@ -257,7 +231,6 @@ func run(domains, writers, creates int, verbose bool) error {
 	}
 	wg.Wait()
 	killPrimary() // in case the schedule was too short to reach the trigger
-	jnl.Close()
 	log.Printf("primary killed: %d acked creates, %d acked purges", len(ackedNames), len(ackedPurges))
 	if len(ackedNames) == 0 || len(ackedPurges) == 0 {
 		return fmt.Errorf("race produced no acked work (creates=%d purges=%d); smoke is vacuous",
@@ -265,22 +238,20 @@ func run(domains, writers, creates int, verbose bool) error {
 	}
 
 	// Phase 4: promote the most-advanced replica.
-	if err := f1.Close(); err != nil {
-		return err
+	for _, r := range replicas {
+		if err := r.Follower.Close(); err != nil {
+			return err
+		}
 	}
-	if err := f2.Close(); err != nil {
-		return err
+	winner, other := replicas[0], replicas[1]
+	if other.Follower.AppliedSeq() > winner.Follower.AppliedSeq() {
+		winner, other = other, winner
 	}
-	winner, wstore := f1, fstore1
-	if f2.AppliedSeq() > f1.AppliedSeq() {
-		winner, wstore = f2, fstore2
-	}
-	log.Printf("promoting replica at seq %d (other at %d)", winner.AppliedSeq(), f1.AppliedSeq()+f2.AppliedSeq()-winner.AppliedSeq())
-	pj, err := winner.Promote(journal.Options{Mode: journal.ModeSync})
-	if err != nil {
+	log.Printf("promoting replica at seq %d (other at %d)", winner.Follower.AppliedSeq(), other.Follower.AppliedSeq())
+	if err := winner.Promote(); err != nil {
 		return fmt.Errorf("promote: %w", err)
 	}
-	defer pj.Close()
+	wstore, pj := winner.Store, winner.Journal()
 
 	// Phase 5: audit. Every acked create must exist; every acked purge must
 	// be gone (or superseded by a caught re-registration with a new ID).
@@ -343,7 +314,6 @@ type surface struct {
 // pending-delete list for day, and WHOIS against one store, ETags included.
 func renderSurfaces(store *registry.Store, names []string, day simtime.Day) (map[string]surface, error) {
 	out := make(map[string]surface)
-
 	rdapClient := inproc.Client(rdap.NewServer(store, rdap.ServerConfig{}).Handler())
 	fetch := func(key, url string, client *http.Client) error {
 		resp, err := client.Get(url)
@@ -358,13 +328,10 @@ func renderSurfaces(store *registry.Store, names []string, day simtime.Day) (map
 		out[key] = surface{status: resp.StatusCode, etag: resp.Header.Get("ETag"), body: string(body)}
 		return nil
 	}
-	for _, name := range names {
+	for _, name := range append(names[:len(names):len(names)], "never-registered.com") {
 		if err := fetch("rdap/"+name, "http://rdap/domain/"+name, rdapClient); err != nil {
 			return nil, err
 		}
-	}
-	if err := fetch("rdap/miss", "http://rdap/domain/never-registered.com", rdapClient); err != nil {
-		return nil, err
 	}
 
 	scopeClient := inproc.Client(dropscope.NewServer(store).Handler())
@@ -386,20 +353,15 @@ func renderSurfaces(store *registry.Store, names []string, day simtime.Day) (map
 // whoisQuery performs one WHOIS exchange over an in-process pipe.
 func whoisQuery(srv *whois.Server, name string) (string, error) {
 	client, server := net.Pipe()
-	done := make(chan struct{})
+	defer client.Close()
 	go func() {
-		defer close(done)
 		srv.ServeConn(server)
 		server.Close()
 	}()
 	if _, err := io.WriteString(client, name+"\r\n"); err != nil {
-		client.Close()
-		<-done
 		return "", err
 	}
 	reply, err := io.ReadAll(client)
-	client.Close()
-	<-done
 	return string(reply), err
 }
 
@@ -414,15 +376,9 @@ func diffSurfaces(want, got map[string]surface) error {
 	}
 	sort.Strings(keys)
 	for _, k := range keys {
-		w, g := want[k], got[k]
-		if w.status != g.status {
-			return fmt.Errorf("%s: status %d != %d", k, g.status, w.status)
-		}
-		if w.etag != g.etag {
-			return fmt.Errorf("%s: etag %q != %q", k, g.etag, w.etag)
-		}
-		if w.body != g.body {
-			return fmt.Errorf("%s: body diverges (%d vs %d bytes)", k, len(g.body), len(w.body))
+		if w, g := want[k], got[k]; w != g {
+			return fmt.Errorf("%s: got status %d, etag %q, %d body bytes; want %d, %q, %d",
+				k, g.status, g.etag, len(g.body), w.status, w.etag, len(w.body))
 		}
 	}
 	return nil

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Boot smoke for cmd/dropserve: a primary with every surface (replication
 # included) on an ephemeral port, one RDAP, WHOIS and /debug/vars request; a
-# replica of it that must serve the same RDAP bytes and promote on SIGUSR1;
-# then SIGTERM to both. Fails unless each exits 0, flushes its journal and
-# reports no serve error, or if -sync-followers is accepted under async
-# durability. Run from the repo root.
+# replica of it that must serve the same RDAP bytes, promote on SIGUSR1 and
+# then serve the primary's feed; then SIGTERM to both. Fails unless each exits
+# 0, flushes its journal and reports no serve error, or if -sync-followers
+# under async durability or a replica under -durability off is accepted. Run
+# from the repo root.
 set -euo pipefail
 work=$(mktemp -d)
 pids=()
@@ -79,18 +80,30 @@ for _ in $(seq 100); do
 	sleep 0.1
 done
 grep -q 'promoted to primary at seq' "$work/replica.err"
+# A promoted replica serves what a primary serves: the feed and a journal.
+keys replica store epp rdap whois scope feed journal repl_follower
+full() { curl -sf "http://$(addr "$1" 'pending-delete list')/deltas/full"; }
+test -n "$(full primary)"
+test "$(full replica)" = "$(full primary)"
 
 stop replica "$replica"
 stop primary "$primary"
 
-# Semi-sync under async durability would ack without waiting: refused at
-# once (a binary that starts serving instead is stopped by timeout: 124).
-status=0
-timeout 10 "$work/dropserve" "${surfaces[@]}" -datadir "$work/refused" -listen-replication $a -sync-followers 1 \
-	>"$work/refused.out" 2>&1 || status=$?
-if [ "$status" = 0 ] || [ "$status" = 124 ]; then
-	echo "-sync-followers accepted under -durability async (exit $status)"
-	exit 1
-fi
-grep -q -- '-durability sync' "$work/refused.out"
+# refused WHAT PATTERN ARGS...: dropserve ARGS exits non-zero at once (one that
+# starts serving instead is stopped by timeout: 124) naming PATTERN.
+refused() {
+	local status=0
+	timeout 10 "$work/dropserve" "${surfaces[@]}" "${@:3}" >"$work/refused.out" 2>&1 || status=$?
+	if [ "$status" = 0 ] || [ "$status" = 124 ]; then
+		echo "$1 accepted (exit $status)"
+		exit 1
+	fi
+	grep -q -- "$2" "$work/refused.out"
+}
+# Semi-sync under async durability would ack without waiting; a replica
+# without a writing journal mode could never be promoted.
+refused "-sync-followers under -durability async" '-durability sync' \
+	-datadir "$work/refused" -listen-replication $a -sync-followers 1
+refused "-replicate-from under -durability off" '-durability' \
+	-datadir "$work/refused" -durability off -replicate-from "$(addr primary replication)"
 echo "dropserve smoke: PASS"

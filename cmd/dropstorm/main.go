@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -35,10 +34,11 @@ import (
 
 	"dropzero/internal/epp"
 	"dropzero/internal/feed"
+	"dropzero/internal/journal"
 	"dropzero/internal/model"
+	"dropzero/internal/node"
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
-	"dropzero/internal/serve"
 	"dropzero/internal/simtime"
 	"dropzero/internal/storm"
 	"dropzero/internal/zone"
@@ -74,104 +74,67 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	clock := simtime.NewSimClock(day.At(18, 59, 0))
 	rng := rand.New(rand.NewSource(seed))
 	dir := registrars.BuildDirectory(rng)
-	store := registry.NewStoreWithShards(clock, 0)
-	for _, r := range dir.Registrars() {
-		store.AddRegistrar(r)
+	if transport != "tcp" && transport != "inproc" {
+		return fmt.Errorf("unknown transport %q (want tcp or inproc)", transport)
 	}
-
-	// Federated storms install their extra zones first; the contested names
-	// then spread round-robin over every hosted TLD so each zone gets a
-	// group to drop.
-	zones, err := zone.ParseSpecs(zoneSpecs)
+	// A memory-only node: the feed hub is the whole commit stack, and the
+	// subscribers below read its /events.
+	cfg := node.Config{
+		Scope: "127.0.0.1:0", Clock: clock, Credentials: dir.Credentials(), CreateBurst: burst, CreateRate: rate,
+		Zones: zoneSpecs, Registrars: dir.Registrars(),
+		Boot: func(store *registry.Store, _ *journal.Journal, _ journal.Recovery) error {
+			// The contested names, pendingDelete and due today. A federated
+			// storm spreads them round-robin over every hosted TLD so each
+			// zone gets a group to drop.
+			tlds := []model.TLD{"com"}
+			if len(store.Zones()) > 1 {
+				tlds = tlds[:0]
+				for _, z := range store.Zones() {
+					tlds = append(tlds, z.TLDs...)
+				}
+			}
+			sponsor := dir.Accreditations(registrars.SvcOther)[0]
+			for i := 0; i < nNames; i++ {
+				updated := day.AddDays(-35).At(6, 30, i%60)
+				if _, err := store.SeedAt(fmt.Sprintf("contested%04d.%s", i, tlds[i%len(tlds)]), sponsor, updated.AddDate(-2, 0, 0), updated,
+					updated.AddDate(0, 0, -30), model.StatusPendingDelete, day); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	}
+	if transport == "tcp" {
+		cfg.EPP = "127.0.0.1:0"
+	}
+	n, err := node.Start(cfg)
 	if err != nil {
 		return err
 	}
-	for _, z := range zones {
-		if err := store.AddZone(z); err != nil {
-			return err
-		}
-	}
-	tlds := []model.TLD{"com"}
-	if len(zones) > 0 {
-		tlds = tlds[:0]
-		for _, z := range store.Zones() {
-			tlds = append(tlds, z.TLDs...)
-		}
+	defer n.Close()
+	dial := func() (*epp.Client, error) { return n.EPP.ConnectInProc(), nil }
+	if addr := n.Addr("EPP"); addr != "" {
+		dial = func() (*epp.Client, error) { return epp.Dial(addr) }
 	}
 
-	// Seed the contested names pendingDelete, due today.
-	names := make([]string, nNames)
-	sponsor := dir.Accreditations(registrars.SvcOther)[0]
-	for i := range names {
-		names[i] = fmt.Sprintf("contested%04d.%s", i, tlds[i%len(tlds)])
-		updated := day.AddDays(-35).At(6, 30, i%60)
-		if _, err := store.SeedAt(names[i], sponsor, updated.AddDate(-2, 0, 0), updated,
-			updated.AddDate(0, 0, -30), model.StatusPendingDelete, day); err != nil {
-			return err
-		}
-	}
-
-	// The event-feed pool: live SSE subscribers watching the Drop through the
-	// hub while the create storm rages, so the report can print fan-out lag
-	// (mutation append to subscriber receipt) next to replication lag. The
-	// hub taps the store's journal hook; dropstorm runs memory-only, so the
-	// hub IS the journal.
-	var (
-		hub       *feed.Hub
-		feedSrv   *serve.HTTP
-		subCancel context.CancelFunc
-		subWG     sync.WaitGroup
-	)
-	if subscribers > 0 {
-		hub = feed.NewHub(feed.Options{})
-		defer hub.Close()
-		hub.PrimeFromStore(store)
-		store.SetJournal(hub)
-		mux := http.NewServeMux()
-		hub.Register(mux, "")
-		feedSrv = serve.NewHTTP("feed", mux)
-		addr, err := feedSrv.Listen("127.0.0.1:0")
+	// The event-feed pool: live SSE subscribers on the pending-delete list's
+	// /events, watching the Drop while the create storm rages, so the report
+	// can print fan-out lag (mutation append to subscriber receipt).
+	ctx, subCancel := context.WithCancel(context.Background())
+	defer subCancel()
+	var subWG sync.WaitGroup
+	for i := 0; i < subscribers; i++ {
+		sub, err := feed.Subscribe(ctx, nil, "http://"+n.Addr("pending-delete list"), -1, nil)
 		if err != nil {
-			return err
+			return fmt.Errorf("feed subscriber %d: %w", i, err)
 		}
-		defer feedSrv.Close()
-		base := "http://" + addr.String()
-		ctx, cancel := context.WithCancel(context.Background())
-		subCancel = cancel
-		defer cancel()
-		for i := 0; i < subscribers; i++ {
-			sub, err := feed.Subscribe(ctx, nil, base, -1, nil)
-			if err != nil {
-				return fmt.Errorf("feed subscriber %d: %w", i, err)
+		subWG.Add(1)
+		go func() {
+			defer subWG.Done()
+			defer sub.Close()
+			for _, err := sub.Next(); err == nil; _, err = sub.Next() {
 			}
-			subWG.Add(1)
-			go func() {
-				defer subWG.Done()
-				defer sub.Close()
-				for {
-					if _, err := sub.Next(); err != nil {
-						return
-					}
-				}
-			}()
-		}
-	}
-
-	srv := epp.NewServer(store, clock, epp.ServerConfig{
-		Credentials: dir.Credentials(),
-		CreateBurst: burst,
-		CreateRate:  rate,
-	})
-	defer srv.Close()
-	dial := func() (*epp.Client, error) { return srv.ConnectInProc(), nil }
-	if transport == "tcp" {
-		addr, err := srv.Listen("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		dial = func() (*epp.Client, error) { return epp.Dial(addr.String()) }
-	} else if transport != "inproc" {
-		return fmt.Errorf("unknown transport %q (want tcp or inproc)", transport)
+		}()
 	}
 
 	// Plan each zone's Drop on the storm's timeline: a paced zone releases
@@ -182,8 +145,8 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	base := day.At(19, 0, 0)
 	var drop []registry.Scheduled
 	runnerOf := make(map[model.TLD]*registry.DropRunner)
-	for _, z := range store.Zones() {
-		runner, err := registry.NewZoneDropRunner(store, z)
+	for _, z := range n.Store.Zones() {
+		runner, err := registry.NewZoneDropRunner(n.Store, z)
 		if err != nil {
 			return err
 		}
@@ -213,13 +176,7 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 			return fmt.Errorf("unknown service %q", svc)
 		}
 		spec := registrars.StormSpecOf(svc)
-		sessions := int(float64(spec.Sessions) * scale)
-		if sessions < 1 {
-			sessions = 1
-		}
-		if sessions > len(accreds) {
-			sessions = len(accreds)
-		}
+		sessions := min(max(int(float64(spec.Sessions)*scale), 1), len(accreds))
 		profiles = append(profiles, storm.ClientProfile{
 			Service:           svc,
 			Accreditations:    accreds[:sessions],
@@ -240,17 +197,14 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	// way they would against a real clock. Nothing else Sets the clock while
 	// the storm runs (DropRunner.Apply only purges), so the monotonic Set is
 	// race-free.
-	stormStart := clock.Now()
-	wallStart := time.Now()
-	stopTick := make(chan struct{})
-	tickDone := make(chan struct{})
+	stormStart, wallStart := clock.Now(), time.Now()
+	stopTick, tickDone := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(tickDone)
-		tick := time.NewTicker(5 * time.Millisecond)
-		defer tick.Stop()
-		for {
+		for tick := time.NewTicker(5 * time.Millisecond); ; {
 			select {
 			case <-stopTick:
+				tick.Stop()
 				return
 			case <-tick.C:
 				clock.Set(stormStart.Add(time.Since(wallStart)))
@@ -260,7 +214,7 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	defer func() { close(stopTick); <-tickDone }()
 
 	fmt.Printf("storming %d names over %s with %d services across %d zones\n",
-		nNames, transport, len(profiles), len(store.Zones()))
+		nNames, transport, len(profiles), len(n.Store.Zones()))
 	rep, err := storm.Run(storm.Config{
 		Dial:       dial,
 		Credential: dir.Credential,
@@ -274,29 +228,26 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 			return nil
 		},
 		Profiles: profiles,
-		Zones:    store.Zones(),
+		Zones:    n.Store.Zones(),
 	})
 	if err != nil {
 		return err
 	}
-	if hub != nil {
+	if subscribers > 0 {
 		// Let the last purge's broadcast land before freezing the histogram,
 		// then hang up the pool.
-		hub.Quiesce()
-		rep.AttachFanoutLag(hub.FanoutLag())
+		n.Hub().Quiesce()
+		rep.AttachFanoutLag(n.Hub().FanoutLag())
 		subCancel()
 		subWG.Wait()
 	}
 	printReport(rep, verbose)
 	if len(rep.ByZone) > 1 {
-		policyOf := make(map[string]zone.PolicyKind)
-		for _, z := range store.Zones() {
-			policyOf[z.Name] = z.Policy
-		}
 		fmt.Printf("per-zone FCFS audit:\n")
 		for _, g := range rep.ByZone {
+			z, _ := n.Store.ZoneByName(g.Key)
 			fmt.Printf("  %-10s %-8s names=%-4d attempts=%-6d wins=%-4d multiAcks=%d unclaimed=%d create p99.9=%v\n",
-				g.Key, policyOf[g.Key], g.Names, g.Attempts, g.Wins, g.MultiAcks, g.Unclaimed,
+				g.Key, z.Policy, g.Names, g.Attempts, g.Wins, g.MultiAcks, g.Unclaimed,
 				g.Creates.P999().Round(time.Microsecond))
 		}
 	}
@@ -314,14 +265,14 @@ func run(nNames int, services, transport, zoneSpecs string, scale float64,
 	if len(rep.Unclaimed) > 0 {
 		failures = append(failures, fmt.Sprintf("%d dropped names unclaimed: %v", len(rep.Unclaimed), rep.Unclaimed))
 	}
-	if err := rep.VerifyWins(store); err != nil {
+	if err := rep.VerifyWins(n.Store); err != nil {
 		failures = append(failures, err.Error())
 	}
 	if rep.Creates.Errors > 0 {
 		failures = append(failures, fmt.Sprintf("%d transport/unexpected errors", rep.Creates.Errors))
 	}
-	if feedSrv != nil && feedSrv.ServeErr() != nil {
-		failures = append(failures, feedSrv.ServeErr().Error())
+	if err := n.Close(); err != nil {
+		failures = append(failures, err.Error())
 	}
 	if len(failures) > 0 {
 		fmt.Fprintf(os.Stderr, "dropstorm: FAIL\n")

@@ -29,8 +29,10 @@ import (
 	"dropzero/internal/dns"
 	"dropzero/internal/dropscope"
 	"dropzero/internal/epp"
+	"dropzero/internal/journal"
 	"dropzero/internal/model"
 	"dropzero/internal/names"
+	"dropzero/internal/node"
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -46,42 +48,27 @@ func main() {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 18}
 	clock := simtime.NewSimClock(day.At(9, 0, 0))
 	dir := registrars.BuildDirectory(rng)
-	store := registry.NewStoreWithShards(clock, *shards)
-	for _, r := range dir.Registrars() {
-		store.AddRegistrar(r)
-	}
-	seedPendingDeletes(store, dir, rng, day, 120)
-
-	eppSrv := epp.NewServer(store, clock, epp.ServerConfig{
-		Credentials: dir.Credentials(),
+	n, err := node.Start(node.Config{
+		EPP: "127.0.0.1:0", Scope: "127.0.0.1:0", DNS: "127.0.0.1:0", Clock: clock, Shards: *shards,
+		Credentials: dir.Credentials(), Registrars: dir.Registrars(),
 		CreateBurst: 5,   // the resource that makes accreditations precious:
 		CreateRate:  0.5, // five speculative creates, then a slow refill
+		Boot: func(store *registry.Store, _ *journal.Journal, _ journal.Recovery) error {
+			seedPendingDeletes(store, dir, rng, day, 120)
+			return nil
+		},
 	})
-	eppAddr, err := eppSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer eppSrv.Close()
-
-	scopeSrv := dropscope.NewServer(store)
-	scopeAddr, err := scopeSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer scopeSrv.Close()
-
-	dnsSrv := dns.NewServer(store)
-	dnsAddr, err := dnsSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer dnsSrv.Close()
-	resolver := &dns.Client{Addr: dnsAddr.String()}
+	defer n.Close()
+	store, eppAddr, scopeAddr := n.Store, n.Addr("EPP"), n.Addr("pending-delete list")
+	resolver := &dns.Client{Addr: n.Addr("DNS (udp)")}
 
 	// --- Our home-grown catcher ----------------------------------------
 	// One reseller accreditation (1API-style) and its EPP session.
 	myID := dir.Accreditations(registrars.Svc1API)[0]
-	client, err := epp.Dial(eppAddr.String())
+	client, err := epp.Dial(eppAddr)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -92,7 +79,7 @@ func main() {
 	fmt.Printf("logged in to EPP %s as IANA %d\n", eppAddr, myID)
 
 	// Step 1: shop the pending-delete list for keyword-rich names.
-	scope, err := dropscope.NewClient("http://"+scopeAddr.String(), nil)
+	scope, err := dropscope.NewClient("http://"+scopeAddr, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -33,10 +33,11 @@ import (
 	"net/http"
 	"time"
 
-	"dropzero/internal/dropscope"
 	"dropzero/internal/feed"
+	"dropzero/internal/journal"
 	"dropzero/internal/model"
 	"dropzero/internal/names"
+	"dropzero/internal/node"
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -50,60 +51,46 @@ func main() {
 	clock := simtime.NewSimClock(day.At(8, 0, 0))
 
 	dir := registrars.BuildDirectory(rng)
-	store := registry.NewStore(clock)
-	for _, r := range dir.Registrars() {
-		store.AddRegistrar(r)
-	}
-
-	// Population: a steady base of registered domains plus one day of
-	// pending deletions.
-	gen := names.NewGenerator(rng)
-	sponsors := dir.Accreditations(registrars.SvcOther)
-	for i := 0; i < 200; i++ {
-		g := gen.Next()
-		if _, err := store.Create(g.Label+".com", sponsors[rng.Intn(len(sponsors))], 1+rng.Intn(5)); err != nil {
-			log.Fatal(err)
-		}
-	}
-	lc := registry.DefaultLifecycleConfig()
 	var dropping []string
-	for i := 0; i < 60; i++ {
-		g := gen.Next()
-		sponsor := sponsors[rng.Intn(len(sponsors))]
-		updated := lc.BatchInstant(day.AddDays(-35), sponsor)
-		name := g.Label + ".com"
-		if _, err := store.SeedAt(name, sponsor, updated.AddDate(-2, 0, 0), updated,
-			updated.AddDate(0, 0, -35), model.StatusPendingDelete, day); err != nil {
-			log.Fatal(err)
-		}
-		dropping = append(dropping, name)
-	}
-
-	// The replacement channel: the event feed taps the store's mutation
-	// stream and serves cursor-addressed delta segments plus an SSE push
-	// endpoint from the pending-delete list server.
-	hub := feed.NewHub(feed.Options{})
-	defer hub.Close()
-	hub.PrimeFromStore(store)
-	store.SetJournal(hub)
-	scopeSrv := dropscope.NewServer(store)
-	scopeSrv.AttachFeed(hub)
-	scopeAddr, err := scopeSrv.Listen("127.0.0.1:0")
+	// A memory-only registry node. Its event feed — the replacement channel
+	// — taps the store's mutation stream and serves cursor-addressed delta
+	// segments plus an SSE push endpoint from the pending-delete list
+	// server; its zone access program serves each day's snapshot over HTTP.
+	n, err := node.Start(node.Config{Scope: "127.0.0.1:0", ZoneFile: "127.0.0.1:0", Clock: clock, Registrars: dir.Registrars(),
+		// Population: a steady base of registered domains plus one day of
+		// pending deletions.
+		Boot: func(store *registry.Store, _ *journal.Journal, _ journal.Recovery) error {
+			gen := names.NewGenerator(rng)
+			sponsors := dir.Accreditations(registrars.SvcOther)
+			for i := 0; i < 200; i++ {
+				g := gen.Next()
+				if _, err := store.Create(g.Label+".com", sponsors[rng.Intn(len(sponsors))], 1+rng.Intn(5)); err != nil {
+					return err
+				}
+			}
+			lc := registry.DefaultLifecycleConfig()
+			for i := 0; i < 60; i++ {
+				g := gen.Next()
+				sponsor := sponsors[rng.Intn(len(sponsors))]
+				updated := lc.BatchInstant(day.AddDays(-35), sponsor)
+				name := g.Label + ".com"
+				if _, err := store.SeedAt(name, sponsor, updated.AddDate(-2, 0, 0), updated,
+					updated.AddDate(0, 0, -35), model.StatusPendingDelete, day); err != nil {
+					return err
+				}
+				dropping = append(dropping, name)
+			}
+			return nil
+		},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer scopeSrv.Close()
-	feedBase := "http://" + scopeAddr.String()
-
-	// Zone access program: fetch today's snapshot over HTTP.
-	zoneSrv := zonefile.NewServer(store)
-	addr, err := zoneSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer zoneSrv.Close()
+	defer n.Close()
+	store, hub := n.Store, n.Hub()
+	feedBase := "http://" + n.Addr("pending-delete list")
 	snapshot := func() map[string]bool {
-		z, err := zonefile.Fetch(nil, "http://"+addr.String(), model.COM)
+		z, err := zonefile.Fetch(nil, "http://"+n.Addr("zone files"), model.COM)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -110,8 +110,9 @@ func NewServer(store *registry.Store) *Server {
 }
 
 // AttachFeed mounts hub's streaming endpoints (/deltas, /deltas/full,
-// /events) on this server's mux, next to the daily list. Call during
-// startup, before the server takes traffic.
+// /events) on this server's mux, next to the daily list. It may run while
+// the server takes traffic (a promoted replica attaches its first hub
+// then), but only once.
 func (s *Server) AttachFeed(hub *feed.Hub) {
 	hub.Register(s.mux, "")
 }

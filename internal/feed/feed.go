@@ -162,8 +162,8 @@ type cachedResp struct {
 }
 
 // Hub consumes the mutation stream and serves the delta/event feed.
-// Create with NewHub, attach to a store with SetJournal(hub) or — to keep a
-// WAL as well — SetJournal(feed.Tap{Inner: jnl, Hub: hub}), and Close when
+// Create with NewHub, attach it as the store's journal — alone, or behind a
+// WAL through Tap, as internal/node's commit stack does — and Close when
 // done. Hub implements registry.Journal.
 type Hub struct {
 	opt Options

@@ -12,12 +12,13 @@ import (
 const maxLongPoll = 30 * time.Second
 
 // Register mounts the feed endpoints on mux: /deltas, /deltas/full and
-// /events under the given prefix ("" for the mux root).
+// /events under the given prefix ("" for the mux root). mux may be serving
+// already: the redirect target is set before the first handler is.
 func (h *Hub) Register(mux *http.ServeMux, prefix string) {
+	h.fullPath = prefix + "/deltas/full"
 	mux.HandleFunc(prefix+"/deltas", h.handleDeltas)
 	mux.HandleFunc(prefix+"/deltas/full", h.handleFull)
 	mux.HandleFunc(prefix+"/events", h.handleEvents)
-	h.fullPath = prefix + "/deltas/full"
 }
 
 // handleDeltas serves GET /deltas?since=C[&wait=2s][&zone=Z]: the CSV op

@@ -459,16 +459,16 @@ func (f *Follower) Close() error {
 
 // Promote turns this replica into a writing primary: stop replicating,
 // ensure everything applied is locally durable, re-open the journal
-// directory as a writer positioned after the last applied record, and
-// attach it to the store. Everything the old primary's semi-sync waiters
-// acknowledged is — by the ack contract — at or below the applied position,
-// so no acknowledged mutation is lost. The caller then lifts the serving
-// plane's read-only gate (EPP SetReadOnly(false)) and owns the returned
-// journal's snapshotting.
+// directory as a writer positioned after the last applied record. Everything
+// the old primary's semi-sync waiters acknowledged is — by the ack contract —
+// at or below the applied position, so no acknowledged mutation is lost. The
+// caller then attaches the returned journal to the store, lifts the serving
+// plane's read-only gate (EPP SetReadOnly(false)) and owns the journal's
+// snapshotting.
 //
-// o.Dir must be the follower's own directory (it defaults to it when
-// empty). Promote does not contact the old primary: fencing it off — not
-// starting two writers — is the operator's (or the smoke harness's) job.
+// o.Dir is ignored: the journal is the follower's own directory. Promote
+// does not contact the old primary: fencing it off — not starting two
+// writers — is the operator's (or the smoke harness's) job.
 func (f *Follower) Promote(o journal.Options) (*journal.Journal, error) {
 	if err := f.Close(); err != nil {
 		return nil, err
@@ -476,15 +476,8 @@ func (f *Follower) Promote(o journal.Options) (*journal.Journal, error) {
 	if err := f.Err(); err != nil {
 		return nil, fmt.Errorf("repl: promote a poisoned replica: %w", err)
 	}
-	if o.Dir == "" {
-		o.Dir = f.cfg.Dir
-	}
-	j, err := journal.OpenExisting(f.store, o, f.applied.Load())
-	if err != nil {
-		return nil, err
-	}
-	f.store.SetJournal(j)
-	return j, nil
+	o.Dir = f.cfg.Dir
+	return journal.OpenExisting(f.store, o, f.applied.Load())
 }
 
 // FollowerMetrics is a point-in-time reading of the replica's counters,

@@ -672,6 +672,7 @@ func TestFailoverZeroLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pj.Close()
+	pstore.SetJournal(pj)
 
 	ackMu.Lock()
 	defer ackMu.Unlock()
