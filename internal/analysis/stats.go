@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"math"
 	"sort"
 	"time"
 
@@ -123,31 +122,8 @@ func (a *Analysis) EstimateDropDurations() DropDurations {
 		vols = append(vols, float64(day.Total))
 		lens = append(lens, end.Sub(row.Day.Start()).Seconds())
 	}
-	d.VolumeEndCorrelation = pearson(vols, lens)
+	d.VolumeEndCorrelation = core.Pearson(vols, lens)
 	return d
-}
-
-func pearson(x, y []float64) float64 {
-	if len(x) != len(y) || len(x) < 2 {
-		return 0
-	}
-	n := float64(len(x))
-	var sx, sy float64
-	for i := range x {
-		sx += x[i]
-		sy += y[i]
-	}
-	mx, my := sx/n, sy/n
-	var cov, vx, vy float64
-	for i := range x {
-		cov += (x[i] - mx) * (y[i] - my)
-		vx += (x[i] - mx) * (x[i] - mx)
-		vy += (y[i] - my) * (y[i] - my)
-	}
-	if vx == 0 || vy == 0 {
-		return 0
-	}
-	return cov / math.Sqrt(vx*vy)
 }
 
 // MaliciousStats is the §4.4 Safe-Browsing slice.

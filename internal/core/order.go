@@ -184,10 +184,15 @@ func OrderScore(ranked []Ranked) float64 {
 	for i, idx := range byRank {
 		rankRank[idx] = float64(i)
 	}
-	return pearson(rankRank, timeRank)
+	return Pearson(rankRank, timeRank)
 }
 
-func pearson(x, y []float64) float64 {
+// Pearson is the sample correlation coefficient of x and y: 0 when they
+// differ in length, hold fewer than two points, or either is constant.
+func Pearson(x, y []float64) float64 {
+	if len(x) != len(y) || len(x) < 2 {
+		return 0
+	}
 	n := float64(len(x))
 	var sx, sy float64
 	for i := range x {

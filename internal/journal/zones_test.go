@@ -1,7 +1,9 @@
 package journal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"os"
 	"testing"
 
 	"dropzero/internal/model"
@@ -135,5 +137,45 @@ func TestAddZoneReplaysFromWALTail(t *testing.T) {
 				t.Error("WAL-tail zone recovery differs from original")
 			}
 		})
+	}
+}
+
+// A snapshot whose meta section carries a zone AddZone would refuse — the
+// file's CRCs all hold, its zone's drop starts at hour 99 — fails recovery
+// instead of installing the zone.
+func TestSnapshotWithInvalidZoneFailsOpen(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestStore()
+	j, _ := openJournal(t, s, dir, ModeSync, false)
+	s.SetJournal(j)
+	workout(t, s, 9, 20)
+	if err := s.AddZone(testNordic()); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Snapshot(nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	path, data := latestSnapshotBytes(t, dir)
+	sv, err := parseSnapshotV2(data, path)
+	if err != nil || len(sv.meta.zones) != 1 {
+		t.Fatalf("snapshot zones %+v (%v), want nordic", sv.meta.zones, err)
+	}
+	sv.meta.zones[0].Drop.StartHour = 99
+	meta := sealSection(appendMeta(newSection(nil, secMeta, 0), &sv.meta))
+	rest := data[len(snapMagic)+secHeader+int(binary.LittleEndian.Uint32(data[len(snapMagic):])):]
+	spoiled := append(append([]byte(snapMagic), meta...), rest...)
+	if _, err := parseSnapshotV2(spoiled, path); err != nil {
+		t.Fatalf("re-sealed snapshot does not parse: %v", err)
+	}
+	if err := os.WriteFile(path, spoiled, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if j, _, err := Open(newTestStore(), Options{Dir: dir, Mode: ModeSync}); err == nil {
+		j.Close()
+		t.Fatal("recovery installed a snapshot zone whose drop starts at hour 99")
 	}
 }

@@ -127,9 +127,9 @@ func (s *Store) SetJournal(j Journal) {
 // appendJournal hands m to the attached journal, if any. Callers hold the
 // critical section the mutation committed under and must invoke the
 // returned wait (via waitJournal) only after releasing every lock.
-func (s *Store) appendJournal(m Mutation) func() error {
+func (s *Store) appendJournal(m *Mutation) func() error {
 	if p := s.journal.Load(); p != nil {
-		return (*p).Append(m)
+		return (*p).Append(*m)
 	}
 	return nil
 }
@@ -149,52 +149,114 @@ func waitJournal(wait func() error) error {
 }
 
 // Apply replays one mutation record during recovery. It reproduces exactly
-// the state change the original mutator committed — assigned IDs, transfer
-// code derivation, due-index maintenance, the deletion archive and the
-// generation counter — without consulting the clock, the ID allocator or
-// the attached journal (recovery attaches the journal only after replay).
-// It is not part of the serving API: records must be applied in their
-// original order, single-goroutine, before the store receives traffic.
+// the state change the original mutator committed — it runs the same
+// applyLocked — without consulting the clock, the ID allocator or the
+// attached journal (recovery attaches the journal only after replay), and
+// delivers no observer event. It is not part of the serving API: records
+// must be applied in their original order, single-goroutine, before the
+// store receives traffic.
 func (s *Store) Apply(m Mutation) error {
-	if m.Kind == MutAddRegistrar {
-		s.regMu.Lock()
-		s.registrars[m.Registrar.IANAID] = m.Registrar
-		s.bumpGen()
-		s.regMu.Unlock()
-		return nil
+	var err error
+	switch m.Kind {
+	case MutAddRegistrar:
+		s.addRegistrar(m.Registrar, false)
+	case MutAddZone:
+		err = s.addZone(m.Zone, false)
+	default:
+		_, err = s.commit(&m, false, nil)
 	}
-	if m.Kind == MutAddZone {
-		return s.applyAddZone(m.Zone)
-	}
-	sh := s.shardOf(m.Name)
-	sh.mu.Lock()
-	ev, isPurge, err := s.applyDomainLocked(sh, &m)
 	if err != nil {
-		sh.mu.Unlock()
-		return err
+		return fmt.Errorf("registry: replay %v: %w", m.Kind, err)
 	}
-	if isPurge {
-		day := simtime.DayOf(ev.Time())
-		s.delMu.Lock()
-		s.deletions[day] = append(s.deletions[day], ev)
-		s.delMu.Unlock()
-	}
-	s.bumpGen()
-	sh.mu.Unlock()
 	return nil
 }
 
-// applyDomainLocked replays one domain-shard mutation with sh's write lock
-// held. It performs the in-shard state change only: the caller owns the
-// generation bump, and for purges the deletion-archive append (the event is
-// returned) — split out so ApplyBatch can amortise those across a batch
-// while Apply keeps the one-record semantics.
-func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEvent, isPurge bool, err error) {
+// applied is what applyLocked reports of the change it made: the state and
+// sponsor the registration had before (the observer event's from and losing
+// registrar), a create's or seed's TLD, a purge's event.
+type applied struct {
+	from    model.Status
+	sponsor int
+	tld     model.TLD
+	ev      model.DeletionEvent
+}
+
+// commit is the one way a domain mutation reaches the store outside a batch:
+// every live mutator's tail, and Apply's. Under m.Name's shard write lock it
+// hands check, when there is one, the current registration (nil if none):
+// check refuses, or completes m from it. m then goes through applyLocked,
+// is journaled (live only) and bumps the generation; after unlocking, commit
+// waits for durability and delivers the observer event (live only).
+func (s *Store) commit(m *Mutation, live bool, check func(sh *shard, r *record) error) (res applied, err error) {
+	sh := s.shardOf(m.Name)
+	sh.mu.Lock()
+	if check != nil {
+		r, _ := sh.tab.get(m.Name)
+		err = check(sh, r)
+	}
+	if err == nil {
+		res, err = s.applyLocked(sh, m, nil, 0)
+	}
+	if err != nil {
+		sh.mu.Unlock()
+		return res, err
+	}
+	var (
+		wait func() error
+		obs  Observer
+	)
+	if live {
+		wait = s.appendJournal(m)
+		obs = s.loadObserver()
+	}
+	s.bumpGen()
+	sh.mu.Unlock()
+	if err := waitJournal(wait); err != nil {
+		return res, err
+	}
+	if obs == nil {
+		return res, nil
+	}
+	switch m.Kind {
+	case MutTransfer:
+		obs.DomainTransferred(m.Name, res.sponsor, m.RegistrarID)
+	case MutSetState:
+		if res.from != m.Status {
+			obs.DomainTransitioned(m.Name, res.sponsor, res.from, m.Status)
+		}
+	case MutPurge:
+		obs.DomainPurged(res.ev, res.sponsor)
+	}
+	return res, nil
+}
+
+// purged is a deletion event a batch holds back, with its batch position.
+type purged struct {
+	idx int32
+	ev  model.DeletionEvent
+}
+
+// applyLocked is the store's one state transition for a domain mutation:
+// live mutators reach it through commit, replay through Apply and
+// ApplyBatch, and nothing else changes a registration's fields, its
+// due-index entry, its transfer code or its table slot, or archives a
+// deletion. It refuses, before anything changes, a record that names no
+// registration (for a create or seed: a taken name or one no zone operates)
+// and any value the stored record or event cannot hold; the live mutators'
+// own refusals (sponsor, auth, status, term) are theirs to make first. The
+// caller holds sh's write lock and owns the generation bump.
+//
+// A create or seed with ID zero — a live one — takes the next ID once
+// nothing can refuse it, so a refused create consumes none; a replayed one
+// keeps its ID and raises the allocator to it. A purge archives its event,
+// or, when held is non-nil (a batch), holds it with batch position idx for
+// ApplyBatch to archive in batch order.
+func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (res applied, err error) {
 	switch m.Kind {
 	case MutCreate, MutSeed:
 		_, tld, err := s.splitName(m.Name)
 		if err != nil {
-			return ev, false, fmt.Errorf("registry: replay %v %q: %w", m.Kind, m.Name, err)
+			return res, err
 		}
 		d := model.Domain{
 			ID:          m.ID,
@@ -212,28 +274,35 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		}
 		r, err := sh.insert(&d)
 		if err != nil {
-			return ev, false, fmt.Errorf("registry: replay %v: %w", m.Kind, err)
+			return res, err
+		}
+		if m.ID == 0 {
+			m.ID = s.nextID.Add(1)
+			r.id = m.ID
+		} else {
+			// Atomic-max, not load-then-store: ApplyBatch applies shard
+			// groups concurrently, and a plain racing store could leave the
+			// allocator below the highest replayed ID.
+			for {
+				cur := s.nextID.Load()
+				if m.ID <= cur || s.nextID.CompareAndSwap(cur, m.ID) {
+					break
+				}
+			}
 		}
 		if m.Kind == MutCreate {
 			// Creates mint a transfer code; seeds do not (SeedAt's contract).
 			r.setAuth(authCreated)
 		}
-		// Atomic-max, not load-then-store: ApplyBatch applies shard groups
-		// concurrently, and a plain racing store could leave the allocator
-		// below the highest replayed ID.
-		for {
-			cur := s.nextID.Load()
-			if m.ID <= cur || s.nextID.CompareAndSwap(cur, m.ID) {
-				break
-			}
-		}
-		return ev, false, nil
+		res.tld = tld
+		return res, nil
 
 	case MutTouch, MutRenew, MutTransfer, MutSetState:
 		r, ref := sh.tab.get(m.Name)
 		if r == nil {
-			return ev, false, fmt.Errorf("registry: replay %v: %w: %q", m.Kind, ErrNotFound, m.Name)
+			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
+		res.from, res.sponsor = r.status, int(r.registrar)
 		// Convert everything the record will take before touching it, so a
 		// refused record leaves the registration and its index entry alone.
 		next := *r
@@ -253,7 +322,7 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 			next.deleteDay, errField = packDay(m.DeleteDay)
 		}
 		if err := errors.Join(errUpdated, errField); err != nil {
-			return ev, false, fmt.Errorf("registry: replay %v %q: %w", m.Kind, m.Name, err)
+			return res, fmt.Errorf("%w: %q", err, m.Name)
 		}
 		sh.dueRemove(r, ref)
 		*r = next
@@ -261,20 +330,38 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 		if m.Kind == MutTransfer {
 			sh.rotateAuth(r)
 		}
-		return ev, false, nil
+		return res, nil
 
 	case MutPurge:
 		r, ref := sh.tab.get(m.Name)
 		if r == nil {
-			return ev, false, fmt.Errorf("registry: replay purge: %w: %q", ErrNotFound, m.Name)
+			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
-		if ev, err = model.NewDeletionEvent(r.id, r.name, m.Time, m.Rank); err != nil {
-			return ev, false, fmt.Errorf("registry: replay purge: %w: %w", errUnrepresentable, err)
+		if res.ev, err = model.NewDeletionEvent(r.id, r.name, m.Time, m.Rank); err != nil {
+			return res, fmt.Errorf("%w: %w", errUnrepresentable, err)
 		}
-		sh.remove(r, ref)
-		return ev, true, nil
+		res.from, res.sponsor = r.status, int(r.registrar)
+		// r is dead once its slot is freed (see table).
+		sh.dueRemove(r, ref)
+		sh.dropAuth(r)
+		sh.tab.del(ref)
+		if held != nil {
+			*held = append(*held, purged{idx, res.ev})
+			return res, nil
+		}
+		s.delMu.Lock()
+		s.archiveLocked(res.ev)
+		s.delMu.Unlock()
+		return res, nil
 	}
-	return ev, false, fmt.Errorf("registry: replay: unknown mutation kind %d", m.Kind)
+	return res, fmt.Errorf("unknown mutation kind %d", m.Kind)
+}
+
+// archiveLocked appends ev to its day's deletion archive. The caller holds
+// delMu.
+func (s *Store) archiveLocked(ev model.DeletionEvent) {
+	day := simtime.DayOf(ev.Time())
+	s.deletions[day] = append(s.deletions[day], ev)
 }
 
 // ApplyBatch replays a contiguous run of mutation records — a WAL replay
@@ -295,7 +382,7 @@ func (s *Store) applyDomainLocked(sh *shard, m *Mutation) (ev model.DeletionEven
 //     critical section, so the batch ends at exactly the generation the
 //     primary had after the same records — the property that makes a
 //     replica's ETags comparable to the primary's.
-//   - The ID allocator takes an atomic max (applyDomainLocked).
+//   - The ID allocator takes an atomic max (applyLocked).
 //   - Deletion-archive order is observable (the archive is rank-ordered per
 //     day), so purge events are collected with their batch positions and
 //     appended in batch-position order.
@@ -347,10 +434,6 @@ func (s *Store) applyGroups(ms []Mutation, workers int) error {
 		return nil
 	}
 	order, start := s.groupByShard(len(ms), func(i int) string { return ms[i].Name })
-	type purged struct {
-		idx int32
-		ev  model.DeletionEvent
-	}
 	type result struct {
 		purges []purged
 		err    error
@@ -364,13 +447,9 @@ func (s *Store) applyGroups(ms []Mutation, workers int) error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		for _, i := range idxs {
-			ev, isPurge, err := s.applyDomainLocked(sh, &ms[i])
-			if err != nil {
-				res.err = err
+			if _, err := s.applyLocked(sh, &ms[i], &res.purges, i); err != nil {
+				res.err = fmt.Errorf("registry: replay %v: %w", ms[i].Kind, err)
 				return res
-			}
-			if isPurge {
-				res.purges = append(res.purges, purged{i, ev})
 			}
 		}
 		// One add covering the whole group, inside the critical section: a
@@ -393,8 +472,7 @@ func (s *Store) applyGroups(ms []Mutation, workers int) error {
 	slices.SortFunc(purges, func(a, b purged) int { return cmp.Compare(a.idx, b.idx) })
 	s.delMu.Lock()
 	for _, p := range purges {
-		day := simtime.DayOf(p.ev.Time())
-		s.deletions[day] = append(s.deletions[day], p.ev)
+		s.archiveLocked(p.ev)
 	}
 	s.delMu.Unlock()
 	return nil

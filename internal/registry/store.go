@@ -139,20 +139,21 @@ type Store struct {
 	gen atomic.Uint64
 
 	// nextID is the global object-ID allocator: the last ID handed out.
-	// Mutators allocate with Add(1) *after* their existence checks pass, so
-	// failed creates never consume an ID and single-threaded drives hand out
-	// exactly the same IDs at any shard count.
+	// A live create allocates with Add(1) in applyLocked, *after* every
+	// refusal has passed, so failed creates never consume an ID and
+	// single-threaded drives hand out exactly the same IDs at any shard count.
 	nextID atomic.Uint64
 
 	// observer is the installed event consumer (pointer-to-interface so nil
-	// can be stored atomically). Mutators load it inside their critical
-	// section and deliver after unlocking.
+	// can be stored atomically). commit loads it inside the critical section
+	// and delivers after unlocking.
 	observer atomic.Pointer[Observer]
 
 	// journal is the attached write-ahead journal (pointer-to-interface, like
-	// observer). Mutators append their Mutation record inside the critical
-	// section — after the in-memory change, before the generation bump — and
-	// run the returned durability wait after unlocking. See journal.go.
+	// observer). Live mutations append their Mutation record inside the
+	// critical section — after the in-memory change, before the generation
+	// bump — and run the returned durability wait after unlocking. See
+	// journal.go.
 	journal atomic.Pointer[Journal]
 
 	// shards has power-of-two length; mask routes a name hash to its shard.
@@ -334,12 +335,20 @@ func (s *Store) loadObserver() Observer {
 // an unknown IANA ID fails. Journal durability errors are not reported here
 // (the signature predates journaling); they resurface on the journal itself.
 func (s *Store) AddRegistrar(r model.Registrar) {
+	_ = waitJournal(s.addRegistrar(r, true))
+}
+
+// addRegistrar installs r, AddRegistrar's commit and replay's alike; a live
+// one is journaled, and its durability wait returned.
+func (s *Store) addRegistrar(r model.Registrar, live bool) (wait func() error) {
 	s.regMu.Lock()
+	defer s.regMu.Unlock()
 	s.registrars[r.IANAID] = r
-	wait := s.appendJournal(Mutation{Kind: MutAddRegistrar, Registrar: r})
+	if live {
+		wait = s.appendJournal(&Mutation{Kind: MutAddRegistrar, Registrar: r})
+	}
 	s.bumpGen()
-	s.regMu.Unlock()
-	_ = waitJournal(wait)
+	return wait
 }
 
 // Registrar looks up an accreditation by IANA ID.
@@ -442,59 +451,29 @@ func (s *Store) Create(name string, registrarID int, termYears int) (*model.Doma
 // uses it to materialise claims resolved during a Drop at their exact
 // re-registration times. The instant is truncated to whole seconds.
 func (s *Store) CreateAt(name string, registrarID int, termYears int, at time.Time) (*model.Domain, error) {
-	_, tld, err := s.splitName(name)
-	if err != nil {
-		return nil, err
-	}
 	if termYears < 1 || termYears > 10 {
 		return nil, fmt.Errorf("%w: term %d years", ErrBadName, termYears)
 	}
-	// Accreditation check before the shard lock (keeps single-domain
-	// operations on one lock); add-only registrars make this TOCTOU-safe.
-	if !s.hasRegistrar(registrarID) {
-		return nil, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, registrarID)
-	}
 	at = simtime.Trunc(at)
-	d := &model.Domain{
-		Name:        name,
-		TLD:         tld,
-		RegistrarID: registrarID,
-		Created:     at,
-		Updated:     at,
-		Expiry:      at.AddDate(termYears, 0, 0),
-		Status:      model.StatusActive,
-	}
-	return s.insertNew(d, MutCreate)
+	return s.insertNew(&Mutation{Kind: MutCreate, Name: name, RegistrarID: registrarID,
+		Created: at, Updated: at, Expiry: at.AddDate(termYears, 0, 0)})
 }
 
-// insertNew commits d — complete but for its ID — as a new registration,
-// the shared tail of CreateAt and SeedAt. The ID is allocated only once
-// nothing can fail any more, so failed creates never consume one. Creates
-// mint a transfer code; seeds do not (SeedAt's contract).
-func (s *Store) insertNew(d *model.Domain, kind MutKind) (*model.Domain, error) {
-	sh := s.shardOf(d.Name)
-	sh.mu.Lock()
-	r, err := sh.insert(d)
+// insertNew commits m, a create or a seed, as a new registration: the shared
+// tail of CreateAt and SeedAt. applyLocked checks the name and hands out the
+// ID.
+func (s *Store) insertNew(m *Mutation) (*model.Domain, error) {
+	// Accreditation check before the shard lock (keeps single-domain
+	// operations on one lock); add-only registrars make this TOCTOU-safe.
+	if !s.hasRegistrar(m.RegistrarID) {
+		return nil, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, m.RegistrarID)
+	}
+	res, err := s.commit(m, true, nil)
 	if err != nil {
-		sh.mu.Unlock()
 		return nil, err
 	}
-	d.ID = s.nextID.Add(1)
-	r.id = d.ID
-	if kind == MutCreate {
-		r.setAuth(authCreated)
-	}
-	wait := s.appendJournal(Mutation{
-		Kind: kind, ID: d.ID, Name: d.Name, RegistrarID: d.RegistrarID,
-		Created: d.Created, Updated: d.Updated, Expiry: d.Expiry,
-		Status: d.Status, DeleteDay: d.DeleteDay,
-	})
-	s.bumpGen()
-	sh.mu.Unlock()
-	if err := waitJournal(wait); err != nil {
-		return nil, err
-	}
-	return d, nil
+	return &model.Domain{ID: m.ID, Name: m.Name, TLD: res.tld, RegistrarID: m.RegistrarID,
+		Created: m.Created, Updated: m.Updated, Expiry: m.Expiry, Status: m.Status, DeleteDay: m.DeleteDay}, nil
 }
 
 // insert files d as a new registration of sh and indexes it. The caller
@@ -537,58 +516,24 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	// Pre-read the accreditation so the critical section touches only the
 	// shard; the error precedence below matches the single-lock store.
 	gainingKnown := s.hasRegistrar(gainingID)
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	r, ref := sh.tab.get(name)
-	if r == nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if !gainingKnown {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, gainingID)
-	}
-	gaining, err := registrar32(gainingID)
-	if err != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", err, name)
-	}
-	if r.status != model.StatusActive && r.status != model.StatusAutoRenew {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, r.status)
-	}
-	if r.registrar == gaining {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q already sponsored by %d", ErrWrongRegistrar, name, gainingID)
-	}
-	if !sh.authMatches(r, authInfo) {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrBadAuthInfo, name)
-	}
-	losing := int(r.registrar)
-	updated := simtime.Trunc(s.clock.Now())
-	stored, err := storedTime(updated)
-	if err != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", err, name)
-	}
-	sh.dueRemove(r, ref)
-	r.registrar = gaining
-	r.updated = stored
-	r.status = model.StatusActive
-	sh.dueAdd(r, ref)
-	sh.rotateAuth(r)
-	wait := s.appendJournal(Mutation{Kind: MutTransfer, Name: name, RegistrarID: gainingID, Updated: updated})
-	s.bumpGen()
-	obs := s.loadObserver()
-	sh.mu.Unlock()
-	if err := waitJournal(wait); err != nil {
-		return err
-	}
-	if obs != nil {
-		obs.DomainTransferred(name, losing, gainingID)
-	}
-	return nil
+	m := Mutation{Kind: MutTransfer, Name: name, RegistrarID: gainingID}
+	_, err := s.commit(&m, true, func(sh *shard, r *record) error {
+		switch {
+		case r == nil:
+			return fmt.Errorf("%w: %q", ErrNotFound, name)
+		case !gainingKnown:
+			return fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, gainingID)
+		case r.status != model.StatusActive && r.status != model.StatusAutoRenew:
+			return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, r.status)
+		case int(r.registrar) == gainingID:
+			return fmt.Errorf("%w: %q already sponsored by %d", ErrWrongRegistrar, name, gainingID)
+		case !sh.authMatches(r, authInfo):
+			return fmt.Errorf("%w: %q", ErrBadAuthInfo, name)
+		}
+		m.Updated = simtime.Trunc(s.clock.Now())
+		return nil
+	})
+	return err
 }
 
 // Get returns a copy of the current registration of name.
@@ -612,30 +557,21 @@ func (s *Store) Touch(name string, registrarID int) error {
 
 // TouchAt is Touch at an explicit instant (truncated to seconds).
 func (s *Store) TouchAt(name string, registrarID int, at time.Time) error {
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	r, ref := sh.tab.get(name)
+	m := Mutation{Kind: MutTouch, Name: name, Updated: simtime.Trunc(at)}
+	_, err := s.commit(&m, true, func(_ *shard, r *record) error { return sponsored(name, r, registrarID) })
+	return err
+}
+
+// sponsored refuses a mutation of name unless its registration r exists and
+// registrarID sponsors it.
+func sponsored(name string, r *record, registrarID int) error {
 	if r == nil {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	if int(r.registrar) != registrarID {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
 	}
-	at = simtime.Trunc(at)
-	stored, err := storedTime(at)
-	if err != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", err, name)
-	}
-	sh.dueRemove(r, ref)
-	r.updated = stored
-	sh.dueAdd(r, ref)
-	wait := s.appendJournal(Mutation{Kind: MutTouch, Name: name, Updated: at})
-	s.bumpGen()
-	sh.mu.Unlock()
-	return waitJournal(wait)
+	return nil
 }
 
 // Renew extends the registration by years (1 to 10, as CreateAt's term) and
@@ -644,75 +580,25 @@ func (s *Store) Renew(name string, registrarID int, years int) error {
 	if years < 1 || years > 10 {
 		return fmt.Errorf("%w: renewal of %d years", ErrBadName, years)
 	}
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	r, ref := sh.tab.get(name)
-	if r == nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if int(r.registrar) != registrarID {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrWrongRegistrar, name)
-	}
-	now := simtime.Trunc(s.clock.Now())
-	expiry := simtime.UnpackTime(r.expiry).AddDate(years, 0, 0)
-	storedNow, errNow := storedTime(now)
-	storedExpiry, errExpiry := storedTime(expiry)
-	if err := errors.Join(errNow, errExpiry); err != nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", err, name)
-	}
-	sh.dueRemove(r, ref)
-	r.expiry = storedExpiry
-	r.updated = storedNow
-	r.status = model.StatusActive
-	sh.dueAdd(r, ref)
-	wait := s.appendJournal(Mutation{Kind: MutRenew, Name: name, Updated: now, Expiry: expiry})
-	s.bumpGen()
-	sh.mu.Unlock()
-	return waitJournal(wait)
+	m := Mutation{Kind: MutRenew, Name: name}
+	_, err := s.commit(&m, true, func(_ *shard, r *record) error {
+		if err := sponsored(name, r, registrarID); err != nil {
+			return err
+		}
+		m.Updated = simtime.Trunc(s.clock.Now())
+		m.Expiry = simtime.UnpackTime(r.expiry).AddDate(years, 0, 0)
+		return nil
+	})
+	return err
 }
 
 // setState transitions a domain's lifecycle state; used by the lifecycle
-// engine and the population seeder (via the exported helpers below).
+// engine and the population seeder (via the exported helpers below). A zero
+// updated keeps the registration's last-updated timestamp.
 func (s *Store) setState(name string, st model.Status, updated time.Time, deleteDay simtime.Day) error {
-	day, err := packDay(deleteDay)
-	if err != nil {
-		return fmt.Errorf("%w: %q", err, name)
-	}
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	r, ref := sh.tab.get(name)
-	if r == nil {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	from, stored := r.status, r.updated
-	if !updated.IsZero() { // zero = keep, mirrored by replay
-		updated = simtime.Trunc(updated)
-		if stored, err = storedTime(updated); err != nil {
-			sh.mu.Unlock()
-			return fmt.Errorf("%w: %q", err, name)
-		}
-	}
-	sh.dueRemove(r, ref)
-	r.status = st
-	r.updated = stored
-	r.deleteDay = day
-	sh.dueAdd(r, ref)
-	wait := s.appendJournal(Mutation{Kind: MutSetState, Name: name, Status: st, Updated: updated, DeleteDay: deleteDay})
-	s.bumpGen()
-	obs := s.loadObserver()
-	registrarID := int(r.registrar)
-	sh.mu.Unlock()
-	if err := waitJournal(wait); err != nil {
-		return err
-	}
-	if obs != nil && from != st {
-		obs.DomainTransitioned(name, registrarID, from, st)
-	}
-	return nil
+	m := Mutation{Kind: MutSetState, Name: name, Status: st, Updated: simtime.Trunc(updated), DeleteDay: deleteDay}
+	_, err := s.commit(&m, true, nil)
+	return err
 }
 
 // MarkRedemption moves the domain into the redemption period following a
@@ -768,55 +654,22 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	return out
 }
 
-// remove takes r (slot ref) out of sh — due index, any stored transfer
-// code, the table. r is dead once remove returns (see table), so whatever
-// the caller still needs of it — the deletion event — is built first. The
-// caller holds sh's write lock.
-func (sh *shard) remove(r *record, ref uint32) {
-	sh.dueRemove(r, ref)
-	sh.dropAuth(r)
-	sh.tab.del(ref)
-}
-
 // purge removes the domain as part of a Drop, recording the ground-truth
 // deletion event. The caller (DropRunner) holds the deletion order. An
 // instant or rank the event cannot hold is refused before anything changes.
 func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent, error) {
-	at = simtime.Trunc(at)
-	sh := s.shardOf(name)
-	sh.mu.Lock()
-	r, ref := sh.tab.get(name)
-	if r == nil {
-		sh.mu.Unlock()
-		return model.DeletionEvent{}, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if r.status != model.StatusPendingDelete {
-		status := r.status
-		sh.mu.Unlock()
-		return model.DeletionEvent{}, fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, status)
-	}
-	ev, err := model.NewDeletionEvent(r.id, r.name, at, rank)
-	if err != nil {
-		sh.mu.Unlock()
-		return model.DeletionEvent{}, fmt.Errorf("%w: %w", errUnrepresentable, err)
-	}
-	registrarID := int(r.registrar) // r does not survive remove
-	sh.remove(r, ref)
-	day := simtime.DayOf(at)
-	s.delMu.Lock()
-	s.deletions[day] = append(s.deletions[day], ev)
-	s.delMu.Unlock()
-	wait := s.appendJournal(Mutation{Kind: MutPurge, ID: ev.DomainID, Name: name, Time: at, Rank: rank})
-	s.bumpGen()
-	obs := s.loadObserver()
-	sh.mu.Unlock()
-	if err := waitJournal(wait); err != nil {
-		return ev, err
-	}
-	if obs != nil {
-		obs.DomainPurged(ev, registrarID)
-	}
-	return ev, nil
+	m := Mutation{Kind: MutPurge, Name: name, Time: simtime.Trunc(at), Rank: rank}
+	res, err := s.commit(&m, true, func(_ *shard, r *record) error {
+		if r == nil {
+			return fmt.Errorf("%w: %q", ErrNotFound, name)
+		}
+		if r.status != model.StatusPendingDelete {
+			return fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, r.status)
+		}
+		m.ID = r.id
+		return nil
+	})
+	return res.ev, err
 }
 
 // Deletions returns the ground-truth deletion events recorded on day, in
@@ -947,22 +800,7 @@ func (s *Store) pendingOn(day simtime.Day) []record {
 // "IDs increase with creation time" invariant, so SeedAt takes no ID; call it
 // in creation-time order.
 func (s *Store) SeedAt(name string, registrarID int, created, updated, expiry time.Time, st model.Status, deleteDay simtime.Day) (*model.Domain, error) {
-	_, tld, err := s.splitName(name)
-	if err != nil {
-		return nil, err
-	}
-	if !s.hasRegistrar(registrarID) {
-		return nil, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, registrarID)
-	}
-	d := &model.Domain{
-		Name:        name,
-		TLD:         tld,
-		RegistrarID: registrarID,
-		Created:     simtime.Trunc(created),
-		Updated:     simtime.Trunc(updated),
-		Expiry:      simtime.Trunc(expiry),
-		Status:      st,
-		DeleteDay:   deleteDay,
-	}
-	return s.insertNew(d, MutSeed)
+	return s.insertNew(&Mutation{Kind: MutSeed, Name: name, RegistrarID: registrarID,
+		Created: simtime.Trunc(created), Updated: simtime.Trunc(updated), Expiry: simtime.Trunc(expiry),
+		Status: st, DeleteDay: deleteDay})
 }

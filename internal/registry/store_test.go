@@ -658,19 +658,40 @@ func TestGenerationBumpsOnEveryMutator(t *testing.T) {
 		s.Generation()
 	})
 
-	// Failed mutations must not bump.
+	// Failed mutations must not bump, and must reach neither the journal,
+	// the ID allocator nor the observer: every refusal comes before the one
+	// state transition.
+	cap := &captureJournal{}
+	s.SetJournal(cap)
+	obs := &recordingObserver{}
+	s.SetObserver(obs)
+	nextID := s.nextID.Load()
 	bumped("failed mutations", 0, func() {
 		s.Create("genseed.com", 1000, 1)     // ErrExists
 		s.Create("bad name!", 1000, 1)       // ErrBadName
 		s.Create("orphan.com", 9999, 1)      // ErrUnknownRegistrar
+		s.Create("ok.com", 1000, 11)         // ErrBadName (term)
 		s.Touch("missing.com", 1000)         // ErrNotFound
 		s.Touch("genseed.com", 1001)         // ErrWrongRegistrar
 		s.Renew("missing.com", 1000, 1)      // ErrNotFound
+		s.Renew("genseed.com", 1001, 1)      // ErrWrongRegistrar
 		s.Transfer("missing.com", 1001, "x") // ErrNotFound
 		s.Transfer("genseed.com", 1001, "x") // ErrBadAuthInfo
+		s.Transfer("genseed.com", 9999, "x") // ErrUnknownRegistrar
 		s.MarkRedemption("missing.com", clock.Now())
-		s.purge("genseed.com", clock.Now(), 0) // ErrNotPendingDelete
+		s.MarkPendingDelete("genseed.com", clock.Now(), simtime.Day{Year: 2018, Month: 2, Dom: 30}) // errUnrepresentable
+		s.purge("genseed.com", clock.Now(), 0)                                                      // ErrNotPendingDelete
+		s.purge("missing.com", clock.Now(), 0)                                                      // ErrNotFound
 	})
+	if len(cap.records) != 0 {
+		t.Errorf("failed mutations were journaled: %+v", cap.records)
+	}
+	if got := s.nextID.Load(); got != nextID {
+		t.Errorf("failed mutations moved the ID allocator %d -> %d", nextID, got)
+	}
+	if len(obs.purged)+len(obs.transitions) != 0 {
+		t.Errorf("failed mutations delivered events: %v %v", obs.purged, obs.transitions)
+	}
 }
 
 // TestGenerationMonotonicUnderConcurrency drives mutators and Generation

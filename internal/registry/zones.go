@@ -85,17 +85,21 @@ func (s *Store) HostsTLD(t model.TLD) bool {
 // journaled (MutAddZone) so replicas and recovery replay it in stream order.
 // Zones are add-only and their TLD sets must not overlap any installed
 // zone's.
-func (s *Store) AddZone(z zone.Config) error {
-	if err := z.Validate(); err != nil {
-		return err
-	}
+func (s *Store) AddZone(z zone.Config) error { return s.addZone(z, true) }
+
+// addZone installs z, AddZone's commit and replay's alike; a live one is
+// journaled and waited for.
+func (s *Store) addZone(z zone.Config, live bool) error {
 	zt := &s.zoneTab
 	zt.mu.Lock()
 	if err := zt.installLocked(z); err != nil {
 		zt.mu.Unlock()
 		return err
 	}
-	wait := s.appendJournal(Mutation{Kind: MutAddZone, Zone: z})
+	var wait func() error
+	if live {
+		wait = s.appendJournal(&Mutation{Kind: MutAddZone, Zone: z})
+	}
 	s.bumpGen()
 	zt.mu.Unlock()
 	s.installZoneDue()
@@ -124,8 +128,14 @@ func (s *Store) InstallZones(zs []zone.Config) error {
 	return nil
 }
 
-// installLocked validates uniqueness and appends z under zt.mu.
+// installLocked validates z — on its own, and its name and TLDs against the
+// installed zones — and appends it under zt.mu. Every path installs through
+// it, so a zone decoded from a WAL record, a snapshot or a replication
+// stream is held to the same rules as one added live.
 func (zt *zoneTable) installLocked(z zone.Config) error {
+	if err := z.Validate(); err != nil {
+		return err
+	}
 	for _, have := range zt.zones {
 		if have.Name == z.Name {
 			return fmt.Errorf("registry: zone %q already installed", z.Name)
@@ -141,21 +151,6 @@ func (zt *zoneTable) installLocked(z zone.Config) error {
 	for _, t := range z.TLDs {
 		zt.tldZone[t] = idx
 	}
-	return nil
-}
-
-// applyAddZone replays a MutAddZone record (recovery/replication): same
-// state change as AddZone without re-journaling.
-func (s *Store) applyAddZone(z zone.Config) error {
-	zt := &s.zoneTab
-	zt.mu.Lock()
-	if err := zt.installLocked(z); err != nil {
-		zt.mu.Unlock()
-		return err
-	}
-	s.bumpGen()
-	zt.mu.Unlock()
-	s.installZoneDue()
 	return nil
 }
 

@@ -194,6 +194,44 @@ func TestAddZoneReplays(t *testing.T) {
 	}
 }
 
+// A MutAddZone record carrying a zone AddZone would refuse — what a WAL or
+// replication stream decodes is whatever its bytes say — is refused on
+// replay too, one record at a time and inside a batch, and leaves the zone
+// table as it was.
+func TestReplayRefusesInvalidZone(t *testing.T) {
+	spoil := map[string]func(z *zone.Config){
+		"unknown policy": func(z *zone.Config) { z.Policy = "lottery" },
+		"empty TLD":      func(z *zone.Config) { z.TLDs = []model.TLD{"se", ""} },
+		"dotted TLD":     func(z *zone.Config) { z.TLDs = []model.TLD{"co.se"} },
+		"start hour 99":  func(z *zone.Config) { z.Drop.StartHour = 99 },
+	}
+	paths := map[string]func(s *Store, m Mutation) error{
+		"Apply": func(s *Store, m Mutation) error { return s.Apply(m) },
+		"ApplyBatch": func(s *Store, m Mutation) error {
+			return s.ApplyBatch([]Mutation{{Kind: MutAddRegistrar, Registrar: model.Registrar{IANAID: 1002}}, m}, 2)
+		},
+	}
+	for what, spoil := range spoil {
+		for path, apply := range paths {
+			t.Run(what+"/"+path, func(t *testing.T) {
+				z := nordicZone()
+				spoil(&z)
+				s, _ := testStore(t)
+				before := fmt.Sprint(s.Zones())
+				if err := apply(s, Mutation{Kind: MutAddZone, Zone: z}); err == nil {
+					t.Fatalf("replayed zone %+v was installed", z)
+				}
+				if after := fmt.Sprint(s.Zones()); after != before {
+					t.Fatalf("refused zone changed the zone table:\n before %s\n after  %s", before, after)
+				}
+				if s.HostsTLD("se") {
+					t.Fatal("a TLD of the refused zone is operated")
+				}
+			})
+		}
+	}
+}
+
 // One store, two zones, one deletion day: each zone's runner must see only
 // its own names, together covering the whole bucket.
 func TestZoneScopedDropQueues(t *testing.T) {

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -699,6 +700,27 @@ func TestFailoverZeroLoss(t *testing.T) {
 	}
 	if _, err := pstore.Get("after-failover.com"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSyncJournalRefusesAsyncJournal: an async journal hands out no
+// durability wait, so a SyncJournal over one would acknowledge every
+// mutation with no follower holding it. Now the mutation's wait fails and
+// names the misuse.
+func TestSyncJournalRefusesAsyncJournal(t *testing.T) {
+	store := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
+	jnl, _, err := journal.Open(store, journal.Options{Dir: t.TempDir(), Mode: journal.ModeAsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 50 * time.Millisecond})
+	defer src.Close()
+	store.SetJournal(&SyncJournal{J: jnl, S: src})
+	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
+	_, err = store.CreateAt("unsynced.com", testRegistrar, 1, testStart.At(3, 0, 0))
+	if !errors.Is(err, errSyncJournalAsync) {
+		t.Fatalf("create through a SyncJournal over an async journal: %v, want %v", err, errSyncJournalAsync)
 	}
 }
 

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -433,18 +434,23 @@ func (s *Source) Metrics() SourceMetrics {
 // is fsynced locally AND WaitSynced's follower quorum holds it. Attach via
 // store.SetJournal in place of the bare journal to get zero-acked-loss
 // failover — any mutation a client saw succeed is on a follower that can be
-// promoted. Requires the journal in sync mode (an async journal returns no
-// wait, and semi-sync without local durability would be incoherent).
+// promoted. Requires the journal in sync mode: an async journal hands out
+// no wait, and semi-sync without local durability would be incoherent, so
+// over one every mutation's wait fails with errSyncJournalAsync.
 type SyncJournal struct {
 	J *journal.Journal
 	S *Source
 }
 
+// errSyncJournalAsync is the wait of every mutation appended through a
+// SyncJournal whose journal is not in sync mode.
+var errSyncJournalAsync = errors.New("repl: SyncJournal over a journal not in sync mode: nothing to acknowledge to followers")
+
 // Append implements registry.Journal.
 func (sj *SyncJournal) Append(m registry.Mutation) func() error {
 	seq, wait := sj.J.AppendMutation(m)
 	if wait == nil {
-		return nil
+		return func() error { return errSyncJournalAsync }
 	}
 	return func() error {
 		if err := wait(); err != nil {
