@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Boot smoke for cmd/dropserve: a primary with every surface (replication
 # included) on an ephemeral port, one RDAP, WHOIS and /debug/vars request; a
-# replica of it that must serve the same RDAP bytes, promote on SIGUSR1 and
-# then serve the primary's feed; then SIGTERM to both. Fails unless each exits
-# 0, flushes its journal and reports no serve error, or if -sync-followers
-# under async durability or a replica under -durability off is accepted. Run
-# from the repo root.
+# replica of it that must serve the same RDAP bytes, resume from its own log
+# after a restart, promote on SIGUSR1 and then serve the primary's feed; then
+# SIGTERM to both. Fails unless each exits 0, flushes its journal (none before
+# promotion) and reports no serve error, or if -sync-followers under async
+# durability or a replica under -durability off is accepted. Run from the
+# repo root.
 set -euo pipefail
 work=$(mktemp -d)
 pids=()
@@ -43,14 +44,20 @@ if missing:
 ' "$@"
 }
 
-# stop NAME PID: SIGTERM, then exit 0, a flushed journal and no serve error.
+# stop NAME PID [unpromoted]: SIGTERM, then exit 0, no serve error and a
+# flushed journal — or, for an unpromoted replica, which holds none, no
+# journal line at all.
 stop() {
 	kill -TERM "$2"
 	local status=0
 	wait "$2" || status=$?
 	cat "$work/$1.err"
 	test "$status" = 0
-	grep -q 'journal: flushed and closed' "$work/$1.err"
+	if [ "${3:-}" = unpromoted ]; then
+		if grep -q 'journal: flushed and closed' "$work/$1.err"; then exit 1; fi
+	else
+		grep -q 'journal: flushed and closed' "$work/$1.err"
+	fi
 	if grep -q 'serve error' "$work/$1.err"; then exit 1; fi
 }
 
@@ -65,15 +72,24 @@ grep -q 'Domain Name:' <&3
 exec 3<&-
 keys primary store epp rdap whois scope feed journal
 
-start replica -datadir "$work/replica" -replicate-from "$(addr primary replication)"
-replica=${pids[-1]}
 body() { curl -sf "http://$(addr "$1" RDAP)/domain/$name"; }
-for _ in $(seq 100); do
-	[ "$(body replica || true)" = "$(body primary)" ] && break
-	sleep 0.1
-done
-test "$(body replica)" = "$(body primary)"
+# start_replica: start the replica and wait until it serves the primary's body.
+start_replica() {
+	start replica -datadir "$work/replica" -replicate-from "$(addr primary replication)"
+	replica=${pids[-1]}
+	for _ in $(seq 100); do
+		[ "$(body replica || true)" = "$(body primary)" ] && break
+		sleep 0.1
+	done
+	test "$(body replica)" = "$(body primary)"
+}
+start_replica
 keys replica store epp rdap whois scope repl_follower
+# A restarted replica resumes from its own log, not from nothing.
+stop replica "$replica" unpromoted
+start_replica
+recovered=$(sed -n 's/.*follower recovered to seq \([0-9]*\).*/\1/p' "$work/replica.err")
+test "${recovered:-0}" -gt 0
 kill -USR1 "$replica"
 for _ in $(seq 100); do
 	grep -q 'promoted to primary at seq' "$work/replica.err" && break

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -285,7 +286,7 @@ func runSubscribeBench(b *testing.B, streams int, burstEvery, window time.Durati
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	res := loadgen.RunSubscribe(streams, window, func(i int) (loadgen.EventStream, error) {
+	res := runSubscribe(streams, window, func() (*Subscriber, error) {
 		return Subscribe(ctx, hc, "http://feed.mem", -1, nil)
 	})
 	close(stop)
@@ -304,4 +305,88 @@ func runSubscribeBench(b *testing.B, streams int, burstEvery, window time.Durati
 	b.ReportMetric(float64(res.P99().Microseconds())/1000, "p99_ms")
 	b.ReportMetric(float64(res.P999().Microseconds())/1000, "p999_ms")
 	b.ReportMetric(float64(res.Resumed+res.Resets), "degraded")
+}
+
+// subscribeResult reports one runSubscribe run. Its Result's latency
+// distribution is the per-batch fan-out lag: client receipt instant minus
+// the producer-side Sent instant, across every stream.
+type subscribeResult struct {
+	loadgen.Result
+	Connected     int    // streams that opened successfully
+	ConnectErrors uint64 // open failures
+	Batches       uint64 // event batches received across all streams
+	Resumed       uint64 // batches delivered via slow-consumer catch-up
+	Resets        uint64 // streams that lost ring coverage and resynced fully
+}
+
+// runSubscribe opens streams concurrent subscriptions via open and consumes
+// them for window, recording each batch's fan-out lag into one shared
+// fixed-bucket histogram — 10k streams cost 10k goroutines but a single
+// ~12 KB latency structure. When window elapses every stream is closed,
+// which ends its blocked Next.
+func runSubscribe(streams int, window time.Duration, open func() (*Subscriber, error)) subscribeResult {
+	var (
+		hist                                  loadgen.Hist
+		connected                             atomic.Int64
+		connectErrs, batches, resumed, resets atomic.Uint64
+
+		mu     sync.Mutex
+		closed bool
+		live   []*Subscriber
+		wg     sync.WaitGroup
+	)
+	for i := 0; i < streams; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, err := open()
+			if err != nil {
+				connectErrs.Add(1)
+				return
+			}
+			connected.Add(1)
+			mu.Lock()
+			if closed {
+				mu.Unlock()
+				st.Close()
+				return
+			}
+			live = append(live, st)
+			mu.Unlock()
+			for {
+				ev, err := st.Next()
+				if err != nil {
+					return
+				}
+				batches.Add(1)
+				if ev.Resumed {
+					resumed.Add(1)
+				}
+				if ev.Reset {
+					resets.Add(1)
+					continue // no Sent instant: a resync, not a delivery
+				}
+				if !ev.Sent.IsZero() {
+					hist.Record(time.Since(ev.Sent))
+				}
+			}
+		}()
+	}
+
+	time.Sleep(window)
+	mu.Lock()
+	closed = true
+	for _, st := range live {
+		st.Close()
+	}
+	mu.Unlock()
+	wg.Wait()
+	return subscribeResult{
+		Result:        hist.Snapshot(),
+		Connected:     int(connected.Load()),
+		ConnectErrors: connectErrs.Load(),
+		Batches:       batches.Load(),
+		Resumed:       resumed.Load(),
+		Resets:        resets.Load(),
+	}
 }

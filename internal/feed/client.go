@@ -12,7 +12,6 @@ import (
 	"sync"
 	"time"
 
-	"dropzero/internal/loadgen"
 	"dropzero/internal/simtime"
 )
 
@@ -268,9 +267,19 @@ func SyncDeltas(ctx context.Context, hc *http.Client, base string, m *Mirror) (u
 	return cursor, nil
 }
 
-// Subscriber is one /events SSE stream. It implements loadgen.EventStream;
-// with an attached Mirror it also keeps the mirror current, transparently
-// refetching the full list when the server sends a reset frame.
+// Event is one delivered event batch as a Subscriber sees it. Sent is the
+// producer-side instant embedded in the event (the store-mutation receipt),
+// so receipt-minus-Sent is the end-to-end fan-out latency.
+type Event struct {
+	Sent    time.Time
+	Records int  // mutation records covered by the batch
+	Resumed bool // delivered through a slow-consumer catch-up
+	Reset   bool // stream lost ring coverage; consumer refetched the full list
+}
+
+// Subscriber is one /events SSE stream. With an attached Mirror it also
+// keeps the mirror current, transparently refetching the full list when the
+// server sends a reset frame.
 type Subscriber struct {
 	hc     *http.Client
 	base   string
@@ -331,11 +340,11 @@ func (s *Subscriber) Close() error { return s.body.Close() }
 // Next blocks for the next delta batch. Hello and resume frames are
 // consumed internally (resume marks the next delta Resumed); a reset frame
 // refetches the full list into the mirror and surfaces as a Reset event.
-func (s *Subscriber) Next() (loadgen.Event, error) {
+func (s *Subscriber) Next() (Event, error) {
 	for {
 		event, data, err := s.readFrame()
 		if err != nil {
-			return loadgen.Event{}, err
+			return Event{}, err
 		}
 		switch event {
 		case "hello":
@@ -345,7 +354,7 @@ func (s *Subscriber) Next() (loadgen.Event, error) {
 		case "reset":
 			cursor, err := strconv.ParseUint(strings.TrimSpace(data), 10, 64)
 			if err != nil {
-				return loadgen.Event{}, fmt.Errorf("feed: bad reset frame %q", data)
+				return Event{}, fmt.Errorf("feed: bad reset frame %q", data)
 			}
 			s.cursor = cursor
 			if s.mirror != nil {
@@ -353,15 +362,15 @@ func (s *Subscriber) Next() (loadgen.Event, error) {
 				// full list at least that fresh. Frames already in flight
 				// with to <= the refetched cursor are skipped by ApplyOps.
 				if _, err := FetchFull(context.Background(), s.hc, s.base, s.mirror); err != nil {
-					return loadgen.Event{}, fmt.Errorf("feed: resync after reset: %w", err)
+					return Event{}, fmt.Errorf("feed: resync after reset: %w", err)
 				}
 			}
 			s.resumed = false
-			return loadgen.Event{Reset: true}, nil
+			return Event{Reset: true}, nil
 		case "delta":
 			ev, err := s.applyDelta(data)
 			if err != nil {
-				return loadgen.Event{}, err
+				return Event{}, err
 			}
 			ev.Resumed = s.resumed
 			s.resumed = false
@@ -372,29 +381,29 @@ func (s *Subscriber) Next() (loadgen.Event, error) {
 
 // applyDelta parses one delta frame's payload: the header data line
 // "<from> <to> <sentUnixNano> <nops>" followed by one op line per op.
-func (s *Subscriber) applyDelta(data string) (loadgen.Event, error) {
+func (s *Subscriber) applyDelta(data string) (Event, error) {
 	header, rest, _ := strings.Cut(data, "\n")
 	f := strings.Fields(header)
 	if len(f) != 4 {
-		return loadgen.Event{}, fmt.Errorf("feed: bad delta header %q", header)
+		return Event{}, fmt.Errorf("feed: bad delta header %q", header)
 	}
 	from, err1 := strconv.ParseUint(f[0], 10, 64)
 	to, err2 := strconv.ParseUint(f[1], 10, 64)
 	sent, err3 := strconv.ParseInt(f[2], 10, 64)
 	nops, err4 := strconv.Atoi(f[3])
 	if err1 != nil || err2 != nil || err3 != nil || err4 != nil || to < from {
-		return loadgen.Event{}, fmt.Errorf("feed: bad delta header %q", header)
+		return Event{}, fmt.Errorf("feed: bad delta header %q", header)
 	}
 	var ops []Op
 	if rest != "" {
 		var err error
 		ops, err = ParseOps([]byte(rest))
 		if err != nil {
-			return loadgen.Event{}, err
+			return Event{}, err
 		}
 	}
 	if len(ops) != nops {
-		return loadgen.Event{}, fmt.Errorf("feed: delta frame declared %d ops, carried %d", nops, len(ops))
+		return Event{}, fmt.Errorf("feed: delta frame declared %d ops, carried %d", nops, len(ops))
 	}
 	if s.mirror != nil {
 		s.mirror.ApplyOps(to, ops)
@@ -402,7 +411,7 @@ func (s *Subscriber) applyDelta(data string) (loadgen.Event, error) {
 	if to > s.cursor {
 		s.cursor = to
 	}
-	return loadgen.Event{
+	return Event{
 		Sent:    time.Unix(0, sent),
 		Records: len(ops),
 	}, nil

@@ -259,7 +259,7 @@ func TestRetiredFormatsRefusedByName(t *testing.T) {
 	t.Run("DZSNAP1", func(t *testing.T) {
 		refused(t, map[string][]byte{snapName(77): v1}, snapName(77), "DZSNAP1", "gob")
 		s := newShardedTestStore(4)
-		if _, err := RestoreShippedSnapshot(s, v1); !errors.Is(err, errSnapshotFormat) || s.Count() != 0 || s.Generation() != 0 {
+		if _, err := restoreShipped(s, v1, 0); !errors.Is(err, errSnapshotFormat) || s.Count() != 0 || s.Generation() != 0 {
 			t.Errorf("shipped DZSNAP1 image: %v (store count %d)", err, s.Count())
 		}
 	})

@@ -88,8 +88,7 @@ type Options struct {
 }
 
 const (
-	// defaultSegmentBytes rotates WAL segments, and a follower's shipped
-	// log, at 64 MiB.
+	// defaultSegmentBytes rotates WAL segments at 64 MiB.
 	defaultSegmentBytes int64 = 64 << 20
 	// defaultSyncEvery group-commits after this many unsynced records in
 	// async mode.
@@ -232,8 +231,8 @@ func Open(store *registry.Store, o Options) (*Journal, Recovery, error) {
 // valid snapshot, replay the WAL tail, truncate a torn final write — the
 // restore and replay spread over up to workers goroutines. It returns what
 // was reconstructed plus the highest recovered sequence number, and does not
-// open the log for writing — Open layers the writer on top, Replay (the
-// follower path) stops here.
+// open the log for writing — Open layers the writer on top, Replay stops
+// here.
 func recoverDir(store *registry.Store, dir string, workers int) (rec Recovery, last uint64, hadSnap bool, err error) {
 	t0 := time.Now()
 	if err := os.MkdirAll(dir, 0o777); err != nil {
@@ -279,12 +278,10 @@ func recoverDir(store *registry.Store, dir string, workers int) (rec Recovery, l
 	return rec, last, hadSnap, nil
 }
 
-// Replay rebuilds dir's durable state into store without opening the log
-// for writing. This is how a restarting follower resumes: recover the local
-// shipped log exactly as a primary would (snapshot, tail, torn-write
-// truncation), then reconnect and ask the primary for records after the
-// returned Recovery's position (LastSeq). The store must be empty. Replay
-// always recovers with a worker per core.
+// Replay rebuilds dir's durable state into store exactly as Open recovers
+// it (snapshot, tail, torn-write truncation) without opening the log for
+// writing, and returns the highest recovered sequence number. The store
+// must be empty. Replay always recovers with a worker per core.
 func Replay(store *registry.Store, dir string) (Recovery, uint64, error) {
 	rec, last, _, err := recoverDir(store, dir, par.Workers(0))
 	return rec, last, err
@@ -354,6 +351,16 @@ func (j *Journal) appended(seq uint64, err error) (uint64, func() error) {
 func (j *Journal) AppendApp(body []byte) func() error {
 	_, wait := j.appended(j.w.append(recApp, body))
 	return wait
+}
+
+// AppendFrames lands one batch a follower received from its primary: raw
+// holds records first..last framed as the primary's WAL holds them, already
+// checked by DecodeFrames, and they must continue LastSeq exactly — a gap
+// or an overlap is refused and leaves the log as it was. The bytes go to the
+// group-commit buffer unchanged, so a follower's segments hold its
+// primary's frames byte for byte; Sync makes them durable.
+func (j *Journal) AppendFrames(raw []byte, first, last uint64) error {
+	return j.w.appendFrames(raw, first, last)
 }
 
 // Sync forces a group commit of everything appended so far and blocks until

@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"dropzero/internal/par"
 	"dropzero/internal/registry"
 )
 
@@ -156,28 +155,44 @@ func LatestSnapshotPath(dir string) (path string, seq uint64, ok bool, err error
 	return filepath.Join(dir, names[i]), seqs[i], true, nil
 }
 
-// RestoreShippedSnapshot verifies a raw snapshot file image (as shipped
-// over replication), installs it into the empty store with a worker per
-// core and returns the WAL sequence it covers — recovery's
-// parseSnapshotV2 → installSnapshotV2 path, format refusals included.
-// Verification completes before the store is touched; on a verification
-// error the store is unchanged.
-func RestoreShippedSnapshot(store *registry.Store, data []byte) (uint64, error) {
+// restoreShipped verifies a raw snapshot file image (as shipped over
+// replication), installs it into the empty store over workers goroutines
+// and returns the WAL sequence it covers — recovery's parseSnapshotV2 →
+// installSnapshotV2 path, format refusals included. Verification completes
+// before the store is touched; on a verification error the store is
+// unchanged.
+func restoreShipped(store *registry.Store, data []byte, workers int) (uint64, error) {
 	sv, err := parseSnapshotV2(data, "shipped")
 	if err != nil {
 		return 0, err
 	}
-	return sv.meta.seq, installSnapshotV2(store, sv, par.Workers(0))
+	return sv.meta.seq, installSnapshotV2(store, sv, workers)
 }
 
-// WriteRawSnapshot installs a raw snapshot file image into dir under its
-// canonical name, as atomically as Journal.Snapshot publishes its own. A
-// follower persists the shipped snapshot this way so its own restart can
-// recover locally instead of re-fetching.
-func WriteRawSnapshot(dir string, seq uint64, data []byte) error {
-	_, err := writeFileAtomic(dir, snapName(seq), func(f *os.File) error {
-		_, err := f.Write(data)
+// InstallSnapshot bootstraps a follower's empty journal from the snapshot
+// file image its primary shipped: it verifies the image, installs it into
+// the empty store, publishes it under its canonical name as atomically as
+// Snapshot publishes its own, and restarts the log after the sequence it
+// covers, which it returns. A journal that holds records is refused before
+// the store or the directory is touched, and so is an image that fails
+// verification.
+func (j *Journal) InstallSnapshot(raw []byte) (uint64, error) {
+	if last := j.LastSeq(); last != 0 {
+		return 0, fmt.Errorf("journal: install a snapshot over a log at seq %d", last)
+	}
+	seq, err := restoreShipped(j.store, raw, j.workers)
+	if err != nil {
+		return 0, err
+	}
+	if _, err := writeFileAtomic(j.w.dir, snapName(seq), func(f *os.File) error {
+		_, err := f.Write(raw)
 		return err
-	})
-	return err
+	}); err != nil {
+		return 0, err
+	}
+	if err := j.w.restartAfter(seq); err != nil {
+		return 0, err
+	}
+	j.lastSnapUnix.Store(time.Now().Unix())
+	return seq, nil
 }

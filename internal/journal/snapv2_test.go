@@ -359,7 +359,7 @@ func TestDeletionsSectionRefusesUnrepresentable(t *testing.T) {
 				t.Fatal(rerr)
 			}
 			restored := newShardedTestStore(2)
-			_, restoreErr := RestoreShippedSnapshot(restored, data)
+			_, restoreErr := restoreShipped(restored, data, 0)
 
 			if !e.fits {
 				if err == nil || restoreErr == nil {
@@ -466,7 +466,7 @@ func FuzzSnapshotDecode(f *testing.F) {
 		}
 
 		s := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), 4)
-		seq, err := RestoreShippedSnapshot(s, data)
+		seq, err := restoreShipped(s, data, 0)
 		if err != nil {
 			// Loud rejection must leave the store untouched: recovery falls
 			// back to an older snapshot assuming exactly that.

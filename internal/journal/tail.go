@@ -13,9 +13,9 @@ import (
 // This file is the journal's replication surface: reading the log as raw
 // bytes instead of replaying it. A primary ships its segment files to
 // followers frame-for-frame (TailReader), a follower validates and decodes
-// what arrived (DecodeFrames), rebuilds state without ever opening the log
-// for writing (Replay), and — on promotion — takes over the write role at a
-// known position (OpenExisting).
+// what arrived (DecodeFrames) and lands it in its own journal unchanged
+// (AppendFrames, InstallSnapshot), and — on promotion — takes over the write
+// role at a known position (OpenExisting).
 
 // TailReader iterates a journal directory's WAL segments as raw frames,
 // starting after a given sequence number and bounded by the durable horizon

@@ -3,6 +3,7 @@ package journal
 import (
 	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"testing"
@@ -278,5 +279,95 @@ func TestTailReaderFollowsLiveLog(t *testing.T) {
 	want := bytes.Join(walkedFrames(t, dir), nil)
 	if !bytes.Equal(got, want) {
 		t.Fatalf("tailed %d bytes of a live log that holds %d", len(got), len(want))
+	}
+}
+
+// TestAppendFramesContinuesTheLog: a follower's journal takes shipped frames
+// only where they continue its log — a gap, an overlap or an inverted range
+// is refused and leaves LastSeq where it was — and what it takes it keeps
+// byte for byte: the follower's log walks to the primary's frames.
+func TestAppendFramesContinuesTheLog(t *testing.T) {
+	_, frames, _ := tailLog(t)
+	n := uint64(len(frames) - 1)
+	run := func(first, last uint64) []byte { return bytes.Join(frames[first:last+1], nil) }
+
+	fdir := t.TempDir()
+	j, _, err := Open(newTestStore(), Options{Dir: fdir, Mode: ModeSync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.AppendFrames(run(1, 5), 1, 5); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name        string
+		first, last uint64
+	}{{"gap", 7, 7}, {"overlap", 5, 6}, {"inverted", 6, 5}} {
+		if err := j.AppendFrames(run(min(c.first, c.last), max(c.first, c.last)), c.first, c.last); err == nil || j.LastSeq() != 5 {
+			t.Errorf("%s %d..%d after seq 5: err %v, LastSeq %d", c.name, c.first, c.last, err, j.LastSeq())
+		}
+	}
+	if err := j.AppendFrames(run(6, n), 6, n); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := walkedFrames(t, fdir); !bytes.Equal(bytes.Join(got, nil), run(1, n)) {
+		t.Fatalf("follower log walks to %d frames, not the primary's %d byte for byte", len(got), n)
+	}
+}
+
+// TestInstallSnapshotRefusesNonEmptyLog: a snapshot bootstraps only an empty
+// log — over one that holds records it is refused before the store or the
+// directory changes — and an empty one restarts after the snapshot's seq.
+func TestInstallSnapshotRefusesNonEmptyLog(t *testing.T) {
+	dir := t.TempDir()
+	s := newTestStore()
+	j, _ := openJournal(t, s, dir, ModeSync, false)
+	s.SetJournal(j)
+	workout(t, s, 5, 40)
+	if err := j.Snapshot(nil); err != nil {
+		t.Fatal(err)
+	}
+	want := dumpVisible(s)
+	j.Close()
+	path, seq, _, err := LatestSnapshotPath(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	busyDir := t.TempDir()
+	busy := newTestStore()
+	bj, _ := openJournal(t, busy, busyDir, ModeSync, false)
+	defer bj.Close()
+	busy.SetJournal(bj)
+	workout(t, busy, 6, 10)
+	gen, files := busy.Generation(), readTree(t, busyDir)
+	if _, err := bj.InstallSnapshot(raw); err == nil {
+		t.Fatal("installed a snapshot over a log holding records")
+	}
+	if busy.Generation() != gen || !maps.Equal(readTree(t, busyDir), files) {
+		t.Fatalf("refused install changed the store (generation %d → %d) or the directory", gen, busy.Generation())
+	}
+
+	fdir := t.TempDir()
+	fs := newTestStore()
+	fj, _ := openJournal(t, fs, fdir, ModeSync, false)
+	defer fj.Close()
+	if got, err := fj.InstallSnapshot(raw); err != nil || got != seq || fj.LastSeq() != seq {
+		t.Fatalf("install: seq %d, LastSeq %d, %v; want %d", got, fj.LastSeq(), err, seq)
+	}
+	if dumpVisible(fs) != want {
+		t.Error("installed store differs from the snapshotted one")
+	}
+	installed := readTree(t, fdir)
+	if seg, ok := installed[segName(seq+1)]; len(installed) != 2 || installed[snapName(seq)] != string(raw) || !ok || seg != "" {
+		t.Errorf("directory after install holds %d files, want the image as %s and an empty %s", len(installed), snapName(seq), segName(seq+1))
 	}
 }

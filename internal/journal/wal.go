@@ -211,27 +211,9 @@ func newWAL(dir string, lastSeq uint64, syncEvery int, syncInterval time.Duratio
 	return w, nil
 }
 
-// openSegment creates (or truncates) dir's segment whose first record will
-// be firstSeq, makes the new name durable and closes prev, the segment it
-// succeeds (nil for none). The writer and the follower's shipped log both
-// start and rotate segments here.
-func openSegment(dir string, firstSeq uint64, prev *os.File) (*os.File, error) {
-	f, err := os.Create(filepath.Join(dir, segName(firstSeq)))
-	if err != nil {
-		return nil, fmt.Errorf("journal: create segment: %w", err)
-	}
-	if err := syncDir(dir); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("journal: sync dir: %w", err)
-	}
-	if prev != nil {
-		prev.Close()
-	}
-	return f, nil
-}
-
 // openSegmentLocked makes the segment that will hold record durable+1
-// current. Caller holds mu or has exclusive access.
+// current: created (or truncated), its name made durable, the segment it
+// succeeds closed. Caller holds mu or has exclusive access.
 //
 // The name must come from durable, not seq: at rotation time every record
 // ≤ durable was just fsynced into the outgoing segment, but appenders may
@@ -241,12 +223,28 @@ func openSegment(dir string, firstSeq uint64, prev *os.File) (*os.File, error) {
 // fail scanFrames's contiguity check on the next recovery. (At newWAL time
 // durable == seq, so the fresh-open case is unaffected.)
 func (w *wal) openSegmentLocked() error {
-	f, err := openSegment(w.dir, w.durable+1, w.f)
+	f, err := os.Create(filepath.Join(w.dir, segName(w.durable+1)))
 	if err != nil {
-		return err
+		return fmt.Errorf("journal: create segment: %w", err)
+	}
+	if err := syncDir(w.dir); err != nil {
+		f.Close()
+		return fmt.Errorf("journal: sync dir: %w", err)
+	}
+	if w.f != nil {
+		w.f.Close()
 	}
 	w.f, w.size = f, 0
 	return nil
+}
+
+// refusalLocked is the error an append meets: the log's sticky failure, or
+// that it is closed; nil while the log takes appends. Caller holds mu.
+func (w *wal) refusalLocked() error {
+	if w.err == nil && w.closed {
+		return errors.New("journal: append after close")
+	}
+	return w.err
 }
 
 // append frames one record — header and body written once, in place, at the
@@ -256,12 +254,8 @@ func (w *wal) openSegmentLocked() error {
 // log's sticky failure, or that it is closed.
 func (w *wal) append(typ byte, body []byte) (uint64, error) {
 	w.mu.Lock()
-	if w.err != nil || w.closed {
-		err := w.err
+	if err := w.refusalLocked(); err != nil {
 		w.mu.Unlock()
-		if err == nil {
-			err = errors.New("journal: append after close")
-		}
 		return 0, err
 	}
 	w.seq++
@@ -284,6 +278,48 @@ func (w *wal) append(typ byte, body []byte) (uint64, error) {
 		}
 	}
 	return seq, nil
+}
+
+// appendFrames copies records first..last, already framed, to the tail of
+// the group-commit buffer; they must continue the log exactly. The frames
+// are not judged here: their reader already cut and checked them.
+func (w *wal) appendFrames(raw []byte, first, last uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.refusalLocked(); err != nil {
+		return err
+	}
+	if first != w.seq+1 || last < first {
+		return fmt.Errorf("journal: log at seq %d given records %d..%d", w.seq, first, last)
+	}
+	w.buf = append(w.buf, raw...)
+	w.seq = last
+	return nil
+}
+
+// restartAfter restarts a log that holds no record after seq: its one
+// segment, empty, is removed and the next starts at seq+1. A failure
+// poisons the log.
+func (w *wal) restartAfter(seq uint64) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if err := w.refusalLocked(); err != nil {
+		return err
+	}
+	if w.seq != 0 {
+		return fmt.Errorf("journal: restart after seq %d a log at seq %d", seq, w.seq)
+	}
+	old := w.f.Name()
+	w.f.Close()
+	w.f, w.seq, w.durable = nil, seq, seq
+	if err := os.Remove(old); err != nil {
+		w.err = fmt.Errorf("journal: restart log: %w", err)
+		return w.err
+	}
+	if err := w.openSegmentLocked(); err != nil {
+		w.err = err
+	}
+	return w.err
 }
 
 // waitDurable blocks until seq is fsynced, electing the caller as the

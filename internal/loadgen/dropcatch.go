@@ -3,8 +3,8 @@ package loadgen
 import "time"
 
 // DropCatchSchedule generates the arrival pattern real drop-catch clients
-// use around a deletion instant (the paper's registrar-behaviour study;
-// ROADMAP item 2): open fire slightly *before* the expected drop, hammer at
+// use around a deletion instant (the behaviour the paper's registrar study
+// measures): open fire slightly *before* the expected drop, hammer at
 // a fast fixed interval through the contested window, then back off
 // exponentially for the long tail in case the drop is late.
 type DropCatchSchedule struct {

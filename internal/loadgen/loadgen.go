@@ -2,9 +2,8 @@
 // fixed-bucket latency histogram (Hist) and the Result every driver reports
 // through. RunMix is the closed-loop driver — N workers issue a weighted mix
 // of requests back-to-back until a fixed budget is spent, with no pacing, so
-// it reports the saturation rate; RunSubscribe holds event streams open; and
-// drivers that run their own dispatch fold their observations in with
-// Collect/CollectBy.
+// it reports the saturation rate; drivers that run their own dispatch fold
+// their observations in with Collect/CollectBy.
 package loadgen
 
 import (

@@ -19,7 +19,7 @@ import (
 type FollowerConfig struct {
 	// Dir is the follower's local journal directory: shipped frames are
 	// persisted here byte-identical to the primary's segments, so a restart
-	// recovers locally (journal.Replay) and resumes from where it stopped,
+	// recovers locally (journal.Open) and resumes from where it stopped,
 	// and promotion re-opens the same directory as a writer.
 	Dir string
 	// Addr is the primary's replication address. Ignored when Dial is set.
@@ -66,7 +66,7 @@ func (c *FollowerConfig) defaults() error {
 
 // Follower replicates a primary's WAL into a local store and journal
 // directory. The loop is: receive a batch of raw frames, validate them
-// (CRC, sequence contiguity), persist them to the local shipped log, fsync,
+// (CRC, sequence contiguity), append them to the local journal, fsync,
 // apply through Store.ApplyBatch, acknowledge. Reads are served from the
 // store the whole time — the follower is just another writer to it, one
 // that happens to take dictation.
@@ -74,10 +74,14 @@ func (c *FollowerConfig) defaults() error {
 // Apply-before-ack plus fsync-before-ack gives the primary's semi-sync
 // waiters the exact property promotion needs: an acknowledged sequence is
 // both durable and visible on this replica.
+//
+// The journal stays private until Promote: between AppendFrames and
+// ApplyBatch its position runs ahead of the store, so a snapshot taken there
+// would claim records the image lacks.
 type Follower struct {
 	store *registry.Store
 	cfg   FollowerConfig
-	log   *journal.FollowerLog
+	log   *journal.Journal // never attached to the store: see above
 
 	applied    atomic.Uint64 // last sequence applied to the store
 	primarySeq atomic.Uint64 // primary's last appended seq, from messages
@@ -108,20 +112,18 @@ type Follower struct {
 }
 
 // NewFollower recovers cfg.Dir into store (which must be empty — a fresh
-// process) and returns a follower positioned to resume after what the local
-// shipped log already holds. Call Start to begin replicating.
+// process) as a primary's Open does and returns a follower positioned to
+// resume after what the local journal already holds. Call Start to begin
+// replicating.
 func NewFollower(store *registry.Store, cfg FollowerConfig) (*Follower, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	rec, last, err := journal.Replay(store, cfg.Dir)
+	log, rec, err := journal.Open(store, journal.Options{Dir: cfg.Dir, Mode: journal.ModeSync})
 	if err != nil {
 		return nil, fmt.Errorf("repl: recover follower dir: %w", err)
 	}
-	log, err := journal.OpenFollowerLog(cfg.Dir, last)
-	if err != nil {
-		return nil, err
-	}
+	last := log.LastSeq()
 	f := &Follower{
 		store: store,
 		cfg:   cfg,
@@ -233,7 +235,7 @@ func (f *Follower) consume(conn net.Conn) error {
 			if len(payload) != snapBeginBody {
 				return fmt.Errorf("repl: malformed snapshot begin")
 			}
-			if f.applied.Load() != 0 || f.log.LastSeq() != 0 {
+			if f.applied.Load() != 0 {
 				return f.setFatal(fmt.Errorf("repl: primary sent a snapshot to a follower already at seq %d", f.applied.Load()))
 			}
 			snapSize = binary.LittleEndian.Uint64(payload[8:])
@@ -312,19 +314,13 @@ const maxSnapshotBytes = 2 << 30
 
 // installSnapshot restores a complete shipped snapshot into the empty store
 // and persists the raw image locally so restarts recover without re-fetch.
-// The install is the same parallel sectioned decode recovery uses
-// (RestoreShippedSnapshot): a fresh replica's bootstrap time is bounded by
-// this call, and time-to-first-serve is the whole point of a hot spare.
+// The install is the same parallel sectioned decode recovery uses: a fresh
+// replica's bootstrap time is bounded by this call, and time-to-first-serve
+// is the whole point of a hot spare.
 func (f *Follower) installSnapshot(raw []byte) error {
-	seq, err := journal.RestoreShippedSnapshot(f.store, raw)
+	seq, err := f.log.InstallSnapshot(raw)
 	if err != nil {
 		return f.setFatal(fmt.Errorf("repl: restore snapshot: %w", err))
-	}
-	if err := journal.WriteRawSnapshot(f.cfg.Dir, seq, raw); err != nil {
-		return f.setFatal(err)
-	}
-	if err := f.log.StartAt(seq); err != nil {
-		return f.setFatal(err)
 	}
 	f.applied.Store(seq)
 	f.snapshots.Add(1)
@@ -435,8 +431,8 @@ func (f *Follower) Err() error {
 // AppliedSeq returns the last sequence number applied to the store.
 func (f *Follower) AppliedSeq() uint64 { return f.applied.Load() }
 
-// Close stops replicating and closes the local shipped log. The store
-// keeps serving reads at its last applied state.
+// Close stops replicating and closes the local journal. The store keeps
+// serving reads at its last applied state.
 func (f *Follower) Close() error {
 	f.mu.Lock()
 	if f.closed {
@@ -508,7 +504,7 @@ func (f *Follower) Metrics() FollowerMetrics {
 		Batches:     f.batches.Load(),
 		Snapshots:   f.snapshots.Load(),
 		Reconnects:  f.reconnects.Load(),
-		LogBytes:    f.log.Bytes(),
+		LogBytes:    f.log.Metrics().WALBytes,
 	}
 	if primary > applied {
 		m.SeqLag = primary - applied

@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,6 +261,22 @@ func TestReplicaMatchesPrimaryBytes(t *testing.T) {
 	}
 	diffSurfaces(t, renderSurfaces(t, store, sample), renderSurfaces(t, fstore, sample))
 
+	// The follower's log is its primary's: the same frames, byte for byte,
+	// after the snapshot it bootstrapped from.
+	snapSeq := snapshotSeq(t, jnl.Dir())
+	var logs [2][]byte
+	for i, dir := range []string{jnl.Dir(), f.cfg.Dir} {
+		tr := journal.NewTailReader(dir, snapSeq)
+		logs[i], _, _, err = tr.Next(nil, jnl.LastSeq(), 1<<30)
+		tr.Close()
+		if err != nil {
+			t.Fatalf("read %s after seq %d: %v", dir, snapSeq, err)
+		}
+	}
+	if len(logs[0]) == 0 || !bytes.Equal(logs[0], logs[1]) {
+		t.Fatalf("follower log after seq %d: %d bytes, primary's %d, not byte-identical", snapSeq, len(logs[1]), len(logs[0]))
+	}
+
 	m := f.Metrics()
 	if m.Snapshots != 1 {
 		t.Errorf("follower installed %d snapshots, want 1", m.Snapshots)
@@ -506,15 +524,72 @@ func TestFollowerRejectsEmptyBatch(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatalf("empty batch poisoned the replica: %v", err)
 	}
-	if f.AppliedSeq() != 0 || f.log.LastSeq() != 0 || f.log.Bytes() != 0 || fstore.Generation() != 0 {
+	if f.AppliedSeq() != 0 || f.log.LastSeq() != 0 || f.log.Metrics().WALBytes != 0 || fstore.Generation() != 0 {
 		t.Fatalf("empty batch left a trace: applied %d, log at seq %d with %d bytes, generation %d",
-			f.AppliedSeq(), f.log.LastSeq(), f.log.Bytes(), fstore.Generation())
+			f.AppliedSeq(), f.log.LastSeq(), f.log.Metrics().WALBytes, fstore.Generation())
 	}
 
 	f.Start()
 	waitApplied(t, f, jnl.LastSeq())
 	if pg, fg := store.Generation(), fstore.Generation(); pg != fg {
 		t.Fatalf("generation after the well-formed batch: primary %d, replica %d", pg, fg)
+	}
+}
+
+// TestFollowerAheadOfPrimaryIsRefused: a follower that holds more of primary
+// A's history than primary B has written is refused by B at the handshake —
+// terminally, naming both positions — and B's later records never land on
+// top of A's state.
+func TestFollowerAheadOfPrimaryIsRefused(t *testing.T) {
+	storeA, jnlA := newPrimary(t, t.TempDir())
+	defer jnlA.Close()
+	seedPrimary(t, storeA, 30)
+	srcA := NewSource(jnlA, SourceConfig{})
+	defer srcA.Close()
+	dir := t.TempDir()
+	f, err := NewFollower(registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0))), FollowerConfig{Dir: dir, Dial: pipeDialer(srcA, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	waitApplied(t, f, jnlA.LastSeq())
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	storeB, jnlB := newPrimary(t, t.TempDir())
+	defer jnlB.Close()
+	namesB := seedPrimary(t, storeB, 20)
+	if jnlB.LastSeq() >= jnlA.LastSeq() {
+		t.Fatalf("primary B at seq %d is not behind A's %d", jnlB.LastSeq(), jnlA.LastSeq())
+	}
+	srcB := NewSource(jnlB, SourceConfig{})
+	defer srcB.Close()
+	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
+	f, err = NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(srcB, nil), ReconnectWait: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	gen := fstore.Generation()
+	f.Start()
+	for deadline := time.Now().Add(10 * time.Second); f.Err() == nil; time.Sleep(2 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower at seq %d idles against primary B at seq %d instead of being refused", f.AppliedSeq(), jnlB.LastSeq())
+		}
+	}
+	want := fmt.Sprintf("follower at seq %d is ahead of this primary's log at seq %d", jnlA.LastSeq(), jnlB.LastSeq())
+	if msg := f.Err().Error(); !strings.Contains(msg, want) {
+		t.Fatalf("refusal %q does not say %q", msg, want)
+	}
+
+	mutatePrimary(t, storeB, namesB, 0)
+	if jnlB.LastSeq() <= jnlA.LastSeq() {
+		t.Fatalf("primary B at seq %d has not passed A's %d", jnlB.LastSeq(), jnlA.LastSeq())
+	}
+	time.Sleep(100 * time.Millisecond)
+	if g := fstore.Generation(); g != gen || f.AppliedSeq() != jnlA.LastSeq() {
+		t.Fatalf("refused follower moved: generation %d → %d, applied seq %d (held %d)", gen, g, f.AppliedSeq(), jnlA.LastSeq())
 	}
 }
 
@@ -572,9 +647,9 @@ func TestFollowerSnapshotSizeIsAClaim(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatalf("abandoned snapshot transfer poisoned the replica: %v", err)
 	}
-	if f.AppliedSeq() != 0 || f.log.LastSeq() != 0 || f.log.Bytes() != 0 || fstore.Generation() != 0 {
+	if f.AppliedSeq() != 0 || f.log.LastSeq() != 0 || f.log.Metrics().WALBytes != 0 || fstore.Generation() != 0 {
 		t.Fatalf("abandoned snapshot transfer left a trace: applied %d, log at seq %d with %d bytes, generation %d",
-			f.AppliedSeq(), f.log.LastSeq(), f.log.Bytes(), fstore.Generation())
+			f.AppliedSeq(), f.log.LastSeq(), f.log.Metrics().WALBytes, fstore.Generation())
 	}
 	if _, _, ok, err := journal.LatestSnapshotPath(dir); ok || err != nil {
 		t.Fatalf("abandoned snapshot transfer left a snapshot file behind (%v)", err)

@@ -149,6 +149,12 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 		return fmt.Errorf("handshake: bad magic")
 	}
 	afterSeq := binary.LittleEndian.Uint64(hs[len(handshakeMagic):])
+	// Nothing this primary shipped can put a follower past its log: one that
+	// is ahead holds another primary's history, which no record from here
+	// may extend.
+	if last := s.j.LastSeq(); afterSeq > last {
+		return fmt.Errorf("follower at seq %d is ahead of this primary's log at seq %d", afterSeq, last)
+	}
 	conn.SetReadDeadline(time.Time{}) // ack reads are unbounded; heartbeats police liveness on the follower side
 
 	// Pin the follower's position against segment pruning for the life of
