@@ -117,15 +117,18 @@ func (d *Decoder) Count(limit int) int {
 }
 
 // Str reads a string written by AppendString.
-func (d *Decoder) Str() string {
+func (d *Decoder) Str() string { return string(d.View()) }
+
+// View is Str without the copy: a view of the decoder's input.
+func (d *Decoder) View() []byte {
 	n := d.Uvarint()
 	if n > uint64(len(d.b)) {
 		d.Fail(ErrTruncated)
-		return ""
+		return nil
 	}
-	s := string(d.b[:n])
+	v := d.b[:n:n]
 	d.b = d.b[n:]
-	return s
+	return v
 }
 
 // Time reads an instant written by AppendTime, in UTC.

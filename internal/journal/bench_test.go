@@ -3,6 +3,9 @@ package journal
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -150,5 +153,56 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 				writeSinglePass(b, s, dir, 1, nil, false, v.workers)
 			}
 		})
+	}
+}
+
+// BenchmarkSnapshotInstall installs one fixed snapshot — 50 000 created
+// registrations, each with its transfer code, and a 5 000-event deletion
+// archive — into a fresh 8-shard store on one worker: parse, decode and
+// install as journal.Open and a follower's bootstrap run them. Its
+// allocs/op is the restore's allocation count, which CI gates. The
+// collector is off while the installs are counted: a GC cycle makes
+// allocations of its own, and how many cycles an install takes varies.
+func BenchmarkSnapshotInstall(b *testing.B) {
+	const n, purged = 50_000, 5_000
+	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
+	s := registry.NewStoreWithShards(simtime.NewSimClock(start.At(0, 0, 0)), 8)
+	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Bench Reg"})
+	at := start.At(10, 0, 0)
+	for i := 0; i < n; i++ {
+		if _, err := s.CreateAt(fmt.Sprintf("si%07d.com", i), 900, 1, at); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for i := 0; i < purged; i++ {
+		if _, err := s.SeedAt(fmt.Sprintf("gone%06d.net", i), 900, at, at, at, model.StatusPendingDelete, start.AddDays(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if _, err := registry.NewDropRunner(s, registry.DefaultDropConfig()).Run(start.AddDays(1), rand.New(rand.NewSource(1))); err != nil {
+		b.Fatal(err)
+	}
+	var img snapImage
+	s.ReadSnapshot(true, func(r *registry.SnapshotReader) { img.encode(r, 1, nil, 1) })
+	path, err := img.write(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		restored := registry.NewStoreWithShards(simtime.NewSimClock(start.At(0, 0, 0)), 8)
+		if _, err := restoreShipped(restored, data, 1); err != nil {
+			b.Fatal(err)
+		}
+		if restored.Count() != n {
+			b.Fatalf("restored %d domains, want %d", restored.Count(), n)
+		}
 	}
 }

@@ -113,7 +113,7 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 	for si := range captured.Shards {
 		for k := range captured.Shards[si] {
 			if code, ok := foreign[captured.Shards[si][k].Domain.Name]; ok {
-				captured.Shards[si][k].AuthInfo = code
+				captured.Shards[si][k].AuthInfo = []byte(code)
 			}
 		}
 	}
@@ -141,11 +141,11 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 	for name, sd := range want.domains {
 		tlds[sd.Domain.TLD] = true
 		code, err := s.AuthInfo(name, sd.Domain.RegistrarID)
-		if err != nil || code != sd.AuthInfo {
+		if err != nil || code != string(sd.AuthInfo) {
 			t.Fatalf("%s: oracle carries code %q, store answers %q (%v)", name, sd.AuthInfo, code, err)
 		}
 		switch {
-		case sd.AuthInfo == "":
+		case len(sd.AuthInfo) == 0:
 			seeded++
 		case foreign[name] != "":
 			stored++

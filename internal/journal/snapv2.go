@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"slices"
+	"strings"
 
 	"dropzero/internal/binwire"
 	"dropzero/internal/model"
@@ -376,26 +377,53 @@ func decodeMetaSection(body []byte, zones bool) (snapMeta, error) {
 	return m, d.Finish()
 }
 
+const nameBlockSize = 64 << 10
+
+// spell copies name into block b, starting a new nameBlockSize block when b
+// lacks the room, and returns the copy, so names share blocks as the
+// seeder's do: a builder grown once never moves its buffer, and each
+// String() is a view of it. A store frees no name while it lives, so a
+// block pins nothing that a string per name would have freed.
+func spell(b *strings.Builder, name []byte) string {
+	if b.Cap()-b.Len() < len(name) {
+		*b = strings.Builder{}
+		b.Grow(max(nameBlockSize, len(name)))
+	}
+	off := b.Len()
+	b.Write(name)
+	return b.String()[off:]
+}
+
+// suffixTLD is name's suffix when name ends in "."+tld, else a copy of tld
+// for the store to refuse.
+func suffixTLD(name string, tld []byte) model.TLD {
+	if n := len(name) - len(tld); n > 0 && name[n-1] == '.' && name[n:] == string(tld) {
+		return model.TLD(name[n:])
+	}
+	return model.TLD(tld)
+}
+
 // decodeDomainSection streams one domain section to emit in chunks (reused
 // between calls), so a restore worker never materialises its whole shard
-// before installing.
+// before installing. Each AuthInfo is a view of body.
 func decodeDomainSection(body []byte, emit func([]registry.SnapshotDomain) error) error {
 	d := binwire.NewDecoder(body)
 	d.Uvarint() // writer shard index, informational
 	count := d.Count(math.MaxInt)
 	const chunkSize = 4096
 	chunk := make([]registry.SnapshotDomain, 0, min(count, chunkSize))
+	var names strings.Builder
 	for i := 0; i < count; i++ {
 		var sd registry.SnapshotDomain
 		dom := &sd.Domain
-		dom.Name = d.Str()
+		dom.Name = spell(&names, d.View())
 		dom.ID = d.Uvarint()
-		dom.TLD = model.TLD(d.Str())
+		dom.TLD = suffixTLD(dom.Name, d.View())
 		dom.RegistrarID = d.Int()
 		dom.Created, dom.Updated, dom.Expiry = d.Time(), d.Time(), d.Time()
 		dom.Status = model.Status(d.Byte())
 		dom.DeleteDay = d.Day()
-		sd.AuthInfo = d.Str()
+		sd.AuthInfo = d.View()
 		if d.Err() != nil {
 			break
 		}
@@ -417,11 +445,13 @@ func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent,
 	d := binwire.NewDecoder(body)
 	days := d.Count(math.MaxInt)
 	dels := make(map[simtime.Day][]model.DeletionEvent, min(days, 4096))
+	var names strings.Builder
 	for i := 0; i < days && d.Err() == nil; i++ {
 		day := d.Day()
-		evs := dels[day]
-		for j, n := 0, d.Count(math.MaxInt); j < n && d.Err() == nil; j++ {
-			id, name, tld := d.Uvarint(), d.Str(), d.Str()
+		n := d.Count(math.MaxInt)
+		evs := slices.Grow(dels[day], n)
+		for j := 0; j < n && d.Err() == nil; j++ {
+			id, name, tld := d.Uvarint(), spell(&names, d.View()), d.View()
 			ev, err := model.NewDeletionEvent(id, name, d.Time(), d.Int())
 			if d.Err() != nil {
 				break
@@ -431,7 +461,7 @@ func decodeDeletionsSection(body []byte) (map[simtime.Day][]model.DeletionEvent,
 			}
 			// The event derives its TLD from its name; a section that says
 			// otherwise would not re-encode to the same bytes.
-			if model.TLD(tld) != ev.TLD() {
+			if string(tld) != string(ev.TLD()) {
 				return nil, fmt.Errorf("deletion %q filed under TLD %q", name, tld)
 			}
 			evs = append(evs, ev)

@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
@@ -483,4 +485,103 @@ func FuzzSnapshotDecode(f *testing.F) {
 			t.Error("corrupted snapshot restored silently wrong state")
 		}
 	})
+}
+
+// TestRestoredNamesShareBlocks: a restore spells each section's names into
+// shared 64 KiB blocks. The names it decodes are the encoded ones, and they
+// tile at most ⌈bytes/64 KiB⌉ + 1 ranges of memory — each name starts where
+// the one before it ends, but at a block boundary — where a string per name
+// would leave the allocator's rounding after almost every one. A TLD that
+// is not the name's suffix is still refused, with the error it always had.
+func TestRestoredNamesShareBlocks(t *testing.T) {
+	const n = 12_000
+	at := testStart.At(10, 0, 0)
+	tlds := []model.TLD{"com", "net", "se"}
+	var domains, deleted []string
+	dom := newDomainSection(nil, 0, n, 0)
+	dels := make(map[simtime.Day][]model.DeletionEvent)
+	for i := 0; i < n; i++ {
+		tld := tlds[i%len(tlds)]
+		d := model.Domain{ID: uint64(i + 1), Name: fmt.Sprintf("block%05d.%s", i, tld), TLD: tld, RegistrarID: 900,
+			Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0), Status: model.StatusActive}
+		dom = appendDomain(dom, &d, []byte("AX-restoredcode"))
+		domains = append(domains, d.Name)
+		ev, err := model.NewDeletionEvent(uint64(n+i), fmt.Sprintf("gone%05d.%s", i, tld), at, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		day := testStart.AddDays(i % 3)
+		dels[day] = append(dels[day], ev)
+	}
+	for k := range 3 { // the section holds the archive day by day, in day order
+		for _, ev := range dels[testStart.AddDays(k)] {
+			deleted = append(deleted, ev.Name)
+		}
+	}
+
+	var got []string
+	if err := decodeDomainSection(dom[secHeader+1:], func(chunk []registry.SnapshotDomain) error {
+		for _, sd := range chunk {
+			if string(sd.Domain.TLD) != sd.Domain.Name[len(sd.Domain.Name)-len(sd.Domain.TLD):] || string(sd.AuthInfo) != "AX-restoredcode" {
+				return fmt.Errorf("%s decoded with TLD %q, code %q", sd.Domain.Name, sd.Domain.TLD, sd.AuthInfo)
+			}
+			got = append(got, sd.Domain.Name)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	checkTiled(t, "domain section", got, domains)
+
+	restored, err := decodeDeletionsSection(appendDeletions(nil, dels))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = got[:0]
+	for k := range 3 {
+		for _, ev := range restored[testStart.AddDays(k)] {
+			got = append(got, ev.Name)
+		}
+	}
+	checkTiled(t, "deletion section", got, deleted)
+
+	// Refusals: the name's TLD is "com", the section says otherwise.
+	for _, tld := range []model.TLD{"net", "om", "bad.com", ""} {
+		d := model.Domain{ID: 1, Name: "bad.com", TLD: tld, RegistrarID: 900, Created: at, Updated: at, Expiry: at, Status: model.StatusActive}
+		sec := appendDomain(newDomainSection(nil, 0, 1, 0), &d, nil)
+		err := decodeDomainSection(sec[secHeader+1:], newShardedTestStore(2).InstallRestoredDomains)
+		want := fmt.Sprintf("registry: restore: registry: registration not representable: %q is not under TLD %q", d.Name, tld)
+		if err == nil || err.Error() != want {
+			t.Errorf("TLD %q: %v, want %s", tld, err, want)
+		}
+	}
+	ev, err := model.NewDeletionEvent(1, "gone.com", at, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := appendDeletions(nil, map[simtime.Day][]model.DeletionEvent{testStart: {ev}})
+	body = bytes.Replace(body, []byte("\x03com"), []byte("\x03net"), 1) // the filed TLD, after the name's bytes
+	if _, err := decodeDeletionsSection(body); err == nil || err.Error() != `deletion "gone.com" filed under TLD "net"` {
+		t.Errorf("deletion under a foreign TLD: %v", err)
+	}
+}
+
+// checkTiled fails t unless got equals want and got's names, in order, lie
+// in at most ⌈bytes/64 KiB⌉ + 1 runs of memory where each name starts where
+// the one before it ends.
+func checkTiled(t *testing.T, what string, got, want []string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: decoded %d names, want the %d encoded ones", what, len(got), len(want))
+	}
+	runs, total := 0, 0
+	for i, name := range got {
+		if i == 0 || unsafe.StringData(name) != (*byte)(unsafe.Add(unsafe.Pointer(unsafe.StringData(got[i-1])), len(got[i-1]))) {
+			runs++
+		}
+		total += len(name)
+	}
+	if limit := (total+nameBlockSize-1)/nameBlockSize + 1; runs > limit {
+		t.Fatalf("%s: %d names of %d bytes lie in %d runs of memory, want ≤ %d", what, len(got), total, runs, limit)
+	}
 }

@@ -1,6 +1,8 @@
 package journal
 
 import (
+	"bytes"
+
 	"dropzero/internal/model"
 	"dropzero/internal/par"
 	"dropzero/internal/registry"
@@ -34,7 +36,7 @@ func captureSharded(s *registry.Store) shardedSnapshot {
 			r.VisitShard(i,
 				func(n int) { st.Shards[i] = make([]registry.SnapshotDomain, 0, n) },
 				func(d *model.Domain, authInfo []byte) {
-					st.Shards[i] = append(st.Shards[i], registry.SnapshotDomain{Domain: *d, AuthInfo: string(authInfo)})
+					st.Shards[i] = append(st.Shards[i], registry.SnapshotDomain{Domain: *d, AuthInfo: bytes.Clone(authInfo)})
 				})
 		}
 		r.VisitDeletions(func(dels map[simtime.Day][]model.DeletionEvent) {
@@ -58,7 +60,7 @@ func writeSnapshotV2(dir string, seq uint64, appState []byte, st *shardedSnapsho
 		}
 		b := newDomainSection(nil, i, len(st.Shards[i]), 0)
 		for k := range st.Shards[i] {
-			b = appendDomain(b, &st.Shards[i][k].Domain, []byte(st.Shards[i][k].AuthInfo))
+			b = appendDomain(b, &st.Shards[i][k].Domain, st.Shards[i][k].AuthInfo)
 		}
 		return sealSection(b)
 	})

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"bytes"
+
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
@@ -33,7 +35,7 @@ func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
 			r.VisitShard(i,
 				func(n int) { st.Shards[i] = make([]SnapshotDomain, 0, n) },
 				func(d *model.Domain, authInfo []byte) {
-					st.Shards[i] = append(st.Shards[i], SnapshotDomain{Domain: *d, AuthInfo: string(authInfo)})
+					st.Shards[i] = append(st.Shards[i], SnapshotDomain{Domain: *d, AuthInfo: bytes.Clone(authInfo)})
 				})
 		}
 		r.VisitDeletions(func(dels map[simtime.Day][]model.DeletionEvent) {

@@ -126,7 +126,7 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 		ix  dueIndex
 		tab table
 	)
-	tab.init(maphash.MakeSeed(), 0)
+	tab.init(maphash.MakeSeed())
 	base := simtime.Day{Year: 2018, Month: time.March, Dom: 10}
 	doms := make([]uint32, 6)
 	for i := range doms {

@@ -478,9 +478,9 @@ func (s *Store) applyGroups(ms []Mutation, workers int) error {
 	return nil
 }
 
-// SnapshotDomain is one registration in a store snapshot, paired with its
-// transfer authorisation code ("" when none was minted — seeded domains).
+// SnapshotDomain is one registration in a store snapshot and its transfer
+// code (empty for a seeded domain); the store copies the code to keep it.
 type SnapshotDomain struct {
 	Domain   model.Domain
-	AuthInfo string
+	AuthInfo []byte
 }

@@ -197,23 +197,23 @@ func (sh *shard) authMatches(r *record, presented string) bool {
 }
 
 // setAuthInfo records code as r's transfer code: as a state when it is one
-// of the two derivations (or absent), verbatim otherwise. The caller holds
+// of the two derivations (or absent), as a copy otherwise. The caller holds
 // sh's write lock.
-func (sh *shard) setAuthInfo(r *record, code string) {
+func (sh *shard) setAuthInfo(r *record, code []byte) {
 	var buf [authInfoLen]byte
 	switch {
-	case code == "":
+	case len(code) == 0:
 		r.setAuth(authNone)
-	case code == string(appendAuthInfo(buf[:0], r.id, r.name)):
+	case string(code) == string(appendAuthInfo(buf[:0], r.id, r.name)):
 		r.setAuth(authCreated)
-	case code == string(appendAuthInfo(buf[:0], r.id^authRotate, r.name)):
+	case string(code) == string(appendAuthInfo(buf[:0], r.id^authRotate, r.name)):
 		r.setAuth(authTransferred)
 	default:
 		r.setAuth(authStored)
 		if sh.authStored == nil {
 			sh.authStored = make(map[string]string)
 		}
-		sh.authStored[r.name] = code
+		sh.authStored[r.name] = string(code)
 	}
 }
 

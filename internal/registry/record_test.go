@@ -360,12 +360,12 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 	for _, shard := range snap.Shards {
 		for i := range shard {
 			name := shard[i].Domain.Name
-			if shard[i].AuthInfo != oracle[name] {
+			if string(shard[i].AuthInfo) != oracle[name] {
 				t.Fatalf("snapshot carries %q for %s, oracle %q", shard[i].AuthInfo, name, oracle[name])
 			}
 			if foreign < 2 && shard[i].Domain.Status == model.StatusActive && (foreign == 0) == (oracle[name] != "") {
 				oracle[name] = fmt.Sprintf("legacy-code-%d", foreign)
-				shard[i].AuthInfo = oracle[name]
+				shard[i].AuthInfo = []byte(oracle[name])
 				foreign++
 			}
 			captured++
@@ -382,7 +382,7 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 	recaptured := 0
 	for _, shard := range re.CaptureSnapshotSharded().Shards {
 		for _, sd := range shard {
-			if sd.AuthInfo != oracle[sd.Domain.Name] {
+			if string(sd.AuthInfo) != oracle[sd.Domain.Name] {
 				t.Fatalf("re-captured snapshot carries %q for %s, oracle %q", sd.AuthInfo, sd.Domain.Name, oracle[sd.Domain.Name])
 			}
 			recaptured++

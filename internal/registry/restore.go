@@ -155,19 +155,9 @@ func (s *Store) RestoreRegistrars(rs []model.Registrar) {
 func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 	order, start := s.groupByShard(len(ds), func(i int) string { return ds[i].Domain.Name })
 	for si := range s.shards {
-		idxs := order[start[si]:start[si+1]]
-		if len(idxs) == 0 {
-			continue
-		}
 		sh := &s.shards[si]
 		sh.mu.Lock()
-		if sh.tab.len() == 0 {
-			// The first batch a shard receives is usually its only one
-			// (a section per writer shard): size the name index for it up
-			// front instead of growing it by splitting.
-			sh.tab.init(sh.tab.seed, len(idxs))
-		}
-		for _, i := range idxs {
+		for _, i := range order[start[si]:start[si+1]] {
 			r, err := sh.insert(&ds[i].Domain)
 			if err != nil {
 				sh.mu.Unlock()
@@ -181,14 +171,17 @@ func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 }
 
 // MergeRestoredDeletions appends snapshot deletion-archive days into the
-// store. Safe for concurrent use (the archive lock serialises); each day's
-// events must arrive in archive order within one call, and a given day must
-// come from a single caller (the v2 codec keeps the whole archive in one
-// section, so this holds trivially).
+// store, taking over the slice of a day the archive lacks. Safe for
+// concurrent use (the archive lock serialises); each day's events must
+// arrive in archive order within one call, and a given day from a single
+// caller (the codec keeps the whole archive in one section).
 func (s *Store) MergeRestoredDeletions(dels map[simtime.Day][]model.DeletionEvent) {
 	s.delMu.Lock()
 	for day, evs := range dels {
-		s.deletions[day] = append(s.deletions[day], evs...)
+		if prev := s.deletions[day]; len(prev) != 0 {
+			evs = append(prev, evs...)
+		}
+		s.deletions[day] = evs
 	}
 	s.delMu.Unlock()
 }

@@ -307,7 +307,7 @@ func NewStoreWithShards(clock simtime.Clock, shards int) *Store {
 	// One seed for the whole store; see table.seed.
 	seed := maphash.MakeSeed()
 	for i := range s.shards {
-		s.shards[i].tab.init(seed, 0)
+		s.shards[i].tab.init(seed)
 	}
 	s.zoneTab.init()
 	return s

@@ -47,9 +47,9 @@ const (
 	chunkMask  = chunkSize - 1
 )
 
-// init readies an empty table whose name index is sized for hint entries.
-func (t *table) init(seed maphash.Seed, hint int) {
-	*t = table{seed: seed, hashMask: ^uint32(0), byHash: make(map[uint32]uint32, hint)}
+// init readies an empty table.
+func (t *table) init(seed maphash.Seed) {
+	*t = table{seed: seed, hashMask: ^uint32(0), byHash: make(map[uint32]uint32)}
 }
 
 // len is the number of live registrations.

@@ -20,7 +20,7 @@ type tableModel struct {
 // most names collide and live in overflow; ^0 leaves the real hash.
 func newTableModel(t *testing.T, hashMask uint32) *tableModel {
 	m := &tableModel{t: t, model: make(map[string]record)}
-	m.tab.init(maphash.MakeSeed(), 0)
+	m.tab.init(maphash.MakeSeed())
 	m.tab.hashMask = hashMask
 	return m
 }

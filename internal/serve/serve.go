@@ -31,11 +31,22 @@ type HTTP struct {
 	serveErr
 	name string
 	srv  http.Server
+	live sync.WaitGroup // the serving goroutine and every connection's
 }
 
 // NewHTTP returns a server for h; name prefixes its errors.
 func NewHTTP(name string, h http.Handler) *HTTP {
-	return &HTTP{name: name, srv: http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}}
+	s := &HTTP{name: name, srv: http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}}
+	// A connection's goroutine reports its end as the last thing it does.
+	s.srv.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			s.live.Add(1)
+		case http.StateHijacked, http.StateClosed:
+			s.live.Done()
+		}
+	}
+	return s
 }
 
 // Handler returns the served handler, for httptest and in-process callers.
@@ -53,15 +64,18 @@ func (h *HTTP) Listen(addr string) (net.Addr, error) {
 
 // serve serves ln on a new goroutine until Close.
 func (h *HTTP) serve(ln net.Listener) {
+	h.live.Add(1)
 	go func() {
+		defer h.live.Done()
 		if err := h.srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			h.v.Store(fmt.Errorf("%s: serve: %w", h.name, err))
 		}
 	}()
 }
 
-// Close closes the listener and every connection.
-func (h *HTTP) Close() error { return h.srv.Close() }
+// Close closes the listener and every connection and waits for their
+// goroutines, so nothing the handler reaches is in use once it returns.
+func (h *HTTP) Close() error { defer h.live.Wait(); return h.srv.Close() }
 
 // Conns runs one handler per TCP connection, accepted or handed in.
 type Conns struct {

@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -123,5 +124,38 @@ func TestHeaderTimeout(t *testing.T) {
 	conn.SetReadDeadline(time.Now().Add(2 * time.Second))
 	if _, err := io.ReadAll(conn); err != nil {
 		t.Fatalf("half-sent request still open: %v", err)
+	}
+}
+
+// TestHTTPCloseWaitsForConnections: Close returns only after every
+// connection's goroutine is done with the handler, so nothing the handler
+// reaches is still in use by then.
+func TestHTTPCloseWaitsForConnections(t *testing.T) {
+	started := make(chan struct{})
+	var finished atomic.Bool
+	h := NewHTTP("h", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		close(started)
+		<-r.Context().Done()
+		time.Sleep(50 * time.Millisecond)
+		finished.Store(true)
+	}))
+	addr, err := h.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := io.WriteString(conn, "GET / HTTP/1.1\r\nHost: h\r\n\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	if err := errors.Join(h.Close(), h.Close()); err != nil {
+		t.Fatalf("Close twice: %v", err)
+	}
+	if !finished.Load() {
+		t.Fatal("Close returned while a handler was still running")
 	}
 }
