@@ -41,7 +41,7 @@ func (p duePolicy) dueDay(r *record) uint32 {
 			return zp.dueDay(r)
 		}
 	}
-	switch r.status {
+	switch r.status() {
 	case model.StatusActive:
 		return dayKey(simtime.UnixOf(r.expiry) / daySecs)
 	case model.StatusAutoRenew:

@@ -18,10 +18,10 @@ func bucketDayOf(s *Store, name string) (simtime.Day, bool) {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	r, ref := sh.tab.get(name)
-	if r == nil || int(r.status) >= len(sh.due) {
+	if r == nil || int(r.status()) >= len(sh.due) {
 		return simtime.Day{}, false
 	}
-	for day, b := range sh.due[r.status].buckets {
+	for day, b := range sh.due[r.status()].buckets {
 		if int(r.pos) < len(b) && b[r.pos] == ref {
 			return simtime.DayNumbered(int64(day)), true
 		}
@@ -130,7 +130,9 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	base := simtime.Day{Year: 2018, Month: time.March, Dom: 10}
 	doms := make([]uint32, 6)
 	for i := range doms {
-		_, doms[i] = tab.put(record{id: uint64(i + 1), name: fmt.Sprintf("d%d.com", i)})
+		r := record{id: uint64(i + 1)}
+		r.setName(fmt.Sprintf("d%d.com", i))
+		_, doms[i] = tab.put(r)
 	}
 	key := func(d simtime.Day) uint32 { return uint32(d.Number()) }
 	ix.add(key(base.AddDays(3)), doms[0], &tab)

@@ -19,7 +19,7 @@ func refDueDay(p duePolicy, r *record) simtime.Day {
 	if zp, ok := p.perTLD[r.tld()]; ok {
 		return refDueDay(*zp, r)
 	}
-	switch r.status {
+	switch r.status() {
 	case model.StatusActive:
 		return simtime.DayOf(simtime.UnpackTime(r.expiry))
 	case model.StatusAutoRenew:
@@ -65,18 +65,14 @@ func TestDueDayMatchesCalendar(t *testing.T) {
 		}
 		for i := 0; i < 500; i++ {
 			r := record{
-				name:      []string{"a.com", "b.net", "c.se"}[rng.Intn(3)],
-				meta:      3,
 				created:   instant(),
 				updated:   instant(),
 				expiry:    instant(),
 				registrar: int32(1000 + rng.Intn(4)),
-				status:    model.Status(rng.Intn(4)),
+				meta:      uint8(rng.Intn(4)),
 			}
-			if r.name == "c.se" {
-				r.meta = 2
-			}
-			if r.status == model.StatusPendingDelete && rng.Intn(4) != 0 {
+			r.setName([]string{"a.com", "b.net", "c.se"}[rng.Intn(3)])
+			if r.status() == model.StatusPendingDelete && rng.Intn(4) != 0 {
 				r.deleteDay = uint16(rng.Intn(1 << 16))
 			}
 			ref := refDueDay(p, &r)

@@ -302,10 +302,10 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 		if r == nil {
 			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
-		res.from, res.sponsor = r.status, int(r.registrar)
+		res.from, res.sponsor = r.status(), int(r.registrar)
 		// Convert everything the record will take before touching it, so a
 		// refused record leaves the registration and its index entry alone.
-		next := *r
+		next, status := *r, r.status()
 		var errUpdated, errField error
 		if m.Kind != MutSetState || !m.Updated.IsZero() {
 			next.updated, errUpdated = storedTime(m.Updated)
@@ -313,15 +313,15 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 		switch m.Kind {
 		case MutRenew:
 			next.expiry, errField = storedTime(m.Expiry)
-			next.status = model.StatusActive
+			status = model.StatusActive
 		case MutTransfer:
 			next.registrar, errField = registrar32(m.RegistrarID)
-			next.status = model.StatusActive
+			status = model.StatusActive
 		case MutSetState:
-			next.status = m.Status
+			status = m.Status
 			next.deleteDay, errField = packDay(m.DeleteDay)
 		}
-		if err := errors.Join(errUpdated, errField); err != nil {
+		if err := errors.Join(errUpdated, errField, next.setStatus(status)); err != nil {
 			return res, fmt.Errorf("%w: %q", err, m.Name)
 		}
 		sh.dueRemove(r, ref)
@@ -337,10 +337,10 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 		if r == nil {
 			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
-		if res.ev, err = model.NewDeletionEvent(r.id, r.name, m.Time, m.Rank); err != nil {
+		if res.ev, err = model.NewDeletionEvent(r.id, r.name(), m.Time, m.Rank); err != nil {
 			return res, fmt.Errorf("%w: %w", errUnrepresentable, err)
 		}
-		res.from, res.sponsor = r.status, int(r.registrar)
+		res.from, res.sponsor = r.status(), int(r.registrar)
 		// r is dead once its slot is freed (see table).
 		sh.dueRemove(r, ref)
 		sh.dropAuth(r)

@@ -102,7 +102,7 @@ func (l *Lifecycle) Tick(now time.Time) int {
 		if l.inScope(r.tld()) && simtime.UnixOf(r.expiry) <= nowSec {
 			// Registry auto-renews at expiration; the registrar's grace
 			// clock starts at the old expiry.
-			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusAutoRenew, updated: simtime.UnpackTime(r.expiry)})
+			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusAutoRenew, updated: simtime.UnpackTime(r.expiry)})
 		}
 	})
 	// The calendar's AddDate(0, 0, n) is +n·daySecs in UTC.
@@ -114,12 +114,12 @@ func (l *Lifecycle) Tick(now time.Time) int {
 		if simtime.UnixOf(r.expiry)+daySecs*int64(l.cfg.GraceDaysFor(registrar)) <= nowSec {
 			// Registrar deletes the domain: the batch instant is the "last
 			// updated" timestamp that will drive the deletion order.
-			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, registrar)})
+			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, registrar)})
 		}
 	})
 	l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
 		if l.inScope(r.tld()) && simtime.UnixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
-			changes = append(changes, change{id: r.id, name: r.name, to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
+			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
 		}
 	})
 

@@ -5,24 +5,27 @@ import (
 	"errors"
 	"fmt"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 )
 
 // record is the shard-resident form of one registration: a model.Domain
-// squeezed into 48 bytes with a single pointer word (the name), stored in
-// its shard's table and addressable only under that shard's lock (see
-// table for the validity rule). Time is integer throughout: timestamps are
-// stored instants (simtime.PackTime: 0 = the zero time.Time, otherwise Unix
-// second + 1, so Unix 0 stays distinct from "unset"), the delete day is a day
-// number (packDay). The TLD is the name's last tldLen() bytes, and the
+// squeezed into 40 bytes with a single pointer word (the name's bytes),
+// stored in its shard's table and addressable only under that shard's lock
+// (see table for the validity rule). Time is integer throughout: timestamps
+// are stored instants (simtime.PackTime: 0 = the zero time.Time, otherwise
+// Unix second + 1, so Unix 0 stays distinct from "unset"), the delete day is
+// a day number (packDay). The name is the caller's own string, kept as its
+// data pointer and length: nothing is copied and nothing outlives what a
+// string header would keep alive. The TLD is the name's last label, and the
 // transfer code is a state from which the code is recomputed (authInfo).
 // Records never leave the package: Get, Each, PendingDeletions, snapshot
 // capture and observer events hand out model.Domain values built by
 // domain().
 type record struct {
-	name      string
+	np        *byte // unsafe.StringData(name); nil in a free slot
 	id        uint64
 	created   uint32
 	updated   uint32
@@ -30,25 +33,28 @@ type record struct {
 	registrar int32
 	pos       int32  // index in its due bucket (dueIndex), maintained by add/remove
 	deleteDay uint16 // days since 1970-01-01; 0 = no deletion scheduled
-	status    model.Status
-	meta      uint8 // authState<<6 | TLD length
+	nameLen   uint8
+	meta      uint8 // authState<<6 | status
 }
 
 // errUnrepresentable marks a registration the store cannot hold exactly: an
-// instant, delete day, registrar ID or TLD outside the stored widths.
-// Mutators, replay and restore refuse it before the record or its index
-// entry is touched; nothing is ever rounded or wrapped.
+// instant, delete day, registrar ID, status, name or TLD outside the stored
+// widths. Mutators, replay and restore refuse it before the record or its
+// index entry is touched; nothing is ever rounded or wrapped.
 var errUnrepresentable = errors.New("registry: registration not representable")
 
 // newRecord converts d to its stored form, or fails when any field would
 // not come back from domain() exactly: sub-second or out-of-range
 // timestamps, a registrar ID beyond int32, a delete day outside the day
-// numbers, a TLD that is not the name's dot-separated suffix of at most 63
-// bytes. Timestamps in another location are stored as the same instant in
-// UTC, as simtime.Trunc does on live paths.
+// numbers, a status beyond six bits, a name longer than 255 bytes, a TLD
+// that is not the name's last label of at most 63 bytes. Timestamps in
+// another location are stored as the same instant in UTC, as simtime.Trunc
+// does on live paths.
 func newRecord(d *model.Domain) (record, error) {
-	n := len(d.TLD)
-	if n == 0 || n > tldLenMask || len(d.Name) <= n || d.Name[len(d.Name)-n-1] != '.' || d.Name[len(d.Name)-n:] != string(d.TLD) {
+	if len(d.Name) > 255 {
+		return record{}, fmt.Errorf("%w: name of %d bytes", errUnrepresentable, len(d.Name))
+	}
+	if tld, ok := model.TLDOf(d.Name); !ok || tld != d.TLD || len(tld) > 63 {
 		return record{}, fmt.Errorf("%w: %q is not under TLD %q", errUnrepresentable, d.Name, d.TLD)
 	}
 	registrar, errRegistrar := registrar32(d.RegistrarID)
@@ -56,22 +62,15 @@ func newRecord(d *model.Domain) (record, error) {
 	created, errCreated := storedTime(d.Created)
 	updated, errUpdated := storedTime(d.Updated)
 	expiry, errExpiry := storedTime(d.Expiry)
-	for _, err := range [...]error{errRegistrar, errDay, errCreated, errUpdated, errExpiry} {
+	r := record{id: d.ID, created: created, updated: updated, expiry: expiry, registrar: registrar, deleteDay: day}
+	r.setName(d.Name)
+	errStatus := r.setStatus(d.Status)
+	for _, err := range [...]error{errRegistrar, errDay, errCreated, errUpdated, errExpiry, errStatus} {
 		if err != nil {
 			return record{}, fmt.Errorf("%w: %q", err, d.Name)
 		}
 	}
-	return record{
-		id:        d.ID,
-		name:      d.Name,
-		created:   created,
-		updated:   updated,
-		expiry:    expiry,
-		registrar: registrar,
-		deleteDay: day,
-		status:    d.Status,
-		meta:      uint8(n),
-	}, nil
+	return r, nil
 }
 
 // domain materialises the record as the model.Domain value it was built
@@ -79,27 +78,49 @@ func newRecord(d *model.Domain) (record, error) {
 func (r *record) domain() model.Domain {
 	return model.Domain{
 		ID:          r.id,
-		Name:        r.name,
+		Name:        r.name(),
 		TLD:         r.tld(),
 		RegistrarID: int(r.registrar),
 		Created:     simtime.UnpackTime(r.created),
 		Updated:     simtime.UnpackTime(r.updated),
 		Expiry:      simtime.UnpackTime(r.expiry),
-		Status:      r.status,
+		Status:      r.status(),
 		DeleteDay:   simtime.UnpackDay(r.deleteDay),
 	}
 }
 
-// tldLenMask is the low six bits of record.meta: a TLD is one DNS label, at
-// most 63 bytes.
-const tldLenMask = 1<<6 - 1
+// setName points r at name's bytes. The caller has checked that the length
+// fits a byte (newRecord).
+func (r *record) setName(name string) { r.np, r.nameLen = unsafe.StringData(name), uint8(len(name)) }
 
-// tld is the name's TLD suffix; it shares the name's bytes.
-func (r *record) tld() model.TLD { return model.TLD(r.name[len(r.name)-int(r.meta&tldLenMask):]) }
+// name is the registration's name; it shares the bytes setName was given.
+// A free slot's is empty.
+func (r *record) name() string { return unsafe.String(r.np, r.nameLen) }
+
+// tld is the name's last label; it shares the name's bytes.
+func (r *record) tld() model.TLD {
+	tld, _ := model.TLDOf(r.name())
+	return tld
+}
+
+// statusMask is the low six bits of record.meta.
+const statusMask = 1<<6 - 1
+
+func (r *record) status() model.Status { return model.Status(r.meta & statusMask) }
+
+// setStatus stores s, or refuses one wider than six bits and leaves r as it
+// was.
+func (r *record) setStatus(s model.Status) error {
+	if s > statusMask {
+		return fmt.Errorf("%w: status %d", errUnrepresentable, s)
+	}
+	r.meta = r.meta&^statusMask | uint8(s)
+	return nil
+}
 
 func (r *record) auth() authState { return authState(r.meta >> 6) }
 
-func (r *record) setAuth(a authState) { r.meta = r.meta&tldLenMask | uint8(a)<<6 }
+func (r *record) setAuth(a authState) { r.meta = r.meta&statusMask | uint8(a)<<6 }
 
 // registrar32 is a registrar ID in its stored width.
 func registrar32(id int) (int32, error) {
@@ -173,11 +194,11 @@ func appendAuthInfo(dst []byte, id uint64, name string) []byte {
 func (sh *shard) appendAuthInfo(dst []byte, r *record) []byte {
 	switch r.auth() {
 	case authCreated:
-		return appendAuthInfo(dst, r.id, r.name)
+		return appendAuthInfo(dst, r.id, r.name())
 	case authTransferred:
-		return appendAuthInfo(dst, r.id^authRotate, r.name)
+		return appendAuthInfo(dst, r.id^authRotate, r.name())
 	case authStored:
-		return append(dst, sh.authStored[r.name]...)
+		return append(dst, sh.authStored[r.name()]...)
 	}
 	return dst
 }
@@ -204,16 +225,16 @@ func (sh *shard) setAuthInfo(r *record, code []byte) {
 	switch {
 	case len(code) == 0:
 		r.setAuth(authNone)
-	case string(code) == string(appendAuthInfo(buf[:0], r.id, r.name)):
+	case string(code) == string(appendAuthInfo(buf[:0], r.id, r.name())):
 		r.setAuth(authCreated)
-	case string(code) == string(appendAuthInfo(buf[:0], r.id^authRotate, r.name)):
+	case string(code) == string(appendAuthInfo(buf[:0], r.id^authRotate, r.name())):
 		r.setAuth(authTransferred)
 	default:
 		r.setAuth(authStored)
 		if sh.authStored == nil {
 			sh.authStored = make(map[string]string)
 		}
-		sh.authStored[r.name] = string(code)
+		sh.authStored[r.name()] = string(code)
 	}
 }
 
@@ -226,6 +247,6 @@ func (sh *shard) rotateAuth(r *record) {
 // dropAuth forgets a stored code when r leaves the shard or rotates.
 func (sh *shard) dropAuth(r *record) {
 	if r.auth() == authStored {
-		delete(sh.authStored, r.name)
+		delete(sh.authStored, r.name())
 	}
 }

@@ -14,15 +14,15 @@ import (
 	"dropzero/internal/zone"
 )
 
-// TestRecordFitsOneSizeClass pins the stored form to 48 bytes and a table
-// chunk to 48 KiB — six pages, an allocator size class with no rounding
+// TestRecordFitsOneSizeClass pins the stored form to 40 bytes and a table
+// chunk to 40 KiB — five pages, an allocator size class with no rounding
 // waste; one more word per record would cost 8 bytes per registration.
 func TestRecordFitsOneSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(record{}); size != 48 {
-		t.Fatalf("record is %d bytes, want 48", size)
+	if size := unsafe.Sizeof(record{}); size != 40 {
+		t.Fatalf("record is %d bytes, want 40", size)
 	}
-	if size := unsafe.Sizeof([chunkSize]record{}); size != 48<<10 {
-		t.Fatalf("chunk is %d bytes, want 48 KiB", size)
+	if size := unsafe.Sizeof([chunkSize]record{}); size != 40<<10 {
+		t.Fatalf("chunk is %d bytes, want 40 KiB", size)
 	}
 }
 
@@ -49,6 +49,11 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	f.Add(uint64(11), "notld", "", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), -1, 1, 1)
 	f.Add(uint64(12), "tld63", label63, int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
 	f.Add(uint64(12), "tld64", label63+"t", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
+	f.Add(uint64(13), "a", "b.com", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
+	f.Add(uint64(14), strings.Repeat("n", 251), "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
+	f.Add(uint64(14), strings.Repeat("n", 252), "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
+	f.Add(uint64(15), "status63", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(63), 0, 0, 0)
+	f.Add(uint64(15), "status64", "com", int64(3), int64(5), int64(6), int64(7), 0, uint8(64), 0, 0, 0)
 	f.Fuzz(func(t *testing.T, id uint64, label, tld string, registrar, created, updated, expiry int64, nanos int, status uint8, year, month, dom int) {
 		nanos = ((nanos % 1e9) + 1e9) % 1e9
 		d := model.Domain{
@@ -71,7 +76,9 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			y, m, dd := at.Date()
 			dayFits = dayFits || y == year && int(m) == month && dd == dom && at.Unix() >= 86400 && at.Unix() <= 65535*86400
 		}
-		fits := tld != "" && len(tld) <= 63 &&
+		// The TLD is the name's last label, and the name's length a byte.
+		fits := tld != "" && len(tld) <= 63 && !strings.Contains(tld, ".") &&
+			len(d.Name) <= 255 && status < 64 &&
 			nanos == 0 &&
 			secFits(created) && secFits(updated) && secFits(expiry) &&
 			registrar >= -1<<31 && registrar < 1<<31 &&
@@ -121,6 +128,9 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 		{Kind: MutTransfer, Name: "exact.com", RegistrarID: 1001, Updated: time.Date(1, 1, 1, 0, 0, 1, 0, time.UTC)},
 		{Kind: MutSetState, Name: "exact.com", Status: model.StatusRedemption, Updated: at.AddDate(1000, 0, 0)},
 		{Kind: MutSetState, Name: "exact.com", Status: model.StatusPendingDelete, DeleteDay: simtime.Day{Year: 2149, Month: 6, Dom: 7}},
+		// A status beyond the record's six bits.
+		{Kind: MutSeed, ID: 2, Name: "status.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at, Status: 64},
+		{Kind: MutSetState, Name: "exact.com", Status: 64},
 	}
 	gen := s.Generation()
 	for _, m := range bad {
@@ -142,6 +152,30 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 	}
 	if day, ok := bucketDayOf(s, "exact.com"); !ok || day != beforeDay {
 		t.Fatalf("due bucket = %v (ok=%v), want %v", day, ok, beforeDay)
+	}
+}
+
+// TestRestoreRefusesUnrepresentable: a snapshot registration filed under a
+// TLD that is not its name's last label, or whose name is longer than a
+// record's length byte, is refused, and the store stays as it was.
+func TestRestoreRefusesUnrepresentable(t *testing.T) {
+	s, _ := testStore(t)
+	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
+	if _, err := s.SeedAt("exact.com", 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
+		t.Fatal(err)
+	}
+	gen := s.Generation()
+	for _, d := range []model.Domain{
+		{ID: 2, Name: "a.b.com", TLD: "b.com"},
+		{ID: 3, Name: strings.Repeat("n", 252) + ".com", TLD: "com"},
+	} {
+		d.RegistrarID, d.Created, d.Updated, d.Expiry = 1000, at, at, at.AddDate(1, 0, 0)
+		if err := s.InstallRestoredDomains([]SnapshotDomain{{Domain: d}}); !errors.Is(err, errUnrepresentable) {
+			t.Fatalf("InstallRestoredDomains(%q under %q) = %v, want errUnrepresentable", d.Name, d.TLD, err)
+		}
+		if s.Count() != 1 || s.Generation() != gen {
+			t.Fatalf("refused %q changed the store: count %d, generation %d -> %d", d.Name, s.Count(), gen, s.Generation())
+		}
 	}
 }
 
@@ -216,7 +250,7 @@ func (o authOracle) check(t *testing.T, label string, s *Store) {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		sh.tab.each(func(r *record, _ uint32) bool {
-			name := r.name
+			name := r.name()
 			if got, want := sh.authInfo(r), o[name]; got != want {
 				t.Errorf("%s: %s: code %q, oracle %q", label, name, got, want)
 			}
@@ -438,9 +472,9 @@ func checkDuePositions(t *testing.T, s *Store) {
 				}
 				for pos, ref := range b {
 					r := sh.tab.rec(ref)
-					if got, gotRef := sh.tab.get(r.name); int(r.pos) != pos || int(r.status) != st || sh.policy.dueDay(r) != day || got != r || gotRef != ref {
+					if got, gotRef := sh.tab.get(r.name()); int(r.pos) != pos || int(r.status()) != st || sh.policy.dueDay(r) != day || got != r || gotRef != ref {
 						t.Fatalf("shard %d %v bucket %v[%d]: holds %s (pos %d, status %v, due %v)",
-							i, model.Status(st), day, pos, r.name, r.pos, r.status, sh.policy.dueDay(r))
+							i, model.Status(st), day, pos, r.name(), r.pos, r.status(), sh.policy.dueDay(r))
 					}
 				}
 				indexed += len(b)

@@ -104,7 +104,7 @@ func (s *Store) pendingDeletionsScan(from simtime.Day, days int) []*model.Domain
 	end := from.AddDays(days)
 	out := make([]*model.Domain, 0, 1024)
 	s.each(func(r *record) bool {
-		if r.status != model.StatusPendingDelete {
+		if r.status() != model.StatusPendingDelete {
 			return true
 		}
 		d := r.domain()

@@ -87,11 +87,11 @@ type shard struct {
 // the status counter. The caller holds the shard's write lock; every live
 // domain is indexed exactly once, in the shard its name hashes to.
 func (sh *shard) dueAdd(r *record, ref uint32) {
-	if int(r.status) < len(sh.statusCount) {
-		sh.statusCount[r.status]++
+	if int(r.status()) < len(sh.statusCount) {
+		sh.statusCount[r.status()]++
 	}
-	if int(r.status) < len(sh.due) {
-		sh.due[r.status].add(sh.policy.dueDay(r), ref, &sh.tab)
+	if int(r.status()) < len(sh.due) {
+		sh.due[r.status()].add(sh.policy.dueDay(r), ref, &sh.tab)
 	}
 }
 
@@ -99,11 +99,11 @@ func (sh *shard) dueAdd(r *record, ref uint32) {
 // duePolicy.dueDay (status, expiry, updated, registrar, deleteDay) is
 // mutated, or the removal would look in the wrong bucket.
 func (sh *shard) dueRemove(r *record, ref uint32) {
-	if int(r.status) < len(sh.statusCount) {
-		sh.statusCount[r.status]--
+	if int(r.status()) < len(sh.statusCount) {
+		sh.statusCount[r.status()]--
 	}
-	if int(r.status) < len(sh.due) {
-		sh.due[r.status].remove(sh.policy.dueDay(r), ref, &sh.tab)
+	if int(r.status()) < len(sh.due) {
+		sh.due[r.status()].remove(sh.policy.dueDay(r), ref, &sh.tab)
 	}
 }
 
@@ -256,8 +256,8 @@ func (s *Store) setDuePolicy(p duePolicy) {
 		}
 		sh.policy = p
 		sh.tab.each(func(r *record, ref uint32) bool {
-			if int(r.status) < len(sh.due) {
-				sh.due[r.status].add(p.dueDay(r), ref, &sh.tab)
+			if int(r.status()) < len(sh.due) {
+				sh.due[r.status()].add(p.dueDay(r), ref, &sh.tab)
 			}
 			return true
 		})
@@ -523,8 +523,8 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 			return fmt.Errorf("%w: %q", ErrNotFound, name)
 		case !gainingKnown:
 			return fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, gainingID)
-		case r.status != model.StatusActive && r.status != model.StatusAutoRenew:
-			return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, r.status)
+		case r.status() != model.StatusActive && r.status() != model.StatusAutoRenew:
+			return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, r.status())
 		case int(r.registrar) == gainingID:
 			return fmt.Errorf("%w: %q already sponsored by %d", ErrWrongRegistrar, name, gainingID)
 		case !sh.authMatches(r, authInfo):
@@ -663,8 +663,8 @@ func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent,
 		if r == nil {
 			return fmt.Errorf("%w: %q", ErrNotFound, name)
 		}
-		if r.status != model.StatusPendingDelete {
-			return fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, r.status)
+		if r.status() != model.StatusPendingDelete {
+			return fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, r.status())
 		}
 		m.ID = r.id
 		return nil

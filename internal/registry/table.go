@@ -38,7 +38,7 @@ type table struct {
 	hashMask uint32
 }
 
-// A chunk is 1024 records — 48 KiB, six pages: large enough that chunk pointers and
+// A chunk is 1024 records — 40 KiB, five pages: large enough that chunk pointers and
 // allocation calls are noise, small enough that a shard's half-empty last
 // chunk stays under 1 % of a 100 k-name shard.
 const (
@@ -64,7 +64,7 @@ func (t *table) hash(name string) uint32 {
 // get finds name's registration; r is nil when there is none.
 func (t *table) get(name string) (r *record, ref uint32) {
 	if ref, ok := t.byHash[t.hash(name)]; ok {
-		if r := t.rec(ref); r.name == name {
+		if r := t.rec(ref); r.name() == name {
 			return r, ref
 		}
 	}
@@ -89,14 +89,14 @@ func (t *table) put(rec record) (*record, uint32) {
 		ref = t.next
 		t.next++
 	}
-	h := t.hash(rec.name)
+	h := t.hash(rec.name())
 	if _, taken := t.byHash[h]; !taken {
 		t.byHash[h] = ref
 	} else {
 		if t.overflow == nil {
 			t.overflow = make(map[string]uint32)
 		}
-		t.overflow[rec.name] = ref
+		t.overflow[rec.name()] = ref
 	}
 	r := t.rec(ref)
 	*r = rec
@@ -108,11 +108,11 @@ func (t *table) put(rec record) (*record, uint32) {
 // get falls through to them once byHash misses.
 func (t *table) del(ref uint32) {
 	r := t.rec(ref)
-	h := t.hash(r.name)
+	h := t.hash(r.name())
 	if cur, ok := t.byHash[h]; ok && cur == ref {
 		delete(t.byHash, h)
 	} else {
-		delete(t.overflow, r.name)
+		delete(t.overflow, r.name())
 	}
 	*r = record{}
 	t.free = append(t.free, ref)
@@ -123,7 +123,7 @@ func (t *table) del(ref uint32) {
 // reports whether it got through them all.
 func (t *table) each(fn func(r *record, ref uint32) bool) bool {
 	for ref := uint32(0); ref < t.next; ref++ {
-		if r := t.rec(ref); r.name != "" && !fn(r, ref) {
+		if r := t.rec(ref); r.np != nil && !fn(r, ref) {
 			return false
 		}
 	}

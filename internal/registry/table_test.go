@@ -50,7 +50,8 @@ func (m *tableModel) put(name string) {
 		return
 	}
 	m.nextID++
-	rec := record{id: m.nextID, name: name, registrar: int32(m.nextID % 7), meta: 3}
+	rec := record{id: m.nextID, registrar: int32(m.nextID % 7), meta: 3}
+	rec.setName(name)
 	wantRef, grown := m.tab.next, m.tab.next+1
 	if n := len(m.tab.free); n > 0 {
 		wantRef, grown = m.tab.free[n-1], m.tab.next
@@ -98,10 +99,10 @@ func (m *tableModel) check() {
 	seen := make(map[string]bool, len(m.model))
 	last := -1
 	m.tab.each(func(r *record, ref uint32) bool {
-		if want, ok := m.model[r.name]; !ok || *r != want || seen[r.name] || int(ref) <= last || m.tab.rec(ref) != r {
-			m.t.Fatalf("each visited %+v at ref %d (after ref %d, seen before: %v)", *r, ref, last, seen[r.name])
+		if want, ok := m.model[r.name()]; !ok || *r != want || seen[r.name()] || int(ref) <= last || m.tab.rec(ref) != r {
+			m.t.Fatalf("each visited %+v at ref %d (after ref %d, seen before: %v)", *r, ref, last, seen[r.name()])
 		}
-		seen[r.name], last = true, int(ref)
+		seen[r.name()], last = true, int(ref)
 		return true
 	})
 	if len(seen) != len(m.model) {
