@@ -100,7 +100,7 @@ func (r *DropRunner) BuildQueue(day simtime.Day) []QueueEntry {
 	q := make([]QueueEntry, len(recs))
 	for i := range recs {
 		rec := &recs[i]
-		q[i] = QueueEntry{Name: rec.name(), TLD: rec.tld(), ID: rec.id, Updated: simtime.UnpackTime(rec.updated)}
+		q[i] = QueueEntry{Name: rec.name(), TLD: rec.tld(), ID: uint64(rec.id), Updated: simtime.UnpackTime(rec.updated)}
 	}
 	return q
 }

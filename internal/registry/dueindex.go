@@ -64,51 +64,69 @@ func dayKey(n int64) uint32 { return uint32(min(max(n, 0), math.MaxUint32)) }
 
 // dueIndex is one lifecycle state's time-bucketed secondary index: every
 // live registration in that state, bucketed by due day number. A bucket is a
-// slice of table refs and each record stores its own position in it, so
-// removal is an O(1) swap with the last entry. Bucket-internal order depends
-// on the history of adds and removes, so every consumer imposes its own
-// deterministic sort.
+// doubly linked list threaded through its records (record.prev, record.next:
+// table refs plus one, 0 for none), so the index itself holds one head per
+// non-empty day and nothing per registration; add pushes at the front and
+// remove is an O(1) unlink. A registration in no bucket has zero links.
+// Bucket-internal order depends on the history of adds and removes, so every
+// consumer imposes its own deterministic sort.
 // days mirrors the non-empty bucket keys in ascending order, which is what
 // makes "walk everything due through day D" O(due work) instead of
 // O(store).
 type dueIndex struct {
-	buckets map[uint32][]uint32
-	days    []uint32
+	heads map[uint32]uint32 // day → first ref+1
+	days  []uint32
 }
 
-// add files t's slot ref under day.
+// add files t's slot ref under day, at the front of its bucket.
 func (ix *dueIndex) add(day, ref uint32, t *table) {
-	b, ok := ix.buckets[day]
-	if !ok {
-		if ix.buckets == nil {
-			ix.buckets = make(map[uint32][]uint32)
+	head, ok := ix.heads[day]
+	if ok {
+		t.rec(head - 1).prev = ref + 1
+	} else {
+		if ix.heads == nil {
+			ix.heads = make(map[uint32]uint32)
 		}
 		if i, found := slices.BinarySearch(ix.days, day); !found {
 			ix.days = slices.Insert(ix.days, i, day)
 		}
 	}
-	t.rec(ref).pos = int32(len(b))
-	ix.buckets[day] = append(b, ref)
+	r := t.rec(ref)
+	r.prev, r.next = 0, head
+	ix.heads[day] = ref + 1
 }
 
-// remove takes t's slot ref out of day's bucket; a ref the bucket does not
-// hold at its record's pos is left alone.
+// remove unlinks t's slot ref from day's bucket and zeroes its links; a
+// record that is neither linked nor day's head is left alone.
 func (ix *dueIndex) remove(day, ref uint32, t *table) {
-	b := ix.buckets[day]
-	i, last := int(t.rec(ref).pos), len(b)-1
-	if i > last || b[i] != ref {
+	r := t.rec(ref)
+	switch {
+	case r.prev != 0:
+		t.rec(r.prev - 1).next = r.next
+	case ix.heads[day] != ref+1:
 		return
-	}
-	b[i] = b[last]
-	t.rec(b[i]).pos = int32(i)
-	if last == 0 {
-		delete(ix.buckets, day)
+	case r.next != 0:
+		ix.heads[day] = r.next
+	default:
+		delete(ix.heads, day)
 		if i, found := slices.BinarySearch(ix.days, day); found {
 			ix.days = slices.Delete(ix.days, i, i+1)
 		}
-		return
 	}
-	ix.buckets[day] = b[:last]
+	if r.next != 0 {
+		t.rec(r.next - 1).prev = r.prev
+	}
+	r.prev, r.next = 0, 0
+}
+
+// bucket calls fn for every registration filed under day. fn must not add
+// or remove index entries.
+func (ix *dueIndex) bucket(day uint32, t *table, fn func(*record)) {
+	for ref := ix.heads[day]; ref != 0; {
+		r := t.rec(ref - 1)
+		ref = r.next
+		fn(r)
+	}
 }
 
 // through calls fn for every registration whose bucket day is on or before
@@ -119,19 +137,17 @@ func (ix *dueIndex) through(limit simtime.Day, t *table, fn func(*record)) {
 		if day > end {
 			return
 		}
-		for _, ref := range ix.buckets[day] {
-			fn(t.rec(ref))
-		}
+		ix.bucket(day, t, fn)
 	}
 }
 
-// eachBucket visits every non-empty bucket with day in [from, to), in
-// ascending day order; the bucket of registrations with no day (key 0) is in
-// no window. fn must not add or remove index entries.
-func (ix *dueIndex) eachBucket(from, to simtime.Day, fn func([]uint32)) {
+// eachBucket calls fn for every registration whose bucket day is in
+// [from, to), in ascending day order; the bucket of registrations with no day
+// (key 0) is in no window. fn must not add or remove index entries.
+func (ix *dueIndex) eachBucket(from, to simtime.Day, t *table, fn func(*record)) {
 	end := dayKey(to.Number())
 	i, _ := slices.BinarySearch(ix.days, max(dayKey(from.Number()), 1))
 	for ; i < len(ix.days) && ix.days[i] < end; i++ {
-		fn(ix.buckets[ix.days[i]])
+		ix.bucket(ix.days[i], t, fn)
 	}
 }

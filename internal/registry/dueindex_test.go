@@ -17,16 +17,26 @@ func bucketDayOf(s *Store, name string) (simtime.Day, bool) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	r, ref := sh.tab.get(name)
+	r, _ := sh.tab.get(name)
 	if r == nil || int(r.status()) >= len(sh.due) {
 		return simtime.Day{}, false
 	}
-	for day, b := range sh.due[r.status()].buckets {
-		if int(r.pos) < len(b) && b[r.pos] == ref {
+	ix := &sh.due[r.status()]
+	for _, day := range ix.days {
+		found := false
+		ix.bucket(day, &sh.tab, func(b *record) { found = found || b == r })
+		if found {
 			return simtime.DayNumbered(int64(day)), true
 		}
 	}
 	return simtime.Day{}, false
+}
+
+// bucketLen counts day's bucket by walking it.
+func bucketLen(ix *dueIndex, day uint32, t *table) int {
+	n := 0
+	ix.bucket(day, t, func(*record) { n++ })
+	return n
 }
 
 // indexSize counts every indexed domain across all shards and states, for
@@ -37,8 +47,8 @@ func indexSize(s *Store) int {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		for j := range sh.due {
-			for _, b := range sh.due[j].buckets {
-				n += len(b)
+			for _, day := range sh.due[j].days {
+				n += bucketLen(&sh.due[j], day, &sh.tab)
 			}
 		}
 		sh.mu.RUnlock()
@@ -130,7 +140,7 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	base := simtime.Day{Year: 2018, Month: time.March, Dom: 10}
 	doms := make([]uint32, 6)
 	for i := range doms {
-		r := record{id: uint64(i + 1)}
+		r := record{id: uint32(i + 1)}
 		r.setName(fmt.Sprintf("d%d.com", i))
 		_, doms[i] = tab.put(r)
 	}
@@ -140,12 +150,12 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	ix.add(key(base.AddDays(7)), doms[2], &tab)
 	ix.add(key(base), doms[3], &tab)
 
-	var seen []uint64
+	var seen []uint32
 	ix.through(base.AddDays(3), &tab, func(r *record) { seen = append(seen, r.id) })
 	if len(seen) != 3 {
 		t.Fatalf("through visited %d, want 3 (two at base, one at +3)", len(seen))
 	}
-	if got := len(ix.buckets[key(base)]); got != 2 {
+	if got := bucketLen(&ix, key(base), &tab); got != 2 {
 		t.Fatalf("count(base) = %d, want 2", got)
 	}
 
@@ -155,19 +165,55 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	if got := len(ix.days); got != 2 {
 		t.Fatalf("days after emptying base = %d, want 2", got)
 	}
+	if r := tab.rec(doms[1]); r.prev != 0 || r.next != 0 {
+		t.Fatalf("removed record keeps links %d, %d", r.prev, r.next)
+	}
 	ix.add(key(base), doms[4], &tab)
-	days := 0
-	ix.eachBucket(base, base.AddDays(8), func([]uint32) { days++ })
-	if days != 3 {
-		t.Fatalf("eachBucket visited %d days, want 3", days)
+	seen = seen[:0]
+	ix.eachBucket(base, base.AddDays(8), &tab, func(r *record) { seen = append(seen, r.id) })
+	if fmt.Sprint(seen) != "[5 1 3]" {
+		t.Fatalf("eachBucket visited IDs %v, want [5 1 3] (days base, +3, +7)", seen)
 	}
 
 	// Removing from an unknown day, or a record its bucket does not hold,
 	// is a no-op.
 	ix.remove(key(base.AddDays(99)), doms[0], &tab)
 	ix.remove(key(base), doms[5], &tab)
-	if got := len(ix.buckets[key(base)]); got != 1 {
+	if got := bucketLen(&ix, key(base), &tab); got != 1 {
 		t.Fatalf("count(base) after no-op removes = %d, want 1", got)
+	}
+	if got := bucketLen(&ix, key(base.AddDays(3)), &tab); got != 1 {
+		t.Fatalf("count(base+3) after no-op removes = %d, want 1", got)
+	}
+}
+
+// TestUnindexedStatusHasNoLinks: a registration moved to a state with no due
+// index leaves its bucket with zero links — the update must not write the
+// links it had back — and rejoins a bucket when it returns to one. One
+// shard, so the three share a bucket and the middle one has two neighbours.
+func TestUnindexedStatusHasNoLinks(t *testing.T) {
+	clock := testClock()
+	s := NewStoreWithShards(clock, 1)
+	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test Registrar"})
+	NewLifecycle(s, DefaultLifecycleConfig())
+	for _, name := range []string{"first.com", "middle.com", "last.com"} {
+		if _, err := s.Create(name, 1000, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.setState("middle.com", model.StatusDeleted, clock.Now(), simtime.Day{}); err != nil {
+		t.Fatal(err)
+	}
+	checkDuePositions(t, s)
+	if _, ok := bucketDayOf(s, "middle.com"); ok {
+		t.Fatal("a deleted-status registration is still in a bucket")
+	}
+	if err := s.setState("middle.com", model.StatusActive, clock.Now(), simtime.Day{}); err != nil {
+		t.Fatal(err)
+	}
+	checkDuePositions(t, s)
+	if n := indexSize(s); n != 3 {
+		t.Fatalf("index holds %d registrations, want 3", n)
 	}
 }
 

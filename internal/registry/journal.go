@@ -246,9 +246,9 @@ type purged struct {
 // own refusals (sponsor, auth, status, term) are theirs to make first. The
 // caller holds sh's write lock and owns the generation bump.
 //
-// A create or seed with ID zero — a live one — takes the next ID once
-// nothing can refuse it, so a refused create consumes none; a replayed one
-// keeps its ID and raises the allocator to it. A purge archives its event,
+// A create or seed with ID zero — a live one — reserves the next ID once
+// nothing else can refuse it, so a refused create consumes none; a replayed
+// one keeps its ID and raises the allocator to it. A purge archives its event,
 // or, when held is non-nil (a batch), holds it with batch position idx for
 // ApplyBatch to archive in batch order.
 func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (res applied, err error) {
@@ -272,13 +272,15 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 			d.Status = m.Status
 			d.DeleteDay = m.DeleteDay
 		}
-		r, err := sh.insert(&d)
+		rec, err := sh.prepare(&d)
 		if err != nil {
 			return res, err
 		}
 		if m.ID == 0 {
-			m.ID = s.nextID.Add(1)
-			r.id = m.ID
+			if m.ID, err = s.reserveID(); err != nil {
+				return res, err
+			}
+			rec.id = uint32(m.ID)
 		} else {
 			// Atomic-max, not load-then-store: ApplyBatch applies shard
 			// groups concurrently, and a plain racing store could leave the
@@ -292,8 +294,9 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 		}
 		if m.Kind == MutCreate {
 			// Creates mint a transfer code; seeds do not (SeedAt's contract).
-			r.setAuth(authCreated)
+			rec.setAuth(authCreated)
 		}
+		sh.insert(rec)
 		res.tld = tld
 		return res, nil
 
@@ -325,6 +328,7 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 			return res, fmt.Errorf("%w: %q", err, m.Name)
 		}
 		sh.dueRemove(r, ref)
+		next.prev, next.next = 0, 0 // dueRemove unlinked r; next holds its old links
 		*r = next
 		sh.dueAdd(r, ref)
 		if m.Kind == MutTransfer {
@@ -337,7 +341,7 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 		if r == nil {
 			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
-		if res.ev, err = model.NewDeletionEvent(r.id, r.name(), m.Time, m.Rank); err != nil {
+		if res.ev, err = model.NewDeletionEvent(uint64(r.id), r.name(), m.Time, m.Rank); err != nil {
 			return res, fmt.Errorf("%w: %w", errUnrepresentable, err)
 		}
 		res.from, res.sponsor = r.status(), int(r.registrar)

@@ -77,7 +77,7 @@ func (l *Lifecycle) inScope(t model.TLD) bool {
 // needs, derived once during the sweep — no deferred closure re-deriving
 // state per candidate, and no Domain copy per examined domain.
 type change struct {
-	id      uint64
+	id      uint32
 	name    string
 	to      model.Status
 	updated time.Time   // zero = keep the current last-updated timestamp

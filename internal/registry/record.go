@@ -4,6 +4,7 @@ import (
 	"crypto/subtle"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 	"unsafe"
 
@@ -17,39 +18,43 @@ import (
 // (see table for the validity rule). Time is integer throughout: timestamps
 // are stored instants (simtime.PackTime: 0 = the zero time.Time, otherwise
 // Unix second + 1, so Unix 0 stays distinct from "unset"), the delete day is
-// a day number (packDay). The name is the caller's own string, kept as its
+// a day number (packDay). The object ID is 32 bits: the store's allocator is
+// the only source of IDs. The name is the caller's own string, kept as its
 // data pointer and length: nothing is copied and nothing outlives what a
 // string header would keep alive. The TLD is the name's last label, and the
 // transfer code is a state from which the code is recomputed (authInfo).
-// Records never leave the package: Get, Each, PendingDeletions, snapshot
-// capture and observer events hand out model.Domain values built by
-// domain().
+// The record also carries its due bucket's links, so the due index holds
+// nothing per registration. Records never leave the package: Get, Each,
+// PendingDeletions, snapshot capture and observer events hand out
+// model.Domain values built by domain().
 type record struct {
-	np        *byte // unsafe.StringData(name); nil in a free slot
-	id        uint64
+	np        *byte  // unsafe.StringData(name); nil in a free slot
+	id        uint32 // the store's allocator hands out 1, 2, …
 	created   uint32
 	updated   uint32
 	expiry    uint32
 	registrar int32
-	pos       int32  // index in its due bucket (dueIndex), maintained by add/remove
-	deleteDay uint16 // days since 1970-01-01; 0 = no deletion scheduled
-	nameLen   uint8
-	meta      uint8 // authState<<6 | status
+	// prev and next link the record into its due bucket (dueIndex): table
+	// refs plus one, 0 for none. Only dueIndex.add and remove set them.
+	prev, next uint32
+	deleteDay  uint16 // days since 1970-01-01; 0 = no deletion scheduled
+	nameLen    uint8
+	meta       uint8 // authState<<6 | status
 }
 
 // errUnrepresentable marks a registration the store cannot hold exactly: an
-// instant, delete day, registrar ID, status, name or TLD outside the stored
-// widths. Mutators, replay and restore refuse it before the record or its
-// index entry is touched; nothing is ever rounded or wrapped.
+// object ID, instant, delete day, registrar ID, status, name or TLD outside
+// the stored widths. Mutators, replay and restore refuse it before the
+// record or its index entry is touched; nothing is ever rounded or wrapped.
 var errUnrepresentable = errors.New("registry: registration not representable")
 
 // newRecord converts d to its stored form, or fails when any field would
-// not come back from domain() exactly: sub-second or out-of-range
-// timestamps, a registrar ID beyond int32, a delete day outside the day
-// numbers, a status beyond six bits, a name longer than 255 bytes, a TLD
-// that is not the name's last label of at most 63 bytes. Timestamps in
-// another location are stored as the same instant in UTC, as simtime.Trunc
-// does on live paths.
+// not come back from domain() exactly: an object ID of 2³² or more,
+// sub-second or out-of-range timestamps, a registrar ID beyond int32, a
+// delete day outside the day numbers, a status beyond six bits, a name
+// longer than 255 bytes, a TLD that is not the name's last label of at most
+// 63 bytes. Timestamps in another location are stored as the same instant
+// in UTC, as simtime.Trunc does on live paths.
 func newRecord(d *model.Domain) (record, error) {
 	if len(d.Name) > 255 {
 		return record{}, fmt.Errorf("%w: name of %d bytes", errUnrepresentable, len(d.Name))
@@ -57,12 +62,15 @@ func newRecord(d *model.Domain) (record, error) {
 	if tld, ok := model.TLDOf(d.Name); !ok || tld != d.TLD || len(tld) > 63 {
 		return record{}, fmt.Errorf("%w: %q is not under TLD %q", errUnrepresentable, d.Name, d.TLD)
 	}
+	if d.ID > math.MaxUint32 {
+		return record{}, fmt.Errorf("%w: object ID %d", errUnrepresentable, d.ID)
+	}
 	registrar, errRegistrar := registrar32(d.RegistrarID)
 	day, errDay := packDay(d.DeleteDay)
 	created, errCreated := storedTime(d.Created)
 	updated, errUpdated := storedTime(d.Updated)
 	expiry, errExpiry := storedTime(d.Expiry)
-	r := record{id: d.ID, created: created, updated: updated, expiry: expiry, registrar: registrar, deleteDay: day}
+	r := record{id: uint32(d.ID), created: created, updated: updated, expiry: expiry, registrar: registrar, deleteDay: day}
 	r.setName(d.Name)
 	errStatus := r.setStatus(d.Status)
 	for _, err := range [...]error{errRegistrar, errDay, errCreated, errUpdated, errExpiry, errStatus} {
@@ -77,7 +85,7 @@ func newRecord(d *model.Domain) (record, error) {
 // from.
 func (r *record) domain() model.Domain {
 	return model.Domain{
-		ID:          r.id,
+		ID:          uint64(r.id),
 		Name:        r.name(),
 		TLD:         r.tld(),
 		RegistrarID: int(r.registrar),
@@ -194,9 +202,9 @@ func appendAuthInfo(dst []byte, id uint64, name string) []byte {
 func (sh *shard) appendAuthInfo(dst []byte, r *record) []byte {
 	switch r.auth() {
 	case authCreated:
-		return appendAuthInfo(dst, r.id, r.name())
+		return appendAuthInfo(dst, uint64(r.id), r.name())
 	case authTransferred:
-		return appendAuthInfo(dst, r.id^authRotate, r.name())
+		return appendAuthInfo(dst, uint64(r.id^authRotate), r.name())
 	case authStored:
 		return append(dst, sh.authStored[r.name()]...)
 	}
@@ -225,9 +233,9 @@ func (sh *shard) setAuthInfo(r *record, code []byte) {
 	switch {
 	case len(code) == 0:
 		r.setAuth(authNone)
-	case string(code) == string(appendAuthInfo(buf[:0], r.id, r.name())):
+	case string(code) == string(appendAuthInfo(buf[:0], uint64(r.id), r.name())):
 		r.setAuth(authCreated)
-	case string(code) == string(appendAuthInfo(buf[:0], r.id^authRotate, r.name())):
+	case string(code) == string(appendAuthInfo(buf[:0], uint64(r.id^authRotate), r.name())):
 		r.setAuth(authTransferred)
 	default:
 		r.setAuth(authStored)

@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -34,7 +35,8 @@ func FuzzRecordRoundTrip(f *testing.F) {
 	zeroSec := time.Time{}.Unix()
 	label63 := strings.Repeat("t", 63)
 	f.Add(uint64(1), "example", "com", int64(1000), int64(1500000000), int64(1510000000), int64(1530000000), 0, uint8(0), 0, 0, 0)
-	f.Add(uint64(1<<63), "zero-times", "net", int64(0), zeroSec, zeroSec, zeroSec, 0, uint8(3), 2018, 3, 8)
+	f.Add(uint64(1<<32-1), "zero-times", "net", int64(0), zeroSec, zeroSec, zeroSec, 0, uint8(3), 2018, 3, 8)
+	f.Add(uint64(1<<32), "bigid", "net", int64(3), int64(5), int64(6), int64(7), 0, uint8(0), 0, 0, 0)
 	f.Add(uint64(7), "nordic", "se", int64(-5), int64(0), int64(1), lastSec, 0, uint8(4), 2018, 12, 31)
 	f.Add(uint64(7), "past-the-end", "se", int64(5), int64(0), int64(1), lastSec+1, 0, uint8(4), 0, 0, 0)
 	f.Add(uint64(7), "before-the-epoch", "se", int64(5), int64(-1), int64(0), int64(1), 0, uint8(4), 0, 0, 0)
@@ -77,7 +79,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 			dayFits = dayFits || y == year && int(m) == month && dd == dom && at.Unix() >= 86400 && at.Unix() <= 65535*86400
 		}
 		// The TLD is the name's last label, and the name's length a byte.
-		fits := tld != "" && len(tld) <= 63 && !strings.Contains(tld, ".") &&
+		fits := id < 1<<32 && tld != "" && len(tld) <= 63 && !strings.Contains(tld, ".") &&
 			len(d.Name) <= 255 && status < 64 &&
 			nanos == 0 &&
 			secFits(created) && secFits(updated) && secFits(expiry) &&
@@ -131,8 +133,11 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 		// A status beyond the record's six bits.
 		{Kind: MutSeed, ID: 2, Name: "status.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at, Status: 64},
 		{Kind: MutSetState, Name: "exact.com", Status: 64},
+		// An object ID beyond the record's 32 bits.
+		{Kind: MutSeed, ID: 1 << 32, Name: "bigid.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at},
+		{Kind: MutCreate, ID: 1 << 32, Name: "bigid.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at},
 	}
-	gen := s.Generation()
+	gen, nextID := s.Generation(), s.nextID.Load()
 	for _, m := range bad {
 		if err := s.Apply(m); !errors.Is(err, errUnrepresentable) {
 			t.Fatalf("Apply(%v %q) = %v, want errUnrepresentable", m.Kind, m.Name, err)
@@ -143,8 +148,9 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 			}
 		}
 	}
-	if s.Count() != 1 || s.Generation() != gen {
-		t.Fatalf("refused records changed the store: count %d, generation %d -> %d", s.Count(), gen, s.Generation())
+	if s.Count() != 1 || s.Generation() != gen || s.nextID.Load() != nextID {
+		t.Fatalf("refused records changed the store: count %d, generation %d -> %d, allocator %d -> %d",
+			s.Count(), gen, s.Generation(), nextID, s.nextID.Load())
 	}
 	after, _ := s.Get("exact.com")
 	if *after != *before {
@@ -168,6 +174,7 @@ func TestRestoreRefusesUnrepresentable(t *testing.T) {
 	for _, d := range []model.Domain{
 		{ID: 2, Name: "a.b.com", TLD: "b.com"},
 		{ID: 3, Name: strings.Repeat("n", 252) + ".com", TLD: "com"},
+		{ID: 1 << 32, Name: "bigid.com", TLD: "com"},
 	} {
 		d.RegistrarID, d.Created, d.Updated, d.Expiry = 1000, at, at, at.AddDate(1, 0, 0)
 		if err := s.InstallRestoredDomains([]SnapshotDomain{{Domain: d}}); !errors.Is(err, errUnrepresentable) {
@@ -177,6 +184,44 @@ func TestRestoreRefusesUnrepresentable(t *testing.T) {
 			t.Fatalf("refused %q changed the store: count %d, generation %d -> %d", d.Name, s.Count(), gen, s.Generation())
 		}
 	}
+}
+
+// TestExhaustedAllocatorRefusesCreates: the allocator hands out IDs up to
+// 2³²−1, the last a record holds. Past it a live create or seed is refused
+// without consuming an ID or changing the store, while a replayed create,
+// which brings its own ID, still lands.
+func TestExhaustedAllocatorRefusesCreates(t *testing.T) {
+	s, clock := testStore(t)
+	at := simtime.Trunc(clock.Now())
+	s.FinishRestore(s.Generation(), math.MaxUint32-1)
+	d, err := s.CreateAt("last.com", 1000, 1, at)
+	if err != nil || d.ID != math.MaxUint32 {
+		t.Fatalf("CreateAt at the allocator's last ID = %+v, %v; want ID %d", d, err, uint64(math.MaxUint32))
+	}
+	if got, _ := s.Get("last.com"); got.ID != math.MaxUint32 {
+		t.Fatalf("stored ID = %d, want %d", got.ID, uint64(math.MaxUint32))
+	}
+	count, gen := s.Count(), s.Generation()
+	if _, err := s.CreateAt("late.com", 1000, 1, at); !errors.Is(err, errUnrepresentable) {
+		t.Fatalf("CreateAt past the allocator = %v, want errUnrepresentable", err)
+	}
+	if _, err := s.SeedAt("late.net", 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); !errors.Is(err, errUnrepresentable) {
+		t.Fatalf("SeedAt past the allocator = %v, want errUnrepresentable", err)
+	}
+	if s.Count() != count || s.Generation() != gen || s.nextID.Load() != math.MaxUint32 {
+		t.Fatalf("refused creates changed the store: count %d -> %d, generation %d -> %d, allocator %d",
+			count, s.Count(), gen, s.Generation(), s.nextID.Load())
+	}
+	if err := s.Apply(Mutation{Kind: MutCreate, ID: 7, Name: "replayed.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Get("replayed.com"); err != nil || got.ID != 7 {
+		t.Fatalf("replayed create = %+v, %v; want ID 7", got, err)
+	}
+	if s.nextID.Load() != math.MaxUint32 {
+		t.Fatalf("a replayed lower ID moved the allocator to %d", s.nextID.Load())
+	}
+	checkDuePositions(t, s)
 }
 
 // TestTransferRejectsBadAuthInfo: every way of not knowing the code is
@@ -448,41 +493,53 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 }
 
 // checkDuePositions asserts the due index's structural invariant: every
-// live registration sits in exactly one bucket — the one for its status and
-// policy due day — at the position it records.
+// bucket is a well-formed list (each prev mirrors the next before it) of
+// registrations in its status with its policy due day, every live
+// registration in an indexed status is reached exactly once, and one in a
+// status with no index has zero links.
 func checkDuePositions(t *testing.T, s *Store) {
 	t.Helper()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		indexed := 0
+		reached := make(map[uint32]bool)
 		for st := range sh.due {
 			ix := &sh.due[st]
-			if len(ix.days) != len(ix.buckets) {
-				t.Fatalf("shard %d %v: %d days for %d buckets", i, model.Status(st), len(ix.days), len(ix.buckets))
+			if len(ix.days) != len(ix.heads) {
+				t.Fatalf("shard %d %v: %d days for %d heads", i, model.Status(st), len(ix.days), len(ix.heads))
 			}
 			for k := 1; k < len(ix.days); k++ {
 				if ix.days[k-1] >= ix.days[k] {
 					t.Fatalf("shard %d %v: days out of order at %d", i, model.Status(st), k)
 				}
 			}
-			for day, b := range ix.buckets {
-				if len(b) == 0 {
-					t.Fatalf("shard %d %v: empty bucket %v kept", i, model.Status(st), day)
+			for _, day := range ix.days {
+				head := ix.heads[day]
+				if head == 0 {
+					t.Fatalf("shard %d %v: day %v has no head", i, model.Status(st), day)
 				}
-				for pos, ref := range b {
-					r := sh.tab.rec(ref)
-					if got, gotRef := sh.tab.get(r.name()); int(r.pos) != pos || int(r.status()) != st || sh.policy.dueDay(r) != day || got != r || gotRef != ref {
-						t.Fatalf("shard %d %v bucket %v[%d]: holds %s (pos %d, status %v, due %v)",
-							i, model.Status(st), day, pos, r.name(), r.pos, r.status(), sh.policy.dueDay(r))
+				for prev, ref := uint32(0), head; ref != 0; prev, ref = ref, sh.tab.rec(ref-1).next {
+					r := sh.tab.rec(ref - 1)
+					if reached[ref-1] {
+						t.Fatalf("shard %d %v bucket %v: reaches %s twice", i, model.Status(st), day, r.name())
+					}
+					reached[ref-1] = true
+					if got, gotRef := sh.tab.get(r.name()); r.prev != prev || int(r.status()) != st || sh.policy.dueDay(r) != day || got != r || gotRef != ref-1 {
+						t.Fatalf("shard %d %v bucket %v: holds %s (prev %d after %d, status %v, due %v)",
+							i, model.Status(st), day, r.name(), r.prev, prev, r.status(), sh.policy.dueDay(r))
 					}
 				}
-				indexed += len(b)
 			}
 		}
-		if indexed != sh.tab.len() {
-			t.Fatalf("shard %d: %d registrations indexed, %d live", i, indexed, sh.tab.len())
-		}
+		sh.tab.each(func(r *record, ref uint32) bool {
+			if int(r.status()) < len(sh.due) && !reached[ref] {
+				t.Fatalf("shard %d: %s (%v) is in no bucket", i, r.name(), r.status())
+			}
+			if int(r.status()) >= len(sh.due) && (r.prev != 0 || r.next != 0) {
+				t.Fatalf("shard %d: %s (%v) has links %d, %d and no index", i, r.name(), r.status(), r.prev, r.next)
+			}
+			return true
+		})
 		sh.mu.RUnlock()
 	}
 }

@@ -158,12 +158,12 @@ func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, i := range order[start[si]:start[si+1]] {
-			r, err := sh.insert(&ds[i].Domain)
+			rec, err := sh.prepare(&ds[i].Domain)
 			if err != nil {
 				sh.mu.Unlock()
 				return fmt.Errorf("registry: restore: %w", err)
 			}
-			sh.setAuthInfo(r, ds[i].AuthInfo)
+			sh.setAuthInfo(sh.insert(rec), ds[i].AuthInfo)
 		}
 		sh.mu.Unlock()
 	}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/maphash"
+	"math"
 	"runtime"
 	"slices"
 	"strings"
@@ -139,9 +140,10 @@ type Store struct {
 	gen atomic.Uint64
 
 	// nextID is the global object-ID allocator: the last ID handed out.
-	// A live create allocates with Add(1) in applyLocked, *after* every
-	// refusal has passed, so failed creates never consume an ID and
-	// single-threaded drives hand out exactly the same IDs at any shard count.
+	// A live create reserves the next one (reserveID) in applyLocked, *after*
+	// every other refusal has passed, so failed creates never consume an ID
+	// and single-threaded drives hand out exactly the same IDs at any shard
+	// count. A record holds 32 bits of ID, so the allocator stops at 2³²−1.
 	nextID atomic.Uint64
 
 	// observer is the installed event consumer (pointer-to-interface so nil
@@ -476,19 +478,36 @@ func (s *Store) insertNew(m *Mutation) (*model.Domain, error) {
 		Created: m.Created, Updated: m.Updated, Expiry: m.Expiry, Status: m.Status, DeleteDay: m.DeleteDay}, nil
 }
 
-// insert files d as a new registration of sh and indexes it. The caller
-// holds sh's write lock.
-func (sh *shard) insert(d *model.Domain) (*record, error) {
+// prepare converts d to the record insert files, refusing a name sh already
+// holds. The caller holds sh's write lock.
+func (sh *shard) prepare(d *model.Domain) (record, error) {
 	if r, _ := sh.tab.get(d.Name); r != nil {
-		return nil, fmt.Errorf("%w: %q", ErrExists, d.Name)
+		return record{}, fmt.Errorf("%w: %q", ErrExists, d.Name)
 	}
-	rec, err := newRecord(d)
-	if err != nil {
-		return nil, err
-	}
+	return newRecord(d)
+}
+
+// insert files rec, prepared, as a new registration of sh and indexes it.
+// The caller holds sh's write lock.
+func (sh *shard) insert(rec record) *record {
 	r, ref := sh.tab.put(rec)
 	sh.dueAdd(r, ref)
-	return r, nil
+	return r
+}
+
+// reserveID takes the next object ID, or refuses when the allocator has
+// handed out the last one a record can hold (2³²−1). A compare-and-swap, not
+// Add: an exhausted allocator stays where it is.
+func (s *Store) reserveID() (uint64, error) {
+	for {
+		cur := s.nextID.Load()
+		if cur >= math.MaxUint32 {
+			return 0, fmt.Errorf("%w: object IDs exhausted at %d", errUnrepresentable, cur)
+		}
+		if s.nextID.CompareAndSwap(cur, cur+1) {
+			return cur + 1, nil
+		}
+	}
 }
 
 // AuthInfo returns the registration's transfer code; only the sponsoring
@@ -630,18 +649,16 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(b []uint32) { n += len(b) })
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(*record) { n++ })
 		sh.mu.RUnlock()
 	}
 	out := make([]*model.Domain, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, func(b []uint32) {
-			for _, ref := range b {
-				d := sh.tab.rec(ref).domain()
-				out = append(out, &d)
-			}
+		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(r *record) {
+			d := r.domain()
+			out = append(out, &d)
 		})
 		sh.mu.RUnlock()
 	}
@@ -666,7 +683,7 @@ func (s *Store) purge(name string, at time.Time, rank int) (model.DeletionEvent,
 		if r.status() != model.StatusPendingDelete {
 			return fmt.Errorf("%w: %q in %v", ErrNotPendingDelete, name, r.status())
 		}
-		m.ID = r.id
+		m.ID = uint64(r.id)
 		return nil
 	})
 	return res.ev, err
@@ -784,11 +801,10 @@ func (s *Store) pendingOn(day simtime.Day) []record {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		b := sh.due[model.StatusPendingDelete].buckets[uint32(key)]
-		out = slices.Grow(out, len(b))
-		for _, ref := range b {
-			out = append(out, *sh.tab.rec(ref))
-		}
+		ix, n := &sh.due[model.StatusPendingDelete], 0
+		ix.bucket(uint32(key), &sh.tab, func(*record) { n++ })
+		out = slices.Grow(out, n)
+		ix.bucket(uint32(key), &sh.tab, func(r *record) { out = append(out, *r) })
 		sh.mu.RUnlock()
 	}
 	return out

@@ -5,9 +5,9 @@ import "hash/maphash"
 // table is one shard's registration storage: the records themselves, in
 // fixed-size chunks, and the index that finds one by name. A registration
 // is addressed by its ref — its slot number — which is what the name index
-// and the due buckets (dueIndex) hold instead of pointers, so the garbage
-// collector traces one pointer word per record (the name) and nothing else
-// in the shard.
+// and the due buckets (dueIndex's heads, the records' links) hold instead of
+// pointers, so the garbage collector traces one pointer word per record (the
+// name) and nothing else in the shard.
 //
 // Validity invariant: a *record points into a chunk slot. Chunks never move
 // and are never freed, so the pointer stays addressable, but del zeroes the

@@ -13,7 +13,7 @@ type tableModel struct {
 	t      *testing.T
 	tab    table
 	model  map[string]record
-	nextID uint64
+	nextID uint32
 }
 
 // newTableModel builds the pair. hashMask narrows the table's hash so that
