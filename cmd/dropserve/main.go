@@ -1,5 +1,5 @@
 // Command dropserve stands up the whole registry ecosystem on localhost —
-// EPP, RDAP, WHOIS, DNS, zone files, the pending-delete list service with
+// EPP, RDAP, WHOIS, zone files, the pending-delete list service with
 // its delta and SSE feed, and the maliciousness oracle — over a seeded
 // domain population, and keeps the lifecycle engine ticking against the
 // real clock. Poke at the protocol surfaces with the examples or plain
@@ -42,7 +42,6 @@ func main() {
 	whoisAddr := flag.String("whois", "127.0.0.1:7702", "WHOIS listen address")
 	scopeAddr := flag.String("scope", "127.0.0.1:7703", "pending-delete list listen address")
 	oracleAddr := flag.String("oracle", "127.0.0.1:7704", "maliciousness oracle listen address")
-	dnsAddr := flag.String("dns", "127.0.0.1:7705", "authoritative DNS listen address (UDP)")
 	zoneAddr := flag.String("zonefile", "127.0.0.1:7706", "zone-file access listen address")
 	debugAddr := flag.String("debug", "", "debug listen address serving net/http/pprof and expvar (empty = disabled)")
 	population := flag.Int("population", 2000, "number of seeded domains")
@@ -72,7 +71,7 @@ func main() {
 	dir := registrars.BuildDirectory(rng)
 	n, err := node.Start(node.Config{
 		EPP: *eppAddr, RDAP: *rdapAddr, WHOIS: *whoisAddr, Scope: *scopeAddr, Oracle: *oracleAddr,
-		DNS: *dnsAddr, ZoneFile: *zoneAddr, Debug: *debugAddr, Replication: *replListen, ReplicateFrom: *replicateFrom,
+		ZoneFile: *zoneAddr, Debug: *debugAddr, Replication: *replListen, ReplicateFrom: *replicateFrom,
 		DataDir: *dataDir, Mode: mode, Clock: clock, Shards: *shards, SyncFollowers: *syncFollowers,
 		FeedRing: *feedRing, FeedQueue: *feedQueue, Credentials: dir.Credentials(), CreateBurst: 20, CreateRate: 5,
 		Zones: *zoneSpecs, Registrars: dir.Registrars(), Logf: log.Printf,

@@ -1,12 +1,12 @@
 #!/usr/bin/env bash
 # Boot smoke for cmd/dropserve: a primary with every surface (replication
-# included) on an ephemeral port, one RDAP, WHOIS and /debug/vars request; a
-# replica of it that must serve the same RDAP bytes, resume from its own log
-# after a restart, promote on SIGUSR1 and then serve the primary's feed; then
-# SIGTERM to both. Fails unless each exits 0, flushes its journal (none before
-# promotion) and reports no serve error, or if -sync-followers under async
-# durability or a replica under -durability off is accepted. Run from the
-# repo root.
+# included) on an ephemeral port, one RDAP, WHOIS, zone-file and /debug/vars
+# request; a replica of it that must serve the same RDAP bytes, resume from
+# its own log after a restart, promote on SIGUSR1 and then serve the
+# primary's feed; then SIGTERM to both. Fails unless each exits 0, flushes
+# its journal (none before promotion) and reports no serve error, or if
+# -sync-followers under async durability or a replica under -durability off
+# is accepted. Run from the repo root.
 set -euo pipefail
 work=$(mktemp -d)
 pids=()
@@ -14,7 +14,7 @@ trap 'for p in "${pids[@]}"; do kill "$p" 2>/dev/null || true; done; rm -rf "$wo
 
 go build -o "$work/dropserve" ./cmd/dropserve
 a=127.0.0.1:0
-surfaces=(-epp $a -rdap $a -whois $a -scope $a -oracle $a -dns $a -zonefile $a -debug $a)
+surfaces=(-epp $a -rdap $a -whois $a -scope $a -oracle $a -zonefile $a -debug $a)
 
 # start NAME ARGS...: run dropserve as NAME and wait for its banner.
 start() {
@@ -70,6 +70,8 @@ exec 3<>"/dev/tcp/${whois%:*}/${whois##*:}"
 printf '%s\r\n' "$name" >&3
 grep -q 'Domain Name:' <&3
 exec 3<&-
+test "$(curl -s -o "$work/zone" -w '%{http_code}' "http://$(addr primary 'zone files')/zone?tld=com")" = 200
+grep -q ' IN NS ' "$work/zone"
 keys primary store epp rdap whois scope feed journal
 
 body() { curl -sf "http://$(addr "$1" RDAP)/domain/$name"; }

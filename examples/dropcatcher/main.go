@@ -14,6 +14,11 @@
 // left — exactly the "seconds to minutes later" behaviour the paper measures
 // for 1API.
 //
+// Zone membership is read from the registry's zone files. The zone pulls a
+// name when it enters redemption, weeks before the Drop, and the deletion
+// itself changes nothing there: watching the zone cannot reveal the deletion
+// instant, which is why drop-catchers race blind at the registry.
+//
 //	go run ./examples/dropcatcher
 package main
 
@@ -26,7 +31,6 @@ import (
 	"sort"
 	"time"
 
-	"dropzero/internal/dns"
 	"dropzero/internal/dropscope"
 	"dropzero/internal/epp"
 	"dropzero/internal/journal"
@@ -36,6 +40,7 @@ import (
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
+	"dropzero/internal/zonefile"
 )
 
 func main() {
@@ -49,7 +54,7 @@ func main() {
 	clock := simtime.NewSimClock(day.At(9, 0, 0))
 	dir := registrars.BuildDirectory(rng)
 	n, err := node.Start(node.Config{
-		EPP: "127.0.0.1:0", Scope: "127.0.0.1:0", DNS: "127.0.0.1:0", Clock: clock, Shards: *shards,
+		EPP: "127.0.0.1:0", Scope: "127.0.0.1:0", ZoneFile: "127.0.0.1:0", Clock: clock, Shards: *shards,
 		Credentials: dir.Credentials(), Registrars: dir.Registrars(),
 		CreateBurst: 5,   // the resource that makes accreditations precious:
 		CreateRate:  0.5, // five speculative creates, then a slow refill
@@ -63,7 +68,7 @@ func main() {
 	}
 	defer n.Close()
 	store, eppAddr, scopeAddr := n.Store, n.Addr("EPP"), n.Addr("pending-delete list")
-	resolver := &dns.Client{Addr: n.Addr("DNS (udp)")}
+	zoneURL := "http://" + n.Addr("zone files")
 
 	// --- Our home-grown catcher ----------------------------------------
 	// One reseller accreditation (1API-style) and its EPP session.
@@ -91,17 +96,19 @@ func main() {
 	fmt.Printf("pending-delete list has %d names; backordering %d keyword-rich targets\n",
 		len(entries), len(targets))
 
-	// Sanity check over DNS: pendingDelete names are already out of the
-	// zone (they were pulled when the registrar deleted them ~35 days ago),
-	// so every target must be NXDOMAIN before the Drop.
+	// Sanity check on the .com zone file: pendingDelete names are already
+	// out of the zone (they were pulled when the registrar deleted them ~35
+	// days ago), so no target may be in it before the Drop.
+	before, err := zonefile.Fetch(nil, zoneURL, model.COM)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, name := range targets {
-		if inZone, err := resolver.InZone(name); err != nil {
-			log.Fatal(err)
-		} else if inZone {
-			log.Fatalf("%s still resolves; not actually pending delete", name)
+		if before[name] {
+			log.Fatalf("%s still in the zone; not actually pending delete", name)
 		}
 	}
-	fmt.Println("DNS check: all targets NXDOMAIN, as expected for pendingDelete names")
+	fmt.Println("zone check: no target in the .com zone, as expected for pendingDelete names")
 
 	// Step 2: the professional competition backorders the best names too.
 	proIDs := dir.Accreditations(registrars.SvcDropCatch)
@@ -165,14 +172,17 @@ func main() {
 		clock.Advance(time.Second)
 	}
 
-	// Our catches are registered again — they resolve.
-	backInZone := 0
+	// Our catches are registered again — they are back in the zone.
+	after, err := zonefile.Fetch(nil, zoneURL, model.COM)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for _, name := range myWins {
-		if inZone, err := resolver.InZone(name); err == nil && inZone {
-			backInZone++
+		if !after[name] {
+			log.Fatalf("caught %s but it is not in the zone", name)
 		}
 	}
-	fmt.Printf("\nDNS check: %d of our %d catches resolve again\n", backInZone, len(myWins))
+	fmt.Printf("\nzone check: all %d of our catches are back in the .com zone\n", len(myWins))
 	fmt.Printf("result: caught %d, lost %d to the drop-catch service (it won %d), rate-limited %d times\n",
 		caught, taken, proWins, limited)
 	fmt.Println("moral: the cheap route gets the leftovers, seconds to minutes late — Figure 6's 1API curve")

@@ -19,7 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"dropzero/internal/dns"
 	"dropzero/internal/dropscope"
 	"dropzero/internal/epp"
 	"dropzero/internal/feed"
@@ -40,7 +39,7 @@ import (
 // Config describes one node. A surface whose address is empty is not
 // served; Debug serves http.DefaultServeMux (pprof, expvar).
 type Config struct {
-	EPP, RDAP, WHOIS, Scope, Oracle, DNS, ZoneFile, Debug string
+	EPP, RDAP, WHOIS, Scope, Oracle, ZoneFile, Debug string
 	// Replication streams snapshot + WAL to followers; ReplicateFrom makes
 	// the node a read replica of the primary at that address.
 	Replication, ReplicateFrom string
@@ -155,7 +154,6 @@ func Start(cfg Config) (_ *Node, err error) {
 		{"WHOIS", cfg.WHOIS, n.whois},
 		{"pending-delete list", cfg.Scope, n.scope},
 		{"oracle", cfg.Oracle, safebrowsing.NewOracle()},
-		{"DNS (udp)", cfg.DNS, dns.NewServer(n.Store)},
 		{"zone files", cfg.ZoneFile, zonefile.NewServer(n.Store)},
 		{"debug", cfg.Debug, serve.NewHTTP("debug", http.DefaultServeMux)},
 	} {

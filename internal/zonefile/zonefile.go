@@ -73,6 +73,9 @@ func Parse(r io.Reader) (map[string]bool, error) {
 			continue // SOA and other record types
 		}
 		name := strings.ToLower(strings.TrimSuffix(fields[0], "."))
+		if strings.HasPrefix(name, ".") || strings.HasSuffix(name, ".") || strings.Contains(name, "..") {
+			return nil, fmt.Errorf("zonefile: line %d: empty label in %q", lineNo, fields[0])
+		}
 		if strings.Contains(name, ".") { // skip the zone apex itself
 			names[name] = true
 		}

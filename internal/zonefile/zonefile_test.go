@@ -14,8 +14,8 @@ import (
 	"dropzero/internal/zone"
 )
 
-func newWorld(t *testing.T) (*registry.Store, *simtime.SimClock) {
-	t.Helper()
+func newWorld(tb testing.TB) (*registry.Store, *simtime.SimClock) {
+	tb.Helper()
 	clock := simtime.NewSimClock(time.Date(2018, 1, 10, 9, 0, 0, 0, time.UTC))
 	store := registry.NewStore(clock)
 	store.AddRegistrar(model.Registrar{IANAID: 1000})
@@ -73,13 +73,43 @@ func TestExportExcludesPulledRegistrations(t *testing.T) {
 }
 
 func TestParseRejectsGarbage(t *testing.T) {
-	if _, err := Parse(strings.NewReader("garbage line\n")); err == nil {
-		t.Fatal("garbage accepted")
+	for _, in := range []string{"garbage line\n", "a..com. 1 IN NS ns1.example.\n"} {
+		if _, err := Parse(strings.NewReader(in)); err == nil {
+			t.Fatalf("garbage %q accepted", in)
+		}
 	}
 	names, err := Parse(strings.NewReader("; comment\n$ORIGIN com.\n\n"))
 	if err != nil || len(names) != 0 {
 		t.Fatalf("comment-only zone: %v %v", names, err)
 	}
+}
+
+// FuzzParse pins Parse against any input a zone-file server could send: it
+// never panics, and every name it returns is lower-case, has no trailing dot
+// and lies below a zone apex.
+func FuzzParse(f *testing.F) {
+	f.Add("garbage line\n")
+	f.Add("a..com. 1 IN NS ns1.example.\n")
+	f.Add("; comment\n$ORIGIN com.\n\n")
+	store, _ := newWorld(f)
+	store.Create("alpha.com", 1000, 1)
+	store.Create("beta.com", 1000, 1)
+	var buf bytes.Buffer
+	if err := Export(store, model.COM, &buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.String())
+	f.Fuzz(func(t *testing.T, in string) {
+		names, err := Parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for name := range names {
+			if name != strings.ToLower(name) || strings.HasSuffix(name, ".") || !strings.Contains(name, ".") {
+				t.Fatalf("Parse(%q) returned name %q", in, name)
+			}
+		}
+	})
 }
 
 func TestDiff(t *testing.T) {
