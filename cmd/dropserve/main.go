@@ -53,8 +53,6 @@ func main() {
 	replListen := flag.String("listen-replication", "", "replication listen address: stream snapshot + WAL to followers (requires a journal)")
 	replicateFrom := flag.String("replicate-from", "", "run as a read replica of the primary at this replication address (requires -datadir; EPP is read-only until SIGUSR1 promotes)")
 	syncFollowers := flag.Int("sync-followers", 0, "semi-synchronous replication: EPP acks additionally wait for this many follower acknowledgements (primary only)")
-	feedRing := flag.Int("feed-ring", 4<<20, "event-feed delta ring capacity in bytes; a cursor that falls off the ring is redirected to the full list")
-	feedQueue := flag.Int("feed-queue", 64, "event-feed per-subscriber queue length; a subscriber that overflows it is moved to cursor catch-up")
 	zoneSpecs := flag.String("zones", "", "extra zones beside the default .com/.net one, as semicolon-separated name=tld[+tld...]:policy[@HH:MM] specs (e.g. \"nordic=se+nu:instant@04:00;alt=org:random\"); primary only")
 	flag.Parse()
 
@@ -73,7 +71,7 @@ func main() {
 		EPP: *eppAddr, RDAP: *rdapAddr, WHOIS: *whoisAddr, Scope: *scopeAddr, Oracle: *oracleAddr,
 		ZoneFile: *zoneAddr, Debug: *debugAddr, Replication: *replListen, ReplicateFrom: *replicateFrom,
 		DataDir: *dataDir, Mode: mode, Clock: clock, Shards: *shards, SyncFollowers: *syncFollowers,
-		FeedRing: *feedRing, FeedQueue: *feedQueue, Credentials: dir.Credentials(), CreateBurst: 20, CreateRate: 5,
+		Credentials: dir.Credentials(), CreateBurst: 20, CreateRate: 5,
 		Zones: *zoneSpecs, Registrars: dir.Registrars(), Logf: log.Printf,
 		// On a fresh directory, the seeded population, journaled.
 		Boot: func(store *registry.Store, _ *journal.Journal, rec journal.Recovery) error {
@@ -93,7 +91,7 @@ func main() {
 			// Extra zones get their own smaller populations from derived
 			// seeds, so every surface has something to serve per zone
 			// without perturbing the core population's RNG stream.
-			for zi, z := range store.ExtraZones() {
+			for zi, z := range store.Zones()[1:] {
 				zrng := rand.New(rand.NewSource(*seed + int64(zi+1)*1000))
 				if err := seedPopulation(store, dir, zrng, *population/4, clock.Now(), z.TLDs); err != nil {
 					return err
@@ -202,7 +200,7 @@ func main() {
 // own, so federated domains transition on their zone's clocks.
 func zoneLifecycles(store *registry.Store) []*registry.Lifecycle {
 	lcs := []*registry.Lifecycle{registry.NewLifecycle(store, registry.DefaultLifecycleConfig())}
-	for _, z := range store.ExtraZones() {
+	for _, z := range store.Zones()[1:] {
 		lcs = append(lcs, registry.NewZoneLifecycle(store, z))
 	}
 	return lcs

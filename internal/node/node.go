@@ -51,7 +51,6 @@ type Config struct {
 	Shards  int
 	// SyncFollowers > 0: a commit also waits for that many follower acks.
 	SyncFollowers           int
-	FeedRing, FeedQueue     int // feed.Options
 	Credentials             map[int]string
 	CreateBurst, CreateRate float64
 	// Zones are extra zones as zone.ParseSpecs specs, installed (or checked
@@ -203,7 +202,7 @@ func (n *Node) boot() error {
 // store takes no writes meanwhile, so the hub's cursor 0 is the store's
 // state.
 func (n *Node) attach(j *journal.Journal) {
-	hub := feed.NewHub(feed.Options{RingBytes: n.cfg.FeedRing, QueueLen: n.cfg.FeedQueue})
+	hub := feed.NewHub(feed.Options{})
 	hub.PrimeFromStore(n.Store)
 	hub.SetZones(n.Store.Zones())
 	n.scope.AttachFeed(hub)

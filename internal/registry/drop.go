@@ -25,46 +25,44 @@ type (
 // DefaultDropConfig returns the configuration used by the experiments.
 func DefaultDropConfig() DropConfig { return zone.DefaultDropConfig() }
 
-// DropRunner executes one zone's Drop for a Store. The legacy constructor
-// runs the default .com/.net paced Drop; NewZoneDropRunner scopes a runner
-// to an installed zone and its policy, so one store can drop several zones
-// on independent clocks.
+// DropRunner executes one zone's Drop for a Store: it queues only that
+// zone's TLDs and releases them under the zone's policy, so one store can
+// drop several zones on independent clocks. NewDropRunner builds the default
+// .com/.net zone's runner; NewZoneDropRunner any installed zone's.
 type DropRunner struct {
 	store  *Store
 	cfg    DropConfig
 	policy zone.DropPolicy
-	// scope is the zone's TLD membership set; nil means unscoped (the
-	// pre-federation single-zone store, where the queue is the whole
-	// pending bucket).
-	scope map[model.TLD]bool
+	scope  map[model.TLD]bool // the zone's TLD membership set
 }
 
-// NewDropRunner returns an unscoped paced runner over store with cfg (zero
-// cfg gets defaults) — the pre-federation Drop.
+// NewDropRunner returns the default zone's runner over store, paced with cfg
+// (zero cfg gets defaults).
 func NewDropRunner(store *Store, cfg DropConfig) *DropRunner {
-	if cfg.BaseRatePerSec == 0 {
-		cfg = DefaultDropConfig()
+	def := zone.Default()
+	def.Drop = cfg
+	r, err := NewZoneDropRunner(store, def)
+	if err != nil {
+		panic(err) // every store hosts the default zone, and its policy is paced
 	}
-	return &DropRunner{store: store, cfg: cfg, policy: zone.PacedOrdered{Config: cfg}}
+	return r
 }
 
 // NewZoneDropRunner returns a runner scoped to z's TLDs, releasing under z's
-// policy. z must be one of the store's installed zones.
+// policy (zero z.Drop gets defaults unless z releases instantly). z must be
+// one of the store's installed zones.
 func NewZoneDropRunner(store *Store, z zone.Config) (*DropRunner, error) {
 	if _, ok := store.ZoneByName(z.Name); !ok {
 		return nil, fmt.Errorf("registry: zone %q not installed", z.Name)
 	}
-	cfg := z.Drop
-	if cfg.BaseRatePerSec == 0 && z.Policy != zone.PolicyInstant {
-		cfg = DefaultDropConfig()
+	if z.Drop.BaseRatePerSec == 0 && z.Policy != zone.PolicyInstant {
+		z.Drop = DefaultDropConfig()
 	}
-	zc := z
-	zc.Drop = cfg
-	pol, err := zone.NewPolicy(zc)
+	pol, err := zone.NewPolicy(z)
 	if err != nil {
 		return nil, err
 	}
-	return &DropRunner{store: store, cfg: cfg, policy: pol, scope: z.TLDSet()}, nil
+	return &DropRunner{store: store, cfg: z.Drop, policy: pol, scope: z.TLDSet()}, nil
 }
 
 // Config returns the active configuration.
@@ -75,7 +73,7 @@ func (r *DropRunner) Policy() zone.DropPolicy { return r.policy }
 
 // inScope reports whether t belongs to this runner's zone.
 func (r *DropRunner) inScope(t model.TLD) bool {
-	return r.scope == nil || r.scope[t]
+	return r.scope[t]
 }
 
 // BuildQueue assembles day's deletion queue: every pendingDelete domain of

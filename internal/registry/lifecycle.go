@@ -19,17 +19,14 @@ type LifecycleConfig = zone.LifecycleConfig
 // DefaultLifecycleConfig returns the ICANN-policy defaults for .com/.net.
 func DefaultLifecycleConfig() LifecycleConfig { return zone.DefaultLifecycleConfig() }
 
-// Lifecycle advances domains through the expiration pipeline. It is driven
-// once per simulated day (before the Drop) by the orchestrator, or on a
-// timer when running against the real clock. A Lifecycle is scoped to one
-// zone's TLD set; the legacy constructor scopes to the default .com/.net
-// zone, which — on a store hosting only that zone — is every domain.
+// Lifecycle advances one zone's domains through the expiration pipeline. It
+// is driven once per simulated day (before the Drop) by the orchestrator, or
+// on a timer when running against the real clock. NewLifecycle builds the
+// default .com/.net zone's; NewZoneLifecycle any installed zone's.
 type Lifecycle struct {
 	store *Store
 	cfg   LifecycleConfig
-	// scope is the zone's TLD membership set; nil means unscoped (legacy
-	// single-zone stores, where filtering would only cost time).
-	scope map[model.TLD]bool
+	scope map[model.TLD]bool // the zone's TLD membership set
 }
 
 // NewLifecycle returns a Lifecycle over store for the default zone. It
@@ -49,18 +46,14 @@ func NewLifecycle(store *Store, cfg LifecycleConfig) *Lifecycle {
 		graceDays:        cfg.GraceDays,
 		defaultGraceDays: cfg.DefaultGraceDays,
 	})
-	var scope map[model.TLD]bool
-	if len(store.ExtraZones()) > 0 {
-		def := zone.Default()
-		scope = def.TLDSet()
-	}
-	return &Lifecycle{store: store, cfg: cfg, scope: scope}
+	def := zone.Default()
+	return &Lifecycle{store: store, cfg: cfg, scope: def.TLDSet()}
 }
 
 // NewZoneLifecycle returns a Lifecycle driving z's TLDs under z's own
 // lifecycle config. z must already be installed in the store (AddZone); the
 // per-TLD due-day parameters were installed then. The default zone's
-// lifecycle still comes from NewLifecycle.
+// lifecycle comes from NewLifecycle, which also installs its due policy.
 func NewZoneLifecycle(store *Store, z zone.Config) *Lifecycle {
 	return &Lifecycle{store: store, cfg: z.Lifecycle, scope: z.TLDSet()}
 }
@@ -70,7 +63,7 @@ func (l *Lifecycle) Config() LifecycleConfig { return l.cfg }
 
 // inScope reports whether t belongs to this lifecycle's zone.
 func (l *Lifecycle) inScope(t model.TLD) bool {
-	return l.scope == nil || l.scope[t]
+	return l.scope[t]
 }
 
 // change is one planned lifecycle transition: everything the apply phase

@@ -187,3 +187,40 @@ func TestLifecycleDeterministicOrder(t *testing.T) {
 		t.Fatal("different population")
 	}
 }
+
+// A Lifecycle belongs to one zone: the default zone's, built before another
+// zone is added, must leave that zone's names to the zone's own lifecycle,
+// which moves them on the zone's clocks — here a 40-day redemption and a
+// 10-day pendingDelete window, against .com's 30 and 5.
+func TestLifecycleScopedToItsZone(t *testing.T) {
+	s, clock := testStore(t)
+	def := NewLifecycle(s, DefaultLifecycleConfig())
+	slow := nordicZone()
+	slow.Lifecycle.RedemptionDays, slow.Lifecycle.PendingDeleteDays = 40, 10
+	if err := s.AddZone(slow); err != nil {
+		t.Fatal(err)
+	}
+	now := clock.Now()
+	today := simtime.DayOf(now)
+	updated := now.AddDate(0, 0, -40)
+	created := updated.AddDate(-2, 0, 0)
+	expiry := updated.AddDate(0, 0, -30)
+	if _, err := s.SeedAt("slow.se", 1000, created, updated, expiry, model.StatusRedemption, simtime.Day{}); err != nil {
+		t.Fatal(err)
+	}
+
+	if n := def.Tick(now); n != 0 {
+		t.Fatalf("default zone's lifecycle made %d transitions on another zone's name", n)
+	}
+	if d, _ := s.Get("slow.se"); d.Status != model.StatusRedemption {
+		t.Fatalf("after the default zone's Tick: status %v, want redemption", d.Status)
+	}
+
+	if n := NewZoneLifecycle(s, slow).Tick(now); n != 1 {
+		t.Fatalf("zone's own lifecycle made %d transitions, want 1", n)
+	}
+	d, _ := s.Get("slow.se")
+	if want := today.AddDays(10); d.Status != model.StatusPendingDelete || d.DeleteDay != want {
+		t.Fatalf("after the zone's Tick: %v with delete day %v, want pendingDelete on %v", d.Status, d.DeleteDay, want)
+	}
+}

@@ -63,7 +63,7 @@ func (s *Store) ReadSnapshot(quiesce bool, fn func(*SnapshotReader)) {
 func (r *SnapshotReader) ShardCount() int { return len(r.s.shards) }
 
 // Zones returns the zones installed beyond the implicit default one.
-func (r *SnapshotReader) Zones() []zone.Config { return r.s.ExtraZones() }
+func (r *SnapshotReader) Zones() []zone.Config { return r.s.Zones()[1:] }
 
 // Registrars returns the accreditation list in ascending IANA ID order.
 func (r *SnapshotReader) Registrars() []model.Registrar {

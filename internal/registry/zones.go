@@ -49,17 +49,6 @@ func (s *Store) Zones() []zone.Config {
 	return out
 }
 
-// ExtraZones returns the zones installed beyond the default one — exactly
-// the set a snapshot must carry (the default zone is implicit in every
-// store).
-func (s *Store) ExtraZones() []zone.Config {
-	s.zoneTab.mu.RLock()
-	defer s.zoneTab.mu.RUnlock()
-	out := make([]zone.Config, len(s.zoneTab.zones)-1)
-	copy(out, s.zoneTab.zones[1:])
-	return out
-}
-
 // ZoneByName returns the named zone's config.
 func (s *Store) ZoneByName(name string) (zone.Config, bool) {
 	s.zoneTab.mu.RLock()

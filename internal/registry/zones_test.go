@@ -51,9 +51,6 @@ func TestAddZoneMakesTLDsCreatable(t *testing.T) {
 	if len(zs) != 2 || zs[0].Name != zone.Default().Name || zs[1].Name != "nordic" {
 		t.Fatalf("Zones() = %+v", zs)
 	}
-	if extra := s.ExtraZones(); len(extra) != 1 || extra[0].Name != "nordic" {
-		t.Fatalf("ExtraZones() = %+v", extra)
-	}
 	if _, err := s.Create("foo.se", 1000, 1); err != nil {
 		t.Fatalf("post-AddZone Create: %v", err)
 	}
@@ -254,11 +251,6 @@ func TestZoneScopedDropQueues(t *testing.T) {
 	seed("gamma.se")
 	seed("delta.nu")
 
-	unscoped := NewDropRunner(s, DefaultDropConfig())
-	if q := unscoped.BuildQueue(day); len(q) != 4 {
-		t.Fatalf("unscoped queue has %d entries, want 4", len(q))
-	}
-
 	core, err := NewZoneDropRunner(s, zone.Default())
 	if err != nil {
 		t.Fatal(err)
@@ -274,6 +266,11 @@ func TestZoneScopedDropQueues(t *testing.T) {
 		}
 		return m
 	}
+	// NewDropRunner is the default zone's runner: it queues only .com/.net.
+	defaultRunner := NewDropRunner(s, DefaultDropConfig())
+	if dq := names(defaultRunner.BuildQueue(day)); len(dq) != 2 || !dq["alpha.com"] || !dq["beta.net"] {
+		t.Fatalf("default runner's queue = %v", dq)
+	}
 	cq, nq := names(core.BuildQueue(day)), names(nordic.BuildQueue(day))
 	if len(cq) != 2 || !cq["alpha.com"] || !cq["beta.net"] {
 		t.Fatalf("core queue = %v", cq)
@@ -284,5 +281,27 @@ func TestZoneScopedDropQueues(t *testing.T) {
 
 	if _, err := NewZoneDropRunner(s, zone.Config{Name: "ghost", TLDs: []model.TLD{"io"}, Policy: zone.PolicyPaced}); err == nil {
 		t.Error("runner for an uninstalled zone accepted")
+	}
+}
+
+// A runner belongs to the zone it was built for: the default zone's, built
+// before another zone is added, never queues that zone's names.
+func TestDropRunnerBuiltBeforeAddZone(t *testing.T) {
+	s, _ := testStore(t)
+	runner := NewDropRunner(s, DefaultDropConfig())
+	if err := s.AddZone(nordicZone()); err != nil {
+		t.Fatal(err)
+	}
+	day := simtime.Day{Year: 2018, Month: time.February, Dom: 1}
+	created := time.Date(2016, 3, 1, 10, 0, 0, 0, time.UTC)
+	updated := time.Date(2018, 1, 10, 14, 0, 0, 0, time.UTC)
+	expiry := time.Date(2017, 12, 1, 10, 0, 0, 0, time.UTC)
+	for _, name := range []string{"alpha.com", "gamma.se"} {
+		if _, err := s.SeedAt(name, 1000, created, updated, expiry, model.StatusPendingDelete, day); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if q := runner.BuildQueue(day); len(q) != 1 || q[0].Name != "alpha.com" {
+		t.Fatalf("default runner's queue = %+v, want just alpha.com", q)
 	}
 }

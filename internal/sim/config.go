@@ -45,7 +45,8 @@ type Config struct {
 	// up (the paper restricted lookups to .com), which bends the measured
 	// rank-vs-time curve exactly as §4.1 hypothesises.
 	NetShare float64
-	// Drop configures the registry's deletion process.
+	// Drop configures the default zone's deletion process (a zero
+	// BaseRatePerSec keeps the default Drop).
 	Drop registry.DropConfig
 	// Market configures re-registration demand.
 	Market registrars.MarketConfig
@@ -91,13 +92,13 @@ type Config struct {
 	// arbitrary points of a finished run's history.
 	KeepCheckpoints bool
 	// Zones federates the study over several zones in the one registry
-	// process. Empty (or just the default .com/.net zone) runs exactly the
-	// pre-federation single-zone study. An entry named like the default
-	// zone is the default zone — it must not alter it — and every other
-	// entry is installed with AddZone, seeded with its own expiring
-	// population, dropped under its own policy and claimed by its own
-	// registrar market, all on derived RNG streams that leave the default
-	// zone's streams untouched.
+	// process, beside the default .com/.net zone every study runs. An entry
+	// named like the default zone is the default zone — it must not alter
+	// it — and every other entry is installed with AddZone. Each zone is
+	// seeded with its own expiring population, dropped under its own policy
+	// and claimed by its own registrar market, all on its own RNG streams
+	// (zoneSeedStride), so extra zones leave the default zone's study
+	// untouched.
 	Zones []zone.Config
 }
 
@@ -121,7 +122,7 @@ func DefaultConfig() Config {
 // dailyVolume returns the number of domains scheduled for deletion on day
 // index i, following a smooth seasonal curve with noise, clamped to the
 // paper's observed range, then scaled. The drop rate must scale with volume
-// so a scaled-down Drop still lasts roughly an hour; scaledRate handles
+// so a scaled-down Drop still lasts roughly an hour; scaledZoneDrop handles
 // that.
 func (c Config) dailyVolume(i int, rng *rand.Rand) int {
 	const lo, hi = 66000.0, 112000.0
@@ -141,25 +142,17 @@ func (c Config) dailyVolume(i int, rng *rand.Rand) int {
 	return n
 }
 
-// scaledDrop returns the Drop configuration with its processing rate scaled
-// to the study volume, preserving the roughly one-hour Drop duration at any
-// Scale.
-func (c Config) scaledDrop() registry.DropConfig {
-	d := c.Drop
-	if d.BaseRatePerSec == 0 {
-		d = registry.DefaultDropConfig()
-	}
-	d.BaseRatePerSec = math.Max(0.05, d.BaseRatePerSec*c.Scale)
-	return d
-}
-
-// extraZones returns the configured zones beyond the default one, in config
-// order. An entry named like the default zone stands for the default zone
-// and is dropped here (it is installed in every store anyway); it must not
-// try to redefine it.
-func (c Config) extraZones() ([]zone.Config, error) {
+// zones returns the study's zone list: the default .com/.net zone, paced
+// under c.Drop (a zero rate keeps the default Drop), then the extra zones in
+// config order. An entry named like the default zone stands for the default
+// zone (every store hosts it) and is not listed again; it must not try to
+// redefine it.
+func (c Config) zones() ([]zone.Config, error) {
 	def := zone.Default()
-	var out []zone.Config
+	if c.Drop.BaseRatePerSec != 0 {
+		def.Drop = c.Drop
+	}
+	out := []zone.Config{def}
 	for _, z := range c.Zones {
 		if z.Name == def.Name {
 			if !slices.Equal(z.TLDs, def.TLDs) || z.Policy != def.Policy {
@@ -175,15 +168,15 @@ func (c Config) extraZones() ([]zone.Config, error) {
 	return out, nil
 }
 
-// zoneSeedStride spaces the derived per-zone RNG streams: extra zone zi
-// (0-based) draws from Seed + zoneSeedStride*(zi+1) + the same component
-// offsets the default zone uses off Seed. The default zone's streams are
-// exactly the pre-federation ones.
+// zoneSeedStride spaces the per-zone RNG streams: zone zi of zones() (the
+// default zone is 0) draws from Seed + zoneSeedStride*zi plus a fixed offset
+// per component — +3 population, +5 pacing, +7 daily volume, +11 market.
 const zoneSeedStride = 1000
 
-// scaledZoneDrop is scaledDrop for an extra zone's own pacing parameters.
-// Instant-release zones keep a zero rate (every name goes at one instant;
-// there is nothing to pace).
+// scaledZoneDrop returns z's Drop configuration with its processing rate
+// scaled to the study volume, preserving the roughly one-hour Drop duration
+// at any Scale. Instant-release zones keep a zero rate (every name goes at
+// one instant; there is nothing to pace).
 func (c Config) scaledZoneDrop(z zone.Config) registry.DropConfig {
 	d := z.Drop
 	if z.Policy == zone.PolicyInstant {

@@ -78,7 +78,7 @@ func datasetStudies() map[string]Config {
 	par8.Parallelism = 8
 	zones.Parallelism = 0
 	zones.Zones = []zone.Config{nordicTestZone(), shuffleTestZone()}
-	return map[string]Config{"parallelism1": seq, "parallelism8": par8, "extraZones": zones}
+	return map[string]Config{"parallelism1": seq, "parallelism8": par8, "federated": zones}
 }
 
 // TestResultNamesHeldOnce: every row of a finished study spells its name with

@@ -2,7 +2,10 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -210,5 +213,52 @@ func TestFederationDurableResume(t *testing.T) {
 	resumed := runCSV()
 	if !bytes.Equal(first, resumed) {
 		t.Fatal("resumed federated study differs from the original run")
+	}
+}
+
+// TestFederatedStudyPinned holds a federated study to fixed digests of its
+// dataset CSV, its zone-delay CSV and its deletion log as (name, instant,
+// rank) per day. The other federation tests compare two runs of one build,
+// which a changed lane order or per-zone seed stream passes; this one fails.
+func TestFederatedStudyPinned(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Days = 2
+	cfg.Scale = 0.01
+	cfg.Zones = []zone.Config{nordicTestZone(), shuffleTestZone()}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digest := func(write func(io.Writer) error) string {
+		h := sha256.New()
+		if err := write(h); err != nil {
+			t.Fatal(err)
+		}
+		return hex.EncodeToString(h.Sum(nil))
+	}
+	got := map[string]string{
+		"dataset": digest(func(w io.Writer) error { return measure.WriteCSV(w, res.Observations) }),
+		"delays":  digest(func(w io.Writer) error { return WriteZoneDelaysCSV(w, res.ZoneDelays()) }),
+		"deletions": digest(func(w io.Writer) error {
+			day := cfg.StartDay
+			for range cfg.Days {
+				fmt.Fprintf(w, "%v\n", day)
+				for _, ev := range res.Deletions[day] {
+					fmt.Fprintf(w, "%s,%s,%d\n", ev.Name, ev.Time().UTC().Format(time.RFC3339Nano), ev.Rank())
+				}
+				day = day.Next()
+			}
+			return nil
+		}),
+	}
+	want := map[string]string{
+		"dataset":   "6f158080de1e5be0f98b4149b32f0881efc3a41dc3b8009600ceddabc91373bd",
+		"delays":    "8ada0de343b444606d7e7d86b28c9842b828b9950f828bdbb03f294dde3ca5f1",
+		"deletions": "1c1ec6bae734cf9e2e08f93242bf4d3756d1ef82ea0c966d035cf275de4623b8",
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Errorf("%s digest = %s, want %s", k, got[k], want[k])
+		}
 	}
 }

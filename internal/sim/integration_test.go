@@ -17,6 +17,7 @@ import (
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
+	"dropzero/internal/zone"
 )
 
 // TestIntegrationEPPDrivenStudy runs a one-day study where every
@@ -42,11 +43,11 @@ func TestIntegrationEPPDrivenStudy(t *testing.T) {
 	cfg.Days = 1
 	cfg.Scale = 0.01
 	cfg.StartDay = day
-	seeder := newSeeder(cfg, dir, rng)
-	meta, err := seeder.seedAll(store, registry.DefaultLifecycleConfig())
-	if err != nil {
+	specs := newSeeder(cfg, dir, zone.Default().TLDs, cfg.Seed).generate(registry.DefaultLifecycleConfig())
+	if err := insertAll(store, specs, false); err != nil {
 		t.Fatal(err)
 	}
+	meta := lotMetas(specs)
 
 	// EPP over TCP, generous rate limits so the race is decided by claim
 	// order, not budget.
@@ -80,7 +81,7 @@ func TestIntegrationEPPDrivenStudy(t *testing.T) {
 
 	// The Drop.
 	clock.Set(day.At(19, 0, 0))
-	runner := registry.NewDropRunner(store, cfg.scaledDrop())
+	runner := registry.NewDropRunner(store, cfg.scaledZoneDrop(zone.Default()))
 	events, err := runner.Run(day, rng)
 	if err != nil {
 		t.Fatal(err)

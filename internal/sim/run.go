@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
@@ -33,9 +34,9 @@ type Result struct {
 	// pending delete lists with collected prior metadata, sorted by name.
 	Observations []model.Observation
 	// Deletions is the registry's ground-truth event log per day, every
-	// zone combined in zone-drop order (within a day, zones appear in
-	// drop-start order; pre-federation runs are .com and .net combined, in
-	// deletion order, exactly as before).
+	// zone combined in zone-drop order: within a day, zones appear in
+	// drop-start order, and each zone's events (.com and .net combined for
+	// the default zone) in deletion order.
 	Deletions map[simtime.Day][]model.DeletionEvent
 	// DropEnd is the true end of each day's Drop.
 	DropEnd map[simtime.Day]time.Time
@@ -58,9 +59,9 @@ type Result struct {
 
 // zoneLane is one zone's drop machinery inside the day loop: its runner,
 // its pacing RNG stream, its registrar market, and the wall-clock instant
-// its Drop starts. The default zone's lane has a nil scope and an empty
-// name — the pre-federation single lane.
+// its Drop starts. zi is the zone's index in Config.zones().
 type zoneLane struct {
+	zi      int
 	name    string
 	scope   map[model.TLD]bool
 	runner  *registry.DropRunner
@@ -78,12 +79,8 @@ type pendingCreate struct {
 }
 
 // filterEvents narrows a day's deletion archive to one zone's TLDs,
-// preserving order. A nil scope returns evs unchanged — the single-zone
-// path stays allocation- and content-identical.
+// preserving order.
 func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.DeletionEvent {
-	if scope == nil {
-		return evs
-	}
 	var out []model.DeletionEvent
 	for _, ev := range evs {
 		if scope[ev.TLD()] {
@@ -143,7 +140,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Days <= 0 || cfg.Scale <= 0 {
 		return nil, fmt.Errorf("sim: config needs positive Days and Scale (got %d, %g)", cfg.Days, cfg.Scale)
 	}
-	extra, err := cfg.extraZones()
+	zones, err := cfg.zones()
 	if err != nil {
 		return nil, err
 	}
@@ -206,29 +203,23 @@ func Run(cfg Config) (*Result, error) {
 	}
 	// Extra zones install before any of their domains can exist; a journaled
 	// resume has replayed them already and only has them checked.
-	if err := store.InstallZones(extra); err != nil {
+	if err := store.InstallZones(zones[1:]); err != nil {
 		return nil, err
 	}
-	market := registrars.NewMarket(dir, cfg.Market, rand.New(rand.NewSource(cfg.Seed+11)))
 	oracle := safebrowsing.NewOracle()
 	labelRng := rand.New(rand.NewSource(cfg.Seed + 13))
 
 	// Population. Generation is pure (RNG-only); insertion is skipped once
 	// any day's collection has completed — by then seeding had finished and
-	// Drops may already have purged some of the seeds. Extra zones seed
-	// their own populations from derived streams, merged into one global
+	// Drops may already have purged some of the seeds. Each zone seeds its
+	// own population from its own streams, merged into one global
 	// creation-time order.
-	seeder := newSeeder(cfg, dir, rand.New(rand.NewSource(cfg.Seed+3)))
-	lifecycleCfg := registry.DefaultLifecycleConfig()
-	specs, meta := seeder.generate(lifecycleCfg)
-	for zi, z := range extra {
-		base := cfg.Seed + zoneSeedStride*int64(zi+1)
-		zspecs, zmeta := newZoneSeeder(cfg, dir, z, base).generate(z.Lifecycle)
-		specs = mergeSpecs(specs, zspecs)
-		for k, v := range zmeta {
-			meta[k] = v
-		}
+	var specs []domainSpec
+	for zi, z := range zones {
+		base := cfg.Seed + zoneSeedStride*int64(zi)
+		specs = mergeSpecs(specs, newSeeder(cfg, dir, z.TLDs, base).generate(z.Lifecycle))
 	}
+	meta := lotMetas(specs)
 	if resumePoint == 0 {
 		if err := insertAll(store, specs, journaled && !rec.Fresh()); err != nil {
 			return nil, err
@@ -281,54 +272,32 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// One drop lane per zone, processed in drop-start order within each day.
-	// Lane 0 is the default zone on exactly the pre-federation streams and
-	// code path; extra lanes run their own policy, pacing RNG and market.
-	defDrop := cfg.scaledDrop()
-	defLane := &zoneLane{
-		runner:  registry.NewDropRunner(store, defDrop),
-		rng:     rand.New(rand.NewSource(cfg.Seed + 5)),
-		market:  market,
-		startAt: [2]int{19, 0}, // the literal instant the legacy driver used
-	}
-	if len(extra) > 0 {
-		// With other zones in the store the default lane must be scoped to
-		// its own TLDs — unscoped it would swallow their queues. The scoped
-		// runner still runs PacedOrdered over the same config, so a
-		// single-zone study (which never takes this branch) stays on the
-		// pre-federation code path byte for byte.
-		defZone := zone.Default()
-		defZone.Drop = defDrop
-		scoped, err := registry.NewZoneDropRunner(store, defZone)
+	// One drop lane per zone, processed in drop-start order within each day;
+	// on a tie the default zone goes first, then extra zones by name. Each
+	// lane runs its zone's policy, pacing RNG and market.
+	lanes := make([]*zoneLane, len(zones))
+	for zi, z := range zones {
+		base := cfg.Seed + zoneSeedStride*int64(zi)
+		z.Drop = cfg.scaledZoneDrop(z)
+		runner, err := registry.NewZoneDropRunner(store, z)
 		if err != nil {
 			return nil, err
 		}
-		defLane.runner = scoped
-		defLane.scope = defZone.TLDSet()
-	}
-	lanes := []*zoneLane{defLane}
-	for zi, z := range extra {
-		base := cfg.Seed + zoneSeedStride*int64(zi+1)
-		zc := z
-		zc.Drop = cfg.scaledZoneDrop(z)
-		zrunner, err := registry.NewZoneDropRunner(store, zc)
-		if err != nil {
-			return nil, err
-		}
-		lanes = append(lanes, &zoneLane{
+		lanes[zi] = &zoneLane{
+			zi:      zi,
 			name:    z.Name,
 			scope:   z.TLDSet(),
-			runner:  zrunner,
+			runner:  runner,
 			rng:     rand.New(rand.NewSource(base + 5)),
 			market:  registrars.NewMarket(dir, cfg.Market, rand.New(rand.NewSource(base+11))),
-			startAt: [2]int{zc.Drop.StartHour, zc.Drop.StartMinute},
-		})
+			startAt: [2]int{z.Drop.StartHour, z.Drop.StartMinute},
+		}
 	}
 	slices.SortStableFunc(lanes, func(a, b *zoneLane) int {
-		if c := a.startAt[0]*60 + a.startAt[1] - (b.startAt[0]*60 + b.startAt[1]); c != 0 {
-			return c
-		}
-		return strings.Compare(a.name, b.name)
+		return cmp.Or(
+			cmp.Compare(a.startAt[0]*60+a.startAt[1], b.startAt[0]*60+b.startAt[1]),
+			cmp.Compare(min(a.zi, 1), min(b.zi, 1)),
+			strings.Compare(a.name, b.name))
 	})
 
 	res := &Result{

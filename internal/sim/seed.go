@@ -14,7 +14,6 @@ import (
 	"dropzero/internal/registrars"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
-	"dropzero/internal/zone"
 )
 
 // Lot metadata the simulator keeps about every expiring domain: the
@@ -73,20 +72,23 @@ type seeder struct {
 	// the rest split the NetShare interleave — the default zone's
 	// [com, net] reproduces the paper's mix exactly.
 	tlds []model.TLD
-	// volSeed seeds the daily-volume RNG stream (Seed+7 for the default
-	// zone, the zone-strided equivalent for extra zones).
+	// volSeed seeds the daily-volume RNG stream.
 	volSeed int64
 }
 
-func newSeeder(cfg Config, dir *registrars.Directory, rng *rand.Rand) *seeder {
+// newSeeder returns the seeder of the zone operating tlds, drawing names,
+// sponsors and ages from base+3 and daily volumes from base+7, where base is
+// the zone's seed (Config.Seed for the default zone).
+func newSeeder(cfg Config, dir *registrars.Directory, tlds []model.TLD, base int64) *seeder {
+	rng := rand.New(rand.NewSource(base + 3))
 	s := &seeder{
 		cfg:     cfg,
 		rng:     rng,
 		gen:     names.NewGenerator(rng),
 		dir:     dir,
 		grace:   make(map[int]int),
-		tlds:    []model.TLD{model.COM, model.NET},
-		volSeed: cfg.Seed + 7,
+		tlds:    tlds,
+		volSeed: base + 7,
 	}
 	// Expiring domains were sponsored by GoDaddy, Dynadot, Xinnet and the
 	// long tail — with GoDaddy over-represented as the largest registrar.
@@ -97,16 +99,6 @@ func newSeeder(cfg Config, dir *registrars.Directory, rng *rand.Rand) *seeder {
 	for _, id := range s.priorSponsors {
 		s.grace[id] = 25 + rng.Intn(21) // 25–45 days after expiry
 	}
-	return s
-}
-
-// newZoneSeeder is newSeeder for an extra zone: same population model over
-// the zone's own TLDs, drawing from the zone's derived RNG streams so the
-// default zone's draws are untouched.
-func newZoneSeeder(cfg Config, dir *registrars.Directory, z zone.Config, base int64) *seeder {
-	s := newSeeder(cfg, dir, rand.New(rand.NewSource(base+3)))
-	s.tlds = z.TLDs
-	s.volSeed = base + 7
 	return s
 }
 
@@ -180,12 +172,11 @@ func (s *seeder) specsForDay(day simtime.Day, comCount int, lifecycle registry.L
 }
 
 // generate builds the full population for every deletion day in insertion
-// order (by creation time, preserving the ID/creation-time invariant) and
-// the ground-truth metadata by name. Generation is pure: it consumes only
-// the seeder's RNG streams, never the store, so a resumed study can
-// regenerate the identical population and metadata without touching the
-// recovered registry.
-func (s *seeder) generate(lifecycle registry.LifecycleConfig) ([]domainSpec, map[string]lotMeta) {
+// order (by creation time, preserving the ID/creation-time invariant).
+// Generation is pure: it consumes only the seeder's RNG streams, never the
+// store, so a resumed study can regenerate the identical population without
+// touching the recovered registry.
+func (s *seeder) generate(lifecycle registry.LifecycleConfig) []domainSpec {
 	var specs []domainSpec
 	volRng := rand.New(rand.NewSource(s.volSeed))
 	day := s.cfg.StartDay
@@ -194,11 +185,16 @@ func (s *seeder) generate(lifecycle registry.LifecycleConfig) ([]domainSpec, map
 		day = day.Next()
 	}
 	sortByCreation(specs)
+	return specs
+}
+
+// lotMetas indexes the ground-truth metadata of specs by name.
+func lotMetas(specs []domainSpec) map[string]lotMeta {
 	meta := make(map[string]lotMeta, len(specs))
 	for _, sp := range specs {
 		meta[sp.name] = sp.meta
 	}
-	return specs, meta
+	return meta
 }
 
 // sortByCreation sorts specs by creation time, stably. A stable sort of the
@@ -233,9 +229,12 @@ func sortByCreation(specs []domainSpec) {
 
 // mergeSpecs merges two creation-time-sorted spec slices, preserving the
 // sort and taking ties from a first — the multi-zone population keeps the
-// global ID-increases-with-creation-time invariant, and a single-zone study
-// never calls this.
+// global ID-increases-with-creation-time invariant. Merged into nothing, b
+// is returned as it is.
 func mergeSpecs(a, b []domainSpec) []domainSpec {
+	if len(a) == 0 {
+		return b
+	}
 	out := make([]domainSpec, 0, len(a)+len(b))
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -268,13 +267,4 @@ func insertAll(store *registry.Store, specs []domainSpec, resume bool) error {
 		}
 	}
 	return nil
-}
-
-// seedAll generates the population and inserts it, the non-resuming path.
-func (s *seeder) seedAll(store *registry.Store, lifecycle registry.LifecycleConfig) (map[string]lotMeta, error) {
-	specs, meta := s.generate(lifecycle)
-	if err := insertAll(store, specs, false); err != nil {
-		return nil, err
-	}
-	return meta, nil
 }

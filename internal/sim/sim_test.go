@@ -11,6 +11,7 @@ import (
 	"dropzero/internal/model"
 	"dropzero/internal/registrars"
 	"dropzero/internal/simtime"
+	"dropzero/internal/zone"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -39,7 +40,7 @@ func TestDailyVolumeBand(t *testing.T) {
 func TestScaledDropKeepsDuration(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Scale = 0.1
-	d := cfg.scaledDrop()
+	d := cfg.scaledZoneDrop(zone.Default())
 	if d.BaseRatePerSec <= 0 {
 		t.Fatalf("scaled rate = %v", d.BaseRatePerSec)
 	}

@@ -112,15 +112,12 @@ type ProfileReport struct {
 	Errors      uint64 // transport or unexpected protocol failures
 }
 
-// GroupReport is one TLD's (or one zone's) slice of the storm: its share of
-// the contested names, the attempts and wins it drew, its latency
-// distribution, and its own FCFS audit tallies.
+// GroupReport is one zone's slice of the storm: its share of the contested
+// names, the attempts and wins it drew, its latency distribution, and its
+// own FCFS audit tallies.
 type GroupReport struct {
-	// Key is the TLD (for ByTLD) or the zone name (for ByZone; "" groups
-	// TLDs no configured zone operates).
-	Key string
-	// Zone is the operating zone's name on a ByTLD entry ("" when unknown).
-	Zone      string
+	// Key is the zone name ("" groups TLDs no configured zone operates).
+	Key       string
 	Names     int    // contested names in this group
 	Attempts  uint64 // creates actually sent for this group's names
 	Wins      uint64 // names re-registered
@@ -153,10 +150,8 @@ type Report struct {
 	WinsByAccreditation map[int]int
 	WinsByService       map[string]int
 	Profiles            []ProfileReport
-	// ByTLD breaks the storm down per TLD, sorted by TLD; ByZone aggregates
-	// those groups per operating zone (Config.Zones labels the mapping),
-	// sorted by zone name.
-	ByTLD  []GroupReport
+	// ByZone breaks the storm down per operating zone (Config.Zones labels
+	// the mapping), sorted by zone name.
 	ByZone []GroupReport
 	// Unclaimed are names whose drop was applied but that nobody
 	// re-registered before the schedules ran dry.
@@ -595,80 +590,67 @@ func (r *race) report(elapsed, maxLag time.Duration) *Report {
 	if elapsed > 0 {
 		rep.AchievedRPS = float64(len(sentLats)) / elapsed.Seconds()
 	}
-	rep.ByTLD, rep.ByZone = r.groupReports(elapsed)
+	rep.ByZone = r.groupReports(elapsed)
 	return rep
 }
 
-// groupReports folds the per-arrival observations into per-TLD groups and
-// aggregates those per operating zone.
-func (r *race) groupReports(elapsed time.Duration) (byTLD, byZone []GroupReport) {
-	tldOf := make([]string, len(r.drop))
-	for ni, d := range r.drop {
-		if t, ok := model.TLDOf(d.Name); ok {
-			tldOf[ni] = string(t)
-		}
-	}
-	zoneOf := make(map[string]string) // TLD -> zone name
+// groupReports folds the per-arrival observations into per-zone groups.
+func (r *race) groupReports(elapsed time.Duration) []GroupReport {
+	zoneOf := make(map[model.TLD]string)
 	for _, z := range r.cfg.Zones {
 		for _, t := range z.TLDs {
-			zoneOf[string(t)] = z.Name
+			zoneOf[t] = z.Name
+		}
+	}
+	keyOf := make([]string, len(r.drop))
+	for ni, d := range r.drop {
+		if t, ok := model.TLDOf(d.Name); ok {
+			keyOf[ni] = zoneOf[t]
 		}
 	}
 
-	build := func(keyOf func(ni int) string) []GroupReport {
-		samples := make([]loadgen.Sample, 0, len(r.arrivals))
-		for ai, a := range r.arrivals {
-			if !r.fired[ai] {
-				continue
-			}
-			samples = append(samples, loadgen.Sample{
-				Key:     keyOf(a.name),
-				Latency: r.lats[ai],
-				Code:    r.codes[ai][0],
-				Coded:   r.codes[ai][1] == 1,
-			})
+	samples := make([]loadgen.Sample, 0, len(r.arrivals))
+	for ai, a := range r.arrivals {
+		if !r.fired[ai] {
+			continue
 		}
-		results := loadgen.CollectBy(samples, elapsed)
-		groups := make(map[string]*GroupReport, len(results))
-		group := func(key string) *GroupReport {
-			g := groups[key]
-			if g == nil {
-				g = &GroupReport{Key: key}
-				groups[key] = g
-			}
-			return g
-		}
-		for key, res := range results {
-			g := group(key)
-			g.Creates = res
-			g.Attempts = res.Requests
-		}
-		for ni, d := range r.drop {
-			g := group(keyOf(ni))
-			g.Names++
-			if r.won[ni].Load() {
-				g.Wins++
-			}
-			g.MultiAcks += r.multiAcks[d.Name]
-			if r.unclaimed(ni) {
-				g.Unclaimed++
-			}
-		}
-		out := make([]GroupReport, 0, len(groups))
-		for _, g := range groups {
-			out = append(out, *g)
-		}
-		slices.SortFunc(out, func(a, b GroupReport) int { return cmp.Compare(a.Key, b.Key) })
-		return out
+		samples = append(samples, loadgen.Sample{
+			Key:     keyOf[a.name],
+			Latency: r.lats[ai],
+			Code:    r.codes[ai][0],
+			Coded:   r.codes[ai][1] == 1,
+		})
 	}
-
-	byTLD = build(func(ni int) string { return tldOf[ni] })
-	for i := range byTLD {
-		byTLD[i].Zone = zoneOf[byTLD[i].Key]
+	results := loadgen.CollectBy(samples, elapsed)
+	groups := make(map[string]*GroupReport, len(results))
+	group := func(key string) *GroupReport {
+		g := groups[key]
+		if g == nil {
+			g = &GroupReport{Key: key}
+			groups[key] = g
+		}
+		return g
 	}
-	byZone = build(func(ni int) string { return zoneOf[tldOf[ni]] })
-	for i := range byZone {
-		byZone[i].Zone = byZone[i].Key
+	for key, res := range results {
+		g := group(key)
+		g.Creates = res
+		g.Attempts = res.Requests
 	}
-	return byTLD, byZone
+	for ni, d := range r.drop {
+		g := group(keyOf[ni])
+		g.Names++
+		if r.won[ni].Load() {
+			g.Wins++
+		}
+		g.MultiAcks += r.multiAcks[d.Name]
+		if r.unclaimed(ni) {
+			g.Unclaimed++
+		}
+	}
+	out := make([]GroupReport, 0, len(groups))
+	for _, g := range groups {
+		out = append(out, *g)
+	}
+	slices.SortFunc(out, func(a, b GroupReport) int { return cmp.Compare(a.Key, b.Key) })
+	return out
 }

@@ -68,9 +68,8 @@ type Config struct {
 
 // Default returns the zone every store hosts from construction: .com/.net
 // under ICANN-policy lifecycle defaults and the paper's 19:00 UTC paced
-// Drop. It exists for compatibility — pre-federation stores were exactly
-// this zone, and a store configured with no zones behaves identically to
-// one.
+// Drop. It is zone 0 of every store: implicit, never journaled, and the
+// zone registry.NewDropRunner and registry.NewLifecycle drive.
 func Default() Config {
 	return Config{
 		Name:      "core",
