@@ -4,12 +4,12 @@
 // download of this list is the paper's source of deletion *dates* (the
 // deletion *times* are what the core model infers).
 //
-// The server pre-renders each publication day's CSV once per (day, store
-// generation) and serves the cached bytes with a strong ETag and
-// If-None-Match/304 handling. Because consecutive lists share four of their
-// five days (the lookahead window slides by one day), the cache works in
-// per-day segments: a new day's list only renders the one segment it does
-// not share with yesterday's.
+// The server caches each whole five-day list per (store generation, start
+// day, zone) in a gencache.Cache and serves the cached bytes with a strong
+// ETag and If-None-Match/304 handling. The client does not revalidate: it
+// fetches each day once, and because consecutive lists share four of their
+// five days (the lookahead window slides by one day), it reuses the parsed
+// entries of every day segment whose bytes are unchanged.
 package dropscope
 
 import (
@@ -44,9 +44,15 @@ type Entry struct {
 	DeleteDay simtime.Day
 }
 
-// cachedList is one fully assembled publication list. The header values are
+// listCacheSize bounds the list cache. A generation is asked for one list
+// per (start day, zone) its readers want, a handful at most; the cache
+// flushes wholesale on every store mutation anyway.
+const listCacheSize = 64
+
+// cachedList is one rendered publication list. The header values are
 // pre-built []string slices so the warm serving path performs no per-request
-// allocations beyond the ResponseWriter's own.
+// allocations beyond the ResponseWriter's own. etag is empty for a list
+// rendered while the store mutated, which is served once and never cached.
 type cachedList struct {
 	body    []byte
 	etag    string
@@ -64,31 +70,19 @@ var csvContentType = []string{"text/csv"}
 // returns a CSV body (name,deleteDate) of all domains scheduled for deletion
 // on the five days starting at date. Responses carry Content-Length and a
 // strong ETag keyed on (store generation, date); requests with a matching
-// If-None-Match get 304 Not Modified.
+// If-None-Match get 304 Not Modified. Whole lists are cached in a
+// generation-checked gencache.Cache, filled as rdap.Server fills its own.
 type Server struct {
 	*serve.HTTP // Handler, Listen, ServeErr and Close
 
 	store     *registry.Store
 	mux       *http.ServeMux
+	lists     *gencache.Cache[listKey, *cachedList]
 	requests  atomic.Uint64
-	hits      atomic.Uint64
-	misses    atomic.Uint64
 	writeErrs atomic.Uint64
-
-	// mu guards the generation-checked render cache. segs holds one
-	// rendered CSV segment per (deletion day, zone); lists holds the
-	// assembled five-day bodies by (start day, zone). The zone key is ""
-	// for the unscoped list — the pre-federation cache shape, so default
-	// requests share nothing with zone-scoped ones and stay byte-identical.
-	// Both maps are valid for generation cgen only and are flushed
-	// wholesale when the store moves on.
-	mu    sync.Mutex
-	cgen  uint64
-	segs  map[listKey][]byte
-	lists map[listKey]*cachedList
 }
 
-// listKey addresses one cached render: the day it starts at and the zone it
+// listKey addresses one cached list: the day it starts at and the zone it
 // is scoped to ("" = all zones, the default list).
 type listKey struct {
 	day  simtime.Day
@@ -99,8 +93,7 @@ type listKey struct {
 func NewServer(store *registry.Store) *Server {
 	s := &Server{
 		store: store,
-		segs:  make(map[listKey][]byte),
-		lists: make(map[listKey]*cachedList),
+		lists: gencache.New[listKey, *cachedList](listCacheSize),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/pendingdelete", s.handleList)
@@ -121,8 +114,8 @@ func (s *Server) AttachFeed(hub *feed.Hub) {
 type Metrics struct {
 	// Requests counts list requests, including malformed ones.
 	Requests uint64
-	// Cache counts warm (fully assembled body reused) versus cold list
-	// serves; 304 responses count as hits.
+	// Cache counts warm (cached list reused) versus cold list serves; 304
+	// responses count as hits.
 	Cache gencache.Counters
 	// WriteErrors counts response bodies that failed mid-write. Clients
 	// detect the truncation from Content-Length.
@@ -133,7 +126,7 @@ type Metrics struct {
 func (s *Server) Metrics() Metrics {
 	return Metrics{
 		Requests:    s.requests.Load(),
-		Cache:       gencache.Counters{Hits: s.hits.Load(), Misses: s.misses.Load()},
+		Cache:       s.lists.Stats(),
 		WriteErrors: s.writeErrs.Load(),
 	}
 }
@@ -170,37 +163,14 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		tlds = z.TLDSet()
 	}
 
-	gen := s.store.Generation()
-	s.mu.Lock()
-	s.flushTo(gen)
-	cl, ok := s.lists[listKey{start, zoneName}]
-	s.mu.Unlock()
-	if ok {
-		s.hits.Add(1)
-	} else {
-		s.misses.Add(1)
-		cl, ok = s.buildList(gen, start, zoneName, tlds)
-		if !ok {
-			// The store mutated while rendering. The body below is still a
-			// single consistent snapshot (one PendingDeletions call), so
-			// serve it — but uncached and without an ETag, because we cannot
-			// name the generation it belongs to.
-			body := renderWindow(s.store, start, LookaheadDays, tlds)
-			h := w.Header()
-			h["Content-Type"] = csvContentType
-			h["Content-Length"] = []string{strconv.Itoa(len(body))}
-			if _, err := w.Write(body); err != nil {
-				s.writeErrs.Add(1)
-			}
+	cl := s.list(listKey{start, zoneName}, tlds)
+	h := w.Header()
+	if cl.etag != "" {
+		h["Etag"] = cl.etagVal
+		if r.Header.Get("If-None-Match") == cl.etag {
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-	}
-
-	h := w.Header()
-	h["Etag"] = cl.etagVal
-	if r.Header.Get("If-None-Match") == cl.etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
 	}
 	h["Content-Type"] = csvContentType
 	// Content-Length is set up front so a client can detect a truncated
@@ -211,79 +181,32 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// flushTo discards cached segments and lists when gen is newer than the
-// cached generation. The caller holds s.mu.
-func (s *Server) flushTo(gen uint64) {
-	if gen > s.cgen {
-		clear(s.segs)
-		clear(s.lists)
-		s.cgen = gen
+// list returns the list key names, narrowed to the TLDs in tlds when the key
+// has a zone: the cached one for the store's generation, or a fresh render.
+// It follows the Store.Generation contract: read the generation, render,
+// read it again, and cache only when the two match. A render the store
+// mutated under is still one consistent snapshot (one PendingDeletions
+// call), so it is served, but uncached and without an ETag, because it
+// belongs to no generation it could name. A zone's ETag carries an @zone
+// suffix: zone bodies differ, so their validators must too.
+func (s *Server) list(key listKey, tlds map[model.TLD]bool) *cachedList {
+	gen := s.store.Generation()
+	if cl, ok := s.lists.Get(gen, key); ok {
+		return cl
 	}
-}
-
-// buildList renders and caches the list starting at start for generation
-// gen, reusing any per-day segments already rendered under gen. ok=false
-// means the store's generation moved while rendering and nothing was cached.
-// A non-empty zoneName narrows the list to the zone with TLD membership
-// tlds and suffixes the ETag with @zone (zone bodies differ, so their
-// validators must too).
-func (s *Server) buildList(gen uint64, start simtime.Day, zoneName string, tlds map[model.TLD]bool) (*cachedList, bool) {
-	end := start.AddDays(LookaheadDays)
-	s.mu.Lock()
-	if s.cgen != gen {
-		s.mu.Unlock()
-		return nil, false
-	}
-	var missing []simtime.Day
-	for d := start; d.Before(end); d = d.Next() {
-		if _, ok := s.segs[listKey{d, zoneName}]; !ok {
-			missing = append(missing, d)
-		}
-	}
-	s.mu.Unlock()
-
-	// Missing segments are rendered outside s.mu (each render takes the
-	// store's read lock); a concurrent mutation is detected by re-reading
-	// the generation before installing, per the Store.Generation contract.
-	built := make(map[simtime.Day][]byte, len(missing))
-	for _, d := range missing {
-		built[d] = renderWindow(s.store, d, 1, tlds)
-	}
+	body := renderWindow(s.store, key.day, LookaheadDays, tlds)
+	cl := &cachedList{body: body, clenVal: []string{strconv.Itoa(len(body))}}
 	if s.store.Generation() != gen {
-		return nil, false // segments may straddle a mutation; do not cache
+		return cl
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.cgen != gen {
-		return nil, false
+	cl.etag = `"` + strconv.FormatUint(gen, 10) + "-" + key.day.String()
+	if key.zone != "" {
+		cl.etag += "@" + key.zone
 	}
-	for d, seg := range built {
-		s.segs[listKey{d, zoneName}] = seg
-	}
-	// Under an unchanged generation segments are only ever added, so the
-	// whole window is now present.
-	n := 0
-	for d := start; d.Before(end); d = d.Next() {
-		n += len(s.segs[listKey{d, zoneName}])
-	}
-	body := make([]byte, 0, n)
-	for d := start; d.Before(end); d = d.Next() {
-		body = append(body, s.segs[listKey{d, zoneName}]...)
-	}
-	etag := `"` + strconv.FormatUint(gen, 10) + "-" + start.String()
-	if zoneName != "" {
-		etag += "@" + zoneName
-	}
-	etag += `"`
-	cl := &cachedList{
-		body:    body,
-		etag:    etag,
-		etagVal: []string{etag},
-		clenVal: []string{strconv.Itoa(len(body))},
-	}
-	s.lists[listKey{start, zoneName}] = cl
-	return cl, true
+	cl.etag += `"`
+	cl.etagVal = []string{cl.etag}
+	s.lists.Put(gen, key, cl)
+	return cl
 }
 
 // renderWindow renders the CSV lines for all domains scheduled for deletion
@@ -315,30 +238,23 @@ func ParseDay(s string) (simtime.Day, error) {
 	return simtime.DayOf(t), nil
 }
 
-// Client downloads pending-delete lists. It remembers each day's ETag and
-// parsed entries, revalidates with If-None-Match, and reuses the parsed list
-// on 304 Not Modified — repeated fetches of an unchanged day cost neither a
-// body transfer nor a re-parse. A 200 is additionally diffed per deletion-day
-// segment against the previous body: consecutive publications share four of
-// their five days, and an unchanged day's bytes reuse the already-parsed
-// entries instead of re-parsing the whole list. (A client that can hold a
-// cursor skips the daily body entirely: feed.SyncDeltas keeps a mirror of
-// the pending-delete set from the /deltas endpoint this server mounts.)
+// Client downloads pending-delete lists. It does not revalidate: every
+// fetch is a plain GET, and its callers fetch each day once. A 200 is diffed
+// per deletion-day segment against the previous body instead: consecutive
+// publications share four of their five days, and an unchanged day's bytes
+// reuse the already-parsed entries instead of re-parsing the whole list.
+// (A client that can hold a cursor skips the daily body entirely:
+// feed.SyncDeltas keeps a mirror of the pending-delete set from the /deltas
+// endpoint this server mounts.)
 type Client struct {
 	base *url.URL
 	http *http.Client
 
-	mu    sync.Mutex
-	cache map[simtime.Day]*clientCached // by list start day
-	days  map[simtime.Day]*dayCached    // by deletion day
+	mu   sync.Mutex
+	days map[simtime.Day]*dayCached // by deletion day
 
 	segReused atomic.Uint64
 	segParsed atomic.Uint64
-}
-
-type clientCached struct {
-	etag    string
-	entries []Entry
 }
 
 // dayCached is one deletion day's slice of the last list body: the raw CSV
@@ -359,10 +275,9 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 		httpClient = &http.Client{Timeout: 30 * time.Second}
 	}
 	return &Client{
-		base:  u,
-		http:  httpClient,
-		cache: make(map[simtime.Day]*clientCached),
-		days:  make(map[simtime.Day]*dayCached),
+		base: u,
+		http: httpClient,
+		days: make(map[simtime.Day]*dayCached),
 	}, nil
 }
 
@@ -382,20 +297,11 @@ func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: build request: %w", err)
 	}
-	c.mu.Lock()
-	prior := c.cache[day]
-	c.mu.Unlock()
-	if prior != nil {
-		req.Header.Set("If-None-Match", prior.etag)
-	}
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: GET %s: %w", u.String(), err)
 	}
 	defer resp.Body.Close()
-	if prior != nil && resp.StatusCode == http.StatusNotModified {
-		return append([]Entry(nil), prior.entries...), nil
-	}
 	if resp.StatusCode != http.StatusOK {
 		// Read a bounded rest of the error body so the connection is reused.
 		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
@@ -405,16 +311,7 @@ func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dropscope: read list: %w", err)
 	}
-	entries, err := c.assembleBody(day, body)
-	if err != nil {
-		return entries, err
-	}
-	if etag := resp.Header.Get("ETag"); etag != "" {
-		c.mu.Lock()
-		c.cache[day] = &clientCached{etag: etag, entries: append([]Entry(nil), entries...)}
-		c.mu.Unlock()
-	}
-	return entries, nil
+	return c.assembleBody(day, body)
 }
 
 // assembleBody turns a 200 list body into entries, reusing the parsed

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -370,84 +371,43 @@ func TestTruncatedWriteDetectable(t *testing.T) {
 	}
 }
 
-// statusCountingTransport wraps a RoundTripper and tallies response codes.
-type statusCountingTransport struct {
-	rt    http.RoundTripper
-	mu    sync.Mutex
-	codes map[int]int
-}
-
-func (s *statusCountingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
-	resp, err := s.rt.RoundTrip(req)
-	if err == nil {
-		s.mu.Lock()
-		s.codes[resp.StatusCode]++
-		s.mu.Unlock()
+// TestClientRetainsNoPastLists: a client that fetches one list per day, as
+// a study does, keeps only what the next day's segment reuse needs. Past
+// lists are not kept: its heap must not grow with the days it has fetched.
+func TestClientRetainsNoPastLists(t *testing.T) {
+	const perDay, seedDays, fetches = 2000, 40, 30
+	store, client, day := newEnv(t)
+	for d := 0; d < seedDays; d++ {
+		for i := 0; i < perDay; i++ {
+			seedPending(t, store, fmt.Sprintf("keep%02d-%04d.com", d, i), day.AddDays(d))
+		}
 	}
-	return resp, err
-}
-
-// TestClientReusesParsedListOn304 checks the client side of the conditional
-// flow: the second fetch of an unchanged day revalidates with If-None-Match,
-// gets a 304 and returns the previously parsed entries.
-func TestClientReusesParsedListOn304(t *testing.T) {
-	store, _, day := newEnv(t)
-	seedPending(t, store, "c1.com", day)
-	seedPending(t, store, "c2.com", day)
-	srv := NewServer(store)
-	counting := &statusCountingTransport{rt: inproc.Transport{Handler: srv.Handler()}, codes: make(map[int]int)}
-	client, err := NewClient("http://scope.test", &http.Client{Transport: counting})
-	if err != nil {
-		t.Fatal(err)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	first, err := client.Fetch(context.Background(), day)
-	if err != nil || len(first) != 2 {
-		t.Fatalf("first fetch: %v %v", first, err)
+	var at5 uint64
+	for f := 0; f < fetches; f++ {
+		entries, err := client.Fetch(context.Background(), day.AddDays(f))
+		if err != nil || len(entries) != LookaheadDays*perDay {
+			t.Fatalf("fetch %d: %d entries, %v", f, len(entries), err)
+		}
+		if f+1 == 5 {
+			at5 = heap()
+		}
+		// One mutation per day, as a study day makes, so the server holds
+		// one list at a time. The name is due long after every window.
+		seedPending(t, store, fmt.Sprintf("later%02d.com", f), day.AddDays(100))
 	}
-	second, err := client.Fetch(context.Background(), day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(first, second) {
-		t.Fatalf("304 fetch differs: %v vs %v", first, second)
-	}
-	if counting.codes[http.StatusNotModified] != 1 || counting.codes[http.StatusOK] != 1 {
-		t.Fatalf("status codes = %v, want one 200 and one 304", counting.codes)
-	}
-	// After a mutation the revalidation must miss and deliver the new list.
-	seedPending(t, store, "c3.com", day)
-	third, err := client.Fetch(context.Background(), day)
-	if err != nil || len(third) != 3 {
-		t.Fatalf("post-mutation fetch: %v %v", third, err)
-	}
-	if counting.codes[http.StatusOK] != 2 {
-		t.Fatalf("status codes = %v, want a second 200", counting.codes)
-	}
-}
-
-// TestSegmentReuseAcrossWindows checks the sliding-window economics the
-// cache is built around: consecutive start days share four of their five
-// per-day segments, so serving the next day's list renders only one new
-// segment rather than five.
-func TestSegmentReuseAcrossWindows(t *testing.T) {
-	store, _, day := newEnv(t)
-	for i := 0; i < 10; i++ {
-		seedPending(t, store, fmt.Sprintf("seg%02d.com", i), day.AddDays(i%8))
-	}
-	srv := NewServer(store)
-	get(t, srv, day, "")
-	srv.mu.Lock()
-	after1 := len(srv.segs)
-	srv.mu.Unlock()
-	if after1 != LookaheadDays {
-		t.Fatalf("segments after first window = %d, want %d", after1, LookaheadDays)
-	}
-	get(t, srv, day.Next(), "")
-	srv.mu.Lock()
-	after2 := len(srv.segs)
-	srv.mu.Unlock()
-	if after2 != LookaheadDays+1 {
-		t.Fatalf("segments after second window = %d, want %d (one new segment)", after2, LookaheadDays+1)
+	at30 := heap()
+	runtime.KeepAlive(client)
+	runtime.KeepAlive(store)
+	t.Logf("heap after fetch 5: %d B; after fetch %d: %d B", at5, fetches, at30)
+	if at30 > at5 && at30-at5 > 2<<20 {
+		t.Fatalf("client heap grew %d B from fetch 5 to fetch %d, want < 2 MiB", at30-at5, fetches)
 	}
 }
 

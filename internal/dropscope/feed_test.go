@@ -47,13 +47,14 @@ func TestFetchReusesUnchangedDaySegments(t *testing.T) {
 			reused, parsed, LookaheadDays-1, LookaheadDays+1)
 	}
 
-	// A refetch of an unchanged day takes the 304 path: no body, no
-	// segment work at all.
+	// A refetch of an unchanged day is a 200 whose five segments all
+	// reuse their parsed entries: nothing re-parses.
 	if _, err := client.Fetch(ctx, day.Next()); err != nil {
 		t.Fatal(err)
 	}
+	reused += LookaheadDays
 	if r2, p2 := client.SegmentCounters(); r2 != reused || p2 != parsed {
-		t.Fatalf("304 refetch touched segments: reused=%d parsed=%d", r2, p2)
+		t.Fatalf("unchanged refetch: reused=%d parsed=%d, want %d/%d", r2, p2, reused, parsed)
 	}
 
 	// One day mutates: exactly that segment re-parses, the rest reuse.

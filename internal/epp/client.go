@@ -46,7 +46,7 @@ func (c *Client) roundTrip(req *Request) (*Response, error) {
 		return nil, err
 	}
 	var resp Response
-	if err := c.fr.read(&resp); err != nil {
+	if err := readFrame(c.fr, &resp); err != nil {
 		return nil, err
 	}
 	if err := resp.Err(); err != nil {

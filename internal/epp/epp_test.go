@@ -33,14 +33,14 @@ func TestFrameRoundTrip(t *testing.T) {
 
 func TestFrameTooLarge(t *testing.T) {
 	var buf bytes.Buffer
-	big := strings.Repeat("x", MaxFrame+1)
+	big := &Request{Cmd: CmdCreate, Name: strings.Repeat("x", MaxFrame+1)}
 	if err := WriteFrame(&buf, big); err == nil {
 		t.Fatal("oversized write frame accepted")
 	}
 	// Oversized header on read.
 	buf.Reset()
 	buf.Write([]byte{0xff, 0xff, 0xff, 0xff})
-	var v any
+	var v Request
 	if err := ReadFrame(&buf, &v); err == nil {
 		t.Fatal("oversized read frame accepted")
 	}

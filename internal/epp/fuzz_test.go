@@ -37,7 +37,7 @@ func FuzzReadFrame(f *testing.F) {
 		fr := newFrameReader(bytes.NewReader(data))
 		var req2 Request
 		err1 := ReadFrame(bytes.NewReader(data), &req)
-		err2 := fr.read(&req2)
+		err2 := readFrame(fr, &req2)
 		fr.release()
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("ReadFrame err=%v, frameReader err=%v", err1, err2)

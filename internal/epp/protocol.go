@@ -147,15 +147,17 @@ var framePool = sync.Pool{New: func() any {
 	return &b
 }}
 
+// frame is the protocol's two wire types: every frame carries one of them.
+type frame interface{ *Request | *Response }
+
 // WriteFrame writes one length-prefixed JSON frame as a single coalesced
 // write (header and body in one syscall — under a create storm the second
-// syscall per frame is pure overhead). Requests and Responses take the
-// allocation-free append encoders; any other value falls back to
-// encoding/json. Byte output is identical either way.
-func WriteFrame(w io.Writer, v any) error {
+// syscall per frame is pure overhead), through the allocation-free append
+// encoders.
+func WriteFrame[F frame](w io.Writer, v F) error {
 	bp := framePool.Get().(*[]byte)
 	buf := append((*bp)[:0], 0, 0, 0, 0) // header placeholder
-	switch t := v.(type) {
+	switch t := any(v).(type) {
 	case *Request:
 		buf = appendRequest(buf, t)
 	case *Response:
@@ -167,13 +169,6 @@ func WriteFrame(w io.Writer, v any) error {
 			_, err := json.Marshal(v)
 			return fmt.Errorf("epp: marshal frame: %w", err)
 		}
-	default:
-		body, err := json.Marshal(v)
-		if err != nil {
-			framePool.Put(bp)
-			return fmt.Errorf("epp: marshal frame: %w", err)
-		}
-		buf = append(buf, body...)
 	}
 	err := writeRaw(w, buf)
 	*bp = buf[:0]
@@ -198,7 +193,7 @@ func writeRaw(w io.Writer, buf []byte) error {
 // ReadFrame reads one length-prefixed JSON frame into v. It allocates a
 // fresh body buffer per call; the connection loops use a frameReader, which
 // reuses one buffer for the life of the connection.
-func ReadFrame(r io.Reader, v any) error {
+func ReadFrame[F frame](r io.Reader, v F) error {
 	var hdr [4]byte
 	n, err := readHeader(r, hdr[:])
 	if err != nil {
@@ -223,33 +218,27 @@ func readHeader(r io.Reader, hdr []byte) (uint32, error) {
 	return n, nil
 }
 
-func readBody(r io.Reader, body []byte, v any) error {
+func readBody[F frame](r io.Reader, body []byte, v F) error {
 	if _, err := io.ReadFull(r, body); err != nil {
 		return fmt.Errorf("epp: read frame body: %w", err)
 	}
 	return decodeFrame(body, v, nil)
 }
 
-// decodeFrame unmarshals a frame body: the two wire types take the
-// specialised decoders (scratch, when non-nil, is the caller's reusable
-// unescape buffer), anything else goes through encoding/json.
-func decodeFrame(body []byte, v any, scratch *[]byte) error {
+// decodeFrame unmarshals a frame body with the wire type's decoder
+// (scratch, when non-nil, is the caller's reusable unescape buffer).
+func decodeFrame[F frame](body []byte, v F, scratch *[]byte) error {
 	var cur jsonwire.Cursor
 	cur.Reset(body)
 	if scratch != nil {
 		cur.Scratch = *scratch
 	}
 	var err error
-	switch t := v.(type) {
+	switch t := any(v).(type) {
 	case *Request:
 		err = decodeRequest(&cur, t)
 	case *Response:
 		err = decodeResponse(&cur, t)
-	default:
-		if jerr := json.Unmarshal(body, v); jerr != nil {
-			return fmt.Errorf("epp: unmarshal frame: %w", jerr)
-		}
-		return nil
 	}
 	if scratch != nil {
 		*scratch = cur.Scratch
@@ -291,7 +280,9 @@ func (fr *frameReader) release() {
 	fr.br = nil
 }
 
-func (fr *frameReader) read(v any) error {
+// readFrame reads one frame from fr's connection into v, reusing fr's body
+// and unescape buffers.
+func readFrame[F frame](fr *frameReader, v F) error {
 	var hdr [4]byte
 	n, err := readHeader(fr.br, hdr[:])
 	if err != nil {

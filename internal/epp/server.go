@@ -108,7 +108,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var resp Response
 	for {
 		req = Request{}
-		if err := fr.read(&req); err != nil {
+		if err := readFrame(fr, &req); err != nil {
 			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				s.logf("epp: %s: %v", conn.RemoteAddr(), err)
 			}

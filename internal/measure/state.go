@@ -3,6 +3,7 @@ package measure
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
@@ -26,12 +27,6 @@ type PendingEntry struct {
 	Prior     *model.PriorRegistration
 }
 
-// PipelineState is the pipeline's complete resumable state.
-type PipelineState struct {
-	Pending []PendingEntry
-	Stats   Stats
-}
-
 // CollectDelta is the state change one CollectDaily call produced: the
 // domains it started tracking and the prior-registration lookups it
 // resolved. Applying the delta to the pipeline reproduces the call's effect
@@ -39,7 +34,7 @@ type PipelineState struct {
 // registry that no longer holds those registrations.
 type CollectDelta struct {
 	Day      simtime.Day
-	Added    []PendingEntry // Prior always nil: lookups resolve separately
+	Added    []PendingEntry // Prior nil, except in a State export
 	Resolved []PendingEntry // Prior always non-nil
 	Stats    Stats
 }
@@ -58,43 +53,22 @@ func (s Stats) sub(before Stats) Stats {
 	}
 }
 
-// State exports a deep copy of the pipeline's tracked domains and counters,
-// sorted by name so equal pipelines export equal states.
-func (p *Pipeline) State() PipelineState {
-	st := PipelineState{Stats: p.stats}
+// State exports a deep copy of the pipeline's tracked domains and counters
+// as the delta that, applied to a fresh pipeline, recreates it: every
+// tracked domain in Added, with its prior when resolved. Entries are sorted
+// by name so equal pipelines export equal states.
+func (p *Pipeline) State() CollectDelta {
+	st := CollectDelta{Stats: p.stats}
 	for _, pd := range p.pending {
 		e := PendingEntry{Name: pd.name, TLD: pd.tld, DeleteDay: pd.deleteDay}
 		if pd.prior != nil {
 			c := *pd.prior
 			e.Prior = &c
 		}
-		st.Pending = append(st.Pending, e)
+		st.Added = append(st.Added, e)
 	}
-	slices.SortFunc(st.Pending, func(a, b PendingEntry) int {
-		if a.Name < b.Name {
-			return -1
-		}
-		if a.Name > b.Name {
-			return 1
-		}
-		return 0
-	})
+	slices.SortFunc(st.Added, func(a, b PendingEntry) int { return strings.Compare(a.Name, b.Name) })
 	return st
-}
-
-// Restore loads an exported state into a fresh pipeline, replacing whatever
-// it tracked.
-func (p *Pipeline) Restore(st PipelineState) {
-	p.pending = make(map[string]*pendingDomain, len(st.Pending))
-	for _, e := range st.Pending {
-		pd := &pendingDomain{name: e.Name, tld: e.TLD, deleteDay: e.DeleteDay}
-		if e.Prior != nil {
-			c := *e.Prior
-			pd.prior = &c
-		}
-		p.pending[e.Name] = pd
-	}
-	p.stats = st.Stats
 }
 
 // TakeDelta returns the delta accumulated since the last call (or since the
@@ -106,9 +80,10 @@ func (p *Pipeline) TakeDelta() *CollectDelta {
 	return d
 }
 
-// ApplyDelta replays a recorded CollectDaily outcome into the pipeline. The
+// ApplyDelta replays a recorded CollectDaily outcome into the pipeline; a
+// State export applied to a fresh pipeline restores the exported state. The
 // replay is exact: the tracked set, resolved priors and counters end up as
-// the original call left them.
+// the original left them.
 func (p *Pipeline) ApplyDelta(d *CollectDelta) error {
 	if p.pending == nil {
 		p.pending = make(map[string]*pendingDomain)
@@ -117,7 +92,12 @@ func (p *Pipeline) ApplyDelta(d *CollectDelta) error {
 		if _, seen := p.pending[e.Name]; seen {
 			return fmt.Errorf("measure: replay day %v: %s already tracked", d.Day, e.Name)
 		}
-		p.pending[e.Name] = &pendingDomain{name: e.Name, tld: e.TLD, deleteDay: e.DeleteDay}
+		pd := &pendingDomain{name: e.Name, tld: e.TLD, deleteDay: e.DeleteDay}
+		if e.Prior != nil {
+			c := *e.Prior
+			pd.prior = &c
+		}
+		p.pending[e.Name] = pd
 	}
 	for _, e := range d.Resolved {
 		pd, ok := p.pending[e.Name]

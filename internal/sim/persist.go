@@ -33,17 +33,9 @@ type dayRecord struct {
 	Delta measure.CollectDelta
 }
 
-// checkpoint is the application blob stored in every snapshot.
-type checkpoint struct {
-	// CollectedDays is how many study days' collections the Pipeline state
-	// below already includes; resume re-enters the day loop there.
-	CollectedDays int
-	// Pipeline is the measurement pipeline's full state at that point.
-	Pipeline measure.PipelineState
-}
-
-// Both travel as one blob layout over binwire's fields — the vocabulary of
-// the WAL records and snapshot sections they ride in:
+// A day record and a checkpoint travel as one blob layout over binwire's
+// fields — the vocabulary of the WAL records and snapshot sections they
+// ride in:
 //
 //	magic "DZSIM1\n" · kind u8 (1 checkpoint, 2 day record)
 //	days varint — collections included (checkpoint) or study day index
@@ -150,12 +142,16 @@ func decodeDayRecord(data []byte) (*dayRecord, error) {
 	return decodeBlob(data, blobDayRecord, "day record")
 }
 
-func encodeCheckpoint(c *checkpoint) []byte {
-	return encodeBlob(blobCheckpoint, &dayRecord{Day: c.CollectedDays,
-		Delta: measure.CollectDelta{Added: c.Pipeline.Pending, Stats: c.Pipeline.Stats}})
+// encodeCheckpoint writes the application blob stored in every snapshot:
+// the pipeline's State export after collectedDays study days' collections.
+func encodeCheckpoint(collectedDays int, state measure.CollectDelta) []byte {
+	return encodeBlob(blobCheckpoint, &dayRecord{Day: collectedDays, Delta: state})
 }
 
-func decodeCheckpoint(data []byte) (*checkpoint, error) {
+// decodeCheckpoint reads a snapshot's blob back: Day is how many study days'
+// collections the pipeline state in Delta already includes, where resume
+// re-enters the day loop.
+func decodeCheckpoint(data []byte) (*dayRecord, error) {
 	r, err := decodeBlob(data, blobCheckpoint, "checkpoint")
 	if err != nil {
 		return nil, err
@@ -163,5 +159,5 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	if len(r.Delta.Resolved) != 0 || r.Delta.Day != (simtime.Day{}) {
 		return nil, fmt.Errorf("sim: decode checkpoint: carries a day record's fields")
 	}
-	return &checkpoint{CollectedDays: r.Day, Pipeline: measure.PipelineState{Pending: r.Delta.Added, Stats: r.Delta.Stats}}, nil
+	return r, nil
 }

@@ -23,7 +23,7 @@ import (
 // checkpoint and one later day record, touching every field the two blobs
 // carry — resolved and unresolved entries, a non-.com TLD, every
 // counter.
-func goldenState() (*checkpoint, *dayRecord) {
+func goldenState() (cp, rec *dayRecord) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 4}
 	prior := func(id uint64, registrar, offset int) *model.PriorRegistration {
 		updated := day.AddDays(-35).At(6, 30, offset)
@@ -35,10 +35,10 @@ func goldenState() (*checkpoint, *dayRecord) {
 			Expiry:      updated.AddDate(0, 0, -30),
 		}
 	}
-	cp := &checkpoint{
-		CollectedDays: 1,
-		Pipeline: measure.PipelineState{
-			Pending: []measure.PendingEntry{
+	cp = &dayRecord{
+		Day: 1,
+		Delta: measure.CollectDelta{
+			Added: []measure.PendingEntry{
 				{Name: "gone.com", TLD: model.COM, DeleteDay: day, Prior: prior(11, 1000, 0)},
 				{Name: "kept.com", TLD: model.COM, DeleteDay: day, Prior: prior(12, 1000, 1)},
 				{Name: "other.net", TLD: model.NET, DeleteDay: day.Next(), Prior: prior(13, 1727, 2)},
@@ -48,7 +48,7 @@ func goldenState() (*checkpoint, *dayRecord) {
 			Stats: measure.Stats{ListEntries: 5, Lookups: 6, RDAPErrors: 1, WHOISFallbacks: 1, FallbackFailed: 1},
 		},
 	}
-	rec := &dayRecord{
+	rec = &dayRecord{
 		Day: 1,
 		Delta: measure.CollectDelta{
 			Day:   day.AddDays(-2),
@@ -67,7 +67,7 @@ func goldenState() (*checkpoint, *dayRecord) {
 // the T+8-weeks pass against a registry in which restored.com still is the
 // registration first seen, kept.com and late.com have been re-registered
 // (late.com flagged by the oracle) and the other names are free.
-func finishGoldenStudy(t *testing.T, cp *checkpoint, rec *dayRecord) []byte {
+func finishGoldenStudy(t *testing.T, cp, rec *dayRecord) []byte {
 	t.Helper()
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 4}
 	clock := simtime.NewSimClock(day.AddDays(-40).At(9, 0, 0))
@@ -75,7 +75,7 @@ func finishGoldenStudy(t *testing.T, cp *checkpoint, rec *dayRecord) []byte {
 	for _, id := range []int{1000, 1727, 2000} {
 		store.AddRegistrar(model.Registrar{IANAID: id})
 	}
-	restored := cp.Pipeline.Pending[3].Prior
+	restored := cp.Delta.Added[3].Prior
 	if d, err := store.SeedAt("restored.com", restored.RegistrarID, restored.Created, restored.Updated,
 		restored.Expiry.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil || d.ID != restored.ID {
 		t.Fatalf("seed restored.com: %+v, %v", d, err)
@@ -103,9 +103,10 @@ func finishGoldenStudy(t *testing.T, cp *checkpoint, rec *dayRecord) []byte {
 		t.Fatal(err)
 	}
 	pipe := &measure.Pipeline{RDAP: rdapClient, Oracle: oracleClient, TLDFilter: model.COM, Parallelism: 1}
-	pipe.Restore(cp.Pipeline)
-	if err := pipe.ApplyDelta(&rec.Delta); err != nil {
-		t.Fatal(err)
+	for _, d := range []*measure.CollectDelta{&cp.Delta, &rec.Delta} {
+		if err := pipe.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
 	}
 	clock.Set(day.AddDays(60).At(12, 0, 0))
 	obs, err := pipe.Finalize(context.Background())
@@ -138,7 +139,7 @@ func TestCheckpointFormatGolden(t *testing.T) {
 	}
 	cp, rec := goldenState()
 
-	if got, want := encodeCheckpoint(cp), golden("checkpoint.dzsim"); !bytes.Equal(got, want) {
+	if got, want := encodeCheckpoint(cp.Day, cp.Delta), golden("checkpoint.dzsim"); !bytes.Equal(got, want) {
 		t.Errorf("encodeCheckpoint wrote %d bytes that differ from the %d golden ones", len(got), len(want))
 	}
 	if got, want := encodeDayRecord(rec), golden("dayrecord.dzsim"); !bytes.Equal(got, want) {

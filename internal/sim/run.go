@@ -160,7 +160,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	var jnl *journal.Journal
 	var rec journal.Recovery
-	var restored *checkpoint
 	resumePoint := 0 // study days whose collection is already in the pipeline state
 	var deltas []*measure.CollectDelta
 	if journaled {
@@ -175,10 +174,13 @@ func Run(cfg Config) (*Result, error) {
 		}
 		defer jnl.Close()
 		if rec.AppState != nil {
-			if restored, err = decodeCheckpoint(rec.AppState); err != nil {
+			cp, err := decodeCheckpoint(rec.AppState)
+			if err != nil {
 				return nil, err
 			}
-			resumePoint = restored.CollectedDays
+			// The snapshot's pipeline state is the first delta to replay.
+			deltas = append(deltas, &cp.Delta)
+			resumePoint = cp.Day
 		}
 		for _, raw := range rec.AppRecords {
 			r, err := decodeDayRecord(raw)
@@ -262,9 +264,6 @@ func Run(cfg Config) (*Result, error) {
 		TLDFilter:   model.COM,
 		Parallelism: workers,
 		TrackDeltas: journaled,
-	}
-	if restored != nil {
-		pipeline.Restore(restored.Pipeline)
 	}
 	for _, d := range deltas {
 		if err := pipeline.ApplyDelta(d); err != nil {
@@ -439,7 +438,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 
 		if journaled && i+1 >= resumePoint && (i+1)%snapDays == 0 {
-			if err := jnl.Snapshot(encodeCheckpoint(&checkpoint{CollectedDays: i + 1, Pipeline: pipeline.State()})); err != nil {
+			if err := jnl.Snapshot(encodeCheckpoint(i+1, pipeline.State())); err != nil {
 				return nil, err
 			}
 		}
