@@ -247,6 +247,7 @@ func ParseDay(s string) (simtime.Day, error) {
 // feed.SyncDeltas keeps a mirror of the pending-delete set from the /deltas
 // endpoint this server mounts.)
 type Client struct {
+	srv  *Server // set on a bound client, the other two on an HTTP one
 	base *url.URL
 	http *http.Client
 
@@ -281,6 +282,12 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	}, nil
 }
 
+// NewBoundClient returns a Client that takes srv's list bodies (and counts
+// them) as an HTTP GET would, without the request.
+func NewBoundClient(srv *Server) *Client {
+	return &Client{srv: srv, days: make(map[simtime.Day]*dayCached)}
+}
+
 // SegmentCounters reports how many per-day segments of 200 responses were
 // reused from the previous parse versus parsed fresh — the regression
 // signal for the sliding-window fast path.
@@ -290,6 +297,13 @@ func (c *Client) SegmentCounters() (reused, parsed uint64) {
 
 // Fetch downloads the list published for day.
 func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
+	if c.srv != nil {
+		if err := ctx.Err(); err != nil { // no transport to notice it
+			return nil, err
+		}
+		c.srv.requests.Add(1)
+		return c.assembleBody(day, c.srv.list(listKey{day: day}, nil).body)
+	}
 	u := *c.base
 	u.Path = "/pendingdelete"
 	u.RawQuery = url.Values{"date": {day.String()}}.Encode()

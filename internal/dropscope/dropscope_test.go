@@ -3,6 +3,7 @@ package dropscope
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -480,5 +481,51 @@ func TestMetricsCounters(t *testing.T) {
 	}
 	if r := m.Cache.HitRatio(); r < 0.6 || r > 0.7 {
 		t.Fatalf("hit ratio = %v", r)
+	}
+}
+
+// TestBoundClientMatchesHTTP: a bound client and an HTTP client of the same
+// server, fetching the same five consecutive days while names keep joining
+// the window, get the same entries, reuse the same day segments, and are
+// counted as the same requests.
+func TestBoundClientMatchesHTTP(t *testing.T) {
+	store, _, day := newEnv(t)
+	srv := NewServer(store)
+	httpc, err := NewClient("http://scope.test", inproc.Client(srv.Handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := NewBoundClient(srv)
+	for i := 0; i < 20; i++ {
+		seedPending(t, store, fmt.Sprintf("seed%02d.com", i), day.AddDays(i%8))
+	}
+	ctx := context.Background()
+	for d := 0; d < LookaheadDays; d++ {
+		today := day.AddDays(d)
+		seedPending(t, store, fmt.Sprintf("late%d.net", d), today.AddDays(LookaheadDays-1))
+		before := srv.Metrics().Requests
+		fromHTTP, herr := httpc.Fetch(ctx, today)
+		fromBound, berr := bound.Fetch(ctx, today)
+		if herr != nil || berr != nil || len(fromHTTP) == 0 || !slices.Equal(fromHTTP, fromBound) {
+			t.Fatalf("%s: HTTP %v (%v), bound %v (%v)", today, fromHTTP, herr, fromBound, berr)
+		}
+		if n := srv.Metrics().Requests - before; n != 2 {
+			t.Errorf("%s: %d requests counted for two fetches", today, n)
+		}
+	}
+	hr, hp := httpc.SegmentCounters()
+	br, bp := bound.SegmentCounters()
+	if hr != br || hp != bp || br == 0 {
+		t.Errorf("segments reused/parsed: HTTP %d/%d, bound %d/%d", hr, hp, br, bp)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	before := srv.Metrics().Requests
+	if _, err := bound.Fetch(cancelled, day); !errors.Is(err, context.Canceled) {
+		t.Errorf("bound Fetch under a cancelled context = %v", err)
+	}
+	if n := srv.Metrics().Requests - before; n != 0 {
+		t.Errorf("a cancelled bound Fetch was counted: %d requests", n)
 	}
 }

@@ -1,11 +1,9 @@
 // Package inproc adapts an http.Handler into an http.RoundTripper, letting
 // HTTP clients exercise a server's full handler stack without TCP sockets.
-// sim.Run reaches the dropscope list server and the Safe-Browsing oracle
-// this way, cmd/droprepl and the tests any handler they like. The study's
-// RDAP lookups, the bulk of its traffic, do not come through here — they are
-// bound to the server directly (rdap.NewBoundClient) — and WHOIS, a line
-// protocol, is dialled. The TCP path stays in use by the integration tests,
-// the examples and cmd/dropserve.
+// cmd/droprepl and the tests reach handlers this way. sim.Run does not: its
+// clients are bound to their servers directly (the NewBoundClient of rdap,
+// whois, dropscope and safebrowsing). The TCP path stays in use by the
+// integration tests, the examples and cmd/dropserve.
 package inproc
 
 import (

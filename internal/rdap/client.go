@@ -78,10 +78,9 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	}}, nil
 }
 
-// NewBoundClient returns a Client whose lookups call srv's resolve core
-// directly: no request, no response, and the decoder reads the server's
-// cached body bytes in place. Answers, errors and the server's Metrics are
-// those of an HTTP client over srv.Handler().
+// NewBoundClient returns a Client whose lookups call srv.render: answers,
+// errors and request counts of an HTTP client over srv.Handler(), without
+// the request, the response or the response cache (its counters stay put).
 func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
 
 // Domain fetches the RDAP domain object for name.
@@ -118,20 +117,16 @@ func (c *Client) Registration(ctx context.Context, name string) (reg model.Prior
 // and the reader's layout drift apart, and nothing else would show it.
 func (c *Client) FullDecodes() uint64 { return c.fullDecodes.Load() }
 
-// lookup hands the body of the 200 answer for name to decode — a bound
-// client the server's cached bytes in place, which decode must not keep or
-// change any more than a pooled HTTP buffer — or returns the error the
-// answer's status maps to, the same on both transports.
+// lookup hands the body of the 200 answer for name to decode — in a pooled
+// buffer on either transport, which decode must not keep or change — or
+// returns the error the answer's status maps to, the same on both.
 func (c *Client) lookup(ctx context.Context, name string, decode func(body []byte) error) error {
 	var status int
 	var err error
 	if c.srv == nil {
 		status, err = c.roundTrip(ctx, name, decode)
 	} else if err = ctx.Err(); err == nil { // no transport to notice a cancelled context
-		var cr *cachedResponse
-		if cr, status, _ = c.srv.resolve(name); cr != nil {
-			err = decode(cr.body)
-		}
+		status, err = c.srv.render(name, decode)
 	}
 	switch {
 	case err != nil:

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"dropzero/internal/gencache"
 	"dropzero/internal/jsonwire"
@@ -45,16 +46,16 @@ type cachedResponse struct {
 // and every Accept the client sends, shared so neither allocates it.
 var rdapMediaType = []string{"application/rdap+json"}
 
-// bodyBufs recycles the buffers the server renders a body into and the HTTP
-// client reads one into, across servers and clients. Package-level on
-// purpose: the runtime keeps a pointer to every sync.Pool that has been
-// used until a later collection, and a pool inside Server would pin a
-// closed server — and through it the store and the response cache — for a
-// GC cycle after its last request.
-var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+// bodyBufs recycles the buffers (1 KiB fresh: a body is ≈ 700 bytes) the
+// server renders a body into and the HTTP client reads one into, across
+// servers and clients. Package-level on purpose: the runtime keeps a pointer
+// to every sync.Pool that has been used until a later collection, and a pool
+// inside Server would pin a closed server — and through it the store and the
+// response cache — for a GC cycle after its last request.
+var bodyBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1<<10); return &b }}
 
 // Server serves registry data as RFC 7483-shaped JSON, over HTTP and to
-// clients bound to it in-process (NewBoundClient). Domain responses are
+// clients bound to it in-process (NewBoundClient). HTTP domain responses are
 // cached per store generation (see registry.Store.Generation): any mutation
 // flushes the cache, so cached bytes are always identical to a fresh render
 // — a property the tests pin differentially.
@@ -144,14 +145,19 @@ func writeError(w http.ResponseWriter, status int, title string, description ...
 // titleNotFound is the title of the one error that names the domain.
 const titleNotFound = "object not found"
 
-// resolve is the lookup itself, shared by the HTTP handler and the bound
-// client: lower-casing, name check, generation-checked cache, store read,
-// injected registrar failure, render, install. It returns the 200 body, or
-// nil with the status and title of the RFC 7483 error to answer with.
-func (s *Server) resolve(name string) (found *cachedResponse, status int, title string) {
+// admit counts a lookup and lower-cases its name, or refuses a malformed one.
+func (s *Server) admit(name string) (string, bool) {
 	s.requests.Add(1)
 	name = strings.ToLower(name)
-	if name == "" || strings.Contains(name, "/") {
+	return name, name != "" && !strings.Contains(name, "/")
+}
+
+// resolve is the HTTP handler's lookup: admit, generation-checked cache, store
+// read, injected registrar failure, render, install. It returns the 200 body,
+// or nil with the status and title of the RFC 7483 error to answer with.
+func (s *Server) resolve(name string) (found *cachedResponse, status int, title string) {
+	name, ok := s.admit(name)
+	if !ok {
 		return nil, http.StatusBadRequest, "malformed domain name"
 	}
 
@@ -184,6 +190,26 @@ func (s *Server) resolve(name string) (found *cachedResponse, status int, title 
 	cr := newCachedResponse(gen, bytes.Clone(body))
 	s.cache.Put(gen, name, cr)
 	return cr, http.StatusOK, ""
+}
+
+// render is resolve without the cache a study never hits, for the bound
+// client: a found name's body goes to decode in a pooled buffer it must not keep.
+func (s *Server) render(name string, decode func(body []byte) error) (status int, err error) {
+	name, ok := s.admit(name)
+	if !ok {
+		return http.StatusBadRequest, nil
+	}
+	d, found := s.store.Lookup(name)
+	if !found {
+		return http.StatusNotFound, nil
+	}
+	if code, broken := s.cfg.FailRegistrars[d.RegistrarID]; broken {
+		return code, nil
+	}
+	bp := bodyBufs.Get().(*[]byte)
+	defer bodyBufs.Put(bp)
+	*bp = s.appendDomain((*bp)[:0], &d)
+	return http.StatusOK, decode(*bp)
 }
 
 // handleDomain is the HTTP adapter over resolve: method and path in,
@@ -243,7 +269,7 @@ func (s *Server) appendDomain(dst []byte, d *model.Domain) []byte {
 	dst = append(dst, `{"objectClassName":"domain","handle":"`...)
 	dst = strconv.AppendUint(dst, d.ID, 10)
 	dst = append(dst, "_DOMAIN_"...)
-	dst = jsonwire.AppendEscaped(dst, strings.ToUpper(string(d.TLD)))
+	dst = appendUpper(dst, string(d.TLD))
 	dst = append(dst, `-VRSN","ldhName":`...)
 	dst = jsonwire.AppendString(dst, d.Name)
 	dst = append(dst, `,"status":[`...)
@@ -266,6 +292,23 @@ func (s *Server) appendDomain(dst []byte, d *model.Domain) []byte {
 	dst = append(dst, `],"entities":[`...)
 	dst = append(dst, s.entityFragment(d.RegistrarID)...)
 	return append(dst, "]}\n"...)
+}
+
+// appendUpper is jsonwire.AppendEscaped(dst, strings.ToUpper(s)) without
+// ToUpper's copy while s is printable ASCII with nothing to escape, as a TLD is.
+func appendUpper(dst []byte, s string) []byte {
+	start := len(dst)
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c < ' ' || c >= utf8.RuneSelf || strings.IndexByte(`"\<>&`, c) >= 0 {
+			return jsonwire.AppendEscaped(dst[:start], strings.ToUpper(s))
+		}
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }
 
 // entityFragment returns the marshalled entity block for a sponsoring

@@ -427,7 +427,8 @@ func lookupEnv(tb testing.TB, names int) (srv *Server, httpc, bound *Client, cre
 
 // TestBoundClientMatchesHTTP: the bound client and an HTTP client over the
 // same server give the same answer to every kind of lookup, and the server
-// counts them the same.
+// counts them the same. A bound lookup leaves the response cache alone: its
+// hits, misses and Len do not move.
 func TestBoundClientMatchesHTTP(t *testing.T) {
 	srv, httpc, bound, names := lookupEnv(t, 3)
 	at := time.Date(2018, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -450,21 +451,21 @@ func TestBoundClientMatchesHTTP(t *testing.T) {
 			dr       *DomainResponse
 			drErr    error
 			requests uint64
-			hits     uint64
-			misses   uint64
+			cached   bool // the cache's counters or Len moved
 		}
-		// The second client would find the first one's render cached.
+		// A new generation each time: the HTTP client must not find an
+		// earlier lookup's render cached.
 		lookup := func(c *Client) outcome {
 			if err := srv.store.Touch(names[2], 1000); err != nil {
 				t.Fatal(err)
 			}
-			before := srv.Metrics()
+			before, beforeLen := srv.Metrics(), srv.cache.Len()
 			var o outcome
 			o.dr, o.drErr = c.Domain(ctx, name)
 			o.reg, o.regErr = c.Registration(ctx, name)
 			after := srv.Metrics()
 			o.requests = after.Requests - before.Requests
-			o.hits, o.misses = after.Cache.Hits-before.Cache.Hits, after.Cache.Misses-before.Cache.Misses
+			o.cached = after.Cache != before.Cache || srv.cache.Len() != beforeLen
 			return o
 		}
 		h, b := lookup(httpc), lookup(bound)
@@ -474,8 +475,8 @@ func TestBoundClientMatchesHTTP(t *testing.T) {
 		if !reflect.DeepEqual(h.dr, b.dr) || h.reg != b.reg {
 			t.Errorf("%q: HTTP (%+v, %+v), bound (%+v, %+v)", name, h.dr, h.reg, b.dr, b.reg)
 		}
-		if h.requests != 2 || b.requests != 2 || h.hits != b.hits || h.misses != b.misses {
-			t.Errorf("%q: HTTP %d requests %d hits %d misses, bound %d / %d / %d", name, h.requests, h.hits, h.misses, b.requests, b.hits, b.misses)
+		if h.requests != 2 || b.requests != 2 || b.cached {
+			t.Errorf("%q: HTTP %d requests, bound %d requests (cache touched: %v)", name, h.requests, b.requests, b.cached)
 		}
 		if h.drErr == nil {
 			if want, err := h.dr.Registration(); err != nil || want != b.reg {
@@ -515,7 +516,8 @@ var (
 // BenchmarkRDAPLookup is one lookup — client, transport, resolve, decode —
 // against a cold cache entry, a warm one, and an unregistered name: Domain
 // over HTTP through the in-process transport, as read_mix and the examples
-// look names up, and bound/ Registration, as the study does.
+// look names up, and bound/ Registration, as the study does. A bound lookup
+// never reads the cache, so its cold and warm legs differ only in the name.
 func BenchmarkRDAPLookup(b *testing.B) {
 	srv, httpc, bound, names := lookupEnv(b, 50000)
 	ctx := context.Background()
@@ -567,11 +569,14 @@ func BenchmarkRDAPLookup(b *testing.B) {
 // TestLookupAllocBudget bounds the allocations of one in-process lookup on
 // each transport. The reflection path (encoding/json both ways, httptest
 // recorder) took 105 cold, 85 warm and 40 for a 404; HTTP before the bound
-// client 64, 53 and 28. A warm bound Registration allocates nothing: the
-// cached body is read in place. The budgets hold under the race detector,
+// client 64, 53 and 28; the bound client through the response cache 11, 0
+// and 4. A bound Registration of a registered name allocates nothing, cold
+// or warm: the body is rendered into a pooled buffer and read in place. Its
+// 404 costs the one error value. The budgets hold under the race detector,
 // which is how CI runs the test: there sync.Pool drops a quarter of what is
 // put back, worth up to three allocations on the HTTP path and one on the
-// bound one.
+// bound one (a dropped render buffer costs two, a quarter of the time,
+// which AllocsPerRun's integer average leaves at 0 on the warm name).
 func TestLookupAllocBudget(t *testing.T) {
 	_, httpc, bound, names := lookupEnv(t, 600)
 	ctx := context.Background()
@@ -582,7 +587,7 @@ func TestLookupAllocBudget(t *testing.T) {
 		cold, warm, notFound float64
 	}{
 		{"HTTP Domain", func(name string) error { _, err := httpc.Domain(ctx, name); return err }, 54, 42, 28},
-		{"bound Registration", func(name string) error { _, err := bound.Registration(ctx, name); return err }, 17, 0, 7},
+		{"bound Registration", func(name string) error { _, err := bound.Registration(ctx, name); return err }, 1, 0, 2},
 	} {
 		cold := testing.AllocsPerRun(200, func() {
 			if err := tc.lookup(names[next]); err != nil {

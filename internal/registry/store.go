@@ -555,17 +555,27 @@ func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	return err
 }
 
-// Get returns a copy of the current registration of name.
-func (s *Store) Get(name string) (*model.Domain, error) {
+// Lookup returns a copy of the current registration of name, or false; it
+// allocates nothing (the copy's name and TLD share the store's bytes).
+func (s *Store) Lookup(name string) (model.Domain, bool) {
 	sh := s.shardOf(name)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	r, _ := sh.tab.get(name)
 	if r == nil {
+		return model.Domain{}, false
+	}
+	return r.domain(), true
+}
+
+// Get is Lookup with the copy on the heap, or ErrNotFound.
+func (s *Store) Get(name string) (*model.Domain, error) {
+	d, ok := s.Lookup(name)
+	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	d := r.domain()
-	return &d, nil
+	found := d // moved to the heap here, so a miss does not pay for it
+	return &found, nil
 }
 
 // Touch records a registrar-initiated update to the domain, setting the

@@ -108,11 +108,16 @@ func (o *Oracle) handleLookup(w http.ResponseWriter, r *http.Request) {
 	_ = json.NewEncoder(w).Encode(lookupResponse{Name: name, Malicious: o.Lookup(name)})
 }
 
-// Client queries a remote Oracle.
+// Client queries a remote Oracle, or a bound one (NewBoundClient).
 type Client struct {
-	base *url.URL
-	http *http.Client
+	oracle *Oracle // set on a bound client, the other two on an HTTP one
+	base   *url.URL
+	http   *http.Client
 }
+
+// NewBoundClient returns a Client that reads o's labels directly, with the
+// answers and errors of an HTTP client over o.Handler().
+func NewBoundClient(o *Oracle) *Client { return &Client{oracle: o} }
 
 // NewClient returns a Client for the oracle at baseURL.
 func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
@@ -128,6 +133,12 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 
 // Lookup queries one domain's label.
 func (c *Client) Lookup(name string) (bool, error) {
+	if c.oracle != nil {
+		if name == "" {
+			return false, fmt.Errorf("safebrowsing: empty name")
+		}
+		return c.oracle.Lookup(name), nil
+	}
 	u := *c.base
 	u.Path = "/v4/lookup"
 	u.RawQuery = url.Values{"name": {name}}.Encode()

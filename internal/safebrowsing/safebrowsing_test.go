@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"dropzero/internal/inproc"
 )
 
 func TestOracleSetLookup(t *testing.T) {
@@ -83,5 +85,32 @@ func TestLabelModelBandEdges(t *testing.T) {
 	}
 	if m.Label(61*time.Second, rng) {
 		t.Fatal("61s fell into burst band")
+	}
+}
+
+// TestBoundClientMatchesHTTP: a bound client and an HTTP client of the same
+// oracle give the same answer for a malicious, a benign and an unlabelled
+// name, and both refuse an empty one.
+func TestBoundClientMatchesHTTP(t *testing.T) {
+	o := NewOracle()
+	o.Set("evil.com", true)
+	o.Set("fine.com", false)
+	httpc, err := NewClient("http://oracle.test", inproc.Client(o.Handler()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := NewBoundClient(o)
+	for name, want := range map[string]bool{"evil.com": true, "EVIL.com": true, "fine.com": false, "absent.com": false} {
+		hm, herr := httpc.Lookup(name)
+		bm, berr := bound.Lookup(name)
+		if herr != nil || berr != nil || hm != want || bm != want {
+			t.Errorf("%q: HTTP (%v, %v), bound (%v, %v), want %v", name, hm, herr, bm, berr, want)
+		}
+	}
+	if _, herr := httpc.Lookup(""); herr == nil {
+		t.Error("HTTP lookup of an empty name succeeded")
+	}
+	if _, berr := bound.Lookup(""); berr == nil {
+		t.Error("bound lookup of an empty name succeeded")
 	}
 }

@@ -5,12 +5,10 @@
 // runs the paper's measurement pipeline against the registry's public
 // surfaces (pending-delete lists, RDAP, WHOIS, the maliciousness oracle).
 //
-// The pipeline's RDAP lookups call the RDAP server's resolve core directly
-// (rdap.NewBoundClient): the same name check, response cache, render and
-// status-to-error mapping a remote client meets, without the HTTP round
-// trip. It talks to the real dropscope and oracle HTTP handlers through an
-// in-process transport (internal/inproc) and to a real WHOIS server over TCP
-// — the one socket a memory-only study opens.
+// Every pipeline client is its server's NewBoundClient (rdap, whois,
+// dropscope, safebrowsing): a memory-only study opens no socket, yet meets
+// the name checks, renders and status-to-error mappings a remote client
+// does. Bound RDAP lookups skip the response cache a study never hits.
 package sim
 
 import (

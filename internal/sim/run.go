@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"dropzero/internal/dropscope"
-	"dropzero/internal/inproc"
 	"dropzero/internal/journal"
 	"dropzero/internal/measure"
 	"dropzero/internal/model"
@@ -116,15 +115,11 @@ func holdNamesOnce(obs []model.Observation, deletions map[simtime.Day][]model.De
 
 // Run executes a full study. It is deterministic for a given Config: equal
 // configs give byte-identical results — including when the run is a resume
-// of a crashed one. The measurement pipeline's RDAP client is bound straight
-// to the RDAP server — two lookups per deleted name, nine tenths of the
-// study's traffic, with no HTTP in between; the pending-delete lists and the
-// oracle are reached through their handlers in-process (internal/inproc);
-// the WHOIS fallback dials a loopback listener, the only socket Run opens.
-// With Config.DataDir set, every registry mutation and each day's pipeline
-// collection goes through a write-ahead journal, and Run first recovers
-// whatever the directory holds, then re-executes only the remainder of the
-// study.
+// of a crashed one. Every client of the measurement pipeline is bound to its
+// server in-process: a memory-only Run opens no socket. With Config.DataDir
+// set, every registry mutation and each day's pipeline collection goes
+// through a write-ahead journal, and Run first recovers whatever the
+// directory holds, then re-executes only the remainder of the study.
 //
 // Resume never re-runs completed work against the live registry (whose
 // state has moved past it); instead it replays the decision process from
@@ -228,41 +223,20 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	// Public surfaces. RDAP failures are attached to tail registrars that
-	// sponsor expiring domains, so the WHOIS fallback really fires.
+	// Public surfaces, bound in-process. RDAP failures are attached to tail
+	// registrars that sponsor expiring domains, so the WHOIS fallback fires.
 	failures := map[int]int{}
 	tail := dir.Accreditations(registrars.SvcOther)
 	for i := 0; i < cfg.RDAPFailures && i < len(tail); i++ {
 		failures[tail[i]] = 500
 	}
-	rdapSrv := rdap.NewServer(store, rdap.ServerConfig{FailRegistrars: failures})
-	scopeSrv := dropscope.NewServer(store)
-	whoisSrv := whois.NewServer(store)
-	whoisAddr, err := whoisSrv.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	defer whoisSrv.Close()
-
-	scopeClient, err := dropscope.NewClient("http://scope.internal", inproc.Client(scopeSrv.Handler()))
-	if err != nil {
-		return nil, err
-	}
-	oracleClient, err := safebrowsing.NewClient("http://oracle.internal", inproc.Client(oracle.Handler()))
-	if err != nil {
-		return nil, err
-	}
-
-	workers := par.Workers(cfg.Parallelism)
-	whoisClient := &whois.Client{Addr: whoisAddr.String(), PoolSize: workers}
-	defer whoisClient.Close()
 	pipeline := &measure.Pipeline{
-		Lists:       scopeClient,
-		RDAP:        rdap.NewBoundClient(rdapSrv),
-		WHOIS:       whoisClient,
-		Oracle:      oracleClient,
+		Lists:       dropscope.NewBoundClient(dropscope.NewServer(store)),
+		RDAP:        rdap.NewBoundClient(rdap.NewServer(store, rdap.ServerConfig{FailRegistrars: failures})),
+		WHOIS:       whois.NewBoundClient(whois.NewServer(store)),
+		Oracle:      safebrowsing.NewBoundClient(oracle),
 		TLDFilter:   model.COM,
-		Parallelism: workers,
+		Parallelism: par.Workers(cfg.Parallelism),
 		TrackDeltas: journaled,
 	}
 	for _, d := range deltas {

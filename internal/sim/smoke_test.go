@@ -111,35 +111,38 @@ func TestRunLeavesNothingPinned(t *testing.T) {
 	runtime.KeepAlive(res)
 }
 
-// TestMemoryOnlyRunOpensOnlyWHOIS: a memory-only study reaches RDAP, the
-// pending-delete lists and the oracle through the in-process transport, so
-// the WHOIS server's is the only accept loop a Run may have going. Goroutine
-// dumps taken while it runs say which scaffold is serving: WHOIS is a Run's
-// only serve.Conns, and no serve.HTTP may be.
-func TestMemoryOnlyRunOpensOnlyWHOIS(t *testing.T) {
+// TestMemoryOnlyRunOpensNoSocket: a memory-only study binds every client —
+// the pending-delete list, RDAP, the WHOIS fallback and the oracle — to its
+// server in-process, so a Run has no accept loop going, neither a
+// serve.Conns nor a serve.HTTP one. Goroutine dumps taken while it runs say
+// so; at least one of them must have caught the pipeline collecting, or
+// they prove nothing.
+func TestMemoryOnlyRunOpensNoSocket(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := Run(smallConfig())
 		done <- err
 	}()
 	buf := make([]byte, 1<<20)
-	sawWHOIS := false
+	sawCollect := false
 	for {
 		select {
 		case err := <-done:
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !sawWHOIS {
-				t.Fatal("no dump caught the WHOIS accept loop: the dumps prove nothing")
+			if !sawCollect {
+				t.Fatal("no dump caught measure.(*Pipeline).CollectDaily: the dumps prove nothing")
 			}
 			return
 		case <-time.After(2 * time.Millisecond):
 		}
 		dump := string(buf[:runtime.Stack(buf, true)])
-		sawWHOIS = sawWHOIS || strings.Contains(dump, "serve.(*Conns).accept")
-		if strings.Contains(dump, "serve.(*HTTP).serve") {
-			t.Fatal("memory-only Run has an HTTP surface listening")
+		sawCollect = sawCollect || strings.Contains(dump, "measure.(*Pipeline).CollectDaily")
+		for _, loop := range []string{"serve.(*Conns).accept", "serve.(*HTTP).serve"} {
+			if strings.Contains(dump, loop) {
+				t.Fatalf("memory-only Run has %s running", loop)
+			}
 		}
 	}
 }

@@ -224,14 +224,14 @@ func (s *Server) ServeConn(conn net.Conn) {
 	if err != nil && line == "" {
 		return
 	}
-	name := strings.ToLower(strings.TrimSpace(line))
-	io.WriteString(conn, s.response(name))
+	io.WriteString(conn, s.response(line))
 }
 
-// response returns the full reply body for one queried name, serving the
+// response returns the full reply body for one query line, serving the
 // generation-checked cache on repeat lookups. Negative replies are never
 // cached: a name can be re-registered the next instant.
-func (s *Server) response(name string) string {
+func (s *Server) response(query string) string {
+	name := strings.ToLower(strings.TrimSpace(query))
 	gen := s.store.Generation()
 	if body, ok := s.cache.Get(gen, name); ok {
 		return body
@@ -247,9 +247,9 @@ func (s *Server) response(name string) string {
 	return body
 }
 
-// Client performs WHOIS lookups against one server address. It is safe for
-// concurrent use: the measurement pipeline fans fallback lookups out over a
-// worker pool.
+// Client performs WHOIS lookups against one server address, or against a
+// Server in the same process (NewBoundClient). It is safe for concurrent
+// use: the measurement pipeline fans fallback lookups out over a worker pool.
 //
 // Port-43 WHOIS is a one-shot protocol — the server answers a single query
 // and closes the connection — so connections cannot be *reused*. Instead the
@@ -257,6 +257,7 @@ func (s *Server) response(name string) string {
 // the background after each lookup, so steady-state queries stop paying a
 // dial round-trip on the critical path.
 type Client struct {
+	srv  *Server // set on a bound client, which ignores the fields below
 	Addr string
 	// Timeout bounds each lookup (dial + query + read) when the context
 	// carries no earlier deadline; zero means 10 s.
@@ -270,6 +271,10 @@ type Client struct {
 	closed bool
 }
 
+// NewBoundClient returns a Client that never dials: it parses what srv's
+// response core (ServeConn's, cache included) answers, as a TCP client would.
+func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
+
 // Lookup queries the server for name. It is the context-free compatibility
 // wrapper around LookupContext.
 func (c *Client) Lookup(name string) (*model.Domain, error) {
@@ -280,6 +285,13 @@ func (c *Client) Lookup(name string) (*model.Domain, error) {
 // the read of the response; a hung server fails the lookup instead of
 // stalling the caller.
 func (c *Client) LookupContext(ctx context.Context, name string) (*model.Domain, error) {
+	if c.srv != nil {
+		if err := ctx.Err(); err != nil { // no transport to notice it
+			return nil, err
+		}
+		c.srv.requests.Add(1)
+		return parseDomain(c.srv.response(name))
+	}
 	timeout := c.Timeout
 	if timeout == 0 {
 		timeout = 10 * time.Second
@@ -322,7 +334,12 @@ func query(conn net.Conn, name string, deadline time.Time) (*model.Domain, error
 	if err != nil {
 		return nil, fmt.Errorf("whois: read response: %w", err)
 	}
-	rec, err := Parse(string(body))
+	return parseDomain(string(body))
+}
+
+// parseDomain reads the registration out of a reply body.
+func parseDomain(body string) (*model.Domain, error) {
+	rec, err := Parse(body)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"reflect"
 	"sort"
 	"strconv"
 	"strings"
@@ -458,4 +459,55 @@ func TestClosedServerIsCollectable(t *testing.T) {
 		}
 		return store
 	})
+}
+
+// TestBoundClientMatchesTCP: a bound client and a TCP client of the same
+// server give the same answer to a registered name, an upper-case query and
+// an unregistered name, and the server counts them the same. A cancelled
+// context reaches the server on neither.
+func TestBoundClientMatchesTCP(t *testing.T) {
+	store := registry.NewStore(simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC)))
+	store.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test"})
+	if _, err := store.Create("present.com", 1000, 2); err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServer(store)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tcp, bound := &Client{Addr: addr.String()}, NewBoundClient(srv)
+	type outcome struct {
+		d        *model.Domain
+		err      error
+		requests uint64
+	}
+	lookup := func(ctx context.Context, c *Client, name string) (o outcome) {
+		before := srv.Metrics().Requests
+		o.d, o.err = c.LookupContext(ctx, name)
+		o.requests = srv.Metrics().Requests - before
+		return o
+	}
+	ctx := context.Background()
+	for _, name := range []string{"present.com", "PRESENT.COM", "missing.com"} {
+		tc, bc := lookup(ctx, tcp, name), lookup(ctx, bound, name)
+		if !reflect.DeepEqual(tc.d, bc.d) || (tc.err == nil) != (bc.err == nil) || tc.requests != 1 || bc.requests != 1 {
+			t.Errorf("%q: TCP (%+v, %v, %d requests), bound (%+v, %v, %d requests)", name, tc.d, tc.err, tc.requests, bc.d, bc.err, bc.requests)
+		}
+		if missing := name == "missing.com"; errors.Is(tc.err, ErrNoMatch) != missing || errors.Is(bc.err, ErrNoMatch) != missing {
+			t.Errorf("%q: TCP %v, bound %v; ErrNoMatch wanted: %v", name, tc.err, bc.err, missing)
+		}
+	}
+	if bc := lookup(ctx, bound, "present.com"); bc.err != nil || bc.d.Name != "present.com" || bc.d.RegistrarID != 1000 {
+		t.Errorf("bound lookup = %+v, %v", bc.d, bc.err)
+	}
+
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	for transport, c := range map[string]*Client{"TCP": tcp, "bound": bound} {
+		if o := lookup(cancelled, c, "present.com"); !errors.Is(o.err, context.Canceled) || o.requests != 0 {
+			t.Errorf("%s lookup under a cancelled context = %v, %d requests", transport, o.err, o.requests)
+		}
+	}
 }
