@@ -1,10 +1,13 @@
 package registry
 
 import (
+	"fmt"
 	"hash/maphash"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
+	"unsafe"
 )
 
 // tableModel drives a table and the representation it replaced — a plain
@@ -16,12 +19,9 @@ type tableModel struct {
 	nextID uint32
 }
 
-// newTableModel builds the pair. hashMask narrows the table's hash so that
-// most names collide and live in overflow; ^0 leaves the real hash.
-func newTableModel(t *testing.T, hashMask uint32) *tableModel {
+func newTableModel(t *testing.T, seed maphash.Seed) *tableModel {
 	m := &tableModel{t: t, model: make(map[string]record)}
-	m.tab.init(maphash.MakeSeed())
-	m.tab.hashMask = hashMask
+	m.tab.init(seed)
 	return m
 }
 
@@ -83,15 +83,16 @@ func (m *tableModel) del(name string) {
 	m.get(name)
 }
 
-// check compares the whole of both sides: size, every name findable, each
-// visiting exactly the live set once, in ascending slot order.
+// check compares the whole of both sides: size, the index's shape, every
+// name findable, each visiting exactly the live set once, in ascending slot
+// order.
 func (m *tableModel) check() {
 	m.t.Helper()
 	if m.tab.len() != len(m.model) {
 		m.t.Fatalf("len = %d, model holds %d", m.tab.len(), len(m.model))
 	}
-	if indexed := len(m.tab.byHash) + len(m.tab.overflow); indexed != len(m.model) {
-		m.t.Fatalf("name index holds %d entries for %d registrations", indexed, len(m.model))
+	if err := checkIndex(&m.tab, len(m.model)); err != nil {
+		m.t.Fatal(err)
 	}
 	for name := range m.model {
 		m.get(name)
@@ -110,21 +111,139 @@ func (m *tableModel) check() {
 	}
 }
 
+// bucketState is a bucket as one put found it.
+type bucketState struct {
+	b     *bucket
+	n     uint16
+	depth uint8
+}
+
+// buckets appends t's buckets to dst, each once, in the order of their
+// first directory entries — which a split or a doubling never moves.
+func buckets(dst []bucketState, t *table) []bucketState {
+	for i, b := range t.dir {
+		if i < 1<<b.depth {
+			dst = append(dst, bucketState{b, b.n, b.depth})
+		}
+	}
+	return dst
+}
+
+// checkIndex holds the name index to its shape: a directory of 1<<depth
+// entries, each bucket at every entry that agrees with it on its local
+// depth's low bits and nowhere else, its count right, no fuller than 7/8,
+// and every entry where a get for its name finds it — in the bucket of its
+// hash, with no empty slot between its home and itself.
+func checkIndex(t *table, live int) error {
+	if t.dir == nil {
+		if live != 0 {
+			return fmt.Errorf("no directory for %d registrations", live)
+		}
+		return nil
+	}
+	if len(t.dir) != 1<<t.depth {
+		return fmt.Errorf("directory has %d entries at depth %d", len(t.dir), t.depth)
+	}
+	for i, b := range t.dir {
+		if b.depth > t.depth || t.dir[i&(1<<b.depth-1)] != b {
+			return fmt.Errorf("entry %d holds a depth-%d bucket that is not at entry %d", i, b.depth, i&(1<<b.depth-1))
+		}
+	}
+	indexed := 0
+	for _, bs := range buckets(nil, t) {
+		b, n := bs.b, 0
+		for i, s := range b.slots {
+			if s[0] == 0 {
+				continue
+			}
+			n++
+			name := t.rec(b.ref(i)).name()
+			h := t.hash(name)
+			if tagOf(h) != s[0] || t.bucket(h) != b {
+				return fmt.Errorf("%q indexed in slot %d of a depth-%d bucket, not where its hash files it", name, i, b.depth)
+			}
+			for j := homeOf(h); j != i; j = succ(j) {
+				if b.slots[j][0] == 0 {
+					return fmt.Errorf("%q in slot %d is cut off from its home %d by empty slot %d", name, i, homeOf(h), j)
+				}
+			}
+		}
+		if n != int(b.n) || n > bucketLimit {
+			return fmt.Errorf("a depth-%d bucket holds %d entries, counts %d, limit %d", b.depth, n, b.n, bucketLimit)
+		}
+		indexed += n
+	}
+	if indexed != live {
+		return fmt.Errorf("name index holds %d entries for %d registrations", indexed, live)
+	}
+	return nil
+}
+
+// collidingNames returns n names that share a home slot under seed, three
+// slots before a bucket's end: filed in one bucket they make one probe run
+// that wraps. With 7 tag bits, some of them share a tag too.
+func collidingNames(seed maphash.Seed, n int) []string {
+	const home = bucketSlots - 3
+	names := make([]string, 0, n)
+	for i := 0; len(names) < n; i++ {
+		name := "collide-" + strconv.Itoa(i) + ".com"
+		if homeOf(maphash.String(seed, name)) == home {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// fuzzSeed and fuzzNames are FuzzTableOps' name pool, found once per process.
+var (
+	fuzzSeed  = maphash.MakeSeed()
+	fuzzNames = sync.OnceValue(func() []string { return collidingNames(fuzzSeed, 256) })
+)
+
 // TestTableMatchesMap: 200 k random put/get/del/re-put operations agree
-// with a map — once with the real hash, where overflow stays all but empty,
-// and once with 4 hash bits, where overflow carries almost every name.
+// with a map — over names whose hashes spread (hash), over names that all
+// share one home slot (collide: one probe run that wraps, deletes shifting
+// back across the wrap, tags matching on different names), and over a pool
+// large enough that the population crosses many splits (split).
 func TestTableMatchesMap(t *testing.T) {
 	for _, tc := range []struct {
-		name     string
-		hashMask uint32
-	}{{"hash32", ^uint32(0)}, {"hash4", 0xf}} {
+		name    string
+		pool    int
+		collide bool
+	}{{"hash", 6000, false}, {"collide", 600, true}, {"split", 60_000, false}} {
 		t.Run(tc.name, func(t *testing.T) {
-			const ops, pool = 200_000, 6000
-			m := newTableModel(t, tc.hashMask)
+			const ops = 200_000
+			m := newTableModel(t, maphash.MakeSeed())
+			var names []string
+			if tc.collide {
+				names = collidingNames(m.tab.seed, tc.pool)
+				tags := make(map[uint8]bool)
+				for _, name := range names {
+					tags[tagOf(m.tab.hash(name))] = true
+				}
+				if len(tags) == len(names) {
+					t.Fatalf("%d colliding names and no two share a tag", len(names))
+				}
+				// Names that share a home stay findable when the first
+				// goes, and when another takes its slot and the gap.
+				for _, name := range names[:3] {
+					m.put(name)
+				}
+				m.del(names[0])
+				m.check()
+				m.put(names[3])
+				m.del(names[1])
+				m.put(names[0])
+				m.check()
+			} else {
+				for i := 0; i < tc.pool; i++ {
+					names = append(names, "model-"+strconv.Itoa(i)+".com")
+				}
+			}
 			rng := rand.New(rand.NewSource(15))
-			peakOverflow := 0
+			peak := 0
 			for i := 0; i < ops; i++ {
-				name := "model-" + strconv.Itoa(rng.Intn(pool)) + ".com"
+				name := names[rng.Intn(len(names))]
 				switch rng.Intn(5) {
 				case 0, 1:
 					m.put(name)
@@ -133,17 +252,20 @@ func TestTableMatchesMap(t *testing.T) {
 				default:
 					m.get(name)
 				}
-				peakOverflow = max(peakOverflow, len(m.tab.overflow))
+				peak = max(peak, len(m.model))
 				if i%20_000 == 0 {
 					m.check()
 				}
 			}
 			m.check()
-			if len(m.tab.chunks) < 2 {
+			if len(m.tab.chunks) < 2 && !tc.collide {
 				t.Fatalf("%d chunks: the population never crossed a chunk boundary", len(m.tab.chunks))
 			}
-			if tc.hashMask == 0xf && peakOverflow < pool/4 {
-				t.Fatalf("overflow peaked at %d names; the 4-bit hash should push most of %d there", peakOverflow, pool)
+			switch n := len(buckets(nil, &m.tab)); {
+			case tc.collide && n != 1:
+				t.Fatalf("colliding names spread over %d buckets, want one", n)
+			case tc.name == "split" && n < 16:
+				t.Fatalf("%d buckets after a peak of %d names: the population crossed too few splits", n, peak)
 			}
 			// each stops when told to.
 			visits := 0
@@ -154,37 +276,79 @@ func TestTableMatchesMap(t *testing.T) {
 	}
 }
 
-// TestTableOverflowOutlivesOccupant: names that share a hash with a byHash
-// occupant stay findable when the occupant goes, and when another name then
-// takes its place.
-func TestTableOverflowOutlivesOccupant(t *testing.T) {
-	m := newTableModel(t, 0) // one hash value: the first name owns byHash
-	for _, name := range []string{"first.com", "second.com", "third.com"} {
-		m.put(name)
+// TestTableGrowthIsBounded pins what keeps growth off the write path: over
+// 300 k puts, each put adds at most one bucket and changes at most one of
+// the others — the one it filed into or split — leaving every other bucket
+// where it was with what it held; no bucket is ever more than 7/8 full; the
+// directory always has 1<<depth entries.
+func TestTableGrowthIsBounded(t *testing.T) {
+	const puts = 300_000
+	var tab table
+	tab.init(maphash.MakeSeed())
+	var prev, cur []bucketState
+	splits := 0
+	for i := 0; i < puts; i++ {
+		var rec record
+		rec.setName("grow-" + strconv.Itoa(i) + ".com")
+		tab.put(rec)
+		if len(tab.dir) != 1<<tab.depth {
+			t.Fatalf("put %d: directory has %d entries at depth %d", i, len(tab.dir), tab.depth)
+		}
+		cur = buckets(cur[:0], &tab)
+		// Walk both in step: every old bucket is still there, in order, and
+		// at most one new one is between them.
+		added, changed, grew, j := 0, 0, 0, 0
+		for _, c := range cur {
+			if c.n > bucketLimit {
+				t.Fatalf("put %d: a depth-%d bucket holds %d entries, limit %d", i, c.depth, c.n, bucketLimit)
+			}
+			grew += int(c.n)
+			if j < len(prev) && prev[j].b == c.b {
+				if c != prev[j] {
+					changed++
+				}
+				grew -= int(prev[j].n)
+				j++
+			} else {
+				added++
+			}
+		}
+		if j != len(prev) || added > 1 || changed > 1 || grew != 1 {
+			t.Fatalf("put %d: %d of %d buckets kept, %d added, %d changed, %d entries gained", i, j, len(prev), added, changed, grew)
+		}
+		if added == 1 && len(prev) > 0 {
+			splits++
+		}
+		prev, cur = cur, prev
 	}
-	if len(m.tab.byHash) != 1 || len(m.tab.overflow) != 2 {
-		t.Fatalf("byHash %d, overflow %d; want 1 and 2", len(m.tab.byHash), len(m.tab.overflow))
+	if err := checkIndex(&tab, puts); err != nil {
+		t.Fatal(err)
 	}
-	m.del("first.com")
-	m.check()
-	m.put("fourth.com") // takes the vacated byHash entry and first.com's slot
-	if len(m.tab.byHash) != 1 {
-		t.Fatalf("byHash holds %d entries after the re-put, want 1", len(m.tab.byHash))
+	if splits < 256 {
+		t.Fatalf("%d splits over %d puts", splits, puts)
 	}
-	m.del("second.com")
-	m.put("first.com")
-	m.check()
+}
+
+// TestBucketFillsItsSizeClass: a bucket fits the 5 376-byte size class it
+// is allocated from with no room left for another slot.
+func TestBucketFillsItsSizeClass(t *testing.T) {
+	const class, slot = 5376, unsafe.Sizeof([5]byte{})
+	if size := unsafe.Sizeof(bucket{}); size > class || size+slot <= class {
+		t.Fatalf("bucket of %d slots is %d bytes; the size class is %d", bucketSlots, size, class)
+	}
 }
 
 // FuzzTableOps runs a byte-encoded operation stream — two bytes per
-// operation: kind, name — through the model harness with the 4-bit hash.
+// operation: kind, name — through the model harness, over 256 names that
+// share one home slot.
 func FuzzTableOps(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 2, 0, 3, 1, 1, 0, 4, 2, 2, 1, 3, 0, 1})
 	f.Add([]byte{0, 0, 1, 0, 0, 0, 1, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, stream []byte) {
-		m := newTableModel(t, 0xf)
+		names := fuzzNames()
+		m := newTableModel(t, fuzzSeed)
 		for ; len(stream) >= 2; stream = stream[2:] {
-			name := "fuzz-" + strconv.Itoa(int(stream[1])) + ".net"
+			name := names[stream[1]]
 			switch stream[0] % 3 {
 			case 0:
 				m.put(name)
