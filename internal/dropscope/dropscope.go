@@ -5,8 +5,8 @@
 // deletion *times* are what the core model infers).
 //
 // The server caches each whole five-day list per (store generation, start
-// day, zone) in a gencache.Cache and serves the cached bytes with a strong
-// ETag and If-None-Match/304 handling. The client does not revalidate: it
+// day, zone) in a gencache.Cache as a serve.Body, which answers conditional
+// requests. The client does not revalidate: it
 // fetches each day once, and because consecutive lists share four of their
 // five days (the lookahead window slides by one day), it reuses the parsed
 // entries of every day segment whose bytes are unchanged.
@@ -49,17 +49,6 @@ type Entry struct {
 // flushes wholesale on every store mutation anyway.
 const listCacheSize = 64
 
-// cachedList is one rendered publication list. The header values are
-// pre-built []string slices so the warm serving path performs no per-request
-// allocations beyond the ResponseWriter's own. etag is empty for a list
-// rendered while the store mutated, which is served once and never cached.
-type cachedList struct {
-	body    []byte
-	etag    string
-	etagVal []string // {etag}
-	clenVal []string // {strconv.Itoa(len(body))}
-}
-
 // csvContentType is the shared Content-Type header value for list responses.
 var csvContentType = []string{"text/csv"}
 
@@ -68,16 +57,15 @@ var csvContentType = []string{"text/csv"}
 //	GET /pendingdelete?date=2018-01-02
 //
 // returns a CSV body (name,deleteDate) of all domains scheduled for deletion
-// on the five days starting at date. Responses carry Content-Length and a
-// strong ETag keyed on (store generation, date); requests with a matching
-// If-None-Match get 304 Not Modified. Whole lists are cached in a
-// generation-checked gencache.Cache, filled as rdap.Server fills its own.
+// on the five days starting at date, with a strong ETag keyed on (store
+// generation, date). Whole lists are cached in a generation-checked
+// gencache.Cache, filled as rdap.Server fills its own.
 type Server struct {
 	*serve.HTTP // Handler, Listen, ServeErr and Close
 
 	store     *registry.Store
 	mux       *http.ServeMux
-	lists     *gencache.Cache[listKey, *cachedList]
+	lists     *gencache.Cache[listKey, *serve.Body]
 	requests  atomic.Uint64
 	writeErrs atomic.Uint64
 }
@@ -93,7 +81,7 @@ type listKey struct {
 func NewServer(store *registry.Store) *Server {
 	s := &Server{
 		store: store,
-		lists: gencache.New[listKey, *cachedList](listCacheSize),
+		lists: gencache.New[listKey, *serve.Body](listCacheSize),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/pendingdelete", s.handleList)
@@ -148,7 +136,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		dateStr = q.Get("date")
 		zoneName = q.Get("zone")
 	}
-	start, err := ParseDay(dateStr)
+	start, err := simtime.ParseDay(dateStr)
 	if err != nil {
 		http.Error(w, fmt.Sprintf("bad date %q: %v", dateStr, err), http.StatusBadRequest)
 		return
@@ -163,20 +151,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		tlds = z.TLDSet()
 	}
 
-	cl := s.list(listKey{start, zoneName}, tlds)
-	h := w.Header()
-	if cl.etag != "" {
-		h["Etag"] = cl.etagVal
-		if r.Header.Get("If-None-Match") == cl.etag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	h["Content-Type"] = csvContentType
-	// Content-Length is set up front so a client can detect a truncated
-	// body: a failed mid-body write used to produce a silently short 200.
-	h["Content-Length"] = cl.clenVal
-	if _, err := w.Write(cl.body); err != nil {
+	if err := s.list(listKey{start, zoneName}, tlds).Write(w, r, csvContentType); err != nil {
 		s.writeErrs.Add(1)
 	}
 }
@@ -189,24 +164,23 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // call), so it is served, but uncached and without an ETag, because it
 // belongs to no generation it could name. A zone's ETag carries an @zone
 // suffix: zone bodies differ, so their validators must too.
-func (s *Server) list(key listKey, tlds map[model.TLD]bool) *cachedList {
+func (s *Server) list(key listKey, tlds map[model.TLD]bool) *serve.Body {
 	gen := s.store.Generation()
 	if cl, ok := s.lists.Get(gen, key); ok {
 		return cl
 	}
 	body := renderWindow(s.store, key.day, LookaheadDays, tlds)
-	cl := &cachedList{body: body, clenVal: []string{strconv.Itoa(len(body))}}
 	if s.store.Generation() != gen {
-		return cl
+		cl := serve.NewBody(body, "")
+		return &cl
 	}
-	cl.etag = `"` + strconv.FormatUint(gen, 10) + "-" + key.day.String()
+	etag := `"` + strconv.FormatUint(gen, 10) + "-" + key.day.String()
 	if key.zone != "" {
-		cl.etag += "@" + key.zone
+		etag += "@" + key.zone
 	}
-	cl.etag += `"`
-	cl.etagVal = []string{cl.etag}
-	s.lists.Put(gen, key, cl)
-	return cl
+	cl := serve.NewBody(body, etag+`"`)
+	s.lists.Put(gen, key, &cl)
+	return &cl
 }
 
 // renderWindow renders the CSV lines for all domains scheduled for deletion
@@ -227,15 +201,6 @@ func renderWindow(store *registry.Store, start simtime.Day, days int, tlds map[m
 	}
 	cw.Flush()
 	return buf.Bytes()
-}
-
-// ParseDay parses a YYYY-MM-DD day string.
-func ParseDay(s string) (simtime.Day, error) {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		return simtime.Day{}, err
-	}
-	return simtime.DayOf(t), nil
 }
 
 // Client downloads pending-delete lists. It does not revalidate: every
@@ -302,7 +267,7 @@ func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 			return nil, err
 		}
 		c.srv.requests.Add(1)
-		return c.assembleBody(day, c.srv.list(listKey{day: day}, nil).body)
+		return c.assembleBody(day, c.srv.list(listKey{day: day}, nil).Bytes)
 	}
 	u := *c.base
 	u.Path = "/pendingdelete"
@@ -389,7 +354,7 @@ func splitDayChunks(body []byte) []dayChunk {
 		line := body[lineStart:i]
 		var day simtime.Day
 		if j := bytes.LastIndexByte(line, ','); j >= 0 {
-			if d, err := ParseDay(string(line[j+1:])); err == nil {
+			if d, err := simtime.ParseDay(string(line[j+1:])); err == nil {
 				day = d
 			}
 		}
@@ -454,7 +419,7 @@ func ParseList(r io.Reader) ([]Entry, error) {
 		if err != nil {
 			return finish(fmt.Errorf("dropscope: parse list: %w", err))
 		}
-		day, err := ParseDay(rec[1])
+		day, err := simtime.ParseDay(rec[1])
 		if err != nil {
 			return finish(fmt.Errorf("dropscope: bad delete date %q: %w", rec[1], err))
 		}

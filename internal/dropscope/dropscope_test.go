@@ -183,16 +183,6 @@ func FuzzParseList(f *testing.F) {
 	})
 }
 
-func TestParseDay(t *testing.T) {
-	d, err := ParseDay("2018-02-05")
-	if err != nil || d != (simtime.Day{Year: 2018, Month: time.February, Dom: 5}) {
-		t.Fatalf("ParseDay = %+v, %v", d, err)
-	}
-	if _, err := ParseDay("05/02/2018"); err == nil {
-		t.Fatal("bad format accepted")
-	}
-}
-
 func TestListOrderIsNotDeletionOrder(t *testing.T) {
 	// The published list is sorted by name; the registry deletes by
 	// (Updated, ID). The paper's Figure 3 depends on these differing.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -111,10 +112,12 @@ func benchOps(n int) []Op {
 // response renders the ops of the segments after the cursor — O(changes) —
 // while a full-list render walks and sorts the whole pending set — O(n).
 // Cache assembly is forced every iteration (fresh cache) so the render path
-// itself is measured; bytes_served/op shows the payload asymmetry.
+// itself is measured; bytes_served/op shows the payload asymmetry. http is
+// the warm path a poller takes: a cached /deltas answered through the
+// handler, into a writer that keeps nothing.
 func BenchmarkDeltaServe(b *testing.B) {
 	const pendingN, opsN = 10_000, 100
-	run := func(b *testing.B, full bool) {
+	newHub := func(b *testing.B) *Hub {
 		h := benchHub(b, pendingN, Options{})
 		seg := renderSegment(1, uint64(opsN), 1, benchOps(opsN))
 		h.ringMu.Lock()
@@ -122,25 +125,70 @@ func BenchmarkDeltaServe(b *testing.B) {
 		h.ringSz += seg.size()
 		h.cursor = seg.to
 		h.ringMu.Unlock()
+		return h
+	}
+	run := func(b *testing.B, full bool) {
+		h := newHub(b)
 		var bytes int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			h.resp = gencache.New[deltaKey, *cachedResp](64)
 			if full {
-				bytes += int64(len(h.buildFull("").body))
+				bytes += int64(len(h.buildFull("").Bytes))
 			} else {
 				resp, ok := h.buildDeltas(0, "")
 				if !ok {
 					b.Fatal("delta cursor not servable")
 				}
-				bytes += int64(len(resp.body))
+				bytes += int64(len(resp.Bytes))
 			}
 		}
 		b.ReportMetric(float64(bytes)/float64(b.N), "bytes_served/op")
 	}
 	b.Run("delta-csv", func(b *testing.B) { run(b, false) })
 	b.Run("full", func(b *testing.B) { run(b, true) })
+	b.Run("http", func(b *testing.B) {
+		mux := http.NewServeMux()
+		newHub(b).Register(mux, "")
+		req := httptest.NewRequest(http.MethodGet, "/deltas?since=0", nil)
+		w := &sinkWriter{h: make(http.Header)}
+		mux.ServeHTTP(w, req) // fills the cache
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			clear(w.h)
+			w.status, w.n = 0, 0
+			mux.ServeHTTP(w, req)
+			if w.status != http.StatusOK || w.n == 0 {
+				b.Fatalf("/deltas answered %d with %d bytes", w.status, w.n)
+			}
+		}
+		b.ReportMetric(float64(w.n), "bytes_served/op")
+	})
+}
+
+// sinkWriter is a ResponseWriter that counts the body it is given and keeps
+// none of it, reused across iterations so only the handler's allocations
+// are counted.
+type sinkWriter struct {
+	h      http.Header
+	status int
+	n      int
+}
+
+func (w *sinkWriter) Header() http.Header { return w.h }
+
+func (w *sinkWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *sinkWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	w.n += len(p)
+	return len(p), nil
 }
 
 // BenchmarkFanout measures delivering one event batch to N subscribers.

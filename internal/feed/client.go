@@ -15,15 +15,6 @@ import (
 	"dropzero/internal/simtime"
 )
 
-// parseDay parses the wire day format (YYYY-MM-DD).
-func parseDay(s string) (simtime.Day, error) {
-	t, err := time.Parse("2006-01-02", s)
-	if err != nil {
-		return simtime.Day{}, err
-	}
-	return simtime.DayOf(t), nil
-}
-
 // ParseOps decodes delta CSV lines (op,name,day) — the /deltas body and the
 // data lines of an SSE delta frame.
 func ParseOps(b []byte) ([]Op, error) {
@@ -64,7 +55,7 @@ func parseOpLine(line string) (Op, error) {
 	}
 	op := Op{Kind: kind, Name: rest[:i]}
 	if kind == OpAdd {
-		day, err := parseDay(rest[i+1:])
+		day, err := simtime.ParseDay(rest[i+1:])
 		if err != nil {
 			return Op{}, fmt.Errorf("feed: bad day in %q: %w", line, err)
 		}
@@ -90,7 +81,7 @@ func ParseFull(b []byte) ([]Item, error) {
 		if i < 0 {
 			return nil, fmt.Errorf("feed: malformed list line %q", line)
 		}
-		day, err := parseDay(string(line[i+1:]))
+		day, err := simtime.ParseDay(string(line[i+1:]))
 		if err != nil {
 			return nil, fmt.Errorf("feed: bad day in %q: %w", line, err)
 		}

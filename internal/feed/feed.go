@@ -42,6 +42,7 @@ import (
 	"dropzero/internal/loadgen"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
+	"dropzero/internal/serve"
 	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
@@ -150,15 +151,11 @@ type deltaKey struct {
 	zone  string
 }
 
-// cachedResp is a fully assembled response: body plus pre-built header
-// values, the same discipline dropscope's list cache uses.
+// cachedResp is a rendered /deltas or /deltas/full answer and its
+// X-Feed-Cursor value.
 type cachedResp struct {
-	body    []byte
-	cursor  uint64
-	etag    string
-	etagVal []string
-	clenVal []string
-	curVal  []string
+	serve.Body
+	curVal []string
 }
 
 // Hub consumes the mutation stream and serves the delta/event feed.

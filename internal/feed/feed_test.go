@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/inproc"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
@@ -396,6 +397,36 @@ func TestDeltaETagAndNotModified(t *testing.T) {
 	}
 }
 
+// TestETagOverInproc: an in-process client sees the handler's header map as
+// written, so the validator of /deltas and /deltas/full must sit under the
+// canonical key, and replaying it must answer 304.
+func TestETagOverInproc(t *testing.T) {
+	e := newEnv(t, Options{})
+	seedPending(t, e.store, "a.com", day0())
+	e.hub.Quiesce()
+	client := inproc.Client(e.srv.Config.Handler)
+	for _, path := range []string{"/deltas?since=0", "/deltas/full"} {
+		resp, err := client.Get("http://feed" + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		etag := resp.Header.Get("ETag")
+		if resp.StatusCode != http.StatusOK || etag == "" {
+			t.Fatalf("%s: %s, ETag %q", path, resp.Status, etag)
+		}
+		req, _ := http.NewRequest(http.MethodGet, "http://feed"+path, nil)
+		req.Header.Set("If-None-Match", etag)
+		if resp, err = client.Do(req); err != nil {
+			t.Fatal(err)
+		}
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusNotModified {
+			t.Fatalf("%s revalidated with %s: %s, want 304", path, etag, resp.Status)
+		}
+	}
+}
+
 func TestDeltaMissRedirectsToFull(t *testing.T) {
 	e := newEnv(t, Options{RingBytes: 1}) // every installed segment evicts the prior one
 	for i := 0; i < 10; i++ {
@@ -772,7 +803,7 @@ func TestDeltasBodyMatchesSSEFrames(t *testing.T) {
 		if frames.String() != ref.String() {
 			t.Fatalf("seed %d: SSE op lines differ from the fmt reference", seed)
 		}
-		if resp, ok := h.buildDeltas(0, ""); !ok || string(resp.body) != frames.String() {
+		if resp, ok := h.buildDeltas(0, ""); !ok || string(resp.Bytes) != frames.String() {
 			t.Fatalf("seed %d: /deltas since 0 differs from the frames' op lines", seed)
 		}
 		for i, seg := range h.ring {
@@ -784,8 +815,8 @@ func TestDeltasBodyMatchesSSEFrames(t *testing.T) {
 			for _, s := range h.ring[i:] {
 				tail.Write(sseOpLines(t, s.sse))
 			}
-			if string(resp.body) != tail.String() {
-				t.Fatalf("seed %d: /deltas since %d = %q, want %q", seed, seg.from-1, resp.body, tail.String())
+			if string(resp.Bytes) != tail.String() {
+				t.Fatalf("seed %d: /deltas since %d = %q, want %q", seed, seg.from-1, resp.Bytes, tail.String())
 			}
 		}
 	}

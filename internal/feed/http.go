@@ -6,10 +6,17 @@ import (
 	"time"
 
 	"dropzero/internal/model"
+	"dropzero/internal/serve"
 )
 
 // maxLongPoll caps the wait= long-poll parameter.
 const maxLongPoll = 30 * time.Second
+
+// Header values shared by every /deltas and /deltas/full answer.
+var (
+	csvContentType = []string{"text/csv; charset=utf-8"}
+	feedFullVal    = []string{"1"}
+)
 
 // Register mounts the feed endpoints on mux: /deltas, /deltas/full and
 // /events under the given prefix ("" for the mux root). mux may be serving
@@ -49,9 +56,8 @@ func (h *Hub) handleDeltas(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	sinceStr := q.Get("since")
-	since, err := strconv.ParseUint(sinceStr, 10, 64)
-	if sinceStr == "" || err != nil {
+	since, err := strconv.ParseUint(q.Get("since"), 10, 64)
+	if err != nil {
 		http.Redirect(w, r, h.fullPath, http.StatusSeeOther)
 		return
 	}
@@ -73,19 +79,8 @@ func (h *Hub) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		http.Redirect(w, r, h.fullPath, http.StatusSeeOther)
 		return
 	}
-	hdr := w.Header()
-	hdr.Set("Content-Type", "text/csv; charset=utf-8")
-	hdr["ETag"] = resp.etagVal
-	hdr["X-Feed-Cursor"] = resp.curVal
-	if match := r.Header.Get("If-None-Match"); match != "" && match == resp.etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	hdr["Content-Length"] = resp.clenVal
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(resp.body)
-	}
+	w.Header()["X-Feed-Cursor"] = resp.curVal
+	_ = resp.Write(w, r, csvContentType) // a failed write is the client's to notice
 }
 
 // waitForAdvance blocks until the hub cursor moves past since, the wait
@@ -157,15 +152,7 @@ func (h *Hub) buildDeltas(since uint64, zoneName string) (*cachedResp, bool) {
 		}
 	}
 	h.ringMu.RUnlock()
-
-	etag := `"` + strconv.FormatUint(since, 10) + "-" + strconv.FormatUint(cur, 10)
-	if zoneName != "" {
-		etag += "@" + zoneName
-	}
-	etag += `"`
-	c := newCachedResp(body, cur, etag)
-	h.resp.Put(cur, key, c)
-	return c, true
+	return h.install(key, cur, strconv.FormatUint(since, 10)+"-"+strconv.FormatUint(cur, 10), body), true
 }
 
 // handleFull serves GET /deltas/full[?zone=Z]: the whole pending-delete
@@ -188,19 +175,9 @@ func (h *Hub) handleFull(w http.ResponseWriter, r *http.Request) {
 	}
 	resp := h.buildFull(zoneName)
 	hdr := w.Header()
-	hdr.Set("Content-Type", "text/csv; charset=utf-8")
-	hdr.Set("X-Feed-Full", "1")
-	hdr["ETag"] = resp.etagVal
+	hdr["X-Feed-Full"] = feedFullVal
 	hdr["X-Feed-Cursor"] = resp.curVal
-	if match := r.Header.Get("If-None-Match"); match != "" && match == resp.etag {
-		w.WriteHeader(http.StatusNotModified)
-		return
-	}
-	hdr["Content-Length"] = resp.clenVal
-	w.WriteHeader(http.StatusOK)
-	if r.Method != http.MethodHead {
-		w.Write(resp.body)
-	}
+	_ = resp.Write(w, r, csvContentType) // a failed write is the client's to notice
 }
 
 // buildFull renders (or fetches from the per-cursor cache) the full list,
@@ -231,25 +208,18 @@ func (h *Hub) buildFull(zoneName string) *cachedResp {
 		body = it.Day.AppendTo(body)
 		body = append(body, '\n')
 	}
-	etag := `"full-` + strconv.FormatUint(cur, 10)
-	if zoneName != "" {
-		etag += "@" + zoneName
-	}
-	etag += `"`
-	c := newCachedResp(body, cur, etag)
-	h.resp.Put(cur, key, c)
-	return c
+	return h.install(key, cur, "full-"+strconv.FormatUint(cur, 10), body)
 }
 
-func newCachedResp(body []byte, cursor uint64, etag string) *cachedResp {
-	return &cachedResp{
-		body:    body,
-		cursor:  cursor,
-		etag:    etag,
-		etagVal: []string{etag},
-		clenVal: []string{strconv.Itoa(len(body))},
-		curVal:  []string{strconv.FormatUint(cursor, 10)},
+// install caches body as key's answer at cursor cur under the strong ETag
+// "<tag>[@zone]": a zone's body differs, so its validator must too.
+func (h *Hub) install(key deltaKey, cur uint64, tag string, body []byte) *cachedResp {
+	if key.zone != "" {
+		tag += "@" + key.zone
 	}
+	c := &cachedResp{serve.NewBody(body, `"`+tag+`"`), []string{strconv.FormatUint(cur, 10)}}
+	h.resp.Put(cur, key, c)
+	return c
 }
 
 // handleEvents serves GET /events[?since=C]: a text/event-stream of delta

@@ -1,7 +1,8 @@
 // Package gencache implements the generation-checked response cache shared
-// by the serving layers (RDAP, WHOIS, dropscope): a bounded LRU whose whole
-// contents are keyed by the registry store's mutation counter. Any mutation
-// bumps the generation, so the first lookup under a newer generation flushes
+// by the serving layers (RDAP, WHOIS, dropscope, the feed): a bounded LRU
+// whose whole contents are keyed by a generation, the registry store's
+// mutation counter (the feed's: its cursor). Any mutation bumps the
+// generation, so the first lookup under a newer generation flushes
 // everything — rendered bytes can never outlive the state they were rendered
 // from.
 //

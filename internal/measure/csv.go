@@ -10,8 +10,8 @@ import (
 	"strings"
 	"time"
 
-	"dropzero/internal/dropscope"
 	"dropzero/internal/model"
+	"dropzero/internal/simtime"
 )
 
 // csvHeader is the dataset's on-disk column layout.
@@ -114,7 +114,7 @@ func parseRow(rec []string) (model.Observation, error) {
 	if tld, _ := model.TLDOf(name); rec[1] != string(tld) {
 		return model.Observation{}, fmt.Errorf("tld %q is not the suffix of %q", rec[1], name)
 	}
-	day, err := dropscope.ParseDay(rec[2])
+	day, err := simtime.ParseDay(rec[2])
 	if err != nil {
 		return model.Observation{}, fmt.Errorf("bad delete_day %q: %w", rec[2], err)
 	}

@@ -31,17 +31,6 @@ type ServerConfig struct {
 	FailRegistrars map[int]int
 }
 
-// cachedResponse is a fully encoded 200 body, immutable once built, plus the
-// precomputed header values the warm path assigns without allocating. The
-// one body that is not cached — rendered while a mutation landed — has no
-// etag.
-type cachedResponse struct {
-	body    []byte
-	etag    string
-	etagVal []string // {etag}, shared across responses
-	clenVal []string // {len(body)}
-}
-
 // rdapMediaType is the header value of every Content-Type the server sets
 // and every Accept the client sends, shared so neither allocates it.
 var rdapMediaType = []string{"application/rdap+json"}
@@ -66,7 +55,7 @@ type Server struct {
 	cfg      ServerConfig
 	requests atomic.Uint64
 
-	cache *gencache.Cache[string, *cachedResponse]
+	cache *gencache.Cache[string, *serve.Body]
 
 	// entities memoizes the marshalled registrar entity fragment per
 	// accreditation record. Keyed by the record value, not the IANA ID, so
@@ -82,7 +71,7 @@ func NewServer(store *registry.Store, cfg ServerConfig) *Server {
 	s := &Server{
 		store:    store,
 		cfg:      cfg,
-		cache:    gencache.New[string, *cachedResponse](cacheSize),
+		cache:    gencache.New[string, *serve.Body](cacheSize),
 		entities: make(map[model.Registrar]json.RawMessage),
 	}
 	for _, reg := range store.Registrars() {
@@ -155,7 +144,7 @@ func (s *Server) admit(name string) (string, bool) {
 // resolve is the HTTP handler's lookup: admit, generation-checked cache, store
 // read, injected registrar failure, render, install. It returns the 200 body,
 // or nil with the status and title of the RFC 7483 error to answer with.
-func (s *Server) resolve(name string) (found *cachedResponse, status int, title string) {
+func (s *Server) resolve(name string) (found *serve.Body, status int, title string) {
 	name, ok := s.admit(name)
 	if !ok {
 		return nil, http.StatusBadRequest, "malformed domain name"
@@ -181,15 +170,14 @@ func (s *Server) resolve(name string) (found *cachedResponse, status int, title 
 	*bp = body
 	defer bodyBufs.Put(bp)
 	if s.store.Generation() != gen {
-		// A mutation landed mid-render: the body is a valid snapshot but its
-		// exact generation is unknown, so it goes out without an ETag and is
-		// not cached — labelling it could let a later revalidation 304
-		// falsely.
-		return &cachedResponse{body: bytes.Clone(body), clenVal: []string{strconv.Itoa(len(body))}}, http.StatusOK, ""
+		// A mutation landed mid-render: the body is a valid snapshot of no
+		// generation it could name, so a later revalidation must not match it.
+		cr := serve.NewBody(bytes.Clone(body), "")
+		return &cr, http.StatusOK, ""
 	}
-	cr := newCachedResponse(gen, bytes.Clone(body))
-	s.cache.Put(gen, name, cr)
-	return cr, http.StatusOK, ""
+	cr := serve.NewBody(bytes.Clone(body), `"`+strconv.FormatUint(gen, 10)+`"`)
+	s.cache.Put(gen, name, &cr)
+	return &cr, http.StatusOK, ""
 }
 
 // render is resolve without the cache a study never hits, for the bound
@@ -223,40 +211,12 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 	name := strings.TrimPrefix(r.URL.Path, "/domain/")
 	switch cr, status, title := s.resolve(name); {
 	case cr != nil:
-		s.serveCached(w, r, cr)
+		_ = cr.Write(w, r, rdapMediaType) // a failed write is the client's to notice
 	case title == titleNotFound:
 		writeError(w, status, title, "domain ", strings.ToLower(name), " is not registered")
 	default:
 		writeError(w, status, title)
 	}
-}
-
-func newCachedResponse(gen uint64, body []byte) *cachedResponse {
-	etag := `"` + strconv.FormatUint(gen, 10) + `"`
-	return &cachedResponse{
-		body:    body,
-		etag:    etag,
-		etagVal: []string{etag},
-		clenVal: []string{strconv.Itoa(len(body))},
-	}
-}
-
-// serveCached writes a 200 body (or a 304 when it carries an ETag and the
-// client's validator still matches). Header values are preassembled slices
-// so the warm path performs no per-request allocation beyond the header map
-// inserts.
-func (s *Server) serveCached(w http.ResponseWriter, r *http.Request, cr *cachedResponse) {
-	h := w.Header()
-	if cr.etag != "" {
-		h["Etag"] = cr.etagVal
-		if r.Header.Get("If-None-Match") == cr.etag {
-			w.WriteHeader(http.StatusNotModified)
-			return
-		}
-	}
-	h["Content-Type"] = rdapMediaType
-	h["Content-Length"] = cr.clenVal
-	_, _ = w.Write(cr.body)
 }
 
 // appendDomain appends the domain response, byte-identical to

@@ -39,9 +39,6 @@ const (
 	// times per window, so an expiry means the link or the primary is gone
 	// and the follower should redial.
 	readTimeout = 10 * time.Second
-	// lagWindow is how many recent per-batch lag samples are retained for
-	// percentile reporting.
-	lagWindow = 8192
 )
 
 func (c *FollowerConfig) defaults() error {
@@ -91,17 +88,12 @@ type Follower struct {
 	reconnects atomic.Uint64
 	fatal      atomic.Value // error that ended replication for good
 
-	// peak lag high-water marks and the recent-sample window for
-	// percentiles. Sequence lag is primary-last-seq minus applied at batch
-	// receipt; time lag is receive-to-applied wall time against the
-	// primary's send stamp (one host's clock in tests and the quickstart;
-	// across real hosts it inherits clock sync quality).
-	peakSeqLag  atomic.Uint64
-	peakTimeLag atomic.Int64
-	lagMu       sync.Mutex
-	lagSamples  []time.Duration
-	lagIdx      int
-	lagFull     bool
+	// Sequence lag is primary-last-seq minus applied at batch receipt, kept
+	// as a high-water mark; time lag is each batch's receive-to-applied wall
+	// time against the primary's send stamp (one host's clock in tests and
+	// the quickstart; across real hosts it inherits clock sync quality).
+	peakSeqLag atomic.Uint64
+	lag        loadgen.Hist
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -290,7 +282,8 @@ func (f *Follower) consume(conn net.Conn) error {
 				return err
 			}
 			f.primarySeq.Store(primarySeq)
-			f.observeLag(primarySeq, sentNanos)
+			f.bumpPeakSeqLag()
+			f.lag.Record(time.Duration(time.Now().UnixNano() - sentNanos))
 			if err := f.ack(conn, last); err != nil {
 				return err
 			}
@@ -369,32 +362,6 @@ func (f *Follower) ack(conn net.Conn, seq uint64) error {
 	var b [msgHeader + 8]byte
 	binary.LittleEndian.PutUint64(b[msgHeader:], seq)
 	return writeMsg(conn, 10*time.Second, msgAck, b[:])
-}
-
-// observeLag records one batch's lag measurements.
-func (f *Follower) observeLag(primarySeq uint64, sentNanos int64) {
-	f.bumpPeakSeqLag()
-	lag := time.Duration(time.Now().UnixNano() - sentNanos)
-	if lag < 0 {
-		lag = 0
-	}
-	for {
-		cur := f.peakTimeLag.Load()
-		if int64(lag) <= cur || f.peakTimeLag.CompareAndSwap(cur, int64(lag)) {
-			break
-		}
-	}
-	f.lagMu.Lock()
-	if cap(f.lagSamples) < lagWindow {
-		f.lagSamples = make([]time.Duration, lagWindow)
-		f.lagIdx, f.lagFull = 0, false
-	}
-	f.lagSamples[f.lagIdx] = lag
-	f.lagIdx++
-	if f.lagIdx == lagWindow {
-		f.lagIdx, f.lagFull = 0, true
-	}
-	f.lagMu.Unlock()
 }
 
 func (f *Follower) bumpPeakSeqLag() {
@@ -499,7 +466,7 @@ func (f *Follower) Metrics() FollowerMetrics {
 		AppliedSeq:  applied,
 		PrimarySeq:  primary,
 		PeakSeqLag:  f.peakSeqLag.Load(),
-		PeakTimeLag: time.Duration(f.peakTimeLag.Load()),
+		PeakTimeLag: f.lag.Percentile(100),
 		Records:     f.records.Load(),
 		Batches:     f.batches.Load(),
 		Snapshots:   f.snapshots.Load(),
@@ -512,22 +479,7 @@ func (f *Follower) Metrics() FollowerMetrics {
 	return m
 }
 
-// LagResult folds the recent per-batch time-lag samples into a
-// loadgen.Result so the storm report prints replication lag percentiles
-// with the same machinery as request latencies.
-func (f *Follower) LagResult() loadgen.Result {
-	f.lagMu.Lock()
-	n := f.lagIdx
-	if f.lagFull {
-		n = lagWindow
-	}
-	samples := make([]time.Duration, n)
-	if f.lagFull {
-		copy(samples, f.lagSamples[f.lagIdx:])
-		copy(samples[lagWindow-f.lagIdx:], f.lagSamples[:f.lagIdx])
-	} else {
-		copy(samples, f.lagSamples[:n])
-	}
-	f.lagMu.Unlock()
-	return loadgen.Collect(samples, 0, 0, nil)
-}
+// LagResult is the per-batch time lag of the whole run as a loadgen.Result,
+// so the storm report prints replication lag percentiles with the same
+// machinery as request latencies. It is a live view of the histogram.
+func (f *Follower) LagResult() loadgen.Result { return f.lag.Snapshot() }

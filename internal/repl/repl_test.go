@@ -290,6 +290,36 @@ func TestReplicaMatchesPrimaryBytes(t *testing.T) {
 	}
 }
 
+// TestFollowerLagCoversEveryBatch: the time-lag distribution holds one
+// observation per applied batch of the run, and its maximum is the peak the
+// metrics report.
+func TestFollowerLagCoversEveryBatch(t *testing.T) {
+	store, jnl := newPrimary(t, t.TempDir())
+	defer jnl.Close()
+	names := seedPrimary(t, store, 30)
+	src := NewSource(jnl, SourceConfig{})
+	defer src.Close()
+	f, err := NewFollower(registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0))),
+		FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Start()
+	waitApplied(t, f, jnl.LastSeq())
+	for round := 0; round < 3; round++ {
+		mutatePrimary(t, store, names, round)
+		waitApplied(t, f, jnl.LastSeq())
+	}
+	f.Close() // the receive loop has returned: no batch is between apply and record
+	m, lag := f.Metrics(), f.LagResult()
+	if m.Batches < 2 || lag.Requests != m.Batches {
+		t.Fatalf("%d lag observations for %d batches", lag.Requests, m.Batches)
+	}
+	if p100 := lag.Percentile(100); p100 != m.PeakTimeLag {
+		t.Fatalf("P100 %v, PeakTimeLag %v", p100, m.PeakTimeLag)
+	}
+}
+
 // TestFollowerCatchUpBatchAppliesOnEveryCore: a bootstrapping follower
 // receives the primary's WAL tail in batches of thousands of records and
 // applies each across the shards on every core; creates, state changes and

@@ -1,5 +1,6 @@
 // Package serve is the listen/accept/close scaffold of the registry's TCP
-// and HTTP surfaces. ServeErr keeps what stopped serving, unless Close did.
+// and HTTP surfaces, and the one writer of their cached answers (Body).
+// ServeErr keeps what stopped serving, unless Close did.
 package serve
 
 import (
@@ -7,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -76,6 +78,48 @@ func (h *HTTP) serve(ln net.Listener) {
 // Close closes the listener and every connection and waits for their
 // goroutines, so nothing the handler reaches is in use once it returns.
 func (h *HTTP) Close() error { defer h.live.Wait(); return h.srv.Close() }
+
+// Body is one rendered answer of a read surface with its header values
+// built once, so serving it from a cache allocates nothing of its own. It
+// is immutable once built.
+type Body struct {
+	Bytes            []byte
+	etag             string
+	etagVal, clenVal []string // {etag}, {len(Bytes)}
+}
+
+// NewBody returns b with the strong validator etag. An empty etag marks a
+// body rendered while its source moved: served once, never cached, never a
+// 304.
+func NewBody(b []byte, etag string) Body {
+	body := Body{Bytes: b, etag: etag, clenVal: []string{strconv.Itoa(len(b))}}
+	if etag != "" {
+		body.etagVal = []string{etag}
+	}
+	return body
+}
+
+// Write answers r with b: 304 when r's If-None-Match names b's ETag, else
+// 200 with contentType, Content-Length set up front (a client detects a
+// truncated body) and, unless r is a HEAD, the bytes, whose write error it
+// returns. Headers the caller set go out with either answer.
+func (b *Body) Write(w http.ResponseWriter, r *http.Request, contentType []string) error {
+	h := w.Header()
+	if b.etag != "" {
+		h["Etag"] = b.etagVal
+		if r.Header.Get("If-None-Match") == b.etag {
+			w.WriteHeader(http.StatusNotModified)
+			return nil
+		}
+	}
+	h["Content-Type"] = contentType
+	h["Content-Length"] = b.clenVal
+	if r.Method == http.MethodHead {
+		return nil
+	}
+	_, err := w.Write(b.Bytes)
+	return err
+}
 
 // Conns runs one handler per TCP connection, accepted or handed in.
 type Conns struct {

@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -157,5 +158,44 @@ func TestHTTPCloseWaitsForConnections(t *testing.T) {
 	}
 	if !finished.Load() {
 		t.Fatal("Close returned while a handler was still running")
+	}
+}
+
+// TestBodyWrite: a Body with an ETag answers a matching If-None-Match with a
+// bare 304; one without never does; a HEAD gets the 200's headers and no
+// bytes.
+func TestBodyWrite(t *testing.T) {
+	tagged, untagged := NewBody([]byte("a,2018-01-02\n"), `"7"`), NewBody([]byte("abc"), "")
+	csv := []string{"text/csv"}
+	for _, c := range []struct {
+		name        string
+		body        *Body
+		method, inm string
+		status      int
+		etag, clen  string
+		bytes       string
+	}{
+		{"get", &tagged, http.MethodGet, "", 200, `"7"`, "13", "a,2018-01-02\n"},
+		{"revalidate", &tagged, http.MethodGet, `"7"`, 304, `"7"`, "", ""},
+		{"stale", &tagged, http.MethodGet, `"6"`, 200, `"7"`, "13", "a,2018-01-02\n"},
+		{"head", &tagged, http.MethodHead, "", 200, `"7"`, "13", ""},
+		{"untagged", &untagged, http.MethodGet, "", 200, "", "3", "abc"},
+		{"untagged-empty-inm", &untagged, http.MethodGet, `""`, 200, "", "3", "abc"},
+	} {
+		req := httptest.NewRequest(c.method, "/x", nil)
+		if c.inm != "" {
+			req.Header.Set("If-None-Match", c.inm)
+		}
+		rec := httptest.NewRecorder()
+		if err := c.body.Write(rec, req, csv); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		h := rec.Header()
+		if rec.Code != c.status || h.Get("ETag") != c.etag || h.Get("Content-Length") != c.clen || rec.Body.String() != c.bytes {
+			t.Errorf("%s: %d ETag %q Content-Length %q body %q", c.name, rec.Code, h.Get("ETag"), h.Get("Content-Length"), rec.Body)
+		}
+		if wantType := c.status == 200; (h.Get("Content-Type") != "") != wantType {
+			t.Errorf("%s: Content-Type %q on a %d", c.name, h.Get("Content-Type"), rec.Code)
+		}
 	}
 }

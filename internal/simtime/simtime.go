@@ -199,6 +199,16 @@ func (d Day) AppendTo(b []byte) []byte {
 		'-', byte('0'+m/10), byte('0'+m%10), '-', byte('0'+d.Dom/10), byte('0'+d.Dom%10))
 }
 
+// ParseDay is the inverse of AppendTo for the years 0000–9999: it parses a
+// YYYY-MM-DD day string.
+func ParseDay(s string) (Day, error) {
+	t, err := time.Parse(time.DateOnly, s)
+	if err != nil {
+		return Day{}, err
+	}
+	return DayOf(t), nil
+}
+
 // Trunc rounds t down to whole seconds in UTC. All registry-visible
 // timestamps pass through Trunc, mirroring the second precision of the RDAP
 // timestamps in the paper's dataset.

@@ -189,6 +189,20 @@ func TestDayAppendToMatchesSprintf(t *testing.T) {
 	}
 }
 
+// ParseDay reads back what AppendTo writes, day by day across a year
+// boundary, and refuses any other form.
+func TestParseDay(t *testing.T) {
+	for d := (Day{2018, time.December, 25}); d.Before(Day{2019, time.January, 8}); d = d.Next() {
+		got, err := ParseDay(string(d.AppendTo(nil)))
+		if err != nil || got != d {
+			t.Fatalf("ParseDay(%q) = %+v, %v", d.AppendTo(nil), got, err)
+		}
+	}
+	if _, err := ParseDay("05/02/2018"); err == nil {
+		t.Fatal("bad format accepted")
+	}
+}
+
 func TestDayPackRoundTripAndOrder(t *testing.T) {
 	days := []Day{
 		{},
