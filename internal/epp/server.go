@@ -301,7 +301,7 @@ func (s *Server) handleCreate(sess *session, req *Request, resp *Response) {
 		return
 	}
 	resp.Code, resp.Msg = CodeOK, msgOK
-	resp.Domain = toInfo(d)
+	resp.Domain = toInfo(&d)
 }
 
 func (s *Server) handleRenew(sess *session, req *Request, resp *Response) {

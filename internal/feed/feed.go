@@ -183,6 +183,9 @@ type Hub struct {
 	ring    []*segment
 	ringSz  int
 	advCh   chan struct{} // closed and replaced on every cursor advance
+	// The ingest counters advance with the cursor, under ringMu, so a
+	// Metrics snapshot always has Records == Cursor − the primed start.
+	mRecords, mBatches, mOps uint64
 
 	resp *gencache.Cache[deltaKey, *cachedResp]
 
@@ -201,9 +204,6 @@ type Hub struct {
 	stop chan struct{}
 	done chan struct{}
 
-	mRecords   atomic.Uint64
-	mBatches   atomic.Uint64
-	mOps       atomic.Uint64
 	mSubs      atomic.Int64
 	mSubsTotal atomic.Uint64
 	mSlowDrops atomic.Uint64
@@ -382,6 +382,9 @@ func (h *Hub) ingest(batch []rec) {
 		}
 	}
 	h.cursor = to
+	h.mBatches++
+	h.mRecords += uint64(len(batch))
+	h.mOps += uint64(len(ops))
 	if len(h.purged) > maxPurgeMemory {
 		floor := h.cursor - maxPurgeMemory
 		for name, seq := range h.purged {
@@ -406,9 +409,6 @@ func (h *Hub) ingest(batch []rec) {
 	h.advCh = make(chan struct{})
 	h.ringMu.Unlock()
 
-	h.mBatches.Add(1)
-	h.mRecords.Add(uint64(len(batch)))
-	h.mOps.Add(uint64(len(ops)))
 	if seg != nil {
 		h.broadcast(seg)
 	}
@@ -670,13 +670,13 @@ type Metrics struct {
 func (h *Hub) Metrics() Metrics {
 	h.ringMu.RLock()
 	ringSegs, ringBytes, pending := len(h.ring), h.ringSz, len(h.pending)
-	cursor := h.cursor
+	cursor, records, batches, ops := h.cursor, h.mRecords, h.mBatches, h.mOps
 	h.ringMu.RUnlock()
 	return Metrics{
 		Cursor:           cursor,
-		Records:          h.mRecords.Load(),
-		Batches:          h.mBatches.Load(),
-		Ops:              h.mOps.Load(),
+		Records:          records,
+		Batches:          batches,
+		Ops:              ops,
 		Subscribers:      h.mSubs.Load(),
 		SubscribersTotal: h.mSubsTotal.Load(),
 		SlowDrops:        h.mSlowDrops.Load(),

@@ -659,6 +659,43 @@ func TestHubMetricsCoalescing(t *testing.T) {
 	}
 }
 
+// TestHubMetricsTrackCursor holds the ingest counters to the cursor: they
+// advance under the lock that publishes it, so no Metrics snapshot — taken
+// while batches fold, or right after Quiesce — has counted fewer records
+// than the cursor covers.
+func TestHubMetricsTrackCursor(t *testing.T) {
+	e := newEnv(t, Options{})
+	start := e.hub.Metrics().Cursor
+	at := day0().At(9, 0, 0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3000; i++ {
+			if _, err := e.store.SeedAt(fmt.Sprintf("q%d.com", i), 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
+				t.Error(err)
+				return
+			}
+			e.hub.Quiesce()
+			if m := e.hub.Metrics(); m.Cursor-start != uint64(i+1) || m.Records != m.Cursor-start {
+				t.Errorf("after seed %d and Quiesce: cursor %d, records %d (start %d)", i, m.Cursor, m.Records, start)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		if m := e.hub.Metrics(); m.Records != m.Cursor-start {
+			t.Errorf("mid-ingest snapshot: cursor %d, records %d (start %d)", m.Cursor, m.Records, start)
+			<-done
+			return
+		}
+	}
+}
+
 func TestParseOpsRoundTrip(t *testing.T) {
 	ops := []Op{
 		{Kind: OpAdd, Name: "a.com", Day: day0()},

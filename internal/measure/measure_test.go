@@ -68,7 +68,7 @@ func (e *env) seedPending(t *testing.T, name string, registrar int, deleteDay si
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d
+	return &d
 }
 
 // purgeAndRereg deletes the name via the store's drop path and optionally

@@ -7,11 +7,21 @@
 // while long random-letter names mostly expire unnoticed. The generator
 // exposes that ground-truth value score so agent behaviour can be conditioned
 // on it, but the measurement pipeline only ever sees the name itself.
+//
+// A Generator never repeats a label. The labels it has returned are kept as
+// bytes in one append-only arena, indexed by an open-addressed table of
+// 64-bit slots, each a fragment of the label's hash beside its arena offset:
+// neither holds a pointer, so the collector never scans the set and no
+// returned label is pinned by it. The set is exact: a fragment match is only
+// a candidate, confirmed byte for byte against the arena, so a repeat is
+// always caught and a fresh label never refused — the stream is the one a
+// map of every label would give.
 package names
 
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -169,7 +179,7 @@ type Generated struct {
 // for concurrent use; give each goroutine its own Generator.
 type Generator struct {
 	rng  *rand.Rand
-	seen map[string]struct{}
+	seen labelSet
 	// classWeights is the cumulative distribution over composition classes.
 	classCum [numClasses]float64
 }
@@ -178,7 +188,7 @@ type Generator struct {
 // to a distribution that makes valuable names a small minority, matching the
 // observation that only ~10 % of deleted domains attract any re-registration.
 func NewGenerator(rng *rand.Rand) *Generator {
-	g := &Generator{rng: rng, seen: make(map[string]struct{})}
+	g := &Generator{rng: rng, seen: labelSet{seed: maphash.MakeSeed()}}
 	weights := [numClasses]float64{
 		ClassKeywordPair: 0.06,
 		ClassDictPair:    0.08,
@@ -253,17 +263,66 @@ func (g *Generator) Next() Generated {
 	for {
 		c := g.class()
 		label := g.compose(c)
-		if Validate(label) != nil {
-			continue
-		}
-		// One map operation per label: an insert that does not grow the set
-		// found a duplicate.
-		n := len(g.seen)
-		g.seen[label] = struct{}{}
-		if len(g.seen) == n {
+		if Validate(label) != nil || !g.seen.add(label) {
 			continue
 		}
 		return Generated{Label: label, Class: c, Value: value(c, label, g.rng)}
+	}
+}
+
+// labelSet is the set of labels a Generator has returned (see the package
+// doc). arena holds each label as a length byte and its bytes. A used slot
+// is the label's fragment (its hash's top 32 bits, the lowest set) above its
+// arena offset, so at most 4 GiB of labels; the fragment's other bits pick
+// the home slot, probed linearly, so a grow re-reads no label.
+type labelSet struct {
+	seed  maphash.Seed
+	slots []uint64 // power-of-two length, at most 3/4 used
+	n     int      // used slots
+	arena []byte
+}
+
+// add inserts label, valid (so at most 63 bytes), and reports whether it
+// was absent.
+func (s *labelSet) add(label string) bool {
+	if s.n >= len(s.slots)*3/4 {
+		s.grow()
+	}
+	frag := maphash.String(s.seed, label)>>32 | 1
+	mask := len(s.slots) - 1
+	for i := int(frag>>1) & mask; ; i = (i + 1) & mask {
+		switch v := s.slots[i]; {
+		case v == 0:
+			s.slots[i] = frag<<32 | uint64(len(s.arena))
+			s.arena = append(append(s.arena, byte(len(label))), label...)
+			s.n++
+			return true
+		case v>>32 == frag && string(s.label(v)) == label:
+			return false
+		}
+	}
+}
+
+// label is the arena bytes of slot v's label.
+func (s *labelSet) label(v uint64) []byte {
+	off := uint32(v)
+	return s.arena[off+1 : off+1+uint32(s.arena[off])]
+}
+
+// grow doubles the table, re-homing each slot by its fragment.
+func (s *labelSet) grow() {
+	old := s.slots
+	s.slots = make([]uint64, max(2*len(old), 1024))
+	mask := len(s.slots) - 1
+	for _, v := range old {
+		if v == 0 {
+			continue
+		}
+		i := int(v>>33) & mask
+		for s.slots[i] != 0 {
+			i = (i + 1) & mask
+		}
+		s.slots[i] = v
 	}
 }
 

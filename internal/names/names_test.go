@@ -230,3 +230,48 @@ func TestGeneratorStreamGolden(t *testing.T) {
 		}
 	}
 }
+
+// countingSource counts the draws a rand.Rand takes from its source.
+type countingSource struct {
+	rand.Source64
+	draws int
+}
+
+func (c *countingSource) Int63() int64   { c.draws++; return c.Source64.Int63() }
+func (c *countingSource) Uint64() uint64 { c.draws++; return c.Source64.Uint64() }
+
+// TestGeneratorMatchesMapReference holds Next's label set to the map it
+// replaced: a reference loop — Next's, with a map[string]struct{} for the
+// set — runs beside a Generator on an equal seed. Every label, class and
+// value must be the same, in order, and each pair must have taken the same
+// number of draws from its source, so every attempt was refused or taken
+// alike: the set neither missed a repeat nor refused a fresh label.
+func TestGeneratorMatchesMapReference(t *testing.T) {
+	const n = 1_000_000
+	for _, seed := range []int64{1, 7, 20180108} {
+		gotSrc := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+		refSrc := &countingSource{Source64: rand.NewSource(seed).(rand.Source64)}
+		g, ref := NewGenerator(rand.New(gotSrc)), NewGenerator(rand.New(refSrc))
+		seen := make(map[string]struct{}, n)
+		retries := 0
+		for i := 0; i < n; i++ {
+			got := g.Next()
+			var want Generated
+			for {
+				c := ref.class()
+				label := ref.compose(c)
+				if _, dup := seen[label]; Validate(label) == nil && !dup {
+					seen[label] = struct{}{}
+					want = Generated{Label: label, Class: c, Value: value(c, label, ref.rng)}
+					break
+				}
+				retries++
+			}
+			if got != want || gotSrc.draws != refSrc.draws {
+				t.Fatalf("seed %d, label %d: got %+v after %d draws, the map reference %+v after %d",
+					seed, i, got, gotSrc.draws, want, refSrc.draws)
+			}
+		}
+		t.Logf("seed %d: %d labels, %d retries, %d arena bytes, %d slots", seed, n, retries, len(g.seen.arena), len(g.seen.slots))
+	}
+}

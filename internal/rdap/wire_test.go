@@ -645,7 +645,7 @@ func TestStudyLookupsNeverFullDecode(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, d)
+			want = append(want, &d)
 		}
 	}
 	srv := NewServer(store, ServerConfig{})

@@ -12,8 +12,8 @@ import (
 
 // newContentionStore builds a store with a live registered population, so
 // the contended operations run against realistically loaded shard maps, not
-// empty ones.
-func newContentionStore(b *testing.B, shards int) (*Store, simtime.Day) {
+// empty ones, and returns the population's names.
+func newContentionStore(b *testing.B, shards int) (*Store, simtime.Day, []string) {
 	b.Helper()
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
 	clock := simtime.NewSimClock(day.At(19, 0, 0))
@@ -22,13 +22,15 @@ func newContentionStore(b *testing.B, shards int) (*Store, simtime.Day) {
 		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("Bench %d", r)})
 	}
 	created := day.AddDays(-400).At(3, 0, 0)
-	for i := 0; i < 10_000; i++ {
-		if _, err := s.SeedAt(fmt.Sprintf("bench-live%05d.com", i), 1000+i%8,
+	live := make([]string, 10_000)
+	for i := range live {
+		live[i] = fmt.Sprintf("bench-live%05d.com", i)
+		if _, err := s.SeedAt(live[i], 1000+i%8,
 			created, created, created.AddDate(2, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return s, day
+	return s, day, live
 }
 
 // BenchmarkEPPCreateContention is the Drop-second hot path under full
@@ -38,10 +40,15 @@ func newContentionStore(b *testing.B, shards int) (*Store, simtime.Day) {
 // different names proceed in parallel and throughput should scale with cores
 // (the spread is invisible at GOMAXPROCS=1 — run on a multicore host, as CI
 // does for BENCH.json).
+//
+// The losers and hot legs are the Drop's other 99.95 %: every create names a
+// taken registration — spread over the population, or all on one name — and
+// is refused with the bare ErrExists under the shard's read lock. CI's gate
+// holds both to 0 allocs/op.
 func BenchmarkEPPCreateContention(b *testing.B) {
 	for _, shards := range []int{1, 8} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			s, day := newContentionStore(b, shards)
+		b.Run(fmt.Sprintf("winners/shards=%d", shards), func(b *testing.B) {
+			s, day, _ := newContentionStore(b, shards)
 			at := day.At(19, 0, 1)
 			var worker atomic.Uint64
 			b.ReportAllocs()
@@ -64,5 +71,30 @@ func BenchmarkEPPCreateContention(b *testing.B) {
 				}
 			})
 		})
+	}
+	for _, leg := range []struct {
+		name  string
+		names func(live []string) []string
+	}{
+		{"losers", func(live []string) []string { return live }},
+		{"hot", func(live []string) []string { return live[:1] }},
+	} {
+		for _, shards := range []int{1, 8} {
+			b.Run(fmt.Sprintf("%s/shards=%d", leg.name, shards), func(b *testing.B) {
+				s, day, live := newContentionStore(b, shards)
+				taken, at := leg.names(live), day.At(19, 0, 1)
+				var worker atomic.Uint64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					w := int(worker.Add(1))
+					for i := w * 7919; pb.Next(); i++ {
+						if _, err := s.CreateAt(taken[i%len(taken)], 1000+w%8, 1, at); err != ErrExists {
+							b.Errorf("create %s: %v, want ErrExists", taken[i%len(taken)], err)
+						}
+					}
+				})
+			})
+		}
 	}
 }

@@ -65,7 +65,8 @@ func TestDueIndexFollowsLifecycle(t *testing.T) {
 	cfg.GraceDays = map[int]int{1000: 40, 1001: 40}
 	NewLifecycle(s, cfg)
 
-	d, err := s.Create("indexed.com", 1000, 1)
+	created, err := s.Create("indexed.com", 1000, 1)
+	d := &created
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 	for i := range doms {
 		r := record{id: uint32(i + 1)}
 		r.setName(fmt.Sprintf("d%d.com", i))
-		_, doms[i] = tab.put(r)
+		_, doms[i] = tab.put(r, tab.hash(r.name()))
 	}
 	key := func(d simtime.Day) uint32 { return uint32(d.Number()) }
 	ix.add(key(base.AddDays(3)), doms[0], &tab)

@@ -182,20 +182,31 @@ type applied struct {
 }
 
 // commit is the one way a domain mutation reaches the store outside a batch:
-// every live mutator's tail, and Apply's. Under m.Name's shard write lock it
-// hands check, when there is one, the current registration (nil if none):
-// check refuses, or completes m from it. m then goes through applyLocked,
-// is journaled (live only) and bumps the generation; after unlocking, commit
-// waits for durability and delivers the observer event (live only).
+// every live mutator's tail, and Apply's. It hashes m.Name once. A live
+// create of a taken name (most of a Drop's) gets the bare ErrExists under the
+// read lock. Under the write lock, commit hands check, when there is one, the
+// current registration (nil if none): check refuses, or completes m from it.
+// m then goes through applyLocked, is journaled (live only) and bumps the
+// generation; after unlocking, commit waits for durability and delivers the
+// observer event (live only).
 func (s *Store) commit(m *Mutation, live bool, check func(sh *shard, r *record) error) (res applied, err error) {
 	sh := s.shardOf(m.Name)
+	h := sh.tab.hash(m.Name)
+	if live && m.Kind == MutCreate {
+		sh.mu.RLock()
+		r, _ := sh.tab.find(m.Name, h)
+		sh.mu.RUnlock()
+		if r != nil {
+			return res, ErrExists
+		}
+	}
 	sh.mu.Lock()
 	if check != nil {
-		r, _ := sh.tab.get(m.Name)
+		r, _ := sh.tab.find(m.Name, h)
 		err = check(sh, r)
 	}
 	if err == nil {
-		res, err = s.applyLocked(sh, m, nil, 0)
+		res, err = s.applyLocked(sh, m, h, nil, 0)
 	}
 	if err != nil {
 		sh.mu.Unlock()
@@ -244,14 +255,15 @@ type purged struct {
 // registration (for a create or seed: a taken name or one no zone operates)
 // and any value the stored record or event cannot hold; the live mutators'
 // own refusals (sponsor, auth, status, term) are theirs to make first. The
-// caller holds sh's write lock and owns the generation bump.
+// caller holds sh's write lock, passes h = the hash of m.Name, and owns the
+// generation bump.
 //
 // A create or seed with ID zero — a live one — reserves the next ID once
 // nothing else can refuse it, so a refused create consumes none; a replayed
 // one keeps its ID and raises the allocator to it. A purge archives its event,
 // or, when held is non-nil (a batch), holds it with batch position idx for
 // ApplyBatch to archive in batch order.
-func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (res applied, err error) {
+func (s *Store) applyLocked(sh *shard, m *Mutation, h uint64, held *[]purged, idx int32) (res applied, err error) {
 	switch m.Kind {
 	case MutCreate, MutSeed:
 		_, tld, err := s.splitName(m.Name)
@@ -272,7 +284,7 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 			d.Status = m.Status
 			d.DeleteDay = m.DeleteDay
 		}
-		rec, err := sh.prepare(&d)
+		rec, err := sh.prepare(&d, h)
 		if err != nil {
 			return res, err
 		}
@@ -296,12 +308,12 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 			// Creates mint a transfer code; seeds do not (SeedAt's contract).
 			rec.setAuth(authCreated)
 		}
-		sh.insert(rec)
+		sh.insert(rec, h)
 		res.tld = tld
 		return res, nil
 
 	case MutTouch, MutRenew, MutTransfer, MutSetState:
-		r, ref := sh.tab.get(m.Name)
+		r, ref := sh.tab.find(m.Name, h)
 		if r == nil {
 			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
@@ -337,7 +349,7 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, held *[]purged, idx int32) (
 		return res, nil
 
 	case MutPurge:
-		r, ref := sh.tab.get(m.Name)
+		r, ref := sh.tab.find(m.Name, h)
 		if r == nil {
 			return res, fmt.Errorf("%w: %q", ErrNotFound, m.Name)
 		}
@@ -451,7 +463,7 @@ func (s *Store) applyGroups(ms []Mutation, workers int) error {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
 		for _, i := range idxs {
-			if _, err := s.applyLocked(sh, &ms[i], &res.purges, i); err != nil {
+			if _, err := s.applyLocked(sh, &ms[i], sh.tab.hash(ms[i].Name), &res.purges, i); err != nil {
 				res.err = fmt.Errorf("registry: replay %v: %w", ms[i].Kind, err)
 				return res
 			}

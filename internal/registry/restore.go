@@ -138,9 +138,7 @@ func (r *SnapshotReader) VisitDeletions(fn func(map[simtime.Day][]model.Deletion
 // nothing (the store is empty). Call once, before serving.
 func (s *Store) RestoreRegistrars(rs []model.Registrar) {
 	s.regMu.Lock()
-	for _, r := range rs {
-		s.registrars[r.IANAID] = r
-	}
+	s.addRegistrarsLocked(rs...)
 	s.regMu.Unlock()
 }
 
@@ -158,12 +156,13 @@ func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, i := range order[start[si]:start[si+1]] {
-			rec, err := sh.prepare(&ds[i].Domain)
+			h := sh.tab.hash(ds[i].Domain.Name)
+			rec, err := sh.prepare(&ds[i].Domain, h)
 			if err != nil {
 				sh.mu.Unlock()
 				return fmt.Errorf("registry: restore: %w", err)
 			}
-			sh.setAuthInfo(sh.insert(rec), ds[i].AuthInfo)
+			sh.setAuthInfo(sh.insert(rec, h), ds[i].AuthInfo)
 		}
 		sh.mu.Unlock()
 	}

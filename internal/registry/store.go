@@ -11,13 +11,13 @@
 package registry
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"hash/maphash"
 	"math"
 	"runtime"
 	"slices"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -162,8 +162,11 @@ type Store struct {
 	shards []shard
 	mask   uint64
 
+	// registrars is every accreditation sorted by IANA ID, an immutable
+	// slice replaced under regMu on every add, so Registrar reads it without
+	// a lock.
 	regMu      sync.RWMutex
-	registrars map[int]model.Registrar
+	registrars atomic.Pointer[[]model.Registrar]
 
 	// deletions is the ground-truth archive of Drop deletions, per day.
 	// Guarded by its own mutex: purge appends while holding the purged
@@ -173,9 +176,12 @@ type Store struct {
 
 	// zoneTab is the zone registry: which TLDs this store operates, under
 	// which lifecycle and drop policy (zones.go). Its mutex is a leaf lock
-	// like delMu: splitName reads it under a shard lock during replay.
+	// like delMu.
 	zoneTab zoneTable
 }
+
+// noRegistrars is a new store's accreditation list.
+var noRegistrars []model.Registrar
 
 // MaxShards caps the shard count; beyond this the per-shard maps are so
 // sparsely populated that cross-shard sweeps pay pure overhead.
@@ -300,12 +306,12 @@ func NewStore(clock simtime.Clock) *Store { return NewStoreWithShards(clock, 0) 
 func NewStoreWithShards(clock simtime.Clock, shards int) *Store {
 	n := normalizeShardCount(shards)
 	s := &Store{
-		clock:      clock,
-		shards:     make([]shard, n),
-		mask:       uint64(n - 1),
-		registrars: make(map[int]model.Registrar),
-		deletions:  make(map[simtime.Day][]model.DeletionEvent),
+		clock:     clock,
+		shards:    make([]shard, n),
+		mask:      uint64(n - 1),
+		deletions: make(map[simtime.Day][]model.DeletionEvent),
 	}
+	s.registrars.Store(&noRegistrars)
 	// One seed for the whole store; see table.seed.
 	seed := maphash.MakeSeed()
 	for i := range s.shards {
@@ -345,7 +351,7 @@ func (s *Store) AddRegistrar(r model.Registrar) {
 func (s *Store) addRegistrar(r model.Registrar, live bool) (wait func() error) {
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
-	s.registrars[r.IANAID] = r
+	s.addRegistrarsLocked(r)
 	if live {
 		wait = s.appendJournal(&Mutation{Kind: MutAddRegistrar, Registrar: r})
 	}
@@ -355,20 +361,40 @@ func (s *Store) addRegistrar(r model.Registrar, live bool) (wait func() error) {
 
 // Registrar looks up an accreditation by IANA ID.
 func (s *Store) Registrar(ianaID int) (model.Registrar, bool) {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	r, ok := s.registrars[ianaID]
-	return r, ok
+	rs := *s.registrars.Load()
+	if len(rs) == 0 {
+		return model.Registrar{}, false
+	}
+	// IANA IDs run mostly consecutive (registrars.BuildDirectory hands them
+	// out in order), so try the ID's offset from the first before searching.
+	i := ianaID - rs[0].IANAID
+	if i < 0 || i >= len(rs) || rs[i].IANAID != ianaID {
+		i = searchRegistrars(rs, ianaID)
+	}
+	if i < len(rs) && rs[i].IANAID == ianaID {
+		return rs[i], true
+	}
+	return model.Registrar{}, false
 }
 
-// hasRegistrar reports whether ianaID is accredited. Accreditations are
-// add-only, so a true answer read before taking a shard lock cannot go
-// stale inside the critical section.
-func (s *Store) hasRegistrar(ianaID int) bool {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	_, ok := s.registrars[ianaID]
-	return ok
+// searchRegistrars is where ianaID is or belongs in rs, sorted by IANA ID.
+func searchRegistrars(rs []model.Registrar, ianaID int) int {
+	return sort.Search(len(rs), func(i int) bool { return rs[i].IANAID >= ianaID })
+}
+
+// addRegistrarsLocked publishes a copy of the accreditations with rs added,
+// each replacing any of its IANA ID. The caller holds regMu for writing.
+func (s *Store) addRegistrarsLocked(rs ...model.Registrar) {
+	old := *s.registrars.Load()
+	list := append(make([]model.Registrar, 0, len(old)+len(rs)), old...)
+	for _, r := range rs {
+		if i := searchRegistrars(list, r.IANAID); i < len(list) && list[i].IANAID == r.IANAID {
+			list[i] = r
+		} else {
+			list = slices.Insert(list, i, r)
+		}
+	}
+	s.registrars.Store(&list)
 }
 
 // Registrars returns all accreditations, sorted by IANA ID.
@@ -378,15 +404,10 @@ func (s *Store) Registrars() []model.Registrar {
 	return s.registrarsLocked()
 }
 
-// registrarsLocked builds the sorted accreditation list; the caller holds
+// registrarsLocked copies the sorted accreditation list; the caller holds
 // regMu (either mode).
 func (s *Store) registrarsLocked() []model.Registrar {
-	out := make([]model.Registrar, 0, len(s.registrars))
-	for _, r := range s.registrars {
-		out = append(out, r)
-	}
-	slices.SortFunc(out, func(a, b model.Registrar) int { return cmp.Compare(a.IANAID, b.IANAID) })
-	return out
+	return slices.Clone(*s.registrars.Load())
 }
 
 // splitNameSyntax validates name's structure — a label and a non-empty
@@ -416,8 +437,8 @@ func splitNameSyntax(name string) (label string, tld model.TLD, err error) {
 }
 
 // splitName validates name's syntax and that its TLD is operated by one of
-// this store's zones. Reads the zone table's leaf lock only; safe under a
-// shard lock (replay calls it there).
+// this store's zones. Takes no lock; safe under a shard lock (replay calls
+// it there).
 func (s *Store) splitName(name string) (label string, tld model.TLD, err error) {
 	label, tld, err = splitNameSyntax(name)
 	if err != nil {
@@ -442,19 +463,20 @@ func (s *Store) Available(name string) (bool, error) {
 }
 
 // Create registers name to registrarID for termYears, timestamped with the
-// store clock. It fails with ErrExists if the name is taken in any lifecycle
-// state — names in pendingDelete are not re-registrable until purged by the
-// Drop, which is exactly the scarcity drop-catching competes over.
-func (s *Store) Create(name string, registrarID int, termYears int) (*model.Domain, error) {
+// store clock, and returns the new registration by value. A name taken in
+// any lifecycle state — names in pendingDelete are not re-registrable until
+// purged by the Drop, the scarcity drop-catching competes over — fails with
+// the bare ErrExists under the shard's read lock: no write lock, no heap.
+func (s *Store) Create(name string, registrarID int, termYears int) (model.Domain, error) {
 	return s.CreateAt(name, registrarID, termYears, s.clock.Now())
 }
 
 // CreateAt is Create with an explicit creation instant; the simulation driver
 // uses it to materialise claims resolved during a Drop at their exact
 // re-registration times. The instant is truncated to whole seconds.
-func (s *Store) CreateAt(name string, registrarID int, termYears int, at time.Time) (*model.Domain, error) {
+func (s *Store) CreateAt(name string, registrarID int, termYears int, at time.Time) (model.Domain, error) {
 	if termYears < 1 || termYears > 10 {
-		return nil, fmt.Errorf("%w: term %d years", ErrBadName, termYears)
+		return model.Domain{}, fmt.Errorf("%w: term %d years", ErrBadName, termYears)
 	}
 	at = simtime.Trunc(at)
 	return s.insertNew(&Mutation{Kind: MutCreate, Name: name, RegistrarID: registrarID,
@@ -464,33 +486,34 @@ func (s *Store) CreateAt(name string, registrarID int, termYears int, at time.Ti
 // insertNew commits m, a create or a seed, as a new registration: the shared
 // tail of CreateAt and SeedAt. applyLocked checks the name and hands out the
 // ID.
-func (s *Store) insertNew(m *Mutation) (*model.Domain, error) {
+func (s *Store) insertNew(m *Mutation) (model.Domain, error) {
 	// Accreditation check before the shard lock (keeps single-domain
 	// operations on one lock); add-only registrars make this TOCTOU-safe.
-	if !s.hasRegistrar(m.RegistrarID) {
-		return nil, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, m.RegistrarID)
+	if _, ok := s.Registrar(m.RegistrarID); !ok {
+		return model.Domain{}, fmt.Errorf("%w: IANA ID %d", ErrUnknownRegistrar, m.RegistrarID)
 	}
 	res, err := s.commit(m, true, nil)
 	if err != nil {
-		return nil, err
+		return model.Domain{}, err
 	}
-	return &model.Domain{ID: m.ID, Name: m.Name, TLD: res.tld, RegistrarID: m.RegistrarID,
+	return model.Domain{ID: m.ID, Name: m.Name, TLD: res.tld, RegistrarID: m.RegistrarID,
 		Created: m.Created, Updated: m.Updated, Expiry: m.Expiry, Status: m.Status, DeleteDay: m.DeleteDay}, nil
 }
 
-// prepare converts d to the record insert files, refusing a name sh already
-// holds. The caller holds sh's write lock.
-func (sh *shard) prepare(d *model.Domain) (record, error) {
-	if r, _ := sh.tab.get(d.Name); r != nil {
-		return record{}, fmt.Errorf("%w: %q", ErrExists, d.Name)
+// prepare converts d, whose name hashes to h, to the record insert files,
+// refusing a name sh already holds with the bare ErrExists. The caller
+// holds sh's write lock.
+func (sh *shard) prepare(d *model.Domain, h uint64) (record, error) {
+	if r, _ := sh.tab.find(d.Name, h); r != nil {
+		return record{}, ErrExists
 	}
 	return newRecord(d)
 }
 
-// insert files rec, prepared, as a new registration of sh and indexes it.
-// The caller holds sh's write lock.
-func (sh *shard) insert(rec record) *record {
-	r, ref := sh.tab.put(rec)
+// insert files rec, prepared with its name's hash h, as a new registration
+// of sh and indexes it. The caller holds sh's write lock.
+func (sh *shard) insert(rec record, h uint64) *record {
+	r, ref := sh.tab.put(rec, h)
 	sh.dueAdd(r, ref)
 	return r
 }
@@ -534,7 +557,7 @@ func (s *Store) AuthInfo(name string, registrarID int) (string, error) {
 func (s *Store) Transfer(name string, gainingID int, authInfo string) error {
 	// Pre-read the accreditation so the critical section touches only the
 	// shard; the error precedence below matches the single-lock store.
-	gainingKnown := s.hasRegistrar(gainingID)
+	_, gainingKnown := s.Registrar(gainingID)
 	m := Mutation{Kind: MutTransfer, Name: name, RegistrarID: gainingID}
 	_, err := s.commit(&m, true, func(sh *shard, r *record) error {
 		switch {
@@ -820,12 +843,12 @@ func (s *Store) pendingOn(day simtime.Day) []record {
 	return out
 }
 
-// SeedAt inserts a fully specified historical registration. The population
-// seeder uses it to backfill domains that were created years before the
-// simulation starts. IDs must be assigned through the store to preserve the
-// "IDs increase with creation time" invariant, so SeedAt takes no ID; call it
-// in creation-time order.
-func (s *Store) SeedAt(name string, registrarID int, created, updated, expiry time.Time, st model.Status, deleteDay simtime.Day) (*model.Domain, error) {
+// SeedAt inserts a fully specified historical registration and returns it by
+// value. The population seeder uses it to backfill domains that were created
+// years before the simulation starts. IDs must be assigned through the store
+// to preserve the "IDs increase with creation time" invariant, so SeedAt
+// takes no ID; call it in creation-time order.
+func (s *Store) SeedAt(name string, registrarID int, created, updated, expiry time.Time, st model.Status, deleteDay simtime.Day) (model.Domain, error) {
 	return s.insertNew(&Mutation{Kind: MutSeed, Name: name, RegistrarID: registrarID,
 		Created: simtime.Trunc(created), Updated: simtime.Trunc(updated), Expiry: simtime.Trunc(expiry),
 		Status: st, DeleteDay: deleteDay})

@@ -49,6 +49,43 @@ func TestCreateAndGet(t *testing.T) {
 	}
 }
 
+// TestInsertAllocatesNothing pins the insert path's cost: a seed and a
+// winning create return the registration by value, and a losing create is
+// refused with the bare ErrExists under the read lock, so none of them
+// allocates — the table's chunks and buckets amortise to nothing over
+// 10 000 inserts.
+func TestInsertAllocatesNothing(t *testing.T) {
+	s, clock := testStore(t)
+	at := clock.Now()
+	const runs = 10_000
+	names := make([]string, 2*(runs+1))
+	for i := range names {
+		names[i] = fmt.Sprintf("alloc%05d.com", i)
+	}
+	next := 0
+	seed := testing.AllocsPerRun(runs, func() {
+		if _, err := s.SeedAt(names[next], 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	win := testing.AllocsPerRun(runs, func() {
+		if _, err := s.CreateAt(names[next], 1000, 1, at); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	lose := testing.AllocsPerRun(runs, func() {
+		if _, err := s.CreateAt(names[next%len(names)], 1001, 1, at); err != ErrExists {
+			t.Fatalf("losing create: %v, want the bare ErrExists", err)
+		}
+		next++
+	})
+	if seed != 0 || win != 0 || lose != 0 {
+		t.Fatalf("allocs/op: SeedAt %v, winning CreateAt %v, losing CreateAt %v; want 0", seed, win, lose)
+	}
+}
+
 func TestCreateDuplicateFails(t *testing.T) {
 	s, _ := testStore(t)
 	if _, err := s.Create("example.com", 1000, 1); err != nil {

@@ -87,11 +87,13 @@ func succ(i int) int { return (i + 1) % bucketSlots }
 func (b *bucket) ref(i int) uint32 { return binary.LittleEndian.Uint32(b.slots[i][1:]) }
 
 // get finds name's registration; r is nil when there is none.
-func (t *table) get(name string) (r *record, ref uint32) {
+func (t *table) get(name string) (r *record, ref uint32) { return t.find(name, t.hash(name)) }
+
+// find is get with name's hash h already taken.
+func (t *table) find(name string, h uint64) (r *record, ref uint32) {
 	if t.dir == nil {
 		return nil, 0
 	}
-	h := t.hash(name)
 	b, tag := t.bucket(h), tagOf(h)
 	for i := homeOf(h); b.slots[i][0] != 0; i = succ(i) {
 		if b.slots[i][0] == tag {
@@ -103,9 +105,9 @@ func (t *table) get(name string) (r *record, ref uint32) {
 	return nil, 0
 }
 
-// put stores rec, whose name the caller has checked is absent (get), in a
-// free slot — the most recently freed one, else the next never-used one.
-func (t *table) put(rec record) (*record, uint32) {
+// put stores rec, its name's hash h and absence checked (find), in a free
+// slot — the most recently freed one, else the next never-used one.
+func (t *table) put(rec record, h uint64) (*record, uint32) {
 	var ref uint32
 	if last := len(t.free) - 1; last >= 0 {
 		ref, t.free = t.free[last], t.free[:last]
@@ -119,7 +121,6 @@ func (t *table) put(rec record) (*record, uint32) {
 	if t.dir == nil {
 		t.dir = []*bucket{new(bucket)}
 	}
-	h := t.hash(rec.name())
 	if t.bucket(h).n >= bucketLimit {
 		t.split(h)
 	}

@@ -56,7 +56,7 @@ func (m *tableModel) put(name string) {
 	if n := len(m.tab.free); n > 0 {
 		wantRef, grown = m.tab.free[n-1], m.tab.next
 	}
-	r, ref := m.tab.put(rec)
+	r, ref := m.tab.put(rec, m.tab.hash(rec.name()))
 	if ref != wantRef || m.tab.next != grown || *r != rec {
 		m.t.Fatalf("put(%q) took ref %d (slab %d), want ref %d (slab %d)", name, ref, m.tab.next, wantRef, grown)
 	}
@@ -290,7 +290,7 @@ func TestTableGrowthIsBounded(t *testing.T) {
 	for i := 0; i < puts; i++ {
 		var rec record
 		rec.setName("grow-" + strconv.Itoa(i) + ".com")
-		tab.put(rec)
+		tab.put(rec, tab.hash(rec.name()))
 		if len(tab.dir) != 1<<tab.depth {
 			t.Fatalf("put %d: directory has %d entries at depth %d", i, len(tab.dir), tab.depth)
 		}

@@ -2,8 +2,10 @@ package registry
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"dropzero/internal/model"
 	"dropzero/internal/zone"
@@ -16,27 +18,30 @@ import (
 // MutAddZone so recovery, replication and the event feed all learn them in
 // stream order, before any domain record that needs them.
 //
-// Locking: zoneMu is a leaf lock like delMu — splitName reads it while a
-// shard lock is held (replay validates names inside the shard critical
-// section), so no path may acquire a shard lock while holding zoneMu.
+// Locking: zoneMu is a leaf lock like delMu — no path may acquire a shard
+// lock while holding it — and splitName, which replay runs under a shard
+// lock, takes no lock at all (it reads the published TLD map).
 // installZoneDue therefore runs after zoneMu is released; that is safe
 // because a just-added zone cannot have domains yet (creating one was
 // impossible while its TLD was unknown).
 
 // zoneTable is the store's zone state under zoneMu.
 type zoneTable struct {
-	mu      sync.RWMutex
-	zones   []zone.Config
-	tldZone map[model.TLD]int // TLD -> index into zones
+	mu    sync.RWMutex
+	zones []zone.Config
+	// tldZone maps TLD -> index into zones: an immutable map, replaced under
+	// mu on every install, so HostsTLD reads it without a lock.
+	tldZone atomic.Pointer[map[model.TLD]int]
 }
 
 func (zt *zoneTable) init() {
 	def := zone.Default()
 	zt.zones = []zone.Config{def}
-	zt.tldZone = make(map[model.TLD]int, len(def.TLDs))
+	tz := make(map[model.TLD]int, len(def.TLDs))
 	for _, t := range def.TLDs {
-		zt.tldZone[t] = 0
+		tz[t] = 0
 	}
+	zt.tldZone.Store(&tz)
 }
 
 // Zones returns the store's zone configs in installation order; index 0 is
@@ -63,9 +68,7 @@ func (s *Store) ZoneByName(name string) (zone.Config, bool) {
 
 // HostsTLD reports whether some zone of this store operates t.
 func (s *Store) HostsTLD(t model.TLD) bool {
-	s.zoneTab.mu.RLock()
-	defer s.zoneTab.mu.RUnlock()
-	_, ok := s.zoneTab.tldZone[t]
+	_, ok := (*s.zoneTab.tldZone.Load())[t]
 	return ok
 }
 
@@ -130,16 +133,18 @@ func (zt *zoneTable) installLocked(z zone.Config) error {
 			return fmt.Errorf("registry: zone %q already installed", z.Name)
 		}
 	}
+	tz := maps.Clone(*zt.tldZone.Load())
 	for _, t := range z.TLDs {
-		if i, clash := zt.tldZone[t]; clash {
+		if i, clash := tz[t]; clash {
 			return fmt.Errorf("registry: TLD %q already operated by zone %q", t, zt.zones[i].Name)
 		}
 	}
 	idx := len(zt.zones)
 	zt.zones = append(zt.zones, z)
 	for _, t := range z.TLDs {
-		zt.tldZone[t] = idx
+		tz[t] = idx
 	}
+	zt.tldZone.Store(&tz)
 	return nil
 }
 
