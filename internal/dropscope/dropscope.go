@@ -6,10 +6,11 @@
 //
 // The server caches each whole five-day list per (store generation, start
 // day, zone) in a gencache.Cache as a serve.Body, which answers conditional
-// requests. The client does not revalidate: it
-// fetches each day once, and because consecutive lists share four of their
-// five days (the lookahead window slides by one day), it reuses the parsed
-// entries of every day segment whose bytes are unchanged.
+// requests. The HTTP client does not revalidate: it fetches each day once,
+// and because consecutive lists share four of their five days (the
+// lookahead window slides by one day), it reuses the parsed entries of every
+// day segment whose bytes are unchanged. A bound client renders and parses
+// nothing: it takes the window's entries from the store.
 package dropscope
 
 import (
@@ -21,6 +22,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,11 +40,8 @@ import (
 // LookaheadDays is how far into the future published lists reach.
 const LookaheadDays = 5
 
-// Entry is one line of a pending-delete list.
-type Entry struct {
-	Name      string
-	DeleteDay simtime.Day
-}
+// Entry is one line of a pending-delete list: a name and its deletion day.
+type Entry = registry.Pending
 
 // listCacheSize bounds the list cache. A generation is asked for one list
 // per (start day, zone) its readers want, a handful at most; the cache
@@ -160,9 +159,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // has a zone: the cached one for the store's generation, or a fresh render.
 // It follows the Store.Generation contract: read the generation, render,
 // read it again, and cache only when the two match. A render the store
-// mutated under is still one consistent snapshot (one PendingDeletions
-// call), so it is served, but uncached and without an ETag, because it
-// belongs to no generation it could name. A zone's ETag carries an @zone
+// mutated under still lists each name once, as its shard stood when read
+// (PendingDeletions), so it is served, but uncached and without an ETag,
+// because it belongs to no generation it could name. A zone's ETag carries an @zone
 // suffix: zone bodies differ, so their validators must too.
 func (s *Server) list(key listKey, tlds map[model.TLD]bool) *serve.Body {
 	gen := s.store.Generation()
@@ -184,35 +183,38 @@ func (s *Server) list(key listKey, tlds map[model.TLD]bool) *serve.Body {
 }
 
 // renderWindow renders the CSV lines for all domains scheduled for deletion
-// in [start, start+days), narrowed to the TLDs in tlds when non-nil. One
-// PendingDeletions call means one store read lock: the result is a
-// consistent snapshot.
+// in [start, start+days), narrowed to the TLDs in tlds when non-nil: the
+// bytes RenderEntries writes for them. A stored name is lower-case LDH (the
+// store admits no other) and a day is digits and hyphens, so no field needs
+// csv.Writer's quoting, and each day is formatted once.
 func renderWindow(store *registry.Store, start simtime.Day, days int, tlds map[model.TLD]bool) []byte {
-	var buf bytes.Buffer
-	cw := csv.NewWriter(&buf)
-	for _, d := range store.PendingDeletions(start, days) {
-		if tlds != nil && !tlds[d.TLD] {
-			continue
-		}
-		if err := cw.Write([]string{d.Name, d.DeleteDay.String()}); err != nil {
-			// csv.Writer cannot fail writing to a bytes.Buffer.
-			panic(err)
-		}
+	rows := store.PendingDeletions(start, days)
+	if tlds != nil {
+		rows = slices.DeleteFunc(rows, func(e Entry) bool { tld, _ := model.TLDOf(e.Name); return !tlds[tld] })
 	}
-	cw.Flush()
-	return buf.Bytes()
+	size := 0
+	for _, e := range rows {
+		size += len(e.Name) + len(",YYYY-MM-DD\n")
+	}
+	body, day, date := make([]byte, 0, size), simtime.Day{}, []byte(nil)
+	for _, e := range rows { // a pending name's day is never the zero Day
+		if e.DeleteDay != day {
+			day, date = e.DeleteDay, e.DeleteDay.AppendTo(date[:0])
+		}
+		body = append(append(append(append(body, e.Name...), ','), date...), '\n')
+	}
+	return body
 }
 
-// Client downloads pending-delete lists. It does not revalidate: every
-// fetch is a plain GET, and its callers fetch each day once. A 200 is diffed
-// per deletion-day segment against the previous body instead: consecutive
-// publications share four of their five days, and an unchanged day's bytes
-// reuse the already-parsed entries instead of re-parsing the whole list.
+// Client downloads pending-delete lists. It does not revalidate: its callers
+// fetch each day once. Over HTTP, a 200 is diffed per deletion-day segment
+// against the previous body: consecutive publications share four of their
+// five days, and an unchanged day's bytes reuse the already-parsed entries.
 // (A client that can hold a cursor skips the daily body entirely:
 // feed.SyncDeltas keeps a mirror of the pending-delete set from the /deltas
 // endpoint this server mounts.)
 type Client struct {
-	srv  *Server // set on a bound client, the other two on an HTTP one
+	srv  *Server // set on a bound client, the rest on an HTTP one
 	base *url.URL
 	http *http.Client
 
@@ -247,15 +249,14 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	}, nil
 }
 
-// NewBoundClient returns a Client that takes srv's list bodies (and counts
-// them) as an HTTP GET would, without the request.
-func NewBoundClient(srv *Server) *Client {
-	return &Client{srv: srv, days: make(map[simtime.Day]*dayCached)}
-}
+// NewBoundClient returns a Client that takes the entries of srv's list from
+// its store and counts the request, as an HTTP GET would: no body is
+// rendered or parsed, and srv's list cache is not read.
+func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
 
 // SegmentCounters reports how many per-day segments of 200 responses were
 // reused from the previous parse versus parsed fresh — the regression
-// signal for the sliding-window fast path.
+// signal for the sliding-window fast path. A bound client parses none.
 func (c *Client) SegmentCounters() (reused, parsed uint64) {
 	return c.segReused.Load(), c.segParsed.Load()
 }
@@ -267,7 +268,7 @@ func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 			return nil, err
 		}
 		c.srv.requests.Add(1)
-		return c.assembleBody(day, c.srv.list(listKey{day: day}, nil).Bytes)
+		return ownNames(c.srv.store.PendingDeletions(day, LookaheadDays)), nil
 	}
 	u := *c.base
 	u.Path = "/pendingdelete"
@@ -323,6 +324,29 @@ func (c *Client) assembleBody(start simtime.Day, body []byte) ([]Entry, error) {
 		}
 	}
 	return entries, nil
+}
+
+// ownNames copies the names of entries, sorted by deletion day, into one
+// string per day, as ParseList holds the names of a list: a consumer that
+// keeps names for months pins no store bytes, and a day's names pin only
+// that day's string.
+func ownNames(entries []Entry) []Entry {
+	for i := 0; i < len(entries); {
+		n, j := 0, i
+		for ; j < len(entries) && entries[j].DeleteDay == entries[i].DeleteDay; j++ {
+			n += len(entries[j].Name)
+		}
+		var b strings.Builder
+		b.Grow(n)
+		for _, e := range entries[i:j] {
+			b.WriteString(e.Name)
+		}
+		arena := b.String()
+		for ; i < j; i++ {
+			entries[i].Name, arena = arena[:len(entries[i].Name)], arena[len(entries[i].Name):]
+		}
+	}
+	return entries
 }
 
 // dayChunk is the contiguous run of list lines sharing one deletion day.

@@ -132,9 +132,9 @@ func TestParseListNamesShareOneArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Entry{
-		{"alpha.com", simtime.Day{Year: 2018, Month: time.January, Dom: 2}},
-		{"quo,ted.net", simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
-		{"c.com", simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
+		{Name: "alpha.com", DeleteDay: simtime.Day{Year: 2018, Month: time.January, Dom: 2}},
+		{Name: "quo,ted.net", DeleteDay: simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
+		{Name: "c.com", DeleteDay: simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
 	}
 	if !slices.Equal(entries, want) {
 		t.Fatalf("entries = %v", entries)
@@ -232,12 +232,24 @@ func get(t *testing.T, srv *Server, day simtime.Day, etag string) *httptest.Resp
 // TestServeCachedEqualsFreshAcrossDrops is the tentpole's differential
 // invariant: every cached response is byte-identical to a freshly rendered
 // one (a brand-new Server with an empty cache), across a multi-day run with
-// Drop mutations in between.
+// Drop mutations in between. A fresh one is, whole and narrowed to one TLD,
+// what csv.Writer writes for the window's entries (RenderEntries).
 func TestServeCachedEqualsFreshAcrossDrops(t *testing.T) {
 	store, _, day := newEnv(t)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 40; i++ {
-		seedPending(t, store, fmt.Sprintf("diff%02d.com", i), day.AddDays(i%7))
+		seedPending(t, store, fmt.Sprintf("diff%02d.%s", i, []model.TLD{model.COM, model.NET}[i%3/2]), day.AddDays(i%7))
+	}
+	csvWriterEqual := func(d simtime.Day) {
+		t.Helper()
+		window := store.PendingDeletions(d, LookaheadDays)
+		if got, want := get(t, NewServer(store), d, "").Body.Bytes(), RenderEntries(window); len(window) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("day %v: served\n%s\ncsv.Writer\n%s", d, got, want)
+		}
+		net := slices.DeleteFunc(window, func(e Entry) bool { return !strings.HasSuffix(e.Name, ".net") })
+		if got, want := renderWindow(store, d, LookaheadDays, map[model.TLD]bool{model.NET: true}), RenderEntries(net); len(net) == 0 || !bytes.Equal(got, want) {
+			t.Fatalf("day %v: .net list\n%s\ncsv.Writer\n%s", d, got, want)
+		}
 	}
 	cached := NewServer(store)
 	runner := registry.NewDropRunner(store, registry.DropConfig{StartHour: 19, BaseRatePerSec: 50})
@@ -258,6 +270,7 @@ func TestServeCachedEqualsFreshAcrossDrops(t *testing.T) {
 		if cl := second.Header().Get("Content-Length"); cl != strconv.Itoa(second.Body.Len()) {
 			t.Fatalf("day %v: Content-Length %q != body %d", d, cl, second.Body.Len())
 		}
+		csvWriterEqual(d)
 		// Mutate: run the day's Drop, then re-check the next window reflects it.
 		if _, err := runner.Run(d, rng); err != nil {
 			t.Fatal(err)
@@ -476,8 +489,9 @@ func TestMetricsCounters(t *testing.T) {
 
 // TestBoundClientMatchesHTTP: a bound client and an HTTP client of the same
 // server, fetching the same five consecutive days while names keep joining
-// the window, get the same entries, reuse the same day segments, and are
-// counted as the same requests.
+// the window, get the same entries and are counted as the same requests.
+// The bound client takes its entries from the store: it parses no segment
+// and leaves the list cache alone, and its names share no store bytes.
 func TestBoundClientMatchesHTTP(t *testing.T) {
 	store, _, day := newEnv(t)
 	srv := NewServer(store)
@@ -493,29 +507,40 @@ func TestBoundClientMatchesHTTP(t *testing.T) {
 	for d := 0; d < LookaheadDays; d++ {
 		today := day.AddDays(d)
 		seedPending(t, store, fmt.Sprintf("late%d.net", d), today.AddDays(LookaheadDays-1))
-		before := srv.Metrics().Requests
+		before := srv.Metrics()
 		fromHTTP, herr := httpc.Fetch(ctx, today)
+		afterHTTP := srv.Metrics()
 		fromBound, berr := bound.Fetch(ctx, today)
 		if herr != nil || berr != nil || len(fromHTTP) == 0 || !slices.Equal(fromHTTP, fromBound) {
 			t.Fatalf("%s: HTTP %v (%v), bound %v (%v)", today, fromHTTP, herr, fromBound, berr)
 		}
-		if n := srv.Metrics().Requests - before; n != 2 {
+		if n := srv.Metrics().Requests - before.Requests; n != 2 {
 			t.Errorf("%s: %d requests counted for two fetches", today, n)
+		}
+		if srv.Metrics().Cache != afterHTTP.Cache {
+			t.Errorf("%s: a bound fetch moved the list cache: %+v, then %+v", today, afterHTTP.Cache, srv.Metrics().Cache)
+		}
+		for _, e := range fromBound {
+			if d, _ := store.Lookup(e.Name); unsafe.StringData(d.Name) == unsafe.StringData(e.Name) {
+				t.Fatalf("%s: bound entry %q shares the store's bytes", today, e.Name)
+			}
 		}
 	}
 	hr, hp := httpc.SegmentCounters()
 	br, bp := bound.SegmentCounters()
-	if hr != br || hp != bp || br == 0 {
-		t.Errorf("segments reused/parsed: HTTP %d/%d, bound %d/%d", hr, hp, br, bp)
+	if hr == 0 || hp == 0 || br != 0 || bp != 0 {
+		t.Errorf("segments reused/parsed: HTTP %d/%d, bound %d/%d (want none)", hr, hp, br, bp)
 	}
 
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	before := srv.Metrics().Requests
-	if _, err := bound.Fetch(cancelled, day); !errors.Is(err, context.Canceled) {
-		t.Errorf("bound Fetch under a cancelled context = %v", err)
-	}
-	if n := srv.Metrics().Requests - before; n != 0 {
-		t.Errorf("a cancelled bound Fetch was counted: %d requests", n)
+	for transport, c := range map[string]*Client{"HTTP": httpc, "bound": bound} {
+		before := srv.Metrics().Requests
+		if _, err := c.Fetch(cancelled, day); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s Fetch under a cancelled context = %v", transport, err)
+		}
+		if n := srv.Metrics().Requests - before; n != 0 {
+			t.Errorf("a cancelled %s Fetch was counted: %d requests", transport, n)
+		}
 	}
 }

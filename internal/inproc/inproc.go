@@ -2,8 +2,9 @@
 // HTTP clients exercise a server's full handler stack without TCP sockets.
 // cmd/droprepl and the tests reach handlers this way. sim.Run does not: its
 // clients are bound to their servers directly (the NewBoundClient of rdap,
-// whois, dropscope and safebrowsing). The TCP path stays in use by the
-// integration tests, the examples and cmd/dropserve.
+// whois, dropscope and safebrowsing; RDAP and lists pass values, no body).
+// The TCP path stays in use by the integration tests, the examples and
+// cmd/dropserve.
 package inproc
 
 import (
@@ -19,8 +20,12 @@ type Transport struct {
 
 // RoundTrip implements http.RoundTripper. The handler runs to completion on
 // the calling goroutine; the header map and body it wrote become the
-// response's own, without a copy.
+// response's own, without a copy. A request whose context is done fails with
+// its error and reaches no handler, as on net/http's Transport.
 func (t Transport) RoundTrip(req *http.Request) (*http.Response, error) {
+	if err := req.Context().Err(); err != nil {
+		return nil, err
+	}
 	rw := &response{header: make(http.Header)}
 	t.Handler.ServeHTTP(rw, req)
 	if rw.status == 0 {

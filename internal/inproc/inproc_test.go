@@ -1,6 +1,8 @@
 package inproc
 
 import (
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -25,6 +27,26 @@ func TestClientDispatchesToHandler(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if string(body) != "hi go" {
 		t.Fatalf("body = %q", body)
+	}
+}
+
+// TestCancelledRequestReachesNoHandler: a request whose context is done
+// fails with the context's error, as on net/http's Transport, and the
+// handler never runs.
+func TestCancelledRequestReachesNoHandler(t *testing.T) {
+	ran := false
+	c := Client(http.HandlerFunc(func(http.ResponseWriter, *http.Request) { ran = true }))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://x.internal/", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := c.Do(req); !errors.Is(err, context.Canceled) || ran {
+		if resp != nil {
+			resp.Body.Close()
+		}
+		t.Fatalf("cancelled request: %v (handler ran: %v)", err, ran)
 	}
 }
 

@@ -197,17 +197,8 @@ func (p *Pipeline) lookupPrior(ctx context.Context, name string) (*model.PriorRe
 		delta.FallbackFailed++
 		return nil, delta
 	}
-	return priorFromWHOIS(d), delta
-}
-
-func priorFromWHOIS(d *model.Domain) *model.PriorRegistration {
-	return &model.PriorRegistration{
-		ID:          d.ID,
-		RegistrarID: d.RegistrarID,
-		Created:     d.Created,
-		Updated:     d.Updated,
-		Expiry:      d.Expiry,
-	}
+	reg = d.Registration()
+	return &reg, delta
 }
 
 // Finalize performs the T+8-weeks re-lookups and assembles the dataset. Call
@@ -306,7 +297,8 @@ func (p *Pipeline) lookupCurrent(ctx context.Context, name string) (*model.Prior
 	if p.WHOIS != nil {
 		d, werr := p.WHOIS.LookupContext(ctx, name)
 		if werr == nil {
-			return priorFromWHOIS(d), nil
+			reg = d.Registration()
+			return &reg, nil
 		}
 		if errors.Is(werr, whois.ErrNoMatch) {
 			return nil, nil

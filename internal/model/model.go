@@ -96,6 +96,11 @@ type Domain struct {
 	DeleteDay simtime.Day
 }
 
+// Registration is the part of d a lookup of its name reports.
+func (d *Domain) Registration() PriorRegistration {
+	return PriorRegistration{ID: d.ID, RegistrarID: d.RegistrarID, Created: d.Created, Updated: d.Updated, Expiry: d.Expiry}
+}
+
 // Age returns the duration the registration had existed at the reference
 // instant (typically its deletion day).
 func (d *Domain) Age(ref time.Time) time.Duration { return ref.Sub(d.Created) }

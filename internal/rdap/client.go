@@ -78,9 +78,10 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	}}, nil
 }
 
-// NewBoundClient returns a Client whose lookups call srv.render: answers,
+// NewBoundClient returns a Client bound to srv in the same process: answers,
 // errors and request counts of an HTTP client over srv.Handler(), without
 // the request, the response or the response cache (its counters stay put).
+// Registration reads no body; Domain decodes the one srv renders.
 func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
 
 // Domain fetches the RDAP domain object for name.
@@ -101,6 +102,16 @@ func (c *Client) Domain(ctx context.Context, name string) (*DomainResponse, erro
 // without building the rest of the object. A 200 those fields cannot be
 // taken from is ErrMalformed.
 func (c *Client) Registration(ctx context.Context, name string) (reg model.PriorRegistration, err error) {
+	if c.srv != nil {
+		if err := ctx.Err(); err != nil { // no transport to notice it
+			return reg, lookupErr(name, 0, err)
+		}
+		d, status := c.srv.find(name)
+		if status != http.StatusOK {
+			return reg, lookupErr(name, status, nil)
+		}
+		return d.Registration(), nil
+	}
 	err = c.lookup(ctx, name, func(body []byte) (err error) {
 		var full bool
 		if reg, full, err = decodeRegistration(body); full {
@@ -111,10 +122,10 @@ func (c *Client) Registration(ctx context.Context, name string) (reg model.Prior
 	return reg, err
 }
 
-// FullDecodes is how many Registration calls read their answer through the
-// full decoder instead of the one-pass reader: none, against this package's
-// server — a study's lookups cost about twice as much each when the renderer
-// and the reader's layout drift apart, and nothing else would show it.
+// FullDecodes is how many Registration calls over HTTP read their answer
+// through the full decoder instead of the one-pass reader: none, against
+// this package's server — lookups cost about twice as much each when the
+// renderer and the reader's layout drift apart, and nothing else shows it.
 func (c *Client) FullDecodes() uint64 { return c.fullDecodes.Load() }
 
 // lookup hands the body of the 200 answer for name to decode — in a pooled
@@ -128,6 +139,12 @@ func (c *Client) lookup(ctx context.Context, name string, decode func(body []byt
 	} else if err = ctx.Err(); err == nil { // no transport to notice a cancelled context
 		status, err = c.srv.render(name, decode)
 	}
+	return lookupErr(name, status, err)
+}
+
+// lookupErr is the error a lookup of name ends in: err, or the one the
+// answer's status maps to.
+func lookupErr(name string, status int, err error) error {
 	switch {
 	case err != nil:
 		return fmt.Errorf("rdap: lookup %s: %w", name, err)

@@ -131,73 +131,66 @@ func writeError(w http.ResponseWriter, status int, title string, description ...
 	bodyBufs.Put(bp)
 }
 
-// titleNotFound is the title of the one error that names the domain.
-const titleNotFound = "object not found"
-
-// admit counts a lookup and lower-cases its name, or refuses a malformed one.
-func (s *Server) admit(name string) (string, bool) {
+// find is the lookup both transports share: count the request, lower-case
+// and check the name, read the store, apply an injected registrar failure.
+// It returns the registration with 200, or the status of the error.
+func (s *Server) find(name string) (model.Domain, int) {
 	s.requests.Add(1)
 	name = strings.ToLower(name)
-	return name, name != "" && !strings.Contains(name, "/")
-}
-
-// resolve is the HTTP handler's lookup: admit, generation-checked cache, store
-// read, injected registrar failure, render, install. It returns the 200 body,
-// or nil with the status and title of the RFC 7483 error to answer with.
-func (s *Server) resolve(name string) (found *serve.Body, status int, title string) {
-	name, ok := s.admit(name)
-	if !ok {
-		return nil, http.StatusBadRequest, "malformed domain name"
+	if name == "" || strings.Contains(name, "/") {
+		return model.Domain{}, http.StatusBadRequest
 	}
-
-	gen := s.store.Generation()
-	if cr, hit := s.cache.Get(gen, name); hit {
-		return cr, http.StatusOK, ""
-	}
-	d, err := s.store.Get(name)
-	if err != nil {
-		// 404s are never cached and carry no ETag: a name can be re-created
-		// at any moment and a conditional revalidation of "absent" would
-		// risk a stale 304 after the re-registration.
-		return nil, http.StatusNotFound, titleNotFound
+	d, found := s.store.Lookup(name)
+	if !found {
+		return d, http.StatusNotFound
 	}
 	if code, broken := s.cfg.FailRegistrars[d.RegistrarID]; broken {
-		return nil, code, "internal error"
+		return d, code
+	}
+	return d, http.StatusOK
+}
+
+// resolve is the HTTP handler's lookup: find, then the generation-checked
+// cache, render and install. Errors are never cached and carry no ETag: a
+// name can be re-created at any moment and a conditional revalidation of
+// "absent" would risk a stale 304 after the re-registration.
+func (s *Server) resolve(name string) (*serve.Body, int) {
+	gen := s.store.Generation()
+	d, status := s.find(name)
+	if status != http.StatusOK {
+		return nil, status
+	}
+	if cr, hit := s.cache.Get(gen, d.Name); hit {
+		return cr, status
 	}
 
 	bp := bodyBufs.Get().(*[]byte)
-	body := s.appendDomain((*bp)[:0], d)
+	body := s.appendDomain((*bp)[:0], &d)
 	*bp = body
 	defer bodyBufs.Put(bp)
 	if s.store.Generation() != gen {
 		// A mutation landed mid-render: the body is a valid snapshot of no
 		// generation it could name, so a later revalidation must not match it.
 		cr := serve.NewBody(bytes.Clone(body), "")
-		return &cr, http.StatusOK, ""
+		return &cr, status
 	}
 	cr := serve.NewBody(bytes.Clone(body), `"`+strconv.FormatUint(gen, 10)+`"`)
-	s.cache.Put(gen, name, &cr)
-	return &cr, http.StatusOK, ""
+	s.cache.Put(gen, d.Name, &cr)
+	return &cr, status
 }
 
-// render is resolve without the cache a study never hits, for the bound
-// client: a found name's body goes to decode in a pooled buffer it must not keep.
+// render is find and appendDomain without the cache, for the bound client's
+// Domain: a found name's body goes to decode in a pooled buffer it must not
+// keep.
 func (s *Server) render(name string, decode func(body []byte) error) (status int, err error) {
-	name, ok := s.admit(name)
-	if !ok {
-		return http.StatusBadRequest, nil
-	}
-	d, found := s.store.Lookup(name)
-	if !found {
-		return http.StatusNotFound, nil
-	}
-	if code, broken := s.cfg.FailRegistrars[d.RegistrarID]; broken {
-		return code, nil
+	d, status := s.find(name)
+	if status != http.StatusOK {
+		return status, nil
 	}
 	bp := bodyBufs.Get().(*[]byte)
 	defer bodyBufs.Put(bp)
 	*bp = s.appendDomain((*bp)[:0], &d)
-	return http.StatusOK, decode(*bp)
+	return status, decode(*bp)
 }
 
 // handleDomain is the HTTP adapter over resolve: method and path in,
@@ -209,13 +202,15 @@ func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	name := strings.TrimPrefix(r.URL.Path, "/domain/")
-	switch cr, status, title := s.resolve(name); {
-	case cr != nil:
+	switch cr, status := s.resolve(name); status {
+	case http.StatusOK:
 		_ = cr.Write(w, r, rdapMediaType) // a failed write is the client's to notice
-	case title == titleNotFound:
-		writeError(w, status, title, "domain ", strings.ToLower(name), " is not registered")
+	case http.StatusBadRequest:
+		writeError(w, status, "malformed domain name")
+	case http.StatusNotFound:
+		writeError(w, status, "object not found", "domain ", strings.ToLower(name), " is not registered")
 	default:
-		writeError(w, status, title)
+		writeError(w, status, "internal error")
 	}
 }
 

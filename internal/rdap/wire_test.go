@@ -493,18 +493,22 @@ func TestBoundClientMatchesHTTP(t *testing.T) {
 		t.Errorf("bound lookup of a failing registrar's name = %v, want ErrServer", err)
 	}
 
-	// A bound lookup has no transport to notice a cancelled context for it.
+	// A cancelled context fails a lookup on either transport before it
+	// reaches the server. A bound lookup has no transport to notice it, so it
+	// checks.
 	cancelled, cancel := context.WithCancel(ctx)
 	cancel()
-	before := srv.Metrics().Requests
-	if _, err := bound.Registration(cancelled, names[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("bound Registration under a cancelled context = %v", err)
-	}
-	if _, err := bound.Domain(cancelled, names[0]); !errors.Is(err, context.Canceled) {
-		t.Errorf("bound Domain under a cancelled context = %v", err)
-	}
-	if got := srv.Metrics().Requests; got != before {
-		t.Errorf("cancelled lookups reached the server: %d requests", got-before)
+	for transport, c := range map[string]*Client{"HTTP": httpc, "bound": bound} {
+		before := srv.Metrics().Requests
+		if _, err := c.Registration(cancelled, names[0]); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s Registration under a cancelled context = %v", transport, err)
+		}
+		if _, err := c.Domain(cancelled, names[0]); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s Domain under a cancelled context = %v", transport, err)
+		}
+		if got := srv.Metrics().Requests; got != before {
+			t.Errorf("cancelled %s lookups reached the server: %d requests", transport, got-before)
+		}
 	}
 }
 
@@ -571,12 +575,11 @@ func BenchmarkRDAPLookup(b *testing.B) {
 // recorder) took 105 cold, 85 warm and 40 for a 404; HTTP before the bound
 // client 64, 53 and 28; the bound client through the response cache 11, 0
 // and 4. A bound Registration of a registered name allocates nothing, cold
-// or warm: the body is rendered into a pooled buffer and read in place. Its
-// 404 costs the one error value. The budgets hold under the race detector,
-// which is how CI runs the test: there sync.Pool drops a quarter of what is
-// put back, worth up to three allocations on the HTTP path and one on the
-// bound one (a dropped render buffer costs two, a quarter of the time,
-// which AllocsPerRun's integer average leaves at 0 on the warm name).
+// or warm: it copies five fields of the stored registration, and no body is
+// rendered or read. Its 404 costs the one error value. The budgets hold
+// under the race detector, which is how CI runs the test: there sync.Pool
+// drops a quarter of what is put back, worth up to three allocations on the
+// HTTP path; the bound one uses no pool.
 func TestLookupAllocBudget(t *testing.T) {
 	_, httpc, bound, names := lookupEnv(t, 600)
 	ctx := context.Background()
@@ -587,7 +590,7 @@ func TestLookupAllocBudget(t *testing.T) {
 		cold, warm, notFound float64
 	}{
 		{"HTTP Domain", func(name string) error { _, err := httpc.Domain(ctx, name); return err }, 54, 42, 28},
-		{"bound Registration", func(name string) error { _, err := bound.Registration(ctx, name); return err }, 1, 0, 2},
+		{"bound Registration", func(name string) error { _, err := bound.Registration(ctx, name); return err }, 0, 0, 1},
 	} {
 		cold := testing.AllocsPerRun(200, func() {
 			if err := tc.lookup(names[next]); err != nil {
@@ -613,14 +616,15 @@ func TestLookupAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStudyLookupsNeverFullDecode guards the study's throughput: every shape
-// of answer the study's lookups meet — each storable status under each
-// accreditation of the simulator's directory (real contact data: the
-// sponsors the seeder and the market put names under; a store holds no name
-// under a sponsor it has no record of) — is read by the one-pass reader,
-// through the bound client and over HTTP. A renderer change that leaves walkRegistration's
-// layout behind still decodes correctly through the fallback, at about twice
-// the cost per lookup; only this counter shows it.
+// TestStudyLookupsNeverFullDecode guards the throughput of HTTP clients
+// (read_mix, the examples, a study run over sockets): every shape of answer
+// a study's lookups meet — each storable status under each accreditation of
+// the simulator's directory (real contact data: the sponsors the seeder and
+// the market put names under; a store holds no name under a sponsor it has
+// no record of) — is read by the one-pass reader. A renderer change that
+// leaves walkRegistration's layout behind still decodes correctly through
+// the fallback, at about twice the cost per lookup; only this counter shows
+// it. The bound client, which reads no body, must read the same values.
 func TestStudyLookupsNeverFullDecode(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
 	store := registry.NewStore(simtime.NewSimClock(day.At(9, 0, 0)))

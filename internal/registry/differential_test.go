@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -17,7 +18,7 @@ import (
 type engineTrace struct {
 	tickCounts []int
 	queues     [][]QueueEntry
-	pending    [][]model.Domain
+	pending    [][]Pending
 	deletions  [][]model.DeletionEvent
 	counts     []map[model.Status]int
 	final      []model.Domain
@@ -135,8 +136,8 @@ func runEngineOn(t *testing.T, seed int64, days int, scan bool, shards int, j Jo
 
 		// The published pending-delete window and the day's queue, recorded
 		// before the Drop consumes it.
-		window := derefAll(s.PendingDeletions(day, 5))
-		if ref := derefAll(s.pendingDeletionsScan(day, 5)); !reflect.DeepEqual(window, ref) {
+		window := s.PendingDeletions(day, 5)
+		if ref := s.pendingDeletionsScan(day, 5); !slices.Equal(window, ref) {
 			t.Errorf("day %v: PendingDeletions diverges from its scan reference (%d vs %d)", day, len(window), len(ref))
 		}
 		tr.pending = append(tr.pending, window)

@@ -349,9 +349,9 @@ func TestDailySweepAllocBounds(t *testing.T) {
 	}{
 		{"Tick", 16, func() { lc.Tick(now) }},
 		{"BuildQueue", 16, func() { runner.BuildQueue(today) }},
-		// PendingDeletions clones what it returns (public API), so its
-		// bound scales with the 5-day window volume plus bookkeeping.
-		{"PendingDeletions", float64(5*perDay) + 32, func() { s.PendingDeletions(today, 5) }},
+		// PendingDeletions returns values in one slice: its bound does not
+		// scale with the window either.
+		{"PendingDeletions", 16, func() { s.PendingDeletions(today, 5) }},
 	}
 	for _, c := range checks {
 		if got := testing.AllocsPerRun(5, c.fn); got > c.bound {

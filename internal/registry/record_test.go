@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -183,6 +184,25 @@ func TestRestoreRefusesUnrepresentable(t *testing.T) {
 		if s.Count() != 1 || s.Generation() != gen {
 			t.Fatalf("refused %q changed the store: count %d, generation %d -> %d", d.Name, s.Count(), gen, s.Generation())
 		}
+	}
+}
+
+// TestRestoreRefusesNamesACreateRefuses: a snapshot registration whose
+// name a live create would refuse — not lower-case LDH, or under a TLD no
+// zone operates — is refused, and the store stays as it was. Every stored
+// name is therefore written as it stands in a list row, with nothing to quote.
+func TestRestoreRefusesNamesACreateRefuses(t *testing.T) {
+	s, _ := testStore(t)
+	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
+	for i, name := range []string{"Upper.com", "a,b.com", `a"b.com`, " lead.com", "new\nline.com", "-dash.com", "ok.org"} {
+		tld, _ := model.TLDOf(name)
+		d := model.Domain{ID: uint64(i + 1), Name: name, TLD: tld, RegistrarID: 1000, Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0)}
+		if err := s.InstallRestoredDomains([]SnapshotDomain{{Domain: d}}); !errors.Is(err, ErrBadName) && !errors.Is(err, ErrUnknownTLD) {
+			t.Errorf("InstallRestoredDomains(%q) = %v, want ErrBadName or ErrUnknownTLD", name, err)
+		}
+	}
+	if s.Count() != 0 {
+		t.Fatalf("refused names were installed: count %d", s.Count())
 	}
 }
 
@@ -644,8 +664,8 @@ func TestDueBucketsUnderRandomChurn(t *testing.T) {
 		checkDuePositions(t, ix)
 		for _, win := range []int{1, 5} {
 			a, b := ix.PendingDeletions(day, win), ix.pendingDeletionsScan(day, win)
-			if fmt.Sprint(derefAll(a)) != fmt.Sprint(derefAll(b)) {
-				t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, derefAll(a), derefAll(b))
+			if !slices.Equal(a, b) {
+				t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, a, b)
 			}
 		}
 		if a, b := ixRun.BuildQueue(day), ixRun.buildQueueScan(day); fmt.Sprint(a) != fmt.Sprint(b) {
@@ -666,12 +686,4 @@ func TestDueBucketsUnderRandomChurn(t *testing.T) {
 	if ix.Count() == 0 || len(ix.Deletions(start.AddDays(5))) == 0 {
 		t.Fatalf("workout too quiet: %d live, %d deleted on day 5", ix.Count(), len(ix.Deletions(start.AddDays(5))))
 	}
-}
-
-func derefAll(ds []*model.Domain) []model.Domain {
-	out := make([]model.Domain, len(ds))
-	for i, d := range ds {
-		out[i] = *d
-	}
-	return out
 }

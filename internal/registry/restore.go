@@ -148,16 +148,21 @@ func (s *Store) RestoreRegistrars(rs []model.Registrar) {
 // the batch by the *receiving* store's name hash and takes each shard's
 // write lock once per group. The writer's shard layout is irrelevant: a
 // snapshot captured at one shard count restores correctly at any other.
-// Duplicate names (within the batch or across batches) mean the snapshot is
-// not a faithful store copy and fail loudly.
+// Duplicate names (within the batch or across batches), and names a live
+// create would refuse (not lower-case LDH, or under a TLD no restored zone
+// operates), mean the snapshot is not a faithful store copy and fail loudly.
 func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 	order, start := s.groupByShard(len(ds), func(i int) string { return ds[i].Domain.Name })
 	for si := range s.shards {
 		sh := &s.shards[si]
 		sh.mu.Lock()
 		for _, i := range order[start[si]:start[si+1]] {
-			h := sh.tab.hash(ds[i].Domain.Name)
-			rec, err := sh.prepare(&ds[i].Domain, h)
+			d := &ds[i].Domain
+			h := sh.tab.hash(d.Name)
+			rec, err := sh.prepare(d, h)
+			if err == nil {
+				_, _, err = s.splitName(d.Name)
+			}
 			if err != nil {
 				sh.mu.Unlock()
 				return fmt.Errorf("registry: restore: %w", err)

@@ -100,9 +100,9 @@ func (r *DropRunner) buildQueueScan(day simtime.Day) []QueueEntry {
 
 // pendingDeletionsScan is the full-scan Store.PendingDeletions: clone and
 // filter everything, then sort the survivors.
-func (s *Store) pendingDeletionsScan(from simtime.Day, days int) []*model.Domain {
+func (s *Store) pendingDeletionsScan(from simtime.Day, days int) []Pending {
 	end := from.AddDays(days)
-	out := make([]*model.Domain, 0, 1024)
+	out := make([]Pending, 0, 1024)
 	s.each(func(r *record) bool {
 		if r.status() != model.StatusPendingDelete {
 			return true
@@ -111,10 +111,10 @@ func (s *Store) pendingDeletionsScan(from simtime.Day, days int) []*model.Domain
 		if d.DeleteDay.Before(from) || !d.DeleteDay.Before(end) {
 			return true
 		}
-		out = append(out, &d)
+		out = append(out, Pending{Name: d.Name, DeleteDay: d.DeleteDay})
 		return true
 	})
-	slices.SortFunc(out, func(a, b *model.Domain) int {
+	slices.SortFunc(out, func(a, b Pending) int {
 		if a.DeleteDay != b.DeleteDay {
 			if a.DeleteDay.Before(b.DeleteDay) {
 				return -1

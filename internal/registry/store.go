@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"dropzero/internal/model"
+	"dropzero/internal/names"
 	"dropzero/internal/simtime"
 )
 
@@ -419,18 +420,7 @@ func splitNameSyntax(name string) (label string, tld model.TLD, err error) {
 		return "", "", fmt.Errorf("%w: %q", ErrUnknownTLD, name)
 	}
 	label = name[:len(name)-len(t)-1]
-	if label == "" || len(label) > 63 {
-		return "", "", fmt.Errorf("%w: %q", ErrBadName, name)
-	}
-	for i := 0; i < len(label); i++ {
-		c := label[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-':
-		default:
-			return "", "", fmt.Errorf("%w: %q", ErrBadName, name)
-		}
-	}
-	if label[0] == '-' || label[len(label)-1] == '-' {
+	if names.Validate(label) != nil {
 		return "", "", fmt.Errorf("%w: %q", ErrBadName, name)
 	}
 	return label, t, nil
@@ -667,16 +657,23 @@ func (s *Store) MarkPendingDelete(name string, updated time.Time, day simtime.Da
 	return s.setState(name, model.StatusPendingDelete, updated, day)
 }
 
-// PendingDeletions returns copies of all domains in pendingDelete whose
-// scheduled deletion day falls within [from, from+days). Results are sorted
-// by (DeleteDay, Name) so published pending-delete lists are stable — the
-// paper observed that list order is *not* the deletion order (Figure 3, top).
+// Pending is one name of a pending-delete window: the name and the day its
+// deletion is scheduled for. The name shares the store's bytes.
+type Pending struct {
+	Name      string
+	DeleteDay simtime.Day
+}
+
+// PendingDeletions returns the names in pendingDelete whose scheduled
+// deletion day falls within [from, from+days), sorted by (DeleteDay, Name) so
+// published pending-delete lists are stable — the paper observed that list
+// order is *not* the deletion order (Figure 3, top).
 //
-// It walks only the due-day buckets inside the window, shard by shard, then
-// imposes the canonical (DeleteDay, Name) order on the merged result — names
-// are unique, so the sort is total and the output is byte-identical at every
-// shard count.
-func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
+// It walks only the due-day buckets inside the window, each shard's under
+// one read lock (a name moved between days meanwhile is listed once), then
+// sorts the merged result: names are unique, so the order is total and the
+// output is identical at every shard count.
+func (s *Store) PendingDeletions(from simtime.Day, days int) []Pending {
 	end := from.AddDays(days)
 	n := 0
 	for i := range s.shards {
@@ -685,17 +682,20 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []*model.Domain {
 		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(*record) { n++ })
 		sh.mu.RUnlock()
 	}
-	out := make([]*model.Domain, 0, n)
+	out := make([]Pending, 0, n)
+	packed, day := uint16(0), simtime.Day{} // the walked bucket's day, unpacked once per bucket
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(r *record) {
-			d := r.domain()
-			out = append(out, &d)
+			if r.deleteDay != packed {
+				packed, day = r.deleteDay, simtime.UnpackDay(r.deleteDay)
+			}
+			out = append(out, Pending{Name: r.name(), DeleteDay: day})
 		})
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out, func(a, b *model.Domain) int {
+	slices.SortFunc(out, func(a, b Pending) int {
 		if c := a.DeleteDay.Compare(b.DeleteDay); c != 0 {
 			return c
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"os"
@@ -841,5 +842,59 @@ func TestWaitSyncedTimesOutWithoutQuorum(t *testing.T) {
 	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
 	if _, err := store.CreateAt("unsynced.com", testRegistrar, 1, testStart.At(3, 0, 0)); err == nil {
 		t.Fatal("create acknowledged with no follower quorum")
+	}
+}
+
+// TestForgedAckIsNotCounted: a peer that completes the handshake and acks
+// a sequence its stream was never sent is not counted toward the quorum —
+// the next sync create still fails for want of one — and its connection is
+// closed with a logged error.
+func TestForgedAckIsNotCounted(t *testing.T) {
+	store, jnl := newPrimary(t, t.TempDir())
+	defer jnl.Close()
+	var logMu sync.Mutex
+	var logged []string
+	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 200 * time.Millisecond,
+		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			logged = append(logged, fmt.Sprintf(format, args...))
+			logMu.Unlock()
+		}})
+	defer src.Close()
+	store.SetJournal(&SyncJournal{J: jnl, S: src})
+	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
+	const noQuorum = "no follower quorum"
+	if _, err := store.CreateAt("control.com", testRegistrar, 1, testStart.At(3, 0, 0)); err == nil || !strings.Contains(err.Error(), noQuorum) {
+		t.Fatalf("create with no follower: %v, want %q", err, noQuorum)
+	}
+
+	client, server := net.Pipe()
+	defer client.Close()
+	src.ServeConn(server)
+	hs := make([]byte, len(handshakeMagic)+8)
+	copy(hs, handshakeMagic)
+	if _, err := client.Write(hs); err != nil {
+		t.Fatal(err)
+	}
+	drained := make(chan struct{})
+	go func() { _, _ = io.Copy(io.Discard, client); close(drained) }()
+	ack := make([]byte, msgHeader+8)
+	binary.LittleEndian.PutUint64(ack[msgHeader:], math.MaxUint64)
+	if err := writeMsg(client, time.Second, msgAck, ack); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.CreateAt("forged.com", testRegistrar, 1, testStart.At(3, 0, 1)); err == nil || !strings.Contains(err.Error(), noQuorum) {
+		t.Fatalf("create after a forged ack: %v, want %q", err, noQuorum)
+	}
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the forging connection is still open")
+	}
+	// The refusal is logged before the connection is closed.
+	logMu.Lock()
+	defer logMu.Unlock()
+	if !slices.ContainsFunc(logged, func(line string) bool { return strings.Contains(line, "was sent; closing") }) {
+		t.Errorf("no logged refusal of the forged ack in %q", logged)
 	}
 }

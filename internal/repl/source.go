@@ -82,7 +82,7 @@ type Source struct {
 	// waiters. Never held while writing to a connection. ackClosed mirrors
 	// closure into this lock domain so WaitSynced fails fast at shutdown.
 	ackMu     sync.Mutex
-	acked     map[net.Conn]uint64
+	peers     map[net.Conn]*peer
 	waiters   map[*syncWaiter]struct{}
 	ackClosed bool
 
@@ -91,6 +91,12 @@ type Source struct {
 	snapshotsSent  atomic.Uint64
 	connects       atomic.Uint64
 	followers      atomic.Int64
+}
+
+// peer is one follower connection's replication position.
+type peer struct {
+	acked uint64        // the highest sequence it acknowledged; ackMu held
+	sent  atomic.Uint64 // the last sequence its stream has written or is writing
 }
 
 type syncWaiter struct {
@@ -108,7 +114,7 @@ func NewSource(j *journal.Journal, cfg SourceConfig) *Source {
 		j:     j,
 		cfg:   cfg,
 		stop:  make(chan struct{}),
-		acked: make(map[net.Conn]uint64),
+		peers: make(map[net.Conn]*peer),
 	}
 	s.Conns = serve.NewConns("repl", s.follow)
 	return s
@@ -133,7 +139,7 @@ func (s *Source) follow(conn net.Conn) {
 	conn.Close()
 	acks.Wait()
 	s.ackMu.Lock()
-	delete(s.acked, conn)
+	delete(s.peers, conn)
 	s.ackMu.Unlock()
 }
 
@@ -176,17 +182,19 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 		start = snapSeq
 	}
 
-	// Register the follower's proven position, then start the ack reader:
-	// the only legal follower→primary traffic after the handshake. Its
-	// connection errors surface on the stream side as write failures, so
-	// that goroutine just exits.
+	// Register the follower's proven position and what it has been sent,
+	// then start the ack reader: the only legal follower→primary traffic
+	// after the handshake. Its connection errors surface on the stream side
+	// as write failures, so that goroutine just exits.
+	p := &peer{acked: afterSeq}
+	p.sent.Store(start)
 	s.ackMu.Lock()
-	s.acked[conn] = afterSeq
+	s.peers[conn] = p
 	s.ackMu.Unlock()
 	acks.Add(1)
 	go func() {
 		defer acks.Done()
-		s.readAcks(conn)
+		s.readAcks(conn, p)
 	}()
 
 	tr := journal.NewTailReader(s.j.Dir(), start)
@@ -214,6 +222,9 @@ func (s *Source) serve(conn net.Conn, acks *sync.WaitGroup) error {
 			binary.LittleEndian.PutUint64(msg[msgHeader+8:], last)
 			binary.LittleEndian.PutUint64(msg[msgHeader+16:], s.j.LastSeq())
 			binary.LittleEndian.PutUint64(msg[msgHeader+24:], uint64(time.Now().UnixNano()))
+			// Before the write: a fast follower's ack of this batch can
+			// arrive before writeMsg returns.
+			p.sent.Store(last)
 			if err := writeMsg(conn, writeTimeout, msgFrames, msg); err != nil {
 				return err
 			}
@@ -294,9 +305,10 @@ func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
 	return seq, nil
 }
 
-// readAcks consumes follower acknowledgements until the connection dies,
-// waking any semi-sync waiter the new position satisfies.
-func (s *Source) readAcks(conn net.Conn) {
+// readAcks consumes follower acknowledgements from p's connection until it
+// dies, waking any semi-sync waiter the new position satisfies. An ack of a
+// sequence the stream has not sent is not counted: it closes the connection.
+func (s *Source) readAcks(conn net.Conn, p *peer) {
 	var buf []byte
 	for {
 		typ, payload, next, err := readMsg(conn, 0, buf)
@@ -308,13 +320,15 @@ func (s *Source) readAcks(conn net.Conn) {
 			return
 		}
 		seq := binary.LittleEndian.Uint64(payload)
-		s.ackMu.Lock()
-		// Update only a live entry: serve() registers the conn at handshake
-		// and its teardown deletes it, so a final ack racing the teardown
-		// cannot resurrect a dead follower into the quorum.
-		if cur, live := s.acked[conn]; live && seq > cur {
-			s.acked[conn] = seq
+		if sent := p.sent.Load(); seq > sent {
+			s.cfg.Logf("repl: follower %v: ack of seq %d, but only seq %d was sent; closing", conn.RemoteAddr(), seq, sent)
+			conn.Close()
+			return
 		}
+		s.ackMu.Lock()
+		// Counted only while registered: the teardown unregisters p, so a
+		// final ack racing it cannot resurrect a dead follower into the quorum.
+		p.acked = max(p.acked, seq)
 		for w := range s.waiters {
 			if s.ackQuorumLocked(w.seq) >= w.need {
 				close(w.done)
@@ -328,8 +342,8 @@ func (s *Source) readAcks(conn net.Conn) {
 // ackQuorumLocked counts followers that have acknowledged seq. ackMu held.
 func (s *Source) ackQuorumLocked(seq uint64) int {
 	n := 0
-	for _, acked := range s.acked {
-		if acked >= seq {
+	for _, p := range s.peers {
+		if p.acked >= seq {
 			n++
 		}
 	}
@@ -426,9 +440,9 @@ func (s *Source) Metrics() SourceMetrics {
 	}
 	m.Followers = int(s.followers.Load())
 	s.ackMu.Lock()
-	for _, seq := range s.acked {
-		if m.MinAckedSeq == 0 || seq < m.MinAckedSeq {
-			m.MinAckedSeq = seq
+	for _, p := range s.peers {
+		if m.MinAckedSeq == 0 || p.acked < m.MinAckedSeq {
+			m.MinAckedSeq = p.acked
 		}
 	}
 	s.ackMu.Unlock()

@@ -7,8 +7,9 @@
 //
 // Every pipeline client is its server's NewBoundClient (rdap, whois,
 // dropscope, safebrowsing): a memory-only study opens no socket, yet meets
-// the name checks, renders and status-to-error mappings a remote client
-// does. Bound RDAP lookups skip the response cache a study never hits.
+// the name checks, request counts and status-to-error mappings a remote
+// client does. RDAP lookups and pending-delete lists take values, not a
+// body the same process would parse back: only HTTP encodes and decodes.
 package sim
 
 import (

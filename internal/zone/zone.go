@@ -18,6 +18,7 @@ import (
 	"strings"
 
 	"dropzero/internal/model"
+	"dropzero/internal/names"
 )
 
 // PolicyKind names a DropPolicy implementation. The string values are part
@@ -91,7 +92,7 @@ func (c *Config) Validate() error {
 	}
 	seen := make(map[model.TLD]bool, len(c.TLDs))
 	for _, t := range c.TLDs {
-		if t == "" || strings.Contains(string(t), ".") {
+		if names.Validate(string(t)) != nil {
 			return fmt.Errorf("zone %s: bad TLD %q", c.Name, t)
 		}
 		if seen[t] {

@@ -209,8 +209,10 @@ func TestConfigValidateAndHosts(t *testing.T) {
 	if !set[model.COM] || !set[model.NET] || set["se"] || len(set) != 2 {
 		t.Fatalf("TLDSet = %v", set)
 	}
-	bad := Config{Name: "x", TLDs: []model.TLD{"a.b"}, Policy: PolicyPaced}
-	if err := bad.Validate(); err == nil {
-		t.Error("dotted TLD accepted")
+	for _, tld := range []model.TLD{"a.b", "COM", "c,om", `c"om`, "-se", "se-", ""} {
+		bad := Config{Name: "x", TLDs: []model.TLD{tld}, Policy: PolicyPaced}
+		if err := bad.Validate(); err == nil {
+			t.Errorf("TLD %q accepted", tld)
+		}
 	}
 }
