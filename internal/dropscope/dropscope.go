@@ -10,7 +10,7 @@
 // and because consecutive lists share four of their five days (the
 // lookahead window slides by one day), it reuses the parsed entries of every
 // day segment whose bytes are unchanged. A bound client renders and parses
-// nothing: it takes the window's entries from the store.
+// nothing: it takes the window's entries, names and all, from the store.
 package dropscope
 
 import (
@@ -251,7 +251,7 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 
 // NewBoundClient returns a Client that takes the entries of srv's list from
 // its store and counts the request, as an HTTP GET would: no body is
-// rendered or parsed, and srv's list cache is not read.
+// rendered or parsed, srv's list cache is not read, no name is copied.
 func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
 
 // SegmentCounters reports how many per-day segments of 200 responses were
@@ -261,14 +261,15 @@ func (c *Client) SegmentCounters() (reused, parsed uint64) {
 	return c.segReused.Load(), c.segParsed.Load()
 }
 
-// Fetch downloads the list published for day.
+// Fetch downloads the list published for day, in (deletion day, name)
+// order; a bound client returns Store.PendingDeletions as it is.
 func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 	if c.srv != nil {
 		if err := ctx.Err(); err != nil { // no transport to notice it
 			return nil, err
 		}
 		c.srv.requests.Add(1)
-		return ownNames(c.srv.store.PendingDeletions(day, LookaheadDays)), nil
+		return c.srv.store.PendingDeletions(day, LookaheadDays), nil
 	}
 	u := *c.base
 	u.Path = "/pendingdelete"
@@ -324,29 +325,6 @@ func (c *Client) assembleBody(start simtime.Day, body []byte) ([]Entry, error) {
 		}
 	}
 	return entries, nil
-}
-
-// ownNames copies the names of entries, sorted by deletion day, into one
-// string per day, as ParseList holds the names of a list: a consumer that
-// keeps names for months pins no store bytes, and a day's names pin only
-// that day's string.
-func ownNames(entries []Entry) []Entry {
-	for i := 0; i < len(entries); {
-		n, j := 0, i
-		for ; j < len(entries) && entries[j].DeleteDay == entries[i].DeleteDay; j++ {
-			n += len(entries[j].Name)
-		}
-		var b strings.Builder
-		b.Grow(n)
-		for _, e := range entries[i:j] {
-			b.WriteString(e.Name)
-		}
-		arena := b.String()
-		for ; i < j; i++ {
-			entries[i].Name, arena = arena[:len(entries[i].Name)], arena[len(entries[i].Name):]
-		}
-	}
-	return entries
 }
 
 // dayChunk is the contiguous run of list lines sharing one deletion day.

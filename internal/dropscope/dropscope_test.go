@@ -491,7 +491,7 @@ func TestMetricsCounters(t *testing.T) {
 // server, fetching the same five consecutive days while names keep joining
 // the window, get the same entries and are counted as the same requests.
 // The bound client takes its entries from the store: it parses no segment
-// and leaves the list cache alone, and its names share no store bytes.
+// and leaves the list cache alone, and its names are the store's own strings.
 func TestBoundClientMatchesHTTP(t *testing.T) {
 	store, _, day := newEnv(t)
 	srv := NewServer(store)
@@ -521,8 +521,8 @@ func TestBoundClientMatchesHTTP(t *testing.T) {
 			t.Errorf("%s: a bound fetch moved the list cache: %+v, then %+v", today, afterHTTP.Cache, srv.Metrics().Cache)
 		}
 		for _, e := range fromBound {
-			if d, _ := store.Lookup(e.Name); unsafe.StringData(d.Name) == unsafe.StringData(e.Name) {
-				t.Fatalf("%s: bound entry %q shares the store's bytes", today, e.Name)
+			if d, _ := store.Lookup(e.Name); unsafe.StringData(d.Name) != unsafe.StringData(e.Name) {
+				t.Fatalf("%s: bound entry %q is a copy of the store's name", today, e.Name)
 			}
 		}
 	}

@@ -275,7 +275,7 @@ func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
 	if st := e.pipe.Stats(); st != want {
 		t.Fatalf("stats after collection = %+v, want %+v", st, want)
 	}
-	if pd := e.pipe.pending["brokenlater.com"]; pd == nil || pd.prior == nil {
+	if pd := e.pipe.find("brokenlater.com"); pd == nil || pd.Prior == nil {
 		t.Fatal("brokenlater.com's prior registration was not collected")
 	}
 	bodies["/domain/brokenlater.com"] = strings.Replace(bodies["/domain/brokenlater.com"], expiration, "", 1)

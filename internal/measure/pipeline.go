@@ -4,9 +4,12 @@
 // over RDAP (falling back to WHOIS on server errors); at least eight weeks
 // after the deletion date, repeat the lookup to detect a re-registration;
 // finally, query the maliciousness oracle for every re-registered name.
+// The tracked names are one name-ordered slice, the order both lookup passes
+// run in; each day's (day, name)-ordered list is merge-joined into it.
 package measure
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -53,16 +56,12 @@ type Pipeline struct {
 	// default so non-journaled studies pay nothing.
 	TrackDeltas bool
 
-	pending map[string]*pendingDomain
+	// pending is every tracked domain, ordered by name, each name once.
+	pending []PendingEntry
 	stats   Stats
 	delta   *CollectDelta
-}
 
-type pendingDomain struct {
-	name      string
-	tld       model.TLD
-	deleteDay simtime.Day
-	prior     *model.PriorRegistration
+	added []PendingEntry // scratch: the names a collection adds
 }
 
 // Stats counts pipeline activity, including the RDAP failures that exercised
@@ -78,18 +77,21 @@ type Stats struct {
 	OracleLookups   int
 }
 
+// Counters lists the counters in one fixed order, the order the study's
+// checkpoint blobs write them in.
+func (s *Stats) Counters() [8]*int {
+	return [...]*int{&s.ListEntries, &s.Lookups, &s.RDAPErrors, &s.WHOISFallbacks,
+		&s.FallbackFailed, &s.Reregistered, &s.NotReregistered, &s.OracleLookups}
+}
+
 // add accumulates the per-lookup counter deltas produced by the workers.
 // Merging happens on the caller's goroutine, in canonical lookup order, so
 // the totals match a sequential run exactly.
 func (s *Stats) add(d Stats) {
-	s.ListEntries += d.ListEntries
-	s.Lookups += d.Lookups
-	s.RDAPErrors += d.RDAPErrors
-	s.WHOISFallbacks += d.WHOISFallbacks
-	s.FallbackFailed += d.FallbackFailed
-	s.Reregistered += d.Reregistered
-	s.NotReregistered += d.NotReregistered
-	s.OracleLookups += d.OracleLookups
+	to := s.Counters()
+	for i, f := range d.Counters() {
+		*to[i] += *f
+	}
 }
 
 // Stats returns a copy of the activity counters.
@@ -98,18 +100,11 @@ func (p *Pipeline) Stats() Stats { return p.stats }
 // workers resolves the Parallelism knob.
 func (p *Pipeline) workers() int { return par.Workers(p.Parallelism) }
 
-// byName orders pending domains canonically; the fan-out/merge order of both
-// lookup passes, which makes parallel runs bit-for-bit deterministic.
-func byName(a, b *pendingDomain) int { return strings.Compare(a.name, b.name) }
-
 // CollectDaily performs one day's collection: download the day's pending
 // delete list and fetch prior-registration metadata for domains whose
 // deletion is (at most) three days away. Call once per simulated day, in
-// order.
+// order. A list out of (deletion day, name) order is refused.
 func (p *Pipeline) CollectDaily(ctx context.Context, today simtime.Day) error {
-	if p.pending == nil {
-		p.pending = make(map[string]*pendingDomain)
-	}
 	if p.TrackDeltas {
 		p.delta = &CollectDelta{Day: today}
 	}
@@ -118,60 +113,115 @@ func (p *Pipeline) CollectDaily(ctx context.Context, today simtime.Day) error {
 	if err != nil {
 		return fmt.Errorf("measure: fetch pending list for %v: %w", today, err)
 	}
-	for _, e := range entries {
-		tld, ok := model.TLDOf(e.Name)
-		if !ok {
-			continue
-		}
-		if p.TLDFilter != "" && tld != p.TLDFilter {
-			continue
-		}
-		if _, seen := p.pending[e.Name]; seen {
-			continue
-		}
-		p.pending[e.Name] = &pendingDomain{name: e.Name, tld: tld, deleteDay: e.DeleteDay}
-		p.stats.ListEntries++
-		if p.delta != nil {
-			p.delta.Added = append(p.delta.Added, PendingEntry{Name: e.Name, TLD: tld, DeleteDay: e.DeleteDay})
-		}
+	if err := p.track(entries); err != nil {
+		return fmt.Errorf("measure: pending list for %v: %w", today, err)
 	}
 	// Fetch metadata for domains deleting within the lookup window that we
 	// have not resolved yet. The ≤ comparison (rather than ==) bootstraps
 	// the first days of the study, when domains closer than three days out
-	// appear on the very first list. Lookups fan out over the worker pool;
-	// failed lookups leave prior nil and are retried on later days while the
-	// window lasts.
+	// appear on the very first list. Lookups fan out over the worker pool in
+	// name order; failed lookups leave prior nil and are retried on later
+	// days while the window lasts.
 	cutoff := today.AddDays(LookaheadLookupDays)
-	due := make([]*pendingDomain, 0, len(p.pending))
-	for _, pd := range p.pending {
-		if pd.prior != nil || cutoff.Before(pd.deleteDay) {
-			continue
+	var due []int
+	for i := range p.pending {
+		if pd := &p.pending[i]; pd.Prior == nil && pd.DeleteDay.Compare(cutoff) <= 0 {
+			due = append(due, i)
 		}
-		due = append(due, pd)
 	}
-	slices.SortFunc(due, byName)
 	type priorResult struct {
 		prior *model.PriorRegistration
 		delta Stats
 	}
 	results := par.Do(p.workers(), len(due), func(i int) priorResult {
 		var r priorResult
-		r.prior, r.delta = p.lookupPrior(ctx, due[i].name)
+		r.prior, r.delta = p.lookupPrior(ctx, p.pending[due[i]].Name)
 		return r
 	})
 	for i, r := range results {
+		pd := &p.pending[due[i]]
 		p.stats.add(r.delta)
-		due[i].prior = r.prior
+		pd.Prior = r.prior
 		if p.delta != nil && r.prior != nil {
-			c := *r.prior
-			p.delta.Resolved = append(p.delta.Resolved,
-				PendingEntry{Name: due[i].name, TLD: due[i].tld, DeleteDay: due[i].deleteDay, Prior: &c})
+			e, c := *pd, *r.prior
+			e.Prior = &c
+			p.delta.Resolved = append(p.delta.Resolved, e)
 		}
 	}
 	if p.delta != nil {
 		p.delta.Stats = p.stats.sub(statsBefore)
 	}
 	return nil
+}
+
+// track starts tracking the list's names that pass the TLD filter and are
+// not tracked yet (a name listed on two days keeps the earlier): the list's
+// day runs are merged by name and joined to the tracked set in one pass.
+func (p *Pipeline) track(entries []dropscope.Entry) error {
+	var buf [dropscope.LookaheadDays][]dropscope.Entry
+	runs, start := buf[:0], 0
+	for i, e := range entries {
+		if i > 0 && cmp.Or(e.DeleteDay.Compare(entries[i-1].DeleteDay), strings.Compare(e.Name, entries[i-1].Name)) < 0 {
+			return fmt.Errorf("%s (%v) listed after %s (%v)", e.Name, e.DeleteDay, entries[i-1].Name, entries[i-1].DeleteDay)
+		}
+		if i+1 == len(entries) || entries[i+1].DeleteDay != e.DeleteDay {
+			runs, start = append(runs, entries[start:i+1]), i+1
+		}
+	}
+	added, j := p.added[:0], 0
+	for {
+		r := -1 // the run whose head comes first; the earliest day on a tie
+		for k := range runs {
+			if len(runs[k]) > 0 && (r < 0 || runs[k][0].Name < runs[r][0].Name) {
+				r = k
+			}
+		}
+		if r < 0 {
+			break
+		}
+		e := runs[r][0]
+		runs[r] = runs[r][1:]
+		tld, ok := model.TLDOf(e.Name)
+		if !ok || (p.TLDFilter != "" && tld != p.TLDFilter) {
+			continue
+		}
+		if n := len(added); (n > 0 && added[n-1].Name == e.Name) || p.tracked(&j, e.Name) {
+			continue // listed on an earlier day too, or tracked already
+		}
+		added = append(added, PendingEntry{Name: e.Name, TLD: tld, DeleteDay: e.DeleteDay})
+	}
+	if p.delta != nil {
+		p.delta.Added = append(p.delta.Added, added...)
+	}
+	p.stats.ListEntries += len(added)
+	p.insert(added)
+	return nil
+}
+
+// tracked reports whether name is tracked, advancing *j, a cursor into
+// pending, past every name before it: ascending names join in one pass.
+func (p *Pipeline) tracked(j *int, name string) bool {
+	for *j < len(p.pending) && p.pending[*j].Name < name {
+		*j++
+	}
+	return *j < len(p.pending) && p.pending[*j].Name == name
+}
+
+// insert merges added, name-ordered and none of it tracked yet, into
+// pending, back to front and in place, and keeps added's array as scratch.
+func (p *Pipeline) insert(added []PendingEntry) {
+	i, j := len(p.pending)-1, len(added)-1
+	p.pending = slices.Grow(p.pending, len(added))[:len(p.pending)+len(added)]
+	for k := len(p.pending) - 1; j >= 0; k-- {
+		if i >= 0 && p.pending[i].Name > added[j].Name {
+			p.pending[k] = p.pending[i]
+			i--
+		} else {
+			p.pending[k] = added[j]
+			j--
+		}
+	}
+	p.added = added[:0]
 }
 
 // lookupPrior fetches registration metadata over RDAP, falling back to WHOIS
@@ -208,17 +258,16 @@ func (p *Pipeline) lookupPrior(ctx context.Context, name string) (*model.PriorRe
 // or with a 200 no registration can be read from, uncounted as in lookupPrior —
 // are omitted, like the paper's error cases; a done ctx is an error, not an
 // empty dataset. Re-lookups (and the oracle
-// queries for re-registered names) fan out over the worker pool, each worker
-// writing its row straight into the dataset slice; the dataset is returned
-// sorted by name regardless of Parallelism.
+// queries for re-registered names) fan out over the worker pool in name
+// order, each worker writing its row straight into the dataset slice; the
+// dataset is sorted by name regardless of Parallelism.
 func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
-	collected := make([]*pendingDomain, 0, len(p.pending))
-	for _, pd := range p.pending {
-		if pd.prior != nil {
-			collected = append(collected, pd)
+	var collected []int
+	for i := range p.pending {
+		if p.pending[i].Prior != nil {
+			collected = append(collected, i)
 		}
 	}
-	slices.SortFunc(collected, byName)
 	rows := make([]model.Observation, len(collected))
 	type finalResult struct {
 		// keep is false for restored domains (same object ID: the deletion
@@ -230,13 +279,13 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 		err   error
 	}
 	results := par.Do(p.workers(), len(collected), func(i int) finalResult {
-		pd := collected[i]
+		pd := &p.pending[collected[i]]
 		var (
 			r         finalResult
 			rereg     *model.Rereg
 			malicious bool
 		)
-		cur, err := p.lookupCurrent(ctx, pd.name)
+		cur, err := p.lookupCurrent(ctx, pd.Name)
 		switch {
 		case errors.Is(err, rdap.ErrMalformed):
 			return r
@@ -245,7 +294,7 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 			return r
 		case cur == nil:
 			r.delta.NotReregistered++
-		case cur.ID != pd.prior.ID:
+		case cur.ID != pd.Prior.ID:
 			rereg = &model.Rereg{Time: cur.Created, RegistrarID: cur.RegistrarID}
 			r.delta.Reregistered++
 		default:
@@ -253,12 +302,12 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 		}
 		if rereg != nil && p.Oracle != nil {
 			r.delta.OracleLookups++
-			if malicious, err = p.Oracle.Lookup(pd.name); err != nil {
-				r.err = fmt.Errorf("measure: oracle lookup %s: %w", pd.name, err)
+			if malicious, err = p.Oracle.Lookup(pd.Name); err != nil {
+				r.err = fmt.Errorf("measure: oracle lookup %s: %w", pd.Name, err)
 				return r
 			}
 		}
-		if rows[i], err = model.NewObservation(pd.name, pd.deleteDay, *pd.prior, rereg, malicious); err != nil {
+		if rows[i], err = model.NewObservation(pd.Name, pd.DeleteDay, *pd.Prior, rereg, malicious); err != nil {
 			r.err = fmt.Errorf("measure: %w", err)
 			return r
 		}

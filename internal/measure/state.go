@@ -18,8 +18,8 @@ import (
 // deltas into the write-ahead log — and recovery reloads it instead of
 // re-running lookups against a store that has since moved on.
 
-// PendingEntry is one tracked domain in exportable form. Prior is nil while
-// the metadata lookup has not succeeded yet.
+// PendingEntry is one tracked domain, as the pipeline holds and exports it.
+// Prior is nil while the metadata lookup has not succeeded yet.
 type PendingEntry struct {
 	Name      string
 	TLD       model.TLD
@@ -41,34 +41,31 @@ type CollectDelta struct {
 
 // sub returns the counter increments between two readings.
 func (s Stats) sub(before Stats) Stats {
-	return Stats{
-		ListEntries:     s.ListEntries - before.ListEntries,
-		Lookups:         s.Lookups - before.Lookups,
-		RDAPErrors:      s.RDAPErrors - before.RDAPErrors,
-		WHOISFallbacks:  s.WHOISFallbacks - before.WHOISFallbacks,
-		FallbackFailed:  s.FallbackFailed - before.FallbackFailed,
-		Reregistered:    s.Reregistered - before.Reregistered,
-		NotReregistered: s.NotReregistered - before.NotReregistered,
-		OracleLookups:   s.OracleLookups - before.OracleLookups,
+	to := s.Counters()
+	for i, f := range before.Counters() {
+		*to[i] -= *f
 	}
+	return s
 }
 
 // State exports a deep copy of the pipeline's tracked domains and counters
 // as the delta that, applied to a fresh pipeline, recreates it: every
-// tracked domain in Added, with its prior when resolved. Entries are sorted
-// by name so equal pipelines export equal states.
+// tracked domain in Added, in name order, with its prior when resolved.
+// Equal pipelines export equal states.
 func (p *Pipeline) State() CollectDelta {
-	st := CollectDelta{Stats: p.stats}
-	for _, pd := range p.pending {
-		e := PendingEntry{Name: pd.name, TLD: pd.tld, DeleteDay: pd.deleteDay}
-		if pd.prior != nil {
-			c := *pd.prior
+	st := CollectDelta{Stats: p.stats, Added: slices.Clone(p.pending)}
+	ownPriors(st.Added)
+	return st
+}
+
+// ownPriors gives every entry of es its own copy of its prior.
+func ownPriors(es []PendingEntry) {
+	for i := range es {
+		if e := &es[i]; e.Prior != nil {
+			c := *e.Prior
 			e.Prior = &c
 		}
-		st.Added = append(st.Added, e)
 	}
-	slices.SortFunc(st.Added, func(a, b PendingEntry) int { return strings.Compare(a.Name, b.Name) })
-	return st
 }
 
 // TakeDelta returns the delta accumulated since the last call (or since the
@@ -83,30 +80,40 @@ func (p *Pipeline) TakeDelta() *CollectDelta {
 // ApplyDelta replays a recorded CollectDaily outcome into the pipeline; a
 // State export applied to a fresh pipeline restores the exported state. The
 // replay is exact: the tracked set, resolved priors and counters end up as
-// the original left them.
+// the original left them. Added may come in any order (journals written
+// before the pipeline kept its names ordered hold list order): only a copy
+// of it is sorted, then merged into the tracked set.
 func (p *Pipeline) ApplyDelta(d *CollectDelta) error {
-	if p.pending == nil {
-		p.pending = make(map[string]*pendingDomain)
-	}
-	for _, e := range d.Added {
-		if _, seen := p.pending[e.Name]; seen {
-			return fmt.Errorf("measure: replay day %v: %s already tracked", d.Day, e.Name)
+	added := append(p.added[:0], d.Added...)
+	ownPriors(added)
+	slices.SortFunc(added, byName)
+	for i, j := 0, 0; i < len(added); i++ {
+		if (i > 0 && added[i-1].Name == added[i].Name) || p.tracked(&j, added[i].Name) {
+			return fmt.Errorf("measure: replay day %v: %s already tracked", d.Day, added[i].Name)
 		}
-		pd := &pendingDomain{name: e.Name, tld: e.TLD, deleteDay: e.DeleteDay}
-		if e.Prior != nil {
-			c := *e.Prior
-			pd.prior = &c
-		}
-		p.pending[e.Name] = pd
 	}
+	p.insert(added)
 	for _, e := range d.Resolved {
-		pd, ok := p.pending[e.Name]
-		if !ok {
+		pd := p.find(e.Name)
+		if pd == nil {
 			return fmt.Errorf("measure: replay day %v: resolved %s is not tracked", d.Day, e.Name)
 		}
 		c := *e.Prior
-		pd.prior = &c
+		pd.Prior = &c
 	}
 	p.stats.add(d.Stats)
 	return nil
+}
+
+func byName(a, b PendingEntry) int { return strings.Compare(a.Name, b.Name) }
+
+// find returns the tracked domain called name, nil when there is none.
+func (p *Pipeline) find(name string) *PendingEntry {
+	i, ok := slices.BinarySearchFunc(p.pending, name, func(e PendingEntry, name string) int {
+		return strings.Compare(e.Name, name)
+	})
+	if !ok {
+		return nil
+	}
+	return &p.pending[i]
 }

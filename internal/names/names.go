@@ -35,6 +35,14 @@ var (
 	ErrHyphenEdge = errors.New("names: label starts or ends with a hyphen")
 )
 
+// isLDH marks the bytes an LDH label may hold: a-z, 0-9 and '-'.
+var isLDH = func() (t [256]bool) {
+	for c := range t {
+		t[c] = c >= 'a' && c <= 'z' || c >= '0' && c <= '9' || c == '-'
+	}
+	return t
+}()
+
 // Validate checks that label is a well-formed LDH ("letters, digits,
 // hyphen") DNS label as registries enforce for second-level names.
 func Validate(label string) error {
@@ -48,10 +56,7 @@ func Validate(label string) error {
 		return fmt.Errorf("%w: %q", ErrHyphenEdge, label)
 	}
 	for i := 0; i < len(label); i++ {
-		c := label[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-':
-		default:
+		if !isLDH[label[i]] {
 			return fmt.Errorf("%w: %q", ErrBadChar, label)
 		}
 	}
@@ -78,12 +83,7 @@ func newMatcher(list []string) *matcher {
 	m := &matcher{words: make(map[string]bool, len(list)), minLen: 1 << 30}
 	for _, w := range list {
 		m.words[w] = true
-		if len(w) > m.maxLen {
-			m.maxLen = len(w)
-		}
-		if len(w) < m.minLen {
-			m.minLen = len(w)
-		}
+		m.maxLen, m.minLen = max(m.maxLen, len(w)), min(m.minLen, len(w))
 	}
 	return m
 }
@@ -95,11 +95,7 @@ func (m *matcher) count(s string) int {
 	n := 0
 	for i := 0; i < len(s); {
 		matched := 0
-		limit := m.maxLen
-		if rem := len(s) - i; rem < limit {
-			limit = rem
-		}
-		for l := limit; l >= m.minLen; l-- {
+		for l := min(m.maxLen, len(s)-i); l >= m.minLen; l-- {
 			if m.words[s[i:i+l]] {
 				matched = l
 				break
@@ -144,26 +140,15 @@ const (
 	numClasses
 )
 
+var classNames = [numClasses]string{"keyword-pair", "dict-pair", "keyword-dict",
+	"short-brand", "word-number", "hyphenated", "long-random"}
+
 // String names the class for logs and tests.
 func (c Class) String() string {
-	switch c {
-	case ClassKeywordPair:
-		return "keyword-pair"
-	case ClassDictPair:
-		return "dict-pair"
-	case ClassKeywordDict:
-		return "keyword-dict"
-	case ClassShortBrand:
-		return "short-brand"
-	case ClassWordNumber:
-		return "word-number"
-	case ClassHyphenated:
-		return "hyphenated"
-	case ClassLongRandom:
-		return "long-random"
-	default:
-		return fmt.Sprintf("Class(%d)", uint8(c))
+	if c < numClasses {
+		return classNames[c]
 	}
+	return fmt.Sprintf("Class(%d)", uint8(c))
 }
 
 // Generated is one synthetic label together with its ground-truth value
@@ -247,14 +232,7 @@ func value(c Class, label string, rng *rand.Rand) float64 {
 	// Shorter is better: up to +0.15 for very short labels.
 	shortBonus := 0.15 * (1.0 - float64(min(len(label), 20))/20.0)
 	jitter := rng.Float64()*0.10 - 0.05
-	v := baseValue[c] + shortBonus + jitter
-	if v < 0 {
-		v = 0
-	}
-	if v > 1 {
-		v = 1
-	}
-	return v
+	return min(max(baseValue[c]+shortBonus+jitter, 0), 1)
 }
 
 // Next generates a fresh unique label. It never returns an invalid label and
@@ -360,11 +338,4 @@ func (g *Generator) compose(c Class) string {
 	default:
 		return g.random(10 + g.rng.Intn(14))
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

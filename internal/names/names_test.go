@@ -42,6 +42,72 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// validateSwitch is Validate as it was written before the class table: the
+// reference TestValidateMatchesSwitch holds the table to.
+func validateSwitch(label string) error {
+	if label == "" {
+		return ErrEmpty
+	}
+	if len(label) > 63 {
+		return fmt.Errorf("%w: %q", ErrTooLong, label)
+	}
+	if label[0] == '-' || label[len(label)-1] == '-' {
+		return fmt.Errorf("%w: %q", ErrHyphenEdge, label)
+	}
+	for i := 0; i < len(label); i++ {
+		c := label[i]
+		switch {
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '-':
+		default:
+			return fmt.Errorf("%w: %q", ErrBadChar, label)
+		}
+	}
+	return nil
+}
+
+// TestValidateMatchesSwitch: Validate returns what the byte-by-byte switch
+// returns — the same error value, hence the same precedence, and the same
+// text — on every string of at most two bytes and on random strings of up
+// to 70 bytes, most of them spelled from LDH bytes so that the length, edge
+// and character checks each get to decide.
+func TestValidateMatchesSwitch(t *testing.T) {
+	kind := func(err error) error {
+		for _, k := range []error{ErrEmpty, ErrTooLong, ErrHyphenEdge, ErrBadChar} {
+			if errors.Is(err, k) {
+				return k
+			}
+		}
+		return err
+	}
+	same := func(label string) {
+		got, want := Validate(label), validateSwitch(label)
+		if kind(got) != kind(want) || fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("Validate(%q) = %v, the switch says %v", label, got, want)
+		}
+	}
+	same("")
+	for a := 0; a < 256; a++ {
+		same(string([]byte{byte(a)}))
+		for b := 0; b < 256; b++ {
+			same(string([]byte{byte(a), byte(b)}))
+		}
+	}
+	const ldh = "abcdefghijklmnopqrstuvwxyz0123456789-"
+	rng := rand.New(rand.NewSource(1))
+	buf := make([]byte, 70)
+	for i := 0; i < 100_000; i++ {
+		b := buf[:rng.Intn(len(buf)+1)]
+		for k := range b {
+			if rng.Intn(50) == 0 {
+				b[k] = byte(rng.Intn(256))
+			} else {
+				b[k] = ldh[rng.Intn(len(ldh))]
+			}
+		}
+		same(string(b))
+	}
+}
+
 func TestLabel(t *testing.T) {
 	if Label("example.com") != "example" {
 		t.Fatal("Label failed on fqdn")

@@ -85,19 +85,21 @@ func (r *DropRunner) inScope(t model.TLD) bool {
 //
 // The queue is read straight out of day's pending-delete bucket and ordered
 // on the stored integers — O(k log k), independent of how many million other
-// registrations the store holds; a time.Time is built once per entry, after
-// the sort.
+// registrations the store holds, by sorting one pointer-free 16-byte key per
+// entry (IDs are unique: the order is total); a time.Time is built after.
 func (r *DropRunner) BuildQueue(day simtime.Day) []QueueEntry {
 	recs := slices.DeleteFunc(r.store.pendingOn(day), func(rec record) bool { return !r.inScope(rec.tld()) })
 	if len(recs) == 0 {
 		return nil
 	}
-	slices.SortFunc(recs, func(a, b record) int {
-		return cmp.Or(cmp.Compare(a.updated, b.updated), cmp.Compare(a.id, b.id))
-	})
-	q := make([]QueueEntry, len(recs))
+	keys := make([][2]uint64, len(recs)) // {updated<<32 | id, index}
 	for i := range recs {
-		rec := &recs[i]
+		keys[i] = [2]uint64{uint64(recs[i].updated)<<32 | uint64(recs[i].id), uint64(i)}
+	}
+	slices.SortFunc(keys, func(a, b [2]uint64) int { return cmp.Compare(a[0], b[0]) })
+	q := make([]QueueEntry, len(recs))
+	for i, k := range keys {
+		rec := &recs[k[1]]
 		q[i] = QueueEntry{Name: rec.name(), TLD: rec.tld(), ID: uint64(rec.id), Updated: simtime.UnpackTime(rec.updated)}
 	}
 	return q

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -51,6 +53,40 @@ func TestBuildQueueOrder(t *testing.T) {
 		}
 		if a.Updated.Equal(b.Updated) && b.ID < a.ID {
 			t.Fatalf("tie not broken by ID at %d", i)
+		}
+	}
+}
+
+// TestBuildQueueMatchesRecordSort holds BuildQueue's packed-key sort to the
+// record sort it replaced — records ordered by (updated, ID) — on stores
+// where each of ten update instants is shared by ≈ 300 names, seeded in
+// random order so that IDs do not follow the names, .com and .net mixed.
+func TestBuildQueueMatchesRecordSort(t *testing.T) {
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
+	for _, shards := range []int{1, 8} {
+		rng := rand.New(rand.NewSource(int64(shards)))
+		s := NewStoreWithShards(testClock(), shards)
+		s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+		for _, i := range rng.Perm(3000) {
+			updated := day.AddDays(-35).At(6, 0, rng.Intn(10))
+			name := fmt.Sprintf("tie%04d.%s", i, []string{"com", "net"}[rng.Intn(2)])
+			if _, err := s.SeedAt(name, 1000, updated.AddDate(-1, 0, 0), updated, updated.AddDate(0, 0, -30), model.StatusPendingDelete, day); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runner := NewDropRunner(s, DefaultDropConfig())
+		recs := slices.DeleteFunc(s.pendingOn(day), func(rec record) bool { return !runner.inScope(rec.tld()) })
+		slices.SortFunc(recs, func(a, b record) int {
+			return cmp.Or(cmp.Compare(a.updated, b.updated), cmp.Compare(a.id, b.id))
+		})
+		q := runner.BuildQueue(day)
+		if len(q) != len(recs) || len(q) != 3000 {
+			t.Fatalf("shards=%d: queue of %d, record sort of %d, want 3000", shards, len(q), len(recs))
+		}
+		for i := range q {
+			if rec := &recs[i]; q[i] != (QueueEntry{Name: rec.name(), TLD: rec.tld(), ID: uint64(rec.id), Updated: simtime.UnpackTime(rec.updated)}) {
+				t.Fatalf("shards=%d: queue[%d] = %+v, the record sort has %s (ID %d)", shards, i, q[i], rec.name(), rec.id)
+			}
 		}
 	}
 }

@@ -128,17 +128,7 @@ func (c Config) dailyVolume(i int, rng *rand.Rand) int {
 	mid := (lo + hi) / 2
 	amp := (hi - lo) / 2 * 0.85
 	v := mid + amp*math.Sin(2*math.Pi*float64(i+3)/28) + rng.NormFloat64()*4000
-	if v < lo {
-		v = lo
-	}
-	if v > hi {
-		v = hi
-	}
-	n := int(v * c.Scale)
-	if n < 10 {
-		n = 10
-	}
-	return n
+	return max(int(min(max(v, lo), hi)*c.Scale), 10)
 }
 
 // zones returns the study's zone list: the default .com/.net zone, paced

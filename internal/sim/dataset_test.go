@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"time"
 	"unsafe"
 
+	"dropzero/internal/journal"
 	"dropzero/internal/model"
 	"dropzero/internal/registrars"
 	"dropzero/internal/simtime"
@@ -83,33 +85,80 @@ func datasetStudies() map[string]Config {
 
 // TestResultNamesHeldOnce: every row of a finished study spells its name with
 // the very bytes its deletion event holds — at either end of the worker-pool
-// range and with extra zones dropping beside the default one — and a row
+// range, with extra zones dropping beside the default one, and resumed after
+// a crash, when the pipeline's names come out of the journal — and a row
 // that has no event owns its name outright, sharing no list arena with its
 // neighbours.
 func TestResultNamesHeldOnce(t *testing.T) {
+	heldOnce := func(t *testing.T, res *Result) {
+		t.Helper()
+		held := make(map[string]*byte)
+		for _, evs := range res.Deletions {
+			for i := range evs {
+				held[evs[i].Name] = unsafe.StringData(evs[i].Name)
+			}
+		}
+		if len(res.Observations) == 0 {
+			t.Fatal("no observations")
+		}
+		for i := range res.Observations {
+			o := &res.Observations[i]
+			if data, ok := held[o.Name]; !ok || unsafe.StringData(o.Name) != data {
+				t.Fatalf("%s: row spelled at %p, event at %p (deleted: %v)", o.Name, unsafe.StringData(o.Name), data, ok)
+			}
+		}
+	}
 	for name, cfg := range datasetStudies() {
 		t.Run(name, func(t *testing.T) {
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			held := make(map[string]*byte)
-			for _, evs := range res.Deletions {
-				for i := range evs {
-					held[evs[i].Name] = unsafe.StringData(evs[i].Name)
-				}
-			}
-			if len(res.Observations) == 0 {
-				t.Fatal("no observations")
-			}
-			for i := range res.Observations {
-				o := &res.Observations[i]
-				if data, ok := held[o.Name]; !ok || unsafe.StringData(o.Name) != data {
-					t.Fatalf("%s: row spelled at %p, event at %p (deleted: %v)", o.Name, unsafe.StringData(o.Name), data, ok)
-				}
-			}
+			heldOnce(t, res)
 		})
 	}
+
+	t.Run("resumed", func(t *testing.T) {
+		// A crash under DataDir after the first day's Drop: the resume
+		// restores that day's collection from the WAL.
+		cfg := datasetStudies()["parallelism1"]
+		cfg.DataDir = filepath.Join(t.TempDir(), "ref")
+		cfg.Durability = journal.ModeAsync
+		cfg.KeepCheckpoints = true
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		records, err := journal.Scan(cfg.DataDir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cut uint64 // the last record before day 1's collection
+		for _, r := range records {
+			if r.App != nil {
+				rec, err := decodeDayRecord(r.App)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rec.Day == 1 {
+					break
+				}
+			}
+			cut = r.Seq
+		}
+		crashDir := filepath.Join(t.TempDir(), "crash")
+		if err := journal.CrashCopy(cfg.DataDir, crashDir, cut, 0); err != nil {
+			t.Fatal(err)
+		}
+		cfg.DataDir = crashDir
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Recovered.Fresh() {
+			t.Fatal("the resume recovered nothing")
+		}
+		heldOnce(t, res)
+	})
 
 	t.Run("rowWithoutEvent", func(t *testing.T) {
 		// Rows as the pipeline hands them over: names cut from one arena, in

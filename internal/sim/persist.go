@@ -55,12 +55,6 @@ const (
 	blobDayRecord  byte = 2
 )
 
-// statFields lists a Stats's counters in blob order.
-func statFields(s *measure.Stats) [8]*int {
-	return [...]*int{&s.ListEntries, &s.Lookups, &s.RDAPErrors, &s.WHOISFallbacks,
-		&s.FallbackFailed, &s.Reregistered, &s.NotReregistered, &s.OracleLookups}
-}
-
 func appendEntries(b []byte, es []measure.PendingEntry) []byte {
 	b = binary.AppendUvarint(b, uint64(len(es)))
 	for i := range es {
@@ -110,7 +104,7 @@ func encodeBlob(kind byte, r *dayRecord) []byte {
 	b = binary.AppendVarint(b, int64(r.Day))
 	b = binwire.AppendDay(b, r.Delta.Day)
 	b = appendEntries(appendEntries(b, r.Delta.Added), r.Delta.Resolved)
-	for _, f := range statFields(&r.Delta.Stats) {
+	for _, f := range r.Delta.Stats.Counters() {
 		b = binary.AppendVarint(b, int64(*f))
 	}
 	return b
@@ -127,7 +121,7 @@ func decodeBlob(data []byte, kind byte, what string) (*dayRecord, error) {
 	d := binwire.NewDecoder(data[len(blobMagic)+1:])
 	r := &dayRecord{Day: d.Int()}
 	r.Delta.Day, r.Delta.Added, r.Delta.Resolved = d.Day(), decodeEntries(d), decodeEntries(d)
-	for _, f := range statFields(&r.Delta.Stats) {
+	for _, f := range r.Delta.Stats.Counters() {
 		*f = d.Int()
 	}
 	if err := d.Finish(); err != nil {

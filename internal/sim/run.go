@@ -91,10 +91,9 @@ func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.D
 
 // holdNamesOnce re-points the Name of every row of obs at the equal Name
 // string of its deletion event, and clones the name of a row that has none.
-// The rows arrive spelled out of the pipeline's pending-delete list arenas;
-// afterwards no arena outlives the pipeline and a deleted name's bytes are
-// held once, by its event. The rows learn nothing: each keeps the name it
-// had, byte for byte.
+// Run calls it on a resume only, whose restored names are decoded journal
+// bytes (a fresh pipeline holds the store's, which are its events'). The rows
+// learn nothing: each keeps the name it had, byte for byte.
 func holdNamesOnce(obs []model.Observation, deletions map[simtime.Day][]model.DeletionEvent) {
 	var names []string
 	for _, evs := range deletions {
@@ -116,7 +115,8 @@ func holdNamesOnce(obs []model.Observation, deletions map[simtime.Day][]model.De
 // Run executes a full study. It is deterministic for a given Config: equal
 // configs give byte-identical results — including when the run is a resume
 // of a crashed one. Every client of the measurement pipeline is bound to its
-// server in-process: a memory-only Run opens no socket. With Config.DataDir
+// server in-process: a memory-only Run opens no socket, and its rows share
+// their names' bytes with their deletion events. With Config.DataDir
 // set, every registry mutation and each day's pipeline collection goes
 // through a write-ahead journal, and Run first recovers whatever the
 // directory holds, then re-executes only the remainder of the study.
@@ -439,7 +439,9 @@ func Run(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	holdNamesOnce(obs, res.Deletions)
+	if len(deltas) > 0 {
+		holdNamesOnce(obs, res.Deletions)
+	}
 	res.Observations = obs
 	res.PipelineStats = pipeline.Stats()
 	if journaled {
