@@ -66,7 +66,7 @@ func BenchmarkListServe(b *testing.B) {
 // BenchmarkListFetch is one client's fetch of a 5 000-name list after a
 // store mutation, as a study day makes one: bound takes the entries from the
 // store; http renders the list, sends it over the in-process transport and
-// parses the day segments that changed (none here).
+// parses it.
 func BenchmarkListFetch(b *testing.B) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
 	store := pendingStore(b, day, 5000)

@@ -6,11 +6,9 @@
 //
 // The server caches each whole five-day list per (store generation, start
 // day, zone) in a gencache.Cache as a serve.Body, which answers conditional
-// requests. The HTTP client does not revalidate: it fetches each day once,
-// and because consecutive lists share four of their five days (the
-// lookahead window slides by one day), it reuses the parsed entries of every
-// day segment whose bytes are unchanged. A bound client renders and parses
-// nothing: it takes the window's entries, names and all, from the store.
+// requests. The HTTP client does not revalidate: it fetches each day once and
+// parses the whole body. A bound client renders and parses nothing: it takes
+// the window's entries, names and all, from the store.
 package dropscope
 
 import (
@@ -25,7 +23,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,8 +54,9 @@ var csvContentType = []string{"text/csv"}
 //
 // returns a CSV body (name,deleteDate) of all domains scheduled for deletion
 // on the five days starting at date, with a strong ETag keyed on (store
-// generation, date). Whole lists are cached in a generation-checked
-// gencache.Cache, filled as rdap.Server fills its own.
+// generation, date); HEAD answers with the same headers and no body. Whole
+// lists are cached in a generation-checked gencache.Cache, filled as
+// rdap.Server fills its own.
 type Server struct {
 	*serve.HTTP // Handler, Listen, ServeErr and Close
 
@@ -120,7 +118,8 @@ func (s *Server) Metrics() Metrics {
 
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	if r.Method != http.MethodGet {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
+		w.Header().Set("Allow", "GET, HEAD")
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
 		return
 	}
@@ -207,30 +206,14 @@ func renderWindow(store *registry.Store, start simtime.Day, days int, tlds map[m
 }
 
 // Client downloads pending-delete lists. It does not revalidate: its callers
-// fetch each day once. Over HTTP, a 200 is diffed per deletion-day segment
-// against the previous body: consecutive publications share four of their
-// five days, and an unchanged day's bytes reuse the already-parsed entries.
-// (A client that can hold a cursor skips the daily body entirely:
-// feed.SyncDeltas keeps a mirror of the pending-delete set from the /deltas
-// endpoint this server mounts.)
+// fetch each day once. It holds no state but where it fetches from, so it is
+// safe for concurrent use. (A client that can hold a cursor skips the daily
+// body entirely: feed.SyncDeltas keeps a mirror of the pending-delete set
+// from the /deltas endpoint this server mounts.)
 type Client struct {
 	srv  *Server // set on a bound client, the rest on an HTTP one
 	base *url.URL
 	http *http.Client
-
-	mu   sync.Mutex
-	days map[simtime.Day]*dayCached // by deletion day
-
-	segReused atomic.Uint64
-	segParsed atomic.Uint64
-}
-
-// dayCached is one deletion day's slice of the last list body: the raw CSV
-// bytes (the identity check) and their parsed entries (what an unchanged
-// day reuses).
-type dayCached struct {
-	raw     []byte
-	entries []Entry
 }
 
 // NewClient returns a Client for the service at baseURL.
@@ -242,24 +225,13 @@ func NewClient(baseURL string, httpClient *http.Client) (*Client, error) {
 	if httpClient == nil {
 		httpClient = &http.Client{Timeout: 30 * time.Second}
 	}
-	return &Client{
-		base: u,
-		http: httpClient,
-		days: make(map[simtime.Day]*dayCached),
-	}, nil
+	return &Client{base: u, http: httpClient}, nil
 }
 
 // NewBoundClient returns a Client that takes the entries of srv's list from
 // its store and counts the request, as an HTTP GET would: no body is
 // rendered or parsed, srv's list cache is not read, no name is copied.
 func NewBoundClient(srv *Server) *Client { return &Client{srv: srv} }
-
-// SegmentCounters reports how many per-day segments of 200 responses were
-// reused from the previous parse versus parsed fresh — the regression
-// signal for the sliding-window fast path. A bound client parses none.
-func (c *Client) SegmentCounters() (reused, parsed uint64) {
-	return c.segReused.Load(), c.segParsed.Load()
-}
 
 // Fetch downloads the list published for day, in (deletion day, name)
 // order; a bound client returns Store.PendingDeletions as it is.
@@ -288,93 +260,7 @@ func (c *Client) Fetch(ctx context.Context, day simtime.Day) ([]Entry, error) {
 		_, _ = io.CopyN(io.Discard, resp.Body, 4<<10)
 		return nil, fmt.Errorf("dropscope: HTTP %d for %s", resp.StatusCode, u.String())
 	}
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, fmt.Errorf("dropscope: read list: %w", err)
-	}
-	return c.assembleBody(day, body)
-}
-
-// assembleBody turns a 200 list body into entries, reusing the parsed
-// entries of every deletion-day segment whose bytes are unchanged since the
-// previous fetch. The body is sorted by (deleteDay, name), so each day's
-// lines are one contiguous chunk and chunk identity is a byte comparison.
-func (c *Client) assembleBody(start simtime.Day, body []byte) ([]Entry, error) {
-	chunks := splitDayChunks(body)
-	entries := make([]Entry, 0, 64)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, ch := range chunks {
-		if dc := c.days[ch.day]; dc != nil && bytes.Equal(dc.raw, ch.raw) {
-			c.segReused.Add(1)
-			entries = append(entries, dc.entries...)
-			continue
-		}
-		c.segParsed.Add(1)
-		parsed, err := ParseList(bytes.NewReader(ch.raw))
-		if err != nil {
-			return entries, err
-		}
-		c.days[ch.day] = &dayCached{raw: ch.raw, entries: parsed}
-		entries = append(entries, parsed...)
-	}
-	// Days the window has slid past can never byte-match again.
-	for d := range c.days {
-		if d.Before(start) {
-			delete(c.days, d)
-		}
-	}
-	return entries, nil
-}
-
-// dayChunk is the contiguous run of list lines sharing one deletion day.
-type dayChunk struct {
-	day simtime.Day
-	raw []byte
-}
-
-// splitDayChunks slices a list body into per-deletion-day chunks without
-// parsing: each line ends ",YYYY-MM-DD" and the body is day-ordered. Lines
-// that do not look like that land in a chunk with a zero day, which never
-// byte-matches a cached segment and falls through to the real CSV parser
-// (where any malformation is reported).
-func splitDayChunks(body []byte) []dayChunk {
-	var chunks []dayChunk
-	var curDay simtime.Day
-	start := 0
-	lineStart := 0
-	flush := func(end int) {
-		if end > start {
-			chunks = append(chunks, dayChunk{day: curDay, raw: body[start:end]})
-		}
-		start = end
-	}
-	for i := 0; i < len(body); i++ {
-		if body[i] != '\n' {
-			continue
-		}
-		line := body[lineStart:i]
-		var day simtime.Day
-		if j := bytes.LastIndexByte(line, ','); j >= 0 {
-			if d, err := simtime.ParseDay(string(line[j+1:])); err == nil {
-				day = d
-			}
-		}
-		if lineStart == 0 {
-			curDay = day
-		} else if day != curDay {
-			flush(lineStart)
-			curDay = day
-		}
-		lineStart = i + 1
-	}
-	flush(len(body))
-	if lineStart < len(body) {
-		// Trailing bytes without a newline: keep them so the parser sees
-		// (and reports) the truncation.
-		chunks = append(chunks, dayChunk{raw: body[lineStart:]})
-	}
-	return chunks
+	return ParseList(resp.Body)
 }
 
 // RenderEntries renders entries in the server's list CSV format, for

@@ -18,108 +18,6 @@ import (
 	"dropzero/internal/simtime"
 )
 
-// TestFetchReusesUnchangedDaySegments is the sliding-window regression
-// test: when consecutive publications share four of their five days, a 200
-// must re-parse only the day that actually changed, not the whole body.
-func TestFetchReusesUnchangedDaySegments(t *testing.T) {
-	store, client, day := newEnv(t)
-	for i := 0; i < 8; i++ {
-		seedPending(t, store, fmt.Sprintf("seg%d.com", i), day.AddDays(i))
-	}
-	ctx := context.Background()
-
-	if _, err := client.Fetch(ctx, day); err != nil {
-		t.Fatal(err)
-	}
-	reused, parsed := client.SegmentCounters()
-	if reused != 0 || parsed != LookaheadDays {
-		t.Fatalf("first fetch: reused=%d parsed=%d, want 0/%d", reused, parsed, LookaheadDays)
-	}
-
-	// The window slides by one day, nothing else changed: four shared days
-	// reuse their parsed entries, only the new trailing day parses.
-	if _, err := client.Fetch(ctx, day.Next()); err != nil {
-		t.Fatal(err)
-	}
-	reused, parsed = client.SegmentCounters()
-	if reused != LookaheadDays-1 || parsed != LookaheadDays+1 {
-		t.Fatalf("slid fetch: reused=%d parsed=%d, want %d/%d",
-			reused, parsed, LookaheadDays-1, LookaheadDays+1)
-	}
-
-	// A refetch of an unchanged day is a 200 whose five segments all
-	// reuse their parsed entries: nothing re-parses.
-	if _, err := client.Fetch(ctx, day.Next()); err != nil {
-		t.Fatal(err)
-	}
-	reused += LookaheadDays
-	if r2, p2 := client.SegmentCounters(); r2 != reused || p2 != parsed {
-		t.Fatalf("unchanged refetch: reused=%d parsed=%d, want %d/%d", r2, p2, reused, parsed)
-	}
-
-	// One day mutates: exactly that segment re-parses, the rest reuse.
-	seedPending(t, store, "newcomer.com", day.AddDays(3))
-	got, err := client.Fetch(ctx, day.Next())
-	if err != nil {
-		t.Fatal(err)
-	}
-	r3, p3 := client.SegmentCounters()
-	if r3 != reused+LookaheadDays-1 || p3 != parsed+1 {
-		t.Fatalf("after mutation: reused=%d parsed=%d, want %d/%d",
-			r3, p3, reused+LookaheadDays-1, parsed+1)
-	}
-	found := false
-	for _, e := range got {
-		found = found || e.Name == "newcomer.com"
-	}
-	if !found {
-		t.Fatal("mutated day's new entry missing from reassembled list")
-	}
-}
-
-// TestFetchSegmentReuseMatchesFreshParse: the reassembled entries must be
-// exactly what a from-scratch parse of the same body produces, for every
-// window position.
-func TestFetchSegmentReuseMatchesFreshParse(t *testing.T) {
-	store, client, day := newEnv(t)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30; i++ {
-		seedPending(t, store, fmt.Sprintf("mix%d.com", i), day.AddDays(rng.Intn(8)))
-	}
-	fresh, _, _ := newEnvClient(t, store)
-	ctx := context.Background()
-	for d := 0; d < 4; d++ {
-		when := day.AddDays(d)
-		got, err := client.Fetch(ctx, when)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := fresh.Fetch(ctx, when)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(RenderEntries(got)) != string(RenderEntries(want)) {
-			t.Fatalf("day %v: segment-reused entries diverge from fresh parse", when)
-		}
-		// Mutate between windows so reuse and re-parse interleave.
-		seedPending(t, store, fmt.Sprintf("mut%d.com", d), when.AddDays(2))
-	}
-}
-
-// newEnvClient returns an extra independent client over the same store.
-func newEnvClient(t *testing.T, store *registry.Store) (*Client, *Server, simtime.Day) {
-	t.Helper()
-	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	srv := NewServer(store)
-	hc := httptest.NewServer(srv.Handler())
-	t.Cleanup(hc.Close)
-	client, err := NewClient(hc.URL, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return client, srv, day
-}
-
 // TestClientDeltaCursorDifferential is the client-side acceptance test at
 // the dropscope layer: a feed mirror holding a delta cursor from this
 // server's /deltas (joining at an arbitrary generation) must render every

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/dropscope"
 	"dropzero/internal/inproc"
@@ -191,7 +192,7 @@ func (r *mapPipeline) collectDaily(ctx context.Context, today simtime.Day) error
 		if _, seen := r.pending[e.Name]; seen {
 			continue
 		}
-		r.pending[e.Name] = &PendingEntry{Name: e.Name, TLD: tld, DeleteDay: e.DeleteDay}
+		r.pending[e.Name] = &PendingEntry{Name: e.Name, DeleteDay: e.DeleteDay}
 		r.stats.ListEntries++
 	}
 	cutoff := today.AddDays(LookaheadLookupDays)
@@ -407,7 +408,7 @@ func TestApplyDeltaTakesListOrder(t *testing.T) {
 // already tracked, or resolving one never tracked, is an error.
 func TestApplyDeltaRefusesWhatCannotReplay(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	entry := func(name string) PendingEntry { return PendingEntry{Name: name, TLD: model.COM, DeleteDay: day} }
+	entry := func(name string) PendingEntry { return PendingEntry{Name: name, DeleteDay: day} }
 	prior := &model.PriorRegistration{ID: 7, RegistrarID: 1000}
 	for _, c := range []struct {
 		name string
@@ -415,7 +416,7 @@ func TestApplyDeltaRefusesWhatCannotReplay(t *testing.T) {
 	}{
 		{"added twice", CollectDelta{Added: []PendingEntry{entry("b.com"), entry("a.com"), entry("b.com")}}},
 		{"already tracked", CollectDelta{Added: []PendingEntry{entry("c.com"), entry("tracked.com")}}},
-		{"resolved untracked", CollectDelta{Resolved: []PendingEntry{{Name: "nowhere.com", TLD: model.COM, DeleteDay: day, Prior: prior}}}},
+		{"resolved untracked", CollectDelta{Resolved: []PendingEntry{{Name: "nowhere.com", DeleteDay: day, Prior: prior}}}},
 	} {
 		p := restored(t, &CollectDelta{Added: []PendingEntry{entry("tracked.com")}})
 		if err := p.ApplyDelta(&c.d); err == nil {
@@ -457,5 +458,13 @@ func TestCollectDailyRefusesUnorderedList(t *testing.T) {
 		case c.entries >= 0 && (err != nil || len(p.pending) != c.entries || p.Stats().ListEntries != c.entries):
 			t.Errorf("%q: CollectDaily = %v, %d tracked, %+v; want %d", c.body, err, len(p.pending), p.Stats(), c.entries)
 		}
+	}
+}
+
+// TestPendingEntryLayout: a tracked name costs its name, its day and its
+// prior pointer. The TLD is its name's suffix and is not stored twice.
+func TestPendingEntryLayout(t *testing.T) {
+	if got := unsafe.Sizeof(PendingEntry{}); got != 48 {
+		t.Fatalf("PendingEntry is %d bytes, want 48", got)
 	}
 }

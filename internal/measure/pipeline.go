@@ -188,7 +188,7 @@ func (p *Pipeline) track(entries []dropscope.Entry) error {
 		if n := len(added); (n > 0 && added[n-1].Name == e.Name) || p.tracked(&j, e.Name) {
 			continue // listed on an earlier day too, or tracked already
 		}
-		added = append(added, PendingEntry{Name: e.Name, TLD: tld, DeleteDay: e.DeleteDay})
+		added = append(added, PendingEntry{Name: e.Name, DeleteDay: e.DeleteDay})
 	}
 	if p.delta != nil {
 		p.delta.Added = append(p.delta.Added, added...)

@@ -22,7 +22,6 @@ import (
 // Prior is nil while the metadata lookup has not succeeded yet.
 type PendingEntry struct {
 	Name      string
-	TLD       model.TLD
 	DeleteDay simtime.Day
 	Prior     *model.PriorRegistration
 }

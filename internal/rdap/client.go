@@ -8,7 +8,6 @@ import (
 	"io"
 	"net/http"
 	"net/url"
-	"sync/atomic"
 	"time"
 
 	"dropzero/internal/model"
@@ -40,10 +39,9 @@ const maxBody = 1 << 20
 
 // Client queries an RDAP service, over HTTP (NewClient) or bound straight to
 // a Server in the same process (NewBoundClient). It is safe for concurrent
-// use: all state but one counter is immutable after construction and the
-// underlying *http.Client is itself concurrency-safe, so one Client can serve
-// a whole lookup worker pool (and share the transport's connection pool
-// across workers).
+// use: it is immutable after construction and the underlying *http.Client is
+// itself concurrency-safe, so one Client can serve a whole lookup worker pool
+// (and share the transport's connection pool across workers).
 type Client struct {
 	// srv is set on a bound client, the other three on an HTTP one.
 	srv  *Server
@@ -52,9 +50,6 @@ type Client struct {
 	// tmpl is the GET every request is a copy of; its header map is shared
 	// by all of them.
 	tmpl http.Request
-	// fullDecodes counts the Registration calls whose 200 body was not in
-	// the layout the one-pass reader matches.
-	fullDecodes atomic.Uint64
 }
 
 // NewClient returns a Client for the RDAP service at baseURL (e.g.
@@ -98,9 +93,9 @@ func (c *Client) Domain(ctx context.Context, name string) (*DomainResponse, erro
 }
 
 // Registration fetches the five fields of name's registration the
-// measurement keeps — (*DomainResponse).Registration of what Domain returns,
-// without building the rest of the object. A 200 those fields cannot be
-// taken from is ErrMalformed.
+// measurement keeps: (*DomainResponse).Registration of what Domain returns.
+// A 200 those fields cannot be taken from is ErrMalformed. A bound client
+// copies them from the stored registration and builds no object.
 func (c *Client) Registration(ctx context.Context, name string) (reg model.PriorRegistration, err error) {
 	if c.srv != nil {
 		if err := ctx.Err(); err != nil { // no transport to notice it
@@ -112,21 +107,12 @@ func (c *Client) Registration(ctx context.Context, name string) (reg model.Prior
 		}
 		return d.Registration(), nil
 	}
-	err = c.lookup(ctx, name, func(body []byte) (err error) {
-		var full bool
-		if reg, full, err = decodeRegistration(body); full {
-			c.fullDecodes.Add(1)
-		}
-		return err
-	})
-	return reg, err
+	dr, err := c.Domain(ctx, name)
+	if err != nil {
+		return reg, err
+	}
+	return dr.Registration()
 }
-
-// FullDecodes is how many Registration calls over HTTP read their answer
-// through the full decoder instead of the one-pass reader: none, against
-// this package's server — lookups cost about twice as much each when the
-// renderer and the reader's layout drift apart, and nothing else shows it.
-func (c *Client) FullDecodes() uint64 { return c.fullDecodes.Load() }
 
 // lookup hands the body of the 200 answer for name to decode — in a pooled
 // buffer on either transport, which decode must not keep or change — or

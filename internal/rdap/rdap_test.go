@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -154,18 +155,45 @@ func TestHelpEndpoint(t *testing.T) {
 	resp.Body.Close()
 }
 
+// TestMethodNotAllowed: a domain answers GET and HEAD (RFC 7480 §4.1), HEAD
+// with GET's headers and no body; any other method is a 405 that names the
+// allowed ones (RFC 9110 §15.5.6) in an RFC 7483 error body. All are counted.
 func TestMethodNotAllowed(t *testing.T) {
-	clock := simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
-	store := registry.NewStore(clock)
-	srv := NewServer(store, ServerConfig{})
-	httpc := inproc.Client(srv.Handler())
-	resp, err := httpc.Post("http://rdap.test/domain/x.com", "text/plain", nil)
-	if err != nil {
+	store, _ := newEnv(t, ServerConfig{})
+	if _, err := store.Create("x.com", 1000, 1); err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("POST status = %d", resp.StatusCode)
+	srv := NewServer(store, ServerConfig{})
+	httpc := inproc.Client(srv.Handler())
+	do := func(method string) (*http.Response, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, "http://rdap.test/domain/x.com", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := httpc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, body
+	}
+	resp, body := do(http.MethodPost)
+	if resp.StatusCode != http.StatusMethodNotAllowed || resp.Header.Get("Allow") != "GET, HEAD" || !bytes.Contains(body, []byte(`"errorCode":405`)) {
+		t.Fatalf("POST: %d, Allow %q, body %s", resp.StatusCode, resp.Header.Get("Allow"), body)
+	}
+	get, getBody := do(http.MethodGet)
+	head, headBody := do(http.MethodHead)
+	if head.StatusCode != http.StatusOK || len(headBody) != 0 || head.Header.Get("Content-Length") != strconv.Itoa(len(getBody)) ||
+		head.Header.Get("Etag") != get.Header.Get("Etag") || head.Header.Get("Content-Type") != get.Header.Get("Content-Type") {
+		t.Fatalf("HEAD: %d, headers %v, %d body bytes; GET: headers %v, %d body bytes", head.StatusCode, head.Header, len(headBody), get.Header, len(getBody))
+	}
+	if n := srv.Metrics().Requests; n != 3 {
+		t.Errorf("%d requests counted for three", n)
 	}
 }
 

@@ -194,10 +194,12 @@ func (s *Server) render(name string, decode func(body []byte) error) (status int
 }
 
 // handleDomain is the HTTP adapter over resolve: method and path in,
-// headers, conditional 304 and body out.
+// headers, conditional 304 and body out. HEAD gets the headers of GET, as
+// RFC 7480 §4.1 lets clients ask.
 func (s *Server) handleDomain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
+	if r.Method != http.MethodGet && r.Method != http.MethodHead {
 		s.requests.Add(1)
+		w.Header().Set("Allow", "GET, HEAD")
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed")
 		return
 	}

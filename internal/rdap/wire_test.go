@@ -173,46 +173,56 @@ func FuzzDecodeDomainMatchesJSON(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) { checkDecode(t, body) })
 }
 
-// checkRegistration holds decodeRegistration to its reference on one body:
-// the full decode followed by DomainResponse.Registration, value or kind of
-// error alike.
-func checkRegistration(t *testing.T, body []byte) (accepted bool) {
+// bodyClient is an HTTP client of a service that answers every request with
+// 200 and body.
+func bodyClient(tb testing.TB, body []byte) *Client {
+	tb.Helper()
+	c, err := NewClient("http://rdap.test", inproc.Client(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = w.Write(body)
+	})))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
+// isStored reports whether reg holds the five fields of d's registration.
+func isStored(reg model.PriorRegistration, d *model.Domain) bool {
+	return reg.ID == d.ID && reg.RegistrarID == d.RegistrarID && reg.Created.Equal(d.Created) && reg.Updated.Equal(d.Updated) && reg.Expiry.Equal(d.Expiry)
+}
+
+// checkRegistration holds an HTTP Client.Registration over a service that
+// answers 200 with body to its reference on that body: the full decode
+// followed by DomainResponse.Registration, value or kind of error alike.
+func checkRegistration(t *testing.T, body []byte) (reg model.PriorRegistration, accepted bool) {
 	t.Helper()
-	got, _, gotErr := decodeRegistration(body)
+	body = body[:min(len(body), maxBody)] // what the client reads of it
+	got, gotErr := bodyClient(t, body).Registration(context.Background(), "a.com")
 	var dr DomainResponse
 	want, wantErr := model.PriorRegistration{}, decodeDomainResponse(body, &dr)
 	if wantErr == nil {
 		want, wantErr = dr.Registration()
 	}
 	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrMalformed) != errors.Is(wantErr, ErrMalformed) {
-		t.Fatalf("decodeRegistration error %v, reference error %v on %q", gotErr, wantErr, body)
+		t.Fatalf("Registration error %v, reference error %v on %q", gotErr, wantErr, body)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("registration drift on %q:\n got %+v\nwant %+v", body, got, want)
 	}
-	return gotErr == nil
+	return got, gotErr == nil
 }
 
 func TestRegistrationMatchesDomain(t *testing.T) {
 	srv := wireServer(t)
-	for i, d := range renderSeeds() {
+	for _, d := range renderSeeds() {
 		body := srv.appendDomain(nil, d)
-		// The one-pass walk, not the fallback, reads the server's own body —
-		// escapes in the contact data included, an escape in the handle (the
-		// last seed's "<" of a TLD) not.
-		reg, ok := walkRegistration(body)
-		if ok != (i < 2) || ok && (reg.ID != d.ID || reg.RegistrarID != d.RegistrarID || !reg.Created.Equal(d.Created) || !reg.Expiry.Equal(d.Expiry)) {
-			t.Fatalf("walkRegistration = %+v, %v on the canonical body %s", reg, ok, body)
+		if reg, ok := checkRegistration(t, body); !ok || !isStored(reg, d) {
+			t.Fatalf("Registration = %+v on the canonical body %s", reg, body)
 		}
-		checkRegistration(t, body)
-	}
-	plain := srv.appendDomain(nil, renderSeeds()[1]) // no escapes, UTC
-	if n := testing.AllocsPerRun(100, func() { walkRegistration(plain) }); n != 0 {
-		t.Errorf("walkRegistration allocates %.0f times on %s", n, plain)
 	}
 	accepted := 0
 	for _, body := range decodeCorpus {
-		if checkRegistration(t, []byte(body)) {
+		if _, ok := checkRegistration(t, []byte(body)); ok {
 			accepted++
 		}
 	}
@@ -224,14 +234,14 @@ func TestRegistrationMatchesDomain(t *testing.T) {
 		registrationBody(`"9"`, `[`+event("registration", 1)+`]`, `[`+entity("1", "registrar")+`]`):                                                        true,
 		registrationBody(`"9"`, `[`+event("registration", 1)+`,`+event("last changed", 2)+`,`+event("expiration", 3)+`]`, `[`+entity("1", "reseller")+`]`): true,
 	} {
-		if _, _, err := decodeRegistration([]byte(body)); err == nil || errors.Is(err, ErrMalformed) != wantMalformed {
-			t.Errorf("decodeRegistration(%.60q) = %v, want ErrMalformed %v", body, err, wantMalformed)
+		if _, err := bodyClient(t, []byte(body)).Registration(context.Background(), "a.com"); err == nil || errors.Is(err, ErrMalformed) != wantMalformed {
+			t.Errorf("Registration of %.60q = %v, want ErrMalformed %v", body, err, wantMalformed)
 		}
 	}
 }
 
-// FuzzRegistrationMatchesDomain: on arbitrary bytes the one-pass reader and
-// its fallback never panic and agree with the full decoder.
+// FuzzRegistrationMatchesDomain: on arbitrary bytes an HTTP Registration
+// never panics and agrees with the full decoder.
 func FuzzRegistrationMatchesDomain(f *testing.F) {
 	srv := wireServer(f)
 	for _, d := range renderSeeds() {
@@ -616,16 +626,14 @@ func TestLookupAllocBudget(t *testing.T) {
 	}
 }
 
-// TestStudyLookupsNeverFullDecode guards the throughput of HTTP clients
-// (read_mix, the examples, a study run over sockets): every shape of answer
-// a study's lookups meet — each storable status under each accreditation of
-// the simulator's directory (real contact data: the sponsors the seeder and
-// the market put names under; a store holds no name under a sponsor it has
-// no record of) — is read by the one-pass reader. A renderer change that
-// leaves walkRegistration's layout behind still decodes correctly through
-// the fallback, at about twice the cost per lookup; only this counter shows
-// it. The bound client, which reads no body, must read the same values.
-func TestStudyLookupsNeverFullDecode(t *testing.T) {
+// TestStudyLookupsMatchAcrossTransports: every shape of answer a study's
+// lookups meet — each storable status under each accreditation of the
+// simulator's directory (real contact data: the sponsors the seeder and the
+// market put names under; a store holds no name under a sponsor it has no
+// record of) — reads as the stored registration through the bound client,
+// which reads no body, and through the HTTP one. So does the same object
+// with two keys the other way round.
+func TestStudyLookupsMatchAcrossTransports(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
 	store := registry.NewStore(simtime.NewSimClock(day.At(9, 0, 0)))
 	rng := rand.New(rand.NewSource(7))
@@ -657,37 +665,25 @@ func TestStudyLookupsNeverFullDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for transport, client := range map[string]*Client{"bound": NewBoundClient(srv), "http": overHTTP} {
-		for _, d := range want {
-			reg, err := client.Registration(context.Background(), d.Name)
-			if err != nil {
-				t.Fatalf("%s: %s: %v", transport, d.Name, err)
-			}
-			if reg.ID != d.ID || reg.RegistrarID != d.RegistrarID || !reg.Created.Equal(d.Created) || !reg.Updated.Equal(d.Updated) || !reg.Expiry.Equal(d.Expiry) {
-				t.Fatalf("%s: %s read as %+v, stored %+v", transport, d.Name, reg, d)
-			}
-		}
-		if n := client.FullDecodes(); n != 0 {
-			t.Errorf("%s: %d of %d lookups fell through to the full decoder", transport, n, len(want))
-		}
-	}
-
-	// The counter counts: the same object with two keys the other way round
-	// decodes to the same registration, through the full decoder.
 	body := srv.appendDomain(nil, want[0])
 	handle, rest, _ := bytes.Cut(bytes.TrimPrefix(body, []byte(`{"objectClassName":"domain",`)), []byte(`,`))
 	swapped := slices.Concat([]byte(`{`), handle, []byte(`,"objectClassName":"domain",`), rest)
 	if len(swapped) != len(body) || !bytes.HasPrefix(handle, []byte(`"handle":`)) {
 		t.Fatalf("no keys swapped in %s", body)
 	}
-	other, err := NewClient("http://rdap.test", inproc.Client(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = w.Write(swapped)
-	})))
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg, err := other.Registration(context.Background(), want[0].Name)
-	if err != nil || reg.ID != want[0].ID || other.FullDecodes() != 1 {
-		t.Fatalf("a reordered body: %+v, %v, %d full decodes", reg, err, other.FullDecodes())
+	for _, c := range []struct {
+		transport string
+		client    *Client
+		want      []*model.Domain
+	}{{"bound", NewBoundClient(srv), want}, {"http", overHTTP, want}, {"reordered keys", bodyClient(t, swapped), want[:1]}} {
+		for _, d := range c.want {
+			reg, err := c.client.Registration(context.Background(), d.Name)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", c.transport, d.Name, err)
+			}
+			if !isStored(reg, d) {
+				t.Fatalf("%s: %s read as %+v, stored %+v", c.transport, d.Name, reg, d)
+			}
+		}
 	}
 }

@@ -43,8 +43,9 @@ type dayRecord struct {
 //	two entry lists, each uvarint count + entries — a checkpoint's pending
 //	set and none; a day record's added and resolved entries
 //	stats — the eight counters, a varint each
-//	entry: name · TLD · delete day · prior present u8 (0/1) and, when
-//	present, ID uvarint · registrar varint · created/updated/expiry
+//	entry: name · TLD, the name's suffix · delete day · prior present u8
+//	(0/1) and, when present, ID uvarint · registrar varint ·
+//	created/updated/expiry
 //
 // Before this format both were encoding/gob streams; those are refused by
 // name (a gob stream cannot start with the magic).
@@ -59,8 +60,9 @@ func appendEntries(b []byte, es []measure.PendingEntry) []byte {
 	b = binary.AppendUvarint(b, uint64(len(es)))
 	for i := range es {
 		e := &es[i]
+		tld, _ := model.TLDOf(e.Name)
 		b = binwire.AppendString(b, e.Name)
-		b = binwire.AppendString(b, string(e.TLD))
+		b = binwire.AppendString(b, string(tld))
 		b = binwire.AppendDay(b, e.DeleteDay)
 		if e.Prior == nil {
 			b = append(b, 0)
@@ -83,7 +85,11 @@ func decodeEntries(d *binwire.Decoder) []measure.PendingEntry {
 	}
 	es := make([]measure.PendingEntry, 0, min(n, 1<<16))
 	for i := 0; i < n && d.Err() == nil; i++ {
-		e := measure.PendingEntry{Name: d.Str(), TLD: model.TLD(d.Str()), DeleteDay: d.Day()}
+		e := measure.PendingEntry{Name: d.Str()}
+		if tld, _ := model.TLDOf(e.Name); string(d.View()) != string(tld) {
+			d.Fail(fmt.Errorf("entry %q: TLD is not the name's suffix", e.Name))
+		}
+		e.DeleteDay = d.Day()
 		switch present := d.Byte(); present {
 		case 0:
 		case 1:

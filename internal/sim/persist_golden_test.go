@@ -39,11 +39,11 @@ func goldenState() (cp, rec *dayRecord) {
 		Day: 1,
 		Delta: measure.CollectDelta{
 			Added: []measure.PendingEntry{
-				{Name: "gone.com", TLD: model.COM, DeleteDay: day, Prior: prior(11, 1000, 0)},
-				{Name: "kept.com", TLD: model.COM, DeleteDay: day, Prior: prior(12, 1000, 1)},
-				{Name: "other.net", TLD: model.NET, DeleteDay: day.Next(), Prior: prior(13, 1727, 2)},
-				{Name: "restored.com", TLD: model.COM, DeleteDay: day, Prior: prior(1, 1000, 3)},
-				{Name: "unresolved.com", TLD: model.COM, DeleteDay: day.Next()},
+				{Name: "gone.com", DeleteDay: day, Prior: prior(11, 1000, 0)},
+				{Name: "kept.com", DeleteDay: day, Prior: prior(12, 1000, 1)},
+				{Name: "other.net", DeleteDay: day.Next(), Prior: prior(13, 1727, 2)},
+				{Name: "restored.com", DeleteDay: day, Prior: prior(1, 1000, 3)},
+				{Name: "unresolved.com", DeleteDay: day.Next()},
 			},
 			Stats: measure.Stats{ListEntries: 5, Lookups: 6, RDAPErrors: 1, WHOISFallbacks: 1, FallbackFailed: 1},
 		},
@@ -52,10 +52,10 @@ func goldenState() (cp, rec *dayRecord) {
 		Day: 1,
 		Delta: measure.CollectDelta{
 			Day:   day.AddDays(-2),
-			Added: []measure.PendingEntry{{Name: "late.com", TLD: model.COM, DeleteDay: day.AddDays(2)}},
+			Added: []measure.PendingEntry{{Name: "late.com", DeleteDay: day.AddDays(2)}},
 			Resolved: []measure.PendingEntry{
-				{Name: "late.com", TLD: model.COM, DeleteDay: day.AddDays(2), Prior: prior(14, 1000, 4)},
-				{Name: "unresolved.com", TLD: model.COM, DeleteDay: day.Next(), Prior: prior(15, 1727, 5)},
+				{Name: "late.com", DeleteDay: day.AddDays(2), Prior: prior(14, 1000, 4)},
+				{Name: "unresolved.com", DeleteDay: day.Next(), Prior: prior(15, 1727, 5)},
 			},
 			Stats: measure.Stats{ListEntries: 1, Lookups: 2},
 		},
@@ -188,5 +188,13 @@ func TestCheckpointFormatGolden(t *testing.T) {
 	}
 	if _, err := decodeCheckpoint(append(bytes.Clone(whole), 0)); err == nil {
 		t.Error("checkpoint with a trailing byte decoded")
+	}
+	// An entry's TLD is not free to disagree with its name.
+	wrongTLD := bytes.Replace(whole, []byte("gone.com\x03com"), []byte("gone.com\x03net"), 1)
+	if bytes.Equal(wrongTLD, whole) {
+		t.Fatal("no gone.com entry to change in the golden checkpoint")
+	}
+	if _, err := decodeCheckpoint(wrongTLD); err == nil || !strings.Contains(err.Error(), "suffix") {
+		t.Errorf("checkpoint with gone.com under .net: %v, want a refusal", err)
 	}
 }
