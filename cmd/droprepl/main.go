@@ -192,7 +192,7 @@ func run(domains, writers, creates int, verbose bool) error {
 				return // unacked: the primary died underneath us
 			}
 			ackMu.Lock()
-			ackedPurges[sc.Name] = ev.DomainID
+			ackedPurges[sc.Name] = ev.DomainID()
 			ackMu.Unlock()
 			catchCh <- sc.Name
 			time.Sleep(time.Millisecond)

@@ -31,8 +31,9 @@ import (
 type (
 	// Observation is one dataset row: a pending-delete domain, its prior
 	// registration metadata, and any observed re-registration. Rows are
-	// packed values read through accessor methods (DeleteDay, PriorUpdated,
-	// Reregistered, ReregTime, …); a dataset is one []Observation.
+	// packed values read through accessor methods (Name, DeleteDay,
+	// PriorUpdated, Reregistered, ReregTime, …) and compared with Equal; a
+	// dataset is one []Observation.
 	Observation = model.Observation
 	// PriorRegistration is the expiring registration's metadata, as
 	// NewObservation takes it and Observation.Prior returns it.

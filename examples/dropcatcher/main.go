@@ -131,7 +131,7 @@ func main() {
 	// them backordered and wins the race at the registry).
 	deletedAt := make(map[string]time.Time, len(events))
 	for _, ev := range events {
-		deletedAt[ev.Name] = ev.Time()
+		deletedAt[ev.Name()] = ev.Time()
 	}
 	proWins := 0
 	for i, name := range targets {

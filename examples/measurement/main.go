@@ -102,18 +102,18 @@ func main() {
 		must(err)
 		dropEnd := registry.EndTime(events)
 		for _, ev := range events {
-			tr := truths[ev.Name]
+			tr := truths[ev.Name()]
 			claim := market.Decide(registrars.Lot{
-				Name: ev.Name, Value: tr.value, AgeYears: tr.age,
+				Name: ev.Name(), Value: tr.value, AgeYears: tr.age,
 				DeletedAt: ev.Time(), DropEnd: dropEnd,
 			})
 			if claim == nil {
 				continue
 			}
-			if _, err := store.CreateAt(ev.Name, claim.RegistrarID, 1, ev.Time().Add(claim.Delay)); err != nil {
+			if _, err := store.CreateAt(ev.Name(), claim.RegistrarID, 1, ev.Time().Add(claim.Delay)); err != nil {
 				log.Fatal(err)
 			}
-			oracle.Set(ev.Name, labels.Label(claim.Delay, rng))
+			oracle.Set(ev.Name(), labels.Label(claim.Delay, rng))
 		}
 		fmt.Printf("%v: %d deletions, Drop ended %s\n", day, len(events), dropEnd.Format("15:04:05"))
 		day = day.Next()
@@ -129,7 +129,7 @@ func main() {
 	fmt.Printf("dataset: %d observations, %d re-registered\n", len(obs), st.Reregistered)
 
 	// Delay analysis on the measured data.
-	sort.Slice(obs, func(i, j int) bool { return obs[i].Name < obs[j].Name })
+	sort.Slice(obs, func(i, j int) bool { return obs[i].Name() < obs[j].Name() })
 	days, _ := core.AnalyzeAll(obs, core.DefaultEnvelopeConfig())
 	delays := core.AllDelays(days)
 	buckets := map[string]int{}

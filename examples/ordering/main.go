@@ -66,13 +66,13 @@ func main() {
 	// registry's actual deletion instants.
 	truth := make(map[string]time.Time)
 	for _, ev := range res.Deletions[day] {
-		truth[ev.Name] = ev.Time()
+		truth[ev.Name()] = ev.Time()
 	}
 	regr := core.FitRegression(ranked)
 	var pts []core.Point
 	var envPred, regPred []time.Time
 	for _, r := range ranked {
-		at, ok := truth[r.Obs.Name]
+		at, ok := truth[r.Obs.Name()]
 		if !ok {
 			continue
 		}

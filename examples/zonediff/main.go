@@ -125,13 +125,13 @@ func main() {
 	caught0s, caughtLate := 0, 0
 	for _, ev := range events {
 		claim := market.Decide(registrars.Lot{
-			Name: ev.Name, Value: 0.8, AgeYears: 3, // everything desirable, for the demo
+			Name: ev.Name(), Value: 0.8, AgeYears: 3, // everything desirable, for the demo
 			DeletedAt: ev.Time(), DropEnd: dropEnd,
 		})
 		if claim == nil || claim.Delay > 4*time.Hour {
 			continue
 		}
-		if _, err := store.CreateAt(ev.Name, claim.RegistrarID, 1, ev.Time().Add(claim.Delay)); err != nil {
+		if _, err := store.CreateAt(ev.Name(), claim.RegistrarID, 1, ev.Time().Add(claim.Delay)); err != nil {
 			log.Fatal(err)
 		}
 		if claim.Delay == 0 {

@@ -37,12 +37,12 @@ func (a *Analysis) KeywordAnalysis() KeywordShares {
 		}
 		kw, dict, kwSum := 0, 0, 0
 		for _, d := range iv.Items {
-			nkw := names.KeywordCount(d.Obs.Name)
+			nkw := names.KeywordCount(d.Obs.Name())
 			kwSum += nkw
 			if nkw > 0 {
 				kw++
 			}
-			if names.DictionaryCount(d.Obs.Name) > 0 {
+			if names.DictionaryCount(d.Obs.Name()) > 0 {
 				dict++
 			}
 		}

@@ -220,14 +220,14 @@ func (a *Analysis) MeasureInferenceAccuracy() *InferenceAccuracy {
 	for _, day := range a.Days {
 		truthTime := make(map[string]time.Time)
 		for _, ev := range a.in.Deletions[day.Day] {
-			truthTime[ev.Name] = ev.Time()
+			truthTime[ev.Name()] = ev.Time()
 		}
 		regr := core.FitRegression(day.Ranked)
 		if regr == nil {
 			continue
 		}
 		for _, r := range day.Ranked {
-			t, ok := truthTime[r.Obs.Name]
+			t, ok := truthTime[r.Obs.Name()]
 			if !ok {
 				continue
 			}

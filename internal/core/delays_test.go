@@ -33,7 +33,7 @@ func TestAnalyzeDayDelays(t *testing.T) {
 	}
 	byName := make(map[string]DelayResult)
 	for _, d := range da.Delays {
-		byName[d.Obs.Name] = d
+		byName[d.Obs.Name()] = d
 	}
 	if d := byName["d4.com"]; d.Delay != 100*time.Second || d.Method != MethodInterpolated {
 		t.Fatalf("rank 4: %+v", d)
@@ -58,7 +58,7 @@ func TestAnalyzeDayNegativeDelayClamped(t *testing.T) {
 	}
 	for _, d := range da.Delays {
 		if d.Delay < 0 {
-			t.Fatalf("negative delay %v for %s", d.Delay, d.Obs.Name)
+			t.Fatalf("negative delay %v for %s", d.Delay, d.Obs.Name())
 		}
 	}
 }
@@ -94,7 +94,7 @@ func TestAnalyzeAllSkipsEmptyDays(t *testing.T) {
 	o2 := obsAt(1, 0)
 	obs := []model.Observation{
 		obsNoRereg(0),
-		mkObs(o2.Name, day2, o2.Prior(), &model.Rereg{Time: day2.At(19, 0, 0)}),
+		mkObs(o2.Name(), day2, o2.Prior(), &model.Rereg{Time: day2.At(19, 0, 0)}),
 	}
 	// testDay has no re-registrations → skipped; day2 has one.
 	days, skipped := AnalyzeAll(obs, DefaultEnvelopeConfig())

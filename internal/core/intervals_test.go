@@ -7,13 +7,15 @@ import (
 	"time"
 
 	"dropzero/internal/model"
+	"dropzero/internal/simtime"
 )
 
 func delayList(seconds ...int) []DelayResult {
 	out := make([]DelayResult, len(seconds))
 	for i, s := range seconds {
+		o := mkObs(itoa(i)+".com", simtime.Day{}, model.PriorRegistration{}, nil)
 		out[i] = DelayResult{
-			Obs:   &model.Observation{Name: itoa(i) + ".com"},
+			Obs:   &o,
 			Delay: time.Duration(s) * time.Second,
 		}
 	}
@@ -86,7 +88,7 @@ func TestBuildIntervalsSingleUndersized(t *testing.T) {
 func TestMarketShare(t *testing.T) {
 	delays := delayList(0, 0, 0, 0)
 	for i, registrar := range []int{1, 1, 2, 3} {
-		o := mkObs(delays[i].Obs.Name, testDay, model.PriorRegistration{}, &model.Rereg{RegistrarID: registrar})
+		o := mkObs(delays[i].Obs.Name(), testDay, model.PriorRegistration{}, &model.Rereg{RegistrarID: registrar})
 		delays[i].Obs = &o
 	}
 	ivs := BuildIntervals(delays, time.Hour, 4)

@@ -96,7 +96,7 @@ func (o Ordering) compare(a, b *model.Observation) int {
 	case OrderLastUpdateCreated:
 		return cmp.Or(a.PriorUpdated().Compare(b.PriorUpdated()), a.PriorCreated().Compare(b.PriorCreated()), byID)
 	case OrderListOrder, OrderAlphabetical:
-		return strings.Compare(a.Name, b.Name)
+		return strings.Compare(a.Name(), b.Name())
 	case OrderRegistrarID:
 		return cmp.Or(cmp.Compare(a.PriorRegistrar(), b.PriorRegistrar()), byID)
 	case OrderCreation:

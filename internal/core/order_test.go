@@ -43,7 +43,7 @@ func TestRankDoesNotMutateInput(t *testing.T) {
 	obs := []model.Observation{obsAt(2, 0), obsAt(0, 0), obsAt(1, 0)}
 	first := obs[0]
 	Rank(obs, OrderLastUpdate)
-	if obs[0] != first {
+	if !obs[0].Equal(first) {
 		t.Fatal("Rank reordered the input slice")
 	}
 }
@@ -91,7 +91,8 @@ func TestOrderScoreShuffledOrder(t *testing.T) {
 	// Alphabetical order over random-ish names is unrelated to deletion
 	// time: build names that shuffle the alphabetical ranking.
 	for i := range obs {
-		obs[i].Name = itoa(rng.Intn(1 << 30))
+		o := &obs[i]
+		obs[i] = mkObs(itoa(rng.Intn(1<<30)), testDay, o.Prior(), &model.Rereg{Time: o.ReregTime(), RegistrarID: o.ReregRegistrar()})
 	}
 	score := OrderScore(Rank(obs, OrderAlphabetical))
 	if score > 0.3 || score < -0.3 {
@@ -183,7 +184,7 @@ func TestGroupByDay(t *testing.T) {
 	day2 := testDay.Next()
 	onDay2 := func(i int) model.Observation {
 		o := obsAt(i, 0)
-		return mkObs(o.Name, day2, o.Prior(), &model.Rereg{Time: day2.At(19, 0, 0)})
+		return mkObs(o.Name(), day2, o.Prior(), &model.Rereg{Time: day2.At(19, 0, 0)})
 	}
 	// Dataset order is neither day order nor deletion order.
 	obs := []model.Observation{onDay2(2), obsAt(1, 0), onDay2(0), obsAt(0, 0), obsNoRereg(3)}
@@ -212,8 +213,8 @@ func TestGroupByDay(t *testing.T) {
 		}
 		want := Rank(day, OrderLastUpdate)
 		for k, r := range g.Ranked {
-			if r.Rank != k || *r.Obs != *want[k].Obs {
-				t.Fatalf("%v rank %d: got %s (rank %d), want %s", g.Day, k, r.Obs.Name, r.Rank, want[k].Obs.Name)
+			if r.Rank != k || !r.Obs.Equal(*want[k].Obs) {
+				t.Fatalf("%v rank %d: got %s (rank %d), want %s", g.Day, k, r.Obs.Name(), r.Rank, want[k].Obs.Name())
 			}
 			pointsIn := false
 			for i := range obs {
@@ -224,7 +225,7 @@ func TestGroupByDay(t *testing.T) {
 			}
 		}
 	}
-	if !slices.Equal(obs, before) {
+	if !slices.EqualFunc(obs, before, model.Observation.Equal) {
 		t.Fatal("GroupByDay reordered the input slice")
 	}
 	// A later group's appends must not run into its neighbour.

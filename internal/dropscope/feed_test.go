@@ -119,7 +119,7 @@ func TestClientDeltaCursorDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, ev := range events {
-					purged = append(purged, ev.Name)
+					purged = append(purged, ev.Name())
 				}
 				checkpoint("drop", when)
 

@@ -94,7 +94,7 @@ func (p *PollQueue) Len(registrarID int) int {
 // DomainPurged implements registry.Observer: the sponsor is told its
 // domain was deleted during the Drop.
 func (p *PollQueue) DomainPurged(ev model.DeletionEvent, registrarID int) {
-	p.Enqueue(registrarID, fmt.Sprintf("domain %s deleted (drop rank %d)", ev.Name, ev.Rank()))
+	p.Enqueue(registrarID, fmt.Sprintf("domain %s deleted (drop rank %d)", ev.Name(), ev.Rank()))
 }
 
 // DomainTransitioned implements registry.Observer: sponsors hear about

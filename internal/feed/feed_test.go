@@ -321,7 +321,7 @@ func TestDifferentialMirrorVsFullFetch(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, ev := range events {
-					purged = append(purged, ev.Name)
+					purged = append(purged, ev.Name())
 				}
 				checkpoint("after drop")
 

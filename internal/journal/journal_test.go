@@ -100,7 +100,7 @@ func dumpVisible(s *registry.Store) string {
 	for di := 0; di < 10; di++ {
 		day := testStart.AddDays(di)
 		for _, ev := range s.Deletions(day) {
-			fmt.Fprintf(&b, "deletion %v rank=%d id=%d %s at=%s\n", day, ev.Rank(), ev.DomainID, ev.Name, ts(ev.Time()))
+			fmt.Fprintf(&b, "deletion %v rank=%d id=%d %s at=%s\n", day, ev.Rank(), ev.DomainID(), ev.Name(), ts(ev.Time()))
 		}
 	}
 	fmt.Fprintf(&b, "count=%d gen=%d\n", s.Count(), s.Generation())
@@ -228,7 +228,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 			purged += len(evs)
 			for k, ev := range evs {
 				if k%7 == 0 {
-					if _, err := s.CreateAt(ev.Name, 901, 1, ev.Time().Add(time.Second)); err != nil {
+					if _, err := s.CreateAt(ev.Name(), 901, 1, ev.Time().Add(time.Second)); err != nil {
 						t.Fatal(err)
 					}
 				}

@@ -176,8 +176,8 @@ func appendDeletions(b []byte, dels map[simtime.Day][]model.DeletionEvent) []byt
 		b = binary.AppendUvarint(b, uint64(len(evs)))
 		for i := range evs {
 			ev := &evs[i]
-			b = binary.AppendUvarint(b, ev.DomainID)
-			b = binwire.AppendString(b, ev.Name)
+			b = binary.AppendUvarint(b, ev.DomainID())
+			b = binwire.AppendString(b, ev.Name())
 			b = binwire.AppendString(b, string(ev.TLD()))
 			b = binwire.AppendTime(b, ev.Time())
 			b = binary.AppendVarint(b, int64(ev.Rank()))

@@ -345,7 +345,7 @@ func TestParallelReplayDifferential(t *testing.T) {
 func TestDeletionsSectionRefusesUnrepresentable(t *testing.T) {
 	for _, e := range deletionEdges {
 		t.Run(e.name, func(t *testing.T) {
-			body := rawDeletionSection(e.at, e.rank)
+			body := rawDeletionSection(e.id, e.at, e.rank)
 			dels, err := decodeDeletionsSection(body)
 
 			var img snapImage
@@ -515,7 +515,7 @@ func TestRestoredNamesShareBlocks(t *testing.T) {
 	}
 	for k := range 3 { // the section holds the archive day by day, in day order
 		for _, ev := range dels[testStart.AddDays(k)] {
-			deleted = append(deleted, ev.Name)
+			deleted = append(deleted, ev.Name())
 		}
 	}
 
@@ -540,7 +540,7 @@ func TestRestoredNamesShareBlocks(t *testing.T) {
 	got = got[:0]
 	for k := range 3 {
 		for _, ev := range restored[testStart.AddDays(k)] {
-			got = append(got, ev.Name)
+			got = append(got, ev.Name())
 		}
 	}
 	checkTiled(t, "deletion section", got, deleted)

@@ -34,7 +34,7 @@ func WriteCSV(w io.Writer, obs []model.Observation) error {
 	for i := range obs {
 		o := &obs[i]
 		rec := []string{
-			o.Name,
+			o.Name(),
 			string(o.TLD()),
 			o.DeleteDay().String(),
 			strconv.FormatUint(o.PriorID(), 10),
@@ -50,7 +50,7 @@ func WriteCSV(w io.Writer, obs []model.Observation) error {
 			rec[10] = strconv.FormatBool(o.Malicious())
 		}
 		if err := cw.Write(rec); err != nil {
-			return fmt.Errorf("measure: write CSV row for %s: %w", o.Name, err)
+			return fmt.Errorf("measure: write CSV row for %s: %w", o.Name(), err)
 		}
 	}
 	cw.Flush()

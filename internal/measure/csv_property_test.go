@@ -64,7 +64,7 @@ func TestCSVRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return slices.Equal(in, out)
+		return slices.EqualFunc(in, out, model.Observation.Equal)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -136,7 +136,7 @@ func FuzzReadCSV(f *testing.F) {
 		if err != nil {
 			t.Fatalf("ReadCSV refuses WriteCSV's output: %v\n%s", err, first.Bytes())
 		}
-		if !slices.Equal(obs, again) {
+		if !slices.EqualFunc(obs, again, model.Observation.Equal) {
 			t.Fatalf("rows changed on the way through WriteCSV:\n%+v\n%+v", obs, again)
 		}
 		var second bytes.Buffer

@@ -219,7 +219,7 @@ func TestFinalizeFailedLookupIsNotANonRereg(t *testing.T) {
 			}
 			continue
 		}
-		if len(obs) != 1 || obs[0].Name != "gone.com" || obs[0].Reregistered() {
+		if len(obs) != 1 || obs[0].Name() != "gone.com" || obs[0].Reregistered() {
 			t.Fatalf("rows %+v, want gone.com alone", obs)
 		}
 		if st.FallbackFailed != 1 || st.NotReregistered != 1 || st.Reregistered != 0 || st.Lookups != 2 {
@@ -373,7 +373,7 @@ func TestCSVRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(got, obs) {
+	if !slices.EqualFunc(got, obs, model.Observation.Equal) {
 		t.Fatalf("read back %+v, wrote %+v", got, obs)
 	}
 	if !got[0].Reregistered() || got[0].ReregRegistrar() != 2000 || !got[0].ReregTime().Equal(day.At(19, 0, 7)) || !got[0].Malicious() {
@@ -479,7 +479,7 @@ func TestReadCSVRejectsWhatWriteCSVCannotWrite(t *testing.T) {
 		if err := WriteCSV(&out, obs); err != nil {
 			t.Fatal(err)
 		}
-		if again, err := ReadCSV(&out); err != nil || !slices.Equal(obs, again) {
+		if again, err := ReadCSV(&out); err != nil || !slices.EqualFunc(obs, again, model.Observation.Equal) {
 			t.Errorf("%s: does not survive WriteCSV: %v", name, err)
 		}
 	}

@@ -160,10 +160,10 @@ func (w *listWorld) dropAndReregister(t testing.TB, seed int64) {
 			if rng.Intn(2) == 0 {
 				continue
 			}
-			if _, err := w.store.CreateAt(ev.Name, 2000, 1, day.At(19, 30, rng.Intn(60))); err != nil {
+			if _, err := w.store.CreateAt(ev.Name(), 2000, 1, day.At(19, 30, rng.Intn(60))); err != nil {
 				t.Fatal(err)
 			}
-			w.oracle.Set(ev.Name, rng.Intn(3) == 0)
+			w.oracle.Set(ev.Name(), rng.Intn(3) == 0)
 		}
 	}
 	w.clock.Set(w.start.AddDays(w.days+70).At(12, 0, 0))
@@ -192,13 +192,14 @@ func (r *mapPipeline) collectDaily(ctx context.Context, today simtime.Day) error
 		if _, seen := r.pending[e.Name]; seen {
 			continue
 		}
-		r.pending[e.Name] = &PendingEntry{Name: e.Name, DeleteDay: e.DeleteDay}
+		pe := mustEntry(e.Name, e.DeleteDay, nil)
+		r.pending[e.Name] = &pe
 		r.stats.ListEntries++
 	}
 	cutoff := today.AddDays(LookaheadLookupDays)
 	var due []string
 	for name, pd := range r.pending {
-		if pd.Prior == nil && !cutoff.Before(pd.DeleteDay) {
+		if pd.Prior == nil && !cutoff.Before(pd.DeleteDay()) {
 			due = append(due, name)
 		}
 	}
@@ -245,7 +246,7 @@ func (r *mapPipeline) finalize(ctx context.Context) ([]model.Observation, error)
 				return nil, err
 			}
 		}
-		row, err := model.NewObservation(name, pd.DeleteDay, *pd.Prior, rereg, malicious)
+		row, err := model.NewObservation(name, pd.DeleteDay(), *pd.Prior, rereg, malicious)
 		if err != nil {
 			return nil, err
 		}
@@ -339,7 +340,7 @@ func TestOrderedPipelineMatchesMapReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !slices.Equal(got, want) || !slices.Equal(gotLooked, wantLooked) || p.Stats() != ref.stats {
+					if !slices.EqualFunc(got, want, model.Observation.Equal) || !slices.Equal(gotLooked, wantLooked) || p.Stats() != ref.stats {
 						t.Fatalf("seed %d: Finalize: %d rows after %d lookups (%+v), the reference %d after %d (%+v)",
 							seed, len(got), len(gotLooked), p.Stats(), len(want), len(wantLooked), ref.stats)
 					}
@@ -378,7 +379,7 @@ func TestApplyDeltaTakesListOrder(t *testing.T) {
 	}{
 		{"list", func(es []PendingEntry) {
 			slices.SortFunc(es, func(a, b PendingEntry) int {
-				return cmp.Or(a.DeleteDay.Compare(b.DeleteDay), strings.Compare(a.Name, b.Name))
+				return cmp.Or(a.DeleteDay().Compare(b.DeleteDay()), strings.Compare(a.Name, b.Name))
 			})
 		}},
 		{"shuffled", func(es []PendingEntry) { rng.Shuffle(len(es), func(i, j int) { es[i], es[j] = es[j], es[i] }) }},
@@ -408,7 +409,7 @@ func TestApplyDeltaTakesListOrder(t *testing.T) {
 // already tracked, or resolving one never tracked, is an error.
 func TestApplyDeltaRefusesWhatCannotReplay(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	entry := func(name string) PendingEntry { return PendingEntry{Name: name, DeleteDay: day} }
+	entry := func(name string) PendingEntry { return mustEntry(name, day, nil) }
 	prior := &model.PriorRegistration{ID: 7, RegistrarID: 1000}
 	for _, c := range []struct {
 		name string
@@ -416,7 +417,7 @@ func TestApplyDeltaRefusesWhatCannotReplay(t *testing.T) {
 	}{
 		{"added twice", CollectDelta{Added: []PendingEntry{entry("b.com"), entry("a.com"), entry("b.com")}}},
 		{"already tracked", CollectDelta{Added: []PendingEntry{entry("c.com"), entry("tracked.com")}}},
-		{"resolved untracked", CollectDelta{Resolved: []PendingEntry{{Name: "nowhere.com", DeleteDay: day, Prior: prior}}}},
+		{"resolved untracked", CollectDelta{Resolved: []PendingEntry{mustEntry("nowhere.com", day, prior)}}},
 	} {
 		p := restored(t, &CollectDelta{Added: []PendingEntry{entry("tracked.com")}})
 		if err := p.ApplyDelta(&c.d); err == nil {
@@ -461,10 +462,35 @@ func TestCollectDailyRefusesUnorderedList(t *testing.T) {
 	}
 }
 
-// TestPendingEntryLayout: a tracked name costs its name, its day and its
-// prior pointer. The TLD is its name's suffix and is not stored twice.
+// TestPendingEntryLayout: a tracked name costs its name, its stored day and
+// its prior pointer. The TLD is its name's suffix and is not stored twice.
 func TestPendingEntryLayout(t *testing.T) {
-	if got := unsafe.Sizeof(PendingEntry{}); got != 48 {
-		t.Fatalf("PendingEntry is %d bytes, want 48", got)
+	if got := unsafe.Sizeof(PendingEntry{}); got != 32 {
+		t.Fatalf("PendingEntry is %d bytes, want 32", got)
 	}
+}
+
+// TestPendingEntryDay: an entry gives back the day it was built with, at
+// both ends of the stored range and for the zero Day, and refuses a day it
+// cannot store.
+func TestPendingEntryDay(t *testing.T) {
+	for _, day := range []simtime.Day{{}, {Year: 1970, Month: time.January, Dom: 2}, {Year: 2018, Month: time.January, Dom: 10}, {Year: 2149, Month: time.June, Dom: 6}} {
+		if e := mustEntry("a.com", day, nil); e.DeleteDay() != day {
+			t.Fatalf("%v came back as %v", day, e.DeleteDay())
+		}
+	}
+	for _, day := range []simtime.Day{{Year: 1970, Month: time.January, Dom: 1}, {Year: 2149, Month: time.June, Dom: 7}, {Year: 2018, Month: time.February, Dom: 30}} {
+		if e, err := NewPendingEntry("a.com", day, nil); err == nil {
+			t.Errorf("%v accepted as %v", day, e.DeleteDay())
+		}
+	}
+}
+
+// mustEntry is NewPendingEntry for days a test knows fit.
+func mustEntry(name string, day simtime.Day, prior *model.PriorRegistration) PendingEntry {
+	e, err := NewPendingEntry(name, day, prior)
+	if err != nil {
+		panic(err)
+	}
+	return e
 }

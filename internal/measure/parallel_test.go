@@ -75,8 +75,8 @@ func TestPipelineParallelLookupsRace(t *testing.T) {
 		t.Fatalf("observations = %d, want %d", len(obs), n)
 	}
 	for i := 1; i < len(obs); i++ {
-		if obs[i-1].Name >= obs[i].Name {
-			t.Fatalf("Finalize output not sorted: %q before %q", obs[i-1].Name, obs[i].Name)
+		if obs[i-1].Name() >= obs[i].Name() {
+			t.Fatalf("Finalize output not sorted: %q before %q", obs[i-1].Name(), obs[i].Name())
 		}
 	}
 	st := e.pipe.Stats()
@@ -106,7 +106,7 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 	}
 	seqRows, seqStats := run(1)
 	parRows, parStats := run(8)
-	if len(seqRows) == 0 || !slices.Equal(seqRows, parRows) {
+	if len(seqRows) == 0 || !slices.EqualFunc(seqRows, parRows, model.Observation.Equal) {
 		t.Fatal("observations differ between parallelism 1 and 8")
 	}
 	if seqStats != parStats {

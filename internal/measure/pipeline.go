@@ -13,6 +13,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -122,10 +123,10 @@ func (p *Pipeline) CollectDaily(ctx context.Context, today simtime.Day) error {
 	// appear on the very first list. Lookups fan out over the worker pool in
 	// name order; failed lookups leave prior nil and are retried on later
 	// days while the window lasts.
-	cutoff := today.AddDays(LookaheadLookupDays)
+	cutoff := uint16(min(max(today.AddDays(LookaheadLookupDays).Number(), 0), math.MaxUint16)) // as a stored day
 	var due []int
 	for i := range p.pending {
-		if pd := &p.pending[i]; pd.Prior == nil && pd.DeleteDay.Compare(cutoff) <= 0 {
+		if pd := &p.pending[i]; pd.Prior == nil && pd.deleteDay <= cutoff {
 			due = append(due, i)
 		}
 	}
@@ -159,13 +160,18 @@ func (p *Pipeline) CollectDaily(ctx context.Context, today simtime.Day) error {
 // day runs are merged by name and joined to the tracked set in one pass.
 func (p *Pipeline) track(entries []dropscope.Entry) error {
 	var buf [dropscope.LookaheadDays][]dropscope.Entry
-	runs, start := buf[:0], 0
+	var dayBuf [dropscope.LookaheadDays]uint16 // each run's day, stored
+	runs, days, start := buf[:0], dayBuf[:0], 0
 	for i, e := range entries {
 		if i > 0 && cmp.Or(e.DeleteDay.Compare(entries[i-1].DeleteDay), strings.Compare(e.Name, entries[i-1].Name)) < 0 {
 			return fmt.Errorf("%s (%v) listed after %s (%v)", e.Name, e.DeleteDay, entries[i-1].Name, entries[i-1].DeleteDay)
 		}
 		if i+1 == len(entries) || entries[i+1].DeleteDay != e.DeleteDay {
-			runs, start = append(runs, entries[start:i+1]), i+1
+			day, ok := e.DeleteDay.Pack()
+			if !ok {
+				return fmt.Errorf("%s: delete day %v not representable", e.Name, e.DeleteDay)
+			}
+			runs, days, start = append(runs, entries[start:i+1]), append(days, day), i+1
 		}
 	}
 	added, j := p.added[:0], 0
@@ -188,7 +194,7 @@ func (p *Pipeline) track(entries []dropscope.Entry) error {
 		if n := len(added); (n > 0 && added[n-1].Name == e.Name) || p.tracked(&j, e.Name) {
 			continue // listed on an earlier day too, or tracked already
 		}
-		added = append(added, PendingEntry{Name: e.Name, DeleteDay: e.DeleteDay})
+		added = append(added, PendingEntry{Name: e.Name, deleteDay: days[r]})
 	}
 	if p.delta != nil {
 		p.delta.Added = append(p.delta.Added, added...)
@@ -307,7 +313,7 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 				return r
 			}
 		}
-		if rows[i], err = model.NewObservation(pd.Name, pd.DeleteDay, *pd.Prior, rereg, malicious); err != nil {
+		if rows[i], err = model.NewObservation(pd.Name, pd.DeleteDay(), *pd.Prior, rereg, malicious); err != nil {
 			r.err = fmt.Errorf("measure: %w", err)
 			return r
 		}

@@ -19,12 +19,28 @@ import (
 // re-running lookups against a store that has since moved on.
 
 // PendingEntry is one tracked domain, as the pipeline holds and exports it.
-// Prior is nil while the metadata lookup has not succeeded yet.
+// Prior is nil while the metadata lookup has not succeeded yet. A pipeline
+// tracks every listed name, so the entry is 32 bytes: the delete day is a
+// stored day (simtime.Day.Pack), set by NewPendingEntry and read through
+// DeleteDay.
 type PendingEntry struct {
 	Name      string
-	DeleteDay simtime.Day
 	Prior     *model.PriorRegistration
+	deleteDay uint16
 }
+
+// NewPendingEntry builds an entry. A delete day a stored day cannot hold —
+// outside 1970-01-02 … 2149-06-06 or not a calendar date — is an error.
+func NewPendingEntry(name string, deleteDay simtime.Day, prior *model.PriorRegistration) (PendingEntry, error) {
+	day, ok := deleteDay.Pack()
+	if !ok {
+		return PendingEntry{}, fmt.Errorf("measure: %s: delete day %v not representable", name, deleteDay)
+	}
+	return PendingEntry{Name: name, Prior: prior, deleteDay: day}, nil
+}
+
+// DeleteDay is the scheduled deletion day the list announced.
+func (e *PendingEntry) DeleteDay() simtime.Day { return simtime.UnpackDay(e.deleteDay) }
 
 // CollectDelta is the state change one CollectDaily call produced: the
 // domains it started tracking and the prior-registration lookups it

@@ -9,6 +9,7 @@ import (
 	"math"
 	"strings"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/simtime"
 )
@@ -160,17 +161,18 @@ type Rereg struct {
 // delete list, its prior registration metadata, and — if the name was taken
 // again — the re-registration event.
 //
-// A study holds millions of these, so the row is a packed value (48 bytes,
-// one pointer word) and a dataset is one contiguous []Observation: instants
-// are stored instants (simtime.PackTime) — second precision, as the RDAP
-// data, the registry and the dataset's CSV have — the delete day is a stored
-// day (simtime.Day.Pack), registrar IDs are 16 bits wide (IANA's are four
-// digits), and the TLD is read off the name. Rows are built by NewObservation
-// and read through the accessors; two rows are equal exactly when == says so.
+// A study holds millions of these, so the row is a packed value (40 bytes,
+// one pointer word) and a dataset is one contiguous []Observation: the name
+// is the caller's string kept as its data pointer and a length byte (names
+// are at most 255 bytes), instants are stored instants (simtime.PackTime) —
+// second precision, as the RDAP data, the registry and the dataset's CSV
+// have — the delete day is a stored day (simtime.Day.Pack), registrar IDs
+// are 16 bits wide (IANA's are four digits), and the TLD is read off the
+// name. Rows are built by NewObservation and read through the accessors.
+// Compare rows with Equal: ==, slices.Equal and reflect.DeepEqual compare
+// where the names are stored, not what they say.
 type Observation struct {
-	// Name is the fully qualified, lowercase domain name.
-	Name string
-
+	np             unsafe.Pointer // unsafe.StringData(name)
 	priorID        uint64
 	priorCreated   uint32
 	priorUpdated   uint32
@@ -180,6 +182,7 @@ type Observation struct {
 	reregRegistrar uint16 // zero unless flagRereg
 	deleteDay      uint16
 	flags          uint8
+	nameLen        uint8
 }
 
 const (
@@ -191,11 +194,15 @@ const (
 // been re-registered by the second lookup; malicious is the Safe
 // Browsing-style label collected ≥9 weeks after the re-registration and must
 // be false without one. Instants are stored as whole UTC seconds, fractions
-// dropped. What a row cannot hold exactly — an instant outside the stored
+// dropped. The row keeps name's bytes, not a copy. What a row cannot hold
+// exactly — a name longer than 255 bytes, an instant outside the stored
 // range, a registrar ID outside 0 … 65 535, a delete day outside 1970-01-02 …
 // 2149-06-06 or not a calendar date (the zero Day, "none", fits) — is an
 // error.
 func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
+	if len(name) > math.MaxUint8 {
+		return Observation{}, fmt.Errorf("model: %.32s…: name of %d bytes not representable", name, len(name))
+	}
 	day, ok := deleteDay.Pack()
 	if !ok {
 		return Observation{}, fmt.Errorf("model: %s: delete day %v not representable", name, deleteDay)
@@ -220,7 +227,8 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 		return Observation{}, fmt.Errorf("model: %s: malicious label without a re-registration", name)
 	}
 	o := Observation{
-		Name:           name,
+		np:             unsafe.Pointer(unsafe.StringData(name)),
+		nameLen:        uint8(len(name)),
 		priorID:        prior.ID,
 		priorCreated:   stored[0],
 		priorUpdated:   stored[1],
@@ -239,10 +247,24 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 	return o, nil
 }
 
+// Name is the fully qualified, lowercase domain name; it shares the bytes
+// NewObservation was given.
+func (o *Observation) Name() string { return unsafe.String((*byte)(o.np), o.nameLen) }
+
 // TLD is the name's suffix, empty when the name has none.
 func (o *Observation) TLD() TLD {
-	tld, _ := TLDOf(o.Name)
+	tld, _ := TLDOf(o.Name())
 	return tld
+}
+
+// Equal reports whether o and p are the same row: the same name and the same
+// fields. Like time.Time.Equal, it is the comparison to use: == also compares
+// where the two names are stored. It takes o by value so that
+// slices.EqualFunc can take Observation.Equal.
+func (o Observation) Equal(p Observation) bool {
+	name := o.Name()
+	o.np = p.np
+	return o == p && name == p.Name()
 }
 
 // DeleteDay is the scheduled deletion day the pending-delete list announced.
@@ -300,22 +322,34 @@ func (o *Observation) SameDayRereg() bool {
 // a Drop. The simulator exports these so the ablation experiments can score
 // the inference model against reality — something the paper could not do.
 // Stores and studies hold one event per deleted name for their whole life, so
-// the event is a packed value (32 bytes, one pointer word) built by
-// NewDeletionEvent: the instant is a stored instant (simtime.PackTime), the
-// rank 32 bits wide, and the TLD is the name's suffix and is not stored.
+// the event is a packed value (24 bytes, one pointer word) built by
+// NewDeletionEvent: the name is the caller's string kept as its data pointer
+// and a length byte (names are at most 255 bytes), the object ID and the
+// rank are 32 bits wide (the store's allocator stops at 2³²−1), the instant
+// is a stored instant (simtime.PackTime), and the TLD is the name's suffix
+// and is not stored. Compare events with Equal: ==, slices.Equal and
+// reflect.DeepEqual compare where the names are stored, not what they say.
 type DeletionEvent struct {
-	DomainID uint64
-	Name     string
-	at       uint32
-	rank     uint32
+	np      unsafe.Pointer // unsafe.StringData(name)
+	id      uint32
+	at      uint32
+	rank    uint32
+	nameLen uint8
 }
 
-// NewDeletionEvent packs one deletion: at is the exact instant the name
-// became available, rank its 0-based position in that day's combined
-// deletion queue. What the event cannot hold exactly — an instant outside the
-// stored range or with a sub-second part, a rank outside 32 bits — is an
-// error.
+// NewDeletionEvent packs one deletion: id is the purged registration's
+// object ID, at the exact instant the name became available, rank its
+// 0-based position in that day's combined deletion queue. The event keeps
+// name's bytes, not a copy. What the event cannot hold exactly — an ID or a
+// rank outside 32 bits, a name longer than 255 bytes, an instant outside the
+// stored range or with a sub-second part — is an error.
 func NewDeletionEvent(id uint64, name string, at time.Time, rank int) (DeletionEvent, error) {
+	if id > math.MaxUint32 {
+		return DeletionEvent{}, fmt.Errorf("model: deletion of %s: object ID %d not representable", name, id)
+	}
+	if len(name) > math.MaxUint8 {
+		return DeletionEvent{}, fmt.Errorf("model: deletion of %.32s…: name of %d bytes not representable", name, len(name))
+	}
 	stored, ok := simtime.PackTime(at)
 	if !ok {
 		return DeletionEvent{}, fmt.Errorf("model: deletion of %s: instant %v not representable", name, at)
@@ -323,8 +357,20 @@ func NewDeletionEvent(id uint64, name string, at time.Time, rank int) (DeletionE
 	if uint64(rank) > math.MaxUint32 { // negative ranks convert to the top of the range
 		return DeletionEvent{}, fmt.Errorf("model: deletion of %s: rank %d not representable", name, rank)
 	}
-	return DeletionEvent{DomainID: id, Name: name, at: stored, rank: uint32(rank)}, nil
+	return DeletionEvent{
+		np:      unsafe.Pointer(unsafe.StringData(name)),
+		id:      uint32(id),
+		at:      stored,
+		rank:    uint32(rank),
+		nameLen: uint8(len(name)),
+	}, nil
 }
+
+// DomainID is the registry object ID of the purged registration.
+func (e *DeletionEvent) DomainID() uint64 { return uint64(e.id) }
+
+// Name is the deleted name; it shares the bytes NewDeletionEvent was given.
+func (e *DeletionEvent) Name() string { return unsafe.String((*byte)(e.np), e.nameLen) }
 
 // Time is the exact instant the name became available, in UTC.
 func (e *DeletionEvent) Time() time.Time { return simtime.UnpackTime(e.at) }
@@ -335,6 +381,16 @@ func (e *DeletionEvent) Rank() int { return int(e.rank) }
 // TLD is the deleted name's TLD. The registry only deletes names it hosts,
 // so the suffix is always present.
 func (e *DeletionEvent) TLD() TLD {
-	tld, _ := TLDOf(e.Name)
+	tld, _ := TLDOf(e.Name())
 	return tld
+}
+
+// Equal reports whether e and f record the same deletion: the same name and
+// the same fields. Like time.Time.Equal, it is the comparison to use: ==
+// also compares where the two names are stored. It takes e by value so that
+// slices.EqualFunc can take DeletionEvent.Equal.
+func (e DeletionEvent) Equal(f DeletionEvent) bool {
+	name := e.Name()
+	e.np = f.np
+	return e == f && name == f.Name()
 }

@@ -97,11 +97,89 @@ func TestSameDayRereg(t *testing.T) {
 // TestObservationRowLayout pins the dataset row and the deletion event to
 // the sizes the study's memory budget is built on.
 func TestObservationRowLayout(t *testing.T) {
-	if got := unsafe.Sizeof(Observation{}); got > 48 {
-		t.Fatalf("Observation is %d bytes, budget 48", got)
+	if got := unsafe.Sizeof(Observation{}); got != 40 {
+		t.Fatalf("Observation is %d bytes, want 40", got)
 	}
-	if got := unsafe.Sizeof(DeletionEvent{}); got > 32 {
-		t.Fatalf("DeletionEvent is %d bytes, budget 32", got)
+	if got := unsafe.Sizeof(DeletionEvent{}); got != 24 {
+		t.Fatalf("DeletionEvent is %d bytes, want 24", got)
+	}
+}
+
+// TestEqualComparesNames: two rows or events are Equal when their names are
+// equal, wherever each is stored, and not when the names differ past their
+// first byte or any other field differs.
+func TestEqualComparesNames(t *testing.T) {
+	day := simtime.Day{Year: 2018, Month: time.January, Dom: 2}
+	at := day.At(19, 0, 3)
+	name := "shop.example.com"
+	apart := strings.Clone(name) // the same name in another allocation
+	if unsafe.StringData(apart) == unsafe.StringData(name) {
+		t.Fatal("strings.Clone shared the bytes")
+	}
+	prior := PriorRegistration{ID: 7, RegistrarID: 1000, Created: at.AddDate(-3, 0, 0)}
+	rereg := &Rereg{Time: at, RegistrarID: 2000}
+
+	o := mustObs(t, name, day, prior, rereg, false)
+	rows := map[string]Observation{
+		"name past its first byte": mustObs(t, "shop.example.net", day, prior, rereg, false),
+		"shorter name":             mustObs(t, "shop.example.co", day, prior, rereg, false),
+		"prior ID":                 mustObs(t, name, day, PriorRegistration{ID: 8, RegistrarID: 1000, Created: prior.Created}, rereg, false),
+		"malicious label":          mustObs(t, name, day, prior, rereg, true),
+		"no re-registration":       mustObs(t, name, day, prior, nil, false),
+	}
+	if same := mustObs(t, apart, day, prior, rereg, false); !o.Equal(same) || !same.Equal(o) {
+		t.Fatal("rows with equal names in two allocations are not Equal")
+	}
+	for what, p := range rows {
+		if o.Equal(p) || p.Equal(o) {
+			t.Errorf("rows that differ in their %s are Equal", what)
+		}
+	}
+
+	ev, err := NewDeletionEvent(7, name, at, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := NewDeletionEvent(7, apart, at, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ev.Equal(same) || !same.Equal(ev) {
+		t.Fatal("events with equal names in two allocations are not Equal")
+	}
+	for what, f := range map[string]func() (DeletionEvent, error){
+		"name past its first byte": func() (DeletionEvent, error) { return NewDeletionEvent(7, "shop.example.net", at, 3) },
+		"longer name":              func() (DeletionEvent, error) { return NewDeletionEvent(7, name+"x", at, 3) },
+		"object ID":                func() (DeletionEvent, error) { return NewDeletionEvent(8, name, at, 3) },
+		"instant":                  func() (DeletionEvent, error) { return NewDeletionEvent(7, name, at.Add(time.Second), 3) },
+		"rank":                     func() (DeletionEvent, error) { return NewDeletionEvent(7, name, at, 4) },
+	} {
+		other, err := f()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Equal(other) || other.Equal(ev) {
+			t.Errorf("events that differ in their %s are Equal", what)
+		}
+	}
+}
+
+// TestNameSharesCallerBytes: a row and an event keep the caller's name
+// bytes, never a copy, and give the empty name back as empty.
+func TestNameSharesCallerBytes(t *testing.T) {
+	name := strings.Repeat("a", 251) + ".com" // the longest name they hold
+	o := mustObs(t, name, simtime.Day{}, PriorRegistration{}, nil, false)
+	ev, err := NewDeletionEvent(1, name, time.Time{}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range []string{o.Name(), ev.Name()} {
+		if got != name || unsafe.StringData(got) != unsafe.StringData(name) {
+			t.Fatalf("name of %d bytes came back as %d bytes, or copied", len(name), len(got))
+		}
+	}
+	if empty := mustObs(t, "", simtime.Day{}, PriorRegistration{}, nil, false); empty.Name() != "" {
+		t.Fatalf("the empty name came back as %q", empty.Name())
 	}
 }
 
@@ -136,7 +214,7 @@ func TestObservationRoundTrip(t *testing.T) {
 	if !o.Reregistered() || o.ReregTime() != rereg.Time || o.ReregRegistrar() != 1 || !o.Malicious() {
 		t.Fatalf("rereg %v at %v by %d, malicious %v", o.Reregistered(), o.ReregTime(), o.ReregRegistrar(), o.Malicious())
 	}
-	if again := mustObs(t, "shop.example.com", day, o.Prior(), rereg, true); again != o {
+	if again := mustObs(t, "shop.example.com", day, o.Prior(), rereg, true); !again.Equal(o) {
 		t.Fatal("a row rebuilt from its own accessors differs")
 	}
 
@@ -205,6 +283,9 @@ func TestNewObservationRefusesUnrepresentable(t *testing.T) {
 		"rereg time past the stored range": func() (Observation, error) {
 			return NewObservation("a.com", day, PriorRegistration{}, &Rereg{Time: lastStored.Add(time.Second)}, false)
 		},
+		"a name of 256 bytes": func() (Observation, error) {
+			return NewObservation("a.com"+strings.Repeat("m", 251), day, PriorRegistration{}, nil, false)
+		},
 	}
 	for name, build := range cases {
 		if o, err := build(); err == nil {
@@ -216,8 +297,8 @@ func TestNewObservationRefusesUnrepresentable(t *testing.T) {
 }
 
 func TestDeletionEventTLD(t *testing.T) {
-	ev := DeletionEvent{Name: "a.b.net"}
-	if ev.TLD() != NET {
+	ev, err := NewDeletionEvent(1, "a.b.net", time.Time{}, 0)
+	if err != nil || ev.TLD() != NET {
 		t.Fatalf("TLD() = %q", ev.TLD())
 	}
 }
@@ -240,11 +321,11 @@ func TestDeletionEventRoundTrip(t *testing.T) {
 		{time.Time{}, 0},
 	}
 	for _, c := range cases {
-		ev, err := NewDeletionEvent(1<<63+5, "shop.example.com", c.at, c.rank)
+		ev, err := NewDeletionEvent(1<<32-1, "shop.example.com", c.at, c.rank)
 		if err != nil {
 			t.Fatalf("NewDeletionEvent(%v, %d): %v", c.at, c.rank, err)
 		}
-		if ev.DomainID != 1<<63+5 || ev.Name != "shop.example.com" || ev.TLD() != COM {
+		if ev.DomainID() != 1<<32-1 || ev.Name() != "shop.example.com" || ev.TLD() != COM {
 			t.Fatalf("event %+v", ev)
 		}
 		if got := ev.Time(); got != c.at.UTC() || got.Location() != time.UTC || got.IsZero() != c.at.IsZero() {
@@ -253,7 +334,7 @@ func TestDeletionEventRoundTrip(t *testing.T) {
 		if ev.Rank() != c.rank {
 			t.Fatalf("Rank() = %d, want %d", ev.Rank(), c.rank)
 		}
-		if again, err := NewDeletionEvent(ev.DomainID, ev.Name, ev.Time(), ev.Rank()); err != nil || again != ev {
+		if again, err := NewDeletionEvent(ev.DomainID(), ev.Name(), ev.Time(), ev.Rank()); err != nil || !again.Equal(ev) {
 			t.Fatalf("an event rebuilt from its own accessors differs: %+v, %v", again, err)
 		}
 	}
@@ -262,19 +343,23 @@ func TestDeletionEventRoundTrip(t *testing.T) {
 func TestNewDeletionEventRefusesUnrepresentable(t *testing.T) {
 	ok := time.Date(2018, 1, 2, 19, 0, 3, 0, time.UTC)
 	cases := map[string]struct {
+		id   uint64
+		name string
 		at   time.Time
 		rank int
 	}{
-		"one second before 1970":           {time.Unix(-1, 0), 0},
-		"one second past the last instant": {lastStored.Add(time.Second), 0},
-		"year 1 but not the zero time":     {time.Time{}.Add(time.Second), 0},
-		"a 999 ns fraction":                {ok.Add(999), 0},
-		"a fraction on the zero second":    {time.Time{}.Add(1), 0},
-		"rank -1":                          {ok, -1},
-		"rank 1<<32":                       {ok, 1 << 32},
+		"one second before 1970":           {7, "a.com", time.Unix(-1, 0), 0},
+		"one second past the last instant": {7, "a.com", lastStored.Add(time.Second), 0},
+		"year 1 but not the zero time":     {7, "a.com", time.Time{}.Add(time.Second), 0},
+		"a 999 ns fraction":                {7, "a.com", ok.Add(999), 0},
+		"a fraction on the zero second":    {7, "a.com", time.Time{}.Add(1), 0},
+		"rank -1":                          {7, "a.com", ok, -1},
+		"rank 1<<32":                       {7, "a.com", ok, 1 << 32},
+		"object ID 1<<32":                  {1 << 32, "a.com", ok, 0},
+		"a name of 256 bytes":              {7, "a.com" + strings.Repeat("m", 251), ok, 0},
 	}
 	for name, c := range cases {
-		if ev, err := NewDeletionEvent(7, "a.com", c.at, c.rank); err == nil {
+		if ev, err := NewDeletionEvent(c.id, c.name, c.at, c.rank); err == nil {
 			t.Errorf("%s: accepted as %v rank %d", name, ev.Time(), ev.Rank())
 		}
 	}

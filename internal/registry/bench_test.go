@@ -3,6 +3,10 @@ package registry
 import (
 	"fmt"
 	"testing"
+	"time"
+
+	"dropzero/internal/model"
+	"dropzero/internal/simtime"
 )
 
 // BenchmarkDailySweep measures one simulated registry day's worth of sweep
@@ -37,5 +41,34 @@ func BenchmarkDailySweep(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+// BenchmarkPendingDeletions lists a five-day window of 60 000 pending
+// deletions over 1 and 8 shards, the size of the study's lists at scale
+// 0.25. The names are spelled from a hash of their index, so neither a
+// bucket nor a shard walk hands them over in name order.
+func BenchmarkPendingDeletions(b *testing.B) {
+	const perDay = 12_000
+	today := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
+	for _, shards := range []int{1, 8} {
+		s := NewStoreWithShards(simtime.NewSimClock(today.At(12, 0, 0)), shards)
+		s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+		updated := today.AddDays(-35).At(6, 30, 0)
+		for i := 0; i < 5*perDay; i++ {
+			name := fmt.Sprintf("p%016x.com", uint64(i)*0x9e3779b97f4a7c15)
+			if _, err := s.SeedAt(name, 1000, updated.AddDate(-2, 0, 0), updated,
+				updated.AddDate(0, 0, -30), model.StatusPendingDelete, today.AddDays(i%5)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := s.PendingDeletions(today, 5); len(got) != 5*perDay {
+					b.Fatalf("%d names listed", len(got))
+				}
+			}
+		})
 	}
 }

@@ -187,7 +187,7 @@ func compareTraces(t *testing.T, days int, aName, bName string, a, b engineTrace
 		if !reflect.DeepEqual(a.pending[d], b.pending[d]) {
 			t.Errorf("day %d: PendingDeletions windows diverge (%s %d, %s %d)", d, aName, len(a.pending[d]), bName, len(b.pending[d]))
 		}
-		if !reflect.DeepEqual(a.deletions[d], b.deletions[d]) {
+		if !slices.EqualFunc(a.deletions[d], b.deletions[d], model.DeletionEvent.Equal) {
 			t.Errorf("day %d: deletion events diverge (%s %d, %s %d)", d, aName, len(a.deletions[d]), bName, len(b.deletions[d]))
 		}
 		if !reflect.DeepEqual(a.counts[d], b.counts[d]) {

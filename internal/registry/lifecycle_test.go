@@ -76,7 +76,7 @@ func TestLifecycleFullPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(events) != 1 || events[0].Name != "expiring.com" {
+	if len(events) != 1 || events[0].Name() != "expiring.com" {
 		t.Fatalf("drop events = %+v", events)
 	}
 }

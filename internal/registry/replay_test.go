@@ -91,7 +91,7 @@ func dumpStore(s *Store, from simtime.Day, days int) string {
 	for _, day := range archived {
 		for _, ev := range s.deletions[day] {
 			fmt.Fprintf(&b, "deletion %v rank=%d id=%d %s.%s at=%s\n",
-				day, ev.Rank(), ev.DomainID, ev.Name, ev.TLD(), ts(ev.Time()))
+				day, ev.Rank(), ev.DomainID(), ev.Name(), ev.TLD(), ts(ev.Time()))
 		}
 	}
 	s.delMu.Unlock()

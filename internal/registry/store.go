@@ -11,6 +11,8 @@
 package registry
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/maphash"
@@ -163,11 +165,10 @@ type Store struct {
 	shards []shard
 	mask   uint64
 
-	// registrars is every accreditation sorted by IANA ID, an immutable
-	// slice replaced under regMu on every add, so Registrar reads it without
-	// a lock.
+	// registrars is every accreditation sorted by IANA ID, changed only
+	// under regMu and read by Registrar without a lock (registrarList).
 	regMu      sync.RWMutex
-	registrars atomic.Pointer[[]model.Registrar]
+	registrars atomic.Pointer[registrarList]
 
 	// deletions is the ground-truth archive of Drop deletions, per day.
 	// Guarded by its own mutex: purge appends while holding the purged
@@ -181,8 +182,23 @@ type Store struct {
 	zoneTab zoneTable
 }
 
-// noRegistrars is a new store's accreditation list.
-var noRegistrars []model.Registrar
+// registrarList is one array of accreditations sorted by IANA ID: the first
+// n are listed, the slots past them are room for later adds. A listed slot
+// never changes, so a reader that loads n reads the slots below it without
+// a lock; an add that sorts after every listed ID fills the next slot and
+// then stores the larger n. Every other add — an insert before the end, a
+// replacement, or an append without room — publishes a new list.
+type registrarList struct {
+	rs []model.Registrar // full capacity
+	n  atomic.Int64
+}
+
+// listed is the accreditations l lists.
+func (l *registrarList) listed() []model.Registrar { return l.rs[:l.n.Load()] }
+
+// noRegistrars is every new store's list: it has no room, so the first add
+// publishes a list of the store's own.
+var noRegistrars registrarList
 
 // MaxShards caps the shard count; beyond this the per-shard maps are so
 // sparsely populated that cross-shard sweeps pay pure overhead.
@@ -362,7 +378,7 @@ func (s *Store) addRegistrar(r model.Registrar, live bool) (wait func() error) {
 
 // Registrar looks up an accreditation by IANA ID.
 func (s *Store) Registrar(ianaID int) (model.Registrar, bool) {
-	rs := *s.registrars.Load()
+	rs := s.registrars.Load().listed()
 	if len(rs) == 0 {
 		return model.Registrar{}, false
 	}
@@ -383,19 +399,43 @@ func searchRegistrars(rs []model.Registrar, ianaID int) int {
 	return sort.Search(len(rs), func(i int) bool { return rs[i].IANAID >= ianaID })
 }
 
-// addRegistrarsLocked publishes a copy of the accreditations with rs added,
-// each replacing any of its IANA ID. The caller holds regMu for writing.
+// addRegistrarsLocked publishes the accreditations with rs added, each
+// replacing any of its IANA ID. The caller holds regMu for writing. IDs
+// that sort after every listed one go into the current array's room
+// (registrarList); the first other add copies the list into an array a
+// quarter longer than it, private until it is published, so in-order adds
+// copy O(log n) times and leave at most a quarter of the array unused (a
+// registrar is 136 bytes; doubling would leave ≈ 24 KB of room behind a
+// directory's 356).
 func (s *Store) addRegistrarsLocked(rs ...model.Registrar) {
-	old := *s.registrars.Load()
-	list := append(make([]model.Registrar, 0, len(old)+len(rs)), old...)
+	cur := s.registrars.Load()
+	list, private := cur.listed(), false
 	for _, r := range rs {
-		if i := searchRegistrars(list, r.IANAID); i < len(list) && list[i].IANAID == r.IANAID {
+		i := searchRegistrars(list, r.IANAID)
+		if i == len(list) && len(list) < cap(list) {
+			list = append(list, r) // past every reader's n
+			continue
+		}
+		if !private {
+			grown := make([]model.Registrar, len(list), max(len(list)+len(list)/4, len(list)+len(rs), 8))
+			copy(grown, list)
+			list, private = grown, true
+		}
+		if i < len(list) && list[i].IANAID == r.IANAID {
 			list[i] = r
 		} else {
 			list = slices.Insert(list, i, r)
 		}
 	}
-	s.registrars.Store(&list)
+	if !private {
+		if n := int64(len(list)); n != cur.n.Load() {
+			cur.n.Store(n)
+		}
+		return
+	}
+	next := &registrarList{rs: list[:cap(list)]}
+	next.n.Store(int64(len(list)))
+	s.registrars.Store(next)
 }
 
 // Registrars returns all accreditations, sorted by IANA ID.
@@ -408,7 +448,7 @@ func (s *Store) Registrars() []model.Registrar {
 // registrarsLocked copies the sorted accreditation list; the caller holds
 // regMu (either mode).
 func (s *Store) registrarsLocked() []model.Registrar {
-	return slices.Clone(*s.registrars.Load())
+	return slices.Clone(s.registrars.Load().listed())
 }
 
 // splitNameSyntax validates name's structure — a label and a non-empty
@@ -670,9 +710,10 @@ type Pending struct {
 // order is *not* the deletion order (Figure 3, top).
 //
 // It walks only the due-day buckets inside the window, each shard's under
-// one read lock (a name moved between days meanwhile is listed once), then
-// sorts the merged result: names are unique, so the order is total and the
-// output is identical at every shard count.
+// one read lock (a name moved between days meanwhile is listed once), groups
+// the walked names by their bucket's day in place and sorts each day by
+// name: names are unique, so the order is total and the output is identical
+// at every shard count.
 func (s *Store) PendingDeletions(from simtime.Day, days int) []Pending {
 	end := from.AddDays(days)
 	n := 0
@@ -682,26 +723,77 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []Pending {
 		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(*record) { n++ })
 		sh.mu.RUnlock()
 	}
+	// Until the entries are sorted, an entry's DeleteDay is scratch: Dom
+	// holds its day's offset from the window's first bucket key (counts[k]
+	// entries have offset k) and Year its name's first eight bytes, so most
+	// comparisons never read the names.
+	first := max(dayKey(from.Number()), 1)
 	out := make([]Pending, 0, n)
-	packed, day := uint16(0), simtime.Day{} // the walked bucket's day, unpacked once per bucket
+	var countsBuf [8]int
+	counts := countsBuf[:0]
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(r *record) {
-			if r.deleteDay != packed {
-				packed, day = r.deleteDay, simtime.UnpackDay(r.deleteDay)
+			k := int(uint32(r.deleteDay) - first)
+			for len(counts) <= k {
+				counts = append(counts, 0)
 			}
-			out = append(out, Pending{Name: r.name(), DeleteDay: day})
+			counts[k]++
+			name := r.name()
+			out = append(out, Pending{Name: name, DeleteDay: simtime.Day{Year: namePrefix(name), Dom: k}})
 		})
 		sh.mu.RUnlock()
 	}
-	slices.SortFunc(out, func(a, b Pending) int {
-		if c := a.DeleteDay.Compare(b.DeleteDay); c != 0 {
-			return c
+	groupByDay(out, counts)
+	at := 0
+	for k, c := range counts {
+		seg := out[at : at+c]
+		slices.SortFunc(seg, func(a, b Pending) int {
+			if byPrefix := cmp.Compare(uint64(a.DeleteDay.Year), uint64(b.DeleteDay.Year)); byPrefix != 0 {
+				return byPrefix
+			}
+			return strings.Compare(a.Name, b.Name)
+		})
+		day := simtime.UnpackDay(uint16(first + uint32(k)))
+		for j := range seg {
+			seg[j].DeleteDay = day
 		}
-		return strings.Compare(a.Name, b.Name)
-	})
+		at += c
+	}
 	return out
+}
+
+// namePrefix is name's first eight bytes, zero-padded, as a big-endian
+// integer held in an int: as unsigned integers, prefixes order as the names
+// do, and equal prefixes leave the order to the names themselves.
+func namePrefix(name string) int {
+	var b [8]byte
+	copy(b[:], name)
+	return int(binary.BigEndian.Uint64(b[:]))
+}
+
+// groupByDay orders out by the day offset each entry holds in DeleteDay.Dom,
+// counts[k] entries having offset k, in place: every entry not yet in its
+// day's segment is swapped straight to the next free slot of that segment.
+// Each swap settles one entry for good, so this is linear in len(out).
+func groupByDay(out []Pending, counts []int) {
+	var nextBuf, endBuf [8]int
+	next, segEnd := nextBuf[:0], endBuf[:0]
+	at := 0
+	for _, c := range counts {
+		next, segEnd = append(next, at), append(segEnd, at+c)
+		at += c
+	}
+	for k := range counts {
+		for next[k] < segEnd[k] {
+			j := out[next[k]].DeleteDay.Dom
+			if j != k {
+				out[next[k]], out[next[j]] = out[next[j]], out[next[k]]
+			}
+			next[j]++
+		}
+	}
 }
 
 // purge removes the domain as part of a Drop, recording the ground-truth
@@ -830,14 +922,18 @@ func (s *Store) pendingOn(day simtime.Day) []record {
 	if err != nil {
 		return nil
 	}
-	var out []record
+	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		ix, n := &sh.due[model.StatusPendingDelete], 0
-		ix.bucket(uint32(key), &sh.tab, func(*record) { n++ })
-		out = slices.Grow(out, n)
-		ix.bucket(uint32(key), &sh.tab, func(r *record) { out = append(out, *r) })
+		sh.due[model.StatusPendingDelete].bucket(uint32(key), &sh.tab, func(*record) { n++ })
+		sh.mu.RUnlock()
+	}
+	out := make([]record, 0, n)
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.RLock()
+		sh.due[model.StatusPendingDelete].bucket(uint32(key), &sh.tab, func(r *record) { out = append(out, *r) })
 		sh.mu.RUnlock()
 	}
 	return out

@@ -3,6 +3,9 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"math/rand"
+	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -247,6 +250,37 @@ func TestPendingDeletionsWindow(t *testing.T) {
 	}
 }
 
+// TestPendingDeletionsMatchesScanAcrossWindows holds the bucketed listing to
+// the full-scan reference over windows narrower and wider than its stack
+// buffers, starting before, inside and after the scheduled days, at 1 and 8
+// shards. The names share long prefixes and differ in length, so the sort's
+// eight-byte prefix keys tie and the names decide.
+func TestPendingDeletionsMatchesScanAcrossWindows(t *testing.T) {
+	base := simtime.Day{Year: 2018, Month: time.February, Dom: 20}
+	for _, shards := range []int{1, 8} {
+		s := NewStoreWithShards(simtime.NewSimClock(base.At(12, 0, 0)), shards)
+		s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+		rng := rand.New(rand.NewSource(int64(shards)))
+		for i := 0; i < 2000; i++ {
+			name := fmt.Sprintf("%s%d.com", []string{"a", "sameprefix", "sameprefix-", "z"}[rng.Intn(4)], rng.Intn(1_000_000))
+			if _, err := s.Create(name, 1000, 1); err != nil {
+				continue // a repeated draw
+			}
+			if err := s.MarkPendingDelete(name, time.Time{}, base.AddDays(rng.Intn(30))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, from := range []simtime.Day{base.AddDays(-3), base, base.AddDays(7), base.AddDays(29), base.AddDays(31)} {
+			for _, days := range []int{0, 1, 5, 8, 9, 40} {
+				got, want := s.PendingDeletions(from, days), s.pendingDeletionsScan(from, days)
+				if !slices.Equal(got, want) {
+					t.Fatalf("shards=%d, %d days from %v: %d names listed, the scan %d, or in another order", shards, days, from, len(got), len(want))
+				}
+			}
+		}
+	}
+}
+
 func TestPurgeLifecycleChecks(t *testing.T) {
 	s, clock := testStore(t)
 	s.Create("active.com", 1000, 1)
@@ -268,14 +302,14 @@ func TestPurgeRecordsGroundTruthAndFreesName(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ev.DomainID != d.ID || ev.Rank() != 42 || !ev.Time().Equal(at) {
+	if ev.DomainID() != d.ID || ev.Rank() != 42 || !ev.Time().Equal(at) {
 		t.Fatalf("event = %+v", ev)
 	}
 	if _, err := s.Get("example.com"); !errors.Is(err, ErrNotFound) {
 		t.Fatal("domain still present after purge")
 	}
 	evs := s.Deletions(day)
-	if len(evs) != 1 || evs[0].Name != "example.com" {
+	if len(evs) != 1 || evs[0].Name() != "example.com" {
 		t.Fatalf("Deletions = %+v", evs)
 	}
 	// The name is re-registrable now, with a new ID.
@@ -317,6 +351,112 @@ func TestRegistrarsSorted(t *testing.T) {
 	}
 	if _, ok := s.Registrar(555); ok {
 		t.Fatal("Registrar(555) found")
+	}
+}
+
+// TestAddRegistrarInOrderCopiesLogN: a directory's adds arrive in IANA-ID
+// order, and fill the published array's room instead of copying it, so n
+// adds allocate O(log n) times (an array and its list header each time the
+// array grows by a quarter), not once or twice per add, and leave at most a
+// quarter of the array as room.
+func TestAddRegistrarInOrderCopiesLogN(t *testing.T) {
+	for _, n := range []int{356, 3560} {
+		s := NewStore(simtime.NewSimClock(time.Unix(0, 0)))
+		rs := make([]model.Registrar, n)
+		for i := range rs {
+			rs[i] = model.Registrar{IANAID: 1000 + i, Name: fmt.Sprintf("R%d", i)}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, r := range rs {
+			s.AddRegistrar(r)
+		}
+		runtime.ReadMemStats(&after)
+		allocs, bound := after.Mallocs-before.Mallocs, uint64(7*bits.Len(uint(n)))
+		t.Logf("%d in-order adds: %d allocations (bound %d)", n, allocs, bound)
+		if allocs > bound {
+			t.Errorf("%d in-order adds allocated %d times, bound %d", n, allocs, bound)
+		}
+		if got := s.Registrars(); !slices.Equal(got, rs) {
+			t.Fatalf("%d adds listed %d registrars, or others", n, len(got))
+		}
+		if room := cap(s.registrars.Load().rs) - n; room > n/4 {
+			t.Errorf("%d in-order adds left room for %d more", n, room)
+		}
+	}
+}
+
+// TestRegistrarListSeenByReaderNeverChanges: a list a reader loaded keeps
+// its length and contents through later in-order adds (which write the
+// array past it), a replacement and an insert before the end.
+func TestRegistrarListSeenByReaderNeverChanges(t *testing.T) {
+	s := NewStore(simtime.NewSimClock(time.Unix(0, 0)))
+	add := func(from, to int, suffix string) {
+		for id := from; id < to; id++ {
+			s.AddRegistrar(model.Registrar{IANAID: id, Name: fmt.Sprintf("R%d%s", id, suffix)})
+		}
+	}
+	add(10, 13, "")
+	seen := s.registrars.Load().listed()
+	want := slices.Clone(seen)
+	if cap(seen) == len(seen) {
+		t.Fatalf("no room past the %d listed registrars: the in-place path is not exercised", len(seen))
+	}
+	for _, step := range []struct {
+		what string
+		do   func()
+	}{
+		{"in-order adds", func() { add(13, 40, "") }},
+		{"a replacement", func() { add(11, 12, " renamed") }},
+		{"an insert before the end", func() { add(5, 6, "") }},
+	} {
+		step.do()
+		if !slices.Equal(seen, want) {
+			t.Fatalf("after %s, a reader's list reads %+v, want %+v", step.what, seen, want)
+		}
+	}
+	got := s.Registrars()
+	if len(got) != 31 || got[0].IANAID != 5 || got[2].Name != "R11 renamed" || got[30].IANAID != 39 {
+		t.Fatalf("Registrars = %+v", got)
+	}
+}
+
+// TestRegistrarReadersDuringAdds runs Registrar lookups while IDs are added
+// in order, renamed and inserted below the first; run it under -race.
+func TestRegistrarReadersDuringAdds(t *testing.T) {
+	const n = 2000
+	s := NewStore(simtime.NewSimClock(time.Unix(0, 0)))
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i += 7 {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				id := 1000 + i%n
+				if r, ok := s.Registrar(id); ok && r.IANAID != id {
+					t.Errorf("Registrar(%d) = %+v", id, r)
+					return
+				}
+			}
+		}(g)
+	}
+	for i := 0; i < n; i++ {
+		s.AddRegistrar(model.Registrar{IANAID: 1000 + i, Name: "R"})
+		if i%100 == 99 {
+			s.AddRegistrar(model.Registrar{IANAID: 1000 + i/2, Name: "renamed"})
+			s.AddRegistrar(model.Registrar{IANAID: i / 100, Name: "below"})
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if got := len(s.Registrars()); got != n+n/100 {
+		t.Fatalf("%d registrars listed, want %d", got, n+n/100)
 	}
 }
 
@@ -368,7 +508,7 @@ type recordingObserver struct {
 }
 
 func (r *recordingObserver) DomainPurged(ev model.DeletionEvent, registrarID int) {
-	r.purged = append(r.purged, fmt.Sprintf("%s@%d", ev.Name, registrarID))
+	r.purged = append(r.purged, fmt.Sprintf("%s@%d", ev.Name(), registrarID))
 }
 
 func (r *recordingObserver) DomainTransitioned(name string, registrarID int, from, to model.Status) {
@@ -453,7 +593,7 @@ func TestPurgeOutlivesItsSlot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if ev.Name != name || ev.TLD() != model.COM || ev.DomainID == 0 || ev.DomainID >= d.ID || ev.Rank() != i {
+				if ev.Name() != name || ev.TLD() != model.COM || ev.DomainID() == 0 || ev.DomainID() >= d.ID || ev.Rank() != i {
 					t.Fatalf("purge %d returned %+v (re-registered as ID %d)", i, ev, d.ID)
 				}
 			}
@@ -480,13 +620,13 @@ func TestPurgeOutlivesItsSlot(t *testing.T) {
 						}
 					}
 				}
-				if got := replica.Deletions(day); !slices.Equal(got, archive) {
+				if got := replica.Deletions(day); !slices.EqualFunc(got, archive, model.DeletionEvent.Equal) {
 					t.Fatalf("batch=%v: replayed archive %+v, primary's %+v", batch, got, archive)
 				}
 				for i := 0; i < n; i++ {
 					name := fmt.Sprintf("slot%02d.com", i)
 					d, err := replica.Get(name)
-					if err != nil || d.RegistrarID != 1001-i%2 || d.ID <= archive[i].DomainID {
+					if err != nil || d.RegistrarID != 1001-i%2 || d.ID <= archive[i].DomainID() {
 						t.Fatalf("batch=%v: %s after replay: %+v, %v", batch, name, d, err)
 					}
 				}

@@ -367,7 +367,7 @@ func TestFollowerCatchUpBatchAppliesOnEveryCore(t *testing.T) {
 	if pg, fg := store.Generation(), fstore.Generation(); pg != fg {
 		t.Fatalf("generation diverged: primary %d, replica %d", pg, fg)
 	}
-	if got := fstore.Deletions(dropDay); !slices.Equal(got, events) {
+	if got := fstore.Deletions(dropDay); !slices.EqualFunc(got, events, model.DeletionEvent.Equal) {
 		t.Fatalf("replica archived %d deletions on %v, primary %d, or in another order", len(got), dropDay, len(events))
 	}
 	sample := append([]string{}, names[:12]...)

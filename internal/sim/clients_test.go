@@ -83,10 +83,10 @@ func TestBoundClientsMatchHTTP(t *testing.T) {
 		}
 		for k, ev := range events {
 			if k%2 == 0 {
-				if _, err := store.CreateAt(ev.Name, catcher, 1, ev.Time().Add(time.Duration(k)*time.Second)); err != nil {
+				if _, err := store.CreateAt(ev.Name(), catcher, 1, ev.Time().Add(time.Duration(k)*time.Second)); err != nil {
 					t.Fatal(err)
 				}
-				oracle.Set(ev.Name, k%4 == 0)
+				oracle.Set(ev.Name(), k%4 == 0)
 			}
 		}
 		day = day.Next()
@@ -101,7 +101,7 @@ func TestBoundClientsMatchHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(rows, httpRows) {
+	if !slices.EqualFunc(rows, httpRows, model.Observation.Equal) {
 		t.Fatalf("bound clients finished to %d rows, HTTP clients to %d, and they differ", len(rows), len(httpRows))
 	}
 	st := bound.Stats()

@@ -23,10 +23,10 @@ import (
 // holds per deleted name, everything included: the observation row, the
 // deletion event, the truth (the claim folded in), the name (once: the row
 // shares the event's bytes, and those are a slice of the seeder's arena for
-// the day) and the fixed cost of the directory spread over the run. ≈ 115 B
-// measured: 48 a row (for the 93 % of deletions that are .com), 32 an event,
+// the day) and the fixed cost of the directory spread over the run. ≈ 99 B
+// measured: 40 a row (for the 93 % of deletions that are .com), 24 an event,
 // 16 a truth, ≈ 17 of name bytes.
-const bytesPerDeletionBudget = 125
+const bytesPerDeletionBudget = 108
 
 func liveHeap() uint64 {
 	runtime.GC()
@@ -95,7 +95,7 @@ func TestResultNamesHeldOnce(t *testing.T) {
 		held := make(map[string]*byte)
 		for _, evs := range res.Deletions {
 			for i := range evs {
-				held[evs[i].Name] = unsafe.StringData(evs[i].Name)
+				held[evs[i].Name()] = unsafe.StringData(evs[i].Name())
 			}
 		}
 		if len(res.Observations) == 0 {
@@ -103,8 +103,8 @@ func TestResultNamesHeldOnce(t *testing.T) {
 		}
 		for i := range res.Observations {
 			o := &res.Observations[i]
-			if data, ok := held[o.Name]; !ok || unsafe.StringData(o.Name) != data {
-				t.Fatalf("%s: row spelled at %p, event at %p (deleted: %v)", o.Name, unsafe.StringData(o.Name), data, ok)
+			if data, ok := held[o.Name()]; !ok || unsafe.StringData(o.Name()) != data {
+				t.Fatalf("%s: row spelled at %p, event at %p (deleted: %v)", o.Name(), unsafe.StringData(o.Name()), data, ok)
 			}
 		}
 	}
@@ -181,7 +181,9 @@ func TestResultNamesHeldOnce(t *testing.T) {
 			}
 			evs = append(evs, ev)
 		}
-		holdNamesOnce(obs, map[simtime.Day][]model.DeletionEvent{day: evs[:2], day.Next(): evs[2:]})
+		if err := holdNamesOnce(obs, map[simtime.Day][]model.DeletionEvent{day: evs[:2], day.Next(): evs[2:]}); err != nil {
+			t.Fatal(err)
+		}
 
 		inArena := func(s string) bool {
 			p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(arena)))
@@ -192,13 +194,13 @@ func TestResultNamesHeldOnce(t *testing.T) {
 			ev   *model.DeletionEvent
 		}{{"a.com", nil}, {"b.com", &evs[2]}, {"c.com", nil}, {"d.com", &evs[0]}}
 		for i, w := range want {
-			got := obs[i].Name
+			got := obs[i].Name()
 			switch {
 			case got != w.name:
 				t.Fatalf("row %d is named %q, want %q", i, got, w.name)
 			case inArena(got):
 				t.Fatalf("%s still points into the list arena", got)
-			case w.ev != nil && unsafe.StringData(got) != unsafe.StringData(w.ev.Name):
+			case w.ev != nil && unsafe.StringData(got) != unsafe.StringData(w.ev.Name()):
 				t.Fatalf("%s does not share its event's bytes", got)
 			}
 		}
@@ -231,7 +233,7 @@ func TestSeededNamesOneAllocationPerDay(t *testing.T) {
 			for day, evs := range res.Deletions {
 				spans := make(map[string]*span)
 				for i := range evs {
-					name := evs[i].Name
+					name := evs[i].Name()
 					lo := uintptr(unsafe.Pointer(unsafe.StringData(name)))
 					sp := spans[zoneOf[evs[i].TLD()]]
 					if sp == nil {
@@ -385,7 +387,7 @@ func TestTruthsJoinDeletions(t *testing.T) {
 					case k == 0 || ev.Rank() != evs[k-1].Rank()+1:
 						t.Fatalf("%v: rank %d at index %d follows rank %d", day, ev.Rank(), k, evs[max(k, 1)-1].Rank())
 					}
-					byName[ev.Name] = truthOf{day, truths[k], ev.Time()}
+					byName[ev.Name()] = truthOf{day, truths[k], ev.Time()}
 				}
 			}
 			if want := cfg.Days * (1 + len(cfg.Zones)); zoneRuns != want {
@@ -394,20 +396,20 @@ func TestTruthsJoinDeletions(t *testing.T) {
 			claimed := 0
 			for i := range res.Observations {
 				o := &res.Observations[i]
-				tr, ok := byName[o.Name]
+				tr, ok := byName[o.Name()]
 				if !ok || tr.day != o.DeleteDay() {
-					t.Fatalf("%s: measured for %v, deleted %v (found %v)", o.Name, o.DeleteDay(), tr.day, ok)
+					t.Fatalf("%s: measured for %v, deleted %v (found %v)", o.Name(), o.DeleteDay(), tr.day, ok)
 				}
 				// Every truth, claimed or not, is checkable against its row:
 				// the seeder placed Created less than a day before the
 				// expiry's AgeYears-th anniversary.
 				if gap := o.PriorExpiry().AddDate(-tr.truth.AgeYears(), 0, 0).Sub(o.PriorCreated()); gap < 0 || gap >= 24*time.Hour {
 					t.Fatalf("%s: truth says %d years old, row says created %v, expiry %v",
-						o.Name, tr.truth.AgeYears(), o.PriorCreated(), o.PriorExpiry())
+						o.Name(), tr.truth.AgeYears(), o.PriorCreated(), o.PriorExpiry())
 				}
 				registrar, delay, ok := tr.truth.Claim()
 				if ok != o.Reregistered() {
-					t.Fatalf("%s: claimed %v, measured re-registration %v", o.Name, ok, o.Reregistered())
+					t.Fatalf("%s: claimed %v, measured re-registration %v", o.Name(), ok, o.Reregistered())
 				}
 				if !ok {
 					continue
@@ -415,7 +417,7 @@ func TestTruthsJoinDeletions(t *testing.T) {
 				claimed++
 				if want := simtime.Trunc(tr.at.Add(delay)); o.ReregRegistrar() != registrar || !o.ReregTime().Equal(want) {
 					t.Fatalf("%s: measured registrar %d at %v, truth registrar %d at %v",
-						o.Name, o.ReregRegistrar(), o.ReregTime(), registrar, want)
+						o.Name(), o.ReregRegistrar(), o.ReregTime(), registrar, want)
 				}
 			}
 			if claimed == 0 {
@@ -443,7 +445,7 @@ func TestTruthsJoinDeletions(t *testing.T) {
 					}
 					for k := first; k < end; k++ {
 						want := markets[evs[k].TLD()].Decide(registrars.Lot{
-							Name:      evs[k].Name,
+							Name:      evs[k].Name(),
 							Value:     truths[k].Value,
 							AgeYears:  truths[k].AgeYears(),
 							DeletedAt: evs[k].Time(),
@@ -451,16 +453,16 @@ func TestTruthsJoinDeletions(t *testing.T) {
 						})
 						registrar, delay, ok := truths[k].Claim()
 						if ok != (want != nil) {
-							t.Fatalf("%s: truth claimed %v, the market decides %+v", evs[k].Name, ok, want)
+							t.Fatalf("%s: truth claimed %v, the market decides %+v", evs[k].Name(), ok, want)
 						}
 						if !ok {
 							continue
 						}
 						if registrar != want.RegistrarID || delay != want.Delay {
-							t.Fatalf("%s: truth registrar %d after %v, the market decides %+v", evs[k].Name, registrar, delay, want)
+							t.Fatalf("%s: truth registrar %d after %v, the market decides %+v", evs[k].Name(), registrar, delay, want)
 						}
 						if svc := res.Directory.ServiceOf(registrar); svc != want.Service {
-							t.Fatalf("%s: registrar %d belongs to %q, the market claimed for %q", evs[k].Name, registrar, svc, want.Service)
+							t.Fatalf("%s: registrar %d belongs to %q, the market claimed for %q", evs[k].Name(), registrar, svc, want.Service)
 						}
 						services[want.Service]++
 					}

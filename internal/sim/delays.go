@@ -46,7 +46,7 @@ func (r *Result) ZoneDelays() []ZoneDelay {
 			if !ok {
 				continue
 			}
-			name := events[k].Name
+			name := events[k].Name()
 			tld, ok := model.TLDOf(name)
 			if !ok {
 				continue

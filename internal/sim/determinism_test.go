@@ -7,6 +7,7 @@ import (
 
 	"dropzero/internal/analysis"
 	"dropzero/internal/measure"
+	"dropzero/internal/model"
 )
 
 // TestRunDeterministicAcrossParallelism is the tentpole guarantee: a study
@@ -45,10 +46,25 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("pipeline stats differ:\nseq: %+v\npar: %+v", seqRes.PipelineStats, parRes.PipelineStats)
 	}
 	for i := range seqRes.Observations {
-		if !reflect.DeepEqual(seqRes.Observations[i], parRes.Observations[i]) {
+		if !seqRes.Observations[i].Equal(parRes.Observations[i]) {
 			t.Fatalf("observation %d differs:\nseq: %+v\npar: %+v",
 				i, seqRes.Observations[i], parRes.Observations[i])
 		}
+	}
+	// The row comparison must see a name that differs past its first byte.
+	o := &seqRes.Observations[0]
+	name := []byte(o.Name())
+	name[len(name)-1] ^= 1
+	var rereg *model.Rereg
+	if o.Reregistered() {
+		rereg = &model.Rereg{Time: o.ReregTime(), RegistrarID: o.ReregRegistrar()}
+	}
+	renamed, err := model.NewObservation(string(name), o.DeleteDay(), o.Prior(), rereg, o.Malicious())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if o.Equal(renamed) {
+		t.Fatalf("%s and %s compare Equal", o.Name(), renamed.Name())
 	}
 
 	// The figure generators must be deterministic across their own knob too.

@@ -78,7 +78,7 @@ func TestFederationExplicitDefaultZoneDifferential(t *testing.T) {
 			if !bytes.Equal(legacyCSV, fedCSV) {
 				t.Fatalf("CSV datasets differ: %d bytes vs %d bytes", len(legacyCSV), len(fedCSV))
 			}
-			if !reflect.DeepEqual(legacyRes.Deletions, fedRes.Deletions) {
+			if !sameDeletions(legacyRes.Deletions, fedRes.Deletions) {
 				t.Fatal("deletion event logs differ")
 			}
 			if !reflect.DeepEqual(legacyRes.DropEnd, fedRes.DropEnd) {
@@ -125,8 +125,8 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 	coreEvents := func(res *Result, day simtime.Day) []string {
 		var out []string
 		for _, ev := range res.Deletions[day] {
-			if tld, _ := model.TLDOf(ev.Name); coreTLDs[tld] {
-				out = append(out, fmt.Sprintf("%s rank=%d at=%s", ev.Name, ev.Rank(), ev.Time().UTC().Format(time.RFC3339)))
+			if tld, _ := model.TLDOf(ev.Name()); coreTLDs[tld] {
+				out = append(out, fmt.Sprintf("%s rank=%d at=%s", ev.Name(), ev.Rank(), ev.Time().UTC().Format(time.RFC3339)))
 			}
 		}
 		return out
@@ -138,12 +138,12 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 		}
 		instant := day.At(4, 0, 0)
 		for _, ev := range fed.Deletions[day] {
-			tld, _ := model.TLDOf(ev.Name)
+			tld, _ := model.TLDOf(ev.Name())
 			switch {
 			case tld == "se" || tld == "nu":
 				nordicSaw++
 				if !ev.Time().Equal(instant) {
-					t.Fatalf("instant-release deletion %s at %v, want %v", ev.Name, ev.Time(), instant)
+					t.Fatalf("instant-release deletion %s at %v, want %v", ev.Name(), ev.Time(), instant)
 				}
 			case tld == "io":
 				shuffleSaw++
@@ -161,14 +161,14 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 	}
 	for i := range base.Observations {
 		a, b := &base.Observations[i], &fed.Observations[i]
-		if a.Name != b.Name {
-			t.Fatalf("observation %d: %s vs %s", i, a.Name, b.Name)
+		if a.Name() != b.Name() {
+			t.Fatalf("observation %d: %s vs %s", i, a.Name(), b.Name())
 		}
 		if a.Reregistered() != b.Reregistered() {
-			t.Fatalf("observation %s: re-registration presence differs", a.Name)
+			t.Fatalf("observation %s: re-registration presence differs", a.Name())
 		}
 		if a.Reregistered() && !a.ReregTime().Equal(b.ReregTime()) {
-			t.Fatalf("observation %s: re-registration instant differs", a.Name)
+			t.Fatalf("observation %s: re-registration instant differs", a.Name())
 		}
 	}
 
@@ -244,7 +244,7 @@ func TestFederatedStudyPinned(t *testing.T) {
 			for range cfg.Days {
 				fmt.Fprintf(w, "%v\n", day)
 				for _, ev := range res.Deletions[day] {
-					fmt.Fprintf(w, "%s,%s,%d\n", ev.Name, ev.Time().UTC().Format(time.RFC3339Nano), ev.Rank())
+					fmt.Fprintf(w, "%s,%s,%d\n", ev.Name(), ev.Time().UTC().Format(time.RFC3339Nano), ev.Rank())
 				}
 				day = day.Next()
 			}

@@ -100,15 +100,15 @@ func TestIntegrationEPPDrivenStudy(t *testing.T) {
 	}
 	var plan []planned
 	for _, ev := range events {
-		m := meta[ev.Name]
+		m := meta[ev.Name()]
 		claim := market.Decide(registrars.Lot{
-			Name: ev.Name, Value: m.value, AgeYears: m.ageYears,
+			Name: ev.Name(), Value: m.value, AgeYears: m.ageYears,
 			DeletedAt: ev.Time(), DropEnd: dropEnd,
 		})
 		if claim == nil || claim.Delay > 12*time.Hour {
 			continue
 		}
-		plan = append(plan, planned{name: ev.Name, at: ev.Time().Add(claim.Delay), id: claim.RegistrarID})
+		plan = append(plan, planned{name: ev.Name(), at: ev.Time().Add(claim.Delay), id: claim.RegistrarID})
 	}
 	sort.Slice(plan, func(i, j int) bool { return plan[i].at.Before(plan[j].at) })
 	if len(plan) == 0 {

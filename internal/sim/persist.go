@@ -63,7 +63,7 @@ func appendEntries(b []byte, es []measure.PendingEntry) []byte {
 		tld, _ := model.TLDOf(e.Name)
 		b = binwire.AppendString(b, e.Name)
 		b = binwire.AppendString(b, string(tld))
-		b = binwire.AppendDay(b, e.DeleteDay)
+		b = binwire.AppendDay(b, e.DeleteDay())
 		if e.Prior == nil {
 			b = append(b, 0)
 			continue
@@ -85,11 +85,14 @@ func decodeEntries(d *binwire.Decoder) []measure.PendingEntry {
 	}
 	es := make([]measure.PendingEntry, 0, min(n, 1<<16))
 	for i := 0; i < n && d.Err() == nil; i++ {
-		e := measure.PendingEntry{Name: d.Str()}
-		if tld, _ := model.TLDOf(e.Name); string(d.View()) != string(tld) {
-			d.Fail(fmt.Errorf("entry %q: TLD is not the name's suffix", e.Name))
+		name := d.Str()
+		if tld, _ := model.TLDOf(name); string(d.View()) != string(tld) {
+			d.Fail(fmt.Errorf("entry %q: TLD is not the name's suffix", name))
 		}
-		e.DeleteDay = d.Day()
+		e, err := measure.NewPendingEntry(name, d.Day(), nil)
+		if err != nil {
+			d.Fail(err)
+		}
 		switch present := d.Byte(); present {
 		case 0:
 		case 1:

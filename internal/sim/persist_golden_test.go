@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/binwire"
 	"dropzero/internal/inproc"
 	"dropzero/internal/measure"
 	"dropzero/internal/model"
@@ -35,15 +36,22 @@ func goldenState() (cp, rec *dayRecord) {
 			Expiry:      updated.AddDate(0, 0, -30),
 		}
 	}
+	entry := func(name string, day simtime.Day, prior *model.PriorRegistration) measure.PendingEntry {
+		e, err := measure.NewPendingEntry(name, day, prior)
+		if err != nil {
+			panic(err)
+		}
+		return e
+	}
 	cp = &dayRecord{
 		Day: 1,
 		Delta: measure.CollectDelta{
 			Added: []measure.PendingEntry{
-				{Name: "gone.com", DeleteDay: day, Prior: prior(11, 1000, 0)},
-				{Name: "kept.com", DeleteDay: day, Prior: prior(12, 1000, 1)},
-				{Name: "other.net", DeleteDay: day.Next(), Prior: prior(13, 1727, 2)},
-				{Name: "restored.com", DeleteDay: day, Prior: prior(1, 1000, 3)},
-				{Name: "unresolved.com", DeleteDay: day.Next()},
+				entry("gone.com", day, prior(11, 1000, 0)),
+				entry("kept.com", day, prior(12, 1000, 1)),
+				entry("other.net", day.Next(), prior(13, 1727, 2)),
+				entry("restored.com", day, prior(1, 1000, 3)),
+				entry("unresolved.com", day.Next(), nil),
 			},
 			Stats: measure.Stats{ListEntries: 5, Lookups: 6, RDAPErrors: 1, WHOISFallbacks: 1, FallbackFailed: 1},
 		},
@@ -52,10 +60,10 @@ func goldenState() (cp, rec *dayRecord) {
 		Day: 1,
 		Delta: measure.CollectDelta{
 			Day:   day.AddDays(-2),
-			Added: []measure.PendingEntry{{Name: "late.com", DeleteDay: day.AddDays(2)}},
+			Added: []measure.PendingEntry{entry("late.com", day.AddDays(2), nil)},
 			Resolved: []measure.PendingEntry{
-				{Name: "late.com", DeleteDay: day.AddDays(2), Prior: prior(14, 1000, 4)},
-				{Name: "unresolved.com", DeleteDay: day.Next(), Prior: prior(15, 1727, 5)},
+				entry("late.com", day.AddDays(2), prior(14, 1000, 4)),
+				entry("unresolved.com", day.Next(), prior(15, 1727, 5)),
 			},
 			Stats: measure.Stats{ListEntries: 1, Lookups: 2},
 		},
@@ -196,5 +204,14 @@ func TestCheckpointFormatGolden(t *testing.T) {
 	}
 	if _, err := decodeCheckpoint(wrongTLD); err == nil || !strings.Contains(err.Error(), "suffix") {
 		t.Errorf("checkpoint with gone.com under .net: %v, want a refusal", err)
+	}
+	// Nor is its delete day free to be one a stored day cannot hold.
+	entry := func(day simtime.Day) []byte { return binwire.AppendDay([]byte("gone.com\x03com"), day) }
+	badDay := bytes.Replace(whole, entry(simtime.Day{Year: 2018, Month: time.January, Dom: 4}), entry(simtime.Day{Year: 2018, Month: time.January, Dom: 32}), 1)
+	if bytes.Equal(badDay, whole) {
+		t.Fatal("no gone.com entry to change in the golden checkpoint")
+	}
+	if _, err := decodeCheckpoint(badDay); err == nil || !strings.Contains(err.Error(), "not representable") {
+		t.Errorf("checkpoint with gone.com deleted on 32 January: %v, want a refusal", err)
 	}
 }

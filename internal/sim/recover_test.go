@@ -50,7 +50,7 @@ func resultDump(t *testing.T, res *Result) string {
 			d, len(evs), res.DropEnd[d].UTC().Format(time.RFC3339Nano))
 		for _, ev := range evs {
 			fmt.Fprintf(&b, "  %s %s id=%d rank=%d t=%s\n",
-				ev.Name, ev.TLD(), ev.DomainID, ev.Rank(), ev.Time().UTC().Format(time.RFC3339Nano))
+				ev.Name(), ev.TLD(), ev.DomainID(), ev.Rank(), ev.Time().UTC().Format(time.RFC3339Nano))
 		}
 	}
 
@@ -62,7 +62,7 @@ func resultDump(t *testing.T, res *Result) string {
 		for k, tr := range res.Truths[d] {
 			ev := res.Deletions[d][k]
 			fmt.Fprintf(&b, "%s value=%.6f age=%d deleted=%s",
-				ev.Name, tr.Value, tr.AgeYears(), ev.Time().UTC().Format(time.RFC3339Nano))
+				ev.Name(), tr.Value, tr.AgeYears(), ev.Time().UTC().Format(time.RFC3339Nano))
 			if registrar, delay, ok := tr.Claim(); ok {
 				fmt.Fprintf(&b, " claim=%s/%d delay=%s", res.Directory.ServiceOf(registrar), registrar, delay)
 			}

@@ -89,27 +89,37 @@ func filterEvents(evs []model.DeletionEvent, scope map[model.TLD]bool) []model.D
 	return out
 }
 
-// holdNamesOnce re-points the Name of every row of obs at the equal Name
-// string of its deletion event, and clones the name of a row that has none.
-// Run calls it on a resume only, whose restored names are decoded journal
-// bytes (a fresh pipeline holds the store's, which are its events'). The rows
-// learn nothing: each keeps the name it had, byte for byte.
-func holdNamesOnce(obs []model.Observation, deletions map[simtime.Day][]model.DeletionEvent) {
+// holdNamesOnce rebuilds every row of obs on the equal name of its deletion
+// event, and on a clone of its name if it has none. Run calls it on a resume
+// only, whose restored names are decoded journal bytes (a fresh pipeline
+// holds the store's, which are its events'). The rows learn nothing: each
+// keeps the name and fields it had, byte for byte.
+func holdNamesOnce(obs []model.Observation, deletions map[simtime.Day][]model.DeletionEvent) error {
 	var names []string
 	for _, evs := range deletions {
 		for i := range evs {
-			names = append(names, evs[i].Name)
+			names = append(names, evs[i].Name())
 		}
 	}
 	slices.Sort(names)
 	for i := range obs {
 		o := &obs[i]
-		if k, ok := slices.BinarySearch(names, o.Name); ok {
-			o.Name = names[k]
+		name := o.Name()
+		if k, ok := slices.BinarySearch(names, name); ok {
+			name = names[k]
 		} else {
-			o.Name = strings.Clone(o.Name)
+			name = strings.Clone(name)
+		}
+		var rereg *model.Rereg
+		if o.Reregistered() {
+			rereg = &model.Rereg{Time: o.ReregTime(), RegistrarID: o.ReregRegistrar()}
+		}
+		var err error
+		if *o, err = model.NewObservation(name, o.DeleteDay(), o.Prior(), rereg, o.Malicious()); err != nil {
+			return fmt.Errorf("sim: restored row: %w", err)
 		}
 	}
+	return nil
 }
 
 // Run executes a full study. It is deterministic for a given Config: equal
@@ -340,7 +350,7 @@ func Run(cfg Config) (*Result, error) {
 			remaining := lane.runner.BuildQueue(day)
 			queue := make([]registry.QueueEntry, 0, len(archived)+len(remaining))
 			for _, ev := range archived {
-				queue = append(queue, registry.QueueEntry{Name: ev.Name, TLD: ev.TLD(), ID: ev.DomainID})
+				queue = append(queue, registry.QueueEntry{Name: ev.Name(), TLD: ev.TLD(), ID: ev.DomainID()})
 			}
 			queue = append(queue, remaining...)
 			// Deletion instants are explicit in the schedule, so the shared
@@ -354,9 +364,9 @@ func Run(cfg Config) (*Result, error) {
 			}
 			sched := lane.runner.ScheduleQueue(day, queue, lane.rng)
 			for k, ev := range archived {
-				if sched[k].Name != ev.Name || !sched[k].Time.Equal(ev.Time()) {
+				if sched[k].Name != ev.Name() || !sched[k].Time.Equal(ev.Time()) {
 					return nil, fmt.Errorf("sim: resume: recovered deletion %d on %v (%s at %v) disagrees with the replayed schedule (%s at %v)",
-						k, day, ev.Name, ev.Time(), sched[k].Name, sched[k].Time)
+						k, day, ev.Name(), ev.Time(), sched[k].Name, sched[k].Time)
 				}
 			}
 			first := len(dayEvents)
@@ -375,16 +385,16 @@ func Run(cfg Config) (*Result, error) {
 			}
 			dayTruths = slices.Grow(dayTruths, len(events))
 			for _, ev := range events {
-				m := meta[ev.Name]
+				m := meta[ev.Name()]
 				lot := registrars.Lot{
-					Name:      ev.Name,
+					Name:      ev.Name(),
 					Value:     m.value,
 					AgeYears:  m.ageYears,
 					DeletedAt: ev.Time(),
 					DropEnd:   dropEnd,
 				}
 				claim := lane.market.Decide(lot)
-				truth, err := newTruth(ev.Name, m.value, m.ageYears, claim)
+				truth, err := newTruth(ev.Name(), m.value, m.ageYears, claim)
 				if err != nil {
 					return nil, err
 				}
@@ -392,7 +402,7 @@ func Run(cfg Config) (*Result, error) {
 				if claim == nil {
 					continue
 				}
-				creates = append(creates, pendingCreate{claim: claim, at: claim.Time(lot), name: ev.Name})
+				creates = append(creates, pendingCreate{claim: claim, at: claim.Time(lot), name: ev.Name()})
 			}
 		}
 		res.Deletions[day] = dayEvents
@@ -440,7 +450,9 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if len(deltas) > 0 {
-		holdNamesOnce(obs, res.Deletions)
+		if err := holdNamesOnce(obs, res.Deletions); err != nil {
+			return nil, err
+		}
 	}
 	res.Observations = obs
 	res.PipelineStats = pipeline.Stats()

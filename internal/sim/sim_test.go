@@ -63,22 +63,22 @@ func TestRunProducesWellFormedObservations(t *testing.T) {
 	for i := range res.Observations {
 		o := &res.Observations[i]
 		if o.TLD() != model.COM {
-			t.Fatalf("non-.com observation %s (lookups are restricted to .com)", o.Name)
+			t.Fatalf("non-.com observation %s (lookups are restricted to .com)", o.Name())
 		}
 		if o.PriorID() == 0 || o.PriorUpdated().IsZero() || o.PriorCreated().IsZero() {
 			t.Fatalf("incomplete prior metadata: %+v", o.Prior())
 		}
 		if !o.PriorCreated().Before(o.PriorUpdated()) {
-			t.Fatalf("%s created %v after updated %v", o.Name, o.PriorCreated(), o.PriorUpdated())
+			t.Fatalf("%s created %v after updated %v", o.Name(), o.PriorCreated(), o.PriorUpdated())
 		}
 		if o.Reregistered() {
 			dropStart := o.DeleteDay().At(19, 0, 0)
 			if o.ReregTime().Before(dropStart) {
-				t.Fatalf("%s re-registered at %v, before the Drop", o.Name, o.ReregTime())
+				t.Fatalf("%s re-registered at %v, before the Drop", o.Name(), o.ReregTime())
 			}
 		}
-		if i > 0 && res.Observations[i-1].Name >= o.Name {
-			t.Fatalf("dataset not sorted by name at row %d: %s then %s", i, res.Observations[i-1].Name, o.Name)
+		if i > 0 && res.Observations[i-1].Name() >= o.Name() {
+			t.Fatalf("dataset not sorted by name at row %d: %s then %s", i, res.Observations[i-1].Name(), o.Name())
 		}
 	}
 }
@@ -99,7 +99,7 @@ func truthByName(t *testing.T, res *Result) map[string]datedTruth {
 			t.Fatalf("day %v: %d truths for %d deletions", day, len(res.Truths[day]), len(evs))
 		}
 		for k, ev := range evs {
-			out[ev.Name] = datedTruth{res.Truths[day][k], ev.Time()}
+			out[ev.Name()] = datedTruth{res.Truths[day][k], ev.Time()}
 		}
 	}
 	return out
@@ -129,21 +129,21 @@ func TestRunGroundTruthConsistency(t *testing.T) {
 	truths := truthByName(t, res)
 	for i := range res.Observations {
 		o := &res.Observations[i]
-		truth, ok := truths[o.Name]
+		truth, ok := truths[o.Name()]
 		if !ok {
-			t.Fatalf("no ground truth for %s", o.Name)
+			t.Fatalf("no ground truth for %s", o.Name())
 		}
 		registrar, delay, claimed := truth.Claim()
 		if o.Reregistered() != claimed {
-			t.Fatalf("%s rereg presence mismatch: obs=%v truth=%v", o.Name, o.Reregistered(), claimed)
+			t.Fatalf("%s rereg presence mismatch: obs=%v truth=%v", o.Name(), o.Reregistered(), claimed)
 		}
 		if o.Reregistered() {
 			wantAt := simtime.Trunc(truth.DeletedAt.Add(delay))
 			if !o.ReregTime().Equal(wantAt) {
-				t.Fatalf("%s observed rereg %v != truth %v", o.Name, o.ReregTime(), wantAt)
+				t.Fatalf("%s observed rereg %v != truth %v", o.Name(), o.ReregTime(), wantAt)
 			}
 			if o.ReregRegistrar() != registrar {
-				t.Fatalf("%s rereg registrar %d != claim %d", o.Name, o.ReregRegistrar(), registrar)
+				t.Fatalf("%s rereg registrar %d != claim %d", o.Name(), o.ReregRegistrar(), registrar)
 			}
 		}
 	}
@@ -168,7 +168,7 @@ func TestRunNetDomainsInterleaved(t *testing.T) {
 	// But none in the measured dataset (lookups restricted to .com).
 	for _, o := range res.Observations {
 		if o.TLD() == model.NET {
-			t.Fatalf(".net domain %s in dataset", o.Name)
+			t.Fatalf(".net domain %s in dataset", o.Name())
 		}
 	}
 }

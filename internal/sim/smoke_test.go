@@ -79,7 +79,7 @@ func TestRunDeterministic(t *testing.T) {
 		t.Fatalf("observation counts differ: %d vs %d", len(a.Observations), len(b.Observations))
 	}
 	for i := range a.Observations {
-		if oa, ob := a.Observations[i], b.Observations[i]; oa != ob {
+		if oa, ob := a.Observations[i], b.Observations[i]; !oa.Equal(ob) {
 			t.Fatalf("observation %d differs: %+v vs %+v", i, oa, ob)
 		}
 	}
