@@ -216,7 +216,7 @@ func pickTargets(entries []dropscope.Entry, day simtime.Day, n int) []string {
 	}
 	var todays []scored
 	for _, e := range entries {
-		if e.DeleteDay != day {
+		if e.DeleteDay() != day {
 			continue
 		}
 		s := 3*names.KeywordCount(e.Name) + names.DictionaryCount(e.Name)

@@ -195,10 +195,10 @@ func renderWindow(store *registry.Store, start simtime.Day, days int, tlds map[m
 	for _, e := range rows {
 		size += len(e.Name) + len(",YYYY-MM-DD\n")
 	}
-	body, day, date := make([]byte, 0, size), simtime.Day{}, []byte(nil)
+	body, day, date := make([]byte, 0, size), uint16(0), []byte(nil)
 	for _, e := range rows { // a pending name's day is never the zero Day
-		if e.DeleteDay != day {
-			day, date = e.DeleteDay, e.DeleteDay.AppendTo(date[:0])
+		if e.PackedDeleteDay() != day {
+			day, date = e.PackedDeleteDay(), e.DeleteDay().AppendTo(date[:0])
 		}
 		body = append(append(append(append(body, e.Name...), ','), date...), '\n')
 	}
@@ -269,7 +269,7 @@ func RenderEntries(entries []Entry) []byte {
 	var buf bytes.Buffer
 	cw := csv.NewWriter(&buf)
 	for _, e := range entries {
-		if err := cw.Write([]string{e.Name, e.DeleteDay.String()}); err != nil {
+		if err := cw.Write([]string{e.Name, e.DeleteDay().String()}); err != nil {
 			panic(err) // csv.Writer cannot fail writing to a bytes.Buffer
 		}
 	}
@@ -311,8 +311,12 @@ func ParseList(r io.Reader) ([]Entry, error) {
 		if err != nil {
 			return finish(fmt.Errorf("dropscope: bad delete date %q: %w", rec[1], err))
 		}
-		names = append(names, strings.ToLower(rec[0])...)
+		e, err := registry.NewPending(strings.ToLower(rec[0]), day)
+		if err != nil {
+			return finish(fmt.Errorf("dropscope: bad delete date %q: %w", rec[1], err))
+		}
+		names = append(names, e.Name...)
 		ends = append(ends, len(names))
-		out = append(out, Entry{DeleteDay: day})
+		out = append(out, e)
 	}
 }

@@ -23,6 +23,16 @@ import (
 	"dropzero/internal/simtime"
 )
 
+// mustEntry is registry.NewPending for a day a list can hold.
+func mustEntry(t *testing.T, name string, day simtime.Day) Entry {
+	t.Helper()
+	e, err := registry.NewPending(name, day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func newEnv(t *testing.T) (*registry.Store, *Client, simtime.Day) {
 	t.Helper()
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
@@ -60,7 +70,7 @@ func TestFetchWindow(t *testing.T) {
 		t.Fatalf("entries = %d, want %d", len(entries), LookaheadDays)
 	}
 	for _, e := range entries {
-		if e.DeleteDay.Before(day) || !e.DeleteDay.Before(day.AddDays(LookaheadDays)) {
+		if e.DeleteDay().Before(day) || !e.DeleteDay().Before(day.AddDays(LookaheadDays)) {
 			t.Fatalf("entry %v outside window", e)
 		}
 	}
@@ -114,6 +124,12 @@ func TestParseListRejectsGarbage(t *testing.T) {
 	if err == nil {
 		t.Fatal("bad date accepted")
 	}
+	// A calendar date an entry cannot store is refused by name, and the
+	// entries before it are returned.
+	entries, err := ParseList(strings.NewReader("a.com,2018-01-02\nb.com,1969-12-31\n"))
+	if err == nil || len(entries) != 1 || entries[0].Name != "a.com" {
+		t.Fatalf("a 1969 delete date: entries %v, error %v", entries, err)
+	}
 }
 
 func TestParseListEmpty(t *testing.T) {
@@ -132,9 +148,9 @@ func TestParseListNamesShareOneArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []Entry{
-		{Name: "alpha.com", DeleteDay: simtime.Day{Year: 2018, Month: time.January, Dom: 2}},
-		{Name: "quo,ted.net", DeleteDay: simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
-		{Name: "c.com", DeleteDay: simtime.Day{Year: 2018, Month: time.January, Dom: 3}},
+		mustEntry(t, "alpha.com", simtime.Day{Year: 2018, Month: time.January, Dom: 2}),
+		mustEntry(t, "quo,ted.net", simtime.Day{Year: 2018, Month: time.January, Dom: 3}),
+		mustEntry(t, "c.com", simtime.Day{Year: 2018, Month: time.January, Dom: 3}),
 	}
 	if !slices.Equal(entries, want) {
 		t.Fatalf("entries = %v", entries)

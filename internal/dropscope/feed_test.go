@@ -87,7 +87,7 @@ func TestClientDeltaCursorDifferential(t *testing.T) {
 					var window []Entry
 					for _, it := range m.Items() {
 						if it.Day.Compare(when) >= 0 && it.Day.Compare(when.AddDays(LookaheadDays)) < 0 {
-							window = append(window, Entry{Name: it.Name, DeleteDay: it.Day})
+							window = append(window, mustEntry(t, it.Name, it.Day))
 						}
 					}
 					got := string(RenderEntries(window))

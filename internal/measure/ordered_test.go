@@ -93,16 +93,16 @@ func newListWorld(t testing.TB, seed int64, days, names int) *listWorld {
 			if l.day.Before(today) || !l.day.Before(end) || rng.Intn(4) == 0 {
 				continue
 			}
-			list = append(list, dropscope.Entry{Name: l.name, DeleteDay: l.day})
+			list = append(list, mustPending(l.name, l.day))
 			switch rng.Intn(30) {
 			case 0: // listed under a second day of the window too
-				list = append(list, dropscope.Entry{Name: l.name, DeleteDay: today.AddDays(rng.Intn(dropscope.LookaheadDays))})
+				list = append(list, mustPending(l.name, today.AddDays(rng.Intn(dropscope.LookaheadDays))))
 			case 1: // listed twice on its day
-				list = append(list, dropscope.Entry{Name: l.name, DeleteDay: l.day})
+				list = append(list, mustPending(l.name, l.day))
 			}
 		}
 		slices.SortFunc(list, func(a, b dropscope.Entry) int {
-			return cmp.Or(a.DeleteDay.Compare(b.DeleteDay), strings.Compare(a.Name, b.Name))
+			return cmp.Or(a.DeleteDay().Compare(b.DeleteDay()), strings.Compare(a.Name, b.Name))
 		})
 		w.lists[today] = list
 	}
@@ -192,7 +192,7 @@ func (r *mapPipeline) collectDaily(ctx context.Context, today simtime.Day) error
 		if _, seen := r.pending[e.Name]; seen {
 			continue
 		}
-		pe := mustEntry(e.Name, e.DeleteDay, nil)
+		pe := mustEntry(e.Name, e.DeleteDay(), nil)
 		r.pending[e.Name] = &pe
 		r.stats.ListEntries++
 	}
@@ -489,6 +489,15 @@ func TestPendingEntryDay(t *testing.T) {
 // mustEntry is NewPendingEntry for days a test knows fit.
 func mustEntry(name string, day simtime.Day, prior *model.PriorRegistration) PendingEntry {
 	e, err := NewPendingEntry(name, day, prior)
+	if err != nil {
+		panic(err)
+	}
+	return e
+}
+
+// mustPending is registry.NewPending for days a list can hold.
+func mustPending(name string, day simtime.Day) dropscope.Entry {
+	e, err := registry.NewPending(name, day)
 	if err != nil {
 		panic(err)
 	}

@@ -160,18 +160,13 @@ func (p *Pipeline) CollectDaily(ctx context.Context, today simtime.Day) error {
 // day runs are merged by name and joined to the tracked set in one pass.
 func (p *Pipeline) track(entries []dropscope.Entry) error {
 	var buf [dropscope.LookaheadDays][]dropscope.Entry
-	var dayBuf [dropscope.LookaheadDays]uint16 // each run's day, stored
-	runs, days, start := buf[:0], dayBuf[:0], 0
+	runs, start := buf[:0], 0
 	for i, e := range entries {
-		if i > 0 && cmp.Or(e.DeleteDay.Compare(entries[i-1].DeleteDay), strings.Compare(e.Name, entries[i-1].Name)) < 0 {
-			return fmt.Errorf("%s (%v) listed after %s (%v)", e.Name, e.DeleteDay, entries[i-1].Name, entries[i-1].DeleteDay)
+		if i > 0 && cmp.Or(cmp.Compare(e.PackedDeleteDay(), entries[i-1].PackedDeleteDay()), strings.Compare(e.Name, entries[i-1].Name)) < 0 {
+			return fmt.Errorf("%s (%v) listed after %s (%v)", e.Name, e.DeleteDay(), entries[i-1].Name, entries[i-1].DeleteDay())
 		}
-		if i+1 == len(entries) || entries[i+1].DeleteDay != e.DeleteDay {
-			day, ok := e.DeleteDay.Pack()
-			if !ok {
-				return fmt.Errorf("%s: delete day %v not representable", e.Name, e.DeleteDay)
-			}
-			runs, days, start = append(runs, entries[start:i+1]), append(days, day), i+1
+		if i+1 == len(entries) || entries[i+1].PackedDeleteDay() != e.PackedDeleteDay() {
+			runs, start = append(runs, entries[start:i+1]), i+1
 		}
 	}
 	added, j := p.added[:0], 0
@@ -194,7 +189,7 @@ func (p *Pipeline) track(entries []dropscope.Entry) error {
 		if n := len(added); (n > 0 && added[n-1].Name == e.Name) || p.tracked(&j, e.Name) {
 			continue // listed on an earlier day too, or tracked already
 		}
-		added = append(added, PendingEntry{Name: e.Name, deleteDay: days[r]})
+		added = append(added, PendingEntry{Name: e.Name, deleteDay: e.PackedDeleteDay()})
 	}
 	if p.delta != nil {
 		p.delta.Added = append(p.delta.Added, added...)
@@ -313,7 +308,7 @@ func (p *Pipeline) Finalize(ctx context.Context) ([]model.Observation, error) {
 				return r
 			}
 		}
-		if rows[i], err = model.NewObservation(pd.Name, pd.DeleteDay(), *pd.Prior, rereg, malicious); err != nil {
+		if rows[i], err = model.NewObservationPacked(pd.Name, pd.deleteDay, *pd.Prior, rereg, malicious); err != nil {
 			r.err = fmt.Errorf("measure: %w", err)
 			return r
 		}

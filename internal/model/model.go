@@ -200,12 +200,19 @@ const (
 // 2149-06-06 or not a calendar date (the zero Day, "none", fits) — is an
 // error.
 func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
-	if len(name) > math.MaxUint8 {
-		return Observation{}, fmt.Errorf("model: %.32s…: name of %d bytes not representable", name, len(name))
-	}
 	day, ok := deleteDay.Pack()
 	if !ok {
 		return Observation{}, fmt.Errorf("model: %s: delete day %v not representable", name, deleteDay)
+	}
+	return NewObservationPacked(name, day, prior, rereg, malicious)
+}
+
+// NewObservationPacked is NewObservation with the delete day as
+// simtime.Day.Pack stores it — as a pipeline's pending entry holds it — so
+// no day is unpacked only to be packed again. Every uint16 is a stored day.
+func NewObservationPacked(name string, deleteDay uint16, prior PriorRegistration, rereg *Rereg, malicious bool) (Observation, error) {
+	if len(name) > math.MaxUint8 {
+		return Observation{}, fmt.Errorf("model: %.32s…: name of %d bytes not representable", name, len(name))
 	}
 	at := [...]time.Time{prior.Created, prior.Updated, prior.Expiry, {}}
 	registrar := [...]int{prior.RegistrarID, 0}
@@ -214,9 +221,16 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 	}
 	var stored [len(at)]uint32
 	for i, t := range at {
-		if stored[i], ok = simtime.PackTime(simtime.Trunc(t)); !ok {
+		// Instants from a store are whole seconds already: only a fraction
+		// is truncated, and packed again.
+		v, ok := simtime.PackTime(t)
+		if !ok {
+			v, ok = simtime.PackTime(simtime.Trunc(t))
+		}
+		if !ok {
 			return Observation{}, fmt.Errorf("model: %s: instant %v not representable", name, t)
 		}
+		stored[i] = v
 	}
 	for _, id := range registrar {
 		if id < 0 || id > math.MaxUint16 {
@@ -236,7 +250,7 @@ func NewObservation(name string, deleteDay simtime.Day, prior PriorRegistration,
 		reregAt:        stored[3],
 		priorRegistrar: uint16(registrar[0]),
 		reregRegistrar: uint16(registrar[1]),
-		deleteDay:      day,
+		deleteDay:      deleteDay,
 	}
 	if rereg != nil {
 		o.flags = flagRereg

@@ -205,9 +205,12 @@ func (g *Generator) brand(syllables int) string {
 	return b.String()
 }
 
+// random is n random letters and digits, n at most 63 (a label's limit);
+// they are spelled on the stack, so the string is the one allocation.
 func (g *Generator) random(n int) string {
 	const alphabet = "abcdefghijklmnopqrstuvwxyz0123456789"
-	b := make([]byte, n)
+	var buf [63]byte
+	b := buf[:n]
 	for i := range b {
 		b[i] = alphabet[g.rng.Intn(len(alphabet))]
 	}

@@ -72,3 +72,56 @@ func BenchmarkPendingDeletions(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkTick times Lifecycle.Tick over 1 M active registrations, half of
+// them expired at the tick's instant. first is the catch-up tick that walks
+// every chunk and moves the expired half to autoRenew, on a store built
+// afresh each iteration (outside the timer); steady is a tick once the
+// chunk bounds have caught up, when nothing is newly due: the active pass
+// reads one bound per chunk and walks none.
+func BenchmarkTick(b *testing.B) {
+	const population = 1_000_000
+	today := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
+	now := today.At(12, 0, 0)
+	build := func() (*Store, *Lifecycle) {
+		s := NewStoreWithShards(simtime.NewSimClock(now), 2)
+		for r := 0; r < 10; r++ {
+			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+		}
+		lc := NewLifecycle(s, DefaultLifecycleConfig())
+		for i := 0; i < population; i++ {
+			expiry := now.Add(time.Duration(1+i%300) * 24 * time.Hour)
+			if i%2 == 0 {
+				expiry = now.Add(-time.Duration(1+i%300) * time.Minute)
+			}
+			if _, err := s.SeedAt(fmt.Sprintf("tick%07d.com", i), 1000+i%10, expiry.AddDate(-1, 0, 0), expiry.AddDate(-1, 0, 0),
+				expiry, model.StatusActive, simtime.Day{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return s, lc
+	}
+	b.Run("first", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			_, lc := build()
+			b.StartTimer()
+			if n := lc.Tick(now); n != population/2 {
+				b.Fatalf("first tick moved %d, want %d", n, population/2)
+			}
+		}
+	})
+	b.Run("steady", func(b *testing.B) {
+		_, lc := build()
+		lc.Tick(now)
+		lc.Tick(now)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if n := lc.Tick(now); n != 0 {
+				b.Fatalf("steady tick moved %d", n)
+			}
+		}
+	})
+}

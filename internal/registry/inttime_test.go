@@ -20,8 +20,6 @@ func refDueDay(p duePolicy, r *record) simtime.Day {
 		return refDueDay(*zp, r)
 	}
 	switch r.status() {
-	case model.StatusActive:
-		return simtime.DayOf(simtime.UnpackTime(r.expiry))
 	case model.StatusAutoRenew:
 		g := p.defaultGraceDays
 		if v, ok := p.graceDays[int(r.registrar)]; ok {
@@ -37,7 +35,7 @@ func refDueDay(p duePolicy, r *record) simtime.Day {
 
 // TestDueDayMatchesCalendar holds the integer due day to the calendar one
 // over random instants (the ends of the stored range and the zero time
-// included), states, registrars, grace and redemption lengths, and a zone
+// included), bucketed states, registrars, grace and redemption lengths, and a zone
 // with its own lengths for one TLD. The zero time (year 1) and an unset
 // delete day have no day number; both file under key 0, below every real day.
 func TestDueDayMatchesCalendar(t *testing.T) {
@@ -69,7 +67,7 @@ func TestDueDayMatchesCalendar(t *testing.T) {
 				updated:   instant(),
 				expiry:    instant(),
 				registrar: int32(1000 + rng.Intn(4)),
-				meta:      uint8(rng.Intn(4)),
+				meta:      uint8(firstDueState) + uint8(rng.Intn(dueStates)),
 			}
 			r.setName([]string{"a.com", "b.net", "c.se"}[rng.Intn(3)])
 			if r.status() == model.StatusPendingDelete && rng.Intn(4) != 0 {

@@ -339,10 +339,7 @@ func (s *Store) applyLocked(sh *shard, m *Mutation, h uint64, held *[]purged, id
 		if err := errors.Join(errUpdated, errField, next.setStatus(status)); err != nil {
 			return res, fmt.Errorf("%w: %q", err, m.Name)
 		}
-		sh.dueRemove(r, ref)
-		next.prev, next.next = 0, 0 // dueRemove unlinked r; next holds its old links
-		*r = next
-		sh.dueAdd(r, ref)
+		sh.refile(r, ref, next)
 		if m.Kind == MutTransfer {
 			sh.rotateAuth(r)
 		}

@@ -82,17 +82,18 @@ type change struct {
 // a deterministic order (sorted by domain ID) so equal inputs give equal
 // outputs.
 //
-// Tick walks only the due-day index buckets at or before now's day — the
-// work is proportional to the domains actually due (plus same-day
-// candidates whose exact instant has not struck yet), not to the store.
+// Tick walks the autoRenew and redemption due-day buckets at or before
+// now's day — work proportional to the domains actually due, plus same-day
+// candidates whose exact instant has not struck yet — and, for active
+// domains, the table chunks whose expiry bound is not after now.
 func (l *Lifecycle) Tick(now time.Time) int {
 	now = simtime.Trunc(now)
 	day := simtime.DayOf(now)
 
 	nowSec := now.Unix()
 	var changes []change
-	l.store.eachDueThrough(model.StatusActive, day, func(r *record) {
-		if l.inScope(r.tld()) && simtime.UnixOf(r.expiry) <= nowSec {
+	l.store.eachExpired(nowSec, func(r *record) {
+		if l.inScope(r.tld()) {
 			// Registry auto-renews at expiration; the registrar's grace
 			// clock starts at the old expiry.
 			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusAutoRenew, updated: simtime.UnpackTime(r.expiry)})

@@ -13,7 +13,7 @@ import (
 )
 
 // record is the shard-resident form of one registration: a model.Domain
-// squeezed into 40 bytes with a single pointer word (the name's bytes),
+// squeezed into 32 bytes with a single pointer word (the name's bytes),
 // stored in its shard's table and addressable only under that shard's lock
 // (see table for the validity rule). Time is integer throughout: timestamps
 // are stored instants (simtime.PackTime: 0 = the zero time.Time, otherwise
@@ -23,8 +23,8 @@ import (
 // data pointer and length: nothing is copied and nothing outlives what a
 // string header would keep alive. The TLD is the name's last label, and the
 // transfer code is a state from which the code is recomputed (authInfo).
-// The record also carries its due bucket's links, so the due index holds
-// nothing per registration. Records never leave the package: Get, Each,
+// The due index holds the record's ref, not the other way round: a record
+// carries no links (dueindex.go). Records never leave the package: Get, Each,
 // PendingDeletions, snapshot capture and observer events hand out
 // model.Domain values built by domain().
 type record struct {
@@ -34,12 +34,9 @@ type record struct {
 	updated   uint32
 	expiry    uint32
 	registrar int32
-	// prev and next link the record into its due bucket (dueIndex): table
-	// refs plus one, 0 for none. Only dueIndex.add and remove set them.
-	prev, next uint32
-	deleteDay  uint16 // days since 1970-01-01; 0 = no deletion scheduled
-	nameLen    uint8
-	meta       uint8 // authState<<6 | status
+	deleteDay uint16 // days since 1970-01-01; 0 = no deletion scheduled
+	nameLen   uint8
+	meta      uint8 // authState<<6 | status
 }
 
 // errUnrepresentable marks a registration the store cannot hold exactly: an

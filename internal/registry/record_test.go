@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -16,15 +17,15 @@ import (
 	"dropzero/internal/zone"
 )
 
-// TestRecordFitsOneSizeClass pins the stored form to 40 bytes and a table
-// chunk to 40 KiB — five pages, an allocator size class with no rounding
-// waste; one more word per record would cost 8 bytes per registration.
+// TestRecordFitsOneSizeClass pins the stored form to 32 bytes and a table
+// chunk to 32 KiB — an allocator size class with no rounding waste; one more
+// word per record would cost 8 bytes per registration.
 func TestRecordFitsOneSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(record{}); size != 40 {
-		t.Fatalf("record is %d bytes, want 40", size)
+	if size := unsafe.Sizeof(record{}); size != 32 {
+		t.Fatalf("record is %d bytes, want 32", size)
 	}
-	if size := unsafe.Sizeof([chunkSize]record{}); size != 40<<10 {
-		t.Fatalf("chunk is %d bytes, want 40 KiB", size)
+	if size := unsafe.Sizeof([chunkSize]record{}); size != 32<<10 {
+		t.Fatalf("chunk is %d bytes, want 32 KiB", size)
 	}
 }
 
@@ -512,51 +513,61 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 	}
 }
 
-// checkDuePositions asserts the due index's structural invariant: every
-// bucket is a well-formed list (each prev mirrors the next before it) of
-// registrations in its status with its policy due day, every live
-// registration in an indexed status is reached exactly once, and one in a
-// status with no index has zero links.
+// checkDuePositions asserts the due index's structural invariant. Per
+// bucketed state: the days ascend, each names a bucket with members, and a
+// bucket holds each ref once, counts its members (the refs whose record is
+// live, in that state and due that day under the policy) and is no more
+// than half stale. Every live registration in a bucketed state is a member
+// of exactly one bucket, and every active one's chunk bound is at or before
+// its expiry.
 func checkDuePositions(t *testing.T, s *Store) {
 	t.Helper()
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
 		reached := make(map[uint32]bool)
-		for st := range sh.due {
-			ix := &sh.due[st]
-			if len(ix.days) != len(ix.heads) {
-				t.Fatalf("shard %d %v: %d days for %d heads", i, model.Status(st), len(ix.days), len(ix.heads))
-			}
-			for k := 1; k < len(ix.days); k++ {
-				if ix.days[k-1] >= ix.days[k] {
-					t.Fatalf("shard %d %v: days out of order at %d", i, model.Status(st), k)
+		for k, ix := range sh.due {
+			st := firstDueState + model.Status(k)
+			for j := 1; j < len(ix); j++ {
+				if ix[j-1].day >= ix[j].day {
+					t.Fatalf("shard %d %v: days out of order at %d", i, st, j)
 				}
 			}
-			for _, day := range ix.days {
-				head := ix.heads[day]
-				if head == 0 {
-					t.Fatalf("shard %d %v: day %v has no head", i, model.Status(st), day)
+			for j := range ix {
+				b, day := &ix[j], ix[j].day
+				members := 0
+				held := make(map[uint32]bool)
+				for _, ref := range b.refs {
+					if held[ref] {
+						t.Fatalf("shard %d %v bucket %v: holds ref %d twice", i, st, day, ref)
+					}
+					held[ref] = true
+					r := sh.tab.rec(ref)
+					if !sh.member(r, st, day) {
+						continue
+					}
+					members++
+					if reached[ref] {
+						t.Fatalf("shard %d %v bucket %v: %s is a member of two buckets", i, st, day, r.name())
+					}
+					reached[ref] = true
+					if got, gotRef := sh.tab.get(r.name()); got != r || gotRef != ref {
+						t.Fatalf("shard %d %v bucket %v: ref %d holds %s, which the name index puts at %d", i, st, day, ref, r.name(), gotRef)
+					}
 				}
-				for prev, ref := uint32(0), head; ref != 0; prev, ref = ref, sh.tab.rec(ref-1).next {
-					r := sh.tab.rec(ref - 1)
-					if reached[ref-1] {
-						t.Fatalf("shard %d %v bucket %v: reaches %s twice", i, model.Status(st), day, r.name())
-					}
-					reached[ref-1] = true
-					if got, gotRef := sh.tab.get(r.name()); r.prev != prev || int(r.status()) != st || sh.policy.dueDay(r) != day || got != r || gotRef != ref-1 {
-						t.Fatalf("shard %d %v bucket %v: holds %s (prev %d after %d, status %v, due %v)",
-							i, model.Status(st), day, r.name(), r.prev, prev, r.status(), sh.policy.dueDay(r))
-					}
+				if members == 0 || members != b.live || 2*(len(b.refs)-b.live) > len(b.refs) {
+					t.Fatalf("shard %d %v bucket %v: %d refs, %d members, counted %d", i, st, day, len(b.refs), members, b.live)
 				}
 			}
 		}
 		sh.tab.each(func(r *record, ref uint32) bool {
-			if int(r.status()) < len(sh.due) && !reached[ref] {
-				t.Fatalf("shard %d: %s (%v) is in no bucket", i, r.name(), r.status())
-			}
-			if int(r.status()) >= len(sh.due) && (r.prev != 0 || r.next != 0) {
-				t.Fatalf("shard %d: %s (%v) has links %d, %d and no index", i, r.name(), r.status(), r.prev, r.next)
+			switch st := r.status(); {
+			case bucketed(st) && !reached[ref]:
+				t.Fatalf("shard %d: %s (%v) is in no bucket", i, r.name(), st)
+			case !bucketed(st) && reached[ref]:
+				t.Fatalf("shard %d: %s (%v) is in a bucket", i, r.name(), st)
+			case st == model.StatusActive && atomic.LoadUint32(&sh.tab.soonest[ref>>chunkShift]) > r.expiry:
+				t.Fatalf("shard %d: %s expires at %d, before its chunk's bound %d", i, r.name(), r.expiry, sh.tab.soonest[ref>>chunkShift])
 			}
 			return true
 		})
@@ -572,118 +583,128 @@ func checkDuePositions(t *testing.T, s *Store) {
 // published window, Drop queue — must come out the same from the buckets as
 // from the scan, the two read-only ones compared on the indexed store.
 func TestDueBucketsUnderRandomChurn(t *testing.T) {
-	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
-	newWorld := func() (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
-		clock := simtime.NewSimClock(start.At(0, 0, 0))
-		s := NewStoreWithShards(clock, 4)
-		for r := 0; r < 4; r++ {
-			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
-		}
-		z := nordicZone()
-		z.Lifecycle = zone.LifecycleConfig{RedemptionDays: 4, PendingDeleteDays: 2, DefaultGraceDays: 3}
-		if err := s.AddZone(z); err != nil {
-			t.Fatal(err)
-		}
-		cfg := DefaultLifecycleConfig()
-		cfg.RedemptionDays, cfg.PendingDeleteDays, cfg.DefaultGraceDays = 6, 3, 5
-		return s, clock, NewLifecycle(s, cfg), NewDropRunner(s, DefaultDropConfig())
-	}
-	ix, ixClock, ixLC, ixRun := newWorld()
-	sc, scClock, scLC, scRun := newWorld()
-	zl := func(s *Store) *Lifecycle { z, _ := s.ZoneByName(nordicZone().Name); return NewZoneLifecycle(s, z) }
-	ixZL, scZL := zl(ix), zl(sc)
+	for _, shards := range []int{1, 2, 8, 16} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
+			newWorld := func() (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
+				clock := simtime.NewSimClock(start.At(0, 0, 0))
+				s := NewStoreWithShards(clock, shards)
+				for r := 0; r < 4; r++ {
+					s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+				}
+				z := nordicZone()
+				z.Lifecycle = zone.LifecycleConfig{RedemptionDays: 4, PendingDeleteDays: 2, DefaultGraceDays: 3}
+				if err := s.AddZone(z); err != nil {
+					t.Fatal(err)
+				}
+				cfg := DefaultLifecycleConfig()
+				cfg.RedemptionDays, cfg.PendingDeleteDays, cfg.DefaultGraceDays = 6, 3, 5
+				return s, clock, NewLifecycle(s, cfg), NewDropRunner(s, DefaultDropConfig())
+			}
+			ix, ixClock, ixLC, ixRun := newWorld()
+			sc, scClock, scLC, scRun := newWorld()
+			zl := func(s *Store) *Lifecycle { z, _ := s.ZoneByName(nordicZone().Name); return NewZoneLifecycle(s, z) }
+			ixZL, scZL := zl(ix), zl(sc)
 
-	rng := rand.New(rand.NewSource(5))
-	var names []string
-	both := func(op func(s *Store) error) {
-		t.Helper()
-		e1, e2 := op(ix), op(sc)
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("engines disagree: indexed %v, scan %v", e1, e2)
-		}
-	}
-	for round := 0; round < 40; round++ {
-		day := start.AddDays(round / 2)
-		now := day.At(6+12*(round%2), 0, 0)
-		ixClock.Set(now)
-		scClock.Set(now)
-		for k := 0; k < 60; k++ {
-			switch op := rng.Intn(10); {
-			case op < 3 || len(names) < 20:
-				name := fmt.Sprintf("churn%05d.%s", len(names), []string{"com", "net", "se", "nu"}[rng.Intn(4)])
-				reg, term := 1000+rng.Intn(4), 1+rng.Intn(2)
-				expiry := day.AddDays(rng.Intn(12)-3).At(rng.Intn(24), 0, rng.Intn(60))
-				updated := expiry.AddDate(0, 0, -rng.Intn(30))
-				st := model.Status(rng.Intn(4))
-				due := simtime.Day{}
-				if st == model.StatusPendingDelete {
-					due = day.AddDays(rng.Intn(4))
-				}
-				if rng.Intn(2) == 0 {
-					both(func(s *Store) error { _, err := s.Create(name, reg, term); return err })
-				} else {
-					both(func(s *Store) error {
-						_, err := s.SeedAt(name, reg, expiry.AddDate(-1, 0, 0), updated, expiry, st, due)
-						return err
-					})
-				}
-				names = append(names, name)
-			default:
-				name := names[rng.Intn(len(names))]
-				d, err := ix.Get(name)
-				if err != nil {
-					continue
-				}
-				switch op {
-				case 3, 4:
-					both(func(s *Store) error { return s.TouchAt(name, d.RegistrarID, now) })
-				case 5:
-					both(func(s *Store) error { return s.Renew(name, d.RegistrarID, 1) })
-				case 6:
-					gaining := 1000 + rng.Intn(4)
-					both(func(s *Store) error {
-						code, _ := s.AuthInfo(name, d.RegistrarID)
-						return s.Transfer(name, gaining, code)
-					})
-				case 7:
-					both(func(s *Store) error { return s.MarkRedemption(name, now) })
-				case 8:
-					due := day.AddDays(rng.Intn(3))
-					both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, due) })
-				case 9:
-					both(func(s *Store) error { _, err := s.purge(name, now, k); return err })
+			rng := rand.New(rand.NewSource(5))
+			var names []string
+			both := func(op func(s *Store) error) {
+				t.Helper()
+				e1, e2 := op(ix), op(sc)
+				if (e1 == nil) != (e2 == nil) {
+					t.Fatalf("engines disagree: indexed %v, scan %v", e1, e2)
 				}
 			}
-		}
-		checkDuePositions(t, ix)
-		checkDuePositions(t, sc)
+			for round := 0; round < 40; round++ {
+				day := start.AddDays(round / 2)
+				now := day.At(6+12*(round%2), 0, 0)
+				ixClock.Set(now)
+				scClock.Set(now)
+				for k := 0; k < 60; k++ {
+					switch op := rng.Intn(11); {
+					case op < 3 || len(names) < 20:
+						name := fmt.Sprintf("churn%05d.%s", len(names), []string{"com", "net", "se", "nu"}[rng.Intn(4)])
+						reg, term := 1000+rng.Intn(4), 1+rng.Intn(2)
+						expiry := day.AddDays(rng.Intn(12)-3).At(rng.Intn(24), 0, rng.Intn(60))
+						updated := expiry.AddDate(0, 0, -rng.Intn(30))
+						st := model.Status(rng.Intn(4))
+						due := simtime.Day{}
+						if st == model.StatusPendingDelete {
+							due = day.AddDays(rng.Intn(4))
+						}
+						if rng.Intn(2) == 0 {
+							both(func(s *Store) error { _, err := s.Create(name, reg, term); return err })
+						} else {
+							both(func(s *Store) error {
+								_, err := s.SeedAt(name, reg, expiry.AddDate(-1, 0, 0), updated, expiry, st, due)
+								return err
+							})
+						}
+						names = append(names, name)
+					default:
+						name := names[rng.Intn(len(names))]
+						d, err := ix.Get(name)
+						if err != nil {
+							continue
+						}
+						switch op {
+						case 3, 4:
+							both(func(s *Store) error { return s.TouchAt(name, d.RegistrarID, now) })
+						case 5:
+							both(func(s *Store) error { return s.Renew(name, d.RegistrarID, 1) })
+						case 6:
+							gaining := 1000 + rng.Intn(4)
+							both(func(s *Store) error {
+								code, _ := s.AuthInfo(name, d.RegistrarID)
+								return s.Transfer(name, gaining, code)
+							})
+						case 7:
+							both(func(s *Store) error { return s.MarkRedemption(name, now) })
+						case 8:
+							due := day.AddDays(rng.Intn(3))
+							both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, due) })
+						case 9:
+							both(func(s *Store) error { _, err := s.purge(name, now, k); return err })
+						case 10:
+							// Out of pendingDelete and back in on the same day.
+							if d.Status == model.StatusPendingDelete {
+								both(func(s *Store) error { return s.MarkRedemption(name, now) })
+								both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, d.DeleteDay) })
+							}
+						}
+					}
+				}
+				checkDuePositions(t, ix)
+				checkDuePositions(t, sc)
 
-		if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.tickScan(now)+scZL.tickScan(now); a != b {
-			t.Fatalf("round %d: indexed tick moved %d, scan tick %d", round, a, b)
-		}
-		checkDuePositions(t, ix)
-		for _, win := range []int{1, 5} {
-			a, b := ix.PendingDeletions(day, win), ix.pendingDeletionsScan(day, win)
-			if !slices.Equal(a, b) {
-				t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, a, b)
+				if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.tickScan(now)+scZL.tickScan(now); a != b {
+					t.Fatalf("round %d: indexed tick moved %d, scan tick %d", round, a, b)
+				}
+				checkDuePositions(t, ix)
+				for _, win := range []int{1, 5} {
+					a, b := ix.PendingDeletions(day, win), ix.pendingDeletionsScan(day, win)
+					if !slices.Equal(a, b) {
+						t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, a, b)
+					}
+				}
+				if a, b := ixRun.BuildQueue(day), ixRun.buildQueueScan(day); fmt.Sprint(a) != fmt.Sprint(b) {
+					t.Fatalf("round %d: queue differs:\n indexed %v\n scan    %v", round, a, b)
+				}
+				if round%2 == 1 {
+					a, errA := ixRun.Run(day, rand.New(rand.NewSource(int64(round))))
+					b, errB := scRun.Run(day, rand.New(rand.NewSource(int64(round))))
+					if errA != nil || errB != nil || fmt.Sprint(a) != fmt.Sprint(b) {
+						t.Fatalf("round %d: drops differ (%v, %v):\n indexed %v\n scan    %v", round, errA, errB, a, b)
+					}
+					checkDuePositions(t, ix)
+				}
 			}
-		}
-		if a, b := ixRun.BuildQueue(day), ixRun.buildQueueScan(day); fmt.Sprint(a) != fmt.Sprint(b) {
-			t.Fatalf("round %d: queue differs:\n indexed %v\n scan    %v", round, a, b)
-		}
-		if round%2 == 1 {
-			a, errA := ixRun.Run(day, rand.New(rand.NewSource(int64(round))))
-			b, errB := scRun.Run(day, rand.New(rand.NewSource(int64(round))))
-			if errA != nil || errB != nil || fmt.Sprint(a) != fmt.Sprint(b) {
-				t.Fatalf("round %d: drops differ (%v, %v):\n indexed %v\n scan    %v", round, errA, errB, a, b)
+			if a, b := dumpStore(ix, start, 40), dumpStore(sc, start, 40); a != b {
+				diffDumps(t, "indexed", "scan", a, b)
 			}
-			checkDuePositions(t, ix)
-		}
-	}
-	if a, b := dumpStore(ix, start, 40), dumpStore(sc, start, 40); a != b {
-		diffDumps(t, "indexed", "scan", a, b)
-	}
-	if ix.Count() == 0 || len(ix.Deletions(start.AddDays(5))) == 0 {
-		t.Fatalf("workout too quiet: %d live, %d deleted on day 5", ix.Count(), len(ix.Deletions(start.AddDays(5))))
+			if ix.Count() == 0 || len(ix.Deletions(start.AddDays(5))) == 0 {
+				t.Fatalf("workout too quiet: %d live, %d deleted on day 5", ix.Count(), len(ix.Deletions(start.AddDays(5))))
+			}
+		})
 	}
 }

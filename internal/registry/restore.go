@@ -151,7 +151,19 @@ func (s *Store) RestoreRegistrars(rs []model.Registrar) {
 // Duplicate names (within the batch or across batches), and names a live
 // create would refuse (not lower-case LDH, or under a TLD no restored zone
 // operates), mean the snapshot is not a faithful store copy and fail loudly.
+// Names are checked before the batch is grouped and any lock is taken, so a
+// batch with a bad name installs nothing. A registration the record cannot
+// hold reports that before its name, as it always has.
 func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
+	for i := range ds {
+		d := &ds[i].Domain
+		if _, _, err := s.splitName(d.Name); err != nil {
+			if _, recErr := newRecord(d); recErr != nil {
+				err = recErr
+			}
+			return fmt.Errorf("registry: restore: %w", err)
+		}
+	}
 	order, start := s.groupByShard(len(ds), func(i int) string { return ds[i].Domain.Name })
 	for si := range s.shards {
 		sh := &s.shards[si]
@@ -160,9 +172,6 @@ func (s *Store) InstallRestoredDomains(ds []SnapshotDomain) error {
 			d := &ds[i].Domain
 			h := sh.tab.hash(d.Name)
 			rec, err := sh.prepare(d, h)
-			if err == nil {
-				_, _, err = s.splitName(d.Name)
-			}
 			if err != nil {
 				sh.mu.Unlock()
 				return fmt.Errorf("registry: restore: %w", err)

@@ -12,11 +12,11 @@ import (
 )
 
 // restoredBytesPerDomainBudget is the live-heap ceiling for one registration
-// of a store recovered from a snapshot: 70.0 B measured at 1 shard, 76.0 at
+// of a store recovered from a snapshot: 63.4 B measured at 1 shard, 68.8 at
 // 8. The restore spells names into 64 KiB blocks, one run per snapshot
 // section, and each section's last block is part-empty — a constant per
 // section, 3 B/domain when 8 sections share 100 k names.
-const restoredBytesPerDomainBudget = 81
+const restoredBytesPerDomainBudget = 74
 
 // TestRestoredBytesPerDomainBudget is TestBytesPerDomainBudget for a
 // restored store: the same 100 k status mix, snapshotted and recovered into

@@ -111,12 +111,12 @@ func (s *Store) pendingDeletionsScan(from simtime.Day, days int) []Pending {
 		if d.DeleteDay.Before(from) || !d.DeleteDay.Before(end) {
 			return true
 		}
-		out = append(out, Pending{Name: d.Name, DeleteDay: d.DeleteDay})
+		out = append(out, Pending{Name: d.Name, day: r.deleteDay})
 		return true
 	})
 	slices.SortFunc(out, func(a, b Pending) int {
-		if a.DeleteDay != b.DeleteDay {
-			if a.DeleteDay.Before(b.DeleteDay) {
+		if a.DeleteDay() != b.DeleteDay() {
+			if a.DeleteDay().Before(b.DeleteDay()) {
 				return -1
 			}
 			return 1

@@ -78,37 +78,60 @@ type shard struct {
 	// same value (installed shard-by-shard via setDuePolicy); keeping a copy
 	// per shard lets dueAdd/dueRemove read it under the shard lock alone.
 	policy duePolicy
-	// due is the time-bucketed secondary index: per lifecycle state, this
-	// shard's live registrations bucketed by the UTC day their next
-	// transition becomes due. Maintained incrementally by every mutator; the
-	// daily sweeps merge the per-shard buckets in canonical order.
-	due [model.StatusDeleted]dueIndex
+	// due is the time-bucketed secondary index: per short-lived lifecycle
+	// state (due[st-firstDueState]), this shard's live registrations
+	// bucketed by the UTC day their next transition becomes due. Maintained
+	// incrementally by every mutator; the daily sweeps merge the per-shard
+	// buckets in canonical order. Active registrations are found through
+	// the table's chunk bounds instead (dueindex.go).
+	due [dueStates]dueIndex
 	// statusCount tallies this shard's live registrations per state.
 	statusCount [model.StatusDeleted + 1]int
 }
 
-// dueAdd indexes r (slot ref) under its current state and due day and bumps
-// the status counter. The caller holds the shard's write lock; every live
-// domain is indexed exactly once, in the shard its name hashes to.
+// dueAdd indexes r (slot ref) under its current state — in its due bucket,
+// or, when active, under its chunk's expiry bound — and bumps the status
+// counter. The caller holds the shard's write lock; every live domain is
+// indexed exactly once, in the shard its name hashes to.
 func (sh *shard) dueAdd(r *record, ref uint32) {
-	if int(r.status()) < len(sh.statusCount) {
-		sh.statusCount[r.status()]++
+	st := r.status()
+	if int(st) < len(sh.statusCount) {
+		sh.statusCount[st]++
 	}
-	if int(r.status()) < len(sh.due) {
-		sh.due[r.status()].add(sh.policy.dueDay(r), ref, &sh.tab)
+	switch {
+	case st == model.StatusActive:
+		sh.tab.noteExpiry(ref, r.expiry)
+	case bucketed(st):
+		sh.due[st-firstDueState].add(sh.policy.dueDay(r), ref)
 	}
 }
 
 // dueRemove un-indexes r. It must run *before* any field that feeds
 // duePolicy.dueDay (status, expiry, updated, registrar, deleteDay) is
-// mutated, or the removal would look in the wrong bucket.
+// mutated, or the removal would look in the wrong bucket. An active
+// registration leaves its chunk bound as it is: a bound only has to be low
+// enough.
 func (sh *shard) dueRemove(r *record, ref uint32) {
-	if int(r.status()) < len(sh.statusCount) {
-		sh.statusCount[r.status()]--
+	st := r.status()
+	if int(st) < len(sh.statusCount) {
+		sh.statusCount[st]--
 	}
-	if int(r.status()) < len(sh.due) {
-		sh.due[r.status()].remove(sh.policy.dueDay(r), ref, &sh.tab)
+	if bucketed(st) {
+		sh.dueDrop(st, sh.policy.dueDay(r), ref)
 	}
+}
+
+// refile replaces r (slot ref) with next and moves its index entry. A
+// registration that stays in the same bucket — a touch of a pendingDelete
+// name, say — keeps its entry. The caller holds the shard's write lock.
+func (sh *shard) refile(r *record, ref uint32, next record) {
+	if st := r.status(); st == next.status() && bucketed(st) && sh.policy.dueDay(r) == sh.policy.dueDay(&next) {
+		*r = next
+		return
+	}
+	sh.dueRemove(r, ref)
+	*r = next
+	sh.dueAdd(r, ref)
 }
 
 // Store is the registry database. All methods are safe for concurrent use.
@@ -268,6 +291,8 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 // setDuePolicy installs the due-day policy and rebuilds every index bucket
 // under it — O(store), paid once when a Lifecycle is attached or its grace
 // spread changes. Shards are rebuilt one at a time under their own locks.
+// The chunk bounds stay: an active registration is due at its expiry under
+// every policy.
 func (s *Store) setDuePolicy(p duePolicy) {
 	// The base parameters govern the default zone; TLDs operated by other
 	// zones keep their own lifecycle clocks through the per-TLD overrides,
@@ -276,13 +301,11 @@ func (s *Store) setDuePolicy(p duePolicy) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for j := range sh.due {
-			sh.due[j] = dueIndex{}
-		}
+		sh.due = [dueStates]dueIndex{}
 		sh.policy = p
 		sh.tab.each(func(r *record, ref uint32) bool {
-			if int(r.status()) < len(sh.due) {
-				sh.due[r.status()].add(p.dueDay(r), ref, &sh.tab)
+			if st := r.status(); bucketed(st) {
+				sh.due[st-firstDueState].add(p.dueDay(r), ref)
 			}
 			return true
 		})
@@ -698,11 +721,32 @@ func (s *Store) MarkPendingDelete(name string, updated time.Time, day simtime.Da
 }
 
 // Pending is one name of a pending-delete window: the name and the day its
-// deletion is scheduled for. The name shares the store's bytes.
+// deletion is scheduled for. The name shares the store's bytes; the day is
+// a stored day (simtime.Day.Pack), set by NewPending and read through
+// DeleteDay, so an entry is 24 bytes.
 type Pending struct {
-	Name      string
-	DeleteDay simtime.Day
+	Name string
+	day  uint16
+	// key is PendingDeletions' sort scratch, the name's first four bytes;
+	// 0 in every entry it returns and every one NewPending builds.
+	key uint32
 }
+
+// NewPending builds an entry. A delete day a stored day cannot hold —
+// outside 1970-01-02 … 2149-06-06 or not a calendar date — is an error.
+func NewPending(name string, deleteDay simtime.Day) (Pending, error) {
+	day, ok := deleteDay.Pack()
+	if !ok {
+		return Pending{}, fmt.Errorf("registry: %s: delete day %v not representable", name, deleteDay)
+	}
+	return Pending{Name: name, day: day}, nil
+}
+
+// DeleteDay is the day the name's deletion is scheduled for.
+func (p Pending) DeleteDay() simtime.Day { return simtime.UnpackDay(p.day) }
+
+// PackedDeleteDay is DeleteDay as simtime.Day.Pack stores it.
+func (p Pending) PackedDeleteDay() uint16 { return p.day }
 
 // PendingDeletions returns the names in pendingDelete whose scheduled
 // deletion day falls within [from, from+days), sorted by (DeleteDay, Name) so
@@ -720,13 +764,12 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []Pending {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(*record) { n++ })
+		sh.dueBetween(model.StatusPendingDelete, from, end, func(*record) { n++ })
 		sh.mu.RUnlock()
 	}
-	// Until the entries are sorted, an entry's DeleteDay is scratch: Dom
-	// holds its day's offset from the window's first bucket key (counts[k]
-	// entries have offset k) and Year its name's first eight bytes, so most
-	// comparisons never read the names.
+	// Until the entries are sorted, an entry's day holds its offset from the
+	// window's first bucket key (counts[k] entries have offset k) and its key
+	// its name's first four bytes, so most comparisons never read the names.
 	first := max(dayKey(from.Number()), 1)
 	out := make([]Pending, 0, n)
 	var countsBuf [8]int
@@ -734,14 +777,14 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []Pending {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].eachBucket(from, end, &sh.tab, func(r *record) {
+		sh.dueBetween(model.StatusPendingDelete, from, end, func(r *record) {
 			k := int(uint32(r.deleteDay) - first)
 			for len(counts) <= k {
 				counts = append(counts, 0)
 			}
 			counts[k]++
 			name := r.name()
-			out = append(out, Pending{Name: name, DeleteDay: simtime.Day{Year: namePrefix(name), Dom: k}})
+			out = append(out, Pending{Name: name, day: uint16(k), key: namePrefix(name)})
 		})
 		sh.mu.RUnlock()
 	}
@@ -750,30 +793,27 @@ func (s *Store) PendingDeletions(from simtime.Day, days int) []Pending {
 	for k, c := range counts {
 		seg := out[at : at+c]
 		slices.SortFunc(seg, func(a, b Pending) int {
-			if byPrefix := cmp.Compare(uint64(a.DeleteDay.Year), uint64(b.DeleteDay.Year)); byPrefix != 0 {
-				return byPrefix
-			}
-			return strings.Compare(a.Name, b.Name)
+			return cmp.Or(cmp.Compare(a.key, b.key), strings.Compare(a.Name, b.Name))
 		})
-		day := simtime.UnpackDay(uint16(first + uint32(k)))
+		day := uint16(first + uint32(k))
 		for j := range seg {
-			seg[j].DeleteDay = day
+			seg[j].day, seg[j].key = day, 0
 		}
 		at += c
 	}
 	return out
 }
 
-// namePrefix is name's first eight bytes, zero-padded, as a big-endian
-// integer held in an int: as unsigned integers, prefixes order as the names
-// do, and equal prefixes leave the order to the names themselves.
-func namePrefix(name string) int {
-	var b [8]byte
+// namePrefix is name's first four bytes, zero-padded, as a big-endian
+// integer: prefixes order as the names do, and equal prefixes leave the
+// order to the names themselves.
+func namePrefix(name string) uint32 {
+	var b [4]byte
 	copy(b[:], name)
-	return int(binary.BigEndian.Uint64(b[:]))
+	return binary.BigEndian.Uint32(b[:])
 }
 
-// groupByDay orders out by the day offset each entry holds in DeleteDay.Dom,
+// groupByDay orders out by the day offset each entry holds in its day,
 // counts[k] entries having offset k, in place: every entry not yet in its
 // day's segment is swapped straight to the next free slot of that segment.
 // Each swap settles one entry for good, so this is linear in len(out).
@@ -787,7 +827,7 @@ func groupByDay(out []Pending, counts []int) {
 	}
 	for k := range counts {
 		for next[k] < segEnd[k] {
-			j := out[next[k]].DeleteDay.Dom
+			j := int(out[next[k]].day)
 			if j != k {
 				out[next[k]], out[next[j]] = out[next[j]], out[next[k]]
 			}
@@ -897,19 +937,37 @@ func (s *Store) each(fn func(*record) bool) {
 	}
 }
 
-// eachDueThrough calls fn for every live registration in state st whose
-// due-day bucket is on or before limit. Same read-only, lock-held contract
-// as each; shard visit order and bucket-internal order are unspecified,
-// so callers sort deterministically.
+// eachDueThrough calls fn for every live registration in st, a state with
+// due buckets, whose bucket day is on or before limit. Same read-only,
+// lock-held contract as each; shard visit order and bucket-internal order
+// are unspecified, so callers sort deterministically.
 func (s *Store) eachDueThrough(st model.Status, limit simtime.Day, fn func(*record)) {
-	if int(st) >= int(model.StatusDeleted) {
-		return
-	}
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[st].through(limit, &sh.tab, fn)
+		sh.dueThrough(st, limit, fn)
 		sh.mu.RUnlock()
+	}
+}
+
+// eachExpired calls fn for every live active registration whose expiry is
+// at or before now (Unix seconds). It walks each shard one table chunk per
+// read-lock hold, so a writer waits out at most one chunk, and skips every
+// chunk whose expiry bound is after now: between expiries the pass costs
+// O(chunks). Same read-only, lock-held contract as each; the order is
+// unspecified.
+func (s *Store) eachExpired(now int64, fn func(*record)) {
+	for i := range s.shards {
+		sh := &s.shards[i]
+		for c := 0; ; c++ {
+			sh.mu.RLock()
+			if c >= len(sh.tab.chunks) {
+				sh.mu.RUnlock()
+				break
+			}
+			sh.tab.expiredIn(c, now, fn)
+			sh.mu.RUnlock()
+		}
 	}
 }
 
@@ -926,14 +984,14 @@ func (s *Store) pendingOn(day simtime.Day) []record {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].bucket(uint32(key), &sh.tab, func(*record) { n++ })
+		sh.dueOn(model.StatusPendingDelete, uint32(key), func(*record) { n++ })
 		sh.mu.RUnlock()
 	}
 	out := make([]record, 0, n)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		sh.due[model.StatusPendingDelete].bucket(uint32(key), &sh.tab, func(r *record) { out = append(out, *r) })
+		sh.dueOn(model.StatusPendingDelete, uint32(key), func(r *record) { out = append(out, *r) })
 		sh.mu.RUnlock()
 	}
 	return out

@@ -10,10 +10,39 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 )
+
+// TestPendingLayout: a listed name costs its string header and a stored
+// day; PendingDeletions' sort scratch fits the padding.
+func TestPendingLayout(t *testing.T) {
+	if got := unsafe.Sizeof(Pending{}); got != 24 {
+		t.Fatalf("Pending is %d bytes, want 24", got)
+	}
+}
+
+// TestPendingDay: an entry gives back the day it was built with, at both
+// ends of the stored range and for the zero Day, and refuses a day it cannot
+// store.
+func TestPendingDay(t *testing.T) {
+	for _, day := range []simtime.Day{{}, {Year: 1970, Month: time.January, Dom: 2}, {Year: 2018, Month: time.January, Dom: 10}, {Year: 2149, Month: time.June, Dom: 6}} {
+		p, err := NewPending("a.com", day)
+		if err != nil || p.DeleteDay() != day || p.Name != "a.com" {
+			t.Fatalf("%v came back as %+v, %v", day, p, err)
+		}
+		if want, _ := day.Pack(); p.PackedDeleteDay() != want {
+			t.Fatalf("%v packs to %d, want %d", day, p.PackedDeleteDay(), want)
+		}
+	}
+	for _, day := range []simtime.Day{{Year: 1970, Month: time.January, Dom: 1}, {Year: 2149, Month: time.June, Dom: 7}, {Year: 2018, Month: time.February, Dom: 30}} {
+		if p, err := NewPending("a.com", day); err == nil {
+			t.Errorf("%v accepted as %v", day, p.DeleteDay())
+		}
+	}
+}
 
 func testClock() *simtime.SimClock {
 	return simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
@@ -241,10 +270,10 @@ func TestPendingDeletionsWindow(t *testing.T) {
 	}
 	for i := 1; i < len(got); i++ {
 		a, b := got[i-1], got[i]
-		if b.DeleteDay.Before(a.DeleteDay) {
+		if b.DeleteDay().Before(a.DeleteDay()) {
 			t.Fatal("results not sorted by delete day")
 		}
-		if a.DeleteDay == b.DeleteDay && a.Name > b.Name {
+		if a.DeleteDay() == b.DeleteDay() && a.Name > b.Name {
 			t.Fatal("results not sorted by name within day")
 		}
 	}

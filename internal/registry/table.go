@@ -3,14 +3,15 @@ package registry
 import (
 	"encoding/binary"
 	"hash/maphash"
+	"math"
 )
 
 // table is one shard's registration storage: the records themselves, in
 // fixed-size chunks, and the index that finds one by name. A registration
 // is addressed by its ref — its slot number — which is what the name index
-// and the due buckets (dueIndex's heads, the records' links) hold instead of
-// pointers, so the garbage collector traces one pointer word per record (the
-// name) and, for the index, one per directory entry — not per name.
+// and the due buckets hold instead of pointers, so the garbage collector
+// traces one pointer word per record (the name) and, for the index, one per
+// directory entry — not per name.
 //
 // Validity invariant: a *record points into a chunk slot. Chunks never move
 // and are never freed, so the pointer stays addressable, but del zeroes the
@@ -25,6 +26,12 @@ type table struct {
 	chunks []*[chunkSize]record
 	next   uint32
 	free   []uint32 // purged slots, reused last-in first-out
+	// soonest[c] is a lower bound on the stored expiry instants of chunk c's
+	// active registrations: lowered whenever one is filed or has its expiry
+	// written (noteExpiry), reset by the lifecycle's active pass over the
+	// chunk (expiredIn), which skips a chunk whose bound is after now.
+	// Accessed atomically: walkers reset it under the read lock.
+	soonest []uint32
 
 	// dir is the extendible-hashed name index: depth bits of a name's seeded
 	// hash pick its entry, whose bucket holds the ref; a bucket of local
@@ -56,9 +63,10 @@ const (
 	dirShift    = 39 // the directory's bits start above home's and tag's
 )
 
-// A chunk is 1024 records — 40 KiB, five pages: large enough that chunk pointers and
-// allocation calls are noise, small enough that a shard's half-empty last
-// chunk stays under 1 % of a 100 k-name shard.
+// A chunk is 1024 records — 32 KiB, an exact size class: large enough that
+// chunk pointers and allocation calls are noise, small enough that a shard's
+// half-empty last chunk stays under 1 % of a 100 k-name shard, and that the
+// lifecycle's active pass skips most of the table between expiries.
 const (
 	chunkShift = 10
 	chunkSize  = 1 << chunkShift
@@ -114,6 +122,7 @@ func (t *table) put(rec record, h uint64) (*record, uint32) {
 	} else {
 		if int(t.next>>chunkShift) == len(t.chunks) {
 			t.chunks = append(t.chunks, new([chunkSize]record))
+			t.soonest = append(t.soonest, math.MaxUint32)
 		}
 		ref = t.next
 		t.next++
