@@ -86,7 +86,8 @@ func benchHub(b *testing.B, pending int, opt Options) *Hub {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
 	h.ringMu.Lock()
 	for i := 0; i < pending; i++ {
-		h.pending[fmt.Sprintf("pending%06d.example", i)] = day.AddDays(i % 30)
+		v, _ := day.AddDays(i % 30).Pack()
+		h.pending[fmt.Sprintf("pending%06d.example", i)] = v
 	}
 	h.ringMu.Unlock()
 	return h

@@ -6,12 +6,14 @@
 // per-batch delta segments ("added / removed / re-registered since cursor
 // C") whose SSE frame is rendered exactly once — the same []byte is written
 // to every subscriber, so fan-out cost is O(subscribers) writes, not
-// O(subscribers) encodes.
+// O(subscribers) encodes. The frame is the segment's only copy of its ops:
+// a retained one-op segment costs ≈ 1.8 heap bytes per byte the ring counts
+// (Options.RingBytes).
 //
 // Consumers pick their freshness/cost point:
 //
 //   - GET /deltas?since=C — pull: the CSV op lines of the segments after
-//     cursor C, rendered from their ops on a cache miss; strong
+//     cursor C, copied out of their SSE frames on a cache miss; strong
 //     "<from>-<to>" ETag, Content-Length up front; add wait=2s for
 //     long-poll. A since below the ring floor redirects to the full list.
 //   - GET /deltas/full — the whole pending-delete set plus an X-Feed-Cursor
@@ -32,6 +34,7 @@
 package feed
 
 import (
+	"bytes"
 	"sort"
 	"strconv"
 	"sync"
@@ -83,7 +86,10 @@ type Item struct {
 type Options struct {
 	// RingBytes bounds the segment ring (the SSE frame bytes it retains).
 	// Default 4 MiB. The ring decides how stale a cursor can be and still
-	// catch up incrementally.
+	// catch up incrementally. It counts frame bytes only: the heap a full
+	// ring holds is RingBytes plus, per segment, its ring slot, header and
+	// the frame's size-class rounding: ≈ 1.8× RingBytes when every batch is
+	// one op, close to 1× for Drop-second batches of hundreds.
 	RingBytes int
 	// QueueLen bounds each subscriber's pending-frame queue; a subscriber
 	// whose queue fills is dropped to catch-up. Default 64.
@@ -112,13 +118,15 @@ type rec struct {
 }
 
 // segment is one broadcast batch: the delta ops derived from a contiguous
-// run of mutation records (from..to]. sse is the one rendering every
-// subscriber and ring replay shares; /deltas renders its CSV lines from
-// opList, filtered when a zone is asked for.
+// run of mutation records (from..to]. sse is the batch's only copy of its
+// ops: every subscriber and ring replay writes it as it is, and /deltas
+// copies the op lines out of its data: lines, filtered when a zone is asked
+// for. A retained segment costs its ring slot, this 48-byte header and the
+// frame's size class: ≈ 153 heap bytes for a one-op frame of ≈ 86 counted
+// bytes.
 type segment struct {
 	from, to uint64
-	at       int64 // earliest op-producing record's append instant
-	opList   []Op
+	at       int64  // earliest op-producing record's append instant
 	sse      []byte // complete SSE frame (id/event/data lines + blank)
 }
 
@@ -176,7 +184,7 @@ type Hub struct {
 	// for re-registration detection, and the segment ring. ringMu write side
 	// is the broadcaster only.
 	ringMu  sync.RWMutex
-	pending map[string]simtime.Day
+	pending map[string]uint16 // name → delete day as simtime.Day.Pack stores it
 	purged  map[string]uint64 // name → purge seq
 	cursor  uint64            // last seq folded into pending
 	evicted uint64            // highest seq covered by an evicted segment
@@ -221,7 +229,7 @@ func NewHub(opt Options) *Hub {
 	h := &Hub{
 		opt:      opt,
 		wake:     make(chan struct{}, 1),
-		pending:  make(map[string]simtime.Day),
+		pending:  make(map[string]uint16),
 		purged:   make(map[string]uint64),
 		advCh:    make(chan struct{}),
 		resp:     gencache.New[deltaKey, *cachedResp](64),
@@ -304,28 +312,27 @@ func (h *Hub) zoneSet(name string) (map[model.TLD]bool, bool) {
 	return set, ok
 }
 
-// opInZone reports whether a delta op's name belongs to the zone with TLD
-// membership tlds.
-func opInZone(op Op, tlds map[model.TLD]bool) bool {
-	t, ok := model.TLDOf(op.Name)
-	return ok && tlds[t]
-}
-
 // PrimeFromStore loads the store's current pending-delete set as the hub's
 // cursor-0 state. Call it after recovery and before the hub is attached (or
 // before the store receives traffic): mutations committed after priming
 // stream in as deltas on top of it.
 func (h *Hub) PrimeFromStore(store *registry.Store) {
-	var items []Item
+	type entry struct {
+		name string
+		day  uint16
+	}
+	var items []entry
 	store.Each(func(d *model.Domain) bool {
 		if d.Status == model.StatusPendingDelete {
-			items = append(items, Item{Name: d.Name, Day: d.DeleteDay})
+			if day, ok := d.DeleteDay.Pack(); ok {
+				items = append(items, entry{d.Name, day})
+			}
 		}
 		return true
 	})
 	h.ringMu.Lock()
 	for _, it := range items {
-		h.pending[it.Name] = it.Day
+		h.pending[it.name] = it.day
 	}
 	h.ringMu.Unlock()
 }
@@ -400,6 +407,10 @@ func (h *Hub) ingest(batch []rec) {
 		h.ringSz += seg.size()
 		for h.ringSz > h.opt.RingBytes && len(h.ring) > 1 {
 			old := h.ring[0]
+			// Clear the slot, not just slice past it, so the backing array
+			// keeps no evicted segment alive until append moves the ring.
+			// Readers outside ringMu hold their own copy of what they use.
+			h.ring[0] = nil
 			h.ring = h.ring[1:]
 			h.ringSz -= old.size()
 			h.evicted = old.to
@@ -422,8 +433,12 @@ func (h *Hub) deriveLocked(m *registry.Mutation, seq uint64, ops []Op) []Op {
 	switch m.Kind {
 	case registry.MutSetState:
 		if m.Status == model.StatusPendingDelete {
-			if day, ok := h.pending[m.Name]; !ok || day != m.DeleteDay {
-				h.pending[m.Name] = m.DeleteDay
+			// The store refuses a delete day that does not pack before the
+			// mutation reaches any journal, so ok is false for no record a
+			// store committed.
+			day, ok := m.DeleteDay.Pack()
+			if old, in := h.pending[m.Name]; ok && (!in || old != day) {
+				h.pending[m.Name] = day
 				ops = append(ops, Op{Kind: OpAdd, Name: m.Name, Day: m.DeleteDay})
 			}
 		} else if _, ok := h.pending[m.Name]; ok {
@@ -448,8 +463,11 @@ func (h *Hub) deriveLocked(m *registry.Mutation, seq uint64, ops []Op) []Op {
 			ops = append(ops, Op{Kind: OpRereg, Name: m.Name})
 		}
 	case registry.MutSeed:
-		if m.Status == model.StatusPendingDelete {
-			h.pending[m.Name] = m.DeleteDay
+		if m.Status != model.StatusPendingDelete {
+			break
+		}
+		if day, ok := m.DeleteDay.Pack(); ok {
+			h.pending[m.Name] = day
 			ops = append(ops, Op{Kind: OpAdd, Name: m.Name, Day: m.DeleteDay})
 		}
 	}
@@ -482,7 +500,7 @@ func renderSegment(from, to uint64, at int64, ops []Op) *segment {
 		b = appendOpLine(b, op)
 	}
 	b = append(b, '\n')
-	return &segment{from: from, to: to, at: at, opList: ops, sse: b}
+	return &segment{from: from, to: to, at: at, sse: b}
 }
 
 // opLineLen is the length of op's CSV line for any four-digit-year day.
@@ -503,6 +521,57 @@ func appendOpLine(b []byte, op Op) []byte {
 		b = op.Day.AppendTo(b)
 	}
 	return append(b, '\n')
+}
+
+// opLines returns what follows the frame's three header lines: one
+// "data: " line per op, then the blank line that ends the frame.
+func (s *segment) opLines() []byte {
+	b := s.sse
+	for range 3 {
+		b = b[bytes.IndexByte(b, '\n')+1:]
+	}
+	return b
+}
+
+// opLinesLen is the length of the CSV op lines appendOpLines copies out of
+// lines (a segment's opLines), keeping only tlds' names unless tlds is nil.
+func opLinesLen(lines []byte, tlds map[model.TLD]bool) int {
+	if tlds == nil {
+		nops := bytes.Count(lines, []byte{'\n'}) - 1
+		return len(lines) - 1 - nops*len("data: ")
+	}
+	n := 0
+	for len(lines) > 1 {
+		i := bytes.IndexByte(lines, '\n') + 1
+		if line := lines[len("data: "):i]; lineInZone(line, tlds) {
+			n += len(line)
+		}
+		lines = lines[i:]
+	}
+	return n
+}
+
+// appendOpLines appends the CSV op lines of lines (a segment's opLines) to
+// body, each without its "data: " prefix, keeping only tlds' names unless
+// tlds is nil.
+func appendOpLines(body, lines []byte, tlds map[model.TLD]bool) []byte {
+	for len(lines) > 1 {
+		i := bytes.IndexByte(lines, '\n') + 1
+		if line := lines[len("data: "):i]; tlds == nil || lineInZone(line, tlds) {
+			body = append(body, line...)
+		}
+		lines = lines[i:]
+	}
+	return body
+}
+
+// lineInZone reports whether the name of an op line ("K,name,…") is in the
+// zone with TLD membership tlds: what model.TLDOf finds for it is one of them.
+func lineInZone(line []byte, tlds map[model.TLD]bool) bool {
+	name := line[2:]
+	name = name[:bytes.IndexByte(name, ',')]
+	i := bytes.LastIndexByte(name, '.')
+	return i >= 0 && i < len(name)-1 && tlds[model.TLD(name[i+1:])]
 }
 
 // broadcast enqueues seg on every subscriber: one pointer append and one
@@ -599,7 +668,9 @@ func (h *Hub) Quiesce() {
 // segmentsSinceLocked returns the retained segments strictly after cursor c.
 // ok=false when the ring cannot serve c exactly: c predates the evicted
 // floor, is beyond the hub cursor, or falls mid-segment (only batch
-// boundaries are valid cursors). Caller holds ringMu (read or write).
+// boundaries are valid cursors). Caller holds ringMu (read or write), and
+// the slice aliases the ring: eviction clears its slots, so a caller that
+// reads it after letting go of ringMu copies it first.
 func (h *Hub) segmentsSinceLocked(c uint64) ([]*segment, bool) {
 	if c > h.cursor || c < h.evicted {
 		return nil, false
@@ -624,7 +695,7 @@ func (h *Hub) PendingItems() ([]Item, uint64) {
 	h.ringMu.RLock()
 	items := make([]Item, 0, len(h.pending))
 	for name, day := range h.pending {
-		items = append(items, Item{Name: name, Day: day})
+		items = append(items, Item{Name: name, Day: simtime.UnpackDay(day)})
 	}
 	cur := h.cursor
 	h.ringMu.RUnlock()

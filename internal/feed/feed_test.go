@@ -6,16 +6,20 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"dropzero/internal/gctest"
 	"dropzero/internal/inproc"
 	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
+	"dropzero/internal/zone"
 )
 
 func day0() simtime.Day { return simtime.Day{Year: 2018, Month: time.January, Dom: 10} }
@@ -774,87 +778,229 @@ func TestDeltasFormatParam(t *testing.T) {
 	}
 }
 
-// The /deltas body is rendered from each segment's ops, the SSE frame once
-// at ingest: over random batches of adds (with days), removes, purges and
-// re-registrations, the two must carry the same op lines in cursor order,
-// for every servable cursor, and both must keep the fmt-rendered wire form.
+// refBatch is one ingested batch as the reference fold sees it: the record
+// range, the batch's fan-out stamp and the op lines it must produce.
+type refBatch struct {
+	from, to uint64
+	at       int64
+	lines    []string
+}
+
+// refFold derives delta op lines from mutations with maps of its own, as
+// the feed's contract states them, never reading the hub.
+type refFold struct {
+	pending map[string]simtime.Day
+	purged  map[string]bool
+}
+
+func (r *refFold) apply(m registry.Mutation) (string, bool) {
+	_, in := r.pending[m.Name]
+	switch {
+	case (m.Kind == registry.MutSeed || m.Kind == registry.MutSetState) && m.Status == model.StatusPendingDelete:
+		if m.Kind == registry.MutSetState && in && r.pending[m.Name] == m.DeleteDay {
+			return "", false
+		}
+		r.pending[m.Name] = m.DeleteDay
+		d := m.DeleteDay
+		return fmt.Sprintf("+,%s,%04d-%02d-%02d\n", m.Name, d.Year, int(d.Month), d.Dom), true
+	case m.Kind == registry.MutSetState || m.Kind == registry.MutRenew || m.Kind == registry.MutTransfer:
+		if in {
+			delete(r.pending, m.Name)
+			return fmt.Sprintf("-,%s,\n", m.Name), true
+		}
+	case m.Kind == registry.MutPurge:
+		r.purged[m.Name] = true
+		if in {
+			delete(r.pending, m.Name)
+			return fmt.Sprintf("!,%s,\n", m.Name), true
+		}
+	case m.Kind == registry.MutCreate:
+		if r.purged[m.Name] {
+			delete(r.purged, m.Name)
+			return fmt.Sprintf("*,%s,\n", m.Name), true
+		}
+	}
+	return "", false
+}
+
+// The SSE frame rendered at ingest is a segment's only copy of its ops, and
+// /deltas copies its op lines out of it. Over random batches (one to 32
+// records) of adds (with days), day changes, removes, renews, transfers,
+// purges and re-registrations, every frame must be the fmt rendering of what
+// a reference fold of the same mutations derives, and /deltas — unscoped and
+// per zone — must answer every servable cursor with exactly the reference's
+// lines after it, and refuse every cursor inside a batch.
 func TestDeltasBodyMatchesSSEFrames(t *testing.T) {
+	zones := []zone.Config{
+		{Name: "core", TLDs: []model.TLD{"com", "net"}},
+		{Name: "dotnet", TLDs: []model.TLD{"net"}},
+		{Name: "nordic", TLDs: []model.TLD{"se", "nu"}},
+	}
+	inZone := func(line, zoneName string) bool {
+		if zoneName == "" {
+			return true
+		}
+		name := strings.Split(line, ",")[1]
+		tld := model.TLD(name[strings.LastIndexByte(name, '.')+1:])
+		for _, z := range zones {
+			if z.Name == zoneName {
+				return slices.Contains(z.TLDs, tld)
+			}
+		}
+		t.Fatalf("no zone %q", zoneName)
+		return false
+	}
 	for _, seed := range []int64{1, 2, 3} {
 		rng := rand.New(rand.NewSource(seed))
 		h := NewHub(Options{})
+		h.SetZones(zones)
 		names := make([]string, 40)
 		for i := range names {
-			names[i] = fmt.Sprintf("n%02d.%s", i, []string{"com", "net", "se"}[i%3])
+			names[i] = fmt.Sprintf("n%02d.%s", i, []string{"com", "net", "se", "x.se"}[i%4])
 		}
+		ref := refFold{pending: map[string]simtime.Day{}, purged: map[string]bool{}}
+		var batches []refBatch
+		kinds := map[byte]int{}
+		var cursor uint64
 		for step := 0; step < 60; step++ {
 			batch := make([]rec, []int{1, 2, 7, 32}[rng.Intn(4)])
+			rb := refBatch{from: cursor + 1, to: cursor + uint64(len(batch))}
 			for i := range batch {
 				m := registry.Mutation{Name: names[rng.Intn(len(names))]}
-				switch rng.Intn(5) {
+				switch rng.Intn(7) {
 				case 0:
 					m.Kind, m.Status, m.DeleteDay = registry.MutSeed, model.StatusPendingDelete, day0().AddDays(rng.Intn(400))
 				case 1:
-					m.Kind, m.Status, m.DeleteDay = registry.MutSetState, model.StatusPendingDelete, day0().AddDays(rng.Intn(400))
+					m.Kind, m.Status, m.DeleteDay = registry.MutSetState, model.StatusPendingDelete, day0().AddDays(rng.Intn(3))
 				case 2:
 					m.Kind, m.Status = registry.MutSetState, model.StatusActive
 				case 3:
+					m.Kind = []registry.MutKind{registry.MutRenew, registry.MutTransfer}[rng.Intn(2)]
+				case 4:
 					m.Kind = registry.MutPurge
 				default:
 					m.Kind = registry.MutCreate
 				}
-				batch[i] = rec{m: m, at: int64(step)}
+				batch[i] = rec{m: m, at: int64(step*100 + i + 1)}
+				if line, ok := ref.apply(m); ok {
+					if rb.at == 0 {
+						rb.at = batch[i].at
+					}
+					rb.lines = append(rb.lines, line)
+					kinds[line[0]]++
+				}
 			}
+			cursor = rb.to
 			h.ingest(batch)
+			batches = append(batches, rb)
 		}
 		h.Close()
-
-		var frames, ref strings.Builder
-		kinds := map[OpKind]int{}
-		for _, seg := range h.ring {
-			frames.Write(sseOpLines(t, seg.sse))
-			var lines strings.Builder
-			for _, op := range seg.opList {
-				kinds[op.Kind]++
-				day := ""
-				if op.Kind == OpAdd {
-					day = fmt.Sprintf("%04d-%02d-%02d", op.Day.Year, int(op.Day.Month), op.Day.Dom)
-				}
-				fmt.Fprintf(&lines, "%c,%s,%s\n", op.Kind, op.Name, day)
-			}
-			ref.WriteString(lines.String())
-			var want strings.Builder
-			fmt.Fprintf(&want, "id: %d\nevent: delta\ndata: %d %d %d %d\n", seg.to, seg.from, seg.to, seg.at, len(seg.opList))
-			for _, l := range strings.SplitAfter(lines.String(), "\n") {
-				if l != "" {
-					want.WriteString("data: " + l)
-				}
-			}
-			want.WriteString("\n")
-			if string(seg.sse) != want.String() {
-				t.Fatalf("seed %d: frame %d-%d = %q, want %q", seed, seg.from, seg.to, seg.sse, want.String())
-			}
-		}
 		if len(kinds) != 4 {
 			t.Fatalf("seed %d: op kinds seen %v, want all four", seed, kinds)
 		}
-		if frames.String() != ref.String() {
-			t.Fatalf("seed %d: SSE op lines differ from the fmt reference", seed)
+
+		var withOps []refBatch
+		for _, rb := range batches {
+			if len(rb.lines) > 0 {
+				withOps = append(withOps, rb)
+			}
+		}
+		if len(h.ring) != len(withOps) {
+			t.Fatalf("seed %d: ring holds %d segments, the reference %d op-bearing batches", seed, len(h.ring), len(withOps))
+		}
+		multi := 0
+		for i, seg := range h.ring {
+			rb := withOps[i]
+			var want strings.Builder
+			fmt.Fprintf(&want, "id: %d\nevent: delta\ndata: %d %d %d %d\n", rb.to, rb.from, rb.to, rb.at, len(rb.lines))
+			for _, l := range rb.lines {
+				want.WriteString("data: " + l)
+			}
+			want.WriteString("\n")
+			if seg.from != rb.from || seg.to != rb.to || seg.at != rb.at || string(seg.sse) != want.String() {
+				t.Fatalf("seed %d: segment %d-%d@%d %q, want %d-%d@%d %q",
+					seed, seg.from, seg.to, seg.at, seg.sse, rb.from, rb.to, rb.at, want.String())
+			}
+			if len(rb.lines) > 1 {
+				multi++
+			}
+		}
+		if multi == 0 {
+			t.Fatalf("seed %d: no multi-op segment", seed)
+		}
+
+		served := 0
+		for c := uint64(0); c <= cursor; c++ {
+			servable := true
+			for _, rb := range withOps {
+				if rb.from <= c && c < rb.to {
+					servable = false
+				}
+			}
+			for _, z := range []string{"", "core", "dotnet", "nordic"} {
+				resp, ok := h.buildDeltas(c, z)
+				if ok != servable {
+					t.Fatalf("seed %d: /deltas since %d zone %q servable = %v, want %v", seed, c, z, ok, servable)
+				}
+				if !ok {
+					continue
+				}
+				var want strings.Builder
+				for _, rb := range withOps {
+					if rb.from <= c {
+						continue
+					}
+					for _, l := range rb.lines {
+						if inZone(l, z) {
+							want.WriteString(l)
+						}
+					}
+				}
+				if string(resp.Bytes) != want.String() {
+					t.Fatalf("seed %d: /deltas since %d zone %q = %q, want %q", seed, c, z, resp.Bytes, want.String())
+				}
+				served++
+			}
+		}
+		if served <= 4*len(withOps) {
+			t.Fatalf("seed %d: only %d cursor × zone answers checked", seed, served)
+		}
+		var frames strings.Builder
+		for _, seg := range h.ring {
+			frames.Write(sseOpLines(t, seg.sse))
 		}
 		if resp, ok := h.buildDeltas(0, ""); !ok || string(resp.Bytes) != frames.String() {
 			t.Fatalf("seed %d: /deltas since 0 differs from the frames' op lines", seed)
 		}
-		for i, seg := range h.ring {
-			resp, ok := h.buildDeltas(seg.from-1, "")
-			if !ok {
-				t.Fatalf("seed %d: cursor %d not servable", seed, seg.from-1)
-			}
-			var tail strings.Builder
-			for _, s := range h.ring[i:] {
-				tail.Write(sseOpLines(t, s.sse))
-			}
-			if string(resp.Bytes) != tail.String() {
-				t.Fatalf("seed %d: /deltas since %d = %q, want %q", seed, seg.from-1, resp.Bytes, tail.String())
-			}
-		}
 	}
+}
+
+// A retained segment is its frame and a 48-byte header: cursor range, fan-out
+// stamp and the frame's slice, no decoded ops beside it.
+func TestSegmentLayout(t *testing.T) {
+	if got := unsafe.Sizeof(segment{}); got != 48 {
+		t.Fatalf("segment is %d bytes, want 48", got)
+	}
+}
+
+// Eviction lets go of what it evicts: with no subscriber queueing it, an
+// evicted segment is garbage at once, not kept by the ring's backing array
+// until a later append moves it.
+func TestRingEvictionReleasesSegment(t *testing.T) {
+	h := NewHub(Options{RingBytes: 1}) // every ingest evicts all but the newest
+	defer h.Close()
+	add := func(seq uint64, name string) {
+		h.ingest([]rec{{m: registry.Mutation{Kind: registry.MutSeed, Name: name,
+			Status: model.StatusPendingDelete, DeleteDay: day0()}, at: int64(seq)}})
+	}
+	gctest.Collected(t, func() *segment {
+		add(1, "first.com")
+		first := h.ring[0]
+		add(2, "second.com")
+		if len(h.ring) != 1 || h.evicted != first.to {
+			t.Fatalf("ring holds %d segments, evicted through %d; want 1 and %d", len(h.ring), h.evicted, first.to)
+		}
+		return first
+	})
+	runtime.KeepAlive(h)
 }

@@ -2,6 +2,7 @@ package feed
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 	"time"
 
@@ -109,8 +110,8 @@ func (h *Hub) waitForAdvance(r *http.Request, since uint64, wait time.Duration) 
 }
 
 // buildDeltas assembles (or fetches from the per-cursor cache) the /deltas
-// response body for a since cursor, rendering each segment's ops as CSV
-// lines. ok=false means the ring cannot serve this cursor and the caller
+// response body for a since cursor, copying each segment's op lines out of
+// its SSE frame. ok=false means the ring cannot serve this cursor and the caller
 // should redirect to the full list. A non-empty zoneName keeps only the
 // named zone's ops (the cursor still covers the segments it empties) and
 // suffixes the ETag with @zone, since the bytes differ per zone.
@@ -123,7 +124,6 @@ func (h *Hub) buildDeltas(since uint64, zoneName string) (*cachedResp, bool) {
 			return nil, false
 		}
 	}
-	keep := func(op Op) bool { return tlds == nil || opInZone(op, tlds) }
 	h.ringMu.RLock()
 	cur := h.cursor
 	if c, ok := h.resp.Get(cur, key); ok {
@@ -137,19 +137,11 @@ func (h *Hub) buildDeltas(since uint64, zoneName string) (*cachedResp, bool) {
 	}
 	n := 0
 	for _, s := range segs {
-		for _, op := range s.opList {
-			if keep(op) {
-				n += opLineLen(op)
-			}
-		}
+		n += opLinesLen(s.opLines(), tlds)
 	}
 	body := make([]byte, 0, n)
 	for _, s := range segs {
-		for _, op := range s.opList {
-			if keep(op) {
-				body = appendOpLine(body, op)
-			}
-		}
+		body = appendOpLines(body, s.opLines(), tlds)
 	}
 	h.ringMu.RUnlock()
 	return h.install(key, cur, strconv.FormatUint(since, 10)+"-"+strconv.FormatUint(cur, 10), body), true
@@ -286,6 +278,7 @@ func (h *Hub) handleEvents(w http.ResponseWriter, r *http.Request) {
 	covered := true
 	if hasSince && since < cur {
 		catchup, covered = h.segmentsSinceLocked(since)
+		catchup = slices.Clone(catchup)
 	}
 	h.ringMu.RUnlock()
 
@@ -339,6 +332,7 @@ func (h *Hub) handleEvents(w http.ResponseWriter, r *http.Request) {
 			h.ringMu.RLock()
 			cur := h.cursor
 			segs, ok := h.segmentsSinceLocked(sub.cursor)
+			segs = slices.Clone(segs)
 			h.ringMu.RUnlock()
 			if ok {
 				if err := writeFrame(w, "resume", sub.cursor); err != nil {

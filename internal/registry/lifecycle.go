@@ -68,13 +68,15 @@ func (l *Lifecycle) inScope(t model.TLD) bool {
 
 // change is one planned lifecycle transition: everything the apply phase
 // needs, derived once during the sweep — no deferred closure re-deriving
-// state per candidate, and no Domain copy per examined domain.
+// state per candidate, and no Domain copy per examined domain. Its instant
+// and day are held as the store holds them (simtime.PackTime,
+// simtime.Day.Pack), so a change is 32 bytes.
 type change struct {
-	id      uint32
 	name    string
+	id      uint32
+	updated uint32 // stored instant; 0 keeps the current last-updated timestamp
+	day     uint16 // stored DeleteDay when to == StatusPendingDelete
 	to      model.Status
-	updated time.Time   // zero = keep the current last-updated timestamp
-	day     simtime.Day // DeleteDay when to == StatusPendingDelete
 }
 
 // Tick processes all state transitions due at now for this lifecycle's zone.
@@ -96,7 +98,7 @@ func (l *Lifecycle) Tick(now time.Time) int {
 		if l.inScope(r.tld()) {
 			// Registry auto-renews at expiration; the registrar's grace
 			// clock starts at the old expiry.
-			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusAutoRenew, updated: simtime.UnpackTime(r.expiry)})
+			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusAutoRenew, updated: r.expiry})
 		}
 	})
 	// The calendar's AddDate(0, 0, n) is +n·daySecs in UTC.
@@ -107,24 +109,30 @@ func (l *Lifecycle) Tick(now time.Time) int {
 		registrar := int(r.registrar)
 		if simtime.UnixOf(r.expiry)+daySecs*int64(l.cfg.GraceDaysFor(registrar)) <= nowSec {
 			// Registrar deletes the domain: the batch instant is the "last
-			// updated" timestamp that will drive the deletion order.
-			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusRedemption, updated: l.cfg.BatchInstant(day, registrar)})
+			// updated" timestamp that will drive the deletion order. One
+			// the store cannot hold would be refused by setState.
+			if at, ok := simtime.PackTime(l.cfg.BatchInstant(day, registrar)); ok {
+				changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusRedemption, updated: at})
+			}
 		}
 	})
-	l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
-		if l.inScope(r.tld()) && simtime.UnixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
-			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusPendingDelete, day: day.AddDays(l.cfg.PendingDeleteDays)})
-		}
-	})
+	// A delete day the store cannot hold would be refused by setState.
+	if deleteDay, ok := day.AddDays(l.cfg.PendingDeleteDays).Pack(); ok {
+		l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
+			if l.inScope(r.tld()) && simtime.UnixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
+				changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusPendingDelete, day: deleteDay})
+			}
+		})
+	}
 
 	slices.SortFunc(changes, func(a, b change) int { return cmp.Compare(a.id, b.id) })
 	n := 0
 	for _, c := range changes {
 		var err error
 		if c.to == model.StatusPendingDelete {
-			err = l.store.MarkPendingDelete(c.name, time.Time{}, c.day)
+			err = l.store.MarkPendingDelete(c.name, time.Time{}, simtime.UnpackDay(c.day))
 		} else {
-			err = l.store.setState(c.name, c.to, c.updated, simtime.Day{})
+			err = l.store.setState(c.name, c.to, simtime.UnpackTime(c.updated), simtime.Day{})
 		}
 		if err == nil {
 			n++

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -94,6 +95,10 @@ type Follower struct {
 	// the quickstart; across real hosts it inherits clock sync quality).
 	peakSeqLag atomic.Uint64
 	lag        loadgen.Hist
+
+	// scratch is what consume's read buffer and decode scratch held, in
+	// bytes, after the last message it handled.
+	scratch atomic.Int64
 
 	mu      sync.Mutex
 	conn    net.Conn
@@ -210,18 +215,19 @@ func (f *Follower) consume(conn net.Conn) error {
 	}
 
 	var (
-		buf       []byte
 		snapBuf   []byte
 		snapSize  uint64
 		inSnap    bool
+		in        msgReader
 		mutations []registry.Mutation
+		small     smallRun // small batches in a row, to let mutations go
 	)
 	for {
-		typ, payload, next, err := readMsg(conn, readTimeout, buf)
+		f.scratch.Store(int64(cap(in.buf) + cap(mutations)*mutationBytes))
+		typ, payload, err := in.read(conn, readTimeout)
 		if err != nil {
 			return err
 		}
-		buf = next
 		switch typ {
 		case msgSnapBegin:
 			if len(payload) != snapBeginBody {
@@ -281,6 +287,9 @@ func (f *Follower) consume(conn net.Conn) error {
 			if err != nil {
 				return err
 			}
+			if small.release(len(mutations)*mutationBytes, cap(mutations)*mutationBytes) {
+				mutations = nil
+			}
 			f.primarySeq.Store(primarySeq)
 			f.bumpPeakSeqLag()
 			f.lag.Record(time.Duration(time.Now().UnixNano() - sentNanos))
@@ -300,6 +309,9 @@ func (f *Follower) consume(conn net.Conn) error {
 		}
 	}
 }
+
+// mutationBytes is the size of one decoded record in a follower's scratch.
+var mutationBytes = int(reflect.TypeFor[registry.Mutation]().Size())
 
 // maxSnapshotBytes bounds a shipped snapshot (2 GiB — a full-population
 // store snapshot is tens of MiB).

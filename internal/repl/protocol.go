@@ -73,31 +73,70 @@ func writeMsg(conn net.Conn, timeout time.Duration, typ byte, msg []byte) error 
 	return err
 }
 
-// readMsg reads one message, reusing buf when it is large enough. The
-// returned payload aliases the read buffer and is valid until the next
-// call.
-func readMsg(conn net.Conn, timeout time.Duration, buf []byte) (typ byte, payload []byte, nextBuf []byte, err error) {
+// A connection's read buffer and a follower's decode scratch keep what the
+// largest message since they were last let go needed. Snapshot chunks
+// (256 KiB) and catch-up batches (up to 512 KiB, some 7 k records) grow them;
+// once shrinkAfter messages in a row have fitted in retainMsgBytes they are
+// let go, so a follower that bootstrapped does not hold chunk-sized buffers
+// for its steady stream of small batches and heartbeats, and a stream that
+// mixes large and small messages keeps its one buffer.
+const (
+	retainMsgBytes = 64 << 10
+	shrinkAfter    = 16
+)
+
+// smallRun counts the uses in a row that needed at most retainMsgBytes of a
+// buffer holding more.
+type smallRun int
+
+// release records one use that needed need bytes of a buffer holding held,
+// and reports whether the buffer should be let go now.
+func (s *smallRun) release(need, held int) bool {
+	switch {
+	case need > retainMsgBytes:
+		*s = 0
+	case held > retainMsgBytes:
+		if *s++; *s >= shrinkAfter {
+			*s = 0
+			return true
+		}
+	}
+	return false
+}
+
+// msgReader reads one connection's messages into a buffer it reuses.
+type msgReader struct {
+	buf   []byte
+	small smallRun
+}
+
+// read reads one message. The returned payload aliases the read buffer and
+// is valid until the next call.
+func (r *msgReader) read(conn net.Conn, timeout time.Duration) (typ byte, payload []byte, err error) {
 	if timeout > 0 {
 		if err := conn.SetReadDeadline(time.Now().Add(timeout)); err != nil {
-			return 0, nil, buf, err
+			return 0, nil, err
 		}
 	}
 	var hdr [msgHeader]byte
 	if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-		return 0, nil, buf, err
+		return 0, nil, err
 	}
 	n := binary.LittleEndian.Uint32(hdr[1:5])
 	if n > maxMessageSize {
-		return 0, nil, buf, fmt.Errorf("repl: message of %d bytes exceeds limit", n)
+		return 0, nil, fmt.Errorf("repl: message of %d bytes exceeds limit", n)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+	if r.small.release(int(n), cap(r.buf)) {
+		r.buf = nil
 	}
-	payload = buf[:n]
+	if uint32(cap(r.buf)) < n {
+		r.buf = make([]byte, n)
+	}
+	payload = r.buf[:n]
 	if _, err := io.ReadFull(conn, payload); err != nil {
-		return 0, nil, buf, err
+		return 0, nil, err
 	}
-	return hdr[0], payload, buf, nil
+	return hdr[0], payload, nil
 }
 
 // sendError ships a terminal protocol error to the peer, best effort.

@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dropzero/internal/dropscope"
 	"dropzero/internal/inproc"
@@ -896,5 +897,114 @@ func TestForgedAckIsNotCounted(t *testing.T) {
 	defer logMu.Unlock()
 	if !slices.ContainsFunc(logged, func(line string) bool { return strings.Contains(line, "was sent; closing") }) {
 		t.Errorf("no logged refusal of the forged ack in %q", logged)
+	}
+}
+
+// A connection's read buffer follows its messages: a snapshot-chunk-sized
+// message grows it, large and small messages in turn reuse it, and it is let
+// go after shrinkAfter small messages in a row.
+func TestMsgReaderShrinksAfterSmallMessages(t *testing.T) {
+	client, server := net.Pipe()
+	defer client.Close()
+	defer server.Close()
+	sizes := []int{snapChunkBytes, 16, snapChunkBytes, 200, defaultBatchBytes}
+	for range shrinkAfter {
+		sizes = append(sizes, 64)
+	}
+	go func() {
+		for _, n := range sizes {
+			if err := writeMsg(server, time.Second, msgFrames, make([]byte, msgHeader+n)); err != nil {
+				return
+			}
+		}
+	}()
+	var in msgReader
+	var large *byte
+	for i, n := range sizes {
+		_, payload, err := in.read(client, time.Second)
+		if err != nil || len(payload) != n {
+			t.Fatalf("message %d: %d bytes, %v; want %d", i, len(payload), err, n)
+		}
+		switch {
+		case i == 0:
+			large = unsafe.SliceData(in.buf)
+		case i < 4 && unsafe.SliceData(in.buf) != large:
+			t.Fatalf("message %d (%d bytes) reallocated the %d-byte buffer", i, n, snapChunkBytes)
+		case i == 4:
+			large = unsafe.SliceData(in.buf) // grown for the catch-up batch
+		case i < len(sizes)-1 && unsafe.SliceData(in.buf) != large:
+			t.Fatalf("small message %d let the buffer go before %d in a row", i, shrinkAfter)
+		}
+	}
+	if c := cap(in.buf); c > retainMsgBytes {
+		t.Fatalf("after %d small messages the buffer holds %d bytes, want at most %d", shrinkAfter, c, retainMsgBytes)
+	}
+}
+
+// A follower that bootstrapped over a snapshot larger than one chunk and
+// caught up over a WAL tail in batches of thousands of records keeps neither
+// the chunk-sized read buffer nor the batch-sized decode scratch for its
+// stream of single-record batches.
+func TestFollowerReleasesSnapshotReadBuffer(t *testing.T) {
+	store := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
+	jnl, _, err := journal.Open(store, journal.Options{Dir: t.TempDir(), Mode: journal.ModeAsync})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jnl.Close()
+	store.SetJournal(jnl)
+	names := seedPrimary(t, store, 20_000)
+	if err := jnl.Snapshot(nil); err != nil {
+		t.Fatal(err)
+	}
+	path, _, _, err := journal.LatestSnapshotPath(jnl.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi, err := os.Stat(path); err != nil || fi.Size() <= snapChunkBytes {
+		t.Fatalf("snapshot of %v bytes (%v), want more than one %d-byte chunk", fi.Size(), err, snapChunkBytes)
+	}
+	snapSeq := jnl.LastSeq()
+	for _, name := range names[:5_000] {
+		if err := store.Renew(name, testRegistrar, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jnl.Sync(); err != nil {
+		t.Fatal(err)
+	}
+
+	src := NewSource(jnl, SourceConfig{})
+	defer src.Close()
+	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
+	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	f.Start()
+	waitApplied(t, f, jnl.LastSeq())
+	m := f.Metrics()
+	if m.Snapshots != 1 || m.Records != jnl.LastSeq()-snapSeq || m.Records/m.Batches <= retainMsgBytes/uint64(mutationBytes) {
+		t.Fatalf("bootstrap: %d snapshots, %d records in %d batches; want 1 snapshot and batches of more than %d records",
+			m.Snapshots, m.Records, m.Batches, retainMsgBytes/mutationBytes)
+	}
+	for _, name := range names[:2*shrinkAfter] {
+		if err := store.Renew(name, testRegistrar, 1); err != nil {
+			t.Fatal(err)
+		}
+		if err := jnl.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		waitApplied(t, f, jnl.LastSeq())
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.Metrics().Batches - m.Batches; got < 2*shrinkAfter {
+		t.Fatalf("%d single-record batches, want at least %d", got, 2*shrinkAfter)
+	}
+	if b := f.scratch.Load(); b > retainMsgBytes {
+		t.Fatalf("follower keeps %d bytes of read buffer and decode scratch after %d single-record batches, want at most %d", b, 2*shrinkAfter, retainMsgBytes)
 	}
 }

@@ -309,13 +309,12 @@ func (s *Source) sendSnapshot(conn net.Conn) (uint64, error) {
 // dies, waking any semi-sync waiter the new position satisfies. An ack of a
 // sequence the stream has not sent is not counted: it closes the connection.
 func (s *Source) readAcks(conn net.Conn, p *peer) {
-	var buf []byte
+	var in msgReader
 	for {
-		typ, payload, next, err := readMsg(conn, 0, buf)
+		typ, payload, err := in.read(conn, 0)
 		if err != nil {
 			return
 		}
-		buf = next
 		if typ != msgAck || len(payload) != 8 {
 			return
 		}
