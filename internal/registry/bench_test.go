@@ -78,7 +78,11 @@ func BenchmarkPendingDeletions(b *testing.B) {
 // every chunk and moves the expired half to autoRenew, on a store built
 // afresh each iteration (outside the timer); steady is a tick once the
 // chunk bounds have caught up, when nothing is newly due: the active pass
-// reads one bound per chunk and walks none.
+// reads one bound per chunk and walks none. spread is a steady tick over
+// 100 000 autoRenew registrations that expired over the last 45 days, under
+// registrars whose grace spans 5–45 days: the autoRenew walk goes back by the
+// shortest grace, so it re-reads every bucket older than 5 days and finds
+// only names whose own, longer grace has not run out.
 func BenchmarkTick(b *testing.B) {
 	const population = 1_000_000
 	today := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
@@ -112,8 +116,7 @@ func BenchmarkTick(b *testing.B) {
 			}
 		}
 	})
-	b.Run("steady", func(b *testing.B) {
-		_, lc := build()
+	steady := func(b *testing.B, lc *Lifecycle) {
 		lc.Tick(now)
 		lc.Tick(now)
 		b.ReportAllocs()
@@ -123,5 +126,26 @@ func BenchmarkTick(b *testing.B) {
 				b.Fatalf("steady tick moved %d", n)
 			}
 		}
+	}
+	b.Run("steady", func(b *testing.B) {
+		_, lc := build()
+		steady(b, lc)
+	})
+	b.Run("spread", func(b *testing.B) {
+		s := NewStoreWithShards(simtime.NewSimClock(now), 2)
+		cfg := DefaultLifecycleConfig()
+		cfg.GraceDays = make(map[int]int)
+		for r := 0; r < 10; r++ {
+			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+			cfg.GraceDays[1000+r] = 5 + 40*r/9
+		}
+		for i := 0; i < 100_000; i++ {
+			expiry := now.AddDate(0, 0, -(i % 45)).Add(-time.Duration(1+i%600) * time.Minute)
+			if _, err := s.SeedAt(fmt.Sprintf("grace%06d.com", i), 1000+i%10, expiry.AddDate(-1, 0, 0), expiry,
+				expiry, model.StatusAutoRenew, simtime.Day{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		steady(b, NewLifecycle(s, cfg))
 	})
 }

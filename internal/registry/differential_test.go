@@ -61,7 +61,11 @@ func runEngineOn(t *testing.T, seed int64, days int, scan bool, shards int, j Jo
 	cfg.RedemptionDays = 10
 	cfg.PendingDeleteDays = 3
 	cfg.DefaultGraceDays = 8
-	SpreadGraceDays(&cfg, s, 5, 15, rand.New(rand.NewSource(seed+1)))
+	grace := rand.New(rand.NewSource(seed + 1))
+	cfg.GraceDays = make(map[int]int)
+	for r := 0; r < 10; r++ {
+		cfg.GraceDays[1000+r] = 5 + grace.Intn(11)
+	}
 	lc := NewLifecycle(s, cfg)
 	runner := NewDropRunner(s, DefaultDropConfig())
 

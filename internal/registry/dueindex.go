@@ -10,48 +10,18 @@ import (
 	"dropzero/internal/simtime"
 )
 
-// duePolicy computes the UTC day a registration's next lifecycle transition
-// becomes due — the key its due-index bucket is filed under. The zero value
-// is the safe default used before a Lifecycle is attached: it anchors
-// autoRenew and redemption domains at the *start* of their grace and
-// redemption windows (grace and redemption lengths of zero), so buckets can
-// only be earlier than the true due day, never later. An early bucket merely
-// re-examines the domain on sweeps until it really is due; a late bucket
-// would delay transitions, which is why NewLifecycle and SpreadGraceDays
-// install the exact policy derived from the active LifecycleConfig.
-type duePolicy struct {
-	redemptionDays   int
-	graceDays        map[int]int
-	defaultGraceDays int
-	// perTLD overrides the day-length parameters for TLDs operated by
-	// non-default zones (each zone runs its own lifecycle clock). nil — the
-	// pre-federation common case — means every TLD uses the base values
-	// above, and dueDay takes the exact legacy path. Entries have nil
-	// perTLD themselves (one level of zoning, no recursion).
-	perTLD map[model.TLD]*duePolicy
-}
-
-// dueDay returns the bucket key for r's current state, one with due
-// buckets, as a day number (days since 1970-01-01): grace-end day for
-// autoRenew, redemption-end day for redemption and the scheduled delete day
-// for pendingDelete. UTC has no DST, so the calendar's AddDate(0, 0, g) is +g
-// here and no time.Time is built. The parameters come from the zone
-// operating r's TLD.
-func (p duePolicy) dueDay(r *record) uint32 {
-	if p.perTLD != nil {
-		if zp, ok := p.perTLD[r.tld()]; ok {
-			return zp.dueDay(r)
-		}
-	}
+// dueDay is the bucket key of r's current state, one with due buckets, as
+// a day number (days since 1970-01-01): the day its window opened — the
+// expiry day for autoRenew, the last-updated day for redemption — or the
+// scheduled delete day for pendingDelete. Each is a field of the record, so
+// the index needs no lifecycle parameters: a Lifecycle looks back by its own
+// window lengths when it walks the buckets (Tick).
+func dueDay(r *record) uint32 {
 	switch r.status() {
 	case model.StatusAutoRenew:
-		g := p.defaultGraceDays
-		if v, ok := p.graceDays[int(r.registrar)]; ok {
-			g = v
-		}
-		return dayKey(simtime.UnixOf(r.expiry)/daySecs + int64(g))
+		return dayKey(simtime.UnixOf(r.expiry) / daySecs)
 	case model.StatusRedemption:
-		return dayKey(simtime.UnixOf(r.updated)/daySecs + int64(p.redemptionDays))
+		return dayKey(simtime.UnixOf(r.updated) / daySecs)
 	default:
 		return uint32(r.deleteDay)
 	}
@@ -81,14 +51,15 @@ const (
 func bucketed(st model.Status) bool { return st >= firstDueState && st < model.StatusDeleted }
 
 // dueIndex is one short-lived state's time-bucketed secondary index: every
-// live registration in that state, bucketed by due day number. It holds the
-// non-empty buckets in ascending day order, so "everything due through day
-// D" costs O(due work), not O(store). Bucket order depends on the history of
-// adds and removes, so every consumer imposes its own deterministic sort.
+// live registration in that state, bucketed by its dueDay. It holds the
+// non-empty buckets in ascending day order, so "everything filed through
+// day D" costs O(due work), not O(store). Bucket order depends on the
+// history of adds and removes, so every consumer imposes its own
+// deterministic sort.
 type dueIndex []dueBucket
 
 // dueBucket is one day's registrations as table refs. live counts its
-// members: the registrations in the index's state whose due day it is.
+// members: the registrations in the index's state filed under its day.
 // refs holds each member's ref once, beside stale refs — of registrations
 // removed since, purged or moved on — that remove leaves in place, since
 // it cannot find them without a scan. No ref is in refs twice: add revives
@@ -128,9 +99,9 @@ func (ix dueIndex) find(day uint32) *dueBucket {
 }
 
 // member reports whether r is a member of state st's bucket for day: live,
-// in st, and due that day under sh's policy.
-func (sh *shard) member(r *record, st model.Status, day uint32) bool {
-	return r.np != nil && r.status() == st && sh.policy.dueDay(r) == day
+// in st, and filed under that day.
+func member(r *record, st model.Status, day uint32) bool {
+	return r.np != nil && r.status() == st && dueDay(r) == day
 }
 
 // dueDrop removes the registration in slot ref, a member of state st's
@@ -154,7 +125,7 @@ func (sh *shard) dueDrop(st model.Status, day, ref uint32) {
 	}
 	kept := b.refs[:0]
 	for _, other := range b.refs {
-		if other != ref && sh.member(sh.tab.rec(other), st, day) {
+		if other != ref && member(sh.tab.rec(other), st, day) {
 			kept = append(kept, other)
 		}
 	}
@@ -166,7 +137,7 @@ func (sh *shard) dueDrop(st model.Status, day, ref uint32) {
 func (sh *shard) members(st model.Status, b *dueBucket, fn func(*record)) {
 	stale := len(b.refs) != b.live
 	for _, ref := range b.refs {
-		if r := sh.tab.rec(ref); !stale || sh.member(r, st, b.day) {
+		if r := sh.tab.rec(ref); !stale || member(r, st, b.day) {
 			fn(r)
 		}
 	}

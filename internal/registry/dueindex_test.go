@@ -69,8 +69,8 @@ func indexSize(s *Store) int {
 }
 
 // TestDueIndexFollowsLifecycle walks one domain through every mutator and
-// asserts it always sits in exactly one bucket, keyed by the day its next
-// transition becomes due under the installed policy.
+// asserts it always sits in exactly one bucket, keyed by the day its
+// current window opened, whatever Lifecycle is attached.
 func TestDueIndexFollowsLifecycle(t *testing.T) {
 	s, clock := testStore(t)
 	cfg := DefaultLifecycleConfig()
@@ -95,15 +95,15 @@ func TestDueIndexFollowsLifecycle(t *testing.T) {
 		t.Fatalf("bucket after renew = %v, want %v", day, simtime.DayOf(d.Expiry))
 	}
 
-	// autoRenew buckets at grace end (expiry + 40 days here).
+	// autoRenew buckets at grace start, the expiry day, not at its end.
 	if err := s.setState("indexed.com", model.StatusAutoRenew, d.Expiry, simtime.Day{}); err != nil {
 		t.Fatal(err)
 	}
-	if day, _ := bucketDayOf(s, "indexed.com"); day != simtime.DayOf(d.Expiry.AddDate(0, 0, 40)) {
-		t.Fatalf("autoRenew bucket = %v, want grace end", day)
+	if day, _ := bucketDayOf(s, "indexed.com"); day != simtime.DayOf(d.Expiry) {
+		t.Fatalf("autoRenew bucket = %v, want the expiry day %v", day, simtime.DayOf(d.Expiry))
 	}
 
-	// Transfer re-files under the gaining registrar's grace.
+	// Transfer re-activates the name: its chunk bound holds it again.
 	code, err := s.AuthInfo("indexed.com", 1000)
 	if err != nil {
 		t.Fatal(err)
@@ -116,14 +116,13 @@ func TestDueIndexFollowsLifecycle(t *testing.T) {
 		t.Fatalf("bucket after transfer = %v, want expiry day (active again)", day)
 	}
 
-	// Redemption buckets at redemption end (Updated + RedemptionDays);
-	// TouchAt moves Updated and must re-file the bucket.
+	// Redemption buckets at redemption start, the Updated day, not at
+	// Updated + RedemptionDays.
 	if err := s.MarkRedemption("indexed.com", clock.Now()); err != nil {
 		t.Fatal(err)
 	}
-	wantRed := simtime.DayOf(simtime.Trunc(clock.Now()).AddDate(0, 0, cfg.RedemptionDays))
-	if day, _ := bucketDayOf(s, "indexed.com"); day != wantRed {
-		t.Fatalf("redemption bucket = %v, want %v", day, wantRed)
+	if day, _ := bucketDayOf(s, "indexed.com"); day != simtime.DayOf(clock.Now()) {
+		t.Fatalf("redemption bucket = %v, want %v", day, simtime.DayOf(clock.Now()))
 	}
 
 	// pendingDelete buckets at DeleteDay; purge drops it from the index.

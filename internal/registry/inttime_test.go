@@ -11,33 +11,25 @@ import (
 	"dropzero/internal/simtime"
 )
 
-// refDueDay is duePolicy.dueDay as it was while records held Unix seconds
-// and buckets were keyed by calendar day: a time.Time per call, the
-// calendar's AddDate for the grace and redemption lengths. Retained as the
-// integer version's reference.
-func refDueDay(p duePolicy, r *record) simtime.Day {
-	if zp, ok := p.perTLD[r.tld()]; ok {
-		return refDueDay(*zp, r)
-	}
+// refDueDay is dueDay read off the calendar: the day of the record's expiry
+// (autoRenew) or last update (redemption) as a time.Time, or its delete day.
+func refDueDay(r *record) simtime.Day {
 	switch r.status() {
 	case model.StatusAutoRenew:
-		g := p.defaultGraceDays
-		if v, ok := p.graceDays[int(r.registrar)]; ok {
-			g = v
-		}
-		return simtime.DayOf(simtime.UnpackTime(r.expiry).AddDate(0, 0, g))
+		return simtime.DayOf(simtime.UnpackTime(r.expiry))
 	case model.StatusRedemption:
-		return simtime.DayOf(simtime.UnpackTime(r.updated).AddDate(0, 0, p.redemptionDays))
+		return simtime.DayOf(simtime.UnpackTime(r.updated))
 	default:
 		return r.domain().DeleteDay
 	}
 }
 
-// TestDueDayMatchesCalendar holds the integer due day to the calendar one
-// over random instants (the ends of the stored range and the zero time
-// included), bucketed states, registrars, grace and redemption lengths, and a zone
-// with its own lengths for one TLD. The zero time (year 1) and an unset
-// delete day have no day number; both file under key 0, below every real day.
+// TestDueDayMatchesCalendar holds the integer bucket key to the calendar day
+// its window opened over random instants (the ends of the stored range and
+// the zero time included) and bucketed states. The zero time (year 1) and an
+// unset delete day have no day number; both file under key 0, below every
+// real day. It also holds Tick's walk-back: a window of g days that has
+// closed by an instant is filed no later than that instant's day less g.
 func TestDueDayMatchesCalendar(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	edges := []uint32{0, 1, 2, 86400, 86401, 1<<32 - 86401, 1<<32 - 2, 1<<32 - 1}
@@ -47,37 +39,34 @@ func TestDueDayMatchesCalendar(t *testing.T) {
 		}
 		return rng.Uint32()
 	}
-	for round := 0; round < 200; round++ {
-		p := duePolicy{
-			redemptionDays:   rng.Intn(60),
-			defaultGraceDays: rng.Intn(90),
-			graceDays:        map[int]int{1000: rng.Intn(90), 1001: 0},
-			perTLD: map[model.TLD]*duePolicy{"se": {
-				redemptionDays:   rng.Intn(60),
-				defaultGraceDays: rng.Intn(90),
-				graceDays:        map[int]int{1002: rng.Intn(400)},
-			}},
+	for i := 0; i < 100_000; i++ {
+		r := record{
+			created:   instant(),
+			updated:   instant(),
+			expiry:    instant(),
+			registrar: 1000,
+			meta:      uint8(firstDueState) + uint8(rng.Intn(dueStates)),
 		}
-		if round%4 == 0 {
-			p.perTLD = nil
+		r.setName("a.com")
+		if r.status() == model.StatusPendingDelete && rng.Intn(4) != 0 {
+			r.deleteDay = uint16(rng.Intn(1 << 16))
 		}
-		for i := 0; i < 500; i++ {
-			r := record{
-				created:   instant(),
-				updated:   instant(),
-				expiry:    instant(),
-				registrar: int32(1000 + rng.Intn(4)),
-				meta:      uint8(firstDueState) + uint8(rng.Intn(dueStates)),
-			}
-			r.setName([]string{"a.com", "b.net", "c.se"}[rng.Intn(3)])
-			if r.status() == model.StatusPendingDelete && rng.Intn(4) != 0 {
-				r.deleteDay = uint16(rng.Intn(1 << 16))
-			}
-			ref := refDueDay(p, &r)
-			if got, want := p.dueDay(&r), uint32(max(ref.Number(), 0)); got != want {
-				t.Fatalf("round %d: dueDay(%+v) under %+v = %d (%v), calendar says %v (%d)",
-					round, r, p, got, simtime.DayNumbered(int64(got)), ref, want)
-			}
+		ref := refDueDay(&r)
+		if got, want := dueDay(&r), uint32(max(ref.Number(), 0)); got != want {
+			t.Fatalf("dueDay(%+v) = %d (%v), calendar says %v (%d)", r, got, simtime.DayNumbered(int64(got)), ref, want)
+		}
+		if r.status() == model.StatusPendingDelete {
+			continue
+		}
+		opened := r.expiry
+		if r.status() == model.StatusRedemption {
+			opened = r.updated
+		}
+		g, now := rng.Intn(400), simtime.UnpackTime(instant())
+		closed := !simtime.UnpackTime(opened).AddDate(0, 0, g).After(now)
+		if limit := dayKey(simtime.DayOf(now).AddDays(-g).Number()); closed && dueDay(&r) > limit {
+			t.Fatalf("%v window of %d days opened %v closed by %v, but its bucket %d is past the walk's end %d",
+				r.status(), g, simtime.UnpackTime(opened), now, dueDay(&r), limit)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package registry
 
 import (
 	"cmp"
-	"math/rand"
 	"slices"
 	"time"
 
@@ -29,31 +28,18 @@ type Lifecycle struct {
 	scope map[model.TLD]bool // the zone's TLD membership set
 }
 
-// NewLifecycle returns a Lifecycle over store for the default zone. It
-// installs the store's base due-day policy derived from cfg, so the store's
-// per-state indexes bucket every default-zone domain on the exact day its
-// next transition becomes due (other zones' TLDs keep their own lifecycle
-// parameters). One store should have one active Lifecycle per zone;
-// cfg.GraceDays must not be mutated afterwards except through
-// SpreadGraceDays, which re-derives the policy (a bucket later than the true
-// due day would delay transitions).
+// NewLifecycle returns a Lifecycle over store for the default zone. A zero
+// cfg means DefaultLifecycleConfig.
 func NewLifecycle(store *Store, cfg LifecycleConfig) *Lifecycle {
 	if cfg.RedemptionDays == 0 && cfg.PendingDeleteDays == 0 && cfg.DefaultGraceDays == 0 {
 		cfg = DefaultLifecycleConfig()
 	}
-	store.setDuePolicy(duePolicy{
-		redemptionDays:   cfg.RedemptionDays,
-		graceDays:        cfg.GraceDays,
-		defaultGraceDays: cfg.DefaultGraceDays,
-	})
 	def := zone.Default()
 	return &Lifecycle{store: store, cfg: cfg, scope: def.TLDSet()}
 }
 
 // NewZoneLifecycle returns a Lifecycle driving z's TLDs under z's own
-// lifecycle config. z must already be installed in the store (AddZone); the
-// per-TLD due-day parameters were installed then. The default zone's
-// lifecycle comes from NewLifecycle, which also installs its due policy.
+// lifecycle config. z must already be installed in the store (AddZone).
 func NewZoneLifecycle(store *Store, z zone.Config) *Lifecycle {
 	return &Lifecycle{store: store, cfg: z.Lifecycle, scope: z.TLDSet()}
 }
@@ -84,8 +70,11 @@ type change struct {
 // a deterministic order (sorted by domain ID) so equal inputs give equal
 // outputs.
 //
-// Tick walks the autoRenew and redemption due-day buckets at or before
-// now's day — work proportional to the domains actually due, plus same-day
+// A bucket holds the names whose window opened on its day, so a window of g
+// days that has closed by now opened on or before today − g. Tick walks the
+// autoRenew buckets through today less the shortest grace its config gives
+// any registrar, and the redemption buckets through today less the
+// redemption length — work proportional to the domains actually due, plus
 // candidates whose exact instant has not struck yet — and, for active
 // domains, the table chunks whose expiry bound is not after now.
 func (l *Lifecycle) Tick(now time.Time) int {
@@ -101,8 +90,12 @@ func (l *Lifecycle) Tick(now time.Time) int {
 			changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusAutoRenew, updated: r.expiry})
 		}
 	})
+	grace := l.cfg.DefaultGraceDays // the shortest any registrar has
+	for _, g := range l.cfg.GraceDays {
+		grace = min(grace, g)
+	}
 	// The calendar's AddDate(0, 0, n) is +n·daySecs in UTC.
-	l.store.eachDueThrough(model.StatusAutoRenew, day, func(r *record) {
+	l.store.eachDueThrough(model.StatusAutoRenew, day.AddDays(-grace), func(r *record) {
 		if !l.inScope(r.tld()) {
 			return
 		}
@@ -118,7 +111,7 @@ func (l *Lifecycle) Tick(now time.Time) int {
 	})
 	// A delete day the store cannot hold would be refused by setState.
 	if deleteDay, ok := day.AddDays(l.cfg.PendingDeleteDays).Pack(); ok {
-		l.store.eachDueThrough(model.StatusRedemption, day, func(r *record) {
+		l.store.eachDueThrough(model.StatusRedemption, day.AddDays(-l.cfg.RedemptionDays), func(r *record) {
 			if l.inScope(r.tld()) && simtime.UnixOf(r.updated)+daySecs*int64(l.cfg.RedemptionDays) <= nowSec {
 				changes = append(changes, change{id: r.id, name: r.name(), to: model.StatusPendingDelete, day: deleteDay})
 			}
@@ -139,23 +132,4 @@ func (l *Lifecycle) Tick(now time.Time) int {
 		}
 	}
 	return n
-}
-
-// SpreadGraceDays populates GraceDays with registrar-specific values in
-// [minDays, maxDays], drawn deterministically from rng, for every registrar
-// currently known to the store. It re-derives the store's due-day policy so
-// already-indexed autoRenew domains move to their new grace-end buckets —
-// this is the one supported way to change GraceDays after NewLifecycle.
-func SpreadGraceDays(cfg *LifecycleConfig, store *Store, minDays, maxDays int, rng *rand.Rand) {
-	if cfg.GraceDays == nil {
-		cfg.GraceDays = make(map[int]int)
-	}
-	for _, r := range store.Registrars() {
-		cfg.GraceDays[r.IANAID] = minDays + rng.Intn(maxDays-minDays+1)
-	}
-	store.setDuePolicy(duePolicy{
-		redemptionDays:   cfg.RedemptionDays,
-		graceDays:        cfg.GraceDays,
-		defaultGraceDays: cfg.DefaultGraceDays,
-	})
 }

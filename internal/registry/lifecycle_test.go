@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -142,28 +143,6 @@ func TestBatchInstantNotMonotonicInID(t *testing.T) {
 	}
 }
 
-func TestSpreadGraceDays(t *testing.T) {
-	s := NewStore(testClock())
-	for i := 0; i < 20; i++ {
-		s.AddRegistrar(model.Registrar{IANAID: 1000 + i})
-	}
-	cfg := DefaultLifecycleConfig()
-	SpreadGraceDays(&cfg, s, 25, 45, rand.New(rand.NewSource(1)))
-	if len(cfg.GraceDays) != 20 {
-		t.Fatalf("GraceDays size = %d", len(cfg.GraceDays))
-	}
-	distinct := make(map[int]bool)
-	for id, g := range cfg.GraceDays {
-		if g < 25 || g > 45 {
-			t.Fatalf("grace %d out of range for %d", g, id)
-		}
-		distinct[g] = true
-	}
-	if len(distinct) < 2 {
-		t.Fatal("grace days not spread")
-	}
-}
-
 func TestLifecycleDeterministicOrder(t *testing.T) {
 	run := func() []int {
 		clock := simtime.NewSimClock(time.Date(2017, 1, 1, 12, 0, 0, 0, time.UTC))
@@ -222,5 +201,54 @@ func TestLifecycleScopedToItsZone(t *testing.T) {
 	d, _ := s.Get("slow.se")
 	if want := today.AddDays(10); d.Status != model.StatusPendingDelete || d.DeleteDay != want {
 		t.Fatalf("after the zone's Tick: %v with delete day %v, want pendingDelete on %v", d.Status, d.DeleteDay, want)
+	}
+}
+
+// A Lifecycle moves names on its own config's clocks, whatever config the
+// store holds for their zone: the store's nordic zone has a 30-day grace,
+// its Lifecycle a 3-day one, so a name that went to autoRenew 4 days ago is
+// due for redemption.
+func TestTickFollowsItsOwnConfig(t *testing.T) {
+	s, clock := testStore(t)
+	z := nordicZone()
+	z.Lifecycle.DefaultGraceDays = 30
+	if err := s.AddZone(z); err != nil {
+		t.Fatal(err)
+	}
+	now := clock.Now()
+	expiry := now.AddDate(0, 0, -4)
+	if _, err := s.SeedAt("late.se", 1000, expiry.AddDate(-1, 0, 0), expiry, expiry, model.StatusAutoRenew, simtime.Day{}); err != nil {
+		t.Fatal(err)
+	}
+	short := z
+	short.Lifecycle.DefaultGraceDays = 3
+	if n := NewZoneLifecycle(s, short).Tick(now); n != 1 {
+		t.Fatalf("Tick moved %d, want 1", n)
+	}
+	if d, _ := s.Get("late.se"); d.Status != model.StatusRedemption {
+		t.Fatalf("after Tick: %v, want redemption", d.Status)
+	}
+}
+
+// Attaching a Lifecycle reads nothing of the store: it costs the same
+// allocations over an empty store as over 10 000 names in autoRenew and
+// redemption.
+func TestNewLifecycleCostDoesNotGrowWithStore(t *testing.T) {
+	cost := func(n int) float64 {
+		s, clock := testStore(t)
+		for i := 0; i < n; i++ {
+			st := model.StatusAutoRenew
+			if i%2 == 1 {
+				st = model.StatusRedemption
+			}
+			at := clock.Now().AddDate(0, 0, -1-i%40)
+			if _, err := s.SeedAt(fmt.Sprintf("n%05d.com", i), 1000, at.AddDate(-1, 0, 0), at, at, st, simtime.Day{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(20, func() { NewLifecycle(s, DefaultLifecycleConfig()) })
+	}
+	if empty, full := cost(0), cost(10_000); empty != full {
+		t.Fatalf("NewLifecycle allocates %v times over an empty store, %v over 10 000 names", empty, full)
 	}
 }

@@ -543,7 +543,7 @@ func checkDuePositions(t *testing.T, s *Store) {
 					}
 					held[ref] = true
 					r := sh.tab.rec(ref)
-					if !sh.member(r, st, day) {
+					if !member(r, st, day) {
 						continue
 					}
 					members++
@@ -585,126 +585,134 @@ func checkDuePositions(t *testing.T, s *Store) {
 func TestDueBucketsUnderRandomChurn(t *testing.T) {
 	for _, shards := range []int{1, 2, 8, 16} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
-			newWorld := func() (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
-				clock := simtime.NewSimClock(start.At(0, 0, 0))
-				s := NewStoreWithShards(clock, shards)
-				for r := 0; r < 4; r++ {
-					s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
-				}
-				z := nordicZone()
-				z.Lifecycle = zone.LifecycleConfig{RedemptionDays: 4, PendingDeleteDays: 2, DefaultGraceDays: 3}
-				if err := s.AddZone(z); err != nil {
-					t.Fatal(err)
-				}
-				cfg := DefaultLifecycleConfig()
-				cfg.RedemptionDays, cfg.PendingDeleteDays, cfg.DefaultGraceDays = 6, 3, 5
-				return s, clock, NewLifecycle(s, cfg), NewDropRunner(s, DefaultDropConfig())
-			}
-			ix, ixClock, ixLC, ixRun := newWorld()
-			sc, scClock, scLC, scRun := newWorld()
-			zl := func(s *Store) *Lifecycle { z, _ := s.ZoneByName(nordicZone().Name); return NewZoneLifecycle(s, z) }
-			ixZL, scZL := zl(ix), zl(sc)
-
-			rng := rand.New(rand.NewSource(5))
-			var names []string
-			both := func(op func(s *Store) error) {
-				t.Helper()
-				e1, e2 := op(ix), op(sc)
-				if (e1 == nil) != (e2 == nil) {
-					t.Fatalf("engines disagree: indexed %v, scan %v", e1, e2)
-				}
-			}
-			for round := 0; round < 40; round++ {
-				day := start.AddDays(round / 2)
-				now := day.At(6+12*(round%2), 0, 0)
-				ixClock.Set(now)
-				scClock.Set(now)
-				for k := 0; k < 60; k++ {
-					switch op := rng.Intn(11); {
-					case op < 3 || len(names) < 20:
-						name := fmt.Sprintf("churn%05d.%s", len(names), []string{"com", "net", "se", "nu"}[rng.Intn(4)])
-						reg, term := 1000+rng.Intn(4), 1+rng.Intn(2)
-						expiry := day.AddDays(rng.Intn(12)-3).At(rng.Intn(24), 0, rng.Intn(60))
-						updated := expiry.AddDate(0, 0, -rng.Intn(30))
-						st := model.Status(rng.Intn(4))
-						due := simtime.Day{}
-						if st == model.StatusPendingDelete {
-							due = day.AddDays(rng.Intn(4))
-						}
-						if rng.Intn(2) == 0 {
-							both(func(s *Store) error { _, err := s.Create(name, reg, term); return err })
-						} else {
-							both(func(s *Store) error {
-								_, err := s.SeedAt(name, reg, expiry.AddDate(-1, 0, 0), updated, expiry, st, due)
-								return err
-							})
-						}
-						names = append(names, name)
-					default:
-						name := names[rng.Intn(len(names))]
-						d, err := ix.Get(name)
-						if err != nil {
-							continue
-						}
-						switch op {
-						case 3, 4:
-							both(func(s *Store) error { return s.TouchAt(name, d.RegistrarID, now) })
-						case 5:
-							both(func(s *Store) error { return s.Renew(name, d.RegistrarID, 1) })
-						case 6:
-							gaining := 1000 + rng.Intn(4)
-							both(func(s *Store) error {
-								code, _ := s.AuthInfo(name, d.RegistrarID)
-								return s.Transfer(name, gaining, code)
-							})
-						case 7:
-							both(func(s *Store) error { return s.MarkRedemption(name, now) })
-						case 8:
-							due := day.AddDays(rng.Intn(3))
-							both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, due) })
-						case 9:
-							both(func(s *Store) error { _, err := s.purge(name, now, k); return err })
-						case 10:
-							// Out of pendingDelete and back in on the same day.
-							if d.Status == model.StatusPendingDelete {
-								both(func(s *Store) error { return s.MarkRedemption(name, now) })
-								both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, d.DeleteDay) })
-							}
-						}
-					}
-				}
-				checkDuePositions(t, ix)
-				checkDuePositions(t, sc)
-
-				if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.tickScan(now)+scZL.tickScan(now); a != b {
-					t.Fatalf("round %d: indexed tick moved %d, scan tick %d", round, a, b)
-				}
-				checkDuePositions(t, ix)
-				for _, win := range []int{1, 5} {
-					a, b := ix.PendingDeletions(day, win), ix.pendingDeletionsScan(day, win)
-					if !slices.Equal(a, b) {
-						t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, a, b)
-					}
-				}
-				if a, b := ixRun.BuildQueue(day), ixRun.buildQueueScan(day); fmt.Sprint(a) != fmt.Sprint(b) {
-					t.Fatalf("round %d: queue differs:\n indexed %v\n scan    %v", round, a, b)
-				}
-				if round%2 == 1 {
-					a, errA := ixRun.Run(day, rand.New(rand.NewSource(int64(round))))
-					b, errB := scRun.Run(day, rand.New(rand.NewSource(int64(round))))
-					if errA != nil || errB != nil || fmt.Sprint(a) != fmt.Sprint(b) {
-						t.Fatalf("round %d: drops differ (%v, %v):\n indexed %v\n scan    %v", round, errA, errB, a, b)
-					}
-					checkDuePositions(t, ix)
-				}
-			}
-			if a, b := dumpStore(ix, start, 40), dumpStore(sc, start, 40); a != b {
-				diffDumps(t, "indexed", "scan", a, b)
-			}
-			if ix.Count() == 0 || len(ix.Deletions(start.AddDays(5))) == 0 {
-				t.Fatalf("workout too quiet: %d live, %d deleted on day 5", ix.Count(), len(ix.Deletions(start.AddDays(5))))
-			}
+			t.Run("grace=flat", func(t *testing.T) { churnDueBuckets(t, shards, nil) })
+			t.Run("grace=spread", func(t *testing.T) { churnDueBuckets(t, shards, map[int]int{1000: 1, 1001: 6, 1002: 9}) })
 		})
+	}
+}
+
+// churnDueBuckets is one TestDueBucketsUnderRandomChurn run over stores of
+// the given shard count, the nordic zone's registrars taking graceDays (the
+// rest its 3-day default).
+func churnDueBuckets(t *testing.T, shards int, graceDays map[int]int) {
+	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
+	newWorld := func() (*Store, *simtime.SimClock, *Lifecycle, *DropRunner) {
+		clock := simtime.NewSimClock(start.At(0, 0, 0))
+		s := NewStoreWithShards(clock, shards)
+		for r := 0; r < 4; r++ {
+			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+		}
+		z := nordicZone()
+		z.Lifecycle = zone.LifecycleConfig{RedemptionDays: 4, PendingDeleteDays: 2, DefaultGraceDays: 3, GraceDays: graceDays}
+		if err := s.AddZone(z); err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultLifecycleConfig()
+		cfg.RedemptionDays, cfg.PendingDeleteDays, cfg.DefaultGraceDays = 6, 3, 5
+		return s, clock, NewLifecycle(s, cfg), NewDropRunner(s, DefaultDropConfig())
+	}
+	ix, ixClock, ixLC, ixRun := newWorld()
+	sc, scClock, scLC, scRun := newWorld()
+	zl := func(s *Store) *Lifecycle { z, _ := s.ZoneByName(nordicZone().Name); return NewZoneLifecycle(s, z) }
+	ixZL, scZL := zl(ix), zl(sc)
+
+	rng := rand.New(rand.NewSource(5))
+	var names []string
+	both := func(op func(s *Store) error) {
+		t.Helper()
+		e1, e2 := op(ix), op(sc)
+		if (e1 == nil) != (e2 == nil) {
+			t.Fatalf("engines disagree: indexed %v, scan %v", e1, e2)
+		}
+	}
+	for round := 0; round < 40; round++ {
+		day := start.AddDays(round / 2)
+		now := day.At(6+12*(round%2), 0, 0)
+		ixClock.Set(now)
+		scClock.Set(now)
+		for k := 0; k < 60; k++ {
+			switch op := rng.Intn(11); {
+			case op < 3 || len(names) < 20:
+				name := fmt.Sprintf("churn%05d.%s", len(names), []string{"com", "net", "se", "nu"}[rng.Intn(4)])
+				reg, term := 1000+rng.Intn(4), 1+rng.Intn(2)
+				expiry := day.AddDays(rng.Intn(12)-3).At(rng.Intn(24), 0, rng.Intn(60))
+				updated := expiry.AddDate(0, 0, -rng.Intn(30))
+				st := model.Status(rng.Intn(4))
+				due := simtime.Day{}
+				if st == model.StatusPendingDelete {
+					due = day.AddDays(rng.Intn(4))
+				}
+				if rng.Intn(2) == 0 {
+					both(func(s *Store) error { _, err := s.Create(name, reg, term); return err })
+				} else {
+					both(func(s *Store) error {
+						_, err := s.SeedAt(name, reg, expiry.AddDate(-1, 0, 0), updated, expiry, st, due)
+						return err
+					})
+				}
+				names = append(names, name)
+			default:
+				name := names[rng.Intn(len(names))]
+				d, err := ix.Get(name)
+				if err != nil {
+					continue
+				}
+				switch op {
+				case 3, 4:
+					both(func(s *Store) error { return s.TouchAt(name, d.RegistrarID, now) })
+				case 5:
+					both(func(s *Store) error { return s.Renew(name, d.RegistrarID, 1) })
+				case 6:
+					gaining := 1000 + rng.Intn(4)
+					both(func(s *Store) error {
+						code, _ := s.AuthInfo(name, d.RegistrarID)
+						return s.Transfer(name, gaining, code)
+					})
+				case 7:
+					both(func(s *Store) error { return s.MarkRedemption(name, now) })
+				case 8:
+					due := day.AddDays(rng.Intn(3))
+					both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, due) })
+				case 9:
+					both(func(s *Store) error { _, err := s.purge(name, now, k); return err })
+				case 10:
+					// Out of pendingDelete and back in on the same day.
+					if d.Status == model.StatusPendingDelete {
+						both(func(s *Store) error { return s.MarkRedemption(name, now) })
+						both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, d.DeleteDay) })
+					}
+				}
+			}
+		}
+		checkDuePositions(t, ix)
+		checkDuePositions(t, sc)
+
+		if a, b := ixLC.Tick(now)+ixZL.Tick(now), scLC.tickScan(now)+scZL.tickScan(now); a != b {
+			t.Fatalf("round %d: indexed tick moved %d, scan tick %d", round, a, b)
+		}
+		checkDuePositions(t, ix)
+		for _, win := range []int{1, 5} {
+			a, b := ix.PendingDeletions(day, win), ix.pendingDeletionsScan(day, win)
+			if !slices.Equal(a, b) {
+				t.Fatalf("round %d: %d-day window differs:\n indexed %v\n scan    %v", round, win, a, b)
+			}
+		}
+		if a, b := ixRun.BuildQueue(day), ixRun.buildQueueScan(day); fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("round %d: queue differs:\n indexed %v\n scan    %v", round, a, b)
+		}
+		if round%2 == 1 {
+			a, errA := ixRun.Run(day, rand.New(rand.NewSource(int64(round))))
+			b, errB := scRun.Run(day, rand.New(rand.NewSource(int64(round))))
+			if errA != nil || errB != nil || fmt.Sprint(a) != fmt.Sprint(b) {
+				t.Fatalf("round %d: drops differ (%v, %v):\n indexed %v\n scan    %v", round, errA, errB, a, b)
+			}
+			checkDuePositions(t, ix)
+		}
+	}
+	if a, b := dumpStore(ix, start, 40), dumpStore(sc, start, 40); a != b {
+		diffDumps(t, "indexed", "scan", a, b)
+	}
+	if ix.Count() == 0 || len(ix.Deletions(start.AddDays(5))) == 0 {
+		t.Fatalf("workout too quiet: %d live, %d deleted on day 5", ix.Count(), len(ix.Deletions(start.AddDays(5))))
 	}
 }

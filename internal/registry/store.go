@@ -62,10 +62,10 @@ type Observer interface {
 // shard is one lock domain of the store. Every registration lives in exactly
 // one shard, chosen by hashing its name, and everything a single-domain
 // operation needs — the record table, the transfer codes, the due-day indexes
-// and status tallies, and the due-day policy — is resident in that shard,
-// guarded by that shard's lock. The EPP hot path (Check/Info/Create during
-// the Drop second) therefore serialises only against operations on names
-// that hash to the same shard, not against the whole registry.
+// and status tallies — is resident in that shard, guarded by that shard's
+// lock. The EPP hot path (Check/Info/Create during the Drop second)
+// therefore serialises only against operations on names that hash to the
+// same shard, not against the whole registry.
 type shard struct {
 	mu  sync.RWMutex
 	tab table // live registrations: the records and their name index
@@ -74,13 +74,9 @@ type shard struct {
 	// derivation. nil until one shows up.
 	authStored map[string]string
 
-	// policy computes each registration's due day. Every shard holds the
-	// same value (installed shard-by-shard via setDuePolicy); keeping a copy
-	// per shard lets dueAdd/dueRemove read it under the shard lock alone.
-	policy duePolicy
 	// due is the time-bucketed secondary index: per short-lived lifecycle
 	// state (due[st-firstDueState]), this shard's live registrations
-	// bucketed by the UTC day their next transition becomes due. Maintained
+	// bucketed by the UTC day their window opened (dueDay). Maintained
 	// incrementally by every mutator; the daily sweeps merge the per-shard
 	// buckets in canonical order. Active registrations are found through
 	// the table's chunk bounds instead (dueindex.go).
@@ -102,22 +98,21 @@ func (sh *shard) dueAdd(r *record, ref uint32) {
 	case st == model.StatusActive:
 		sh.tab.noteExpiry(ref, r.expiry)
 	case bucketed(st):
-		sh.due[st-firstDueState].add(sh.policy.dueDay(r), ref)
+		sh.due[st-firstDueState].add(dueDay(r), ref)
 	}
 }
 
-// dueRemove un-indexes r. It must run *before* any field that feeds
-// duePolicy.dueDay (status, expiry, updated, registrar, deleteDay) is
-// mutated, or the removal would look in the wrong bucket. An active
-// registration leaves its chunk bound as it is: a bound only has to be low
-// enough.
+// dueRemove un-indexes r. It must run *before* any field that feeds dueDay
+// (status, expiry, updated, deleteDay) is mutated, or the removal would look
+// in the wrong bucket. An active registration leaves its chunk bound as it
+// is: a bound only has to be low enough.
 func (sh *shard) dueRemove(r *record, ref uint32) {
 	st := r.status()
 	if int(st) < len(sh.statusCount) {
 		sh.statusCount[st]--
 	}
 	if bucketed(st) {
-		sh.dueDrop(st, sh.policy.dueDay(r), ref)
+		sh.dueDrop(st, dueDay(r), ref)
 	}
 }
 
@@ -125,7 +120,7 @@ func (sh *shard) dueRemove(r *record, ref uint32) {
 // registration that stays in the same bucket — a touch of a pendingDelete
 // name, say — keeps its entry. The caller holds the shard's write lock.
 func (sh *shard) refile(r *record, ref uint32, next record) {
-	if st := r.status(); st == next.status() && bucketed(st) && sh.policy.dueDay(r) == sh.policy.dueDay(&next) {
+	if st := r.status(); st == next.status() && bucketed(st) && dueDay(r) == dueDay(&next) {
 		*r = next
 		return
 	}
@@ -287,31 +282,6 @@ func (s *Store) groupByShard(n int, name func(int) string) (order []int32, start
 
 // ShardCount reports how many shards the store was built with.
 func (s *Store) ShardCount() int { return len(s.shards) }
-
-// setDuePolicy installs the due-day policy and rebuilds every index bucket
-// under it — O(store), paid once when a Lifecycle is attached or its grace
-// spread changes. Shards are rebuilt one at a time under their own locks.
-// The chunk bounds stay: an active registration is due at its expiry under
-// every policy.
-func (s *Store) setDuePolicy(p duePolicy) {
-	// The base parameters govern the default zone; TLDs operated by other
-	// zones keep their own lifecycle clocks through the per-TLD overrides,
-	// whatever Lifecycle is (re-)attached for the default zone.
-	p.perTLD = s.zoneDuePerTLD()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.due = [dueStates]dueIndex{}
-		sh.policy = p
-		sh.tab.each(func(r *record, ref uint32) bool {
-			if st := r.status(); bucketed(st) {
-				sh.due[st-firstDueState].add(p.dueDay(r), ref)
-			}
-			return true
-		})
-		sh.mu.Unlock()
-	}
-}
 
 // Generation returns the store's mutation counter without taking any lock.
 // It increases by (at least) one for every committed mutation of observable

@@ -21,9 +21,6 @@ import (
 // Locking: zoneMu is a leaf lock like delMu — no path may acquire a shard
 // lock while holding it — and splitName, which replay runs under a shard
 // lock, takes no lock at all (it reads the published TLD map).
-// installZoneDue therefore runs after zoneMu is released; that is safe
-// because a just-added zone cannot have domains yet (creating one was
-// impossible while its TLD was unknown).
 
 // zoneTable is the store's zone state under zoneMu.
 type zoneTable struct {
@@ -72,11 +69,10 @@ func (s *Store) HostsTLD(t model.TLD) bool {
 	return ok
 }
 
-// AddZone installs a new zone: its TLDs become creatable, its lifecycle
-// parameters drive the due-day indexing of its domains, and the addition is
-// journaled (MutAddZone) so replicas and recovery replay it in stream order.
-// Zones are add-only and their TLD sets must not overlap any installed
-// zone's.
+// AddZone installs a new zone: its TLDs become creatable, and the addition
+// is journaled (MutAddZone) so replicas and recovery replay it in stream
+// order. Zones are add-only and their TLD sets must not overlap any
+// installed zone's.
 func (s *Store) AddZone(z zone.Config) error { return s.addZone(z, true) }
 
 // addZone installs z, AddZone's commit and replay's alike; a live one is
@@ -94,7 +90,6 @@ func (s *Store) addZone(z zone.Config, live bool) error {
 	}
 	s.bumpGen()
 	zt.mu.Unlock()
-	s.installZoneDue()
 	return waitJournal(wait)
 }
 
@@ -154,51 +149,13 @@ func (zt *zoneTable) installLocked(z zone.Config) error {
 func (s *Store) RestoreZones(zs []zone.Config) error {
 	zt := &s.zoneTab
 	zt.mu.Lock()
+	defer zt.mu.Unlock()
 	for _, z := range zs {
 		if err := zt.installLocked(z); err != nil {
-			zt.mu.Unlock()
 			return err
 		}
 	}
-	zt.mu.Unlock()
-	s.installZoneDue()
 	return nil
-}
-
-// zoneDuePerTLD derives the per-TLD due-day parameter overrides from the
-// non-default zones. The default zone's parameters stay the policy base
-// (installed by NewLifecycle), keeping pre-federation stores bit-identical.
-func (s *Store) zoneDuePerTLD() map[model.TLD]*duePolicy {
-	s.zoneTab.mu.RLock()
-	defer s.zoneTab.mu.RUnlock()
-	if len(s.zoneTab.zones) == 1 {
-		return nil
-	}
-	per := make(map[model.TLD]*duePolicy)
-	for _, z := range s.zoneTab.zones[1:] {
-		zp := &duePolicy{
-			redemptionDays:   z.Lifecycle.RedemptionDays,
-			graceDays:        z.Lifecycle.GraceDays,
-			defaultGraceDays: z.Lifecycle.DefaultGraceDays,
-		}
-		for _, t := range z.TLDs {
-			per[t] = zp
-		}
-	}
-	return per
-}
-
-// installZoneDue pushes the current per-TLD due overrides into every shard's
-// policy. Shards are updated one at a time under their own locks; a new
-// zone's TLDs have no indexed domains yet, so no bucket rebuild is needed.
-func (s *Store) installZoneDue() {
-	per := s.zoneDuePerTLD()
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		sh.policy.perTLD = per
-		sh.mu.Unlock()
-	}
 }
 
 // CheckName validates a domain name's syntax and that its TLD is operated by

@@ -3,6 +3,7 @@ package registry
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -201,6 +202,12 @@ func TestReplayRefusesInvalidZone(t *testing.T) {
 		"empty TLD":      func(z *zone.Config) { z.TLDs = []model.TLD{"se", ""} },
 		"dotted TLD":     func(z *zone.Config) { z.TLDs = []model.TLD{"co.se"} },
 		"start hour 99":  func(z *zone.Config) { z.Drop.StartHour = 99 },
+		"rate NaN":       func(z *zone.Config) { z.Drop.BaseRatePerSec = math.NaN() },
+		"rate +Inf":      func(z *zone.Config) { z.Drop.BaseRatePerSec = math.Inf(1) },
+		"rate 1e-300":    func(z *zone.Config) { z.Drop.BaseRatePerSec = 1e-300 },
+		"jitter 1":       func(z *zone.Config) { z.Drop.RateJitter = 1 },
+		"grace -1":       func(z *zone.Config) { z.Lifecycle.GraceDays = map[int]int{1000: -1} },
+		"grace 1<<40":    func(z *zone.Config) { z.Lifecycle.DefaultGraceDays = 1 << 40 },
 	}
 	paths := map[string]func(s *Store, m Mutation) error{
 		"Apply": func(s *Store, m Mutation) error { return s.Apply(m) },

@@ -833,7 +833,8 @@ func TestSyncJournalRefusesAsyncJournal(t *testing.T) {
 
 // TestWaitSyncedTimesOutWithoutQuorum pins the no-overclaim contract: with
 // semi-sync armed and no follower connected, WaitSynced fails rather than
-// pretending.
+// pretending. The failure is indeterminate, and its error says so: the
+// create is applied on the primary, where a later info finds it.
 func TestWaitSyncedTimesOutWithoutQuorum(t *testing.T) {
 	store, jnl := newPrimary(t, t.TempDir())
 	defer jnl.Close()
@@ -841,8 +842,16 @@ func TestWaitSyncedTimesOutWithoutQuorum(t *testing.T) {
 	defer src.Close()
 	store.SetJournal(&SyncJournal{J: jnl, S: src})
 	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
-	if _, err := store.CreateAt("unsynced.com", testRegistrar, 1, testStart.At(3, 0, 0)); err == nil {
+	_, err := store.CreateAt("unsynced.com", testRegistrar, 1, testStart.At(3, 0, 0))
+	if err == nil {
 		t.Fatal("create acknowledged with no follower quorum")
+	}
+	const want = "within 50ms: the mutation is applied and durable on this primary and will replicate, so a later info tells its outcome"
+	if !strings.Contains(err.Error(), "repl: no follower quorum for seq ") || !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("create with no follower quorum: %v, want the no-quorum error ending %q", err, want)
+	}
+	if d, err := store.Get("unsynced.com"); err != nil || d.RegistrarID != testRegistrar {
+		t.Fatalf("info after the quorum timeout: %+v, %v; want the applied registration", d, err)
 	}
 }
 

@@ -390,7 +390,7 @@ func (s *Source) WaitSynced(seq uint64) error {
 		if closed {
 			return fmt.Errorf("repl: source closed before seq %d was acknowledged", seq)
 		}
-		return fmt.Errorf("repl: no follower quorum for seq %d within %v", seq, s.cfg.syncTimeout)
+		return fmt.Errorf("repl: no follower quorum for seq %d within %v: the mutation is applied and durable on this primary and will replicate, so a later info tells its outcome", seq, s.cfg.syncTimeout)
 	}
 }
 

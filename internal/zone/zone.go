@@ -14,6 +14,7 @@ package zone
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -82,7 +83,9 @@ func Default() Config {
 }
 
 // Validate checks structural invariants: a name, at least one TLD, no
-// duplicate TLDs, a known policy, and sane lifecycle/drop values.
+// duplicate TLDs, a known policy, and lifecycle and drop values some Drop
+// and lifecycle can run. A zone decoded from a WAL record, a snapshot or a
+// replication stream is whatever its bytes say, so every number is checked.
 func (c *Config) Validate() error {
 	if c.Name == "" || strings.ContainsAny(c.Name, " \t\n") {
 		return fmt.Errorf("zone: bad name %q", c.Name)
@@ -103,11 +106,30 @@ func (c *Config) Validate() error {
 	if !c.Policy.Valid() {
 		return fmt.Errorf("zone %s: unknown policy %q", c.Name, c.Policy)
 	}
-	if c.Drop.BaseRatePerSec < 0 || c.Drop.StartHour < 0 || c.Drop.StartHour > 23 {
-		return fmt.Errorf("zone %s: bad drop config", c.Name)
+	lc, dc := &c.Lifecycle, &c.Drop
+	lengths := []int{lc.RedemptionDays, lc.PendingDeleteDays, lc.DefaultGraceDays}
+	for _, g := range lc.GraceDays {
+		lengths = append(lengths, g)
+	}
+	for _, n := range lengths {
+		if n < 0 || n > math.MaxUint16 { // the span of a stored day (simtime.Day.Pack)
+			return fmt.Errorf("zone %s: lifecycle length of %d days is outside [0, %d]", c.Name, n, math.MaxUint16)
+		}
+	}
+	// A zero rate means the default Drop (NewZoneDropRunner), or none for an
+	// instant release; a positive one below one name a day would step
+	// Schedule through days of seconds per name. A NaN fails every bound.
+	if !timeOfDay(lc.BatchHour, lc.BatchMinute) || !timeOfDay(dc.StartHour, dc.StartMinute) || dc.StallSeconds < 0 ||
+		!(dc.BaseRatePerSec == 0 || dc.BaseRatePerSec >= 1.0/86400 && dc.BaseRatePerSec <= math.MaxFloat64) ||
+		!(dc.RateJitter >= 0 && dc.RateJitter < 1) || !(dc.DayRateSpread >= 0 && dc.DayRateSpread < 1) ||
+		!(dc.StallProb >= 0 && dc.StallProb <= 1) {
+		return fmt.Errorf("zone %s: batch time %d:%d or drop config %+v out of range", c.Name, lc.BatchHour, lc.BatchMinute, *dc)
 	}
 	return nil
 }
+
+// timeOfDay reports whether h:m is a time of day.
+func timeOfDay(h, m int) bool { return h >= 0 && h < 24 && m >= 0 && m < 60 }
 
 // TLDSet returns the zone's TLDs as a membership set.
 func (c *Config) TLDSet() map[model.TLD]bool {
@@ -149,7 +171,7 @@ func ParseSpec(spec string) (Config, error) {
 		hh, mm, ok := strings.Cut(at, ":")
 		h, err1 := strconv.Atoi(hh)
 		m, err2 := strconv.Atoi(mm)
-		if !ok || err1 != nil || err2 != nil || h < 0 || h > 23 || m < 0 || m > 59 {
+		if !ok || err1 != nil || err2 != nil || !timeOfDay(h, m) {
 			return c, fmt.Errorf("zone: spec %q: bad start time %q", spec, at)
 		}
 		c.Drop.StartHour, c.Drop.StartMinute = h, m
@@ -159,10 +181,7 @@ func ParseSpec(spec string) (Config, error) {
 	for i := 0; i < len(c.Name); i++ {
 		c.Salt = c.Salt*131 + uint64(c.Name[i])
 	}
-	if err := c.Validate(); err != nil {
-		return c, err
-	}
-	return c, nil
+	return c, c.Validate()
 }
 
 // ParseSpecs parses a semicolon-separated list of zone specs.

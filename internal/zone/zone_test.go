@@ -2,6 +2,7 @@ package zone
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -213,6 +214,53 @@ func TestConfigValidateAndHosts(t *testing.T) {
 		bad := Config{Name: "x", TLDs: []model.TLD{tld}, Policy: PolicyPaced}
 		if err := bad.Validate(); err == nil {
 			t.Errorf("TLD %q accepted", tld)
+		}
+	}
+
+	// Values no Drop or lifecycle can run, each on the otherwise valid
+	// default zone, and the edges that still run.
+	nan, inf := math.NaN(), math.Inf(1)
+	for what, c := range map[string]struct {
+		spoil func(*Config)
+		ok    bool
+	}{
+		"rate NaN":                   {func(c *Config) { c.Drop.BaseRatePerSec = nan }, false},
+		"rate +Inf":                  {func(c *Config) { c.Drop.BaseRatePerSec = inf }, false},
+		"rate -Inf":                  {func(c *Config) { c.Drop.BaseRatePerSec = -inf }, false},
+		"rate negative":              {func(c *Config) { c.Drop.BaseRatePerSec = -1 }, false},
+		"rate 1e-300":                {func(c *Config) { c.Drop.BaseRatePerSec = 1e-300 }, false},
+		"instant rate 1e-300":        {func(c *Config) { c.Policy, c.Drop.BaseRatePerSec = PolicyInstant, 1e-300 }, false},
+		"jitter 1":                   {func(c *Config) { c.Drop.RateJitter = 1 }, false},
+		"jitter NaN":                 {func(c *Config) { c.Drop.RateJitter = nan }, false},
+		"jitter negative":            {func(c *Config) { c.Drop.RateJitter = -0.1 }, false},
+		"day spread 1":               {func(c *Config) { c.Drop.DayRateSpread = 1 }, false},
+		"day spread -Inf":            {func(c *Config) { c.Drop.DayRateSpread = -inf }, false},
+		"stall probability 1.5":      {func(c *Config) { c.Drop.StallProb = 1.5 }, false},
+		"stall probability NaN":      {func(c *Config) { c.Drop.StallProb = nan }, false},
+		"stall seconds -1":           {func(c *Config) { c.Drop.StallSeconds = -1 }, false},
+		"start hour 24":              {func(c *Config) { c.Drop.StartHour = 24 }, false},
+		"start minute 60":            {func(c *Config) { c.Drop.StartMinute = 60 }, false},
+		"start minute -1":            {func(c *Config) { c.Drop.StartMinute = -1 }, false},
+		"batch hour 24":              {func(c *Config) { c.Lifecycle.BatchHour = 24 }, false},
+		"batch minute 60":            {func(c *Config) { c.Lifecycle.BatchMinute = 60 }, false},
+		"redemption -1":              {func(c *Config) { c.Lifecycle.RedemptionDays = -1 }, false},
+		"pendingDelete 65 536":       {func(c *Config) { c.Lifecycle.PendingDeleteDays = 65536 }, false},
+		"default grace -1":           {func(c *Config) { c.Lifecycle.DefaultGraceDays = -1 }, false},
+		"registrar grace 1<<40":      {func(c *Config) { c.Lifecycle.GraceDays = map[int]int{1000: 1 << 40} }, false},
+		"registrar grace -1":         {func(c *Config) { c.Lifecycle.GraceDays = map[int]int{1000: 5, 1001: -1} }, false},
+		"rate one name a day":        {func(c *Config) { c.Drop.BaseRatePerSec = 1.0 / 86400 }, true},
+		"instant rate 0":             {func(c *Config) { c.Policy, c.Drop.BaseRatePerSec = PolicyInstant, 0 }, true},
+		"paced rate 0 (the default)": {func(c *Config) { c.Drop.BaseRatePerSec = 0 }, true},
+		"stall probability 1":        {func(c *Config) { c.Drop.StallProb = 1 }, true},
+		"no jitter, spread or stall": {func(c *Config) { c.Drop.RateJitter, c.Drop.DayRateSpread, c.Drop.StallProb = 0, 0, 0 }, true},
+		"lengths 0 and 65 535": {func(c *Config) {
+			c.Lifecycle = LifecycleConfig{PendingDeleteDays: 65535, GraceDays: map[int]int{1000: 65535}, BatchHour: 23, BatchMinute: 59}
+		}, true},
+	} {
+		z := Default()
+		c.spoil(&z)
+		if err := z.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate = %v, want ok=%v", what, err, c.ok)
 		}
 	}
 }
