@@ -125,15 +125,6 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// Handle executes one command against the registry. It is exported so the
-// in-process transport used by large simulations exercises exactly the same
-// dispatch logic as the TCP path.
-func (s *Server) Handle(sess *session, req *Request) *Response {
-	resp := &Response{}
-	s.handle(sess, req, resp)
-	return resp
-}
-
 // handle dispatches into resp, which it fully overwrites.
 func (s *Server) handle(sess *session, req *Request, resp *Response) {
 	*resp = Response{ServerTime: simtime.Trunc(s.clock.Now())}
@@ -327,22 +318,9 @@ func (s *Server) handleUpdate(sess *session, req *Request, resp *Response) {
 }
 
 func (s *Server) handleDelete(sess *session, req *Request, resp *Response) {
-	d, err := s.store.Get(req.Name)
-	if err != nil {
-		resp.Code, resp.Msg = CodeObjectNotFound, msgObjectNotFound
-		return
-	}
-	if d.RegistrarID != sess.registrarID {
-		resp.Code, resp.Msg = CodeAuthorization, msgAuthorization
-		return
-	}
-	if d.Status != model.StatusActive && d.Status != model.StatusAutoRenew {
-		resp.Code, resp.Msg = CodeStatusProhibits, msgStatusProhibits
-		return
-	}
 	// A registrar delete sends the domain into the redemption period; its
 	// Updated timestamp — set now — becomes the future deletion-order key.
-	if err := s.store.MarkRedemption(req.Name, s.clock.Now()); err != nil {
+	if err := s.store.MarkRedemption(req.Name, sess.registrarID, s.clock.Now()); err != nil {
 		code := storeCode(err)
 		resp.Code, resp.Msg = code, resultMsg(code, err)
 		return

@@ -200,7 +200,7 @@ func (w *sinkWriter) Write(p []byte) (int, error) {
 func BenchmarkFanout(b *testing.B) {
 	const opsN = 100
 	for _, subs := range []int{1, 100, 1000, 10_000} {
-		h := NewHub(Options{QueueLen: 4})
+		h := NewHub(Options{queueLen: 4})
 		registered := make([]*subscriber, subs)
 		for i := range registered {
 			sub := &subscriber{notify: make(chan struct{}, 1)}
@@ -232,7 +232,7 @@ func BenchmarkFanout(b *testing.B) {
 				for _, sub := range registered {
 					s := renderSegment(1, uint64(opsN), 1, ops)
 					sub.mu.Lock()
-					if len(sub.queue) < h.opt.QueueLen {
+					if len(sub.queue) < h.opt.queueLen {
 						sub.queue = append(sub.queue, s)
 					}
 					sub.mu.Unlock()

@@ -37,7 +37,7 @@ func TestSubscriberChurnUnderDrop(t *testing.T) {
 		t.Fatal("fresh dir expected")
 	}
 
-	hub := NewHub(Options{QueueLen: 4}) // small queue: force slow-drop paths
+	hub := NewHub(Options{queueLen: 4}) // small queue: force slow-drop paths
 	hub.PrimeFromStore(store)
 	store.SetJournal(Tap{Inner: jnl, Hub: hub})
 	defer hub.Close()

@@ -7,8 +7,7 @@
 // C") whose SSE frame is rendered exactly once — the same []byte is written
 // to every subscriber, so fan-out cost is O(subscribers) writes, not
 // O(subscribers) encodes. The frame is the segment's only copy of its ops:
-// a retained one-op segment costs ≈ 1.8 heap bytes per byte the ring counts
-// (Options.RingBytes).
+// a retained one-op segment costs ≈ 1.8 heap bytes per byte the ring counts.
 //
 // Consumers pick their freshness/cost point:
 //
@@ -82,18 +81,19 @@ type Item struct {
 	Day  simtime.Day
 }
 
-// Options configures a Hub. The zero value gets sensible defaults.
+// Options configures a Hub; every caller passes the zero value. Its fields
+// are test seams, zero meaning the default.
 type Options struct {
-	// RingBytes bounds the segment ring (the SSE frame bytes it retains).
+	// ringBytes bounds the segment ring (the SSE frame bytes it retains).
 	// Default 4 MiB. The ring decides how stale a cursor can be and still
 	// catch up incrementally. It counts frame bytes only: the heap a full
-	// ring holds is RingBytes plus, per segment, its ring slot, header and
-	// the frame's size-class rounding: ≈ 1.8× RingBytes when every batch is
+	// ring holds is ringBytes plus, per segment, its ring slot, header and
+	// the frame's size-class rounding: ≈ 1.8× ringBytes when every batch is
 	// one op, close to 1× for Drop-second batches of hundreds.
-	RingBytes int
-	// QueueLen bounds each subscriber's pending-frame queue; a subscriber
+	ringBytes int
+	// queueLen bounds each subscriber's pending-frame queue; a subscriber
 	// whose queue fills is dropped to catch-up. Default 64.
-	QueueLen int
+	queueLen int
 }
 
 // subShards is the subscriber-registry shard count (a power of two), so
@@ -101,11 +101,11 @@ type Options struct {
 const subShards = 16
 
 func (o Options) withDefaults() Options {
-	if o.RingBytes <= 0 {
-		o.RingBytes = 4 << 20
+	if o.ringBytes <= 0 {
+		o.ringBytes = 4 << 20
 	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 64
+	if o.queueLen <= 0 {
+		o.queueLen = 64
 	}
 	return o
 }
@@ -405,7 +405,7 @@ func (h *Hub) ingest(batch []rec) {
 		seg = renderSegment(from, to, at, ops)
 		h.ring = append(h.ring, seg)
 		h.ringSz += seg.size()
-		for h.ringSz > h.opt.RingBytes && len(h.ring) > 1 {
+		for h.ringSz > h.opt.ringBytes && len(h.ring) > 1 {
 			old := h.ring[0]
 			// Clear the slot, not just slice past it, so the backing array
 			// keeps no evicted segment alive until append moves the ring.
@@ -586,7 +586,7 @@ func (h *Hub) broadcast(seg *segment) {
 			sub.mu.Lock()
 			if sub.dropped {
 				// Already in catch-up; the ring covers this segment too.
-			} else if len(sub.queue) >= h.opt.QueueLen {
+			} else if len(sub.queue) >= h.opt.queueLen {
 				sub.queue = nil
 				sub.dropped = true
 				h.mSlowDrops.Add(1)

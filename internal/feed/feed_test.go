@@ -208,7 +208,7 @@ func copyBuilder(b *strings.Builder, resp *http.Response) (int64, error) {
 func TestDifferentialMirrorVsFullFetch(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			e := newEnv(t, Options{RingBytes: 4 << 10})
+			e := newEnv(t, Options{ringBytes: 4 << 10})
 			rng := rand.New(rand.NewSource(seed))
 			now := e.clock.Now()
 			for i := 0; i < 40; i++ {
@@ -432,7 +432,7 @@ func TestETagOverInproc(t *testing.T) {
 }
 
 func TestDeltaMissRedirectsToFull(t *testing.T) {
-	e := newEnv(t, Options{RingBytes: 1}) // every installed segment evicts the prior one
+	e := newEnv(t, Options{ringBytes: 1}) // every installed segment evicts the prior one
 	for i := 0; i < 10; i++ {
 		seedPending(t, e.store, fmt.Sprintf("evict%d.com", i), day0())
 		e.hub.Quiesce() // one segment per record, so eviction definitely runs
@@ -589,7 +589,7 @@ func TestSSEResumeFromCursor(t *testing.T) {
 }
 
 func TestSSEResetWhenRingCannotCover(t *testing.T) {
-	e := newEnv(t, Options{RingBytes: 1})
+	e := newEnv(t, Options{ringBytes: 1})
 	for i := 0; i < 10; i++ {
 		seedPending(t, e.store, fmt.Sprintf("r%d.com", i), day0())
 		e.hub.Quiesce()
@@ -620,7 +620,7 @@ func TestSSEResetWhenRingCannotCover(t *testing.T) {
 }
 
 func TestBroadcastOverflowDropsToCatchup(t *testing.T) {
-	h := NewHub(Options{QueueLen: 2})
+	h := NewHub(Options{queueLen: 2})
 	defer h.Close()
 	sub := &subscriber{notify: make(chan struct{}, 1)}
 	remove := h.addSub(sub)
@@ -987,7 +987,7 @@ func TestSegmentLayout(t *testing.T) {
 // evicted segment is garbage at once, not kept by the ring's backing array
 // until a later append moves it.
 func TestRingEvictionReleasesSegment(t *testing.T) {
-	h := NewHub(Options{RingBytes: 1}) // every ingest evicts all but the newest
+	h := NewHub(Options{ringBytes: 1}) // every ingest evicts all but the newest
 	defer h.Close()
 	add := func(seq uint64, name string) {
 		h.ingest([]rec{{m: registry.Mutation{Kind: registry.MutSeed, Name: name,

@@ -150,7 +150,7 @@ func BenchmarkSnapshotCapture(b *testing.B) {
 			dir := b.TempDir()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				writeSinglePass(b, s, dir, 1, nil, false, v.workers)
+				writeSinglePass(b, s, dir, 1, nil, v.workers)
 			}
 		})
 	}
@@ -183,7 +183,7 @@ func BenchmarkSnapshotInstall(b *testing.B) {
 		b.Fatal(err)
 	}
 	var img snapImage
-	s.ReadSnapshot(true, func(r *registry.SnapshotReader) { img.encode(r, 1, nil, 1) })
+	s.ReadSnapshot(func(r *registry.SnapshotReader) { img.encode(r, 1, nil, 1) })
 	path, err := img.write(b.TempDir())
 	if err != nil {
 		b.Fatal(err)

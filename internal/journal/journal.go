@@ -435,42 +435,19 @@ func (j *Journal) Err() error { return j.w.stickyErr() }
 // position it covers, then prunes snapshots and segments it supersedes.
 // appState is the application's own checkpoint blob, stored alongside.
 //
-// Capture and encode are one pass (snapImage.encode): a snapshot costs its
-// own encoded size in memory and no copy of the store.
-//
-// Consistency without stopping the world: the store's generation counter is
-// read before the WAL position and again after the whole encode, and the
-// image is discarded unless the two reads match — the same
-// read-render-reread discipline the serving caches use. Because every
-// mutator appends its record after its in-memory change and before its
-// generation bump, matching reads prove the image contains exactly the
-// mutations with sequence numbers ≤ the recorded position.
-//
-// Under sustained write load a large store's optimistic encode may never
-// observe a quiet generation; after a bounded retry budget Snapshot falls
-// back to a write-quiesced one (registry.Store.ReadSnapshot) that blocks
-// mutators while the workers encode, instead of failing forever — snapshots
-// must always eventually land or WAL growth and replay time are unbounded.
-// The file is written after the quiesce is released.
+// Capture and encode are one pass (snapImage.encode) under the store's
+// read locks (registry.Store.ReadSnapshot): a snapshot costs its own
+// encoded size in memory and no copy of the store. Mutators wait for one
+// encode, as do readers queued behind one. Every mutator appends its record
+// inside its critical section, so the WAL position read under the locks is
+// exactly the image's last record. The file is written after the locks are
+// released.
 func (j *Journal) Snapshot(appState []byte) error {
 	j.snapMu.Lock()
 	defer j.snapMu.Unlock()
 
-	const maxAttempts = 10
 	var img snapImage
-	encode := func(r *registry.SnapshotReader) { img.encode(r, j.w.lastSeq(), appState, j.workers) }
-	captured := false
-	for attempt := 1; attempt <= maxAttempts && !captured; attempt++ {
-		g1 := j.store.Generation()
-		j.store.ReadSnapshot(false, encode)
-		captured = j.store.Generation() == g1
-		if !captured && attempt < maxAttempts {
-			time.Sleep(time.Duration(attempt) * time.Millisecond)
-		}
-	}
-	if !captured {
-		j.store.ReadSnapshot(true, encode)
-	}
+	j.store.ReadSnapshot(func(r *registry.SnapshotReader) { img.encode(r, j.w.lastSeq(), appState, j.workers) })
 	if _, err := img.write(j.w.dir); err != nil {
 		return err
 	}

@@ -552,10 +552,10 @@ func TestErrSurfacesWALFailure(t *testing.T) {
 	j.Close()
 }
 
-// TestSnapshotUnderSustainedWrites: a writer hammering the store defeats
-// the optimistic generation-bracketed capture; Snapshot must fall back to
-// the write-quiesced capture and still produce a snapshot that recovery
-// composes correctly with the WAL tail.
+// TestSnapshotUnderSustainedWrites: with a writer hammering the store,
+// Snapshot must still land (its writers wait for the one capture) and the
+// WAL position it records must be exactly the image's last record, so
+// recovery composes the snapshot with the WAL tail into the original store.
 func TestSnapshotUnderSustainedWrites(t *testing.T) {
 	dir := t.TempDir()
 	s := newTestStore()

@@ -63,7 +63,7 @@ func TestRecordSharesCallerName(t *testing.T) {
 		check("WAL replay", m.Name)
 	}
 
-	sec := newDomainSection(nil, 0, 3, 0)
+	sec := newDomainSection(0, 3, 0)
 	for i := range 3 {
 		d := model.Domain{ID: uint64(20 + i), Name: fmt.Sprintf("restored%d.com", i), TLD: "com", RegistrarID: 900,
 			Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0), Status: model.StatusRedemption}

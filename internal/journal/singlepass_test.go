@@ -17,10 +17,10 @@ import (
 
 // writeSinglePass snapshots s the way Journal.Snapshot does — sections
 // encoded straight from the shards — without a journal around it.
-func writeSinglePass(t testing.TB, s *registry.Store, dir string, seq uint64, appState []byte, quiesce bool, workers int) string {
+func writeSinglePass(t testing.TB, s *registry.Store, dir string, seq uint64, appState []byte, workers int) string {
 	t.Helper()
 	var img snapImage
-	s.ReadSnapshot(quiesce, func(r *registry.SnapshotReader) { img.encode(r, seq, appState, workers) })
+	s.ReadSnapshot(func(r *registry.SnapshotReader) { img.encode(r, seq, appState, workers) })
 	path, err := img.write(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -83,9 +83,9 @@ func decodeSnapshotFile(t *testing.T, path string) decodedSnapshot {
 // pass produces must decode to exactly what the materialising writer's
 // does — every field of every registration, every transfer code in each of
 // its states (none, derived, rotated by a transfer, stored verbatim), the
-// archive, the zone table and the counters — optimistic or quiesced, on one
-// worker or several. Both files go through the same decoder, so the
-// comparison is representation-free.
+// archive, the zone table and the counters — on one worker or several.
+// Both files go through the same decoder, so the comparison is
+// representation-free.
 func TestSnapshotSinglePassDifferential(t *testing.T) {
 	src := newShardedTestStore(4)
 	workout(t, src, 41, 240) // .com: seeds, creates, transfers, purges
@@ -171,16 +171,13 @@ func TestSnapshotSinglePassDifferential(t *testing.T) {
 
 	for _, tc := range []struct {
 		name    string
-		quiesce bool
 		workers int
 	}{
-		{"optimistic-1worker", false, 1},
-		{"optimistic-4workers", false, 4},
-		{"quiesced-1worker", true, 1},
-		{"quiesced-4workers", true, 4},
+		{"1worker", 1},
+		{"4workers", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			path := writeSinglePass(t, s, t.TempDir(), seq, appState, tc.quiesce, tc.workers)
+			path := writeSinglePass(t, s, t.TempDir(), seq, appState, tc.workers)
 			got := decodeSnapshotFile(t, path)
 			if got.magic != want.magic {
 				t.Errorf("magic %q, want %q", got.magic, want.magic)
@@ -316,7 +313,7 @@ func TestSnapshotSectionSizedOnce(t *testing.T) {
 			runtime.GC()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			s.ReadSnapshot(false, func(r *registry.SnapshotReader) { img.encode(r, 1, nil, shards) })
+			s.ReadSnapshot(func(r *registry.SnapshotReader) { img.encode(r, 1, nil, shards) })
 			runtime.ReadMemStats(&after)
 
 			encoded := 0

@@ -97,15 +97,13 @@ const (
 )
 
 // newSection starts a framed section of the given kind with room for hint
-// body bytes, reusing buf's array when it is large enough. The frame header
-// is reserved in place and filled in by sealSection, so a section is
-// encoded, checksummed and written out of one buffer.
-func newSection(buf []byte, kind byte, hint int) []byte {
-	if need := secHeader + 1 + hint; cap(buf) < need {
-		buf = make([]byte, 0, need)
-	}
-	var hdr [secHeader]byte
-	return append(append(buf[:0], hdr[:]...), kind)
+// body bytes. The frame header is reserved in place and filled in by
+// sealSection, so a section is encoded, checksummed and written out of one
+// buffer.
+func newSection(kind byte, hint int) []byte {
+	b := make([]byte, secHeader+1, secHeader+1+hint)
+	b[secHeader] = kind
+	return b
 }
 
 // sealSection fills in b's frame header: body length and CRC.
@@ -142,8 +140,8 @@ func appendMeta(b []byte, m *snapMeta) []byte {
 
 // newDomainSection starts writer shard's domain section of n registrations
 // with room bytes for them.
-func newDomainSection(buf []byte, shard, n, room int) []byte {
-	b := newSection(buf, secDomains, 2*binary.MaxVarintLen64+room)
+func newDomainSection(shard, n, room int) []byte {
+	b := newSection(secDomains, 2*binary.MaxVarintLen64+room)
 	b = binary.AppendUvarint(b, uint64(shard))
 	return binary.AppendUvarint(b, uint64(n))
 }
@@ -195,18 +193,11 @@ type snapImage struct {
 }
 
 // encode fills img straight from the store, on up to workers goroutines:
-// each takes one shard's read lock (none when r is quiesced), sizes one
-// buffer from a sample of the shard (see sizeSample) and appends
-// the shard's domain section to it; the deletion archive is encoded under
-// its own lock the same way. No copy of the store is built on the way.
-// Section buffers of an earlier encode of img — an optimistic attempt that
-// lost its generation race — are reused.
+// each sizes one buffer from a sample of a shard (see sizeSample) and
+// appends the shard's domain section to it; the deletion archive is encoded
+// under its own lock the same way. No copy of the store is built on the way.
 func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []byte, workers int) {
 	shards := r.ShardCount()
-	prev := img.secs
-	if prev == nil {
-		prev = make([][]byte, shards+1)
-	}
 	img.secs = par.Do(par.Workers(workers), shards+1, func(i int) []byte {
 		var b []byte
 		if i == shards {
@@ -215,11 +206,9 @@ func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []
 				for _, evs := range dels {
 					events += len(evs)
 				}
-				b = appendDeletions(newSection(prev[i], secDeletions, events*deletionRoom), dels)
+				b = appendDeletions(newSection(secDeletions, events*deletionRoom), dels)
 			})
 		} else {
-			// Sampled before VisitShard, not inside it: both take the
-			// shard's read lock.
 			var scratch []byte
 			sampled, seen := 0, 0
 			r.SampleShard(i, sizeSample, func(d *model.Domain, authInfo []byte) {
@@ -230,7 +219,7 @@ func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []
 			r.VisitShard(i,
 				func(n int) {
 					est := sampled * n / max(seen, 1)
-					b = newDomainSection(prev[i], i, n, est+est/32+sampleRoom)
+					b = newDomainSection(i, n, est+est/32+sampleRoom)
 				},
 				func(d *model.Domain, authInfo []byte) { b = appendDomain(b, d, authInfo) })
 		}
@@ -246,7 +235,7 @@ func (img *snapImage) encode(r *registry.SnapshotReader, seq uint64, appState []
 	}
 	m.gen, m.nextID = r.Counters()
 	img.seq = seq
-	img.meta = sealSection(appendMeta(newSection(nil, secMeta, 0), &m))
+	img.meta = sealSection(appendMeta(newSection(secMeta, 0), &m))
 }
 
 // write persists img atomically into dir and returns the final path. Each

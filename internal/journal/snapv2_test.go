@@ -350,8 +350,8 @@ func TestDeletionsSectionRefusesUnrepresentable(t *testing.T) {
 
 			var img snapImage
 			s := newShardedTestStore(2)
-			s.ReadSnapshot(true, func(r *registry.SnapshotReader) { img.encode(r, 5, nil, 1) })
-			img.secs[len(img.secs)-1] = sealSection(append(newSection(nil, secDeletions, 0), body...))
+			s.ReadSnapshot(func(r *registry.SnapshotReader) { img.encode(r, 5, nil, 1) })
+			img.secs[len(img.secs)-1] = sealSection(append(newSection(secDeletions, 0), body...))
 			path, werr := img.write(t.TempDir())
 			if werr != nil {
 				t.Fatal(werr)
@@ -498,7 +498,7 @@ func TestRestoredNamesShareBlocks(t *testing.T) {
 	at := testStart.At(10, 0, 0)
 	tlds := []model.TLD{"com", "net", "se"}
 	var domains, deleted []string
-	dom := newDomainSection(nil, 0, n, 0)
+	dom := newDomainSection(0, n, 0)
 	dels := make(map[simtime.Day][]model.DeletionEvent)
 	for i := 0; i < n; i++ {
 		tld := tlds[i%len(tlds)]
@@ -548,7 +548,7 @@ func TestRestoredNamesShareBlocks(t *testing.T) {
 	// Refusals: the name's TLD is "com", the section says otherwise.
 	for _, tld := range []model.TLD{"net", "om", "bad.com", ""} {
 		d := model.Domain{ID: 1, Name: "bad.com", TLD: tld, RegistrarID: 900, Created: at, Updated: at, Expiry: at, Status: model.StatusActive}
-		sec := appendDomain(newDomainSection(nil, 0, 1, 0), &d, nil)
+		sec := appendDomain(newDomainSection(0, 1, 0), &d, nil)
 		err := decodeDomainSection(sec[secHeader+1:], newShardedTestStore(2).InstallRestoredDomains)
 		want := fmt.Sprintf("registry: restore: registry: registration not representable: %q is not under TLD %q", d.Name, tld)
 		if err == nil || err.Error() != want {

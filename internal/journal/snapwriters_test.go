@@ -26,10 +26,11 @@ type shardedSnapshot struct {
 	Zones      []zone.Config
 }
 
-// captureSharded materialises the snapshot traversal, without quiesce.
+// captureSharded materialises the snapshot traversal under the store's
+// read locks, as Journal.Snapshot encodes it.
 func captureSharded(s *registry.Store) shardedSnapshot {
 	st := shardedSnapshot{Deletions: make(map[simtime.Day][]model.DeletionEvent)}
-	s.ReadSnapshot(false, func(r *registry.SnapshotReader) {
+	s.ReadSnapshot(func(r *registry.SnapshotReader) {
 		st.Registrars, st.Zones = r.Registrars(), r.Zones()
 		st.Shards = make([][]registry.SnapshotDomain, r.ShardCount())
 		for i := range st.Shards {
@@ -56,15 +57,15 @@ func writeSnapshotV2(dir string, seq uint64, appState []byte, st *shardedSnapsho
 	img := snapImage{seq: seq}
 	img.secs = par.Do(par.Workers(workers), len(st.Shards)+1, func(i int) []byte {
 		if i == len(st.Shards) {
-			return sealSection(appendDeletions(newSection(nil, secDeletions, 0), st.Deletions))
+			return sealSection(appendDeletions(newSection(secDeletions, 0), st.Deletions))
 		}
-		b := newDomainSection(nil, i, len(st.Shards[i]), 0)
+		b := newDomainSection(i, len(st.Shards[i]), 0)
 		for k := range st.Shards[i] {
 			b = appendDomain(b, &st.Shards[i][k].Domain, st.Shards[i][k].AuthInfo)
 		}
 		return sealSection(b)
 	})
-	img.meta = sealSection(appendMeta(newSection(nil, secMeta, 0), &snapMeta{
+	img.meta = sealSection(appendMeta(newSection(secMeta, 0), &snapMeta{
 		seq: seq, gen: st.Gen, nextID: st.NextID, appState: appState, registrars: st.Registrars,
 		domainSections: len(st.Shards), deletionSections: 1, zones: st.Zones,
 	}))

@@ -165,7 +165,7 @@ func TestSnapshotWithInvalidZoneFailsOpen(t *testing.T) {
 		t.Fatalf("snapshot zones %+v (%v), want nordic", sv.meta.zones, err)
 	}
 	sv.meta.zones[0].Drop.StartHour = 99
-	meta := sealSection(appendMeta(newSection(nil, secMeta, 0), &sv.meta))
+	meta := sealSection(appendMeta(newSection(secMeta, 0), &sv.meta))
 	rest := data[len(snapMagic)+secHeader+int(binary.LittleEndian.Uint32(data[len(snapMagic):])):]
 	spoiled := append(append([]byte(snapMagic), meta...), rest...)
 	if _, err := parseSnapshotV2(spoiled, path); err != nil {

@@ -22,14 +22,15 @@ type ShardedSnapshot struct {
 	Zones      []zone.Config // beyond the implicit default one
 }
 
-// CaptureSnapshotSharded materialises the snapshot traversal, without
-// quiesce (see ReadSnapshot for what that means under concurrent mutation).
+// CaptureSnapshotSharded materialises the snapshot traversal under the
+// store's read locks (ReadSnapshot), so it is consistent under concurrent
+// mutation.
 func (s *Store) CaptureSnapshotSharded() ShardedSnapshot {
 	st := ShardedSnapshot{
 		Shards:    make([][]SnapshotDomain, len(s.shards)),
 		Deletions: make(map[simtime.Day][]model.DeletionEvent),
 	}
-	s.ReadSnapshot(false, func(r *SnapshotReader) {
+	s.ReadSnapshot(func(r *SnapshotReader) {
 		st.Registrars, st.Zones = r.Registrars(), r.Zones()
 		for i := range st.Shards {
 			r.VisitShard(i,

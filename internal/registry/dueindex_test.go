@@ -118,7 +118,7 @@ func TestDueIndexFollowsLifecycle(t *testing.T) {
 
 	// Redemption buckets at redemption start, the Updated day, not at
 	// Updated + RedemptionDays.
-	if err := s.MarkRedemption("indexed.com", clock.Now()); err != nil {
+	if err := s.MarkRedemption("indexed.com", 1001, clock.Now()); err != nil {
 		t.Fatal(err)
 	}
 	if day, _ := bucketDayOf(s, "indexed.com"); day != simtime.DayOf(clock.Now()) {
@@ -273,12 +273,12 @@ func TestDueBucketKeepsEachRefOnce(t *testing.T) {
 	seed("reuses-b5-slot.com")
 	expect("its slot reused", 10, 8)
 	for _, name := range []string{"b6.com", "b7.com", "b8.com"} {
-		if err := s.MarkRedemption(name, clock.Now()); err != nil {
+		if err := s.setState(name, model.StatusRedemption, clock.Now(), simtime.Day{}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	expect("five stale of ten", 10, 5)
-	if err := s.MarkRedemption("b9.com", clock.Now()); err != nil {
+	if err := s.setState("b9.com", model.StatusRedemption, clock.Now(), simtime.Day{}); err != nil {
 		t.Fatal(err)
 	}
 	expect("compacted at the sixth", 4, 4)
@@ -472,7 +472,7 @@ func TestEachCollectThenAct(t *testing.T) {
 		return true
 	})
 	for _, name := range due {
-		if err := s.MarkRedemption(name, clock.Now()); err != nil {
+		if err := s.MarkRedemption(name, 1000, clock.Now()); err != nil {
 			t.Fatalf("apply after Each: %v", err)
 		}
 	}
@@ -494,12 +494,12 @@ func TestStatusCountsStayConsistent(t *testing.T) {
 		}
 		switch i % 4 {
 		case 1:
-			s.MarkRedemption(name, clock.Now())
+			s.MarkRedemption(name, 1000, clock.Now())
 		case 2:
-			s.MarkRedemption(name, clock.Now())
+			s.MarkRedemption(name, 1000, clock.Now())
 			s.MarkPendingDelete(name, time.Time{}, day.AddDays(i%5))
 		case 3:
-			s.MarkRedemption(name, clock.Now())
+			s.MarkRedemption(name, 1000, clock.Now())
 			s.MarkPendingDelete(name, time.Time{}, day)
 			if _, err := s.purge(name, day.At(19, 0, 0), i); err != nil {
 				t.Fatal(err)

@@ -131,7 +131,7 @@ func TestMutatorsRefuseUnrepresentable(t *testing.T) {
 			clock.Set(pastEnd)
 			return s.Transfer("held.com", 1001, code)
 		}},
-		{"MarkRedemption past the end", func(s *Store, _ *simtime.SimClock) error { return s.MarkRedemption("held.com", pastEnd) }},
+		{"MarkRedemption past the end", func(s *Store, _ *simtime.SimClock) error { return s.MarkRedemption("held.com", 1000, pastEnd) }},
 		{"MarkPendingDelete updated before the epoch", func(s *Store, _ *simtime.SimClock) error {
 			return s.MarkPendingDelete("held.com", in1969, simtime.Day{Year: 2018, Month: 2, Dom: 1})
 		}},

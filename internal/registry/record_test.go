@@ -669,7 +669,7 @@ func churnDueBuckets(t *testing.T, shards int, graceDays map[int]int) {
 						return s.Transfer(name, gaining, code)
 					})
 				case 7:
-					both(func(s *Store) error { return s.MarkRedemption(name, now) })
+					both(func(s *Store) error { return s.setState(name, model.StatusRedemption, now, simtime.Day{}) })
 				case 8:
 					due := day.AddDays(rng.Intn(3))
 					both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, due) })
@@ -678,7 +678,7 @@ func churnDueBuckets(t *testing.T, shards int, graceDays map[int]int) {
 				case 10:
 					// Out of pendingDelete and back in on the same day.
 					if d.Status == model.StatusPendingDelete {
-						both(func(s *Store) error { return s.MarkRedemption(name, now) })
+						both(func(s *Store) error { return s.setState(name, model.StatusRedemption, now, simtime.Day{}) })
 						both(func(s *Store) error { return s.MarkPendingDelete(name, time.Time{}, d.DeleteDay) })
 					}
 				}

@@ -206,12 +206,12 @@ func TestSnapshotPlusTailMatchesOriginal(t *testing.T) {
 	}
 }
 
-// TestReadSnapshotQuiescedConsistent: the quiesced traversal must really
-// stop every mutator for as long as it runs. The generation counter is read
+// TestReadSnapshotQuiescedConsistent: ReadSnapshot must really stop every
+// mutator for as long as its callback runs. The generation counter is read
 // on entry and again after every shard has been visited (on their own
 // goroutines, as the snapshot writer does); if any writer could commit in
-// between, the two reads would diverge. Hammered from several goroutines so
-// a broken quiesce fails fast.
+// between, the two reads would diverge. Hammered from several goroutines —
+// domain, registrar and zone writers — so a missing lock fails fast.
 func TestReadSnapshotQuiescedConsistent(t *testing.T) {
 	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	s := NewStoreWithShards(simtime.NewSimClock(start.At(0, 0, 0)), 8)
@@ -238,9 +238,28 @@ func TestReadSnapshotQuiescedConsistent(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 2000; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			s.AddRegistrar(model.Registrar{IANAID: 1000 + i, Name: fmt.Sprintf("Reg %d", i)})
+			z := nordicZone()
+			z.Name, z.TLDs = fmt.Sprintf("q%d", i), []model.TLD{model.TLD(fmt.Sprintf("q%d", i))}
+			if err := s.AddZone(z); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	for i := 0; i < 50; i++ {
-		s.ReadSnapshot(true, func(r *SnapshotReader) {
+		s.ReadSnapshot(func(r *SnapshotReader) {
 			before, _ := r.Counters()
+			regs, zones := len(r.Registrars()), len(r.Zones())
 			var visited atomic.Int64
 			var vg sync.WaitGroup
 			for si := 0; si < s.ShardCount(); si++ {
@@ -251,11 +270,14 @@ func TestReadSnapshotQuiescedConsistent(t *testing.T) {
 				}(si)
 			}
 			vg.Wait()
-			if len(r.Registrars()) != 1 {
-				t.Errorf("iteration %d: registrar table not readable under the quiesce", i)
+			if got := len(r.Registrars()); got != regs {
+				t.Errorf("iteration %d: %d registrars, then %d", i, regs, got)
+			}
+			if got := len(r.Zones()); got != zones {
+				t.Errorf("iteration %d: %d zones, then %d", i, zones, got)
 			}
 			if after, _ := r.Counters(); after != before {
-				t.Errorf("iteration %d: a writer committed during the quiesce: generation %d -> %d", i, before, after)
+				t.Errorf("iteration %d: a writer committed during the capture: generation %d -> %d", i, before, after)
 			}
 			if visited.Load() != names {
 				t.Errorf("iteration %d: visited %d domains, want %d", i, visited.Load(), names)

@@ -3,6 +3,7 @@ package registry
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
@@ -20,73 +21,52 @@ import (
 // Its methods are safe for concurrent use, so a writer may visit distinct
 // shards from distinct goroutines. Callbacks run under store locks and must
 // not call back into the store.
-type SnapshotReader struct {
-	s *Store
-	// quiesced: ReadSnapshot holds regMu and every shard read-locked, so
-	// the methods take no lock of their own.
-	quiesced bool
-}
+type SnapshotReader struct{ s *Store }
 
-// ReadSnapshot runs fn with a reader over the store's durable state.
-//
-// Without quiesce each reader method locks what it visits for its own
-// duration only — the traversal never stops the world, and is NOT by itself
-// consistent under concurrent mutation: the caller brackets fn with two
-// Generation() reads and discards what it built unless they match (the
-// read-render-reread discipline the response caches use), which proves no
-// mutation committed in between.
-//
-// With quiesce the registrar table and every shard stay read-locked until
-// fn returns, so no mutation can commit anywhere in the store (readers are
-// unaffected — mutators queue behind the held read locks). Because every
+// ReadSnapshot runs fn with a reader over the store's durable state. The
+// registrar table, every shard and the zone table stay read-locked until fn
+// returns, so no mutation can commit anywhere in the store while fn runs:
+// mutators queue behind the held read locks for one traversal, and so does
+// a reader that reaches a shard after a mutator queued there (a waiting
+// writer holds new readers back); other readers go on. Because every
 // journal append happens inside a mutating critical section, a WAL position
 // read inside fn identifies exactly the last record the traversal contains.
-// Lock order is regMu < shards (ascending index) < delMu, consistent with
-// every other path (mutators take a single shard lock, and only after any
-// regMu use is finished; purge takes delMu inside its shard critical
-// section), so the quiesce introduces no lock-order cycle. It is the
-// snapshotter's fallback when sustained write load keeps defeating the
-// optimistic traversal, not a hot-path API.
-func (s *Store) ReadSnapshot(quiesce bool, fn func(*SnapshotReader)) {
-	if quiesce {
-		s.regMu.RLock()
-		defer s.regMu.RUnlock()
-		for i := range s.shards {
-			s.shards[i].mu.RLock()
-			defer s.shards[i].mu.RUnlock()
-		}
+// Lock order is regMu < shards (ascending index) < zone table < delMu; no
+// other path holds one of these while acquiring an earlier one, so the
+// capture adds no lock-order cycle.
+func (s *Store) ReadSnapshot(fn func(*SnapshotReader)) {
+	s.regMu.RLock()
+	defer s.regMu.RUnlock()
+	for i := range s.shards {
+		s.shards[i].mu.RLock()
+		defer s.shards[i].mu.RUnlock()
 	}
-	fn(&SnapshotReader{s: s, quiesced: quiesce})
+	s.zoneTab.mu.RLock()
+	defer s.zoneTab.mu.RUnlock()
+	fn(&SnapshotReader{s: s})
 }
 
 // ShardCount is the number of shards VisitShard accepts.
 func (r *SnapshotReader) ShardCount() int { return len(r.s.shards) }
 
 // Zones returns the zones installed beyond the implicit default one.
-func (r *SnapshotReader) Zones() []zone.Config { return r.s.Zones()[1:] }
+func (r *SnapshotReader) Zones() []zone.Config { return slices.Clone(r.s.zoneTab.zones[1:]) }
 
 // Registrars returns the accreditation list in ascending IANA ID order.
-func (r *SnapshotReader) Registrars() []model.Registrar {
-	if r.quiesced {
-		return r.s.registrarsLocked()
-	}
-	return r.s.Registrars()
-}
+func (r *SnapshotReader) Registrars() []model.Registrar { return r.s.registrarsLocked() }
 
-// Counters returns the generation counter and the ID allocator. Read them
-// after the shards: an optimistic traversal that passes its generation
-// check saw no mutation, and a quiesced one cannot.
+// Counters returns the generation counter and the ID allocator.
 func (r *SnapshotReader) Counters() (gen, nextID uint64) {
 	return r.s.gen.Load(), r.s.nextID.Load()
 }
 
 // VisitShard calls begin with shard si's registration count, then each once
-// per registration in slot order, all under that shard's read lock. Slot
-// order is reproducible for equal operation histories from an empty store,
-// but not a contract between a primary and a replica restored from a
-// snapshot (restore re-routes every domain by name hash and packs the slots
-// purges left empty). d and authInfo (the transfer code, empty when none was
-// minted) are reused between calls and valid only during one.
+// per registration in slot order. Slot order is reproducible for equal
+// operation histories from an empty store, but not a contract between a
+// primary and a replica restored from a snapshot (restore re-routes every
+// domain by name hash and packs the slots purges left empty). d and
+// authInfo (the transfer code, empty when none was minted) are reused
+// between calls and valid only during one.
 func (r *SnapshotReader) VisitShard(si int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
 	r.visit(si, math.MaxInt, begin, each)
 }
@@ -99,14 +79,10 @@ func (r *SnapshotReader) SampleShard(si, k int, each func(d *model.Domain, authI
 	r.visit(si, k, func(int) {}, each)
 }
 
-// visit walks shard si under its read lock, calling each for about sample
-// of its registrations, evenly spaced — for all of them when it has no more.
+// visit walks shard si, calling each for about sample of its
+// registrations, evenly spaced — for all of them when it has no more.
 func (r *SnapshotReader) visit(si, sample int, begin func(n int), each func(d *model.Domain, authInfo []byte)) {
 	sh := &r.s.shards[si]
-	if !r.quiesced {
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-	}
 	n := sh.tab.len()
 	begin(n)
 	step := max(1, n/sample)

@@ -89,7 +89,7 @@ func TestShardedStoreBasicOpsAt16(t *testing.T) {
 	if err := s.Transfer("crossshard.com", 1001, code); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.MarkRedemption("crossshard.com", clock.Now()); err != nil {
+	if err := s.MarkRedemption("crossshard.com", 1001, clock.Now()); err != nil {
 		t.Fatal(err)
 	}
 	day := simtime.DayOf(clock.Now()).AddDays(5)

@@ -140,11 +140,11 @@ func (sh *shard) refile(r *record, ref uint32, next record) {
 // from GOMAXPROCS. One shard reproduces the classic single-lock store.
 //
 // Lock-ordering rule: at most one shard lock is ever held at a time, and the
-// registrar and deletion-archive locks may be taken while holding a shard
-// lock but never the reverse. Multi-shard readers release shard i before
-// locking shard i+1, so there is no lock-order cycle anywhere in the store.
-// The single exception is a quiesced ReadSnapshot, which read-locks regMu
-// and every shard in ascending index order; that still nests cleanly
+// deletion-archive lock may be taken while holding a shard lock but never
+// the reverse. Multi-shard readers release shard i before locking shard
+// i+1, so there is no lock-order cycle anywhere in the store. The single
+// exception is ReadSnapshot, which read-locks regMu, then every shard in
+// ascending index order, then the zone table; that still nests cleanly
 // because no path holds a shard lock while acquiring regMu or another
 // shard's lock.
 type Store struct {
@@ -676,11 +676,25 @@ func (s *Store) setState(name string, st model.Status, updated time.Time, delete
 	return err
 }
 
-// MarkRedemption moves the domain into the redemption period following a
-// registrar-initiated delete; at is the delete instant and becomes the
-// domain's last-updated timestamp (the future deletion-order key).
-func (s *Store) MarkRedemption(name string, at time.Time) error {
-	return s.setState(name, model.StatusRedemption, at, simtime.Day{})
+// MarkRedemption is a registrar's delete: it moves the domain into the
+// redemption period; at is the delete instant and becomes the domain's
+// last-updated timestamp (the future deletion-order key). Like Renew and
+// Transfer it refuses under the shard lock, so a transfer or a lifecycle
+// step that lands first is seen: ErrNotFound, ErrWrongRegistrar unless
+// registrarID sponsors the domain, ErrStatusProhibits unless it is active
+// or in autoRenew.
+func (s *Store) MarkRedemption(name string, registrarID int, at time.Time) error {
+	m := Mutation{Kind: MutSetState, Name: name, Status: model.StatusRedemption, Updated: simtime.Trunc(at)}
+	_, err := s.commit(&m, true, func(_ *shard, r *record) error {
+		if err := sponsored(name, r, registrarID); err != nil {
+			return err
+		}
+		if st := r.status(); st != model.StatusActive && st != model.StatusAutoRenew {
+			return fmt.Errorf("%w: %q in %v", ErrStatusProhibits, name, st)
+		}
+		return nil
+	})
+	return err
 }
 
 // MarkPendingDelete moves the domain into pendingDelete scheduled for

@@ -235,7 +235,7 @@ func TestMarkRedemptionAndPendingDelete(t *testing.T) {
 	s, clock := testStore(t)
 	s.Create("example.com", 1000, 1)
 	at := clock.Now().Add(time.Hour)
-	if err := s.MarkRedemption("example.com", at); err != nil {
+	if err := s.MarkRedemption("example.com", 1000, at); err != nil {
 		t.Fatal(err)
 	}
 	d, _ := s.Get("example.com")
@@ -550,7 +550,7 @@ func TestStoreObserverEvents(t *testing.T) {
 	s.SetObserver(obs)
 
 	s.Create("watched.com", 1000, 1)
-	if err := s.MarkRedemption("watched.com", clock.Now()); err != nil {
+	if err := s.MarkRedemption("watched.com", 1000, clock.Now()); err != nil {
 		t.Fatal(err)
 	}
 	day := simtime.DayOf(clock.Now()).AddDays(35)
@@ -573,7 +573,7 @@ func TestStoreObserverEvents(t *testing.T) {
 	// Removing the observer stops delivery.
 	s.SetObserver(nil)
 	s.Create("quiet.com", 1000, 1)
-	s.MarkRedemption("quiet.com", clock.Now())
+	s.MarkRedemption("quiet.com", 1000, clock.Now())
 	if len(obs.transitions) != 2 {
 		t.Fatalf("events after removal: %v", obs.transitions)
 	}
@@ -677,7 +677,7 @@ func TestStoreObserverCanReadStore(t *testing.T) {
 			t.Errorf("observer read: %v", err)
 		}
 	}))
-	if err := s.MarkRedemption("reader.com", clock.Now()); err != nil {
+	if err := s.MarkRedemption("reader.com", 1000, clock.Now()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -738,11 +738,55 @@ func TestTransfer(t *testing.T) {
 	}
 }
 
+// TestMarkRedemptionRefuses: a registrar's delete is refused, in the
+// sponsor-then-status order EPP reports, unless the registrar sponsors the
+// name and it is active or in autoRenew; a refusal changes nothing and
+// bumps no generation.
+func TestMarkRedemptionRefuses(t *testing.T) {
+	s, clock := testStore(t)
+	updated := clock.Now().AddDate(0, 0, -40)
+	for name, st := range map[string]model.Status{
+		"autorenew.com":     model.StatusAutoRenew,
+		"redemption.com":    model.StatusRedemption,
+		"pendingdelete.com": model.StatusPendingDelete,
+	} {
+		if _, err := s.SeedAt(name, 1000, updated.AddDate(-1, 0, 0), updated, updated, st, simtime.DayOf(clock.Now()).AddDays(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		reg  int
+		want error
+	}{
+		{"missing.com", 1000, ErrNotFound},
+		{"redemption.com", 1001, ErrWrongRegistrar},
+		{"autorenew.com", 1001, ErrWrongRegistrar},
+		{"redemption.com", 1000, ErrStatusProhibits},
+		{"pendingdelete.com", 1000, ErrStatusProhibits},
+	} {
+		lookup := func() string { d, ok := s.Lookup(tc.name); return fmt.Sprint(d, ok) }
+		before, gen := lookup(), s.Generation()
+		if err := s.MarkRedemption(tc.name, tc.reg, clock.Now()); !errors.Is(err, tc.want) {
+			t.Errorf("%s by %d: %v, want %v", tc.name, tc.reg, err, tc.want)
+		}
+		if lookup() != before || s.Generation() != gen {
+			t.Errorf("%s by %d: a refused delete changed the store", tc.name, tc.reg)
+		}
+	}
+	if err := s.MarkRedemption("autorenew.com", 1000, clock.Now()); err != nil {
+		t.Fatalf("autoRenew delete by its sponsor: %v", err)
+	}
+	if d, _ := s.Get("autorenew.com"); d.Status != model.StatusRedemption {
+		t.Fatalf("after delete: %v", d.Status)
+	}
+}
+
 func TestTransferStatusProhibits(t *testing.T) {
 	s, clock := testStore(t)
 	s.Create("stuck.com", 1000, 1)
 	code, _ := s.AuthInfo("stuck.com", 1000)
-	s.MarkRedemption("stuck.com", clock.Now())
+	s.MarkRedemption("stuck.com", 1000, clock.Now())
 	if err := s.Transfer("stuck.com", 1001, code); !errors.Is(err, ErrStatusProhibits) {
 		t.Fatalf("redemption transfer: %v", err)
 	}
@@ -778,7 +822,7 @@ func TestStatusCounts(t *testing.T) {
 	s, clock := testStore(t)
 	s.Create("a.com", 1000, 1)
 	s.Create("b.com", 1000, 1)
-	s.MarkRedemption("b.com", clock.Now())
+	s.MarkRedemption("b.com", 1000, clock.Now())
 	counts := s.StatusCounts()
 	if counts[model.StatusActive] != 1 || counts[model.StatusRedemption] != 1 {
 		t.Fatalf("counts = %v", counts)
@@ -835,7 +879,7 @@ func TestGenerationBumpsOnEveryMutator(t *testing.T) {
 		}
 	})
 	bumped("MarkRedemption", 1, func() {
-		if err := s.MarkRedemption("gen.com", clock.Now()); err != nil {
+		if err := s.MarkRedemption("gen.com", 1001, clock.Now()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -884,7 +928,7 @@ func TestGenerationBumpsOnEveryMutator(t *testing.T) {
 		s.Transfer("missing.com", 1001, "x") // ErrNotFound
 		s.Transfer("genseed.com", 1001, "x") // ErrBadAuthInfo
 		s.Transfer("genseed.com", 9999, "x") // ErrUnknownRegistrar
-		s.MarkRedemption("missing.com", clock.Now())
+		s.MarkRedemption("missing.com", 1000, clock.Now())
 		s.MarkPendingDelete("genseed.com", clock.Now(), simtime.Day{Year: 2018, Month: 2, Dom: 30}) // errUnrepresentable
 		s.purge("genseed.com", clock.Now(), 0)                                                      // ErrNotPendingDelete
 		s.purge("missing.com", clock.Now(), 0)                                                      // ErrNotFound

@@ -28,11 +28,12 @@ type FollowerConfig struct {
 	// Dial overrides the transport, for in-process tests and fault
 	// injection. Each (re)connection calls it once.
 	Dial func() (net.Conn, error)
-	// ReconnectWait is the pause between connection attempts (default
-	// 500ms).
-	ReconnectWait time.Duration
 	// Logf receives connection lifecycle lines; nil discards them.
 	Logf func(format string, args ...any)
+
+	// reconnectWait is the pause between connection attempts: a test seam,
+	// zero meaning 500ms.
+	reconnectWait time.Duration
 }
 
 const (
@@ -53,8 +54,8 @@ func (c *FollowerConfig) defaults() error {
 		addr := c.Addr
 		c.Dial = func() (net.Conn, error) { return net.DialTimeout("tcp", addr, 10*time.Second) }
 	}
-	if c.ReconnectWait <= 0 {
-		c.ReconnectWait = 500 * time.Millisecond
+	if c.reconnectWait <= 0 {
+		c.reconnectWait = 500 * time.Millisecond
 	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
@@ -161,7 +162,7 @@ func (f *Follower) run() {
 		conn, err := f.cfg.Dial()
 		if err != nil {
 			f.cfg.Logf("repl: dial primary: %v", err)
-			if !f.sleep(f.cfg.ReconnectWait) {
+			if !f.sleep(f.cfg.reconnectWait) {
 				return
 			}
 			continue
@@ -186,7 +187,7 @@ func (f *Follower) run() {
 		}
 		f.cfg.Logf("repl: stream ended at seq %d: %v (reconnecting)", f.applied.Load(), err)
 		f.reconnects.Add(1)
-		if !f.sleep(f.cfg.ReconnectWait) {
+		if !f.sleep(f.cfg.reconnectWait) {
 			return
 		}
 	}

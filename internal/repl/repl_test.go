@@ -425,7 +425,7 @@ func resumeHarness(t *testing.T, cutBytes int64, cfg SourceConfig) {
 			}
 			return conn, err
 		},
-		ReconnectWait: 10 * time.Millisecond,
+		reconnectWait: 10 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -529,7 +529,7 @@ func TestFollowerRejectsEmptyBatch(t *testing.T) {
 	defer src.Close()
 
 	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil), ReconnectWait: 10 * time.Millisecond})
+	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil), reconnectWait: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,7 +598,7 @@ func TestFollowerAheadOfPrimaryIsRefused(t *testing.T) {
 	srcB := NewSource(jnlB, SourceConfig{})
 	defer srcB.Close()
 	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err = NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(srcB, nil), ReconnectWait: 10 * time.Millisecond})
+	f, err = NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(srcB, nil), reconnectWait: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +639,7 @@ func TestFollowerSnapshotSizeIsAClaim(t *testing.T) {
 
 	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
 	dir := t.TempDir()
-	f, err := NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(src, nil), ReconnectWait: 10 * time.Millisecond})
+	f, err := NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(src, nil), reconnectWait: 10 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -717,7 +717,7 @@ func TestFailoverZeroLoss(t *testing.T) {
 				}
 				return dial()
 			},
-			ReconnectWait: 10 * time.Millisecond,
+			reconnectWait: 10 * time.Millisecond,
 		})
 		if err != nil {
 			t.Fatal(err)

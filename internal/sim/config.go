@@ -82,14 +82,6 @@ type Config struct {
 	// fsynced before it is acknowledged). ModeOff with a DataDir disables
 	// journaling entirely.
 	Durability journal.Mode
-	// SnapshotDays writes a full registry+pipeline snapshot every N
-	// completed study days, bounding how much WAL a recovery replays
-	// (0 = every 7 days).
-	SnapshotDays int
-	// KeepCheckpoints disables pruning of superseded snapshots and WAL
-	// segments. Crash-recovery tests use it to manufacture crashes at
-	// arbitrary points of a finished run's history.
-	KeepCheckpoints bool
 	// Zones federates the study over several zones in the one registry
 	// process, beside the default .com/.net zone every study runs. An entry
 	// named like the default zone is the default zone — it must not alter
@@ -99,6 +91,14 @@ type Config struct {
 	// (zoneSeedStride), so extra zones leave the default zone's study
 	// untouched.
 	Zones []zone.Config
+
+	// Test seams, zero meaning the default: snapshotDays writes a full
+	// registry+pipeline snapshot every N completed study days (default 7),
+	// bounding how much WAL a recovery replays; keepCheckpoints keeps
+	// superseded snapshots and WAL segments, so crash-recovery tests can
+	// cut a finished run's history anywhere.
+	snapshotDays    int
+	keepCheckpoints bool
 }
 
 // DefaultConfig returns the configuration used by the experiment harness: a

@@ -124,7 +124,7 @@ func TestResultNamesHeldOnce(t *testing.T) {
 		cfg := datasetStudies()["parallelism1"]
 		cfg.DataDir = filepath.Join(t.TempDir(), "ref")
 		cfg.Durability = journal.ModeAsync
-		cfg.KeepCheckpoints = true
+		cfg.keepCheckpoints = true
 		if _, err := Run(cfg); err != nil {
 			t.Fatal(err)
 		}

@@ -89,7 +89,7 @@ func recoverTestConfig(seed int64) Config {
 	cfg.Days = 4
 	cfg.Scale = 0.01
 	cfg.FinalizeAfterDays = 10
-	cfg.SnapshotDays = 2
+	cfg.snapshotDays = 2
 	return cfg
 }
 
@@ -99,7 +99,7 @@ func recoverTestConfig(seed int64) Config {
 // dataset the uninterrupted run produced, byte for byte: same CSVs, same
 // deletion log, same ground truth, same pipeline counters.
 //
-// One uninterrupted journaled run per seed (taken with KeepCheckpoints so
+// One uninterrupted journaled run per seed (taken with keepCheckpoints so
 // nothing is pruned) serves as the reference; CrashCopy then manufactures
 // the on-disk state a kill -9 at each chosen sequence point would have left,
 // torn final write included, and Run resumes from the copy.
@@ -123,7 +123,7 @@ func TestRecoverMatchesUninterrupted(t *testing.T) {
 			jcfg := cfg
 			jcfg.DataDir = refDir
 			jcfg.Durability = journal.ModeAsync
-			jcfg.KeepCheckpoints = true
+			jcfg.keepCheckpoints = true
 			journaled, err := Run(jcfg)
 			if err != nil {
 				t.Fatalf("journaled: %v", err)

@@ -159,7 +159,7 @@ func Run(cfg Config) (*Result, error) {
 	// Durability: recover the registry and the driver's own checkpoint
 	// stream before anything else touches the store.
 	journaled := cfg.DataDir != "" && cfg.Durability != journal.ModeOff
-	snapDays := cfg.SnapshotDays
+	snapDays := cfg.snapshotDays
 	if snapDays <= 0 {
 		snapDays = 7
 	}
@@ -172,7 +172,7 @@ func Run(cfg Config) (*Result, error) {
 		jnl, rec, err = journal.Open(store, journal.Options{
 			Dir:     cfg.DataDir,
 			Mode:    cfg.Durability,
-			KeepAll: cfg.KeepCheckpoints,
+			KeepAll: cfg.keepCheckpoints,
 		})
 		if err != nil {
 			return nil, err

@@ -55,7 +55,7 @@ func TestExportExcludesPulledRegistrations(t *testing.T) {
 	store, clock := newWorld(t)
 	store.Create("active.com", 1000, 1)
 	store.Create("redemption.com", 1000, 1)
-	store.MarkRedemption("redemption.com", clock.Now())
+	store.MarkRedemption("redemption.com", 1000, clock.Now())
 	store.Create("pending.com", 1000, 1)
 	store.MarkPendingDelete("pending.com", clock.Now(), simtime.DayOf(clock.Now()).AddDays(5))
 
