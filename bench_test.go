@@ -156,7 +156,7 @@ func BenchmarkFig4Heatmaps(b *testing.B) {
 	var panels []*analysis.Heatmap
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		panels = a.Fig4Panels(analysis.Fig4Clusters, analysis.DefaultHeatmapConfig())
+		panels = a.Fig4Panels(analysis.Fig4Clusters)
 	}
 	b.ReportMetric(100*panels[0].DiagonalShare, "all-diagonal-pct")
 	for _, h := range panels[1:] {

@@ -92,32 +92,31 @@ func TestOrderSearchRanksLastUpdateFirst(t *testing.T) {
 
 func TestFig4PanelShapes(t *testing.T) {
 	a := studyAnalysis(t)
-	cfg := analysis.DefaultHeatmapConfig()
-	all := a.Fig4Heatmap("", cfg)
+	all := a.Fig4Heatmap("")
 	if all.Total == 0 {
 		t.Fatal("empty all-registrars panel")
 	}
 	// Most mass near the diagonal overall.
 	within(t, "all diagonal share", all.DiagonalShare, 0.65, 0.95)
 
-	snap := a.Fig4Heatmap(registrars.SvcSnapNames, cfg)
+	snap := a.Fig4Heatmap(registrars.SvcSnapNames)
 	within(t, "SnapNames diagonal share", snap.DiagonalShare, 0.90, 1.0)
 	if snap.HoldbackShare > 0.1 {
 		t.Errorf("SnapNames holdback = %.3f", snap.HoldbackShare)
 	}
 
-	gd := a.Fig4Heatmap(registrars.SvcGoDaddy, cfg)
+	gd := a.Fig4Heatmap(registrars.SvcGoDaddy)
 	if gd.DiagonalShare > 0.6 {
 		t.Errorf("GoDaddy diagonal = %.3f, want spread-out behaviour", gd.DiagonalShare)
 	}
 
-	xin := a.Fig4Heatmap(registrars.SvcXinnet, cfg)
+	xin := a.Fig4Heatmap(registrars.SvcXinnet)
 	if xin.DiagonalShare > 0.05 {
 		t.Errorf("Xinnet diagonal = %.3f, want ≈0", xin.DiagonalShare)
 	}
 	within(t, "Xinnet holdback share", xin.HoldbackShare, 0.5, 1.0)
 
-	oneapi := a.Fig4Heatmap(registrars.Svc1API, cfg)
+	oneapi := a.Fig4Heatmap(registrars.Svc1API)
 	if oneapi.DiagonalShare > 0.02 {
 		t.Errorf("1API diagonal = %.3f, want 0 (starts ≥30 s)", oneapi.DiagonalShare)
 	}

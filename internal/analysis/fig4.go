@@ -25,23 +25,18 @@ type Heatmap struct {
 	HoldbackShare float64
 }
 
-// HeatmapConfig controls panel resolution.
-type HeatmapConfig struct {
-	RankBins, TimeBins int
-	StartHour, EndHour int
-}
-
-// DefaultHeatmapConfig covers 19:00–21:00 like the paper's panels.
-func DefaultHeatmapConfig() HeatmapConfig {
-	return HeatmapConfig{RankBins: 60, TimeBins: 40, StartHour: 19, EndHour: 21}
-}
+// A panel's resolution: 60 rank columns by 40 time rows over 19:00–21:00,
+// like the paper's panels.
+const (
+	heatRankBins  = 60
+	heatTimeBins  = 40
+	heatStartHour = 19
+	heatEndHour   = 21
+)
 
 // Fig4Heatmap builds one panel. cluster filters by re-registering cluster
 // display name; the empty string selects all registrars.
-func (a *Analysis) Fig4Heatmap(cluster string, cfg HeatmapConfig) *Heatmap {
-	if cfg.RankBins == 0 {
-		cfg = DefaultHeatmapConfig()
-	}
+func (a *Analysis) Fig4Heatmap(cluster string) *Heatmap {
 	maxRank := 0
 	for _, d := range a.Days {
 		if d.Total > maxRank {
@@ -50,20 +45,20 @@ func (a *Analysis) Fig4Heatmap(cluster string, cfg HeatmapConfig) *Heatmap {
 	}
 	h := &Heatmap{
 		Cluster:   cluster,
-		RankBins:  cfg.RankBins,
-		TimeBins:  cfg.TimeBins,
+		RankBins:  heatRankBins,
+		TimeBins:  heatTimeBins,
 		MaxRank:   maxRank,
-		StartHour: cfg.StartHour,
-		EndHour:   cfg.EndHour,
-		Counts:    make([][]int, cfg.TimeBins),
+		StartHour: heatStartHour,
+		EndHour:   heatEndHour,
+		Counts:    make([][]int, heatTimeBins),
 	}
 	for i := range h.Counts {
-		h.Counts[i] = make([]int, cfg.RankBins)
+		h.Counts[i] = make([]int, heatRankBins)
 	}
 	if maxRank == 0 {
 		return h
 	}
-	windowSec := (cfg.EndHour - cfg.StartHour) * 3600
+	windowSec := (heatEndHour - heatStartHour) * 3600
 	diag, hold := 0, 0
 	for _, day := range a.Days {
 		for _, d := range day.Delays {
@@ -81,14 +76,14 @@ func (a *Analysis) Fig4Heatmap(cluster string, cfg HeatmapConfig) *Heatmap {
 				hold++
 			}
 			t := d.Obs.ReregTime()
-			sec := (t.Hour()-cfg.StartHour)*3600 + t.Minute()*60 + t.Second()
+			sec := (t.Hour()-heatStartHour)*3600 + t.Minute()*60 + t.Second()
 			if sec < 0 || sec >= windowSec {
 				continue
 			}
-			tb := sec * cfg.TimeBins / windowSec
-			rb := d.Rank * cfg.RankBins / maxRank
-			if rb >= cfg.RankBins {
-				rb = cfg.RankBins - 1
+			tb := sec * heatTimeBins / windowSec
+			rb := d.Rank * heatRankBins / maxRank
+			if rb >= heatRankBins {
+				rb = heatRankBins - 1
 			}
 			h.Counts[tb][rb]++
 		}
@@ -105,9 +100,9 @@ func (a *Analysis) Fig4Heatmap(cluster string, cfg HeatmapConfig) *Heatmap {
 // names from ClusterOf. Panels are independent single-pass aggregations, so
 // they build on the Input.Parallelism worker pool; the result slice order is
 // fixed by the clusters argument either way.
-func (a *Analysis) Fig4Panels(clusters []string, cfg HeatmapConfig) []*Heatmap {
+func (a *Analysis) Fig4Panels(clusters []string) []*Heatmap {
 	all := append([]string{""}, clusters...)
 	return par.Do(a.workers(), len(all), func(i int) *Heatmap {
-		return a.Fig4Heatmap(all[i], cfg)
+		return a.Fig4Heatmap(all[i])
 	})
 }

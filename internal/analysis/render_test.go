@@ -156,7 +156,7 @@ func TestAnalysisOnSyntheticData(t *testing.T) {
 	if f := a.Fig7MarketShare(); len(f.Intervals) == 0 {
 		t.Fatal("Fig7 empty")
 	}
-	if h := a.Fig4Heatmap("", DefaultHeatmapConfig()); h.Total == 0 {
+	if h := a.Fig4Heatmap(""); h.Total == 0 {
 		t.Fatal("Fig4 empty")
 	}
 	rows := a.Fig1()

@@ -58,7 +58,7 @@ func (a *Analysis) BuildReport() *Report {
 	r := &Report{
 		Fig1:      a.Fig1(),
 		Fig2:      a.Fig2Timeline(),
-		Fig4:      a.Fig4Panels(Fig4Clusters, DefaultHeatmapConfig()),
+		Fig4:      a.Fig4Panels(Fig4Clusters),
 		Fig5:      a.Fig5CDF(),
 		Fig6:      a.Fig6ClusterCDFs(PaperClusters),
 		Fig7:      a.Fig7MarketShare(),

@@ -76,7 +76,7 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 			Deletions:    res.Deletions,
 			Parallelism:  parallelism,
 		})
-		return a.Fig4Panels(analysis.Fig4Clusters, analysis.DefaultHeatmapConfig()),
+		return a.Fig4Panels(analysis.Fig4Clusters),
 			a.Fig6ClusterCDFs(analysis.PaperClusters)
 	}
 	seqPanels, seqCurves := figures(seqRes, 1)

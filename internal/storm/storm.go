@@ -74,8 +74,6 @@ type Config struct {
 	Release func([]registry.Scheduled) error
 	// Profiles are the competing operators.
 	Profiles []ClientProfile
-	// Years is the registration term requested (default 1).
-	Years int
 	// Zones, when set (typically the hosting store's Zones()), labels the
 	// per-TLD report groups with the zone operating each TLD and adds a
 	// per-zone aggregation — the split-accreditation simultaneous-drop
@@ -234,7 +232,6 @@ type profileStats struct {
 // storm's origin, its first possible attempt.
 type race struct {
 	cfg      *Config
-	years    int
 	origin   time.Time
 	drop     []registry.Scheduled // release order; a name's index is its place here
 	instants []instant
@@ -265,10 +262,7 @@ func Run(cfg Config) (*Report, error) {
 	if len(cfg.Drop) == 0 || len(cfg.Profiles) == 0 {
 		return nil, errors.New("storm: need at least one name and one profile")
 	}
-	r := &race{cfg: &cfg, years: cfg.Years, winners: make(map[string]Win), multiAcks: make(map[string]int)}
-	if r.years == 0 {
-		r.years = 1
-	}
+	r := &race{cfg: &cfg, winners: make(map[string]Win), multiAcks: make(map[string]int)}
 
 	// Stand up every profile's sessions before the clock starts.
 	r.sessions = make([][]*epp.Client, len(cfg.Profiles))
@@ -486,7 +480,7 @@ func (r *race) send(ai int, client *epp.Client, accred int, now func() time.Dura
 	defer st.inFlight.Add(-1)
 	stats.attempts.Add(1)
 	name := r.drop[a.name].Name
-	_, err := client.Create(name, r.years)
+	_, err := client.Create(name, 1) // a 1-year term
 	ack := now()
 	r.lats[ai] = ack - a.off
 	r.fired[ai] = true

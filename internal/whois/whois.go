@@ -259,9 +259,6 @@ func (s *Server) response(query string) string {
 type Client struct {
 	srv  *Server // set on a bound client, which ignores the fields below
 	Addr string
-	// Timeout bounds each lookup (dial + query + read) when the context
-	// carries no earlier deadline; zero means 10 s.
-	Timeout time.Duration
 	// PoolSize caps the pre-dialed idle connections kept for future lookups;
 	// zero disables dial-ahead.
 	PoolSize int
@@ -270,6 +267,10 @@ type Client struct {
 	idle   []net.Conn
 	closed bool
 }
+
+// lookupTimeout bounds each lookup (dial + query + read) when the context
+// carries no earlier deadline.
+const lookupTimeout = 10 * time.Second
 
 // NewBoundClient returns a Client that never dials: it parses what srv's
 // response core (ServeConn's, cache included) answers, as a TCP client would.
@@ -292,11 +293,7 @@ func (c *Client) LookupContext(ctx context.Context, name string) (*model.Domain,
 		c.srv.requests.Add(1)
 		return parseDomain(c.srv.response(name))
 	}
-	timeout := c.Timeout
-	if timeout == 0 {
-		timeout = 10 * time.Second
-	}
-	deadline := time.Now().Add(timeout)
+	deadline := time.Now().Add(lookupTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -376,11 +373,7 @@ func (c *Client) refill() {
 		return
 	}
 	go func() {
-		timeout := c.Timeout
-		if timeout == 0 {
-			timeout = 10 * time.Second
-		}
-		conn, err := net.DialTimeout("tcp", c.Addr, timeout)
+		conn, err := net.DialTimeout("tcp", c.Addr, lookupTimeout)
 		if err != nil {
 			return
 		}

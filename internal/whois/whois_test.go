@@ -164,8 +164,10 @@ func TestServerManySequentialLookups(t *testing.T) {
 }
 
 func TestClientDialError(t *testing.T) {
-	c := &Client{Addr: "127.0.0.1:1", Timeout: 200 * time.Millisecond}
-	if _, err := c.Lookup("x.com"); err == nil {
+	c := &Client{Addr: "127.0.0.1:1"}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if _, err := c.LookupContext(ctx, "x.com"); err == nil {
 		t.Fatal("dial to closed port succeeded")
 	}
 }
@@ -187,7 +189,7 @@ func TestClientContextDeadline(t *testing.T) {
 			defer conn.Close()
 		}
 	}()
-	c := &Client{Addr: ln.Addr().String(), Timeout: 30 * time.Second}
+	c := &Client{Addr: ln.Addr().String()}
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
