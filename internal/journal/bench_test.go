@@ -56,16 +56,10 @@ func BenchmarkWALAppend(b *testing.B) {
 // directory and the snapshot's covered sequence.
 func buildRecoveryDir(b *testing.B, n int) (string, uint64) {
 	b.Helper()
-	start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 	dir := b.TempDir()
-	s := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeAsync})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.SetJournal(j)
+	s, j, _ := journaled(b, dir, 0, Options{Mode: ModeAsync})
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Bench Reg"})
-	at := start.At(10, 0, 0)
+	at := testStart.At(10, 0, 0)
 	snapAt := n - n/10
 	var snapSeq uint64
 	for i := 0; i < n; i++ {

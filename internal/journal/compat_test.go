@@ -95,8 +95,7 @@ func TestCompatDatadirsRecover(t *testing.T) {
 				if got := string(snap[:len(want.Magic)]); got != want.Magic {
 					t.Fatalf("testdata snapshot has magic %q, want %q", got, want.Magic)
 				}
-				s := newShardedTestStore(1 + 2*parallelism)
-				j, rec := openJournalP(t, s, dir, parallelism, false)
+				s, j, rec := journaled(t, dir, 1+2*parallelism, Options{Mode: ModeSync, RecoveryParallelism: parallelism})
 				defer j.Close()
 				if rec.SnapshotSeq != want.SnapSeq || string(rec.AppState) != want.AppState ||
 					rec.ReplayedRecords != int(want.LastSeq-want.SnapSeq) || len(rec.AppRecords) != 1 {
@@ -118,9 +117,7 @@ func TestCompatDatadirsRecover(t *testing.T) {
 // the tail.
 func compatHistory(t *testing.T, name, dir string) {
 	t.Helper()
-	s := newShardedTestStore(4)
-	j, _ := openJournalP(t, s, dir, 4, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 4, Options{Mode: ModeSync, RecoveryParallelism: 4})
 	workout(t, s, 51, 60)
 	tlds := []string{"com", "net"}
 	if name == "compat-v3" {

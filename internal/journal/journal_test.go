@@ -23,6 +23,37 @@ func newTestStore() *registry.Store {
 	return registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
 }
 
+// journaled is the package's fixture: an empty store of shards shards (0:
+// the GOMAXPROCS default) on a clock at testStart, with the journal that
+// Open recovers into it from dir under opts attached, and what Open
+// recovered.
+func journaled(tb testing.TB, dir string, shards int, opts Options) (*registry.Store, *Journal, Recovery) {
+	tb.Helper()
+	s := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), shards)
+	opts.Dir = dir
+	j, rec, err := Open(s, opts)
+	if err != nil {
+		tb.Fatalf("open journal: %v", err)
+	}
+	s.SetJournal(j)
+	return s, j, rec
+}
+
+// reopened closes j, recovers dir into a fresh fixture store of shards
+// shards under opts, and fails tb unless that store reads as s does now.
+func reopened(tb testing.TB, s *registry.Store, j *Journal, dir string, shards int, opts Options) (*registry.Store, *Journal, Recovery) {
+	tb.Helper()
+	want := dumpVisible(s)
+	if err := j.Close(); err != nil {
+		tb.Fatalf("close: %v", err)
+	}
+	s2, j2, rec := journaled(tb, dir, shards, opts)
+	if got := dumpVisible(s2); got != want {
+		tb.Errorf("the store recovered from %s differs from the one that wrote it", dir)
+	}
+	return s2, j2, rec
+}
+
 // workout drives store through a deterministic mix of every journaled
 // mutation kind — registrar adds, seeds, creates, touches, renews,
 // transfers, lifecycle transitions and Drop purges — and returns the names
@@ -107,41 +138,21 @@ func dumpVisible(s *registry.Store) string {
 	return b.String()
 }
 
-func openJournal(t *testing.T, s *registry.Store, dir string, mode Mode, keepAll bool) (*Journal, Recovery) {
-	t.Helper()
-	j, rec, err := Open(s, Options{Dir: dir, Mode: mode, KeepAll: keepAll})
-	if err != nil {
-		t.Fatalf("open journal: %v", err)
-	}
-	return j, rec
-}
-
 // TestRecoverRoundTrip: a journaled workout closed cleanly must recover
 // into an identical store, in both durability modes.
 func TestRecoverRoundTrip(t *testing.T) {
 	for _, mode := range []Mode{ModeSync, ModeAsync} {
 		t.Run(mode.String(), func(t *testing.T) {
 			dir := t.TempDir()
-			s := newTestStore()
-			j, rec := openJournal(t, s, dir, mode, false)
+			s, j, rec := journaled(t, dir, 0, Options{Mode: mode})
 			if !rec.Fresh() {
 				t.Fatalf("empty dir not reported fresh: %+v", rec)
 			}
-			s.SetJournal(j)
 			workout(t, s, 1, 200)
-			want := dumpVisible(s)
-			if err := j.Close(); err != nil {
-				t.Fatalf("close: %v", err)
-			}
-
-			s2 := newTestStore()
-			j2, rec2 := openJournal(t, s2, dir, mode, false)
+			_, j2, rec2 := reopened(t, s, j, dir, 0, Options{Mode: mode})
 			defer j2.Close()
 			if rec2.Fresh() || rec2.ReplayedRecords == 0 {
 				t.Fatalf("recovery saw no records: %+v", rec2)
-			}
-			if got := dumpVisible(s2); got != want {
-				t.Errorf("recovered store differs from original (mode %v)", mode)
 			}
 			if j2.Metrics().RecoveryReplayedRecords == 0 {
 				t.Error("metrics do not report replayed records")
@@ -154,9 +165,7 @@ func TestRecoverRoundTrip(t *testing.T) {
 // WAL tail, and pruning leaves exactly the files that composition needs.
 func TestRecoverAfterSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 2, 150)
 	if err := j.Snapshot([]byte("app-state-blob")); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -167,13 +176,7 @@ func TestRecoverAfterSnapshot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := newTestStore()
-	j2, rec := openJournal(t, s2, dir, ModeSync, false)
+	_, j2, rec := reopened(t, s, j, dir, 0, Options{Mode: ModeSync})
 	defer j2.Close()
 	if rec.SnapshotSeq == 0 {
 		t.Fatal("recovery did not load the snapshot")
@@ -183,9 +186,6 @@ func TestRecoverAfterSnapshot(t *testing.T) {
 	}
 	if rec.ReplayedRecords != 40 {
 		t.Fatalf("replayed %d records, want exactly the 40-record tail", rec.ReplayedRecords)
-	}
-	if got := dumpVisible(s2); got != want {
-		t.Error("snapshot+tail recovery differs from original")
 	}
 }
 
@@ -197,10 +197,8 @@ func TestRecoverAfterSnapshot(t *testing.T) {
 func TestSnapshotBytesDeterministic(t *testing.T) {
 	run := func() []byte {
 		dir := t.TempDir()
-		s := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), 4)
-		j, _ := openJournal(t, s, dir, ModeAsync, false)
+		s, j, _ := journaled(t, dir, 4, Options{Mode: ModeAsync})
 		defer j.Close()
-		s.SetJournal(j)
 		s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg 0"})
 		s.AddRegistrar(model.Registrar{IANAID: 901, Name: "Reg 1"})
 		const n = 20_000
@@ -266,9 +264,7 @@ func TestSnapshotBytesDeterministic(t *testing.T) {
 // with everything before it.
 func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 3, 120)
 	want := dumpVisible(s)
 	if err := j.Close(); err != nil {
@@ -287,8 +283,7 @@ func TestRecoverTornTail(t *testing.T) {
 	f.Write([]byte{0x13, 0x37, 0xff, 0xfe, 0x00, 0x07})
 	f.Close()
 
-	s2 := newTestStore()
-	j2, rec := openJournal(t, s2, dir, ModeSync, false)
+	s2, j2, rec := journaled(t, dir, 0, Options{Mode: ModeSync})
 	if rec.TornBytes == 0 {
 		t.Error("torn tail not reported")
 	}
@@ -296,28 +291,18 @@ func TestRecoverTornTail(t *testing.T) {
 		t.Error("recovery with torn tail differs from original")
 	}
 	// The truncated log must accept appends and recover again.
-	s2.SetJournal(j2)
 	if _, err := s2.CreateAt("after-torn.com", 900, 1, testStart.At(15, 0, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s3 := newTestStore()
-	j3, _ := openJournal(t, s3, dir, ModeSync, false)
+	_, j3, _ := reopened(t, s2, j2, dir, 0, Options{Mode: ModeSync})
 	defer j3.Close()
-	if _, err := s3.Get("after-torn.com"); err != nil {
-		t.Errorf("record appended after torn-tail recovery lost: %v", err)
-	}
 }
 
 // TestRecoverCorruptionFailsLoudly: a flipped byte in the interior of the
 // log (not its tail) must fail recovery, not silently drop records.
 func TestRecoverCorruptionFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 4, 150)
 	if err := j.Close(); err != nil {
 		t.Fatal(err)
@@ -351,9 +336,7 @@ func TestRecoverCorruptionFailsLoudly(t *testing.T) {
 // records the crash preserved.
 func TestCrashCopyRecovery(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, true)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync, KeepAll: true})
 	workout(t, s, 5, 120)
 	if err := j.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -457,9 +440,7 @@ func TestRotationNamesSegmentAtDurableBoundary(t *testing.T) {
 // the contiguity check and bricking recovery.
 func TestReopenAfterSnapshotAheadOfLog(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, true)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync, KeepAll: true})
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg"})
 	for i := 0; i < 6; i++ {
 		if _, err := s.CreateAt(fmt.Sprintf("ahead%d.com", i), 900, 1, testStart.At(9, 0, i)); err != nil {
@@ -492,42 +473,29 @@ func TestReopenAfterSnapshotAheadOfLog(t *testing.T) {
 
 	// First reopen: the snapshot is ahead of the log tail; it is the state
 	// of record and the sequence continues from it.
-	s2 := newTestStore()
-	j2, rec2 := openJournal(t, s2, dir, ModeSync, false)
+	s2, j2, rec2 := journaled(t, dir, 0, Options{Mode: ModeSync})
 	if rec2.SnapshotSeq != snapSeq {
 		t.Fatalf("recovered snapshot seq %d, want %d", rec2.SnapshotSeq, snapSeq)
 	}
 	if got := dumpVisible(s2); got != want {
 		t.Error("first reopen differs from snapshot state")
 	}
-	s2.SetJournal(j2)
 	if _, err := s2.CreateAt("after-gap.com", 900, 1, testStart.At(12, 0, 0)); err != nil {
-		t.Fatal(err)
-	}
-	want2 := dumpVisible(s2)
-	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// Second reopen: the stale tail segment still ends below the snapshot
 	// seq and the next segment starts at snapshot-seq+1; recovery must
 	// stitch across the snapshot-covered gap.
-	s3 := newTestStore()
-	j3, _ := openJournal(t, s3, dir, ModeSync, false)
+	_, j3, _ := reopened(t, s2, j2, dir, 0, Options{Mode: ModeSync})
 	defer j3.Close()
-	if got := dumpVisible(s3); got != want2 {
-		t.Error("second reopen after snapshot-covered gap differs")
-	}
 }
 
 // TestErrSurfacesWALFailure: async mode acknowledges appends that will
 // never become durable once the WAL trips; Err must expose the sticky
 // failure so long-running callers can detect it before Close.
 func TestErrSurfacesWALFailure(t *testing.T) {
-	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeAsync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, t.TempDir(), 0, Options{Mode: ModeAsync})
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg"})
 	if err := j.Sync(); err != nil {
 		t.Fatal(err)
@@ -558,9 +526,7 @@ func TestErrSurfacesWALFailure(t *testing.T) {
 // recovery composes the snapshot with the WAL tail into the original store.
 func TestSnapshotUnderSustainedWrites(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg"})
 	for i := 0; i < 32; i++ {
 		if _, err := s.CreateAt(fmt.Sprintf("load%02d.com", i), 900, 1, testStart.At(9, 0, i)); err != nil {
@@ -587,18 +553,10 @@ func TestSnapshotUnderSustainedWrites(t *testing.T) {
 	}
 	close(stop)
 	<-done
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestStore()
-	j2, rec := openJournal(t, s2, dir, ModeSync, false)
+	_, j2, rec := reopened(t, s, j, dir, 0, Options{Mode: ModeSync})
 	defer j2.Close()
 	if rec.SnapshotSeq == 0 {
 		t.Fatal("no snapshot recovered")
-	}
-	if got := dumpVisible(s2); got != want {
-		t.Error("recovery after under-load snapshot differs from original")
 	}
 }
 
@@ -648,29 +606,12 @@ func TestMutationCodecRoundTrip(t *testing.T) {
 // stitch the segments back together seamlessly.
 func TestSegmentRotation(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync, segmentBytes: 2 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync, segmentBytes: 2 << 10})
 	workout(t, s, 7, 150)
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, _, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("expected several segments at a 2 KiB limit, got %d", len(segs))
-	}
-	s2 := newTestStore()
-	j2, _ := openJournal(t, s2, dir, ModeSync, false)
+	_, j2, _ := reopened(t, s, j, dir, 0, Options{Mode: ModeSync})
 	defer j2.Close()
-	if got := dumpVisible(s2); got != want {
-		t.Error("multi-segment recovery differs from original")
+	if segs, _, err := listSegments(dir); err != nil || len(segs) < 3 {
+		t.Fatalf("expected several segments at a 2 KiB limit, got %d (%v)", len(segs), err)
 	}
 }
 
@@ -709,9 +650,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 // record survived.
 func TestConcurrentAppendGroupCommit(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	s.AddRegistrar(model.Registrar{IANAID: 900, Name: "Reg"})
 
 	const workers, per = 8, 50
@@ -741,17 +680,9 @@ func TestConcurrentAppendGroupCommit(t *testing.T) {
 	if fsyncs == 0 || fsyncs > uint64(workers*per)+1 {
 		t.Errorf("fsync amplification: %d fsyncs for %d records", fsyncs, workers*per)
 	}
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2 := newTestStore()
-	j2, rec := openJournal(t, s2, dir, ModeSync, false)
+	_, j2, rec := reopened(t, s, j, dir, 0, Options{Mode: ModeSync})
 	defer j2.Close()
 	if rec.ReplayedRecords != workers*per+1 {
 		t.Errorf("replayed %d records, want %d", rec.ReplayedRecords, workers*per+1)
-	}
-	if got := dumpVisible(s2); got != want {
-		t.Error("concurrent-append recovery differs from original")
 	}
 }

@@ -263,7 +263,10 @@ func TestSnapshotTransientBudget(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				j, _ := openJournalP(t, s, t.TempDir(), shards, false)
+				j, _, err := Open(s, Options{Dir: t.TempDir(), Mode: ModeSync})
+				if err != nil {
+					t.Fatal(err)
+				}
 				defer j.Close()
 
 				runtime.GC()

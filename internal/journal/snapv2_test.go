@@ -25,15 +25,6 @@ func newShardedTestStore(shards int) *registry.Store {
 	return registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), shards)
 }
 
-func openJournalP(t *testing.T, s *registry.Store, dir string, parallelism int, keepAll bool) (*Journal, Recovery) {
-	t.Helper()
-	j, rec, err := Open(s, Options{Dir: dir, Mode: ModeSync, KeepAll: keepAll, RecoveryParallelism: parallelism})
-	if err != nil {
-		t.Fatalf("open journal (parallelism %d): %v", parallelism, err)
-	}
-	return j, rec
-}
-
 // latestSnapshotBytes reads dir's newest snapshot file.
 func latestSnapshotBytes(t *testing.T, dir string) (string, []byte) {
 	t.Helper()
@@ -54,9 +45,7 @@ func latestSnapshotBytes(t *testing.T, dir string) (string, []byte) {
 // shard split is an encoding detail, not a restore contract.
 func TestSnapshotV2RoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := newShardedTestStore(8)
-	j, _ := openJournalP(t, s, dir, 8, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 8, Options{Mode: ModeSync, RecoveryParallelism: 8})
 	workout(t, s, 21, 200)
 	if err := j.Snapshot([]byte("v2-app-state")); err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -87,8 +76,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 		{"sequential-8shards", 8, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			s2 := newShardedTestStore(tc.shards)
-			j2, rec := openJournalP(t, s2, dir, tc.parallelism, false)
+			s2, j2, rec := journaled(t, dir, tc.shards, Options{Mode: ModeSync, RecoveryParallelism: tc.parallelism})
 			defer j2.Close()
 			if rec.SnapshotSeq == 0 {
 				t.Fatal("recovery did not load the snapshot")
@@ -145,9 +133,7 @@ var snapCorruptions = []struct {
 // refuse to open.
 func TestSnapshotV2CorruptionFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
-	s := newShardedTestStore(8)
-	j, _ := openJournalP(t, s, dir, 8, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 8, Options{Mode: ModeSync, RecoveryParallelism: 8})
 	workout(t, s, 22, 120)
 	if err := j.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -190,9 +176,8 @@ func TestSnapshotV2CorruptionFailsLoudly(t *testing.T) {
 // WAL tail still covers everything — recovered state must be identical.
 func TestSnapshotV2FallbackToOlder(t *testing.T) {
 	dir := t.TempDir()
-	s := newShardedTestStore(8)
-	j, _ := openJournalP(t, s, dir, 8, true) // KeepAll retains the older snapshot
-	s.SetJournal(j)
+	// KeepAll retains the older snapshot.
+	s, j, _ := journaled(t, dir, 8, Options{Mode: ModeSync, KeepAll: true, RecoveryParallelism: 8})
 	workout(t, s, 23, 100)
 	if err := j.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -222,8 +207,7 @@ func TestSnapshotV2FallbackToOlder(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2 := newShardedTestStore(8)
-	j2, rec := openJournalP(t, s2, dir, 8, false)
+	s2, j2, rec := journaled(t, dir, 8, Options{Mode: ModeSync, RecoveryParallelism: 8})
 	defer j2.Close()
 	if rec.SnapshotSeq != olderSeq {
 		t.Fatalf("recovered from snapshot seq %d, want fallback to %d", rec.SnapshotSeq, olderSeq)
@@ -245,12 +229,7 @@ func TestParallelReplayDifferential(t *testing.T) {
 	for _, seed := range []int64{31, 32, 33} {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			s := newShardedTestStore(8)
-			j, _, err := Open(s, Options{Dir: dir, Mode: ModeAsync})
-			if err != nil {
-				t.Fatal(err)
-			}
-			s.SetJournal(j)
+			s, j, _ := journaled(t, dir, 8, Options{Mode: ModeAsync})
 			at := testStart.At(10, 0, 0)
 			pads := 0
 			pad := func() {
@@ -323,8 +302,7 @@ func TestParallelReplayDifferential(t *testing.T) {
 			}
 
 			for _, parallelism := range []int{1, 8} {
-				s2 := newShardedTestStore(8)
-				j2, rec := openJournalP(t, s2, dir, parallelism, false)
+				s2, j2, rec := journaled(t, dir, 8, Options{Mode: ModeSync, RecoveryParallelism: parallelism})
 				if rec.ReplayedRecords != len(records) || j2.LastSeq() != wantSeq {
 					t.Errorf("parallelism %d: replayed %d records to seq %d, want %d to %d", parallelism, rec.ReplayedRecords, j2.LastSeq(), len(records), wantSeq)
 				}

@@ -30,12 +30,7 @@ func walkedFrames(t *testing.T, dir string) (frames [][]byte) {
 func tailLog(t *testing.T) (dir string, frames [][]byte, segs []string) {
 	t.Helper()
 	dir = t.TempDir()
-	s := newTestStore()
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync, segmentBytes: 800})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync, segmentBytes: 800})
 	if err := j.AppendApp([]byte("first"))(); err != nil {
 		t.Fatal(err)
 	}
@@ -239,12 +234,7 @@ func TestTailReaderFrameLargerThanBlock(t *testing.T) {
 // order, byte-identical to what ends up on disk.
 func TestTailReaderFollowsLiveLog(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _, err := Open(s, Options{Dir: dir, Mode: ModeAsync, segmentBytes: 4 << 10, syncEvery: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetJournal(j)
+	_, j, _ := journaled(t, dir, 0, Options{Mode: ModeAsync, segmentBytes: 4 << 10, syncEvery: 7})
 	watch, cancel := j.WatchDurable()
 	defer cancel()
 	const records = 600
@@ -324,9 +314,7 @@ func TestAppendFramesContinuesTheLog(t *testing.T) {
 // directory changes — and an empty one restarts after the snapshot's seq.
 func TestInstallSnapshotRefusesNonEmptyLog(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 5, 40)
 	if err := j.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -343,10 +331,8 @@ func TestInstallSnapshotRefusesNonEmptyLog(t *testing.T) {
 	}
 
 	busyDir := t.TempDir()
-	busy := newTestStore()
-	bj, _ := openJournal(t, busy, busyDir, ModeSync, false)
+	busy, bj, _ := journaled(t, busyDir, 0, Options{Mode: ModeSync})
 	defer bj.Close()
-	busy.SetJournal(bj)
 	workout(t, busy, 6, 10)
 	gen, files := busy.Generation(), readTree(t, busyDir)
 	if _, err := bj.InstallSnapshot(raw); err == nil {
@@ -357,8 +343,7 @@ func TestInstallSnapshotRefusesNonEmptyLog(t *testing.T) {
 	}
 
 	fdir := t.TempDir()
-	fs := newTestStore()
-	fj, _ := openJournal(t, fs, fdir, ModeSync, false)
+	fs, fj, _ := journaled(t, fdir, 0, Options{Mode: ModeSync})
 	defer fj.Close()
 	if got, err := fj.InstallSnapshot(raw); err != nil || got != seq || fj.LastSeq() != seq {
 		t.Fatalf("install: seq %d, LastSeq %d, %v; want %d", got, fj.LastSeq(), err, seq)

@@ -25,9 +25,7 @@ func testNordic() zone.Config {
 // ending in a zone count of 0 — the one byte a DZSNAP2 file lacks.
 func TestSnapshotDefaultZoneWritesEmptyZoneTable(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 7, 60)
 	if err := j.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -53,9 +51,7 @@ func TestSnapshotDefaultZoneWritesEmptyZoneTable(t *testing.T) {
 // restores the zone table along with the extra zone's domains.
 func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 9, 80)
 	if err := s.AddZone(testNordic()); err != nil {
 		t.Fatal(err)
@@ -68,19 +64,12 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	if err := j.Snapshot([]byte("fed-state")); err != nil {
 		t.Fatal(err)
 	}
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-
+	s2, j2, rec := reopened(t, s, j, dir, 0, Options{Mode: ModeSync})
+	defer j2.Close()
 	_, data := latestSnapshotBytes(t, dir)
 	if got := string(data[:len(snapMagic)]); got != snapMagic {
 		t.Fatalf("multi-zone snapshot magic %q, want %q", got, snapMagic)
 	}
-
-	s2 := newTestStore()
-	j2, rec := openJournal(t, s2, dir, ModeSync, false)
-	defer j2.Close()
 	if rec.SnapshotSeq == 0 {
 		t.Fatal("recovery did not load the snapshot")
 	}
@@ -91,9 +80,6 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 	if !ok || !z.TLDSet()["se"] || z.Policy != zone.PolicyInstant || z.Salt != 17 {
 		t.Fatalf("restored zone = %+v, %v", z, ok)
 	}
-	if got := dumpVisible(s2); got != want {
-		t.Error("v3 snapshot recovery differs from original")
-	}
 }
 
 // The WAL path: an AddZone in the tail after a default-only snapshot
@@ -101,9 +87,7 @@ func TestSnapshotMultiZoneV3RoundTrip(t *testing.T) {
 // follow it validate, at every recovery parallelism.
 func TestAddZoneReplaysFromWALTail(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, true)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync, KeepAll: true})
 	workout(t, s, 11, 60)
 	if err := j.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -124,8 +108,7 @@ func TestAddZoneReplaysFromWALTail(t *testing.T) {
 
 	for _, parallelism := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism-%d", parallelism), func(t *testing.T) {
-			s2 := newShardedTestStore(4)
-			j2, rec := openJournalP(t, s2, dir, parallelism, true)
+			s2, j2, rec := journaled(t, dir, 4, Options{Mode: ModeSync, KeepAll: true, RecoveryParallelism: parallelism})
 			defer j2.Close()
 			if rec.ReplayedRecords == 0 {
 				t.Fatal("no WAL tail replayed")
@@ -145,9 +128,7 @@ func TestAddZoneReplaysFromWALTail(t *testing.T) {
 // instead of installing the zone.
 func TestSnapshotWithInvalidZoneFailsOpen(t *testing.T) {
 	dir := t.TempDir()
-	s := newTestStore()
-	j, _ := openJournal(t, s, dir, ModeSync, false)
-	s.SetJournal(j)
+	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 9, 20)
 	if err := s.AddZone(testNordic()); err != nil {
 		t.Fatal(err)

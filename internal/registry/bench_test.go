@@ -52,8 +52,8 @@ func BenchmarkPendingDeletions(b *testing.B) {
 	const perDay = 12_000
 	today := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
 	for _, shards := range []int{1, 8} {
-		s := NewStoreWithShards(simtime.NewSimClock(today.At(12, 0, 0)), shards)
-		s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+		s, clock := newStore(b, shards, 1)
+		clock.Set(today.At(12, 0, 0))
 		updated := today.AddDays(-35).At(6, 30, 0)
 		for i := 0; i < 5*perDay; i++ {
 			name := fmt.Sprintf("p%016x.com", uint64(i)*0x9e3779b97f4a7c15)
@@ -88,10 +88,8 @@ func BenchmarkTick(b *testing.B) {
 	today := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
 	now := today.At(12, 0, 0)
 	build := func() (*Store, *Lifecycle) {
-		s := NewStoreWithShards(simtime.NewSimClock(now), 2)
-		for r := 0; r < 10; r++ {
-			s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
-		}
+		s, clock := newStore(b, 2, 10)
+		clock.Set(now)
 		lc := NewLifecycle(s, DefaultLifecycleConfig())
 		for i := 0; i < population; i++ {
 			expiry := now.Add(time.Duration(1+i%300) * 24 * time.Hour)

@@ -23,13 +23,11 @@ func liveHeap() uint64 {
 	return ms.HeapAlloc
 }
 
-// seedStatusMix fills s with population registrations in the status mix
-// cmd/dropbench's node uses (14 active : 3 autoRenew : 2 redemption :
-// 1 pendingDelete), under two registrars.
+// seedStatusMix fills s, a newStore with two registrars, with population
+// registrations in the status mix cmd/dropbench's node uses (14 active :
+// 3 autoRenew : 2 redemption : 1 pendingDelete).
 func seedStatusMix(tb testing.TB, s *Store, now time.Time, population int) {
 	tb.Helper()
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "A"})
-	s.AddRegistrar(model.Registrar{IANAID: 1001, Name: "B"})
 	today := simtime.DayOf(now)
 	for i := 0; i < population; i++ {
 		name := "budget-domain-" + strconv.Itoa(i) + ".com"
@@ -63,8 +61,7 @@ func TestBytesPerDomainBudget(t *testing.T) {
 	const population = 100_000
 	for _, shards := range []int{1, 8} {
 		t.Run(strconv.Itoa(shards)+"shards", func(t *testing.T) {
-			clock := testClock()
-			s := NewStoreWithShards(clock, shards)
+			s, clock := newStore(t, shards, 2)
 			before := liveHeap()
 			seedStatusMix(t, s, clock.Now(), population)
 			per := (float64(liveHeap()) - float64(before)) / population
@@ -95,8 +92,7 @@ func BenchmarkStoreBuild(b *testing.B) {
 	var insert, hit, miss, gc time.Duration
 	var heap float64
 	for i := 0; i < b.N; i++ {
-		clock := testClock()
-		s := NewStoreWithShards(clock, 2)
+		s, clock := newStore(b, 2, 2)
 		before := liveHeap()
 
 		start := time.Now()

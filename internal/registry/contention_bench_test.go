@@ -16,11 +16,8 @@ import (
 func newContentionStore(b *testing.B, shards int) (*Store, simtime.Day, []string) {
 	b.Helper()
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
-	clock := simtime.NewSimClock(day.At(19, 0, 0))
-	s := NewStoreWithShards(clock, shards)
-	for r := 0; r < 8; r++ {
-		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("Bench %d", r)})
-	}
+	s, clock := newStore(b, shards, 8)
+	clock.Set(day.At(19, 0, 0))
 	created := day.AddDays(-400).At(3, 0, 0)
 	live := make([]string, 10_000)
 	for i := range live {

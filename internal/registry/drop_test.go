@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"dropzero/internal/model"
@@ -17,10 +16,7 @@ import (
 // times (batched per registrar) and returns the store.
 func seedPending(t *testing.T, n int, day simtime.Day, rng *rand.Rand) *Store {
 	t.Helper()
-	s := NewStore(testClock())
-	for r := 0; r < 10; r++ {
-		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
-	}
+	s, _ := newStore(t, 0, 10)
 	updatedDay := day.AddDays(-35)
 	for i := 0; i < n; i++ {
 		reg := 1000 + rng.Intn(10)
@@ -38,25 +34,6 @@ func seedPending(t *testing.T, n int, day simtime.Day, rng *rand.Rand) *Store {
 	return s
 }
 
-func TestBuildQueueOrder(t *testing.T) {
-	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
-	rng := rand.New(rand.NewSource(1))
-	s := seedPending(t, 500, day, rng)
-	q := NewDropRunner(s, DefaultDropConfig()).BuildQueue(day)
-	if len(q) != 500 {
-		t.Fatalf("queue length = %d", len(q))
-	}
-	for i := 1; i < len(q); i++ {
-		a, b := q[i-1], q[i]
-		if b.Updated.Before(a.Updated) {
-			t.Fatalf("queue not sorted by update time at %d", i)
-		}
-		if a.Updated.Equal(b.Updated) && b.ID < a.ID {
-			t.Fatalf("tie not broken by ID at %d", i)
-		}
-	}
-}
-
 // TestBuildQueueMatchesRecordSort holds BuildQueue's packed-key sort to the
 // record sort it replaced — records ordered by (updated, ID) — on stores
 // where each of ten update instants is shared by ≈ 300 names, seeded in
@@ -65,8 +42,7 @@ func TestBuildQueueMatchesRecordSort(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
 	for _, shards := range []int{1, 8} {
 		rng := rand.New(rand.NewSource(int64(shards)))
-		s := NewStoreWithShards(testClock(), shards)
-		s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+		s, _ := newStore(t, shards, 1)
 		for _, i := range rng.Perm(3000) {
 			updated := day.AddDays(-35).At(6, 0, rng.Intn(10))
 			name := fmt.Sprintf("tie%04d.%s", i, []string{"com", "net"}[rng.Intn(2)])
@@ -88,24 +64,6 @@ func TestBuildQueueMatchesRecordSort(t *testing.T) {
 				t.Fatalf("shards=%d: queue[%d] = %+v, the record sort has %s (ID %d)", shards, i, q[i], rec.name(), rec.id)
 			}
 		}
-	}
-}
-
-func TestBuildQueueMixesTLDs(t *testing.T) {
-	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
-	s := seedPending(t, 500, day, rand.New(rand.NewSource(2)))
-	q := NewDropRunner(s, DefaultDropConfig()).BuildQueue(day)
-	com, net := 0, 0
-	for _, e := range q {
-		switch e.TLD {
-		case model.COM:
-			com++
-		case model.NET:
-			net++
-		}
-	}
-	if com == 0 || net == 0 {
-		t.Fatalf("queue should contain both TLDs: com=%d net=%d", com, net)
 	}
 }
 
@@ -235,38 +193,5 @@ func TestDropOnlyTargetsGivenDay(t *testing.T) {
 	}
 	if s.Count() != 30 {
 		t.Fatalf("remaining = %d, want 30", s.Count())
-	}
-}
-
-// Property: for any random set of (updated, id) pairs, the queue order is a
-// total order consistent with (Updated, ID) lexicographic comparison.
-func TestQueueOrderProperty(t *testing.T) {
-	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := NewStore(testClock())
-		s.AddRegistrar(model.Registrar{IANAID: 1000})
-		n := 50 + rng.Intn(100)
-		for i := 0; i < n; i++ {
-			updated := day.AddDays(-35).At(6, 0, rng.Intn(30))
-			name := fmt.Sprintf("p%d-%d.com", seed&0xffff, i)
-			if _, err := s.SeedAt(name, 1000, updated.AddDate(-1, 0, 0), updated, updated, model.StatusPendingDelete, day); err != nil {
-				return false
-			}
-		}
-		q := NewDropRunner(s, DefaultDropConfig()).BuildQueue(day)
-		for i := 1; i < len(q); i++ {
-			a, b := q[i-1], q[i]
-			if b.Updated.Before(a.Updated) {
-				return false
-			}
-			if a.Updated.Equal(b.Updated) && b.ID <= a.ID {
-				return false
-			}
-		}
-		return len(q) == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
 	}
 }

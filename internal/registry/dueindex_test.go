@@ -72,7 +72,7 @@ func indexSize(s *Store) int {
 // asserts it always sits in exactly one bucket, keyed by the day its
 // current window opened, whatever Lifecycle is attached.
 func TestDueIndexFollowsLifecycle(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	cfg := DefaultLifecycleConfig()
 	cfg.GraceDays = map[int]int{1000: 40, 1001: 40}
 	NewLifecycle(s, cfg)
@@ -219,9 +219,7 @@ func TestDueIndexDaysBookkeeping(t *testing.T) {
 // member once, compacts once more than half of it is stale and is freed at
 // its last member.
 func TestDueBucketKeepsEachRefOnce(t *testing.T) {
-	clock := testClock()
-	s := NewStoreWithShards(clock, 1)
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+	s, clock := newStore(t, 1, 1)
 	NewLifecycle(s, DefaultLifecycleConfig())
 	day := simtime.DayOf(clock.Now()).AddDays(3)
 	other := day.AddDays(1)
@@ -298,9 +296,7 @@ func TestDueBucketKeepsEachRefOnce(t *testing.T) {
 // reviving that ref rather than adding a second. One shard, so the three
 // share a bucket.
 func TestUnindexedStatusLeavesItsBucket(t *testing.T) {
-	clock := testClock()
-	s := NewStoreWithShards(clock, 1)
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test Registrar"})
+	s, clock := newStore(t, 1, 1)
 	NewLifecycle(s, DefaultLifecycleConfig())
 	day := simtime.DayOf(clock.Now()).AddDays(2)
 	for _, name := range []string{"first.com", "middle.com", "last.com"} {
@@ -375,9 +371,7 @@ func TestChunkBoundNeverHidesAnExpiry(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			clock := testClock()
-			s := NewStoreWithShards(clock, 1)
-			s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+			s, _ := newStore(t, 1, 1)
 			lc := NewLifecycle(s, DefaultLifecycleConfig())
 			if _, err := s.SeedAt("far.com", 1000, now.AddDate(-1, 0, 0), now, now.AddDate(5, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
 				t.Fatal(err)
@@ -414,9 +408,7 @@ func TestChunkBoundNeverHidesAnExpiry(t *testing.T) {
 // whose bound is not after now — here the one chunk of four holding an early
 // expiry — and, once a walk has found that registration moved on, none.
 func TestActivePassSkipsChunksNotDue(t *testing.T) {
-	clock := testClock()
-	s := NewStoreWithShards(clock, 1)
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+	s, clock := newStore(t, 1, 1)
 	lc := NewLifecycle(s, DefaultLifecycleConfig())
 	now := clock.Now()
 	const n = 4 * chunkSize
@@ -458,7 +450,7 @@ func TestActivePassSkipsChunksNotDue(t *testing.T) {
 // locking contract: collect what to change while iterating (the read lock is
 // held, so no Store calls from fn), apply after Each returns.
 func TestEachCollectThenAct(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	for i := 0; i < 10; i++ {
 		if _, err := s.Create(fmt.Sprintf("collect%d.com", i), 1000, 1); err != nil {
 			t.Fatal(err)
@@ -484,7 +476,7 @@ func TestEachCollectThenAct(t *testing.T) {
 // TestStatusCountsStayConsistent cross-checks the incremental per-status
 // counters against a fresh full count after a burst of mixed mutations.
 func TestStatusCountsStayConsistent(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	NewLifecycle(s, DefaultLifecycleConfig())
 	day := simtime.DayOf(clock.Now())
 	for i := 0; i < 40; i++ {
@@ -531,11 +523,8 @@ func TestStatusCountsStayConsistent(t *testing.T) {
 func sweepWorld(tb testing.TB, storeSize, pendingPerDay int) (*Store, *Lifecycle, *DropRunner, simtime.Day) {
 	tb.Helper()
 	today := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
-	clock := simtime.NewSimClock(today.At(12, 0, 0))
-	s := NewStore(clock)
-	for r := 0; r < 10; r++ {
-		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
-	}
+	s, clock := newStore(tb, 0, 10)
+	clock.Set(today.At(12, 0, 0))
 	lc := NewLifecycle(s, DefaultLifecycleConfig())
 
 	pending := 5 * pendingPerDay

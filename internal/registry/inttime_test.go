@@ -144,7 +144,7 @@ func TestMutatorsRefuseUnrepresentable(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			s, clock := testStore(t)
+			s, clock := newStore(t, 0, 2)
 			NewLifecycle(s, DefaultLifecycleConfig())
 			if _, err := s.Create("held.com", 1000, 1); err != nil {
 				t.Fatal(err)
@@ -230,7 +230,7 @@ func TestPurgeRefusesUnrepresentable(t *testing.T) {
 	for evName, ev := range events {
 		for pathName, purge := range paths {
 			t.Run(evName+"/"+pathName, func(t *testing.T) {
-				s, _ := testStore(t)
+				s, _ := newStore(t, 0, 2)
 				for _, name := range []string{"held.com", "other.com"} {
 					if _, err := s.Create(name, 1000, 1); err != nil {
 						t.Fatal(err)
@@ -281,7 +281,7 @@ func TestPurgeRefusesUnrepresentable(t *testing.T) {
 // create's term, and changes nothing; it used to shorten terms (-5) and
 // store expiries in year 102014 (100000).
 func TestRenewRejectsBadPeriod(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	NewLifecycle(s, DefaultLifecycleConfig())
 	if _, err := s.Create("held.com", 1000, 1); err != nil {
 		t.Fatal(err)

@@ -11,9 +11,7 @@ import (
 )
 
 func TestLifecycleFullPipeline(t *testing.T) {
-	clock := simtime.NewSimClock(time.Date(2017, 1, 1, 12, 0, 0, 0, time.UTC))
-	s := NewStore(clock)
-	s.AddRegistrar(model.Registrar{IANAID: 1000})
+	s, clock := newStore(t, 0, 1)
 	cfg := DefaultLifecycleConfig()
 	cfg.GraceDays = map[int]int{1000: 40}
 	lc := NewLifecycle(s, cfg)
@@ -83,9 +81,7 @@ func TestLifecycleFullPipeline(t *testing.T) {
 }
 
 func TestLifecycleRenewalPreventsExpiry(t *testing.T) {
-	clock := simtime.NewSimClock(time.Date(2017, 1, 1, 12, 0, 0, 0, time.UTC))
-	s := NewStore(clock)
-	s.AddRegistrar(model.Registrar{IANAID: 1000})
+	s, clock := newStore(t, 0, 1)
 	lc := NewLifecycle(s, DefaultLifecycleConfig())
 
 	d, _ := s.Create("renewed.com", 1000, 1)
@@ -145,9 +141,7 @@ func TestBatchInstantNotMonotonicInID(t *testing.T) {
 
 func TestLifecycleDeterministicOrder(t *testing.T) {
 	run := func() []int {
-		clock := simtime.NewSimClock(time.Date(2017, 1, 1, 12, 0, 0, 0, time.UTC))
-		s := NewStore(clock)
-		s.AddRegistrar(model.Registrar{IANAID: 1000})
+		s, clock := newStore(t, 0, 1)
 		lc := NewLifecycle(s, DefaultLifecycleConfig())
 		for i := 0; i < 10; i++ {
 			s.Create("d"+string(rune('a'+i))+".com", 1000, 1)
@@ -172,7 +166,7 @@ func TestLifecycleDeterministicOrder(t *testing.T) {
 // which moves them on the zone's clocks — here a 40-day redemption and a
 // 10-day pendingDelete window, against .com's 30 and 5.
 func TestLifecycleScopedToItsZone(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	def := NewLifecycle(s, DefaultLifecycleConfig())
 	slow := nordicZone()
 	slow.Lifecycle.RedemptionDays, slow.Lifecycle.PendingDeleteDays = 40, 10
@@ -209,7 +203,7 @@ func TestLifecycleScopedToItsZone(t *testing.T) {
 // its Lifecycle a 3-day one, so a name that went to autoRenew 4 days ago is
 // due for redemption.
 func TestTickFollowsItsOwnConfig(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	z := nordicZone()
 	z.Lifecycle.DefaultGraceDays = 30
 	if err := s.AddZone(z); err != nil {
@@ -235,7 +229,7 @@ func TestTickFollowsItsOwnConfig(t *testing.T) {
 // redemption.
 func TestNewLifecycleCostDoesNotGrowWithStore(t *testing.T) {
 	cost := func(n int) float64 {
-		s, clock := testStore(t)
+		s, clock := newStore(t, 0, 2)
 		for i := 0; i < n; i++ {
 			st := model.StatusAutoRenew
 			if i%2 == 1 {

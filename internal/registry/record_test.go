@@ -107,7 +107,7 @@ func FuzzRecordRoundTrip(f *testing.F) {
 // exactly is an error and leaves the registration, and its index entry,
 // as they were.
 func TestReplayRefusesUnrepresentable(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
 	seed := Mutation{Kind: MutSeed, ID: 1, Name: "exact.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0)}
 	if err := s.Apply(seed); err != nil {
@@ -167,7 +167,7 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 // TLD that is not its name's last label, or whose name is longer than a
 // record's length byte, is refused, and the store stays as it was.
 func TestRestoreRefusesUnrepresentable(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
 	if _, err := s.SeedAt("exact.com", 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
 		t.Fatal(err)
@@ -193,7 +193,7 @@ func TestRestoreRefusesUnrepresentable(t *testing.T) {
 // zone operates — is refused, and the store stays as it was. Every stored
 // name is therefore written as it stands in a list row, with nothing to quote.
 func TestRestoreRefusesNamesACreateRefuses(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	at := time.Date(2018, 1, 8, 9, 0, 0, 0, time.UTC)
 	for i, name := range []string{"Upper.com", "a,b.com", `a"b.com`, " lead.com", "new\nline.com", "-dash.com", "ok.org"} {
 		tld, _ := model.TLDOf(name)
@@ -212,7 +212,7 @@ func TestRestoreRefusesNamesACreateRefuses(t *testing.T) {
 // without consuming an ID or changing the store, while a replayed create,
 // which brings its own ID, still lands.
 func TestExhaustedAllocatorRefusesCreates(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	at := simtime.Trunc(clock.Now())
 	s.FinishRestore(s.Generation(), math.MaxUint32-1)
 	d, err := s.CreateAt("last.com", 1000, 1, at)
@@ -249,7 +249,7 @@ func TestExhaustedAllocatorRefusesCreates(t *testing.T) {
 // ErrBadAuthInfo — empty, wrong, the code a transfer rotated away, and any
 // guess at all for a seeded registration, which has no code.
 func TestTransferRejectsBadAuthInfo(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	created, err := s.Create("held.com", 1000, 1)
 	if err != nil {
 		t.Fatal(err)

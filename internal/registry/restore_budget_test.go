@@ -4,11 +4,9 @@ import (
 	"runtime"
 	"strconv"
 	"testing"
-	"time"
 
 	"dropzero/internal/journal"
 	"dropzero/internal/registry"
-	"dropzero/internal/simtime"
 )
 
 // restoredBytesPerDomainBudget is the live-heap ceiling for one registration
@@ -26,10 +24,9 @@ func TestRestoredBytesPerDomainBudget(t *testing.T) {
 	const population = 100_000
 	for _, shards := range []int{1, 8} {
 		t.Run(strconv.Itoa(shards)+"shards", func(t *testing.T) {
-			clock := simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
 			dir := t.TempDir()
 			opts := journal.Options{Dir: dir, Mode: journal.ModeAsync}
-			src := registry.NewStoreWithShards(clock, shards)
+			src, clock := registry.NewTestStore(t, shards, 2)
 			j, _, err := journal.Open(src, opts)
 			if err != nil {
 				t.Fatal(err)

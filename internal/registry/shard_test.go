@@ -44,9 +44,7 @@ func TestNormalizeShardCount(t *testing.T) {
 // shard of a 16-shard store ends up owning registrations — a canary against
 // a routing bug that collapses the hash onto a few shards.
 func TestShardRoutingCoversAllShards(t *testing.T) {
-	clock := testClock()
-	s := NewStoreWithShards(clock, 16)
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "R"})
+	s, _ := newStore(t, 16, 1)
 	for i := 0; i < 600; i++ {
 		if _, err := s.Create(fmt.Sprintf("route%04d.com", i), 1000, 1); err != nil {
 			t.Fatal(err)
@@ -70,10 +68,7 @@ func TestShardRoutingCoversAllShards(t *testing.T) {
 // deliberately over-sharded store: routing must be stable across Create,
 // Get, Touch, Transfer, lifecycle transitions and purge.
 func TestShardedStoreBasicOpsAt16(t *testing.T) {
-	clock := testClock()
-	s := NewStoreWithShards(clock, 16)
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "A"})
-	s.AddRegistrar(model.Registrar{IANAID: 1001, Name: "B"})
+	s, clock := newStore(t, 16, 2)
 
 	d, err := s.Create("crossshard.com", 1000, 1)
 	if err != nil {
@@ -118,11 +113,8 @@ func TestShardedStoreBasicOpsAt16(t *testing.T) {
 // the purge, and the store's indexes stay consistent.
 func TestConcurrentCreatesDuringDrop(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.March, Dom: 1}
-	clock := simtime.NewSimClock(day.At(18, 59, 0))
-	s := NewStoreWithShards(clock, 8)
-	for r := 0; r < 4; r++ {
-		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
-	}
+	s, clock := newStore(t, 8, 4)
+	clock.Set(day.At(18, 59, 0))
 	NewLifecycle(s, DefaultLifecycleConfig())
 
 	const nPending = 120

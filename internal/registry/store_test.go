@@ -48,17 +48,21 @@ func testClock() *simtime.SimClock {
 	return simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
 }
 
-func testStore(t *testing.T) (*Store, *simtime.SimClock) {
-	t.Helper()
+// newStore is the package's store fixture: an empty store of shards shards
+// (0: the GOMAXPROCS default) on testClock, with registrars 1000, 1001, …
+// (registrars of them) named R0, R1, ….
+func newStore(tb testing.TB, shards, registrars int) (*Store, *simtime.SimClock) {
+	tb.Helper()
 	clock := testClock()
-	s := NewStore(clock)
-	s.AddRegistrar(model.Registrar{IANAID: 1000, Name: "Test Registrar"})
-	s.AddRegistrar(model.Registrar{IANAID: 1001, Name: "Other Registrar"})
+	s := NewStoreWithShards(clock, shards)
+	for r := 0; r < registrars; r++ {
+		s.AddRegistrar(model.Registrar{IANAID: 1000 + r, Name: fmt.Sprintf("R%d", r)})
+	}
 	return s, clock
 }
 
 func TestCreateAndGet(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	d, err := s.Create("example.com", 1000, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +91,7 @@ func TestCreateAndGet(t *testing.T) {
 // allocates — the table's chunks and buckets amortise to nothing over
 // 10 000 inserts.
 func TestInsertAllocatesNothing(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	at := clock.Now()
 	const runs = 10_000
 	names := make([]string, 2*(runs+1))
@@ -119,7 +123,7 @@ func TestInsertAllocatesNothing(t *testing.T) {
 }
 
 func TestCreateDuplicateFails(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	if _, err := s.Create("example.com", 1000, 1); err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +134,7 @@ func TestCreateDuplicateFails(t *testing.T) {
 }
 
 func TestCreateValidation(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	cases := []struct {
 		name  string
 		years int
@@ -156,7 +160,7 @@ func TestCreateValidation(t *testing.T) {
 }
 
 func TestCreateReturnsCopy(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	d, _ := s.Create("example.com", 1000, 1)
 	d.Name = "mutated.com"
 	got, _ := s.Get("example.com")
@@ -166,7 +170,7 @@ func TestCreateReturnsCopy(t *testing.T) {
 }
 
 func TestAvailable(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	avail, err := s.Available("example.com")
 	if err != nil || !avail {
 		t.Fatalf("Available before create: %v, %v", avail, err)
@@ -182,7 +186,7 @@ func TestAvailable(t *testing.T) {
 }
 
 func TestTouchUpdatesTimestamp(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("example.com", 1000, 1)
 	clock.Advance(time.Hour)
 	if err := s.Touch("example.com", 1000); err != nil {
@@ -201,7 +205,7 @@ func TestTouchUpdatesTimestamp(t *testing.T) {
 }
 
 func TestRenewExtendsExpiry(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	d, _ := s.Create("example.com", 1000, 1)
 	if err := s.Renew("example.com", 1000, 2); err != nil {
 		t.Fatal(err)
@@ -216,7 +220,7 @@ func TestRenewExtendsExpiry(t *testing.T) {
 }
 
 func TestIDsIncreaseWithCreation(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	var last uint64
 	for i := 0; i < 10; i++ {
 		d, err := s.Create(fmt.Sprintf("domain%d.com", i), 1000, 1)
@@ -232,7 +236,7 @@ func TestIDsIncreaseWithCreation(t *testing.T) {
 }
 
 func TestMarkRedemptionAndPendingDelete(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("example.com", 1000, 1)
 	at := clock.Now().Add(time.Hour)
 	if err := s.MarkRedemption("example.com", 1000, at); err != nil {
@@ -253,29 +257,6 @@ func TestMarkRedemptionAndPendingDelete(t *testing.T) {
 	// Updated must be preserved when zero time passed.
 	if !d.Updated.Equal(simtime.Trunc(at)) {
 		t.Fatalf("Updated changed: %v", d.Updated)
-	}
-}
-
-func TestPendingDeletionsWindow(t *testing.T) {
-	s, clock := testStore(t)
-	base := simtime.DayOf(clock.Now())
-	for i := 0; i < 8; i++ {
-		name := fmt.Sprintf("d%d.com", i)
-		s.Create(name, 1000, 1)
-		s.MarkPendingDelete(name, time.Time{}, base.AddDays(i))
-	}
-	got := s.PendingDeletions(base, 5)
-	if len(got) != 5 {
-		t.Fatalf("PendingDeletions returned %d, want 5", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		a, b := got[i-1], got[i]
-		if b.DeleteDay().Before(a.DeleteDay()) {
-			t.Fatal("results not sorted by delete day")
-		}
-		if a.DeleteDay() == b.DeleteDay() && a.Name > b.Name {
-			t.Fatal("results not sorted by name within day")
-		}
 	}
 }
 
@@ -311,7 +292,7 @@ func TestPendingDeletionsMatchesScanAcrossWindows(t *testing.T) {
 }
 
 func TestPurgeLifecycleChecks(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("active.com", 1000, 1)
 	if _, err := s.purge("active.com", clock.Now(), 0); !errors.Is(err, ErrNotPendingDelete) {
 		t.Fatalf("purge active: %v", err)
@@ -322,7 +303,7 @@ func TestPurgeLifecycleChecks(t *testing.T) {
 }
 
 func TestPurgeRecordsGroundTruthAndFreesName(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	d, _ := s.Create("example.com", 1000, 1)
 	day := simtime.DayOf(clock.Now())
 	s.MarkPendingDelete("example.com", time.Time{}, day)
@@ -352,7 +333,7 @@ func TestPurgeRecordsGroundTruthAndFreesName(t *testing.T) {
 }
 
 func TestSeedAtPreservesFields(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	created := time.Date(2014, 3, 1, 4, 5, 6, 0, time.UTC)
 	updated := time.Date(2017, 11, 27, 6, 30, 12, 0, time.UTC)
 	expiry := time.Date(2017, 10, 20, 4, 5, 6, 0, time.UTC)
@@ -370,7 +351,7 @@ func TestSeedAtPreservesFields(t *testing.T) {
 }
 
 func TestRegistrarsSorted(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	rs := s.Registrars()
 	if len(rs) != 2 || rs[0].IANAID != 1000 || rs[1].IANAID != 1001 {
 		t.Fatalf("Registrars = %+v", rs)
@@ -490,7 +471,7 @@ func TestRegistrarReadersDuringAdds(t *testing.T) {
 }
 
 func TestEachEarlyStop(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	for i := 0; i < 5; i++ {
 		s.Create(fmt.Sprintf("d%d.com", i), 1000, 1)
 	}
@@ -505,7 +486,7 @@ func TestEachEarlyStop(t *testing.T) {
 }
 
 func TestStoreConcurrentAccess(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -545,7 +526,7 @@ func (r *recordingObserver) DomainTransitioned(name string, registrarID int, fro
 }
 
 func TestStoreObserverEvents(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	obs := &recordingObserver{}
 	s.SetObserver(obs)
 
@@ -670,7 +651,7 @@ func TestPurgeOutlivesItsSlot(t *testing.T) {
 // TestStoreObserverCanReadStore guards against deadlock: observers may call
 // back into the store synchronously.
 func TestStoreObserverCanReadStore(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("reader.com", 1000, 1)
 	s.SetObserver(observerFunc(func() {
 		if _, err := s.Get("reader.com"); err != nil {
@@ -689,7 +670,7 @@ func (f observerFunc) DomainPurged(model.DeletionEvent, int)                    
 func (f observerFunc) DomainTransitioned(string, int, model.Status, model.Status) { f() }
 
 func TestAuthInfoAccess(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	s.Create("auth.com", 1000, 1)
 	code, err := s.AuthInfo("auth.com", 1000)
 	if err != nil || code == "" {
@@ -704,7 +685,7 @@ func TestAuthInfoAccess(t *testing.T) {
 }
 
 func TestTransfer(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("moving.com", 1000, 1)
 	code, _ := s.AuthInfo("moving.com", 1000)
 
@@ -743,7 +724,7 @@ func TestTransfer(t *testing.T) {
 // name and it is active or in autoRenew; a refusal changes nothing and
 // bumps no generation.
 func TestMarkRedemptionRefuses(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	updated := clock.Now().AddDate(0, 0, -40)
 	for name, st := range map[string]model.Status{
 		"autorenew.com":     model.StatusAutoRenew,
@@ -783,7 +764,7 @@ func TestMarkRedemptionRefuses(t *testing.T) {
 }
 
 func TestTransferStatusProhibits(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("stuck.com", 1000, 1)
 	code, _ := s.AuthInfo("stuck.com", 1000)
 	s.MarkRedemption("stuck.com", 1000, clock.Now())
@@ -799,7 +780,7 @@ func (r *recordingObserver) DomainTransferred(name string, losingID, gainingID i
 func (f observerFunc) DomainTransferred(string, int, int) { f() }
 
 func TestTransferNotifiesObserver(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	obs := &recordingObserver{}
 	s.SetObserver(obs)
 	s.Create("note.com", 1000, 1)
@@ -819,7 +800,7 @@ func TestTransferNotifiesObserver(t *testing.T) {
 }
 
 func TestStatusCounts(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	s.Create("a.com", 1000, 1)
 	s.Create("b.com", 1000, 1)
 	s.MarkRedemption("b.com", 1000, clock.Now())
@@ -834,7 +815,7 @@ func TestStatusCounts(t *testing.T) {
 // generation-keyed response caches flush), reads never bump it, and failed
 // operations leave it untouched (so caches are not needlessly invalidated).
 func TestGenerationBumpsOnEveryMutator(t *testing.T) {
-	s, clock := testStore(t)
+	s, clock := newStore(t, 0, 2)
 	day := simtime.DayOf(clock.Now())
 
 	// bumped asserts fn increases the generation by exactly n.
@@ -948,7 +929,7 @@ func TestGenerationBumpsOnEveryMutator(t *testing.T) {
 // reads concurrently: the counter must be strictly monotonic from any single
 // reader's point of view and end at exactly one bump per committed mutation.
 func TestGenerationMonotonicUnderConcurrency(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	start := s.Generation()
 	const n = 200
 	var wg sync.WaitGroup

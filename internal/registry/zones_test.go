@@ -24,7 +24,7 @@ func nordicZone() zone.Config {
 }
 
 func TestAddZoneMakesTLDsCreatable(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	if err := s.CheckName("foo.se"); !errors.Is(err, ErrUnknownTLD) {
 		t.Fatalf("pre-AddZone CheckName = %v, want ErrUnknownTLD", err)
 	}
@@ -58,7 +58,7 @@ func TestAddZoneMakesTLDsCreatable(t *testing.T) {
 }
 
 func TestAddZoneRejectsConflicts(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	if err := s.AddZone(nordicZone()); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestAddZoneRejectsConflicts(t *testing.T) {
 func TestInstallZones(t *testing.T) {
 	install := func(t *testing.T, hosted *zone.Config, configured zone.Config) ([]Mutation, error) {
 		t.Helper()
-		s, _ := testStore(t)
+		s, _ := newStore(t, 0, 2)
 		if hosted != nil {
 			if err := s.AddZone(*hosted); err != nil {
 				t.Fatal(err)
@@ -220,7 +220,7 @@ func TestReplayRefusesInvalidZone(t *testing.T) {
 			t.Run(what+"/"+path, func(t *testing.T) {
 				z := nordicZone()
 				spoil(&z)
-				s, _ := testStore(t)
+				s, _ := newStore(t, 0, 2)
 				before := fmt.Sprint(s.Zones())
 				if err := apply(s, Mutation{Kind: MutAddZone, Zone: z}); err == nil {
 					t.Fatalf("replayed zone %+v was installed", z)
@@ -239,7 +239,7 @@ func TestReplayRefusesInvalidZone(t *testing.T) {
 // One store, two zones, one deletion day: each zone's runner must see only
 // its own names, together covering the whole bucket.
 func TestZoneScopedDropQueues(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	if err := s.AddZone(nordicZone()); err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestZoneScopedDropQueues(t *testing.T) {
 // A runner belongs to the zone it was built for: the default zone's, built
 // before another zone is added, never queues that zone's names.
 func TestDropRunnerBuiltBeforeAddZone(t *testing.T) {
-	s, _ := testStore(t)
+	s, _ := newStore(t, 0, 2)
 	runner := NewDropRunner(s, DefaultDropConfig())
 	if err := s.AddZone(nordicZone()); err != nil {
 		t.Fatal(err)

@@ -33,16 +33,39 @@ var testStart = simtime.Day{Year: 2018, Month: time.January, Dom: 8}
 
 const testRegistrar = 7001
 
-// newPrimary builds a store with a sync-mode journal attached in dir.
-func newPrimary(t *testing.T, dir string) (*registry.Store, *journal.Journal) {
+// newPrimary builds a store with a journal in mode attached, in a
+// temporary directory, closed when the test ends.
+func newPrimary(t *testing.T, mode journal.Mode) (*registry.Store, *journal.Journal) {
 	t.Helper()
 	store := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	jnl, _, err := journal.Open(store, journal.Options{Dir: dir, Mode: journal.ModeSync})
+	jnl, _, err := journal.Open(store, journal.Options{Dir: t.TempDir(), Mode: mode})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { jnl.Close() })
 	store.SetJournal(jnl)
 	return store, jnl
+}
+
+// newFollower is the package's replica fixture: a follower into an empty
+// store of shards shards (0: the GOMAXPROCS default), not started, closed
+// when the test ends. cfg.Dir defaults to a temporary directory, cfg.Dial
+// to a pipe to src.
+func newFollower(t *testing.T, src *Source, shards int, cfg FollowerConfig) (*registry.Store, *Follower) {
+	t.Helper()
+	if cfg.Dir == "" {
+		cfg.Dir = t.TempDir()
+	}
+	if cfg.Dial == nil {
+		cfg.Dial = pipeDialer(src, nil)
+	}
+	store := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), shards)
+	f, err := NewFollower(store, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { f.Close() })
+	return store, f
 }
 
 // seedPrimary populates n domains (every third one scheduled for deletion
@@ -221,8 +244,7 @@ func mutatePrimary(t *testing.T, store *registry.Store, names []string, round in
 // dropscope pending-delete list, ETags included — render byte-identically
 // to the primary's at the same generation.
 func TestReplicaMatchesPrimaryBytes(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	names := seedPrimary(t, store, 120)
 
 	// Snapshot mid-history so bootstrap exercises snapshot + tail, then
@@ -235,15 +257,7 @@ func TestReplicaMatchesPrimaryBytes(t *testing.T) {
 	src := NewSource(jnl, SourceConfig{})
 	defer src.Close()
 
-	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err := NewFollower(fstore, FollowerConfig{
-		Dir:  t.TempDir(),
-		Dial: pipeDialer(src, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fstore, f := newFollower(t, src, 0, FollowerConfig{})
 	f.Start()
 	waitApplied(t, f, jnl.LastSeq())
 
@@ -269,6 +283,7 @@ func TestReplicaMatchesPrimaryBytes(t *testing.T) {
 	var logs [2][]byte
 	for i, dir := range []string{jnl.Dir(), f.cfg.Dir} {
 		tr := journal.NewTailReader(dir, snapSeq)
+		var err error
 		logs[i], _, _, err = tr.Next(nil, jnl.LastSeq(), 1<<30)
 		tr.Close()
 		if err != nil {
@@ -296,16 +311,11 @@ func TestReplicaMatchesPrimaryBytes(t *testing.T) {
 // observation per applied batch of the run, and its maximum is the peak the
 // metrics report.
 func TestFollowerLagCoversEveryBatch(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	names := seedPrimary(t, store, 30)
 	src := NewSource(jnl, SourceConfig{})
 	defer src.Close()
-	f, err := NewFollower(registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0))),
-		FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, f := newFollower(t, src, 0, FollowerConfig{})
 	f.Start()
 	waitApplied(t, f, jnl.LastSeq())
 	for round := 0; round < 3; round++ {
@@ -353,12 +363,7 @@ func TestFollowerCatchUpBatchAppliesOnEveryCore(t *testing.T) {
 
 	src := NewSource(jnl, SourceConfig{})
 	defer src.Close()
-	fstore := registry.NewStoreWithShards(simtime.NewSimClock(testStart.At(0, 0, 0)), 8)
-	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fstore, f := newFollower(t, src, 8, FollowerConfig{})
 	f.Start()
 	waitApplied(t, f, jnl.LastSeq())
 
@@ -401,8 +406,7 @@ func (c *limitConn) Read(p []byte) (int, error) {
 // clean, and the follower must converge to the primary byte-for-byte with
 // no duplicated or skipped sequence.
 func resumeHarness(t *testing.T, cutBytes int64, cfg SourceConfig) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	names := seedPrimary(t, store, 120)
 	if err := jnl.Snapshot(nil); err != nil {
 		t.Fatal(err)
@@ -415,9 +419,7 @@ func resumeHarness(t *testing.T, cutBytes int64, cfg SourceConfig) {
 
 	var conns atomic.Int64
 	dial := pipeDialer(src, nil)
-	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err := NewFollower(fstore, FollowerConfig{
-		Dir: t.TempDir(),
+	fstore, f := newFollower(t, src, 0, FollowerConfig{
 		Dial: func() (net.Conn, error) {
 			conn, err := dial()
 			if conns.Add(1) == 1 && err == nil {
@@ -427,10 +429,6 @@ func resumeHarness(t *testing.T, cutBytes int64, cfg SourceConfig) {
 		},
 		reconnectWait: 10 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
 	f.Start()
 	waitApplied(t, f, jnl.LastSeq())
 
@@ -458,12 +456,7 @@ func resumeHarness(t *testing.T, cutBytes int64, cfg SourceConfig) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	rf, err := NewFollower(rstore, FollowerConfig{Dir: f.cfg.Dir, Dial: dial})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rf.Close()
+	rstore, rf := newFollower(t, src, 0, FollowerConfig{Dir: f.cfg.Dir})
 	if rf.AppliedSeq() != jnl.LastSeq() {
 		t.Fatalf("restarted follower recovered to seq %d, want %d", rf.AppliedSeq(), jnl.LastSeq())
 	}
@@ -522,18 +515,12 @@ func TestFollowerResumeMidTail(t *testing.T) {
 // applied or logged, the replica is not poisoned, and the redial applies the
 // next well-formed batch.
 func TestFollowerRejectsEmptyBatch(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	seedPrimary(t, store, 20)
 	src := NewSource(jnl, SourceConfig{})
 	defer src.Close()
 
-	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err := NewFollower(fstore, FollowerConfig{Dir: t.TempDir(), Dial: pipeDialer(src, nil), reconnectWait: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fstore, f := newFollower(t, src, 0, FollowerConfig{reconnectWait: 10 * time.Millisecond})
 
 	client, server := net.Pipe()
 	defer server.Close()
@@ -573,36 +560,26 @@ func TestFollowerRejectsEmptyBatch(t *testing.T) {
 // terminally, naming both positions — and B's later records never land on
 // top of A's state.
 func TestFollowerAheadOfPrimaryIsRefused(t *testing.T) {
-	storeA, jnlA := newPrimary(t, t.TempDir())
-	defer jnlA.Close()
+	storeA, jnlA := newPrimary(t, journal.ModeSync)
 	seedPrimary(t, storeA, 30)
 	srcA := NewSource(jnlA, SourceConfig{})
 	defer srcA.Close()
 	dir := t.TempDir()
-	f, err := NewFollower(registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0))), FollowerConfig{Dir: dir, Dial: pipeDialer(srcA, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, f := newFollower(t, srcA, 0, FollowerConfig{Dir: dir})
 	f.Start()
 	waitApplied(t, f, jnlA.LastSeq())
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	storeB, jnlB := newPrimary(t, t.TempDir())
-	defer jnlB.Close()
+	storeB, jnlB := newPrimary(t, journal.ModeSync)
 	namesB := seedPrimary(t, storeB, 20)
 	if jnlB.LastSeq() >= jnlA.LastSeq() {
 		t.Fatalf("primary B at seq %d is not behind A's %d", jnlB.LastSeq(), jnlA.LastSeq())
 	}
 	srcB := NewSource(jnlB, SourceConfig{})
 	defer srcB.Close()
-	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err = NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(srcB, nil), reconnectWait: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fstore, f := newFollower(t, srcB, 0, FollowerConfig{Dir: dir, reconnectWait: 10 * time.Millisecond})
 	gen := fstore.Generation()
 	f.Start()
 	for deadline := time.Now().Add(10 * time.Second); f.Err() == nil; time.Sleep(2 * time.Millisecond) {
@@ -631,19 +608,13 @@ func TestFollowerAheadOfPrimaryIsRefused(t *testing.T) {
 // the peer cares to keep the connection — and left a transport error behind:
 // nothing applied, logged or poisoned, and the redial bootstraps.
 func TestFollowerSnapshotSizeIsAClaim(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	seedPrimary(t, store, 20)
 	src := NewSource(jnl, SourceConfig{})
 	defer src.Close()
 
-	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
 	dir := t.TempDir()
-	f, err := NewFollower(fstore, FollowerConfig{Dir: dir, Dial: pipeDialer(src, nil), reconnectWait: 10 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fstore, f := newFollower(t, src, 0, FollowerConfig{Dir: dir, reconnectWait: 10 * time.Millisecond})
 
 	client, server := net.Pipe()
 	defer server.Close()
@@ -700,17 +671,15 @@ func TestFollowerSnapshotSizeIsAClaim(t *testing.T) {
 // to its caller must exist on the promoted store, and the promoted store
 // must accept new writes.
 func TestFailoverZeroLoss(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
+	store, jnl := newPrimary(t, journal.ModeSync)
 	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 5 * time.Second})
 	store.SetJournal(&SyncJournal{J: jnl, S: src})
 	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
 
 	var primaryDown atomic.Bool
-	newFollower := func() (*Follower, *registry.Store) {
-		fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-		dial := pipeDialer(src, nil)
-		f, err := NewFollower(fstore, FollowerConfig{
-			Dir: t.TempDir(),
+	dial := pipeDialer(src, nil)
+	follower := func() (*Follower, *registry.Store) {
+		fstore, f := newFollower(t, src, 0, FollowerConfig{
 			Dial: func() (net.Conn, error) {
 				if primaryDown.Load() {
 					return nil, fmt.Errorf("primary is down")
@@ -719,14 +688,11 @@ func TestFailoverZeroLoss(t *testing.T) {
 			},
 			reconnectWait: 10 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		f.Start()
 		return f, fstore
 	}
-	f1, fstore1 := newFollower()
-	f2, fstore2 := newFollower()
+	f1, fstore1 := follower()
+	f2, fstore2 := follower()
 
 	// Concurrent clients create domains; each success is an acknowledged
 	// mutation — fsynced on the primary AND applied+fsynced on a follower.
@@ -815,17 +781,12 @@ func TestFailoverZeroLoss(t *testing.T) {
 // mutation with no follower holding it. Now the mutation's wait fails and
 // names the misuse.
 func TestSyncJournalRefusesAsyncJournal(t *testing.T) {
-	store := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	jnl, _, err := journal.Open(store, journal.Options{Dir: t.TempDir(), Mode: journal.ModeAsync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeAsync)
 	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 50 * time.Millisecond})
 	defer src.Close()
 	store.SetJournal(&SyncJournal{J: jnl, S: src})
 	store.AddRegistrar(model.Registrar{IANAID: testRegistrar, Name: "Repl Test Registrar"})
-	_, err = store.CreateAt("unsynced.com", testRegistrar, 1, testStart.At(3, 0, 0))
+	_, err := store.CreateAt("unsynced.com", testRegistrar, 1, testStart.At(3, 0, 0))
 	if !errors.Is(err, errSyncJournalAsync) {
 		t.Fatalf("create through a SyncJournal over an async journal: %v, want %v", err, errSyncJournalAsync)
 	}
@@ -836,8 +797,7 @@ func TestSyncJournalRefusesAsyncJournal(t *testing.T) {
 // pretending. The failure is indeterminate, and its error says so: the
 // create is applied on the primary, where a later info finds it.
 func TestWaitSyncedTimesOutWithoutQuorum(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 50 * time.Millisecond})
 	defer src.Close()
 	store.SetJournal(&SyncJournal{J: jnl, S: src})
@@ -860,8 +820,7 @@ func TestWaitSyncedTimesOutWithoutQuorum(t *testing.T) {
 // the next sync create still fails for want of one — and its connection is
 // closed with a logged error.
 func TestForgedAckIsNotCounted(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	var logMu sync.Mutex
 	var logged []string
 	src := NewSource(jnl, SourceConfig{SyncFollowers: 1, syncTimeout: 200 * time.Millisecond,
@@ -955,13 +914,7 @@ func TestMsgReaderShrinksAfterSmallMessages(t *testing.T) {
 // the chunk-sized read buffer nor the batch-sized decode scratch for its
 // stream of single-record batches.
 func TestFollowerReleasesSnapshotReadBuffer(t *testing.T) {
-	store := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	jnl, _, err := journal.Open(store, journal.Options{Dir: t.TempDir(), Mode: journal.ModeAsync})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer jnl.Close()
-	store.SetJournal(jnl)
+	store, jnl := newPrimary(t, journal.ModeAsync)
 	names := seedPrimary(t, store, 20_000)
 	if err := jnl.Snapshot(nil); err != nil {
 		t.Fatal(err)

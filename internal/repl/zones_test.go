@@ -5,9 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"dropzero/internal/journal"
 	"dropzero/internal/model"
-	"dropzero/internal/registry"
-	"dropzero/internal/simtime"
 	"dropzero/internal/zone"
 )
 
@@ -17,8 +16,7 @@ import (
 // zones, serving the extra zones' domains byte-identically at the same
 // generation.
 func TestReplicaCarriesZones(t *testing.T) {
-	store, jnl := newPrimary(t, t.TempDir())
-	defer jnl.Close()
+	store, jnl := newPrimary(t, journal.ModeSync)
 	names := seedPrimary(t, store, 60)
 
 	// Zone one lands before the snapshot (ships inside the v3 snapshot);
@@ -59,15 +57,7 @@ func TestReplicaCarriesZones(t *testing.T) {
 
 	src := NewSource(jnl, SourceConfig{})
 	defer src.Close()
-	fstore := registry.NewStore(simtime.NewSimClock(testStart.At(0, 0, 0)))
-	f, err := NewFollower(fstore, FollowerConfig{
-		Dir:  t.TempDir(),
-		Dial: pipeDialer(src, nil),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fstore, f := newFollower(t, src, 0, FollowerConfig{})
 	f.Start()
 	waitApplied(t, f, jnl.LastSeq())
 

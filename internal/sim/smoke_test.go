@@ -3,10 +3,9 @@ package sim
 import (
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
-
-	"dropzero/internal/core"
 )
 
 func smallConfig() Config {
@@ -16,52 +15,18 @@ func smallConfig() Config {
 	return cfg
 }
 
-func TestRunSmoke(t *testing.T) {
-	res, err := Run(smallConfig())
+// smallStudy is the package's study fixture: one Run(smallConfig()), shared
+// by every test that only reads the finished study. A test that watches the
+// run itself (its heap, its goroutines) runs its own.
+var smallStudy = sync.OnceValues(func() (*Result, error) { return Run(smallConfig()) })
+
+func smallResult(t *testing.T) *Result {
+	t.Helper()
+	res, err := smallStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Observations) == 0 {
-		t.Fatal("no observations")
-	}
-	total := 0
-	rereg := 0
-	zero := 0
-	sameDay := 0
-	for _, o := range res.Observations {
-		total++
-		if o.Reregistered() {
-			rereg++
-			if o.SameDayRereg() {
-				sameDay++
-			}
-		}
-	}
-	days, skipped := core.AnalyzeAll(res.Observations, core.DefaultEnvelopeConfig())
-	for _, d := range AllZeroDelays(days) {
-		_ = d
-		zero++
-	}
-	t.Logf("total=%d rereg=%.4f sameday=%.4f zero=%.4f skippedDays=%d stats=%+v",
-		total, frac(rereg, total), frac(sameDay, total), frac(zero, total), skipped, res.PipelineStats)
-}
-
-// AllZeroDelays is a test helper returning re-registrations at exactly 0 s.
-func AllZeroDelays(days []*core.DayAnalysis) []core.DelayResult {
-	var out []core.DelayResult
-	for _, d := range core.AllDelays(days) {
-		if d.Delay == 0 {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
-func frac(a, b int) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
+	return res
 }
 
 func TestRunDeterministic(t *testing.T) {
@@ -83,7 +48,6 @@ func TestRunDeterministic(t *testing.T) {
 			t.Fatalf("observation %d differs: %+v vs %+v", i, oa, ob)
 		}
 	}
-	_ = time.Second
 }
 
 // TestRunLeavesNothingPinned: when Run returns, the store and the servers
