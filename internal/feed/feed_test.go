@@ -3,6 +3,7 @@ package feed
 import (
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -174,27 +175,11 @@ func TestLifecycleOps(t *testing.T) {
 func readAll(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
-	var b strings.Builder
-	if _, err := copyBuilder(&b, resp); err != nil {
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.String()
-}
-
-func copyBuilder(b *strings.Builder, resp *http.Response) (int64, error) {
-	buf := make([]byte, 4096)
-	var n int64
-	for {
-		k, err := resp.Body.Read(buf)
-		b.Write(buf[:k])
-		n += int64(k)
-		if err != nil {
-			if err.Error() == "EOF" {
-				return n, nil
-			}
-			return n, err
-		}
-	}
+	return string(b)
 }
 
 // TestDifferentialMirrorVsFullFetch is the acceptance-criteria test: across

@@ -113,8 +113,6 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 	if err := s.Apply(seed); err != nil {
 		t.Fatal(err)
 	}
-	before, _ := s.Get("exact.com")
-	beforeDay, _ := bucketDayOf(s, "exact.com")
 
 	sub := at.Add(time.Nanosecond)
 	bad := []Mutation{
@@ -139,27 +137,11 @@ func TestReplayRefusesUnrepresentable(t *testing.T) {
 		{Kind: MutSeed, ID: 1 << 32, Name: "bigid.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at},
 		{Kind: MutCreate, ID: 1 << 32, Name: "bigid.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at},
 	}
-	gen, nextID := s.Generation(), s.nextID.Load()
 	for _, m := range bad {
-		if err := s.Apply(m); !errors.Is(err, errUnrepresentable) {
-			t.Fatalf("Apply(%v %q) = %v, want errUnrepresentable", m.Kind, m.Name, err)
-		}
+		refuses(t, s, errUnrepresentable, func() error { return s.Apply(m) })
 		for _, workers := range []int{1, 4} {
-			if err := s.ApplyBatch([]Mutation{m, m}, workers); !errors.Is(err, errUnrepresentable) {
-				t.Fatalf("ApplyBatch(%v %q, %d workers) = %v, want errUnrepresentable", m.Kind, m.Name, workers, err)
-			}
+			refuses(t, s, errUnrepresentable, func() error { return s.ApplyBatch([]Mutation{m, m}, workers) })
 		}
-	}
-	if s.Count() != 1 || s.Generation() != gen || s.nextID.Load() != nextID {
-		t.Fatalf("refused records changed the store: count %d, generation %d -> %d, allocator %d -> %d",
-			s.Count(), gen, s.Generation(), nextID, s.nextID.Load())
-	}
-	after, _ := s.Get("exact.com")
-	if *after != *before {
-		t.Fatalf("refused records changed the registration:\n before %+v\n after  %+v", before, after)
-	}
-	if day, ok := bucketDayOf(s, "exact.com"); !ok || day != beforeDay {
-		t.Fatalf("due bucket = %v (ok=%v), want %v", day, ok, beforeDay)
 	}
 }
 
@@ -172,19 +154,13 @@ func TestRestoreRefusesUnrepresentable(t *testing.T) {
 	if _, err := s.SeedAt("exact.com", 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); err != nil {
 		t.Fatal(err)
 	}
-	gen := s.Generation()
 	for _, d := range []model.Domain{
 		{ID: 2, Name: "a.b.com", TLD: "b.com"},
 		{ID: 3, Name: strings.Repeat("n", 252) + ".com", TLD: "com"},
 		{ID: 1 << 32, Name: "bigid.com", TLD: "com"},
 	} {
 		d.RegistrarID, d.Created, d.Updated, d.Expiry = 1000, at, at, at.AddDate(1, 0, 0)
-		if err := s.InstallRestoredDomains([]SnapshotDomain{{Domain: d}}); !errors.Is(err, errUnrepresentable) {
-			t.Fatalf("InstallRestoredDomains(%q under %q) = %v, want errUnrepresentable", d.Name, d.TLD, err)
-		}
-		if s.Count() != 1 || s.Generation() != gen {
-			t.Fatalf("refused %q changed the store: count %d, generation %d -> %d", d.Name, s.Count(), gen, s.Generation())
-		}
+		refuses(t, s, errUnrepresentable, func() error { return s.InstallRestoredDomains([]SnapshotDomain{{Domain: d}}) })
 	}
 }
 
@@ -222,17 +198,11 @@ func TestExhaustedAllocatorRefusesCreates(t *testing.T) {
 	if got, _ := s.Get("last.com"); got.ID != math.MaxUint32 {
 		t.Fatalf("stored ID = %d, want %d", got.ID, uint64(math.MaxUint32))
 	}
-	count, gen := s.Count(), s.Generation()
-	if _, err := s.CreateAt("late.com", 1000, 1, at); !errors.Is(err, errUnrepresentable) {
-		t.Fatalf("CreateAt past the allocator = %v, want errUnrepresentable", err)
-	}
-	if _, err := s.SeedAt("late.net", 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{}); !errors.Is(err, errUnrepresentable) {
-		t.Fatalf("SeedAt past the allocator = %v, want errUnrepresentable", err)
-	}
-	if s.Count() != count || s.Generation() != gen || s.nextID.Load() != math.MaxUint32 {
-		t.Fatalf("refused creates changed the store: count %d -> %d, generation %d -> %d, allocator %d",
-			count, s.Count(), gen, s.Generation(), s.nextID.Load())
-	}
+	refuses(t, s, errUnrepresentable, func() error { _, err := s.CreateAt("late.com", 1000, 1, at); return err })
+	refuses(t, s, errUnrepresentable, func() error {
+		_, err := s.SeedAt("late.net", 1000, at, at, at.AddDate(1, 0, 0), model.StatusActive, simtime.Day{})
+		return err
+	})
 	if err := s.Apply(Mutation{Kind: MutCreate, ID: 7, Name: "replayed.com", RegistrarID: 1000, Created: at, Updated: at, Expiry: at.AddDate(1, 0, 0)}); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -29,6 +30,26 @@ func (c *captureJournal) Append(m Mutation) func() error {
 	c.records = append(c.records, m)
 	c.mu.Unlock()
 	return nil
+}
+
+// replayed is a fresh store of shards shards (0: the GOMAXPROCS default)
+// that applied ms: one record at a time with workers 0, else as one
+// ApplyBatch over workers goroutines.
+func replayed(tb testing.TB, ms []Mutation, shards, workers int) *Store {
+	tb.Helper()
+	s, _ := newStore(tb, shards, 0)
+	if workers > 0 {
+		if err := s.ApplyBatch(ms, workers); err != nil {
+			tb.Fatalf("replay in one batch: %v", err)
+		}
+		return s
+	}
+	for i, m := range ms {
+		if err := s.Apply(m); err != nil {
+			tb.Fatalf("record %d (%v %q): %v", i, m.Kind, m.Name, err)
+		}
+	}
+	return s
 }
 
 // dumpStore renders every piece of durable store state as a canonical
@@ -110,6 +131,27 @@ func dumpStore(s *Store, from simtime.Day, days int) string {
 	return b.String()
 }
 
+// refuses runs op on s and fails t unless op fails with want and leaves s
+// as it found it: the same dump (registrations, transfer codes, queues of
+// the 80 days around testClock's, archive, counts, allocator, generation),
+// a well-formed due index, and nothing handed to a journal.
+func refuses(t *testing.T, s *Store, want error, op func() error) {
+	t.Helper()
+	from := simtime.DayOf(testClock().Now()).AddDays(-40)
+	cap := &captureJournal{}
+	s.SetJournal(cap)
+	defer s.SetJournal(nil)
+	before := dumpStore(s, from, 80)
+	if err := op(); !errors.Is(err, want) {
+		t.Fatalf("got %v, want %v", err, want)
+	}
+	diffDumps(t, "before", "after the refusal", before, dumpStore(s, from, 80))
+	if len(cap.records) != 0 {
+		t.Fatalf("a refused mutation was journaled: %+v", cap.records)
+	}
+	checkDuePositions(t, s)
+}
+
 // diffDumps reports the first line where two dumps diverge, keeping test
 // failures readable (full dumps run to thousands of lines).
 func diffDumps(t *testing.T, wantName, gotName, want, got string) {
@@ -152,14 +194,8 @@ func TestReplayMatchesOriginal(t *testing.T) {
 				t.Fatalf("workout too quiet: only %d journal records", len(cap.records))
 			}
 
-			replayed := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-			for i, m := range cap.records {
-				if err := replayed.Apply(m); err != nil {
-					t.Fatalf("record %d (%v %q): %v", i, m.Kind, m.Name, err)
-				}
-			}
 			diffDumps(t, "original", "replayed",
-				dumpStore(orig, start, days+40), dumpStore(replayed, start, days+40))
+				dumpStore(orig, start, days+40), dumpStore(replayed(t, cap.records, 0, 0), start, days+40))
 		})
 	}
 }
@@ -184,13 +220,7 @@ func TestSnapshotPlusTailMatchesOriginal(t *testing.T) {
 	for _, cut := range cuts {
 		// Build the snapshot source by replaying the prefix, as recovery
 		// would have the live store at the moment the snapshotter ran.
-		pre := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-		for _, m := range cap.records[:cut] {
-			if err := pre.Apply(m); err != nil {
-				t.Fatalf("cut %d: prefix replay: %v", cut, err)
-			}
-		}
-		snap := pre.CaptureSnapshotSharded()
+		snap := replayed(t, cap.records[:cut], 0, 0).CaptureSnapshotSharded()
 
 		re := NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
 		if err := re.restoreCaptured(snap); err != nil {

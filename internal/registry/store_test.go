@@ -746,14 +746,7 @@ func TestMarkRedemptionRefuses(t *testing.T) {
 		{"redemption.com", 1000, ErrStatusProhibits},
 		{"pendingdelete.com", 1000, ErrStatusProhibits},
 	} {
-		lookup := func() string { d, ok := s.Lookup(tc.name); return fmt.Sprint(d, ok) }
-		before, gen := lookup(), s.Generation()
-		if err := s.MarkRedemption(tc.name, tc.reg, clock.Now()); !errors.Is(err, tc.want) {
-			t.Errorf("%s by %d: %v, want %v", tc.name, tc.reg, err, tc.want)
-		}
-		if lookup() != before || s.Generation() != gen {
-			t.Errorf("%s by %d: a refused delete changed the store", tc.name, tc.reg)
-		}
+		refuses(t, s, tc.want, func() error { return s.MarkRedemption(tc.name, tc.reg, clock.Now()) })
 	}
 	if err := s.MarkRedemption("autorenew.com", 1000, clock.Now()); err != nil {
 		t.Fatalf("autoRenew delete by its sponsor: %v", err)

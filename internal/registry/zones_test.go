@@ -164,26 +164,18 @@ func TestAddZoneReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	replayed := NewStore(testClock())
-	for _, m := range cap.records {
-		if err := replayed.Apply(m); err != nil {
-			t.Fatalf("Apply(%s): %v", m.Kind, err)
-		}
-	}
-	if z, ok := replayed.ZoneByName("nordic"); !ok || !z.TLDSet()["se"] || z.Policy != zone.PolicyInstant {
+	re := replayed(t, cap.records, 0, 0)
+	if z, ok := re.ZoneByName("nordic"); !ok || !z.TLDSet()["se"] || z.Policy != zone.PolicyInstant {
 		t.Fatalf("replayed store ZoneByName(nordic) = %+v, %v", z, ok)
 	}
 	for _, name := range []string{"before.com", "after.se"} {
-		if _, err := replayed.Get(name); err != nil {
+		if _, err := re.Get(name); err != nil {
 			t.Errorf("replayed store missing %s: %v", name, err)
 		}
 	}
 
 	// The batch path must honour the same ordering barrier.
-	batched := NewStore(testClock())
-	if err := batched.ApplyBatch(cap.records, 1); err != nil {
-		t.Fatal(err)
-	}
+	batched := replayed(t, cap.records, 0, 1)
 	if _, err := batched.Get("after.se"); err != nil {
 		t.Errorf("ApplyBatch lost the post-zone create: %v", err)
 	}

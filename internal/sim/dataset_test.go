@@ -110,10 +110,7 @@ func TestResultNamesHeldOnce(t *testing.T) {
 	}
 	for name, cfg := range datasetStudies() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := study(t, name, cfg)
 			heldOnce(t, res)
 		})
 	}
@@ -215,10 +212,7 @@ func TestResultNamesHeldOnce(t *testing.T) {
 func TestSeededNamesOneAllocationPerDay(t *testing.T) {
 	for name, cfg := range datasetStudies() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := study(t, name, cfg)
 			zoneOf := make(map[model.TLD]string)
 			for _, z := range res.Zones {
 				for _, tld := range z.TLDs {
@@ -359,10 +353,7 @@ func TestTruthRoundTrip(t *testing.T) {
 func TestTruthsJoinDeletions(t *testing.T) {
 	for name, cfg := range datasetStudies() {
 		t.Run(name, func(t *testing.T) {
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := study(t, name, cfg)
 			if len(res.Truths) != len(res.Deletions) || len(res.Deletions) != cfg.Days {
 				t.Fatalf("%d truth days, %d deletion days, %d study days", len(res.Truths), len(res.Deletions), cfg.Days)
 			}

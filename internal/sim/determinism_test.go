@@ -10,6 +10,20 @@ import (
 	"dropzero/internal/model"
 )
 
+// runCSV runs a study and writes its dataset as WriteCSV does.
+func runCSV(t *testing.T, cfg Config) (*Result, []byte) {
+	t.Helper()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := measure.WriteCSV(&buf, res.Observations); err != nil {
+		t.Fatal(err)
+	}
+	return res, buf.Bytes()
+}
+
 // TestRunDeterministicAcrossParallelism is the tentpole guarantee: a study
 // collected by one lookup worker and the same study collected by eight must
 // produce identical observations, pipeline stats, figure outputs and CSV
@@ -20,21 +34,10 @@ func TestRunDeterministicAcrossParallelism(t *testing.T) {
 	cfg.Scale = 0.01
 	cfg.FinalizeAfterDays = 57
 
-	run := func(parallelism int) (*Result, []byte) {
-		c := cfg
-		c.Parallelism = parallelism
-		res, err := Run(c)
-		if err != nil {
-			t.Fatalf("parallelism %d: %v", parallelism, err)
-		}
-		var buf bytes.Buffer
-		if err := measure.WriteCSV(&buf, res.Observations); err != nil {
-			t.Fatal(err)
-		}
-		return res, buf.Bytes()
-	}
-	seqRes, seqCSV := run(1)
-	parRes, parCSV := run(8)
+	seq, par := cfg, cfg
+	seq.Parallelism, par.Parallelism = 1, 8
+	seqRes, seqCSV := runCSV(t, seq)
+	parRes, parCSV := runCSV(t, par)
 
 	if len(seqRes.Observations) == 0 {
 		t.Fatal("sequential run produced no observations")

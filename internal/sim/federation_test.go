@@ -59,15 +59,7 @@ func TestFederationExplicitDefaultZoneDifferential(t *testing.T) {
 			run := func(zones []zone.Config) (*Result, []byte) {
 				c := cfg
 				c.Zones = zones
-				res, err := Run(c)
-				if err != nil {
-					t.Fatalf("zones=%v: %v", zones, err)
-				}
-				var buf bytes.Buffer
-				if err := measure.WriteCSV(&buf, res.Observations); err != nil {
-					t.Fatal(err)
-				}
-				return res, buf.Bytes()
+				return runCSV(t, c)
 			}
 			legacyRes, legacyCSV := run(nil)
 			if len(legacyRes.Observations) == 0 {
@@ -198,19 +190,8 @@ func TestFederationDurableResume(t *testing.T) {
 	cfg.Zones = []zone.Config{nordicTestZone()}
 	cfg.DataDir = t.TempDir()
 
-	runCSV := func() []byte {
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := measure.WriteCSV(&buf, res.Observations); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	first := runCSV()
-	resumed := runCSV()
+	_, first := runCSV(t, cfg)
+	_, resumed := runCSV(t, cfg)
 	if !bytes.Equal(first, resumed) {
 		t.Fatal("resumed federated study differs from the original run")
 	}

@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"dropzero/internal/measure"
 	"dropzero/internal/model"
 	"dropzero/internal/simtime"
 )
@@ -33,15 +32,7 @@ func TestRunIdenticalAcrossShardCounts(t *testing.T) {
 			run := func(shards int) (*Result, []byte) {
 				c := cfg
 				c.Shards = shards
-				res, err := Run(c)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				var buf bytes.Buffer
-				if err := measure.WriteCSV(&buf, res.Observations); err != nil {
-					t.Fatal(err)
-				}
-				return res, buf.Bytes()
+				return runCSV(t, c)
 			}
 			singleRes, singleCSV := run(1)
 			if len(singleRes.Observations) == 0 {

@@ -53,7 +53,7 @@ func TestScaledDropKeepsDuration(t *testing.T) {
 }
 
 func TestRunProducesWellFormedObservations(t *testing.T) {
-	res := smallResult(t)
+	res := study(t, "small", smallConfig())
 	if len(res.Observations) == 0 {
 		t.Fatal("no observations")
 	}
@@ -103,7 +103,7 @@ func truthByName(t *testing.T, res *Result) map[string]datedTruth {
 }
 
 func TestRunGroundTruthConsistency(t *testing.T) {
-	res := smallResult(t)
+	res := study(t, "small", smallConfig())
 	// Every observation appears in exactly one day's ground-truth log, with
 	// monotone ranks and times.
 	for day, events := range res.Deletions {
@@ -144,7 +144,7 @@ func TestRunGroundTruthConsistency(t *testing.T) {
 }
 
 func TestRunNetDomainsInterleaved(t *testing.T) {
-	res := smallResult(t)
+	res := study(t, "small", smallConfig())
 	netSeen := false
 	for _, events := range res.Deletions {
 		for _, ev := range events {
@@ -165,7 +165,7 @@ func TestRunNetDomainsInterleaved(t *testing.T) {
 }
 
 func TestRunPipelineExercisedFallback(t *testing.T) {
-	res := smallResult(t)
+	res := study(t, "small", smallConfig())
 	st := res.PipelineStats
 	if st.RDAPErrors == 0 || st.WHOISFallbacks == 0 {
 		t.Fatalf("RDAP fault injection never exercised the WHOIS fallback: %+v", st)
@@ -252,7 +252,7 @@ func TestScaleSensitivity(t *testing.T) {
 }
 
 func TestDirectoryShareHeadline(t *testing.T) {
-	res := smallResult(t)
+	res := study(t, "small", smallConfig())
 	share := res.Directory.ShareOfAccreditations(
 		registrars.SvcDropCatch, registrars.SvcSnapNames, registrars.SvcPheenix)
 	if share < 0.65 || share > 0.85 {

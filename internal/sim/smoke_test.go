@@ -15,39 +15,20 @@ func smallConfig() Config {
 	return cfg
 }
 
-// smallStudy is the package's study fixture: one Run(smallConfig()), shared
-// by every test that only reads the finished study. A test that watches the
-// run itself (its heap, its goroutines) runs its own.
-var smallStudy = sync.OnceValues(func() (*Result, error) { return Run(smallConfig()) })
+// studies holds study's runs by name.
+var studies sync.Map
 
-func smallResult(t *testing.T) *Result {
+// study is the package's study fixture: Run(cfg), run once under name and
+// shared by every test that only reads the finished study. A test that
+// watches a run itself (its heap, its goroutines, its files) runs its own.
+func study(t *testing.T, name string, cfg Config) *Result {
 	t.Helper()
-	res, err := smallStudy()
+	run, _ := studies.LoadOrStore(name, sync.OnceValues(func() (*Result, error) { return Run(cfg) }))
+	res, err := run.(func() (*Result, error))()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return res
-}
-
-func TestRunDeterministic(t *testing.T) {
-	cfg := smallConfig()
-	cfg.Days = 2
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Observations) != len(b.Observations) {
-		t.Fatalf("observation counts differ: %d vs %d", len(a.Observations), len(b.Observations))
-	}
-	for i := range a.Observations {
-		if oa, ob := a.Observations[i], b.Observations[i]; !oa.Equal(ob) {
-			t.Fatalf("observation %d differs: %+v vs %+v", i, oa, ob)
-		}
-	}
 }
 
 // TestRunLeavesNothingPinned: when Run returns, the store and the servers
