@@ -113,8 +113,7 @@ func FuzzWALReplay(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, fuzzBase.segName), data, 0o666); err != nil {
 			t.Fatal(err)
 		}
-		start := simtime.Day{Year: 2018, Month: time.January, Dom: 8}
-		s := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
+		s := newTestStore()
 		j, _, err := Open(s, Options{Dir: dir, Mode: ModeSync})
 		if err != nil {
 			return // loud failure is an accepted outcome
@@ -125,15 +124,7 @@ func FuzzWALReplay(f *testing.F) {
 		if k > uint64(len(fuzzBase.records)) {
 			t.Fatalf("recovered %d records from a log that only ever held %d", k, len(fuzzBase.records))
 		}
-		want := registry.NewStore(simtime.NewSimClock(start.At(0, 0, 0)))
-		for _, r := range fuzzBase.records[:k] {
-			if r.Mutation != nil {
-				if err := want.Apply(*r.Mutation); err != nil {
-					t.Fatalf("reference replay: %v", err)
-				}
-			}
-		}
-		if got, ref := dumpVisible(s), dumpVisible(want); got != ref {
+		if got, ref := dumpVisible(s), dumpVisible(replayPrefix(t, fuzzBase.records, k)); got != ref {
 			t.Errorf("recovery loaded silently wrong state after corruption (recovered seq %d)", k)
 		}
 	})

@@ -39,14 +39,21 @@ func journaled(tb testing.TB, dir string, shards int, opts Options) (*registry.S
 	return s, j, rec
 }
 
-// reopened closes j, recovers dir into a fresh fixture store of shards
-// shards under opts, and fails tb unless that store reads as s does now.
-func reopened(tb testing.TB, s *registry.Store, j *Journal, dir string, shards int, opts Options) (*registry.Store, *Journal, Recovery) {
+// closeJournal closes j and returns what s, the store it journals, holds.
+func closeJournal(tb testing.TB, s *registry.Store, j *Journal) string {
 	tb.Helper()
 	want := dumpVisible(s)
 	if err := j.Close(); err != nil {
 		tb.Fatalf("close: %v", err)
 	}
+	return want
+}
+
+// reopened closes j, recovers dir into a fresh fixture store of shards
+// shards under opts, and fails tb unless that store reads as s does now.
+func reopened(tb testing.TB, s *registry.Store, j *Journal, dir string, shards int, opts Options) (*registry.Store, *Journal, Recovery) {
+	tb.Helper()
+	want := closeJournal(tb, s, j)
 	s2, j2, rec := journaled(tb, dir, shards, opts)
 	if got := dumpVisible(s2); got != want {
 		tb.Errorf("the store recovered from %s differs from the one that wrote it", dir)
@@ -107,6 +114,24 @@ func workout(t *testing.T, s *registry.Store, seed int64, n int) []string {
 		}
 	}
 	return names
+}
+
+// replayPrefix is a fresh store that applied records up to seq cut, one at
+// a time: the state a recovery to cut must rebuild.
+func replayPrefix(tb testing.TB, records []Record, cut uint64) *registry.Store {
+	tb.Helper()
+	s := newTestStore()
+	for _, r := range records {
+		if r.Seq > cut {
+			break
+		}
+		if r.Mutation != nil {
+			if err := s.Apply(*r.Mutation); err != nil {
+				tb.Fatalf("reference replay to seq %d: %v", cut, err)
+			}
+		}
+	}
+	return s
 }
 
 // dumpVisible renders everything the store exposes through its public API
@@ -266,10 +291,7 @@ func TestRecoverTornTail(t *testing.T) {
 	dir := t.TempDir()
 	s, j, _ := journaled(t, dir, 0, Options{Mode: ModeSync})
 	workout(t, s, 3, 120)
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := closeJournal(t, s, j)
 
 	segs, _, err := listSegments(dir)
 	if err != nil || len(segs) == 0 {
@@ -374,18 +396,7 @@ func TestCrashCopyRecovery(t *testing.T) {
 		if jc.LastSeq() != cut {
 			t.Errorf("cut %d: recovered to seq %d", cut, jc.LastSeq())
 		}
-		want := newTestStore()
-		for _, r := range orig {
-			if r.Seq > cut {
-				break
-			}
-			if r.Mutation != nil {
-				if err := want.Apply(*r.Mutation); err != nil {
-					t.Fatalf("cut %d: reference replay: %v", cut, err)
-				}
-			}
-		}
-		if dumpVisible(got) != dumpVisible(want) {
+		if dumpVisible(got) != dumpVisible(replayPrefix(t, orig, cut)) {
 			t.Errorf("cut %d: recovered state differs from prefix replay (snapshot seq %d, replayed %d)",
 				cut, rec.SnapshotSeq, rec.ReplayedRecords)
 		}
@@ -451,10 +462,7 @@ func TestReopenAfterSnapshotAheadOfLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	snapSeq := j.LastSeq()
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := closeJournal(t, s, j)
 
 	// Manufacture the crash: truncate the segment so the durable log ends
 	// three records before the snapshot.

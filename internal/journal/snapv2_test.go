@@ -56,10 +56,7 @@ func TestSnapshotV2RoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := closeJournal(t, s, j)
 
 	_, data := latestSnapshotBytes(t, dir)
 	if string(data[:len(snapMagic)]) != snapMagic {
@@ -196,10 +193,7 @@ func TestSnapshotV2FallbackToOlder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := closeJournal(t, s, j)
 
 	path, data := latestSnapshotBytes(t, dir)
 	data[len(data)/2] ^= 0x01

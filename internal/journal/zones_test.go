@@ -101,10 +101,7 @@ func TestAddZoneReplaysFromWALTail(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := dumpVisible(s)
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
+	want := closeJournal(t, s, j)
 
 	for _, parallelism := range []int{1, 4} {
 		t.Run(fmt.Sprintf("parallelism-%d", parallelism), func(t *testing.T) {

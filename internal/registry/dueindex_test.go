@@ -473,50 +473,6 @@ func TestEachCollectThenAct(t *testing.T) {
 	}
 }
 
-// TestStatusCountsStayConsistent cross-checks the incremental per-status
-// counters against a fresh full count after a burst of mixed mutations.
-func TestStatusCountsStayConsistent(t *testing.T) {
-	s, clock := newStore(t, 0, 2)
-	NewLifecycle(s, DefaultLifecycleConfig())
-	day := simtime.DayOf(clock.Now())
-	for i := 0; i < 40; i++ {
-		name := fmt.Sprintf("churn%02d.com", i)
-		if _, err := s.Create(name, 1000, 1); err != nil {
-			t.Fatal(err)
-		}
-		switch i % 4 {
-		case 1:
-			s.MarkRedemption(name, 1000, clock.Now())
-		case 2:
-			s.MarkRedemption(name, 1000, clock.Now())
-			s.MarkPendingDelete(name, time.Time{}, day.AddDays(i%5))
-		case 3:
-			s.MarkRedemption(name, 1000, clock.Now())
-			s.MarkPendingDelete(name, time.Time{}, day)
-			if _, err := s.purge(name, day.At(19, 0, 0), i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want := make(map[model.Status]int)
-	s.Each(func(d *model.Domain) bool {
-		want[d.Status]++
-		return true
-	})
-	got := s.StatusCounts()
-	if len(got) != len(want) {
-		t.Fatalf("StatusCounts = %v, want %v", got, want)
-	}
-	for st, n := range want {
-		if got[st] != n {
-			t.Fatalf("StatusCounts[%v] = %d, want %d", st, got[st], n)
-		}
-	}
-	if n := indexSize(s); n != s.Count() {
-		t.Fatalf("index holds %d entries, store holds %d", n, s.Count())
-	}
-}
-
 // sweepWorld populates a store that makes clone-per-scan regressions loud:
 // storeSize mostly-idle registrations (nothing due today) plus a small
 // pending-delete cohort spread over the published window.

@@ -488,8 +488,8 @@ func TestAuthInfoMatchesMapOracle(t *testing.T) {
 // bucket holds each ref once, counts its members (the refs whose record is
 // live, in that state and due that day under the policy) and is no more
 // than half stale. Every live registration in a bucketed state is a member
-// of exactly one bucket, and every active one's chunk bound is at or before
-// its expiry.
+// of exactly one bucket, every active one's chunk bound is at or before its
+// expiry, and the shard's per-state tallies count its records.
 func checkDuePositions(t *testing.T, s *Store) {
 	t.Helper()
 	for i := range s.shards {
@@ -530,7 +530,9 @@ func checkDuePositions(t *testing.T, s *Store) {
 				}
 			}
 		}
+		var counts [model.StatusDeleted + 1]int
 		sh.tab.each(func(r *record, ref uint32) bool {
+			counts[r.status()]++
 			switch st := r.status(); {
 			case bucketed(st) && !reached[ref]:
 				t.Fatalf("shard %d: %s (%v) is in no bucket", i, r.name(), st)
@@ -541,6 +543,9 @@ func checkDuePositions(t *testing.T, s *Store) {
 			}
 			return true
 		})
+		if counts != sh.statusCount {
+			t.Fatalf("shard %d: status tallies %v, its records %v", i, sh.statusCount, counts)
+		}
 		sh.mu.RUnlock()
 	}
 }
