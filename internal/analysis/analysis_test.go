@@ -2,6 +2,7 @@ package analysis_test
 
 import (
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -245,13 +246,8 @@ func TestFig8AgePeaks(t *testing.T) {
 	}
 	// Older domains peak at 0 s: the first interval's 5+ share must exceed
 	// the median of the rest.
-	rest := append([]float64(nil), old[1:]...)
-	// median
-	for i := 1; i < len(rest); i++ {
-		for j := i; j > 0 && rest[j] < rest[j-1]; j-- {
-			rest[j], rest[j-1] = rest[j-1], rest[j]
-		}
-	}
+	rest := slices.Clone(old[1:])
+	slices.Sort(rest)
 	med := rest[len(rest)/2]
 	if old[0] <= med {
 		t.Errorf("5+ year share at 0 s = %.3f not above later median %.3f", old[0], med)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -28,7 +29,7 @@ func mkObs(name string, day simtime.Day, prior model.PriorRegistration, rereg *m
 // none).
 func obsWith(i int, rereg *model.Rereg) model.Observation {
 	updated := testDay.AddDays(-35).At(6, 0, 0).Add(time.Duration(i) * time.Second)
-	return mkObs("d"+itoa(i)+".com", testDay, model.PriorRegistration{
+	return mkObs("d"+strconv.Itoa(i)+".com", testDay, model.PriorRegistration{
 		ID:      uint64(i + 1),
 		Created: updated.AddDate(-2, 0, 0),
 		Updated: updated,
@@ -44,18 +45,6 @@ func obsAt(i int, reregOffsetSec int) model.Observation {
 
 // obsNoRereg builds an observation without a re-registration.
 func obsNoRereg(i int) model.Observation { return obsWith(i, nil) }
-
-func itoa(i int) string {
-	if i == 0 {
-		return "0"
-	}
-	var b []byte
-	for i > 0 {
-		b = append([]byte{byte('0' + i%10)}, b...)
-		i /= 10
-	}
-	return string(b)
-}
 
 func rankAll(obs []model.Observation) []Ranked { return Rank(obs, OrderLastUpdate) }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -13,7 +14,7 @@ import (
 func delayList(seconds ...int) []DelayResult {
 	out := make([]DelayResult, len(seconds))
 	for i, s := range seconds {
-		o := mkObs(itoa(i)+".com", simtime.Day{}, model.PriorRegistration{}, nil)
+		o := mkObs(strconv.Itoa(i)+".com", simtime.Day{}, model.PriorRegistration{}, nil)
 		out[i] = DelayResult{
 			Obs:   &o,
 			Delay: time.Duration(s) * time.Second,
@@ -158,7 +159,7 @@ func TestIntervalProperties(t *testing.T) {
 		if total != n {
 			return false
 		}
-		for _, row := range MarketShare(ivs, func(d DelayResult) string { return itoa(d.Obs.ReregRegistrar()) }) {
+		for _, row := range MarketShare(ivs, func(d DelayResult) string { return strconv.Itoa(d.Obs.ReregRegistrar()) }) {
 			sum := 0.0
 			for _, s := range row {
 				sum += s.Value

@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"strconv"
 	"testing"
 	"time"
 
@@ -28,7 +29,7 @@ func TestRankTieBrokenByID(t *testing.T) {
 	// the total order, as the paper chose.
 	shared := testDay.AddDays(-35).At(6, 30, 0)
 	mk := func(id uint64) model.Observation {
-		return mkObs("t"+itoa(int(id))+".com", testDay,
+		return mkObs("t"+strconv.Itoa(int(id))+".com", testDay,
 			model.PriorRegistration{ID: id, Updated: shared, Created: shared.AddDate(-1, 0, 0)}, nil)
 	}
 	obs := []model.Observation{mk(30), mk(10), mk(20)}
@@ -92,7 +93,7 @@ func TestOrderScoreShuffledOrder(t *testing.T) {
 	// time: build names that shuffle the alphabetical ranking.
 	for i := range obs {
 		o := &obs[i]
-		obs[i] = mkObs(itoa(rng.Intn(1<<30)), testDay, o.Prior(), &model.Rereg{Time: o.ReregTime(), RegistrarID: o.ReregRegistrar()})
+		obs[i] = mkObs(strconv.Itoa(rng.Intn(1<<30)), testDay, o.Prior(), &model.Rereg{Time: o.ReregTime(), RegistrarID: o.ReregRegistrar()})
 	}
 	score := OrderScore(Rank(obs, OrderAlphabetical))
 	if score > 0.3 || score < -0.3 {
@@ -119,7 +120,7 @@ func TestSearchOrderingsIdentifiesTrueOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// Deletion position = perm[i]; re-registered right at its slot.
 		updated := testDay.AddDays(-35).At(6, 0, 0).Add(time.Duration(perm[i]) * time.Second)
-		obs = append(obs, mkObs(itoa(rng.Intn(1<<30))+".com", testDay,
+		obs = append(obs, mkObs(strconv.Itoa(rng.Intn(1<<30))+".com", testDay,
 			model.PriorRegistration{
 				ID:      uint64(i + 1),
 				Updated: updated,
@@ -150,7 +151,7 @@ func TestSearchOrderingsIdentifiesTrueOrder(t *testing.T) {
 func TestLastUpdateCreatedTieBreak(t *testing.T) {
 	shared := testDay.AddDays(-35).At(6, 30, 0)
 	mk := func(id uint64, createdOffset int) model.Observation {
-		return mkObs("c"+itoa(int(id))+".com", testDay, model.PriorRegistration{
+		return mkObs("c"+strconv.Itoa(int(id))+".com", testDay, model.PriorRegistration{
 			ID:      id,
 			Updated: shared,
 			Created: shared.AddDate(-1, 0, createdOffset),

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,16 +165,8 @@ func runEngineOn(t *testing.T, seed int64, days int, scan bool, shards int, j Jo
 		tr.final = append(tr.final, *d)
 		return true
 	})
-	slicesSortByName(tr.final)
+	slices.SortFunc(tr.final, func(a, b model.Domain) int { return strings.Compare(a.Name, b.Name) })
 	return tr, s
-}
-
-func slicesSortByName(ds []model.Domain) {
-	for i := 1; i < len(ds); i++ {
-		for j := i; j > 0 && ds[j].Name < ds[j-1].Name; j-- {
-			ds[j], ds[j-1] = ds[j-1], ds[j]
-		}
-	}
 }
 
 // compareTraces asserts two engine traces are identical in every observable:

@@ -781,13 +781,7 @@ func TestTransferNotifiesObserver(t *testing.T) {
 	if err := s.Transfer("note.com", 1001, code); err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, tr := range obs.transitions {
-		if tr == "note.com:xfer 1000->1001" {
-			found = true
-		}
-	}
-	if !found {
+	if !slices.Contains(obs.transitions, "note.com:xfer 1000->1001") {
 		t.Fatalf("transfer event missing: %v", obs.transitions)
 	}
 }
