@@ -42,60 +42,49 @@ import (
 	"dropzero/internal/storm"
 )
 
-var (
-	coarseOnce sync.Once
-	coarseA    *analysis.Analysis
-	coarseErr  error
+// study is one memoized run, and its analysis, shared by the benchmarks
+// that read it: coarse is the paper's 56 days at scale 0.1, fine 3 days at
+// full scale.
+type study struct {
+	a   *analysis.Analysis
+	res *sim.Result
+}
 
-	fineOnce sync.Once
-	fineA    *analysis.Analysis
-	fineRes  *sim.Result
-	fineErr  error
-)
-
-func coarseStudy(b *testing.B) *analysis.Analysis {
-	b.Helper()
-	coarseOnce.Do(func() {
-		cfg := sim.DefaultConfig() // 56 days, scale 0.1
+func runStudy(days int, scale float64) func() (study, error) {
+	return sync.OnceValues(func() (study, error) {
+		cfg := sim.DefaultConfig()
+		cfg.Days, cfg.Scale = days, scale
 		res, err := sim.Run(cfg)
 		if err != nil {
-			coarseErr = err
-			return
+			return study{}, err
 		}
-		coarseA = analysis.New(analysis.Input{
+		return study{analysis.New(analysis.Input{
 			Observations: res.Observations,
 			Registrars:   res.Registrars,
 			ServiceOf:    res.Directory.ServiceOf,
 			Deletions:    res.Deletions,
-		})
+		}), res}, nil
 	})
-	if coarseErr != nil {
-		b.Fatal(coarseErr)
+}
+
+var coarse, fine = runStudy(56, 0.1), runStudy(3, 1.0)
+
+func coarseStudy(b *testing.B) *analysis.Analysis {
+	b.Helper()
+	st, err := coarse()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return coarseA
+	return st.a
 }
 
 func fineStudy(b *testing.B) (*analysis.Analysis, *sim.Result) {
 	b.Helper()
-	fineOnce.Do(func() {
-		cfg := sim.DefaultConfig()
-		cfg.Days = 3
-		cfg.Scale = 1.0
-		fineRes, fineErr = sim.Run(cfg)
-		if fineErr != nil {
-			return
-		}
-		fineA = analysis.New(analysis.Input{
-			Observations: fineRes.Observations,
-			Registrars:   fineRes.Registrars,
-			ServiceOf:    fineRes.Directory.ServiceOf,
-			Deletions:    fineRes.Deletions,
-		})
-	})
-	if fineErr != nil {
-		b.Fatal(fineErr)
+	st, err := fine()
+	if err != nil {
+		b.Fatal(err)
 	}
-	return fineA, fineRes
+	return st.a, st.res
 }
 
 // BenchmarkFig1DeletionsPerDay regenerates Figure 1 (expired .com domains

@@ -8,25 +8,21 @@ import (
 	"dropzero/internal/sim"
 )
 
-// sharedResult caches one moderate simulation for all analysis tests.
-var (
-	once      sync.Once
-	sharedRes *sim.Result
-	sharedErr error
-)
+// study is one moderate simulation shared by all analysis tests.
+var study = sync.OnceValues(func() (*sim.Result, error) {
+	cfg := sim.DefaultConfig()
+	cfg.Days = 14
+	cfg.Scale = 0.05
+	return sim.Run(cfg)
+})
 
 func studyResult(t *testing.T) *sim.Result {
 	t.Helper()
-	once.Do(func() {
-		cfg := sim.DefaultConfig()
-		cfg.Days = 14
-		cfg.Scale = 0.05
-		sharedRes, sharedErr = sim.Run(cfg)
-	})
-	if sharedErr != nil {
-		t.Fatal(sharedErr)
+	res, err := study()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return sharedRes
+	return res
 }
 
 func studyAnalysis(t *testing.T) *analysis.Analysis {

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"dropzero/internal/model"
 	"dropzero/internal/registry"
 	"dropzero/internal/simtime"
 )
@@ -69,29 +68,10 @@ func TestPollQueueIsolatedPerRegistrar(t *testing.T) {
 }
 
 func TestPollOverEPP(t *testing.T) {
-	clock := simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
-	store := registry.NewStore(clock)
-	store.AddRegistrar(model.Registrar{IANAID: 7001, Name: "Sponsor"})
-	poll := NewPollQueue(clock, 0)
+	poll := NewPollQueue(simtime.NewSimClock(time.Unix(0, 0)), 0)
+	store, clock, addr := newTestServer(t, ServerConfig{Poll: poll})
 	store.SetObserver(poll)
-	srv := NewServer(store, clock, ServerConfig{
-		Credentials: map[int]string{7001: "tok"},
-		Poll:        poll,
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	c, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login(7001, "tok"); err != nil {
-		t.Fatal(err)
-	}
+	c := dialLogin(t, addr, 7001, "tok-a")
 
 	// Empty queue → no messages.
 	pollReq := &Request{Cmd: CmdPoll, PollOp: PollOpRequest}
@@ -151,27 +131,9 @@ func TestPollWithoutQueueConfigured(t *testing.T) {
 }
 
 func TestPollBadOp(t *testing.T) {
-	clock := simtime.NewSimClock(time.Date(2018, 1, 1, 12, 0, 0, 0, time.UTC))
-	store := registry.NewStore(clock)
-	store.AddRegistrar(model.Registrar{IANAID: 7001})
-	srv := NewServer(store, clock, ServerConfig{
-		Credentials: map[int]string{7001: "tok"},
-		Poll:        NewPollQueue(clock, 0),
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	c, err := Dial(addr.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Login(7001, "tok"); err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.roundTrip(&Request{Cmd: CmdPoll, PollOp: "bogus"})
+	_, _, addr := newTestServer(t, ServerConfig{Poll: NewPollQueue(simtime.NewSimClock(time.Unix(0, 0)), 0)})
+	c := dialLogin(t, addr, 7001, "tok-a")
+	_, err := c.roundTrip(&Request{Cmd: CmdPoll, PollOp: "bogus"})
 	if !IsCode(err, CodeParamRange) {
 		t.Fatalf("bad poll op: %v", err)
 	}
