@@ -36,9 +36,7 @@ func mustEntry(t *testing.T, name string, day simtime.Day) Entry {
 func newEnv(t *testing.T) (*registry.Store, *Client, simtime.Day) {
 	t.Helper()
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-	clock := simtime.NewSimClock(day.At(9, 0, 0))
-	store := registry.NewStore(clock)
-	store.AddRegistrar(model.Registrar{IANAID: 1000})
+	store := pendingStore(t, day, 0)
 	srv := NewServer(store)
 	client, err := NewClient("http://scope.test", inproc.Client(srv.Handler()))
 	if err != nil {

@@ -152,8 +152,7 @@ func TestClientDeltaCursorDifferential(t *testing.T) {
 func TestClosedServerIsCollectable(t *testing.T) {
 	gctest.Collected(t, func() *registry.Store {
 		day := simtime.Day{Year: 2018, Month: time.January, Dom: 10}
-		store := registry.NewStore(simtime.NewSimClock(day.At(9, 0, 0)))
-		store.AddRegistrar(model.Registrar{IANAID: 1000})
+		store := pendingStore(t, day, 0)
 		hub := feed.NewHub(feed.Options{})
 		hub.PrimeFromStore(store)
 		store.SetJournal(hub)
