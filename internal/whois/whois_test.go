@@ -85,24 +85,22 @@ func TestParseIgnoresTrailer(t *testing.T) {
 }
 
 func TestRecordDomainMissingField(t *testing.T) {
-	rec := &Record{Fields: map[string]string{FieldDomainName: "x.com"}}
-	if _, err := rec.Domain(); err == nil {
-		t.Fatal("incomplete record accepted")
+	for _, k := range []string{FieldDomainName, FieldDomainID, FieldRegistrarID, FieldCreated, FieldUpdated, FieldExpiry, FieldStatus} {
+		rec, _ := Parse(Format(sampleDomain()))
+		delete(rec.Fields, k)
+		if _, err := rec.Domain(); err == nil {
+			t.Errorf("record without %s accepted", k)
+		}
 	}
 }
 
 func TestRecordDomainMalformed(t *testing.T) {
-	d := sampleDomain()
-	body := Format(d)
-	rec, _ := Parse(body)
-	rec.Fields[FieldUpdated] = "yesterday"
-	if _, err := rec.Domain(); err == nil {
-		t.Fatal("malformed date accepted")
-	}
-	rec, _ = Parse(body)
-	rec.Fields[FieldDomainID] = "abc"
-	if _, err := rec.Domain(); err == nil {
-		t.Fatal("malformed ID accepted")
+	for k, v := range map[string]string{FieldUpdated: "yesterday", FieldDomainID: "abc", FieldRegistrarID: "abc", FieldStatus: "lost"} {
+		rec, _ := Parse(Format(sampleDomain()))
+		rec.Fields[k] = v
+		if _, err := rec.Domain(); err == nil {
+			t.Errorf("%s %q accepted", k, v)
+		}
 	}
 }
 
