@@ -48,16 +48,23 @@ func obsNoRereg(i int) model.Observation { return obsWith(i, nil) }
 
 func rankAll(obs []model.Observation) []Ranked { return Rank(obs, OrderLastUpdate) }
 
+// envelopeOf builds ranked's envelope under the default config.
+func envelopeOf(t *testing.T, ranked []Ranked) *Envelope {
+	t.Helper()
+	env, err := BuildEnvelope(ranked, DefaultEnvelopeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
+}
+
 func TestEnvelopeBasicDiagonal(t *testing.T) {
 	// Ranks 0..9 re-registered at exactly their deletion seconds 0..9.
 	var obs []model.Observation
 	for i := 0; i < 10; i++ {
 		obs = append(obs, obsAt(i, i))
 	}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	if env.Len() != 10 {
 		t.Fatalf("envelope size = %d, want 10", env.Len())
 	}
@@ -83,10 +90,7 @@ func TestEnvelopeExcludesDelayedPoints(t *testing.T) {
 		}
 		obs = append(obs, obsAt(i, off))
 	}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	if env.Len() != 9 {
 		t.Fatalf("envelope size = %d, want 9", env.Len())
 	}
@@ -110,10 +114,7 @@ func TestEnvelopeMonotone(t *testing.T) {
 		}
 		obs = append(obs, obsAt(i, off))
 	}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	pts := env.Points()
 	for i := 1; i < len(pts); i++ {
 		if pts[i].Time.Before(pts[i-1].Time) {
@@ -134,10 +135,7 @@ func TestEnvelopeNoPointBelow(t *testing.T) {
 		obs = append(obs, obsAt(i, off))
 	}
 	ranked := rankAll(obs)
-	env, err := BuildEnvelope(ranked, DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, ranked)
 	for _, r := range ranked {
 		earliest, _ := env.EarliestAt(r.Rank)
 		// Interpolation rounds to the nearest second, so allow 1 s slack.
@@ -156,10 +154,7 @@ func TestEnvelopeTailTruncation(t *testing.T) {
 		obs = append(obs, obsAt(i, i))
 	}
 	obs = append(obs, obsAt(20, 620))
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	if env.Len() != 20 {
 		t.Fatalf("envelope size = %d, want 20 (tail outlier dropped)", env.Len())
 	}
@@ -175,10 +170,7 @@ func TestEnvelopeTailTruncationCascades(t *testing.T) {
 		obs = append(obs, obsAt(i, i))
 	}
 	obs = append(obs, obsAt(20, 500), obsAt(21, 900))
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	if env.Len() != 20 {
 		t.Fatalf("envelope size = %d, want 20", env.Len())
 	}
@@ -193,10 +185,7 @@ func TestEnvelopeClampLow(t *testing.T) {
 	for i := 5; i < 15; i++ {
 		obs = append(obs, obsAt(i, i))
 	}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	got, method := env.EarliestAt(0)
 	if method != MethodClampedLow {
 		t.Fatalf("rank 0 method = %v", method)
@@ -215,10 +204,7 @@ func TestEnvelopeInterpolationRounding(t *testing.T) {
 		obsNoRereg(2),
 		obsAt(3, 10),
 	}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	got1, m1 := env.EarliestAt(1)
 	got2, m2 := env.EarliestAt(2)
 	if m1 != MethodInterpolated || m2 != MethodInterpolated {
@@ -242,10 +228,7 @@ func TestEnvelopeEmpty(t *testing.T) {
 
 func TestEnvelopeSinglePoint(t *testing.T) {
 	obs := []model.Observation{obsAt(0, 5), obsNoRereg(1), obsNoRereg(2)}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	if env.Len() != 1 {
 		t.Fatalf("size = %d", env.Len())
 	}
@@ -262,10 +245,7 @@ func TestEnvelopeNextDayReregIgnored(t *testing.T) {
 	// the curve.
 	o := obsWith(3, &model.Rereg{Time: testDay.Next().At(1, 0, 0), RegistrarID: 9000})
 	obs := []model.Observation{obsAt(0, 0), obsAt(1, 1), obsAt(2, 2), o}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	if env.Len() != 3 {
 		t.Fatalf("size = %d, want 3", env.Len())
 	}
@@ -273,10 +253,7 @@ func TestEnvelopeNextDayReregIgnored(t *testing.T) {
 
 func TestEnvelopeGaps(t *testing.T) {
 	obs := []model.Observation{obsAt(0, 0), obsAt(1, 1), obsAt(2, 3), obsAt(3, 30)}
-	env, err := BuildEnvelope(rankAll(obs), DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, rankAll(obs))
 	g := env.Gaps()
 	if g.Points != 4 {
 		t.Fatalf("points = %d", g.Points)
@@ -295,10 +272,7 @@ func TestEnvelopeRegistrars(t *testing.T) {
 		obsWith(1, &model.Rereg{Time: testDay.At(19, 0, 1), RegistrarID: 2}),
 	}
 	ranked := rankAll(obs)
-	env, err := BuildEnvelope(ranked, DefaultEnvelopeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := envelopeOf(t, ranked)
 	counts := EnvelopeRegistrars(ranked, env)
 	if counts[1] != 1 || counts[2] != 1 {
 		t.Fatalf("registrar counts = %v", counts)

@@ -151,11 +151,7 @@ func TestLifecycleOps(t *testing.T) {
 	// including the re-registration marker.
 	m := NewMirror()
 	m.ResetFull(nil, 0)
-	resp, err := http.Get(e.srv.URL + "/deltas?since=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
+	resp, body := e.get(t, "/deltas?since=0")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("deltas since=0: %s", resp.Status)
 	}
@@ -170,6 +166,16 @@ func TestLifecycleOps(t *testing.T) {
 	if got, want := string(kinds), "+-+!*"; got != want {
 		t.Fatalf("op stream = %q, want %q", got, want)
 	}
+}
+
+// get GETs path from the env's server and reads the whole body.
+func (e *env) get(t *testing.T, path string) (*http.Response, string) {
+	t.Helper()
+	resp, err := http.Get(e.srv.URL + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, readAll(t, resp)
 }
 
 func readAll(t *testing.T, resp *http.Response) string {
@@ -349,11 +355,7 @@ func TestDeltaETagAndNotModified(t *testing.T) {
 	seedPending(t, e.store, "b.com", day0().AddDays(1))
 	e.hub.Quiesce()
 
-	resp, err := http.Get(e.srv.URL + "/deltas?since=0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
+	resp, body := e.get(t, "/deltas?since=0")
 	etag := resp.Header.Get("ETag")
 	if etag == "" || resp.Header.Get("X-Feed-Cursor") == "" {
 		t.Fatalf("missing ETag/X-Feed-Cursor: %v", resp.Header)
@@ -423,11 +425,7 @@ func TestDeltaMissRedirectsToFull(t *testing.T) {
 		e.hub.Quiesce() // one segment per record, so eviction definitely runs
 	}
 	// A cursor below the eviction floor cannot be served incrementally.
-	resp, err := http.Get(e.srv.URL + "/deltas?since=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := readAll(t, resp)
+	resp, body := e.get(t, "/deltas?since=1")
 	if resp.Header.Get("X-Feed-Full") != "1" {
 		t.Fatalf("expected redirect to the full list, got %s %v", resp.Status, resp.Header)
 	}
@@ -436,11 +434,7 @@ func TestDeltaMissRedirectsToFull(t *testing.T) {
 	}
 	// Missing and future cursors redirect too.
 	for _, q := range []string{"", "?since=notanumber", "?since=99999"} {
-		resp, err := http.Get(e.srv.URL + "/deltas" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readAll(t, resp)
+		resp, _ := e.get(t, "/deltas"+q)
 		if resp.Header.Get("X-Feed-Full") != "1" {
 			t.Fatalf("deltas%s did not land on the full list", q)
 		}
@@ -743,11 +737,8 @@ func TestDeltasFormatParam(t *testing.T) {
 	e.hub.Quiesce()
 	get := func(q string) (int, string) {
 		t.Helper()
-		resp, err := http.Get(e.srv.URL + "/deltas?since=0" + q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp.StatusCode, readAll(t, resp)
+		resp, body := e.get(t, "/deltas?since=0"+q)
+		return resp.StatusCode, body
 	}
 	code, plain := get("")
 	if code != http.StatusOK || plain == "" {

@@ -36,11 +36,8 @@ func TestDeltasPerZone(t *testing.T) {
 
 	get := func(path string) (string, string, int) {
 		t.Helper()
-		resp, err := http.Get(e.srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return readAll(t, resp), resp.Header.Get("ETag"), resp.StatusCode
+		resp, body := e.get(t, path)
+		return body, resp.Header.Get("ETag"), resp.StatusCode
 	}
 
 	all, allTag, code := get("/deltas?since=0")

@@ -71,6 +71,24 @@ func (e *env) seedPending(t *testing.T, name string, registrar int, deleteDay si
 	return &d
 }
 
+// collect runs the pipeline's collection for day.
+func (e *env) collect(t *testing.T, day simtime.Day) {
+	t.Helper()
+	if err := e.pipe.CollectDaily(context.Background(), day); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// finalize finishes the pipeline's dataset.
+func (e *env) finalize(t *testing.T) []model.Observation {
+	t.Helper()
+	obs, err := e.pipe.Finalize(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return obs
+}
+
 // purgeAndRereg deletes the name via the store's drop path and optionally
 // re-registers it.
 func (e *env) purgeAndRereg(t *testing.T, name string, reregBy int, at time.Time) {
@@ -99,20 +117,14 @@ func (e *env) purgeAndRereg(t *testing.T, name string, reregBy int, at time.Time
 func TestPipelineDetectsRereg(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{}, false)
 	prior := e.seedPending(t, "target.com", 1000, e.day)
-	ctx := context.Background()
-	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	if len(e.pipe.pending) != 1 {
 		t.Fatalf("pending = %d", len(e.pipe.pending))
 	}
 	reregAt := e.day.At(19, 0, 7)
 	e.purgeAndRereg(t, "target.com", 2000, reregAt)
 	e.clock.Set(e.day.AddDays(60).At(12, 0, 0))
-	obs, err := e.pipe.Finalize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := e.finalize(t)
 	if len(obs) != 1 {
 		t.Fatalf("observations = %d", len(obs))
 	}
@@ -128,15 +140,9 @@ func TestPipelineDetectsRereg(t *testing.T) {
 func TestPipelineDetectsNonRereg(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{}, false)
 	e.seedPending(t, "gone.com", 1000, e.day)
-	ctx := context.Background()
-	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	e.purgeAndRereg(t, "gone.com", 0, time.Time{})
-	obs, err := e.pipe.Finalize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := e.finalize(t)
 	if len(obs) != 1 || obs[0].Reregistered() {
 		t.Fatalf("observations: %+v", obs)
 	}
@@ -145,19 +151,13 @@ func TestPipelineDetectsNonRereg(t *testing.T) {
 func TestPipelineWHOISFallback(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{FailRegistrars: map[int]int{1727: http.StatusInternalServerError}}, true)
 	e.seedPending(t, "broken.com", 1727, e.day)
-	ctx := context.Background()
-	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	st := e.pipe.Stats()
 	if st.RDAPErrors != 1 || st.WHOISFallbacks != 1 || st.FallbackFailed != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	e.purgeAndRereg(t, "broken.com", 0, time.Time{})
-	obs, err := e.pipe.Finalize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := e.finalize(t)
 	if len(obs) != 1 {
 		t.Fatalf("fallback domain missing from dataset: %d", len(obs))
 	}
@@ -169,17 +169,11 @@ func TestPipelineWHOISFallback(t *testing.T) {
 func TestPipelineNoFallbackDropsDomain(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{FailRegistrars: map[int]int{1727: http.StatusInternalServerError}}, false)
 	e.seedPending(t, "broken.com", 1727, e.day)
-	ctx := context.Background()
-	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	if st := e.pipe.Stats(); st.FallbackFailed != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	obs, err := e.pipe.Finalize(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := e.finalize(t)
 	if len(obs) != 0 {
 		t.Fatalf("domain without metadata kept: %d", len(obs))
 	}
@@ -198,9 +192,7 @@ func TestFinalizeFailedLookupIsNotANonRereg(t *testing.T) {
 		e.seedPending(t, "caught.com", 1000, e.day)
 		e.seedPending(t, "gone.com", 1000, e.day)
 		ctx := context.Background()
-		if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-			t.Fatal(err)
-		}
+		e.collect(t, e.day)
 		e.purgeAndRereg(t, "caught.com", 1727, e.day.At(19, 0, 7))
 		e.clock.Set(e.day.AddDays(60).At(12, 0, 0))
 		cancelled, cancel := context.WithCancel(ctx)
@@ -208,10 +200,7 @@ func TestFinalizeFailedLookupIsNotANonRereg(t *testing.T) {
 		if obs, err := e.pipe.Finalize(cancelled); !errors.Is(err, context.Canceled) || obs != nil {
 			t.Fatalf("cancelled Finalize = %d rows, %v", len(obs), err)
 		}
-		obs, err := e.pipe.Finalize(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
+		obs := e.finalize(t)
 		st := e.pipe.Stats()
 		if withWhois {
 			if len(obs) != 2 || !obs[0].Reregistered() || obs[0].ReregRegistrar() != 1727 || st.FallbackFailed != 0 || st.Reregistered != 1 {
@@ -268,9 +257,7 @@ func TestPipelineUnusableObjectSkipsWHOIS(t *testing.T) {
 	e.seedPending(t, "brokenlater.com", 1000, e.day)
 
 	ctx := context.Background()
-	if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	want := Stats{ListEntries: 3, Lookups: 3}
 	if st := e.pipe.Stats(); st != want {
 		t.Fatalf("stats after collection = %+v, want %+v", st, want)
@@ -301,9 +288,7 @@ func TestPipelineTLDFilter(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{}, false)
 	e.seedPending(t, "keep.com", 1000, e.day)
 	e.seedPending(t, "skip.net", 1000, e.day)
-	if err := e.pipe.CollectDaily(context.Background(), e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	if len(e.pipe.pending) != 1 {
 		t.Fatalf("pending = %d, want .com only", len(e.pipe.pending))
 	}
@@ -313,17 +298,13 @@ func TestPipelineLookupWindow(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{}, false)
 	e.seedPending(t, "near.com", 1000, e.day.AddDays(2))
 	e.seedPending(t, "far.com", 1000, e.day.AddDays(4))
-	if err := e.pipe.CollectDaily(context.Background(), e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	// Both entries tracked, but only the near one (≤3 days out) looked up.
 	if st := e.pipe.Stats(); st.ListEntries != 2 || st.Lookups != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	// Next day the far one enters the window.
-	if err := e.pipe.CollectDaily(context.Background(), e.day.Next()); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day.Next())
 	if st := e.pipe.Stats(); st.Lookups != 2 {
 		t.Fatalf("stats after day 2 = %+v", st)
 	}
@@ -332,11 +313,8 @@ func TestPipelineLookupWindow(t *testing.T) {
 func TestPipelineIdempotentDailyCollect(t *testing.T) {
 	e := newEnv(t, rdap.ServerConfig{}, false)
 	e.seedPending(t, "once.com", 1000, e.day)
-	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		if err := e.pipe.CollectDaily(ctx, e.day); err != nil {
-			t.Fatal(err)
-		}
+		e.collect(t, e.day)
 	}
 	if st := e.pipe.Stats(); st.ListEntries != 1 || st.Lookups != 1 {
 		t.Fatalf("repeat collection not idempotent: %+v", st)

@@ -31,9 +31,7 @@ func buildWorld(t *testing.T, e *env, n int, rereg func(i int) bool) int {
 		}
 		e.seedPending(t, fmt.Sprintf("race%04d.com", i), sponsor, e.day)
 	}
-	if err := e.pipe.CollectDaily(context.Background(), e.day); err != nil {
-		t.Fatal(err)
-	}
+	e.collect(t, e.day)
 	runner := registry.NewDropRunner(e.store, registry.DropConfig{
 		StartHour: 19, BaseRatePerSec: 1000, RateJitter: 0, DayRateSpread: 0,
 	})
@@ -67,10 +65,7 @@ func TestPipelineParallelLookupsRace(t *testing.T) {
 	t.Cleanup(func() { e.pipe.WHOIS.Close() })
 	const n = 120
 	reregs := buildWorld(t, e, n, func(i int) bool { return i%3 == 0 })
-	obs, err := e.pipe.Finalize(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
+	obs := e.finalize(t)
 	if len(obs) != n {
 		t.Fatalf("observations = %d, want %d", len(obs), n)
 	}
@@ -98,10 +93,7 @@ func TestPipelineParallelMatchesSequential(t *testing.T) {
 		t.Cleanup(func() { e.pipe.WHOIS.Close() })
 		const n = 60
 		buildWorld(t, e, n, func(i int) bool { return i%2 == 0 })
-		obs, err := e.pipe.Finalize(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
+		obs := e.finalize(t)
 		return obs, e.pipe.Stats()
 	}
 	seqRows, seqStats := run(1)

@@ -33,11 +33,18 @@ func newEnv(t *testing.T, cfg ServerConfig) (*registry.Store, *Client) {
 	})
 	store.AddRegistrar(model.Registrar{IANAID: 1727, Name: "Papaki Ltd"})
 	srv := NewServer(store, cfg)
-	client, err := NewClient("http://rdap.test", inproc.Client(srv.Handler()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := inprocClient(t, srv.Handler())
 	return store, client
+}
+
+// inprocClient is an HTTP client of h over the in-process transport.
+func inprocClient(tb testing.TB, h http.Handler) *Client {
+	tb.Helper()
+	c, err := NewClient("http://rdap.test", inproc.Client(h))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
 }
 
 func TestDomainLookup(t *testing.T) {
@@ -488,10 +495,7 @@ func TestClosedServerIsCollectable(t *testing.T) {
 			t.Fatal(err)
 		}
 		srv := NewServer(store, ServerConfig{})
-		client, err := NewClient("http://rdap.test", inproc.Client(srv.Handler()))
-		if err != nil {
-			t.Fatal(err)
-		}
+		client := inprocClient(t, srv.Handler())
 		if _, err := client.Domain(context.Background(), "collect.com"); err != nil {
 			t.Fatal(err)
 		}

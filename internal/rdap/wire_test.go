@@ -344,10 +344,7 @@ func TestErrorBodiesMatchJSON(t *testing.T) {
 			t.Fatal("error response carries an ETag")
 		}
 	}
-	client, err := NewClient("http://rdap.test", inproc.Client(srv.Handler()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	client := inprocClient(t, srv.Handler())
 	if _, err := client.Domain(context.Background(), "broken.com"); !errors.Is(err, ErrServer) {
 		t.Fatalf("failing registrar's domain = %v, want ErrServer", err)
 	}
@@ -661,10 +658,7 @@ func TestStudyLookupsMatchAcrossTransports(t *testing.T) {
 		}
 	}
 	srv := NewServer(store, ServerConfig{})
-	overHTTP, err := NewClient("http://rdap.test", inproc.Client(srv.Handler()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	overHTTP := inprocClient(t, srv.Handler())
 	body := srv.appendDomain(nil, want[0])
 	handle, rest, _ := bytes.Cut(bytes.TrimPrefix(body, []byte(`{"objectClassName":"domain",`)), []byte(`,`))
 	swapped := slices.Concat([]byte(`{`), handle, []byte(`,"objectClassName":"domain",`), rest)

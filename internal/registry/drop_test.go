@@ -12,6 +12,17 @@ import (
 	"dropzero/internal/simtime"
 )
 
+// runDrop runs day's Drop on s under cfg, drawing from a rand seeded with
+// seed.
+func runDrop(t *testing.T, s *Store, cfg DropConfig, day simtime.Day, seed int64) []model.DeletionEvent {
+	t.Helper()
+	events, err := NewDropRunner(s, cfg).Run(day, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return events
+}
+
 // seedPending inserts n pendingDelete domains for day with randomised update
 // times (batched per registrar) and returns the store.
 func seedPending(t *testing.T, n int, day simtime.Day, rng *rand.Rand) *Store {
@@ -71,10 +82,7 @@ func TestDropRunDeletesEverything(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
 	s := seedPending(t, 300, day, rand.New(rand.NewSource(3)))
 	before := s.Count()
-	events, err := NewDropRunner(s, DefaultDropConfig()).Run(day, rand.New(rand.NewSource(4)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, DefaultDropConfig(), day, 4)
 	if len(events) != 300 {
 		t.Fatalf("events = %d, want 300", len(events))
 	}
@@ -89,10 +97,7 @@ func TestDropRunDeletesEverything(t *testing.T) {
 func TestDropRunTimesMonotone(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
 	s := seedPending(t, 400, day, rand.New(rand.NewSource(5)))
-	events, err := NewDropRunner(s, DefaultDropConfig()).Run(day, rand.New(rand.NewSource(6)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, DefaultDropConfig(), day, 6)
 	start := day.At(19, 0, 0)
 	for i, ev := range events {
 		if ev.Rank() != i {
@@ -114,10 +119,7 @@ func TestDropRatePacing(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
 	s := seedPending(t, 2000, day, rand.New(rand.NewSource(7)))
 	cfg := DropConfig{StartHour: 19, BaseRatePerSec: 10, RateJitter: 0, DayRateSpread: 0}
-	events, err := NewDropRunner(s, cfg).Run(day, rand.New(rand.NewSource(8)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, cfg, day, 8)
 	// 2000 domains at exactly 10/s should take 200 seconds.
 	want := day.At(19, 0, 0).Add(199 * time.Second)
 	if got := EndTime(events); !got.Equal(want) {
@@ -129,10 +131,7 @@ func TestDropFractionalRate(t *testing.T) {
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
 	s := seedPending(t, 100, day, rand.New(rand.NewSource(9)))
 	cfg := DropConfig{StartHour: 19, BaseRatePerSec: 0.5, RateJitter: 0, DayRateSpread: 0}
-	events, err := NewDropRunner(s, cfg).Run(day, rand.New(rand.NewSource(10)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, cfg, day, 10)
 	// 100 domains at 0.5/s: one deletion every other second, ~199 s total.
 	got := EndTime(events).Sub(day.At(19, 0, 0))
 	if got < 195*time.Second || got > 203*time.Second {
@@ -146,10 +145,7 @@ func TestDropDayRateSpreadVariesDuration(t *testing.T) {
 	durations := make(map[time.Duration]bool)
 	for seed := int64(0); seed < 5; seed++ {
 		s := seedPending(t, 1000, day, rand.New(rand.NewSource(20+seed)))
-		events, err := NewDropRunner(s, cfg).Run(day, rand.New(rand.NewSource(30+seed)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		events := runDrop(t, s, cfg, day, 30+seed)
 		durations[EndTime(events).Sub(day.At(19, 0, 0))] = true
 	}
 	if len(durations) < 2 {
@@ -160,10 +156,7 @@ func TestDropDayRateSpreadVariesDuration(t *testing.T) {
 func TestDropEmptyDay(t *testing.T) {
 	s := NewStore(testClock())
 	day := simtime.Day{Year: 2018, Month: time.January, Dom: 20}
-	events, err := NewDropRunner(s, DefaultDropConfig()).Run(day, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, DefaultDropConfig(), day, 1)
 	if len(events) != 0 {
 		t.Fatalf("events on empty day: %d", len(events))
 	}
@@ -184,10 +177,7 @@ func TestDropOnlyTargetsGivenDay(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	events, err := NewDropRunner(s, DefaultDropConfig()).Run(dayA, rand.New(rand.NewSource(12)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, DefaultDropConfig(), dayA, 12)
 	if len(events) != 50 {
 		t.Fatalf("deleted %d, want 50", len(events))
 	}

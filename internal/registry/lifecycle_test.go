@@ -2,7 +2,6 @@ package registry
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -71,10 +70,7 @@ func TestLifecycleFullPipeline(t *testing.T) {
 	}
 
 	// The Drop can now purge it on its DeleteDay.
-	events, err := NewDropRunner(s, DefaultDropConfig()).Run(wantDay, rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
+	events := runDrop(t, s, DefaultDropConfig(), wantDay, 1)
 	if len(events) != 1 || events[0].Name() != "expiring.com" {
 		t.Fatalf("drop events = %+v", events)
 	}

@@ -47,10 +47,7 @@ func TestStudyBytesPerDeletion(t *testing.T) {
 	cfg.Days = 4
 	cfg.Scale = 0.1
 	before := liveHeap()
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	held := float64(liveHeap()) - float64(before)
 	deletions := 0
 	for _, evs := range res.Deletions {
@@ -147,10 +144,7 @@ func TestResultNamesHeldOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg.DataDir = crashDir
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, cfg)
 		if res.Recovered.Fresh() {
 			t.Fatal("the resume recovered nothing")
 		}

@@ -10,13 +10,20 @@ import (
 	"dropzero/internal/model"
 )
 
-// runCSV runs a study and writes its dataset as WriteCSV does.
-func runCSV(t *testing.T, cfg Config) (*Result, []byte) {
+// run is Run(cfg), failing t on an error.
+func run(t *testing.T, cfg Config) *Result {
 	t.Helper()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+// runCSV runs a study and writes its dataset as WriteCSV does.
+func runCSV(t *testing.T, cfg Config) (*Result, []byte) {
+	t.Helper()
+	res := run(t, cfg)
 	var buf bytes.Buffer
 	if err := measure.WriteCSV(&buf, res.Observations); err != nil {
 		t.Fatal(err)

@@ -98,16 +98,10 @@ func TestFederationExtraZonesDoNotPerturbCore(t *testing.T) {
 	cfg.Scale = 0.01
 	cfg.FinalizeAfterDays = 57
 
-	base, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := run(t, cfg)
 	fedCfg := cfg
 	fedCfg.Zones = []zone.Config{nordicTestZone(), shuffleTestZone()}
-	fed, err := Run(fedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fed := run(t, fedCfg)
 	if len(fed.Zones) != 3 {
 		t.Fatalf("federated run hosts %d zones, want 3", len(fed.Zones))
 	}
@@ -206,10 +200,7 @@ func TestFederatedStudyPinned(t *testing.T) {
 	cfg.Days = 2
 	cfg.Scale = 0.01
 	cfg.Zones = []zone.Config{nordicTestZone(), shuffleTestZone()}
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	digest := func(write func(io.Writer) error) string {
 		h := sha256.New()
 		if err := write(h); err != nil {

@@ -195,10 +195,7 @@ func TestResumeCompletedRun(t *testing.T) {
 	cfg.DataDir = filepath.Join(t.TempDir(), "data")
 	cfg.Durability = journal.ModeSync
 
-	first, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	first := run(t, cfg)
 	want := resultDump(t, first)
 	second, err := Run(cfg)
 	if err != nil {

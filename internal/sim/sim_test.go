@@ -188,10 +188,7 @@ func TestCalibrationHeadlines(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Days = 10
 	cfg.Scale = 0.05
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, cfg)
 	days, _ := core.AnalyzeAll(res.Observations, core.DefaultEnvelopeConfig())
 	total := core.TotalDeleted(days)
 	zero, sameDay, in24h := 0, 0, 0
@@ -229,10 +226,7 @@ func TestScaleSensitivity(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Days = 8
 		cfg.Scale = scale
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := run(t, cfg)
 		days, _ := core.AnalyzeAll(res.Observations, core.DefaultEnvelopeConfig())
 		zero := 0
 		for _, d := range core.AllDelays(days) {

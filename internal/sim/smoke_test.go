@@ -37,10 +37,7 @@ func study(t *testing.T, name string, cfg Config) *Result {
 // component that stays reachable one cycle longer (a sync.Pool inside a
 // server, say) shows up as exactly that gap.
 func TestRunLeavesNothingPinned(t *testing.T) {
-	res, err := Run(smallConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := run(t, smallConfig())
 	heapAfterGC := func() float64 {
 		runtime.GC()
 		var ms runtime.MemStats
